@@ -49,7 +49,6 @@ func main() {
 		noDedup    = flag.Bool("no-dedup", false, "disable deduplication")
 		compress   = flag.Bool("compress", false, "enable block-level compression")
 		chunkSize  = flag.Int("chunk", 64, "sketching chunk size in bytes (power of two)")
-		chunkAlg   = flag.String("chunker", "", "content-defined chunking algorithm: rabin | gear (default: DBDEDUP_CHUNKER or rabin; must match across a replica set)")
 		scheme     = flag.String("scheme", "hop", "chain encoding scheme: hop | backward | version-jump")
 		hop        = flag.Int("hop", 16, "hop distance / cluster size")
 		statsEvery = flag.Duration("stats-every", 0, "periodically log store stats (0 = off)")
@@ -79,9 +78,8 @@ func main() {
 		idxBudgetBytes = b
 	}
 
-	alg, err := chunker.ParseAlgorithm(*chunkAlg)
-	if err != nil {
-		log.Fatalf("-chunker: %v", err)
+	if err := chunker.CheckAvgSize(*chunkSize); err != nil {
+		log.Fatalf("-chunk: %v", err)
 	}
 
 	var sch chain.Scheme
@@ -100,7 +98,6 @@ func main() {
 		Dir:          *dir,
 		DisableDedup: *noDedup,
 		Engine: core.Config{
-			Chunker:          alg,
 			ChunkAvgSize:     *chunkSize,
 			Scheme:           sch,
 			HopDistance:      *hop,

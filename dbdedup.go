@@ -78,16 +78,11 @@ type Options struct {
 	// storage blocks (composes with dedup).
 	BlockCompression bool
 
-	// ChunkSize is the sketching chunk size in bytes (power of two).
-	// Default 64 — the paper's headline configuration; 1024 trades a
-	// little compression for faster sketching.
+	// ChunkSize is the sketching chunk size in bytes (a power of two
+	// >= 2; Open rejects anything else). Default 64 — the paper's
+	// headline configuration; 1024 trades a little compression for
+	// faster sketching.
 	ChunkSize int
-	// Chunker selects the content-defined chunking algorithm: "rabin"
-	// (rolling-polynomial fingerprints, the default) or "gear" (Gear-hash
-	// chunking with skip-ahead — several times faster at equivalent dedup
-	// ratios). Empty honours the DBDEDUP_CHUNKER environment variable.
-	// All nodes of a replica set must agree.
-	Chunker string
 	// SketchFeatures caps features per record (default 8).
 	SketchFeatures int
 	// AnchorInterval tunes delta compression speed vs ratio (default 64).
@@ -138,8 +133,7 @@ type Options struct {
 }
 
 func (o Options) nodeOptions() (node.Options, error) {
-	alg, err := chunker.ParseAlgorithm(o.Chunker)
-	if err != nil {
+	if err := chunker.CheckAvgSize(o.ChunkSize); err != nil {
 		return node.Options{}, err
 	}
 	return node.Options{
@@ -147,7 +141,6 @@ func (o Options) nodeOptions() (node.Options, error) {
 		DisableDedup:     o.DisableDedup,
 		BlockCompression: o.BlockCompression,
 		Engine: core.Config{
-			Chunker:           alg,
 			ChunkAvgSize:      o.ChunkSize,
 			SketchK:           o.SketchFeatures,
 			AnchorInterval:    o.AnchorInterval,

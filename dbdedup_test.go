@@ -172,6 +172,26 @@ func TestSchemeSelection(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsBadChunkSize: the chunk size is operator input, so a bad one
+// is an error from Open, not a panic out of the chunker's constructor.
+func TestOpenRejectsBadChunkSize(t *testing.T) {
+	for _, size := range []int{-64, 1, 3, 100} {
+		s, err := Open(Options{ChunkSize: size})
+		if err == nil {
+			s.Close()
+			t.Errorf("Open(ChunkSize: %d) succeeded, want an error", size)
+		}
+	}
+	for _, size := range []int{0, 2, 64, 1024} {
+		s, err := Open(Options{ChunkSize: size})
+		if err != nil {
+			t.Errorf("Open(ChunkSize: %d): %v", size, err)
+			continue
+		}
+		s.Close()
+	}
+}
+
 func TestPersistentStore(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Dir: dir, SyncEncode: true, ManualFlush: true, GovernorWindow: 1 << 30}

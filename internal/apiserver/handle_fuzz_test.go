@@ -1,0 +1,165 @@
+package apiserver
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"net"
+	"testing"
+
+	"dbdedup/internal/core"
+	"dbdedup/internal/node"
+)
+
+// fuzzBackend is a ClusterBackend over a map. It records the most bytes the
+// request decoder ever handed it in one call, so the fuzz target can hold
+// that against the size of the frame the bytes came from.
+type fuzzBackend struct {
+	recs   map[[2]string][]byte
+	handed int
+}
+
+func (b *fuzzBackend) took(parts ...int) {
+	n := 0
+	for _, p := range parts {
+		n += p
+	}
+	if n > b.handed {
+		b.handed = n
+	}
+}
+
+func (b *fuzzBackend) Insert(db, key string, payload []byte) error {
+	b.took(len(db), len(key), len(payload))
+	b.recs[[2]string{db, key}] = payload
+	return nil
+}
+
+func (b *fuzzBackend) Update(db, key string, payload []byte) error {
+	b.took(len(db), len(key), len(payload))
+	if _, ok := b.recs[[2]string{db, key}]; !ok {
+		return node.ErrNotFound
+	}
+	b.recs[[2]string{db, key}] = payload
+	return nil
+}
+
+func (b *fuzzBackend) Delete(db, key string) error {
+	b.took(len(db), len(key))
+	if _, ok := b.recs[[2]string{db, key}]; !ok {
+		return node.ErrNotFound
+	}
+	delete(b.recs, [2]string{db, key})
+	return nil
+}
+
+func (b *fuzzBackend) Read(db, key string) ([]byte, error) {
+	b.took(len(db), len(key))
+	v, ok := b.recs[[2]string{db, key}]
+	if !ok {
+		return nil, node.ErrNotFound
+	}
+	return v, nil
+}
+
+func (b *fuzzBackend) Stats() node.Stats            { return node.Stats{} }
+func (b *fuzzBackend) DBStats() []core.DBStats      { return nil }
+func (b *fuzzBackend) VerifyAll() node.VerifyReport { return node.VerifyReport{} }
+func (b *fuzzBackend) RingJSON() []byte             { return []byte(`{"epoch":1}`) }
+func (b *fuzzBackend) BeginHandoff() ([]byte, error) {
+	return []byte(`{}`), nil
+}
+func (b *fuzzBackend) CommitRing() error { return nil }
+func (b *fuzzBackend) AbortRing() error  { return nil }
+func (b *fuzzBackend) InstallRing(body []byte) error {
+	b.took(len(body))
+	return nil
+}
+func (b *fuzzBackend) Transfer(db, key string, payload []byte) error {
+	return b.Insert(db, key, payload)
+}
+
+// realRequestStream is one well-formed request of every op, framed exactly as
+// Client frames them, back to back as they would arrive on one connection.
+func realRequestStream() []byte {
+	keyed := func(op byte, db, key string, payload []byte) []byte {
+		req := appendStr(appendStr([]byte{op}, db), key)
+		if payload != nil {
+			req = append(binary.AppendUvarint(req, uint64(len(payload))), payload...)
+		}
+		return req
+	}
+	payload := bytes.Repeat([]byte("a record body, long enough to matter. "), 8)
+	var stream bytes.Buffer
+	for _, req := range [][]byte{
+		keyed(opInsert, "wiki", "article/1", payload),
+		keyed(opGet, "wiki", "article/1", nil),
+		keyed(opUpdate, "wiki", "article/1", payload[:40]),
+		keyed(opTransfer, "wiki", "article/2", payload),
+		keyed(opDelete, "wiki", "article/1", nil),
+		{opStats}, {opDBStats}, {opVerify},
+		{opRing}, {opBeginHandoff}, {opCommitRing}, {opAbortRing},
+		append([]byte{opInstallRing}, `{"epoch":2,"members":["a:1","b:1"]}`...),
+		append([]byte{opForwarded}, keyed(opGet, "wiki", "article/2", nil)...),
+	} {
+		writeRaw(&stream, req)
+	}
+	return stream.Bytes()
+}
+
+// FuzzHandleFrame feeds arbitrary byte streams through the request path of
+// one connection: readRequest's framing, then Server.handle's op decoder,
+// over a stub backend. Neither may panic; no frame may be accepted, and so
+// allocated, beyond MaxRequestBytes whatever its length prefix claims; and
+// the decoder may never hand the backend more bytes than the frame carried,
+// whatever the varint lengths inside it claim.
+func FuzzHandleFrame(f *testing.F) {
+	const maxRequest = 1 << 12
+
+	real := realRequestStream()
+	f.Add(real)
+	f.Add(real[:3])  // mid-header
+	f.Add(real[:30]) // mid-body
+	f.Add([]byte{0, 0, 0, 0})
+	// A length prefix beyond the bound, and one within it that lies.
+	f.Add(binary.LittleEndian.AppendUint32(nil, maxRequest+1))
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, maxRequest), opInsert))
+	// Varint lengths inside the frame that claim more than it holds.
+	f.Add([]byte{4, 0, 0, 0, opInsert, 0xff, 0xff, 0x7f})
+	f.Add([]byte{12, 0, 0, 0, opGet, 2, 'd', 'b', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{2, 0, 0, 0, '?', 0})
+
+	// Only deadlines are ever set on the connection; the bytes come from r.
+	conn, peer := net.Pipe()
+	f.Cleanup(func() { conn.Close(); peer.Close() })
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		b := &fuzzBackend{recs: make(map[[2]string][]byte)}
+		opts := Options{MaxRequestBytes: maxRequest}.withDefaults()
+		s := &Server{backend: b, cb: b, opts: opts, mem: newByteBudget(opts.MemoryBudget)}
+		r := bufio.NewReader(bytes.NewReader(stream))
+		var reply bytes.Buffer
+		w := bufio.NewWriter(&reply)
+		for {
+			frame, release, err := s.readRequest(conn, r, w)
+			if err != nil {
+				return // every malformed stream ends in an error, not a panic
+			}
+			if len(frame) > maxRequest || len(frame) > len(stream) {
+				t.Fatalf("accepted a %d-byte frame from a %d-byte stream (bound %d)", len(frame), len(stream), maxRequest)
+			}
+			if len(frame) > 0 && frame[0] == opForwarded {
+				frame = frame[1:] // as serveConn does
+			}
+			b.handed = 0
+			status, _ := s.handle(frame)
+			release()
+			if status > statusMoving {
+				t.Fatalf("unknown status %d for frame %q", status, frame)
+			}
+			if b.handed > len(frame) {
+				t.Fatalf("decoder handed the backend %d bytes out of a %d-byte frame", b.handed, len(frame))
+			}
+		}
+	})
+}

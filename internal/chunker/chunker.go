@@ -1,31 +1,27 @@
-// Package chunker is the content-defined chunking seam of the sketch stage:
-// a Chunker turns byte buffers into contiguous, non-empty chunk streams that
-// cover the input exactly, and every implementation is interchangeable
-// behind that contract. Two implementations exist:
+// Package chunker is the content-defined chunking stage of sketching: a
+// Chunker turns byte buffers into contiguous, non-empty chunk streams that
+// cover the input exactly. It holds two algorithms and no way to choose
+// between them at run time:
 //
-//   - Rabin: the classic rolling-polynomial fingerprint chunker
-//     (internal/rabin), the reproduction's original algorithm. A boundary is
-//     declared wherever the low bits of a sliding-window fingerprint match a
-//     fixed pattern.
+//   - Gear (gear.go) is the chunker. Every node, daemon and harness runs it:
+//     one shift and one byte-indexed table add per byte, no sliding-window
+//     bookkeeping, the sub-MinSize region of every chunk skipped entirely.
 //
-//   - Gear: a Gear-hash chunker in the FastCDC/SeqCDC style. The rolling
-//     hash is one shift and one byte-indexed table add per byte — no
-//     sliding-window bookkeeping — the sub-MinSize region of every chunk is
-//     skipped entirely (no boundary can fire there), and two normalized
-//     masks steer the chunk-size distribution toward the configured average.
-//     Several times faster than Rabin at equal average chunk size.
+//   - Rabin (rabin.go) is the reference: the paper's rolling-polynomial
+//     fingerprint chunker. The paper-fidelity experiments and the trad-dedup
+//     baseline pin it so their figures stay on the paper's algorithm, and the
+//     tests hold gear to its contract and its dedup ratios.
 //
-// Chunk boundaries differ between algorithms (each defines its own notion of
+// Chunk boundaries differ between the two (each defines its own notion of
 // "content-defined"), but both are deterministic, both respect the same
 // Min/Avg/Max size bounds, and both yield statistically equivalent dedup
-// ratios — verified by the ratio-parity tests in internal/experiments.
+// ratios, verified by the ratio-parity test in internal/experiments. Which
+// one sketched a record is recorded nowhere: sketches only steer which
+// similar record is found, so stored deltas and oplog entries decode the
+// same whatever chunked them.
 package chunker
 
-import (
-	"fmt"
-	"os"
-	"sync"
-)
+import "fmt"
 
 // Chunk describes one content-defined chunk of an input buffer.
 type Chunk struct {
@@ -35,61 +31,24 @@ type Chunk struct {
 	Length int
 }
 
-// Algorithm selects a chunking algorithm.
+// Algorithm names a chunking algorithm.
 type Algorithm int
 
 const (
-	// Auto resolves to the DBDEDUP_CHUNKER environment variable ("rabin"
-	// or "gear"), falling back to Rabin. It is the zero value so existing
-	// configurations keep their behaviour unless the operator opts in.
-	Auto Algorithm = iota
-	// Rabin is rolling-polynomial fingerprint chunking (internal/rabin).
+	// Gear is Gear-hash chunking with skip-ahead: the production chunker,
+	// and the zero value.
+	Gear Algorithm = iota
+	// Rabin is rolling-polynomial fingerprint chunking: the reference
+	// implementation.
 	Rabin
-	// Gear is Gear-hash chunking with skip-ahead and normalized masks.
-	Gear
 )
 
-// String names the algorithm (Auto shows what it resolves to).
+// String names the algorithm.
 func (a Algorithm) String() string {
-	switch a.resolve() {
-	case Gear:
-		return "gear"
-	default:
+	if a == Rabin {
 		return "rabin"
 	}
-}
-
-// ParseAlgorithm maps a flag/config string to an Algorithm. Empty and
-// "auto" return Auto.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "", "auto":
-		return Auto, nil
-	case "rabin":
-		return Rabin, nil
-	case "gear":
-		return Gear, nil
-	default:
-		return Auto, fmt.Errorf("chunker: unknown algorithm %q (want rabin or gear)", s)
-	}
-}
-
-// envDefault resolves the DBDEDUP_CHUNKER environment override once. An
-// unset or unparseable value keeps the Rabin default.
-var envDefault = sync.OnceValue(func() Algorithm {
-	a, err := ParseAlgorithm(os.Getenv("DBDEDUP_CHUNKER"))
-	if err != nil || a == Auto {
-		return Rabin
-	}
-	return a
-})
-
-// resolve maps Auto to the effective algorithm.
-func (a Algorithm) resolve() Algorithm {
-	if a == Auto {
-		return envDefault()
-	}
-	return a
+	return "gear"
 }
 
 // Chunker splits byte buffers into content-defined chunks. Implementations
@@ -106,8 +65,7 @@ type Chunker interface {
 
 // Config controls content-defined chunking, independent of algorithm.
 type Config struct {
-	// Algorithm picks the implementation; Auto honours DBDEDUP_CHUNKER
-	// and defaults to Rabin.
+	// Algorithm picks the implementation; the zero value is Gear.
 	Algorithm Algorithm
 	// AvgSize is the target average chunk size in bytes. It must be a
 	// power of two >= 2. Defaults to 1024.
@@ -120,14 +78,25 @@ type Config struct {
 	MaxSize int
 }
 
+// CheckAvgSize reports whether n is usable as Config.AvgSize: zero (the
+// default) or a power of two >= 2. Callers that take the chunk size from an
+// operator check it with this before building anything.
+func CheckAvgSize(n int) error {
+	if n != 0 && (n < 2 || n&(n-1) != 0) {
+		return fmt.Errorf("chunker: chunk size %d is not a power of two >= 2", n)
+	}
+	return nil
+}
+
 // withDefaults validates cfg and fills in defaults. It panics on invalid
-// sizes; configuration is programmer input, not runtime data.
+// sizes: by this point configuration is programmer input, not runtime data
+// (operator-supplied sizes go through CheckAvgSize first).
 func (cfg Config) withDefaults() Config {
+	if err := CheckAvgSize(cfg.AvgSize); err != nil {
+		panic(err)
+	}
 	if cfg.AvgSize == 0 {
 		cfg.AvgSize = 1024
-	}
-	if cfg.AvgSize < 2 || cfg.AvgSize&(cfg.AvgSize-1) != 0 {
-		panic("chunker: AvgSize must be a power of two >= 2")
 	}
 	if cfg.MinSize == 0 {
 		cfg.MinSize = cfg.AvgSize / 4
@@ -147,12 +116,10 @@ func (cfg Config) withDefaults() Config {
 // New builds the configured chunker.
 func New(cfg Config) Chunker {
 	cfg = cfg.withDefaults()
-	switch cfg.Algorithm.resolve() {
-	case Gear:
-		return newGearChunker(cfg)
-	default:
+	if cfg.Algorithm == Rabin {
 		return newRabinChunker(cfg)
 	}
+	return newGearChunker(cfg)
 }
 
 // Split is a convenience wrapper allocating a fresh chunk slice.

@@ -2,7 +2,6 @@ package chunker
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 )
 
@@ -18,44 +17,6 @@ func xorshift(n int) []byte {
 		b[i] = byte(s)
 	}
 	return b
-}
-
-func TestParseAlgorithm(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Algorithm
-		err  bool
-	}{
-		{"", Auto, false},
-		{"auto", Auto, false},
-		{"rabin", Rabin, false},
-		{"gear", Gear, false},
-		{"GEAR", Auto, true},
-		{"fastcdc", Auto, true},
-	}
-	for _, c := range cases {
-		got, err := ParseAlgorithm(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v, err=%v", c.in, got, err, c.want, c.err)
-		}
-	}
-}
-
-func TestAutoHonoursEnv(t *testing.T) {
-	// The CI chunker-matrix lane runs the whole suite with
-	// DBDEDUP_CHUNKER=gear, so compute the expectation from the
-	// environment rather than assuming the default.
-	want := Rabin
-	if env, err := ParseAlgorithm(os.Getenv("DBDEDUP_CHUNKER")); err == nil && env != Auto {
-		want = env
-	}
-	if got := New(Config{AvgSize: 64}).Algorithm(); got != want {
-		t.Errorf("New(Auto) resolved to %v, want %v (DBDEDUP_CHUNKER=%q)",
-			got, want, os.Getenv("DBDEDUP_CHUNKER"))
-	}
-	if got := Algorithm(Auto).String(); got != want.String() {
-		t.Errorf("Auto.String() = %q, want %q", got, want.String())
-	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -74,6 +35,19 @@ func TestConfigValidation(t *testing.T) {
 	for _, alg := range []Algorithm{Rabin, Gear} {
 		if c := New(Config{Algorithm: alg}); c.Algorithm() != alg {
 			t.Errorf("Algorithm() = %v, want %v", c.Algorithm(), alg)
+		}
+	}
+	if got := New(Config{}).Algorithm(); got != Gear {
+		t.Errorf("zero Config built %v, want gear", got)
+	}
+	for _, n := range []int{0, 2, 64, 1 << 20} {
+		if err := CheckAvgSize(n); err != nil {
+			t.Errorf("CheckAvgSize(%d) = %v, want nil", n, err)
+		}
+	}
+	for _, n := range []int{-64, 1, 3, 100} {
+		if err := CheckAvgSize(n); err == nil {
+			t.Errorf("CheckAvgSize(%d) = nil, want an error", n)
 		}
 	}
 }
@@ -203,6 +177,47 @@ func TestShiftResilience(t *testing.T) {
 		if frac := float64(shared) / float64(len(a)); frac < 0.80 {
 			t.Errorf("alg=%v: only %.0f%% of chunks survive a 17-byte insertion; want >= 80%%",
 				alg, frac*100)
+		}
+	}
+}
+
+// TestBoundariesRealignAfterEdit is the stricter form of the same property:
+// an insertion mid-stream moves no boundary before it, and past one forget
+// horizon (4 KiB is generous for both algorithms) at least 95% of the old
+// boundaries reappear, shifted by the insertion length.
+func TestBoundariesRealignAfterEdit(t *testing.T) {
+	data := xorshift(128 << 10)
+	half := len(data) / 2
+	edited := append([]byte(nil), data[:half]...)
+	edited = append(edited, []byte("INSERTED EDIT PAYLOAD")...)
+	edited = append(edited, data[half:]...)
+	shift := len(edited) - len(data)
+
+	for _, alg := range []Algorithm{Rabin, Gear} {
+		c := New(Config{Algorithm: alg, AvgSize: 256})
+		after := make(map[int]bool)
+		for _, ch := range c.Chunks(edited, nil) {
+			after[ch.Offset] = true
+		}
+		realigned, total := 0, 0
+		for _, ch := range c.Chunks(data, nil) {
+			switch {
+			case ch.Offset+ch.Length <= half:
+				if !after[ch.Offset] {
+					t.Errorf("alg=%v: boundary at %d, before the edit, moved", alg, ch.Offset)
+				}
+			case ch.Offset >= half+4096:
+				total++
+				if after[ch.Offset+shift] {
+					realigned++
+				}
+			}
+		}
+		if total == 0 {
+			t.Fatal("test corpus too small")
+		}
+		if frac := float64(realigned) / float64(total); frac < 0.95 {
+			t.Errorf("alg=%v: only %.2f of boundaries re-aligned after the edit, want >= 0.95", alg, frac)
 		}
 	}
 }

@@ -9,7 +9,7 @@ package chunker
 // — one shift and one byte-indexed table add per byte. The shift ages out
 // old bytes implicitly (a byte's contribution leaves the register after
 // 64/shift bytes), so there is no sliding-window buffer to maintain, unlike
-// rabin.Hasher.Roll's circular-buffer bookkeeping. Boundaries test the
+// the circular buffer rabinHasher.roll keeps. Boundaries test the
 // *high* bits of h (h & mask == 0), which accumulate contributions from the
 // most recent 64/shift bytes: the decision is content-local, which is what
 // makes chunking shift-resistant.

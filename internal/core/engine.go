@@ -67,11 +67,11 @@ type Config struct {
 	// ChunkAvgSize is the sketching chunk size (paper: 1 KiB or 64 B;
 	// 64 B is the headline configuration). Defaults to 64.
 	ChunkAvgSize int
-	// Chunker selects the content-defined chunking algorithm behind the
-	// sketch seam (chunker.Rabin or chunker.Gear). The zero value honours
-	// the DBDEDUP_CHUNKER environment variable and defaults to Rabin.
-	// Primary and secondaries must agree: sketches — and therefore chain
-	// layouts — differ between algorithms.
+	// Chunker is the content-defined chunking algorithm of the sketch
+	// stage. Every node leaves it zero (chunker.Gear); the paper-fidelity
+	// experiments pin chunker.Rabin, the reference. It only steers which
+	// similar record is found: no stored delta or oplog entry needs it to
+	// decode, so data written under one reads and extends under the other.
 	Chunker chunker.Algorithm
 	// SketchK is the features-per-record bound. Defaults to 8.
 	SketchK int

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dbdedup/internal/chain"
+	"dbdedup/internal/chunker"
 	"dbdedup/internal/delta"
 )
 
@@ -51,6 +52,9 @@ func editText(rng *rand.Rand, data []byte, k int) []byte {
 
 func TestFirstRecordNotDeduped(t *testing.T) {
 	e, f := newTestEngine(Config{})
+	if alg := e.extractor.ChunkerAlgorithm(); alg != chunker.Gear {
+		t.Fatalf("zero Config chunks with %v, want gear", alg)
+	}
 	payload := prose(rand.New(rand.NewSource(1)), 4096)
 	f.contents[1] = payload
 	res, err := e.Encode("db", 1, payload)

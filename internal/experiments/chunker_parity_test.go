@@ -5,28 +5,36 @@ import (
 
 	"dbdedup/internal/chunker"
 	"dbdedup/internal/core"
+	"dbdedup/internal/node"
 	"dbdedup/internal/workload"
 )
 
-// TestChunkerDedupRatioParity pins the acceptance contract for the gear
-// chunker: swapping the chunking algorithm must not change the dedup ratios
-// behind the fig-series results by more than 25% relative, at both paper
-// chunk sizes. The gear defaults (warm-up, adaptive shift, equal masks —
-// see internal/chunker/gear.go) were tuned until every cell here sits
-// within a few percent of rabin at 8 MiB scale; the tolerance is wide only
-// because this test runs at smallScale, where per-seed variance in a
-// single cell reaches ~15%. The bound exists so a future chunker change
-// cannot silently erode the headline compression figures.
+// TestChunkerDedupRatioParity pins the contract that lets gear be the
+// production chunker while the figures stay on rabin: swapping the chunking
+// algorithm must not change the dedup ratios behind the fig-series results
+// by more than 25% relative, at both paper chunk sizes. The gear defaults
+// (warm-up, adaptive shift, equal masks — see internal/chunker/gear.go) were
+// tuned until every cell here sits within a few percent of rabin at 8 MiB
+// scale; the tolerance is wide only because this test runs at smallScale,
+// where per-seed variance in a single cell reaches ~15%. The bound exists so
+// a future chunker change cannot silently erode the headline compression
+// figures.
 func TestChunkerDedupRatioParity(t *testing.T) {
 	const tolerance = 0.25
 
 	ratio := func(alg chunker.Algorithm, kind workload.Kind, chunk int) float64 {
 		t.Helper()
-		n, err := nodeForConfig(core.Config{
-			Chunker:           alg,
-			ChunkAvgSize:      chunk,
-			DisableSizeFilter: true,
-		}, false, false)
+		// node.Open directly: openNode would pin rabin on both sides.
+		n, err := node.Open(node.Options{
+			Engine: core.Config{
+				Chunker:           alg,
+				ChunkAvgSize:      chunk,
+				DisableSizeFilter: true,
+				GovernorWindow:    1 << 30,
+			},
+			SyncEncode:       true,
+			DisableAutoFlush: true,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"dbdedup/internal/blockcomp"
+	"dbdedup/internal/chunker"
 	"dbdedup/internal/core"
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/node"
@@ -32,15 +33,23 @@ type Scale struct {
 // DefaultScale keeps the full suite in the minutes range on one core.
 var DefaultScale = Scale{InsertBytes: 12 << 20, Seed: 1}
 
+// openNode opens every experiment's node. It is the one place that pins the
+// paper's chunking algorithm: the service chunks with gear, but the figures
+// and the committed results_csv/ reproduce the paper on Rabin fingerprints.
+func openNode(opts node.Options) (*node.Node, error) {
+	opts.Engine.Chunker = chunker.Rabin
+	if opts.Engine.GovernorWindow == 0 {
+		// The governor's production window (100k inserts) exceeds most
+		// experiment trace lengths; it gets its own experiment.
+		opts.Engine.GovernorWindow = 1 << 30
+	}
+	return node.Open(opts)
+}
+
 // nodeForConfig opens an in-memory node in the deterministic experiment
 // configuration.
 func nodeForConfig(engine core.Config, disableDedup, compress bool) (*node.Node, error) {
-	if engine.GovernorWindow == 0 {
-		// The governor's production window (100k inserts) exceeds most
-		// experiment trace lengths; it gets its own experiment.
-		engine.GovernorWindow = 1 << 30
-	}
-	return node.Open(node.Options{
+	return openNode(node.Options{
 		Engine:           engine,
 		DisableDedup:     disableDedup,
 		BlockCompression: compress,
@@ -51,10 +60,7 @@ func nodeForConfig(engine core.Config, disableDedup, compress bool) (*node.Node,
 
 // nodeForConfigWB is nodeForConfig with a specific write-back cache size.
 func nodeForConfigWB(engine core.Config, wbBytes int64) (*node.Node, error) {
-	if engine.GovernorWindow == 0 {
-		engine.GovernorWindow = 1 << 30
-	}
-	return node.Open(node.Options{
+	return openNode(node.Options{
 		Engine:              engine,
 		WritebackCacheBytes: wbBytes,
 		SyncEncode:          true,

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"dbdedup/internal/core"
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/node"
 	"dbdedup/internal/workload"
@@ -61,7 +60,6 @@ func RunFig12(sc Scale, kinds ...workload.Kind) (*Fig12Result, error) {
 func runFig12Cell(sc Scale, kind workload.Kind, config string) (Fig12Row, error) {
 	row := Fig12Row{Dataset: kind, Config: config}
 	opts := node.Options{
-		Engine: core.Config{GovernorWindow: 1 << 30},
 		// Production-like: async encoding, background idle flusher.
 		FlushInterval: 2 * time.Millisecond,
 	}
@@ -75,7 +73,7 @@ func runFig12Cell(sc Scale, kind workload.Kind, config string) (Fig12Row, error)
 	default:
 		return row, fmt.Errorf("unknown config %q", config)
 	}
-	n, err := node.Open(opts)
+	n, err := openNode(opts)
 	if err != nil {
 		return row, err
 	}

@@ -145,8 +145,8 @@ func RunFig13b(sc Scale) (*Fig13bResult, error) {
 		if !withCache {
 			wb = -1 // inline write-backs
 		}
-		n, err := node.Open(node.Options{
-			Engine:               core.Config{GovernorWindow: 1 << 30, DisableSizeFilter: true},
+		n, err := openNode(node.Options{
+			Engine:               core.Config{DisableSizeFilter: true},
 			WritebackCacheBytes:  wb,
 			SyncEncode:           true, // write-backs (inline or deferred) are the variable
 			DisableAutoFlush:     true,

@@ -204,10 +204,9 @@ func (g *Gauge) Value() int64 { return g.n.Load() }
 type EncodeStage int
 
 const (
-	// StageChunk is content-defined chunking alone (Rabin or Gear,
-	// whichever the chunker seam selected) — the inner loop of feature
-	// extraction, timed separately so chunker regressions are visible
-	// without a benchmark run. It is a sub-interval of StageSketch.
+	// StageChunk is content-defined chunking alone — the inner loop of
+	// feature extraction, timed separately so chunker regressions are
+	// visible without a benchmark run. It is a sub-interval of StageSketch.
 	// Lock-free.
 	StageChunk EncodeStage = iota
 	// StageSketch is feature extraction end to end: content-defined

@@ -1,10 +1,9 @@
 // Package sketch implements similarity-feature extraction for dbDedup.
 //
 // A record's sketch is a small, fixed-size sample of its chunk hashes: the
-// record is divided into content-defined chunks (Rabin or Gear chunking,
-// selectable behind the internal/chunker seam), each chunk is hashed with
-// MurmurHash, and the top-K hashes by magnitude are kept (consistent
-// sampling, paper §3.1.1). Two records that share even one feature are
+// record is divided into content-defined chunks (internal/chunker), each
+// chunk is hashed with MurmurHash, and the top-K hashes by magnitude are
+// kept (consistent sampling, paper §3.1.1). Two records that share even one feature are
 // considered similar. Because at most K features are indexed per record,
 // index memory is bounded regardless of chunk size — the property that lets
 // dbDedup use tiny (64 B) chunks where exact dedup cannot.
@@ -43,12 +42,11 @@ type Sketch []Feature
 type Config struct {
 	// K is the maximum number of features per sketch; DefaultK if zero.
 	K int
-	// Chunker selects the content-defined chunking algorithm
-	// (chunker.Rabin or chunker.Gear). The zero value (chunker.Auto)
-	// honours the DBDEDUP_CHUNKER environment variable and defaults to
-	// Rabin. All extractors that should agree on sketches must use the
-	// same algorithm: boundaries — and hence features — differ between
-	// algorithms.
+	// Chunker is the content-defined chunking algorithm. Leave it zero
+	// (chunker.Gear); only the paper-fidelity experiments and the tests
+	// set chunker.Rabin, the reference. Extractors that should agree on
+	// sketches must use the same algorithm: boundaries, and hence
+	// features, differ between the two.
 	Chunker chunker.Algorithm
 	// ChunkAvgSize is the target average chunk size in bytes (power of
 	// two). Defaults to 1024. The paper evaluates 1 KiB and 64 B.
@@ -129,7 +127,7 @@ func NewExtractor(cfg Config) *Extractor {
 // K returns the sketch size.
 func (e *Extractor) K() int { return e.k }
 
-// ChunkerAlgorithm reports which chunking algorithm the extractor resolved.
+// ChunkerAlgorithm reports which chunking algorithm the extractor runs.
 func (e *Extractor) ChunkerAlgorithm() chunker.Algorithm {
 	return e.chunker.Algorithm()
 }

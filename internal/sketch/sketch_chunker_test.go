@@ -61,9 +61,10 @@ func TestChunkerSelectionChangesSketches(t *testing.T) {
 	if CommonFeatures(rb, gr) == len(rb) {
 		t.Error("rabin and gear produced identical sketches on random data; chunker selection is not wired through")
 	}
-	e := NewExtractor(Config{K: 8, ChunkAvgSize: 64, Chunker: chunker.Gear})
+	// The zero Config is what every node runs: it must be gear.
+	e := NewExtractor(Config{K: 8, ChunkAvgSize: 64})
 	if e.ChunkerAlgorithm() != chunker.Gear {
-		t.Errorf("ChunkerAlgorithm() = %v, want gear", e.ChunkerAlgorithm())
+		t.Errorf("zero Config: ChunkerAlgorithm() = %v, want gear", e.ChunkerAlgorithm())
 	}
 }
 
@@ -112,7 +113,7 @@ func TestExtractIntoZeroAllocs(t *testing.T) {
 	}{
 		{"consistent/rabin", Config{K: 8, ChunkAvgSize: 64, Chunker: chunker.Rabin}},
 		{"consistent/gear", Config{K: 8, ChunkAvgSize: 64, Chunker: chunker.Gear}},
-		{"ablation/rabin", Config{K: 8, ChunkAvgSize: 64, SampleRandomly: true}},
+		{"ablation/rabin", Config{K: 8, ChunkAvgSize: 64, Chunker: chunker.Rabin, SampleRandomly: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewExtractor(tc.cfg)

@@ -153,11 +153,11 @@ func TestRandomSamplingModeDiffers(t *testing.T) {
 // design choice the paper adopts from DOT/sDedup.
 func TestConsistentBeatsRandomSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	// The chunker is pinned so the comparison isolates the sampling mode:
-	// the aggregate margin is thin (a few percent), and letting the
-	// DBDEDUP_CHUNKER lane change the chunk stream under this test turns
-	// it into a coin flip on boundary placement rather than a statement
-	// about consistent sampling.
+	// The chunker is pinned to the paper's so the comparison isolates the
+	// sampling mode: the aggregate margin is thin (a few percent), and a
+	// different chunk stream under this test turns it into a coin flip on
+	// boundary placement rather than a statement about consistent
+	// sampling.
 	consE := NewExtractor(Config{K: 4, ChunkAvgSize: 64, Chunker: chunker.Rabin})
 	randE := NewExtractor(Config{K: 4, ChunkAvgSize: 64, Chunker: chunker.Rabin, SampleRandomly: true})
 

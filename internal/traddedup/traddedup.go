@@ -16,7 +16,7 @@ import (
 	"crypto/sha1"
 	"errors"
 
-	"dbdedup/internal/rabin"
+	"dbdedup/internal/chunker"
 )
 
 // IndexEntryBytes is the design size of one index entry: a 20-byte SHA-1
@@ -58,7 +58,8 @@ type Stats struct {
 
 // Deduper is a chunk-based exact deduplicator. Not safe for concurrent use.
 type Deduper struct {
-	chunker *rabin.Chunker
+	chunker chunker.Chunker
+	scratch []chunker.Chunk // reused across Ingest calls
 	index   map[[sha1.Size]byte]ChunkID
 	chunks  [][]byte // ChunkID -> bytes
 	stats   Stats
@@ -70,10 +71,13 @@ func New(cfg Config) *Deduper {
 		cfg.ChunkAvgSize = 4096
 	}
 	return &Deduper{
-		chunker: rabin.NewChunker(rabin.ChunkerConfig{
-			AvgSize: cfg.ChunkAvgSize,
-			MinSize: cfg.ChunkMinSize,
-			MaxSize: cfg.ChunkMaxSize,
+		// The baseline is the paper's: Rabin chunking, whatever the
+		// service itself chunks with.
+		chunker: chunker.New(chunker.Config{
+			Algorithm: chunker.Rabin,
+			AvgSize:   cfg.ChunkAvgSize,
+			MinSize:   cfg.ChunkMinSize,
+			MaxSize:   cfg.ChunkMaxSize,
 		}),
 		index: make(map[[sha1.Size]byte]ChunkID),
 	}
@@ -84,7 +88,9 @@ func New(cfg Config) *Deduper {
 func (d *Deduper) Ingest(record []byte) Recipe {
 	d.stats.IngestedBytes += int64(len(record))
 	var recipe Recipe
-	d.chunker.SplitFunc(record, func(chunk []byte) {
+	d.scratch = d.chunker.Chunks(record, d.scratch[:0])
+	for _, c := range d.scratch {
+		chunk := record[c.Offset : c.Offset+c.Length]
 		d.stats.TotalChunks++
 		sum := sha1.Sum(chunk)
 		id, ok := d.index[sum]
@@ -99,7 +105,7 @@ func (d *Deduper) Ingest(record []byte) Recipe {
 		}
 		d.stats.StoredBytes += RefBytes
 		recipe = append(recipe, id)
-	})
+	}
 	return recipe
 }
 
