@@ -61,7 +61,7 @@ func main() {
 		shedRaw    = flag.Bool("shed-raw", false, "degrade inserts to raw (no dedup encode) during overload; pair with -compact-rededup to recover the ratio")
 		admRate    = flag.Float64("admission-tenant-rate", 0, "per-tenant fair-share inserts/second enforced during overload (0 = shedding only)")
 		admDwell   = flag.Duration("overload-dwell", 250*time.Millisecond, "minimum time the overload latch stays engaged once entered")
-		idxBudget  = flag.String("index-memory-budget", "", "similarity-index memory budget, e.g. 24MiB (empty: DBDEDUP_INDEX_BUDGET or unbounded; enables the tiered hot/cold index)")
+		idxBudget  = flag.String("index-memory-budget", "", "per-database similarity-index memory bound, e.g. 24MiB; what no longer fits is kept in Bloom-gated cold runs under -dir (empty: no bound)")
 
 		clusterSelf  = flag.String("cluster-self", "", "this member's advertised client address in the ring (enables cluster mode)")
 		clusterPeers = flag.String("cluster-peers", "", "comma-separated initial cluster membership including self (empty: start ring-less and join via `dedupcli rebalance`)")

@@ -37,8 +37,6 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -50,7 +48,6 @@ import (
 	"dbdedup/internal/dedupcache"
 	"dbdedup/internal/delta"
 	"dbdedup/internal/faultfs"
-	"dbdedup/internal/featidx"
 	"dbdedup/internal/featidx/tiered"
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/sketch"
@@ -88,20 +85,23 @@ type Config struct {
 	// SourceCacheBytes bounds the source record cache (default 32 MiB).
 	// Negative disables the cache entirely (Fig. 13a "no cache").
 	SourceCacheBytes int64
-	// IndexEntries bounds each database's feature-index partition.
-	// Defaults to 1<<22 entries (24 MiB at 6 B/entry).
+	// IndexEntries is the capacity of each database's similarity-index
+	// partition (internal/featidx/tiered) when no memory budget is set: a
+	// cuckoo table that evicts by LRU once full. Defaults to 1<<22 entries
+	// (24 MiB at 6 B/entry). Ignored under a budget, which sizes the table
+	// itself.
 	IndexEntries int
-	// IndexBudgetBytes, when positive, replaces the per-database cuckoo
-	// index with the tiered memory-bounded index (internal/featidx/tiered):
-	// a hot cuckoo partition plus Bloom-gated disk-resident cold runs, all
-	// in-memory state capped at this budget. Zero honours the
-	// DBDEDUP_INDEX_BUDGET environment variable (e.g. "64KiB", "24MB");
-	// negative forces the classic unbounded-by-budget cuckoo index.
+	// IndexBudgetBytes is the memory bound on each database's index
+	// partition. Zero sets none: the partition is the cuckoo table alone.
+	// A positive budget caps all in-memory index state at that many bytes
+	// and keeps what the table evicts reachable through Bloom-gated cold
+	// runs on disk.
 	IndexBudgetBytes int64
-	// IndexDir is where tiered partitions keep their cold runs (one
-	// subdirectory per partition). Empty keeps cold runs on a private
-	// in-memory FS — the tier machinery still runs, which is what diskless
-	// deployments and tests want.
+	// IndexDir is where partitions keep their cold runs (one subdirectory
+	// per partition); run files found there when the engine is built are
+	// leftovers of a previous incarnation and are removed. Empty keeps
+	// cold runs on a private in-memory FS — the tier machinery still runs,
+	// which is what diskless deployments and tests want.
 	IndexDir string
 	// IndexFS overrides the filesystem seam for cold runs (fault injection;
 	// nil selects the OS FS when IndexDir is set).
@@ -150,13 +150,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IndexEntries == 0 {
 		c.IndexEntries = 1 << 22
-	}
-	if c.IndexBudgetBytes == 0 {
-		if v := os.Getenv("DBDEDUP_INDEX_BUDGET"); v != "" {
-			if b, err := tiered.ParseSize(v); err == nil {
-				c.IndexBudgetBytes = b
-			}
-		}
 	}
 	if c.RewardScore == 0 {
 		c.RewardScore = 2
@@ -237,8 +230,8 @@ type Stats struct {
 	IndexLookups       uint64
 	IndexMatches       uint64
 	IndexEvictions     uint64
-	// TieredIdx aggregates tiered-index partitions (zero-valued, with
-	// Enabled false, when the engine runs the classic cuckoo index).
+	// TieredIdx aggregates the partitions' cold-tier state (zero-valued,
+	// with Enabled false, when no index budget is set).
 	TieredIdx tiered.Snapshot
 	RawBytes  int64 // total bytes presented
 	// ForwardBytes is the total forward-delta bytes for deduped inserts.
@@ -275,7 +268,7 @@ type Engine struct {
 	// itself.
 	dbsMu   sync.RWMutex
 	dbs     map[string]*dbState
-	partSeq int // tiered-index partition directory sequence
+	partSeq int // index partition directory sequence
 
 	// sketchBufs recycles sketch result buffers (*sketch.Sketch) so the
 	// encode and probe paths extract without allocating.
@@ -291,7 +284,7 @@ type Engine struct {
 type dbState struct {
 	mu sync.Mutex
 
-	index featidx.Similarity
+	index *tiered.TieredIndex
 	refs  []uint64 // featidx ref -> record ID
 
 	disabled  bool // governor verdict
@@ -317,6 +310,11 @@ type chainState struct {
 // NewEngine returns an engine with the given configuration and fetcher.
 func NewEngine(cfg Config, fetcher Fetcher) *Engine {
 	cfg = cfg.withDefaults()
+	if cfg.IndexDir != "" {
+		// The index is soft state: whatever an unclean shutdown left here
+		// is never reopened, so clear it before any partition exists.
+		tiered.RemoveStaleRuns(cfg.IndexFS, cfg.IndexDir)
+	}
 	var cache *dedupcache.SourceCache
 	if cfg.SourceCacheBytes > 0 {
 		cache = dedupcache.NewSourceCache(cfg.SourceCacheBytes)
@@ -387,13 +385,9 @@ func (e *Engine) db(name string) *dbState {
 	return st
 }
 
-// newIndexPartition builds one database's similarity-index partition: the
-// tiered memory-bounded index when a budget is configured, the classic
-// cuckoo index otherwise. Caller holds dbsMu (write).
-func (e *Engine) newIndexPartition() featidx.Similarity {
-	if e.cfg.IndexBudgetBytes <= 0 {
-		return featidx.New(featidx.Config{CapacityEntries: e.cfg.IndexEntries})
-	}
+// newIndexPartition builds one database's similarity-index partition.
+// Caller holds dbsMu (write).
+func (e *Engine) newIndexPartition() *tiered.TieredIndex {
 	var dir string
 	if e.cfg.IndexDir != "" {
 		dir = filepath.Join(e.cfg.IndexDir, fmt.Sprintf("part-%06d", e.partSeq))
@@ -401,6 +395,7 @@ func (e *Engine) newIndexPartition() featidx.Similarity {
 	}
 	return tiered.New(tiered.Config{
 		BudgetBytes: e.cfg.IndexBudgetBytes,
+		HotEntries:  e.cfg.IndexEntries,
 		Dir:         dir,
 		FS:          e.cfg.IndexFS,
 	})
@@ -420,18 +415,6 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 	st := e.db(dbName)
 	e.stats.inserts.Add(1)
 	e.stats.rawBytes.Add(int64(len(payload)))
-
-	// Deferred index maintenance (tiered cold-tier writes and merges).
-	// The maintainer is captured under st.mu but runs here, at return, with
-	// no engine lock held — its I/O must never stall encodes (see the
-	// tiered package's concurrency contract). Failures are soft (recall
-	// loss only) and surface through Stats().TieredIdx.
-	var maint featidx.Maintainer
-	defer func() {
-		if maint != nil {
-			maint.Maintain()
-		}
-	}()
 
 	// Cheap policy gate under the database lock: governor verdict and
 	// adaptive size filter.
@@ -475,17 +458,13 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 		e.stats.governorSkipped.Add(1)
 		return Result{GovernorDisabled: true}, nil
 	}
-	maint, _ = st.index.(featidx.Maintainer)
-	ref := uint32(len(st.refs))
-	st.refs = append(st.refs, id)
-	counts := make(map[uint64]int)
-	for _, f := range sk {
-		for _, r := range st.index.LookupInsert(f, ref) {
-			if int(r) < len(st.refs)-1 { // exclude the record itself
-				counts[st.refs[r]]++
-			}
-		}
-	}
+	// Cold-tier writes and merges the probe may queue run at return, with
+	// no engine lock held — that I/O must never stall encodes (see the
+	// tiered package's concurrency contract). The partition is read here,
+	// under st.mu. Failures are soft (recall loss only) and surface
+	// through Stats().TieredIdx.
+	defer st.index.Maintain()
+	counts := probeLocked(st, sk, id)
 	e.putSketchBuf(skb, sk)
 
 	if len(counts) == 0 {
@@ -642,33 +621,16 @@ func (e *Engine) ProbeSimilar(dbName string, id uint64, payload []byte) (srcID u
 	}
 	skb := e.getSketchBuf()
 	sk := e.extractor.ExtractInto(*skb, payload) // CPU-heavy, lock-free
-	// Registered before the unlock defer (LIFO) so tiered maintenance runs
-	// after st.mu is released — its disk I/O must not hold the database lock.
-	var maint featidx.Maintainer
-	defer func() {
-		if maint != nil {
-			maint.Maintain()
-		}
-	}()
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	if st.disabled || st.index == nil {
+		st.mu.Unlock()
 		e.putSketchBuf(skb, sk)
 		return 0, false
 	}
-	maint, _ = st.index.(featidx.Maintainer)
-	ref := uint32(len(st.refs))
-	st.refs = append(st.refs, id)
-	counts := make(map[uint64]int)
-	for _, f := range sk {
-		for _, r := range st.index.LookupInsert(f, ref) {
-			// Exclude the ref just registered and any older ref of the
-			// probed record itself (its features may still be resident).
-			if int(r) < len(st.refs)-1 && st.refs[r] != id {
-				counts[st.refs[r]]++
-			}
-		}
-	}
+	// As in Encode: deferred first so that (LIFO) it runs after the unlock.
+	defer st.index.Maintain()
+	defer st.mu.Unlock()
+	counts := probeLocked(st, sk, id)
 	e.putSketchBuf(skb, sk)
 	if len(counts) == 0 {
 		return 0, false
@@ -678,6 +640,26 @@ func (e *Engine) ProbeSimilar(dbName string, id uint64, payload []byte) (srcID u
 		return 0, false
 	}
 	return src, true
+}
+
+// probeLocked is the index stage Encode and ProbeSimilar share: it registers
+// id under a fresh ref, looks up and inserts every feature of sk, and returns
+// how many features each other record shares with it. The record itself is
+// excluded, under the new ref and under any older one (a re-probed record's
+// earlier features may still be resident). Caller holds st.mu and has checked
+// that st.index is non-nil.
+func probeLocked(st *dbState, sk sketch.Sketch, id uint64) map[uint64]int {
+	ref := uint32(len(st.refs))
+	st.refs = append(st.refs, id)
+	counts := make(map[uint64]int)
+	for _, f := range sk {
+		for _, r := range st.index.LookupInsert(f, ref) {
+			if r < ref && st.refs[r] != id {
+				counts[st.refs[r]]++
+			}
+		}
+	}
+	return counts
 }
 
 // CompressDelta runs the engine-configured forward delta stage — the same
@@ -890,14 +872,12 @@ func (e *Engine) governorTickLocked(st *dbState) {
 	if ratio < e.cfg.GovernorThreshold {
 		// Not enough benefit: disable dedup for this database and free
 		// its index partition (paper §3.4.1). Dedup is never
-		// re-enabled — workload dedupability rarely changes. A tiered
-		// partition owns disk runs: Close retires them (unlinking the
+		// re-enabled — workload dedupability rarely changes. A
+		// partition may own disk runs: Close retires them (unlinking the
 		// files) before the reference is dropped. This runs under st.mu,
-		// but Close takes only the tiered index's internal locks (below
-		// st.mu in the hierarchy) and fires at most once per database.
-		if c, ok := st.index.(io.Closer); ok {
-			c.Close()
-		}
+		// but Close takes only the index's internal locks (below st.mu
+		// in the hierarchy) and fires at most once per database.
+		st.index.Close()
 		st.disabled = true
 		st.index = nil
 		st.refs = nil
@@ -1044,30 +1024,28 @@ func (e *Engine) Stats() Stats {
 			s.IndexLookups += lk
 			s.IndexMatches += mt
 			s.IndexEvictions += ev
-			if ti, ok := st.index.(*tiered.TieredIndex); ok {
-				s.TieredIdx.Accumulate(ti.Snapshot())
-			}
+			s.TieredIdx.Accumulate(st.index.Snapshot())
 		}
 		st.mu.Unlock()
 	}
 	return s
 }
 
-// Close releases every index partition's external resources (tiered cold
-// runs on disk). Callers must have quiesced encodes — the node calls this
-// after its encoder pool has drained. Safe to call more than once.
+// Close releases every index partition's external resources (cold runs on
+// disk). Callers must have quiesced encodes — the node calls this after its
+// encoder pool has drained. Safe to call more than once.
 func (e *Engine) Close() error {
-	var closers []io.Closer
+	var parts []*tiered.TieredIndex
 	for _, st := range e.snapshotDBs() {
 		st.mu.Lock()
-		if c, ok := st.index.(io.Closer); ok {
-			closers = append(closers, c)
+		if st.index != nil {
+			parts = append(parts, st.index)
 		}
 		st.mu.Unlock()
 	}
 	var firstErr error
-	for _, c := range closers {
-		if err := c.Close(); err != nil && firstErr == nil {
+	for _, p := range parts {
+		if err := p.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -69,7 +69,7 @@ func RunTieredIdx(sc Scale) (*TieredIdxResult, error) {
 			&coreStatsView{deduped: st.Engine.Deduped, fi: fi}, nil
 	}
 
-	ratio, view, err := run(core.Config{IndexBudgetBytes: -1, DisableSizeFilter: true})
+	ratio, view, err := run(core.Config{DisableSizeFilter: true})
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,6 @@ func RunTieredIdx(sc Scale) (*TieredIdxResult, error) {
 			return nil, err
 		}
 		cRatio, _, err := run(core.Config{
-			IndexBudgetBytes:  -1,
 			IndexEntries:      maxInt(int(budget/6), 16), // featidx.EntryBytes
 			DisableSizeFilter: true,
 		})

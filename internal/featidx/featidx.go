@@ -22,6 +22,10 @@
 // thousands of full-size index allocations up front. (The feature is Go
 // struct overhead, not design size: EntryBytes accounting stays at the
 // paper's 6 bytes.)
+//
+// The engine does not hold an Index directly: each database's partition is a
+// tiered.TieredIndex (package featidx/tiered) whose hot tier is an Index, and
+// which without a memory budget is that Index and nothing else.
 package featidx
 
 import (
@@ -33,36 +37,6 @@ import (
 // caller (dbDedup uses a monotonically increasing insert ordinal that it maps
 // back to a database location).
 type Ref = uint32
-
-// Similarity is the per-database similarity-index surface the engine programs
-// against: the single-partition cuckoo Index implements it, and so does the
-// memory-bounded tiered wrapper (package featidx/tiered). Implementations
-// carry the same external-synchronisation contract as Index: every call
-// happens with the owning database's lock held.
-type Similarity interface {
-	// LookupInsert returns records sharing feature f (possibly including
-	// checksum false positives) and registers (f, ref) for future lookups.
-	LookupInsert(f sketch.Feature, ref Ref) []Ref
-	// Len is the number of entries resident in memory.
-	Len() int
-	// MemoryBytes is the design-size memory footprint of the in-memory
-	// state (entries, pending logs, Bloom filters — not disk runs).
-	MemoryBytes() int64
-	// CapacityBytes is the configured memory bound (allocation size for
-	// the unbounded cuckoo index, the budget for the tiered index).
-	CapacityBytes() int64
-	// Stats reports lifetime lookup/match/eviction counters.
-	Stats() (lookups, matches, evictions uint64)
-}
-
-// Maintainer is the optional background-work capability of a Similarity
-// implementation. Unlike the methods above, Maintain must be safe to call
-// WITHOUT the database lock (it synchronises internally): the engine invokes
-// it after releasing the per-database mutex so freeze/merge I/O never stalls
-// the encode hot path.
-type Maintainer interface {
-	Maintain() error
-}
 
 // EntryBytes is the design size of one index entry: a 2-byte feature
 // checksum plus a 4-byte record reference. Memory accounting is in units of
@@ -403,5 +377,3 @@ func (ix *Index) AllocatedEntries() int {
 func (ix *Index) Stats() (lookups, matches, evictions uint64) {
 	return ix.lookups, ix.matches, ix.evictions
 }
-
-var _ Similarity = (*Index)(nil)

@@ -2,16 +2,16 @@ package tiered
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
 
 // ParseSize parses a human memory-budget string: a plain integer is bytes,
 // and the usual binary suffixes (KB/KiB, MB/MiB, GB/GiB — all 1024-based,
-// case-insensitive) scale it. It backs the -index-memory-budget flag and the
-// DBDEDUP_INDEX_BUDGET environment variable, so "64KiB", "24MB" and
-// "1048576" are all valid. Negative values pass through (the engine's
-// explicit "unbounded" setting).
+// case-insensitive) scale it. It backs the -index-memory-budget flag, so
+// "64KiB", "24MB" and "1048576" are all valid. A negative size, or one that
+// does not fit in an int64, is an error.
 func ParseSize(s string) (int64, error) {
 	t := strings.TrimSpace(s)
 	if t == "" {
@@ -37,6 +37,9 @@ func ParseSize(s string) (int64, error) {
 	n, err := strconv.ParseInt(t, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("tiered: bad size %q: %w", s, err)
+	}
+	if n < 0 || n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("tiered: size %q out of range", s)
 	}
 	return n * mult, nil
 }

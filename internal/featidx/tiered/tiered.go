@@ -1,20 +1,26 @@
-// Package tiered implements the memory-bounded similarity index: a hot
-// cuckoo partition (featidx.Index) in front of immutable, Bloom-gated,
+// Package tiered implements the engine's per-database similarity index: a
+// hot cuckoo partition (featidx.Index) in front of immutable, Bloom-gated,
 // disk-resident cold runs.
 //
-// The unbounded cuckoo index keeps every sampled feature in RAM — index
-// memory grows linearly with corpus size. This package caps it: the hot tier
-// holds the recent working set under LRU pressure, and every inserted
-// (feature, ref) pair is additionally appended to a pending log. When the
-// hot tier reaches its share of the budget the log is frozen — sorted,
-// deduplicated, and published as an immutable run. A maintenance pass (off
-// the per-database engine lock) writes frozen runs to disk through the
-// internal/faultfs seam, fronts each with a Bloom filter sized for a target
-// false-positive rate so negative probes never touch disk (LSHBloom's
-// per-band-filter trick; the LSM negative-lookup pattern), and periodically
-// merges runs to bound their count. Probes merge hot-tier candidates with
-// Bloom-passing cold-run candidates, newest first, under the same
-// MaxCandidates cap the cuckoo index enforces.
+// Whether the cold tier exists is decided here and nowhere else. Without a
+// memory budget (Config.BudgetBytes <= 0) it does not: the index is exactly
+// its hot featidx.Index, sized by Config.HotEntries — no pending log is
+// allocated, nothing freezes, probes return the cuckoo table's own
+// candidates, and Maintain and Close have nothing to do. That is the paper's
+// index (§3.1.2), whose memory grows with the corpus up to HotEntries.
+//
+// A positive budget caps that memory: the hot tier holds the recent working
+// set under LRU pressure, and every inserted (feature, ref) pair is
+// additionally appended to a pending log. When the hot tier reaches its
+// share of the budget the log is frozen — sorted, deduplicated, and published
+// as an immutable run. A maintenance pass (off the per-database engine lock)
+// writes frozen runs to disk through the internal/faultfs seam, fronts each
+// with a Bloom filter sized for a target false-positive rate so negative
+// probes never touch disk (LSHBloom's per-band-filter trick; the LSM
+// negative-lookup pattern), and periodically merges runs to bound their
+// count. Probes merge hot-tier candidates with Bloom-passing cold-run
+// candidates, newest first, under the same MaxCandidates cap the cuckoo index
+// enforces.
 //
 // Memory model under a fixed budget B: the hot tier (cuckoo table + pending
 // log) gets B/2 and the Bloom filters get B/4 as a target; as the cold tier
@@ -24,12 +30,14 @@
 // bounded. The cold tier's disk footprint is the only thing that grows with
 // corpus size.
 //
-// Failure model: the index is soft state. A failed freeze write keeps the
-// run memory-resident and retries on the next maintenance pass (with a cap:
-// under a persistently failing disk the oldest resident batches are dropped,
-// a pure recall loss); a failed merge leaves the existing runs in place; a
-// torn or bit-flipped run yields at worst bogus candidates, which the
-// byte-exact delta stage discards. Nothing here can corrupt stored data.
+// Failure model: the index is soft state, never reopened: whoever owns the
+// run directory calls RemoveStaleRuns once at start-up, before the first
+// partition exists. A failed freeze write keeps the run memory-resident and
+// retries on the next maintenance pass (with a cap: under a persistently
+// failing disk the oldest resident batches are dropped, a pure recall loss);
+// a failed merge leaves the existing runs in place; a torn or bit-flipped run
+// yields at worst bogus candidates, which the byte-exact delta stage
+// discards. Nothing here can corrupt stored data.
 //
 // Concurrency contract: like featidx.Index, LookupInsert/Len/MemoryBytes/
 // CapacityBytes/Stats/Snapshot require the caller's external per-database
@@ -54,8 +62,12 @@ import (
 type Config struct {
 	// BudgetBytes is the total in-memory budget: hot cuckoo table +
 	// pending log + resident (not-yet-written) runs + Bloom filters.
-	// Required, > 0.
+	// Zero or negative means no bound and therefore no cold tier.
 	BudgetBytes int64
+	// HotEntries is the hot cuckoo table's capacity when there is no
+	// budget (featidx's default when zero). Under a budget the hot tier is
+	// sized from BudgetBytes instead.
+	HotEntries int
 	// Dir is where cold runs live. Empty selects a private in-memory FS:
 	// the tier machinery still runs (freeze, Bloom, merge), which is what
 	// diskless nodes and tests want.
@@ -94,7 +106,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxResidentRuns <= 0 {
 		c.MaxResidentRuns = 4
 	}
-	if c.FS == nil {
+	if c.FS == nil && c.BudgetBytes > 0 {
 		if c.Dir != "" {
 			c.FS = faultfs.DefaultFS
 		} else {
@@ -112,14 +124,13 @@ type runTable struct {
 
 var emptyTable = &runTable{}
 
-// TieredIndex is a memory-bounded featidx.Similarity implementation. See the
-// package comment for the design and the concurrency contract.
+// TieredIndex is one database's similarity index. See the package comment
+// for the design and the concurrency contract.
 type TieredIndex struct {
-	cfg        Config
-	hot        *featidx.Index
-	log        []rec // pending postings of the current hot generation
-	rotateLen  int   // log length that triggers a freeze
-	hotEntries int   // hot cuckoo capacity (entries)
+	cfg       Config
+	hot       *featidx.Index
+	log       []rec // pending postings of the current hot generation
+	rotateLen int   // log length that triggers a freeze
 
 	table atomic.Pointer[runTable]
 
@@ -134,7 +145,9 @@ type TieredIndex struct {
 	needMaint atomic.Bool
 
 	// Probe-path counters: mutated only under the caller's external lock.
-	lookups, matches, coldMatches     uint64
+	// tierMatches counts candidates found beyond the hot table's own
+	// (pending log + cold runs); coldMatches is its cold-run share.
+	tierMatches, coldMatches          uint64
 	bloomChecks, bloomHits, bloomFPs  uint64
 	diskProbes, diskHits, diskIOErrs  uint64
 	residentProbes, truncatedByBudget uint64
@@ -155,29 +168,30 @@ type TieredIndex struct {
 // still indexes (it just can't spill).
 func New(cfg Config) *TieredIndex {
 	cfg = cfg.withDefaults()
-	if cfg.BudgetBytes <= 0 {
-		cfg.BudgetBytes = 1 << 20
-	}
-	// Hot share: half the budget, split between the cuckoo table
-	// (EntryBytes per entry) and the pending log (recBytes per entry).
-	hotEntries := int(cfg.BudgetBytes / 2 / (featidx.EntryBytes + recBytes))
-	if hotEntries < 64 {
-		hotEntries = 64
-	}
-	t := &TieredIndex{
-		cfg:        cfg,
-		rotateLen:  hotEntries,
-		hotEntries: hotEntries,
-		hot: featidx.New(featidx.Config{
-			CapacityEntries: hotEntries,
-			MaxCandidates:   cfg.MaxCandidates,
-			Seed:            cfg.Seed,
-		}),
-		log: make([]rec, 0, hotEntries),
-	}
+	t := &TieredIndex{cfg: cfg}
 	t.table.Store(emptyTable)
+	hotEntries := cfg.HotEntries
+	if t.bounded() {
+		// Hot share: half the budget, split between the cuckoo table
+		// (EntryBytes per entry) and the pending log (recBytes per entry).
+		hotEntries = int(cfg.BudgetBytes / 2 / (featidx.EntryBytes + recBytes))
+		if hotEntries < 64 {
+			hotEntries = 64
+		}
+		t.rotateLen = hotEntries
+		t.log = make([]rec, 0, hotEntries)
+	}
+	t.hot = featidx.New(featidx.Config{
+		CapacityEntries: hotEntries,
+		MaxCandidates:   cfg.MaxCandidates,
+		Seed:            cfg.Seed,
+	})
 	return t
 }
+
+// bounded reports whether a memory budget is set, i.e. whether the pending
+// log and the cold tier exist at all.
+func (t *TieredIndex) bounded() bool { return t.cfg.BudgetBytes > 0 }
 
 func foldKey(f sketch.Feature) uint32 {
 	v := uint64(f)
@@ -189,8 +203,11 @@ func foldKey(f sketch.Feature) uint32 {
 // recent, more likely cached), then cold runs newest-first until the
 // candidate cap fills. Caller holds the external per-database lock.
 func (t *TieredIndex) LookupInsert(f sketch.Feature, ref featidx.Ref) []featidx.Ref {
-	t.lookups++
 	out := t.hot.LookupInsert(f, ref)
+	if !t.bounded() {
+		return out
+	}
+	hotMatches := len(out)
 	key := foldKey(f)
 
 	if len(out) < t.cfg.MaxCandidates {
@@ -202,7 +219,7 @@ func (t *TieredIndex) LookupInsert(f sketch.Feature, ref featidx.Ref) []featidx.
 	} else {
 		t.truncatedByBudget++
 	}
-	t.matches += uint64(len(out))
+	t.tierMatches += uint64(len(out) - hotMatches)
 
 	if len(t.log) >= t.rotateLen {
 		t.freezeGeneration()
@@ -562,15 +579,24 @@ func (t *TieredIndex) ensureDir() error {
 	if err := t.cfg.FS.MkdirAll(t.cfg.Dir, 0o755); err != nil {
 		return err
 	}
-	// Sweep stale runs from a previous incarnation (crash leftovers): the
-	// index is soft state and they are never reopened.
-	if stale, err := t.cfg.FS.Glob(filepath.Join(t.cfg.Dir, "run-*.idx")); err == nil {
-		for _, p := range stale {
-			t.cfg.FS.Remove(p)
-		}
-	}
 	t.dirMade = true
 	return nil
+}
+
+// RemoveStaleRuns deletes the run files a previous incarnation left in the
+// partition directories under root (the parent of every Config.Dir). Runs
+// are soft state and never reopened, so after an unclean shutdown they are
+// only leaked disk. The owner of root calls this once at start-up, before it
+// builds any partition. Best-effort: a file that cannot be removed stays
+// leaked, nothing more.
+func RemoveStaleRuns(fs faultfs.FS, root string) {
+	if fs == nil {
+		fs = faultfs.DefaultFS
+	}
+	stale, _ := fs.Glob(filepath.Join(root, "*", "run-*.idx"))
+	for _, p := range stale {
+		fs.Remove(p)
+	}
 }
 
 func (t *TieredIndex) nextRunPath() string {
@@ -620,20 +646,28 @@ func (t *TieredIndex) MemoryBytes() int64 {
 	return total
 }
 
-// CapacityBytes is the configured memory budget.
-func (t *TieredIndex) CapacityBytes() int64 { return t.cfg.BudgetBytes }
+// CapacityBytes is the configured memory bound: the budget, or without one
+// the hot table's fully grown size.
+func (t *TieredIndex) CapacityBytes() int64 {
+	if !t.bounded() {
+		return t.hot.CapacityBytes()
+	}
+	return t.cfg.BudgetBytes
+}
 
-// Stats reports lifetime probe counters. Evictions are the hot tier's — with
-// the cold tier behind them they are no longer permanent losses, merely
-// "migrated to disk" (once the generation holding them freezes).
+// Stats reports lifetime probe counters: the hot table's, plus the matches
+// the pending log and cold runs contributed. With a cold tier behind them,
+// evictions are no longer permanent losses, merely "migrated to disk" (once
+// the generation holding them freezes).
 func (t *TieredIndex) Stats() (lookups, matches, evictions uint64) {
-	_, _, ev := t.hot.Stats()
-	return t.lookups, t.matches, ev
+	lookups, matches, evictions = t.hot.Stats()
+	return lookups, matches + t.tierMatches, evictions
 }
 
 // Snapshot is the tiered index's observability surface.
 type Snapshot struct {
-	// Enabled distinguishes "tiered index present" from a zero snapshot.
+	// Enabled reports that a budget is set and the cold tier exists;
+	// without one the whole snapshot is zero.
 	Enabled bool
 	// BudgetBytes / MemoryBytes: the bound and the current in-memory use.
 	BudgetBytes int64
@@ -697,6 +731,9 @@ func (s *Snapshot) Accumulate(o Snapshot) {
 // external database lock (probe counters are plain fields); maintenance
 // counters are atomics, so a concurrent Maintain is safe.
 func (t *TieredIndex) Snapshot() Snapshot {
+	if !t.bounded() {
+		return Snapshot{}
+	}
 	s := Snapshot{
 		Enabled:             true,
 		BudgetBytes:         t.cfg.BudgetBytes,
@@ -728,8 +765,3 @@ func (t *TieredIndex) Snapshot() Snapshot {
 	}
 	return s
 }
-
-var (
-	_ featidx.Similarity = (*TieredIndex)(nil)
-	_ featidx.Maintainer = (*TieredIndex)(nil)
-)

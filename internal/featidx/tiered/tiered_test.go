@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -29,7 +30,11 @@ func TestParseSize(t *testing.T) {
 		{"64kb", 64 << 10, false},
 		{"2MiB", 2 << 20, false},
 		{"1g", 1 << 30, false},
-		{"-1", -1, false},
+		{"-1", 0, true},
+		{"-4KiB", 0, true},
+		{"99999999999GiB", 0, true},
+		{"8589934591GiB", 8589934591 << 30, false},
+		{"8589934592GiB", 0, true},
 		{" 8 MiB ", 8 << 20, false},
 		{"", 0, true},
 		{"chunky", 0, true},
@@ -334,30 +339,89 @@ func TestCloseUnlinksRuns(t *testing.T) {
 	}
 }
 
-// TestStaleRunsSweptOnFirstFreeze: leftovers from a crashed predecessor in
-// the same directory are removed, not resurrected.
-func TestStaleRunsSweptOnFirstFreeze(t *testing.T) {
+// TestRemoveStaleRuns: leftovers from a crashed predecessor are removed from
+// every partition directory under the root, and nothing else is.
+func TestRemoveStaleRuns(t *testing.T) {
 	fs := faultfs.NewMemFS()
-	fs.MkdirAll("idx", 0o755)
-	f, err := fs.OpenFile(filepath.Join("idx", "run-000099.idx"), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteAt([]byte("stale"), 0)
-	f.Close()
-
-	ti := New(Config{BudgetBytes: budgetFor(64), Dir: "idx", FS: fs})
-	for i := 0; i < 100; i++ {
-		ti.LookupInsert(sketch.Feature(i+1), featidx.Ref(i))
-	}
-	if err := ti.Maintain(); err != nil {
-		t.Fatal(err)
-	}
-	files, _ := fs.Glob(filepath.Join("idx", "run-*.idx"))
-	for _, p := range files {
-		if p == filepath.Join("idx", "run-000099.idx") {
-			t.Errorf("stale run survived the sweep: %v", files)
+	create := func(path string) {
+		t.Helper()
+		f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+		if err != nil {
+			t.Fatal(err)
 		}
+		f.WriteAt([]byte("stale"), 0)
+		f.Close()
+	}
+	create(filepath.Join("idx", "part-000000", "run-000099.idx"))
+	create(filepath.Join("idx", "part-000007", "run-000000.idx"))
+	create(filepath.Join("idx", "part-000007", "notes.txt"))
+	create(filepath.Join("store", "part-000000", "run-000001.idx"))
+
+	RemoveStaleRuns(fs, "idx")
+
+	if left, _ := fs.Glob(filepath.Join("idx", "*", "run-*.idx")); len(left) != 0 {
+		t.Errorf("stale runs survived the sweep: %v", left)
+	}
+	for _, keep := range []string{
+		filepath.Join("idx", "part-000007", "notes.txt"),
+		filepath.Join("store", "part-000000", "run-000001.idx"),
+	} {
+		if got, _ := fs.Glob(keep); len(got) != 1 {
+			t.Errorf("sweep removed %s", keep)
+		}
+	}
+}
+
+// TestNoBudgetIsTheHotIndex pins the degeneration the engine relies on: with
+// no budget a TieredIndex is its hot featidx.Index and nothing more. A seeded
+// stream that overflows a small table (unique features force LRU evictions,
+// a few hot features recur past the candidate cap) must produce the same
+// candidates on every call and the same accounting as a bare featidx.Index
+// of the same geometry, and no pending log may exist.
+func TestNoBudgetIsTheHotIndex(t *testing.T) {
+	const hotEntries, calls = 1024, 120000
+	ti := New(Config{HotEntries: hotEntries})
+	bare := featidx.New(featidx.Config{CapacityEntries: hotEntries})
+
+	rng := rand.New(rand.NewSource(42))
+	sawFullSlice := false
+	for i := 0; i < calls; i++ {
+		f := sketch.Feature(rng.Uint64())
+		if i%2 == 0 {
+			f = sketch.Feature(1 + rng.Intn(64))
+		}
+		got, want := ti.LookupInsert(f, featidx.Ref(i)), bare.LookupInsert(f, featidx.Ref(i))
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: candidates %v, bare index %v", i, got, want)
+		}
+		sawFullSlice = sawFullSlice || len(got) == 8
+		if i%1000 == 0 {
+			if err := ti.Maintain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, _, ev := bare.Stats(); ev == 0 || !sawFullSlice {
+		t.Fatalf("stream too gentle: %d evictions, candidate cap reached: %v", ev, sawFullSlice)
+	}
+
+	if ti.Len() != bare.Len() || ti.MemoryBytes() != bare.MemoryBytes() || ti.CapacityBytes() != bare.CapacityBytes() {
+		t.Errorf("Len/MemoryBytes/CapacityBytes = %d/%d/%d, bare index %d/%d/%d",
+			ti.Len(), ti.MemoryBytes(), ti.CapacityBytes(), bare.Len(), bare.MemoryBytes(), bare.CapacityBytes())
+	}
+	lk, mt, ev := ti.Stats()
+	blk, bmt, bev := bare.Stats()
+	if lk != blk || mt != bmt || ev != bev {
+		t.Errorf("Stats = %d/%d/%d, bare index %d/%d/%d", lk, mt, ev, blk, bmt, bev)
+	}
+	if ti.log != nil {
+		t.Errorf("pending log allocated without a budget: cap %d", cap(ti.log))
+	}
+	if s := ti.Snapshot(); s != (Snapshot{}) {
+		t.Errorf("Snapshot without a budget = %+v, want zero", s)
+	}
+	if err := ti.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

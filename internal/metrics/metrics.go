@@ -683,9 +683,9 @@ func (m *CompactionMetrics) Snapshot() CompactionSnapshot {
 
 // FeatIdxSnapshot is a point-in-time view of the similarity index: occupancy
 // against its configured bound, plus lifetime lookup/match/eviction counts.
-// The Tiered* fields describe the memory-bounded tiered index (hot cuckoo
-// partition + Bloom-gated disk-resident cold runs) and are zero — with
-// TieredEnabled false — when the classic unbounded cuckoo index runs.
+// The Tiered* fields describe the index's state under a memory budget (hot
+// cuckoo table + Bloom-gated disk-resident cold runs) and are zero — with
+// TieredEnabled false — when no budget is set and there is no cold tier.
 type FeatIdxSnapshot struct {
 	Entries       int
 	MemoryBytes   int64

@@ -66,11 +66,10 @@ func rededupOptions(rededup bool) Options {
 	return Options{
 		// Undersized similarity index: two documents' worth of sketch
 		// features (SketchK defaults to 8), so the spacers between family
-		// members evict each one before its sibling arrives. The budget is
-		// pinned to "unbounded" so a DBDEDUP_INDEX_BUDGET test lane cannot
-		// swap in the tiered index — these tests rely on evictions being
+		// members evict each one before its sibling arrives. No index
+		// budget, so no cold tier — these tests rely on evictions being
 		// permanent.
-		Engine:      core.Config{IndexEntries: 16, IndexBudgetBytes: -1},
+		Engine:      core.Config{IndexEntries: 16},
 		BlockSize:   1 << 10,
 		SegmentSize: 8 << 10,
 		Compaction:  CompactionOptions{Rededup: rededup, RededupMaxChainDepth: 8},

@@ -1,8 +1,10 @@
 package node
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"dbdedup/internal/core"
@@ -51,9 +53,8 @@ func TestTieredIndexRecoversDedupAtFractionalBudget(t *testing.T) {
 	// rounds must stay well under 8 for the control to be eviction-bound.
 	const families, rounds = 60, 4
 
-	// Baseline: unbounded index (budget pinned negative so a
-	// DBDEDUP_INDEX_BUDGET lane can't interfere with the measurement).
-	unbounded := testNode(t, Options{Engine: core.Config{IndexBudgetBytes: -1}})
+	// Baseline: no index budget.
+	unbounded := testNode(t, Options{})
 	tieredCorpus(t, unbounded, families, rounds)
 	ratioFull := dedupRatio(unbounded)
 	footprint := unbounded.FeatIdxSnapshot().MemoryBytes
@@ -68,10 +69,9 @@ func TestTieredIndexRecoversDedupAtFractionalBudget(t *testing.T) {
 	tieredCorpus(t, tieredNode, families, rounds)
 	ratioTiered := dedupRatio(tieredNode)
 
-	// Control: classic cuckoo squeezed into the same budget.
+	// Control: no cold tier, the cuckoo table squeezed into the same bytes.
 	squeezed := testNode(t, Options{Engine: core.Config{
-		IndexBudgetBytes: -1,
-		IndexEntries:     maxInt(int(budget/6), 16), // featidx.EntryBytes
+		IndexEntries: maxInt(int(budget/6), 16), // featidx.EntryBytes
 	}})
 	tieredCorpus(t, squeezed, families, rounds)
 	ratioSqueezed := dedupRatio(squeezed)
@@ -104,28 +104,139 @@ func TestTieredIndexRecoversDedupAtFractionalBudget(t *testing.T) {
 	}
 }
 
-// TestTieredIndexViaEnv covers the deployment path the CI budget lane uses:
-// the DBDEDUP_INDEX_BUDGET environment variable turns the tiered index on,
-// and a node with a storage directory keeps cold runs under it.
-func TestTieredIndexViaEnv(t *testing.T) {
-	t.Setenv("DBDEDUP_INDEX_BUDGET", "64KiB")
-	n := testNode(t, Options{Dir: t.TempDir()})
+// TestBudgetedIndexUnderWorkloadMix runs the whole mutation mix — inserts,
+// updates, deletes, re-dedup compaction passes, a reopen and more inserts —
+// with the index held to a 64 KiB budget and its cold runs under the node's
+// storage directory, so freeze, Bloom and merge all happen beneath ordinary
+// traffic. Every live key must read back byte-exact and the store must
+// verify clean, before and after the reopen.
+func TestBudgetedIndexUnderWorkloadMix(t *testing.T) {
+	opts := Options{
+		Dir:         t.TempDir(),
+		Engine:      core.Config{IndexBudgetBytes: 64 << 10},
+		BlockSize:   1 << 10,
+		SegmentSize: 256 << 10,
+		Compaction:  CompactionOptions{Rededup: true, RededupMaxChainDepth: 8},
+	}
+	n := testNode(t, opts)
+
 	rng := rand.New(rand.NewSource(3))
-	template := prose(rng, 1600)
-	for i := 0; i < 400; i++ {
-		if err := n.Insert("db", fmt.Sprintf("k%03d", i), editText(rng, template, 4)); err != nil {
+	// 64 KiB freezes a run every ~2340 postings, 8 per record the size
+	// filter lets through (~60 %): 4800 records make about ten runs,
+	// enough to trigger a merge (MaxDiskRuns 8).
+	const families, rounds = 60, 80
+	templates := make([][]byte, families)
+	for i := range templates {
+		templates[i] = prose(rng, 1600)
+	}
+	want := make(map[string][]byte)
+	insertRound := func(n *Node, round int) {
+		t.Helper()
+		for f, tmpl := range templates {
+			key := fmt.Sprintf("d%02d-%02d", f, round)
+			want[key] = editText(rng, tmpl, 4)
+			if err := n.Insert("db", key, want[key]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(n *Node, when string) {
+		t.Helper()
+		for key, doc := range want {
+			if got, err := n.Read("db", key); err != nil || !bytes.Equal(got, doc) {
+				t.Fatalf("%s: read %q: err=%v", when, key, err)
+			}
+		}
+		if rep := n.VerifyAll(); !rep.Ok() {
+			t.Fatalf("%s: %s", when, rep)
+		}
+	}
+
+	for round := 0; round < rounds; round++ {
+		insertRound(n, round)
+	}
+	for f := 0; f < families; f += 2 {
+		key := fmt.Sprintf("d%02d-01", f)
+		want[key] = editText(rng, want[key], 2)
+		if err := n.Update("db", key, want[key]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for f := 0; f < families; f += 3 {
+		key := fmt.Sprintf("d%02d-02", f)
+		delete(want, key)
+		if err := n.Delete("db", key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.FlushWritebacks(-1)
+	compactRounds(t, n, 16)
+
 	fi := n.FeatIdxSnapshot()
-	if !fi.TieredEnabled {
-		t.Fatalf("env budget did not enable the tiered index: %+v", fi)
+	if !fi.TieredEnabled || fi.TieredBudgetBytes != 64<<10 {
+		t.Fatalf("index budget not in force: %+v", fi)
 	}
-	if fi.TieredBudgetBytes != 64<<10 {
-		t.Errorf("budget = %d, want 64KiB", fi.TieredBudgetBytes)
+	if fi.TieredFreezes == 0 || fi.TieredMerges == 0 || fi.TieredColdDiskBytes == 0 || fi.TieredBloomChecks == 0 {
+		t.Fatalf("cold tier never exercised: %+v", fi)
 	}
+	if snap := n.CompactionSnapshot(); snap.Resketched == 0 {
+		t.Fatalf("re-dedup pass resketched nothing: %+v", snap)
+	}
+	check(n, "before reopen")
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	n2 := testNode(t, opts)
+	insertRound(n2, rounds)
+	n2.FlushWritebacks(-1)
+	check(n2, "after reopen")
+}
+
+// TestStaleIndexRunsRemovedOnReopen: cold runs are soft state that is never
+// reopened, so the ones a crashed node leaves behind must be gone as soon as
+// the directory is opened again — whichever databases the new incarnation
+// touches, and before any partition of it freezes.
+func TestStaleIndexRunsRemovedOnReopen(t *testing.T) {
+	opts := Options{
+		Dir:        t.TempDir(),
+		Engine:     core.Config{IndexBudgetBytes: 16 << 10, GovernorWindow: 1 << 30},
+		SyncEncode: true, DisableAutoFlush: true,
+	}
+	runs := func() []string {
+		m, _ := filepath.Glob(filepath.Join(opts.Dir, "featidx", "part-*", "run-*.idx"))
+		return m
+	}
+
+	crashed, err := Open(opts) // never closed: that is the crash
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, db := range []string{"a", "b"} {
+		for i := 0; i < 400; i++ {
+			if err := crashed.Insert(db, fmt.Sprintf("k%03d", i), prose(rng, 4096)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(runs()) == 0 {
+		t.Fatal("no cold runs on disk before the crash")
+	}
+
+	n, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if left := runs(); len(left) != 0 {
+		t.Fatalf("%d run files of the previous incarnation survive the reopen: %v", len(left), left)
+	}
+	if err := n.Insert("c", "k", prose(rng, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if left := runs(); len(left) != 0 {
+		t.Fatalf("run files present before any freeze of this incarnation: %v", left)
 	}
 }
 
