@@ -23,6 +23,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -154,20 +155,39 @@ func (r *Ring) Marshal() []byte {
 	return buf
 }
 
-// UnmarshalRing parses a ring's wire form, rejecting rings computed under a
-// different placement hash (installing one would silently remap every
-// database).
+// UnmarshalJSON decodes a ring's wire form, wherever it is embedded. Ring
+// JSON arrives from outside the process, so it is held to what NewRing
+// builds: a ring computed under a different placement hash is refused
+// (installing one would silently remap every database), and so is an empty
+// or repeated member name, which would have two members given "the same"
+// membership disagree on placement. Order is normalised.
+func (r *Ring) UnmarshalJSON(data []byte) error {
+	type wire Ring // the same fields, without this method
+	var w wire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	if w.Hash != "" && w.Hash != HashVersion {
+		return fmt.Errorf("cluster: ring hash %q incompatible with %q", w.Hash, HashVersion)
+	}
+	n := NewRing(w.Epoch, w.Members)
+	if len(n.Members) != len(w.Members) {
+		return fmt.Errorf("cluster: ring names an empty or repeated member: %q", w.Members)
+	}
+	r.Epoch, r.Members, r.Hash = n.Epoch, n.Members, n.Hash
+	return nil
+}
+
+// UnmarshalRing parses a ring's wire form. JSON null is not a ring.
 func UnmarshalRing(data []byte) (*Ring, error) {
-	var r Ring
+	var r *Ring
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("cluster: bad ring: %w", err)
 	}
-	if r.Hash != "" && r.Hash != HashVersion {
-		return nil, fmt.Errorf("cluster: ring hash %q incompatible with %q", r.Hash, HashVersion)
+	if r == nil {
+		return nil, errors.New("cluster: bad ring: null")
 	}
-	r.Hash = HashVersion
-	sort.Strings(r.Members)
-	return &r, nil
+	return r, nil
 }
 
 // String renders the ring for logs and the admin page.

@@ -160,3 +160,75 @@ func TestRingEmpty(t *testing.T) {
 		t.Fatal("empty ring must own nothing")
 	}
 }
+
+// TestUnmarshalRingNormalises holds the wire decoder to what NewRing builds:
+// ring JSON comes from outside the process, and a member list with an empty
+// or repeated name used to decode into a ring that disagreed with NewRing on
+// placement (335 of 1 000 databases went to the member "").
+func TestUnmarshalRingNormalises(t *testing.T) {
+	want := NewRing(1, []string{"a:1", "b:1"})
+	for _, tc := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"canonical", string(want.Marshal()), true},
+		{"unsorted", `{"epoch":1,"members":["b:1","a:1"]}`, true},
+		{"empty ring", `{"epoch":0,"members":[]}`, true},
+		{"empty member", `{"epoch":1,"members":["b:1","","a:1"]}`, false},
+		{"duplicate member", `{"epoch":1,"members":["b:1","b:1","a:1"]}`, false},
+		{"empty and duplicate", `{"epoch":1,"members":["b:1","","b:1","a:1"]}`, false},
+		{"null", `null`, false},
+		{"foreign hash", `{"epoch":1,"members":["a:1","b:1"],"hash":"fnv32-bogus"}`, false},
+	} {
+		r, err := UnmarshalRing([]byte(tc.body))
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s: accepted as %v", tc.name, r)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if !r.Equal(NewRing(r.Epoch, r.Members)) || r.Hash != HashVersion {
+			t.Errorf("%s: decoded %v is not what NewRing builds", tc.name, r)
+		}
+		if len(r.Members) == 2 && !r.Equal(want) {
+			t.Errorf("%s: decoded %v, want %v", tc.name, r, want)
+		}
+	}
+	// The same decoder guards a ring embedded in a status answer.
+	if _, err := ParseRingStatus([]byte(`{"self":"a:1","ring":{"epoch":1,"members":["a:1","","a:1"]}}`)); err == nil {
+		t.Error("ring status with an empty and a repeated member was accepted")
+	}
+}
+
+// FuzzUnmarshalRing: whatever bytes arrive, the decoder never panics, and a
+// ring it accepts is exactly the ring NewRing builds from the same epoch and
+// members — so Owner never names the member "".
+func FuzzUnmarshalRing(f *testing.F) {
+	for _, members := range goldenMembers() {
+		f.Add(NewRing(3, members).Marshal())
+	}
+	f.Add(NewRing(0, nil).Marshal())
+	f.Add([]byte(`{"epoch":1,"members":["b:1","","b:1","a:1"]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"epoch":7,"members":["a:1"],"hash":"fnv32-bogus"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := UnmarshalRing(data)
+		if err != nil {
+			return
+		}
+		if !r.Equal(NewRing(r.Epoch, r.Members)) {
+			t.Fatalf("accepted %q as %v, NewRing builds %v", data, r, NewRing(r.Epoch, r.Members))
+		}
+		if len(r.Members) > 0 {
+			for _, db := range goldenDBs() {
+				if r.Owner(db) == "" {
+					t.Fatalf("ring %v from %q gives %q to the member \"\"", r, data, db)
+				}
+			}
+		}
+	})
+}

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// shortCounts picks how many seeds per class the -short slice runs: 16
-// schedules total, the CI cluster-short lane's budget, still covering every
-// fault class.
-var shortCounts = []int{3, 3, 3, 3, 2, 2}
+// shortCounts picks how many seeds per class the -short slice runs: 18
+// schedules total, the budget of CI's race-detector pass, still covering
+// every fault class.
+var shortCounts = []int{3, 3, 3, 3, 2, 2, 2}
 
 // seedsFor returns the seed-pinned schedule seeds for one class. Every seed
 // is a function of the class index alone, so a failure report like
@@ -51,7 +51,7 @@ func TestCluster(t *testing.T) {
 		t.Run(class, func(t *testing.T) {
 			t.Parallel()
 			type agg struct {
-				keys, limbo                       int
+				keys, limbo, diskFaults           int
 				redirects, movingWaits, transport int64
 				transfersIn                       int64
 				rebalances                        int
@@ -66,6 +66,7 @@ func TestCluster(t *testing.T) {
 				}
 				a.keys += res.Keys
 				a.limbo += res.LimboKeys
+				a.diskFaults += res.DiskFaults
 				a.redirects += res.Redirects
 				a.movingWaits += res.MovingWaits
 				a.transport += res.Transport
@@ -73,8 +74,8 @@ func TestCluster(t *testing.T) {
 				a.rebalances += res.Rebalances
 				a.replResyncs += res.ReplResyncs
 			}
-			t.Logf("%s: %d keys converged (%d ambiguous quarantined); %d redirects, %d moving-waits, %d transport retries, %d records handed off, %d rebalance attempts",
-				class, a.keys, a.limbo, a.redirects, a.movingWaits, a.transport, a.transfersIn, a.rebalances)
+			t.Logf("%s: %d keys converged (%d ambiguous quarantined); %d redirects, %d moving-waits, %d transport retries, %d disk faults, %d records handed off, %d rebalance attempts",
+				class, a.keys, a.limbo, a.redirects, a.movingWaits, a.transport, a.diskFaults, a.transfersIn, a.rebalances)
 
 			// Every class moves real data: the pinned placement of the six
 			// churn databases guarantees join and leave each relocate at
@@ -102,6 +103,13 @@ func TestCluster(t *testing.T) {
 					if a.rebalances <= len(seedsFor(ci)) {
 						t.Error("peer death never forced a rebalance retry")
 					}
+				case "composed":
+					if a.diskFaults == 0 {
+						t.Error("composed schedules never fired an injected disk error")
+					}
+					if a.transport == 0 {
+						t.Error("composed schedules never forced a transport retry")
+					}
 				}
 			}
 		})
@@ -110,7 +118,8 @@ func TestCluster(t *testing.T) {
 
 // TestClusterScheduleCount pins the size of the model-checked schedule
 // matrix: at least 100 seed-pinned fault schedules in a full run (the
-// acceptance floor), exactly 16 in the -short CI slice.
+// acceptance floor; 108 plus the 18 composed), exactly 18 in the -short CI
+// slice.
 func TestClusterScheduleCount(t *testing.T) {
 	if os.Getenv("CLUSTERTEST_SEED") != "" {
 		t.Skip("seed pinned via CLUSTERTEST_SEED")
@@ -120,8 +129,8 @@ func TestClusterScheduleCount(t *testing.T) {
 		total += len(seedsFor(ci))
 	}
 	if testing.Short() {
-		if total != 16 {
-			t.Fatalf("short slice runs %d schedules, the cluster-short lane budgets exactly 16", total)
+		if total != 18 {
+			t.Fatalf("short slice runs %d schedules, the CI race pass budgets exactly 18", total)
 		}
 		return
 	}

@@ -3,32 +3,28 @@
 // only through an in-memory netsim.Mesh, churns inserts/updates/deletes and
 // reads through the cluster-aware client while a rebalance runs concurrently
 // — handoff mid-insert is the norm, not the edge case — and, per class,
-// while members partition or die mid-snapshot. After healing it drives the
-// cluster to the target membership and checks a driver-side model:
+// while members partition, die mid-snapshot or take disk errors. After
+// healing it drives the cluster to the target membership and holds it to the
+// shared acked-write history (package histcheck, DESIGN.md §14) through the
+// router and on the node the final ring owns each database to, plus what
+// only a cluster has:
 //
-//   - no lost acked write: every operation the client saw succeed is
-//     present, with identical content, on the shard the final ring owns it
-//     to — through the router and on the owning node directly,
-//   - no resurrection: no shard holds a record the model (plus the
-//     ambiguous-outcome limbo set) does not account for, and no shard holds
-//     any record of a database the final ring places elsewhere,
 //   - convergence after heal: the rebalance completes and every member
 //     serves the same final ring,
-//   - ring-epoch monotonicity: no member's active epoch ever regresses
-//     (sampled continuously while the schedule runs),
-//   - the online integrity scrub (VerifyAll) passes on every member, and a
-//     replica chain hanging off a member replicates its handoff traffic.
+//   - placement: no member holds any record of a database the final ring
+//     places elsewhere,
+//   - ring-epoch monotonicity, sampled continuously while the schedule runs,
+//   - a replica chain hanging off a member equals it after handoff traffic.
 //
 // Outcome accounting is explicit: a typed server answer (wrong shard,
-// moving, overloaded, server error) means the operation definitely did not
-// apply, while a transport failure means it *may* have — such keys enter a
-// limbo set whose final state only needs to match one of the possible
-// outcomes, and the quarantine keeps later churn off them. The schedule and
-// every fault roll derive from one seed.
+// moving, overloaded) means the operation definitely did not apply, while a
+// transport failure — or, on a member whose disk is faulted, a server error
+// — means it *may* have: the history then allows either outcome and the
+// churn never touches the key again. The schedule and every fault roll
+// derive from one seed.
 package clustertest
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -37,6 +33,8 @@ import (
 
 	"dbdedup/internal/apiserver"
 	"dbdedup/internal/cluster"
+	"dbdedup/internal/faultfs"
+	"dbdedup/internal/histcheck"
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/netsim"
 	"dbdedup/internal/node"
@@ -51,6 +49,12 @@ var Classes = []string{
 	"partition", // rebalance and churn under partial (per-host) partitions
 	"peerdeath", // the joining member dies mid-snapshot and comes back
 	"replica",   // a member keeps its replica chain through a rebalance
+	// composed: disk, network and membership faults at once. A join under
+	// per-host partition windows, a replica chain on m0, m1 and the joiner
+	// file-backed on faulted disks (diskFaults). Not in it: a member
+	// crash-restart mid-rebalance, because a restarted member comes back
+	// ring-less (ROADMAP 4(c)), which is its own issue.
+	"composed",
 }
 
 // Schedule is one seed-pinned fault-injection run.
@@ -62,8 +66,9 @@ type Schedule struct {
 
 // Result reports what a converged schedule observed.
 type Result struct {
-	Keys          int // records live in the model at convergence
+	Keys          int // records live in the history at convergence
 	LimboKeys     int // keys whose outcome was ambiguous
+	DiskFaults    int // injected disk errors that fired (composed class)
 	FinalEpoch    uint64
 	Rebalances    int // coordinator attempts (>=1; faults force retries)
 	Redirects     int64
@@ -108,11 +113,45 @@ func serverOpts(mesh *netsim.Mesh, host string) apiserver.Options {
 	return apiserver.Options{Network: mesh.Host(host), BodyTimeout: 2 * time.Second}
 }
 
-// limboEntry records the acceptable final states of a key whose operation
-// outcome was ambiguous.
-type limboEntry struct {
-	contents [][]byte // any of these payloads is acceptable
-	absentOK bool     // so is absence
+// owners is the cluster as the final ring places it: each key is read on,
+// and each database enumerated from, the node that owns it.
+type owners struct {
+	ring   *cluster.Ring
+	byAddr map[string]*member
+}
+
+func (o owners) Get(db, key string) ([]byte, error) {
+	return o.byAddr[o.ring.Owner(db)].n.Read(db, key)
+}
+
+func (o owners) Keys() []histcheck.Key {
+	var out []histcheck.Key
+	for _, m := range o.byAddr {
+		for _, k := range (histcheck.NodeView{Node: m.n}).Keys() {
+			if o.ring.Owner(k.DB) == m.addr {
+				out = append(out, k)
+			}
+		}
+	}
+	return out
+}
+
+// diskFaults draws one file-backed member's transient errors at seed-chosen
+// positions. An established member takes six failed writes and one failed
+// fsync, which land on client writes and surface as server errors. The
+// joiner takes failed mmaps only (they must degrade to pread unseen): a
+// write or fsync error there can land inside an aborted window's DropDB,
+// Shard.dropDBs ignores it, and the stale copies resurrect records deleted
+// before the next attempt (seed 6016, DESIGN.md §13) — its own issue.
+func diskFaults(rng *rand.Rand, joiner bool) []faultfs.Rule {
+	if joiner {
+		return []faultfs.Rule{faultfs.FailMmap(1 + uint64(rng.Intn(3))), faultfs.FailMmap(4 + uint64(rng.Intn(3)))}
+	}
+	rules := []faultfs.Rule{faultfs.FailSync(1 + uint64(rng.Intn(20)))}
+	for i := 0; i < 6; i++ {
+		rules = append(rules, faultfs.FailWrite(1+uint64(rng.Intn(30))))
+	}
+	return rules
 }
 
 // Run executes one schedule to convergence. A non-nil error is an invariant
@@ -130,9 +169,19 @@ func Run(sch Schedule) (Result, error) {
 	// serves nothing until a rebalance pulls it in.
 	nopts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 256}
 	nopts.Engine.GovernorWindow = 1 << 30
+	composed := sch.Class == "composed"
+	var injectors []*faultfs.Injector
 	members := make([]*member, len(memAddrs))
 	for i, addr := range memAddrs {
-		n, err := node.Open(nopts)
+		mopts := nopts
+		if composed && (i == 1 || i == 3) {
+			// Small blocks and segments, so 90 small ops cross many seals.
+			inj := faultfs.NewInjector(faultfs.NewMemFS(), sch.Seed+int64(i), diskFaults(faultRng, i == 3)...)
+			injectors = append(injectors, inj)
+			mopts.Dir, mopts.FS, mopts.SyncWrites = hostNames[i], inj, true
+			mopts.BlockSize, mopts.SegmentSize = 1<<10, 8<<10
+		}
+		n, err := node.Open(mopts)
 		if err != nil {
 			return res, err
 		}
@@ -159,11 +208,11 @@ func Run(sch Schedule) (Result, error) {
 		byAddr[m.addr] = m
 	}
 
-	// Replica chain on m0 for the replica class: handoff traffic in and out
-	// of m0 must flow down its oplog like client writes.
+	// Replica chain on m0: handoff traffic in and out of m0 must flow down
+	// its oplog like client writes.
 	var sec *node.Node
 	var secRepl *repl.Secondary
-	if sch.Class == "replica" {
+	if sch.Class == "replica" || composed {
 		var err error
 		sec, err = node.Open(nopts)
 		if err != nil {
@@ -212,37 +261,9 @@ func Run(sch Schedule) (Result, error) {
 	}
 	defer cc.Close()
 
-	// Epoch monitor: every member's active epoch must only move forward.
-	// Sampled in-process — the invariant is on the member's state, not on
-	// what the flaky network shows a client.
-	stopMon := make(chan struct{})
-	var monWG sync.WaitGroup
-	var monErr error
-	var monMu sync.Mutex
-	monWG.Add(1)
-	go func() {
-		defer monWG.Done()
-		prev := make([]uint64, len(members))
-		for {
-			select {
-			case <-stopMon:
-				return
-			default:
-			}
-			for i, m := range members {
-				cur := m.shard.Ring().Epoch
-				if cur < prev[i] {
-					monMu.Lock()
-					monErr = fmt.Errorf("member %s ring epoch regressed %d -> %d", m.addr, prev[i], cur)
-					monMu.Unlock()
-					return
-				}
-				prev[i] = cur
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	defer func() { close(stopMon); monWG.Wait() }()
+	// Every member's active epoch must only move forward.
+	stopMon := histcheck.Watch("ring epoch", memAddrs, func(i int) uint64 { return members[i].shard.Ring().Epoch })
+	defer stopMon()
 
 	// Rebalance driver: starts a third of the way into the churn so the
 	// window opens mid-insert. Faults (class-dependent) run beside it.
@@ -256,7 +277,7 @@ func Run(sch Schedule) (Result, error) {
 		switch sch.Class {
 		case "leave", "replica":
 			return []string{memAddrs[0], memAddrs[1]}
-		default: // join, double (first phase), partition, peerdeath
+		default: // join, double (first phase), partition, peerdeath, composed
 			return memAddrs
 		}
 	}
@@ -292,7 +313,7 @@ func Run(sch Schedule) (Result, error) {
 				}()
 				attempt(targetFor()) // expected to fail on many seeds
 				killWG.Wait()
-			case "partition":
+			case "partition", "composed":
 				var partWG sync.WaitGroup
 				partWG.Add(1)
 				go func() {
@@ -325,33 +346,27 @@ func Run(sch Schedule) (Result, error) {
 	}
 
 	// Churn through the router while all of the above happens.
-	model := make(map[string]map[string][]byte)
-	order := make(map[string][]string)
-	limbo := make(map[string]map[string]*limboEntry)
-	quarantine := func(db, key string, e *limboEntry) {
-		if limbo[db] == nil {
-			limbo[db] = make(map[string]*limboEntry)
-		}
-		limbo[db][key] = e
-		keys := order[db]
-		for i, k := range keys {
-			if k == key {
-				keys[i] = keys[len(keys)-1]
-				order[db] = keys[:len(keys)-1]
-				break
-			}
-		}
-		delete(model[db], key)
-	}
-	// definiteFailure reports whether err proves the op did not apply.
-	definiteFailure := func(err error) bool {
+	classify := func(err error) histcheck.Outcome {
+		var amb *cluster.AmbiguousError
 		var ws *apiserver.WrongShardError
 		var mv *apiserver.ShardMovingError
-		return errors.As(err, &ws) || errors.As(err, &mv) ||
-			errors.Is(err, apiserver.ErrOverloaded)
+		var se *apiserver.ServerError
+		switch {
+		case errors.As(err, &amb):
+			return histcheck.Uncertain
+		case errors.As(err, &ws), errors.As(err, &mv), errors.Is(err, apiserver.ErrOverloaded):
+			return histcheck.NotApplied
+		case composed && errors.As(err, &se):
+			// A write that hit an injected disk error was answered, but
+			// how much of it the node kept is not the client's to know.
+			return histcheck.Uncertain
+		}
+		return histcheck.Fatal
 	}
+	hist := histcheck.New(histcheck.FloorAtAck)
+	churn := histcheck.NewChurn(hist, rng, churnDBs,
+		histcheck.Mix{Insert: 0.50, Update: 0.72, Delete: 0.85, BaseSize: 512}, classify)
 
-	nextKey := 0
 	driverStarted := false
 	finalTarget := targetFor()
 	switch sch.Class {
@@ -365,92 +380,14 @@ func Run(sch Schedule) (Result, error) {
 			driverStarted = true
 			startDriver()
 		}
-		db := churnDBs[rng.Intn(len(churnDBs))]
-		if model[db] == nil {
-			model[db] = make(map[string][]byte)
-		}
-		m, keys := model[db], order[db]
-		roll := rng.Float64()
-		switch {
-		case roll < 0.50 || len(keys) == 0:
-			key := fmt.Sprintf("k%06d", nextKey)
-			nextKey++
-			var content []byte
-			if len(keys) > 0 && rng.Float64() < 0.8 {
-				content = editText(rng, m[keys[rng.Intn(len(keys))]], 1+rng.Intn(2))
-			} else {
-				content = prose(rng, 512+rng.Intn(1024))
-			}
-			err := cc.Insert(db, key, content)
-			var amb *cluster.AmbiguousError
-			switch {
-			case err == nil:
-				m[key] = content
-				order[db] = append(keys, key)
-			case errors.As(err, &amb):
-				quarantine(db, key, &limboEntry{contents: [][]byte{content}, absentOK: true})
-			case definiteFailure(err):
-				// Not applied; the key name is burned, nothing else.
-			default:
-				return res, fmt.Errorf("insert %s/%s: unexpected definite error: %w", db, key, err)
-			}
-		case roll < 0.72:
-			key := keys[rng.Intn(len(keys))]
-			content := editText(rng, m[key], 1)
-			err := cc.Update(db, key, content)
-			var amb *cluster.AmbiguousError
-			switch {
-			case err == nil:
-				m[key] = content
-			case errors.As(err, &amb):
-				quarantine(db, key, &limboEntry{contents: [][]byte{m[key], content}})
-			case definiteFailure(err):
-			default:
-				return res, fmt.Errorf("update %s/%s: unexpected definite error: %w", db, key, err)
-			}
-		case roll < 0.85:
-			i := rng.Intn(len(keys))
-			key := keys[i]
-			err := cc.Delete(db, key)
-			var amb *cluster.AmbiguousError
-			switch {
-			case err == nil:
-				delete(m, key)
-				keys[i] = keys[len(keys)-1]
-				order[db] = keys[:len(keys)-1]
-			case errors.As(err, &amb):
-				quarantine(db, key, &limboEntry{contents: [][]byte{m[key]}, absentOK: true})
-			case definiteFailure(err):
-			default:
-				return res, fmt.Errorf("delete %s/%s: unexpected definite error: %w", db, key, err)
-			}
-		default:
-			// Read-your-writes through the router: writes to a moving
-			// database are frozen, so a successful read must always see
-			// the model's value no matter which side of the cutover
-			// answers it.
-			key := keys[rng.Intn(len(keys))]
-			got, err := cc.Get(db, key)
-			var amb *cluster.AmbiguousError
-			switch {
-			case err == nil:
-				if !bytes.Equal(got, m[key]) {
-					return res, fmt.Errorf("read %s/%s diverged mid-schedule: got %d bytes, want %d",
-						db, key, len(got), len(m[key]))
-				}
-			case errors.As(err, &amb), definiteFailure(err):
-				// Unreachable or frozen: no state to check.
-			case errors.Is(err, apiserver.ErrNotFound):
-				return res, fmt.Errorf("read %s/%s: acked record not found", db, key)
-			default:
-				return res, fmt.Errorf("read %s/%s: %w", db, key, err)
-			}
+		if err := churn.Step(cc); err != nil {
+			return res, err
 		}
 		// Fault classes pace the churn so client traffic is still flowing
 		// while the injected windows are open; in-memory ops otherwise
 		// finish before the first fault lands.
 		switch sch.Class {
-		case "partition", "peerdeath":
+		case "partition", "peerdeath", "composed":
 			time.Sleep(time.Duration(rng.Intn(1800)) * time.Microsecond)
 		default:
 			if rng.Intn(4) == 0 {
@@ -493,84 +430,26 @@ func Run(sch Schedule) (Result, error) {
 		if m.shard.Pending() != nil {
 			return res, fmt.Errorf("member %s still has an open rebalance window after convergence", m.addr)
 		}
-		if contains(finalTarget, m.addr) && !r.Equal(finalRing) {
+		if finalRing.Has(m.addr) && !r.Equal(finalRing) {
 			return res, fmt.Errorf("member %s serves %v, expected %v", m.addr, r, finalRing)
 		}
 	}
 	res.FinalEpoch = finalRing.Epoch
 
-	// Model check. First through the router (what a client sees), then on
-	// the owning node directly (where the bytes must live), then the
-	// negative space: no stray copies, no resurrections.
-	for db, m := range model {
-		owner := byAddr[finalRing.Owner(db)]
-		if owner == nil {
-			return res, fmt.Errorf("db %s owned by unknown member %q", db, finalRing.Owner(db))
-		}
-		for key, want := range m {
-			got, err := cc.Get(db, key)
-			if err != nil {
-				return res, fmt.Errorf("lost acked write %s/%s (via router): %v", db, key, err)
-			}
-			if !bytes.Equal(got, want) {
-				return res, fmt.Errorf("diverged %s/%s (via router): got %d bytes, want %d", db, key, len(got), len(want))
-			}
-			direct, err := owner.n.Read(db, key)
-			if err != nil {
-				return res, fmt.Errorf("lost acked write %s/%s (owner %s): %v", db, key, owner.addr, err)
-			}
-			if !bytes.Equal(direct, want) {
-				return res, fmt.Errorf("diverged %s/%s on owner %s", db, key, owner.addr)
-			}
-			res.Keys++
-		}
+	// First through the router (what a client sees), then on the owning
+	// nodes directly (where the bytes must live, and the only place a
+	// record nobody wrote can be seen), then placement: no stray copies.
+	if err := histcheck.Err("via router", hist.Check(cc)); err != nil {
+		return res, err
 	}
-	// Limbo keys: final state must be one of the recorded possibilities.
-	for db, entries := range limbo {
-		owner := byAddr[finalRing.Owner(db)]
-		for key, e := range entries {
-			res.LimboKeys++
-			got, err := owner.n.Read(db, key)
-			if errors.Is(err, node.ErrNotFound) {
-				if !e.absentOK {
-					return res, fmt.Errorf("limbo %s/%s: absent but an applied outcome was required", db, key)
-				}
-				continue
-			}
-			if err != nil {
-				return res, fmt.Errorf("limbo %s/%s: %v", db, key, err)
-			}
-			ok := false
-			for _, c := range e.contents {
-				if bytes.Equal(got, c) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return res, fmt.Errorf("limbo %s/%s: content matches no possible outcome", db, key)
-			}
-		}
+	if err := histcheck.Err("on owners", hist.Check(owners{finalRing, byAddr})); err != nil {
+		return res, err
 	}
-	// Placement + resurrection: each database's records live only on its
-	// owner, and the owner holds nothing the model cannot account for.
-	for _, db := range churnDBs {
-		ownerAddr := finalRing.Owner(db)
-		for _, m := range members {
-			keys := m.n.DBKeys(db)
-			if m.addr == ownerAddr {
-				for _, key := range keys {
-					_, inModel := model[db][key]
-					_, inLimbo := limbo[db][key]
-					if !inModel && !inLimbo {
-						return res, fmt.Errorf("resurrection: %s/%s on owner %s is in neither model nor limbo", db, key, m.addr)
-					}
-				}
-				continue
-			}
-			if len(keys) > 0 {
-				return res, fmt.Errorf("stray copy: member %s holds %d records of %s owned by %s",
-					m.addr, len(keys), db, ownerAddr)
+	res.Keys, res.LimboKeys = hist.Count()
+	for _, m := range members {
+		for _, db := range m.n.DBNames() {
+			if n := len(m.n.DBKeys(db)); n > 0 && finalRing.Owner(db) != m.addr {
+				return res, fmt.Errorf("stray copy: member %s holds %d records of %s owned by %s", m.addr, n, db, finalRing.Owner(db))
 			}
 		}
 	}
@@ -580,34 +459,18 @@ func Run(sch Schedule) (Result, error) {
 		}
 	}
 
-	// Replica chain: m0's secondary must mirror m0 exactly — including
-	// records m0 gained by handoff (transfers emit oplog) and excluding
-	// databases m0 shed at cutover (drops emit oplog deletes).
-	if sch.Class == "replica" {
+	// Replica chain: m0's secondary must equal m0 — including records m0
+	// gained by handoff (transfers emit oplog) and excluding databases m0
+	// shed at cutover (drops emit oplog deletes).
+	if sec != nil {
 		members[0].n.Barrier()
 		target := members[0].n.Oplog().LastSeq()
 		if err := secRepl.WaitForSeq(target, 30*time.Second); err != nil {
 			return res, fmt.Errorf("replica convergence: %w", err)
 		}
-		for _, db := range churnDBs {
-			want := members[0].n.DBKeys(db)
-			got := sec.DBKeys(db)
-			if len(want) != len(got) {
-				return res, fmt.Errorf("replica of m0 holds %d keys of %s, primary holds %d", len(got), db, len(want))
-			}
-			for _, key := range want {
-				pv, err := members[0].n.Read(db, key)
-				if err != nil {
-					return res, err
-				}
-				sv, err := sec.Read(db, key)
-				if err != nil {
-					return res, fmt.Errorf("replica lost %s/%s: %v", db, key, err)
-				}
-				if !bytes.Equal(pv, sv) {
-					return res, fmt.Errorf("replica diverged on %s/%s", db, key)
-				}
-			}
+		vs := histcheck.Equal(histcheck.NodeView{Node: members[0].n}, histcheck.NodeView{Node: sec})
+		if err := histcheck.Err("replica of m0", vs); err != nil {
+			return res, err
 		}
 		if rep := sec.VerifyAll(); !rep.Ok() {
 			return res, fmt.Errorf("replica verify: %v", rep.Errors)
@@ -616,11 +479,11 @@ func Run(sch Schedule) (Result, error) {
 		res.ReplReconnect = secRepl.Metrics().Reconnects.Total()
 	}
 
-	monMu.Lock()
-	mErr := monErr
-	monMu.Unlock()
-	if mErr != nil {
-		return res, mErr
+	if err := stopMon(); err != nil {
+		return res, err
+	}
+	for _, inj := range injectors {
+		res.DiskFaults += len(inj.Events())
 	}
 
 	ctrs := cc.Counters()
@@ -635,39 +498,4 @@ func Run(sch Schedule) (Result, error) {
 		res.DroppedDBs += s.DroppedDBs
 	}
 	return res, nil
-}
-
-func contains(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-// prose builds dedup-friendly text of length n from a small vocabulary.
-func prose(rng *rand.Rand, n int) []byte {
-	words := []string{"the", "record", "database", "version", "of", "and",
-		"revision", "content", "chunk", "update", "a", "delta", "system"}
-	var buf bytes.Buffer
-	for buf.Len() < n {
-		buf.WriteString(words[rng.Intn(len(words))])
-		buf.WriteByte(' ')
-	}
-	return buf.Bytes()[:n]
-}
-
-// editText mutates data in k places and appends a tail, mimicking a revised
-// document (similar enough to delta-encode against its ancestor).
-func editText(rng *rand.Rand, data []byte, k int) []byte {
-	out := append([]byte(nil), data...)
-	for i := 0; i < k; i++ {
-		if len(out) <= 20 {
-			break
-		}
-		pos := rng.Intn(len(out) - 20)
-		copy(out[pos:], prose(rng, 12))
-	}
-	return append(out, prose(rng, 40)...)
 }

@@ -7,10 +7,10 @@
 //
 //   - the store reopens without panic or error at every fault point
 //   - with SyncWrites, no acknowledged write from before a successful
-//     flush is lost (checked against a per-key history model)
+//     flush is lost (the shared histcheck.History, floor at the barrier)
 //   - no dangling key→ID mappings: every visible key decodes
 //   - every surviving record decodes via VerifyAll
-//   - a fresh secondary resyncs the recovered primary to convergence
+//   - a fresh secondary resyncs the recovered primary to histcheck.Equal
 //
 // The matrix is deterministic: a census pass runs the workload once with a
 // counting-only injector, Points turns the per-class op counts into a
@@ -27,6 +27,7 @@ import (
 
 	"dbdedup/internal/core"
 	"dbdedup/internal/faultfs"
+	"dbdedup/internal/histcheck"
 	"dbdedup/internal/node"
 	"dbdedup/internal/repl"
 )
@@ -37,7 +38,7 @@ type Config struct {
 	// Seed drives the workload's content generation (and, offset per
 	// point, the injector's torn-write prefixes).
 	Seed int64
-	// SyncWrites runs the store with per-seal fsync; the model then
+	// SyncWrites runs the store with per-seal fsync; the history then
 	// enforces zero acknowledged-write loss across flush barriers.
 	SyncWrites bool
 	// BlockSize / SegmentSize are kept small so workloads cross many
@@ -69,12 +70,12 @@ type Workload struct {
 }
 
 // Ctx is the handle a workload script drives. Every mutation is recorded in
-// the model — successes as acknowledged state, failures as ambiguous — and
+// the history — successes as acknowledged state, failures as ambiguous — and
 // once a crash point fires every subsequent operation silently no-ops (the
 // simulated process is dead).
 type Ctx struct {
 	n       *node.Node
-	m       *Model
+	m       *histcheck.History
 	rng     *rand.Rand
 	sync    bool
 	crashed bool
@@ -85,78 +86,59 @@ type Ctx struct {
 	sec  *repl.Secondary
 }
 
-// fail records an op failure, noting process death on ErrCrashed.
-func (c *Ctx) fail(err error) bool {
+// fail notes process death on ErrCrashed.
+func (c *Ctx) fail(err error) {
 	if errors.Is(err, faultfs.ErrCrashed) {
 		c.crashed = true
 	}
-	return true
+}
+
+// record files a mutation's outcome in the history: acknowledged, or — on
+// any failure — ambiguous.
+func (c *Ctx) record(err error, db, key string, val []byte) {
+	if err != nil {
+		c.fail(err)
+		c.m.Ambiguous(db, key, val, c.crashed)
+		return
+	}
+	c.lastAck = c.n.LastAssignedSeq()
+	c.m.Acked(db, key, val)
 }
 
 // Insert inserts (db, key) = val.
 func (c *Ctx) Insert(db, key string, val []byte) {
-	if c.crashed {
-		return
+	if !c.crashed {
+		c.record(c.n.Insert(db, key, val), db, key, val)
 	}
-	if err := c.n.Insert(db, key, val); err != nil {
-		c.fail(err)
-		c.m.Ambiguous(db, key, val, c.crashed)
-		return
-	}
-	c.lastAck = c.n.LastAssignedSeq()
-	c.m.Acked(db, key, val)
 }
 
 // Update overwrites (db, key) with val.
 func (c *Ctx) Update(db, key string, val []byte) {
-	if c.crashed {
-		return
+	if !c.crashed {
+		c.record(c.n.Update(db, key, val), db, key, val)
 	}
-	if err := c.n.Update(db, key, val); err != nil {
-		c.fail(err)
-		c.m.Ambiguous(db, key, val, c.crashed)
-		return
-	}
-	c.lastAck = c.n.LastAssignedSeq()
-	c.m.Acked(db, key, val)
 }
 
 // Delete removes (db, key).
 func (c *Ctx) Delete(db, key string) {
-	if c.crashed {
-		return
+	if !c.crashed {
+		c.record(c.n.Delete(db, key), db, key, nil)
 	}
-	if err := c.n.Delete(db, key); err != nil {
-		c.fail(err)
-		c.m.Ambiguous(db, key, nil, c.crashed)
-		return
-	}
-	c.lastAck = c.n.LastAssignedSeq()
-	c.m.Acked(db, key, nil)
 }
 
-// Flush applies pending write-backs and seals + syncs the pending block. A
-// successful synced seal is the durability barrier the model holds
-// recovery to.
+// Flush applies pending write-backs, then seals + syncs the pending block.
 func (c *Ctx) Flush() {
-	if c.crashed {
-		return
-	}
-	c.n.FlushWritebacks(-1)
-	if err := c.n.Store().Flush(); err != nil {
-		c.fail(err)
-		return
-	}
-	if c.sync {
-		c.m.DurableBarrier()
+	if !c.crashed {
+		c.n.FlushWritebacks(-1)
+		c.Seal()
 	}
 }
 
 // Seal seals and syncs the pending block WITHOUT applying deferred
 // write-backs, leaving the backlog in memory — the state a crash with a
-// full write-back queue tears away. A successful synced seal still
-// advances the durability barrier: the lossy write-back contract is that
-// dropping the backlog loses no data, only re-encoding opportunity.
+// full write-back queue tears away. A successful synced seal is still the
+// durability barrier the history holds recovery to: the lossy write-back
+// contract is that dropping the backlog loses no data, only re-encoding.
 func (c *Ctx) Seal() {
 	if c.crashed {
 		return
@@ -171,12 +153,10 @@ func (c *Ctx) Seal() {
 }
 
 // Compact runs one segment-compaction pass. Compaction never changes
-// logical state, so the model is untouched whether it succeeds or dies.
+// logical state, so the history is untouched whether it succeeds or dies.
 func (c *Ctx) Compact() {
-	if c.crashed {
-		return
-	}
-	if _, err := c.n.Compact(); err != nil {
+	if !c.crashed {
+		_, err := c.n.Compact()
 		c.fail(err)
 	}
 }
@@ -320,7 +300,7 @@ func RunPoint(cfg Config, w Workload, rule *faultfs.Rule, injSeed int64, dir str
 		rules = append(rules, *rule)
 	}
 	inj := faultfs.NewInjector(faultfs.DefaultFS, injSeed, rules...)
-	m := NewModel()
+	m := histcheck.New(histcheck.FloorAtBarrier)
 	res := Result{Rule: rule}
 
 	popts := primaryOpts(cfg, dir, inj)
@@ -362,24 +342,25 @@ func RunPoint(cfg Config, w Workload, rule *faultfs.Rule, injSeed int64, dir str
 	if rep := n2.VerifyAll(); !rep.Ok() {
 		res.Problems = append(res.Problems, rep.Errors...)
 	}
-	recovered := map[string][]byte{}
-	if err := n2.Snapshot(func(db, key string, content []byte) bool {
-		recovered[modelKey(db, key)] = append([]byte(nil), content...)
-		return true
-	}); err != nil {
-		res.Problems = append(res.Problems, fmt.Sprintf("snapshot of recovered store: %v", err))
-	}
-	res.Problems = append(res.Problems, m.Check(recovered)...)
+	res.Problems = append(res.Problems, problems(m.Check(histcheck.NodeView{Node: n2}))...)
 	if w.Replicated {
 		res.Problems = append(res.Problems, checkConvergence(n2)...)
 	}
 	return res
 }
 
+func problems(vs []histcheck.Violation) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.Error()
+	}
+	return out
+}
+
 // checkConvergence attaches a fresh secondary to the recovered primary,
 // forces a full snapshot resync (the recovered oplog is a new epoch, so a
 // mismatched resume cursor is exactly the post-crash situation), and
-// requires byte-for-byte convergence.
+// requires byte-for-byte equality.
 func checkConvergence(n2 *node.Node) []string {
 	p, err := repl.ListenAndServe(n2, "127.0.0.1:0")
 	if err != nil {
@@ -408,33 +389,7 @@ func checkConvergence(n2 *node.Node) []string {
 	if err := s.WaitForSeq(n2.LastAssignedSeq(), 10*time.Second); err != nil {
 		return []string{fmt.Sprintf("secondary did not converge: %v", err)}
 	}
-	var problems []string
-	prim, sec := map[string]string{}, map[string]string{}
-	if err := n2.Snapshot(func(db, key string, content []byte) bool {
-		prim[modelKey(db, key)] = string(content)
-		return true
-	}); err != nil {
-		problems = append(problems, fmt.Sprintf("primary snapshot: %v", err))
-	}
-	if err := sn.Snapshot(func(db, key string, content []byte) bool {
-		sec[modelKey(db, key)] = string(content)
-		return true
-	}); err != nil {
-		problems = append(problems, fmt.Sprintf("secondary snapshot: %v", err))
-	}
-	for k, v := range prim {
-		if sv, ok := sec[k]; !ok || sv != v {
-			db, key := splitModelKey(k)
-			problems = append(problems, fmt.Sprintf("diverged after resync: %s/%s (present on secondary: %v)", db, key, ok))
-		}
-	}
-	for k := range sec {
-		if _, ok := prim[k]; !ok {
-			db, key := splitModelKey(k)
-			problems = append(problems, fmt.Sprintf("secondary has extra key after resync: %s/%s", db, key))
-		}
-	}
-	return problems
+	return problems(histcheck.Equal(histcheck.NodeView{Node: n2}, histcheck.NodeView{Node: sn}))
 }
 
 // Points turns a census (per-class op counts) into the fault-point

@@ -76,58 +76,3 @@ func TestCrashMatrix(t *testing.T) {
 		})
 	}
 }
-
-// TestMatrixDetectsAckedWriteLoss is the harness's own regression test: a
-// deliberately broken invariant must be caught. It simulates an
-// acknowledged-write loss by asserting that the model rejects a recovered
-// state older than the durable barrier.
-func TestMatrixDetectsAckedWriteLoss(t *testing.T) {
-	m := NewModel()
-	m.Acked("db", "k", []byte("v1"))
-	m.DurableBarrier()
-	m.Acked("db", "k", []byte("v2"))
-
-	// v1 or v2 are fine; absent or a never-written value are losses.
-	if probs := m.Check(map[string][]byte{modelKey("db", "k"): []byte("v1")}); len(probs) != 0 {
-		t.Fatalf("v1 should be allowed: %v", probs)
-	}
-	if probs := m.Check(map[string][]byte{modelKey("db", "k"): []byte("v2")}); len(probs) != 0 {
-		t.Fatalf("v2 should be allowed: %v", probs)
-	}
-	if probs := m.Check(map[string][]byte{}); len(probs) == 0 {
-		t.Fatal("losing a durably acknowledged key went undetected")
-	}
-	if probs := m.Check(map[string][]byte{modelKey("db", "k"): []byte("bogus")}); len(probs) == 0 {
-		t.Fatal("a never-acknowledged value went undetected")
-	}
-	if probs := m.Check(map[string][]byte{modelKey("db", "x"): []byte("v")}); len(probs) == 0 {
-		t.Fatal("a never-written key went undetected")
-	}
-}
-
-// TestModelAmbiguityAndTaint pins the model's failure semantics: a failed
-// op admits both the old and the attempted state, and a durable barrier
-// never advances a tainted key past the failure.
-func TestModelAmbiguityAndTaint(t *testing.T) {
-	m := NewModel()
-	m.Acked("db", "k", []byte("v1"))
-	m.Ambiguous("db", "k", []byte("v2"), false) // transient failure, process lives
-	m.Acked("db", "k", []byte("v3"))
-	m.DurableBarrier() // must freeze before v1: the key is tainted
-
-	for _, allowed := range [][]byte{[]byte("v1"), []byte("v2"), []byte("v3")} {
-		if probs := m.Check(map[string][]byte{modelKey("db", "k"): allowed}); len(probs) != 0 {
-			t.Fatalf("%q should be allowed for a tainted key: %v", allowed, probs)
-		}
-	}
-
-	m2 := NewModel()
-	m2.Acked("db", "k", []byte("v1"))
-	m2.Ambiguous("db", "k", []byte("v2"), true) // crash: no further divergence
-	if probs := m2.Check(map[string][]byte{modelKey("db", "k"): []byte("v1")}); len(probs) != 0 {
-		t.Fatalf("pre-crash state must stay allowed: %v", probs)
-	}
-	if probs := m2.Check(map[string][]byte{}); len(probs) != 0 {
-		t.Fatalf("unflushed insert may be lost in a crash: %v", probs)
-	}
-}

@@ -13,6 +13,7 @@ import (
 	"dbdedup/internal/admission"
 	"dbdedup/internal/apiserver"
 	"dbdedup/internal/core"
+	"dbdedup/internal/histcheck"
 	"dbdedup/internal/node"
 	"dbdedup/internal/repl"
 	"dbdedup/internal/workload"
@@ -74,6 +75,30 @@ func startClusterOpts(t *testing.T, primMut func(*node.Options)) *cluster {
 	return c
 }
 
+// ingest drives a whole workload trace through target, recording every ack.
+func ingest(t *testing.T, h *histcheck.History, target histcheck.Target, cfg workload.Config) {
+	t.Helper()
+	tr := workload.New(cfg)
+	for {
+		op, ok := tr.Next()
+		if !ok {
+			return
+		}
+		if err := target.Insert(op.DB, op.Key, op.Payload); err != nil {
+			t.Fatalf("insert %s: %v", op.Key, err)
+		}
+		h.Acked(op.DB, op.Key, op.Payload)
+	}
+}
+
+// requireHeld fails the test unless view holds exactly what h says it must.
+func requireHeld(t *testing.T, where string, h *histcheck.History, view histcheck.View) {
+	t.Helper()
+	if err := histcheck.Err(where, h.Check(view)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func (c *cluster) stop() {
 	if c.client != nil {
 		c.client.Close()
@@ -99,39 +124,23 @@ func TestClusterEndToEnd(t *testing.T) {
 	c := startCluster(t)
 
 	// Drive a Wikipedia-like workload through the network API.
-	tr := workload.New(workload.Config{Kind: workload.Wikipedia, Seed: 11, InsertBytes: 2 << 20})
-	inserted := map[string][]byte{}
-	for {
-		op, ok := tr.Next()
-		if !ok {
-			break
-		}
-		if err := c.client.Insert(op.DB, op.Key, op.Payload); err != nil {
-			t.Fatalf("insert %s: %v", op.Key, err)
-		}
-		inserted[op.Key] = op.Payload
-	}
+	hist := histcheck.New(histcheck.FloorAtAck)
+	ingest(t, hist, c.client, workload.Config{Kind: workload.Wikipedia, Seed: 11, InsertBytes: 2 << 20})
 
 	// Mix in updates and deletes over the wire.
-	var some []string
-	for k := range inserted {
-		some = append(some, k)
-		if len(some) == 10 {
-			break
-		}
-	}
+	some := c.prim.DBKeys("wiki")[:10]
 	for i, k := range some {
 		if i%2 == 0 {
 			content := []byte(fmt.Sprintf("updated %s over the wire", k))
 			if err := c.client.Update("wiki", k, content); err != nil {
 				t.Fatal(err)
 			}
-			inserted[k] = content
+			hist.Acked("wiki", k, content)
 		} else {
 			if err := c.client.Delete("wiki", k); err != nil {
 				t.Fatal(err)
 			}
-			delete(inserted, k)
+			hist.Acked("wiki", k, nil)
 		}
 	}
 
@@ -141,21 +150,8 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	// Both nodes converge and serve identical content.
-	checked := 0
-	for k, want := range inserted {
-		if checked >= 200 {
-			break
-		}
-		checked++
-		got, err := c.client.Get("wiki", k)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("primary %s: %v", k, err)
-		}
-		got, err = c.sec.Read("wiki", k)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("secondary %s: %v", k, err)
-		}
-	}
+	requireHeld(t, "primary over the wire", hist, c.client)
+	requireHeld(t, "secondary", hist, histcheck.NodeView{Node: c.sec})
 
 	// The primary deduplicated and replication shipped deltas.
 	st, err := c.client.Stats()
@@ -172,18 +168,8 @@ func TestClusterEndToEnd(t *testing.T) {
 
 func TestClusterRestartPreservesData(t *testing.T) {
 	c := startCluster(t)
-	tr := workload.New(workload.Config{Kind: workload.Enron, Seed: 12, InsertBytes: 1 << 20})
-	inserted := map[string][]byte{}
-	for {
-		op, ok := tr.Next()
-		if !ok {
-			break
-		}
-		if err := c.client.Insert(op.DB, op.Key, op.Payload); err != nil {
-			t.Fatal(err)
-		}
-		inserted[op.Key] = op.Payload
-	}
+	hist := histcheck.New(histcheck.FloorAtAck)
+	ingest(t, hist, c.client, workload.Config{Kind: workload.Enron, Seed: 12, InsertBytes: 1 << 20})
 	c.prim.Barrier()
 	c.prim.FlushWritebacks(-1)
 
@@ -212,17 +198,7 @@ func TestClusterRestartPreservesData(t *testing.T) {
 	}
 	c.client = client2
 
-	checked := 0
-	for k, want := range inserted {
-		if checked >= 100 {
-			break
-		}
-		checked++
-		got, err := client2.Get("mail", k)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s after restart: %v", k, err)
-		}
-	}
+	requireHeld(t, "after restart", hist, client2)
 	c.replSrv = nil
 	c.replSub = nil
 }
@@ -243,18 +219,8 @@ func TestClusterSecondaryCatchUpViaSnapshot(t *testing.T) {
 	}
 	defer prim.Close()
 
-	tr := workload.New(workload.Config{Kind: workload.StackExchange, Seed: 13, InsertBytes: 512 << 10})
-	inserted := map[string][]byte{}
-	for {
-		op, ok := tr.Next()
-		if !ok {
-			break
-		}
-		if err := prim.Insert(op.DB, op.Key, op.Payload); err != nil {
-			t.Fatal(err)
-		}
-		inserted[op.Key] = op.Payload
-	}
+	hist := histcheck.New(histcheck.FloorAtAck)
+	ingest(t, hist, histcheck.NodeView{Node: prim}, workload.Config{Kind: workload.StackExchange, Seed: 13, InsertBytes: 512 << 10})
 	prim.Barrier()
 
 	srv, err := repl.ListenAndServe(prim, "127.0.0.1:0")
@@ -279,17 +245,7 @@ func TestClusterSecondaryCatchUpViaSnapshot(t *testing.T) {
 	if rs, _ := sub.Resyncs(); rs == 0 {
 		t.Fatal("expected a snapshot resync")
 	}
-	checked := 0
-	for k, want := range inserted {
-		if checked >= 100 {
-			break
-		}
-		checked++
-		got, err := sec.Read("qa", k)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s on late secondary: %v", k, err)
-		}
-	}
+	requireHeld(t, "late secondary", hist, histcheck.NodeView{Node: sec})
 	// Live tail after the snapshot.
 	if err := prim.Insert("qa", "tail-record", []byte("written after the snapshot")); err != nil {
 		t.Fatal(err)
@@ -325,8 +281,9 @@ func TestClusterShedRawReplicates(t *testing.T) {
 	// A family of mutually similar documents a healthy node would dedup;
 	// the shedding primary stores them raw instead.
 	base := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog. "), 40)
-	inserted := map[string][]byte{}
-	for i := 0; i < 40; i++ {
+	hist := histcheck.New(histcheck.FloorAtAck)
+	const docs = 40
+	for i := 0; i < docs; i++ {
 		doc := append([]byte(fmt.Sprintf("rev %03d | ", i)), base...)
 		key := fmt.Sprintf("doc%03d", i)
 		if err := c.client.Insert("shed", key, doc); err != nil {
@@ -336,15 +293,15 @@ func TestClusterShedRawReplicates(t *testing.T) {
 		if got, err := c.client.Get("shed", key); err != nil || !bytes.Equal(got, doc) {
 			t.Fatalf("%s not readable right after ack: %v", key, err)
 		}
-		inserted[key] = doc
+		hist.Acked("shed", key, doc)
 	}
 
 	st := c.prim.Stats()
 	if st.InsertsShedRaw == 0 {
 		t.Fatal("overload never engaged; nothing was shed")
 	}
-	if st.Inserts != uint64(len(inserted)) {
-		t.Fatalf("Stats.Inserts = %d, want %d", st.Inserts, len(inserted))
+	if st.Inserts != docs {
+		t.Fatalf("Stats.Inserts = %d, want %d", st.Inserts, docs)
 	}
 
 	c.prim.Barrier()
@@ -353,12 +310,7 @@ func TestClusterShedRawReplicates(t *testing.T) {
 	}
 
 	// Every shed insert made it to the secondary intact.
-	for k, want := range inserted {
-		got, err := c.sec.Read("shed", k)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("secondary %s after shed replication: %v", k, err)
-		}
-	}
+	requireHeld(t, "secondary after shed replication", hist, histcheck.NodeView{Node: c.sec})
 	if rep := c.sec.VerifyAll(); !rep.Ok() {
 		t.Fatalf("secondary VerifyAll after shed replication: %s", rep)
 	}

@@ -127,3 +127,28 @@ func TestSimScheduleCount(t *testing.T) {
 	}
 	fmt.Println("simtest full matrix:", total, "schedules")
 }
+
+// TestSeedsNameSameSchedules pins the primary-side op trace (kind, db, key,
+// content length, content hash) of two schedules to the digests recorded
+// before the churn loop moved into histcheck: a reported seed must keep
+// reproducing the schedule it named. No primary op can fail, so the trace is
+// a pure function of the seed whatever the network does.
+func TestSeedsNameSameSchedules(t *testing.T) {
+	for _, tc := range []struct {
+		class string
+		seed  int64
+		want  uint64
+	}{
+		{"partition", 1, 0xc1495848290b3cea},
+		{"mixed", 7001, 0x670cac55a2b75a3},
+	} {
+		res, err := Run(Schedule{Seed: tc.seed, Class: tc.class, Ops: 110})
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", tc.class, tc.seed, err)
+		}
+		if res.TraceDigest != tc.want {
+			t.Errorf("%s seed %d: op trace digest %#x, want %#x — the seed no longer names the same schedule",
+				tc.class, tc.seed, res.TraceDigest, tc.want)
+		}
+	}
+}

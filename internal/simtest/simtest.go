@@ -2,14 +2,11 @@
 // faults. Each Schedule builds a primary and a secondary node joined only
 // through an in-memory netsim.Sim, churns inserts/updates/deletes on the
 // primary while the network misbehaves (partitions, reordering, duplication,
-// corruption, mid-frame connection cuts), then heals the network and checks
-// convergence against a driver-side model:
-//
-//   - every acknowledged primary write is present, with identical content,
-//     on both nodes (no lost or diverged records),
-//   - the secondary holds no records the model does not (no resurrection),
-//   - the secondary's applied sequence number never regresses,
-//   - the online integrity scrub (VerifyAll) passes on both sides.
+// corruption, mid-frame connection cuts), then heals the network and holds
+// both nodes to the shared acked-write history (package histcheck, DESIGN.md
+// §14): no lost, diverged or resurrected record on either
+// node, an applied sequence number that never regresses, and a clean
+// integrity scrub (VerifyAll) on both sides.
 //
 // Both the operation schedule and the network's fault rolls derive from one
 // seed, so a failing seed re-runs the same schedule. (Goroutine interleaving
@@ -18,12 +15,11 @@
 package simtest
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
+	"dbdedup/internal/histcheck"
 	"dbdedup/internal/netsim"
 	"dbdedup/internal/node"
 	"dbdedup/internal/repl"
@@ -57,9 +53,10 @@ type Result struct {
 	FrameSeqViolations int64
 	IdleTimeouts       int64
 	BaseFetches        uint64
-	Keys               int // records live in the model at convergence
+	Keys               int // records live in the history at convergence
 	AppliedSeq         uint64
 	Counters           netsim.Counters
+	TraceDigest        uint64 // histcheck.Churn.TraceDigest of the primary-side ops
 }
 
 // profileFor returns the randomized fault mix for a class; partition classes
@@ -132,41 +129,22 @@ func Run(sch Schedule) (Result, error) {
 	}
 	defer s.Close()
 
-	// Monitor: the applied low-water mark must never regress. (Within one
-	// primary epoch even snapshot rebases only move it forward.)
-	stopMon := make(chan struct{})
-	var monWG sync.WaitGroup
-	var regression error
-	monWG.Add(1)
-	go func() {
-		defer monWG.Done()
-		var prev uint64
-		for {
-			select {
-			case <-stopMon:
-				return
-			default:
-			}
-			cur := s.AppliedSeq()
-			if cur < prev {
-				regression = fmt.Errorf("appliedSeq regressed %d -> %d", prev, cur)
-				return
-			}
-			prev = cur
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	// The applied low-water mark must never regress. (Within one primary
+	// epoch even snapshot rebases only move it forward.)
+	stopMon := histcheck.Watch("appliedSeq", []string{"the secondary"}, func(int) uint64 { return s.AppliedSeq() })
+	defer stopMon()
 
 	// Faults start only once the session is up: the run exercises recovery,
 	// not initial-connection refusal.
 	sim.SetProfile(profileFor(sch.Class))
 
-	// Churn. The model mirrors every acknowledged op; key order is tracked
-	// in slices so rng picks are reproducible (map iteration is not).
-	model := make(map[string]map[string][]byte) // db -> key -> content
-	order := make(map[string][]string)          // db -> live keys
-	dbs := []string{"alpha", "beta", "gamma"}
-	nextKey := 0
+	// Churn against the primary directly: no op can fail, so any error is
+	// fatal and the op trace is a pure function of the seed.
+	hist := histcheck.New(histcheck.FloorAtAck)
+	churn := histcheck.NewChurn(hist, rng, []string{"alpha", "beta", "gamma"},
+		histcheck.Mix{Insert: 0.55, Update: 0.80, Delete: 1, BaseSize: 1024},
+		func(error) histcheck.Outcome { return histcheck.Fatal })
+	primView := histcheck.NodeView{Node: prim}
 	partitionLeft, windows := 0, 0
 	for op := 0; op < sch.Ops; op++ {
 		if sch.Class == "partition" || sch.Class == "oneway" {
@@ -202,98 +180,48 @@ func Run(sch Schedule) (Result, error) {
 				time.Sleep(2 * time.Millisecond)
 			}
 		}
-		db := dbs[rng.Intn(len(dbs))]
-		if model[db] == nil {
-			model[db] = make(map[string][]byte)
-		}
-		m, keys := model[db], order[db]
-		roll := rng.Float64()
-		switch {
-		case roll < 0.55 || len(keys) == 0:
-			key := fmt.Sprintf("k%06d", nextKey)
-			nextKey++
-			var content []byte
-			if len(keys) > 0 && rng.Float64() < 0.8 {
-				// Derived content: the engine forward-encodes these, so the
-				// wire carries deltas and the secondary resolves bases
-				// (exercising the fetch fallback when a base is missing).
-				content = editText(rng, m[keys[rng.Intn(len(keys))]], 1+rng.Intn(2))
-			} else {
-				content = prose(rng, 1024+rng.Intn(1024))
-			}
-			if err := prim.Insert(db, key, content); err != nil {
-				return res, fmt.Errorf("insert %s/%s: %w", db, key, err)
-			}
-			m[key] = content
-			order[db] = append(keys, key)
-		case roll < 0.80:
-			key := keys[rng.Intn(len(keys))]
-			content := editText(rng, m[key], 1)
-			if err := prim.Update(db, key, content); err != nil {
-				return res, fmt.Errorf("update %s/%s: %w", db, key, err)
-			}
-			m[key] = content
-		default:
-			i := rng.Intn(len(keys))
-			key := keys[i]
-			if err := prim.Delete(db, key); err != nil {
-				return res, fmt.Errorf("delete %s/%s: %w", db, key, err)
-			}
-			delete(m, key)
-			keys[i] = keys[len(keys)-1]
-			order[db] = keys[:len(keys)-1]
+		if err := churn.Step(primView); err != nil {
+			return res, err
 		}
 		if rng.Intn(4) == 0 {
 			time.Sleep(time.Duration(rng.Intn(400)) * time.Microsecond)
 		}
 	}
 
-	// Heal and converge.
+	// Heal and converge, then converge again on a marker written after the
+	// first: a resync rebases the applied mark before its reconciliation has
+	// deleted what the snapshot did not carry, so the deletes are known to
+	// be visible only once a later frame has been handled behind it.
 	sim.Heal()
-	prim.Barrier()
-	target := prim.Oplog().LastSeq()
-	if err := s.WaitForSeq(target, 30*time.Second); err != nil {
+	converge := func() error {
+		prim.Barrier()
+		return s.WaitForSeq(prim.Oplog().LastSeq(), 30*time.Second)
+	}
+	if err = converge(); err == nil {
+		if err = prim.Insert("simtest", "healed", []byte("marker")); err == nil {
+			hist.Acked("simtest", "healed", []byte("marker"))
+			err = converge()
+		}
+	}
+	if err != nil {
 		return res, fmt.Errorf("convergence: %w", err)
 	}
-	close(stopMon)
-	monWG.Wait()
-	if regression != nil {
-		return res, regression
-	}
-
-	// Model check: state equality in both directions, then the scrub.
-	for db, m := range model {
-		for key, want := range m {
-			if got, err := prim.Read(db, key); err != nil || !bytes.Equal(got, want) {
-				return res, fmt.Errorf("primary diverged on %s/%s: %v", db, key, err)
-			}
-			if got, err := sec.Read(db, key); err != nil {
-				return res, fmt.Errorf("secondary lost acknowledged write %s/%s: %v", db, key, err)
-			} else if !bytes.Equal(got, want) {
-				return res, fmt.Errorf("secondary diverged on %s/%s: got %d bytes, want %d",
-					db, key, len(got), len(want))
-			}
-			res.Keys++
-		}
-	}
-	extra := 0
-	err = sec.Snapshot(func(db, key string, _ []byte) bool {
-		if _, ok := model[db][key]; !ok {
-			extra++
-			err = fmt.Errorf("secondary resurrected deleted record %s/%s", db, key)
-			return false
-		}
-		return true
-	})
-	if err != nil {
+	if err := stopMon(); err != nil {
 		return res, err
 	}
-	if rep := prim.VerifyAll(); !rep.Ok() {
-		return res, fmt.Errorf("primary verify: %v", rep.Errors)
+
+	// State equality in both directions and the scrub, on both nodes.
+	for i, n := range []*node.Node{prim, sec} {
+		name := []string{"primary", "secondary"}[i]
+		if err := histcheck.Err(name, hist.Check(histcheck.NodeView{Node: n})); err != nil {
+			return res, err
+		}
+		if rep := n.VerifyAll(); !rep.Ok() {
+			return res, fmt.Errorf("%s verify: %v", name, rep.Errors)
+		}
 	}
-	if rep := sec.VerifyAll(); !rep.Ok() {
-		return res, fmt.Errorf("secondary verify: %v", rep.Errors)
-	}
+	res.Keys, _ = hist.Count()
+	res.TraceDigest = churn.TraceDigest()
 
 	res.Resyncs, _ = s.Resyncs()
 	rm := s.Metrics()
@@ -305,30 +233,4 @@ func Run(sch Schedule) (Result, error) {
 	res.AppliedSeq = s.AppliedSeq()
 	res.Counters = sim.Counters()
 	return res, nil
-}
-
-// prose builds dedup-friendly text of length n from a small vocabulary.
-func prose(rng *rand.Rand, n int) []byte {
-	words := []string{"the", "record", "database", "version", "of", "and",
-		"revision", "content", "chunk", "update", "a", "delta", "system"}
-	var buf bytes.Buffer
-	for buf.Len() < n {
-		buf.WriteString(words[rng.Intn(len(words))])
-		buf.WriteByte(' ')
-	}
-	return buf.Bytes()[:n]
-}
-
-// editText mutates data in k places and appends a tail, mimicking a revised
-// document (similar enough to delta-encode against its ancestor).
-func editText(rng *rand.Rand, data []byte, k int) []byte {
-	out := append([]byte(nil), data...)
-	for i := 0; i < k; i++ {
-		if len(out) <= 20 {
-			break
-		}
-		pos := rng.Intn(len(out) - 20)
-		copy(out[pos:], prose(rng, 12))
-	}
-	return append(out, prose(rng, 40)...)
 }

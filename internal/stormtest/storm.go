@@ -12,15 +12,15 @@
 //
 // The harness drives the real apiserver TCP surface with thousands of
 // tenant databases running mixed workload blends, classifies every outcome
-// into an error taxonomy, tracks each acknowledged insert (key + payload
-// hash) so lost acked writes are provable, and renders reports as text and
-// CSV rows for results_csv/storm_*.csv.
+// into an error taxonomy, records each acknowledged insert in the shared
+// acked-write history (package histcheck: key + payload hash) so lost acked
+// writes are provable, and renders reports as text and CSV rows for
+// results_csv/storm_*.csv.
 package stormtest
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"net"
@@ -32,6 +32,7 @@ import (
 
 	"dbdedup/internal/apiserver"
 	"dbdedup/internal/cluster"
+	"dbdedup/internal/histcheck"
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/node"
 	"dbdedup/internal/workload"
@@ -156,7 +157,7 @@ type Report struct {
 	// (cluster storms only — empty for single-node runs).
 	Shards []ShardLoad
 
-	acked *ackedSet
+	acked *histcheck.History
 }
 
 // ShardLoad is one cluster member's slice of a storm: which member, how many
@@ -219,92 +220,29 @@ type job struct {
 	scheduled time.Time
 }
 
-// ackedSet records every acknowledged insert's payload hash, striped to keep
-// the hot path cheap.
-type ackedSet struct {
-	stripes [16]struct {
-		mu sync.Mutex
-		m  map[string]uint64
-	}
+// stormConn is what a worker drives: a raw apiserver connection, or the
+// redirect-following cluster client in cluster storms. owner names the ring
+// member an operation was routed to ("" when not clustered).
+type stormConn struct {
+	histcheck.Target
+	owner func(db string) string
+	close func()
 }
 
-func ackKey(db, key string) string { return db + "\x00" + key }
-
-func payloadHash(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
-}
-
-func (s *ackedSet) add(db, key string, hash uint64) {
-	k := ackKey(db, key)
-	st := &s.stripes[fnvStripe(k)]
-	st.mu.Lock()
-	if st.m == nil {
-		st.m = make(map[string]uint64)
-	}
-	st.m[k] = hash
-	st.mu.Unlock()
-}
-
-func (s *ackedSet) len() int {
-	n := 0
-	for i := range s.stripes {
-		s.stripes[i].mu.Lock()
-		n += len(s.stripes[i].m)
-		s.stripes[i].mu.Unlock()
-	}
-	return n
-}
-
-func fnvStripe(k string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
-		h *= 16777619
-	}
-	return int(h % 16)
-}
-
-// stormConn is what a worker drives: a raw apiserver connection in
-// single-node storms, the redirect-following cluster client in cluster
-// storms. Owner names the ring member an operation was routed to ("" when
-// not clustered) so acked load can be attributed per shard.
-type stormConn interface {
-	Insert(db, key string, payload []byte) error
-	Get(db, key string) ([]byte, error)
-	Owner(db string) string
-	Close()
-}
-
-type singleConn struct{ c *apiserver.Client }
-
-func (s singleConn) Insert(db, key string, payload []byte) error { return s.c.Insert(db, key, payload) }
-func (s singleConn) Get(db, key string) ([]byte, error)          { return s.c.Get(db, key) }
-func (s singleConn) Owner(string) string                         { return "" }
-func (s singleConn) Close()                                      { s.c.Close() }
-
-type clusterConn struct{ c *cluster.Client }
-
-func (s clusterConn) Insert(db, key string, payload []byte) error { return s.c.Insert(db, key, payload) }
-func (s clusterConn) Get(db, key string) ([]byte, error)          { return s.c.Get(db, key) }
-func (s clusterConn) Owner(db string) string                      { return s.c.Ring().Owner(db) }
-func (s clusterConn) Close()                                      { s.c.Close() }
-
-func dialStorm(cfg Config) (stormConn, error) {
+func dialStorm(cfg Config) (*stormConn, error) {
 	if len(cfg.Addrs) > 0 {
 		cc, err := cluster.DialCluster(cfg.Addrs, cluster.ClientOptions{Timeout: cfg.Timeout})
 		if err != nil {
 			return nil, err
 		}
-		return clusterConn{cc}, nil
+		return &stormConn{cc, func(db string) string { return cc.Ring().Owner(db) }, cc.Close}, nil
 	}
 	c, err := apiserver.Dial(cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
 	c.SetTimeout(cfg.Timeout)
-	return singleConn{c}, nil
+	return &stormConn{c, func(string) string { return "" }, func() { c.Close() }}, nil
 }
 
 // shardTable accumulates per-member acked counters, keyed by ring member.
@@ -400,7 +338,7 @@ func Run(label string, cfg Config) (*Report, error) {
 		Label:  label,
 		Config: cfg,
 		Errors: make(map[string]int64),
-		acked:  &ackedSet{},
+		acked:  histcheck.New(histcheck.FloorAtAck),
 	}
 
 	tenants := make([]*tenant, cfg.Tenants)
@@ -443,10 +381,10 @@ func Run(label string, cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var client stormConn
+			var client *stormConn
 			redial := func() bool {
 				if client != nil {
-					client.Close()
+					client.close()
 					client = nil
 				}
 				c, err := dialStorm(cfg)
@@ -458,7 +396,7 @@ func Run(label string, cfg Config) (*Report, error) {
 			}
 			defer func() {
 				if client != nil {
-					client.Close()
+					client.close()
 				}
 			}()
 			for j := range dispatch {
@@ -474,8 +412,8 @@ func Run(label string, cfg Config) (*Report, error) {
 						latIns.Observe(d)
 						ackedIns.Add(1)
 						insBytes.Add(int64(len(j.op.Payload)))
-						rep.acked.add(j.op.DB, j.op.Key, payloadHash(j.op.Payload))
-						if sa := shards.agg(client.Owner(j.op.DB)); sa != nil {
+						rep.acked.Acked(j.op.DB, j.op.Key, j.op.Payload)
+						if sa := shards.agg(client.owner(j.op.DB)); sa != nil {
 							sa.ops.Add(1)
 							sa.bytes.Add(int64(len(j.op.Payload)))
 							sa.lat.Observe(d)
@@ -491,7 +429,7 @@ func Run(label string, cfg Config) (*Report, error) {
 					if err == nil {
 						latRead.Observe(time.Since(j.scheduled))
 						ackedRead.Add(1)
-						if sa := shards.agg(client.Owner(j.op.DB)); sa != nil {
+						if sa := shards.agg(client.owner(j.op.DB)); sa != nil {
 							sa.ops.Add(1)
 						}
 						continue
@@ -622,7 +560,7 @@ func (r *Report) VerifyAckedWrites(addr string) (lost, corrupt int, err error) {
 		return 0, 0, err
 	}
 	defer client.Close()
-	lost, corrupt = r.verifyWith(client.Get)
+	lost, corrupt = r.verify(client)
 	return lost, corrupt, nil
 }
 
@@ -636,33 +574,18 @@ func (r *Report) VerifyAckedWritesCluster(addrs []string) (lost, corrupt int, er
 		return 0, 0, err
 	}
 	defer cc.Close()
-	lost, corrupt = r.verifyWith(cc.Get)
+	lost, corrupt = r.verify(cc)
 	return lost, corrupt, nil
 }
 
-func (r *Report) verifyWith(get func(db, key string) ([]byte, error)) (lost, corrupt int) {
-	for i := range r.acked.stripes {
-		st := &r.acked.stripes[i]
-		st.mu.Lock()
-		keys := make([]string, 0, len(st.m))
-		for k := range st.m {
-			keys = append(keys, k)
-		}
-		st.mu.Unlock()
-		sort.Strings(keys)
-		for _, k := range keys {
-			st.mu.Lock()
-			want := st.m[k]
-			st.mu.Unlock()
-			sep := strings.IndexByte(k, 0)
-			got, gerr := get(k[:sep], k[sep+1:])
-			if gerr != nil {
-				lost++
-				continue
-			}
-			if payloadHash(got) != want {
-				corrupt++
-			}
+// verify counts the shared checker's verdicts the way the storm reports
+// them: unreadable is lost, read back with other bytes is corrupt.
+func (r *Report) verify(v histcheck.View) (lost, corrupt int) {
+	for _, bad := range r.acked.Check(v) {
+		if bad.Kind == histcheck.Lost {
+			lost++
+		} else {
+			corrupt++
 		}
 	}
 	return lost, corrupt
@@ -670,7 +593,10 @@ func (r *Report) verifyWith(get func(db, key string) ([]byte, error)) (lost, cor
 
 // AckedWriteCount returns the number of distinct acknowledged inserts the
 // report tracks.
-func (r *Report) AckedWriteCount() int { return r.acked.len() }
+func (r *Report) AckedWriteCount() int {
+	live, _ := r.acked.Count()
+	return live
+}
 
 // LocalNode is an in-process node + apiserver bundle for self-hosted storms
 // (tests and dedupstorm's -addr="" mode).
