@@ -1,204 +1,21 @@
-// Benchmarks regenerating the paper's tables and figures, one per result
-// (see DESIGN.md §3 for the index, EXPERIMENTS.md for recorded outputs).
-// Each benchmark runs the corresponding experiment at a reduced scale and
-// reports the figure's headline quantities as custom metrics, so
+// Ablation benchmarks (DESIGN.md §5): the two design choices whose
+// alternative exists only to be measured against.
 //
 //	go test -bench=. -benchmem
 //
-// prints a compact reproduction of the whole evaluation. The dedupbench
-// binary runs the same experiments at larger scale with full tables.
+// The paper's tables and figures are `dedupbench -experiment <name>` with
+// their shapes asserted in internal/experiments; insert, read and
+// replica-apply cost on the real path is `bash benchmark/run.sh`.
 package dbdedup
 
 import (
-	"bytes"
-	"fmt"
-	"math/rand"
-	"sync/atomic"
 	"testing"
 
-	"dbdedup/internal/chain"
 	"dbdedup/internal/core"
-	"dbdedup/internal/experiments"
+	"dbdedup/internal/delta"
 	"dbdedup/internal/node"
 	"dbdedup/internal/workload"
 )
-
-// benchScale keeps a full -bench=. sweep in the minutes range.
-var benchScale = experiments.Scale{InsertBytes: 4 << 20, Seed: 1}
-
-// BenchmarkFig1WikipediaConfigs reproduces Fig. 1: the five storage
-// configurations on the Wikipedia workload.
-func BenchmarkFig1WikipediaConfigs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig10(benchScale, workload.Wikipedia)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			db64 := res.Row(workload.Wikipedia, "dbDedup-64B")
-			tr64 := res.Row(workload.Wikipedia, "trad-64B")
-			b.ReportMetric(db64.CombinedRatio, "dbDedup64B-combined-x")
-			b.ReportMetric(db64.DedupRatio, "dbDedup64B-dedup-x")
-			b.ReportMetric(float64(db64.IndexMemoryBytes), "dbDedup64B-index-B")
-			b.ReportMetric(float64(tr64.IndexMemoryBytes), "trad64B-index-B")
-		}
-	}
-}
-
-// BenchmarkFig7SizeFilter reproduces Fig. 7: the share of dedup savings
-// contributed by the smallest 40% of records.
-func BenchmarkFig7SizeFilter(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig7(benchScale, workload.Wikipedia)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(res.Datasets[0].SavingFracAtP40*100, "p40-saving-%")
-		}
-	}
-}
-
-// BenchmarkFig10 covers all four datasets in the headline configuration.
-func BenchmarkFig10(b *testing.B) {
-	for _, kind := range workload.Kinds {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunFig10(benchScale, kind)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					row := res.Row(kind, "dbDedup-64B")
-					b.ReportMetric(row.DedupRatio, "dedup-x")
-					b.ReportMetric(row.CombinedRatio, "combined-x")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig11StorageVsNetwork reproduces Fig. 11.
-func BenchmarkFig11StorageVsNetwork(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig11(benchScale, workload.Wikipedia)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(res.Rows[0].NetworkRatio, "network-x")
-			b.ReportMetric(res.Rows[0].StorageRatio, "storage-x")
-		}
-	}
-}
-
-// BenchmarkFig12Throughput reproduces Fig. 12a/b on the Enron mix (the most
-// write-heavy of the four).
-func BenchmarkFig12Throughput(b *testing.B) {
-	for _, config := range experiments.Fig12Configs {
-		config := config
-		b.Run(config, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunFig12(benchScale, workload.Enron)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					row := res.Row(workload.Enron, config)
-					b.ReportMetric(row.OpsPerSec, "ops/s")
-					b.ReportMetric(float64(row.ReadP999.Microseconds()), "read-p999-µs")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig13aSourceCache reproduces Fig. 13a.
-func BenchmarkFig13aSourceCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig13a(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, row := range res.Rows {
-				if row.Label == "reward 2" {
-					b.ReportMetric(row.CacheMissRatio*100, "reward2-miss-%")
-				}
-				if row.Label == "reward 0" {
-					b.ReportMetric(row.CacheMissRatio*100, "reward0-miss-%")
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFig13bWritebackCache reproduces Fig. 13b (wall-clock bursts).
-func BenchmarkFig13bWritebackCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig13b(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			with, without := res.BurstThroughputs()
-			b.ReportMetric(with, "with-cache-ops/slot")
-			b.ReportMetric(without, "without-cache-ops/slot")
-		}
-	}
-}
-
-// BenchmarkFig14HopEncoding reproduces Fig. 14 at the default hop distance.
-func BenchmarkFig14HopEncoding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig14(experiments.Scale{InsertBytes: 2 << 20, Seed: benchScale.Seed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			hop := res.Row("hop", 16)
-			vj := res.Row("version-jump", 16)
-			b.ReportMetric(hop.NormalizedRatio, "hop-norm-ratio")
-			b.ReportMetric(vj.NormalizedRatio, "vj-norm-ratio")
-			b.ReportMetric(float64(hop.WorstCaseRetrievals), "hop-retrievals")
-		}
-	}
-}
-
-// BenchmarkFig15AnchorInterval reproduces Fig. 15.
-func BenchmarkFig15AnchorInterval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig15(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			xd := res.Row("xDelta")
-			a64 := res.Row("anchor 64")
-			b.ReportMetric(xd.ThroughputMBps, "xdelta-MB/s")
-			b.ReportMetric(a64.ThroughputMBps, "anchor64-MB/s")
-			b.ReportMetric(a64.CompressionRatio/xd.CompressionRatio, "anchor64-ratio-frac")
-			b.ReportMetric(float64(xd.IndexOps)/float64(a64.IndexOps), "indexops-reduction-x")
-		}
-	}
-}
-
-// BenchmarkTable2 evaluates the encoding-scheme trade-offs exactly.
-func BenchmarkTable2(b *testing.B) {
-	var res *experiments.Table2Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunTable2(200, 16)
-	}
-	for _, row := range res.Rows {
-		if row.Scheme == "hop" {
-			b.ReportMetric(float64(row.WorstCaseRetrievals), "hop-retrievals")
-			b.ReportMetric(float64(row.Writebacks), "hop-writebacks")
-		}
-	}
-}
-
-// ---- Ablation benches (DESIGN.md §5) ----
 
 // BenchmarkAblationSampling compares consistent vs random feature sampling
 // end to end: random sampling characterises similarity worse, so the engine
@@ -265,173 +82,36 @@ func BenchmarkAblationReencode(b *testing.B) {
 	b.Run("scratch", func(b *testing.B) { benchBackward(b, pairs, false) })
 }
 
-// BenchmarkSchemes measures end-to-end ratios per chain encoding scheme.
-func BenchmarkSchemes(b *testing.B) {
-	for _, scheme := range []chain.Scheme{chain.Backward, chain.Hop, chain.VersionJump} {
-		scheme := scheme
-		b.Run(scheme.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s, err := Open(Options{
-					SyncEncode: true, ManualFlush: true,
-					GovernorWindow: 1 << 30, DisableSizeFilter: true,
-					Scheme: publicScheme(scheme), HopDistance: 16,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				tr := workload.New(workload.Config{Kind: workload.Wikipedia, Seed: 1, InsertBytes: 2 << 20})
-				for {
-					op, ok := tr.Next()
-					if !ok {
-						break
-					}
-					if err := s.Insert(op.DB, op.Key, op.Payload); err != nil {
-						b.Fatal(err)
-					}
-					if s.PendingWritebacks() > 128 {
-						s.FlushWritebacks(-1)
-					}
-				}
-				s.FlushWritebacks(-1)
-				if i == b.N-1 {
-					b.ReportMetric(s.Stats().StorageCompressionRatio(), "ratio-x")
-				}
-				s.Close()
-			}
-		})
-	}
-}
+// benchPair is one (source, target) revision pair.
+type benchPair struct{ src, tgt []byte }
 
-// BenchmarkParallelInsert drives concurrent insert streams into independent
-// databases (one database per worker goroutine, versioned content so every
-// insert runs the full sketch→index→delta workflow). With the engine
-// serialised behind one global mutex this cannot scale past a single core;
-// with per-database engine state it parallelises to GOMAXPROCS. EXPERIMENTS.md
-// records before/after numbers.
-func BenchmarkParallelInsert(b *testing.B) {
-	n, err := node.Open(node.Options{
-		SyncEncode: true, DisableAutoFlush: true,
-		Engine: core.Config{GovernorWindow: 1 << 30, DisableSizeFilter: true},
-	})
-	if err != nil {
-		b.Fatal(err)
+// benchBackward measures the cost of producing backward deltas either via
+// Algorithm-2 re-encoding of the forward delta or via a from-scratch second
+// compression pass (the ablation of DESIGN.md §5).
+func benchBackward(b *testing.B, pairs []benchPair, reencode bool) {
+	if len(pairs) == 0 {
+		b.Skip("no pairs")
 	}
-	defer n.Close()
-	var workerSeq atomic.Int64
-	b.SetBytes(4096)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		w := workerSeq.Add(1)
-		db := fmt.Sprintf("db%02d", w)
-		rng := rand.New(rand.NewSource(w))
-		content := benchProse(rng, 4096)
-		i := 0
-		for pb.Next() {
-			if err := n.Insert(db, fmt.Sprintf("rec%08d", i), content); err != nil {
-				b.Fatal(err)
-			}
-			content = benchEdit(rng, content, 2)
-			i++
-		}
-	})
-}
-
-// benchProse and benchEdit generate a versioned-document stream: coherent
-// word soup plus small dispersed edits, the workload shape dedup thrives on.
-func benchProse(rng *rand.Rand, n int) []byte {
-	words := []string{"the", "record", "database", "version", "of", "and",
-		"revision", "content", "chunk", "update", "a", "delta", "system"}
-	var buf bytes.Buffer
-	for buf.Len() < n {
-		buf.WriteString(words[rng.Intn(len(words))])
-		buf.WriteByte(' ')
+	var total int64
+	for _, p := range pairs {
+		total += int64(len(p.src))
 	}
-	return buf.Bytes()[:n]
-}
-
-func benchEdit(rng *rand.Rand, data []byte, k int) []byte {
-	out := append([]byte(nil), data...)
-	for i := 0; i < k; i++ {
-		pos := rng.Intn(len(out) - 20)
-		copy(out[pos:], benchProse(rng, 12))
-	}
-	out = append(out, benchProse(rng, 50+rng.Intn(64))...)
-	if len(out) > 64<<10 {
-		out = out[:4096]
-	}
-	return out
-}
-
-func publicScheme(s chain.Scheme) Scheme {
-	switch s {
-	case chain.Backward:
-		return SchemeBackward
-	case chain.VersionJump:
-		return SchemeVersionJump
-	default:
-		return SchemeHop
-	}
-}
-
-// BenchmarkReplicaApply measures the secondary's sharded apply path (the
-// PR-1 encoder-pool counterpart on the replica side): forward-encoded
-// entries from a multi-database primary are replayed through a
-// node.Applier with the default worker count (GOMAXPROCS), so -cpu 1,4,8
-// sweeps the pool width. Bytes/op reports raw (pre-dedup) content
-// throughput.
-func BenchmarkReplicaApply(b *testing.B) {
-	// Build the replicated entry stream once: interleaved version chains
-	// across 8 databases, mostly shipping forward-encoded.
-	popts := node.Options{
-		SyncEncode: true, DisableAutoFlush: true,
-		Engine: core.Config{GovernorWindow: 1 << 30, DisableSizeFilter: true},
-	}
-	prim, err := node.Open(popts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer prim.Close()
-	const dbs, versions = 8, 24
-	var rawBytes int64
-	rng := rand.New(rand.NewSource(2))
-	content := make([][]byte, dbs)
-	for d := range content {
-		content[d] = benchProse(rng, 4096)
-	}
-	for v := 0; v < versions; v++ {
-		for d := 0; d < dbs; d++ {
-			if err := prim.Insert(fmt.Sprintf("db%02d", d), fmt.Sprintf("v%04d", v), content[d]); err != nil {
-				b.Fatal(err)
-			}
-			rawBytes += int64(len(content[d]))
-			content[d] = benchEdit(rng, content[d], 2)
-		}
-	}
-	ents, err := prim.Oplog().EntriesSince(0, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.SetBytes(rawBytes)
+	b.SetBytes(total)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		sec, err := node.Open(popts)
-		if err != nil {
-			b.Fatal(err)
+		var bwdBytes int64
+		for _, p := range pairs {
+			fwd := delta.Compress(p.src, p.tgt, delta.Options{})
+			var bwd delta.Delta
+			if reencode {
+				bwd = delta.Reencode(p.src, p.tgt, fwd)
+			} else {
+				bwd = delta.Compress(p.tgt, p.src, delta.Options{})
+			}
+			bwdBytes += int64(bwd.EncodedSize())
 		}
-		b.StartTimer()
-		ap := node.NewApplier(sec, 0, node.ApplierOptions{})
-		for _, e := range ents {
-			ap.EnqueueEntry(e, false)
+		if i == b.N-1 {
+			b.ReportMetric(float64(bwdBytes)/float64(len(pairs)), "bwd-B/pair")
 		}
-		ap.Barrier()
-		ap.Close()
-		if err := ap.Err(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		sec.Close()
-		b.StartTimer()
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -132,7 +131,7 @@ func main() {
 		cm := &metrics.ClusterMetrics{}
 		initial := cluster.NewRing(0, nil)
 		if *clusterPeers != "" {
-			peers := splitAddrs(*clusterPeers)
+			peers := cluster.SplitAddrs(*clusterPeers)
 			found := false
 			for _, p := range peers {
 				if p == *clusterSelf {
@@ -230,15 +229,4 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "shutting down")
-}
-
-// splitAddrs parses a comma-separated address list, dropping blanks.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

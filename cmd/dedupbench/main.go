@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"dbdedup/internal/experiments"
 	"dbdedup/internal/workload"
@@ -35,7 +34,7 @@ func main() {
 	sc := experiments.Scale{InsertBytes: *bytesN, Seed: *seed}
 	kinds := workload.Kinds
 	if *dataset != "" {
-		k, err := parseKind(*dataset)
+		k, err := workload.ParseKind(*dataset)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -112,21 +111,6 @@ func main() {
 		return
 	}
 	run(*experiment)
-}
-
-func parseKind(s string) (workload.Kind, error) {
-	switch strings.ToLower(strings.ReplaceAll(s, " ", "")) {
-	case "wikipedia", "wiki":
-		return workload.Wikipedia, nil
-	case "enron", "mail", "email":
-		return workload.Enron, nil
-	case "stackexchange", "qa":
-		return workload.StackExchange, nil
-	case "messageboards", "forum":
-		return workload.MessageBoards, nil
-	default:
-		return 0, fmt.Errorf("unknown dataset %q", s)
-	}
 }
 
 // csvWriter is implemented by results that can export their plot data.

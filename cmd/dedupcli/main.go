@@ -66,7 +66,7 @@ func main() {
 		cc      *cluster.Client
 	)
 	if *addrs != "" {
-		seeds := splitAddrs(*addrs)
+		seeds := cluster.SplitAddrs(*addrs)
 		var err error
 		cc, err = cluster.DialCluster(seeds, cluster.ClientOptions{})
 		if err != nil {
@@ -183,8 +183,8 @@ func main() {
 		if len(args) != 2 {
 			fail("usage: dedupcli -addrs ... rebalance <addr,addr,...>")
 		}
-		target := splitAddrs(args[1])
-		ring, err := cluster.Rebalance(splitAddrs(*addrs), target, cluster.RebalanceOptions{})
+		target := cluster.SplitAddrs(args[1])
+		ring, err := cluster.Rebalance(cluster.SplitAddrs(*addrs), target, cluster.RebalanceOptions{})
 		if err != nil {
 			fail("rebalance: %v", err)
 		}
@@ -231,17 +231,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// splitAddrs parses a comma-separated address list, dropping blanks.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func fail(format string, args ...interface{}) {

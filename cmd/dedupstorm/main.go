@@ -5,12 +5,19 @@
 // operation's latency is measured from its *scheduled* arrival time — so
 // when the server falls behind the offered rate, the backlog shows up in the
 // tail instead of being hidden by a closed feedback loop (the way
-// dedupload's measurements are).
+// benchmark/'s measurements are, by design).
 //
 // Against a running server:
 //
 //	dbdedupd -listen :7070 &
 //	dedupstorm -addr 127.0.0.1:7070 -rate 4000 -duration 10s -tenants 1000
+//
+// One tenant and a one-dataset blend (-blend wikipedia -tenants 1 [-reads])
+// drives the server with one of the paper's traces. Below capacity no backlog
+// builds, and the latency is the service latency plus the generator's own
+// wake-up slack (and queueing inside a burst unless -mean-burst 1).
+// Every run ends with each driven server's own line: raw bytes in, stored
+// and oplog bytes with their ratios, dedup hits.
 //
 // Self-hosted (empty -addr): the storm runs against an in-process node whose
 // encoder capacity and admission control are set by the -encode-*,
@@ -34,6 +41,7 @@ import (
 
 	"dbdedup/internal/admission"
 	"dbdedup/internal/apiserver"
+	"dbdedup/internal/cluster"
 	"dbdedup/internal/node"
 	"dbdedup/internal/stormtest"
 	"dbdedup/internal/workload"
@@ -67,9 +75,19 @@ func main() {
 	)
 	flag.Parse()
 
-	kinds, err := parseBlend(*blend)
-	if err != nil {
-		log.Fatal(err)
+	var kinds []workload.Kind
+	for _, part := range strings.Split(*blend, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
+		k, err := workload.ParseKind(part)
+		if err != nil {
+			log.Fatalf("-blend: %v", err)
+		}
+		kinds = append(kinds, k)
+	}
+	if len(kinds) == 0 {
+		log.Fatal("-blend selects no datasets")
 	}
 	cfg := stormtest.Config{
 		Addr:         *addr,
@@ -94,22 +112,21 @@ func main() {
 			OverloadDwell: *dwell,
 		},
 	}
-	var local *stormtest.LocalNode
 	var lc *stormtest.LocalCluster
 	switch {
 	case *clusterN > 0:
+		var err error
 		lc, err = stormtest.StartLocalCluster(*clusterN, nopts, apiserver.Options{})
 		if err != nil {
 			log.Fatalf("self-host cluster: %v", err)
 		}
 		defer lc.Close()
-		cfg.Addr = ""
 		cfg.Addrs = lc.Addrs
 		log.Printf("self-hosted %d-primary cluster on %s", *clusterN, strings.Join(lc.Addrs, ","))
 	case *addrsF != "":
-		cfg.Addrs = splitAddrs(*addrsF)
+		cfg.Addrs = cluster.SplitAddrs(*addrsF)
 	case *addr == "":
-		local, err = stormtest.StartLocal(nopts, apiserver.Options{})
+		local, err := stormtest.StartLocal(nopts, apiserver.Options{})
 		if err != nil {
 			log.Fatalf("self-host node: %v", err)
 		}
@@ -117,7 +134,6 @@ func main() {
 		cfg.Addr = local.Addr()
 		log.Printf("self-hosted node on %s", cfg.Addr)
 	}
-	clustered := len(cfg.Addrs) > 0
 
 	rep, err := stormtest.Run(*label, cfg)
 	if err != nil {
@@ -126,12 +142,7 @@ func main() {
 	fmt.Println(rep)
 
 	if *doVerify {
-		var lost, corrupt int
-		if clustered {
-			lost, corrupt, err = rep.VerifyAckedWritesCluster(cfg.Addrs)
-		} else {
-			lost, corrupt, err = rep.VerifyAckedWrites(cfg.Addr)
-		}
+		lost, corrupt, err := rep.VerifyAckedWrites()
 		if err != nil {
 			log.Fatalf("verify: %v", err)
 		}
@@ -142,28 +153,23 @@ func main() {
 		}
 	}
 
-	if local != nil {
-		st := local.Node.Stats()
-		fmt.Printf("server: inserts %d (shed raw %d, rejected %d), engine encodes %d, dedup hits %d\n",
-			st.Inserts, st.InsertsShedRaw, st.InsertsRejected, st.Engine.Inserts, st.Engine.Deduped)
-		a := st.Admission
-		if a.Enabled || a.ShedRawEnabled {
-			fmt.Printf("admission: admitted %d, shed %d, rejected %d (tenant throttles %d), overload enters/exits %d/%d\n",
-				a.Admitted, a.Shed, a.Rejected, a.TenantThrottles, a.OverloadEnters, a.OverloadExits)
-		}
+	lines, err := stormtest.ServerLines(cfg)
+	if err != nil {
+		log.Printf("server stats: %v", err) // the storm's own report and CSV row still stand
+	}
+	for _, l := range lines {
+		fmt.Println(l)
 	}
 	if lc != nil {
 		for i, m := range lc.Members {
-			st := m.Node.Stats()
 			cm := m.Metrics.Snapshot()
-			fmt.Printf("member %s: inserts %d, dedup hits %d, ring epoch %d, %d redirects, %d moving answers\n",
-				lc.Addrs[i], st.Inserts, st.Engine.Deduped, cm.RingEpoch,
-				cm.RedirectsIssued, cm.MovingAnswered)
+			fmt.Printf("member %s: ring epoch %d, %d redirects, %d moving answers\n",
+				lc.Addrs[i], cm.RingEpoch, cm.RedirectsIssued, cm.MovingAnswered)
 		}
 	}
 
 	if *csvPath != "" {
-		if clustered {
+		if len(cfg.Addrs) > 0 {
 			err = rep.AppendClusterCSV(*csvPath, len(cfg.Addrs))
 		} else {
 			err = rep.AppendCSV(*csvPath)
@@ -173,38 +179,4 @@ func main() {
 		}
 		fmt.Printf("appended row to %s\n", *csvPath)
 	}
-}
-
-// splitAddrs parses a comma-separated address list, dropping blanks.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func parseBlend(s string) ([]workload.Kind, error) {
-	var kinds []workload.Kind
-	for _, part := range strings.Split(s, ",") {
-		switch strings.ToLower(strings.TrimSpace(part)) {
-		case "":
-		case "wikipedia", "wiki":
-			kinds = append(kinds, workload.Wikipedia)
-		case "enron", "mail", "email":
-			kinds = append(kinds, workload.Enron)
-		case "stackexchange", "qa":
-			kinds = append(kinds, workload.StackExchange)
-		case "messageboards", "forum":
-			kinds = append(kinds, workload.MessageBoards)
-		default:
-			return nil, fmt.Errorf("unknown dataset %q in -blend", part)
-		}
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("-blend selects no datasets")
-	}
-	return kinds, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,6 +85,18 @@ type Client struct {
 
 	redirects, movingWaits, transport atomic.Int64
 	retries, ringFetches, exhausted   atomic.Int64
+}
+
+// SplitAddrs parses the comma-separated member list the command-line tools
+// take (-addrs, -cluster-peers) into DialCluster's argument, dropping blanks.
+func SplitAddrs(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // DialCluster builds a client over the seed member addresses, fetching the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dbdedup/internal/apiserver"
+	"dbdedup/internal/faultfs"
 	"dbdedup/internal/netsim"
 	"dbdedup/internal/node"
 )
@@ -290,5 +291,156 @@ func TestRecoverFinishesCommittedWindowOnStraggler(t *testing.T) {
 	defer cc.Close()
 	if got, err := cc.Get(db, "k"); err != nil || !bytes.Equal(got, []byte("handed off")) {
 		t.Errorf("routed read after straggler commit: %q, %v", got, err)
+	}
+}
+
+// halfJoined opens a join window on a ring-less destination whose disk
+// follows rules and streams keys records of one gained database into it. It
+// returns the injector with every fault still ahead: keys is large enough
+// that the tombstones of a drop (a few bytes each) overflow a 128-byte
+// block, so the drop itself writes to disk, and a failed write is retried by
+// the next one, so FailWrite(w+1..w+k) fails k drop attempts in a row.
+func halfJoined(t *testing.T, rules ...faultfs.Rule) (inj *faultfs.Injector, n *node.Node, sh *Shard, gained string) {
+	t.Helper()
+	pend := NewRing(1, []string{"b:1", "ghost:1"})
+	gained = dbOwnedBy(t, pend, "b:1")
+	inj = faultfs.NewInjector(faultfs.NewMemFS(), 1, rules...)
+	n, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true,
+		Dir: "b", FS: inj, BlockSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	sh = NewShard(n, "b:1", nil, nil, nil)
+	if err := sh.InstallRing(pend.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < halfJoinedKeys; i++ {
+		if err := sh.Transfer(gained, halfJoinedKey(i), halfJoinedPayload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return inj, n, sh, gained
+}
+
+const halfJoinedKeys = 48
+
+var halfJoinedPayload = bytes.Repeat([]byte("half-transferred "), 8)
+
+func halfJoinedKey(i int) string { return fmt.Sprintf("k%02d", i) }
+
+// reopenWindow installs the same membership again under the next epoch.
+func reopenWindow(t *testing.T, sh *Shard) {
+	t.Helper()
+	if err := sh.InstallRing(NewRing(sh.Ring().Epoch+1, []string{"b:1", "ghost:1"}).Marshal()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedDropFinishedBeforeRetransfer pins the sticky drop: when an
+// aborted window's DropDB hits a disk error partway, the half-transferred
+// copies that survive must be gone before the next window's first record for
+// that database lands, or they pass for pre-window data, the transfer upserts
+// over them, and records the source deleted between the two attempts are
+// resurrected at commit (clustertest's composed class found this with write
+// faults on the joiner). Finishing the drop must not cost an acked write.
+func TestFailedDropFinishedBeforeRetransfer(t *testing.T) {
+	// Census pass: count the writes up to the abort, so the faulted pass
+	// can fail the first one the drop issues.
+	census, _, _, _ := halfJoined(t)
+	writes := census.Count(faultfs.OpWrite)
+
+	inj, n, sh, gained := halfJoined(t, faultfs.FailWrite(writes+1))
+	if err := sh.AbortRing(); err != nil {
+		t.Fatal(err)
+	}
+	if len(inj.Events()) != 1 {
+		t.Fatalf("the drop fired %v, want 1 fault: it must seal a block of tombstones", inj.Events())
+	}
+	// Ring-less between the attempts, the member serves the database: the
+	// write finishes the drop first, so nothing later has cause to wipe it.
+	if err := sh.Insert(gained, "client", halfJoinedPayload); err != nil {
+		t.Fatalf("insert between the attempts: %v", err)
+	}
+	// Meanwhile the source deleted the second half, so the second attempt
+	// streams only the first.
+	reopenWindow(t, sh)
+	for i := 0; i < halfJoinedKeys/2; i++ {
+		if err := sh.Transfer(gained, halfJoinedKey(i), halfJoinedPayload); err != nil {
+			t.Fatalf("second attempt, after %v: %v", inj.Events(), err)
+		}
+	}
+	if err := sh.CommitRing(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < halfJoinedKeys; i++ {
+		_, err := n.Read(gained, halfJoinedKey(i))
+		if i < halfJoinedKeys/2 && err != nil {
+			t.Errorf("%s: transferred record missing after commit: %v", halfJoinedKey(i), err)
+		}
+		if i >= halfJoinedKeys/2 && !errors.Is(err, node.ErrNotFound) {
+			t.Errorf("%s: deleted at the source before the second attempt, readable after commit (err=%v)", halfJoinedKey(i), err)
+		}
+	}
+	if _, err := sh.Read(gained, "client"); err != nil {
+		t.Errorf("write acked between the attempts, after commit: %v", err)
+	}
+}
+
+// TestDirtyDatabaseNotServedUntilDropped pins the other half of the sticky
+// drop: finishing it later must never delete an acked write. While a failed
+// drop's survivors are still on disk the database answers shard-moving, on a
+// ring-less member between two join attempts and on the owner after a commit
+// whose own attempt failed too; the first operation after the disk recovers
+// finishes the drop and is served, and what it wrote outlives every later
+// window.
+func TestDirtyDatabaseNotServedUntilDropped(t *testing.T) {
+	census, _, _, _ := halfJoined(t)
+	w := census.Count(faultfs.OpWrite)
+	inj, n, sh, gained := halfJoined(t, faultfs.FailWrite(w+1), faultfs.FailWrite(w+2),
+		faultfs.FailWrite(w+3), faultfs.FailWrite(w+4))
+
+	if err := sh.AbortRing(); err != nil { // fault 1: the abort's drop
+		t.Fatal(err)
+	}
+	// Ring-less again, so the member serves everything it holds, but not
+	// this: an ack here would be wiped by the next attempt's first transfer.
+	var mv *apiserver.ShardMovingError
+	if err := sh.Insert(gained, "client", halfJoinedPayload); !errors.As(err, &mv) {
+		t.Fatalf("insert between join attempts, on a database owed a drop: %v, want shard-moving", err)
+	}
+	if len(inj.Events()) != 2 {
+		t.Fatalf("faults fired %v, want 2: the refused insert retries the drop", inj.Events())
+	}
+
+	// Second attempt streams nothing for the database and commits; the
+	// install and the commit each retry the drop and fail (faults 3 and 4).
+	reopenWindow(t, sh)
+	if err := sh.CommitRing(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(inj.Events()); got != 4 {
+		t.Fatalf("faults fired %v, want 4", inj.Events())
+	}
+	if len(n.DBKeys(gained)) == 0 {
+		t.Fatal("no stale copies left: the scenario needs survivors on the owner")
+	}
+
+	// Disk recovered: the next operation finishes the drop, then is served.
+	if err := sh.Insert(gained, "client", halfJoinedPayload); err != nil {
+		t.Fatalf("insert after the disk recovered: %v", err)
+	}
+	for i := 0; i < halfJoinedKeys; i++ {
+		if _, err := sh.Read(gained, halfJoinedKey(i)); !errors.Is(err, node.ErrNotFound) {
+			t.Errorf("%s: half-transferred copy readable on the owner (err=%v)", halfJoinedKey(i), err)
+		}
+	}
+	// A later window over the same membership must leave the write alone.
+	reopenWindow(t, sh)
+	if err := sh.CommitRing(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sh.Read(gained, "client"); err != nil || !bytes.Equal(got, halfJoinedPayload) {
+		t.Errorf("acked write after the next commit: %d bytes, %v", len(got), err)
 	}
 }

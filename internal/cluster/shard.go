@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -47,6 +48,15 @@ type Shard struct {
 	xferMu      sync.Mutex
 	xferSeen    map[string]bool // dbs that received >=1 transfer this window
 	xferCreated map[string]bool // subset the transfer stream created from nothing
+	// dirty outlives windows: databases this member owes a drop. A ring
+	// transition marks them while it holds opMu exclusively and the drop runs
+	// after; one the node fails partway stays marked. A dirty database holds
+	// only stale copies and is never served or streamed: whoever touches it
+	// next (client operation, inbound transfer, handoff, commit) finishes the
+	// drop first, so no acked write ever lands beside the survivors and none
+	// is ever deleted with them. Drops run one at a time under xferMu; the
+	// mark is a sync.Map so the check on every operation waits for none.
+	dirty sync.Map // db -> struct{}
 }
 
 // ownerOrSelf returns the member r places db on, treating an empty ring as
@@ -64,7 +74,7 @@ func ownerOrSelf(r *Ring, self, db string) string {
 
 // NewShard wraps n as the cluster member named self (its client address),
 // serving under the initial ring. nw is the transport used to push handoffs
-// to other members; cm may be nil.
+// to other members; a nil cm means the shard keeps its own counters.
 func NewShard(n *node.Node, self string, initial *Ring, nw netsim.Network, cm *metrics.ClusterMetrics) *Shard {
 	if initial == nil {
 		initial = NewRing(0, nil)
@@ -72,10 +82,12 @@ func NewShard(n *node.Node, self string, initial *Ring, nw netsim.Network, cm *m
 	if nw == nil {
 		nw = netsim.Default
 	}
-	s := &Shard{n: n, self: self, nw: nw, cm: cm, ring: initial}
-	if cm != nil {
-		cm.RingEpoch.Set(int64(initial.Epoch))
+	if cm == nil {
+		cm = &metrics.ClusterMetrics{}
 	}
+	s := &Shard{n: n, self: self, nw: nw, cm: cm, ring: initial}
+	s.clearXfer()
+	cm.RingEpoch.Set(int64(initial.Epoch))
 	return s
 }
 
@@ -112,9 +124,29 @@ func (s *Shard) Pending() *Ring {
 	return s.pending
 }
 
-// classify routes db under the current rings. Nil means serve locally.
+// classify routes db under the current rings and, where that says serve
+// locally, finishes a drop the database is still owed. Nil means serve.
 // Caller holds opMu (shared or exclusive).
 func (s *Shard) classify(db string, write bool) error {
+	if err := s.route(db, write); err != nil {
+		return err
+	}
+	if s.finishDrop(db) != nil {
+		// The stale copies are still there; hold the client off rather
+		// than serve them or ack a write the finished drop would delete.
+		return s.moving(s.ring.Epoch)
+	}
+	return nil
+}
+
+// moving counts and builds the retry-later answer.
+func (s *Shard) moving(epoch uint64) error {
+	s.cm.MovingAnswered.Add(1)
+	return &apiserver.ShardMovingError{Epoch: epoch}
+}
+
+// route is the ring half of classify.
+func (s *Shard) route(db string, write bool) error {
 	r, p := s.ring, s.pending
 	// A ring-less member owns everything it holds, like a single-node
 	// deployment — but the window checks below still apply, so a join
@@ -128,10 +160,7 @@ func (s *Shard) classify(db string, write bool) error {
 			// source is still authoritative, so serving here — even a
 			// read — could expose or accept state the abort path would
 			// then throw away. Hold the client off until commit.
-			if s.cm != nil {
-				s.cm.MovingAnswered.Add(1)
-			}
-			return &apiserver.ShardMovingError{Epoch: p.Epoch}
+			return s.moving(p.Epoch)
 		}
 		if owner == s.self && powner != s.self {
 			// Moving away: a write would miss the snapshot already
@@ -146,10 +175,7 @@ func (s *Shard) classify(db string, write bool) error {
 			// never resurrect deleted keys — they are just at most one
 			// cutover window behind.
 			if write {
-				if s.cm != nil {
-					s.cm.MovingAnswered.Add(1)
-				}
-				return &apiserver.ShardMovingError{Epoch: p.Epoch}
+				return s.moving(p.Epoch)
 			}
 			return nil
 		}
@@ -159,16 +185,11 @@ func (s *Shard) classify(db string, write bool) error {
 			// half-transferred copy and the true source is still
 			// authoritative. Serving it, even a read, would expose partial
 			// state the abort path would then throw away.
-			if s.cm != nil {
-				s.cm.MovingAnswered.Add(1)
-			}
-			return &apiserver.ShardMovingError{Epoch: p.Epoch}
+			return s.moving(p.Epoch)
 		}
 	}
 	if owner != s.self {
-		if s.cm != nil {
-			s.cm.RedirectsIssued.Add(1)
-		}
+		s.cm.RedirectsIssued.Add(1)
 		return &apiserver.WrongShardError{Owner: owner, Epoch: r.Epoch}
 	}
 	return nil
@@ -276,26 +297,22 @@ func (s *Shard) InstallRing(body []byte) error {
 		s.opMu.Unlock()
 		return fmt.Errorf("cluster: stale ring epoch %d (pending window %d)", r.Epoch, cur)
 	}
-	var drop []string
 	if s.pending != nil {
-		drop = s.abandonPendingLocked()
+		s.abandonPendingLocked()
 	}
 	s.pending = r
-	if s.cm != nil {
-		s.cm.RingInstalls.Add(1)
-	}
+	s.cm.RingInstalls.Add(1)
 	s.opMu.Unlock()
-	s.dropDBs(drop)
+	s.finishDrops()
 	return nil
 }
 
-// abandonPendingLocked clears an open window without committing it and
-// returns the databases whose half-transferred local copies must be dropped.
-// Caller holds opMu exclusively.
-func (s *Shard) abandonPendingLocked() []string {
+// abandonPendingLocked clears an open window without committing it and marks
+// the databases whose half-transferred local copies must be dropped. Caller
+// holds opMu exclusively and runs finishDrops once it has let go.
+func (s *Shard) abandonPendingLocked() {
 	p := s.pending
 	s.pending = nil
-	var drop []string
 	if len(s.ring.Members) == 0 {
 		// Ring-less: the member held (and served) everything before the
 		// window, so the active ring cannot tell gained copies apart from
@@ -304,18 +321,17 @@ func (s *Shard) abandonPendingLocked() []string {
 		// data, and deleting acked data is the one unrecoverable mistake.
 		s.xferMu.Lock()
 		for db := range s.xferCreated {
-			drop = append(drop, db)
+			s.dirty.Store(db, struct{}{})
 		}
 		s.xferMu.Unlock()
 	} else {
 		for _, db := range s.n.DBNames() {
 			if p.Owner(db) == s.self && s.ring.Owner(db) != s.self {
-				drop = append(drop, db)
+				s.dirty.Store(db, struct{}{})
 			}
 		}
 	}
 	s.clearXfer()
-	return drop
 }
 
 // transferCreated reports whether the open window's transfer stream created
@@ -331,7 +347,7 @@ func (s *Shard) transferCreated(db string) bool {
 // resolution (commit, abort, or replacement by a newer install).
 func (s *Shard) clearXfer() {
 	s.xferMu.Lock()
-	s.xferSeen, s.xferCreated = nil, nil
+	s.xferSeen, s.xferCreated = map[string]bool{}, map[string]bool{}
 	s.xferMu.Unlock()
 }
 
@@ -355,9 +371,7 @@ func (s *Shard) BeginHandoff() ([]byte, error) {
 	if p == nil {
 		return nil, errors.New("cluster: no rebalance window open")
 	}
-	if s.cm != nil {
-		s.cm.HandoffsStarted.Add(1)
-	}
+	s.cm.HandoffsStarted.Add(1)
 	s.n.Barrier()
 
 	sum := handoffSummary{Moved: map[string]int{}}
@@ -375,14 +389,15 @@ func (s *Shard) BeginHandoff() ([]byte, error) {
 		if ownerOrSelf(r, s.self, db) != s.self || dest == s.self || dest == "" {
 			continue
 		}
+		if s.finishDrop(db) != nil {
+			continue // stale copies only; the database's owner streams it
+		}
 		c := conns[dest]
 		if c == nil {
 			var err error
 			c, err = apiserver.DialNetwork(s.nw, dest)
 			if err != nil {
-				if s.cm != nil {
-					s.cm.TransferFailures.Add(1)
-				}
+				s.cm.TransferFailures.Add(1)
 				return nil, fmt.Errorf("cluster: handoff dial %s: %w", dest, err)
 			}
 			c.SetTimeout(transferDialTimeout)
@@ -397,18 +412,14 @@ func (s *Shard) BeginHandoff() ([]byte, error) {
 				return nil, fmt.Errorf("cluster: handoff read %s/%s: %w", db, key, err)
 			}
 			if err := c.Transfer(db, key, content); err != nil {
-				if s.cm != nil {
-					s.cm.TransferFailures.Add(1)
-				}
+				s.cm.TransferFailures.Add(1)
 				return nil, fmt.Errorf("cluster: handoff transfer %s/%s to %s: %w", db, key, dest, err)
 			}
 			sum.Moved[db]++
 			sum.Records++
 			sum.Bytes += int64(len(content))
-			if s.cm != nil {
-				s.cm.TransferRecordsOut.Add(1)
-				s.cm.TransferBytesOut.Add(int64(len(content)))
-			}
+			s.cm.TransferRecordsOut.Add(1)
+			s.cm.TransferBytesOut.Add(int64(len(content)))
 		}
 	}
 	return json.Marshal(sum)
@@ -427,18 +438,15 @@ func (s *Shard) CommitRing() error {
 	s.ring = s.pending
 	s.pending = nil
 	s.clearXfer()
-	if s.cm != nil {
-		s.cm.HandoffsCommitted.Add(1)
-		s.cm.RingEpoch.Set(int64(s.ring.Epoch))
-	}
-	var drop []string
+	s.cm.HandoffsCommitted.Add(1)
+	s.cm.RingEpoch.Set(int64(s.ring.Epoch))
 	for _, db := range s.n.DBNames() {
 		if s.ring.Owner(db) != s.self {
-			drop = append(drop, db)
+			s.dirty.Store(db, struct{}{})
 		}
 	}
 	s.opMu.Unlock()
-	s.dropDBs(drop)
+	s.finishDrops()
 	return nil
 }
 
@@ -457,14 +465,12 @@ func (s *Shard) AbortRing() error {
 	if s.ring.Epoch > epoch {
 		epoch = s.ring.Epoch
 	}
-	drop := s.abandonPendingLocked()
+	s.abandonPendingLocked()
 	s.ring = NewRing(epoch+1, s.ring.Members)
-	if s.cm != nil {
-		s.cm.HandoffsAborted.Add(1)
-		s.cm.RingEpoch.Set(int64(s.ring.Epoch))
-	}
+	s.cm.HandoffsAborted.Add(1)
+	s.cm.RingEpoch.Set(int64(s.ring.Epoch))
 	s.opMu.Unlock()
-	s.dropDBs(drop)
+	s.finishDrops()
 	return nil
 }
 
@@ -477,41 +483,72 @@ func (s *Shard) Transfer(db, key string, payload []byte) error {
 	if s.pending == nil || s.pending.Owner(db) != s.self {
 		return fmt.Errorf("cluster: no open handoff window for db %q", db)
 	}
+	err := s.beginTransfer(db)
+	if err == nil {
+		err = s.n.TransferUpsert(db, key, payload)
+	}
+	if err != nil {
+		s.cm.TransferFailures.Add(1)
+		return err
+	}
+	s.cm.TransferRecordsIn.Add(1)
+	s.cm.TransferBytesIn.Add(int64(len(payload)))
+	return nil
+}
+
+// beginTransfer does the per-window bookkeeping for db's first inbound
+// record: finish the drop db is still owed, then note whether the stream is
+// creating the database from nothing.
+func (s *Shard) beginTransfer(db string) error {
+	if err := s.finishDrop(db); err != nil {
+		return fmt.Errorf("cluster: finishing the failed drop of db %q: %w", db, err)
+	}
 	s.xferMu.Lock()
+	defer s.xferMu.Unlock()
 	if !s.xferSeen[db] {
-		if s.xferSeen == nil {
-			s.xferSeen = map[string]bool{}
-			s.xferCreated = map[string]bool{}
-		}
 		s.xferSeen[db] = true
 		if len(s.n.DBKeys(db)) == 0 {
 			s.xferCreated[db] = true
 		}
 	}
-	s.xferMu.Unlock()
-	if err := s.n.TransferUpsert(db, key, payload); err != nil {
-		if s.cm != nil {
-			s.cm.TransferFailures.Add(1)
-		}
-		return err
-	}
-	if s.cm != nil {
-		s.cm.TransferRecordsIn.Add(1)
-		s.cm.TransferBytesIn.Add(int64(len(payload)))
-	}
 	return nil
 }
 
-// dropDBs deletes the named databases, counting what went.
-func (s *Shard) dropDBs(dbs []string) {
-	for _, db := range dbs {
-		n, _ := s.n.DropDB(db)
-		if s.cm != nil {
-			s.cm.DroppedDBs.Add(1)
-			s.cm.DroppedRecords.Add(int64(n))
-		}
+// finishDrops runs every drop this member owes. It holds xferMu per
+// database, not opMu: an operation that reaches a marked database first
+// finishes that drop itself and this one finds the mark gone.
+func (s *Shard) finishDrops() {
+	var owed []string
+	s.dirty.Range(func(db, _ any) bool {
+		owed = append(owed, db.(string))
+		return true
+	})
+	sort.Strings(owed)
+	for _, db := range owed {
+		s.finishDrop(db)
 	}
 }
 
-// Metrics returns the shard's cluster metrics (may be nil).
+// finishDrop deletes db if it is marked dirty and clears the mark when
+// nothing of it is left; a node error keeps the mark for the next caller.
+func (s *Shard) finishDrop(db string) error {
+	if _, owed := s.dirty.Load(db); !owed {
+		return nil
+	}
+	s.xferMu.Lock()
+	defer s.xferMu.Unlock()
+	if _, owed := s.dirty.Load(db); !owed {
+		return nil // whoever held the lock finished it
+	}
+	n, err := s.n.DropDB(db)
+	s.cm.DroppedRecords.Add(int64(n))
+	if err != nil {
+		return err
+	}
+	s.dirty.Delete(db)
+	s.cm.DroppedDBs.Add(1)
+	return nil
+}
+
+// Metrics returns the shard's cluster metrics.
 func (s *Shard) Metrics() *metrics.ClusterMetrics { return s.cm }

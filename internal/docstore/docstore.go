@@ -124,11 +124,6 @@ type Options struct {
 	// os-backed implementation; crash tests install a faultfs.Injector to
 	// script write/sync/read failures and crash points.
 	FS faultfs.FS
-	// DisableMmap forces the pread read path even when the filesystem
-	// supports memory-mapped segments. Also forced by the DBDEDUP_NO_MMAP
-	// environment variable, which CI uses to keep the fallback path
-	// covered.
-	DisableMmap bool
 }
 
 // Stats is the store's size accounting.
@@ -255,9 +250,6 @@ func Open(opts Options) (*Store, error) {
 	if opts.FS == nil {
 		opts.FS = faultfs.DefaultFS
 	}
-	if os.Getenv("DBDEDUP_NO_MMAP") != "" {
-		opts.DisableMmap = true
-	}
 	s := &Store{
 		opts:    opts,
 		dbBytes: make(map[string]int64),
@@ -333,7 +325,7 @@ func Open(opts Options) (*Store, error) {
 // segments after replay, sealBlock maps a segment when it rolls out of the
 // active role. Caller holds s.mu (or the store is not yet shared).
 func (s *Store) mapSegment(seg *segment) {
-	if s.opts.DisableMmap || seg.file == nil || seg.size == 0 || seg.retired || seg.rd.Mapped() {
+	if seg.file == nil || seg.size == 0 || seg.retired || seg.rd.Mapped() {
 		return
 	}
 	m, ok := seg.file.(faultfs.Mapper)

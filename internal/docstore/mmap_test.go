@@ -2,20 +2,49 @@ package docstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"dbdedup/internal/faultfs"
 )
 
-// skipIfNoMmap skips tests that assert on mmap-path counters when the
-// environment forces the pread fallback (the CI no-mmap lane).
-func skipIfNoMmap(t *testing.T) {
-	t.Helper()
-	if os.Getenv("DBDEDUP_NO_MMAP") != "" {
-		t.Skip("DBDEDUP_NO_MMAP set: mmap path disabled")
+// osMaps reports whether faultfs.DefaultFS can memory-map a file here: false
+// on non-unix platforms and under the nommap build tag (the CI lane that
+// keeps the pread fallback green), where Mmap answers ErrMmapUnsupported.
+func osMaps(tb testing.TB) bool {
+	tb.Helper()
+	f, err := faultfs.DefaultFS.OpenFile(filepath.Join(tb.TempDir(), "probe"), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte("probe"), 0); err != nil {
+		tb.Fatal(err)
+	}
+	mp, err := f.(faultfs.Mapper).Mmap(5)
+	if errors.Is(err, faultfs.ErrMmapUnsupported) {
+		return false
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mp.Close()
+	return true
+}
+
+// noMapFS is the os filesystem with the Mapper capability hidden: its files
+// are read through ReadAt only, as on a filesystem that cannot map.
+type noMapFS struct{ faultfs.FS }
+
+func (fs noMapFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ faultfs.File }{f}, nil
 }
 
 func fillSegments(t *testing.T, s *Store, n int) map[uint64][]byte {
@@ -45,11 +74,12 @@ func checkAll(t *testing.T, s *Store, want map[uint64][]byte) {
 	}
 }
 
-// TestMmapReadEquivalence reopens the same on-disk segments with and without
-// mmap and checks both paths return identical records, with the read-path
-// counters attributing the reads to the right path.
+// TestMmapReadEquivalence reopens the same on-disk segments on the os
+// filesystem and on one whose files do not map, and checks both return
+// identical records, with the read-path counters attributing the reads to the
+// right path. Where the os itself cannot map, both reopens must be pread.
 func TestMmapReadEquivalence(t *testing.T) {
-	skipIfNoMmap(t)
+	maps := osMaps(t)
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
 			dir := t.TempDir()
@@ -66,24 +96,28 @@ func TestMmapReadEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Reopen with mmap: every sealed segment maps at Open, so
-			// cold block reads come from the mapping.
+			// Reopen on the os filesystem: every sealed segment maps at
+			// Open, so cold block reads come from the mapping.
 			s, err = Open(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkAll(t, s, want)
 			st := s.Stats()
-			if st.MmapBlockReads == 0 {
-				t.Fatalf("no mmap block reads after mapped reopen (pread=%d)", st.PreadBlockReads)
-			}
-			if st.MmapFailures != 0 {
-				t.Fatalf("unexpected mmap failures: %d", st.MmapFailures)
+			if maps {
+				if st.MmapBlockReads == 0 {
+					t.Fatalf("no mmap block reads after mapped reopen (pread=%d)", st.PreadBlockReads)
+				}
+				if st.MmapFailures != 0 {
+					t.Fatalf("unexpected mmap failures: %d", st.MmapFailures)
+				}
+			} else if st.MmapBlockReads != 0 || st.PreadBlockReads == 0 {
+				t.Fatalf("os cannot map, yet %d mmap / %d pread block reads", st.MmapBlockReads, st.PreadBlockReads)
 			}
 			s.Close()
 
-			// Reopen with mmap disabled: identical results via pread.
-			opts.DisableMmap = true
+			// Reopen on files that do not map: identical results via pread.
+			opts.FS = noMapFS{faultfs.DefaultFS}
 			s, err = Open(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -91,10 +125,10 @@ func TestMmapReadEquivalence(t *testing.T) {
 			checkAll(t, s, want)
 			st = s.Stats()
 			if st.MmapBlockReads != 0 {
-				t.Fatalf("mmap reads with DisableMmap: %d", st.MmapBlockReads)
+				t.Fatalf("mmap reads from unmappable files: %d", st.MmapBlockReads)
 			}
 			if st.PreadBlockReads == 0 {
-				t.Fatal("no pread block reads with DisableMmap")
+				t.Fatal("no pread block reads from unmappable files")
 			}
 			s.Close()
 		})
@@ -104,7 +138,6 @@ func TestMmapReadEquivalence(t *testing.T) {
 // TestMmapFailureFallsBack injects an mmap failure at reopen and checks the
 // store degrades to pread with nothing lost.
 func TestMmapFailureFallsBack(t *testing.T) {
-	skipIfNoMmap(t)
 	fs := faultfs.NewMemFS()
 	opts := Options{Dir: "d", BlockSize: 512, SegmentSize: 4096, FS: fs}
 	s, err := Open(opts)
@@ -187,12 +220,15 @@ func BenchmarkSealedReads(b *testing.B) {
 	s.Close()
 
 	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"mmap", false}, {"pread", true}} {
+		name string
+		fs   faultfs.FS
+	}{{"mmap", faultfs.DefaultFS}, {"pread", noMapFS{faultfs.DefaultFS}}} {
 		b.Run(mode.name, func(b *testing.B) {
+			if mode.name == "mmap" && !osMaps(b) {
+				b.Skip("os filesystem cannot map here")
+			}
 			o := opts
-			o.DisableMmap = mode.disable
+			o.FS = mode.fs
 			s, err := Open(o)
 			if err != nil {
 				b.Fatal(err)

@@ -417,9 +417,9 @@ func SummarizeHistogram(h *Histogram) HistogramSummary {
 	}
 }
 
-// LatencySummary is the full percentile view the load tools (dedupload,
-// dedupstorm) report per operation kind — a superset of HistogramSummary
-// with the tail percentiles an open-loop harness exists to measure.
+// LatencySummary is the full percentile view dedupstorm reports per
+// operation kind — a superset of HistogramSummary with the tail percentiles
+// an open-loop harness exists to measure.
 type LatencySummary struct {
 	Count  uint64
 	MeanUS int64 // microseconds

@@ -893,8 +893,8 @@ func (s *Secondary) handleFrame(typ byte, payload []byte) error {
 			return errors.New("repl: corrupt snapshot end")
 		}
 		// Barrier: every snapshot record must be installed before
-		// the low-water mark rebases and reconciliation deletes
-		// records the snapshot did not carry.
+		// reconciliation deletes records the snapshot did not carry
+		// and the low-water mark rebases.
 		s.applier.Barrier()
 		if err := s.applier.Err(); err != nil {
 			return fmt.Errorf("repl: %w", err)
@@ -906,15 +906,17 @@ func (s *Secondary) handleFrame(typ byte, payload []byte) error {
 		s.lenientUntil = endSeq
 		snapStart := s.snapStartSeq
 		s.mu.Unlock()
+		// Reconcile: local records absent from the snapshot were
+		// deleted on the primary while we were disconnected. This comes
+		// before the rebase: once the mark moves, WaitForSeq callers
+		// take those deletes as applied.
+		if keys != nil {
+			s.node.ReconcileAfterSnapshot(keys)
+		}
 		// The snapshot defines the stream position outright — on an
 		// epoch-mismatch resync the old cursor may be numerically
 		// larger but belongs to a dead numbering.
 		s.applier.Reset(snapStart)
-		// Reconcile: local records absent from the snapshot were
-		// deleted on the primary while we were disconnected.
-		if keys != nil {
-			s.node.ReconcileAfterSnapshot(keys)
-		}
 	case frameError:
 		return fmt.Errorf("repl: primary: %s", payload)
 	default:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -941,5 +942,89 @@ func TestSecondaryReconnectResumeAtPhase(t *testing.T) {
 				t.Errorf("secondary verify after resume: %v", rep.Errors)
 			}
 		})
+	}
+}
+
+// TestResyncReconcilesBeforeRebase pins the order of the two steps that end
+// a snapshot resync. Records the primary deleted while the secondary was
+// disconnected are removed by reconciliation; the applied low-water mark must
+// not reach the snapshot position until that is done, or WaitForSeq callers
+// read records the mark says are gone. Thousands of stale keys make the
+// reconcile pass long enough that a reader polling the mark always lands
+// inside it if the order is wrong.
+func TestResyncReconcilesBeforeRebase(t *testing.T) {
+	popts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8}
+	prim, err := node.Open(popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prim.Close()
+	sec, err := node.Open(popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sec.Close()
+	p, err := ListenAndServe(prim, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	const stale = 4000
+	goneKey := func(i int) string { return fmt.Sprintf("gone%05d", i) }
+	for i := 0; i < stale; i++ {
+		if err := prim.Insert("db", goneKey(i), []byte(goneKey(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := prim.Insert("db", "kept", []byte("survives the resync")); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Connect(sec, p.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cursor, epoch := s.AppliedSeq(), s.Epoch()
+	s.Close()
+
+	// Disconnected: the deletes push the cursor out of the 8-entry oplog
+	// window, so the next session is a snapshot that lacks every gone key.
+	for i := 0; i < stale; i++ {
+		if err := prim.Delete("db", goneKey(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	target := prim.Oplog().LastSeq()
+	s, err = ConnectResume(sec, p.Addr(), cursor, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for deadline := time.Now().Add(20 * time.Second); s.AppliedSeq() < target; runtime.Gosched() {
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("applied seq %d never reached %d", s.AppliedSeq(), target)
+		}
+	}
+	// The mark covers every delete: none of their records may be visible.
+	visible := 0
+	for i := 0; i < stale; i++ {
+		if sec.Has("db", goneKey(i)) {
+			visible++
+		}
+	}
+	if visible > 0 {
+		t.Fatalf("applied seq reached %d with %d of %d deleted records still readable", target, visible, stale)
+	}
+	if got, err := sec.Read("db", "kept"); err != nil || string(got) != "survives the resync" {
+		t.Fatalf("kept record after resync: %q, %v", got, err)
+	}
+	if resyncs, _ := s.Resyncs(); resyncs != 1 {
+		t.Fatalf("second session resyncs = %d, want 1 (the window must force a snapshot)", resyncs)
 	}
 }

@@ -188,22 +188,10 @@ func Run(sch Schedule) (Result, error) {
 		}
 	}
 
-	// Heal and converge, then converge again on a marker written after the
-	// first: a resync rebases the applied mark before its reconciliation has
-	// deleted what the snapshot did not carry, so the deletes are known to
-	// be visible only once a later frame has been handled behind it.
+	// Heal and converge.
 	sim.Heal()
-	converge := func() error {
-		prim.Barrier()
-		return s.WaitForSeq(prim.Oplog().LastSeq(), 30*time.Second)
-	}
-	if err = converge(); err == nil {
-		if err = prim.Insert("simtest", "healed", []byte("marker")); err == nil {
-			hist.Acked("simtest", "healed", []byte("marker"))
-			err = converge()
-		}
-	}
-	if err != nil {
+	prim.Barrier()
+	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 30*time.Second); err != nil {
 		return res, fmt.Errorf("convergence: %w", err)
 	}
 	if err := stopMon(); err != nil {

@@ -1,7 +1,7 @@
 // Package stormtest is the open-loop, heavy-tailed, multi-tenant load
 // harness ("dedupstorm") and the SLO assertions built on it.
 //
-// Open loop matters: a closed-loop generator (like dedupload) waits for each
+// Open loop matters: a closed-loop generator (like benchmark/) waits for each
 // reply before sending the next request, so when the server slows down the
 // generator slows down with it and the tail latencies of an overloaded
 // server are never observed. Here arrivals follow a schedule that does not
@@ -550,45 +550,36 @@ func isTransport(err error) bool {
 		strings.Contains(s, "reset") || strings.Contains(s, "broken pipe")
 }
 
-// VerifyAckedWrites re-reads every acknowledged insert through a fresh
-// connection and returns how many are lost (unreadable) or corrupt (payload
-// hash mismatch). Zero/zero is the harness's primary SLO: an acknowledged
-// write is never lost, shed or not.
-func (r *Report) VerifyAckedWrites(addr string) (lost, corrupt int, err error) {
-	client, err := apiserver.Dial(addr)
-	if err != nil {
-		return 0, 0, err
+// dialServers opens a routing client over the servers the storm drove: the
+// ring behind cfg.Addrs, or the node at cfg.Addr (a bare node is a one-member
+// ring to the cluster client).
+func dialServers(cfg Config) (*cluster.Client, error) {
+	addrs := cfg.Addrs
+	if len(addrs) == 0 {
+		addrs = []string{cfg.Addr}
 	}
-	defer client.Close()
-	lost, corrupt = r.verify(client)
-	return lost, corrupt, nil
+	return cluster.DialCluster(addrs, cluster.ClientOptions{})
 }
 
-// VerifyAckedWritesCluster re-reads every acknowledged insert through the
-// cluster router: whatever member acked a write, and wherever rebalancing
-// later placed its database, the record must be readable at its current
-// owner via redirects.
-func (r *Report) VerifyAckedWritesCluster(addrs []string) (lost, corrupt int, err error) {
-	cc, err := cluster.DialCluster(addrs, cluster.ClientOptions{})
+// VerifyAckedWrites re-reads every acknowledged insert through a fresh
+// routing client and returns how many are lost (unreadable) or corrupt
+// (payload hash mismatch). Zero/zero is the harness's primary SLO: an
+// acknowledged write is never lost, shed or not — whatever member acked it,
+// and wherever rebalancing later placed its database.
+func (r *Report) VerifyAckedWrites() (lost, corrupt int, err error) {
+	cc, err := dialServers(r.Config)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer cc.Close()
-	lost, corrupt = r.verify(cc)
-	return lost, corrupt, nil
-}
-
-// verify counts the shared checker's verdicts the way the storm reports
-// them: unreadable is lost, read back with other bytes is corrupt.
-func (r *Report) verify(v histcheck.View) (lost, corrupt int) {
-	for _, bad := range r.acked.Check(v) {
+	for _, bad := range r.acked.Check(cc) {
 		if bad.Kind == histcheck.Lost {
 			lost++
 		} else {
 			corrupt++
 		}
 	}
-	return lost, corrupt
+	return lost, corrupt, nil
 }
 
 // AckedWriteCount returns the number of distinct acknowledged inserts the
@@ -596,6 +587,49 @@ func (r *Report) verify(v histcheck.View) (lost, corrupt int) {
 func (r *Report) AckedWriteCount() int {
 	live, _ := r.acked.Count()
 	return live
+}
+
+// serverLines renders one server's side of the run: client payload in, what
+// was stored and what replication would ship (each with its ratio to the raw
+// bytes), then how the inserts were handled and, when admission control is
+// on, what it decided.
+func serverLines(addr string, st node.Stats) string {
+	a := st.Admission
+	s := fmt.Sprintf("server %s: raw %s -> stored %s (%.1fx), oplog %s (%.1fx), dedup hits %d\n"+
+		"  inserts %d (shed raw %d, rejected %d), engine encodes %d",
+		addr, metrics.FormatBytes(st.RawInsertBytes),
+		metrics.FormatBytes(st.Store.LogicalBytes), metrics.Ratio(st.RawInsertBytes, st.Store.LogicalBytes),
+		metrics.FormatBytes(st.OplogBytes), metrics.Ratio(st.RawInsertBytes, st.OplogBytes),
+		st.Engine.Deduped, st.Inserts, st.InsertsShedRaw, st.InsertsRejected, st.Engine.Inserts)
+	if a.Enabled || a.ShedRawEnabled {
+		s += fmt.Sprintf("\n  admission: admitted %d, shed %d, rejected %d (tenant throttles %d), overload enters/exits %d/%d",
+			a.Admitted, a.Shed, a.Rejected, a.TenantThrottles, a.OverloadEnters, a.OverloadExits)
+	}
+	return s
+}
+
+// ServerLines asks every server the storm drove for its Stats over the
+// client API and returns each one's own account of what the storm left
+// behind, in ring order.
+func ServerLines(cfg Config) ([]string, error) {
+	cc, err := dialServers(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer cc.Close()
+	var lines []string
+	for _, m := range cc.Members() {
+		conn, err := cc.Member(m)
+		if err != nil {
+			return nil, err
+		}
+		st, err := conn.Stats()
+		if err != nil {
+			return nil, fmt.Errorf("stats from %s: %w", m, err)
+		}
+		lines = append(lines, serverLines(m, st))
+	}
+	return lines, nil
 }
 
 // LocalNode is an in-process node + apiserver bundle for self-hosted storms

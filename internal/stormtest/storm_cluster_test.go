@@ -151,14 +151,14 @@ func TestStormClusterScaling(t *testing.T) {
 
 	// Every acked write reads back the way it was written: through the
 	// single node's server, and through the router.
-	lost, corrupt, err := repS.VerifyAckedWrites(local.Addr())
+	lost, corrupt, err := repS.VerifyAckedWrites()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lost != 0 || corrupt != 0 {
 		t.Fatalf("single node lost %d / corrupted %d acked writes", lost, corrupt)
 	}
-	lost, corrupt, err = repC.VerifyAckedWritesCluster(lc.Addrs)
+	lost, corrupt, err = repC.VerifyAckedWrites()
 	if err != nil {
 		t.Fatal(err)
 	}

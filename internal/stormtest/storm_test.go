@@ -1,6 +1,7 @@
 package stormtest
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"dbdedup/internal/admission"
 	"dbdedup/internal/apiserver"
+	"dbdedup/internal/metrics"
 	"dbdedup/internal/node"
 	"dbdedup/internal/workload"
 )
@@ -72,7 +74,7 @@ func oneStorm(t *testing.T, label string, adm admission.Options, cfg Config) (*R
 // verify re-reads every acked write through a fresh connection.
 func verify(t *testing.T, rep *Report) (lost, corrupt int) {
 	t.Helper()
-	lost, corrupt, err := rep.VerifyAckedWrites(rep.Config.Addr)
+	lost, corrupt, err := rep.VerifyAckedWrites()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +277,63 @@ func TestStormCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "csv,300") {
 		t.Fatalf("csv row = %q", lines[1])
+	}
+}
+
+// TestStormSingleTrace is the way a running server is driven with one of the
+// paper's traces (dedupstorm -addr … -blend wikipedia -tenants 1 -reads): one
+// tenant, one dataset, below capacity. The server-side line the tool then
+// prints must be the node's own Stats, fetched over the client API.
+func TestStormSingleTrace(t *testing.T) {
+	local, err := StartLocal(node.Options{DisableAutoFlush: true}, apiserver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(local.Close)
+	rep, err := Run("trace", Config{
+		Addr:     local.Addr(),
+		Rate:     300,
+		Duration: 500 * time.Millisecond,
+		Tenants:  1,
+		Seed:     7,
+		Blend:    []workload.Kind{workload.Wikipedia},
+		// Wikipedia's mix is 99.9 % reads; sample it down to ~2 per insert
+		// so half a second still inserts revision chains worth deduping.
+		Reads:        true,
+		ReadSampling: 500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.AckedInserts == 0 || rep.ErrorTotal() != rep.Errors[ErrClassNotFound] {
+		t.Fatalf("below-capacity trace run: %s", rep)
+	}
+	// Settle the node: drain the encoders, then apply the write-backs the
+	// disabled idle flusher left pending.
+	local.Node.Barrier()
+	local.Node.FlushWritebacks(-1)
+
+	lines, err := ServerLines(rep.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := local.Node.Stats()
+	if len(lines) != 1 || lines[0] != serverLines(local.Addr(), want) {
+		t.Fatalf("ServerLines = %q\nnode.Stats() = %+v", lines, want)
+	}
+	line := lines[0]
+	if want.RawInsertBytes != rep.InsertBytes || want.Engine.Deduped == 0 ||
+		want.Store.LogicalBytes >= want.RawInsertBytes {
+		t.Fatalf("revision chain did not dedup: %s", line)
+	}
+	for _, part := range []string{
+		"server " + local.Addr() + ": raw " + metrics.FormatBytes(want.RawInsertBytes),
+		"stored " + metrics.FormatBytes(want.Store.LogicalBytes),
+		"oplog " + metrics.FormatBytes(want.OplogBytes),
+		fmt.Sprintf("dedup hits %d", want.Engine.Deduped),
+	} {
+		if !strings.Contains(line, part) {
+			t.Fatalf("server line %q lacks %q", line, part)
+		}
 	}
 }

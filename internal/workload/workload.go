@@ -21,6 +21,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 )
 
 // Kind selects a dataset family.
@@ -56,6 +57,23 @@ func (k Kind) String() string {
 
 // Kinds lists all dataset families in figure order.
 var Kinds = []Kind{Wikipedia, Enron, StackExchange, MessageBoards}
+
+// ParseKind resolves a dataset name as the command-line tools spell it:
+// the family name or its short alias, ignoring case and spaces.
+func ParseKind(s string) (Kind, error) {
+	switch strings.ToLower(strings.ReplaceAll(s, " ", "")) {
+	case "wikipedia", "wiki":
+		return Wikipedia, nil
+	case "enron", "mail", "email":
+		return Enron, nil
+	case "stackexchange", "qa":
+		return StackExchange, nil
+	case "messageboards", "forum":
+		return MessageBoards, nil
+	default:
+		return 0, fmt.Errorf("unknown dataset %q", s)
+	}
+}
 
 // OpKind distinguishes trace operations.
 type OpKind int

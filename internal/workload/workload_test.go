@@ -199,3 +199,32 @@ func BenchmarkWikipediaTrace(b *testing.B) {
 		}
 	}
 }
+
+// TestParseKind covers every spelling dedupbench -dataset and dedupstorm
+// -blend accept: family names and short aliases, any case, spaces ignored.
+func TestParseKind(t *testing.T) {
+	for in, want := range map[string]Kind{
+		"wikipedia": Wikipedia, "wiki": Wikipedia, "Wikipedia": Wikipedia, " WIKI ": Wikipedia,
+		"enron": Enron, "mail": Enron, "email": Enron, "E-mail": -1,
+		"stackexchange": StackExchange, "qa": StackExchange, "Stack Exchange": StackExchange, "QA": StackExchange,
+		"messageboards": MessageBoards, "forum": MessageBoards, "Message Boards": MessageBoards,
+		"": -1, "wikis": -1, "wiki,mail": -1,
+	} {
+		got, err := ParseKind(in)
+		if want < 0 {
+			if err == nil {
+				t.Errorf("ParseKind(%q) = %v, want an error", in, got)
+			}
+			continue
+		}
+		if err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	// Every family's figure name parses back to itself.
+	for _, k := range Kinds {
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+}
