@@ -79,6 +79,10 @@ const (
 // Backend is the operation surface the server exposes over the wire. A plain
 // *node.Node serves a single-primary deployment; a cluster.Shard wraps a
 // node with ring routing and satisfies it too.
+//
+// payload is the caller's again when a method returns: an implementation
+// that keeps the bytes copies them. The server relies on this: it passes a
+// slice of the request frame.
 type Backend interface {
 	Insert(db, key string, payload []byte) error
 	Update(db, key string, payload []byte) error
@@ -433,14 +437,22 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 	}
 	op := frame[0]
 	p := frame[1:]
-	readStr := func() (string, bool) {
+	// readBytes returns the next length-prefixed field as a sub-slice of
+	// the frame: a payload goes to the backend without a copy here. The
+	// frame is this connection's until the response is written, and a
+	// Backend does not keep payload past its return.
+	readBytes := func() ([]byte, bool) {
 		l, k := binary.Uvarint(p)
 		if k <= 0 || uint64(len(p)-k) < l {
-			return "", false
+			return nil, false
 		}
-		v := string(p[k : k+int(l)])
+		v := p[k : k+int(l)]
 		p = p[k+int(l):]
 		return v, true
+	}
+	readStr := func() (string, bool) {
+		v, ok := readBytes()
+		return string(v), ok
 	}
 
 	if op == opStats {
@@ -509,15 +521,15 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 
 	switch op {
 	case opInsert, opUpdate:
-		payload, ok := readStr()
+		payload, ok := readBytes()
 		if !ok {
 			return statusError, []byte("bad payload")
 		}
 		var err error
 		if op == opInsert {
-			err = s.backend.Insert(db, key, []byte(payload))
+			err = s.backend.Insert(db, key, payload)
 		} else {
-			err = s.backend.Update(db, key, []byte(payload))
+			err = s.backend.Update(db, key, payload)
 		}
 		if err != nil {
 			return errStatus(err)
@@ -527,11 +539,11 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 		if s.cb == nil {
 			return statusError, []byte("not clustered")
 		}
-		payload, ok := readStr()
+		payload, ok := readBytes()
 		if !ok {
 			return statusError, []byte("bad payload")
 		}
-		if err := s.cb.Transfer(db, key, []byte(payload)); err != nil {
+		if err := s.cb.Transfer(db, key, payload); err != nil {
 			return errStatus(err)
 		}
 		return statusOK, nil
@@ -719,7 +731,11 @@ func (c *Client) roundTrip(req []byte) (byte, []byte, error) {
 }
 
 func (c *Client) keyedRequest(op byte, db, key string, payload []byte, withPayload bool) (byte, []byte, error) {
-	req := []byte{op}
+	n := 1 + 2*binary.MaxVarintLen32 + len(db) + len(key)
+	if withPayload {
+		n += binary.MaxVarintLen64 + len(payload)
+	}
+	req := append(make([]byte, 0, n), op)
 	req = appendStr(req, db)
 	req = appendStr(req, key)
 	if withPayload {
@@ -915,8 +931,17 @@ func appendStr(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// writeFrame writes a response: the status byte leads the frame body, the
+// payload follows without being copied next to it.
 func writeFrame(w io.Writer, status byte, payload []byte) error {
-	return writeRaw(w, append([]byte{status}, payload...))
+	var hdr [5]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(1+len(payload)))
+	hdr[4] = status
+	if _, err := w.Write(hdr[:]); err != nil || len(payload) == 0 {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
 }
 
 func writeRaw(w io.Writer, body []byte) error {

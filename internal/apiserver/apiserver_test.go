@@ -291,4 +291,3 @@ func TestConnectionLimit(t *testing.T) {
 	}
 	c2.Close()
 }
-

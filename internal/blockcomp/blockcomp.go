@@ -50,7 +50,12 @@ func MaxEncodedLen(srcLen int) int {
 
 // Encode compresses src and returns the compressed block.
 func Encode(src []byte) []byte {
-	dst := make([]byte, 0, MaxEncodedLen(len(src)))
+	return AppendEncode(make([]byte, 0, MaxEncodedLen(len(src))), src)
+}
+
+// AppendEncode compresses src and appends the compressed block to dst, so a
+// caller that seals block after block can reuse one buffer.
+func AppendEncode(dst, src []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return dst
@@ -137,10 +142,16 @@ func emitCopy(dst []byte, offset, length int) []byte {
 	return dst
 }
 
-// DecodedLen returns the decompressed size recorded in the block header.
+// maxExpansion bounds how many bytes one byte of tag stream can decode to:
+// the densest tag is a 3-byte copy of maxCopyLen bytes.
+const maxExpansion = (maxCopyLen + 2) / 3
+
+// DecodedLen returns the decompressed size recorded in the block header. It
+// rejects a size the block's tag stream cannot produce, so a corrupt header
+// is an error before anyone allocates what it claims.
 func DecodedLen(block []byte) (int, error) {
 	v, n := binary.Uvarint(block)
-	if n <= 0 {
+	if n <= 0 || v > uint64(len(block)-n)*maxExpansion {
 		return 0, errCorrupt
 	}
 	return int(v), nil
@@ -148,12 +159,27 @@ func DecodedLen(block []byte) (int, error) {
 
 // Decode decompresses a block produced by Encode.
 func Decode(block []byte) ([]byte, error) {
+	n, err := DecodedLen(block)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeInto(make([]byte, n), block)
+}
+
+// DecodeInto decompresses block into dst and returns dst. len(dst) must be
+// the block's decoded length: a caller that knows the length from elsewhere
+// (the store's block header) passes a buffer of exactly that size, and any
+// other declared or actual length is an error. Nothing is allocated.
+func DecodeInto(dst, block []byte) ([]byte, error) {
 	declared, n := binary.Uvarint(block)
 	if n <= 0 {
 		return nil, errCorrupt
 	}
+	if declared != uint64(len(dst)) {
+		return nil, fmt.Errorf("blockcomp: header declares %d bytes, caller expects %d", declared, len(dst))
+	}
 	p := block[n:]
-	out := make([]byte, 0, declared)
+	o := 0 // bytes of dst written
 	for len(p) > 0 {
 		tag := p[0]
 		switch tag & 0x03 {
@@ -180,10 +206,10 @@ func Decode(block []byte) ([]byte, error) {
 			default:
 				return nil, errCorrupt
 			}
-			if litLen > len(p) {
+			if litLen > len(p) || litLen > len(dst)-o {
 				return nil, errCorrupt
 			}
-			out = append(out, p[:litLen]...)
+			o += copy(dst[o:], p[:litLen])
 			p = p[litLen:]
 		case tagCopy:
 			if len(p) < 3 {
@@ -192,20 +218,20 @@ func Decode(block []byte) ([]byte, error) {
 			length := int(tag>>2) + minMatch
 			offset := int(p[1]) | int(p[2])<<8
 			p = p[3:]
-			if offset == 0 || offset > len(out) {
+			if offset == 0 || offset > o || length > len(dst)-o {
 				return nil, errCorrupt
 			}
 			// Byte-by-byte: copies may overlap their own output
 			// (run-length-style references).
-			for i := 0; i < length; i++ {
-				out = append(out, out[len(out)-offset])
+			for end := o + length; o < end; o++ {
+				dst[o] = dst[o-offset]
 			}
 		default:
 			return nil, fmt.Errorf("blockcomp: unknown tag %#x", tag&0x03)
 		}
 	}
-	if uint64(len(out)) != declared {
-		return nil, fmt.Errorf("blockcomp: decoded %d bytes, header declared %d", len(out), declared)
+	if o != len(dst) {
+		return nil, fmt.Errorf("blockcomp: decoded %d bytes, header declared %d", o, len(dst))
 	}
-	return out, nil
+	return dst, nil
 }

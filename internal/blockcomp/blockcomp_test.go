@@ -121,6 +121,55 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// hugeHeader declares 2^63-1 decoded bytes over a two-byte tag stream. Decode
+// used to size its output from the header alone and died in makeslice.
+var hugeHeader = []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00, 'a'}
+
+func TestDecodeRejectsImpossibleLength(t *testing.T) {
+	if _, err := Decode(hugeHeader); err == nil {
+		t.Fatal("Decode accepted a declared length its tag stream cannot produce")
+	}
+	if _, err := DecodedLen(hugeHeader); err == nil {
+		t.Fatal("DecodedLen accepted a declared length its tag stream cannot produce")
+	}
+	// The bound is on what the stream could produce, not on what it does:
+	// the densest block (copy tags only) still decodes.
+	rle := bytes.Repeat([]byte{7}, 1<<20)
+	got, err := Decode(Encode(rle))
+	if err != nil || !bytes.Equal(got, rle) {
+		t.Fatalf("densest block rejected: %v", err)
+	}
+}
+
+func TestAppendEncodeAndDecodeInto(t *testing.T) {
+	src := []byte(strings.Repeat("the quick brown fox ", 400))
+	want := Encode(src)
+	buf := make([]byte, 0, 16)
+	for i := 0; i < 3; i++ { // one buffer, block after block
+		buf = AppendEncode(buf[:0], src)
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("AppendEncode round %d differs from Encode", i)
+		}
+	}
+	if got := AppendEncode([]byte("prefix"), src); !bytes.Equal(got[6:], want) || string(got[:6]) != "prefix" {
+		t.Fatal("AppendEncode did not append after the existing bytes")
+	}
+
+	dst := make([]byte, len(src))
+	got, err := DecodeInto(dst, want)
+	if err != nil || !bytes.Equal(got, src) || &got[0] != &dst[0] {
+		t.Fatalf("DecodeInto: err %v, equal %v", err, bytes.Equal(got, src))
+	}
+	for _, n := range []int{0, len(src) - 1, len(src) + 1} {
+		if _, err := DecodeInto(make([]byte, n), want); err == nil {
+			t.Errorf("DecodeInto accepted a %d-byte buffer for a %d-byte block", n, len(src))
+		}
+	}
+	if avg := testing.AllocsPerRun(20, func() { DecodeInto(dst, want) }); avg != 0 {
+		t.Errorf("DecodeInto allocates %.1f times per call", avg)
+	}
+}
+
 func TestOverlappingCopies(t *testing.T) {
 	// RLE-style: a 1-byte offset copy replicates the previous byte.
 	src := append([]byte("start"), bytes.Repeat([]byte{0x7}, 1000)...)

@@ -27,6 +27,7 @@ func FuzzRoundTrip(f *testing.F) {
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode([]byte("some compressible content content content")))
 	f.Add([]byte{0x05, 0x00, 0xff})
+	f.Add(hugeHeader)
 	f.Fuzz(func(t *testing.T, block []byte) {
 		_, _ = Decode(block)
 		_, _ = DecodedLen(block)

@@ -16,14 +16,19 @@
 // The store is a single-writer, many-reader structure. One writer lock
 // (s.mu) serialises Append/Flush/Compact/Close; the read path — Get, Range,
 // Meta, Stats, DBLogicalBytes — takes no store-wide lock. Sealed bytes are
-// immutable, so reads route through the segio subsystem: a block read pins
-// a refcounted segment handle (segio.Table), consults the sharded block
-// cache (segio.Cache), and unpins. Compaction retires a segment by
-// publishing a new table epoch and deleting the file; pinned readers keep
-// the inode alive until they drain, and a reader that loses the pin race
-// re-resolves its locator through the index, which no longer references the
-// victim. See the segio package comment for the retirement protocol and
-// DESIGN.md §6 for the lock hierarchy.
+// immutable, so reads route through the segio subsystem: a block read
+// consults the sharded block cache (segio.Cache) and, on a miss, pins a
+// refcounted segment handle (segio.Table), loads the block and unpins. A
+// decoded block belongs to the cache; readers only ever copy their record
+// out of it (under the cache's shard lock on a hit, before handing the
+// buffer over on a miss), so Get returns payloads nothing else aliases and
+// the cache is free to recycle an evicted block's buffer for the next miss.
+// The shard lock is a leaf: nothing is acquired under it. Compaction retires
+// a segment by publishing a new table epoch and deleting the file; pinned
+// readers keep the inode alive until they drain, and a reader that loses the
+// pin race re-resolves its locator through the index, which no longer
+// references the victim. See the segio package comment for the retirement
+// protocol and DESIGN.md §6 for the lock hierarchy.
 //
 // The record maps (pending, index, meta) are sync.Maps updated only under
 // the writer lock, in a publish-new-before-retiring-old order, so lock-free
@@ -146,6 +151,10 @@ type Stats struct {
 	Appends uint64
 	// CacheHits/CacheMisses count block-cache outcomes on reads.
 	CacheHits, CacheMisses uint64
+	// BlockBuffersRecycled/BlockBuffersFresh split the buffers block loads
+	// decoded into: taken over from a block that left the cache, or newly
+	// allocated. In steady state every load recycles.
+	BlockBuffersRecycled, BlockBuffersFresh uint64
 	// MmapBlockReads/PreadBlockReads split block loads by how the bytes
 	// were served: zero-copy from a segment mapping vs a positional read.
 	// MmapFailures counts mapping attempts that failed (the segment stays
@@ -176,8 +185,12 @@ type Store struct {
 	segments []*segment
 	active   *segment // last live element of segments
 
-	// block under construction (not yet sealed); guarded by mu
+	// block under construction (not yet sealed) and the buffer sealBlock
+	// compresses it into; guarded by mu. Both keep their capacity across
+	// seals: nothing outside the writer lock ever aliases them (pendingRecs
+	// hold the callers' payloads, not slices of pending).
 	pending []byte
+	sealBuf []byte
 
 	// record maps: lock-free for readers, mutated only under mu in
 	// publish-before-retire order (see package comment).
@@ -381,8 +394,7 @@ func (s *Store) appendLocked(rec Record) error {
 	if s.closed {
 		return errors.New("docstore: store is closed")
 	}
-	frame := appendFrame(nil, rec)
-	s.pending = append(s.pending, frame...)
+	s.pending = appendFrame(s.pending, rec)
 	if rec.Tombstone {
 		s.supersede(rec.ID, true)
 		s.meta.Delete(rec.ID)
@@ -434,9 +446,13 @@ func (s *Store) supersede(id uint64, dropPending bool) {
 	}
 }
 
-// Get returns the stored form of record id. It is lock-free on the sealed
-// read path: record-map lookups hit sync.Maps, block reads pin a segio
-// segment handle and go through the sharded cache. Writers publish map
+// Get returns the stored form of record id. The payload never aliases memory
+// the store owns (a cached block, a mapping, the block under construction):
+// for a sealed record it is a fresh copy, for one still in the unsealed block
+// it is the slice Append was given, which appenders never modify. Get is
+// lock-free on the sealed read path: record-map lookups hit sync.Maps, block
+// reads go through the sharded cache and pin a segio segment handle on a
+// miss. Writers publish map
 // updates new-version-first, so a miss in both maps for a live record is a
 // transient handoff window — closed by a re-check, a few retries, and
 // finally one authoritative pass under the writer lock.
@@ -495,14 +511,24 @@ func (s *Store) Get(id uint64) (Record, bool, error) {
 	}
 }
 
-// recordAt reads the record frame at loc: block cache first, then — under
-// one pin — the segment's memory mapping (zero copy) or a positional read.
-// Payloads parsed out of a mapping are detached before the pin is released,
-// because the mapping dies when the segment reader drains.
+// recordAt returns the record framed at loc, with a payload of its own. The
+// block's bytes are borrowed only for the length of that copy: from the
+// cache, under its shard lock, on a hit; from readBlock on a miss. Nothing a
+// caller of Get holds ever aliases a cached block or a mapping.
 func (s *Store) recordAt(loc locator) (Record, error) {
+	var rec Record
+	var err error
+	extract := func(block []byte) {
+		if loc.recStart > len(block) {
+			err = errors.New("docstore: record offset past block end")
+			return
+		}
+		if rec, _, err = parseFrame(block[loc.recStart:]); err == nil {
+			rec.Payload = append([]byte(nil), rec.Payload...)
+		}
+	}
 	key := segio.BlockKey(loc.seg, loc.off)
-	if b, ok := s.cache.Get(key); ok {
-		rec, _, err := parseFrame(b[loc.recStart:])
+	if s.cache.View(key, extract) {
 		return rec, err
 	}
 	rd, ok := s.table.Pin(loc.seg)
@@ -510,18 +536,10 @@ func (s *Store) recordAt(loc locator) (Record, error) {
 		return Record{}, segio.ErrRetired
 	}
 	defer s.table.Unpin(rd)
-	block, mapped, err := s.blockFrom(rd, key, loc.off)
-	if err != nil {
-		return Record{}, err
+	if loadErr := s.readBlock(rd, key, loc.off, extract); loadErr != nil {
+		return Record{}, loadErr
 	}
-	rec, _, err := parseFrame(block[loc.recStart:])
-	if err != nil {
-		return Record{}, err
-	}
-	if mapped {
-		rec.Payload = append([]byte(nil), rec.Payload...)
-	}
-	return rec, nil
+	return rec, err
 }
 
 // Delete writes a tombstone for id.
@@ -545,8 +563,9 @@ func (s *Store) sealBlock() error {
 	stored := raw
 	var flags byte
 	if s.opts.Compress {
-		if c := blockcomp.Encode(raw); len(c) < len(raw) {
-			stored = c
+		s.sealBuf = blockcomp.AppendEncode(s.sealBuf[:0], raw)
+		if len(s.sealBuf) < len(raw) {
+			stored = s.sealBuf
 			flags |= flagCompressed
 		}
 	}
@@ -596,7 +615,11 @@ func (s *Store) sealBlock() error {
 		s.pendingRecs.Delete(k)
 		return true
 	})
-	s.pending = nil
+	s.pending = s.pending[:0]
+	if cap(s.pending) > 4*s.opts.BlockSize {
+		// One outsized record swelled this block; do not pin its buffers.
+		s.pending, s.sealBuf = nil, nil
+	}
 
 	s.blockBytesIn.Add(int64(len(raw)))
 	s.blockBytesOut.Add(int64(len(stored)) + blockHeaderSize)
@@ -668,100 +691,98 @@ func (seg *segment) rollback(off int64) {
 	seg.rd.PublishMem(seg.wbuf)
 }
 
-// loadBlock returns the decompressed contents of the block at (slot, off),
-// through the sharded cache. It returns segio.ErrRetired when the segment
-// was retired by compaction — the caller re-resolves its locator. The
-// returned bytes never alias a mapping (mapped blocks are detached), so the
-// caller may hold them without a pin; replay and Range use this path.
-func (s *Store) loadBlock(slot int, off int64) ([]byte, error) {
-	key := segio.BlockKey(slot, off)
-	if b, ok := s.cache.Get(key); ok {
-		return b, nil
-	}
-	rd, ok := s.table.Pin(slot)
-	if !ok {
-		return nil, segio.ErrRetired
-	}
-	defer s.table.Unpin(rd)
-	block, mapped, err := s.blockFrom(rd, key, off)
-	if err != nil {
-		return nil, err
-	}
-	if mapped {
-		block = append([]byte(nil), block...)
-	}
-	return block, nil
-}
+// scratchPool holds buffers for compressed block images read with pread;
+// they live only for the length of one decode.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// blockFrom returns the decompressed block at offset off of the pinned
-// reader rd. mapped reports that the returned bytes alias the segment
-// mapping — valid only while the caller's pin is held; such callers must
-// detach anything they keep. Mapped bytes skip the checksum: a mapping only
-// ever covers bytes this process sealed itself or that replay has already
-// verified, and the sharded cache holds only decode products — a mapped
-// uncompressed block IS the cache, a mapped compressed block is decoded and
-// its decode product cached.
-func (s *Store) blockFrom(rd *segio.Reader, key uint64, off int64) ([]byte, bool, error) {
-	if hdr, ok := rd.MappedRange(off, blockHeaderSize); ok {
-		if binary.LittleEndian.Uint32(hdr[0:]) != blockMagic {
-			return nil, false, errors.New("docstore: bad block magic")
+// readBlock loads the block at offset off of rd, which the caller has pinned
+// (or owns outright, during replay), and calls fn with its decompressed
+// contents. The bytes are fn's only until it returns: an uncompressed mapped
+// block is lent straight from the mapping, which dies with the pin; anything
+// else is decoded or read into a buffer from the block cache's free list and
+// handed to the cache afterwards, so a steady-state miss allocates nothing
+// here.
+//
+// Mapped bytes skip the checksum: a mapping only ever covers bytes this
+// process sealed itself or that replay has already verified. What the header
+// claims is still checked against what the bytes can hold before anything is
+// sized from it, so a damaged header is an error, never an allocation.
+func (s *Store) readBlock(rd *segio.Reader, key uint64, off int64, fn func(block []byte)) error {
+	var hdrBuf [blockHeaderSize]byte
+	hdr, mapped := rd.MappedRange(off, blockHeaderSize)
+	if !mapped {
+		hdr = hdrBuf[:]
+		if err := rd.ReadAt(hdr, off); err != nil {
+			return fmt.Errorf("docstore: %w", err)
 		}
-		rawLen := binary.LittleEndian.Uint32(hdr[4:])
-		storedLen := binary.LittleEndian.Uint32(hdr[8:])
-		flags := hdr[16]
-		if body, ok := rd.MappedRange(off+blockHeaderSize, int64(storedLen)); ok {
-			s.mmapReads.Add(1)
-			if flags&flagCompressed != 0 {
-				raw, err := blockcomp.Decode(body)
-				if err != nil {
-					return nil, false, fmt.Errorf("docstore: %w", err)
-				}
-				if len(raw) != int(rawLen) {
-					return nil, false, errors.New("docstore: block length mismatch")
-				}
-				s.cache.Put(key, raw)
-				return raw, false, nil
-			}
-			if int(rawLen) != len(body) {
-				return nil, false, errors.New("docstore: block length mismatch")
-			}
-			return body, true, nil
-		}
-	}
-	s.preadReads.Add(1)
-
-	var hdr [blockHeaderSize]byte
-	if err := rd.ReadAt(hdr[:], off); err != nil {
-		return nil, false, fmt.Errorf("docstore: %w", err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != blockMagic {
-		return nil, false, errors.New("docstore: bad block magic")
+		return errors.New("docstore: bad block magic")
 	}
-	rawLen := binary.LittleEndian.Uint32(hdr[4:])
-	storedLen := binary.LittleEndian.Uint32(hdr[8:])
+	rawLen := int64(binary.LittleEndian.Uint32(hdr[4:]))
+	storedLen := int64(binary.LittleEndian.Uint32(hdr[8:]))
 	sum := binary.LittleEndian.Uint32(hdr[12:])
-	flags := hdr[16]
+	compressed := hdr[16]&flagCompressed != 0
+	bodyOff := off + blockHeaderSize
+	if bodyOff+storedLen > rd.Size() {
+		return errors.New("docstore: block extends past segment end")
+	}
+	if !compressed && rawLen != storedLen {
+		return errors.New("docstore: block length mismatch")
+	}
 
-	stored := make([]byte, storedLen)
-	if err := rd.ReadAt(stored, off+blockHeaderSize); err != nil {
-		return nil, false, fmt.Errorf("docstore: %w", err)
+	var image []byte // the stored bytes, when they need no buffer of ours
+	if mapped {
+		image, mapped = rd.MappedRange(bodyOff, storedLen)
 	}
-	if crc32.ChecksumIEEE(stored) != sum {
-		return nil, false, errors.New("docstore: block checksum mismatch")
+	if mapped {
+		s.mmapReads.Add(1)
+		if !compressed {
+			fn(image) // the mapping is the cache
+			return nil
+		}
+	} else {
+		s.preadReads.Add(1)
 	}
-	raw := stored
-	if flags&flagCompressed != 0 {
-		var err error
-		raw, err = blockcomp.Decode(stored)
-		if err != nil {
-			return nil, false, fmt.Errorf("docstore: %w", err)
+
+	var block []byte
+	if !compressed {
+		block = s.cache.Buffer(key, int(storedLen))
+		if err := rd.ReadAt(block, bodyOff); err != nil {
+			return fmt.Errorf("docstore: %w", err)
+		}
+		if crc32.ChecksumIEEE(block) != sum {
+			return errors.New("docstore: block checksum mismatch")
+		}
+	} else {
+		if !mapped {
+			sp := scratchPool.Get().(*[]byte)
+			defer scratchPool.Put(sp)
+			if int64(cap(*sp)) < storedLen {
+				*sp = make([]byte, storedLen)
+			}
+			image = (*sp)[:storedLen]
+			if err := rd.ReadAt(image, bodyOff); err != nil {
+				return fmt.Errorf("docstore: %w", err)
+			}
+			if crc32.ChecksumIEEE(image) != sum {
+				return errors.New("docstore: block checksum mismatch")
+			}
+		}
+		// Only the block header's rawLen is acceptable, and only if the
+		// compressed image can decode to that much.
+		n, err := blockcomp.DecodedLen(image)
+		if err != nil || int64(n) != rawLen {
+			return errors.New("docstore: block length mismatch")
+		}
+		block = s.cache.Buffer(key, n)
+		if _, err := blockcomp.DecodeInto(block, image); err != nil {
+			return fmt.Errorf("docstore: %w", err)
 		}
 	}
-	if len(raw) != int(rawLen) {
-		return nil, false, errors.New("docstore: block length mismatch")
-	}
-	s.cache.Put(key, raw)
-	return raw, false, nil
+	fn(block)
+	s.cache.Put(key, block)
+	return nil
 }
 
 // Range calls fn for every live record's stored form, in unspecified order.
@@ -819,6 +840,7 @@ func (s *Store) DBLogicalBytes(db string) int64 {
 // counters, and the segment gauges from the segio table.
 func (s *Store) Stats() Stats {
 	hits, misses := s.cache.HitsMisses()
+	recycled, fresh := s.cache.Buffers()
 	return Stats{
 		LiveRecords:     int(s.liveRecords.Load()),
 		LogicalBytes:    s.logicalBytes.Load(),
@@ -834,6 +856,9 @@ func (s *Store) Stats() Stats {
 		PinnedReaders:   s.table.Pinned(),
 		RetiredPending:  s.table.RetiredPending(),
 		LiveSegments:    s.table.Live(),
+
+		BlockBuffersRecycled: recycled,
+		BlockBuffersFresh:    fresh,
 	}
 }
 
@@ -879,30 +904,17 @@ func (s *Store) replayAll() error {
 			if off+blockHeaderSize+storedLen > seg.size {
 				break
 			}
-			raw, err := s.loadBlock(segIdx, off)
+			// A block that does not load is a torn tail; a block that
+			// loads but does not parse is corruption replay must not hide.
+			var frameErr error
+			err := s.readBlock(seg.rd, segio.BlockKey(segIdx, off), off, func(raw []byte) {
+				frameErr = s.replayBlock(segIdx, off, raw)
+			})
 			if err != nil {
 				break
 			}
-			scan := 0
-			for scan < len(raw) {
-				rec, n, err := parseFrame(raw[scan:])
-				if err != nil {
-					return fmt.Errorf("docstore: replay: %w", err)
-				}
-				s.supersede(rec.ID, true)
-				if rec.Tombstone {
-					s.index.Delete(rec.ID)
-					s.meta.Delete(rec.ID)
-				} else {
-					s.index.Store(rec.ID, locator{seg: segIdx, off: off, recStart: scan})
-					s.meta.Store(rec.ID, recMeta{db: rec.DB, key: rec.Key, form: rec.Form,
-						baseID: rec.BaseID, payloadLen: len(rec.Payload),
-						stacked: rec.Stacked, hidden: rec.Hidden})
-					s.logicalBytes.Add(int64(len(rec.Payload)))
-					s.addDBBytes(rec.DB, int64(len(rec.Payload)))
-					s.liveRecords.Add(1)
-				}
-				scan += n
+			if frameErr != nil {
+				return fmt.Errorf("docstore: replay: %w", frameErr)
 			}
 			off += blockHeaderSize + storedLen
 		}
@@ -910,6 +922,32 @@ func (s *Store) replayAll() error {
 		// active segment continues from here.
 		seg.size = minInt64(seg.size, segEnd(seg))
 		seg.rd.SetSize(seg.size)
+	}
+	return nil
+}
+
+// replayBlock indexes the frames of one replayed block.
+func (s *Store) replayBlock(segIdx int, off int64, raw []byte) error {
+	scan := 0
+	for scan < len(raw) {
+		rec, n, err := parseFrame(raw[scan:])
+		if err != nil {
+			return err
+		}
+		s.supersede(rec.ID, true)
+		if rec.Tombstone {
+			s.index.Delete(rec.ID)
+			s.meta.Delete(rec.ID)
+		} else {
+			s.index.Store(rec.ID, locator{seg: segIdx, off: off, recStart: scan})
+			s.meta.Store(rec.ID, recMeta{db: rec.DB, key: rec.Key, form: rec.Form,
+				baseID: rec.BaseID, payloadLen: len(rec.Payload),
+				stacked: rec.Stacked, hidden: rec.Hidden})
+			s.logicalBytes.Add(int64(len(rec.Payload)))
+			s.addDBBytes(rec.DB, int64(len(rec.Payload)))
+			s.liveRecords.Add(1)
+		}
+		scan += n
 	}
 	return nil
 }
@@ -1138,12 +1176,18 @@ func (s *Store) DiskBytes() int64 {
 //
 //	uvarint frameLen | uvarint id | flags byte | [uvarint baseID] |
 //	uvarint len(db) db | uvarint len(key) key | uvarint len(payload) payload
+//
+// The frame length is computed first, so the frame is written once, straight
+// into dst.
 func appendFrame(dst []byte, rec Record) []byte {
-	var body []byte
-	body = binary.AppendUvarint(body, rec.ID)
+	bodyLen := uvarintLen(rec.ID) + 1 +
+		uvarintLen(uint64(len(rec.DB))) + len(rec.DB) +
+		uvarintLen(uint64(len(rec.Key))) + len(rec.Key) +
+		uvarintLen(uint64(len(rec.Payload))) + len(rec.Payload)
 	var flags byte
 	if rec.Form == FormDelta {
 		flags |= 1
+		bodyLen += uvarintLen(rec.BaseID)
 	}
 	if rec.Tombstone {
 		flags |= 2
@@ -1154,19 +1198,27 @@ func appendFrame(dst []byte, rec Record) []byte {
 	if rec.Hidden {
 		flags |= 8
 	}
-	body = append(body, flags)
+	dst = binary.AppendUvarint(dst, uint64(bodyLen))
+	dst = binary.AppendUvarint(dst, rec.ID)
+	dst = append(dst, flags)
 	if rec.Form == FormDelta {
-		body = binary.AppendUvarint(body, rec.BaseID)
+		dst = binary.AppendUvarint(dst, rec.BaseID)
 	}
-	body = binary.AppendUvarint(body, uint64(len(rec.DB)))
-	body = append(body, rec.DB...)
-	body = binary.AppendUvarint(body, uint64(len(rec.Key)))
-	body = append(body, rec.Key...)
-	body = binary.AppendUvarint(body, uint64(len(rec.Payload)))
-	body = append(body, rec.Payload...)
+	dst = binary.AppendUvarint(dst, uint64(len(rec.DB)))
+	dst = append(dst, rec.DB...)
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Key)))
+	dst = append(dst, rec.Key...)
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Payload)))
+	return append(dst, rec.Payload...)
+}
 
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	return append(dst, body...)
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
 }
 
 // parseFrame decodes one frame from buf, returning the record and the total

@@ -1,0 +1,175 @@
+package docstore
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// goldenDir holds the segment files the parent of the allocation-diet change
+// (commit 45008b0, PR 18) wrote when it ran goldenOps. The frame and block
+// formats are not supposed to move: whoever changes them on purpose re-runs
+// goldenOps at the commit to pin and replaces the files.
+const goldenDir = "testdata/golden_pr18"
+
+func goldenOptions(dir string) Options {
+	return Options{Dir: dir, BlockSize: 1 << 10, SegmentSize: 4 << 10, Compress: true}
+}
+
+// goldenOps drives a fixed operation sequence through every frame flag, both
+// block encodings (compressible and incompressible blocks), supersedes,
+// tombstones, a record several blocks long, segment rolls and a compaction,
+// and returns the live records it leaves behind.
+func goldenOps(t testing.TB, s *Store) map[uint64]Record {
+	t.Helper()
+	rng := rand.New(rand.NewSource(18))
+	live := make(map[uint64]Record)
+	text := func(id uint64, n int) []byte {
+		return bytes.Repeat([]byte(fmt.Sprintf("record %d says hello; ", id)), n)[:n*17]
+	}
+	noise := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	put := func(rec Record) {
+		t.Helper()
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		live[rec.ID] = rec
+	}
+	for id := uint64(1); id <= 240; id++ {
+		rec := Record{ID: id, DB: fmt.Sprintf("db%d", id%3), Key: fmt.Sprintf("key-%03d", id)}
+		switch {
+		case id%11 <= 1:
+			rec.Payload = noise(1100 + int(id)) // a block of its own, stored uncompressed
+		case id%7 == 0:
+			rec.Form, rec.BaseID, rec.Payload = FormDelta, id-1, noise(40)
+		default:
+			rec.Payload = text(id, 6+int(id%9))
+		}
+		rec.Stacked = id%13 == 0
+		rec.Hidden = id%17 == 0
+		put(rec)
+	}
+	put(Record{ID: 500, DB: "db0", Key: "large", Payload: text(500, 400)}) // > 4 blocks
+	put(Record{ID: 501, DB: "db1", Key: "empty"})
+	for id := uint64(2); id <= 240; id += 5 { // supersede: dead bytes in the early segments
+		put(Record{ID: id, DB: fmt.Sprintf("db%d", id%3), Key: fmt.Sprintf("key-%03d", id), Payload: text(id+1000, 5)})
+	}
+	for id := uint64(3); id <= 240; id += 10 {
+		if err := s.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, id)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Compact(); err != nil || n == 0 {
+		t.Fatalf("Compact reclaimed %d bytes, err %v; the sequence must retire a segment", n, err)
+	}
+	for id := uint64(600); id < 620; id++ {
+		put(Record{ID: id, DB: "db2", Key: fmt.Sprintf("tail-%d", id), Payload: text(id, 12)})
+	}
+	return live
+}
+
+func checkGoldenRecords(t *testing.T, s *Store, live map[uint64]Record) {
+	t.Helper()
+	if got := s.Stats().LiveRecords; got != len(live) {
+		t.Fatalf("LiveRecords = %d, want %d", got, len(live))
+	}
+	for id, want := range live {
+		got, ok, err := s.Get(id)
+		if err != nil || !ok {
+			t.Fatalf("Get(%d) = ok %v, err %v", id, ok, err)
+		}
+		if got.DB != want.DB || got.Key != want.Key || got.Form != want.Form || got.BaseID != want.BaseID ||
+			got.Stacked != want.Stacked || got.Hidden != want.Hidden || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("Get(%d) = %+v, want %+v", id, got, want)
+		}
+	}
+}
+
+// TestGoldenSegmentsByteIdentical: the same operations must produce the same
+// bytes on disk as the parent produced, file for file.
+func TestGoldenSegmentsByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(goldenOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := goldenOps(t, s)
+	checkGoldenRecords(t, s, live)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := filepath.Glob(filepath.Join(goldenDir, "seg-*.log"))
+	if err != nil || len(want) < 2 {
+		t.Fatalf("golden files: %v, %v", want, err)
+	}
+	got, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if len(got) != len(want) {
+		t.Fatalf("wrote %d segment files, the parent wrote %d", len(got), len(want))
+	}
+	for _, w := range want {
+		wb, err := os.ReadFile(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, err := os.ReadFile(filepath.Join(dir, filepath.Base(w)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb, wb) {
+			at := 0
+			for at < len(gb) && at < len(wb) && gb[at] == wb[at] {
+				at++
+			}
+			t.Fatalf("%s: %d bytes, parent wrote %d; first difference at offset %d", filepath.Base(w), len(gb), len(wb), at)
+		}
+	}
+}
+
+// TestGoldenSegmentsOpen: files the parent wrote replay, serve every record
+// and keep accepting writes.
+func TestGoldenSegmentsOpen(t *testing.T) {
+	dir := t.TempDir()
+	files, _ := filepath.Glob(filepath.Join(goldenDir, "seg-*.log"))
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The model comes from running the same sequence on a scratch store.
+	scratch, err := Open(goldenOptions(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := goldenOps(t, scratch)
+	scratch.Close()
+
+	s, err := Open(goldenOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	checkGoldenRecords(t, s, live)
+	if err := s.Append(Record{ID: 999, DB: "db0", Key: "new", Payload: []byte("appended to parent-written files")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	live[999] = Record{ID: 999, DB: "db0", Key: "new", Payload: []byte("appended to parent-written files")}
+	checkGoldenRecords(t, s, live)
+}

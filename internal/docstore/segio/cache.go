@@ -20,9 +20,21 @@ func keySlot(key uint64) int { return int(key >> 40) }
 // has its own lock and LRU list, so concurrent readers hitting different
 // shards never serialise; hit/miss counters are per shard for the admin
 // endpoint's contention view.
+//
+// The cache owns every block buffer from Put on. It lends a cached block's
+// bytes only inside a View callback, under the shard lock, and when a block
+// is evicted, replaced or dropped its buffer goes to the shard's free list,
+// where Buffer hands it to the next miss. Nothing outside the cache may keep
+// a reference to a buffer it has Put, or to bytes it saw in View: the next
+// miss on that shard overwrites them.
 type Cache struct {
 	shards []cacheShard
 	mask   uint64
+
+	// poison, when set, is called with every buffer entering a free list.
+	// The race test overwrites the buffer here, so a reader still holding
+	// lent bytes past its callback is caught by its checksum, not by luck.
+	poison func([]byte)
 }
 
 type cacheShard struct {
@@ -30,9 +42,14 @@ type cacheShard struct {
 	cap   int
 	ll    *list.List
 	items map[uint64]*list.Element
+	// free holds the buffers of blocks that left the cache, at most cap of
+	// them, so the shard's footprint is bounded by twice its capacity.
+	free [][]byte
 
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+	recycled atomic.Uint64 // Buffer calls served from free
+	fresh    atomic.Uint64 // Buffer calls that allocated
 }
 
 type blockItem struct {
@@ -74,40 +91,94 @@ func (c *Cache) shardOf(key uint64) *cacheShard {
 	return &c.shards[(h>>32)&c.mask]
 }
 
-// Get returns the cached block for key, recording a hit or miss.
-func (c *Cache) Get(key uint64) ([]byte, bool) {
+// View looks key up, recording a hit or miss. On a hit it calls fn with the
+// cached block while holding the shard lock and returns true. fn must copy
+// out what it needs and must not block or take another lock: the bytes are
+// the cache's, and are reused as soon as the lock is released and the block
+// evicted.
+func (c *Cache) View(key uint64, fn func(block []byte)) bool {
 	s := c.shardOf(key)
 	s.mu.Lock()
 	el, ok := s.items[key]
 	if !ok {
 		s.mu.Unlock()
 		s.misses.Add(1)
-		return nil, false
+		return false
 	}
 	s.ll.MoveToFront(el)
-	data := el.Value.(*blockItem).data
+	fn(el.Value.(*blockItem).data)
 	s.mu.Unlock()
 	s.hits.Add(1)
-	return data, true
+	return true
 }
 
-// Put inserts (or refreshes) a block, evicting the shard's LRU tail past
-// capacity.
+// bufferQuantum rounds fresh buffer capacities up, so blocks of nearly the
+// same size (a sealed block is its target size plus the last record's
+// overshoot) can take over each other's buffers.
+const bufferQuantum = 8 << 10
+
+// Buffer returns a buffer of length n for the block that will be Put under
+// key: a recycled one from that shard's free list when its capacity
+// suffices, a fresh allocation otherwise. The caller owns it until Put.
+func (c *Cache) Buffer(key uint64, n int) []byte {
+	s := c.shardOf(key)
+	s.mu.Lock()
+	var buf []byte
+	if last := len(s.free) - 1; last >= 0 {
+		buf = s.free[last]
+		s.free[last] = nil
+		s.free = s.free[:last]
+	}
+	s.mu.Unlock()
+	if cap(buf) >= n {
+		s.recycled.Add(1)
+		return buf[:n]
+	}
+	// A too-small recycled buffer is dropped: the shard converges on
+	// buffers as large as the blocks it sees.
+	s.fresh.Add(1)
+	return make([]byte, n, (n+bufferQuantum-1)/bufferQuantum*bufferQuantum)
+}
+
+// Put inserts (or replaces) a block, evicting the shard's LRU tail past
+// capacity. The cache owns data from here on; the caller must not touch it
+// again.
 func (c *Cache) Put(key uint64, data []byte) {
 	s := c.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
-		el.Value.(*blockItem).data = data
+		// Two readers missed the same block: the contents are equal, keep
+		// the newcomer and recycle the old buffer.
+		it := el.Value.(*blockItem)
+		c.release(s, it.data)
+		it.data = data
 		s.ll.MoveToFront(el)
 		return
 	}
 	s.items[key] = s.ll.PushFront(&blockItem{key: key, data: data})
 	for s.ll.Len() > s.cap {
-		oldest := s.ll.Back()
-		it := oldest.Value.(*blockItem)
-		s.ll.Remove(oldest)
-		delete(s.items, it.key)
+		c.remove(s, s.ll.Back())
+	}
+}
+
+// remove takes el out of the shard and recycles its buffer. Caller holds
+// s.mu.
+func (c *Cache) remove(s *cacheShard, el *list.Element) {
+	it := s.ll.Remove(el).(*blockItem)
+	delete(s.items, it.key)
+	c.release(s, it.data)
+}
+
+// release puts a buffer no cached block uses any more on the shard's free
+// list. Caller holds s.mu, which is what makes this safe: bytes are lent
+// only under the same lock, so no reader can still be looking at them.
+func (c *Cache) release(s *cacheShard, buf []byte) {
+	if c.poison != nil {
+		c.poison(buf[:cap(buf)])
+	}
+	if len(s.free) < s.cap {
+		s.free = append(s.free, buf)
 	}
 }
 
@@ -119,8 +190,7 @@ func (c *Cache) DropSegment(slot int) {
 		s.mu.Lock()
 		for key, el := range s.items {
 			if keySlot(key) == slot {
-				s.ll.Remove(el)
-				delete(s.items, key)
+				c.remove(s, el)
 			}
 		}
 		s.mu.Unlock()
@@ -134,6 +204,16 @@ func (c *Cache) HitsMisses() (hits, misses uint64) {
 		misses += c.shards[i].misses.Load()
 	}
 	return hits, misses
+}
+
+// Buffers returns how many block buffers Buffer served from a free list and
+// how many it had to allocate.
+func (c *Cache) Buffers() (recycled, fresh uint64) {
+	for i := range c.shards {
+		recycled += c.shards[i].recycled.Load()
+		fresh += c.shards[i].fresh.Load()
+	}
+	return recycled, fresh
 }
 
 // ShardStats is one shard's counters for the admin endpoint.

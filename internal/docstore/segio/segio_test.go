@@ -224,16 +224,24 @@ func TestConcurrentPinRetire(t *testing.T) {
 	}
 }
 
+// viewCopy reads a cached block the only way the cache allows: a copy taken
+// inside the View callback.
+func viewCopy(c *Cache, key uint64) ([]byte, bool) {
+	var out []byte
+	ok := c.View(key, func(b []byte) { out = append([]byte(nil), b...) })
+	return out, ok
+}
+
 func TestCacheLRUAndStats(t *testing.T) {
 	c := NewCache(4, 1) // one shard: deterministic LRU
 	for i := 0; i < 6; i++ {
 		c.Put(BlockKey(0, int64(i)), []byte{byte(i)})
 	}
 	// Capacity 4: keys 0 and 1 evicted.
-	if _, ok := c.Get(BlockKey(0, 0)); ok {
+	if _, ok := viewCopy(c, BlockKey(0, 0)); ok {
 		t.Fatal("evicted key still cached")
 	}
-	if got, ok := c.Get(BlockKey(0, 5)); !ok || got[0] != 5 {
+	if got, ok := viewCopy(c, BlockKey(0, 5)); !ok || got[0] != 5 {
 		t.Fatalf("Get(5) = %v %v", got, ok)
 	}
 	hits, misses := c.HitsMisses()
@@ -255,10 +263,10 @@ func TestCacheDropSegment(t *testing.T) {
 	}
 	c.DropSegment(1)
 	for off := int64(0); off < 5; off++ {
-		if _, ok := c.Get(BlockKey(1, off*100)); ok {
+		if _, ok := viewCopy(c, BlockKey(1, off*100)); ok {
 			t.Fatalf("segment 1 block at %d survived DropSegment", off*100)
 		}
-		if _, ok := c.Get(BlockKey(2, off*100)); !ok {
+		if _, ok := viewCopy(c, BlockKey(2, off*100)); !ok {
 			t.Fatalf("segment 2 block at %d evicted by DropSegment(1)", off*100)
 		}
 	}
@@ -289,7 +297,7 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				key := BlockKey(g%4, int64(i%64)*512)
-				if b, ok := c.Get(key); ok {
+				if b, ok := viewCopy(c, key); ok {
 					if len(b) != 8 {
 						t.Error("corrupt cached block")
 						return
@@ -304,5 +312,118 @@ func TestCacheConcurrent(t *testing.T) {
 	hits, misses := c.HitsMisses()
 	if hits+misses != 8*2000 {
 		t.Fatalf("hits+misses = %d, want %d", hits+misses, 8*2000)
+	}
+}
+
+func TestCacheRecyclesBuffers(t *testing.T) {
+	c := NewCache(2, 1)
+	var poisoned [][]byte
+	c.poison = func(b []byte) { poisoned = append(poisoned, b) }
+
+	put := func(off int64, n int) []byte {
+		key := BlockKey(0, off)
+		buf := c.Buffer(key, n)
+		if len(buf) != n {
+			t.Fatalf("Buffer(%d) has length %d", n, len(buf))
+		}
+		c.Put(key, buf)
+		return buf
+	}
+	a := put(0, 1000)
+	put(1, 1000)
+	if r, f := c.Buffers(); r != 0 || f != 2 {
+		t.Fatalf("recycled/fresh = %d/%d, want 0/2", r, f)
+	}
+	c.Buffer(BlockKey(0, 9), 10) // nothing on the free list yet: fresh, and never Put
+	put(2, 1000)                 // evicts block 0: its buffer enters the free list
+	if len(poisoned) != 1 || &poisoned[0][0] != &a[0] {
+		t.Fatalf("eviction did not hand block 0's buffer to the free list")
+	}
+	b := put(3, 900) // takes block 0's old buffer, evicts block 1
+	if &b[0] != &a[0] {
+		t.Fatal("Buffer did not reuse the evicted block's buffer")
+	}
+	if r, f := c.Buffers(); r != 1 || f != 4 {
+		t.Fatalf("recycled/fresh = %d/%d, want 1/4", r, f)
+	}
+	// A free buffer too small for the request is dropped, not resized.
+	big := c.Buffer(BlockKey(0, 4), 100000)
+	if len(big) != 100000 || cap(big)%bufferQuantum != 0 {
+		t.Fatalf("fresh buffer len %d cap %d", len(big), cap(big))
+	}
+	// Replacing a key and dropping a segment both recycle.
+	n := len(poisoned)
+	c.Put(BlockKey(0, 3), big)
+	c.DropSegment(0)
+	if len(poisoned) != n+3 {
+		t.Fatalf("replace + DropSegment of 2 blocks recycled %d buffers, want 3", len(poisoned)-n)
+	}
+	// The free list is bounded by the shard's capacity.
+	if got := len(c.shards[0].free); got != 2 {
+		t.Fatalf("free list holds %d buffers, want the shard capacity 2", got)
+	}
+}
+
+// TestCacheLendsOnlyUnderLock is the ownership rule under the race detector:
+// readers checksum lent bytes inside the View callback while writers Put,
+// evict and DropSegment, and every buffer entering a free list is overwritten
+// on the spot. A reader that could still see a recycled buffer fails its
+// checksum (and the detector sees the write).
+func TestCacheLendsOnlyUnderLock(t *testing.T) {
+	const blockLen = 512
+	c := NewCache(8, 2)
+	c.poison = func(b []byte) {
+		for i := range b {
+			b[i] = 0xEE
+		}
+	}
+	fill := func(buf []byte, key uint64) {
+		for i := range buf {
+			buf[i] = byte(key) + byte(i)
+		}
+	}
+	var stop atomic.Bool
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; !stop.Load(); i++ {
+				key := BlockKey(i%3, int64((i*7+w)%40)*4096)
+				buf := c.Buffer(key, blockLen)
+				fill(buf, key)
+				c.Put(key, buf)
+				if i%50 == 49 {
+					c.DropSegment(i % 3)
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; i < 20000; i++ {
+				key := BlockKey(i%3, int64((i*3+r)%40)*4096)
+				c.View(key, func(b []byte) {
+					if len(b) != blockLen {
+						t.Errorf("lent block has length %d", len(b))
+						return
+					}
+					for j, v := range b {
+						if v != byte(key)+byte(j) {
+							t.Errorf("lent block of key %#x is corrupt at %d: %#x", key, j, v)
+							return
+						}
+					}
+				})
+			}
+		}(r)
+	}
+	readers.Wait()
+	stop.Store(true)
+	writers.Wait()
+	if hits, _ := c.HitsMisses(); hits == 0 {
+		t.Fatal("no reader ever hit a cached block; the test exercised nothing")
 	}
 }

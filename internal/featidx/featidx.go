@@ -101,17 +101,17 @@ type entry struct {
 // encode in parallel. Callers embedding the index elsewhere must provide an
 // equivalent single-writer discipline.
 type Index struct {
-	buckets     [][]entry
-	bucketMask  uint32
-	bucketEnts  int
-	maxBuckets  int
-	capEntries  int
-	growAt      int // occupancy that triggers the next doubling
-	numHashes   int
-	maxCand     int
-	seed        uint64
-	clock       uint32
-	occupied    int
+	buckets    [][]entry
+	bucketMask uint32
+	bucketEnts int
+	maxBuckets int
+	capEntries int
+	growAt     int // occupancy that triggers the next doubling
+	numHashes  int
+	maxCand    int
+	seed       uint64
+	clock      uint32
+	occupied   int
 	// stats
 	lookups   uint64
 	matches   uint64

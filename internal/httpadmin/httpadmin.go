@@ -23,6 +23,7 @@ import (
 	"dbdedup/internal/cluster"
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/node"
+	"dbdedup/internal/oplog"
 )
 
 // Server is an HTTP admin listener bound to one node.
@@ -88,7 +89,8 @@ func (s *Server) handleDBs(w http.ResponseWriter, r *http.Request) {
 // metricsView is the /metrics response shape: the encode-pipeline snapshot
 // plus the encoder-pool geometry, the secondary-side apply-pipeline snapshot
 // (all zeros on a node that is not replicating), the read-path snapshot
-// (latency, per-shard block cache, segment-reader gauges), the compaction /
+// (latency, per-shard block cache, block-buffer reuse, segment-reader
+// gauges), the oplog's retention window and evictions, the compaction /
 // re-dedup snapshot, the similarity-index occupancy snapshot, the admission
 // controller's snapshot (zero when no controller is configured), and the
 // cluster routing snapshot (Enabled=false on an unclustered node).
@@ -97,6 +99,7 @@ type metricsView struct {
 	Encode        metrics.EncodeSnapshot
 	Apply         metrics.ApplySnapshot
 	Read          metrics.ReadSnapshot
+	Oplog         oplog.Stats
 	Repl          metrics.ReplSnapshot
 	Compaction    metrics.CompactionSnapshot
 	FeatIdx       metrics.FeatIdxSnapshot
@@ -105,11 +108,13 @@ type metricsView struct {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	st := s.node.Stats()
 	writeJSON(w, metricsView{
-		EncodeWorkers: s.node.Stats().EncodeWorkers,
+		EncodeWorkers: st.EncodeWorkers,
 		Encode:        s.node.EncodeMetrics().Snapshot(),
 		Apply:         s.node.ApplyMetrics().Snapshot(),
 		Read:          s.node.ReadSnapshot(),
+		Oplog:         st.Oplog,
 		Repl:          s.node.ReplMetrics().Snapshot(),
 		Compaction:    s.node.CompactionSnapshot(),
 		FeatIdx:       s.node.FeatIdxSnapshot(),
@@ -171,8 +176,10 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "raw:      %s\n", metrics.FormatBytes(st.RawInsertBytes))
 	fmt.Fprintf(w, "stored:   %s (%.2fx)\n", metrics.FormatBytes(st.Store.LogicalBytes),
 		metrics.Ratio(st.RawInsertBytes, st.Store.LogicalBytes))
-	fmt.Fprintf(w, "oplog:    %s (%.2fx)\n", metrics.FormatBytes(st.OplogBytes),
-		metrics.Ratio(st.RawInsertBytes, st.OplogBytes))
+	fmt.Fprintf(w, "oplog:    %s (%.2fx); retains %d entries / %s, evicted %d by entry bound, %d by byte bound\n",
+		metrics.FormatBytes(st.OplogBytes), metrics.Ratio(st.RawInsertBytes, st.OplogBytes),
+		st.Oplog.Entries, metrics.FormatBytes(st.Oplog.Bytes),
+		st.Oplog.EvictedByEntries, st.Oplog.EvictedByBytes)
 	fmt.Fprintf(w, "dedup:    %d hits, index %s\n", st.Engine.Deduped,
 		metrics.FormatBytes(st.Engine.IndexMemoryBytes))
 	fmt.Fprintf(w, "wb:       %d applied, %d skipped\n", st.WritebacksApplied, st.WritebacksSkipped)
@@ -197,6 +204,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "read:     %d cache hits / %d misses, %d segments (%d pinned handles, %d retiring)\n",
 		st.Store.CacheHits, st.Store.CacheMisses, st.Store.LiveSegments,
 		st.Store.PinnedReaders, st.Store.RetiredPending)
+	fmt.Fprintf(w, "          block buffers: %d recycled / %d freshly allocated\n",
+		st.Store.BlockBuffersRecycled, st.Store.BlockBuffersFresh)
 	rp := s.node.ReplMetrics().Snapshot()
 	fmt.Fprintf(w, "repl:     %d reconnects (%d dial failures), %d corrupt frames, %d seq violations, %d idle timeouts\n",
 		rp.Reconnects, rp.DialFailures, rp.CorruptFrames, rp.FrameSeqViolations, rp.IdleTimeouts)

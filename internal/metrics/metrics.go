@@ -467,6 +467,11 @@ type ReadSnapshot struct {
 	CacheHits   uint64
 	CacheMisses uint64
 	CacheShards []CacheShardSnapshot
+	// BlockBuffersRecycled/BlockBuffersFresh split the buffers block loads
+	// decoded into: taken over from a block that left the cache, or newly
+	// allocated.
+	BlockBuffersRecycled uint64
+	BlockBuffersFresh    uint64
 	// PinnedReaders is the number of segment handles currently pinned by
 	// in-flight reads; RetiredPending counts compacted segments whose
 	// files stay open awaiting their last unpin.

@@ -359,8 +359,8 @@ var errConnCut = errors.New("netsim: connection reset (cut)")
 
 type timeoutError struct{ op string }
 
-func (e *timeoutError) Error() string { return "netsim: " + e.op + " i/o timeout" }
-func (e *timeoutError) Timeout() bool { return true }
+func (e *timeoutError) Error() string   { return "netsim: " + e.op + " i/o timeout" }
+func (e *timeoutError) Timeout() bool   { return true }
 func (e *timeoutError) Temporary() bool { return true }
 
 type chunk struct {

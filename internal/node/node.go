@@ -124,6 +124,10 @@ type Stats struct {
 	// OplogBytes is the marshalled size of all oplog entries produced —
 	// what replication would ship.
 	OplogBytes int64
+	// Oplog is what the log retains right now and what it has discarded,
+	// split by the bound that was hit. A secondary further behind than the
+	// retained window resyncs from a snapshot.
+	Oplog oplog.Stats
 	// Inserts/Reads/Updates/Deletes count client operations.
 	Inserts, Reads, Updates, Deletes uint64
 	// WritebacksApplied / WritebacksSkipped count flush outcomes.
@@ -184,6 +188,7 @@ type Node struct {
 	// snapshot.
 	readsTotal     atomic.Uint64
 	decodeSteps    atomic.Uint64
+	oplogBytes     atomic.Int64 // Stats.OplogBytes; encoder workers add to it
 	compactedBytes atomic.Int64
 	recentOps      atomic.Int64 // ops since last idle check (idleness proxy)
 
@@ -551,6 +556,7 @@ func (n *Node) Insert(db, key string, payload []byte) error {
 // move data the cluster already acked).
 func (n *Node) insertAdmitted(db, key string, payload []byte, shed bool) error {
 	sh := n.reserveEncodeSlot(db)
+	cp := append([]byte(nil), payload...)
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -578,8 +584,9 @@ func (n *Node) insertAdmitted(db, key string, payload []byte, shed bool) error {
 	// key, and queue its encode job inside the same critical section, so
 	// the oplog order matches the mutation order. The key is published
 	// only after the append succeeds: lock-free readers must never
-	// resolve a key to a record the store does not hold.
-	cp := append([]byte(nil), payload...)
+	// resolve a key to a record the store does not hold. cp is the one copy
+	// of the caller's payload: the unsealed block's record, the encode job,
+	// the source cache and a raw oplog entry all share it, none modifies it.
 	if err := n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp}); err != nil {
 		n.mu.Unlock()
 		n.releaseEncodeSlot(sh)
@@ -625,6 +632,9 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 	if emit {
 		sh = n.reserveEncodeSlot(db)
 	}
+	// The one copy of the caller's payload: the oplog job and the stored
+	// record share it, and neither modifies it.
+	cp := append([]byte(nil), payload...)
 	n.mu.Lock()
 	id, ok := n.lookup(db, key)
 	if !ok {
@@ -638,7 +648,7 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 	refs := n.refcnt[id]
 	if emit {
 		job, inline = n.enqueueLocked(sh, encodeJob{kind: oplog.OpUpdate, db: db, key: key,
-			id: id, payload: append([]byte(nil), payload...)})
+			id: id, payload: cp})
 	} else {
 		n.opSeq++
 	}
@@ -654,7 +664,6 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 		n.eng.SourceCache().Remove(id)
 	}
 
-	cp := append([]byte(nil), payload...)
 	if refs == 0 {
 		// Nobody decodes through this record: plain overwrite. If the
 		// old form was a delta, its base loses a reference.
@@ -939,9 +948,7 @@ func (n *Node) keyOf(id uint64) (string, bool) {
 
 func (n *Node) appendOplog(e oplog.Entry) {
 	n.log.Append(e)
-	n.mu.Lock()
-	n.stats.OplogBytes += int64(e.MarshalledSize())
-	n.mu.Unlock()
+	n.oplogBytes.Add(int64(e.MarshalledSize()))
 }
 
 // queueWritebacks routes the engine's write-back decisions through the lossy
@@ -1583,6 +1590,8 @@ func (n *Node) Stats() Stats {
 	if n.eng != nil {
 		s.Engine = n.eng.Stats()
 	}
+	s.OplogBytes = n.oplogBytes.Load()
+	s.Oplog = n.log.Stats()
 	s.Reads = n.readsTotal.Load()
 	s.DecodeSteps = n.decodeSteps.Load()
 	s.CompactionBytes = n.compactedBytes.Load()
@@ -1610,6 +1619,9 @@ func (n *Node) ReadSnapshot() metrics.ReadSnapshot {
 		PinnedReaders:  st.PinnedReaders,
 		RetiredPending: st.RetiredPending,
 		LiveSegments:   st.LiveSegments,
+
+		BlockBuffersRecycled: st.BlockBuffersRecycled,
+		BlockBuffersFresh:    st.BlockBuffersFresh,
 	}
 	for _, sh := range n.store.CacheShardStats() {
 		snap.CacheShards = append(snap.CacheShards, metrics.CacheShardSnapshot{

@@ -73,21 +73,27 @@ type Entry struct {
 	Payload []byte
 }
 
-// Log is a bounded in-memory operation log. When the ring fills, the oldest
-// entries are discarded; a reader that has fallen behind the retained window
-// gets ErrTruncated and must resynchronise by other means.
+// Log is a bounded in-memory operation log. It retains at most its capacity
+// in entries and at most MaxRetainedBytes in marshalled bytes; past either
+// bound the oldest entries are discarded, and a reader that has fallen behind
+// the retained window gets ErrTruncated and must resynchronise by other
+// means. Retained sequence numbers are contiguous: first, first+1, ...,
+// next-1.
 //
 // Log is safe for concurrent use.
 type Log struct {
 	mu      sync.Mutex
 	epoch   uint64
 	ring    []Entry
-	first   uint64 // seq of ring[startIdx]
+	first   uint64 // seq of ring[start]
 	next    uint64 // seq to assign to the next append
 	start   int
 	count   int
 	bytes   int64 // marshalled size of retained entries
 	appends uint64
+
+	evictedByEntries uint64
+	evictedByBytes   uint64
 }
 
 // ErrTruncated reports that the requested entries have been discarded.
@@ -95,6 +101,14 @@ var ErrTruncated = errors.New("oplog: requested entries no longer retained")
 
 // DefaultCapacity is the default number of retained entries.
 const DefaultCapacity = 1 << 16
+
+// MaxRetainedBytes bounds the marshalled size of the retained entries,
+// whatever the entry bound says: the log holds the payloads it retains, so
+// an entry count alone lets its footprint follow the record size (65 536
+// entries of 3.6 KB are 234 MB). 64 MiB is twice the source cache and, like
+// MongoDB's capped oplog collection, a size in bytes. The newest entry is
+// always retained, even when it alone exceeds the bound.
+const MaxRetainedBytes = 64 << 20
 
 // New returns a log retaining up to capacity entries (DefaultCapacity if
 // capacity <= 0). Sequence numbers start at 1.
@@ -139,19 +153,30 @@ func (l *Log) Append(e Entry) uint64 {
 	l.next++
 	l.appends++
 
-	idx := (l.start + l.count) % len(l.ring)
+	size := int64(e.MarshalledSize())
 	if l.count == len(l.ring) {
-		// Overwrite the oldest entry.
-		l.bytes -= int64(l.ring[l.start].MarshalledSize())
-		l.start = (l.start + 1) % len(l.ring)
-		l.first++
-		idx = (l.start + l.count - 1) % len(l.ring)
-	} else {
-		l.count++
+		l.dropOldest()
+		l.evictedByEntries++
 	}
-	l.ring[idx] = e
-	l.bytes += int64(e.MarshalledSize())
+	for l.count > 0 && l.bytes+size > MaxRetainedBytes {
+		l.dropOldest()
+		l.evictedByBytes++
+	}
+	l.ring[(l.start+l.count)%len(l.ring)] = e
+	l.count++
+	l.bytes += size
 	return e.Seq
+}
+
+// dropOldest discards the oldest retained entry and clears its slot, so the
+// ring never keeps a discarded payload reachable. Caller holds mu and
+// guarantees count > 0.
+func (l *Log) dropOldest() {
+	l.bytes -= int64(l.ring[l.start].MarshalledSize())
+	l.ring[l.start] = Entry{}
+	l.start = (l.start + 1) % len(l.ring)
+	l.count--
+	l.first++
 }
 
 // EntriesSince returns up to max entries with Seq > after, in order. It
@@ -163,14 +188,23 @@ func (l *Log) EntriesSince(after uint64, max int) ([]Entry, error) {
 	if after+1 < l.first {
 		return nil, ErrTruncated
 	}
-	if max <= 0 {
-		max = l.count
+	// Retained seqs are contiguous from first, so the entry after the
+	// cursor sits at a known ring offset: a caught-up reader costs O(1)
+	// under the mutex every Append also takes, not a walk of the ring.
+	skip := after + 1 - l.first
+	if skip >= uint64(l.count) {
+		return nil, nil
 	}
-	var out []Entry
-	for i := 0; i < l.count && len(out) < max; i++ {
-		e := l.ring[(l.start+i)%len(l.ring)]
-		if e.Seq > after {
-			out = append(out, e)
+	n := l.count - int(skip)
+	if max > 0 && n > max {
+		n = max
+	}
+	out := make([]Entry, n)
+	at := (l.start + int(skip)) % len(l.ring)
+	for i := range out {
+		out[i] = l.ring[at]
+		if at++; at == len(l.ring) {
+			at = 0
 		}
 	}
 	return out, nil
@@ -197,16 +231,32 @@ func (l *Log) Bytes() int64 {
 	return l.bytes
 }
 
+// Stats is the log's retention accounting.
+type Stats struct {
+	// Entries and Bytes are what the log retains now (Bytes is the
+	// marshalled size).
+	Entries int
+	Bytes   int64
+	// EvictedByEntries and EvictedByBytes count entries discarded because
+	// the entry bound, respectively MaxRetainedBytes, was hit.
+	EvictedByEntries, EvictedByBytes uint64
+}
+
+// Stats returns the retention accounting.
+func (l *Log) Stats() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return Stats{Entries: l.count, Bytes: l.bytes,
+		EvictedByEntries: l.evictedByEntries, EvictedByBytes: l.evictedByBytes}
+}
+
 // TrimTo discards entries with Seq <= seq (e.g. once acknowledged by all
 // secondaries).
 func (l *Log) TrimTo(seq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.count > 0 && l.ring[l.start].Seq <= seq {
-		l.bytes -= int64(l.ring[l.start].MarshalledSize())
-		l.start = (l.start + 1) % len(l.ring)
-		l.count--
-		l.first++
+	for l.count > 0 && l.first <= seq {
+		l.dropOldest()
 	}
 }
 
@@ -216,15 +266,19 @@ func (l *Log) TrimTo(seq uint64) {
 //	uvarint len(db) db | uvarint len(key) key |
 //	uvarint len(baseKey) baseKey | uvarint len(payload) payload
 func (e Entry) Marshal() []byte {
-	out := make([]byte, 0, e.MarshalledSize())
-	out = binary.AppendUvarint(out, e.Seq)
-	out = binary.AppendVarint(out, e.TS)
-	out = append(out, byte(e.Op), byte(e.Form))
-	out = appendBytes(out, []byte(e.DB))
-	out = appendBytes(out, []byte(e.Key))
-	out = appendBytes(out, []byte(e.BaseKey))
-	out = appendBytes(out, e.Payload)
-	return out
+	return e.AppendMarshal(make([]byte, 0, e.MarshalledSize()))
+}
+
+// AppendMarshal appends the entry's serialised form to dst.
+func (e Entry) AppendMarshal(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, e.Seq)
+	dst = binary.AppendVarint(dst, e.TS)
+	dst = append(dst, byte(e.Op), byte(e.Form))
+	dst = appendString(dst, e.DB)
+	dst = appendString(dst, e.Key)
+	dst = appendString(dst, e.BaseKey)
+	dst = binary.AppendUvarint(dst, uint64(len(e.Payload)))
+	return append(dst, e.Payload...)
 }
 
 // MarshalledSize returns len(Marshal()) without allocating.
@@ -298,7 +352,7 @@ func Unmarshal(buf []byte) (Entry, int, error) {
 
 var errCorrupt = errors.New("oplog: corrupt entry")
 
-func appendBytes(dst, v []byte) []byte {
+func appendString(dst []byte, v string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(v)))
 	return append(dst, v...)
 }

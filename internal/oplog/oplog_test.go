@@ -197,3 +197,163 @@ func BenchmarkMarshal(b *testing.B) {
 		e.Marshal()
 	}
 }
+
+// scanSince is the EntriesSince this package shipped before the cursor was
+// indexed: a walk over every retained entry. The indexed version must return
+// the same entries and the same ErrTruncated at every cursor.
+func scanSince(l *Log, after uint64, max int) ([]Entry, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if after+1 < l.first {
+		return nil, ErrTruncated
+	}
+	if max <= 0 {
+		max = l.count
+	}
+	var out []Entry
+	for i := 0; i < l.count && len(out) < max; i++ {
+		e := l.ring[(l.start+i)%len(l.ring)]
+		if e.Seq > after {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
+
+// checkAgainstScan compares EntriesSince with scanSince at every cursor from
+// before the retained window to past its end, for a few batch sizes.
+func checkAgainstScan(t *testing.T, l *Log, what string) {
+	t.Helper()
+	st := l.Stats()
+	last := l.LastSeq()
+	lo := uint64(0)
+	if first := last + 1 - uint64(st.Entries); first > 3 {
+		lo = first - 3
+	}
+	cursors := []uint64{0, ^uint64(0)}
+	for c := lo; c <= last+2; c++ {
+		cursors = append(cursors, c)
+	}
+	for _, after := range cursors {
+		for _, max := range []int{0, 1, 3, st.Entries, st.Entries + 5} {
+			want, wantErr := scanSince(l, after, max)
+			got, gotErr := l.EntriesSince(after, max)
+			if gotErr != wantErr {
+				t.Fatalf("%s: EntriesSince(%d, %d) err = %v, scan says %v", what, after, max, gotErr, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: EntriesSince(%d, %d) returned %d entries, scan %d", what, after, max, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Seq != want[i].Seq || got[i].Key != want[i].Key {
+					t.Fatalf("%s: EntriesSince(%d, %d)[%d] = seq %d key %q, scan seq %d key %q",
+						what, after, max, i, got[i].Seq, got[i].Key, want[i].Seq, want[i].Key)
+				}
+			}
+		}
+	}
+}
+
+func TestEntriesSinceMatchesScan(t *testing.T) {
+	l := New(8)
+	checkAgainstScan(t, l, "empty")
+	for i := 1; i <= 5; i++ {
+		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i)})
+	}
+	checkAgainstScan(t, l, "partly filled")
+	for i := 6; i <= 21; i++ { // wraps the 8-slot ring twice, start mid-ring
+		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i)})
+		checkAgainstScan(t, l, fmt.Sprintf("wrapped at %d", i))
+	}
+	l.TrimTo(17)
+	checkAgainstScan(t, l, "trimmed")
+	l.Append(Entry{Op: OpInsert, Key: "after-trim"})
+	checkAgainstScan(t, l, "append after trim")
+	l.TrimTo(l.LastSeq() + 10)
+	checkAgainstScan(t, l, "trimmed empty")
+	l.Append(Entry{Op: OpInsert, Key: "after-empty"})
+	checkAgainstScan(t, l, "append after empty")
+
+	// Byte eviction: the entries share one payload slice, so the log's
+	// accounting hits MaxRetainedBytes without the test holding 64 MiB.
+	big := make([]byte, MaxRetainedBytes/8)
+	l = New(64)
+	for i := 1; i <= 20; i++ {
+		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i), Payload: big})
+		checkAgainstScan(t, l, fmt.Sprintf("byte-evicted at %d", i))
+	}
+}
+
+func TestByteBoundEvictsOldestAndClearsSlots(t *testing.T) {
+	big := make([]byte, MaxRetainedBytes/4)
+	l := New(16)
+	for i := 1; i <= 10; i++ {
+		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i), Payload: big})
+		if st := l.Stats(); st.Bytes > MaxRetainedBytes || st.Bytes != l.Bytes() || st.Entries != l.Len() {
+			t.Fatalf("after append %d: stats %+v, Bytes %d, Len %d", i, st, l.Bytes(), l.Len())
+		}
+	}
+	st := l.Stats()
+	// Four quarter-budget payloads plus their headers overshoot: 3 fit.
+	if st.Entries != 3 || st.EvictedByBytes != 7 || st.EvictedByEntries != 0 {
+		t.Fatalf("stats = %+v, want 3 retained, 7 evicted by bytes", st)
+	}
+	if _, err := l.EntriesSince(6, 0); err != ErrTruncated {
+		t.Fatalf("EntriesSince behind the byte window: err = %v, want ErrTruncated", err)
+	}
+	if got, err := l.EntriesSince(7, 0); err != nil || len(got) != 3 || got[0].Seq != 8 {
+		t.Fatalf("EntriesSince(7) = %d entries, %v", len(got), err)
+	}
+
+	// An entry larger than the whole budget is still retained, alone.
+	l.Append(Entry{Op: OpInsert, Key: "huge", Payload: make([]byte, MaxRetainedBytes+1)})
+	if st := l.Stats(); st.Entries != 1 || st.EvictedByBytes != 10 {
+		t.Fatalf("after oversized append: %+v", st)
+	}
+	l.Append(Entry{Op: OpInsert, Key: "small"})
+	if got, err := l.EntriesSince(11, 0); err != nil || len(got) != 1 || got[0].Key != "small" {
+		t.Fatalf("after oversized entry evicted: %v, %v", got, err)
+	}
+
+	// No vacated slot may keep its payload reachable, whatever vacated it.
+	live := func(l *Log) int {
+		n := 0
+		for _, e := range l.ring {
+			if e.Payload != nil || e.Key != "" {
+				n++
+			}
+		}
+		return n
+	}
+	if n := live(l); n != l.Len() {
+		t.Fatalf("byte eviction left %d populated slots for %d retained entries", n, l.Len())
+	}
+	l = New(4)
+	for i := 1; i <= 9; i++ {
+		l.Append(Entry{Op: OpInsert, Key: "k", Payload: []byte("p")})
+	}
+	if st := l.Stats(); st.EvictedByEntries != 5 || st.EvictedByBytes != 0 {
+		t.Fatalf("entry-bound evictions: %+v", st)
+	}
+	l.TrimTo(7)
+	if n := live(l); n != 2 || l.Len() != 2 {
+		t.Fatalf("TrimTo left %d populated slots for %d retained entries", n, l.Len())
+	}
+}
+
+// BenchmarkEntriesSinceTail is the replication server's idle poll: a cursor
+// at the tail of a full ring. It must not cost a walk of the ring.
+func BenchmarkEntriesSinceTail(b *testing.B) {
+	l := New(0)
+	for i := 0; i < DefaultCapacity+10; i++ {
+		l.Append(Entry{Op: OpInsert, DB: "db", Key: "key"})
+	}
+	tail := l.LastSeq()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ents, err := l.EntriesSince(tail-1, 256)
+		if err != nil || len(ents) != 1 {
+			b.Fatalf("EntriesSince(tail-1) = %d entries, %v", len(ents), err)
+		}
+	}
+}

@@ -281,6 +281,7 @@ func (p *Primary) serveConn(conn net.Conn) {
 	}
 
 	lastSend := time.Now()
+	var buf []byte // batch payload, reused: send copies it into the frame
 	for {
 		ents, err := p.node.Oplog().EntriesSince(cursor, batchEntries)
 		if errors.Is(err, oplog.ErrTruncated) {
@@ -314,10 +315,9 @@ func (p *Primary) serveConn(conn net.Conn) {
 			time.Sleep(pollInterval)
 			continue
 		}
-		var buf []byte
-		buf = binary.AppendUvarint(buf, uint64(len(ents)))
+		buf = binary.AppendUvarint(buf[:0], uint64(len(ents)))
 		for _, e := range ents {
-			buf = append(buf, e.Marshal()...)
+			buf = e.AppendMarshal(buf)
 		}
 		if err := p.send(conn, fw, frameBatch, buf); err != nil {
 			return
