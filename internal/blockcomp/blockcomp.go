@@ -15,12 +15,32 @@
 //	  literal: 0x00 | (n-1)<<2 for n<=60, else 60/61 marker + 1-2 extra
 //	           length bytes, followed by n literal bytes
 //	  copy:    0x01 | (len)<<2, 2-byte little-endian offset
+//
+// # Kernels
+//
+// Both directions work a word (8 bytes) at a time where the format allows,
+// and neither changes a byte of it. The encoder extends a match by comparing
+// words and counting the trailing zero bits of their XOR; its output is the
+// byte-at-a-time encoder's, which the tests keep as the oracle. The decoder
+// moves matches and short literals as whole words under one invariant, the
+// 8-byte slack: a word store may overshoot the end of its tag's output by up
+// to 7 bytes, so the word path is taken only when dst has at least 8 bytes
+// left past that end (16 for the two-word literal move, on both sides). The
+// overshoot lands on bytes a later tag has yet to write, and the block is
+// accepted only if its tags write every byte up to len(dst) exactly. A copy
+// additionally needs offset >= 8, so that each word it loads lies entirely
+// before the word it stores and is therefore final output. Copies that
+// overlap their own output more tightly (offset < 8, the run-length case) and
+// whatever ends within the last 8 bytes of the block go byte by byte.
 package blockcomp
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
 )
 
 const (
@@ -38,6 +58,9 @@ const (
 
 	hashBits = 14
 	hashSize = 1 << hashBits
+
+	// wordLen is how many bytes the kernels move or compare at a time.
+	wordLen = 8
 )
 
 var errCorrupt = errors.New("blockcomp: corrupt input")
@@ -53,79 +76,105 @@ func Encode(src []byte) []byte {
 	return AppendEncode(make([]byte, 0, MaxEncodedLen(len(src))), src)
 }
 
+// tablePool holds the encoder's hash tables: position+1 of the last
+// occurrence of each 4-byte hash. 64 KiB is too much for a stack frame (it
+// would grow every goroutine that seals a block to a 128 KiB stack), so a
+// call borrows one and clears it.
+var tablePool = sync.Pool{New: func() any { return new([hashSize]int32) }}
+
 // AppendEncode compresses src and appends the compressed block to dst, so a
 // caller that seals block after block can reuse one buffer.
 func AppendEncode(dst, src []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	if len(src) == 0 {
-		return dst
-	}
+	// Room for the worst case once, so that every tag below is written by
+	// index instead of paying an append growth check.
+	out := slices.Grow(dst, MaxEncodedLen(len(src)))
+	out = out[:cap(out)]
+	d := len(dst) + binary.PutUvarint(out[len(dst):], uint64(len(src)))
 	if len(src) < minMatch+4 {
-		return emitLiteral(dst, src)
+		return out[:putLiteral(out, d, src)]
 	}
 
-	var table [hashSize]int32 // position+1 of the last occurrence of a 4-byte hash
-	litStart := 0             // start of the pending literal run
+	table := tablePool.Get().(*[hashSize]int32)
+	clear(table[:])
+	litStart := 0 // start of the pending literal run
 	i := 0
 	limit := len(src) - minMatch
 	for i <= limit {
-		h := hash4(binary.LittleEndian.Uint32(src[i:]))
+		cur := binary.LittleEndian.Uint32(src[i:])
+		h := hash4(cur)
 		cand := int(table[h]) - 1
 		table[h] = int32(i) + 1
-		if cand >= 0 && i-cand < maxOffset &&
-			binary.LittleEndian.Uint32(src[cand:]) == binary.LittleEndian.Uint32(src[i:]) {
-			// Extend the match.
-			mlen := minMatch
-			for i+mlen < len(src) && src[cand+mlen] == src[i+mlen] {
-				mlen++
-			}
-			if litStart < i {
-				dst = emitLiteral(dst, src[litStart:i])
-			}
-			dst = emitCopy(dst, i-cand, mlen)
-			// Seed the table inside the match sparsely so later
-			// data can still find it.
-			end := i + mlen
-			for j := i + 1; j < end-minMatch && j <= limit; j += 4 {
-				table[hash4(binary.LittleEndian.Uint32(src[j:]))] = int32(j) + 1
-			}
-			i = end
-			litStart = end
+		if cand < 0 || i-cand >= maxOffset || binary.LittleEndian.Uint32(src[cand:]) != cur {
+			i++
 			continue
 		}
-		i++
+		// Extend the match a word at a time: the first set bit of the XOR
+		// is the first byte that differs.
+		mlen := minMatch
+		for i+mlen+wordLen <= len(src) {
+			x := binary.LittleEndian.Uint64(src[cand+mlen:]) ^ binary.LittleEndian.Uint64(src[i+mlen:])
+			if x != 0 {
+				mlen += bits.TrailingZeros64(x) >> 3
+				goto extended
+			}
+			mlen += wordLen
+		}
+		for i+mlen < len(src) && src[cand+mlen] == src[i+mlen] {
+			mlen++
+		}
+	extended:
+		if litStart < i {
+			d = putLiteral(out, d, src[litStart:i])
+		}
+		d = putCopy(out, d, i-cand, mlen)
+		// Seed the table inside the match sparsely so later data can still
+		// find it.
+		end := i + mlen
+		for j := i + 1; j < end-minMatch && j <= limit; j += 4 {
+			table[hash4(binary.LittleEndian.Uint32(src[j:]))] = int32(j) + 1
+		}
+		i = end
+		litStart = end
 	}
+	tablePool.Put(table)
 	if litStart < len(src) {
-		dst = emitLiteral(dst, src[litStart:])
+		d = putLiteral(out, d, src[litStart:])
 	}
-	return dst
+	return out[:d]
 }
 
 func hash4(v uint32) uint32 {
 	return (v * 0x1e35a7bd) >> (32 - hashBits)
 }
 
-func emitLiteral(dst, lit []byte) []byte {
+// putLiteral writes lit as literal tags at out[d:] and returns the new end.
+// The caller has made room (MaxEncodedLen).
+func putLiteral(out []byte, d int, lit []byte) int {
 	for len(lit) > 0 {
 		n := len(lit)
 		switch {
 		case n <= 60:
-			dst = append(dst, byte(n-1)<<2|tagLiteral)
+			out[d] = byte(n-1)<<2 | tagLiteral
+			d++
 		case n <= 1<<8:
-			dst = append(dst, 60<<2|tagLiteral, byte(n-1))
+			out[d], out[d+1] = 60<<2|tagLiteral, byte(n-1)
+			d += 2
 		default:
 			if n > 1<<16 {
 				n = 1 << 16
 			}
-			dst = append(dst, 61<<2|tagLiteral, byte(n-1), byte((n-1)>>8))
+			out[d], out[d+1], out[d+2] = 61<<2|tagLiteral, byte(n-1), byte((n-1)>>8)
+			d += 3
 		}
-		dst = append(dst, lit[:n]...)
+		d += copy(out[d:], lit[:n])
 		lit = lit[n:]
 	}
-	return dst
+	return d
 }
 
-func emitCopy(dst []byte, offset, length int) []byte {
+// putCopy writes a match of length bytes at distance offset as copy tags at
+// out[d:] and returns the new end.
+func putCopy(out []byte, d, offset, length int) int {
 	for length > 0 {
 		n := length
 		if n > maxCopyLen {
@@ -136,10 +185,11 @@ func emitCopy(dst []byte, offset, length int) []byte {
 				n = length - minMatch
 			}
 		}
-		dst = append(dst, byte(n-minMatch)<<2|tagCopy, byte(offset), byte(offset>>8))
+		out[d], out[d+1], out[d+2] = byte(n-minMatch)<<2|tagCopy, byte(offset), byte(offset>>8)
+		d += 3
 		length -= n
 	}
-	return dst
+	return d
 }
 
 // maxExpansion bounds how many bytes one byte of tag stream can decode to:
@@ -171,67 +221,85 @@ func Decode(block []byte) ([]byte, error) {
 // (the store's block header) passes a buffer of exactly that size, and any
 // other declared or actual length is an error. Nothing is allocated.
 func DecodeInto(dst, block []byte) ([]byte, error) {
-	declared, n := binary.Uvarint(block)
-	if n <= 0 {
+	declared, s := binary.Uvarint(block)
+	if s <= 0 {
 		return nil, errCorrupt
 	}
 	if declared != uint64(len(dst)) {
 		return nil, fmt.Errorf("blockcomp: header declares %d bytes, caller expects %d", declared, len(dst))
 	}
-	p := block[n:]
-	o := 0 // bytes of dst written
-	for len(p) > 0 {
-		tag := p[0]
+	d := 0 // bytes of dst written
+	for s < len(block) {
+		tag := block[s]
 		switch tag & 0x03 {
+		case tagCopy:
+			if len(block)-s < 3 {
+				return nil, errCorrupt
+			}
+			length := int(tag>>2) + minMatch
+			offset := int(block[s+1]) | int(block[s+2])<<8
+			s += 3
+			if offset == 0 || offset > d || length > len(dst)-d {
+				return nil, errCorrupt
+			}
+			if offset >= wordLen && len(dst)-d >= length+wordLen {
+				// Whole words: each load ends at or before the byte its
+				// store begins at, and the last store's overshoot lands
+				// in the slack.
+				end := d + length
+				for from := d - offset; d < end; d, from = d+wordLen, from+wordLen {
+					binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(dst[from:]))
+				}
+				d = end
+				continue
+			}
+			// Byte by byte: the copy overlaps its own output
+			// (run-length-style references) or ends the block.
+			for end := d + length; d < end; d++ {
+				dst[d] = dst[d-offset]
+			}
 		case tagLiteral:
 			code := int(tag >> 2)
 			var litLen int
 			switch {
 			case code < 60:
 				litLen = code + 1
-				p = p[1:]
+				s++
 			case code == 60:
-				if len(p) < 2 {
+				if len(block)-s < 2 {
 					return nil, errCorrupt
 				}
-				litLen = int(p[1]) + 1
-				p = p[2:]
+				litLen = int(block[s+1]) + 1
+				s += 2
 			case code == 61:
-				if len(p) < 3 {
+				if len(block)-s < 3 {
 					return nil, errCorrupt
 				}
-				litLen = int(p[1]) | int(p[2])<<8
+				litLen = int(block[s+1]) | int(block[s+2])<<8
 				litLen++
-				p = p[3:]
+				s += 3
 			default:
 				return nil, errCorrupt
 			}
-			if litLen > len(p) || litLen > len(dst)-o {
+			if litLen > len(block)-s || litLen > len(dst)-d {
 				return nil, errCorrupt
 			}
-			o += copy(dst[o:], p[:litLen])
-			p = p[litLen:]
-		case tagCopy:
-			if len(p) < 3 {
-				return nil, errCorrupt
+			if litLen <= 2*wordLen && len(block)-s >= 2*wordLen && len(dst)-d >= 2*wordLen {
+				// A short literal with slack on both sides: two words,
+				// whatever its length.
+				binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(block[s:]))
+				binary.LittleEndian.PutUint64(dst[d+wordLen:], binary.LittleEndian.Uint64(block[s+wordLen:]))
+			} else {
+				copy(dst[d:], block[s:s+litLen])
 			}
-			length := int(tag>>2) + minMatch
-			offset := int(p[1]) | int(p[2])<<8
-			p = p[3:]
-			if offset == 0 || offset > o || length > len(dst)-o {
-				return nil, errCorrupt
-			}
-			// Byte-by-byte: copies may overlap their own output
-			// (run-length-style references).
-			for end := o + length; o < end; o++ {
-				dst[o] = dst[o-offset]
-			}
+			d += litLen
+			s += litLen
 		default:
 			return nil, fmt.Errorf("blockcomp: unknown tag %#x", tag&0x03)
 		}
 	}
-	if o != len(dst) {
-		return nil, fmt.Errorf("blockcomp: decoded %d bytes, header declared %d", o, len(dst))
+	if d != len(dst) {
+		return nil, fmt.Errorf("blockcomp: decoded %d bytes, header declared %d", d, len(dst))
 	}
 	return dst, nil
 }

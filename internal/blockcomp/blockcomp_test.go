@@ -178,24 +178,3 @@ func TestOverlappingCopies(t *testing.T) {
 		t.Fatalf("overlapping-copy round trip failed: %v", err)
 	}
 }
-
-func BenchmarkEncodeText(b *testing.B) {
-	src := []byte(strings.Repeat("database systems store many similar records with small edits. ", 1000))
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Encode(src)
-	}
-}
-
-func BenchmarkDecodeText(b *testing.B) {
-	src := []byte(strings.Repeat("database systems store many similar records with small edits. ", 1000))
-	enc := Encode(src)
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -5,14 +5,19 @@ import (
 	"testing"
 )
 
-// FuzzRoundTrip asserts Encode/Decode is the identity for arbitrary input.
+// FuzzRoundTrip asserts Encode/Decode is the identity for arbitrary input, and
+// that Encode still writes what the byte-at-a-time encoder writes.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("hello hello hello hello"))
 	f.Add(bytes.Repeat([]byte{0}, 70000))
 	f.Add(bytes.Repeat([]byte("abcdefgh"), 10000))
 	f.Fuzz(func(t *testing.T, src []byte) {
-		got, err := Decode(Encode(src))
+		enc := Encode(src)
+		if !bytes.Equal(enc, refAppendEncode(nil, src)) {
+			t.Fatal("encoded bytes differ from the reference encoder's")
+		}
+		got, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("decode own encode: %v", err)
 		}

@@ -380,36 +380,51 @@ func Reencode(src, tgt []byte, fwd Delta) Delta {
 }
 
 // Apply reconstructs the target object from the base object and a delta.
+// Every instruction is checked, and their lengths summed against TargetLen,
+// before the output is sized: what a corrupt delta claims is never allocated.
 func Apply(base []byte, d Delta) ([]byte, error) {
-	// Cap the pre-allocation: a corrupt TargetLen must not translate
-	// into an unbounded allocation (the per-instruction bounds checks
-	// below keep actual growth honest).
-	capHint := d.TargetLen
-	if capHint < 0 || capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	out := make([]byte, 0, capHint)
+	total := 0
 	for i, inst := range d.Insts {
-		switch inst.Op {
-		case OpInsert:
-			if inst.Len != len(inst.Data) {
-				return nil, fmt.Errorf("delta: instruction %d: INSERT len %d != data %d", i, inst.Len, len(inst.Data))
-			}
-			out = append(out, inst.Data...)
-		case OpCopy:
-			if inst.Off < 0 || inst.Len < 0 || inst.Off+inst.Len > len(base) {
-				return nil, fmt.Errorf("delta: instruction %d: COPY [%d,%d) outside base of %d bytes",
-					i, inst.Off, inst.Off+inst.Len, len(base))
-			}
-			out = append(out, base[inst.Off:inst.Off+inst.Len]...)
-		default:
-			return nil, fmt.Errorf("delta: instruction %d: unknown op %d", i, inst.Op)
+		if err := checkInst(i, inst, len(base)); err != nil {
+			return nil, err
 		}
+		total += inst.Len
 	}
-	if len(out) != d.TargetLen {
+	if total != d.TargetLen {
 		return nil, errors.New("delta: reconstructed length mismatch")
 	}
+	out := make([]byte, 0, total)
+	for _, inst := range d.Insts {
+		out = appendInst(out, base, inst)
+	}
 	return out, nil
+}
+
+// checkInst reports whether instruction i can be applied to a base of baseLen
+// bytes and would produce exactly inst.Len bytes.
+func checkInst(i int, inst Instruction, baseLen int) error {
+	switch inst.Op {
+	case OpInsert:
+		if inst.Len != len(inst.Data) {
+			return fmt.Errorf("delta: instruction %d: INSERT len %d != data %d", i, inst.Len, len(inst.Data))
+		}
+	case OpCopy:
+		if inst.Off < 0 || inst.Len < 0 || inst.Off > baseLen || inst.Len > baseLen-inst.Off {
+			return fmt.Errorf("delta: instruction %d: COPY of %d bytes at %d outside base of %d bytes",
+				i, inst.Len, inst.Off, baseLen)
+		}
+	default:
+		return fmt.Errorf("delta: instruction %d: unknown op %d", i, inst.Op)
+	}
+	return nil
+}
+
+// appendInst appends the output of one checked instruction.
+func appendInst(out, base []byte, inst Instruction) []byte {
+	if inst.Op == OpInsert {
+		return append(out, inst.Data...)
+	}
+	return append(out, base[inst.Off:inst.Off+inst.Len]...)
 }
 
 // CopiedBytes returns how many target bytes the delta sources from the

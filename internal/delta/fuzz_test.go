@@ -43,17 +43,15 @@ func FuzzCompressRoundTrip(f *testing.F) {
 }
 
 // FuzzUnmarshal feeds arbitrary bytes to the wire decoder; it must never
-// panic, and anything it accepts must be safely appliable.
+// panic, anything it accepts must be safely appliable, and applying straight
+// from the wire must agree with it.
 func FuzzUnmarshal(f *testing.F) {
 	good := Compress([]byte("source content here"), []byte("target content here too"), Options{})
 	f.Add(good.Marshal())
 	f.Add([]byte{0xd5, 0x01})
 	f.Add([]byte{})
+	f.Add(hugeCopy)
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		d, err := Unmarshal(buf)
-		if err != nil {
-			return
-		}
-		_, _ = Apply([]byte("arbitrary base content for fuzzed deltas"), d)
+		applyBoth(t, []byte("arbitrary base content for fuzzed deltas"), buf)
 	})
 }

@@ -72,70 +72,83 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
+// header parses the fixed part of a marshalled delta and returns the declared
+// target length, the instruction count and the instruction bytes.
+func header(buf []byte) (targetLen, count uint64, rest []byte, err error) {
+	if len(buf) < 2 || buf[0] != wireMagic {
+		return 0, 0, nil, errCorrupt
+	}
+	if buf[1] != wireVersion {
+		return 0, 0, nil, fmt.Errorf("delta: unsupported version %d", buf[1])
+	}
+	p := buf[2:]
+	targetLen, n := binary.Uvarint(p)
+	if n <= 0 {
+		return 0, 0, nil, errCorrupt
+	}
+	p = p[n:]
+	count, n = binary.Uvarint(p)
+	if n <= 0 {
+		return 0, 0, nil, errCorrupt
+	}
+	if count > uint64(len(buf)) {
+		return 0, 0, nil, errCorrupt // cheap sanity bound: >=1 byte per instruction
+	}
+	return targetLen, count, p[n:], nil
+}
+
+// readInst parses one instruction off the front of p. An INSERT's Data
+// aliases p.
+func readInst(p []byte) (Instruction, []byte, error) {
+	if len(p) == 0 {
+		return Instruction{}, nil, errCorrupt
+	}
+	op := Op(p[0])
+	p = p[1:]
+	next := func() (uint64, bool) {
+		v, n := binary.Uvarint(p)
+		if n <= 0 {
+			return 0, false
+		}
+		p = p[n:]
+		return v, true
+	}
+	switch op {
+	case OpCopy:
+		off, ok := next()
+		if !ok {
+			return Instruction{}, nil, errCorrupt
+		}
+		l, ok := next()
+		if !ok {
+			return Instruction{}, nil, errCorrupt
+		}
+		return Instruction{Op: OpCopy, Off: int(off), Len: int(l)}, p, nil
+	case OpInsert:
+		l, ok := next()
+		if !ok || l > uint64(len(p)) {
+			return Instruction{}, nil, errCorrupt
+		}
+		return Instruction{Op: OpInsert, Len: int(l), Data: p[:l]}, p[l:], nil
+	default:
+		return Instruction{}, nil, fmt.Errorf("delta: unknown op %d", op)
+	}
+}
+
 // Unmarshal parses a delta previously produced by Marshal. The returned
 // delta's INSERT data aliases buf.
 func Unmarshal(buf []byte) (Delta, error) {
-	var d Delta
-	if len(buf) < 2 || buf[0] != wireMagic {
-		return d, errCorrupt
-	}
-	if buf[1] != wireVersion {
-		return d, fmt.Errorf("delta: unsupported version %d", buf[1])
-	}
-	p := buf[2:]
-
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, errCorrupt
-		}
-		p = p[n:]
-		return v, nil
-	}
-
-	tl, err := next()
+	tl, count, p, err := header(buf)
 	if err != nil {
-		return d, err
+		return Delta{}, err
 	}
-	count, err := next()
-	if err != nil {
-		return d, err
-	}
-	if count > uint64(len(buf)) {
-		return d, errCorrupt // cheap sanity bound: >=1 byte per instruction
-	}
-	d.TargetLen = int(tl)
-	d.Insts = make([]Instruction, 0, count)
+	d := Delta{TargetLen: int(tl), Insts: make([]Instruction, 0, count)}
 	for i := uint64(0); i < count; i++ {
-		if len(p) == 0 {
-			return Delta{}, errCorrupt
+		var inst Instruction
+		if inst, p, err = readInst(p); err != nil {
+			return Delta{}, err
 		}
-		op := Op(p[0])
-		p = p[1:]
-		switch op {
-		case OpCopy:
-			off, err := next()
-			if err != nil {
-				return Delta{}, err
-			}
-			l, err := next()
-			if err != nil {
-				return Delta{}, err
-			}
-			d.Insts = append(d.Insts, Instruction{Op: OpCopy, Off: int(off), Len: int(l)})
-		case OpInsert:
-			l, err := next()
-			if err != nil {
-				return Delta{}, err
-			}
-			if l > uint64(len(p)) {
-				return Delta{}, errCorrupt
-			}
-			d.Insts = append(d.Insts, Instruction{Op: OpInsert, Len: int(l), Data: p[:l]})
-			p = p[l:]
-		default:
-			return Delta{}, fmt.Errorf("delta: unknown op %d", op)
-		}
+		d.Insts = append(d.Insts, inst)
 	}
 	if len(p) != 0 {
 		return Delta{}, errCorrupt
@@ -154,4 +167,45 @@ func Unmarshal(buf []byte) (Delta, error) {
 		return Delta{}, errCorrupt
 	}
 	return d, nil
+}
+
+// ApplyInto applies a marshalled delta to base straight from its wire form:
+// no Delta is built and, when dst has the capacity, nothing is allocated. It
+// returns the target, which occupies dst's backing array if that is large
+// enough and a new one otherwise; dst must not overlap base or wire. A first
+// pass over the instructions checks everything Unmarshal and Apply check, so
+// nothing is sized or written on the word of a corrupt delta.
+func ApplyInto(dst, base, wire []byte) ([]byte, error) {
+	tl, count, insts, err := header(wire)
+	if err != nil {
+		return nil, err
+	}
+	total := 0
+	p := insts
+	for i := uint64(0); i < count; i++ {
+		var inst Instruction
+		if inst, p, err = readInst(p); err != nil {
+			return nil, err
+		}
+		if err := checkInst(int(i), inst, len(base)); err != nil {
+			return nil, err
+		}
+		if total += inst.Len; uint64(total) > tl {
+			return nil, errCorrupt
+		}
+	}
+	if len(p) != 0 || uint64(total) != tl {
+		return nil, errCorrupt
+	}
+	if cap(dst) < total {
+		dst = make([]byte, 0, total)
+	}
+	dst = dst[:0]
+	p = insts
+	for i := uint64(0); i < count; i++ {
+		var inst Instruction
+		inst, p, _ = readInst(p)
+		dst = appendInst(dst, base, inst)
+	}
+	return dst, nil
 }

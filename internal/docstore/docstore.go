@@ -19,11 +19,14 @@
 // immutable, so reads route through the segio subsystem: a block read
 // consults the sharded block cache (segio.Cache) and, on a miss, pins a
 // refcounted segment handle (segio.Table), loads the block and unpins. A
-// decoded block belongs to the cache; readers only ever copy their record
-// out of it (under the cache's shard lock on a hit, before handing the
-// buffer over on a miss), so Get returns payloads nothing else aliases and
-// the cache is free to recycle an evicted block's buffer for the next miss.
-// The shard lock is a leaf: nothing is acquired under it. Compaction retires
+// decoded block belongs to the cache; readers see their record in it only
+// inside a callback (under the cache's shard lock on a hit, before handing
+// the buffer over on a miss). Get copies the payload out there and returns
+// bytes nothing else aliases; View lends it to the caller's function for
+// exactly that long, so a chain decode can apply a stored delta without a
+// copy of it. Either way the cache is free to recycle an evicted block's
+// buffer for the next miss. The shard lock is a leaf: nothing is acquired
+// under it, which is the rule View passes on to its callers. Compaction retires
 // a segment by publishing a new table epoch and deleting the file; pinned
 // readers keep the inode alive until they drain, and a reader that loses the
 // pin race re-resolves its locator through the index, which no longer
@@ -155,6 +158,12 @@ type Stats struct {
 	// decoded into: taken over from a block that left the cache, or newly
 	// allocated. In steady state every load recycles.
 	BlockBuffersRecycled, BlockBuffersFresh uint64
+	// BlocksDecoded counts sealed blocks decompressed (every cache miss on
+	// a compressed block, and each block replayed at Open) and
+	// BlockDecodeNanos the time spent decompressing them. Per read served
+	// they are what hop encoding does not bound: blocks touched, not decode
+	// steps taken.
+	BlocksDecoded, BlockDecodeNanos uint64
 	// MmapBlockReads/PreadBlockReads split block loads by how the bytes
 	// were served: zero-copy from a segment mapping vs a positional read.
 	// MmapFailures counts mapping attempts that failed (the segment stays
@@ -211,6 +220,8 @@ type Store struct {
 	mmapReads     atomic.Uint64
 	preadReads    atomic.Uint64
 	mmapFailures  atomic.Uint64
+	blocksDecoded atomic.Uint64
+	decodeNanos   atomic.Uint64
 
 	// statsMu guards only dbBytes, so DBLogicalBytes never waits on a
 	// writer holding mu.
@@ -449,20 +460,63 @@ func (s *Store) supersede(id uint64, dropPending bool) {
 // Get returns the stored form of record id. The payload never aliases memory
 // the store owns (a cached block, a mapping, the block under construction):
 // for a sealed record it is a fresh copy, for one still in the unsealed block
-// it is the slice Append was given, which appenders never modify. Get is
-// lock-free on the sealed read path: record-map lookups hit sync.Maps, block
-// reads go through the sharded cache and pin a segio segment handle on a
-// miss. Writers publish map
-// updates new-version-first, so a miss in both maps for a live record is a
-// transient handoff window — closed by a re-check, a few retries, and
-// finally one authoritative pass under the writer lock.
+// it is the slice Append was given, which appenders never modify.
 func (s *Store) Get(id uint64) (Record, bool, error) {
+	var out Record
+	ok, err := s.read(id, true, func(rec Record, lent bool) {
+		if lent {
+			rec.Payload = append([]byte(nil), rec.Payload...)
+		}
+		out = rec
+	})
+	return out, ok, err
+}
+
+// Stored is what View shows of a record: how its payload is stored, and the
+// payload itself, which is the store's.
+type Stored struct {
+	Form    Form
+	BaseID  uint64
+	Stacked bool
+	Hidden  bool
+	Payload []byte
+}
+
+// View calls fn with the stored form of record id and reports whether the
+// record exists. It is Get without the copy: v.Payload is lent for the length
+// of fn and is overwritten or unmapped after it. A sealed record's payload is a
+// slice of its decoded block, shown under the block cache's shard lock on a hit
+// and before the cache takes the buffer over on a miss, so fn follows the same
+// leaf rule as segio.Cache.View: it copies out or computes from the bytes, and
+// it neither blocks, nor takes a lock, nor calls back into the store. What fn
+// reads is one consistent version of the record; Meta, read separately, may be
+// a version ahead or behind, which is why the form travels with the payload.
+func (s *Store) View(id uint64, fn func(v Stored)) (bool, error) {
+	return s.read(id, false, func(rec Record, _ bool) {
+		fn(Stored{Form: rec.Form, BaseID: rec.BaseID, Stacked: rec.Stacked,
+			Hidden: rec.Hidden, Payload: rec.Payload})
+	})
+}
+
+// read is the lookup under Get and View: it resolves id to its unsealed
+// record or its sealed frame and calls fn with it once. lent says that
+// rec.Payload is a slice of a block (cached, mapped or just decoded) and dies
+// with the call; otherwise it is the slice Append was given. names asks for
+// rec.DB and rec.Key, which cost a sealed record two allocations.
+//
+// read is lock-free on the sealed path: record-map lookups hit sync.Maps,
+// block reads go through the sharded cache and pin a segio segment handle on a
+// miss. Writers publish map updates new-version-first, so a miss in both maps
+// for a live record is a transient handoff window, closed by a re-check, a few
+// retries, and finally one authoritative pass under the writer lock.
+func (s *Store) read(id uint64, names bool, fn func(rec Record, lent bool)) (bool, error) {
 	for attempt := 0; ; attempt++ {
 		if attempt > 1000 {
-			return Record{}, false, errors.New("docstore: Get retry livelock (index references retired segments)")
+			return false, errors.New("docstore: Get retry livelock (index references retired segments)")
 		}
 		if v, ok := s.pendingRecs.Load(id); ok {
-			return v.(Record), true, nil
+			fn(v.(Record), false)
+			return true, nil
 		}
 		lv, ok := s.index.Load(id)
 		if !ok {
@@ -471,10 +525,11 @@ func (s *Store) Get(id uint64) (Record, bool, error) {
 			// retiring the old index entry. Re-checking pending closes
 			// both windows.
 			if v, ok := s.pendingRecs.Load(id); ok {
-				return v.(Record), true, nil
+				fn(v.(Record), false)
+				return true, nil
 			}
 			if _, ok := s.meta.Load(id); !ok {
-				return Record{}, false, nil // authoritatively absent
+				return false, nil // authoritatively absent
 			}
 			// Live per meta but missed in both maps: we raced a writer
 			// mid-handoff. Retry lock-free, then consult the writer lock
@@ -486,60 +541,59 @@ func (s *Store) Get(id uint64) (Record, bool, error) {
 			s.mu.RLock()
 			if v, ok := s.pendingRecs.Load(id); ok {
 				s.mu.RUnlock()
-				return v.(Record), true, nil
+				fn(v.(Record), false)
+				return true, nil
 			}
 			lv, ok = s.index.Load(id)
 			s.mu.RUnlock()
 			if !ok {
-				return Record{}, false, nil
+				return false, nil
 			}
 		}
-		rec, err := s.recordAt(lv.(locator))
+		err := s.frameAt(lv.(locator), id, names, fn)
 		if errors.Is(err, segio.ErrRetired) {
 			// Compaction retired the segment after we resolved the
 			// locator. The record was moved first, so re-resolving finds
 			// its new home.
 			continue
 		}
-		if err != nil {
-			return Record{}, false, err
-		}
-		if rec.ID != id {
-			return Record{}, false, fmt.Errorf("docstore: index corruption: wanted %d found %d", id, rec.ID)
-		}
-		return rec, true, nil
+		return err == nil, err
 	}
 }
 
-// recordAt returns the record framed at loc, with a payload of its own. The
-// block's bytes are borrowed only for the length of that copy: from the
-// cache, under its shard lock, on a hit; from readBlock on a miss. Nothing a
-// caller of Get holds ever aliases a cached block or a mapping.
-func (s *Store) recordAt(loc locator) (Record, error) {
-	var rec Record
+// frameAt parses the frame at loc, checks that it is record id's, and calls fn
+// with it while the block's bytes are borrowed: from the cache, under its
+// shard lock, on a hit; from readBlock on a miss.
+func (s *Store) frameAt(loc locator, id uint64, names bool, fn func(rec Record, lent bool)) error {
 	var err error
 	extract := func(block []byte) {
 		if loc.recStart > len(block) {
 			err = errors.New("docstore: record offset past block end")
 			return
 		}
-		if rec, _, err = parseFrame(block[loc.recStart:]); err == nil {
-			rec.Payload = append([]byte(nil), rec.Payload...)
+		var rec Record
+		if rec, _, err = parseFrame(block[loc.recStart:], names); err != nil {
+			return
 		}
+		if rec.ID != id {
+			err = fmt.Errorf("docstore: index corruption: wanted %d found %d", id, rec.ID)
+			return
+		}
+		fn(rec, true)
 	}
 	key := segio.BlockKey(loc.seg, loc.off)
 	if s.cache.View(key, extract) {
-		return rec, err
+		return err
 	}
 	rd, ok := s.table.Pin(loc.seg)
 	if !ok {
-		return Record{}, segio.ErrRetired
+		return segio.ErrRetired
 	}
 	defer s.table.Unpin(rd)
 	if loadErr := s.readBlock(rd, key, loc.off, extract); loadErr != nil {
-		return Record{}, loadErr
+		return loadErr
 	}
-	return rec, err
+	return err
 }
 
 // Delete writes a tombstone for id.
@@ -599,7 +653,7 @@ func (s *Store) sealBlock() error {
 	slot := segSlot(s.segments, seg)
 	scan := 0
 	for scan < len(raw) {
-		rec, n, err := parseFrame(raw[scan:])
+		rec, n, err := parseFrame(raw[scan:], false)
 		if err != nil {
 			return fmt.Errorf("docstore: internal frame error: %w", err)
 		}
@@ -776,9 +830,12 @@ func (s *Store) readBlock(rd *segio.Reader, key uint64, off int64, fn func(block
 			return errors.New("docstore: block length mismatch")
 		}
 		block = s.cache.Buffer(key, n)
+		start := time.Now()
 		if _, err := blockcomp.DecodeInto(block, image); err != nil {
 			return fmt.Errorf("docstore: %w", err)
 		}
+		s.blocksDecoded.Add(1)
+		s.decodeNanos.Add(uint64(time.Since(start)))
 	}
 	fn(block)
 	s.cache.Put(key, block)
@@ -859,6 +916,8 @@ func (s *Store) Stats() Stats {
 
 		BlockBuffersRecycled: recycled,
 		BlockBuffersFresh:    fresh,
+		BlocksDecoded:        s.blocksDecoded.Load(),
+		BlockDecodeNanos:     s.decodeNanos.Load(),
 	}
 }
 
@@ -930,7 +989,7 @@ func (s *Store) replayAll() error {
 func (s *Store) replayBlock(segIdx int, off int64, raw []byte) error {
 	scan := 0
 	for scan < len(raw) {
-		rec, n, err := parseFrame(raw[scan:])
+		rec, n, err := parseFrame(raw[scan:], true)
 		if err != nil {
 			return err
 		}
@@ -1222,8 +1281,10 @@ func uvarintLen(v uint64) int {
 }
 
 // parseFrame decodes one frame from buf, returning the record and the total
-// frame size consumed.
-func parseFrame(buf []byte) (Record, int, error) {
+// frame size consumed. The payload aliases buf. names selects whether DB and
+// Key are decoded: they are the frame's only allocations, and a caller that
+// wants the payload alone leaves them empty.
+func parseFrame(buf []byte, names bool) (Record, int, error) {
 	frameLen, n := binary.Uvarint(buf)
 	if n <= 0 || uint64(len(buf)-n) < frameLen {
 		return Record{}, 0, errors.New("docstore: truncated frame")
@@ -1277,8 +1338,10 @@ func parseFrame(buf []byte) (Record, int, error) {
 	if err != nil {
 		return Record{}, 0, err
 	}
-	rec.DB = string(db)
-	rec.Key = string(key)
+	if names {
+		rec.DB = string(db)
+		rec.Key = string(key)
+	}
 	rec.Payload = payload
 	return rec, total, nil
 }

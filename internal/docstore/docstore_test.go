@@ -289,7 +289,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			rec.Tombstone = true
 		}
 		frame := appendFrame(nil, rec)
-		got, n, err := parseFrame(frame)
+		got, n, err := parseFrame(frame, true)
 		if err != nil || n != len(frame) {
 			t.Fatalf("parseFrame: %v (n=%d, len=%d)", err, n, len(frame))
 		}
@@ -305,7 +305,7 @@ func TestParseFrameCorrupt(t *testing.T) {
 	rec := Record{ID: 1, DB: "d", Key: "k", Payload: []byte("some payload")}
 	frame := appendFrame(nil, rec)
 	for cut := 0; cut < len(frame); cut++ {
-		if _, _, err := parseFrame(frame[:cut]); err == nil && cut < len(frame) {
+		if _, _, err := parseFrame(frame[:cut], true); err == nil && cut < len(frame) {
 			t.Fatalf("parseFrame accepted truncation at %d", cut)
 		}
 	}

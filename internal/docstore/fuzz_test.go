@@ -36,7 +36,7 @@ func FuzzParseFrame(f *testing.F) {
 		f.Add(appendFrame(nil, rec))
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		rec, n, err := parseFrame(buf)
+		rec, n, err := parseFrame(buf, true)
 		if err != nil {
 			return
 		}
@@ -44,7 +44,7 @@ func FuzzParseFrame(f *testing.F) {
 			t.Fatalf("parseFrame consumed %d of %d bytes", n, len(buf))
 		}
 		// A parsed frame must re-serialise and re-parse to itself.
-		again, _, err := parseFrame(appendFrame(nil, rec))
+		again, _, err := parseFrame(appendFrame(nil, rec), true)
 		if err != nil {
 			t.Fatalf("re-parse of re-serialised frame: %v", err)
 		}
@@ -92,7 +92,7 @@ func replayModel(data []byte) (live map[uint64]Record, framesOK bool) {
 		}
 		scan := 0
 		for scan < len(raw) {
-			rec, n, err := parseFrame(raw[scan:])
+			rec, n, err := parseFrame(raw[scan:], true)
 			if err != nil {
 				return live, false
 			}

@@ -57,6 +57,13 @@ type blockItem struct {
 	data []byte
 }
 
+// PoisonFreed installs fn as the poison hook: it is called, under the shard
+// lock, with every buffer entering a free list. Tests of the layers above
+// overwrite the buffer there, which turns a reader that still holds lent
+// bytes into a failed checksum instead of a lucky pass. Call it before the
+// cache is shared.
+func (c *Cache) PoisonFreed(fn func([]byte)) { c.poison = fn }
+
 // NewCache returns a cache holding capacity blocks total across shardCount
 // shards (rounded up to a power of two; shardCount <= 0 selects 8). Each
 // shard holds at least one block, so tiny capacities still cache.

@@ -201,9 +201,10 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(w, "chunking: %d chunks over %s (avg %d B)\n",
 		es.Chunks, metrics.FormatBytes(es.ChunkedBytes), avgChunk)
-	fmt.Fprintf(w, "read:     %d cache hits / %d misses, %d segments (%d pinned handles, %d retiring)\n",
-		st.Store.CacheHits, st.Store.CacheMisses, st.Store.LiveSegments,
-		st.Store.PinnedReaders, st.Store.RetiredPending)
+	fmt.Fprintf(w, "read:     %d cache hits / %d misses, %d blocks decoded in %s, %d segments (%d pinned handles, %d retiring)\n",
+		st.Store.CacheHits, st.Store.CacheMisses,
+		st.Store.BlocksDecoded, time.Duration(st.Store.BlockDecodeNanos).Round(time.Microsecond),
+		st.Store.LiveSegments, st.Store.PinnedReaders, st.Store.RetiredPending)
 	fmt.Fprintf(w, "          block buffers: %d recycled / %d freshly allocated\n",
 		st.Store.BlockBuffersRecycled, st.Store.BlockBuffersFresh)
 	rp := s.node.ReplMetrics().Snapshot()

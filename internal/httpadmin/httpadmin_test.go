@@ -124,3 +124,41 @@ func TestMetricsEndpointIncludesApplyPipeline(t *testing.T) {
 		t.Errorf("Apply.LatencyCount = %d, want 1", v.Apply.LatencyCount)
 	}
 }
+
+// TestReadPathShowsBlocksDecoded: a read that misses the block cache on a
+// compressed block shows up under Read in /metrics and on the index page's
+// read: line, so "blocks touched per read" can be had from a running node.
+func TestReadPathShowsBlocksDecoded(t *testing.T) {
+	n, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true, BlockCompression: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	s, err := ListenAndServe(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	payload := []byte(strings.Repeat("a record that compresses, sealed into a block. ", 40))
+	if err := n.Insert("wiki", "k", payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Read("wiki", "k"); err != nil {
+		t.Fatal(err)
+	}
+
+	_, body := get(t, "http://"+s.Addr()+"/metrics")
+	var v metricsView
+	if err := json.Unmarshal([]byte(body), &v); err != nil {
+		t.Fatalf("metrics JSON: %v", err)
+	}
+	if v.Read.BlocksDecoded != 1 || v.Read.BlockDecodeNanos == 0 {
+		t.Errorf("Read.BlocksDecoded = %d in %d ns, want 1 block and some time", v.Read.BlocksDecoded, v.Read.BlockDecodeNanos)
+	}
+	if _, body = get(t, "http://"+s.Addr()+"/"); !strings.Contains(body, "1 blocks decoded in ") {
+		t.Errorf("index page read: line does not show the decoded block:\n%s", body)
+	}
+}

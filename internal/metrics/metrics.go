@@ -472,6 +472,11 @@ type ReadSnapshot struct {
 	// allocated.
 	BlockBuffersRecycled uint64
 	BlockBuffersFresh    uint64
+	// BlocksDecoded counts sealed blocks decompressed and BlockDecodeNanos
+	// the time that took. Against the read count they say how many blocks
+	// a read touches, which hop encoding (a bound on decode steps) does not.
+	BlocksDecoded    uint64
+	BlockDecodeNanos uint64
 	// PinnedReaders is the number of segment handles currently pinned by
 	// in-flight reads; RetiredPending counts compacted segments whose
 	// files stay open awaiting their last unpin.

@@ -3,7 +3,6 @@ package node
 import (
 	"time"
 
-	"dbdedup/internal/delta"
 	"dbdedup/internal/docstore"
 )
 
@@ -164,16 +163,7 @@ func (n *Node) rededupHooks() *docstore.CompactHooks {
 			}
 			// End-to-end guard (same as write-back apply): the committed
 			// delta must reproduce exactly the payload being replaced.
-			baseContent, err := n.decodeBaseNoRepair(conv.BaseID)
-			if err != nil {
-				return false
-			}
-			d, err := delta.Unmarshal(conv.Payload)
-			if err != nil {
-				return false
-			}
-			got, err := delta.Apply(baseContent, d)
-			return err == nil && bytesEqual(got, old.Payload)
+			return n.reproducesLocked(conv.BaseID, conv.Payload, old.Payload)
 		},
 		Committed: func(old, conv docstore.Record) {
 			n.compm.Conversions.Add(1)
@@ -206,7 +196,9 @@ func (n *Node) buildConversion(rec docstore.Record, srcID uint64, maxDepth int) 
 	if !n.rededupStillSafe(rec.ID, srcID, maxDepth) {
 		return abort()
 	}
-	base, err := n.decodeBase(srcID)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	base, err := n.decode(sc, srcID, baseContent)
 	if err != nil {
 		// A similarity-index candidate can name a dead record; the stray
 		// refcnt entry the claim created is cleaned up by the release.

@@ -7,7 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"dbdedup/internal/chain"
+	"dbdedup/internal/core"
 )
 
 // TestInsertAllocBudget keeps the allocation diet from regressing silently:
@@ -192,5 +197,331 @@ func TestParentWrittenDirOpensAndVerifies(t *testing.T) {
 	}
 	if rep := n.VerifyAll(); !rep.Ok() {
 		t.Fatalf("VerifyAll after writing: %v", rep.Errors)
+	}
+}
+
+// revisionChain ingests revs revisions of one payloadLen-byte document under
+// plain backward encoding with no source cache, applies every write-back and
+// seals the blocks, so that rev i is stored as a delta against rev i+1 and a
+// read of rev 0 walks revs-1 steps down to the raw head.
+func revisionChain(t *testing.T, revs, payloadLen int) (*Node, [][]byte) {
+	t.Helper()
+	n := testNode(t, Options{Dir: t.TempDir(), BlockCompression: true, Engine: core.Config{
+		Scheme: chain.Backward, SourceCacheBytes: -1, DisableSizeFilter: true}})
+	rng := rand.New(rand.NewSource(20))
+	content := make([][]byte, revs)
+	rev := prose(rng, payloadLen)
+	for i := range content {
+		content[i] = rev
+		if err := n.Insert("db", fmt.Sprintf("rev-%03d", i), rev); err != nil {
+			t.Fatal(err)
+		}
+		rev = editText(rng, rev, 2)[:payloadLen]
+	}
+	n.FlushWritebacks(-1)
+	if err := n.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return n, content
+}
+
+// TestReadAllocBudget: a read through a k-step chain allocates the payload it
+// returns and next to nothing else, whatever k is. The deltas are applied
+// from the store's own bytes into a pooled scratch; a copy per hop (it was
+// about 5 KB of them per step) trips the budget at k = 4.
+func TestReadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under the race detector")
+	}
+	const payloadLen = 4096
+	n, content := revisionChain(t, 17, payloadLen)
+	for _, k := range []int{1, 4, 16} {
+		key := fmt.Sprintf("rev-%03d", 16-k)
+		read := func() {
+			got, err := n.Read("db", key)
+			if err != nil || !bytes.Equal(got, content[16-k]) {
+				t.Fatalf("Read(%s) through %d steps: err %v", key, k, err)
+			}
+		}
+		read() // fill the scratch pool and the block cache
+		const runs = 200
+		steps := n.Stats().DecodeSteps
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			read()
+		}
+		runtime.ReadMemStats(&after)
+		if got := (n.Stats().DecodeSteps - steps) / runs; got != uint64(k) {
+			t.Fatalf("a read of %s took %d decode steps, the test wants a %d-step chain", key, got, k)
+		}
+		perRead := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("k=%d: %d B in %d objects per read of %d B", k, perRead, (after.Mallocs-before.Mallocs)/runs, payloadLen)
+		if perRead > payloadLen+1024 {
+			t.Errorf("a %d-step read of %d B allocates %d B, budget %d B", k, payloadLen, perRead, payloadLen+1024)
+		}
+	}
+}
+
+// TestWritebackAllocBudget: applying a write-back decodes the record and its
+// new base into the node's own scratch and checks the delta there; what it
+// allocates beyond the delta the store keeps (which the write-back cache
+// already holds) is bookkeeping. It was about 29 KB per write-back: four
+// detached payload copies, two parsed deltas and two applied outputs.
+func TestWritebackAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under the race detector")
+	}
+	const payloadLen = 4096
+	// A block cache the warm-up fills: past it every block a write-back has
+	// to load decodes into a recycled buffer, as on a node that has run a while.
+	n := testNode(t, Options{Dir: t.TempDir(), BlockCompression: true, CacheBlocks: 8,
+		Engine: core.Config{DisableSizeFilter: true}})
+	rng := rand.New(rand.NewSource(21))
+	rev := prose(rng, payloadLen)
+	insert := func(i int) {
+		if err := n.Insert("db", fmt.Sprintf("rev-%04d", i), rev); err != nil {
+			t.Fatal(err)
+		}
+		rev = editText(rng, rev, 2)[:payloadLen]
+	}
+	for i := 0; i < 100; i++ { // warm: scratch sized, maps grown
+		insert(i)
+	}
+	n.FlushWritebacks(-1)
+	for i := 100; i < 400; i++ {
+		insert(i)
+	}
+	pending := n.PendingWritebacks()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	applied := n.FlushWritebacks(-1)
+	runtime.ReadMemStats(&after)
+	if applied < 250 || applied != pending {
+		t.Fatalf("applied %d of %d write-backs; the test wants nearly one per insert, all applied", applied, pending)
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / uint64(applied)
+	t.Logf("%d B in %d objects per applied write-back", per, (after.Mallocs-before.Mallocs)/uint64(applied))
+	if per > 2048 {
+		t.Errorf("an applied write-back allocates %d B, budget 2048 B", per)
+	}
+	if rep := n.VerifyAll(); !rep.Ok() || rep.DeltaEncoded < applied {
+		t.Fatalf("after the write-backs: %s %v", rep, rep.Errors)
+	}
+}
+
+// TestReadsStayExactWhileChainsAreRewritten: a chain read plans its walk from
+// Store.Meta and then borrows each record from the store, so every form change
+// that can land in between (write-backs turning raw records into deltas,
+// updates stacking on referenced records, deletes hiding them, repair splicing
+// them out) must be noticed and planned around. Readers check every byte
+// while a writer, a write-back flusher and a mutator run; the block cache is
+// small enough that the lent blocks are being recycled all the while.
+func TestReadsStayExactWhileChainsAreRewritten(t *testing.T) {
+	n, err := Open(Options{Dir: t.TempDir(), BlockCompression: true, BlockSize: 8 << 10, CacheBlocks: 8,
+		DisableAutoFlush: true, EncodeWorkers: 2,
+		Engine: core.Config{DisableSizeFilter: true, GovernorWindow: 1 << 30, HopDistance: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	const revs = 240
+	rng := rand.New(rand.NewSource(22))
+	content := make([][]byte, revs)
+	rev := prose(rng, 2048)
+	for i := range content {
+		content[i] = rev
+		rev = editText(rng, rev, 2)[:2048]
+	}
+	key := func(i int) string { return fmt.Sprintf("rev-%03d", i) }
+	var written atomic.Int64 // revisions [0, written) are readable
+	var stop atomic.Bool
+	var bg, readers sync.WaitGroup
+	bg.Add(3)
+	go func() { // writer
+		defer bg.Done()
+		for i := range content {
+			if err := n.Insert("db", key(i), content[i]); err != nil {
+				t.Error(err)
+				return
+			}
+			written.Store(int64(i + 1))
+		}
+	}()
+	go func() { // write-backs, as the idle flusher would apply them
+		defer bg.Done()
+		for !stop.Load() {
+			n.FlushWritebacks(8)
+			runtime.Gosched()
+		}
+	}()
+	go func() { // every 7th revision is updated, every 11th deleted, once it has successors
+		defer bg.Done()
+		for i := 0; i < revs && !stop.Load(); {
+			if int64(i+3) > written.Load() {
+				runtime.Gosched()
+				continue
+			}
+			switch {
+			case i%7 == 3:
+				if err := n.Update("db", key(i), []byte("updated")); err != nil {
+					t.Error(err)
+				}
+			case i%11 == 5:
+				if err := n.Delete("db", key(i)); err != nil {
+					t.Error(err)
+				}
+			}
+			i++
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			for reads := 0; reads < 4000 || written.Load() < revs; reads++ {
+				w := int(written.Load())
+				if w == 0 {
+					runtime.Gosched()
+					continue
+				}
+				i := r.Intn(w)
+				if i%7 == 3 || i%11 == 5 {
+					continue // mutated concurrently: either version is right
+				}
+				got, err := n.Read("db", key(i))
+				if err != nil || !bytes.Equal(got, content[i]) {
+					t.Errorf("Read(%s) while its chain was being rewritten: err %v, %d bytes", key(i), err, len(got))
+					return
+				}
+			}
+		}(g)
+	}
+	readers.Wait()
+	stop.Store(true)
+	bg.Wait()
+	n.Barrier()
+	n.FlushWritebacks(-1)
+	st := n.Stats()
+	if st.WritebacksApplied == 0 || st.Updates == 0 || st.Deletes == 0 {
+		t.Fatalf("the run rewrote nothing: %d write-backs, %d updates, %d deletes", st.WritebacksApplied, st.Updates, st.Deletes)
+	}
+	for i := range content {
+		if i%7 == 3 || i%11 == 5 {
+			continue
+		}
+		if got, err := n.Read("db", key(i)); err != nil || !bytes.Equal(got, content[i]) {
+			t.Fatalf("Read(%s) after the run: err %v", key(i), err)
+		}
+	}
+	if rep := n.VerifyAll(); !rep.Ok() {
+		t.Fatalf("VerifyAll after the run: %v", rep.Errors)
+	}
+}
+
+// TestStaleWalkIsPlannedAgain makes the race a chain read has to survive
+// happen on purpose: a walk is planned, the records it names change form, and
+// only then is it run. Every kind of change must come back as errReplan,
+// never as bytes, and decode, which plans again, must return the content.
+func TestStaleWalkIsPlannedAgain(t *testing.T) {
+	n := testNode(t, Options{BlockCompression: true, Engine: core.Config{
+		Scheme: chain.Backward, SourceCacheBytes: -1, DisableSizeFilter: true}})
+	rng := rand.New(rand.NewSource(23))
+	var revs [][]byte
+	rev := prose(rng, 2048)
+	insert := func() uint64 {
+		i := len(revs)
+		revs = append(revs, rev)
+		if err := n.Insert("db", fmt.Sprintf("rev-%d", i), rev); err != nil {
+			t.Fatal(err)
+		}
+		rev = editText(rng, rev, 2)[:2048]
+		id, _ := n.lookup("db", fmt.Sprintf("rev-%d", i))
+		return id
+	}
+	stale := func(what string, id uint64, plan walk, sc *scratch, want []byte) {
+		t.Helper()
+		if got, err := n.runWalk(sc, plan); err != errReplan {
+			t.Fatalf("%s: a stale walk returned %d bytes, err %v; want errReplan", what, len(got), err)
+		}
+		if want == nil {
+			return
+		}
+		got, err := n.decode(sc, id, visibleContent)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: decode after the change: err %v", what, err)
+		}
+	}
+	sc := new(scratch)
+
+	// The record itself goes from raw to delta under the plan.
+	id0 := insert()
+	insert()
+	plan, err := n.planWalk(sc, id0, visibleContent)
+	if err != nil || len(sc.hops) != 0 {
+		t.Fatalf("rev-0 should plan as a raw record: %d hops, err %v", len(sc.hops), err)
+	}
+	if n.FlushWritebacks(-1) == 0 {
+		t.Fatal("no write-back to apply")
+	}
+	stale("record re-encoded", id0, plan, sc, revs[0])
+
+	// The base a hop was planned against goes from raw to delta.
+	plan, err = n.planWalk(sc, id0, visibleContent)
+	if err != nil || len(sc.hops) != 1 {
+		t.Fatalf("rev-0 should plan as one hop onto rev-1: %d hops, err %v", len(sc.hops), err)
+	}
+	insert()
+	n.FlushWritebacks(-1)
+	stale("base re-encoded", id0, plan, sc, revs[0])
+
+	// A record on the path is hidden (deleted while referenced).
+	plan, err = n.planWalk(sc, id0, baseContentNoRepair)
+	if err != nil || len(sc.hops) != 2 {
+		t.Fatalf("rev-0 should plan as two hops: %d hops, err %v", len(sc.hops), err)
+	}
+	if err := n.Delete("db", "rev-1"); err != nil {
+		t.Fatal(err)
+	}
+	stale("hop hidden", id0, plan, sc, revs[0])
+
+	// A stacked record read for its visible section is compacted back.
+	pair := prose(rng, 2048)
+	for _, key := range []string{"a", "b"} {
+		if err := n.Insert("db2", key, pair); err != nil {
+			t.Fatal(err)
+		}
+		pair = editText(rng, pair, 2)[:2048]
+	}
+	n.FlushWritebacks(-1) // a is a delta on b: b is referenced
+	if err := n.Update("db2", "b", []byte("stacked on top")); err != nil {
+		t.Fatal(err)
+	}
+	idB, _ := n.lookup("db2", "b")
+	plan, err = n.planWalk(sc, idB, visibleContent)
+	if err != nil || !plan.last {
+		t.Fatalf("b should plan as a stacked record: %+v, err %v", plan, err)
+	}
+	if err := n.Delete("db2", "a"); err != nil { // the last reference goes: b compacts
+		t.Fatal(err)
+	}
+	if m, _ := n.store.Meta(idB); m.Stacked {
+		t.Fatal("b is still stacked; the test wants it compacted")
+	}
+	stale("stacked record compacted", idB, plan, sc, []byte("stacked on top"))
+
+	// The record is gone altogether.
+	gone := insert()
+	plan, err = n.planWalk(sc, gone, visibleContent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Delete("db", fmt.Sprintf("rev-%d", len(revs)-1)); err != nil {
+		t.Fatal(err)
+	}
+	stale("record deleted", gone, plan, sc, nil)
+	if _, err := n.decode(sc, gone, visibleContent); err != ErrNotFound {
+		t.Fatalf("decode of a deleted record: %v, want ErrNotFound", err)
 	}
 }

@@ -18,6 +18,7 @@
 package node
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -193,8 +194,13 @@ type Node struct {
 	recentOps      atomic.Int64 // ops since last idle check (idleness proxy)
 
 	// applyMu serialises form-changing rewrites (write-back application
-	// and hidden-chain repair) so their refcount updates stay coherent.
-	applyMu sync.Mutex
+	// and hidden-chain repair) so their refcount updates stay coherent. It
+	// also guards the working memory those paths decode into: one scratch
+	// per content held at a time (a record and the base it would decode
+	// from), and the buffer a candidate delta is applied into for checking.
+	applyMu      sync.Mutex
+	applyScratch [2]scratch
+	applyCheck   []byte
 
 	// Admission controller (nil = admit everything) and the encoder
 	// pool's total queue capacity, its occupancy denominator.
@@ -794,10 +800,7 @@ func (n *Node) reclaim(id uint64) error {
 
 func (n *Node) reclaimLocked(id uint64) error {
 	for {
-		rec, ok, err := n.store.Get(id)
-		if err != nil {
-			return err
-		}
+		rec, ok := n.store.Meta(id)
 		if !ok {
 			return nil
 		}
@@ -845,12 +848,15 @@ func (n *Node) Read(db, key string) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	content, err := n.decodeVisible(id)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	content, err := n.decode(sc, id, visibleContent)
 	if err != nil {
 		return nil, err
 	}
+	out := append([]byte(nil), content...) // the caller's own: the one copy of a read
 	n.latRead.Observe(time.Since(start))
-	return content, nil
+	return out, nil
 }
 
 // lookup resolves (db, key) to a record ID. Lock-free; safe with or
@@ -1050,16 +1056,19 @@ func (n *Node) applyWriteback(id uint64, payload []byte) bool {
 	}
 	n.mu.Unlock()
 
-	rec, ok, err := n.store.Get(id)
-	if err != nil || !ok {
+	rec, ok := n.store.Meta(id)
+	if !ok {
 		return false
 	}
-	if rec.Stacked || rec.Hidden {
-		// Changed shape since encode; leave it alone (lossy is fine).
+	skip := func() bool {
 		n.mu.Lock()
 		n.stats.WritebacksSkipped++
 		n.mu.Unlock()
 		return false
+	}
+	if rec.Stacked || rec.Hidden {
+		// Changed shape since encode; leave it alone (lossy is fine).
+		return skip()
 	}
 	// The chain this re-encoding creates must still ground in a raw record.
 	// Write-backs alone cannot cycle (they re-encode an older record
@@ -1070,45 +1079,25 @@ func (n *Node) applyWriteback(id uint64, payload []byte) bool {
 	// Both writers walk under applyMu, so whichever commits second sees
 	// the other's committed form and skips (lossy is fine).
 	if !n.rededupStillSafe(id, base, int(n.store.Stats().LiveRecords)+1) {
-		n.mu.Lock()
-		n.stats.WritebacksSkipped++
-		n.mu.Unlock()
-		return false
+		return skip()
 	}
-	oldForm, oldBase := rec.Form, rec.BaseID
 
 	// End-to-end guard: the re-encoding must reproduce exactly the
 	// content this record currently decodes to. The version checks above
 	// are fast-path filters; this catches every residual staleness
 	// (e.g. a delta computed from a cache entry that a concurrent client
 	// mutation invalidated mid-encode). Skipping costs only compression.
-	cur, err := n.decodeBaseNoRepair(id)
+	cur, err := n.decode(&n.applyScratch[0], id, baseContentNoRepair)
 	if err != nil {
 		return false
 	}
-	baseContent, err := n.decodeBaseNoRepair(base)
-	if err != nil {
-		n.mu.Lock()
-		n.stats.WritebacksSkipped++
-		n.mu.Unlock()
-		return false
-	}
-	d, err := delta.Unmarshal(deltaBytes)
-	if err != nil {
-		return false
-	}
-	reconstructed, err := delta.Apply(baseContent, d)
-	if err != nil || !bytesEqual(reconstructed, cur) {
-		n.mu.Lock()
-		n.stats.WritebacksSkipped++
-		n.mu.Unlock()
-		return false
+	if !n.reproducesLocked(base, deltaBytes, cur) {
+		return skip()
 	}
 
-	rec.Form = docstore.FormDelta
-	rec.BaseID = base
-	rec.Payload = deltaBytes
-	if err := n.store.Append(rec); err != nil {
+	err = n.store.Append(docstore.Record{ID: id, DB: rec.DB, Key: rec.Key,
+		Form: docstore.FormDelta, BaseID: base, Payload: deltaBytes})
+	if err != nil {
 		return false
 	}
 
@@ -1116,10 +1105,27 @@ func (n *Node) applyWriteback(id uint64, payload []byte) bool {
 	n.refcnt[base]++
 	n.stats.WritebacksApplied++
 	n.mu.Unlock()
-	if oldForm == docstore.FormDelta {
-		n.releaseRefLocked(oldBase)
+	if rec.Form == docstore.FormDelta {
+		n.releaseRefLocked(rec.BaseID)
 	}
 	return true
+}
+
+// reproducesLocked reports whether the marshalled delta, applied to what
+// record base decodes to, yields exactly want: the check every path that
+// assigns a base runs before it commits. Caller holds applyMu; want may live
+// in applyScratch[0].
+func (n *Node) reproducesLocked(base uint64, deltaBytes, want []byte) bool {
+	baseContent, err := n.decode(&n.applyScratch[1], base, baseContentNoRepair)
+	if err != nil {
+		return false
+	}
+	got, err := delta.ApplyInto(n.applyCheck, baseContent, deltaBytes)
+	if err != nil {
+		return false
+	}
+	n.applyCheck = got
+	return bytes.Equal(got, want)
 }
 
 // releaseRef decrements a base's reference count. A record that becomes
@@ -1166,25 +1172,24 @@ func (n *Node) compactStackedLocked(id uint64) {
 	if refs > 0 {
 		return // re-referenced concurrently
 	}
-	rec, ok, err := n.store.Get(id)
-	if err != nil || !ok || !rec.Stacked {
+	rec, ok := n.store.Meta(id)
+	if !ok || !rec.Stacked {
 		return
 	}
-	sections, err := splitSections(rec.Payload)
+	var visible []byte // the store keeps it: a slice of its own
+	err := n.lend(id, rec, true, func(stored []byte) error {
+		visible = append([]byte(nil), stored...)
+		return nil
+	})
 	if err != nil {
 		return
 	}
-	visible := sections[len(sections)-1]
-	oldForm, oldBase := rec.Form, rec.BaseID
-	rec.Stacked = false
-	rec.Form = docstore.FormRaw
-	rec.BaseID = 0
-	rec.Payload = append([]byte(nil), visible...)
-	if err := n.store.Append(rec); err != nil {
+	err = n.store.Append(docstore.Record{ID: id, DB: rec.DB, Key: rec.Key, Hidden: rec.Hidden, Payload: visible})
+	if err != nil {
 		return
 	}
-	if oldForm == docstore.FormDelta {
-		n.releaseRefLocked(oldBase)
+	if rec.Form == docstore.FormDelta {
+		n.releaseRefLocked(rec.BaseID)
 	}
 }
 
@@ -1245,180 +1250,249 @@ func (n *Node) flushLoop() {
 // (original, pre-stacked-update).
 type fetcher struct{ n *Node }
 
+// FetchDecoded returns a copy of its own: the engine builds deltas whose
+// literals alias the content, and keeps them past this call.
 func (f fetcher) FetchDecoded(id uint64) ([]byte, error) {
-	return f.n.decodeBase(id)
-}
-
-// decodeVisible returns what a client read of record id yields.
-func (n *Node) decodeVisible(id uint64) ([]byte, error) {
-	rec, ok, err := n.store.Get(id)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	content, err := f.n.decode(sc, id, baseContent)
 	if err != nil {
 		return nil, err
 	}
-	if !ok || rec.Hidden {
-		return nil, ErrNotFound
-	}
-	if rec.Stacked {
-		sections, err := splitSections(rec.Payload)
+	return append([]byte(nil), content...), nil
+}
+
+// scratch is the working memory of one chain decode: the plan of the walk and
+// the two buffers its deltas alternate between, each delta reading the one and
+// writing the other. What decode returns lives in a scratch (or in the source
+// cache) and is good until the scratch is used again. Who owns which: the
+// paths applyMu serialises (write-back apply, hidden-chain repair, the
+// re-dedup verify) use the node's own applyScratch; Read, replica apply, the
+// fetcher, VerifyAll and the re-dedup rewrite take one from scratchPool for
+// the call and copy out at most once, into the slice they hand on.
+type scratch struct {
+	hops []hop
+	buf  [2][]byte
+}
+
+// hop is one delta-encoded record on a planned walk, outermost first, as
+// Store.Meta showed it.
+type hop struct {
+	id, base uint64
+	hidden   bool
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// decodeMode says which content of a record decode produces, and whether it
+// may repair the chain it walked.
+type decodeMode int
+
+const (
+	// visibleContent is what a client read yields: the last stacked
+	// section if there is one, ErrNotFound for a hidden record.
+	visibleContent decodeMode = iota
+	// baseContent is what other records decode through: the original
+	// content, ignoring stacked client updates, hidden or not.
+	baseContent
+	// baseContentNoRepair is baseContent without the opportunistic splice
+	// of a hidden record, for callers that already hold applyMu.
+	baseContentNoRepair
+)
+
+// errReplan reports that a record was no longer stored the way the plan saw
+// it: a write-back, repair or client write got in between.
+var errReplan = errors.New("node: stored form changed under a chain walk")
+
+// decode returns the content of record id in memory that belongs to sc or to
+// the source cache: valid until sc is used again, not to be modified or kept.
+//
+// The walk is planned from Store.Meta alone (form, base, stacked and hidden
+// need no payload), stopping at a raw record or at a base the source cache
+// holds. Then the base is copied into sc and every delta on the path is
+// applied straight from its stored bytes, lent by Store.View for exactly that
+// long, so a k-step chain costs k applies and no copy of any delta. A View
+// shows one consistent version of a record but the plan is older than it, so
+// each View checks that the record is still stored as planned; if not, the
+// walk is planned again. Base contents never change while referenced, which
+// is what makes any consistent plan decode to the same bytes.
+func (n *Node) decode(sc *scratch, id uint64, mode decodeMode) ([]byte, error) {
+	for attempt := 0; ; attempt++ {
+		w, err := n.planWalk(sc, id, mode)
 		if err != nil {
 			return nil, err
 		}
-		return sections[len(sections)-1], nil
+		content, err := n.runWalk(sc, w)
+		if err != errReplan {
+			return content, err
+		}
+		switch {
+		case attempt < 4:
+			runtime.Gosched()
+		case attempt < 200:
+			// A writer is mid-append (Meta and the record maps are a
+			// version apart), possibly descheduled: give it time.
+			time.Sleep(50 * time.Microsecond)
+		default:
+			return nil, fmt.Errorf("node: record %d: %w", id, errReplan)
+		}
 	}
-	return n.decodeRecord(rec, true)
 }
 
-// decodeBase returns the content other records decode through: the original
-// content, ignoring stacked client updates.
-func (n *Node) decodeBase(id uint64) ([]byte, error) {
-	rec, ok, err := n.store.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("node: decode base %d missing", id)
-	}
-	if rec.Stacked {
-		sections, err := splitSections(rec.Payload)
-		if err != nil {
-			return nil, err
-		}
-		rec.Payload = sections[0]
-		rec.Stacked = false
-	}
-	return n.decodeRecord(rec, true)
+// walk is a planned chain walk: the record it ends at, as Store.Meta showed
+// it, and what to do on the way. The delta records it passes are sc.hops.
+type walk struct {
+	baseID uint64
+	base   docstore.MetaInfo
+	// cached is the base's content when the source cache holds it; the base
+	// is then not read at all.
+	cached []byte
+	// last marks a client read of a stacked record: its content is the
+	// base's last section, not the stored form underneath.
+	last bool
+	// keep indexes the hop whose content repair needs (-1 for none), and
+	// hidID is the hidden record right behind it.
+	keep  int
+	hidID uint64
 }
 
-// decodeBaseNoRepair is decodeBase without opportunistic chain repair, for
-// use while already holding applyMu.
-func (n *Node) decodeBaseNoRepair(id uint64) ([]byte, error) {
-	rec, ok, err := n.store.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("node: decode base %d missing", id)
-	}
-	if rec.Stacked {
-		sections, err := splitSections(rec.Payload)
-		if err != nil {
-			return nil, err
+// planWalk collects into sc.hops the delta records from id inward, until a
+// record that can be read without decoding another.
+func (n *Node) planWalk(sc *scratch, id uint64, mode decodeMode) (walk, error) {
+	sc.hops = sc.hops[:0]
+	w := walk{baseID: id, keep: -1}
+	var ok bool
+	w.base, ok = n.store.Meta(id)
+	if mode == visibleContent {
+		if !ok || w.base.Hidden {
+			return w, ErrNotFound
 		}
-		rec.Payload = sections[0]
-		rec.Stacked = false
-	}
-	return n.decodeRecord(rec, false)
-}
-
-// decodeRecord resolves rec's delta chain. rec.Payload must already be the
-// record's own stored form (section 0 for stacked records).
-func (n *Node) decodeRecord(rec docstore.Record, allowRepair bool) ([]byte, error) {
-	if rec.Form == docstore.FormRaw {
-		return rec.Payload, nil
-	}
-	// Walk the chain collecting deltas until a decodable base is found.
-	type step struct {
-		id      uint64
-		d       delta.Delta
-		isHid   bool
-		content []byte // filled during the apply pass
-	}
-	var steps []step
-	var baseContent []byte
-	baseID := uint64(0)
-	baseHidden := false
-	baseFromCache := false
-	cur := rec
-	for {
-		d, err := delta.Unmarshal(cur.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("node: record %d: %w", cur.ID, err)
+		if w.base.Stacked {
+			w.last = true
+			return w, nil
 		}
-		steps = append(steps, step{id: cur.ID, d: d, isHid: cur.Hidden})
-		baseID = cur.BaseID
-
+	} else if !ok {
+		return w, fmt.Errorf("node: decode base %d missing", id)
+	}
+	for w.base.Form == docstore.FormDelta {
+		if len(sc.hops) > 1<<20 {
+			return w, errors.New("node: decode chain cycle")
+		}
+		sc.hops = append(sc.hops, hop{id: w.baseID, base: w.base.BaseID, hidden: w.base.Hidden})
+		from := w.baseID
+		w.baseID = w.base.BaseID
+		if w.base, ok = n.store.Meta(w.baseID); !ok {
+			return w, fmt.Errorf("node: record %d: base %d missing", from, w.baseID)
+		}
 		// Source record cache: a decoded base short-circuits the walk.
-		if n.eng != nil && n.eng.SourceCache() != nil {
-			if c, ok := n.eng.SourceCache().Get(baseID); ok {
-				// Cached content is the record's base content only
-				// when it has no stacked updates.
-				if m, okM := n.store.Meta(baseID); okM && !m.Stacked {
-					baseContent = c
-					baseHidden = m.Hidden
-					baseFromCache = true
+		// Cached content is the record's base content only when it has no
+		// stacked updates.
+		if n.eng != nil && n.eng.SourceCache() != nil && !w.base.Stacked {
+			if c, hit := n.eng.SourceCache().Get(w.baseID); hit {
+				w.cached = c
+				break
+			}
+		}
+		n.decodeSteps.Add(1)
+	}
+
+	// Opportunistic repair (paper §4.1, Garbage Collection): the first
+	// hidden record on the path gets spliced out by re-binding its dependant
+	// directly to the record behind it (or to raw form when the hidden
+	// record terminates the chain). The dependant's content is the one thing
+	// repair needs from the walk, so the plan marks which step to keep. At
+	// most one repair per read.
+	if mode != baseContentNoRepair {
+		if w.cached == nil || !w.base.Hidden {
+			for i := 0; i+1 < len(sc.hops); i++ {
+				if sc.hops[i+1].hidden {
+					w.keep, w.hidID = i, sc.hops[i+1].id
 					break
 				}
 			}
 		}
+		if w.keep < 0 && w.base.Hidden && len(sc.hops) > 0 {
+			w.keep, w.hidID = len(sc.hops)-1, w.baseID
+		}
+	}
+	return w, nil
+}
 
-		next, ok, err := n.store.Get(baseID)
+// runWalk produces the content w was planned for: the base, then the deltas
+// of sc.hops from the base outward. It returns errReplan if a record is no
+// longer stored the way the plan saw it.
+func (n *Node) runWalk(sc *scratch, w walk) ([]byte, error) {
+	content, next := w.cached, 0 // next: the buffer the next result goes into
+	if w.cached == nil {
+		err := n.lend(w.baseID, w.base, w.last, func(stored []byte) error {
+			sc.buf[0] = append(sc.buf[0][:0], stored...)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			return nil, fmt.Errorf("node: record %d: base %d missing", cur.ID, baseID)
-		}
-		n.decodeSteps.Add(1)
-		if next.Stacked {
-			sections, err := splitSections(next.Payload)
+		content, next = sc.buf[0], 1
+	}
+	var kept []byte
+	for i := len(sc.hops) - 1; i >= 0; i-- {
+		h := sc.hops[i]
+		planned := docstore.MetaInfo{Form: docstore.FormDelta, BaseID: h.base, Hidden: h.hidden}
+		err := n.lend(h.id, planned, false, func(stored []byte) error {
+			out, err := delta.ApplyInto(sc.buf[next], content, stored)
 			if err != nil {
-				return nil, err
+				return fmt.Errorf("node: applying delta for record %d: %w", h.id, err)
 			}
-			next.Payload = sections[0]
-			next.Stacked = false
-		}
-		if next.Form == docstore.FormRaw {
-			baseContent = next.Payload
-			baseHidden = next.Hidden
-			break
-		}
-		cur = next
-		if len(steps) > 1<<20 {
-			return nil, errors.New("node: decode chain cycle")
-		}
-	}
-
-	// Apply the deltas from the base outward, keeping each intermediate
-	// content for potential chain repair.
-	content := baseContent
-	for i := len(steps) - 1; i >= 0; i-- {
-		var err error
-		content, err = delta.Apply(content, steps[i].d)
+			sc.buf[next] = out
+			return nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("node: applying delta for record %d: %w", steps[i].id, err)
+			return nil, err
 		}
-		steps[i].content = content
-	}
-
-	// Opportunistic repair (paper §4.1, Garbage Collection): the first
-	// hidden record on the path gets spliced out by re-binding its
-	// dependant directly to the record behind it (or to raw form when
-	// the hidden record terminates the chain).
-	if !allowRepair {
-		return content, nil
-	}
-	if !baseFromCache || !baseHidden {
-		for i := 0; i+1 < len(steps); i++ {
-			if steps[i+1].isHid {
-				n.repairPastHidden(steps[i].id, steps[i+1].id, steps[i].content, steps[i+1].content)
-				baseHidden = false // at most one repair per read
-				break
-			}
+		content, next = sc.buf[next], next^1
+		if i == w.keep {
+			kept = append([]byte(nil), content...)
 		}
 	}
-	if baseHidden && len(steps) > 0 {
-		last := steps[len(steps)-1]
-		n.repairPastHidden(last.id, baseID, last.content, nil)
+	if w.keep >= 0 {
+		n.repairPastHidden(sc.hops[w.keep].id, w.hidID, kept)
 	}
 	return content, nil
 }
 
+// lend calls fn with record id's stored bytes, borrowed from the store for
+// the length of the call (Store.View's leaf rule applies to fn): the record's
+// own stored form, which is section 0 of a stacked record, or with last set
+// the last section of a stacked record, which is what a client sees of it. It
+// returns errReplan when the record is gone or no longer has the form, base
+// and hidden flag that planned shows (and, with last set, is no longer
+// stacked).
+func (n *Node) lend(id uint64, planned docstore.MetaInfo, last bool, fn func(stored []byte) error) error {
+	err := errReplan
+	_, viewErr := n.store.View(id, func(v docstore.Stored) {
+		if v.Form != planned.Form || v.Form == docstore.FormDelta && v.BaseID != planned.BaseID ||
+			v.Hidden != planned.Hidden || last && !v.Stacked {
+			return
+		}
+		stored := v.Payload
+		if v.Stacked {
+			if stored, err = stackedSection(stored, last); err != nil {
+				return
+			}
+		}
+		err = fn(stored)
+	})
+	if viewErr != nil {
+		return viewErr
+	}
+	return err
+}
+
 // repairPastHidden re-binds record depID (whose decoded content is
-// depContent) past the hidden record hidID: to hidID's own base when hidID
-// is delta-encoded, or back to raw form when hidID terminates the chain.
-// hidContent is hidID's decoded content when known (nil otherwise). One
-// reference to hidID is released, eventually reclaiming it.
-func (n *Node) repairPastHidden(depID, hidID uint64, depContent, hidContent []byte) {
+// depContent, which the store keeps when the dependant goes back to raw) past
+// the hidden record hidID: to hidID's own base when hidID is delta-encoded,
+// or back to raw form when hidID terminates the chain. One reference to hidID
+// is released, eventually reclaiming it.
+func (n *Node) repairPastHidden(depID, hidID uint64, depContent []byte) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 
@@ -1443,12 +1517,8 @@ func (n *Node) repairPastHidden(depID, hidID uint64, depContent, hidContent []by
 	if hidMeta.Form == docstore.FormDelta {
 		// Splice: delta the dependant directly against the hidden
 		// record's own base.
-		hidRec, okH, errH := n.store.Get(hidID)
-		if errH != nil || !okH {
-			return
-		}
-		newBaseID = hidRec.BaseID
-		baseContent, err := n.decodeBaseNoRepair(newBaseID)
+		newBaseID = hidMeta.BaseID
+		baseContent, err := n.decode(&n.applyScratch[0], newBaseID, baseContentNoRepair)
 		if err != nil {
 			return
 		}
@@ -1458,9 +1528,8 @@ func (n *Node) repairPastHidden(depID, hidID uint64, depContent, hidContent []by
 	} else {
 		// The hidden record terminates the chain: the dependant goes
 		// back to raw form.
-		newPayload = append([]byte(nil), depContent...)
+		newPayload = depContent
 	}
-	_ = hidContent
 
 	if dep.Stacked {
 		sections, err := splitSections(dep.Payload)
@@ -1622,6 +1691,8 @@ func (n *Node) ReadSnapshot() metrics.ReadSnapshot {
 
 		BlockBuffersRecycled: st.BlockBuffersRecycled,
 		BlockBuffersFresh:    st.BlockBuffersFresh,
+		BlocksDecoded:        st.BlocksDecoded,
+		BlockDecodeNanos:     st.BlockDecodeNanos,
 	}
 	for _, sh := range n.store.CacheShardStats() {
 		snap.CacheShards = append(snap.CacheShards, metrics.CacheShardSnapshot{
@@ -1673,16 +1744,25 @@ func splitSections(p []byte) ([][]byte, error) {
 	return out, nil
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// stackedSection returns the first section of a stacked payload (the record's
+// own stored form) or, when last is set, the last one (what the client sees),
+// without building the section list.
+func stackedSection(p []byte, last bool) ([]byte, error) {
+	var sec []byte
+	for len(p) > 0 {
+		l, k := binary.Uvarint(p)
+		if k <= 0 || uint64(len(p)-k) < l {
+			return nil, errors.New("node: corrupt stacked payload")
+		}
+		sec, p = p[k:k+int(l)], p[k+int(l):]
+		if !last {
+			return sec, nil
 		}
 	}
-	return true
+	if sec == nil {
+		return nil, errors.New("node: empty stacked payload")
+	}
+	return sec, nil
 }
 
 func joinSections(sections [][]byte) []byte {

@@ -90,7 +90,12 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 		undoReservation()
 		return fmt.Errorf("%w: %q/%q (insert of %q)", ErrBaseMissing, e.DB, e.BaseKey, e.Key)
 	}
-	srcContent, err := n.decodeBase(srcID)
+	// The base's content is borrowed from a scratch for the rest of the
+	// call: the new record is applied from it and the backward delta is
+	// re-encoded against it, and neither outlives queueWritebacks below.
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	srcContent, err := n.decode(sc, srcID, baseContent)
 	if err != nil {
 		undoReservation()
 		return fmt.Errorf("node: decoding base %q/%q: %w", e.DB, e.BaseKey, err)

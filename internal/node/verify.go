@@ -63,6 +63,8 @@ func (n *Node) VerifyAll() (report VerifyReport) {
 		return true
 	})
 
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	for _, it := range items {
 		if _, ok := n.store.Meta(it.id); !ok {
 			// Reclaimed since the listing — decoding other records can
@@ -80,7 +82,7 @@ func (n *Node) VerifyAll() (report VerifyReport) {
 		if depth := n.chainDepth(it.id); depth > report.MaxChainDepth {
 			report.MaxChainDepth = depth
 		}
-		if _, err := n.decodeBase(it.id); err != nil {
+		if _, err := n.decode(sc, it.id, baseContent); err != nil {
 			if _, ok := n.store.Meta(it.id); !ok {
 				continue // reclaimed while decoding
 			}
@@ -89,7 +91,7 @@ func (n *Node) VerifyAll() (report VerifyReport) {
 			continue
 		}
 		if !it.hidden {
-			if _, err := n.decodeVisible(it.id); err != nil {
+			if _, err := n.decode(sc, it.id, visibleContent); err != nil {
 				report.Errors = append(report.Errors,
 					fmt.Sprintf("%s/%s (id %d): visible decode: %v", it.db, it.key, it.id, err))
 			}
