@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -294,19 +296,65 @@ func TestRecoverFinishesCommittedWindowOnStraggler(t *testing.T) {
 	}
 }
 
-// halfJoined opens a join window on a ring-less destination whose disk
-// follows rules and streams keys records of one gained database into it. It
-// returns the injector with every fault still ahead: keys is large enough
-// that the tombstones of a drop (a few bytes each) overflow a 128-byte
-// block, so the drop itself writes to disk, and a failed write is retried by
-// the next one, so FailWrite(w+1..w+k) fails k drop attempts in a row.
-func halfJoined(t *testing.T, rules ...faultfs.Rule) (inj *faultfs.Injector, n *node.Node, sh *Shard, gained string) {
+// failingDisk is an in-memory disk whose segment writes fail for as long as
+// down is set. The store writes a block behind the acknowledgements of the
+// appends that filled it and retries a failed block whenever it is next
+// called, so how many writes a stretch of operations issues depends on timing;
+// a disk that is simply down for that stretch does not.
+type failingDisk struct {
+	faultfs.FS
+	down   atomic.Bool
+	failed atomic.Int64 // writes refused
+}
+
+func (d *failingDisk) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := d.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return failingFile{f, d}, nil
+}
+
+type failingFile struct {
+	faultfs.File
+	d *failingDisk
+}
+
+func (f failingFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.d.down.Load() {
+		f.d.failed.Add(1)
+		return 0, faultfs.ErrInjected
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// recovered brings the disk back and has the store notice: a Flush takes the
+// last failed attempt's error with it (the store hands each one to whichever
+// call comes next) and writes what the outage held up.
+func (d *failingDisk) recovered(t *testing.T, n *node.Node) {
+	t.Helper()
+	d.down.Store(false)
+	n.Store().Flush() // may return the outage's last error; the retry it stands for succeeded
+	if err := n.Store().Flush(); err != nil {
+		t.Fatalf("flush on the recovered disk: %v", err)
+	}
+}
+
+// halfJoined opens a join window on a ring-less destination and streams keys
+// records of one gained database into it. It returns the member's disk,
+// healthy so far, with everything written. keys is large enough that the
+// tombstones of a drop (six or seven bytes each) overflow two 128-byte blocks
+// several times over: with the disk down the first block stays in flight, the
+// second fills behind it, and the delete after that gets the error if none
+// before it did, so a drop on a failing disk always fails partway and leaves
+// survivors, however many times it is retried.
+func halfJoined(t *testing.T) (disk *failingDisk, n *node.Node, sh *Shard, gained string) {
 	t.Helper()
 	pend := NewRing(1, []string{"b:1", "ghost:1"})
 	gained = dbOwnedBy(t, pend, "b:1")
-	inj = faultfs.NewInjector(faultfs.NewMemFS(), 1, rules...)
+	disk = &failingDisk{FS: faultfs.NewMemFS()}
 	n, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true,
-		Dir: "b", FS: inj, BlockSize: 128})
+		Dir: "b", FS: disk, BlockSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,10 +368,13 @@ func halfJoined(t *testing.T, rules ...faultfs.Rule) (inj *faultfs.Injector, n *
 			t.Fatal(err)
 		}
 	}
-	return inj, n, sh, gained
+	if err := n.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return disk, n, sh, gained
 }
 
-const halfJoinedKeys = 48
+const halfJoinedKeys = 96
 
 var halfJoinedPayload = bytes.Repeat([]byte("half-transferred "), 8)
 
@@ -345,18 +396,18 @@ func reopenWindow(t *testing.T, sh *Shard) {
 // resurrected at commit (clustertest's composed class found this with write
 // faults on the joiner). Finishing the drop must not cost an acked write.
 func TestFailedDropFinishedBeforeRetransfer(t *testing.T) {
-	// Census pass: count the writes up to the abort, so the faulted pass
-	// can fail the first one the drop issues.
-	census, _, _, _ := halfJoined(t)
-	writes := census.Count(faultfs.OpWrite)
-
-	inj, n, sh, gained := halfJoined(t, faultfs.FailWrite(writes+1))
+	disk, n, sh, gained := halfJoined(t)
+	disk.down.Store(true)
 	if err := sh.AbortRing(); err != nil {
 		t.Fatal(err)
 	}
-	if len(inj.Events()) != 1 {
-		t.Fatalf("the drop fired %v, want 1 fault: it must seal a block of tombstones", inj.Events())
+	if disk.failed.Load() == 0 {
+		t.Fatal("the drop met no fault: it must seal a block of tombstones")
 	}
+	if len(n.DBKeys(gained)) == 0 {
+		t.Fatal("the drop finished on a failing disk: the scenario needs survivors")
+	}
+	disk.recovered(t, n)
 	// Ring-less between the attempts, the member serves the database: the
 	// write finishes the drop first, so nothing later has cause to wipe it.
 	if err := sh.Insert(gained, "client", halfJoinedPayload); err != nil {
@@ -367,7 +418,7 @@ func TestFailedDropFinishedBeforeRetransfer(t *testing.T) {
 	reopenWindow(t, sh)
 	for i := 0; i < halfJoinedKeys/2; i++ {
 		if err := sh.Transfer(gained, halfJoinedKey(i), halfJoinedPayload); err != nil {
-			t.Fatalf("second attempt, after %v: %v", inj.Events(), err)
+			t.Fatalf("second attempt: %v", err)
 		}
 	}
 	if err := sh.CommitRing(); err != nil {
@@ -395,37 +446,37 @@ func TestFailedDropFinishedBeforeRetransfer(t *testing.T) {
 // finishes the drop and is served, and what it wrote outlives every later
 // window.
 func TestDirtyDatabaseNotServedUntilDropped(t *testing.T) {
-	census, _, _, _ := halfJoined(t)
-	w := census.Count(faultfs.OpWrite)
-	inj, n, sh, gained := halfJoined(t, faultfs.FailWrite(w+1), faultfs.FailWrite(w+2),
-		faultfs.FailWrite(w+3), faultfs.FailWrite(w+4))
+	disk, n, sh, gained := halfJoined(t)
+	disk.down.Store(true)
 
-	if err := sh.AbortRing(); err != nil { // fault 1: the abort's drop
+	if err := sh.AbortRing(); err != nil { // attempt 1: the abort's drop
 		t.Fatal(err)
 	}
 	// Ring-less again, so the member serves everything it holds, but not
 	// this: an ack here would be wiped by the next attempt's first transfer.
+	// The refused insert retries the drop (attempt 2).
 	var mv *apiserver.ShardMovingError
 	if err := sh.Insert(gained, "client", halfJoinedPayload); !errors.As(err, &mv) {
 		t.Fatalf("insert between join attempts, on a database owed a drop: %v, want shard-moving", err)
 	}
-	if len(inj.Events()) != 2 {
-		t.Fatalf("faults fired %v, want 2: the refused insert retries the drop", inj.Events())
-	}
 
-	// Second attempt streams nothing for the database and commits; the
-	// install and the commit each retry the drop and fail (faults 3 and 4).
+	// Second window streams nothing for the database and commits; the
+	// install and the commit each retry the drop and fail (attempts 3 and 4).
 	reopenWindow(t, sh)
 	if err := sh.CommitRing(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(inj.Events()); got != 4 {
-		t.Fatalf("faults fired %v, want 4", inj.Events())
+	// Each attempt ended on an error the store handed it, and the store
+	// hands over one per failed write of the block: four attempts, at least
+	// four writes refused.
+	if got := disk.failed.Load(); got < 4 {
+		t.Fatalf("%d writes refused, want at least one per drop attempt (4)", got)
 	}
 	if len(n.DBKeys(gained)) == 0 {
 		t.Fatal("no stale copies left: the scenario needs survivors on the owner")
 	}
 
+	disk.recovered(t, n)
 	// Disk recovered: the next operation finishes the drop, then is served.
 	if err := sh.Insert(gained, "client", halfJoinedPayload); err != nil {
 		t.Fatalf("insert after the disk recovered: %v", err)

@@ -303,7 +303,9 @@ type chainState struct {
 	headID  uint64
 	headPos int
 	firstID uint64
-	// lastBase[l] is the record ID of the most recent level-l hop base.
+	// lastBase[l] is the record ID of the most recent level-l hop base. Nil
+	// until the chain records its first one: most chains on data that does
+	// not dedup never grow past their head.
 	lastBase map[int]uint64
 }
 
@@ -712,8 +714,7 @@ func (e *Engine) adoptAsNewChainLocked(st *dbState, id uint64, payload []byte) {
 	if st.chains == nil {
 		return // governor freed this partition concurrently
 	}
-	st.chains[id] = &chainState{headID: id, headPos: 0, firstID: id,
-		lastBase: make(map[int]uint64)}
+	st.chains[id] = &chainState{headID: id, headPos: 0, firstID: id}
 	if e.cache != nil {
 		e.cache.Put(id, payload)
 	}
@@ -769,6 +770,9 @@ func (e *Engine) appendToChainLocked(st *dbState, srcID, id uint64, payload []by
 			baseID, ok := cs.lastBase[l]
 			if !ok {
 				baseID = cs.firstID // position 0 seeds every level
+			}
+			if cs.lastBase == nil {
+				cs.lastBase = make(map[int]uint64)
 			}
 			cs.lastBase[l] = id
 			if e.stageHopWriteback(baseID, id, res, hops) {

@@ -14,31 +14,63 @@
 // # Concurrency
 //
 // The store is a single-writer, many-reader structure. One writer lock
-// (s.mu) serialises Append/Flush/Compact/Close; the read path — Get, Range,
-// Meta, Stats, DBLogicalBytes — takes no store-wide lock. Sealed bytes are
-// immutable, so reads route through the segio subsystem: a block read
-// consults the sharded block cache (segio.Cache) and, on a miss, pins a
-// refcounted segment handle (segio.Table), loads the block and unpins. A
-// decoded block belongs to the cache; readers see their record in it only
-// inside a callback (under the cache's shard lock on a hit, before handing
-// the buffer over on a miss). Get copies the payload out there and returns
-// bytes nothing else aliases; View lends it to the caller's function for
-// exactly that long, so a chain decode can apply a stored delta without a
-// copy of it. Either way the cache is free to recycle an evicted block's
-// buffer for the next miss. The shard lock is a leaf: nothing is acquired
-// under it, which is the rule View passes on to its callers. Compaction retires
-// a segment by publishing a new table epoch and deleting the file; pinned
-// readers keep the inode alive until they drain, and a reader that loses the
-// pin race re-resolves its locator through the index, which no longer
-// references the victim. See the segio package comment for the retirement
-// protocol and DESIGN.md §6 for the lock hierarchy.
+// (s.mu) serialises Append/Flush/Compact/Close and the commit of a sealed
+// block; the read path — Get, View, Range, Meta, Stats, DBLogicalBytes —
+// never takes it.
 //
-// The record maps (pending, index, meta) are sync.Maps updated only under
-// the writer lock, in a publish-new-before-retiring-old order, so lock-free
-// readers always observe either the old or the new version of a record and
-// never a transient absence. Counters are atomics; the per-database byte
-// map has a dedicated mutex (statsMu) so monitoring never contends with
-// writes.
+// An append is a copy and one table update: the frame is copied into the
+// block under construction (pending) and the record's entry in the record
+// table is replaced. The append that fills the block swaps in the spare
+// buffer, hands the full block to the sealer and returns. The sealer — one
+// goroutine, alive only while a full block exists — compresses the block,
+// writes it behind the active segment's end and fsyncs it under SyncWrites,
+// all outside s.mu, and then takes s.mu only to make those bytes part of the
+// segment, point the block's records at them and roll a full segment. At
+// most one block is in flight and blocks reach the segment in the order they
+// filled, so the bytes on disk are those a store sealing inline would write.
+// An appender that finds both buffers full waits on a condition variable for
+// the sealer (Stats.SealWaits). Flush, Close and the sealer share the two
+// halves of that commit (writeInFlight, installLocked); Flush waits for the
+// block in flight, seals the remainder and, under SyncWrites, returns after
+// the fsync, so it is the durability barrier: what was acknowledged before a
+// Flush that returned nil survives a crash, and up to two blocks acknowledged
+// since do not.
+//
+// A block that cannot be written or synced never becomes part of the segment
+// (the segment's end has not moved) and stays in flight, its records readable.
+// The error goes to whichever of the next Append (which then stores nothing),
+// Flush or Close comes first, and that call or the next retries the block:
+// the same bytes at the same offset.
+//
+// The record table (table.go) holds one value per live record: metadata plus
+// either the pending copy and the number of the unsealed block its frame is
+// in, or the sealed location. Every change of a record — overwrite, delete,
+// pending to sealed — is one store under one shard lock, taken after s.mu by
+// writers and alone by readers, so a reader finds the old version or the new
+// one and never neither. The sealer retires a pending copy only if the entry
+// still names its block and frame: a record overwritten, re-encoded or
+// deleted while its old frame was in flight keeps the newer version and the
+// old frame is counted dead.
+//
+// Sealed bytes are immutable, so reads of them route through the segio
+// subsystem: a block read consults the sharded block cache (segio.Cache) and,
+// on a miss, pins a refcounted segment handle (segio.Table), loads the block
+// and unpins. A decoded block belongs to the cache; readers see their record
+// in it only inside a callback (under the cache's shard lock on a hit, before
+// handing the buffer over on a miss). Get copies the payload out there and
+// returns bytes nothing else aliases; View lends it to the caller's function
+// for exactly that long, so a chain decode can apply a stored delta without a
+// copy of it. Either way the cache is free to recycle an evicted block's
+// buffer for the next miss. The cache's shard lock is a leaf like the
+// table's: nothing is acquired under it, which is the rule View passes on to
+// its callers. Compaction retires a segment by publishing a new table epoch
+// and deleting the file; pinned readers keep the inode alive until they
+// drain, and a reader that loses the pin race re-resolves its record through
+// the table, which no longer references the victim. See the segio package
+// comment for the retirement protocol and DESIGN.md §6 for the lock hierarchy.
+//
+// Counters are atomics; the per-database byte map has a dedicated mutex
+// (statsMu) so monitoring never contends with writes.
 //
 // The store knows nothing about deduplication policy: it faithfully stores
 // whatever form (raw or delta + base reference) the engine hands it, and
@@ -52,7 +84,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -123,10 +154,9 @@ type Options struct {
 	// disables it. Used by the write-back-cache experiment, where the
 	// effect under study is I/O contention.
 	AppendDelay time.Duration
-	// SyncWrites fsyncs the segment file after each sealed block,
-	// trading throughput for durability of acknowledged blocks. The
-	// paper runs with full journaling off; this is the corresponding
-	// opt-in knob.
+	// SyncWrites fsyncs the segment file after each sealed block, so that
+	// a Flush that returned nil is a durability barrier. The paper runs
+	// with full journaling off; this is the corresponding opt-in knob.
 	SyncWrites bool
 	// FS is the filesystem the store runs on. Nil selects the direct
 	// os-backed implementation; crash tests install a faultfs.Injector to
@@ -177,35 +207,43 @@ type Stats struct {
 	RetiredPending int64
 	// LiveSegments is the number of segments readable through the table.
 	LiveSegments int
-}
-
-type locator struct {
-	seg      int   // segment slot (index into s.segments / segio table)
-	off      int64 // block offset within segment
-	recStart int   // frame start within the decompressed block
+	// BlocksSealed counts blocks written to a segment and SealNanos the
+	// time spent compressing, writing and syncing them, nearly all of it
+	// off the ack path. SealWaits counts appends that found both block
+	// buffers full and waited for the sealer, SealWaitNanos how long.
+	// SealErrors counts failed attempts to write or sync a block; each is
+	// also returned by the next Append, Flush or Close.
+	BlocksSealed, SealNanos  uint64
+	SealWaits, SealWaitNanos uint64
+	SealErrors               uint64
 }
 
 // Store is a log-structured record store. All methods are safe for
-// concurrent use; reads take no store-wide lock.
+// concurrent use; reads never take the writer lock.
 type Store struct {
-	mu   sync.RWMutex // writer lock; readers use it only as a last-resort fallback
+	mu   sync.Mutex // writer lock
 	opts Options
 
 	segments []*segment
 	active   *segment // last live element of segments
 
-	// block under construction (not yet sealed) and the buffer sealBlock
-	// compresses it into; guarded by mu. Both keep their capacity across
-	// seals: nothing outside the writer lock ever aliases them (pendingRecs
-	// hold the callers' payloads, not slices of pending).
-	pending []byte
-	sealBuf []byte
+	// The block under construction, the block in flight and the buffers
+	// they rotate through; guarded by mu, except that while sealing is set
+	// inflight, sealBuf and the active segment's unpublished tail are the
+	// sealer's to use outside it (nobody else touches them until the sealer
+	// clears the flag under mu). The buffers keep their capacity across seals
+	// and nothing but the store ever aliases them: a pending record's payload
+	// is the caller's slice, not a slice of its block.
+	pending    []byte // frames of block number pendingSeq
+	pendingSeq uint64 // starts at 1: an entry's block 0 means sealed
+	inflight   fullBlock
+	spare      []byte     // idle buffer, the next pending
+	sealBuf    []byte     // compressed image of the block in flight
+	sealing    bool       // a sealer goroutine is running
+	sealErr    error      // the sealer's last failure, not yet returned to a caller
+	sealed     *sync.Cond // on mu; broadcast whenever the sealer lets go of a block
 
-	// record maps: lock-free for readers, mutated only under mu in
-	// publish-before-retire order (see package comment).
-	pendingRecs sync.Map // uint64 -> Record (unsealed)
-	index       sync.Map // uint64 -> locator (sealed)
-	meta        sync.Map // uint64 -> recMeta (all live records)
+	recs *recTable
 
 	table *segio.Table
 	cache *segio.Cache
@@ -222,23 +260,30 @@ type Store struct {
 	mmapFailures  atomic.Uint64
 	blocksDecoded atomic.Uint64
 	decodeNanos   atomic.Uint64
+	blocksSealed  atomic.Uint64
+	sealNanos     atomic.Uint64
+	sealWaits     atomic.Uint64
+	sealWaitNanos atomic.Uint64
+	sealErrors    atomic.Uint64
 
 	// statsMu guards only dbBytes, so DBLogicalBytes never waits on a
 	// writer holding mu.
 	statsMu sync.Mutex
 	dbBytes map[string]int64
 
-	compactMu sync.Mutex // one compaction pass at a time
-	closed    bool       // guarded by mu
+	compactMu sync.Mutex     // one compaction pass at a time
+	closed    bool           // guarded by mu
+	sealers   sync.WaitGroup // Close waits for the sealer goroutine to be gone
 }
 
-type recMeta struct {
-	db, key    string
-	form       Form
-	baseID     uint64
-	payloadLen int
-	stacked    bool
-	hidden     bool
+// fullBlock is a block between the append that filled it and its commit to
+// the segment. raw is nil when no block is in flight, and never empty
+// otherwise.
+type fullBlock struct {
+	seq    uint64
+	raw    []byte // the frames, as appended
+	stored []byte // raw, or its compressed image in sealBuf; nil until writeInFlight has made it
+	flags  byte
 }
 
 // segment is the writer-side state of one segment. All fields are guarded
@@ -275,11 +320,14 @@ func Open(opts Options) (*Store, error) {
 		opts.FS = faultfs.DefaultFS
 	}
 	s := &Store{
-		opts:    opts,
-		dbBytes: make(map[string]int64),
-		table:   segio.NewTable(),
-		cache:   segio.NewCache(opts.CacheBlocks, opts.CacheShards),
+		opts:       opts,
+		pendingSeq: 1,
+		recs:       newRecTable(),
+		dbBytes:    make(map[string]int64),
+		table:      segio.NewTable(),
+		cache:      segio.NewCache(opts.CacheBlocks, opts.CacheShards),
 	}
+	s.sealed = sync.NewCond(&s.mu)
 	if opts.Dir == "" {
 		seg, err := s.newSegment(0, 0)
 		if err != nil {
@@ -331,8 +379,8 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	// Map every non-active segment now that replay has corrected sizes past
-	// torn tails. The active segment is never mapped — a rollback could
-	// rewrite bytes in place under a mapping's snapshot semantics — it gets
+	// torn tails. The active segment is never mapped — its tail is still
+	// being written, and a snapshot-style mapping would not follow — it gets
 	// mapped when it rolls.
 	for _, seg := range s.segments {
 		if seg != s.active {
@@ -346,8 +394,8 @@ func Open(opts Options) (*Store, error) {
 // bytes. Failure is not an error — the segment simply stays on the pread
 // path. Only segments past their last write may be mapped (mappings cover
 // immutable bytes only), which the callers guarantee: Open maps non-active
-// segments after replay, sealBlock maps a segment when it rolls out of the
-// active role. Caller holds s.mu (or the store is not yet shared).
+// segments after replay, installLocked maps a segment when it rolls out of
+// the active role. Caller holds s.mu (or the store is not yet shared).
 func (s *Store) mapSegment(seg *segment) {
 	if seg.file == nil || seg.size == 0 || seg.retired || seg.rd.Mapped() {
 		return
@@ -383,49 +431,115 @@ func (s *Store) newSegment(id, slot int) (*segment, error) {
 	return seg, nil
 }
 
+// maxPayload bounds one record: block headers and table entries count bytes
+// in 32 bits.
+const maxPayload = 1 << 30
+
 // Append stores rec, superseding any previous frame with the same ID. A
-// tombstone removes the ID from the index entirely.
+// tombstone removes the ID from the table entirely. It returns once the frame
+// is in the block under construction and the record is readable; the block
+// reaches the segment behind it, and Flush is the barrier that says it has. An
+// error the sealer met since the store was last called is returned here
+// instead, and then rec is not stored.
 func (s *Store) Append(rec Record) error {
 	if strings.IndexByte(rec.DB, 0) >= 0 || strings.IndexByte(rec.Key, 0) >= 0 {
 		return errors.New("docstore: DB and Key must not contain NUL")
+	}
+	if len(rec.Payload) > maxPayload {
+		return fmt.Errorf("docstore: payload of %d bytes exceeds the %d-byte limit", len(rec.Payload), maxPayload)
 	}
 	if s.opts.AppendDelay > 0 {
 		time.Sleep(s.opts.AppendDelay)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(rec)
+	if err := s.roomLocked(); err != nil {
+		return err
+	}
+	s.appendLocked(rec)
+	return nil
 }
 
-// appendLocked is Append's body; the caller holds mu. Compaction uses it
-// directly so its re-resolve-then-move step is one critical section — a
-// concurrent writer can never supersede a record between the check and the
-// re-append (which would resurrect the stale version).
-func (s *Store) appendLocked(rec Record) error {
-	if s.closed {
-		return errors.New("docstore: store is closed")
+// roomLocked returns once the block under construction can take another
+// frame, or with the reason nothing may be appended: the store is closed, or
+// the sealer failed since the last call (the error is handed over once, and
+// the failed block is retried behind it). It waits while both block buffers
+// are full, releasing mu, so a caller whose append must be atomic with a check
+// makes the check after it.
+func (s *Store) roomLocked() error {
+	waited := false
+	for {
+		if s.closed {
+			return errors.New("docstore: store is closed")
+		}
+		err := s.sealErr
+		s.sealErr = nil
+		s.kickLocked()
+		if err != nil {
+			return err
+		}
+		if len(s.pending) < s.opts.BlockSize {
+			return nil
+		}
+		if !waited {
+			waited = true
+			s.sealWaits.Add(1)
+		}
+		start := time.Now()
+		s.sealed.Wait()
+		s.sealWaitNanos.Add(uint64(time.Since(start)))
 	}
+}
+
+// appendLocked copies rec's frame into the block under construction and
+// makes it the record's current version; the caller holds mu and has been
+// through roomLocked. It never blocks, so compaction's
+// re-resolve-then-move step is one critical section — a concurrent writer can
+// never supersede a record between the check and the re-append (which would
+// resurrect the stale version).
+func (s *Store) appendLocked(rec Record) {
+	start := len(s.pending)
 	s.pending = appendFrame(s.pending, rec)
+	s.replace(&rec, entry{payload: rec.Payload, block: s.pendingSeq, recStart: uint32(start)})
+	s.appends.Add(1)
+	s.kickLocked()
+}
+
+// replace makes the frame at where (a pending copy and its block, or a
+// sealed location) record rec.ID's current version, or removes the record if
+// the frame is a tombstone, and settles the accounting for the version that
+// was current until now. That version's bytes stay on disk until compaction
+// reclaims them: a sealed frame is charged to its segment here, a pending one
+// when its block is installed and finds the record has moved on. Caller
+// holds mu (or is replay, before the store is shared).
+func (s *Store) replace(rec *Record, where entry) {
+	var old entry
+	var had bool
 	if rec.Tombstone {
-		s.supersede(rec.ID, true)
-		s.meta.Delete(rec.ID)
+		old, had = s.recs.remove(rec.ID)
 	} else {
-		// Publish the new version before retiring the old: a lock-free
-		// reader must always find one of them.
-		s.pendingRecs.Store(rec.ID, rec)
-		s.supersede(rec.ID, false)
-		s.meta.Store(rec.ID, recMeta{db: rec.DB, key: rec.Key, form: rec.Form,
-			baseID: rec.BaseID, payloadLen: len(rec.Payload),
-			stacked: rec.Stacked, hidden: rec.Hidden})
-		s.logicalBytes.Add(int64(len(rec.Payload)))
-		s.addDBBytes(rec.DB, int64(len(rec.Payload)))
+		e := where
+		e.db, e.key, e.baseID = rec.DB, rec.Key, rec.BaseID
+		e.form, e.stacked, e.hidden = rec.Form, rec.Stacked, rec.Hidden
+		e.payloadLen = uint32(len(rec.Payload))
+		old, had = s.recs.put(rec.ID, e)
+	}
+	if had {
+		n := int64(old.payloadLen)
+		s.logicalBytes.Add(-n)
+		s.addDBBytes(old.db, -n)
+		s.liveRecords.Add(-1)
+		s.deadBytes.Add(n)
+		if old.sealed() {
+			s.segments[old.seg].dead += n
+		}
+	}
+	if !rec.Tombstone {
+		n := int64(len(rec.Payload))
+		s.logicalBytes.Add(n)
+		s.addDBBytes(rec.DB, n)
 		s.liveRecords.Add(1)
 	}
-	s.appends.Add(1)
-	if len(s.pending) >= s.opts.BlockSize {
-		return s.sealBlock()
-	}
-	return nil
 }
 
 func (s *Store) addDBBytes(db string, n int64) {
@@ -434,36 +548,197 @@ func (s *Store) addDBBytes(db string, n int64) {
 	s.statsMu.Unlock()
 }
 
-// supersede retires the previous version of id from the accounting and
-// index (but not from disk; compaction reclaims the bytes later). Caller
-// holds mu. dropPending also removes the unsealed copy — false when the
-// caller has just overwritten it with the new version.
-func (s *Store) supersede(id uint64, dropPending bool) {
-	var payloadLen int64
-	if mv, ok := s.meta.Load(id); ok {
-		m := mv.(recMeta)
-		payloadLen = int64(m.payloadLen)
-		s.logicalBytes.Add(-payloadLen)
-		s.addDBBytes(m.db, -payloadLen)
-		s.liveRecords.Add(-1)
-		s.deadBytes.Add(payloadLen)
+// kickLocked starts the sealer when there is a full block and nobody sealing
+// it: a block just filled, or one still in flight after a failed write.
+func (s *Store) kickLocked() {
+	if s.sealing {
+		return // it picks up a block that fills meanwhile by itself
 	}
-	if lv, ok := s.index.Load(id); ok {
-		s.segments[lv.(locator).seg].dead += payloadLen
-		s.index.Delete(id)
+	if s.inflight.raw == nil {
+		if len(s.pending) < s.opts.BlockSize {
+			return
+		}
+		s.handOffLocked()
 	}
-	if dropPending {
-		s.pendingRecs.Delete(id)
+	s.sealing = true
+	s.sealers.Add(1)
+	go s.sealer()
+}
+
+// handOffLocked puts the block under construction in flight and starts the
+// next one in the spare buffer. Nothing is in flight when it is called.
+func (s *Store) handOffLocked() {
+	s.inflight = fullBlock{seq: s.pendingSeq, raw: s.pending}
+	s.pending, s.spare = s.spare[:0], nil
+	s.pendingSeq++
+}
+
+// sealer seals the block in flight, then any block that filled meanwhile,
+// and exits when there is none or the write failed. kickLocked starts it with
+// sealing set, so there is never a second one; Flush and Close wait for the
+// flag to clear. It holds mu only to install a block it has already written.
+func (s *Store) sealer() {
+	defer s.sealers.Done()
+	for {
+		err := s.writeInFlight()
+		s.mu.Lock()
+		if err == nil {
+			err = s.installLocked()
+		}
+		if err != nil {
+			s.sealErr = err
+		}
+		more := s.inflight.raw == nil && len(s.pending) >= s.opts.BlockSize
+		if more {
+			s.handOffLocked()
+		} else {
+			s.sealing = false
+		}
+		s.sealed.Broadcast()
+		s.mu.Unlock()
+		if !more {
+			return
+		}
 	}
 }
 
+// writeInFlight is the slow half of a block's commit: it compresses the block
+// in flight into sealBuf (once: the retry of a failed write finds the image
+// made the first time), writes header and body behind the active segment's
+// end and, under SyncWrites, syncs the file. It needs no lock, because only
+// the one goroutine committing a block — the sealer while sealing is set, a
+// Flush or Close holding mu while it is not — touches inflight, sealBuf or
+// the active segment's tail, and because the bytes it writes are not part of
+// the segment until installLocked says so. On failure nothing has changed
+// that a reader or a retry can see.
+func (s *Store) writeInFlight() error {
+	start := time.Now()
+	b := &s.inflight
+	if b.stored == nil {
+		b.stored = b.raw
+		if s.opts.Compress {
+			s.sealBuf = blockcomp.AppendEncode(s.sealBuf[:0], b.raw)
+			if len(s.sealBuf) < len(b.raw) {
+				b.stored = s.sealBuf
+				b.flags |= flagCompressed
+			}
+		}
+	}
+	var hdr [blockHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:], blockMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(b.raw)))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(b.stored)))
+	binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(b.stored))
+	hdr[16] = b.flags
+	if err := s.active.writeBlock(hdr[:], b.stored, s.opts.SyncWrites); err != nil {
+		s.sealErrors.Add(1)
+		return err
+	}
+	s.sealNanos.Add(uint64(time.Since(start)))
+	return nil
+}
+
+// installLocked is the other half: the block writeInFlight put behind the
+// active segment's end becomes part of the segment, its records point at it,
+// its buffer is recycled and a full segment rolls. Caller holds mu.
+func (s *Store) installLocked() error {
+	start := time.Now()
+	b := &s.inflight
+	seg := s.active
+	off := seg.size
+	seg.publish(blockHeaderSize + int64(len(b.stored)))
+
+	// A frame is its record's current version only if the entry still names
+	// this block and this offset; anything else was overwritten or deleted
+	// after it was appended and is dead on arrival.
+	slot := segSlot(s.segments, seg)
+	for scan := 0; scan < len(b.raw); {
+		rec, n, err := parseFrame(b.raw[scan:], false)
+		if err != nil {
+			panic("docstore: a frame this store appended does not parse: " + err.Error())
+		}
+		if !rec.Tombstone && !s.recs.seal(rec.ID, b.seq, scan, slot, off) {
+			seg.dead += int64(len(rec.Payload))
+		}
+		scan += n
+	}
+	s.blockBytesIn.Add(int64(len(b.raw)))
+	s.blockBytesOut.Add(int64(len(b.stored)) + blockHeaderSize)
+	s.blocksSealed.Add(1)
+	if cap(b.raw) <= 4*s.opts.BlockSize {
+		s.spare = b.raw[:0]
+	} else {
+		// One outsized record swelled this block; do not pin its buffers.
+		s.sealBuf = nil
+	}
+	s.inflight = fullBlock{}
+	s.sealNanos.Add(uint64(time.Since(start)))
+
+	if seg.size >= int64(s.opts.SegmentSize) {
+		ns, err := s.newSegment(seg.id+1, len(s.segments))
+		if err != nil {
+			return err
+		}
+		s.segments = append(s.segments, ns)
+		s.active = ns
+		// seg has rolled out of the active role: no byte of it will ever
+		// be written again, so its sealed prefix can be mapped.
+		s.mapSegment(seg)
+	}
+	return nil
+}
+
+// waitSealerLocked returns when no sealer is running: every block that
+// filled before the call has been committed, or has failed and is waiting
+// for its retry.
+func (s *Store) waitSealerLocked() {
+	for s.sealing {
+		s.sealed.Wait()
+	}
+}
+
+// drainLocked seals everything appended so far, on the caller's goroutine:
+// the block in flight (a failed one is retried) and then whatever the block
+// under construction holds. It returns the first error, including one the
+// sealer left for the next caller, and stops at the first failed commit.
+func (s *Store) drainLocked() error {
+	s.waitSealerLocked()
+	first := s.sealErr
+	s.sealErr = nil
+	for s.inflight.raw != nil || len(s.pending) > 0 {
+		if s.inflight.raw == nil {
+			s.handOffLocked()
+		}
+		err := s.writeInFlight()
+		if err == nil {
+			err = s.installLocked()
+		}
+		if err != nil {
+			if first == nil {
+				first = err
+			}
+			break
+		}
+	}
+	return first
+}
+
+func segSlot(segs []*segment, s *segment) int {
+	for i, x := range segs {
+		if x == s {
+			return i
+		}
+	}
+	panic("docstore: segment not registered")
+}
+
 // Get returns the stored form of record id. The payload never aliases memory
-// the store owns (a cached block, a mapping, the block under construction):
-// for a sealed record it is a fresh copy, for one still in the unsealed block
+// the store owns (a cached block, a mapping, a block buffer): for a sealed
+// record it is a fresh copy, for one whose block has not been committed yet
 // it is the slice Append was given, which appenders never modify.
 func (s *Store) Get(id uint64) (Record, bool, error) {
 	var out Record
-	ok, err := s.read(id, true, func(rec Record, lent bool) {
+	ok, err := s.read(id, func(rec Record, lent bool) {
 		if lent {
 			rec.Payload = append([]byte(nil), rec.Payload...)
 		}
@@ -492,105 +767,78 @@ type Stored struct {
 // reads is one consistent version of the record; Meta, read separately, may be
 // a version ahead or behind, which is why the form travels with the payload.
 func (s *Store) View(id uint64, fn func(v Stored)) (bool, error) {
-	return s.read(id, false, func(rec Record, _ bool) {
+	return s.read(id, func(rec Record, _ bool) {
 		fn(Stored{Form: rec.Form, BaseID: rec.BaseID, Stacked: rec.Stacked,
 			Hidden: rec.Hidden, Payload: rec.Payload})
 	})
 }
 
-// read is the lookup under Get and View: it resolves id to its unsealed
-// record or its sealed frame and calls fn with it once. lent says that
-// rec.Payload is a slice of a block (cached, mapped or just decoded) and dies
-// with the call; otherwise it is the slice Append was given. names asks for
-// rec.DB and rec.Key, which cost a sealed record two allocations.
+// read is the lookup under Get and View: it copies id's entry out of the
+// record table and calls fn once, with the pending copy or with the sealed
+// frame the entry points at. lent says that rec.Payload is a slice of a block
+// (cached, mapped or just decoded) and dies with the call; otherwise it is
+// the slice Append was given. rec.DB and rec.Key are the table's strings.
 //
-// read is lock-free on the sealed path: record-map lookups hit sync.Maps,
-// block reads go through the sharded cache and pin a segio segment handle on a
-// miss. Writers publish map updates new-version-first, so a miss in both maps
-// for a live record is a transient handoff window, closed by a re-check, a few
-// retries, and finally one authoritative pass under the writer lock.
-func (s *Store) read(id uint64, names bool, fn func(rec Record, lent bool)) (bool, error) {
+// read takes no store-wide lock: the entry is one consistent version of the
+// record, block reads go through the sharded cache and pin a segio segment
+// handle on a miss. The one retry is for a sealed location whose segment
+// compaction retired since the entry was copied.
+func (s *Store) read(id uint64, fn func(rec Record, lent bool)) (bool, error) {
 	for attempt := 0; ; attempt++ {
 		if attempt > 1000 {
-			return false, errors.New("docstore: Get retry livelock (index references retired segments)")
+			return false, errors.New("docstore: Get retry livelock (table references retired segments)")
 		}
-		if v, ok := s.pendingRecs.Load(id); ok {
-			fn(v.(Record), false)
+		e, ok := s.recs.get(id)
+		if !ok {
+			return false, nil
+		}
+		if !e.sealed() {
+			fn(Record{ID: id, DB: e.db, Key: e.key, Form: e.form, BaseID: e.baseID,
+				Stacked: e.stacked, Hidden: e.hidden, Payload: e.payload}, false)
 			return true, nil
 		}
-		lv, ok := s.index.Load(id)
-		if !ok {
-			// Sealing installs the index entry before clearing the pending
-			// copy; an overwrite publishes the new pending copy before
-			// retiring the old index entry. Re-checking pending closes
-			// both windows.
-			if v, ok := s.pendingRecs.Load(id); ok {
-				fn(v.(Record), false)
-				return true, nil
-			}
-			if _, ok := s.meta.Load(id); !ok {
-				return false, nil // authoritatively absent
-			}
-			// Live per meta but missed in both maps: we raced a writer
-			// mid-handoff. Retry lock-free, then consult the writer lock
-			// once (writers quiesced ⇒ the maps are authoritative).
-			if attempt < 4 {
-				runtime.Gosched()
-				continue
-			}
-			s.mu.RLock()
-			if v, ok := s.pendingRecs.Load(id); ok {
-				s.mu.RUnlock()
-				fn(v.(Record), false)
-				return true, nil
-			}
-			lv, ok = s.index.Load(id)
-			s.mu.RUnlock()
-			if !ok {
-				return false, nil
-			}
-		}
-		err := s.frameAt(lv.(locator), id, names, fn)
+		err := s.frameAt(id, &e, fn)
 		if errors.Is(err, segio.ErrRetired) {
-			// Compaction retired the segment after we resolved the
-			// locator. The record was moved first, so re-resolving finds
-			// its new home.
+			// The record was moved before its segment was retired, so the
+			// table already has its new home.
 			continue
 		}
 		return err == nil, err
 	}
 }
 
-// frameAt parses the frame at loc, checks that it is record id's, and calls fn
-// with it while the block's bytes are borrowed: from the cache, under its
-// shard lock, on a hit; from readBlock on a miss.
-func (s *Store) frameAt(loc locator, id uint64, names bool, fn func(rec Record, lent bool)) error {
+// frameAt parses the frame sealed entry e points at, checks that it is record
+// id's, and calls fn with it while the block's bytes are borrowed: from the
+// cache, under its shard lock, on a hit; from readBlock on a miss.
+func (s *Store) frameAt(id uint64, e *entry, fn func(rec Record, lent bool)) error {
 	var err error
 	extract := func(block []byte) {
-		if loc.recStart > len(block) {
+		if int(e.recStart) > len(block) {
 			err = errors.New("docstore: record offset past block end")
 			return
 		}
 		var rec Record
-		if rec, _, err = parseFrame(block[loc.recStart:], names); err != nil {
+		if rec, _, err = parseFrame(block[e.recStart:], false); err != nil {
 			return
 		}
 		if rec.ID != id {
 			err = fmt.Errorf("docstore: index corruption: wanted %d found %d", id, rec.ID)
 			return
 		}
+		rec.DB, rec.Key = e.db, e.key
 		fn(rec, true)
 	}
-	key := segio.BlockKey(loc.seg, loc.off)
+	seg := int(e.seg)
+	key := segio.BlockKey(seg, e.off)
 	if s.cache.View(key, extract) {
 		return err
 	}
-	rd, ok := s.table.Pin(loc.seg)
+	rd, ok := s.table.Pin(seg)
 	if !ok {
 		return segio.ErrRetired
 	}
 	defer s.table.Unpin(rd)
-	if loadErr := s.readBlock(rd, key, loc.off, extract); loadErr != nil {
+	if loadErr := s.readBlock(rd, key, e.off, extract); loadErr != nil {
 		return loadErr
 	}
 	return err
@@ -601,147 +849,55 @@ func (s *Store) Delete(id uint64) error {
 	return s.Append(Record{ID: id, Tombstone: true})
 }
 
-// Flush seals the pending block so its records are durable in the segment.
+// Flush seals everything appended before the call: it waits for the block in
+// flight, seals what the block under construction holds and, under SyncWrites,
+// returns after the fsync. A nil return is the durability barrier. An error
+// the sealer left since the store was last called is returned here, after
+// the retry it stands for.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.pending) == 0 {
-		return nil
-	}
-	return s.sealBlock()
+	return s.drainLocked()
 }
 
-// sealBlock writes the pending buffer as one block. Caller holds mu.
-func (s *Store) sealBlock() error {
-	raw := s.pending
-	stored := raw
-	var flags byte
-	if s.opts.Compress {
-		s.sealBuf = blockcomp.AppendEncode(s.sealBuf[:0], raw)
-		if len(s.sealBuf) < len(raw) {
-			stored = s.sealBuf
-			flags |= flagCompressed
-		}
+// writeBlock writes one block image, header then body, behind the segment's
+// end without moving the end: the bytes are garbage past the published size
+// until publish, and are overwritten by the next block written or truncated
+// by replay if it never comes. A retry after a failed or unsynced write
+// therefore overwrites the partial block in place. That matters: a written
+// header whose body failed, left in front of the retried block, would have
+// replay read the orphan's valid magic, fail its checksum and truncate there
+// — silently discarding the retried (possibly synced and acknowledged) block
+// and everything after it. Only the goroutine committing a block calls this;
+// it needs no lock. Memory-mode appends may reallocate wbuf; readers holding
+// the previously published pointer still see an immutable, correct prefix.
+func (seg *segment) writeBlock(hdr, body []byte, sync bool) error {
+	if seg.file == nil {
+		seg.wbuf = append(append(seg.wbuf[:seg.size], hdr...), body...)
+		return nil
 	}
-	var hdr [blockHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], blockMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(raw)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(stored)))
-	binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(stored))
-	hdr[16] = flags
-
-	seg := s.active
-	off := seg.size
-	if err := seg.write(hdr[:]); err != nil {
-		seg.rollback(off)
-		return err
+	if _, err := seg.file.WriteAt(hdr, seg.size); err != nil {
+		return fmt.Errorf("docstore: %w", err)
 	}
-	if err := seg.write(stored); err != nil {
-		seg.rollback(off)
-		return err
+	if _, err := seg.file.WriteAt(body, seg.size+int64(len(hdr))); err != nil {
+		return fmt.Errorf("docstore: %w", err)
 	}
-	if s.opts.SyncWrites && seg.file != nil {
+	if sync {
 		if err := seg.file.Sync(); err != nil {
-			seg.rollback(off)
 			return fmt.Errorf("docstore: %w", err)
 		}
-	}
-
-	// Point every pending record at its sealed location. Index entries go
-	// in before the pending copies come out, so lock-free readers never
-	// see the record absent mid-seal.
-	slot := segSlot(s.segments, seg)
-	scan := 0
-	for scan < len(raw) {
-		rec, n, err := parseFrame(raw[scan:], false)
-		if err != nil {
-			return fmt.Errorf("docstore: internal frame error: %w", err)
-		}
-		if cur, ok := s.pendingRecs.Load(rec.ID); ok && !rec.Tombstone && sameFrame(cur.(Record), rec) {
-			s.index.Store(rec.ID, locator{seg: slot, off: off, recStart: scan})
-		} else if !rec.Tombstone {
-			// A superseded duplicate within the same block.
-			seg.dead += int64(len(rec.Payload))
-		}
-		scan += n
-	}
-	s.pendingRecs.Range(func(k, _ any) bool {
-		s.pendingRecs.Delete(k)
-		return true
-	})
-	s.pending = s.pending[:0]
-	if cap(s.pending) > 4*s.opts.BlockSize {
-		// One outsized record swelled this block; do not pin its buffers.
-		s.pending, s.sealBuf = nil, nil
-	}
-
-	s.blockBytesIn.Add(int64(len(raw)))
-	s.blockBytesOut.Add(int64(len(stored)) + blockHeaderSize)
-
-	if seg.size >= int64(s.opts.SegmentSize) {
-		ns, err := s.newSegment(seg.id+1, len(s.segments))
-		if err != nil {
-			return err
-		}
-		s.segments = append(s.segments, ns)
-		s.active = ns
-		// seg has rolled out of the active role: no byte of it will ever
-		// be written again, so its sealed prefix can be mapped.
-		s.mapSegment(seg)
 	}
 	return nil
 }
 
-func sameFrame(a, b Record) bool {
-	return a.ID == b.ID && a.Form == b.Form && a.BaseID == b.BaseID &&
-		a.Stacked == b.Stacked && a.Hidden == b.Hidden &&
-		len(a.Payload) == len(b.Payload)
-}
-
-func segSlot(segs []*segment, s *segment) int {
-	for i, x := range segs {
-		if x == s {
-			return i
-		}
-	}
-	panic("docstore: segment not registered")
-}
-
-// write appends p to the segment and publishes the new sealed size to the
-// segment's reader. Caller holds s.mu. Memory-mode appends may reallocate
-// wbuf; readers holding the previously published pointer still see an
-// immutable, correct prefix.
-func (seg *segment) write(p []byte) error {
+// publish moves the segment's end past the n bytes writeBlock put behind it
+// and shows them to readers. Caller holds s.mu.
+func (seg *segment) publish(n int64) {
+	seg.size += n
 	if seg.file != nil {
-		if _, err := seg.file.WriteAt(p, seg.size); err != nil {
-			return fmt.Errorf("docstore: %w", err)
-		}
-		seg.size += int64(len(p))
 		seg.rd.SetSize(seg.size)
-		return nil
-	}
-	seg.wbuf = append(seg.wbuf, p...)
-	seg.size += int64(len(p))
-	seg.rd.PublishMem(seg.wbuf)
-	return nil
-}
-
-// rollback reverts the segment's logical end to off after a failed or
-// unsynced block write, so the retry overwrites the partial block in place.
-// Without this, a written header whose body failed would sit as an orphan in
-// front of the retried block: replay reads the orphan's valid magic, fails
-// its checksum, and truncates there — silently discarding the retried
-// (possibly synced and acknowledged) block and everything after it. Bytes
-// past off may survive on disk; they are garbage behind the published size
-// and are overwritten by the next seal or truncated by replay. Caller holds
-// s.mu.
-func (seg *segment) rollback(off int64) {
-	seg.size = off
-	if seg.file != nil {
-		seg.rd.SetSize(off)
 		return
 	}
-	seg.wbuf = seg.wbuf[:off]
 	seg.rd.PublishMem(seg.wbuf)
 }
 
@@ -845,12 +1001,7 @@ func (s *Store) readBlock(rd *segio.Reader, key uint64, off int64, fn func(block
 // Range calls fn for every live record's stored form, in unspecified order.
 // If fn returns false the iteration stops.
 func (s *Store) Range(fn func(Record) bool) error {
-	var ids []uint64
-	s.meta.Range(func(k, _ any) bool {
-		ids = append(ids, k.(uint64))
-		return true
-	})
-	for _, id := range ids {
+	for _, id := range s.recs.ids(nil) {
 		rec, ok, err := s.Get(id)
 		if err != nil {
 			return err
@@ -872,16 +1023,15 @@ type MetaInfo struct {
 	Hidden     bool
 }
 
-// Meta returns the metadata of record id without reading its payload.
-// Lock-free.
+// Meta returns the metadata of record id without reading its payload or
+// taking the writer lock.
 func (s *Store) Meta(id uint64) (MetaInfo, bool) {
-	mv, ok := s.meta.Load(id)
+	e, ok := s.recs.get(id)
 	if !ok {
 		return MetaInfo{}, false
 	}
-	m := mv.(recMeta)
-	return MetaInfo{DB: m.db, Key: m.key, Form: m.form, BaseID: m.baseID,
-		PayloadLen: m.payloadLen, Stacked: m.stacked, Hidden: m.hidden}, true
+	return MetaInfo{DB: e.db, Key: e.key, Form: e.form, BaseID: e.baseID,
+		PayloadLen: int(e.payloadLen), Stacked: e.stacked, Hidden: e.hidden}, true
 }
 
 // DBLogicalBytes returns the live stored payload bytes of one database. It
@@ -918,6 +1068,12 @@ func (s *Store) Stats() Stats {
 		BlockBuffersFresh:    fresh,
 		BlocksDecoded:        s.blocksDecoded.Load(),
 		BlockDecodeNanos:     s.decodeNanos.Load(),
+
+		BlocksSealed:  s.blocksSealed.Load(),
+		SealNanos:     s.sealNanos.Load(),
+		SealWaits:     s.sealWaits.Load(),
+		SealWaitNanos: s.sealWaitNanos.Load(),
+		SealErrors:    s.sealErrors.Load(),
 	}
 }
 
@@ -927,27 +1083,25 @@ func (s *Store) CacheShardStats() []segio.ShardStats {
 	return s.cache.Stats()
 }
 
-// Close flushes the pending block and retires every segment reader; file
-// handles close as their reader refcounts drain (immediately when no read
-// is in flight).
+// Close seals everything appended so far, as Flush does, waits for the sealer
+// goroutine to be gone and retires every segment reader; file handles close
+// as their reader refcounts drain (immediately when no read is in flight).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	var firstErr error
-	if len(s.pending) > 0 {
-		firstErr = s.sealBlock()
-	}
-	s.closed = true
+	s.closed = true // nothing is appended, so no sealer starts, from here on
+	err := s.drainLocked()
 	s.mu.Unlock()
+	s.sealers.Wait()
 	s.table.Close()
-	return firstErr
+	return err
 }
 
-// replayAll rebuilds the index from segment contents. Caller is Open; the
-// store is not yet shared, so plain map stores are safe.
+// replayAll rebuilds the record table from segment contents. Caller is Open;
+// the store is not yet shared.
 func (s *Store) replayAll() error {
 	for segIdx, seg := range s.segments {
 		var off int64
@@ -993,19 +1147,7 @@ func (s *Store) replayBlock(segIdx int, off int64, raw []byte) error {
 		if err != nil {
 			return err
 		}
-		s.supersede(rec.ID, true)
-		if rec.Tombstone {
-			s.index.Delete(rec.ID)
-			s.meta.Delete(rec.ID)
-		} else {
-			s.index.Store(rec.ID, locator{seg: segIdx, off: off, recStart: scan})
-			s.meta.Store(rec.ID, recMeta{db: rec.DB, key: rec.Key, form: rec.Form,
-				baseID: rec.BaseID, payloadLen: len(rec.Payload),
-				stacked: rec.Stacked, hidden: rec.Hidden})
-			s.logicalBytes.Add(int64(len(rec.Payload)))
-			s.addDBBytes(rec.DB, int64(len(rec.Payload)))
-			s.liveRecords.Add(1)
-		}
+		s.replace(&rec, entry{seg: int32(segIdx), off: off, recStart: uint32(scan)})
 		scan += n
 	}
 	return nil
@@ -1091,6 +1233,9 @@ func (s *Store) CompactWith(h *CompactHooks) (int64, error) {
 		s.mu.Unlock()
 		return 0, errors.New("docstore: store is closed")
 	}
+	// Every block that has filled is in its segment (and a full segment has
+	// rolled) before a victim is chosen, as if blocks were sealed inline.
+	s.waitSealerLocked()
 	var victim *segment
 	victimIdx := -1
 	for i, seg := range s.segments {
@@ -1104,12 +1249,7 @@ func (s *Store) CompactWith(h *CompactHooks) (int64, error) {
 	// Collect live records located in the victim.
 	var liveIDs []uint64
 	if victim != nil {
-		s.index.Range(func(k, v any) bool {
-			if v.(locator).seg == victimIdx {
-				liveIDs = append(liveIDs, k.(uint64))
-			}
-			return true
-		})
+		liveIDs = s.recs.ids(func(e *entry) bool { return e.sealed() && int(e.seg) == victimIdx })
 	}
 	s.mu.Unlock()
 	if victim == nil {
@@ -1147,49 +1287,36 @@ func (s *Store) CompactWith(h *CompactHooks) (int64, error) {
 		// Re-check and move in one critical section: a concurrent write
 		// between the check and the append could otherwise be superseded
 		// by this stale copy. The victim is not the active segment, so an
-		// index entry still pointing into it means the frame we read is
-		// still the current version.
+		// entry still pointing into it means the frame we read is still the
+		// current version. Waiting for room comes first: it may let go of mu.
+		moved := false
 		s.mu.Lock()
-		lv, still := s.index.Load(id)
-		if !still || lv.(locator).seg != victimIdx {
-			s.mu.Unlock()
-			if converted {
-				if h.CommitLock != nil {
-					h.CommitLock.Unlock()
-				}
-				if h.Skipped != nil {
-					h.Skipped(conv)
-				}
-			}
-			continue
-		}
-		toAppend := rec
-		if commit {
-			toAppend = conv
-		}
-		if err := s.appendLocked(toAppend); err != nil {
-			s.mu.Unlock()
-			if converted {
-				if h.CommitLock != nil {
-					h.CommitLock.Unlock()
-				}
-				if h.Skipped != nil {
-					h.Skipped(conv)
+		err = s.roomLocked()
+		if err == nil {
+			if e, ok := s.recs.get(id); ok && e.sealed() && int(e.seg) == victimIdx {
+				moved = true
+				if commit {
+					s.appendLocked(conv)
+				} else {
+					s.appendLocked(rec)
 				}
 			}
-			return 0, err
 		}
 		s.mu.Unlock()
 		if converted {
-			if commit && h.Committed != nil {
+			committed := moved && commit
+			if committed && h.Committed != nil {
 				h.Committed(rec, conv)
 			}
 			if h.CommitLock != nil {
 				h.CommitLock.Unlock()
 			}
-			if !commit && h.Skipped != nil {
+			if !committed && h.Skipped != nil {
 				h.Skipped(conv)
 			}
+		}
+		if err != nil {
+			return 0, err
 		}
 	}
 	if err := s.Flush(); err != nil {
@@ -1218,15 +1345,15 @@ func (s *Store) CompactWith(h *CompactHooks) (int64, error) {
 }
 
 // DiskBytes returns the total bytes held by segments (plus the unsealed
-// pending block).
+// blocks: the one under construction and the one in flight).
 func (s *Store) DiskBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var n int64
 	for _, seg := range s.segments {
 		n += seg.size
 	}
-	return n + int64(len(s.pending))
+	return n + int64(len(s.pending)) + int64(len(s.inflight.raw))
 }
 
 // ---- record frame encoding ----

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -322,6 +323,37 @@ func BenchmarkAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAppendParallel is the ack path under contention: two appenders
+// share one store with block compression on, on disk, so what an append
+// costs includes waiting for the other appender and, when both block buffers
+// are full, for the sealer (reported as waits per op).
+func BenchmarkAppendParallel(b *testing.B) {
+	s, err := Open(Options{Dir: b.TempDir(), BlockSize: 32 << 10, Compress: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(21))
+	payload := make([]byte, 3584) // nine to a block, as in the repository benchmark
+	for i := range payload {
+		payload[i] = "the quick brown fox "[rng.Intn(20)]
+	}
+	var next atomic.Uint64
+	b.SetBytes(int64(len(payload)))
+	b.SetParallelism(2) // per GOMAXPROCS; -cpu 1 gives the two appenders the issue names
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := s.Append(Record{ID: next.Add(1), DB: "d", Key: "k", Payload: payload}); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(s.Stats().SealWaits)/float64(b.N), "waits/op")
 }
 
 func BenchmarkGetSealed(b *testing.B) {

@@ -101,13 +101,13 @@ func TestReplayTornSegments(t *testing.T) {
 						t.Fatal(err)
 					}
 					// Snapshot each live record's home segment before closing.
-					recSeg := map[uint64]locator{}
+					recSeg := map[uint64]entry{}
 					for id := range payloads {
-						lv, ok := s.index.Load(id)
-						if !ok {
-							t.Fatalf("record %d not indexed", id)
+						e, ok := s.recs.get(id)
+						if !ok || !e.sealed() {
+							t.Fatalf("record %d not sealed after Flush", id)
 						}
-						recSeg[id] = lv.(locator)
+						recSeg[id] = e
 					}
 					var segNames []string
 					for _, seg := range s.segments {
@@ -155,7 +155,7 @@ func TestReplayTornSegments(t *testing.T) {
 					lost := 0
 					for id, p := range payloads {
 						loc := recSeg[id]
-						wantLive := loc.seg != dmgSlot || loc.off < target.off
+						wantLive := int(loc.seg) != dmgSlot || loc.off < target.off
 						got, ok, err := s2.Get(id)
 						if err != nil {
 							t.Fatalf("Get(%d): %v", id, err)
@@ -196,7 +196,7 @@ func TestReplayTornSegments(t *testing.T) {
 					}
 					for id, p := range payloads {
 						loc := recSeg[id]
-						if loc.seg != dmgSlot || loc.off < target.off {
+						if int(loc.seg) != dmgSlot || loc.off < target.off {
 							if got, ok, _ := s3.Get(id); !ok || !bytes.Equal(got.Payload, p) {
 								t.Fatalf("survivor %d lost on third open", id)
 							}
@@ -208,90 +208,119 @@ func TestReplayTornSegments(t *testing.T) {
 	}
 }
 
-// TestSyncFailurePropagation: with SyncWrites set, a failed fsync must
-// surface to the caller that triggered the seal — the block is NOT sealed,
-// the records stay pending, and a retry (whose sync succeeds) makes them
-// durable exactly once.
+// sealerIdle returns once no sealer goroutine is running.
+func sealerIdle(s *Store) {
+	s.mu.Lock()
+	s.waitSealerLocked()
+	s.mu.Unlock()
+}
+
+// checkSealFailure holds the store to the rule for a block that cannot be
+// written or synced, once for each call that can come next. The append that
+// filled the block was acknowledged before the sealer ran, so it cannot carry
+// the error; its record stays readable from the pending copy; the error is
+// returned exactly once, by the next Append (which stores nothing), Flush or
+// Close; the retry puts the block where the failed attempt started, so the
+// segment holds one block and no orphan header; and the directory reopens to
+// the acknowledged records.
+func checkSealFailure(t *testing.T, rule faultfs.Rule) {
+	for _, next := range []string{"append", "flush", "close"} {
+		t.Run(next, func(t *testing.T) {
+			mem := faultfs.NewMemFS()
+			inj := faultfs.NewInjector(mem, 1, rule)
+			s, err := Open(Options{Dir: "d", BlockSize: 64, SyncWrites: true, FS: inj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := bytes.Repeat([]byte("s"), 100) // > BlockSize: the append fills the block
+			if err := s.Append(Record{ID: 1, DB: "db", Key: "k", Payload: payload}); err != nil {
+				t.Fatalf("the append that filled the block returned %v; it is acknowledged before the block is written", err)
+			}
+			sealerIdle(s)
+			if st := s.Stats(); st.SealErrors != 1 || st.BlocksSealed != 0 {
+				t.Fatalf("after the injected fault: %d seal errors, %d blocks sealed; want 1, 0", st.SealErrors, st.BlocksSealed)
+			}
+			if got, ok, err := s.Get(1); err != nil || !ok || !bytes.Equal(got.Payload, payload) {
+				t.Fatalf("acknowledged record unreadable while its block is in flight: %v %v", ok, err)
+			}
+			if e, _ := s.recs.get(1); e.sealed() {
+				t.Fatal("record points at a block that was never written")
+			}
+
+			switch next {
+			case "append":
+				err = s.Append(Record{ID: 2, DB: "db", Key: "k2", Payload: payload})
+				if !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("the next Append returned %v, want the injected error", err)
+				}
+				if _, ok, _ := s.Get(2); ok || s.Stats().Appends != 1 {
+					t.Fatal("the Append that returned the seal error stored its record")
+				}
+				if err := s.Append(Record{ID: 3, DB: "db", Key: "k3", Payload: []byte("after")}); err != nil {
+					t.Fatalf("the error was handed over twice: %v", err)
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatalf("flush after the retry: %v", err)
+				}
+			case "flush":
+				if err := s.Flush(); !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("the next Flush returned %v, want the injected error", err)
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatalf("second flush: %v", err)
+				}
+			}
+			if next != "close" {
+				if e, ok := s.recs.get(1); !ok || !e.sealed() || e.off != 0 {
+					t.Fatalf("after the retry record 1 is at %+v, want sealed at offset 0", e)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := s.Close(); !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("Close returned %v, want the injected error", err)
+			}
+
+			spans := blockSpans(mem.Bytes("d/seg-000000.log"))
+			wantBlocks := 1
+			if next == "append" {
+				wantBlocks = 2
+			}
+			if len(spans) != wantBlocks || spans[0].off != 0 {
+				t.Fatalf("segment holds blocks %v, want %d starting at 0 (failed attempt not overwritten in place)", spans, wantBlocks)
+			}
+			// Replay must find the retried block, not an orphan header that
+			// poisons the scan.
+			s2, err := Open(Options{Dir: "d", BlockSize: 64, FS: mem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			got, ok, err := s2.Get(1)
+			if err != nil || !ok || !bytes.Equal(got.Payload, payload) {
+				t.Fatalf("acknowledged record lost after the retry: %v %v", ok, err)
+			}
+			if st := s2.Stats(); st.LiveRecords != wantBlocks {
+				t.Fatalf("reopened to %d records, want %d", st.LiveRecords, wantBlocks)
+			}
+		})
+	}
+}
+
+// TestSyncFailurePropagation: with SyncWrites set, a failed fsync leaves the
+// block unsealed and reaches the caller by the rule checkSealFailure spells
+// out; the retry, whose sync succeeds, makes the records durable exactly once.
 func TestSyncFailurePropagation(t *testing.T) {
-	mem := faultfs.NewMemFS()
-	inj := faultfs.NewInjector(mem, 1, faultfs.FailSync(1))
-	opts := Options{Dir: "d", BlockSize: 64, SyncWrites: true, FS: inj}
-	s, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte("s"), 100) // > BlockSize: the append seals
-	err = s.Append(Record{ID: 1, DB: "db", Key: "k", Payload: payload})
-	if !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("Append with failing fsync returned %v, want injected error", err)
-	}
-	// Not sealed: the record is still pending and still readable.
-	if len(s.pending) == 0 {
-		t.Fatal("pending buffer cleared despite failed sync")
-	}
-	if _, ok, _ := s.Get(1); !ok {
-		t.Fatal("record unreadable after failed sync")
-	}
-	// Retry succeeds and the data is durable.
-	if err := s.Flush(); err != nil {
-		t.Fatalf("retry flush: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(Options{Dir: "d", BlockSize: 64, FS: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got, ok, err := s2.Get(1)
-	if err != nil || !ok || !bytes.Equal(got.Payload, payload) {
-		t.Fatalf("record lost after sync retry: %v %v", ok, err)
-	}
-	// The failed attempt was rolled back in place: exactly one block on disk.
-	if spans := blockSpans(mem.Bytes("d/seg-000000.log")); len(spans) != 1 {
-		t.Fatalf("segment holds %d blocks, want 1 (failed seal not rolled back)", len(spans))
-	}
+	checkSealFailure(t, faultfs.FailSync(1))
 }
 
 // TestWriteFailureRollback is the regression test for the orphan-header bug:
 // a seal whose header write succeeded but whose body write failed used to
 // leave a valid-magic header in front of the retried block. Replay would
 // read the orphan, fail its checksum, truncate there — and silently discard
-// the retried (acknowledged, synced) block. The rollback in sealBlock makes
-// the retry overwrite the partial block in place.
+// the retried (acknowledged, synced) block. A block is only part of its
+// segment once it is whole, so the retry overwrites the partial one in place.
 func TestWriteFailureRollback(t *testing.T) {
-	mem := faultfs.NewMemFS()
 	// Write #1 is the block header, write #2 the stored body: fail the body.
-	inj := faultfs.NewInjector(mem, 1, faultfs.FailWrite(2))
-	opts := Options{Dir: "d", BlockSize: 64, SyncWrites: true, FS: inj}
-	s, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte("w"), 100)
-	err = s.Append(Record{ID: 7, DB: "db", Key: "k", Payload: payload})
-	if !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("Append with failing body write returned %v", err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatalf("retry flush: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Replay must find the retried block — not an orphan header that poisons
-	// the scan.
-	s2, err := Open(Options{Dir: "d", BlockSize: 64, FS: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got, ok, err := s2.Get(7)
-	if err != nil || !ok || !bytes.Equal(got.Payload, payload) {
-		t.Fatalf("acknowledged record lost to orphan header: ok=%v err=%v", ok, err)
-	}
-	if st := s2.Stats(); st.LiveRecords != 1 {
-		t.Fatalf("LiveRecords = %d, want 1", st.LiveRecords)
-	}
+	checkSealFailure(t, faultfs.FailWrite(2))
 }

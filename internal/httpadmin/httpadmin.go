@@ -21,6 +21,7 @@ import (
 
 	"dbdedup/internal/admission"
 	"dbdedup/internal/cluster"
+	"dbdedup/internal/docstore"
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/node"
 	"dbdedup/internal/oplog"
@@ -90,7 +91,8 @@ func (s *Server) handleDBs(w http.ResponseWriter, r *http.Request) {
 // plus the encoder-pool geometry, the secondary-side apply-pipeline snapshot
 // (all zeros on a node that is not replicating), the read-path snapshot
 // (latency, per-shard block cache, block-buffer reuse, segment-reader
-// gauges), the oplog's retention window and evictions, the compaction /
+// gauges), the store's own accounting (block seals, appender waits and seal
+// errors among it), the oplog's retention window and evictions, the compaction /
 // re-dedup snapshot, the similarity-index occupancy snapshot, the admission
 // controller's snapshot (zero when no controller is configured), and the
 // cluster routing snapshot (Enabled=false on an unclustered node).
@@ -99,6 +101,7 @@ type metricsView struct {
 	Encode        metrics.EncodeSnapshot
 	Apply         metrics.ApplySnapshot
 	Read          metrics.ReadSnapshot
+	Store         docstore.Stats
 	Oplog         oplog.Stats
 	Repl          metrics.ReplSnapshot
 	Compaction    metrics.CompactionSnapshot
@@ -114,6 +117,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Encode:        s.node.EncodeMetrics().Snapshot(),
 		Apply:         s.node.ApplyMetrics().Snapshot(),
 		Read:          s.node.ReadSnapshot(),
+		Store:         st.Store,
 		Oplog:         st.Oplog,
 		Repl:          s.node.ReplMetrics().Snapshot(),
 		Compaction:    s.node.CompactionSnapshot(),
@@ -201,6 +205,10 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(w, "chunking: %d chunks over %s (avg %d B)\n",
 		es.Chunks, metrics.FormatBytes(es.ChunkedBytes), avgChunk)
+	fmt.Fprintf(w, "write:    %d blocks sealed in %s, %d appender waits (%s), %d seal errors\n",
+		st.Store.BlocksSealed, time.Duration(st.Store.SealNanos).Round(time.Microsecond),
+		st.Store.SealWaits, time.Duration(st.Store.SealWaitNanos).Round(time.Microsecond),
+		st.Store.SealErrors)
 	fmt.Fprintf(w, "read:     %d cache hits / %d misses, %d blocks decoded in %s, %d segments (%d pinned handles, %d retiring)\n",
 		st.Store.CacheHits, st.Store.CacheMisses,
 		st.Store.BlocksDecoded, time.Duration(st.Store.BlockDecodeNanos).Round(time.Microsecond),

@@ -162,3 +162,41 @@ func TestReadPathShowsBlocksDecoded(t *testing.T) {
 		t.Errorf("index page read: line does not show the decoded block:\n%s", body)
 	}
 }
+
+// TestWritePathShowsBlocksSealed: the sealer's work (blocks written, time
+// spent, appenders that had to wait for it, failed attempts) shows up under
+// Store in /metrics and on the index page's write: line.
+func TestWritePathShowsBlocksSealed(t *testing.T) {
+	n, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true, BlockCompression: true, BlockSize: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	s, err := ListenAndServe(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	payload := []byte(strings.Repeat("one record fills one block and the sealer takes it. ", 40))
+	for _, key := range []string{"a", "b"} {
+		if err := n.Insert("wiki", key, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Store().Flush(); err != nil { // waits for the sealer
+		t.Fatal(err)
+	}
+
+	_, body := get(t, "http://"+s.Addr()+"/metrics")
+	var v metricsView
+	if err := json.Unmarshal([]byte(body), &v); err != nil {
+		t.Fatalf("metrics JSON: %v", err)
+	}
+	if v.Store.BlocksSealed != 2 || v.Store.SealNanos == 0 || v.Store.SealErrors != 0 {
+		t.Errorf("Store = %+v, want 2 blocks sealed in some time and no errors", v.Store)
+	}
+	if _, body = get(t, "http://"+s.Addr()+"/"); !strings.Contains(body, "write:    2 blocks sealed in ") ||
+		!strings.Contains(body, " appender waits (") || !strings.Contains(body, "), 0 seal errors\n") {
+		t.Errorf("index page write: line does not show the sealed blocks:\n%s", body)
+	}
+}

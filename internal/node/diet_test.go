@@ -13,6 +13,7 @@ import (
 
 	"dbdedup/internal/chain"
 	"dbdedup/internal/core"
+	"dbdedup/internal/oplog"
 )
 
 // TestInsertAllocBudget keeps the allocation diet from regressing silently:
@@ -76,6 +77,54 @@ func TestInsertAllocBudget(t *testing.T) {
 				t.Fatalf("an insert of %d B allocates %d B, budget %d B", payloadLen, perInsert, c.budget)
 			}
 		})
+	}
+}
+
+// TestReplicatedInsertAllocBudget: a raw insert arriving over the wire is
+// copied once, by oplog.Unmarshal detaching it from the frame buffer, and the
+// node keeps that copy: the stored record's pending copy, the encoder's input
+// and the source cache's entry are all it. The budget for parse + apply is the
+// payload + 1 KiB; the second copy applyReplicatedInsert used to make trips it.
+func TestReplicatedInsertAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under the race detector")
+	}
+	const payloadLen = 4096
+	const warm, runs = 400, 400
+	rng := rand.New(rand.NewSource(21))
+	wire := make([][]byte, warm+runs)
+	for i := range wire {
+		p := make([]byte, payloadLen)
+		rng.Read(p)
+		wire[i] = oplog.Entry{Seq: uint64(i + 1), Op: oplog.OpInsert, DB: "db",
+			Key: fmt.Sprintf("key-%05d", i), Form: oplog.FormRaw, Payload: p}.Marshal()
+	}
+	n := testNode(t, Options{Dir: t.TempDir(), BlockCompression: true})
+	apply := func(i int) {
+		e, _, err := oplog.Unmarshal(wire[i])
+		if err == nil {
+			err = n.ApplyReplicated(e)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		apply(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+runs; i++ {
+		apply(i)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d B in %d objects per replicated %d B insert", per, (after.Mallocs-before.Mallocs)/runs, payloadLen)
+	if per > payloadLen+1024 {
+		t.Fatalf("a replicated raw insert of %d B allocates %d B, budget %d B", payloadLen, per, payloadLen+1024)
+	}
+	if got, err := n.Read("db", "key-00000"); err != nil || len(got) != payloadLen {
+		t.Fatalf("Read of a replicated insert: %d bytes, err %v", len(got), err)
 	}
 }
 

@@ -29,6 +29,12 @@ var ErrFetchUnavailable = errors.New("node: record unavailable at source")
 // against the locally stored base record and then re-encoded backward (the
 // dbDedup re-encoder of Fig. 8), so the secondary converges to the same
 // storage layout as the primary without ever receiving full record contents.
+//
+// The node keeps e.Payload: a raw insert's bytes become the stored record's
+// pending copy, the encoder's input and the source cache's entry without
+// another copy, so the caller must not modify them afterwards. oplog.Unmarshal
+// hands out a detached Payload and an oplog.Log's retained entries are never
+// written again, which covers the wire and the in-process callers.
 func (n *Node) ApplyReplicated(e oplog.Entry) error {
 	switch e.Op {
 	case oplog.OpInsert:
@@ -65,7 +71,7 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 	}
 
 	if e.Form == oplog.FormRaw {
-		payload := append([]byte(nil), e.Payload...)
+		payload := e.Payload
 		if err := n.store.Append(docstore.Record{ID: id, DB: e.DB, Key: e.Key, Payload: payload}); err != nil {
 			undoReservation()
 			return err
