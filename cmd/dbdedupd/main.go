@@ -50,11 +50,9 @@ func main() {
 		chunkSize  = flag.Int("chunk", 64, "sketching chunk size in bytes (power of two)")
 		scheme     = flag.String("scheme", "hop", "chain encoding scheme: hop | backward | version-jump")
 		hop        = flag.Int("hop", 16, "hop distance / cluster size")
-		statsEvery = flag.Duration("stats-every", 0, "periodically log store stats (0 = off)")
 		compaction = flag.Bool("auto-compact", true, "enable background segment compaction")
 		rededup    = flag.Bool("compact-rededup", false, "re-deduplicate live raw records during compaction")
 		rdMaxChain = flag.Int("rededup-max-chain", 8, "max delta-chain depth a compaction conversion may create")
-		rdBudget   = flag.Duration("rededup-budget", 0, "wall-clock budget per compaction pass for re-sketching (0 = unlimited)")
 		admin      = flag.String("admin", "", "HTTP admin endpoint address (e.g. :7090; empty = off)")
 		admEnable  = flag.Bool("admission", false, "enable admission control: reject over-fair-share inserts during overload")
 		shedRaw    = flag.Bool("shed-raw", false, "degrade inserts to raw (no dedup encode) during overload; pair with -compact-rededup to recover the ratio")
@@ -107,7 +105,6 @@ func main() {
 			Enabled:              *compaction,
 			Rededup:              *rededup,
 			RededupMaxChainDepth: *rdMaxChain,
-			RededupBudget:        *rdBudget,
 		},
 		Admission: admission.Options{
 			Enabled:       *admEnable,
@@ -208,19 +205,6 @@ func main() {
 					log.Printf("replication stream failed: %v", err)
 					return
 				}
-			}
-		}()
-	}
-
-	if *statsEvery > 0 {
-		go func() {
-			for range time.Tick(*statsEvery) {
-				st := n.Stats()
-				log.Printf("raw=%s stored=%s oplog=%s dedup-hits=%d",
-					metrics.FormatBytes(st.RawInsertBytes),
-					metrics.FormatBytes(st.Store.LogicalBytes),
-					metrics.FormatBytes(st.OplogBytes),
-					st.Engine.Deduped)
 			}
 		}()
 	}

@@ -162,9 +162,8 @@ func main() {
 	}
 	if lc != nil {
 		for i, m := range lc.Members {
-			cm := m.Metrics.Snapshot()
 			fmt.Printf("member %s: ring epoch %d, %d redirects, %d moving answers\n",
-				lc.Addrs[i], cm.RingEpoch, cm.RedirectsIssued, cm.MovingAnswered)
+				lc.Addrs[i], m.Metrics.RingEpoch.Value(), m.Metrics.RedirectsIssued.Total(), m.Metrics.MovingAnswered.Total())
 		}
 	}
 

@@ -83,8 +83,6 @@ type Options struct {
 	// headline configuration; 1024 trades a little compression for
 	// faster sketching.
 	ChunkSize int
-	// SketchFeatures caps features per record (default 8).
-	SketchFeatures int
 	// AnchorInterval tunes delta compression speed vs ratio (default 64).
 	AnchorInterval int
 	// Scheme picks the chain encoding (default SchemeHop).
@@ -101,9 +99,7 @@ type Options struct {
 	// 8 MiB; negative applies write-backs inline).
 	WritebackCacheBytes int64
 
-	// DisableGovernor / DisableSizeFilter switch off the two
-	// skip-unproductive-work policies.
-	DisableGovernor   bool
+	// DisableSizeFilter switches off the adaptive record-size filter.
 	DisableSizeFilter bool
 	// GovernorWindow overrides how many inserts the governor observes
 	// before judging a database (default 100000).
@@ -127,9 +123,6 @@ type Options struct {
 	// FlushInterval is the idle-detection period of the background
 	// flusher (default 10ms).
 	FlushInterval time.Duration
-	// AutoCompact enables background reclamation of dead segment space
-	// (superseded record frames).
-	AutoCompact bool
 }
 
 func (o Options) nodeOptions() (node.Options, error) {
@@ -142,13 +135,11 @@ func (o Options) nodeOptions() (node.Options, error) {
 		BlockCompression: o.BlockCompression,
 		Engine: core.Config{
 			ChunkAvgSize:      o.ChunkSize,
-			SketchK:           o.SketchFeatures,
 			AnchorInterval:    o.AnchorInterval,
 			Scheme:            o.Scheme.internal(),
 			HopDistance:       o.HopDistance,
 			RewardScore:       o.RewardScore,
 			SourceCacheBytes:  o.SourceCacheBytes,
-			DisableGovernor:   o.DisableGovernor,
 			DisableSizeFilter: o.DisableSizeFilter,
 			GovernorWindow:    o.GovernorWindow,
 		},
@@ -158,7 +149,6 @@ func (o Options) nodeOptions() (node.Options, error) {
 		EncodeQueue:         o.EncodeQueue,
 		DisableAutoFlush:    o.ManualFlush,
 		FlushInterval:       o.FlushInterval,
-		Compaction:          node.CompactionOptions{Enabled: o.AutoCompact},
 	}, nil
 }
 
@@ -225,12 +215,6 @@ func (s *Store) Close() error { return s.n.Close() }
 // InsertLatency and ReadLatency expose client latency histograms.
 func (s *Store) InsertLatency() *metrics.Histogram { return s.n.InsertLatency() }
 func (s *Store) ReadLatency() *metrics.Histogram   { return s.n.ReadLatency() }
-
-// EncodeMetrics returns a snapshot of the encode-pipeline instrumentation:
-// per-stage latency histograms, throughput, and encoder-queue state.
-func (s *Store) EncodeMetrics() metrics.EncodeSnapshot {
-	return s.n.EncodeMetrics().Snapshot()
-}
 
 // Stats is a store-level measurement snapshot.
 type Stats struct {

@@ -101,7 +101,7 @@ func TestStaleRingRedirectedNotDropped(t *testing.T) {
 	if got := cc.Counters().Redirects; got == 0 {
 		t.Error("client followed no redirect; the stale request was served somewhere it should not have been")
 	}
-	if got := ma.cm.Snapshot().RedirectsIssued; got == 0 {
+	if got := ma.cm.RedirectsIssued.Total(); got == 0 {
 		t.Error("old owner issued no redirect")
 	}
 	for _, key := range []string{"old", "new"} {
@@ -189,7 +189,7 @@ func TestMovingShardRetryThenTyped(t *testing.T) {
 	if err != nil || !bytes.Equal(got, []byte("pre-freeze")) {
 		t.Errorf("read during the window: got %q, %v", got, err)
 	}
-	if ma.cm.Snapshot().MovingAnswered == 0 {
+	if ma.cm.MovingAnswered.Total() == 0 {
 		t.Error("member never counted a moving-shard answer")
 	}
 }

@@ -493,10 +493,9 @@ func Run(sch Schedule) (Result, error) {
 	res.Transport = ctrs.Transport
 	res.Retries = ctrs.Retries
 	for _, m := range members {
-		s := m.cm.Snapshot()
-		res.TransfersIn += s.TransferRecordsIn
-		res.TransfersOut += s.TransferRecordsOut
-		res.DroppedDBs += s.DroppedDBs
+		res.TransfersIn += m.cm.TransferRecordsIn.Total()
+		res.TransfersOut += m.cm.TransferRecordsOut.Total()
+		res.DroppedDBs += m.cm.DroppedDBs.Total()
 	}
 	return res, nil
 }

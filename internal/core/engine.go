@@ -70,8 +70,6 @@ type Config struct {
 	// similar record is found: no stored delta or oplog entry needs it to
 	// decode, so data written under one reads and extends under the other.
 	Chunker chunker.Algorithm
-	// SketchK is the features-per-record bound. Defaults to 8.
-	SketchK int
 	// AnchorInterval tunes delta compression (paper default 64).
 	AnchorInterval int
 	// SampleRandomly switches feature selection from consistent sampling
@@ -109,35 +107,34 @@ type Config struct {
 	// RewardScore is the cache-aware selection bonus (default 2;
 	// Fig. 13a sweeps it).
 	RewardScore int
-	// MinDedupRecordBytes is the floor below which records always bypass
-	// dedup regardless of the adaptive filter. Defaults to 64.
-	MinDedupRecordBytes int
 
-	// Governor settings (§3.4.1).
-	DisableGovernor bool
-	// GovernorThreshold is the compression ratio below which dedup is
-	// disabled for a database (default 1.1).
-	GovernorThreshold float64
-	// GovernorWindow is the number of inserts observed before the
-	// governor decides (default 100000).
+	// GovernorWindow is the number of inserts the governor (§3.4.1)
+	// observes before it decides (default 100000). Experiments that want
+	// no governor set a window the run never fills (1<<30).
 	GovernorWindow int
 
 	// Size filter settings (§3.4.2).
 	DisableSizeFilter bool
-	// FilterPercentile is the record-size percentile used as the dedup
-	// cut-off (default 0.40: skip the smallest 40%).
-	FilterPercentile float64
 	// FilterUpdateEvery re-estimates the cut-off after this many inserts
 	// (default 1000).
 	FilterUpdateEvery int
 }
 
+const (
+	// minDedupRecordBytes is the floor below which records always bypass
+	// dedup regardless of the adaptive filter.
+	minDedupRecordBytes = 64
+	// governorThreshold is the compression ratio below which the governor
+	// disables dedup for a database (§3.4.1).
+	governorThreshold = 1.1
+	// filterPercentile is the record-size percentile used as the dedup
+	// cut-off (§3.4.2): skip the smallest 40%.
+	filterPercentile = 0.40
+)
+
 func (c Config) withDefaults() Config {
 	if c.ChunkAvgSize == 0 {
 		c.ChunkAvgSize = 64
-	}
-	if c.SketchK == 0 {
-		c.SketchK = sketch.DefaultK
 	}
 	if c.AnchorInterval == 0 {
 		c.AnchorInterval = delta.DefaultAnchorInterval
@@ -159,17 +156,8 @@ func (c Config) withDefaults() Config {
 		// default), used by the Fig. 13a sweep.
 		c.RewardScore = 0
 	}
-	if c.MinDedupRecordBytes == 0 {
-		c.MinDedupRecordBytes = 64
-	}
-	if c.GovernorThreshold == 0 {
-		c.GovernorThreshold = 1.1
-	}
 	if c.GovernorWindow == 0 {
 		c.GovernorWindow = 100000
-	}
-	if c.FilterPercentile == 0 {
-		c.FilterPercentile = 0.40
 	}
 	if c.FilterUpdateEvery == 0 {
 		c.FilterUpdateEvery = 1000
@@ -236,6 +224,19 @@ type Stats struct {
 	RawBytes  int64 // total bytes presented
 	// ForwardBytes is the total forward-delta bytes for deduped inserts.
 	ForwardBytes int64
+}
+
+// FeatIdx returns the engine-wide index counters as the
+// metrics.FeatIdxSnapshot the admin endpoint and the benchmark name them by.
+func (s Stats) FeatIdx() metrics.FeatIdxSnapshot {
+	return metrics.FeatIdxSnapshot{
+		Entries:       s.IndexEntries,
+		MemoryBytes:   s.IndexMemoryBytes,
+		CapacityBytes: s.IndexCapacityBytes,
+		Lookups:       s.IndexLookups,
+		Matches:       s.IndexMatches,
+		Evictions:     s.IndexEvictions,
+	}
 }
 
 // counters is the lock-free mirror of Stats: every field is an atomic so the
@@ -324,7 +325,7 @@ func NewEngine(cfg Config, fetcher Fetcher) *Engine {
 	e := &Engine{
 		cfg: cfg,
 		extractor: sketch.NewExtractor(sketch.Config{
-			K:              cfg.SketchK,
+			K:              sketch.DefaultK,
 			Chunker:        cfg.Chunker,
 			ChunkAvgSize:   cfg.ChunkAvgSize,
 			SampleRandomly: cfg.SampleRandomly,
@@ -336,9 +337,8 @@ func NewEngine(cfg Config, fetcher Fetcher) *Engine {
 		dbs:     make(map[string]*dbState),
 	}
 	e.extractor.SetMetrics(e.enc)
-	k := cfg.SketchK
 	e.sketchBufs.New = func() interface{} {
-		s := make(sketch.Sketch, 0, k)
+		s := make(sketch.Sketch, 0, sketch.DefaultK)
 		return &s
 	}
 	return e
@@ -438,7 +438,7 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 	}
 	st.mu.Unlock()
 
-	e.enc.Encoded.Add(1)
+	e.enc.EncodedRecords.Add(1)
 	e.enc.EncodedBytes.Add(int64(len(payload)))
 
 	// Step 1: feature extraction — CPU-heavy, lock-free, allocation-free
@@ -611,7 +611,7 @@ func (e *Engine) EncodeAsReplica(dbName string, id uint64, payload []byte, srcID
 // cache-aware scoring the inline path uses. It never touches governor or
 // size-filter state: compaction must not perturb the inline policy.
 func (e *Engine) ProbeSimilar(dbName string, id uint64, payload []byte) (srcID uint64, ok bool) {
-	if len(payload) < e.cfg.MinDedupRecordBytes {
+	if len(payload) < minDedupRecordBytes {
 		return 0, false
 	}
 	st := e.db(dbName)
@@ -848,16 +848,16 @@ func (e *Engine) emitHopWritebacks(hops []hopJob, newID uint64, newContent []byt
 // and feeds the adaptive threshold estimator. Caller holds st.mu.
 func (e *Engine) sizeFilterLocked(st *dbState, n int) bool {
 	if e.cfg.DisableSizeFilter {
-		return n < e.cfg.MinDedupRecordBytes
+		return n < minDedupRecordBytes
 	}
 	st.sizeRing = append(st.sizeRing, n)
 	if len(st.sizeRing) >= e.cfg.FilterUpdateEvery {
 		sorted := append([]int(nil), st.sizeRing...)
 		sort.Ints(sorted)
-		st.threshold = sorted[int(float64(len(sorted))*e.cfg.FilterPercentile)]
+		st.threshold = sorted[int(float64(len(sorted))*filterPercentile)]
 		st.sizeRing = st.sizeRing[:0]
 	}
-	if n < e.cfg.MinDedupRecordBytes {
+	if n < minDedupRecordBytes {
 		return true
 	}
 	return st.threshold > 0 && n < st.threshold
@@ -866,14 +866,14 @@ func (e *Engine) sizeFilterLocked(st *dbState, n int) bool {
 // governorTickLocked updates the per-database governor after an insert.
 // Caller holds st.mu.
 func (e *Engine) governorTickLocked(st *dbState) {
-	if e.cfg.DisableGovernor || st.disabled {
+	if st.disabled {
 		return
 	}
 	if st.inserts < e.cfg.GovernorWindow {
 		return
 	}
 	ratio := float64(st.rawBytes) / float64(maxI64(st.codeBytes, 1))
-	if ratio < e.cfg.GovernorThreshold {
+	if ratio < governorThreshold {
 		// Not enough benefit: disable dedup for this database and free
 		// its index partition (paper §3.4.1). Dedup is never
 		// re-enabled — workload dedupability rarely changes. A

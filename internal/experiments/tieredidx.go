@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"dbdedup/internal/core"
-	"dbdedup/internal/metrics"
 	"dbdedup/internal/workload"
 )
 
@@ -52,7 +51,7 @@ type TieredIdxResult struct {
 func RunTieredIdx(sc Scale) (*TieredIdxResult, error) {
 	res := &TieredIdxResult{Scale: sc}
 
-	run := func(cfg core.Config) (float64, *coreStatsView, error) {
+	run := func(cfg core.Config) (float64, *core.Stats, error) {
 		n, err := nodeForConfig(cfg, false, false)
 		if err != nil {
 			return 0, nil, err
@@ -64,9 +63,7 @@ func RunTieredIdx(sc Scale) (*TieredIdxResult, error) {
 			return 0, nil, err
 		}
 		st := n.Stats()
-		fi := n.FeatIdxSnapshot()
-		return float64(raw) / float64(maxI64(st.Store.LogicalBytes, 1)),
-			&coreStatsView{deduped: st.Engine.Deduped, fi: fi}, nil
+		return float64(raw) / float64(maxI64(st.Store.LogicalBytes, 1)), &st.Engine, nil
 	}
 
 	ratio, view, err := run(core.Config{DisableSizeFilter: true})
@@ -74,7 +71,7 @@ func RunTieredIdx(sc Scale) (*TieredIdxResult, error) {
 		return nil, err
 	}
 	res.UnboundedRatio = ratio
-	res.UnboundedIndexBytes = view.fi.MemoryBytes
+	res.UnboundedIndexBytes = view.IndexMemoryBytes
 
 	for _, frac := range []int64{2, 4, 8, 16} {
 		budget := res.UnboundedIndexBytes / frac
@@ -89,32 +86,26 @@ func RunTieredIdx(sc Scale) (*TieredIdxResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		fi := tView.fi
+		ti := tView.TieredIdx
 		fpr := 0.0
-		if fi.TieredBloomChecks > 0 {
-			fpr = float64(fi.TieredBloomFalsePositives) / float64(fi.TieredBloomChecks)
+		if ti.BloomChecks > 0 {
+			fpr = float64(ti.BloomFalsePositives) / float64(ti.BloomChecks)
 		}
 		res.Rows = append(res.Rows, TieredIdxRow{
 			Label:         fmt.Sprintf("1/%d", frac),
 			BudgetBytes:   budget,
-			MemoryBytes:   fi.MemoryBytes,
+			MemoryBytes:   tView.IndexMemoryBytes,
 			TieredRatio:   tRatio,
 			CuckooRatio:   cRatio,
 			RecoveredFrac: tRatio / res.UnboundedRatio,
-			DedupHits:     tView.deduped,
+			DedupHits:     tView.Deduped,
 			BloomFPR:      fpr,
-			ColdEntries:   fi.TieredColdEntries,
-			Freezes:       fi.TieredFreezes,
-			Merges:        fi.TieredMerges,
+			ColdEntries:   ti.ColdEntries,
+			Freezes:       ti.Freezes,
+			Merges:        ti.Merges,
 		})
 	}
 	return res, nil
-}
-
-// coreStatsView bundles the per-run numbers RunTieredIdx keeps.
-type coreStatsView struct {
-	deduped uint64
-	fi      metrics.FeatIdxSnapshot
 }
 
 // String renders the sweep.

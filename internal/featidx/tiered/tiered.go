@@ -81,10 +81,6 @@ type Config struct {
 	// MaxDiskRuns is the disk-run count that triggers a merge pass.
 	// Defaults to 8.
 	MaxDiskRuns int
-	// BloomBitsPerEntry sizes fresh per-run Bloom filters (default 6,
-	// ~5.5% false positives at k=4; squeezed at merge time once the cold
-	// tier outgrows the filter budget).
-	BloomBitsPerEntry int
 	// MaxResidentRuns bounds frozen-but-unwritten runs kept in memory
 	// when the disk persistently fails (default 4; beyond it the oldest
 	// is dropped — recall loss, not correctness loss).
@@ -93,15 +89,17 @@ type Config struct {
 	Seed uint64
 }
 
+// bloomBitsPerEntry sizes fresh per-run Bloom filters (~5.5% false positives
+// at k=4; squeezed at merge time once the cold tier outgrows the filter
+// budget).
+const bloomBitsPerEntry = 6
+
 func (c Config) withDefaults() Config {
 	if c.MaxCandidates <= 0 {
 		c.MaxCandidates = 8
 	}
 	if c.MaxDiskRuns <= 0 {
 		c.MaxDiskRuns = 8
-	}
-	if c.BloomBitsPerEntry <= 0 {
-		c.BloomBitsPerEntry = 6
 	}
 	if c.MaxResidentRuns <= 0 {
 		c.MaxResidentRuns = 4
@@ -425,7 +423,7 @@ func (t *TieredIndex) flushPending() error {
 		// The filter budget is shared across every published filter: size
 		// this run's filter out of what the others have left.
 		rem := t.bloomBudgetBits() - t.publishedBloomBits()
-		dr := t.diskRun(mr.mem, f, data, mapping, path, t.cfg.BloomBitsPerEntry, rem)
+		dr := t.diskRun(mr.mem, f, data, mapping, path, bloomBitsPerEntry, rem)
 		t.swapRun(mr, dr)
 		t.freezes.Add(1)
 	}
@@ -539,7 +537,7 @@ func (t *TieredIndex) mergeRuns() error {
 	// The merge retires every existing filter, so the rebuilt one may spend
 	// most of the budget — but not all of it, or the fresh runs that appear
 	// between merges would be squeezed down to useless filters.
-	mr := t.diskRun(merged, f, data, mapping, path, t.cfg.BloomBitsPerEntry, t.bloomBudgetBits()*3/4)
+	mr := t.diskRun(merged, f, data, mapping, path, bloomBitsPerEntry, t.bloomBudgetBits()*3/4)
 
 	t.tableMu.Lock()
 	if t.closed {

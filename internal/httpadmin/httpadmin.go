@@ -3,9 +3,9 @@
 //
 //	GET /stats    node counters and byte meters   (JSON)
 //	GET /dbs      per-database dedup/governor state (JSON)
-//	GET /metrics  encode- and apply-pipeline instrumentation (JSON):
-//	              per-stage latency histograms, throughput, queue
-//	              depth/overflows, replication base fetches
+//	GET /metrics  every subsystem's live instruments (JSON): the metrics
+//	              bundles as they are, plus the store, oplog, index and
+//	              admission sections of the one node.Stats() it takes
 //	GET /verify   run the online integrity scrub  (JSON; 503 on errors)
 //	GET /cluster  ring status and routing counters (JSON; 404 unclustered)
 //	GET /healthz  liveness probe                  (200 "ok")
@@ -22,6 +22,8 @@ import (
 	"dbdedup/internal/admission"
 	"dbdedup/internal/cluster"
 	"dbdedup/internal/docstore"
+	"dbdedup/internal/docstore/segio"
+	"dbdedup/internal/featidx/tiered"
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/node"
 	"dbdedup/internal/oplog"
@@ -87,53 +89,58 @@ func (s *Server) handleDBs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.node.DBStats())
 }
 
-// metricsView is the /metrics response shape: the encode-pipeline snapshot
-// plus the encoder-pool geometry, the secondary-side apply-pipeline snapshot
-// (all zeros on a node that is not replicating), the read-path snapshot
-// (latency, per-shard block cache, block-buffer reuse, segment-reader
-// gauges), the store's own accounting (block seals, appender waits and seal
-// errors among it), the oplog's retention window and evictions, the compaction /
-// re-dedup snapshot, the similarity-index occupancy snapshot, the admission
-// controller's snapshot (zero when no controller is configured), and the
-// cluster routing snapshot (Enabled=false on an unclustered node).
+// metricsView is the /metrics response shape. Each number has one owner and
+// appears once: the metrics bundles are encoded live (meters as numbers,
+// histograms as their one-lock summaries), and the sections that are not
+// bundles are cut from the single node.Stats() the request takes. Apply and
+// Repl are all zeros on a node that is not replicating, Admission when no
+// controller is configured; Cluster is null on an unclustered node.
 type metricsView struct {
 	EncodeWorkers int
-	Encode        metrics.EncodeSnapshot
-	Apply         metrics.ApplySnapshot
-	Read          metrics.ReadSnapshot
-	Store         docstore.Stats
-	Oplog         oplog.Stats
-	Repl          metrics.ReplSnapshot
-	Compaction    metrics.CompactionSnapshot
-	FeatIdx       metrics.FeatIdxSnapshot
-	Admission     admission.Snapshot
-	Cluster       metrics.ClusterSnapshot
+	Encode        *metrics.EncodeMetrics
+	Apply         *metrics.ApplyMetrics
+	// Store is the store's own accounting (cache outcomes, block decodes
+	// and seals, the mmap/pread split, segment-reader gauges) with the two
+	// things a reader of the read path wants beside it: client read latency
+	// and the per-shard split of the block cache.
+	Store struct {
+		docstore.Stats
+		ReadLatency *metrics.Histogram
+		CacheShards []segio.ShardStats
+	}
+	Oplog      oplog.Stats
+	Repl       *metrics.ReplMetrics
+	Compaction *metrics.CompactionMetrics
+	// FeatIdx is the engine-wide index occupancy and, under Tiered, the
+	// cold tier's state (Enabled false when no index budget is set).
+	FeatIdx struct {
+		metrics.FeatIdxSnapshot
+		Tiered tiered.Snapshot
+	}
+	Admission admission.Snapshot
+	Cluster   *metrics.ClusterMetrics
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.node.Stats()
-	writeJSON(w, metricsView{
+	v := metricsView{
 		EncodeWorkers: st.EncodeWorkers,
-		Encode:        s.node.EncodeMetrics().Snapshot(),
-		Apply:         s.node.ApplyMetrics().Snapshot(),
-		Read:          s.node.ReadSnapshot(),
-		Store:         st.Store,
+		Encode:        s.node.EncodeMetrics(),
+		Apply:         s.node.ApplyMetrics(),
 		Oplog:         st.Oplog,
-		Repl:          s.node.ReplMetrics().Snapshot(),
-		Compaction:    s.node.CompactionSnapshot(),
-		FeatIdx:       s.node.FeatIdxSnapshot(),
-		Admission:     s.node.AdmissionSnapshot(),
-		Cluster:       s.clusterMetrics().Snapshot(),
-	})
-}
-
-// clusterMetrics returns the shard's counters, nil when unclustered (the
-// nil-receiver Snapshot yields the zero, Enabled=false view).
-func (s *Server) clusterMetrics() *metrics.ClusterMetrics {
-	if s.shard == nil {
-		return nil
+		Repl:          s.node.ReplMetrics(),
+		Compaction:    s.node.CompactionMetrics(),
+		Admission:     st.Admission,
 	}
-	return s.shard.Metrics()
+	if s.shard != nil {
+		v.Cluster = s.shard.Metrics()
+	}
+	v.Store.Stats = st.Store
+	v.Store.ReadLatency = s.node.ReadLatency()
+	v.Store.CacheShards = s.node.Store().CacheShardStats()
+	v.FeatIdx.FeatIdxSnapshot = st.Engine.FeatIdx()
+	v.FeatIdx.Tiered = st.Engine.TieredIdx
+	writeJSON(w, v)
 }
 
 // clusterView is the /cluster response: the member's ring status (active
@@ -141,7 +148,7 @@ func (s *Server) clusterMetrics() *metrics.ClusterMetrics {
 // routing/handoff counters.
 type clusterView struct {
 	Status  cluster.RingStatus
-	Metrics metrics.ClusterSnapshot
+	Metrics *metrics.ClusterMetrics
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
@@ -155,7 +162,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 			Ring:    s.shard.Ring(),
 			Pending: s.shard.Pending(),
 		},
-		Metrics: s.clusterMetrics().Snapshot(),
+		Metrics: s.shard.Metrics(),
 	})
 }
 
@@ -198,13 +205,14 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 			mode, a.Admitted, a.Shed, a.Rejected, a.TenantThrottles,
 			a.OverloadEnters, a.OverloadExits, a.TrackedTenants)
 	}
-	es := s.node.EncodeMetrics().Snapshot()
+	em := s.node.EncodeMetrics()
+	chunks, chunked := em.Chunks.Total(), em.ChunkedBytes.Total()
 	avgChunk := int64(0)
-	if es.Chunks > 0 {
-		avgChunk = es.ChunkedBytes / es.Chunks
+	if chunks > 0 {
+		avgChunk = chunked / chunks
 	}
 	fmt.Fprintf(w, "chunking: %d chunks over %s (avg %d B)\n",
-		es.Chunks, metrics.FormatBytes(es.ChunkedBytes), avgChunk)
+		chunks, metrics.FormatBytes(chunked), avgChunk)
 	fmt.Fprintf(w, "write:    %d blocks sealed in %s, %d appender waits (%s), %d seal errors\n",
 		st.Store.BlocksSealed, time.Duration(st.Store.SealNanos).Round(time.Microsecond),
 		st.Store.SealWaits, time.Duration(st.Store.SealWaitNanos).Round(time.Microsecond),
@@ -215,47 +223,48 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		st.Store.LiveSegments, st.Store.PinnedReaders, st.Store.RetiredPending)
 	fmt.Fprintf(w, "          block buffers: %d recycled / %d freshly allocated\n",
 		st.Store.BlockBuffersRecycled, st.Store.BlockBuffersFresh)
-	rp := s.node.ReplMetrics().Snapshot()
+	rp := s.node.ReplMetrics()
 	fmt.Fprintf(w, "repl:     %d reconnects (%d dial failures), %d corrupt frames, %d seq violations, %d idle timeouts\n",
-		rp.Reconnects, rp.DialFailures, rp.CorruptFrames, rp.FrameSeqViolations, rp.IdleTimeouts)
-	cs := s.node.CompactionSnapshot()
+		rp.Reconnects.Total(), rp.DialFailures.Total(), rp.CorruptFrames.Total(),
+		rp.FrameSeqViolations.Total(), rp.IdleTimeouts.Total())
+	cm := s.node.CompactionMetrics()
 	fmt.Fprintf(w, "compact:  %d passes, %d resketched, %d conversions (%d skipped), saved %s logical / %s physical\n",
-		cs.Passes, cs.Resketched, cs.Conversions, cs.ConversionsSkipped,
-		metrics.FormatBytes(cs.LogicalBytesSaved), metrics.FormatBytes(cs.PhysicalBytesReclaimed))
+		cm.Passes.Total(), cm.Resketched.Total(), cm.Conversions.Total(), cm.ConversionsSkipped.Total(),
+		metrics.FormatBytes(cm.LogicalBytesSaved.Total()), metrics.FormatBytes(cm.PhysicalBytesReclaimed.Total()))
 	fmt.Fprintf(w, "blocks:   %d mmap reads / %d pread reads (%d map failures)\n",
-		cs.MmapBlockReads, cs.PreadBlockReads, cs.MmapFailures)
-	fi := s.node.FeatIdxSnapshot()
+		st.Store.MmapBlockReads, st.Store.PreadBlockReads, st.Store.MmapFailures)
 	fmt.Fprintf(w, "featidx:  %d entries (%s of %s), %d lookups, %d matches, %d evictions\n",
-		fi.Entries, metrics.FormatBytes(fi.MemoryBytes), metrics.FormatBytes(fi.CapacityBytes),
-		fi.Lookups, fi.Matches, fi.Evictions)
-	if fi.TieredEnabled {
+		st.Engine.IndexEntries, metrics.FormatBytes(st.Engine.IndexMemoryBytes),
+		metrics.FormatBytes(st.Engine.IndexCapacityBytes),
+		st.Engine.IndexLookups, st.Engine.IndexMatches, st.Engine.IndexEvictions)
+	if ti := st.Engine.TieredIdx; ti.Enabled {
 		fpr := 0.0
-		if fi.TieredBloomChecks > 0 {
-			fpr = float64(fi.TieredBloomFalsePositives) / float64(fi.TieredBloomChecks)
+		if ti.BloomChecks > 0 {
+			fpr = float64(ti.BloomFalsePositives) / float64(ti.BloomChecks)
 		}
 		fmt.Fprintf(w, "tiered:   %s budget, hot %d + pending %d, cold %d runs / %d entries (%s disk, %d resident), %d freezes (%d failed), %d merges, %d dropped\n",
-			metrics.FormatBytes(fi.TieredBudgetBytes), fi.TieredHotEntries,
-			fi.TieredPendingEntries, fi.TieredColdRuns, fi.TieredColdEntries,
-			metrics.FormatBytes(fi.TieredColdDiskBytes), fi.TieredResidentRuns,
-			fi.TieredFreezes, fi.TieredFreezeFailures, fi.TieredMerges, fi.TieredDroppedRuns)
+			metrics.FormatBytes(ti.BudgetBytes), ti.HotEntries,
+			ti.PendingEntries, ti.ColdRuns, ti.ColdEntries,
+			metrics.FormatBytes(ti.ColdDiskBytes), ti.ResidentRuns,
+			ti.Freezes, ti.FreezeFailures, ti.Merges, ti.DroppedRuns)
 		fmt.Fprintf(w, "bloom:    %s, %d checks -> %d disk probes (%.2f%% false positive), %d hits, %d read errors\n",
-			metrics.FormatBytes(fi.TieredBloomMemoryBytes), fi.TieredBloomChecks,
-			fi.TieredDiskProbes, fpr*100, fi.TieredDiskProbeHits, fi.TieredDiskReadErrors)
+			metrics.FormatBytes(ti.BloomMemoryBytes), ti.BloomChecks,
+			ti.DiskProbes, fpr*100, ti.DiskProbeHits, ti.DiskReadErrors)
 	}
 	if s.shard != nil {
 		ring := s.shard.Ring()
-		cl := s.clusterMetrics().Snapshot()
+		cl := s.shard.Metrics()
 		fmt.Fprintf(w, "cluster:  member %s, ring epoch %d (%d members)", s.shard.Self(),
 			ring.Epoch, len(ring.Members))
 		if p := s.shard.Pending(); p != nil {
 			fmt.Fprintf(w, ", rebalance to epoch %d in progress", p.Epoch)
 		}
 		fmt.Fprintf(w, "\n          %d redirects, %d moving answers, %d forwards (%d failed)\n",
-			cl.RedirectsIssued, cl.MovingAnswered, cl.ForwardedOps, cl.ForwardFailures)
+			cl.RedirectsIssued.Total(), cl.MovingAnswered.Total(), cl.ForwardedOps.Total(), cl.ForwardFailures.Total())
 		fmt.Fprintf(w, "          handoffs %d started / %d committed / %d aborted; moved out %d recs (%s), in %d recs (%s)\n",
-			cl.HandoffsStarted, cl.HandoffsCommitted, cl.HandoffsAborted,
-			cl.TransferRecordsOut, metrics.FormatBytes(cl.TransferBytesOut),
-			cl.TransferRecordsIn, metrics.FormatBytes(cl.TransferBytesIn))
+			cl.HandoffsStarted.Total(), cl.HandoffsCommitted.Total(), cl.HandoffsAborted.Total(),
+			cl.TransferRecordsOut.Total(), metrics.FormatBytes(cl.TransferBytesOut.Total()),
+			cl.TransferRecordsIn.Total(), metrics.FormatBytes(cl.TransferBytesIn.Total()))
 	}
 	fmt.Fprintf(w, "\ndatabases:\n")
 	for _, d := range s.node.DBStats() {

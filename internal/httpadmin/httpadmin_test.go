@@ -5,10 +5,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"dbdedup/internal/cluster"
 	"dbdedup/internal/core"
+	"dbdedup/internal/docstore"
+	"dbdedup/internal/featidx/tiered"
+	"dbdedup/internal/metrics"
 	"dbdedup/internal/node"
 	"dbdedup/internal/oplog"
 )
@@ -43,6 +50,19 @@ func get(t *testing.T, url string) (int, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(body)
+}
+
+// getMetrics fetches /metrics and decodes it into v, a local struct or map
+// naming the keys the test is about.
+func getMetrics(t *testing.T, s *Server, v any) {
+	t.Helper()
+	code, body := get(t, "http://"+s.Addr()+"/metrics")
+	if code != 200 {
+		t.Fatalf("metrics: %d", code)
+	}
+	if err := json.Unmarshal([]byte(body), v); err != nil {
+		t.Fatalf("metrics JSON: %v in %s", err, body)
+	}
 }
 
 func TestEndpoints(t *testing.T) {
@@ -104,29 +124,33 @@ func TestMetricsEndpointIncludesApplyPipeline(t *testing.T) {
 	ap.EnqueueEntry(oplog.Entry{Seq: 1, Op: oplog.OpInsert, DB: "replica-db",
 		Key: "r", Form: oplog.FormRaw, Payload: []byte("replicated content")}, false)
 	ap.Barrier()
-	ap.Close()
 	if err := ap.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	code, body := get(t, "http://"+s.Addr()+"/metrics")
-	if code != 200 {
-		t.Fatalf("metrics: %d", code)
+	var v struct {
+		Apply struct {
+			Workers, Applied int64
+			Latency          metrics.LatencySummary
+		}
 	}
-	var v metricsView
-	if err := json.Unmarshal([]byte(body), &v); err != nil {
-		t.Fatalf("metrics JSON: %v", err)
-	}
+	getMetrics(t, s, &v)
 	if v.Apply.Workers != 2 || v.Apply.Applied != 1 {
-		t.Errorf("Apply snapshot = %+v, want 2 workers / 1 applied", v.Apply)
+		t.Errorf("Apply = %+v, want 2 workers / 1 applied", v.Apply)
 	}
-	if v.Apply.LatencyCount != 1 {
-		t.Errorf("Apply.LatencyCount = %d, want 1", v.Apply.LatencyCount)
+	if v.Apply.Latency.Count != 1 {
+		t.Errorf("Apply.Latency.Count = %d, want 1", v.Apply.Latency.Count)
+	}
+	// The workers gauge is the pool's: it returns to zero when the pool closes.
+	ap.Close()
+	getMetrics(t, s, &v)
+	if v.Apply.Workers != 0 || v.Apply.Applied != 1 {
+		t.Errorf("Apply after Close = %+v, want 0 workers / 1 applied", v.Apply)
 	}
 }
 
 // TestReadPathShowsBlocksDecoded: a read that misses the block cache on a
-// compressed block shows up under Read in /metrics and on the index page's
+// compressed block shows up under Store in /metrics and on the index page's
 // read: line, so "blocks touched per read" can be had from a running node.
 func TestReadPathShowsBlocksDecoded(t *testing.T) {
 	n, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true, BlockCompression: true})
@@ -150,15 +174,12 @@ func TestReadPathShowsBlocksDecoded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, body := get(t, "http://"+s.Addr()+"/metrics")
-	var v metricsView
-	if err := json.Unmarshal([]byte(body), &v); err != nil {
-		t.Fatalf("metrics JSON: %v", err)
+	var v struct{ Store docstore.Stats }
+	getMetrics(t, s, &v)
+	if v.Store.BlocksDecoded != 1 || v.Store.BlockDecodeNanos == 0 {
+		t.Errorf("Store.BlocksDecoded = %d in %d ns, want 1 block and some time", v.Store.BlocksDecoded, v.Store.BlockDecodeNanos)
 	}
-	if v.Read.BlocksDecoded != 1 || v.Read.BlockDecodeNanos == 0 {
-		t.Errorf("Read.BlocksDecoded = %d in %d ns, want 1 block and some time", v.Read.BlocksDecoded, v.Read.BlockDecodeNanos)
-	}
-	if _, body = get(t, "http://"+s.Addr()+"/"); !strings.Contains(body, "1 blocks decoded in ") {
+	if _, body := get(t, "http://"+s.Addr()+"/"); !strings.Contains(body, "1 blocks decoded in ") {
 		t.Errorf("index page read: line does not show the decoded block:\n%s", body)
 	}
 }
@@ -187,16 +208,233 @@ func TestWritePathShowsBlocksSealed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, body := get(t, "http://"+s.Addr()+"/metrics")
-	var v metricsView
-	if err := json.Unmarshal([]byte(body), &v); err != nil {
-		t.Fatalf("metrics JSON: %v", err)
-	}
+	var v struct{ Store docstore.Stats }
+	getMetrics(t, s, &v)
 	if v.Store.BlocksSealed != 2 || v.Store.SealNanos == 0 || v.Store.SealErrors != 0 {
 		t.Errorf("Store = %+v, want 2 blocks sealed in some time and no errors", v.Store)
 	}
-	if _, body = get(t, "http://"+s.Addr()+"/"); !strings.Contains(body, "write:    2 blocks sealed in ") ||
+	if _, body := get(t, "http://"+s.Addr()+"/"); !strings.Contains(body, "write:    2 blocks sealed in ") ||
 		!strings.Contains(body, " appender waits (") || !strings.Contains(body, "), 0 seal errors\n") {
 		t.Errorf("index page write: line does not show the sealed blocks:\n%s", body)
+	}
+}
+
+// summaryKeys is the shape every histogram is served in.
+const summaryKeys = "Count MeanUS P50US P90US P99US P999US MaxUS"
+
+// metricsSections is the /metrics contract: the top-level sections and, per
+// section, its keys in response order. A rename, a move or a new number is a
+// diff of this list.
+var metricsSections = map[string]string{
+	"EncodeWorkers": "",
+	"Encode":        "Stages EncodedRecords EncodedBytes Chunks ChunkedBytes QueueDepth QueueOverflows",
+	"Apply":         "Latency Workers QueueDepth QueueOverflows Applied ApplyFailures BaseFetches",
+	"Store": "LiveRecords LogicalBytes BlockBytesIn BlockBytesOut DeadBytes Appends CacheHits CacheMisses " +
+		"BlockBuffersRecycled BlockBuffersFresh BlocksDecoded BlockDecodeNanos MmapBlockReads PreadBlockReads " +
+		"MmapFailures PinnedReaders RetiredPending LiveSegments BlocksSealed SealNanos SealWaits SealWaitNanos " +
+		"SealErrors ReadLatency CacheShards",
+	"Oplog": "Entries Bytes EvictedByEntries EvictedByBytes",
+	"Repl": "Reconnects Dials DialFailures BackoffNanos CorruptFrames FrameSeqViolations IdleTimeouts " +
+		"HeartbeatsSent ForcedResyncs",
+	"Compaction": "Passes PassLatency Resketched Conversions ConversionsSkipped LogicalBytesSaved PhysicalBytesReclaimed",
+	"FeatIdx":    "Entries MemoryBytes CapacityBytes Lookups Matches Evictions Tiered",
+	"Admission": "Enabled ShedRawEnabled Overloaded OverloadEnters OverloadExits LatencyEWMAUS Admitted Shed " +
+		"Rejected TenantThrottles TrackedTenants",
+	"Cluster": "RingEpoch RingInstalls RedirectsIssued MovingAnswered ForwardedOps ForwardFailures HandoffsStarted " +
+		"HandoffsCommitted HandoffsAborted TransferRecordsOut TransferBytesOut TransferRecordsIn TransferBytesIn " +
+		"TransferFailures DroppedDBs DroppedRecords",
+}
+
+// sharedNames are keys two sections may both use because they name different
+// numbers: each pool's own queue, the oplog's retained entries against the
+// index's occupancy. Any other repeat is one number published twice.
+var sharedNames = map[string]bool{"QueueDepth": true, "QueueOverflows": true, "Entries": true}
+
+// objectKeys returns raw's keys in document order (raw must be a JSON object).
+func objectKeys(t *testing.T, raw json.RawMessage) []string {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(string(raw)))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not an object: %s", raw)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestMetricsSections pins /metrics' key set, section by section, and that no
+// number is served under two sections of one response.
+func TestMetricsSections(t *testing.T) {
+	n, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	sh := cluster.NewShard(n, "self:1", cluster.NewRing(1, []string{"self:1"}), nil, nil)
+	s, err := ListenAndServeCluster(n, "127.0.0.1:0", sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	var top map[string]json.RawMessage
+	getMetrics(t, s, &top)
+	if len(top) != len(metricsSections) {
+		t.Errorf("%d top-level sections, want %d", len(top), len(metricsSections))
+	}
+	owner := make(map[string]string) // key -> the section serving it
+	for section, want := range metricsSections {
+		raw, ok := top[section]
+		if !ok {
+			t.Errorf("section %s missing", section)
+			continue
+		}
+		if want == "" {
+			continue // a bare number
+		}
+		got := objectKeys(t, raw)
+		if strings.Join(got, " ") != want {
+			t.Errorf("section %s keys:\n got %s\nwant %s", section, strings.Join(got, " "), want)
+		}
+		for _, k := range got {
+			if prev, dup := owner[k]; dup && !sharedNames[k] {
+				t.Errorf("%s is served under both %s and %s", k, prev, section)
+			}
+			owner[k] = section
+		}
+	}
+
+	// The nested shapes: every histogram is one summary, the encode stages are
+	// keyed by name, the cold tier is the tiered.Snapshot as it is.
+	var nested struct {
+		Encode     struct{ Stages map[string]json.RawMessage }
+		Apply      struct{ Latency json.RawMessage }
+		Store      struct{ ReadLatency json.RawMessage }
+		Compaction struct{ PassLatency json.RawMessage }
+		FeatIdx    struct{ Tiered json.RawMessage }
+	}
+	getMetrics(t, s, &nested)
+	for name, raw := range map[string]json.RawMessage{"Apply.Latency": nested.Apply.Latency,
+		"Store.ReadLatency": nested.Store.ReadLatency, "Compaction.PassLatency": nested.Compaction.PassLatency,
+		"Encode.Stages.delta": nested.Encode.Stages["delta"]} {
+		if got := strings.Join(objectKeys(t, raw), " "); got != summaryKeys {
+			t.Errorf("%s keys %q, want %q", name, got, summaryKeys)
+		}
+	}
+	var stages []string
+	for name := range nested.Encode.Stages {
+		stages = append(stages, name)
+	}
+	sort.Strings(stages)
+	if got := strings.Join(stages, " "); got != "chain chunk delta index sketch source" {
+		t.Errorf("Encode.Stages = %q", got)
+	}
+	if got, want := len(objectKeys(t, nested.FeatIdx.Tiered)), reflect.TypeOf(tiered.Snapshot{}).NumField(); got != want {
+		t.Errorf("FeatIdx.Tiered has %d keys, tiered.Snapshot %d fields", got, want)
+	}
+
+	// An unclustered node has no cluster bundle at all.
+	_, bare := testAdmin(t)
+	getMetrics(t, bare, &top)
+	if string(top["Cluster"]) != "null" {
+		t.Errorf("unclustered Cluster = %s, want null", top["Cluster"])
+	}
+}
+
+// TestScrapeDuringIngest fetches /metrics and / in a loop while four
+// goroutines insert into 200 tenant databases: every response decodes, each
+// formerly duplicated counter is served once, and a histogram summary is of
+// one instant (ordered percentiles) and never loses samples between scrapes.
+func TestScrapeDuringIngest(t *testing.T) {
+	n, err := node.Open(node.Options{DisableAutoFlush: true, BlockCompression: true,
+		Engine: core.Config{GovernorWindow: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	s, err := ListenAndServe(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	const tenants, writers, perWriter = 200, 4, 600
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				db := fmt.Sprintf("tenant%03d", (w*perWriter+i)%tenants)
+				payload := []byte(strings.Repeat(fmt.Sprintf("tenant record %d of writer %d. ", i, w), 30))
+				if err := n.Insert(db, fmt.Sprintf("w%d-%d", w, i), payload); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := n.Read(db, fmt.Sprintf("w%d-%d", w, i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	ingesting := make(chan struct{})
+	go func() { wg.Wait(); close(ingesting) }()
+
+	type view struct {
+		Encode struct {
+			Stages map[string]metrics.LatencySummary
+		}
+		Store struct{ ReadLatency metrics.LatencySummary }
+	}
+	once := []string{"CacheHits", "CacheMisses", "BlockBuffersRecycled", "BlockBuffersFresh", "BlocksDecoded",
+		"BlockDecodeNanos", "PinnedReaders", "RetiredPending", "LiveSegments", "MmapBlockReads", "PreadBlockReads",
+		"MmapFailures"}
+	var prev view
+	for scrapes, done := 0, false; !done || scrapes < 3; scrapes++ {
+		select {
+		case <-ingesting:
+			done = true
+		default:
+		}
+		code, body := get(t, "http://"+s.Addr()+"/metrics")
+		var cur view
+		if err := json.Unmarshal([]byte(body), &cur); code != 200 || err != nil {
+			t.Fatalf("scrape %d: status %d, %v", scrapes, code, err)
+		}
+		for _, name := range once {
+			if c := strings.Count(body, `"`+name+`":`); c != 1 {
+				t.Fatalf("scrape %d: %s appears %d times in one response, want once", scrapes, name, c)
+			}
+		}
+		check := func(what string, was, now metrics.LatencySummary) {
+			if now.Count < was.Count {
+				t.Errorf("scrape %d: %s count went back, %d -> %d", scrapes, what, was.Count, now.Count)
+			}
+			if now.P50US > now.P99US || now.P99US > now.MaxUS {
+				t.Errorf("scrape %d: %s summary torn: %+v", scrapes, what, now)
+			}
+		}
+		check("Store.ReadLatency", prev.Store.ReadLatency, cur.Store.ReadLatency)
+		for stage, now := range cur.Encode.Stages {
+			check("Encode.Stages."+stage, prev.Encode.Stages[stage], now)
+		}
+		prev = cur
+		if code, body := get(t, "http://"+s.Addr()+"/"); code != 200 || !strings.Contains(body, "\ndatabases:\n") {
+			t.Fatalf("scrape %d: index page: %d", scrapes, code)
+		}
+	}
+	if got := prev.Store.ReadLatency.Count; got != writers*perWriter {
+		t.Errorf("last scrape saw %d reads, want %d", got, writers*perWriter)
 	}
 }

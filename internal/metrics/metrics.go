@@ -1,13 +1,22 @@
-// Package metrics provides the measurement plumbing the experiments use:
-// latency histograms with CDF and percentile extraction (Fig. 12b),
-// throughput-over-time series (Figs. 12a, 13b), and simple byte meters for
-// storage/network accounting (Figs. 10, 11).
+// Package metrics holds the instruments of the running system and the typed
+// bundles that group them: Meter (a counter), Gauge (a level) and Histogram
+// (latencies, with CDF and percentile extraction), and one bundle per
+// subsystem (encode, apply, replication transport, compaction, cluster
+// routing). The rule is one owner per number: a number is incremented in one
+// package and exported under one name, and every reader (the admin endpoint,
+// the load tools, experiments, tests) reads the live instrument. The
+// instruments marshal themselves (a Meter or Gauge as its number, a Histogram
+// as its LatencySummary), so encoding/json over a pointer to a bundle is the
+// registry; nothing copies a bundle field by field. Series, Ratio and
+// FormatBytes serve the paper's figures (Figs. 10–13).
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +56,7 @@ func bucketOf(d time.Duration) int {
 	if us < 1<<histSubBits {
 		return int(us)
 	}
-	exp := 63 - leadingZeros(us) // >= histSubBits
+	exp := 63 - bits.LeadingZeros64(us) // >= histSubBits
 	sub := (us >> (uint(exp) - histSubBits)) & ((1 << histSubBits) - 1)
 	b := (exp-histSubBits+1)<<histSubBits | int(sub)
 	if b >= histBuckets {
@@ -65,17 +74,6 @@ func bucketUpper(b int) time.Duration {
 	sub := b & ((1 << histSubBits) - 1)
 	us := (uint64(1<<histSubBits+sub+1) << (uint(exp) - histSubBits)) - 1
 	return time.Duration(us) * time.Microsecond
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
 }
 
 // Observe records one duration.
@@ -110,21 +108,15 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.total)
 }
 
-// Max returns the largest observed duration (0 when empty).
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return h.max
-}
-
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1), e.g.
 // Quantile(0.999) is the 99.9th-percentile latency.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.quantileLocked(q)
+}
+
+func (h *Histogram) quantileLocked(q float64) time.Duration {
 	if h.total == 0 {
 		return 0
 	}
@@ -172,7 +164,7 @@ func (h *Histogram) CDF() []CDFPoint {
 }
 
 // Meter is a monotonically increasing byte/op counter, safe for concurrent
-// use without locking.
+// use without locking. It marshals as its total.
 type Meter struct {
 	n atomic.Int64
 }
@@ -183,8 +175,11 @@ func (m *Meter) Add(n int64) { m.n.Add(n) }
 // Total returns the current value.
 func (m *Meter) Total() int64 { return m.n.Load() }
 
+// MarshalJSON renders the meter as its total.
+func (m *Meter) MarshalJSON() ([]byte, error) { return strconv.AppendInt(nil, m.Total(), 10), nil }
+
 // Gauge is an instantaneous level (queue depths, backlog sizes), safe for
-// concurrent use without locking.
+// concurrent use without locking. It marshals as its value.
 type Gauge struct {
 	n atomic.Int64
 }
@@ -197,6 +192,9 @@ func (g *Gauge) Add(n int64) int64 { return g.n.Add(n) }
 
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.n.Load() }
+
+// MarshalJSON renders the gauge as its value.
+func (g *Gauge) MarshalJSON() ([]byte, error) { return strconv.AppendInt(nil, g.Value(), 10), nil }
 
 // EncodeStage identifies one stage of the dedup encode pipeline
 // (paper §3.1's four-step workflow, with source fetch split out of
@@ -253,12 +251,16 @@ func (s EncodeStage) String() string {
 // histograms, throughput meters, and encode-queue gauges. All fields are
 // individually safe for concurrent use.
 type EncodeMetrics struct {
+	// Stages holds the per-stage latency histograms under their
+	// EncodeStage.String() names; stages indexes the same histograms by
+	// stage for ObserveStage, which runs several times per encode.
+	Stages map[string]*Histogram
 	stages [NumEncodeStages]*Histogram
 
-	// Encoded counts records that ran the full dedup workflow (not
+	// EncodedRecords counts records that ran the full dedup workflow (not
 	// filtered, not governor-skipped); EncodedBytes sums their payloads.
-	Encoded      Meter
-	EncodedBytes Meter
+	EncodedRecords Meter
+	EncodedBytes   Meter
 
 	// Chunks counts content-defined chunks produced by sketch extraction;
 	// ChunkedBytes sums the bytes scanned to produce them. Their ratio is
@@ -275,63 +277,17 @@ type EncodeMetrics struct {
 
 // NewEncodeMetrics returns a zeroed metrics bundle.
 func NewEncodeMetrics() *EncodeMetrics {
-	m := &EncodeMetrics{}
-	for i := range m.stages {
-		m.stages[i] = NewHistogram()
+	m := &EncodeMetrics{Stages: make(map[string]*Histogram, NumEncodeStages)}
+	for s := range m.stages {
+		m.stages[s] = NewHistogram()
+		m.Stages[EncodeStage(s).String()] = m.stages[s]
 	}
 	return m
 }
 
-// Stage returns the latency histogram for one pipeline stage.
-func (m *EncodeMetrics) Stage(s EncodeStage) *Histogram { return m.stages[s] }
-
 // ObserveStage records one stage latency sample.
 func (m *EncodeMetrics) ObserveStage(s EncodeStage, d time.Duration) {
 	m.stages[s].Observe(d)
-}
-
-// EncodeStageSnapshot is the JSON-friendly summary of one stage histogram.
-type EncodeStageSnapshot struct {
-	Stage  string
-	Count  uint64
-	MeanUS int64 // microseconds
-	P50US  int64
-	P99US  int64
-}
-
-// EncodeSnapshot is a point-in-time view of an EncodeMetrics bundle, shaped
-// for the admin endpoint.
-type EncodeSnapshot struct {
-	Stages         []EncodeStageSnapshot
-	EncodedRecords int64
-	EncodedBytes   int64
-	Chunks         int64
-	ChunkedBytes   int64
-	QueueDepth     int64
-	QueueOverflows int64
-}
-
-// Snapshot summarises the bundle.
-func (m *EncodeMetrics) Snapshot() EncodeSnapshot {
-	snap := EncodeSnapshot{
-		EncodedRecords: m.Encoded.Total(),
-		EncodedBytes:   m.EncodedBytes.Total(),
-		Chunks:         m.Chunks.Total(),
-		ChunkedBytes:   m.ChunkedBytes.Total(),
-		QueueDepth:     m.QueueDepth.Value(),
-		QueueOverflows: m.QueueOverflows.Total(),
-	}
-	for s := EncodeStage(0); s < NumEncodeStages; s++ {
-		h := m.stages[s]
-		snap.Stages = append(snap.Stages, EncodeStageSnapshot{
-			Stage:  s.String(),
-			Count:  h.Count(),
-			MeanUS: h.Mean().Microseconds(),
-			P50US:  h.Quantile(0.50).Microseconds(),
-			P99US:  h.Quantile(0.99).Microseconds(),
-		})
-	}
-	return snap
 }
 
 // ApplyMetrics bundles the replication apply-path instrumentation: the
@@ -340,9 +296,11 @@ func (m *EncodeMetrics) Snapshot() EncodeSnapshot {
 // record fetched from the primary. All fields are individually safe for
 // concurrent use.
 type ApplyMetrics struct {
-	latency *Histogram
+	// Latency is the per-entry apply latency.
+	Latency *Histogram
 
-	// Workers is the size of the apply worker pool.
+	// Workers is the number of live apply workers (zero once the pool has
+	// closed).
 	Workers Gauge
 	// QueueDepth is the number of apply jobs queued or in flight across
 	// all apply shards. QueueOverflows counts dispatches that found their
@@ -361,65 +319,12 @@ type ApplyMetrics struct {
 
 // NewApplyMetrics returns a zeroed metrics bundle.
 func NewApplyMetrics() *ApplyMetrics {
-	return &ApplyMetrics{latency: NewHistogram()}
+	return &ApplyMetrics{Latency: NewHistogram()}
 }
 
-// Latency returns the per-entry apply latency histogram.
-func (m *ApplyMetrics) Latency() *Histogram { return m.latency }
-
-// ApplySnapshot is a point-in-time view of an ApplyMetrics bundle, shaped
-// for the admin endpoint.
-type ApplySnapshot struct {
-	Workers        int64
-	Applied        int64
-	ApplyFailures  int64
-	QueueDepth     int64
-	QueueOverflows int64
-	BaseFetches    int64
-	LatencyCount   uint64
-	LatencyMeanUS  int64
-	LatencyP50US   int64
-	LatencyP99US   int64
-}
-
-// Snapshot summarises the bundle.
-func (m *ApplyMetrics) Snapshot() ApplySnapshot {
-	return ApplySnapshot{
-		Workers:        m.Workers.Value(),
-		Applied:        m.Applied.Total(),
-		ApplyFailures:  m.ApplyFailures.Total(),
-		QueueDepth:     m.QueueDepth.Value(),
-		QueueOverflows: m.QueueOverflows.Total(),
-		BaseFetches:    m.BaseFetches.Total(),
-		LatencyCount:   m.latency.Count(),
-		LatencyMeanUS:  m.latency.Mean().Microseconds(),
-		LatencyP50US:   m.latency.Quantile(0.50).Microseconds(),
-		LatencyP99US:   m.latency.Quantile(0.99).Microseconds(),
-	}
-}
-
-// HistogramSummary is the compact latency view the admin endpoint embeds
-// where a full CDF would be noise.
-type HistogramSummary struct {
-	Count  uint64
-	MeanUS int64 // microseconds
-	P50US  int64
-	P99US  int64
-}
-
-// SummarizeHistogram condenses h into count/mean/p50/p99.
-func SummarizeHistogram(h *Histogram) HistogramSummary {
-	return HistogramSummary{
-		Count:  h.Count(),
-		MeanUS: h.Mean().Microseconds(),
-		P50US:  h.Quantile(0.50).Microseconds(),
-		P99US:  h.Quantile(0.99).Microseconds(),
-	}
-}
-
-// LatencySummary is the full percentile view dedupstorm reports per
-// operation kind — a superset of HistogramSummary with the tail percentiles
-// an open-loop harness exists to measure.
+// LatencySummary is a histogram condensed to the numbers a reader wants where
+// a full CDF would be noise: what the admin endpoint serves for every
+// histogram and what dedupstorm reports per operation kind.
 type LatencySummary struct {
 	Count  uint64
 	MeanUS int64 // microseconds
@@ -430,59 +335,33 @@ type LatencySummary struct {
 	MaxUS  int64
 }
 
-// Summary condenses the histogram into the load-tool percentile view.
+// Summary condenses the histogram under one lock acquisition, so its numbers
+// are all of one instant.
 func (h *Histogram) Summary() LatencySummary {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.total == 0 {
+		return LatencySummary{}
+	}
 	return LatencySummary{
-		Count:  h.Count(),
-		MeanUS: h.Mean().Microseconds(),
-		P50US:  h.Quantile(0.50).Microseconds(),
-		P90US:  h.Quantile(0.90).Microseconds(),
-		P99US:  h.Quantile(0.99).Microseconds(),
-		P999US: h.Quantile(0.999).Microseconds(),
-		MaxUS:  h.Max().Microseconds(),
+		Count:  h.total,
+		MeanUS: (h.sum / time.Duration(h.total)).Microseconds(),
+		P50US:  h.quantileLocked(0.50).Microseconds(),
+		P90US:  h.quantileLocked(0.90).Microseconds(),
+		P99US:  h.quantileLocked(0.99).Microseconds(),
+		P999US: h.quantileLocked(0.999).Microseconds(),
+		MaxUS:  h.max.Microseconds(),
 	}
 }
+
+// MarshalJSON renders the histogram as its Summary.
+func (h *Histogram) MarshalJSON() ([]byte, error) { return json.Marshal(h.Summary()) }
 
 // String renders the summary the way the load tools print it.
 func (s LatencySummary) String() string {
 	us := func(n int64) time.Duration { return time.Duration(n) * time.Microsecond }
 	return fmt.Sprintf("mean %v  p50 %v  p99 %v  p99.9 %v  max %v (n=%d)",
 		us(s.MeanUS), us(s.P50US), us(s.P99US), us(s.P999US), us(s.MaxUS), s.Count)
-}
-
-// CacheShardSnapshot is one block-cache shard's counters — the per-shard
-// split shows whether the shard hash is spreading read contention.
-type CacheShardSnapshot struct {
-	Shard  int
-	Hits   uint64
-	Misses uint64
-	Blocks int
-}
-
-// ReadSnapshot is a point-in-time view of the read path for the admin
-// endpoint: client read latency, block-cache outcomes (total and per
-// shard), and the segio segment-lifetime gauges.
-type ReadSnapshot struct {
-	Latency     HistogramSummary
-	CacheHits   uint64
-	CacheMisses uint64
-	CacheShards []CacheShardSnapshot
-	// BlockBuffersRecycled/BlockBuffersFresh split the buffers block loads
-	// decoded into: taken over from a block that left the cache, or newly
-	// allocated.
-	BlockBuffersRecycled uint64
-	BlockBuffersFresh    uint64
-	// BlocksDecoded counts sealed blocks decompressed and BlockDecodeNanos
-	// the time that took. Against the read count they say how many blocks
-	// a read touches, which hop encoding (a bound on decode steps) does not.
-	BlocksDecoded    uint64
-	BlockDecodeNanos uint64
-	// PinnedReaders is the number of segment handles currently pinned by
-	// in-flight reads; RetiredPending counts compacted segments whose
-	// files stay open awaiting their last unpin.
-	PinnedReaders  int64
-	RetiredPending int64
-	LiveSegments   int
 }
 
 // ReplMetrics bundles the replication transport's hardening counters: how
@@ -511,35 +390,6 @@ type ReplMetrics struct {
 	// ForcedResyncs counts reconnects that requested a fresh snapshot
 	// because the previous connection died mid-snapshot.
 	ForcedResyncs Meter
-}
-
-// ReplSnapshot is a point-in-time view of a ReplMetrics bundle, shaped for
-// the admin endpoint.
-type ReplSnapshot struct {
-	Reconnects         int64
-	Dials              int64
-	DialFailures       int64
-	BackoffNanos       int64
-	CorruptFrames      int64
-	FrameSeqViolations int64
-	IdleTimeouts       int64
-	HeartbeatsSent     int64
-	ForcedResyncs      int64
-}
-
-// Snapshot summarises the bundle.
-func (m *ReplMetrics) Snapshot() ReplSnapshot {
-	return ReplSnapshot{
-		Reconnects:         m.Reconnects.Total(),
-		Dials:              m.Dials.Total(),
-		DialFailures:       m.DialFailures.Total(),
-		BackoffNanos:       m.BackoffNanos.Total(),
-		CorruptFrames:      m.CorruptFrames.Total(),
-		FrameSeqViolations: m.FrameSeqViolations.Total(),
-		IdleTimeouts:       m.IdleTimeouts.Total(),
-		HeartbeatsSent:     m.HeartbeatsSent.Total(),
-		ForcedResyncs:      m.ForcedResyncs.Total(),
-	}
 }
 
 // Series records a value per fixed time slot, for throughput-over-time
@@ -603,28 +453,6 @@ func FormatBytes(n int64) string {
 	return fmt.Sprintf("%.1f %ciB", float64(n)/float64(div), "KMGTPE"[exp])
 }
 
-// Percentiles is a convenience for sorted percentile extraction from raw
-// samples (used by tests to cross-check the histogram).
-func Percentiles(samples []time.Duration, qs ...float64) []time.Duration {
-	if len(samples) == 0 {
-		return make([]time.Duration, len(qs))
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	out := make([]time.Duration, len(qs))
-	for i, q := range qs {
-		idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		out[i] = sorted[idx]
-	}
-	return out
-}
-
 // CompactionMetrics bundles the compaction re-dedup pass counters: how much
 // work each pass did (records re-sketched against the feature index, raw →
 // delta conversions won) and what it bought (logical bytes saved by the
@@ -632,7 +460,8 @@ func Percentiles(samples []time.Duration, qs ...float64) []time.Duration {
 type CompactionMetrics struct {
 	// Passes counts completed compaction passes; PassLatency is their
 	// wall-clock distribution.
-	Passes Meter
+	Passes      Meter
+	PassLatency *Histogram
 	// Resketched counts live raw records whose features were recomputed
 	// and probed against the similarity index during compaction.
 	Resketched Meter
@@ -645,57 +474,24 @@ type CompactionMetrics struct {
 	// conversions; PhysicalBytesReclaimed is segment bytes freed on disk.
 	LogicalBytesSaved      Meter
 	PhysicalBytesReclaimed Meter
-
-	latency *Histogram
 }
 
 // NewCompactionMetrics returns a zeroed bundle.
 func NewCompactionMetrics() *CompactionMetrics {
-	return &CompactionMetrics{latency: NewHistogram()}
+	return &CompactionMetrics{PassLatency: NewHistogram()}
 }
 
 // ObservePass records one completed pass and its duration.
 func (m *CompactionMetrics) ObservePass(d time.Duration) {
 	m.Passes.Add(1)
-	m.latency.Observe(d)
+	m.PassLatency.Observe(d)
 }
 
-// CompactionSnapshot is a point-in-time view of a CompactionMetrics bundle
-// plus the store's mmap/pread read-path split, shaped for the admin endpoint.
-type CompactionSnapshot struct {
-	Passes                 int64
-	Resketched             int64
-	Conversions            int64
-	ConversionsSkipped     int64
-	LogicalBytesSaved      int64
-	PhysicalBytesReclaimed int64
-	PassLatency            HistogramSummary
-	// MmapBlockReads/PreadBlockReads split sealed-segment block reads by
-	// path; MmapFailures counts mappings that failed and fell back.
-	MmapBlockReads  uint64
-	PreadBlockReads uint64
-	MmapFailures    uint64
-}
-
-// Snapshot summarises the bundle. The mmap counters are store-owned; the
-// caller fills them in.
-func (m *CompactionMetrics) Snapshot() CompactionSnapshot {
-	return CompactionSnapshot{
-		Passes:                 m.Passes.Total(),
-		Resketched:             m.Resketched.Total(),
-		Conversions:            m.Conversions.Total(),
-		ConversionsSkipped:     m.ConversionsSkipped.Total(),
-		LogicalBytesSaved:      m.LogicalBytesSaved.Total(),
-		PhysicalBytesReclaimed: m.PhysicalBytesReclaimed.Total(),
-		PassLatency:            SummarizeHistogram(m.latency),
-	}
-}
-
-// FeatIdxSnapshot is a point-in-time view of the similarity index: occupancy
+// FeatIdxSnapshot is the engine-wide view of the similarity index: occupancy
 // against its configured bound, plus lifetime lookup/match/eviction counts.
-// The Tiered* fields describe the index's state under a memory budget (hot
-// cuckoo table + Bloom-gated disk-resident cold runs) and are zero — with
-// TieredEnabled false — when no budget is set and there is no cold tier.
+// It is core.Stats' Index* fields under the names benchmark/layers.go and
+// workloads.go read through Node.FeatIdxSnapshot; the cold tier's state is
+// core.Stats.TieredIdx, served as the tiered.Snapshot it is.
 type FeatIdxSnapshot struct {
 	Entries       int
 	MemoryBytes   int64
@@ -703,38 +499,11 @@ type FeatIdxSnapshot struct {
 	Lookups       uint64
 	Matches       uint64
 	Evictions     uint64
-
-	TieredEnabled bool
-	// TieredBudgetBytes is the configured in-memory bound (summed across
-	// partitions); MemoryBytes above is the actual use.
-	TieredBudgetBytes int64
-	// Hot/pending occupancy and the cold-tier geometry.
-	TieredHotEntries     int
-	TieredPendingEntries int
-	TieredColdRuns       int
-	TieredResidentRuns   int
-	TieredColdEntries    int64
-	TieredColdDiskBytes  int64
-	// Bloom-filter effectiveness: checks gate disk probes; a false
-	// positive is a passed check whose run search found nothing.
-	TieredBloomMemoryBytes    int64
-	TieredBloomChecks         uint64
-	TieredBloomHits           uint64
-	TieredBloomFalsePositives uint64
-	TieredDiskProbes          uint64
-	TieredDiskProbeHits       uint64
-	TieredDiskReadErrors      uint64
-	// Maintenance lifecycle counters.
-	TieredFreezes        uint64
-	TieredFreezeFailures uint64
-	TieredMerges         uint64
-	TieredMergeFailures  uint64
-	TieredDroppedRuns    uint64
 }
 
 // ClusterMetrics instruments a cluster shard's routing tier: ownership
 // decisions, redirects and forwards, and the handoff/rebalance lifecycle.
-// Zero-valued on a node that is not clustered.
+// A node that is not clustered has none (nil).
 type ClusterMetrics struct {
 	// RingEpoch is the highest ring epoch installed (monotonic per member).
 	RingEpoch Gauge
@@ -764,54 +533,4 @@ type ClusterMetrics struct {
 	// (source) or on abort (destination).
 	DroppedDBs     Meter
 	DroppedRecords Meter
-}
-
-// ClusterSnapshot is the JSON view of ClusterMetrics for /metrics.
-type ClusterSnapshot struct {
-	Enabled         bool
-	RingEpoch       int64
-	RingInstalls    int64
-	RedirectsIssued int64
-	MovingAnswered  int64
-	ForwardedOps    int64
-	ForwardFailures int64
-
-	HandoffsStarted   int64
-	HandoffsCommitted int64
-	HandoffsAborted   int64
-
-	TransferRecordsOut int64
-	TransferBytesOut   int64
-	TransferRecordsIn  int64
-	TransferBytesIn    int64
-	TransferFailures   int64
-
-	DroppedDBs     int64
-	DroppedRecords int64
-}
-
-// Snapshot captures the counters. Safe on a nil receiver (unclustered node).
-func (m *ClusterMetrics) Snapshot() ClusterSnapshot {
-	if m == nil {
-		return ClusterSnapshot{}
-	}
-	return ClusterSnapshot{
-		Enabled:            true,
-		RingEpoch:          m.RingEpoch.Value(),
-		RingInstalls:       m.RingInstalls.Total(),
-		RedirectsIssued:    m.RedirectsIssued.Total(),
-		MovingAnswered:     m.MovingAnswered.Total(),
-		ForwardedOps:       m.ForwardedOps.Total(),
-		ForwardFailures:    m.ForwardFailures.Total(),
-		HandoffsStarted:    m.HandoffsStarted.Total(),
-		HandoffsCommitted:  m.HandoffsCommitted.Total(),
-		HandoffsAborted:    m.HandoffsAborted.Total(),
-		TransferRecordsOut: m.TransferRecordsOut.Total(),
-		TransferBytesOut:   m.TransferBytesOut.Total(),
-		TransferRecordsIn:  m.TransferRecordsIn.Total(),
-		TransferBytesIn:    m.TransferBytesIn.Total(),
-		TransferFailures:   m.TransferFailures.Total(),
-		DroppedDBs:         m.DroppedDBs.Total(),
-		DroppedRecords:     m.DroppedRecords.Total(),
-	}
 }

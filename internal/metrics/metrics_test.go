@@ -1,11 +1,36 @@
 package metrics
 
 import (
+	"encoding/json"
+	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 )
+
+// Percentiles extracts exact percentiles from raw samples, to cross-check the
+// histogram's bucketed estimates.
+func Percentiles(samples []time.Duration, qs ...float64) []time.Duration {
+	if len(samples) == 0 {
+		return make([]time.Duration, len(qs))
+	}
+	sorted := append([]time.Duration(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	out := make([]time.Duration, len(qs))
+	for i, q := range qs {
+		idx := int(math.Ceil(q*float64(len(sorted)))) - 1
+		if idx < 0 {
+			idx = 0
+		}
+		if idx >= len(sorted) {
+			idx = len(sorted) - 1
+		}
+		out[i] = sorted[idx]
+	}
+	return out
+}
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
@@ -162,7 +187,9 @@ func TestPercentilesEdgeCases(t *testing.T) {
 	}
 }
 
-func TestApplyMetricsSnapshot(t *testing.T) {
+// TestApplyMetricsLive reads the bundle the way every reader now does: the
+// instruments themselves, and the latency histogram's one-lock summary.
+func TestApplyMetricsLive(t *testing.T) {
 	m := NewApplyMetrics()
 	m.Workers.Set(4)
 	m.QueueDepth.Add(3)
@@ -170,27 +197,74 @@ func TestApplyMetricsSnapshot(t *testing.T) {
 	m.QueueOverflows.Add(2)
 	m.Applied.Add(10)
 	m.BaseFetches.Add(1)
-	m.Latency().Observe(100 * time.Microsecond)
-	m.Latency().Observe(300 * time.Microsecond)
+	m.Latency.Observe(100 * time.Microsecond)
+	m.Latency.Observe(300 * time.Microsecond)
 
-	snap := m.Snapshot()
-	if snap.Workers != 4 {
-		t.Errorf("Workers = %d, want 4", snap.Workers)
+	if got := m.Workers.Value(); got != 4 {
+		t.Errorf("Workers = %d, want 4", got)
 	}
-	if snap.QueueDepth != 2 {
-		t.Errorf("QueueDepth = %d, want 2", snap.QueueDepth)
+	if got := m.QueueDepth.Value(); got != 2 {
+		t.Errorf("QueueDepth = %d, want 2", got)
 	}
-	if snap.QueueOverflows != 2 || snap.Applied != 10 || snap.BaseFetches != 1 {
+	if m.QueueOverflows.Total() != 2 || m.Applied.Total() != 10 || m.BaseFetches.Total() != 1 {
 		t.Errorf("counters = %d/%d/%d, want 2/10/1",
-			snap.QueueOverflows, snap.Applied, snap.BaseFetches)
+			m.QueueOverflows.Total(), m.Applied.Total(), m.BaseFetches.Total())
 	}
-	if snap.LatencyCount != 2 {
-		t.Errorf("LatencyCount = %d, want 2", snap.LatencyCount)
+	lat := m.Latency.Summary()
+	if lat.Count != 2 {
+		t.Errorf("Latency.Count = %d, want 2", lat.Count)
 	}
-	if snap.LatencyMeanUS < 150 || snap.LatencyMeanUS > 250 {
-		t.Errorf("LatencyMeanUS = %d, want ~200", snap.LatencyMeanUS)
+	if lat.MeanUS < 150 || lat.MeanUS > 250 {
+		t.Errorf("Latency.MeanUS = %d, want ~200", lat.MeanUS)
 	}
-	if snap.LatencyP99US < snap.LatencyP50US {
-		t.Errorf("p99 %d < p50 %d", snap.LatencyP99US, snap.LatencyP50US)
+	if lat.P50US > lat.P99US || lat.P99US > lat.MaxUS || lat.MaxUS != 300 {
+		t.Errorf("summary not ordered: %+v", lat)
+	}
+}
+
+// TestMeterGaugeHistogramJSON pins the three marshal shapes the admin
+// endpoint is built from: a Meter and a Gauge are bare numbers, a Histogram is
+// its LatencySummary, and a bundle encoded through a pointer is the object of
+// those, with the encode stages keyed by name.
+func TestMeterGaugeHistogramJSON(t *testing.T) {
+	var m Meter
+	m.Add(7)
+	var g Gauge
+	g.Set(-3)
+	h := NewHistogram()
+	h.Observe(40 * time.Microsecond)
+	for v, want := range map[json.Marshaler]string{
+		&m:             `7`,
+		&g:             `-3`,
+		h:              `{"Count":1,"MeanUS":40,"P50US":40,"P90US":40,"P99US":40,"P999US":40,"MaxUS":40}`,
+		NewHistogram(): `{"Count":0,"MeanUS":0,"P50US":0,"P90US":0,"P99US":0,"P999US":0,"MaxUS":0}`,
+	} {
+		got, err := json.Marshal(v)
+		if err != nil || string(got) != want {
+			t.Errorf("%T marshals as %s (%v), want %s", v, got, err, want)
+		}
+	}
+
+	em := NewEncodeMetrics()
+	em.EncodedRecords.Add(2)
+	em.QueueDepth.Set(5)
+	em.ObserveStage(StageDelta, 9*time.Microsecond)
+	raw, err := json.Marshal(em)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Stages         map[string]LatencySummary
+		EncodedRecords int64
+		QueueDepth     int64
+	}
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatalf("%v in %s", err, raw)
+	}
+	if got.EncodedRecords != 2 || got.QueueDepth != 5 {
+		t.Errorf("bundle numbers = %d/%d, want 2/5 in %s", got.EncodedRecords, got.QueueDepth, raw)
+	}
+	if len(got.Stages) != int(NumEncodeStages) || got.Stages["delta"].Count != 1 || got.Stages["chunk"].Count != 0 {
+		t.Errorf("Stages = %+v, want all %d stages by name with one delta sample", got.Stages, NumEncodeStages)
 	}
 }

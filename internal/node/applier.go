@@ -3,24 +3,19 @@ package node
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/oplog"
 )
 
-// Applier is the secondary-side counterpart of the node's encoder pool: a
-// database-sharded worker pool that applies replicated oplog entries in
-// parallel. It preserves the same ordering invariant the encode path rests
-// on — mutations to one database apply in sequence order (one database →
-// one shard → one worker → strict FIFO) while independent databases apply
-// concurrently — so a secondary can keep up with a parallel primary
-// (ROADMAP: parallel replica re-encoding; cf. the pipeline-parallel apply
-// designs of FOLD and Li et al.).
+// Applier is the secondary-side counterpart of the node's encoder pool: the
+// same fifoPool (pool.go), applying replicated oplog entries. Mutations to
+// one database apply in sequence order while independent databases apply
+// concurrently, so a secondary can keep up with a parallel primary (cf. the
+// pipeline-parallel apply designs of FOLD and Li et al., PAPERS.md).
 //
 // The replication layer is the single dispatcher: it feeds entries in
 // sequence order via EnqueueEntry/EnqueueSnapshotRecord and uses Barrier
@@ -38,10 +33,7 @@ type Applier struct {
 	n     *Node
 	fetch func(db, key string) ([]byte, error)
 	m     *metrics.ApplyMetrics
-
-	shards []*applyShard
-	closed atomic.Bool
-	wg     sync.WaitGroup
+	pool  *fifoPool[applyJob]
 
 	mu      sync.Mutex
 	errv    error
@@ -75,22 +67,11 @@ type ApplierOptions struct {
 	Fetch func(db, key string) ([]byte, error)
 }
 
-// applyShard is one apply worker's FIFO queue, mirroring encodeShard: the
-// dispatcher appends under shard.mu after reserving a capacity token;
-// the worker pops holding only shard.mu.
-type applyShard struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	q    []applyJob
-	sem  chan struct{}
-}
-
 type applyJob struct {
 	entry    oplog.Entry
 	lenient  bool
 	snapshot bool       // ApplySnapshotRecord(DB, Key, Payload); untracked
 	slot     *applySlot // low-water tracking (nil for snapshot records)
-	barrier  chan struct{}
 }
 
 // applySlot tracks one dispatched entry in the low-water window.
@@ -108,33 +89,9 @@ func NewApplier(n *Node, afterSeq uint64, opts ApplierOptions) *Applier {
 	if opts.Queue <= 0 {
 		opts.Queue = 1024
 	}
-	a := &Applier{
-		n:      n,
-		fetch:  opts.Fetch,
-		m:      n.ApplyMetrics(),
-		base:   afterSeq,
-		shards: make([]*applyShard, opts.Workers),
-	}
-	a.m.Workers.Set(int64(opts.Workers))
-	for i := range a.shards {
-		sh := &applyShard{sem: make(chan struct{}, opts.Queue)}
-		sh.cond = sync.NewCond(&sh.mu)
-		a.shards[i] = sh
-		a.wg.Add(1)
-		go a.worker(sh)
-	}
+	a := &Applier{n: n, fetch: opts.Fetch, m: n.ApplyMetrics(), base: afterSeq}
+	a.pool = newFIFOPool(opts.Workers, opts.Queue, a.run, &a.m.Workers, &a.m.QueueDepth, &a.m.QueueOverflows)
 	return a
-}
-
-// shardFor maps a database name to its apply shard (same FNV-1a scheme as
-// the encoder pool, so the FIFO-per-database reasoning is shared).
-func (a *Applier) shardFor(db string) *applyShard {
-	if len(a.shards) == 1 {
-		return a.shards[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(db))
-	return a.shards[h.Sum32()%uint32(len(a.shards))]
 }
 
 // EnqueueEntry dispatches one replicated oplog entry to its database's
@@ -155,25 +112,11 @@ func (a *Applier) EnqueueSnapshotRecord(db, key string, payload []byte) {
 	a.dispatch(db, applyJob{entry: e, snapshot: true})
 }
 
+// dispatch reserves and pushes in one step: the single dispatcher is what
+// fixes the order. A stopped pool drops the job, so its slot stays pending
+// and the low-water mark does not advance over it.
 func (a *Applier) dispatch(db string, job applyJob) {
-	if a.closed.Load() {
-		// Pool stopped: the job is dropped, not applied, so its slot must
-		// stay pending — the low-water mark must not advance over it.
-		return
-	}
-	sh := a.shardFor(db)
-	select {
-	case sh.sem <- struct{}{}:
-	default:
-		// Shard at capacity: count the stall, then wait for the workers.
-		a.m.QueueOverflows.Add(1)
-		sh.sem <- struct{}{}
-	}
-	a.m.QueueDepth.Add(1)
-	sh.mu.Lock()
-	sh.q = append(sh.q, job)
-	sh.cond.Signal()
-	sh.mu.Unlock()
+	a.pool.push(a.pool.reserve(db), job)
 }
 
 // Barrier blocks until every job enqueued before the call has been applied.
@@ -182,31 +125,8 @@ func (a *Applier) dispatch(db string, job applyJob) {
 // in-flight entries on any shard.
 //
 // Barrier is safe to call concurrently with Close (e.g. from WaitForSeq
-// while the secondary shuts down): the closed check happens per shard under
-// the shard lock, so a sentinel is never appended to a queue whose worker
-// has already exited. Once the pool is closed and a shard has drained, the
-// sentinel resolves immediately rather than waiting on a dead worker.
-func (a *Applier) Barrier() {
-	// One sentinel per shard. Sentinels bypass the capacity tokens: they
-	// represent no work and must never deadlock against a full shard.
-	dones := make([]chan struct{}, len(a.shards))
-	for i, sh := range a.shards {
-		dones[i] = make(chan struct{})
-		sh.mu.Lock()
-		if a.closed.Load() && len(sh.q) == 0 {
-			// The worker may already have seen an empty queue and
-			// exited; a sentinel appended now would never be serviced.
-			close(dones[i])
-		} else {
-			sh.q = append(sh.q, applyJob{barrier: dones[i]})
-			sh.cond.Signal()
-		}
-		sh.mu.Unlock()
-	}
-	for _, done := range dones {
-		<-done
-	}
-}
+// while the secondary shuts down); see fifoPool.plant.
+func (a *Applier) Barrier() { a.pool.plant().Wait() }
 
 // Reset rebases the low-water mark after a snapshot: the snapshot defines
 // the stream position outright (an epoch-mismatch resync can rebase it
@@ -249,12 +169,6 @@ func (a *Applier) LowWater() uint64 {
 	return a.base
 }
 
-// BaseFetches reports how many forward-encoded inserts fell back to a
-// full-record fetch.
-func (a *Applier) BaseFetches() uint64 {
-	return uint64(a.m.BaseFetches.Total())
-}
-
 // Err returns the first terminal apply error. Once set, remaining queued
 // jobs are drained without being applied (order past a failed entry is
 // meaningless) and the replication stream is expected to stop.
@@ -274,43 +188,7 @@ func (a *Applier) fail(err error) {
 
 // Close drains the shard queues and stops the workers. The dispatcher must
 // have stopped enqueueing first.
-func (a *Applier) Close() {
-	if a.closed.Swap(true) {
-		return
-	}
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		sh.cond.Broadcast()
-		sh.mu.Unlock()
-	}
-	a.wg.Wait()
-}
-
-// worker drains one shard in FIFO order. On close it finishes the remaining
-// queue before exiting, so Close never drops accepted work.
-func (a *Applier) worker(sh *applyShard) {
-	defer a.wg.Done()
-	for {
-		sh.mu.Lock()
-		for len(sh.q) == 0 && !a.closed.Load() {
-			sh.cond.Wait()
-		}
-		if len(sh.q) == 0 {
-			sh.mu.Unlock()
-			return
-		}
-		job := sh.q[0]
-		sh.q = sh.q[1:]
-		sh.mu.Unlock()
-		if job.barrier != nil {
-			close(job.barrier)
-			continue
-		}
-		a.run(job)
-		a.m.QueueDepth.Add(-1)
-		<-sh.sem
-	}
-}
+func (a *Applier) Close() { a.pool.close() }
 
 // run applies one job and, on success, advances the low-water window. A
 // failed entry — and every entry drained after the pool is poisoned —
@@ -387,7 +265,7 @@ func (a *Applier) run(job applyJob) {
 			}
 		}
 	}
-	a.m.Latency().Observe(time.Since(start))
+	a.m.Latency.Observe(time.Since(start))
 	if err != nil {
 		a.m.ApplyFailures.Add(1)
 		if job.snapshot {

@@ -307,8 +307,8 @@ func TestApplierFetchFallback(t *testing.T) {
 	if err := ap.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if fetched != 1 || ap.BaseFetches() != 1 {
-		t.Fatalf("fetches = %d/%d, want 1/1", fetched, ap.BaseFetches())
+	if fetches := sec.ApplyMetrics().BaseFetches.Total(); fetched != 1 || fetches != 1 {
+		t.Fatalf("fetches = %d/%d, want 1/1", fetched, fetches)
 	}
 	got, err := sec.Read("db", "orphan")
 	if err != nil || string(got) != "fetched full content" {

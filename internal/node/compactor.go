@@ -29,10 +29,6 @@ type CompactionOptions struct {
 	// create (default 8). Compaction-created references deepen chains that
 	// the insert path, which only references raw records, never would.
 	RededupMaxChainDepth int
-	// RededupBudget caps the wall-clock time one pass may spend
-	// re-sketching; once spent, the remaining records move unconverted.
-	// Zero means no budget.
-	RededupBudget time.Duration
 }
 
 const defaultRededupMaxChainDepth = 8
@@ -90,7 +86,6 @@ func (n *Node) compactOnce() (int64, error) {
 	n.compm.ObservePass(time.Since(start))
 	if reclaimed > 0 {
 		n.compm.PhysicalBytesReclaimed.Add(reclaimed)
-		n.compactedBytes.Add(reclaimed)
 		n.mu.Lock()
 		n.stats.Compactions++
 		n.mu.Unlock()
@@ -117,22 +112,14 @@ func (n *Node) compactOnce() (int64, error) {
 // An abandoned conversion (superseded record, failed Verify, append error)
 // surfaces as Skipped, which releases the claimed reference.
 func (n *Node) rededupHooks() *docstore.CompactHooks {
-	opts := n.opts.Compaction
-	maxDepth := opts.RededupMaxChainDepth
+	maxDepth := n.opts.Compaction.RededupMaxChainDepth
 	if maxDepth <= 0 {
 		maxDepth = defaultRededupMaxChainDepth
-	}
-	var deadline time.Time
-	if opts.RededupBudget > 0 {
-		deadline = time.Now().Add(opts.RededupBudget)
 	}
 	return &docstore.CompactHooks{
 		CommitLock: &n.applyMu,
 		Rewrite: func(rec docstore.Record) (docstore.Record, bool) {
 			if rec.Tombstone || rec.Hidden || rec.Stacked || rec.Form != docstore.FormRaw {
-				return rec, false
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
 				return rec, false
 			}
 			n.mu.RLock()

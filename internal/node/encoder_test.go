@@ -243,17 +243,3 @@ func TestEncoderPoolConcurrentMixedOps(t *testing.T) {
 		t.Errorf("integrity scrub failed after concurrent mixed ops: %+v", rep)
 	}
 }
-
-// TestShardForStable pins the shard hash: all mutations of one database must
-// map to one shard (the ordering invariant depends on it).
-func TestShardForStable(t *testing.T) {
-	n := asyncNode(t, Options{EncodeWorkers: 4})
-	for _, db := range []string{"users", "orders", "wiki", ""} {
-		first := n.shardFor(db)
-		for i := 0; i < 10; i++ {
-			if n.shardFor(db) != first {
-				t.Fatalf("shardFor(%q) not stable", db)
-			}
-		}
-	}
-}

@@ -5,12 +5,11 @@
 // runs behind a pool of background workers, off the critical path, and
 // produces (a) the forward-encoded oplog entry that replication ships and
 // (b) backward write-backs that the lossy write-back cache applies when the
-// node is idle. Encode jobs are sharded by database name onto per-shard FIFO
-// queues, each drained by one worker: mutations to the same database are
-// processed in the order they took effect (the invariant oplog correctness
-// rests on) while independent databases encode in parallel. Each shard's
-// queue is bounded; a client mutation that finds its shard full blocks until
-// the encoder catches up (backpressure) rather than queueing unboundedly.
+// node is idle. Encode jobs go through a fifoPool (pool.go): mutations to one
+// database are processed in the order they took effect (the invariant oplog
+// correctness rests on), independent databases encode in parallel, and a
+// client mutation that finds its database's bounded queue full blocks until
+// the encoder catches up (backpressure).
 // Reads decode through backward-delta chains, consulting the source record
 // cache. Reference counts protect every record that serves as a decode base:
 // updates to referenced records append ("stack") instead of overwriting, and
@@ -22,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -97,9 +95,6 @@ type Options struct {
 	DisableAutoFlush bool
 	// FlushInterval is the idle-detection period (default 10ms).
 	FlushInterval time.Duration
-	// IdleFlushBatch is how many write-backs one idle tick applies
-	// (default 64).
-	IdleFlushBatch int
 	// SimulatedAppendDelay injects per-append device latency into the
 	// store (experiments emulating slow disks).
 	SimulatedAppendDelay time.Duration
@@ -115,6 +110,9 @@ type Options struct {
 	// Compaction configures background dead-space reclamation.
 	Compaction CompactionOptions
 }
+
+// idleFlushBatch is how many write-backs one idle tick applies.
+const idleFlushBatch = 64
 
 // Stats is a node-level snapshot.
 type Stats struct {
@@ -187,11 +185,10 @@ type Node struct {
 	// Read-path counters are atomics so the lock-free store read path is
 	// not re-serialised by bookkeeping; Stats() folds them into the
 	// snapshot.
-	readsTotal     atomic.Uint64
-	decodeSteps    atomic.Uint64
-	oplogBytes     atomic.Int64 // Stats.OplogBytes; encoder workers add to it
-	compactedBytes atomic.Int64
-	recentOps      atomic.Int64 // ops since last idle check (idleness proxy)
+	readsTotal  atomic.Uint64
+	decodeSteps atomic.Uint64
+	oplogBytes  atomic.Int64 // Stats.OplogBytes; encoder workers add to it
+	recentOps   atomic.Int64 // ops since last idle check (idleness proxy)
 
 	// applyMu serialises form-changing rewrites (write-back application
 	// and hidden-chain repair) so their refcount updates stay coherent. It
@@ -208,36 +205,18 @@ type Node struct {
 	encQueueCap int64
 	admRejected atomic.Uint64
 
-	// Encoder pool: one shard per worker, jobs hashed by database name.
-	// Shard queues are appended to under n.mu (with the shard's own lock
-	// taken inside it), so per-shard job order always matches the order
-	// client mutations took effect — the property oplog correctness rests
-	// on. encClosed mirrors `closed` for the workers, which synchronise on
-	// their shard lock rather than n.mu.
-	shards    []*encodeShard
-	asyncMode bool
-	encClosed atomic.Bool
-	encm      *metrics.EncodeMetrics     // queue gauges; engine's bundle when dedup is on
-	applym    *metrics.ApplyMetrics      // replication apply-path instrumentation
-	replm     *metrics.ReplMetrics       // replication transport hardening counters
-	compm     *metrics.CompactionMetrics // compaction pass / re-dedup counters
+	// Encoder pool (nil with SyncEncode). Jobs are pushed under n.mu, so
+	// per-shard job order is the order client mutations took effect.
+	pool       *fifoPool[encodeJob]
+	encWorkers metrics.Gauge              // Stats.EncodeWorkers
+	encm       *metrics.EncodeMetrics     // queue gauges; engine's bundle when dedup is on
+	applym     *metrics.ApplyMetrics      // replication apply-path instrumentation
+	replm      *metrics.ReplMetrics       // replication transport hardening counters
+	compm      *metrics.CompactionMetrics // compaction pass / re-dedup counters
 
 	wg     sync.WaitGroup
 	stopCh chan struct{}
 	closed bool
-}
-
-// encodeShard is one background encoder's FIFO queue. The lock hierarchy is
-// n.mu → shard.mu: producers append while holding both; the worker pops
-// holding only shard.mu and never acquires n.mu while holding it.
-type encodeShard struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	q    []encodeJob
-	// sem holds one token per queued (non-sentinel) job; producers
-	// reserve a token *before* their mutation takes effect, blocking when
-	// the shard is at capacity. Workers release tokens after processing.
-	sem chan struct{}
 }
 
 type encodeJob struct {
@@ -256,7 +235,6 @@ type encodeJob struct {
 	// control: the worker emits the raw oplog entry without touching the
 	// engine.
 	shedRaw bool
-	barrier chan struct{} // non-nil: sentinel, closed when reached
 }
 
 // Open creates a node.
@@ -269,9 +247,6 @@ func Open(opts Options) (*Node, error) {
 	}
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = 10 * time.Millisecond
-	}
-	if opts.IdleFlushBatch <= 0 {
-		opts.IdleFlushBatch = 64
 	}
 	store, err := docstore.Open(docstore.Options{
 		Dir:         opts.Dir,
@@ -326,16 +301,9 @@ func Open(opts Options) (*Node, error) {
 	}
 	n.adm = admission.New(opts.Admission)
 	if !opts.SyncEncode {
-		n.asyncMode = true
 		n.encQueueCap = int64(opts.EncodeWorkers) * int64(opts.EncodeQueue)
-		n.shards = make([]*encodeShard, opts.EncodeWorkers)
-		for i := range n.shards {
-			sh := &encodeShard{sem: make(chan struct{}, opts.EncodeQueue)}
-			sh.cond = sync.NewCond(&sh.mu)
-			n.shards[i] = sh
-			n.wg.Add(1)
-			go n.encodeWorker(sh)
-		}
+		n.pool = newFIFOPool(opts.EncodeWorkers, opts.EncodeQueue, n.process,
+			&n.encWorkers, &n.encm.QueueDepth, &n.encm.QueueOverflows)
 	}
 	if !opts.DisableAutoFlush && n.wb != nil {
 		n.wg.Add(1)
@@ -426,11 +394,8 @@ func (n *Node) Close() error {
 	n.closed = true
 	n.mu.Unlock()
 
-	n.encClosed.Store(true)
-	for _, sh := range n.shards {
-		sh.mu.Lock()
-		sh.cond.Broadcast()
-		sh.mu.Unlock()
+	if n.pool != nil {
+		n.pool.close() // runs every accepted job first
 	}
 	close(n.stopCh)
 	n.wg.Wait()
@@ -444,84 +409,31 @@ func (n *Node) Close() error {
 }
 
 // Barrier waits until all encode work queued before the call has been
-// processed. Tests and experiments use it to observe a settled state.
+// processed. Tests and experiments use it to observe a settled state. It is
+// a no-op in synchronous mode and returns on a closed node.
 func (n *Node) Barrier() {
-	n.mu.Lock()
-	if !n.asyncMode || n.closed {
-		n.mu.Unlock()
+	if n.pool == nil {
 		return
 	}
-	// One sentinel per shard, enqueued under n.mu so each lands after all
-	// previously accepted mutations. Sentinels bypass the capacity tokens:
-	// they represent no work and must never deadlock against a full shard.
-	dones := make([]chan struct{}, len(n.shards))
-	for i, sh := range n.shards {
-		dones[i] = make(chan struct{})
-		sh.mu.Lock()
-		sh.q = append(sh.q, encodeJob{barrier: dones[i]})
-		sh.cond.Signal()
-		sh.mu.Unlock()
-	}
+	// Planted under n.mu so each sentinel lands after every mutation
+	// accepted so far; waited for outside it, since those jobs take n.mu.
+	n.mu.Lock()
+	reached := n.pool.plant()
 	n.mu.Unlock()
-	for _, done := range dones {
-		<-done
-	}
+	reached.Wait()
 }
 
-// shardFor maps a database name to its encoder shard. All mutations of one
-// database land on the same shard, giving per-database FIFO encode order.
-func (n *Node) shardFor(db string) *encodeShard {
-	if len(n.shards) == 1 {
-		return n.shards[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(db))
-	return n.shards[h.Sum32()%uint32(len(n.shards))]
-}
-
-// reserveEncodeSlot blocks until db's shard has queue capacity, returning
-// the shard. Called *before* n.mu is taken and before the mutation takes
-// effect, so backpressure never holds a lock and never reorders jobs: order
-// is fixed later, when the job is appended under n.mu. Returns nil in
-// synchronous mode.
-func (n *Node) reserveEncodeSlot(db string) *encodeShard {
-	if !n.asyncMode {
-		return nil
-	}
-	sh := n.shardFor(db)
-	select {
-	case sh.sem <- struct{}{}:
-	default:
-		// Shard at capacity: count the stall, then wait for the encoder.
-		n.encm.QueueOverflows.Add(1)
-		sh.sem <- struct{}{}
-	}
-	return sh
-}
-
-// releaseEncodeSlot returns an unused reservation (mutation failed before
-// enqueueing).
-func (n *Node) releaseEncodeSlot(sh *encodeShard) {
-	if sh != nil {
-		<-sh.sem
-	}
-}
-
-// enqueueLocked stamps the job with its mutation order and queues it on sh
-// (the caller's reservation from reserveEncodeSlot); caller holds n.mu. In
-// synchronous mode the job is returned for the caller to run after
-// releasing the lock.
-func (n *Node) enqueueLocked(sh *encodeShard, job encodeJob) (encodeJob, bool) {
+// enqueueLocked stamps the job with its mutation order and pushes it on sh,
+// the reservation the caller took from n.pool.reserve before n.mu; caller
+// holds n.mu. In synchronous mode the job is returned for the caller to run
+// after releasing the lock.
+func (n *Node) enqueueLocked(sh *fifoShard[encodeJob], job encodeJob) (encodeJob, bool) {
 	n.opSeq++
 	job.opSeq = n.opSeq
-	if !n.asyncMode {
+	if n.pool == nil {
 		return job, true
 	}
-	n.encm.QueueDepth.Add(1)
-	sh.mu.Lock()
-	sh.q = append(sh.q, job)
-	sh.cond.Signal()
-	sh.mu.Unlock()
+	n.pool.push(sh, job)
 	return job, false
 }
 
@@ -561,18 +473,18 @@ func (n *Node) Insert(db, key string, payload []byte) error {
 // reject rebalance traffic (admission is a client-facing policy; transfers
 // move data the cluster already acked).
 func (n *Node) insertAdmitted(db, key string, payload []byte, shed bool) error {
-	sh := n.reserveEncodeSlot(db)
+	sh := n.pool.reserve(db)
 	cp := append([]byte(nil), payload...)
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		n.releaseEncodeSlot(sh)
+		sh.release()
 		return errors.New("node: closed")
 	}
 	dbm := n.keys.dbMap(db)
 	if _, exists := dbm.Load(key); exists {
 		n.mu.Unlock()
-		n.releaseEncodeSlot(sh)
+		sh.release()
 		return fmt.Errorf("node: %w: %q/%q", ErrDuplicateKey, db, key)
 	}
 	id := n.nextID
@@ -595,7 +507,7 @@ func (n *Node) insertAdmitted(db, key string, payload []byte, shed bool) error {
 	// the source cache and a raw oplog entry all share it, none modifies it.
 	if err := n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp}); err != nil {
 		n.mu.Unlock()
-		n.releaseEncodeSlot(sh)
+		sh.release()
 		return err
 	}
 	dbm.Store(key, id)
@@ -634,9 +546,9 @@ func (n *Node) updateLocal(db, key string, payload []byte) error {
 func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, bool, error) {
 	var job encodeJob
 	inline := false
-	var sh *encodeShard
+	var sh *fifoShard[encodeJob]
 	if emit {
-		sh = n.reserveEncodeSlot(db)
+		sh = n.pool.reserve(db)
 	}
 	// The one copy of the caller's payload: the oplog job and the stored
 	// record share it, and neither modifies it.
@@ -645,7 +557,7 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 	id, ok := n.lookup(db, key)
 	if !ok {
 		n.mu.Unlock()
-		n.releaseEncodeSlot(sh)
+		sh.release()
 		return job, false, ErrNotFound
 	}
 	n.version[id]++
@@ -738,15 +650,15 @@ func (n *Node) deleteLocal(db, key string) error {
 func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, error) {
 	var job encodeJob
 	inline := false
-	var sh *encodeShard
+	var sh *fifoShard[encodeJob]
 	if emit {
-		sh = n.reserveEncodeSlot(db)
+		sh = n.pool.reserve(db)
 	}
 	n.mu.Lock()
 	id, ok := n.lookup(db, key)
 	if !ok {
 		n.mu.Unlock()
-		n.releaseEncodeSlot(sh)
+		sh.release()
 		return job, false, ErrNotFound
 	}
 	n.keys.delete(db, key)
@@ -1193,32 +1105,6 @@ func (n *Node) compactStackedLocked(id uint64) {
 	}
 }
 
-// encodeWorker drains one shard in FIFO order. On close it finishes the
-// remaining queue before exiting, so Close never drops accepted work.
-func (n *Node) encodeWorker(sh *encodeShard) {
-	defer n.wg.Done()
-	for {
-		sh.mu.Lock()
-		for len(sh.q) == 0 && !n.encClosed.Load() {
-			sh.cond.Wait()
-		}
-		if len(sh.q) == 0 {
-			sh.mu.Unlock()
-			return
-		}
-		job := sh.q[0]
-		sh.q = sh.q[1:]
-		sh.mu.Unlock()
-		if job.barrier != nil {
-			close(job.barrier)
-			continue
-		}
-		n.process(job)
-		n.encm.QueueDepth.Add(-1)
-		<-sh.sem
-	}
-}
-
 // flushLoop applies write-backs when the node looks idle (the paper's I/O
 // queue length signal; our proxy is the client op rate plus the encode
 // queue depth).
@@ -1238,7 +1124,7 @@ func (n *Node) flushLoop() {
 			if n.encm.QueueDepth.Value() > 0 {
 				continue
 			}
-			n.FlushWritebacks(n.opts.IdleFlushBatch)
+			n.FlushWritebacks(idleFlushBatch)
 		}
 	}
 }
@@ -1582,73 +1468,20 @@ func (n *Node) Store() *docstore.Store { return n.store }
 func (n *Node) InsertLatency() *metrics.Histogram { return n.latIns }
 func (n *Node) ReadLatency() *metrics.Histogram   { return n.latRead }
 
-// EncodeMetrics exposes the encode-path instrumentation: per-stage latency
-// histograms (populated when dedup is enabled), throughput meters, and the
-// encoder-pool queue gauges.
-func (n *Node) EncodeMetrics() *metrics.EncodeMetrics { return n.encm }
-
-// ApplyMetrics exposes the replication apply-path instrumentation (populated
-// when this node runs as a secondary behind an Applier).
-func (n *Node) ApplyMetrics() *metrics.ApplyMetrics { return n.applym }
-
-// ReplMetrics exposes the replication transport hardening counters
-// (reconnects, backoff, corrupt-frame rejections, idle timeouts) — populated
-// when this node replicates over repl without an explicit metrics bundle.
-func (n *Node) ReplMetrics() *metrics.ReplMetrics { return n.replm }
-
-// CompactionMetrics exposes the compaction pass / re-dedup counter bundle.
+// The live instrument bundles (see internal/metrics for what each counts).
+// Encode's stage histograms fill only when dedup is on; Apply fills when this
+// node runs as a secondary behind an Applier, Repl when it replicates over
+// repl without an explicit metrics bundle.
+func (n *Node) EncodeMetrics() *metrics.EncodeMetrics         { return n.encm }
+func (n *Node) ApplyMetrics() *metrics.ApplyMetrics           { return n.applym }
+func (n *Node) ReplMetrics() *metrics.ReplMetrics             { return n.replm }
 func (n *Node) CompactionMetrics() *metrics.CompactionMetrics { return n.compm }
 
-// CompactionSnapshot summarises compaction and the re-dedup pass for the
-// admin endpoint, including the store's mmap/pread read-path split.
-func (n *Node) CompactionSnapshot() metrics.CompactionSnapshot {
-	snap := n.compm.Snapshot()
-	st := n.store.Stats()
-	snap.MmapBlockReads = st.MmapBlockReads
-	snap.PreadBlockReads = st.PreadBlockReads
-	snap.MmapFailures = st.MmapFailures
-	return snap
-}
-
 // FeatIdxSnapshot summarises the similarity index (occupancy against its
-// bound, lookup/match/eviction counts) for the admin endpoint. Zero-valued
-// when dedup is disabled.
-func (n *Node) FeatIdxSnapshot() metrics.FeatIdxSnapshot {
-	if n.eng == nil {
-		return metrics.FeatIdxSnapshot{}
-	}
-	es := n.eng.Stats()
-	ti := es.TieredIdx
-	return metrics.FeatIdxSnapshot{
-		Entries:       es.IndexEntries,
-		MemoryBytes:   es.IndexMemoryBytes,
-		CapacityBytes: es.IndexCapacityBytes,
-		Lookups:       es.IndexLookups,
-		Matches:       es.IndexMatches,
-		Evictions:     es.IndexEvictions,
-
-		TieredEnabled:             ti.Enabled,
-		TieredBudgetBytes:         ti.BudgetBytes,
-		TieredHotEntries:          ti.HotEntries,
-		TieredPendingEntries:      ti.PendingEntries,
-		TieredColdRuns:            ti.ColdRuns,
-		TieredResidentRuns:        ti.ResidentRuns,
-		TieredColdEntries:         ti.ColdEntries,
-		TieredColdDiskBytes:       ti.ColdDiskBytes,
-		TieredBloomMemoryBytes:    ti.BloomMemoryBytes,
-		TieredBloomChecks:         ti.BloomChecks,
-		TieredBloomHits:           ti.BloomHits,
-		TieredBloomFalsePositives: ti.BloomFalsePositives,
-		TieredDiskProbes:          ti.DiskProbes,
-		TieredDiskProbeHits:       ti.DiskProbeHits,
-		TieredDiskReadErrors:      ti.DiskReadErrors,
-		TieredFreezes:             ti.Freezes,
-		TieredFreezeFailures:      ti.FreezeFailures,
-		TieredMerges:              ti.Merges,
-		TieredMergeFailures:       ti.MergeFailures,
-		TieredDroppedRuns:         ti.DroppedRuns,
-	}
-}
+// bound, lookup/match/eviction counts; zero when dedup is disabled). It
+// exists because benchmark/layers.go and workloads.go read the index through
+// it; everything else reads Stats().Engine.
+func (n *Node) FeatIdxSnapshot() metrics.FeatIdxSnapshot { return n.Stats().Engine.FeatIdx() }
 
 // Stats returns a node snapshot.
 func (n *Node) Stats() Stats {
@@ -1663,43 +1496,13 @@ func (n *Node) Stats() Stats {
 	s.Oplog = n.log.Stats()
 	s.Reads = n.readsTotal.Load()
 	s.DecodeSteps = n.decodeSteps.Load()
-	s.CompactionBytes = n.compactedBytes.Load()
-	s.EncodeWorkers = len(n.shards)
+	s.CompactionBytes = n.compm.PhysicalBytesReclaimed.Total()
+	s.EncodeWorkers = int(n.encWorkers.Value())
 	s.EncodeQueueDepth = n.encm.QueueDepth.Value()
 	s.EncodeOverflows = n.encm.QueueOverflows.Total()
 	s.InsertsRejected = n.admRejected.Load()
 	s.Admission = n.adm.Snapshot()
 	return s
-}
-
-// AdmissionSnapshot summarises the admission controller for the admin
-// endpoint (zero-valued when no controller is configured).
-func (n *Node) AdmissionSnapshot() admission.Snapshot { return n.adm.Snapshot() }
-
-// ReadSnapshot summarises the read path for the admin endpoint: client read
-// latency, block-cache outcomes down to the shard, and the segment-reader
-// lifetime gauges (pinned handles, retirements awaiting drain).
-func (n *Node) ReadSnapshot() metrics.ReadSnapshot {
-	st := n.store.Stats()
-	snap := metrics.ReadSnapshot{
-		Latency:        metrics.SummarizeHistogram(n.latRead),
-		CacheHits:      st.CacheHits,
-		CacheMisses:    st.CacheMisses,
-		PinnedReaders:  st.PinnedReaders,
-		RetiredPending: st.RetiredPending,
-		LiveSegments:   st.LiveSegments,
-
-		BlockBuffersRecycled: st.BlockBuffersRecycled,
-		BlockBuffersFresh:    st.BlockBuffersFresh,
-		BlocksDecoded:        st.BlocksDecoded,
-		BlockDecodeNanos:     st.BlockDecodeNanos,
-	}
-	for _, sh := range n.store.CacheShardStats() {
-		snap.CacheShards = append(snap.CacheShards, metrics.CacheShardSnapshot{
-			Shard: sh.Shard, Hits: sh.Hits, Misses: sh.Misses, Blocks: sh.Blocks,
-		})
-	}
-	return snap
 }
 
 // DBStats returns the engine's per-database partitions (nil when dedup is

@@ -65,7 +65,7 @@ func compactRounds(t testing.TB, n *Node, rounds int) {
 func rededupOptions(rededup bool) Options {
 	return Options{
 		// Undersized similarity index: two documents' worth of sketch
-		// features (SketchK defaults to 8), so the spacers between family
+		// features (sketch.DefaultK is 8), so the spacers between family
 		// members evict each one before its sibling arrives. No index
 		// budget, so no cold tier — these tests rely on evictions being
 		// permanent.
@@ -97,16 +97,16 @@ func TestCompactRededupRecoversRatio(t *testing.T) {
 	}
 	compactRounds(t, n, 32)
 
-	snap := n.CompactionSnapshot()
-	if snap.Resketched == 0 {
+	snap := n.CompactionMetrics()
+	if snap.Resketched.Total() == 0 {
 		t.Fatal("re-dedup pass resketched nothing")
 	}
-	if snap.Conversions < int64(family)/2 {
+	if snap.Conversions.Total() < int64(family)/2 {
 		t.Fatalf("expected most of the family to convert, got %d of %d (skipped %d)",
-			snap.Conversions, family, snap.ConversionsSkipped)
+			snap.Conversions.Total(), family, snap.ConversionsSkipped.Total())
 	}
-	if snap.LogicalBytesSaved <= 0 {
-		t.Fatalf("LogicalBytesSaved = %d, want > 0", snap.LogicalBytesSaved)
+	if snap.LogicalBytesSaved.Total() <= 0 {
+		t.Fatalf("LogicalBytesSaved = %d, want > 0", snap.LogicalBytesSaved.Total())
 	}
 
 	// The physical claim: same workload, same compaction schedule, less
@@ -136,7 +136,7 @@ func TestCompactRededupRecoversRatio(t *testing.T) {
 		t.Fatalf("chain depth %d exceeds RededupMaxChainDepth", rep.MaxChainDepth)
 	}
 	t.Logf("conversions=%d (skipped %d), disk %d→%d bytes (%.2fx), logical %d→%d bytes (%.2fx), chain depth %d",
-		snap.Conversions, snap.ConversionsSkipped,
+		snap.Conversions.Total(), snap.ConversionsSkipped.Total(),
 		plainDisk, rededupDisk, float64(plainDisk)/float64(rededupDisk),
 		plainLogical, rededupLogical, float64(plainLogical)/float64(rededupLogical),
 		rep.MaxChainDepth)
@@ -233,13 +233,13 @@ func TestCompactRededupRecoversShedInserts(t *testing.T) {
 
 	logicalBefore := n.Store().Stats().LogicalBytes
 	compactRounds(t, n, 32)
-	snap := n.CompactionSnapshot()
-	if snap.Conversions < int64(family)/2 {
+	snap := n.CompactionMetrics()
+	if snap.Conversions.Total() < int64(family)/2 {
 		t.Fatalf("re-dedup recovered %d of %d shed family members (skipped %d)",
-			snap.Conversions, family, snap.ConversionsSkipped)
+			snap.Conversions.Total(), family, snap.ConversionsSkipped.Total())
 	}
-	if snap.LogicalBytesSaved <= 0 {
-		t.Fatalf("LogicalBytesSaved = %d, want > 0", snap.LogicalBytesSaved)
+	if snap.LogicalBytesSaved.Total() <= 0 {
+		t.Fatalf("LogicalBytesSaved = %d, want > 0", snap.LogicalBytesSaved.Total())
 	}
 	if after := n.Store().Stats().LogicalBytes; after >= logicalBefore {
 		t.Fatalf("logical bytes %d → %d; shed ratio not recovered", logicalBefore, after)

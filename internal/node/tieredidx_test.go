@@ -88,14 +88,15 @@ func TestTieredIndexRecoversDedupAtFractionalBudget(t *testing.T) {
 			ratioTiered, ratioSqueezed)
 	}
 
-	fi := tieredNode.FeatIdxSnapshot()
-	if !fi.TieredEnabled {
+	es := tieredNode.Stats().Engine
+	fi, ti := es.FeatIdx(), es.TieredIdx
+	if !ti.Enabled {
 		t.Fatal("tiered index not enabled under a positive budget")
 	}
-	if fi.TieredFreezes == 0 || fi.TieredColdEntries == 0 {
+	if ti.Freezes == 0 || ti.ColdEntries == 0 {
 		t.Errorf("cold tier never exercised: %+v", fi)
 	}
-	if fi.TieredBloomChecks == 0 {
+	if ti.BloomChecks == 0 {
 		t.Errorf("bloom filters never consulted: %+v", fi)
 	}
 	if fi.MemoryBytes > budget+budget/4 {
@@ -172,15 +173,15 @@ func TestBudgetedIndexUnderWorkloadMix(t *testing.T) {
 	n.FlushWritebacks(-1)
 	compactRounds(t, n, 16)
 
-	fi := n.FeatIdxSnapshot()
-	if !fi.TieredEnabled || fi.TieredBudgetBytes != 64<<10 {
-		t.Fatalf("index budget not in force: %+v", fi)
+	ti := n.Stats().Engine.TieredIdx
+	if !ti.Enabled || ti.BudgetBytes != 64<<10 {
+		t.Fatalf("index budget not in force: %+v", ti)
 	}
-	if fi.TieredFreezes == 0 || fi.TieredMerges == 0 || fi.TieredColdDiskBytes == 0 || fi.TieredBloomChecks == 0 {
-		t.Fatalf("cold tier never exercised: %+v", fi)
+	if ti.Freezes == 0 || ti.Merges == 0 || ti.ColdDiskBytes == 0 || ti.BloomChecks == 0 {
+		t.Fatalf("cold tier never exercised: %+v", ti)
 	}
-	if snap := n.CompactionSnapshot(); snap.Resketched == 0 {
-		t.Fatalf("re-dedup pass resketched nothing: %+v", snap)
+	if n.CompactionMetrics().Resketched.Total() == 0 {
+		t.Fatal("re-dedup pass resketched nothing")
 	}
 	check(n, "before reopen")
 	if err := n.Close(); err != nil {

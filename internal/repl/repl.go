@@ -1014,7 +1014,7 @@ func (s *Secondary) Epoch() uint64 {
 // BaseFetches reports how many forward-encoded inserts needed a full-record
 // fetch from the primary because their base was locally unavailable.
 func (s *Secondary) BaseFetches() uint64 {
-	return s.applier.BaseFetches()
+	return uint64(s.node.ApplyMetrics().BaseFetches.Total())
 }
 
 // ApplyMetrics exposes the apply-pipeline instrumentation (queue depth,

@@ -388,7 +388,7 @@ func TestBaseMissFetchFallback(t *testing.T) {
 	if got := sec.Stats().Inserts; got != 1 {
 		t.Fatalf("secondary Inserts after fallback = %d, want exactly 1", got)
 	}
-	if fetches := sec.ApplyMetrics().Snapshot().BaseFetches; fetches != 1 {
+	if fetches := sec.ApplyMetrics().BaseFetches.Total(); fetches != 1 {
 		t.Fatalf("apply metrics base fetches = %d, want 1", fetches)
 	}
 }
@@ -637,15 +637,15 @@ func TestShardedApplyMultiDBStress(t *testing.T) {
 			}
 		}
 	}
-	m := sec.ApplyMetrics().Snapshot()
-	if m.Workers != 8 {
-		t.Errorf("apply workers = %d, want 8", m.Workers)
+	m := sec.ApplyMetrics()
+	if m.Workers.Value() != 8 {
+		t.Errorf("apply workers = %d, want 8", m.Workers.Value())
 	}
-	if m.QueueDepth != 0 {
-		t.Errorf("apply queue depth after drain = %d, want 0", m.QueueDepth)
+	if m.QueueDepth.Value() != 0 {
+		t.Errorf("apply queue depth after drain = %d, want 0", m.QueueDepth.Value())
 	}
-	if m.Applied == 0 || m.LatencyCount == 0 {
-		t.Errorf("apply metrics not populated: applied %d, latency samples %d", m.Applied, m.LatencyCount)
+	if m.Applied.Total() == 0 || m.Latency.Count() == 0 {
+		t.Errorf("apply metrics not populated: applied %d, latency samples %d", m.Applied.Total(), m.Latency.Count())
 	}
 }
 

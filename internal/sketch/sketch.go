@@ -49,12 +49,9 @@ type Config struct {
 	// features, differ between the two.
 	Chunker chunker.Algorithm
 	// ChunkAvgSize is the target average chunk size in bytes (power of
-	// two). Defaults to 1024. The paper evaluates 1 KiB and 64 B.
+	// two). Defaults to 1024. The paper evaluates 1 KiB and 64 B. Chunk
+	// sizes are bounded by the chunker's defaults (avg/4 and avg*4).
 	ChunkAvgSize int
-	// ChunkMinSize / ChunkMaxSize bound chunk sizes; zero means the
-	// chunker defaults (avg/4 and avg*4).
-	ChunkMinSize int
-	ChunkMaxSize int
 	// Seed perturbs the chunk-hash function; all extractors that should
 	// agree on sketches must use the same seed.
 	Seed uint64
@@ -109,8 +106,6 @@ func NewExtractor(cfg Config) *Extractor {
 		chunker: chunker.New(chunker.Config{
 			Algorithm: cfg.Chunker,
 			AvgSize:   cfg.ChunkAvgSize,
-			MinSize:   cfg.ChunkMinSize,
-			MaxSize:   cfg.ChunkMaxSize,
 		}),
 		seed:   cfg.Seed,
 		random: cfg.SampleRandomly,

@@ -69,21 +69,18 @@ type Config struct {
 	// default every 20th read) into the storm.
 	Reads        bool
 	ReadSampling int
-	// MeanBurst is the mean operations per arrival burst (default 4);
-	// ParetoAlpha is the burst-size tail index (default 1.5 — infinite
-	// variance, the heavy tail that makes p999 interesting). Burst sizes
-	// are capped at 64×MeanBurst so one draw cannot be the whole storm.
-	MeanBurst   float64
-	ParetoAlpha float64
+	// MeanBurst is the mean operations per arrival burst (default 4).
+	// Burst sizes are Pareto-distributed with tail index paretoAlpha and
+	// capped at 64×MeanBurst so one draw cannot be the whole storm.
+	MeanBurst float64
 	// Timeout is the per-request client deadline (default 30s). A timed-out
 	// connection is redialled.
 	Timeout time.Duration
-	// QueueCap bounds the dispatch queue between the arrival scheduler and
-	// the connection workers (default: the storm's full expected arrival
-	// count, so nothing is dropped and compared runs see identical offered
-	// load). Arrivals that find it full are counted as dropped.
-	QueueCap int
 }
+
+// paretoAlpha is the burst-size tail index: infinite variance, the heavy
+// tail that makes p999 interesting.
+const paretoAlpha = 1.5
 
 func (c Config) withDefaults() Config {
 	if c.Tenants <= 0 {
@@ -98,17 +95,11 @@ func (c Config) withDefaults() Config {
 	if c.MeanBurst < 1 {
 		c.MeanBurst = 4
 	}
-	if c.ParetoAlpha <= 1 {
-		c.ParetoAlpha = 1.5
-	}
 	if c.ReadSampling <= 0 {
 		c.ReadSampling = 20
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = int(c.Rate*c.Duration.Seconds()) + 1024
 	}
 	return c
 }
@@ -128,7 +119,7 @@ type Report struct {
 	Config Config
 
 	// Offered counts scheduled arrivals; Dropped the subset that found the
-	// dispatch queue full (0 with the default QueueCap). Wall is start to
+	// dispatch queue full (0: the queue holds the whole schedule). Wall is start to
 	// full drain — under overload it exceeds Config.Duration.
 	Offered int64
 	Dropped int64
@@ -357,7 +348,11 @@ func Run(label string, cfg Config) (*Report, error) {
 		}
 	}
 
-	dispatch := make(chan job, cfg.QueueCap)
+	// The dispatch queue between the arrival scheduler and the connection
+	// workers holds the storm's full expected arrival count, so nothing is
+	// dropped and compared runs see identical offered load. Arrivals that
+	// still find it full are counted as dropped.
+	dispatch := make(chan job, int(cfg.Rate*cfg.Duration.Seconds())+1024)
 	latIns := metrics.NewHistogram()
 	latRead := metrics.NewHistogram()
 	var (
@@ -449,7 +444,7 @@ func Run(label string, cfg Config) (*Report, error) {
 	// tenant (tenant traffic is bursty, which is what stresses fair share).
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x9e3779b9))
 	burstRate := cfg.Rate / cfg.MeanBurst
-	paretoXm := cfg.MeanBurst * (cfg.ParetoAlpha - 1) / cfg.ParetoAlpha
+	paretoXm := cfg.MeanBurst * (paretoAlpha - 1) / paretoAlpha
 	maxBurst := int(64 * cfg.MeanBurst)
 
 	start := time.Now()
@@ -466,7 +461,7 @@ func Run(label string, cfg Config) (*Report, error) {
 		}
 		// Pareto burst size via inverse transform; u in (0,1].
 		u := 1 - rng.Float64()
-		size := int(math.Round(paretoXm / math.Pow(u, 1/cfg.ParetoAlpha)))
+		size := int(math.Round(paretoXm / math.Pow(u, 1/paretoAlpha)))
 		if size < 1 {
 			size = 1
 		}
