@@ -263,7 +263,7 @@ func TestRecoverFinishesCommittedWindowOnStraggler(t *testing.T) {
 	}
 	// The crashed rebalance got through handoff (b holds the copy) and b's
 	// commit, but died before committing a.
-	if err := mb.n.TransferUpsert(db, "k", []byte("handed off")); err != nil {
+	if err := mb.n.Upsert(db, "k", []byte("handed off"), true); err != nil {
 		t.Fatal(err)
 	}
 	if err := ma.sh.InstallRing(committed.Marshal()); err != nil {

@@ -403,23 +403,28 @@ func (s *Shard) BeginHandoff() ([]byte, error) {
 			c.SetTimeout(transferDialTimeout)
 			conns[dest] = c
 		}
-		for _, key := range s.n.DBKeys(db) {
-			content, err := s.n.Read(db, key)
-			if errors.Is(err, node.ErrNotFound) {
-				continue
-			}
-			if err != nil {
-				return nil, fmt.Errorf("cluster: handoff read %s/%s: %w", db, key, err)
+		var sendErr error
+		err := s.n.Scan(db, func(d, key string, content []byte) bool {
+			if d != db {
+				return false // a database named "" scans as "all"; it sorts first
 			}
 			if err := c.Transfer(db, key, content); err != nil {
-				s.cm.TransferFailures.Add(1)
-				return nil, fmt.Errorf("cluster: handoff transfer %s/%s to %s: %w", db, key, dest, err)
+				sendErr = fmt.Errorf("cluster: handoff transfer %s/%s to %s: %w", db, key, dest, err)
+				return false
 			}
 			sum.Moved[db]++
 			sum.Records++
 			sum.Bytes += int64(len(content))
 			s.cm.TransferRecordsOut.Add(1)
 			s.cm.TransferBytesOut.Add(int64(len(content)))
+			return true
+		})
+		if err != nil {
+			return nil, fmt.Errorf("cluster: handoff read of %s: %w", db, err)
+		}
+		if sendErr != nil {
+			s.cm.TransferFailures.Add(1)
+			return nil, sendErr
 		}
 	}
 	return json.Marshal(sum)
@@ -485,7 +490,7 @@ func (s *Shard) Transfer(db, key string, payload []byte) error {
 	}
 	err := s.beginTransfer(db)
 	if err == nil {
-		err = s.n.TransferUpsert(db, key, payload)
+		err = s.n.Upsert(db, key, payload, true)
 	}
 	if err != nil {
 		s.cm.TransferFailures.Add(1)
@@ -540,7 +545,7 @@ func (s *Shard) finishDrop(db string) error {
 	if _, owed := s.dirty.Load(db); !owed {
 		return nil // whoever held the lock finished it
 	}
-	n, err := s.n.DropDB(db)
+	n, err := s.n.Retain(db, nil, true)
 	s.cm.DroppedRecords.Add(int64(n))
 	if err != nil {
 		return err

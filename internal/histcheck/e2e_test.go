@@ -1,8 +1,10 @@
-// Package e2e runs whole-system integration tests: a client driving a
-// primary over the API protocol while a secondary follows over the
-// replication protocol, with persistence, compaction and write-back flushing
-// all active — the in-process equivalent of the paper's 3-node deployment.
-package e2e
+package histcheck_test
+
+// Whole-system integration tests: a client driving a primary over the API
+// protocol while a secondary follows over the replication protocol, with
+// persistence, compaction and write-back flushing all active, the in-process
+// equivalent of the paper's 3-node deployment. They live here because the
+// history they record and the checker that judges it are this package.
 
 import (
 	"bytes"
@@ -19,27 +21,25 @@ import (
 	"dbdedup/internal/workload"
 )
 
-// cluster is one primary + one secondary, both file-backed, with their
-// listeners.
-type cluster struct {
-	prim, sec       *node.Node
-	api             *apiserver.Server
-	replSrv         *repl.Primary
-	replSub         *repl.Secondary
-	client          *apiserver.Client
-	primDir, secDir string
+// pair is one primary + one secondary, both file-backed, with the primary's
+// listeners and a client of its API. Everything is closed at test end, in
+// reverse order of opening; every Close involved tolerates a second call, so
+// a test may close a piece early.
+type pair struct {
+	prim, sec *node.Node
+	api       *apiserver.Server
+	replSrv   *repl.Primary
+	replSub   *repl.Secondary
+	client    *apiserver.Client
+	primDir   string
 }
 
-func startCluster(t *testing.T) *cluster {
-	return startClusterOpts(t, nil)
-}
-
-// startClusterOpts is startCluster with a hook to mutate the primary's
-// options before it opens (the secondary keeps the stock configuration, as a
-// real replica would — overload is a per-node condition, not a cluster one).
-func startClusterOpts(t *testing.T, primMut func(*node.Options)) *cluster {
+// startPair opens the pair; primMut, when set, mutates the primary's options
+// before it opens (the secondary keeps the stock configuration, as a real
+// replica would: overload is a per-node condition, not a cluster one).
+func startPair(t *testing.T, primMut func(*node.Options)) *pair {
 	t.Helper()
-	c := &cluster{primDir: t.TempDir(), secDir: t.TempDir()}
+	c := &pair{primDir: t.TempDir()}
 	opts := func(dir string) node.Options {
 		return node.Options{
 			Dir:           dir,
@@ -48,31 +48,30 @@ func startClusterOpts(t *testing.T, primMut func(*node.Options)) *cluster {
 			Compaction:    node.CompactionOptions{Enabled: true, Interval: 50 * time.Millisecond},
 		}
 	}
-	var err error
 	popts := opts(c.primDir)
 	if primMut != nil {
 		primMut(&popts)
 	}
-	if c.prim, err = node.Open(popts); err != nil {
-		t.Fatal(err)
-	}
-	if c.sec, err = node.Open(opts(c.secDir)); err != nil {
-		t.Fatal(err)
-	}
-	if c.api, err = apiserver.ListenAndServe(c.prim, "127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if c.replSrv, err = repl.ListenAndServe(c.prim, "127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if c.replSub, err = repl.Connect(c.sec, c.replSrv.Addr(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if c.client, err = apiserver.Dial(c.api.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.stop() })
+	c.prim, c.sec = openNodeWith(t, popts), openNodeWith(t, opts(t.TempDir()))
+	c.api, c.client = serveAPI(t, c.prim)
+	c.replSrv, c.replSub = follow(t, c.prim, c.sec)
 	return c
+}
+
+// serveAPI serves n's client API on a loopback listener and dials it.
+func serveAPI(t *testing.T, n *node.Node) (*apiserver.Server, *apiserver.Client) {
+	t.Helper()
+	api, err := apiserver.ListenAndServe(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { api.Close() })
+	client, err := apiserver.Dial(api.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	return api, client
 }
 
 // ingest drives a whole workload trace through target, recording every ack.
@@ -99,29 +98,8 @@ func requireHeld(t *testing.T, where string, h *histcheck.History, view histchec
 	}
 }
 
-func (c *cluster) stop() {
-	if c.client != nil {
-		c.client.Close()
-	}
-	if c.replSub != nil {
-		c.replSub.Close()
-	}
-	if c.replSrv != nil {
-		c.replSrv.Close()
-	}
-	if c.api != nil {
-		c.api.Close()
-	}
-	if c.sec != nil {
-		c.sec.Close()
-	}
-	if c.prim != nil {
-		c.prim.Close()
-	}
-}
-
 func TestClusterEndToEnd(t *testing.T) {
-	c := startCluster(t)
+	c := startPair(t, nil)
 
 	// Drive a Wikipedia-like workload through the network API.
 	hist := histcheck.New(histcheck.FloorAtAck)
@@ -167,7 +145,7 @@ func TestClusterEndToEnd(t *testing.T) {
 }
 
 func TestClusterRestartPreservesData(t *testing.T) {
-	c := startCluster(t)
+	c := startPair(t, nil)
 	hist := histcheck.New(histcheck.FloorAtAck)
 	ingest(t, hist, c.client, workload.Config{Kind: workload.Enron, Seed: 12, InsertBytes: 1 << 20})
 	c.prim.Barrier()
@@ -182,63 +160,26 @@ func TestClusterRestartPreservesData(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := node.Open(node.Options{Dir: c.primDir, Engine: core.Config{GovernorWindow: 1 << 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.prim = reopened
-	api2, err := apiserver.ListenAndServe(reopened, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.api = api2
-	client2, err := apiserver.Dial(api2.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.client = client2
-
+	reopened := openNodeWith(t, node.Options{Dir: c.primDir, Engine: core.Config{GovernorWindow: 1 << 30}})
+	_, client2 := serveAPI(t, reopened)
 	requireHeld(t, "after restart", hist, client2)
-	c.replSrv = nil
-	c.replSub = nil
 }
 
 func TestClusterSecondaryCatchUpViaSnapshot(t *testing.T) {
 	// Secondary joins late, after the (tiny) oplog has rolled over: it
 	// must converge via snapshot resync and then track live writes.
-	primDir := t.TempDir()
-	popts := node.Options{
-		Dir:           primDir,
+	prim := openNodeWith(t, node.Options{
+		Dir:           t.TempDir(),
 		Engine:        core.Config{GovernorWindow: 1 << 30},
 		OplogCapacity: 16,
 		FlushInterval: 2 * time.Millisecond,
-	}
-	prim, err := node.Open(popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer prim.Close()
-
+	})
 	hist := histcheck.New(histcheck.FloorAtAck)
 	ingest(t, hist, histcheck.NodeView{Node: prim}, workload.Config{Kind: workload.StackExchange, Seed: 13, InsertBytes: 512 << 10})
 	prim.Barrier()
 
-	srv, err := repl.ListenAndServe(prim, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	sec, err := node.Open(node.Options{Engine: core.Config{GovernorWindow: 1 << 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sec.Close()
-	sub, err := repl.Connect(sec, srv.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
+	sec := openNodeWith(t, node.Options{Engine: core.Config{GovernorWindow: 1 << 30}})
+	_, sub := follow(t, prim, sec)
 	if err := sub.WaitForSeq(prim.Oplog().LastSeq(), 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +209,7 @@ func TestClusterSecondaryCatchUpViaSnapshot(t *testing.T) {
 // simulated delay trips the latch on the second insert, and a one-hour dwell
 // keeps the primary shedding for the rest of the test.
 func TestClusterShedRawReplicates(t *testing.T) {
-	c := startClusterOpts(t, func(o *node.Options) {
+	c := startPair(t, func(o *node.Options) {
 		o.EncodeWorkers = 1
 		o.EncodeQueue = 1
 		o.SimulatedEncodeDelay = 5 * time.Millisecond

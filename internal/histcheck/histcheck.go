@@ -3,8 +3,9 @@
 // no lost acked write, byte-exact reads, no resurrection, replica equality
 // after convergence, monotone counters. crashtest (disk faults), simtest
 // (replication network), clustertest (membership), stormtest (overload) and
-// e2e record what clients were told into a History and hand the surviving
-// copies to Check and Equal; none decides itself what state is allowed.
+// this package's own whole-system tests record what clients were told into a
+// History and hand the surviving copies to Check and Equal; none decides
+// itself what state is allowed.
 package histcheck
 
 import (

@@ -141,16 +141,7 @@ const plantDB = "alpha"
 // simtestShape: churn hits a primary, the checker reads its secondary node.
 func simtestShape(t *testing.T) deployment {
 	prim, sec := openNode(t), openNode(t)
-	p, err := repl.ListenAndServe(prim, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	s, err := repl.Connect(sec, p.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	_, s := follow(t, prim, sec)
 	return deployment{write: synced{histcheck.NodeView{Node: prim}, s}, victim: sec, view: histcheck.NodeView{Node: sec}}
 }
 
@@ -209,8 +200,28 @@ func clustertestShape(t *testing.T) deployment {
 	return deployment{write: cc, victim: owner.Node, view: cc}
 }
 
-func openNode(t *testing.T) *node.Node {
-	n, err := node.Open(node.Options{SyncEncode: true})
+// follow serves prim's oplog on a loopback listener and connects sec to it
+// from sequence zero.
+func follow(t *testing.T, prim, sec *node.Node) (*repl.Primary, *repl.Secondary) {
+	t.Helper()
+	p, err := repl.ListenAndServe(prim, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	s, err := repl.Connect(sec, p.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return p, s
+}
+
+func openNode(t *testing.T) *node.Node { return openNodeWith(t, node.Options{SyncEncode: true}) }
+
+func openNodeWith(t *testing.T, opts node.Options) *node.Node {
+	t.Helper()
+	n, err := node.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ type ApplierOptions struct {
 type applyJob struct {
 	entry    oplog.Entry
 	lenient  bool
-	snapshot bool       // ApplySnapshotRecord(DB, Key, Payload); untracked
+	snapshot bool       // Upsert(DB, Key, Payload, false); untracked
 	slot     *applySlot // low-water tracking (nil for snapshot records)
 }
 
@@ -204,7 +204,7 @@ func (a *Applier) run(job applyJob) {
 	var err error
 	switch {
 	case job.snapshot:
-		err = a.n.ApplySnapshotRecord(job.entry.DB, job.entry.Key, job.entry.Payload)
+		err = a.n.Upsert(job.entry.DB, job.entry.Key, job.entry.Payload, false)
 	case job.lenient:
 		err = a.n.ApplyReplicatedLenient(job.entry)
 	default:
@@ -220,13 +220,12 @@ func (a *Applier) run(job applyJob) {
 			}
 		default:
 			// Fall back to fetching the full record from the primary
-			// (paper §4.1 fn. 4). applyReplicatedInsert rolled the insert
-			// counter back, so installing the fetched content counts the
-			// insert exactly once.
+			// (paper §4.1 fn. 4). The failed insert counted nothing, so
+			// installing the fetched content counts it exactly once.
 			content, ferr := a.fetch(job.entry.DB, job.entry.Key)
 			switch {
 			case ferr == nil:
-				err = a.n.ApplySnapshotRecord(job.entry.DB, job.entry.Key, content)
+				err = a.n.Upsert(job.entry.DB, job.entry.Key, content, false)
 				if err == nil {
 					a.m.BaseFetches.Add(1)
 				}

@@ -13,10 +13,11 @@ import (
 )
 
 // TestReplicatedInsertBaseMissingAccounting is the regression test for the
-// insert-counter leak: applyReplicatedInsert increments Stats.Inserts before
-// it can know the delta base exists, and the ErrBaseMissing bail-out used to
-// undo the key reservation but not the counter — so the fetch fallback's
-// ApplySnapshotRecord → insertSnapshot double-counted the insert.
+// insert-counter leak: applyReplicatedInsert used to count the insert before
+// it could know the delta base exists, and the ErrBaseMissing bail-out undid
+// the key reservation but not the counter, so the fetch fallback's Upsert
+// counted the insert a second time. (An append failure at each entrance is
+// TestInsertFailureCountsNothing.)
 func TestReplicatedInsertBaseMissingAccounting(t *testing.T) {
 	n := testNode(t, Options{})
 
@@ -38,7 +39,7 @@ func TestReplicatedInsertBaseMissingAccounting(t *testing.T) {
 
 	// The replication layer's fallback: fetch the full content from the
 	// primary and install it as a snapshot record. Exactly one insert.
-	if err := n.ApplySnapshotRecord("db", "derived", []byte("derived content")); err != nil {
+	if err := n.Upsert("db", "derived", []byte("derived content"), false); err != nil {
 		t.Fatal(err)
 	}
 	if got := n.Stats().Inserts; got != 1 {
@@ -48,53 +49,6 @@ func TestReplicatedInsertBaseMissingAccounting(t *testing.T) {
 	if err != nil || string(got) != "derived content" {
 		t.Fatalf("Read after fallback = %q, %v", got, err)
 	}
-}
-
-// TestReplicatedInsertAppendFailureUndoesReservation is the regression test
-// for the dangling-reservation bug: a store.Append failure used to leave the
-// key→ID mapping in place (in both the raw and forward-encoded branches), so
-// a later Read of the key failed on a record that was never written, and a
-// re-delivery of the insert was rejected as a duplicate.
-func TestReplicatedInsertAppendFailureUndoesReservation(t *testing.T) {
-	// docstore.Append deterministically rejects keys containing NUL —
-	// the injection point for an append failure.
-	badKey := "bad\x00key"
-
-	t.Run("raw", func(t *testing.T) {
-		n := testNode(t, Options{})
-		e := oplog.Entry{Seq: 1, Op: oplog.OpInsert, DB: "db", Key: badKey,
-			Form: oplog.FormRaw, Payload: []byte("content")}
-		if err := n.ApplyReplicated(e); err == nil {
-			t.Fatal("append of NUL key unexpectedly succeeded")
-		}
-		if n.Has("db", badKey) {
-			t.Fatal("key mapping dangles after append failure (raw branch)")
-		}
-		if got := n.Stats().Inserts; got != 0 {
-			t.Fatalf("Inserts after failed append = %d, want 0", got)
-		}
-	})
-
-	t.Run("forward-encoded", func(t *testing.T) {
-		n := testNode(t, Options{})
-		base := []byte("the base record content, long enough to delta against")
-		if err := n.ApplySnapshotRecord("db", "base", base); err != nil {
-			t.Fatal(err)
-		}
-		target := append(append([]byte(nil), base...), []byte(" plus an edit")...)
-		e := oplog.Entry{Seq: 2, Op: oplog.OpInsert, DB: "db", Key: badKey,
-			Form: oplog.FormDelta, BaseKey: "base",
-			Payload: delta.Compress(base, target, delta.Options{}).Marshal()}
-		if err := n.ApplyReplicated(e); err == nil {
-			t.Fatal("append of NUL key unexpectedly succeeded")
-		}
-		if n.Has("db", badKey) {
-			t.Fatal("key mapping dangles after append failure (delta branch)")
-		}
-		if got := n.Stats().Inserts; got != 1 {
-			t.Fatalf("Inserts after failed append = %d, want 1 (the base only)", got)
-		}
-	})
 }
 
 // TestApplierMultiDBConvergence replays a parallel primary's oplog through

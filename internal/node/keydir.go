@@ -49,17 +49,26 @@ func (d *keyDir) delete(db, key string) {
 	}
 }
 
-// rangeAll visits every (db, key, id); fn returning false stops the walk.
-// Like sync.Map.Range it observes a live directory, which is what the
-// snapshot and reconcile paths want (their callers replay concurrent
-// mutations on top).
-func (d *keyDir) rangeAll(fn func(db, key string, id uint64) bool) {
+// rangeDB visits every (key, id) of one database; fn returning false stops the
+// walk. Like sync.Map.Range it observes a live directory, which is what the
+// scan and retain paths want (their callers replay concurrent mutations on
+// top). The cost is db's keys, however many other databases there are.
+func (d *keyDir) rangeDB(db string, fn func(key string, id uint64) bool) {
+	if v, ok := d.dbs.Load(db); ok {
+		v.(*sync.Map).Range(func(k, v any) bool { return fn(k.(string), v.(uint64)) })
+	}
+}
+
+// names returns the databases holding at least one key, unsorted. A database
+// whose keys were all deleted keeps its (empty) map and is not listed.
+func (d *keyDir) names() []string {
+	var out []string
 	d.dbs.Range(func(dk, dv any) bool {
-		cont := true
-		dv.(*sync.Map).Range(func(k, v any) bool {
-			cont = fn(dk.(string), k.(string), v.(uint64))
-			return cont
+		dv.(*sync.Map).Range(func(_, _ any) bool {
+			out = append(out, dk.(string))
+			return false
 		})
-		return cont
+		return true
 	})
+	return out
 }

@@ -459,7 +459,10 @@ func (n *Node) Insert(db, key string, payload []byte) error {
 			shed = true
 		}
 	}
-	if err := n.insertAdmitted(db, key, payload, shed); err != nil {
+	// The one copy of the caller's payload, made before n.mu: the unsealed
+	// block's record, the encode job, the source cache and a raw oplog entry
+	// all share it, none modifies it.
+	if err := n.finish(n.insertLocalEmit(db, key, append([]byte(nil), payload...), true, shed)); err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
@@ -468,81 +471,88 @@ func (n *Node) Insert(db, key string, payload []byte) error {
 	return nil
 }
 
-// insertAdmitted is Insert past the admission decision: the shard-handoff
-// transfer path enters here directly so a loaded destination cannot shed or
-// reject rebalance traffic (admission is a client-facing policy; transfers
-// move data the cluster already acked).
-func (n *Node) insertAdmitted(db, key string, payload []byte, shed bool) error {
-	sh := n.pool.reserve(db)
-	cp := append([]byte(nil), payload...)
+// insertLocalEmit is the one routine that creates a record: every new
+// (db, key) on this node, from a client, the replication stream, a snapshot or
+// a shard handoff, is stored here in original form (paper §4.1: new records
+// are always stored raw; backward encoding touches older records) and encoded,
+// if at all, behind it. The node keeps payload. It refuses an existing key
+// with ErrDuplicateKey, publishes the key only after the append succeeded
+// (lock-free readers must never resolve a key to a record the store does not
+// hold) and counts the insert only then, so a failed insert leaves nothing to
+// undo. The returned job carries the new record's ID and version.
+//
+// With emit the encoder token is reserved first and append, publish and
+// enqueue share one n.mu critical section, so oplog order matches mutation
+// order; shed marks the job to skip the dedup workflow. Without emit the
+// applier's per-database FIFO is the order: n.mu covers only the ID and the
+// counters, and what follows the insert (ObserveRaw, or the replica's
+// re-encode) is the caller's.
+func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) (encodeJob, bool, error) {
+	var sh *fifoShard[encodeJob]
+	if emit {
+		sh = n.pool.reserve(db)
+	}
 	n.mu.Lock()
-	if n.closed {
+	fail := func(err error) (encodeJob, bool, error) {
 		n.mu.Unlock()
 		sh.release()
-		return errors.New("node: closed")
+		return encodeJob{}, false, err
+	}
+	if n.closed {
+		return fail(errors.New("node: closed"))
 	}
 	dbm := n.keys.dbMap(db)
 	if _, exists := dbm.Load(key); exists {
-		n.mu.Unlock()
-		sh.release()
-		return fmt.Errorf("node: %w: %q/%q", ErrDuplicateKey, db, key)
+		return fail(fmt.Errorf("node: %w: %q/%q", ErrDuplicateKey, db, key))
 	}
-	id := n.nextID
+	job := encodeJob{kind: oplog.OpInsert, db: db, key: key, id: n.nextID, payload: payload,
+		version: n.version[n.nextID], shedRaw: shed}
 	n.nextID++
-	n.stats.Inserts++
-	if shed {
-		n.stats.InsertsShedRaw++
-	}
-	n.stats.RawInsertBytes += int64(len(payload))
-	n.recentOps.Add(1)
-	ver := n.version[id]
-
-	// Store the record raw (paper: new records are always stored in
-	// original form; backward encoding touches older records), publish the
-	// key, and queue its encode job inside the same critical section, so
-	// the oplog order matches the mutation order. The key is published
-	// only after the append succeeds: lock-free readers must never
-	// resolve a key to a record the store does not hold. cp is the one copy
-	// of the caller's payload: the unsealed block's record, the encode job,
-	// the source cache and a raw oplog entry all share it, none modifies it.
-	if err := n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp}); err != nil {
+	if !emit {
 		n.mu.Unlock()
-		sh.release()
-		return err
 	}
-	dbm.Store(key, id)
-	job, inline := n.enqueueLocked(sh, encodeJob{kind: oplog.OpInsert, db: db, key: key,
-		id: id, payload: cp, version: ver, shedRaw: shed})
+	err := n.store.Append(docstore.Record{ID: job.id, DB: db, Key: key, Payload: payload})
+	if err == nil {
+		dbm.Store(key, job.id)
+	}
+	if !emit {
+		n.mu.Lock()
+	}
+	if err != nil {
+		return fail(err)
+	}
+	n.stats.Inserts++
+	n.stats.RawInsertBytes += int64(len(payload))
+	inline := false
+	if emit {
+		if shed {
+			n.stats.InsertsShedRaw++
+		}
+		n.recentOps.Add(1)
+		job, inline = n.enqueueLocked(sh, job)
+	}
 	n.mu.Unlock()
+	return job, inline, nil
+}
 
-	if inline {
+// finish completes a call of one of the three *LocalEmit routines: in
+// synchronous mode the job it returned is processed here, outside n.mu.
+func (n *Node) finish(job encodeJob, inline bool, err error) error {
+	if err == nil && inline {
 		n.process(job)
 	}
-	return nil
+	return err
 }
 
 // Update overwrites the record's visible content.
 func (n *Node) Update(db, key string, payload []byte) error {
-	job, inline, err := n.updateLocalEmit(db, key, payload, true)
-	if err != nil {
-		return err
-	}
-	if inline {
-		n.process(job)
-	}
-	return nil
-}
-
-// updateLocal performs the storage-side update without emitting an oplog
-// entry (the replication apply path).
-func (n *Node) updateLocal(db, key string, payload []byte) error {
-	_, _, err := n.updateLocalEmit(db, key, payload, false)
-	return err
+	return n.finish(n.updateLocalEmit(db, key, payload, true))
 }
 
 // updateLocalEmit performs the update and, when emit is set, queues the
 // oplog job in the same critical section as the version bump so entry order
-// matches mutation order.
+// matches mutation order. Without emit it is the storage-side half alone (the
+// replication apply path).
 func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, bool, error) {
 	var job encodeJob
 	inline := false
@@ -630,23 +640,10 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 // Delete removes the record from the client's view. If other records decode
 // through it, it is hidden rather than destroyed and reclaimed later.
 func (n *Node) Delete(db, key string) error {
-	job, inline, err := n.deleteLocalEmit(db, key, true)
-	if err != nil {
-		return err
-	}
-	if inline {
-		n.process(job)
-	}
-	return nil
+	return n.finish(n.deleteLocalEmit(db, key, true))
 }
 
-// deleteLocal performs the storage-side delete without emitting an oplog
-// entry (the replication apply path).
-func (n *Node) deleteLocal(db, key string) error {
-	_, _, err := n.deleteLocalEmit(db, key, false)
-	return err
-}
-
+// deleteLocalEmit is updateLocalEmit's counterpart for a delete.
 func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, error) {
 	var job encodeJob
 	inline := false
@@ -1448,7 +1445,7 @@ func (n *Node) Oplog() *oplog.Log { return n.log }
 
 // LastAssignedSeq returns the newest mutation sequence number handed out to
 // a client op. Assignment happens in the same n.mu critical section that
-// makes the mutation visible, so any record a Snapshot scan observed has its
+// makes the mutation visible, so any record a Scan observed has its
 // oplog seq covered by this value — unlike Oplog().LastSeq(), which only
 // advances once the encoder worker appends the entry and can therefore trail
 // a visible insert.

@@ -3,11 +3,18 @@ package node
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"dbdedup/internal/delta"
-	"dbdedup/internal/docstore"
 	"dbdedup/internal/oplog"
 )
+
+// The replication surface: what repl (oplog streaming, snapshot resync) and
+// cluster (shard handoff) use to move state between nodes. Bulk state moves
+// through three verbs, Scan out of a node and Upsert and Retain into one, and
+// an oplog entry through ApplyReplicated. Whatever arrives whole is stored raw
+// and left to the out-of-line passes (write-backs, compaction-time re-dedup)
+// to encode; only a forward-encoded entry is re-encoded inline.
 
 // ErrBaseMissing reports that a forward-encoded insert references a base
 // record this node does not hold. The replication layer reacts by fetching
@@ -20,6 +27,105 @@ var ErrBaseMissing = errors.New("node: delta base not present")
 // carry that delete/replace in a later entry, so the applier treats this as
 // "skip the insert and expect the follow-up" rather than as pool poison.
 var ErrFetchUnavailable = errors.New("node: record unavailable at source")
+
+// DBNames returns the names of databases currently holding at least one key,
+// sorted for deterministic iteration.
+func (n *Node) DBNames() []string {
+	out := n.keys.names()
+	sort.Strings(out)
+	return out
+}
+
+// DBKeys returns db's live keys, sorted. The listing is point-in-time-ish
+// (sync.Map range semantics); handoff callers freeze the database's client
+// traffic first, which makes it exact.
+func (n *Node) DBKeys(db string) []string {
+	var out []string
+	n.keys.rangeDB(db, func(key string, _ uint64) bool {
+		out = append(out, key)
+		return true
+	})
+	sort.Strings(out)
+	return out
+}
+
+// Scan streams the decoded visible content of db's records to fn in sorted
+// (db, key) order, every database's when db is "", stopping early if fn
+// returns false. It reads live state: a key deleted since it was listed is
+// skipped, and a record mutated concurrently may appear in either version.
+// That is enough for a resync, which replays the oplog entries issued during
+// the scan on top, and exact for a handoff, which freezes the database first.
+func (n *Node) Scan(db string, fn func(db, key string, content []byte) bool) error {
+	dbs := []string{db}
+	if db == "" {
+		dbs = n.DBNames()
+	}
+	for _, d := range dbs {
+		for _, key := range n.DBKeys(d) {
+			content, err := n.Read(d, key)
+			if errors.Is(err, ErrNotFound) {
+				continue // deleted during the scan
+			}
+			if err != nil {
+				return err
+			}
+			if !fn(d, key, content) {
+				return nil
+			}
+		}
+	}
+	return nil
+}
+
+// Upsert stores a record that arrived whole: update if the key is present,
+// insert if not, update after all if another writer inserted it in between,
+// so replaying it is harmless. Admission control is never consulted: what
+// arrives here the cluster already acked, and shedding or rejecting it would
+// turn overload into data loss. With emit (a shard-handoff record) it is a
+// normal write with an encode job and an oplog entry, so this node's replica
+// chain sees it like client traffic; without (a snapshot record, or the fetch
+// fallback of a base miss) it is the local half of one.
+func (n *Node) Upsert(db, key string, payload []byte, emit bool) error {
+	if !n.Has(db, key) {
+		// The node keeps what it inserts; payload stays the caller's.
+		job, inline, err := n.insertLocalEmit(db, key, append([]byte(nil), payload...), emit, false)
+		switch {
+		case err == nil && inline:
+			n.process(job)
+		case err == nil && !emit && n.eng != nil:
+			n.eng.ObserveRaw(db, job.id, job.payload)
+		}
+		if !errors.Is(err, ErrDuplicateKey) {
+			return err
+		}
+	}
+	return n.finish(n.updateLocalEmit(db, key, payload, emit))
+}
+
+// Retain deletes every live key of db that keep rejects (nil keeps nothing),
+// in sorted order, and returns how many it deleted. A key already gone is
+// skipped; any other error ends the pass with the count so far, and the rest
+// stays for the caller to retry: a delete that failed is a record still
+// there. With emit each delete is a client delete with its oplog entry (a
+// shard shedding a moved-away or half-transferred database, so its replica
+// chain sheds it too); without, it is the local half (a secondary dropping
+// what the snapshot it just applied did not carry).
+func (n *Node) Retain(db string, keep func(key string) bool, emit bool) (dropped int, err error) {
+	for _, key := range n.DBKeys(db) {
+		if keep != nil && keep(key) {
+			continue
+		}
+		err = n.finish(n.deleteLocalEmit(db, key, emit))
+		if errors.Is(err, ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			return dropped, err
+		}
+		dropped++
+	}
+	return dropped, nil
+}
 
 // ApplyReplicated applies one oplog entry shipped from a primary. Entries
 // of one database must be applied in sequence order (a forward-encoded
@@ -40,60 +146,57 @@ func (n *Node) ApplyReplicated(e oplog.Entry) error {
 	case oplog.OpInsert:
 		return n.applyReplicatedInsert(e)
 	case oplog.OpUpdate:
-		return n.updateLocal(e.DB, e.Key, e.Payload)
+		return n.finish(n.updateLocalEmit(e.DB, e.Key, e.Payload, false))
 	case oplog.OpDelete:
-		return n.deleteLocal(e.DB, e.Key)
+		return n.finish(n.deleteLocalEmit(e.DB, e.Key, false))
 	default:
 		return fmt.Errorf("node: unknown replicated op %d", e.Op)
 	}
 }
 
+// ApplyReplicatedLenient applies an oplog entry with resync tolerance: ops
+// may have been concurrent with the snapshot scan, so an insert of an
+// existing key becomes a replace, and updates/deletes of missing keys are
+// ignored. Used by the replication layer while catching up across a
+// snapshot window.
+func (n *Node) ApplyReplicatedLenient(e oplog.Entry) error {
+	if e.Op == oplog.OpInsert && n.Has(e.DB, e.Key) {
+		// The snapshot already carried this record; the entry's payload
+		// may be forward-encoded against state we can resolve, but
+		// replacing with the snapshot's copy is equivalent — skip.
+		return nil
+	}
+	// Delta bases may themselves have arrived via snapshot; the normal path
+	// resolves them by key. A missing base surfaces as ErrBaseMissing so the
+	// applier's fetch fallback can recover the full record — swallowing it
+	// here would leave the key absent forever with no future snapshot to
+	// re-deliver it.
+	err := n.ApplyReplicated(e)
+	if e.Op != oplog.OpInsert && errors.Is(err, ErrNotFound) {
+		return nil
+	}
+	return err
+}
+
 func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
-	if _, exists := n.keys.load(e.DB, e.Key); exists {
+	if n.Has(e.DB, e.Key) {
 		return fmt.Errorf("node: replicated insert of existing key %q/%q", e.DB, e.Key)
 	}
-	n.mu.Lock()
-	id := n.nextID
-	n.nextID++
-	n.stats.Inserts++
-	n.mu.Unlock()
-
-	// undoReservation rolls back the insert counter on any failure before
-	// the record is durably appended. The key→ID mapping needs no undo:
-	// under the keyDir publish discipline it is only stored *after* a
-	// successful append, so a failed insert leaves no dangling mapping for
-	// readers to trip on — and the ErrBaseMissing fetch fallback can
-	// re-install the record via ApplySnapshotRecord without double-counting.
-	undoReservation := func() {
-		n.mu.Lock()
-		n.stats.Inserts--
-		n.mu.Unlock()
-	}
-
 	if e.Form == oplog.FormRaw {
-		payload := e.Payload
-		if err := n.store.Append(docstore.Record{ID: id, DB: e.DB, Key: e.Key, Payload: payload}); err != nil {
-			undoReservation()
-			return err
+		job, _, err := n.insertLocalEmit(e.DB, e.Key, e.Payload, false, false)
+		if err == nil && n.eng != nil {
+			n.eng.ObserveRaw(e.DB, job.id, e.Payload)
 		}
-		n.keys.put(e.DB, e.Key, id)
-		n.mu.Lock()
-		n.stats.RawInsertBytes += int64(len(payload))
-		n.mu.Unlock()
-		if n.eng != nil {
-			n.eng.ObserveRaw(e.DB, id, payload)
-		}
-		return nil
+		return err
 	}
 
 	// Forward-encoded insert: reconstruct the record from the local copy
 	// of the base, then mirror the primary's backward encoding.
 	srcID, ok := n.lookup(e.DB, e.BaseKey)
 	if !ok {
-		// Rare: the base is almost always already replicated. Undo the
-		// reservation and let the caller fall back to fetching the full
-		// record from the primary.
-		undoReservation()
+		// Rare: the base is almost always already replicated. Nothing was
+		// reserved or counted yet, so the caller falls back to fetching the
+		// full record from the primary and Upsert counts it exactly once.
 		return fmt.Errorf("%w: %q/%q (insert of %q)", ErrBaseMissing, e.DB, e.BaseKey, e.Key)
 	}
 	// The base's content is borrowed from a scratch for the rest of the
@@ -103,34 +206,23 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 	defer scratchPool.Put(sc)
 	srcContent, err := n.decode(sc, srcID, baseContent)
 	if err != nil {
-		undoReservation()
 		return fmt.Errorf("node: decoding base %q/%q: %w", e.DB, e.BaseKey, err)
 	}
 	fwd, err := delta.Unmarshal(e.Payload)
 	if err != nil {
-		undoReservation()
 		return fmt.Errorf("node: forward delta for %q/%q: %w", e.DB, e.Key, err)
 	}
 	payload, err := delta.Apply(srcContent, fwd)
 	if err != nil {
-		undoReservation()
 		return fmt.Errorf("node: applying forward delta for %q/%q: %w", e.DB, e.Key, err)
 	}
-	if err := n.store.Append(docstore.Record{ID: id, DB: e.DB, Key: e.Key, Payload: payload}); err != nil {
-		undoReservation()
+	job, _, err := n.insertLocalEmit(e.DB, e.Key, payload, false, false)
+	if err != nil {
 		return err
 	}
-	n.keys.put(e.DB, e.Key, id)
-	n.mu.Lock()
-	n.stats.RawInsertBytes += int64(len(payload))
-	n.mu.Unlock()
-
 	if n.eng != nil {
-		res := n.eng.EncodeAsReplica(e.DB, id, payload, srcID, srcContent, fwd)
-		n.mu.RLock()
-		newVer := n.version[id]
-		n.mu.RUnlock()
-		n.queueWritebacks(res.Writebacks, id, newVer)
+		res := n.eng.EncodeAsReplica(e.DB, job.id, payload, srcID, srcContent, fwd)
+		n.queueWritebacks(res.Writebacks, job.id, job.version)
 	}
 	return nil
 }

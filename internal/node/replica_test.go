@@ -1,0 +1,343 @@
+package node
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"dbdedup/internal/admission"
+	"dbdedup/internal/delta"
+	"dbdedup/internal/faultfs"
+	"dbdedup/internal/oplog"
+)
+
+// TestInsertFailureCountsNothing pins the accounting rule of the one insert
+// routine (DESIGN.md §14): a counter moves only after the append it counts.
+// Every entrance that can create a record is driven into an append failure
+// (docstore.Append deterministically rejects a key containing NUL) and must
+// return the error and leave no key, no count, no oplog entry and no encoder
+// token behind; the same entrance with a good key then counts exactly once.
+// The encoder has one worker and one queue slot, so a token that did not go
+// back hangs the insert that follows.
+func TestInsertFailureCountsNothing(t *testing.T) {
+	base := []byte("the base record content, long enough to delta against")
+	payload := []byte("twenty-three bytes long")
+	replicated := func(form oplog.PayloadForm) func(n *Node, key string) error {
+		return func(n *Node, key string) error {
+			e := oplog.Entry{Op: oplog.OpInsert, DB: "db", Key: key, Form: form, Payload: payload}
+			if form == oplog.FormDelta {
+				e.BaseKey = "base"
+				e.Payload = delta.Compress(base, payload, delta.Options{}).Marshal()
+			}
+			return n.ApplyReplicated(e)
+		}
+	}
+	// One acknowledged insert is enough to latch overload for an hour: its
+	// latency is the EWMA, and any latency is above a 1 ns limit.
+	shedLatch := admission.Options{ShedRaw: true, ShedLatency: 1, OverloadDwell: time.Hour}
+	for _, tc := range []struct {
+		name   string
+		adm    admission.Options
+		insert func(n *Node, key string) error
+		emit   bool // the entrance writes an oplog entry
+		shed   bool
+	}{
+		{name: "client Insert", emit: true,
+			insert: func(n *Node, key string) error { return n.Insert("db", key, payload) }},
+		{name: "client Insert under a shed latch", adm: shedLatch, emit: true, shed: true,
+			insert: func(n *Node, key string) error { return n.Insert("db", key, payload) }},
+		{name: "ApplyReplicated raw", insert: replicated(oplog.FormRaw)},
+		{name: "ApplyReplicated forward-encoded", insert: replicated(oplog.FormDelta)},
+		{name: "Upsert without emit",
+			insert: func(n *Node, key string) error { return n.Upsert("db", key, payload, false) }},
+		{name: "Upsert with emit", emit: true,
+			insert: func(n *Node, key string) error { return n.Upsert("db", key, payload, true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := asyncNode(t, Options{EncodeWorkers: 1, EncodeQueue: 1, Admission: tc.adm})
+			if err := n.Insert("db", "base", base); err != nil {
+				t.Fatal(err)
+			}
+			n.Barrier()
+			before := n.Stats()
+
+			const badKey = "bad\x00key"
+			if err := tc.insert(n, badKey); err == nil {
+				t.Fatal("append of a NUL key succeeded: the injection is gone")
+			}
+			n.Barrier()
+			after := n.Stats()
+			if n.Has("db", badKey) {
+				t.Error("key published for a record the store refused")
+			}
+			if after.Inserts != before.Inserts || after.RawInsertBytes != before.RawInsertBytes ||
+				after.InsertsShedRaw != before.InsertsShedRaw {
+				t.Errorf("failed insert counted: Inserts %d→%d, RawInsertBytes %d→%d, InsertsShedRaw %d→%d",
+					before.Inserts, after.Inserts, before.RawInsertBytes, after.RawInsertBytes,
+					before.InsertsShedRaw, after.InsertsShedRaw)
+			}
+			if after.Oplog.Entries != before.Oplog.Entries {
+				t.Errorf("failed insert logged: oplog entries %d→%d", before.Oplog.Entries, after.Oplog.Entries)
+			}
+			if after.EncodeQueueDepth != 0 {
+				t.Errorf("encode queue depth %d after a failed insert and a barrier", after.EncodeQueueDepth)
+			}
+			if tc.shed && after.Admission.Shed != before.Admission.Shed+1 {
+				t.Fatalf("the failed insert was not a shed one (Admission.Shed %d→%d): the latch is not forced",
+					before.Admission.Shed, after.Admission.Shed)
+			}
+
+			if err := tc.insert(n, "good"); err != nil {
+				t.Fatalf("valid insert after the failed one: %v", err)
+			}
+			n.Barrier()
+			st := n.Stats()
+			if st.Inserts != before.Inserts+1 || st.RawInsertBytes != before.RawInsertBytes+int64(len(payload)) {
+				t.Errorf("valid insert: Inserts %d→%d, RawInsertBytes %d→%d, want +1 and +%d",
+					before.Inserts, st.Inserts, before.RawInsertBytes, st.RawInsertBytes, len(payload))
+			}
+			wantShed, wantLogged := before.InsertsShedRaw, before.Oplog.Entries
+			if tc.shed {
+				wantShed++
+			}
+			if tc.emit {
+				wantLogged++
+			}
+			if st.InsertsShedRaw != wantShed || st.Oplog.Entries != wantLogged {
+				t.Errorf("valid insert: InsertsShedRaw %d, oplog entries %d, want %d and %d",
+					st.InsertsShedRaw, st.Oplog.Entries, wantShed, wantLogged)
+			}
+			if got, err := n.Read("db", "good"); err != nil || !bytes.Equal(got, payload) {
+				t.Errorf("valid insert reads %q, %v", got, err)
+			}
+			baseID, _ := n.lookup("db", "base")
+			if id, _ := n.lookup("db", "good"); id <= baseID {
+				t.Errorf("record IDs not increasing: base %d, good %d", baseID, id)
+			}
+			if rep := n.VerifyAll(); !rep.Ok() || rep.Records != 2 {
+				t.Errorf("verify after the pair: %s, want 2 clean records", rep)
+			}
+		})
+	}
+}
+
+// scanAll collects what Scan(db) yields, in the order it yields it.
+func scanAll(t *testing.T, n *Node, db string) (names []string, content map[string][]byte) {
+	t.Helper()
+	content = make(map[string][]byte)
+	err := n.Scan(db, func(d, key string, c []byte) bool {
+		names = append(names, d+"/"+key)
+		content[d+"/"+key] = append([]byte(nil), c...)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names, content
+}
+
+// TestScanUpsertRetain covers the three verbs bulk state moves through, once,
+// for both of their callers (repl's snapshot resync without emit, cluster's
+// shard handoff with it).
+func TestScanUpsertRetain(t *testing.T) {
+	t.Run("Scan yields the model in sorted order", func(t *testing.T) {
+		n := testNode(t, Options{})
+		model := make(map[string][]byte) // "db/key" -> visible content
+		for d, db := range []string{"alpha", "beta", "gamma"} {
+			for i, c := range insertChain(t, n, db, 8, int64(20+d)) {
+				model[fmt.Sprintf("%s/v%d", db, i)] = c
+			}
+		}
+		n.FlushWritebacks(-1) // older revisions become hop-encoded deltas
+		if n.Stats().WritebacksApplied == 0 || n.RefCount("alpha", "v7") == 0 || n.RefCount("beta", "v7") == 0 {
+			t.Fatal("premise: the chains are not delta-encoded against their heads")
+		}
+		// A referenced record updated is stacked; one deleted is a hidden base.
+		stacked := []byte("client update stacked over a decode base")
+		if err := n.Update("alpha", "v7", stacked); err != nil {
+			t.Fatal(err)
+		}
+		model["alpha/v7"] = stacked
+		if err := n.Delete("beta", "v7"); err != nil {
+			t.Fatal(err)
+		}
+		delete(model, "beta/v7")
+
+		var want []string
+		for name := range model {
+			want = append(want, name)
+		}
+		sort.Strings(want)
+		check := func(db string, want []string) {
+			t.Helper()
+			names, content := scanAll(t, n, db)
+			if fmt.Sprint(names) != fmt.Sprint(want) {
+				t.Fatalf("Scan(%q) order:\n got %v\nwant %v", db, names, want)
+			}
+			for _, name := range names {
+				if !bytes.Equal(content[name], model[name]) {
+					t.Errorf("Scan(%q): %s differs from the model", db, name)
+				}
+			}
+		}
+		check("", want)
+		for _, db := range []string{"alpha", "beta", "gamma"} {
+			var of []string
+			for _, name := range want {
+				if strings.HasPrefix(name, db+"/") {
+					of = append(of, name)
+				}
+			}
+			check(db, of)
+		}
+		if names, _ := scanAll(t, n, "no such database"); len(names) != 0 {
+			t.Errorf("Scan of an absent database yielded %v", names)
+		}
+
+		// fn returning false stops the scan; a key deleted after it was
+		// listed (here: from inside fn, the listing is already taken) is
+		// skipped, not an error.
+		seen := 0
+		if err := n.Scan("", func(_, _ string, _ []byte) bool { seen++; return seen < 3 }); err != nil || seen != 3 {
+			t.Errorf("Scan stopped after %d records (%v), want 3", seen, err)
+		}
+		var names []string
+		err := n.Scan("gamma", func(db, key string, _ []byte) bool {
+			if len(names) == 0 {
+				if err := n.Delete("gamma", "v3"); err != nil {
+					t.Error(err)
+				}
+			}
+			names = append(names, key)
+			return true
+		})
+		if err != nil || len(names) != 7 || fmt.Sprint(names) != "[v0 v1 v2 v4 v5 v6 v7]" {
+			t.Errorf("Scan across a delete yielded %v, %v", names, err)
+		}
+	})
+
+	for _, emit := range []bool{false, true} {
+		emit := emit
+		t.Run(fmt.Sprintf("Upsert and Retain emit=%v", emit), func(t *testing.T) {
+			// Overloaded for an hour after the first ack, with one token per
+			// tenant: a client insert is rejected, a handoff record is not.
+			n := asyncNode(t, Options{Admission: admission.Options{Enabled: true, ShedLatency: 1,
+				OverloadDwell: time.Hour, TenantRate: 1e-9, TenantBurst: 1}})
+			if err := n.Insert("db", "first", []byte("takes the tenant's one token")); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Insert("db", "second", []byte("x")); !errors.Is(err, ErrOverloaded) {
+				t.Fatalf("premise: reject latch not forced, insert returned %v", err)
+			}
+			logged := func() uint64 { n.Barrier(); return n.Oplog().LastSeq() }
+			perCall := uint64(0)
+			if emit {
+				perCall = 1
+			}
+			for round, content := range []string{"handed over", "handed over", "handed over again"} {
+				at := logged()
+				for i := 0; i < 6; i++ {
+					if err := n.Upsert("db", fmt.Sprintf("k%d", i), []byte(content), emit); err != nil {
+						t.Fatalf("round %d: Upsert k%d under the reject latch: %v", round, i, err)
+					}
+				}
+				if got := logged() - at; got != 6*perCall {
+					t.Errorf("round %d: 6 upserts logged %d entries, want %d", round, got, 6*perCall)
+				}
+				for i := 0; i < 6; i++ {
+					if got, err := n.Read("db", fmt.Sprintf("k%d", i)); err != nil || string(got) != content {
+						t.Errorf("round %d: k%d reads %q, %v", round, i, got, err)
+					}
+				}
+			}
+			if st := n.Stats(); st.Inserts != 1+6 || st.Updates != 12 {
+				t.Errorf("three rounds over 6 keys: Inserts %d, Updates %d, want 7 and 12", st.Inserts, st.Updates)
+			}
+
+			// Retain with a keep set leaves exactly it; with nil, nothing.
+			at := logged()
+			keep := map[string]bool{"k1": true, "k4": true, "first": true}
+			dropped, err := n.Retain("db", func(key string) bool { return keep[key] }, emit)
+			if err != nil || dropped != 4 {
+				t.Fatalf("Retain(keep 3 of 7) = %d, %v, want 4", dropped, err)
+			}
+			if got := fmt.Sprint(n.DBKeys("db")); got != "[first k1 k4]" {
+				t.Errorf("after Retain: %s", got)
+			}
+			if got := logged() - at; got != 4*perCall {
+				t.Errorf("4 drops logged %d entries, want %d", got, 4*perCall)
+			}
+			if err := n.Upsert("other", "bystander", []byte("another database"), emit); err != nil {
+				t.Fatal(err)
+			}
+			dropped, err = n.Retain("db", nil, emit)
+			if err != nil || dropped != 3 || len(n.DBKeys("db")) != 0 {
+				t.Fatalf("Retain(nil) = %d, %v, left %v", dropped, err, n.DBKeys("db"))
+			}
+			if got := fmt.Sprint(n.DBNames()); got != "[other]" {
+				t.Errorf("after emptying db: databases %s", got)
+			}
+			if emit {
+				n.Barrier()
+				ents, err := n.Oplog().EntriesSince(at, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				deletes := 0
+				for _, e := range ents {
+					if e.Op == oplog.OpDelete && e.DB == "db" {
+						deletes++
+					}
+				}
+				if deletes != 7 {
+					t.Errorf("7 dropped keys, %d oplog deletes", deletes)
+				}
+			}
+			if rep := n.VerifyAll(); !rep.Ok() {
+				t.Errorf("verify: %s", rep)
+			}
+		})
+	}
+
+	t.Run("Retain stops at the first error and can be retried", func(t *testing.T) {
+		// Tombstones are six or seven bytes and a block 128: a pass over 200
+		// keys seals a dozen blocks. Reopened on a disk whose first write
+		// fails, the pass gets that error a block or two later.
+		mem := faultfs.NewMemFS()
+		opts := Options{Dir: "n", FS: mem, BlockSize: 128, SyncEncode: true, DisableDedup: true}
+		n, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const total = 200
+		for i := 0; i < total; i++ {
+			if err := n.Insert("db", fmt.Sprintf("k%03d", i), []byte("doomed")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		opts.FS = faultfs.NewInjector(mem, 1, faultfs.FailWrite(1))
+		if n, err = Open(opts); err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		dropped, err := n.Retain("db", nil, false)
+		if !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("Retain on a failing disk = %d, %v, want the injected error", dropped, err)
+		}
+		left := len(n.DBKeys("db"))
+		if dropped == 0 || left == 0 || dropped+left < total-1 {
+			t.Fatalf("dropped %d, left %d of %d: want a pass that stopped partway", dropped, left, total)
+		}
+		again, err := n.Retain("db", nil, false)
+		if err != nil || again != left || len(n.DBKeys("db")) != 0 {
+			t.Fatalf("retry = %d, %v, left %v; want %d and nothing", again, err, n.DBKeys("db"), left)
+		}
+	})
+}

@@ -383,7 +383,7 @@ func (p *Primary) sendSnapshot(conn net.Conn, fw *frameWriter) (uint64, error) {
 		return nil
 	}
 	var streamErr error
-	err := p.node.Snapshot(func(db, key string, content []byte) bool {
+	err := p.node.Scan("", func(db, key string, content []byte) bool {
 		buf = appendLenBytes(buf, []byte(db))
 		buf = appendLenBytes(buf, []byte(key))
 		buf = appendLenBytes(buf, content)
@@ -900,19 +900,28 @@ func (s *Secondary) handleFrame(typ byte, payload []byte) error {
 			return fmt.Errorf("repl: %w", err)
 		}
 		s.mu.Lock()
-		keys := s.snapKeys
-		s.snapKeys = nil
-		s.needResync = false
-		s.lenientUntil = endSeq
-		snapStart := s.snapStartSeq
+		keys, snapStart := s.snapKeys, s.snapStartSeq
 		s.mu.Unlock()
 		// Reconcile: local records absent from the snapshot were
 		// deleted on the primary while we were disconnected. This comes
 		// before the rebase: once the mark moves, WaitForSeq callers
-		// take those deletes as applied.
+		// take those deletes as applied. A delete that fails leaves the
+		// snapshot unapplied: snapKeys stays set, which the reconnect
+		// path reads as "died mid-snapshot" and answers with helloResync,
+		// and the mark stays where it was.
 		if keys != nil {
-			s.node.ReconcileAfterSnapshot(keys)
+			for _, db := range s.node.DBNames() {
+				kept := keys[db]
+				if _, err := s.node.Retain(db, func(key string) bool { return kept[key] }, false); err != nil {
+					return transient(fmt.Errorf("repl: reconciling %q after snapshot: %w", db, err))
+				}
+			}
 		}
+		s.mu.Lock()
+		s.snapKeys = nil
+		s.needResync = false
+		s.lenientUntil = endSeq
+		s.mu.Unlock()
 		// The snapshot defines the stream position outright — on an
 		// epoch-mismatch resync the old cursor may be numerically
 		// larger but belongs to a dead numbering.

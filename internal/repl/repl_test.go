@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"dbdedup/internal/faultfs"
+	"dbdedup/internal/histcheck"
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/netsim"
 	"dbdedup/internal/node"
@@ -1026,5 +1028,100 @@ func TestResyncReconcilesBeforeRebase(t *testing.T) {
 	}
 	if resyncs, _ := s.Resyncs(); resyncs != 1 {
 		t.Fatalf("second session resyncs = %d, want 1 (the window must force a snapshot)", resyncs)
+	}
+}
+
+// TestResyncReconcileFailureIsRetried pins what a failed reconcile means: the
+// snapshot is not applied. The secondary's disk refuses one write while the
+// reconcile pass is deleting what the snapshot did not carry (its tombstones
+// are the only thing that fills blocks in the second session: the snapshot is
+// one small record and blocks are 128 bytes), so the pass ends on that error
+// with stale records left. The applied mark must not reach the snapshot
+// position over them; the next connection asks for a fresh snapshot, and only
+// the reconcile that completes moves the mark.
+func TestResyncReconcileFailureIsRetried(t *testing.T) {
+	popts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8}
+	prim, err := node.Open(popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prim.Close()
+	mem := faultfs.NewMemFS()
+	sopts := node.Options{SyncEncode: true, DisableAutoFlush: true, Dir: "sec", FS: mem, BlockSize: 128}
+	sec, err := node.Open(sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ListenAndServe(prim, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	const stale = 400
+	goneKey := func(i int) string { return fmt.Sprintf("gone%05d", i) }
+	for i := 0; i < stale; i++ {
+		if err := prim.Insert("db", goneKey(i), []byte(goneKey(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := prim.Insert("db", "kept", []byte("survives the resync")); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Connect(sec, p.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cursor, epoch := s.AppliedSeq(), s.Epoch()
+	s.Close()
+	if err := sec.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Disconnected: the deletes push the cursor out of the 8-entry oplog
+	// window, so the next session is a snapshot that lacks every gone key.
+	// The secondary comes back on a disk whose first write fails.
+	for i := 0; i < stale; i++ {
+		if err := prim.Delete("db", goneKey(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	target := prim.Oplog().LastSeq()
+	inj := faultfs.NewInjector(mem, 1, faultfs.FailWrite(1))
+	sopts.FS = inj
+	if sec, err = node.Open(sopts); err != nil {
+		t.Fatal(err)
+	}
+	defer sec.Close()
+	s, err = ConnectWithOptions(sec, p.Addr(), cursor, epoch,
+		Options{MaxReconnects: 5, ReconnectBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Whenever the mark is seen at the target, the reconcile that got there
+	// must be the second one: the first met the fault.
+	for deadline := time.Now().Add(20 * time.Second); s.AppliedSeq() < target; runtime.Gosched() {
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("applied seq %d never reached %d (faults fired: %v)", s.AppliedSeq(), target, inj.Events())
+		}
+	}
+	if len(inj.Events()) != 1 {
+		t.Fatalf("faults fired: %v, want the one failed write", inj.Events())
+	}
+	if resyncs, _ := s.Resyncs(); resyncs != 2 {
+		t.Fatalf("applied seq reached %d after %d snapshots, want 2: the mark moved over a failed reconcile", target, resyncs)
+	}
+	if vs := histcheck.Equal(histcheck.NodeView{Node: prim}, histcheck.NodeView{Node: sec}); len(vs) != 0 {
+		t.Fatalf("secondary differs from the primary after the retried resync: %v", vs)
+	}
+	if rep := sec.VerifyAll(); !rep.Ok() {
+		t.Fatalf("secondary verify: %s", rep)
 	}
 }
