@@ -1,0 +1,406 @@
+package node
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"time"
+
+	"dbdedup/internal/delta"
+	"dbdedup/internal/docstore"
+)
+
+// Read returns the record's visible content. The key lookup is lock-free
+// (keyDir); Read never touches n.mu.
+func (n *Node) Read(db, key string) ([]byte, error) {
+	start := time.Now()
+	id, ok := n.lookup(db, key)
+	n.readsTotal.Add(1)
+	n.recentOps.Add(1)
+	if !ok {
+		return nil, ErrNotFound
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	content, err := n.decode(sc, id, visibleContent)
+	if err != nil {
+		return nil, err
+	}
+	out := append([]byte(nil), content...) // the caller's own: the one copy of a read
+	n.latRead.Observe(time.Since(start))
+	return out, nil
+}
+
+// lookup resolves (db, key) to a record ID. Lock-free; safe with or
+// without n.mu held.
+func (n *Node) lookup(db, key string) (uint64, bool) {
+	return n.keys.load(db, key)
+}
+
+// Has reports whether (db, key) exists. Lock-free.
+func (n *Node) Has(db, key string) bool {
+	_, ok := n.lookup(db, key)
+	return ok
+}
+
+// ------------------------------------------------------------------- decode
+
+// fetcher adapts the node to core.Fetcher. The engine needs the content a
+// delta against this record would decode from — the record's base content
+// (original, pre-stacked-update).
+type fetcher struct{ n *Node }
+
+// FetchDecoded returns a copy of its own: the engine builds deltas whose
+// literals alias the content, and keeps them past this call.
+func (f fetcher) FetchDecoded(id uint64) ([]byte, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	content, err := f.n.decode(sc, id, baseContent)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), content...), nil
+}
+
+// scratch is the working memory of one chain decode: the plan of the walk and
+// the two buffers its deltas alternate between, each delta reading the one and
+// writing the other. What decode returns lives in a scratch (or in the source
+// cache) and is good until the scratch is used again. Who owns which: the
+// paths applyMu serialises (write-back apply, hidden-chain repair, the
+// re-dedup verify) use the node's own applyScratch; Read, replica apply, the
+// fetcher, VerifyAll and the re-dedup rewrite take one from scratchPool for
+// the call and copy out at most once, into the slice they hand on.
+type scratch struct {
+	hops []hop
+	buf  [2][]byte
+}
+
+// hop is one delta-encoded record on a planned walk, outermost first, as
+// Store.Meta showed it.
+type hop struct {
+	id, base uint64
+	hidden   bool
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// decodeMode says which content of a record decode produces, and whether it
+// may repair the chain it walked.
+type decodeMode int
+
+const (
+	// visibleContent is what a client read yields: the last stacked
+	// section if there is one, ErrNotFound for a hidden record.
+	visibleContent decodeMode = iota
+	// baseContent is what other records decode through: the original
+	// content, ignoring stacked client updates, hidden or not.
+	baseContent
+	// baseContentNoRepair is baseContent without the opportunistic splice
+	// of a hidden record, for callers that already hold applyMu.
+	baseContentNoRepair
+)
+
+// errReplan reports that a record was no longer stored the way the plan saw
+// it: a write-back, repair or client write got in between.
+var errReplan = errors.New("node: stored form changed under a chain walk")
+
+// decode returns the content of record id in memory that belongs to sc or to
+// the source cache: valid until sc is used again, not to be modified or kept.
+//
+// The walk is planned from Store.Meta alone (form, base, stacked and hidden
+// need no payload), stopping at a raw record or at a base the source cache
+// holds. Then the base is copied into sc and every delta on the path is
+// applied straight from its stored bytes, lent by Store.View for exactly that
+// long, so a k-step chain costs k applies and no copy of any delta. A View
+// shows one consistent version of a record but the plan is older than it, so
+// each View checks that the record is still stored as planned; if not, the
+// walk is planned again. Base contents never change while referenced, which
+// is what makes any consistent plan decode to the same bytes.
+func (n *Node) decode(sc *scratch, id uint64, mode decodeMode) ([]byte, error) {
+	for attempt := 0; ; attempt++ {
+		w, err := n.planWalk(sc, id, mode)
+		if err != nil {
+			return nil, err
+		}
+		content, err := n.runWalk(sc, w)
+		if err != errReplan {
+			return content, err
+		}
+		switch {
+		case attempt < 4:
+			runtime.Gosched()
+		case attempt < 200:
+			// A writer is mid-append (Meta and the record maps are a
+			// version apart), possibly descheduled: give it time.
+			time.Sleep(50 * time.Microsecond)
+		default:
+			return nil, fmt.Errorf("node: record %d: %w", id, errReplan)
+		}
+	}
+}
+
+// walk is a planned chain walk: the record it ends at, as Store.Meta showed
+// it, and what to do on the way. The delta records it passes are sc.hops.
+type walk struct {
+	baseID uint64
+	base   docstore.MetaInfo
+	// cached is the base's content when the source cache holds it; the base
+	// is then not read at all.
+	cached []byte
+	// last marks a client read of a stacked record: its content is the
+	// base's last section, not the stored form underneath.
+	last bool
+	// keep indexes the hop whose content repair needs (-1 for none), and
+	// hidID is the hidden record right behind it.
+	keep  int
+	hidID uint64
+}
+
+// planWalk collects into sc.hops the delta records from id inward, until a
+// record that can be read without decoding another.
+func (n *Node) planWalk(sc *scratch, id uint64, mode decodeMode) (walk, error) {
+	sc.hops = sc.hops[:0]
+	w := walk{baseID: id, keep: -1}
+	var ok bool
+	w.base, ok = n.store.Meta(id)
+	if mode == visibleContent {
+		if !ok || w.base.Hidden {
+			return w, ErrNotFound
+		}
+		if w.base.Stacked {
+			w.last = true
+			return w, nil
+		}
+	} else if !ok {
+		return w, fmt.Errorf("node: decode base %d missing", id)
+	}
+	for w.base.Form == docstore.FormDelta {
+		if len(sc.hops) > 1<<20 {
+			return w, errors.New("node: decode chain cycle")
+		}
+		sc.hops = append(sc.hops, hop{id: w.baseID, base: w.base.BaseID, hidden: w.base.Hidden})
+		from := w.baseID
+		w.baseID = w.base.BaseID
+		if w.base, ok = n.store.Meta(w.baseID); !ok {
+			return w, fmt.Errorf("node: record %d: base %d missing", from, w.baseID)
+		}
+		// Source record cache: a decoded base short-circuits the walk.
+		// Cached content is the record's base content only when it has no
+		// stacked updates.
+		if n.eng != nil && n.eng.SourceCache() != nil && !w.base.Stacked {
+			if c, hit := n.eng.SourceCache().Get(w.baseID); hit {
+				w.cached = c
+				break
+			}
+		}
+		n.decodeSteps.Add(1)
+	}
+
+	// Opportunistic repair (paper §4.1, Garbage Collection): the first
+	// hidden record on the path gets spliced out by re-binding its dependant
+	// directly to the record behind it (or to raw form when the hidden
+	// record terminates the chain). The dependant's content is the one thing
+	// repair needs from the walk, so the plan marks which step to keep. At
+	// most one repair per read.
+	if mode != baseContentNoRepair {
+		if w.cached == nil || !w.base.Hidden {
+			for i := 0; i+1 < len(sc.hops); i++ {
+				if sc.hops[i+1].hidden {
+					w.keep, w.hidID = i, sc.hops[i+1].id
+					break
+				}
+			}
+		}
+		if w.keep < 0 && w.base.Hidden && len(sc.hops) > 0 {
+			w.keep, w.hidID = len(sc.hops)-1, w.baseID
+		}
+	}
+	return w, nil
+}
+
+// runWalk produces the content w was planned for: the base, then the deltas
+// of sc.hops from the base outward. It returns errReplan if a record is no
+// longer stored the way the plan saw it.
+func (n *Node) runWalk(sc *scratch, w walk) ([]byte, error) {
+	content, next := w.cached, 0 // next: the buffer the next result goes into
+	if w.cached == nil {
+		err := n.lend(w.baseID, w.base, w.last, func(stored []byte) error {
+			sc.buf[0] = append(sc.buf[0][:0], stored...)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		content, next = sc.buf[0], 1
+	}
+	var kept []byte
+	for i := len(sc.hops) - 1; i >= 0; i-- {
+		h := sc.hops[i]
+		planned := docstore.MetaInfo{Form: docstore.FormDelta, BaseID: h.base, Hidden: h.hidden}
+		err := n.lend(h.id, planned, false, func(stored []byte) error {
+			out, err := delta.ApplyInto(sc.buf[next], content, stored)
+			if err != nil {
+				return fmt.Errorf("node: applying delta for record %d: %w", h.id, err)
+			}
+			sc.buf[next] = out
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		content, next = sc.buf[next], next^1
+		if i == w.keep {
+			kept = append([]byte(nil), content...)
+		}
+	}
+	if w.keep >= 0 {
+		n.repairPastHidden(sc.hops[w.keep].id, w.hidID, kept)
+	}
+	return content, nil
+}
+
+// lend calls fn with record id's stored bytes, borrowed from the store for
+// the length of the call (Store.View's leaf rule applies to fn): the record's
+// own stored form, which is section 0 of a stacked record, or with last set
+// the last section of a stacked record, which is what a client sees of it. It
+// returns errReplan when the record is gone or no longer has the form, base
+// and hidden flag that planned shows (and, with last set, is no longer
+// stacked).
+func (n *Node) lend(id uint64, planned docstore.MetaInfo, last bool, fn func(stored []byte) error) error {
+	err := errReplan
+	_, viewErr := n.store.View(id, func(v docstore.Stored) {
+		if v.Form != planned.Form || v.Form == docstore.FormDelta && v.BaseID != planned.BaseID ||
+			v.Hidden != planned.Hidden || last && !v.Stacked {
+			return
+		}
+		stored := v.Payload
+		if v.Stacked {
+			if stored, err = stackedSection(stored, last); err != nil {
+				return
+			}
+		}
+		err = fn(stored)
+	})
+	if viewErr != nil {
+		return viewErr
+	}
+	return err
+}
+
+// repairPastHidden re-binds record depID (whose decoded content is
+// depContent, which the store keeps when the dependant goes back to raw) past
+// the hidden record hidID: to hidID's own base when hidID is delta-encoded,
+// or back to raw form when hidID terminates the chain. One reference to hidID
+// is released, eventually reclaiming it.
+func (n *Node) repairPastHidden(depID, hidID uint64, depContent []byte) {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+
+	// Re-verify under the lock: the dependant must still decode through
+	// the hidden record, and the hidden record must still be hidden.
+	depMeta, ok := n.store.Meta(depID)
+	if !ok || depMeta.Form != docstore.FormDelta || depMeta.BaseID != hidID {
+		return
+	}
+	hidMeta, ok := n.store.Meta(hidID)
+	if !ok || !hidMeta.Hidden {
+		return
+	}
+	dep, ok, err := n.store.Get(depID)
+	if err != nil || !ok {
+		return
+	}
+
+	var newPayload []byte
+	newForm := docstore.FormRaw
+	var newBaseID uint64
+	if hidMeta.Form == docstore.FormDelta {
+		// Splice: delta the dependant directly against the hidden
+		// record's own base.
+		newBaseID = hidMeta.BaseID
+		baseContent, err := n.decode(&n.applyScratch[0], newBaseID, baseContentNoRepair)
+		if err != nil {
+			return
+		}
+		d := delta.Compress(baseContent, depContent, delta.Options{})
+		newPayload = d.Marshal()
+		newForm = docstore.FormDelta
+	} else {
+		// The hidden record terminates the chain: the dependant goes
+		// back to raw form.
+		newPayload = depContent
+	}
+
+	if dep.Stacked {
+		sections, err := splitSections(dep.Payload)
+		if err != nil {
+			return
+		}
+		sections[0] = newPayload
+		dep.Payload = joinSections(sections)
+	} else {
+		dep.Payload = newPayload
+	}
+	dep.Form = newForm
+	dep.BaseID = newBaseID
+	if err := n.store.Append(dep); err != nil {
+		return
+	}
+	n.mu.Lock()
+	if newForm == docstore.FormDelta {
+		n.refcnt[newBaseID]++
+	}
+	n.stats.HiddenRepaired++
+	n.mu.Unlock()
+	n.releaseRefLocked(hidID)
+}
+
+// ------------------------------------------------------------- stacked utils
+
+func splitSections(p []byte) ([][]byte, error) {
+	var out [][]byte
+	for len(p) > 0 {
+		l, k := binary.Uvarint(p)
+		if k <= 0 || uint64(len(p)-k) < l {
+			return nil, errors.New("node: corrupt stacked payload")
+		}
+		out = append(out, p[k:k+int(l)])
+		p = p[k+int(l):]
+	}
+	if len(out) == 0 {
+		return nil, errors.New("node: empty stacked payload")
+	}
+	return out, nil
+}
+
+// stackedSection returns the first section of a stacked payload (the record's
+// own stored form) or, when last is set, the last one (what the client sees),
+// without building the section list.
+func stackedSection(p []byte, last bool) ([]byte, error) {
+	var sec []byte
+	for len(p) > 0 {
+		l, k := binary.Uvarint(p)
+		if k <= 0 || uint64(len(p)-k) < l {
+			return nil, errors.New("node: corrupt stacked payload")
+		}
+		sec, p = p[k:k+int(l)], p[k+int(l):]
+		if !last {
+			return sec, nil
+		}
+	}
+	if sec == nil {
+		return nil, errors.New("node: empty stacked payload")
+	}
+	return sec, nil
+}
+
+func joinSections(sections [][]byte) []byte {
+	var out []byte
+	for _, s := range sections {
+		out = binary.AppendUvarint(out, uint64(len(s)))
+		out = append(out, s...)
+	}
+	return out
+}

@@ -17,10 +17,7 @@
 package node
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -30,7 +27,6 @@ import (
 	"dbdedup/internal/admission"
 	"dbdedup/internal/core"
 	"dbdedup/internal/dedupcache"
-	"dbdedup/internal/delta"
 	"dbdedup/internal/docstore"
 	"dbdedup/internal/faultfs"
 	"dbdedup/internal/metrics"
@@ -437,1007 +433,6 @@ func (n *Node) enqueueLocked(sh *fifoShard[encodeJob], job encodeJob) (encodeJob
 	return job, false
 }
 
-// ---------------------------------------------------------------- client ops
-
-// Insert stores a new record under (db, key). The record is durable (modulo
-// block buffering) when Insert returns; dedup encoding happens behind it.
-//
-// The admission controller (when configured) is consulted before any
-// resource is reserved: a Reject returns ErrOverloaded without touching the
-// store or the encode queue, and a ShedRaw admits the write but marks its
-// encode job to bypass the dedup workflow — the record is stored, acked,
-// and replicated raw.
-func (n *Node) Insert(db, key string, payload []byte) error {
-	start := time.Now()
-	shed := false
-	if n.adm != nil {
-		switch n.adm.Decide(db, n.encm.QueueDepth.Value(), n.encQueueCap) {
-		case admission.Reject:
-			n.admRejected.Add(1)
-			return ErrOverloaded
-		case admission.ShedRaw:
-			shed = true
-		}
-	}
-	// The one copy of the caller's payload, made before n.mu: the unsealed
-	// block's record, the encode job, the source cache and a raw oplog entry
-	// all share it, none modifies it.
-	if err := n.finish(n.insertLocalEmit(db, key, append([]byte(nil), payload...), true, shed)); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	n.adm.ObserveLatency(elapsed)
-	n.latIns.Observe(elapsed)
-	return nil
-}
-
-// insertLocalEmit is the one routine that creates a record: every new
-// (db, key) on this node, from a client, the replication stream, a snapshot or
-// a shard handoff, is stored here in original form (paper §4.1: new records
-// are always stored raw; backward encoding touches older records) and encoded,
-// if at all, behind it. The node keeps payload. It refuses an existing key
-// with ErrDuplicateKey, publishes the key only after the append succeeded
-// (lock-free readers must never resolve a key to a record the store does not
-// hold) and counts the insert only then, so a failed insert leaves nothing to
-// undo. The returned job carries the new record's ID and version.
-//
-// With emit the encoder token is reserved first and append, publish and
-// enqueue share one n.mu critical section, so oplog order matches mutation
-// order; shed marks the job to skip the dedup workflow. Without emit the
-// applier's per-database FIFO is the order: n.mu covers only the ID and the
-// counters, and what follows the insert (ObserveRaw, or the replica's
-// re-encode) is the caller's.
-func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) (encodeJob, bool, error) {
-	var sh *fifoShard[encodeJob]
-	if emit {
-		sh = n.pool.reserve(db)
-	}
-	n.mu.Lock()
-	fail := func(err error) (encodeJob, bool, error) {
-		n.mu.Unlock()
-		sh.release()
-		return encodeJob{}, false, err
-	}
-	if n.closed {
-		return fail(errors.New("node: closed"))
-	}
-	dbm := n.keys.dbMap(db)
-	if _, exists := dbm.Load(key); exists {
-		return fail(fmt.Errorf("node: %w: %q/%q", ErrDuplicateKey, db, key))
-	}
-	job := encodeJob{kind: oplog.OpInsert, db: db, key: key, id: n.nextID, payload: payload,
-		version: n.version[n.nextID], shedRaw: shed}
-	n.nextID++
-	if !emit {
-		n.mu.Unlock()
-	}
-	err := n.store.Append(docstore.Record{ID: job.id, DB: db, Key: key, Payload: payload})
-	if err == nil {
-		dbm.Store(key, job.id)
-	}
-	if !emit {
-		n.mu.Lock()
-	}
-	if err != nil {
-		return fail(err)
-	}
-	n.stats.Inserts++
-	n.stats.RawInsertBytes += int64(len(payload))
-	inline := false
-	if emit {
-		if shed {
-			n.stats.InsertsShedRaw++
-		}
-		n.recentOps.Add(1)
-		job, inline = n.enqueueLocked(sh, job)
-	}
-	n.mu.Unlock()
-	return job, inline, nil
-}
-
-// finish completes a call of one of the three *LocalEmit routines: in
-// synchronous mode the job it returned is processed here, outside n.mu.
-func (n *Node) finish(job encodeJob, inline bool, err error) error {
-	if err == nil && inline {
-		n.process(job)
-	}
-	return err
-}
-
-// Update overwrites the record's visible content.
-func (n *Node) Update(db, key string, payload []byte) error {
-	return n.finish(n.updateLocalEmit(db, key, payload, true))
-}
-
-// updateLocalEmit performs the update and, when emit is set, queues the
-// oplog job in the same critical section as the version bump so entry order
-// matches mutation order. Without emit it is the storage-side half alone (the
-// replication apply path).
-func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, bool, error) {
-	var job encodeJob
-	inline := false
-	var sh *fifoShard[encodeJob]
-	if emit {
-		sh = n.pool.reserve(db)
-	}
-	// The one copy of the caller's payload: the oplog job and the stored
-	// record share it, and neither modifies it.
-	cp := append([]byte(nil), payload...)
-	n.mu.Lock()
-	id, ok := n.lookup(db, key)
-	if !ok {
-		n.mu.Unlock()
-		sh.release()
-		return job, false, ErrNotFound
-	}
-	n.version[id]++
-	n.stats.Updates++
-	n.recentOps.Add(1)
-	refs := n.refcnt[id]
-	if emit {
-		job, inline = n.enqueueLocked(sh, encodeJob{kind: oplog.OpUpdate, db: db, key: key,
-			id: id, payload: cp})
-	} else {
-		n.opSeq++
-	}
-	n.lastMut[id] = n.opSeq
-	n.mu.Unlock()
-
-	// A pending deferred write-back must never clobber fresh client data.
-	if n.wb != nil {
-		n.wb.Invalidate(id)
-	}
-	// The cached decode/dedup-source content is stale now.
-	if n.eng != nil && n.eng.SourceCache() != nil {
-		n.eng.SourceCache().Remove(id)
-	}
-
-	if refs == 0 {
-		// Nobody decodes through this record: plain overwrite. If the
-		// old form was a delta, its base loses a reference.
-		var oldBase uint64
-		hadBase := false
-		if m, okM := n.store.Meta(id); okM && m.Form == docstore.FormDelta {
-			oldBase, hadBase = m.BaseID, true
-		}
-		if err := n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp}); err != nil {
-			return job, inline, err
-		}
-		if hadBase {
-			n.releaseRef(oldBase)
-		}
-	} else {
-		// Referenced: keep the stored form intact as section 0 and
-		// stack the update on top (paper §4.1, Update).
-		rec, okRec, err := n.store.Get(id)
-		if err != nil {
-			return job, inline, err
-		}
-		if !okRec {
-			return job, inline, ErrNotFound
-		}
-		var stacked []byte
-		if rec.Stacked {
-			// Replace the visible (last) section.
-			sections, err := splitSections(rec.Payload)
-			if err != nil {
-				return job, inline, err
-			}
-			sections[len(sections)-1] = cp
-			stacked = joinSections(sections)
-		} else {
-			stacked = joinSections([][]byte{rec.Payload, cp})
-		}
-		rec.Stacked = true
-		rec.Payload = stacked
-		if err := n.store.Append(rec); err != nil {
-			return job, inline, err
-		}
-	}
-	return job, inline, nil
-}
-
-// Delete removes the record from the client's view. If other records decode
-// through it, it is hidden rather than destroyed and reclaimed later.
-func (n *Node) Delete(db, key string) error {
-	return n.finish(n.deleteLocalEmit(db, key, true))
-}
-
-// deleteLocalEmit is updateLocalEmit's counterpart for a delete.
-func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, error) {
-	var job encodeJob
-	inline := false
-	var sh *fifoShard[encodeJob]
-	if emit {
-		sh = n.pool.reserve(db)
-	}
-	n.mu.Lock()
-	id, ok := n.lookup(db, key)
-	if !ok {
-		n.mu.Unlock()
-		sh.release()
-		return job, false, ErrNotFound
-	}
-	n.keys.delete(db, key)
-	n.version[id]++
-	n.stats.Deletes++
-	n.recentOps.Add(1)
-	refs := n.refcnt[id]
-	if emit {
-		job, inline = n.enqueueLocked(sh, encodeJob{kind: oplog.OpDelete, db: db, key: key, id: id})
-	} else {
-		n.opSeq++
-	}
-	n.lastMut[id] = n.opSeq
-	n.mu.Unlock()
-
-	if n.wb != nil {
-		n.wb.Invalidate(id)
-	}
-	if n.eng != nil && n.eng.SourceCache() != nil {
-		n.eng.SourceCache().Remove(id)
-	}
-
-	if refs == 0 {
-		if err := n.reclaim(id); err != nil {
-			return job, inline, err
-		}
-	} else {
-		rec, okRec, err := n.store.Get(id)
-		if err != nil {
-			return job, inline, err
-		}
-		if okRec {
-			rec.Hidden = true
-			if err := n.store.Append(rec); err != nil {
-				return job, inline, err
-			}
-		}
-	}
-	return job, inline, nil
-}
-
-// reclaim removes record id from the store and releases its base reference,
-// cascading into hidden bases whose last reference disappears and compacting
-// stacked ones. It acquires applyMu; use reclaimLocked when already holding
-// it.
-func (n *Node) reclaim(id uint64) error {
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-	return n.reclaimLocked(id)
-}
-
-func (n *Node) reclaimLocked(id uint64) error {
-	for {
-		rec, ok := n.store.Meta(id)
-		if !ok {
-			return nil
-		}
-		if err := n.store.Delete(id); err != nil {
-			return err
-		}
-		n.mu.Lock()
-		// Note: the version entry is retained (not deleted) so pending
-		// write-backs that name this record as base keep failing their
-		// version check.
-		var nextID uint64
-		freed := false
-		if rec.Form == docstore.FormDelta {
-			n.refcnt[rec.BaseID]--
-			if n.refcnt[rec.BaseID] <= 0 {
-				delete(n.refcnt, rec.BaseID)
-				nextID = rec.BaseID
-				freed = true
-			}
-		}
-		n.mu.Unlock()
-		if !freed {
-			return nil
-		}
-		m, okMeta := n.store.Meta(nextID)
-		switch {
-		case okMeta && m.Hidden:
-			id = nextID // cascade into the deleted base
-		case okMeta && m.Stacked:
-			n.compactStackedLocked(nextID)
-			return nil
-		default:
-			return nil
-		}
-	}
-}
-
-// Read returns the record's visible content. The key lookup is lock-free
-// (keyDir); Read never touches n.mu.
-func (n *Node) Read(db, key string) ([]byte, error) {
-	start := time.Now()
-	id, ok := n.lookup(db, key)
-	n.readsTotal.Add(1)
-	n.recentOps.Add(1)
-	if !ok {
-		return nil, ErrNotFound
-	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	content, err := n.decode(sc, id, visibleContent)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), content...) // the caller's own: the one copy of a read
-	n.latRead.Observe(time.Since(start))
-	return out, nil
-}
-
-// lookup resolves (db, key) to a record ID. Lock-free; safe with or
-// without n.mu held.
-func (n *Node) lookup(db, key string) (uint64, bool) {
-	return n.keys.load(db, key)
-}
-
-// Has reports whether (db, key) exists. Lock-free.
-func (n *Node) Has(db, key string) bool {
-	_, ok := n.lookup(db, key)
-	return ok
-}
-
-// ------------------------------------------------------------------- encode
-
-// process runs the dedup workflow for one queued mutation and emits its
-// oplog entry. It runs on the encode goroutine (or inline with SyncEncode).
-func (n *Node) process(job encodeJob) {
-	switch job.kind {
-	case oplog.OpInsert:
-		n.processInsert(job)
-	case oplog.OpUpdate:
-		e := oplog.Entry{TS: time.Now().UnixNano(), Op: oplog.OpUpdate,
-			DB: job.db, Key: job.key, Payload: job.payload}
-		n.appendOplog(e)
-	case oplog.OpDelete:
-		e := oplog.Entry{TS: time.Now().UnixNano(), Op: oplog.OpDelete,
-			DB: job.db, Key: job.key}
-		n.appendOplog(e)
-	}
-}
-
-func (n *Node) processInsert(job encodeJob) {
-	entry := oplog.Entry{TS: time.Now().UnixNano(), Op: oplog.OpInsert,
-		DB: job.db, Key: job.key, Form: oplog.FormRaw, Payload: job.payload}
-
-	// A shed insert ships raw: no sketch, no index probe, no delta — the
-	// whole point of shedding is that the worker's time per job collapses
-	// to an oplog append so the queue drains. The record is already in the
-	// store; compaction-time re-dedup can recover the ratio later.
-	if job.shedRaw {
-		n.appendOplog(entry)
-		return
-	}
-
-	n.mu.RLock()
-	alreadyMutated := n.version[job.id] != job.version || n.lastMut[job.id] > job.opSeq
-	n.mu.RUnlock()
-	if n.eng != nil && !alreadyMutated {
-		if n.opts.SimulatedEncodeDelay > 0 {
-			time.Sleep(n.opts.SimulatedEncodeDelay)
-		}
-		res, err := n.eng.Encode(job.db, job.id, job.payload)
-		// If the record was client-mutated while encoding, the engine
-		// may have cached its stale insert payload as a dedup source;
-		// scrub it. The content-verifying write-back guard below makes
-		// any remaining staleness harmless.
-		n.mu.RLock()
-		mutatedDuring := n.version[job.id] != job.version
-		n.mu.RUnlock()
-		if mutatedDuring && n.eng.SourceCache() != nil {
-			n.eng.SourceCache().Remove(job.id)
-		}
-		if err == nil && res.Deduped {
-			// The forward delta was computed against the source's
-			// *current* content. The secondary decodes it against the
-			// source content as of this entry's position in the oplog,
-			// so if the source was client-mutated after this insert was
-			// accepted, the two differ: ship raw instead. The local
-			// write-backs stay valid (they are version-guarded).
-			n.mu.RLock()
-			srcMutatedSince := n.lastMut[res.SourceID] > job.opSeq
-			n.mu.RUnlock()
-			srcKey, ok := n.keyOf(res.SourceID)
-			if ok && !srcMutatedSince {
-				entry.Form = oplog.FormDelta
-				entry.BaseKey = srcKey
-				entry.Payload = res.Forward.Marshal()
-			}
-			n.queueWritebacks(res.Writebacks, job.id, job.version)
-		}
-	}
-	n.appendOplog(entry)
-}
-
-// keyOf returns the client key of record id (hidden records excluded).
-func (n *Node) keyOf(id uint64) (string, bool) {
-	m, ok := n.store.Meta(id)
-	if !ok || m.Hidden {
-		return "", false
-	}
-	return m.Key, true
-}
-
-func (n *Node) appendOplog(e oplog.Entry) {
-	n.log.Append(e)
-	n.oplogBytes.Add(int64(e.MarshalledSize()))
-}
-
-// queueWritebacks routes the engine's write-back decisions through the lossy
-// cache (or applies them inline when the cache is disabled). newID/newVer
-// identify the just-inserted record and its version at insert time: deltas
-// were computed against its insert payload, so client mutations to it in
-// the meantime (version[newID] != newVer) must invalidate them — the stored
-// version guard captures exactly that.
-func (n *Node) queueWritebacks(wbs []core.Writeback, newID uint64, newVer uint32) {
-	for _, wb := range wbs {
-		n.mu.RLock()
-		ver := n.version[wb.ID]
-		baseVer := n.version[wb.Base]
-		if wb.Base == newID {
-			baseVer = newVer
-		}
-		n.mu.RUnlock()
-		payload := encodeWritebackPayload(wb, ver, baseVer)
-		if n.wb == nil {
-			n.applyWriteback(wb.ID, payload)
-			continue
-		}
-		n.wb.Add(dedupcache.Writeback{ID: wb.ID, Payload: payload, Saving: wb.EstimatedSaving})
-	}
-}
-
-// Write-back payloads carry (base, version-of-record, version-of-base,
-// delta) so the flusher can validate, long after the encode decision, that
-// neither the record nor the content it would decode from has been changed
-// by the client in the meantime.
-func encodeWritebackPayload(wb core.Writeback, version, baseVersion uint32) []byte {
-	out := binary.AppendUvarint(nil, wb.Base)
-	out = binary.AppendUvarint(out, uint64(version))
-	out = binary.AppendUvarint(out, uint64(baseVersion))
-	return append(out, wb.Delta.Marshal()...)
-}
-
-func decodeWritebackPayload(p []byte) (base uint64, version, baseVersion uint32, deltaBytes []byte, err error) {
-	base, k := binary.Uvarint(p)
-	if k <= 0 {
-		return 0, 0, 0, nil, errors.New("node: bad write-back payload")
-	}
-	p = p[k:]
-	v, k := binary.Uvarint(p)
-	if k <= 0 {
-		return 0, 0, 0, nil, errors.New("node: bad write-back payload")
-	}
-	p = p[k:]
-	bv, k := binary.Uvarint(p)
-	if k <= 0 {
-		return 0, 0, 0, nil, errors.New("node: bad write-back payload")
-	}
-	return base, uint32(v), uint32(bv), p[k:], nil
-}
-
-// FlushWritebacks applies up to max pending write-backs (all of them when
-// max < 0), returning how many were applied.
-func (n *Node) FlushWritebacks(max int) int {
-	if n.wb == nil {
-		return 0
-	}
-	if max < 0 {
-		max = n.wb.Len()
-	}
-	applied := 0
-	for _, wb := range n.wb.DrainBest(max) {
-		if n.applyWriteback(wb.ID, wb.Payload) {
-			applied++
-		}
-	}
-	return applied
-}
-
-// PendingWritebacks returns the size of the write-back backlog.
-func (n *Node) PendingWritebacks() int {
-	if n.wb == nil {
-		return 0
-	}
-	return n.wb.Len()
-}
-
-// applyWriteback replaces record id's stored form with the backward delta,
-// unless the record — or the base it would decode from — changed since the
-// delta was computed. Skipping is always safe: the record just stays in its
-// older, larger form (the "lossy" property of §3.3.2).
-func (n *Node) applyWriteback(id uint64, payload []byte) bool {
-	base, ver, baseVer, deltaBytes, err := decodeWritebackPayload(payload)
-	if err != nil {
-		return false
-	}
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-
-	n.mu.Lock()
-	if n.version[id] != ver || n.version[base] != baseVer {
-		n.stats.WritebacksSkipped++
-		n.mu.Unlock()
-		return false
-	}
-	n.mu.Unlock()
-
-	rec, ok := n.store.Meta(id)
-	if !ok {
-		return false
-	}
-	skip := func() bool {
-		n.mu.Lock()
-		n.stats.WritebacksSkipped++
-		n.mu.Unlock()
-		return false
-	}
-	if rec.Stacked || rec.Hidden {
-		// Changed shape since encode; leave it alone (lossy is fine).
-		return skip()
-	}
-	// The chain this re-encoding creates must still ground in a raw record.
-	// Write-backs alone cannot cycle (they re-encode an older record
-	// against a newer one and the newest stays raw), but a compaction-time
-	// re-dedup conversion can point a newer record at an older one — a
-	// queued write-back in the opposite direction would then close a
-	// cycle, which recovery refuses to ground, losing the whole chain.
-	// Both writers walk under applyMu, so whichever commits second sees
-	// the other's committed form and skips (lossy is fine).
-	if !n.rededupStillSafe(id, base, int(n.store.Stats().LiveRecords)+1) {
-		return skip()
-	}
-
-	// End-to-end guard: the re-encoding must reproduce exactly the
-	// content this record currently decodes to. The version checks above
-	// are fast-path filters; this catches every residual staleness
-	// (e.g. a delta computed from a cache entry that a concurrent client
-	// mutation invalidated mid-encode). Skipping costs only compression.
-	cur, err := n.decode(&n.applyScratch[0], id, baseContentNoRepair)
-	if err != nil {
-		return false
-	}
-	if !n.reproducesLocked(base, deltaBytes, cur) {
-		return skip()
-	}
-
-	err = n.store.Append(docstore.Record{ID: id, DB: rec.DB, Key: rec.Key,
-		Form: docstore.FormDelta, BaseID: base, Payload: deltaBytes})
-	if err != nil {
-		return false
-	}
-
-	n.mu.Lock()
-	n.refcnt[base]++
-	n.stats.WritebacksApplied++
-	n.mu.Unlock()
-	if rec.Form == docstore.FormDelta {
-		n.releaseRefLocked(rec.BaseID)
-	}
-	return true
-}
-
-// reproducesLocked reports whether the marshalled delta, applied to what
-// record base decodes to, yields exactly want: the check every path that
-// assigns a base runs before it commits. Caller holds applyMu; want may live
-// in applyScratch[0].
-func (n *Node) reproducesLocked(base uint64, deltaBytes, want []byte) bool {
-	baseContent, err := n.decode(&n.applyScratch[1], base, baseContentNoRepair)
-	if err != nil {
-		return false
-	}
-	got, err := delta.ApplyInto(n.applyCheck, baseContent, deltaBytes)
-	if err != nil {
-		return false
-	}
-	n.applyCheck = got
-	return bytes.Equal(got, want)
-}
-
-// releaseRef decrements a base's reference count. A record that becomes
-// unreferenced is reclaimed if the client had deleted it (hidden), or
-// compacted back to plain form if it carries stacked client updates
-// (paper §4.1: "when the reference count reaches zero, dbDedup compacts all
-// the updates to the record and replaces it with the new data").
-// It acquires applyMu; use releaseRefLocked when already holding it.
-func (n *Node) releaseRef(baseID uint64) {
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-	n.releaseRefLocked(baseID)
-}
-
-func (n *Node) releaseRefLocked(baseID uint64) {
-	n.mu.Lock()
-	n.refcnt[baseID]--
-	gone := n.refcnt[baseID] <= 0
-	if gone {
-		delete(n.refcnt, baseID)
-	}
-	n.mu.Unlock()
-	if !gone {
-		return
-	}
-	m, ok := n.store.Meta(baseID)
-	if !ok {
-		return
-	}
-	switch {
-	case m.Hidden:
-		n.reclaimLocked(baseID)
-	case m.Stacked:
-		n.compactStackedLocked(baseID)
-	}
-}
-
-// compactStackedLocked rewrites an unreferenced stacked record as a plain
-// raw record holding its visible content. Caller holds applyMu.
-func (n *Node) compactStackedLocked(id uint64) {
-	n.mu.RLock()
-	refs := n.refcnt[id]
-	n.mu.RUnlock()
-	if refs > 0 {
-		return // re-referenced concurrently
-	}
-	rec, ok := n.store.Meta(id)
-	if !ok || !rec.Stacked {
-		return
-	}
-	var visible []byte // the store keeps it: a slice of its own
-	err := n.lend(id, rec, true, func(stored []byte) error {
-		visible = append([]byte(nil), stored...)
-		return nil
-	})
-	if err != nil {
-		return
-	}
-	err = n.store.Append(docstore.Record{ID: id, DB: rec.DB, Key: rec.Key, Hidden: rec.Hidden, Payload: visible})
-	if err != nil {
-		return
-	}
-	if rec.Form == docstore.FormDelta {
-		n.releaseRefLocked(rec.BaseID)
-	}
-}
-
-// flushLoop applies write-backs when the node looks idle (the paper's I/O
-// queue length signal; our proxy is the client op rate plus the encode
-// queue depth).
-func (n *Node) flushLoop() {
-	defer n.wg.Done()
-	ticker := time.NewTicker(n.opts.FlushInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case <-ticker.C:
-			busy := n.recentOps.Swap(0) > 4
-			if busy {
-				continue
-			}
-			if n.encm.QueueDepth.Value() > 0 {
-				continue
-			}
-			n.FlushWritebacks(idleFlushBatch)
-		}
-	}
-}
-
-// ------------------------------------------------------------------- decode
-
-// fetcher adapts the node to core.Fetcher. The engine needs the content a
-// delta against this record would decode from — the record's base content
-// (original, pre-stacked-update).
-type fetcher struct{ n *Node }
-
-// FetchDecoded returns a copy of its own: the engine builds deltas whose
-// literals alias the content, and keeps them past this call.
-func (f fetcher) FetchDecoded(id uint64) ([]byte, error) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	content, err := f.n.decode(sc, id, baseContent)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), content...), nil
-}
-
-// scratch is the working memory of one chain decode: the plan of the walk and
-// the two buffers its deltas alternate between, each delta reading the one and
-// writing the other. What decode returns lives in a scratch (or in the source
-// cache) and is good until the scratch is used again. Who owns which: the
-// paths applyMu serialises (write-back apply, hidden-chain repair, the
-// re-dedup verify) use the node's own applyScratch; Read, replica apply, the
-// fetcher, VerifyAll and the re-dedup rewrite take one from scratchPool for
-// the call and copy out at most once, into the slice they hand on.
-type scratch struct {
-	hops []hop
-	buf  [2][]byte
-}
-
-// hop is one delta-encoded record on a planned walk, outermost first, as
-// Store.Meta showed it.
-type hop struct {
-	id, base uint64
-	hidden   bool
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// decodeMode says which content of a record decode produces, and whether it
-// may repair the chain it walked.
-type decodeMode int
-
-const (
-	// visibleContent is what a client read yields: the last stacked
-	// section if there is one, ErrNotFound for a hidden record.
-	visibleContent decodeMode = iota
-	// baseContent is what other records decode through: the original
-	// content, ignoring stacked client updates, hidden or not.
-	baseContent
-	// baseContentNoRepair is baseContent without the opportunistic splice
-	// of a hidden record, for callers that already hold applyMu.
-	baseContentNoRepair
-)
-
-// errReplan reports that a record was no longer stored the way the plan saw
-// it: a write-back, repair or client write got in between.
-var errReplan = errors.New("node: stored form changed under a chain walk")
-
-// decode returns the content of record id in memory that belongs to sc or to
-// the source cache: valid until sc is used again, not to be modified or kept.
-//
-// The walk is planned from Store.Meta alone (form, base, stacked and hidden
-// need no payload), stopping at a raw record or at a base the source cache
-// holds. Then the base is copied into sc and every delta on the path is
-// applied straight from its stored bytes, lent by Store.View for exactly that
-// long, so a k-step chain costs k applies and no copy of any delta. A View
-// shows one consistent version of a record but the plan is older than it, so
-// each View checks that the record is still stored as planned; if not, the
-// walk is planned again. Base contents never change while referenced, which
-// is what makes any consistent plan decode to the same bytes.
-func (n *Node) decode(sc *scratch, id uint64, mode decodeMode) ([]byte, error) {
-	for attempt := 0; ; attempt++ {
-		w, err := n.planWalk(sc, id, mode)
-		if err != nil {
-			return nil, err
-		}
-		content, err := n.runWalk(sc, w)
-		if err != errReplan {
-			return content, err
-		}
-		switch {
-		case attempt < 4:
-			runtime.Gosched()
-		case attempt < 200:
-			// A writer is mid-append (Meta and the record maps are a
-			// version apart), possibly descheduled: give it time.
-			time.Sleep(50 * time.Microsecond)
-		default:
-			return nil, fmt.Errorf("node: record %d: %w", id, errReplan)
-		}
-	}
-}
-
-// walk is a planned chain walk: the record it ends at, as Store.Meta showed
-// it, and what to do on the way. The delta records it passes are sc.hops.
-type walk struct {
-	baseID uint64
-	base   docstore.MetaInfo
-	// cached is the base's content when the source cache holds it; the base
-	// is then not read at all.
-	cached []byte
-	// last marks a client read of a stacked record: its content is the
-	// base's last section, not the stored form underneath.
-	last bool
-	// keep indexes the hop whose content repair needs (-1 for none), and
-	// hidID is the hidden record right behind it.
-	keep  int
-	hidID uint64
-}
-
-// planWalk collects into sc.hops the delta records from id inward, until a
-// record that can be read without decoding another.
-func (n *Node) planWalk(sc *scratch, id uint64, mode decodeMode) (walk, error) {
-	sc.hops = sc.hops[:0]
-	w := walk{baseID: id, keep: -1}
-	var ok bool
-	w.base, ok = n.store.Meta(id)
-	if mode == visibleContent {
-		if !ok || w.base.Hidden {
-			return w, ErrNotFound
-		}
-		if w.base.Stacked {
-			w.last = true
-			return w, nil
-		}
-	} else if !ok {
-		return w, fmt.Errorf("node: decode base %d missing", id)
-	}
-	for w.base.Form == docstore.FormDelta {
-		if len(sc.hops) > 1<<20 {
-			return w, errors.New("node: decode chain cycle")
-		}
-		sc.hops = append(sc.hops, hop{id: w.baseID, base: w.base.BaseID, hidden: w.base.Hidden})
-		from := w.baseID
-		w.baseID = w.base.BaseID
-		if w.base, ok = n.store.Meta(w.baseID); !ok {
-			return w, fmt.Errorf("node: record %d: base %d missing", from, w.baseID)
-		}
-		// Source record cache: a decoded base short-circuits the walk.
-		// Cached content is the record's base content only when it has no
-		// stacked updates.
-		if n.eng != nil && n.eng.SourceCache() != nil && !w.base.Stacked {
-			if c, hit := n.eng.SourceCache().Get(w.baseID); hit {
-				w.cached = c
-				break
-			}
-		}
-		n.decodeSteps.Add(1)
-	}
-
-	// Opportunistic repair (paper §4.1, Garbage Collection): the first
-	// hidden record on the path gets spliced out by re-binding its dependant
-	// directly to the record behind it (or to raw form when the hidden
-	// record terminates the chain). The dependant's content is the one thing
-	// repair needs from the walk, so the plan marks which step to keep. At
-	// most one repair per read.
-	if mode != baseContentNoRepair {
-		if w.cached == nil || !w.base.Hidden {
-			for i := 0; i+1 < len(sc.hops); i++ {
-				if sc.hops[i+1].hidden {
-					w.keep, w.hidID = i, sc.hops[i+1].id
-					break
-				}
-			}
-		}
-		if w.keep < 0 && w.base.Hidden && len(sc.hops) > 0 {
-			w.keep, w.hidID = len(sc.hops)-1, w.baseID
-		}
-	}
-	return w, nil
-}
-
-// runWalk produces the content w was planned for: the base, then the deltas
-// of sc.hops from the base outward. It returns errReplan if a record is no
-// longer stored the way the plan saw it.
-func (n *Node) runWalk(sc *scratch, w walk) ([]byte, error) {
-	content, next := w.cached, 0 // next: the buffer the next result goes into
-	if w.cached == nil {
-		err := n.lend(w.baseID, w.base, w.last, func(stored []byte) error {
-			sc.buf[0] = append(sc.buf[0][:0], stored...)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		content, next = sc.buf[0], 1
-	}
-	var kept []byte
-	for i := len(sc.hops) - 1; i >= 0; i-- {
-		h := sc.hops[i]
-		planned := docstore.MetaInfo{Form: docstore.FormDelta, BaseID: h.base, Hidden: h.hidden}
-		err := n.lend(h.id, planned, false, func(stored []byte) error {
-			out, err := delta.ApplyInto(sc.buf[next], content, stored)
-			if err != nil {
-				return fmt.Errorf("node: applying delta for record %d: %w", h.id, err)
-			}
-			sc.buf[next] = out
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		content, next = sc.buf[next], next^1
-		if i == w.keep {
-			kept = append([]byte(nil), content...)
-		}
-	}
-	if w.keep >= 0 {
-		n.repairPastHidden(sc.hops[w.keep].id, w.hidID, kept)
-	}
-	return content, nil
-}
-
-// lend calls fn with record id's stored bytes, borrowed from the store for
-// the length of the call (Store.View's leaf rule applies to fn): the record's
-// own stored form, which is section 0 of a stacked record, or with last set
-// the last section of a stacked record, which is what a client sees of it. It
-// returns errReplan when the record is gone or no longer has the form, base
-// and hidden flag that planned shows (and, with last set, is no longer
-// stacked).
-func (n *Node) lend(id uint64, planned docstore.MetaInfo, last bool, fn func(stored []byte) error) error {
-	err := errReplan
-	_, viewErr := n.store.View(id, func(v docstore.Stored) {
-		if v.Form != planned.Form || v.Form == docstore.FormDelta && v.BaseID != planned.BaseID ||
-			v.Hidden != planned.Hidden || last && !v.Stacked {
-			return
-		}
-		stored := v.Payload
-		if v.Stacked {
-			if stored, err = stackedSection(stored, last); err != nil {
-				return
-			}
-		}
-		err = fn(stored)
-	})
-	if viewErr != nil {
-		return viewErr
-	}
-	return err
-}
-
-// repairPastHidden re-binds record depID (whose decoded content is
-// depContent, which the store keeps when the dependant goes back to raw) past
-// the hidden record hidID: to hidID's own base when hidID is delta-encoded,
-// or back to raw form when hidID terminates the chain. One reference to hidID
-// is released, eventually reclaiming it.
-func (n *Node) repairPastHidden(depID, hidID uint64, depContent []byte) {
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-
-	// Re-verify under the lock: the dependant must still decode through
-	// the hidden record, and the hidden record must still be hidden.
-	depMeta, ok := n.store.Meta(depID)
-	if !ok || depMeta.Form != docstore.FormDelta || depMeta.BaseID != hidID {
-		return
-	}
-	hidMeta, ok := n.store.Meta(hidID)
-	if !ok || !hidMeta.Hidden {
-		return
-	}
-	dep, ok, err := n.store.Get(depID)
-	if err != nil || !ok {
-		return
-	}
-
-	var newPayload []byte
-	newForm := docstore.FormRaw
-	var newBaseID uint64
-	if hidMeta.Form == docstore.FormDelta {
-		// Splice: delta the dependant directly against the hidden
-		// record's own base.
-		newBaseID = hidMeta.BaseID
-		baseContent, err := n.decode(&n.applyScratch[0], newBaseID, baseContentNoRepair)
-		if err != nil {
-			return
-		}
-		d := delta.Compress(baseContent, depContent, delta.Options{})
-		newPayload = d.Marshal()
-		newForm = docstore.FormDelta
-	} else {
-		// The hidden record terminates the chain: the dependant goes
-		// back to raw form.
-		newPayload = depContent
-	}
-
-	if dep.Stacked {
-		sections, err := splitSections(dep.Payload)
-		if err != nil {
-			return
-		}
-		sections[0] = newPayload
-		dep.Payload = joinSections(sections)
-	} else {
-		dep.Payload = newPayload
-	}
-	dep.Form = newForm
-	dep.BaseID = newBaseID
-	if err := n.store.Append(dep); err != nil {
-		return
-	}
-	n.mu.Lock()
-	if newForm == docstore.FormDelta {
-		n.refcnt[newBaseID]++
-	}
-	n.stats.HiddenRepaired++
-	n.mu.Unlock()
-	n.releaseRefLocked(hidID)
-}
-
 // ------------------------------------------------------------------ getters
 
 // Oplog exposes the node's operation log to the replication layer.
@@ -1524,52 +519,4 @@ func (n *Node) RefCount(db, key string) int {
 		return 0
 	}
 	return n.refcnt[id]
-}
-
-// ------------------------------------------------------------- stacked utils
-
-func splitSections(p []byte) ([][]byte, error) {
-	var out [][]byte
-	for len(p) > 0 {
-		l, k := binary.Uvarint(p)
-		if k <= 0 || uint64(len(p)-k) < l {
-			return nil, errors.New("node: corrupt stacked payload")
-		}
-		out = append(out, p[k:k+int(l)])
-		p = p[k+int(l):]
-	}
-	if len(out) == 0 {
-		return nil, errors.New("node: empty stacked payload")
-	}
-	return out, nil
-}
-
-// stackedSection returns the first section of a stacked payload (the record's
-// own stored form) or, when last is set, the last one (what the client sees),
-// without building the section list.
-func stackedSection(p []byte, last bool) ([]byte, error) {
-	var sec []byte
-	for len(p) > 0 {
-		l, k := binary.Uvarint(p)
-		if k <= 0 || uint64(len(p)-k) < l {
-			return nil, errors.New("node: corrupt stacked payload")
-		}
-		sec, p = p[k:k+int(l)], p[k+int(l):]
-		if !last {
-			return sec, nil
-		}
-	}
-	if sec == nil {
-		return nil, errors.New("node: empty stacked payload")
-	}
-	return sec, nil
-}
-
-func joinSections(sections [][]byte) []byte {
-	var out []byte
-	for _, s := range sections {
-		out = binary.AppendUvarint(out, uint64(len(s)))
-		out = append(out, s...)
-	}
-	return out
 }

@@ -1,0 +1,672 @@
+package node
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"time"
+
+	"dbdedup/internal/admission"
+	"dbdedup/internal/core"
+	"dbdedup/internal/dedupcache"
+	"dbdedup/internal/delta"
+	"dbdedup/internal/docstore"
+	"dbdedup/internal/oplog"
+)
+
+// ---------------------------------------------------------------- client ops
+
+// Insert stores a new record under (db, key). The record is durable (modulo
+// block buffering) when Insert returns; dedup encoding happens behind it.
+//
+// The admission controller (when configured) is consulted before any
+// resource is reserved: a Reject returns ErrOverloaded without touching the
+// store or the encode queue, and a ShedRaw admits the write but marks its
+// encode job to bypass the dedup workflow — the record is stored, acked,
+// and replicated raw.
+func (n *Node) Insert(db, key string, payload []byte) error {
+	start := time.Now()
+	shed := false
+	if n.adm != nil {
+		switch n.adm.Decide(db, n.encm.QueueDepth.Value(), n.encQueueCap) {
+		case admission.Reject:
+			n.admRejected.Add(1)
+			return ErrOverloaded
+		case admission.ShedRaw:
+			shed = true
+		}
+	}
+	// The one copy of the caller's payload, made before n.mu: the unsealed
+	// block's record, the encode job, the source cache and a raw oplog entry
+	// all share it, none modifies it.
+	if err := n.finish(n.insertLocalEmit(db, key, append([]byte(nil), payload...), true, shed)); err != nil {
+		return err
+	}
+	elapsed := time.Since(start)
+	n.adm.ObserveLatency(elapsed)
+	n.latIns.Observe(elapsed)
+	return nil
+}
+
+// insertLocalEmit is the one routine that creates a record: every new
+// (db, key) on this node, from a client, the replication stream, a snapshot or
+// a shard handoff, is stored here in original form (paper §4.1: new records
+// are always stored raw; backward encoding touches older records) and encoded,
+// if at all, behind it. The node keeps payload. It refuses an existing key
+// with ErrDuplicateKey, publishes the key only after the append succeeded
+// (lock-free readers must never resolve a key to a record the store does not
+// hold) and counts the insert only then, so a failed insert leaves nothing to
+// undo. The returned job carries the new record's ID and version.
+//
+// With emit the encoder token is reserved first and append, publish and
+// enqueue share one n.mu critical section, so oplog order matches mutation
+// order; shed marks the job to skip the dedup workflow. Without emit the
+// applier's per-database FIFO is the order: n.mu covers only the ID and the
+// counters, and what follows the insert (ObserveRaw, or the replica's
+// re-encode) is the caller's.
+func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) (encodeJob, bool, error) {
+	var sh *fifoShard[encodeJob]
+	if emit {
+		sh = n.pool.reserve(db)
+	}
+	n.mu.Lock()
+	fail := func(err error) (encodeJob, bool, error) {
+		n.mu.Unlock()
+		sh.release()
+		return encodeJob{}, false, err
+	}
+	if n.closed {
+		return fail(errors.New("node: closed"))
+	}
+	dbm := n.keys.dbMap(db)
+	if _, exists := dbm.Load(key); exists {
+		return fail(fmt.Errorf("node: %w: %q/%q", ErrDuplicateKey, db, key))
+	}
+	job := encodeJob{kind: oplog.OpInsert, db: db, key: key, id: n.nextID, payload: payload,
+		version: n.version[n.nextID], shedRaw: shed}
+	n.nextID++
+	if !emit {
+		n.mu.Unlock()
+	}
+	err := n.store.Append(docstore.Record{ID: job.id, DB: db, Key: key, Payload: payload})
+	if err == nil {
+		dbm.Store(key, job.id)
+	}
+	if !emit {
+		n.mu.Lock()
+	}
+	if err != nil {
+		return fail(err)
+	}
+	n.stats.Inserts++
+	n.stats.RawInsertBytes += int64(len(payload))
+	inline := false
+	if emit {
+		if shed {
+			n.stats.InsertsShedRaw++
+		}
+		n.recentOps.Add(1)
+		job, inline = n.enqueueLocked(sh, job)
+	}
+	n.mu.Unlock()
+	return job, inline, nil
+}
+
+// finish completes a call of one of the three *LocalEmit routines: in
+// synchronous mode the job it returned is processed here, outside n.mu.
+func (n *Node) finish(job encodeJob, inline bool, err error) error {
+	if err == nil && inline {
+		n.process(job)
+	}
+	return err
+}
+
+// Update overwrites the record's visible content.
+func (n *Node) Update(db, key string, payload []byte) error {
+	return n.finish(n.updateLocalEmit(db, key, payload, true))
+}
+
+// updateLocalEmit performs the update and, when emit is set, queues the
+// oplog job in the same critical section as the version bump so entry order
+// matches mutation order. Without emit it is the storage-side half alone (the
+// replication apply path).
+func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, bool, error) {
+	var job encodeJob
+	inline := false
+	var sh *fifoShard[encodeJob]
+	if emit {
+		sh = n.pool.reserve(db)
+	}
+	// The one copy of the caller's payload: the oplog job and the stored
+	// record share it, and neither modifies it.
+	cp := append([]byte(nil), payload...)
+	n.mu.Lock()
+	id, ok := n.lookup(db, key)
+	if !ok {
+		n.mu.Unlock()
+		sh.release()
+		return job, false, ErrNotFound
+	}
+	n.version[id]++
+	n.stats.Updates++
+	n.recentOps.Add(1)
+	refs := n.refcnt[id]
+	if emit {
+		job, inline = n.enqueueLocked(sh, encodeJob{kind: oplog.OpUpdate, db: db, key: key,
+			id: id, payload: cp})
+	} else {
+		n.opSeq++
+	}
+	n.lastMut[id] = n.opSeq
+	n.mu.Unlock()
+
+	// A pending deferred write-back must never clobber fresh client data.
+	if n.wb != nil {
+		n.wb.Invalidate(id)
+	}
+	// The cached decode/dedup-source content is stale now.
+	if n.eng != nil && n.eng.SourceCache() != nil {
+		n.eng.SourceCache().Remove(id)
+	}
+
+	if refs == 0 {
+		// Nobody decodes through this record: plain overwrite. If the
+		// old form was a delta, its base loses a reference.
+		var oldBase uint64
+		hadBase := false
+		if m, okM := n.store.Meta(id); okM && m.Form == docstore.FormDelta {
+			oldBase, hadBase = m.BaseID, true
+		}
+		if err := n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp}); err != nil {
+			return job, inline, err
+		}
+		if hadBase {
+			n.releaseRef(oldBase)
+		}
+	} else {
+		// Referenced: keep the stored form intact as section 0 and
+		// stack the update on top (paper §4.1, Update).
+		rec, okRec, err := n.store.Get(id)
+		if err != nil {
+			return job, inline, err
+		}
+		if !okRec {
+			return job, inline, ErrNotFound
+		}
+		var stacked []byte
+		if rec.Stacked {
+			// Replace the visible (last) section.
+			sections, err := splitSections(rec.Payload)
+			if err != nil {
+				return job, inline, err
+			}
+			sections[len(sections)-1] = cp
+			stacked = joinSections(sections)
+		} else {
+			stacked = joinSections([][]byte{rec.Payload, cp})
+		}
+		rec.Stacked = true
+		rec.Payload = stacked
+		if err := n.store.Append(rec); err != nil {
+			return job, inline, err
+		}
+	}
+	return job, inline, nil
+}
+
+// Delete removes the record from the client's view. If other records decode
+// through it, it is hidden rather than destroyed and reclaimed later.
+func (n *Node) Delete(db, key string) error {
+	return n.finish(n.deleteLocalEmit(db, key, true))
+}
+
+// deleteLocalEmit is updateLocalEmit's counterpart for a delete.
+func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, error) {
+	var job encodeJob
+	inline := false
+	var sh *fifoShard[encodeJob]
+	if emit {
+		sh = n.pool.reserve(db)
+	}
+	n.mu.Lock()
+	id, ok := n.lookup(db, key)
+	if !ok {
+		n.mu.Unlock()
+		sh.release()
+		return job, false, ErrNotFound
+	}
+	n.keys.delete(db, key)
+	n.version[id]++
+	n.stats.Deletes++
+	n.recentOps.Add(1)
+	refs := n.refcnt[id]
+	if emit {
+		job, inline = n.enqueueLocked(sh, encodeJob{kind: oplog.OpDelete, db: db, key: key, id: id})
+	} else {
+		n.opSeq++
+	}
+	n.lastMut[id] = n.opSeq
+	n.mu.Unlock()
+
+	if n.wb != nil {
+		n.wb.Invalidate(id)
+	}
+	if n.eng != nil && n.eng.SourceCache() != nil {
+		n.eng.SourceCache().Remove(id)
+	}
+
+	if refs == 0 {
+		if err := n.reclaim(id); err != nil {
+			return job, inline, err
+		}
+	} else {
+		rec, okRec, err := n.store.Get(id)
+		if err != nil {
+			return job, inline, err
+		}
+		if okRec {
+			rec.Hidden = true
+			if err := n.store.Append(rec); err != nil {
+				return job, inline, err
+			}
+		}
+	}
+	return job, inline, nil
+}
+
+// reclaim removes record id from the store and releases its base reference,
+// cascading into hidden bases whose last reference disappears and compacting
+// stacked ones. It acquires applyMu; use reclaimLocked when already holding
+// it.
+func (n *Node) reclaim(id uint64) error {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+	return n.reclaimLocked(id)
+}
+
+func (n *Node) reclaimLocked(id uint64) error {
+	for {
+		rec, ok := n.store.Meta(id)
+		if !ok {
+			return nil
+		}
+		if err := n.store.Delete(id); err != nil {
+			return err
+		}
+		n.mu.Lock()
+		// Note: the version entry is retained (not deleted) so pending
+		// write-backs that name this record as base keep failing their
+		// version check.
+		var nextID uint64
+		freed := false
+		if rec.Form == docstore.FormDelta {
+			n.refcnt[rec.BaseID]--
+			if n.refcnt[rec.BaseID] <= 0 {
+				delete(n.refcnt, rec.BaseID)
+				nextID = rec.BaseID
+				freed = true
+			}
+		}
+		n.mu.Unlock()
+		if !freed {
+			return nil
+		}
+		m, okMeta := n.store.Meta(nextID)
+		switch {
+		case okMeta && m.Hidden:
+			id = nextID // cascade into the deleted base
+		case okMeta && m.Stacked:
+			n.compactStackedLocked(nextID)
+			return nil
+		default:
+			return nil
+		}
+	}
+}
+
+// ------------------------------------------------------------------- encode
+
+// process runs the dedup workflow for one queued mutation and emits its
+// oplog entry. It runs on the encode goroutine (or inline with SyncEncode).
+func (n *Node) process(job encodeJob) {
+	switch job.kind {
+	case oplog.OpInsert:
+		n.processInsert(job)
+	case oplog.OpUpdate:
+		e := oplog.Entry{TS: time.Now().UnixNano(), Op: oplog.OpUpdate,
+			DB: job.db, Key: job.key, Payload: job.payload}
+		n.appendOplog(e)
+	case oplog.OpDelete:
+		e := oplog.Entry{TS: time.Now().UnixNano(), Op: oplog.OpDelete,
+			DB: job.db, Key: job.key}
+		n.appendOplog(e)
+	}
+}
+
+func (n *Node) processInsert(job encodeJob) {
+	entry := oplog.Entry{TS: time.Now().UnixNano(), Op: oplog.OpInsert,
+		DB: job.db, Key: job.key, Form: oplog.FormRaw, Payload: job.payload}
+
+	// A shed insert ships raw: no sketch, no index probe, no delta — the
+	// whole point of shedding is that the worker's time per job collapses
+	// to an oplog append so the queue drains. The record is already in the
+	// store; compaction-time re-dedup can recover the ratio later.
+	if job.shedRaw {
+		n.appendOplog(entry)
+		return
+	}
+
+	n.mu.RLock()
+	alreadyMutated := n.version[job.id] != job.version || n.lastMut[job.id] > job.opSeq
+	n.mu.RUnlock()
+	if n.eng != nil && !alreadyMutated {
+		if n.opts.SimulatedEncodeDelay > 0 {
+			time.Sleep(n.opts.SimulatedEncodeDelay)
+		}
+		res, err := n.eng.Encode(job.db, job.id, job.payload)
+		// If the record was client-mutated while encoding, the engine
+		// may have cached its stale insert payload as a dedup source;
+		// scrub it. The content-verifying write-back guard below makes
+		// any remaining staleness harmless.
+		n.mu.RLock()
+		mutatedDuring := n.version[job.id] != job.version
+		n.mu.RUnlock()
+		if mutatedDuring && n.eng.SourceCache() != nil {
+			n.eng.SourceCache().Remove(job.id)
+		}
+		if err == nil && res.Deduped {
+			// The forward delta was computed against the source's
+			// *current* content. The secondary decodes it against the
+			// source content as of this entry's position in the oplog,
+			// so if the source was client-mutated after this insert was
+			// accepted, the two differ: ship raw instead. The local
+			// write-backs stay valid (they are version-guarded).
+			n.mu.RLock()
+			srcMutatedSince := n.lastMut[res.SourceID] > job.opSeq
+			n.mu.RUnlock()
+			srcKey, ok := n.keyOf(res.SourceID)
+			if ok && !srcMutatedSince {
+				entry.Form = oplog.FormDelta
+				entry.BaseKey = srcKey
+				entry.Payload = res.Forward.Marshal()
+			}
+			n.queueWritebacks(res.Writebacks, job.id, job.version)
+		}
+	}
+	n.appendOplog(entry)
+}
+
+// keyOf returns the client key of record id (hidden records excluded).
+func (n *Node) keyOf(id uint64) (string, bool) {
+	m, ok := n.store.Meta(id)
+	if !ok || m.Hidden {
+		return "", false
+	}
+	return m.Key, true
+}
+
+func (n *Node) appendOplog(e oplog.Entry) {
+	n.log.Append(e)
+	n.oplogBytes.Add(int64(e.MarshalledSize()))
+}
+
+// queueWritebacks routes the engine's write-back decisions through the lossy
+// cache (or applies them inline when the cache is disabled). newID/newVer
+// identify the just-inserted record and its version at insert time: deltas
+// were computed against its insert payload, so client mutations to it in
+// the meantime (version[newID] != newVer) must invalidate them — the stored
+// version guard captures exactly that.
+func (n *Node) queueWritebacks(wbs []core.Writeback, newID uint64, newVer uint32) {
+	for _, wb := range wbs {
+		n.mu.RLock()
+		ver := n.version[wb.ID]
+		baseVer := n.version[wb.Base]
+		if wb.Base == newID {
+			baseVer = newVer
+		}
+		n.mu.RUnlock()
+		payload := encodeWritebackPayload(wb, ver, baseVer)
+		if n.wb == nil {
+			n.applyWriteback(wb.ID, payload)
+			continue
+		}
+		n.wb.Add(dedupcache.Writeback{ID: wb.ID, Payload: payload, Saving: wb.EstimatedSaving})
+	}
+}
+
+// Write-back payloads carry (base, version-of-record, version-of-base,
+// delta) so the flusher can validate, long after the encode decision, that
+// neither the record nor the content it would decode from has been changed
+// by the client in the meantime.
+func encodeWritebackPayload(wb core.Writeback, version, baseVersion uint32) []byte {
+	out := binary.AppendUvarint(nil, wb.Base)
+	out = binary.AppendUvarint(out, uint64(version))
+	out = binary.AppendUvarint(out, uint64(baseVersion))
+	return append(out, wb.Delta.Marshal()...)
+}
+
+func decodeWritebackPayload(p []byte) (base uint64, version, baseVersion uint32, deltaBytes []byte, err error) {
+	base, k := binary.Uvarint(p)
+	if k <= 0 {
+		return 0, 0, 0, nil, errors.New("node: bad write-back payload")
+	}
+	p = p[k:]
+	v, k := binary.Uvarint(p)
+	if k <= 0 {
+		return 0, 0, 0, nil, errors.New("node: bad write-back payload")
+	}
+	p = p[k:]
+	bv, k := binary.Uvarint(p)
+	if k <= 0 {
+		return 0, 0, 0, nil, errors.New("node: bad write-back payload")
+	}
+	return base, uint32(v), uint32(bv), p[k:], nil
+}
+
+// FlushWritebacks applies up to max pending write-backs (all of them when
+// max < 0), returning how many were applied.
+func (n *Node) FlushWritebacks(max int) int {
+	if n.wb == nil {
+		return 0
+	}
+	if max < 0 {
+		max = n.wb.Len()
+	}
+	applied := 0
+	for _, wb := range n.wb.DrainBest(max) {
+		if n.applyWriteback(wb.ID, wb.Payload) {
+			applied++
+		}
+	}
+	return applied
+}
+
+// PendingWritebacks returns the size of the write-back backlog.
+func (n *Node) PendingWritebacks() int {
+	if n.wb == nil {
+		return 0
+	}
+	return n.wb.Len()
+}
+
+// applyWriteback replaces record id's stored form with the backward delta,
+// unless the record — or the base it would decode from — changed since the
+// delta was computed. Skipping is always safe: the record just stays in its
+// older, larger form (the "lossy" property of §3.3.2).
+func (n *Node) applyWriteback(id uint64, payload []byte) bool {
+	base, ver, baseVer, deltaBytes, err := decodeWritebackPayload(payload)
+	if err != nil {
+		return false
+	}
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+
+	n.mu.Lock()
+	if n.version[id] != ver || n.version[base] != baseVer {
+		n.stats.WritebacksSkipped++
+		n.mu.Unlock()
+		return false
+	}
+	n.mu.Unlock()
+
+	rec, ok := n.store.Meta(id)
+	if !ok {
+		return false
+	}
+	skip := func() bool {
+		n.mu.Lock()
+		n.stats.WritebacksSkipped++
+		n.mu.Unlock()
+		return false
+	}
+	if rec.Stacked || rec.Hidden {
+		// Changed shape since encode; leave it alone (lossy is fine).
+		return skip()
+	}
+	// The chain this re-encoding creates must still ground in a raw record.
+	// Write-backs alone cannot cycle (they re-encode an older record
+	// against a newer one and the newest stays raw), but a compaction-time
+	// re-dedup conversion can point a newer record at an older one — a
+	// queued write-back in the opposite direction would then close a
+	// cycle, which recovery refuses to ground, losing the whole chain.
+	// Both writers walk under applyMu, so whichever commits second sees
+	// the other's committed form and skips (lossy is fine).
+	if !n.rededupStillSafe(id, base, int(n.store.Stats().LiveRecords)+1) {
+		return skip()
+	}
+
+	// End-to-end guard: the re-encoding must reproduce exactly the
+	// content this record currently decodes to. The version checks above
+	// are fast-path filters; this catches every residual staleness
+	// (e.g. a delta computed from a cache entry that a concurrent client
+	// mutation invalidated mid-encode). Skipping costs only compression.
+	cur, err := n.decode(&n.applyScratch[0], id, baseContentNoRepair)
+	if err != nil {
+		return false
+	}
+	if !n.reproducesLocked(base, deltaBytes, cur) {
+		return skip()
+	}
+
+	err = n.store.Append(docstore.Record{ID: id, DB: rec.DB, Key: rec.Key,
+		Form: docstore.FormDelta, BaseID: base, Payload: deltaBytes})
+	if err != nil {
+		return false
+	}
+
+	n.mu.Lock()
+	n.refcnt[base]++
+	n.stats.WritebacksApplied++
+	n.mu.Unlock()
+	if rec.Form == docstore.FormDelta {
+		n.releaseRefLocked(rec.BaseID)
+	}
+	return true
+}
+
+// reproducesLocked reports whether the marshalled delta, applied to what
+// record base decodes to, yields exactly want: the check every path that
+// assigns a base runs before it commits. Caller holds applyMu; want may live
+// in applyScratch[0].
+func (n *Node) reproducesLocked(base uint64, deltaBytes, want []byte) bool {
+	baseContent, err := n.decode(&n.applyScratch[1], base, baseContentNoRepair)
+	if err != nil {
+		return false
+	}
+	got, err := delta.ApplyInto(n.applyCheck, baseContent, deltaBytes)
+	if err != nil {
+		return false
+	}
+	n.applyCheck = got
+	return bytes.Equal(got, want)
+}
+
+// releaseRef decrements a base's reference count. A record that becomes
+// unreferenced is reclaimed if the client had deleted it (hidden), or
+// compacted back to plain form if it carries stacked client updates
+// (paper §4.1: "when the reference count reaches zero, dbDedup compacts all
+// the updates to the record and replaces it with the new data").
+// It acquires applyMu; use releaseRefLocked when already holding it.
+func (n *Node) releaseRef(baseID uint64) {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+	n.releaseRefLocked(baseID)
+}
+
+func (n *Node) releaseRefLocked(baseID uint64) {
+	n.mu.Lock()
+	n.refcnt[baseID]--
+	gone := n.refcnt[baseID] <= 0
+	if gone {
+		delete(n.refcnt, baseID)
+	}
+	n.mu.Unlock()
+	if !gone {
+		return
+	}
+	m, ok := n.store.Meta(baseID)
+	if !ok {
+		return
+	}
+	switch {
+	case m.Hidden:
+		n.reclaimLocked(baseID)
+	case m.Stacked:
+		n.compactStackedLocked(baseID)
+	}
+}
+
+// compactStackedLocked rewrites an unreferenced stacked record as a plain
+// raw record holding its visible content. Caller holds applyMu.
+func (n *Node) compactStackedLocked(id uint64) {
+	n.mu.RLock()
+	refs := n.refcnt[id]
+	n.mu.RUnlock()
+	if refs > 0 {
+		return // re-referenced concurrently
+	}
+	rec, ok := n.store.Meta(id)
+	if !ok || !rec.Stacked {
+		return
+	}
+	var visible []byte // the store keeps it: a slice of its own
+	err := n.lend(id, rec, true, func(stored []byte) error {
+		visible = append([]byte(nil), stored...)
+		return nil
+	})
+	if err != nil {
+		return
+	}
+	err = n.store.Append(docstore.Record{ID: id, DB: rec.DB, Key: rec.Key, Hidden: rec.Hidden, Payload: visible})
+	if err != nil {
+		return
+	}
+	if rec.Form == docstore.FormDelta {
+		n.releaseRefLocked(rec.BaseID)
+	}
+}
+
+// flushLoop applies write-backs when the node looks idle (the paper's I/O
+// queue length signal; our proxy is the client op rate plus the encode
+// queue depth).
+func (n *Node) flushLoop() {
+	defer n.wg.Done()
+	ticker := time.NewTicker(n.opts.FlushInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-n.stopCh:
+			return
+		case <-ticker.C:
+			busy := n.recentOps.Swap(0) > 4
+			if busy {
+				continue
+			}
+			if n.encm.QueueDepth.Value() > 0 {
+				continue
+			}
+			n.FlushWritebacks(idleFlushBatch)
+		}
+	}
+}
