@@ -947,33 +947,22 @@ func TestSecondaryReconnectResumeAtPhase(t *testing.T) {
 	}
 }
 
-// TestResyncReconcilesBeforeRebase pins the order of the two steps that end
-// a snapshot resync. Records the primary deleted while the secondary was
-// disconnected are removed by reconciliation; the applied low-water mark must
-// not reach the snapshot position until that is done, or WaitForSeq callers
-// read records the mark says are gone. Thousands of stale keys make the
-// reconcile pass long enough that a reader polling the mark always lands
-// inside it if the order is wrong.
-func TestResyncReconcilesBeforeRebase(t *testing.T) {
-	popts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8}
-	prim, err := node.Open(popts)
+// staleSecondary syncs sec from a fresh primary holding stale "gone" keys and
+// one "kept" key, disconnects it, and deletes every gone key on the primary.
+// The deletes push the returned cursor out of the 8-entry oplog window, so
+// the secondary's next session is a snapshot that lacks every gone key and
+// must reconcile them away; target is the primary's last sequence number.
+func staleSecondary(t *testing.T, sec *node.Node, stale int) (prim *node.Node, p *Primary, cursor, epoch, target uint64) {
+	t.Helper()
+	prim, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer prim.Close()
-	sec, err := node.Open(popts)
-	if err != nil {
+	t.Cleanup(func() { prim.Close() })
+	if p, err = ListenAndServe(prim, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer sec.Close()
-	p, err := ListenAndServe(prim, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	const stale = 4000
-	goneKey := func(i int) string { return fmt.Sprintf("gone%05d", i) }
+	t.Cleanup(func() { p.Close() })
 	for i := 0; i < stale; i++ {
 		if err := prim.Insert("db", goneKey(i), []byte(goneKey(i))); err != nil {
 			t.Fatal(err)
@@ -989,22 +978,22 @@ func TestResyncReconcilesBeforeRebase(t *testing.T) {
 	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	cursor, epoch := s.AppliedSeq(), s.Epoch()
+	cursor, epoch = s.AppliedSeq(), s.Epoch()
 	s.Close()
-
-	// Disconnected: the deletes push the cursor out of the 8-entry oplog
-	// window, so the next session is a snapshot that lacks every gone key.
 	for i := 0; i < stale; i++ {
 		if err := prim.Delete("db", goneKey(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	target := prim.Oplog().LastSeq()
-	s, err = ConnectResume(sec, p.Addr(), cursor, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	return prim, p, cursor, epoch, prim.Oplog().LastSeq()
+}
+
+func goneKey(i int) string { return fmt.Sprintf("gone%05d", i) }
+
+// waitApplied spins until the secondary's applied mark reaches target; a
+// reader polling this closely lands inside any window the mark opens early.
+func waitApplied(t *testing.T, s *Secondary, target uint64) {
+	t.Helper()
 	for deadline := time.Now().Add(20 * time.Second); s.AppliedSeq() < target; runtime.Gosched() {
 		if err := s.Err(); err != nil {
 			t.Fatal(err)
@@ -1013,6 +1002,29 @@ func TestResyncReconcilesBeforeRebase(t *testing.T) {
 			t.Fatalf("applied seq %d never reached %d", s.AppliedSeq(), target)
 		}
 	}
+}
+
+// TestResyncReconcilesBeforeRebase pins the order of the two steps that end
+// a snapshot resync. Records the primary deleted while the secondary was
+// disconnected are removed by reconciliation; the applied low-water mark must
+// not reach the snapshot position until that is done, or WaitForSeq callers
+// read records the mark says are gone. Thousands of stale keys make the
+// reconcile pass long enough that a reader polling the mark always lands
+// inside it if the order is wrong.
+func TestResyncReconcilesBeforeRebase(t *testing.T) {
+	sec, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sec.Close()
+	const stale = 4000
+	_, p, cursor, epoch, target := staleSecondary(t, sec, stale)
+	s, err := ConnectResume(sec, p.Addr(), cursor, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	waitApplied(t, s, target)
 	// The mark covers every delete: none of their records may be visible.
 	visible := 0
 	for i := 0; i < stale; i++ {
@@ -1040,63 +1052,24 @@ func TestResyncReconcilesBeforeRebase(t *testing.T) {
 // position over them; the next connection asks for a fresh snapshot, and only
 // the reconcile that completes moves the mark.
 func TestResyncReconcileFailureIsRetried(t *testing.T) {
-	popts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8}
-	prim, err := node.Open(popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer prim.Close()
 	mem := faultfs.NewMemFS()
 	sopts := node.Options{SyncEncode: true, DisableAutoFlush: true, Dir: "sec", FS: mem, BlockSize: 128}
 	sec, err := node.Open(sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ListenAndServe(prim, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	const stale = 400
-	goneKey := func(i int) string { return fmt.Sprintf("gone%05d", i) }
-	for i := 0; i < stale; i++ {
-		if err := prim.Insert("db", goneKey(i), []byte(goneKey(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := prim.Insert("db", "kept", []byte("survives the resync")); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Connect(sec, p.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 20*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	cursor, epoch := s.AppliedSeq(), s.Epoch()
-	s.Close()
+	prim, p, cursor, epoch, target := staleSecondary(t, sec, 400)
 	if err := sec.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Disconnected: the deletes push the cursor out of the 8-entry oplog
-	// window, so the next session is a snapshot that lacks every gone key.
 	// The secondary comes back on a disk whose first write fails.
-	for i := 0; i < stale; i++ {
-		if err := prim.Delete("db", goneKey(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	target := prim.Oplog().LastSeq()
 	inj := faultfs.NewInjector(mem, 1, faultfs.FailWrite(1))
 	sopts.FS = inj
 	if sec, err = node.Open(sopts); err != nil {
 		t.Fatal(err)
 	}
 	defer sec.Close()
-	s, err = ConnectWithOptions(sec, p.Addr(), cursor, epoch,
+	s, err := ConnectWithOptions(sec, p.Addr(), cursor, epoch,
 		Options{MaxReconnects: 5, ReconnectBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -1104,14 +1077,7 @@ func TestResyncReconcileFailureIsRetried(t *testing.T) {
 	defer s.Close()
 	// Whenever the mark is seen at the target, the reconcile that got there
 	// must be the second one: the first met the fault.
-	for deadline := time.Now().Add(20 * time.Second); s.AppliedSeq() < target; runtime.Gosched() {
-		if err := s.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("applied seq %d never reached %d (faults fired: %v)", s.AppliedSeq(), target, inj.Events())
-		}
-	}
+	waitApplied(t, s, target)
 	if len(inj.Events()) != 1 {
 		t.Fatalf("faults fired: %v, want the one failed write", inj.Events())
 	}
