@@ -29,41 +29,36 @@ import (
 	"dbdedup/internal/admission"
 	"dbdedup/internal/apiserver"
 	"dbdedup/internal/chain"
-	"dbdedup/internal/chunker"
 	"dbdedup/internal/cluster"
 	"dbdedup/internal/core"
 	"dbdedup/internal/featidx/tiered"
 	"dbdedup/internal/httpadmin"
-	"dbdedup/internal/metrics"
 	"dbdedup/internal/node"
 	"dbdedup/internal/repl"
 )
 
-func main() {
-	var (
-		listen     = flag.String("listen", "127.0.0.1:7070", "client API listen address")
-		replListen = flag.String("repl-listen", "", "replication listen address (primary role)")
-		follow     = flag.String("follow", "", "primary replication address to follow (secondary role)")
-		dir        = flag.String("dir", "", "storage directory (empty = in-memory)")
-		noDedup    = flag.Bool("no-dedup", false, "disable deduplication")
-		compress   = flag.Bool("compress", false, "enable block-level compression")
-		chunkSize  = flag.Int("chunk", 64, "sketching chunk size in bytes (power of two)")
-		scheme     = flag.String("scheme", "hop", "chain encoding scheme: hop | backward | version-jump")
-		hop        = flag.Int("hop", 16, "hop distance / cluster size")
-		compaction = flag.Bool("auto-compact", true, "enable background segment compaction")
-		rededup    = flag.Bool("compact-rededup", false, "re-deduplicate live raw records during compaction")
-		rdMaxChain = flag.Int("rededup-max-chain", 8, "max delta-chain depth a compaction conversion may create")
-		admin      = flag.String("admin", "", "HTTP admin endpoint address (e.g. :7090; empty = off)")
-		admEnable  = flag.Bool("admission", false, "enable admission control: reject over-fair-share inserts during overload")
-		shedRaw    = flag.Bool("shed-raw", false, "degrade inserts to raw (no dedup encode) during overload; pair with -compact-rededup to recover the ratio")
-		admRate    = flag.Float64("admission-tenant-rate", 0, "per-tenant fair-share inserts/second enforced during overload (0 = shedding only)")
-		admDwell   = flag.Duration("overload-dwell", 250*time.Millisecond, "minimum time the overload latch stays engaged once entered")
-		idxBudget  = flag.String("index-memory-budget", "", "per-database similarity-index memory bound, e.g. 24MiB; what no longer fits is kept in Bloom-gated cold runs under -dir (empty: no bound)")
+// The command line. README.md's flag table lists the same set, and
+// TestFlagTableMatchesREADME keeps the two equal.
+var (
+	listen     = flag.String("listen", "127.0.0.1:7070", "client API listen address")
+	replListen = flag.String("repl-listen", "", "replication listen address (primary role)")
+	follow     = flag.String("follow", "", "primary replication address to follow (secondary role)")
+	dir        = flag.String("dir", "", "storage directory (empty = in-memory)")
+	compress   = flag.Bool("compress", false, "enable block-level compression")
+	rededup    = flag.Bool("compact-rededup", false, "re-deduplicate live raw records during compaction")
+	rdMaxChain = flag.Int("rededup-max-chain", 8, "max delta-chain depth a compaction conversion may create")
+	admin      = flag.String("admin", "", "HTTP admin endpoint address (e.g. :7090; empty = off)")
+	admEnable  = flag.Bool("admission", false, "enable admission control: reject over-fair-share inserts during overload")
+	shedRaw    = flag.Bool("shed-raw", false, "degrade inserts to raw (no dedup encode) during overload; pair with -compact-rededup to recover the ratio")
+	admRate    = flag.Float64("admission-tenant-rate", 0, "per-tenant fair-share inserts/second enforced during overload (0 = shedding only)")
+	admDwell   = flag.Duration("overload-dwell", 250*time.Millisecond, "minimum time the overload latch stays engaged once entered")
+	idxBudget  = flag.String("index-memory-budget", "", "per-database similarity-index memory bound, e.g. 24MiB; what no longer fits is kept in Bloom-gated cold runs under -dir (empty: no bound)")
 
-		clusterSelf  = flag.String("cluster-self", "", "this member's advertised client address in the ring (enables cluster mode)")
-		clusterPeers = flag.String("cluster-peers", "", "comma-separated initial cluster membership including self (empty: start ring-less and join via `dedupcli rebalance`)")
-		clusterFwd   = flag.Bool("cluster-forward", false, "proxy wrong-shard requests to their owner server-side instead of redirecting the client")
-	)
+	clusterSelf  = flag.String("cluster-self", "", "this member's advertised client address in the ring (enables cluster mode)")
+	clusterPeers = flag.String("cluster-peers", "", "comma-separated initial cluster membership including self (empty: start ring-less and join via `dedupcli rebalance`)")
+)
+
+func main() {
 	flag.Parse()
 
 	var idxBudgetBytes int64
@@ -75,34 +70,21 @@ func main() {
 		idxBudgetBytes = b
 	}
 
-	if err := chunker.CheckAvgSize(*chunkSize); err != nil {
-		log.Fatalf("-chunk: %v", err)
-	}
-
-	var sch chain.Scheme
-	switch *scheme {
-	case "hop":
-		sch = chain.Hop
-	case "backward":
-		sch = chain.Backward
-	case "version-jump":
-		sch = chain.VersionJump
-	default:
-		log.Fatalf("unknown -scheme %q", *scheme)
-	}
-
+	// The engine runs the paper's headline configuration (64-byte chunks, hop
+	// encoding at distance 16) with background compaction on. The experiments
+	// sweep these through node.Options and core.Config; no deployment in this
+	// repository sets them, so the daemon has no flags for them.
 	n, err := node.Open(node.Options{
-		Dir:          *dir,
-		DisableDedup: *noDedup,
+		Dir: *dir,
 		Engine: core.Config{
-			ChunkAvgSize:     *chunkSize,
-			Scheme:           sch,
-			HopDistance:      *hop,
+			ChunkAvgSize:     64,
+			Scheme:           chain.Hop,
+			HopDistance:      16,
 			IndexBudgetBytes: idxBudgetBytes,
 		},
 		BlockCompression: *compress,
 		Compaction: node.CompactionOptions{
-			Enabled:              *compaction,
+			Enabled:              true,
 			Rededup:              *rededup,
 			RededupMaxChainDepth: *rdMaxChain,
 		},
@@ -120,12 +102,9 @@ func main() {
 
 	// In cluster mode the node is served behind a shard wrapper: the ring
 	// routes each database to one member, everything else is answered with
-	// the routing taxonomy (wrong-shard redirect / moving retry-later) or,
-	// with -cluster-forward, proxied to the owner.
+	// the routing taxonomy (wrong-shard redirect / moving retry-later).
 	var sh *cluster.Shard
-	var apiOpts apiserver.Options
 	if *clusterSelf != "" {
-		cm := &metrics.ClusterMetrics{}
 		initial := cluster.NewRing(0, nil)
 		if *clusterPeers != "" {
 			peers := cluster.SplitAddrs(*clusterPeers)
@@ -140,22 +119,14 @@ func main() {
 			}
 			initial = cluster.NewRing(1, peers)
 		}
-		sh = cluster.NewShard(n, *clusterSelf, initial, nil, cm)
-		apiOpts.ForwardWrongShard = *clusterFwd
-		apiOpts.OnForward = func(ok bool) {
-			if ok {
-				cm.ForwardedOps.Add(1)
-			} else {
-				cm.ForwardFailures.Add(1)
-			}
-		}
-	} else if *clusterPeers != "" || *clusterFwd {
-		log.Fatal("-cluster-peers/-cluster-forward require -cluster-self")
+		sh = cluster.NewShard(n, *clusterSelf, initial, nil, nil)
+	} else if *clusterPeers != "" {
+		log.Fatal("-cluster-peers requires -cluster-self")
 	}
 
 	var api *apiserver.Server
 	if sh != nil {
-		api, err = apiserver.ListenAndServeBackend(sh, *listen, apiOpts)
+		api, err = apiserver.ListenAndServeBackend(sh, *listen, apiserver.Options{})
 	} else {
 		api, err = apiserver.ListenAndServe(n, *listen)
 	}

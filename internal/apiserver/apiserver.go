@@ -36,6 +36,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dbdedup/internal/core"
@@ -60,11 +61,6 @@ const (
 	opCommitRing   = 'M'
 	opAbortRing    = 'A'
 	opTransfer     = 'T'
-	// opForwarded wraps another request frame, marking it as already
-	// forwarded once: the receiver executes or redirects it but never
-	// forwards it again, so two members with disagreeing rings cannot
-	// bounce one request between them forever.
-	opForwarded = 'F'
 
 	statusOK         = 0
 	statusNotFound   = 1
@@ -166,14 +162,6 @@ type Options struct {
 	// Network is the transport to listen on (default netsim.Default, i.e.
 	// real TCP). Cluster tests inject a simulated mesh here.
 	Network netsim.Network
-	// ForwardWrongShard makes the server proxy wrong-shard requests to
-	// their owner (one hop, marked so they are never re-forwarded) instead
-	// of answering with the redirect. If the proxy attempt fails, the
-	// redirect is still returned — forwarding degrades to redirecting,
-	// never to dropping.
-	ForwardWrongShard bool
-	// OnForward, when set, observes each forward attempt's outcome.
-	OnForward func(ok bool)
 }
 
 func (o Options) withDefaults() Options {
@@ -207,9 +195,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
-
-	fwdMu sync.Mutex
-	fwd   map[string]*Client // pooled forward connections, by owner address
 }
 
 // ListenAndServe starts serving n's client API on addr with default limits.
@@ -233,8 +218,7 @@ func ListenAndServeBackend(b Backend, addr string, opts Options) (*Server, error
 	}
 	s := &Server{backend: b, ln: ln, opts: opts,
 		mem:   newByteBudget(opts.MemoryBudget),
-		conns: make(map[net.Conn]struct{}),
-		fwd:   make(map[string]*Client)}
+		conns: make(map[net.Conn]struct{})}
 	if cb, ok := b.(ClusterBackend); ok {
 		s.cb = cb
 	}
@@ -258,12 +242,6 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.mu.Unlock()
-	s.fwdMu.Lock()
-	for _, c := range s.fwd {
-		c.Close()
-	}
-	s.fwd = make(map[string]*Client)
-	s.fwdMu.Unlock()
 	s.mem.close()
 	err := s.ln.Close()
 	s.wg.Wait()
@@ -372,17 +350,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		forwarded := false
-		if len(frame) > 0 && frame[0] == opForwarded {
-			forwarded = true
-			frame = frame[1:]
-		}
 		status, payload := s.handle(frame)
-		if status == statusWrongShard && !forwarded && s.opts.ForwardWrongShard {
-			if st2, p2, ok := s.forwardToOwner(payload, frame); ok {
-				status, payload = st2, p2
-			}
-		}
 		release()
 		if err := writeFrame(w, status, payload); err != nil {
 			return
@@ -564,68 +532,6 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 	}
 }
 
-// forwardToOwner proxies a wrong-shard request one hop to the owner named in
-// the redirect payload and relays the owner's answer. On any failure the
-// caller keeps the original redirect — forwarding only ever upgrades the
-// answer. The proxied frame carries the opForwarded marker, so the owner
-// will redirect rather than forward again if it too disagrees.
-func (s *Server) forwardToOwner(redirect, frame []byte) (byte, []byte, bool) {
-	var ws WrongShardError
-	if json.Unmarshal(redirect, &ws) != nil || ws.Owner == "" {
-		return 0, nil, false
-	}
-	note := func(ok bool) {
-		if s.opts.OnForward != nil {
-			s.opts.OnForward(ok)
-		}
-	}
-	c, err := s.forwardConn(ws.Owner)
-	if err != nil {
-		note(false)
-		return 0, nil, false
-	}
-	status, payload, err := c.roundTrip(append([]byte{opForwarded}, frame...))
-	if err != nil {
-		s.dropForwardConn(ws.Owner, c)
-		note(false)
-		return 0, nil, false
-	}
-	note(true)
-	return status, payload, true
-}
-
-func (s *Server) forwardConn(addr string) (*Client, error) {
-	s.fwdMu.Lock()
-	if c, ok := s.fwd[addr]; ok {
-		s.fwdMu.Unlock()
-		return c, nil
-	}
-	s.fwdMu.Unlock()
-	c, err := DialNetwork(s.opts.Network, addr)
-	if err != nil {
-		return nil, err
-	}
-	c.SetTimeout(s.opts.BodyTimeout)
-	s.fwdMu.Lock()
-	if prev, ok := s.fwd[addr]; ok {
-		s.fwdMu.Unlock()
-		c.Close()
-		return prev, nil
-	}
-	s.fwd[addr] = c
-	s.fwdMu.Unlock()
-	return c, nil
-}
-
-func (s *Server) dropForwardConn(addr string, c *Client) {
-	s.fwdMu.Lock()
-	if s.fwd[addr] == c {
-		delete(s.fwd, addr)
-	}
-	s.fwdMu.Unlock()
-	c.Close()
-}
-
 // errStatus maps a backend error onto the wire taxonomy. The routing errors
 // carry structured payloads so a stale-ring client can redirect (wrong
 // shard) or back off (moving) instead of treating them as opaque failures.
@@ -676,6 +582,10 @@ type Client struct {
 	r       *bufio.Reader
 	w       *bufio.Writer
 	timeout time.Duration
+	// broken is set once a round trip failed in transit (an I/O error or a
+	// timeout, not an answer from the server): the framing may be out of
+	// step, so a Pool replaces the connection instead of handing it out again.
+	broken atomic.Bool
 }
 
 // SetTimeout bounds each subsequent round trip (0 = none). After a timeout
@@ -708,6 +618,14 @@ func DialNetwork(nw netsim.Network, addr string) (*Client, error) {
 func (c *Client) Close() error { return c.conn.Close() }
 
 func (c *Client) roundTrip(req []byte) (byte, []byte, error) {
+	status, body, err := c.exchange(req)
+	if err != nil {
+		c.broken.Store(true)
+	}
+	return status, body, err
+}
+
+func (c *Client) exchange(req []byte) (byte, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.timeout > 0 {

@@ -100,7 +100,6 @@ func realRequestStream() []byte {
 		{opStats}, {opDBStats}, {opVerify},
 		{opRing}, {opBeginHandoff}, {opCommitRing}, {opAbortRing},
 		append([]byte{opInstallRing}, `{"epoch":2,"members":["a:1","b:1"]}`...),
-		append([]byte{opForwarded}, keyed(opGet, "wiki", "article/2", nil)...),
 	} {
 		writeRaw(&stream, req)
 	}
@@ -147,9 +146,6 @@ func FuzzHandleFrame(f *testing.F) {
 			}
 			if len(frame) > maxRequest || len(frame) > len(stream) {
 				t.Fatalf("accepted a %d-byte frame from a %d-byte stream (bound %d)", len(frame), len(stream), maxRequest)
-			}
-			if len(frame) > 0 && frame[0] == opForwarded {
-				frame = frame[1:] // as serveConn does
 			}
 			b.handed = 0
 			status, _ := s.handle(frame)

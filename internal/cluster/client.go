@@ -15,7 +15,7 @@ import (
 
 // ClientOptions tunes the cluster-aware client. Zero values select defaults.
 type ClientOptions struct {
-	// Network is the transport (default netsim.Default = real TCP).
+	// Network is the transport (nil = netsim.Default, real TCP).
 	Network netsim.Network
 	// MaxRetries bounds re-attempts after a redirect, a moving-shard
 	// answer, or a transport failure (default 8). The bound is the whole
@@ -31,9 +31,6 @@ type ClientOptions struct {
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
-	if o.Network == nil {
-		o.Network = netsim.Default
-	}
 	if o.MaxRetries <= 0 {
 		o.MaxRetries = 8
 	}
@@ -79,9 +76,10 @@ type Client struct {
 	opts  ClientOptions
 	seeds []string
 
-	mu    sync.Mutex
-	ring  *Ring
-	conns map[string]*apiserver.Client
+	pool *apiserver.Pool // one connection per member
+
+	mu   sync.Mutex
+	ring *Ring
 
 	redirects, movingWaits, transport atomic.Int64
 	retries, ringFetches, exhausted   atomic.Int64
@@ -107,8 +105,8 @@ func DialCluster(addrs []string, opts ClientOptions) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: no member addresses")
 	}
-	c := &Client{opts: opts.withDefaults(), seeds: append([]string(nil), addrs...),
-		conns: make(map[string]*apiserver.Client)}
+	c := &Client{opts: opts.withDefaults(), seeds: append([]string(nil), addrs...)}
+	c.pool = apiserver.NewPool(c.opts.Network, c.opts.Timeout)
 	var lastErr error
 	for _, a := range addrs {
 		if err := c.fetchRing(a); err != nil {
@@ -129,15 +127,8 @@ func DialCluster(addrs []string, opts ClientOptions) (*Client, error) {
 	return nil, fmt.Errorf("cluster: no seed reachable: %w", lastErr)
 }
 
-// Close drops all pooled connections.
-func (c *Client) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, conn := range c.conns {
-		conn.Close()
-	}
-	c.conns = make(map[string]*apiserver.Client)
-}
+// Close closes the connections to every member.
+func (c *Client) Close() { c.pool.Close() }
 
 // Counters snapshots the retry accounting.
 func (c *Client) Counters() Counters {
@@ -169,59 +160,18 @@ func (c *Client) Members() []string {
 
 // Member returns a pooled direct connection to one member, for per-member
 // admin reads (stats, verify). The caller must not Close it.
-func (c *Client) Member(addr string) (*apiserver.Client, error) { return c.conn(addr) }
-
-func (c *Client) conn(addr string) (*apiserver.Client, error) {
-	c.mu.Lock()
-	if conn, ok := c.conns[addr]; ok {
-		c.mu.Unlock()
-		return conn, nil
-	}
-	c.mu.Unlock()
-	conn, err := apiserver.DialNetwork(c.opts.Network, addr)
-	if err != nil {
-		return nil, err
-	}
-	conn.SetTimeout(c.opts.Timeout)
-	c.mu.Lock()
-	if prev, ok := c.conns[addr]; ok {
-		c.mu.Unlock()
-		conn.Close()
-		return prev, nil
-	}
-	c.conns[addr] = conn
-	c.mu.Unlock()
-	return conn, nil
-}
-
-// dropConn discards a pooled connection after a transport failure (the
-// framing may be desynchronised).
-func (c *Client) dropConn(addr string) {
-	c.mu.Lock()
-	conn, ok := c.conns[addr]
-	if ok {
-		delete(c.conns, addr)
-	}
-	c.mu.Unlock()
-	if ok {
-		conn.Close()
-	}
-}
+func (c *Client) Member(addr string) (*apiserver.Client, error) { return c.pool.Get(addr) }
 
 // fetchRing pulls addr's active ring and installs it if it is newer than the
 // cached one.
 func (c *Client) fetchRing(addr string) error {
 	c.ringFetches.Add(1)
-	conn, err := c.conn(addr)
+	conn, err := c.pool.Get(addr)
 	if err != nil {
 		return err
 	}
 	body, err := conn.RingJSON()
 	if err != nil {
-		var se *apiserver.ServerError
-		if !errors.As(err, &se) {
-			c.dropConn(addr)
-		}
 		return err
 	}
 	st, err := ParseRingStatus(body)
@@ -308,11 +258,9 @@ func (c *Client) do(db string, op func(*apiserver.Client) error) error {
 				return fail()
 			}
 		}
-		conn, err := c.conn(owner)
+		conn, err := c.pool.Get(owner)
 		if err == nil {
 			err = op(conn)
-		} else {
-			c.dropConn(owner)
 		}
 		if err == nil {
 			return nil
@@ -357,11 +305,10 @@ func (c *Client) do(db string, op func(*apiserver.Client) error) error {
 			return err
 		default:
 			// Transport failure: the request may or may not have been
-			// processed. Redial and retry, but remember the taint.
+			// processed. Retry (the pool redials) but remember the taint.
 			c.transport.Add(1)
 			ambiguous = true
 			lastErr = err
-			c.dropConn(owner)
 			if attempt >= c.opts.MaxRetries {
 				return fail()
 			}

@@ -12,7 +12,7 @@ import (
 
 // RebalanceOptions tunes the coordinator. Zero values select defaults.
 type RebalanceOptions struct {
-	// Network is the transport (default netsim.Default = real TCP).
+	// Network is the transport (nil = netsim.Default, real TCP).
 	Network netsim.Network
 	// RPCTimeout bounds the short control RPCs (default 10s).
 	RPCTimeout time.Duration
@@ -25,9 +25,6 @@ type RebalanceOptions struct {
 }
 
 func (o RebalanceOptions) withDefaults() RebalanceOptions {
-	if o.Network == nil {
-		o.Network = netsim.Default
-	}
 	if o.RPCTimeout <= 0 {
 		o.RPCTimeout = 10 * time.Second
 	}
@@ -65,8 +62,8 @@ func Rebalance(seeds, target []string, opts RebalanceOptions) (*Ring, error) {
 	if len(target) == 0 {
 		return nil, errors.New("cluster: empty target membership")
 	}
-	co := &coordinator{opts: opts, conns: map[string]*apiserver.Client{}}
-	defer co.close()
+	co := &coordinator{opts: opts, pool: apiserver.NewPool(opts.Network, opts.RPCTimeout)}
+	defer co.pool.Close()
 
 	base, err := co.recover(union(seeds, target))
 	if err != nil {
@@ -115,43 +112,17 @@ func Rebalance(seeds, target []string, opts RebalanceOptions) (*Ring, error) {
 }
 
 type coordinator struct {
-	opts  RebalanceOptions
-	conns map[string]*apiserver.Client
+	opts RebalanceOptions
+	pool *apiserver.Pool
 }
 
-func (co *coordinator) close() {
-	for _, c := range co.conns {
-		c.Close()
-	}
-}
-
-func (co *coordinator) conn(addr string) (*apiserver.Client, error) {
-	if c, ok := co.conns[addr]; ok {
-		return c, nil
-	}
-	c, err := apiserver.DialNetwork(co.opts.Network, addr)
-	if err != nil {
-		return nil, err
-	}
-	co.conns[addr] = c
-	return c, nil
-}
-
-// call runs one short RPC against addr, dropping the pooled connection on
-// transport failure so the next call redials.
+// call runs one short RPC against addr.
 func (co *coordinator) call(addr string, fn func(*apiserver.Client) error) error {
-	c, err := co.conn(addr)
+	c, err := co.pool.Get(addr)
 	if err != nil {
 		return err
 	}
-	c.SetTimeout(co.opts.RPCTimeout)
-	err = fn(c)
-	var se *apiserver.ServerError
-	if err != nil && !errors.As(err, &se) {
-		c.Close()
-		delete(co.conns, addr)
-	}
-	return err
+	return fn(c)
 }
 
 func (co *coordinator) handoff(addr string) error {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,92 +189,5 @@ func TestMovingShardRetryThenTyped(t *testing.T) {
 	}
 	if ma.cm.MovingAnswered.Total() == 0 {
 		t.Error("member never counted a moving-shard answer")
-	}
-}
-
-// TestForwardedRequestSizeBounds pins that the apiserver's request size limit
-// holds on the forwarding path: an oversized request is refused with an
-// explicit answer at the first hop, a request that only overflows once the
-// one-byte forward marker is added is refused by the *second* hop (relayed
-// back, not dropped), and a legal request forwards end-to-end.
-func TestForwardedRequestSizeBounds(t *testing.T) {
-	const limit = 4096
-	mesh := netsim.NewMesh(4, "a", "b")
-	ring := NewRing(1, []string{"a:1", "b:1"})
-	var fwdOK, fwdFail atomic.Int64
-	startMember(t, mesh, "a", "a:1", ring, apiserver.Options{
-		MaxRequestBytes:   limit,
-		ForwardWrongShard: true,
-		OnForward: func(ok bool) {
-			if ok {
-				fwdOK.Add(1)
-			} else {
-				fwdFail.Add(1)
-			}
-		},
-	})
-	mb := startMember(t, mesh, "b", "b:1", ring, apiserver.Options{MaxRequestBytes: limit})
-
-	db := dbOwnedBy(t, ring, "b:1")
-	// Keep the frame arithmetic fixed: op(1) + uvarint+db + uvarint+key +
-	// uvarint(payload len, 2 bytes at these sizes) + payload.
-	overhead := 1 + (1 + len(db)) + (1 + 1) + 2
-
-	dial := func() *apiserver.Client {
-		c, err := apiserver.DialNetwork(mesh.Host("client"), "a:1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-
-	// Legal request: forwarded to the owner and acked one hop away.
-	if err := dial().Insert(db, "s", bytes.Repeat([]byte{'x'}, 1000)); err != nil {
-		t.Fatalf("small forwarded insert: %v", err)
-	}
-	if _, err := mb.n.Read(db, "s"); err != nil {
-		t.Fatalf("forwarded record not on owner: %v", err)
-	}
-	if fwdOK.Load() == 0 {
-		t.Error("forward hook never fired for the successful hop")
-	}
-
-	// Oversized at the first hop: refused with an explicit answer before any
-	// forwarding happens.
-	err := dial().Insert(db, "k", bytes.Repeat([]byte{'x'}, limit))
-	var se *apiserver.ServerError
-	if !errors.As(err, &se) || !strings.Contains(err.Error(), "size limit") {
-		t.Fatalf("oversized insert: want an explicit size-limit refusal, got %v", err)
-	}
-
-	// Exactly at the first hop's limit: accepted there, but the one-byte
-	// forward marker pushes it over the owner's limit — the owner's refusal
-	// must be relayed back, not turned into a silent drop.
-	err = dial().Insert(db, "e", bytes.Repeat([]byte{'x'}, limit-overhead))
-	if !errors.As(err, &se) || !strings.Contains(err.Error(), "size limit") {
-		t.Fatalf("marker-overflow insert: want the owner's size-limit refusal relayed, got %v", err)
-	}
-	if _, err := mb.n.Read(db, "e"); !errors.Is(err, node.ErrNotFound) {
-		t.Errorf("marker-overflow record must not exist anywhere: err=%v", err)
-	}
-
-	// The server survives all of the above. The owner's refusal also closed
-	// a's pooled forward connection, so the next forward may degrade to a
-	// redirect (the documented fallback — degraded, never dropped); a retry
-	// redials and forwards cleanly.
-	err = dial().Insert(db, "s2", []byte("still alive"))
-	var ws *apiserver.WrongShardError
-	if errors.As(err, &ws) {
-		if fwdFail.Load() == 0 {
-			t.Error("degraded answer without a counted forward failure")
-		}
-		err = dial().Insert(db, "s2", []byte("still alive"))
-	}
-	if err != nil {
-		t.Fatalf("post-refusal insert: %v", err)
-	}
-	if _, err := mb.n.Read(db, "s2"); err != nil {
-		t.Fatalf("post-refusal record not on owner: %v", err)
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"dbdedup/internal/node"
 )
 
-// transferDialTimeout bounds a handoff dial to a destination member.
+// transferDialTimeout bounds each transfer round trip of a handoff.
 const transferDialTimeout = 10 * time.Second
 
 // Shard wraps a node with ring routing: it serves operations for databases
@@ -74,13 +74,11 @@ func ownerOrSelf(r *Ring, self, db string) string {
 
 // NewShard wraps n as the cluster member named self (its client address),
 // serving under the initial ring. nw is the transport used to push handoffs
-// to other members; a nil cm means the shard keeps its own counters.
+// to other members (nil = real TCP); a nil cm means the shard keeps its own
+// counters.
 func NewShard(n *node.Node, self string, initial *Ring, nw netsim.Network, cm *metrics.ClusterMetrics) *Shard {
 	if initial == nil {
 		initial = NewRing(0, nil)
-	}
-	if nw == nil {
-		nw = netsim.Default
 	}
 	if cm == nil {
 		cm = &metrics.ClusterMetrics{}
@@ -375,12 +373,8 @@ func (s *Shard) BeginHandoff() ([]byte, error) {
 	s.n.Barrier()
 
 	sum := handoffSummary{Moved: map[string]int{}}
-	conns := make(map[string]*apiserver.Client)
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
+	pool := apiserver.NewPool(s.nw, transferDialTimeout)
+	defer pool.Close()
 	for _, db := range s.n.DBNames() {
 		dest := p.Owner(db)
 		// A ring-less member is the source owner of everything it holds
@@ -392,19 +386,13 @@ func (s *Shard) BeginHandoff() ([]byte, error) {
 		if s.finishDrop(db) != nil {
 			continue // stale copies only; the database's owner streams it
 		}
-		c := conns[dest]
-		if c == nil {
-			var err error
-			c, err = apiserver.DialNetwork(s.nw, dest)
-			if err != nil {
-				s.cm.TransferFailures.Add(1)
-				return nil, fmt.Errorf("cluster: handoff dial %s: %w", dest, err)
-			}
-			c.SetTimeout(transferDialTimeout)
-			conns[dest] = c
+		c, err := pool.Get(dest)
+		if err != nil {
+			s.cm.TransferFailures.Add(1)
+			return nil, fmt.Errorf("cluster: handoff dial %s: %w", dest, err)
 		}
 		var sendErr error
-		err := s.n.Scan(db, func(d, key string, content []byte) bool {
+		err = s.n.Scan(db, func(d, key string, content []byte) bool {
 			if d != db {
 				return false // a database named "" scans as "all"; it sorts first
 			}

@@ -133,8 +133,10 @@ type Record struct {
 
 // Options configures a Store.
 type Options struct {
-	// Dir is the storage directory. Empty selects a pure in-memory store
-	// (used by tests and benchmarks).
+	// Dir is the storage directory. Empty means the store keeps nothing past
+	// its own lifetime: it runs the same file path over a private
+	// faultfs.MemFS (and FS is ignored), which is what tests, examples and
+	// the figure experiments use.
 	Dir string
 	// BlockSize is the target uncompressed block size before sealing.
 	// Defaults to 32 KiB.
@@ -158,9 +160,9 @@ type Options struct {
 	// a Flush that returned nil is a durability barrier. The paper runs
 	// with full journaling off; this is the corresponding opt-in knob.
 	SyncWrites bool
-	// FS is the filesystem the store runs on. Nil selects the direct
-	// os-backed implementation; crash tests install a faultfs.Injector to
-	// script write/sync/read failures and crash points.
+	// FS is the filesystem Dir is on. Nil selects the direct os-backed
+	// implementation; crash tests install a faultfs.Injector to script
+	// write/sync/read failures and crash points.
 	FS faultfs.FS
 }
 
@@ -291,8 +293,7 @@ type fullBlock struct {
 // size and refcount make the sealed prefix safe without the lock.
 type segment struct {
 	id      int
-	file    faultfs.File // nil in memory mode; shared with rd until retirement
-	wbuf    []byte       // memory mode write buffer (grow-only backing)
+	file    faultfs.File // shared with rd, which closes it; nil once retired
 	size    int64
 	dead    int64 // dead bytes (superseded frames)
 	retired bool
@@ -316,6 +317,9 @@ func Open(opts Options) (*Store, error) {
 	if opts.CacheBlocks <= 0 {
 		opts.CacheBlocks = 64
 	}
+	if opts.Dir == "" {
+		opts.Dir, opts.FS = "mem", faultfs.NewMemFS()
+	}
 	if opts.FS == nil {
 		opts.FS = faultfs.DefaultFS
 	}
@@ -328,15 +332,6 @@ func Open(opts Options) (*Store, error) {
 		cache:      segio.NewCache(opts.CacheBlocks, opts.CacheShards),
 	}
 	s.sealed = sync.NewCond(&s.mu)
-	if opts.Dir == "" {
-		seg, err := s.newSegment(0, 0)
-		if err != nil {
-			return nil, err
-		}
-		s.segments = []*segment{seg}
-		s.active = seg
-		return s, nil
-	}
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("docstore: %w", err)
 	}
@@ -397,7 +392,7 @@ func Open(opts Options) (*Store, error) {
 // segments after replay, installLocked maps a segment when it rolls out of
 // the active role. Caller holds s.mu (or the store is not yet shared).
 func (s *Store) mapSegment(seg *segment) {
-	if seg.file == nil || seg.size == 0 || seg.retired || seg.rd.Mapped() {
+	if seg.size == 0 || seg.retired || seg.rd.Mapped() {
 		return
 	}
 	m, ok := seg.file.(faultfs.Mapper)
@@ -416,11 +411,6 @@ func (s *Store) mapSegment(seg *segment) {
 
 // newSegment creates a fresh segment and installs its reader at slot.
 func (s *Store) newSegment(id, slot int) (*segment, error) {
-	if s.opts.Dir == "" {
-		seg := &segment{id: id, rd: segio.NewMemReader(slot)}
-		s.table.Install(seg.rd)
-		return seg, nil
-	}
 	name := filepath.Join(s.opts.Dir, fmt.Sprintf("seg-%06d.log", id))
 	f, err := s.opts.FS.OpenFile(name, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -869,13 +859,8 @@ func (s *Store) Flush() error {
 // replay read the orphan's valid magic, fail its checksum and truncate there
 // — silently discarding the retried (possibly synced and acknowledged) block
 // and everything after it. Only the goroutine committing a block calls this;
-// it needs no lock. Memory-mode appends may reallocate wbuf; readers holding
-// the previously published pointer still see an immutable, correct prefix.
+// it needs no lock.
 func (seg *segment) writeBlock(hdr, body []byte, sync bool) error {
-	if seg.file == nil {
-		seg.wbuf = append(append(seg.wbuf[:seg.size], hdr...), body...)
-		return nil
-	}
 	if _, err := seg.file.WriteAt(hdr, seg.size); err != nil {
 		return fmt.Errorf("docstore: %w", err)
 	}
@@ -894,11 +879,7 @@ func (seg *segment) writeBlock(hdr, body []byte, sync bool) error {
 // and shows them to readers. Caller holds s.mu.
 func (seg *segment) publish(n int64) {
 	seg.size += n
-	if seg.file != nil {
-		seg.rd.SetSize(seg.size)
-		return
-	}
-	seg.rd.PublishMem(seg.wbuf)
+	seg.rd.SetSize(seg.size)
 }
 
 // scratchPool holds buffers for compressed block images read with pread;
@@ -998,21 +979,6 @@ func (s *Store) readBlock(rd *segio.Reader, key uint64, off int64, fn func(block
 	return nil
 }
 
-// Range calls fn for every live record's stored form, in unspecified order.
-// If fn returns false the iteration stops.
-func (s *Store) Range(fn func(Record) bool) error {
-	for _, id := range s.recs.ids(nil) {
-		rec, ok, err := s.Get(id)
-		if err != nil {
-			return err
-		}
-		if ok && !fn(rec) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // MetaInfo is a record's metadata, readable without touching its payload.
 type MetaInfo struct {
 	DB, Key    string
@@ -1032,6 +998,18 @@ func (s *Store) Meta(id uint64) (MetaInfo, bool) {
 	}
 	return MetaInfo{DB: e.db, Key: e.key, Form: e.form, BaseID: e.baseID,
 		PayloadLen: int(e.payloadLen), Stacked: e.stacked, Hidden: e.hidden}, true
+}
+
+// Range calls fn with the ID and metadata of every live record, in unspecified
+// order, until fn returns false. It reads the record table only: no payload is
+// fetched and no block decoded, so listing a store costs nothing per byte
+// stored.
+func (s *Store) Range(fn func(id uint64, m MetaInfo) bool) {
+	for _, id := range s.recs.ids(nil) {
+		if m, ok := s.Meta(id); ok && !fn(id, m) {
+			return
+		}
+	}
 }
 
 // DBLogicalBytes returns the live stored payload bytes of one database. It
@@ -1325,21 +1303,15 @@ func (s *Store) CompactWith(h *CompactHooks) (int64, error) {
 
 	s.mu.Lock()
 	reclaimed := victim.size
-	var name string
-	if victim.file != nil {
-		name = victim.file.Name()
-	}
+	name := victim.file.Name()
 	victim.retired = true
 	victim.file = nil // the reader's release hook owns the close now
-	victim.wbuf = nil
 	victim.size = 0
 	victim.dead = 0
 	s.mu.Unlock()
 
 	s.table.Retire(victimIdx)
-	if name != "" {
-		s.opts.FS.Remove(name)
-	}
+	s.opts.FS.Remove(name)
 	s.cache.DropSegment(victimIdx)
 	return reclaimed, nil
 }

@@ -130,13 +130,14 @@ func TestRange(t *testing.T) {
 	delete(want, 7)
 
 	got := map[uint64]string{}
-	err := s.Range(func(r Record) bool {
-		got[r.ID] = string(r.Payload)
+	s.Range(func(id uint64, m MetaInfo) bool {
+		rec, ok, err := s.Get(id)
+		if err != nil || !ok || rec.Key != m.Key || len(rec.Payload) != m.PayloadLen {
+			t.Errorf("Range showed record %d as %+v; Get: %+v, %v, %v", id, m, rec, ok, err)
+		}
+		got[id] = string(rec.Payload)
 		return true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(got) != len(want) {
 		t.Fatalf("Range saw %d records, want %d", len(got), len(want))
 	}
@@ -427,7 +428,7 @@ func TestRangeEarlyStop(t *testing.T) {
 		s.Append(Record{ID: i, DB: "d", Key: fmt.Sprintf("k%d", i), Payload: []byte("p")})
 	}
 	seen := 0
-	s.Range(func(Record) bool {
+	s.Range(func(uint64, MetaInfo) bool {
 		seen++
 		return seen < 3
 	})

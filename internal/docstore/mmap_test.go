@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"dbdedup/internal/faultfs"
@@ -195,6 +196,113 @@ func TestMmapRetirementSafety(t *testing.T) {
 		}
 		checkAll(t, s, want)
 	}
+}
+
+// TestInMemoryStoreRunsTheFilePath opens a store without a directory and takes
+// it through everything a segment file goes through: blocks are written and
+// published, segments roll and are mapped, reads of rolled segments come from
+// the mapping, a compaction pass offers records to its hook and retires its
+// victim while a reader still holds a pin on it, and the pinned mapping stays
+// readable until the pin is returned.
+func TestInMemoryStoreRunsTheFilePath(t *testing.T) {
+	s, err := Open(Options{BlockSize: 512, SegmentSize: 4096, CacheBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := fillSegments(t, s, 120)
+	st := s.Stats()
+	if st.LiveSegments < 4 {
+		t.Fatalf("%d live segments after 120 records, want the active one and several rolled", st.LiveSegments)
+	}
+	checkAll(t, s, want)
+	if st = s.Stats(); st.MmapBlockReads == 0 || st.MmapFailures != 0 {
+		t.Fatalf("rolled in-memory segments are not read through their mapping: %d mmap / %d pread block reads, %d mmap failures",
+			st.MmapBlockReads, st.PreadBlockReads, st.MmapFailures)
+	}
+
+	// Pin segment 0 and borrow its first block header from the mapping.
+	rd, ok := s.table.Pin(0)
+	if !ok {
+		t.Fatal("pin of segment 0 failed")
+	}
+	hdr, mapped := rd.MappedRange(0, blockHeaderSize)
+	if !mapped {
+		t.Fatal("rolled segment 0 is not mapped")
+	}
+	hdrWas := append([]byte(nil), hdr...)
+
+	// Kill most of segment 0 and compact: it is the victim.
+	for id := uint64(1); id <= 8; id++ {
+		want[id] = bytes.Repeat([]byte(fmt.Sprintf("new-%04d|", id)), 40)
+		if err := s.Append(Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id), Payload: want[id]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	offered := 0
+	reclaimed, err := s.CompactWith(&CompactHooks{Rewrite: func(rec Record) (Record, bool) {
+		offered++
+		return rec, false
+	}})
+	if err != nil || reclaimed == 0 || offered == 0 {
+		t.Fatalf("CompactWith: reclaimed %d bytes, offered %d records, err %v", reclaimed, offered, err)
+	}
+	if _, ok := s.table.Pin(0); ok {
+		t.Fatal("segment 0 still pins after its retirement")
+	}
+	if st = s.Stats(); st.RetiredPending != 1 || st.PinnedReaders != 1 {
+		t.Fatalf("RetiredPending %d, PinnedReaders %d while the victim is pinned, want 1 and 1", st.RetiredPending, st.PinnedReaders)
+	}
+	if got, ok := rd.MappedRange(0, blockHeaderSize); !ok || !bytes.Equal(got, hdrWas) {
+		t.Fatal("the pinned mapping of the retired segment changed or went away")
+	}
+	s.table.Unpin(rd)
+	if st = s.Stats(); st.RetiredPending != 0 || st.PinnedReaders != 0 {
+		t.Fatalf("RetiredPending %d, PinnedReaders %d after the last unpin, want 0 and 0", st.RetiredPending, st.PinnedReaders)
+	}
+	checkAll(t, s, want)
+}
+
+// TestInMemoryStoreHoldsSegmentsOnce fills an in-memory store with rolled,
+// mapped segments and checks the heap grew by about what the segments hold:
+// the mapping of a MemFS file is a loan of the file's bytes, not a second copy.
+func TestInMemoryStoreHoldsSegmentsOnce(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	s, err := Open(Options{SegmentSize: 1 << 20, CacheBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	payload := func(id uint64) []byte { return bytes.Repeat([]byte(fmt.Sprintf("%08d", id)), 512) }
+	const records = 2048 // 8 MiB in 4 KiB records
+	for id := uint64(1); id <= records; id++ {
+		if err := s.Append(Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id), Payload: payload(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= records; id += 97 {
+		if rec, ok, err := s.Get(id); err != nil || !ok || !bytes.Equal(rec.Payload, payload(id)) {
+			t.Fatalf("Get(%d): ok %v, err %v", id, ok, err)
+		}
+	}
+	st := s.Stats()
+	if st.LiveSegments < 8 || st.MmapBlockReads == 0 {
+		t.Fatalf("%d live segments, %d mmap block reads: the store under test is not rolled and mapped", st.LiveSegments, st.MmapBlockReads)
+	}
+	held, grew := s.DiskBytes(), heap()-before
+	if grew > held*3/2 {
+		t.Fatalf("heap grew by %d bytes for %d bytes of segments: mapped segments are held twice", grew, held)
+	}
+	runtime.KeepAlive(s)
 }
 
 // BenchmarkSealedReads compares cold block reads from sealed segments via

@@ -7,8 +7,8 @@ import (
 
 func TestInstallMappingAndRange(t *testing.T) {
 	content := bytes.Repeat([]byte("segment!"), 64)
-	r := NewMemReader(0)
-	r.PublishMem(content[:256])
+	r := memReader(t, 0, content)
+	r.SetSize(256)
 
 	unmapped := 0
 	if !r.InstallMapping(content, func() { unmapped++ }) {
@@ -45,8 +45,7 @@ func TestInstallMappingAndRange(t *testing.T) {
 }
 
 func TestInstallMappingAfterDrain(t *testing.T) {
-	r := NewMemReader(0)
-	r.PublishMem([]byte("abcd"))
+	r := memReader(t, 0, []byte("abcd"))
 	r.unref() // drained
 	if r.InstallMapping([]byte("abcd"), func() {}) {
 		t.Fatal("InstallMapping succeeded on a drained reader")
@@ -56,8 +55,7 @@ func TestInstallMappingAfterDrain(t *testing.T) {
 func TestMappingOutlivesRetireWhilePinned(t *testing.T) {
 	content := bytes.Repeat([]byte("x"), 128)
 	tb := NewTable()
-	r := NewMemReader(3)
-	r.PublishMem(content)
+	r := memReader(t, 3, content)
 	tb.Install(r)
 	unmapped := 0
 	if !r.InstallMapping(content, func() { unmapped++ }) {

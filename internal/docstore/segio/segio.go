@@ -6,10 +6,10 @@
 // may concurrently retire and delete the segment. segio provides the three
 // pieces of that protocol:
 //
-//   - Reader: a refcounted handle over one segment's bytes (file-backed or
-//     in-memory). The published size is advanced atomically by the writer as
-//     blocks seal, so readers can safely read the already-sealed prefix of
-//     the segment that is still being appended to.
+//   - Reader: a refcounted handle over one segment file's bytes. The
+//     published size is advanced atomically by the writer as blocks seal, so
+//     readers can safely read the already-sealed prefix of the segment that
+//     is still being appended to.
 //   - Table: the epoch structure. An atomically published snapshot maps
 //     segment slots to Readers; readers pin a slot (refcount increment that
 //     fails once the segment drained), compaction retires a slot by
@@ -58,8 +58,7 @@ type File interface {
 type Reader struct {
 	slot int
 	file File
-	mem  atomic.Pointer[[]byte] // memory mode: grow-only published buffer
-	size atomic.Int64           // published (sealed, durable) byte count
+	size atomic.Int64 // published (sealed, durable) byte count
 
 	// mapped is an optional zero-copy view over the segment's sealed
 	// prefix (a memory mapping installed by the store once the segment can
@@ -84,19 +83,7 @@ func NewFileReader(slot int, f File, size int64) *Reader {
 	r := &Reader{slot: slot, file: f}
 	r.size.Store(size)
 	r.refs.Store(1)
-	r.release = func() {
-		if f != nil {
-			f.Close()
-		}
-	}
-	return r
-}
-
-// NewMemReader wraps an in-memory segment. The writer publishes each sealed
-// prefix with PublishMem.
-func NewMemReader(slot int) *Reader {
-	r := &Reader{slot: slot}
-	r.refs.Store(1)
+	r.release = func() { f.Close() }
 	return r
 }
 
@@ -106,18 +93,9 @@ func (r *Reader) Slot() int { return r.slot }
 // Size returns the published byte count — the sealed prefix readable now.
 func (r *Reader) Size() int64 { return r.size.Load() }
 
-// SetSize publishes a new sealed length (file mode). The writer must have
-// completed the WriteAt for every byte below n before calling.
+// SetSize publishes a new sealed length. The writer must have completed the
+// WriteAt for every byte below n before calling.
 func (r *Reader) SetSize(n int64) { r.size.Store(n) }
-
-// PublishMem publishes the memory buffer's current state (memory mode).
-// Appends may later reallocate buf's backing array; readers holding the old
-// pointer still see an immutable, correct prefix.
-func (r *Reader) PublishMem(buf []byte) {
-	b := buf
-	r.mem.Store(&b)
-	r.size.Store(int64(len(b)))
-}
 
 // ReadAt fills p from offset off. Only the published prefix is readable;
 // reads past it report an out-of-range error rather than returning torn
@@ -126,18 +104,8 @@ func (r *Reader) ReadAt(p []byte, off int64) error {
 	if off < 0 || off+int64(len(p)) > r.size.Load() {
 		return errors.New("segio: read past published segment size")
 	}
-	if r.file != nil {
-		if _, err := r.file.ReadAt(p, off); err != nil {
-			return err
-		}
-		return nil
-	}
-	buf := r.mem.Load()
-	if buf == nil || off+int64(len(p)) > int64(len(*buf)) {
-		return errors.New("segio: read past published segment size")
-	}
-	copy(p, (*buf)[off:])
-	return nil
+	_, err := r.file.ReadAt(p, off)
+	return err
 }
 
 // InstallMapping publishes data as a zero-copy view of the segment's first

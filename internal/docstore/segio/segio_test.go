@@ -8,15 +8,32 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"dbdedup/internal/faultfs"
 )
 
-func TestMemReaderPublishAndRead(t *testing.T) {
-	r := NewMemReader(0)
-	var buf []byte
-	buf = append(buf, []byte("hello ")...)
-	r.PublishMem(buf)
-	buf = append(buf, []byte("world")...)
-	r.PublishMem(buf)
+// memReader returns a reader at slot over a faultfs.MemFS file holding
+// content, all of it published: what the store runs on without a directory.
+func memReader(t testing.TB, slot int, content []byte) *Reader {
+	t.Helper()
+	f, err := faultfs.NewMemFS().OpenFile("seg", os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(content, 0); err != nil {
+		t.Fatal(err)
+	}
+	return NewFileReader(slot, f, int64(len(content)))
+}
+
+func TestReaderPublishAndRead(t *testing.T) {
+	r := memReader(t, 0, []byte("hello world"))
+	r.SetSize(6)
+	// Bytes behind the published size are written but not readable yet.
+	if err := r.ReadAt(make([]byte, 11), 0); err == nil {
+		t.Fatal("read past published size succeeded")
+	}
+	r.SetSize(11)
 
 	got := make([]byte, 11)
 	if err := r.ReadAt(got, 0); err != nil {
@@ -28,25 +45,6 @@ func TestMemReaderPublishAndRead(t *testing.T) {
 	// Reads past the published size must fail, not tear.
 	if err := r.ReadAt(make([]byte, 1), 11); err == nil {
 		t.Fatal("read past published size succeeded")
-	}
-}
-
-func TestMemReaderOldSnapshotStaysValid(t *testing.T) {
-	r := NewMemReader(0)
-	buf := append([]byte(nil), []byte("sealed-block")...)
-	r.PublishMem(buf)
-	old := r.mem.Load()
-
-	// Force reallocation: append far beyond capacity.
-	buf = append(buf, bytes.Repeat([]byte("x"), 1<<16)...)
-	r.PublishMem(buf)
-
-	if string((*old)[:12]) != "sealed-block" {
-		t.Fatal("old published snapshot mutated by later appends")
-	}
-	got := make([]byte, 12)
-	if err := r.ReadAt(got, 0); err != nil || string(got) != "sealed-block" {
-		t.Fatalf("ReadAt after grow: %q %v", got, err)
 	}
 }
 
@@ -79,8 +77,7 @@ func TestFileReaderReadAt(t *testing.T) {
 func TestRetireWhilePinnedDefersRelease(t *testing.T) {
 	tab := NewTable()
 	var released atomic.Int32
-	r := NewMemReader(0)
-	r.PublishMem([]byte("data"))
+	r := memReader(t, 0, []byte("data"))
 	r.release = func() { released.Add(1) }
 	tab.Install(r)
 
@@ -121,7 +118,7 @@ func TestRetireWhilePinnedDefersRelease(t *testing.T) {
 func TestRetireUnpinnedReleasesImmediately(t *testing.T) {
 	tab := NewTable()
 	var released atomic.Int32
-	r := NewMemReader(0)
+	r := memReader(t, 0, nil)
 	r.release = func() { released.Add(1) }
 	tab.Install(r)
 	tab.Retire(0)
@@ -136,7 +133,7 @@ func TestRetireUnpinnedReleasesImmediately(t *testing.T) {
 }
 
 func TestPinAfterDrainFails(t *testing.T) {
-	r := NewMemReader(0)
+	r := memReader(t, 0, nil)
 	r.unref() // drain the table ref directly
 	if r.tryPin() {
 		t.Fatal("tryPin succeeded on drained reader")
@@ -147,7 +144,7 @@ func TestTableInstallGrowsAndClose(t *testing.T) {
 	tab := NewTable()
 	var closed atomic.Int32
 	for slot := 0; slot < 5; slot++ {
-		r := NewMemReader(slot)
+		r := memReader(t, slot, nil)
 		r.release = func() { closed.Add(1) }
 		tab.Install(r)
 	}
@@ -174,8 +171,7 @@ func TestConcurrentPinRetire(t *testing.T) {
 		tab := NewTable()
 		var released atomic.Int32
 		var pinsHeld atomic.Int32
-		r := NewMemReader(0)
-		r.PublishMem(bytes.Repeat([]byte("v"), 64))
+		r := memReader(t, 0, bytes.Repeat([]byte("v"), 64))
 		r.release = func() {
 			if pinsHeld.Load() != 0 {
 				t.Error("release ran while pins held")

@@ -66,8 +66,9 @@ type Mapping interface {
 // type-assert for it; a File that does not implement it (or whose Mmap
 // returns an error) is simply read through ReadAt instead. Only bytes that
 // will never be rewritten may be mapped — the os-backed mapping is
-// MAP_SHARED (coherent with later writes) but the copy-backed emulations
-// (MemFS, and Injector delegation over it) snapshot the file at map time.
+// MAP_SHARED (coherent with later writes) but MemFS (and Injector delegation
+// over it) lends the array the file had at map time, which a later write may
+// or may not still be using.
 type Mapper interface {
 	Mmap(length int64) (Mapping, error)
 }

@@ -10,11 +10,12 @@ import (
 	"time"
 )
 
-// MemFS is a purely in-memory FS implementation. It backs the "mem mode"
-// axis of the recovery test matrix: the same store/replay code paths run
-// against it as against the os-backed FS, but tests can tear and corrupt
-// "file" contents directly via Bytes/SetBytes without touching disk, and
-// fuzz targets can reopen stores over arbitrary segment bytes cheaply.
+// MemFS is a purely in-memory FS implementation: the device under every
+// store opened without a directory, and the second filesystem of the recovery
+// test matrix. The same store/replay code paths run against it as against the
+// os-backed FS, but tests can tear and corrupt "file" contents directly via
+// Bytes/SetBytes without touching disk, and fuzz targets can reopen stores
+// over arbitrary segment bytes cheaply.
 //
 // All methods are safe for concurrent use. Open handles share the backing
 // node, so two opens of the same path observe each other's writes — matching
@@ -170,10 +171,11 @@ func (f *memFile) Sync() error  { return nil }
 func (f *memFile) Close() error { return nil }
 func (f *memFile) Name() string { return f.name }
 
-// Mmap emulates a file mapping with a copy of the first length bytes. The
-// snapshot semantics match what callers are allowed to rely on: only
-// never-rewritten prefixes may be mapped, and for those a copy and a real
-// MAP_SHARED mapping are indistinguishable.
+// Mmap lends the file's first length bytes: the mapping is a slice of the
+// file's own array, so a mapped segment is held once, not twice. Callers map
+// only prefixes that are never rewritten, and for those the loan, a copy and a
+// real MAP_SHARED mapping are indistinguishable; a later append that moves the
+// file to a larger array leaves the mapping on the old one, which stays valid.
 func (f *memFile) Mmap(length int64) (Mapping, error) {
 	if length <= 0 {
 		return nil, ErrMmapUnsupported
@@ -183,7 +185,7 @@ func (f *memFile) Mmap(length int64) (Mapping, error) {
 	if length > int64(len(f.node.data)) {
 		return nil, ErrMmapUnsupported
 	}
-	return &memMapping{data: append([]byte(nil), f.node.data[:length]...)}, nil
+	return &memMapping{data: f.node.data[:length:length]}, nil
 }
 
 type memMapping struct {

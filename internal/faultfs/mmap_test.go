@@ -50,7 +50,10 @@ func TestOSMmap(t *testing.T) {
 	}
 }
 
-func TestMemMmapSnapshots(t *testing.T) {
+// TestMemMmapLends: a MemFS mapping is the file's own bytes, not a copy (an
+// in-memory store holds a rolled segment once), and it stays what it was when
+// a later append moves the file to a larger array.
+func TestMemMmapLends(t *testing.T) {
 	fs := NewMemFS()
 	f, err := fs.OpenFile("seg", os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -67,8 +70,17 @@ func TestMemMmapSnapshots(t *testing.T) {
 	if !bytes.Equal(mp.Bytes(), content) {
 		t.Fatal("mapped bytes differ")
 	}
+	if &mp.Bytes()[0] != &f.(*memFile).node.data[0] {
+		t.Fatal("the mapping is a copy of the file, not a loan of it")
+	}
 	if _, err := f.(Mapper).Mmap(int64(len(content)) + 1); !errors.Is(err, ErrMmapUnsupported) {
 		t.Fatal("mapping past EOF must be refused")
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte("z"), 1<<16), int64(len(content))); err != nil {
+		t.Fatal(err)
+	}
+	if len(mp.Bytes()) != len(content) || !bytes.Equal(mp.Bytes(), content) {
+		t.Fatal("an append behind the mapped prefix changed the mapping")
 	}
 	mp.Close()
 }

@@ -259,8 +259,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		if p := s.shard.Pending(); p != nil {
 			fmt.Fprintf(w, ", rebalance to epoch %d in progress", p.Epoch)
 		}
-		fmt.Fprintf(w, "\n          %d redirects, %d moving answers, %d forwards (%d failed)\n",
-			cl.RedirectsIssued.Total(), cl.MovingAnswered.Total(), cl.ForwardedOps.Total(), cl.ForwardFailures.Total())
+		fmt.Fprintf(w, "\n          %d redirects, %d moving answers\n",
+			cl.RedirectsIssued.Total(), cl.MovingAnswered.Total())
 		fmt.Fprintf(w, "          handoffs %d started / %d committed / %d aborted; moved out %d recs (%s), in %d recs (%s)\n",
 			cl.HandoffsStarted.Total(), cl.HandoffsCommitted.Total(), cl.HandoffsAborted.Total(),
 			cl.TransferRecordsOut.Total(), metrics.FormatBytes(cl.TransferBytesOut.Total()),

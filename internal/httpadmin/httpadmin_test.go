@@ -240,7 +240,7 @@ var metricsSections = map[string]string{
 	"FeatIdx":    "Entries MemoryBytes CapacityBytes Lookups Matches Evictions Tiered",
 	"Admission": "Enabled ShedRawEnabled Overloaded OverloadEnters OverloadExits LatencyEWMAUS Admitted Shed " +
 		"Rejected TenantThrottles TrackedTenants",
-	"Cluster": "RingEpoch RingInstalls RedirectsIssued MovingAnswered ForwardedOps ForwardFailures HandoffsStarted " +
+	"Cluster": "RingEpoch RingInstalls RedirectsIssued MovingAnswered HandoffsStarted " +
 		"HandoffsCommitted HandoffsAborted TransferRecordsOut TransferBytesOut TransferRecordsIn TransferBytesIn " +
 		"TransferFailures DroppedDBs DroppedRecords",
 }

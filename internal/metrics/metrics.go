@@ -513,10 +513,6 @@ type ClusterMetrics struct {
 	// MovingAnswered counts retry-later answers during a handoff window.
 	RedirectsIssued Meter
 	MovingAnswered  Meter
-	// ForwardedOps/ForwardFailures count server-side proxying of wrong-shard
-	// requests to their owner (when forwarding is enabled).
-	ForwardedOps    Meter
-	ForwardFailures Meter
 	// Handoff lifecycle: started on BeginHandoff, then exactly one of
 	// committed (cutover) or aborted (revert) per window.
 	HandoffsStarted   Meter

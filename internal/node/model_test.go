@@ -131,15 +131,12 @@ func runModel(t *testing.T, opts Options, steps int, seed int64) {
 func verifyRefcounts(t *testing.T, n *Node) {
 	t.Helper()
 	recount := map[uint64]int{}
-	err := n.store.Range(func(rec docstore.Record) bool {
-		if rec.Form == docstore.FormDelta {
-			recount[rec.BaseID]++
+	n.store.Range(func(_ uint64, m docstore.MetaInfo) bool {
+		if m.Form == docstore.FormDelta {
+			recount[m.BaseID]++
 		}
 		return true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	for id, want := range recount {

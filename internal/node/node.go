@@ -169,14 +169,19 @@ type Node struct {
 	// client path, by the applier's per-database FIFO on the replica path
 	// — and publish a key only after its record is appended.
 	keys    keyDir
-	refcnt  map[uint64]int    // decode-base reference counts
-	version map[uint64]uint32 // bumped on client update/delete
+	refcnt  map[uint64]int // decode-base reference counts
 	nextID  uint64
 	stats   Stats
 	latIns  *metrics.Histogram
 	latRead *metrics.Histogram
+	// opSeq numbers the mutations this node has accepted, and lastMut is the
+	// one mutation stamp: the number of a record's last update or delete,
+	// assigned in the critical section that makes the mutation take effect
+	// and dropped when the record is removed from the store. "Has this record
+	// changed since mutation s" (changedSince) is what every guard against
+	// stale encoder output asks.
 	opSeq   uint64
-	lastMut map[uint64]uint64 // record id -> opSeq of last update/delete
+	lastMut map[uint64]uint64
 
 	// Read-path counters are atomics so the lock-free store read path is
 	// not re-serialised by bookkeeping; Stats() folds them into the
@@ -220,12 +225,10 @@ type encodeJob struct {
 	db, key string
 	id      uint64
 	payload []byte
-	// version is the record's version counter at the time the mutation
-	// took effect; write-backs against this record as a base carry it so
-	// later client mutations invalidate them.
-	version uint32
-	// opSeq orders this job among all client mutations; the encoder uses
-	// it to detect sources mutated after this insert was accepted.
+	// opSeq is the mutation's sequence number. The encoder of an insert
+	// uses it to detect records mutated after the insert was accepted: the
+	// record itself, the source of its forward delta, and (through the
+	// write-back payload) everything its write-backs touch.
 	opSeq uint64
 	// shedRaw marks an insert whose dedup encoding was shed by admission
 	// control: the worker emits the raw oplog entry without touching the
@@ -263,7 +266,6 @@ func Open(opts Options) (*Node, error) {
 		store:   store,
 		log:     oplog.New(opts.OplogCapacity),
 		refcnt:  make(map[uint64]int),
-		version: make(map[uint64]uint32),
 		lastMut: make(map[uint64]uint64),
 		nextID:  1,
 		latIns:  metrics.NewHistogram(),
@@ -319,18 +321,17 @@ func Open(opts Options) (*Node, error) {
 // keeping such a record would leave a key→ID mapping whose reads can never
 // decode.
 func (n *Node) recover() error {
+	// The record table replay just built is all this needs: no payload is
+	// read and no block decoded a second time.
 	maxID := uint64(0)
 	var ids []uint64
-	err := n.store.Range(func(rec docstore.Record) bool {
-		if rec.ID > maxID {
-			maxID = rec.ID
+	n.store.Range(func(id uint64, _ docstore.MetaInfo) bool {
+		if id > maxID {
+			maxID = id
 		}
-		ids = append(ids, rec.ID)
+		ids = append(ids, id)
 		return true
 	})
-	if err != nil {
-		return err
-	}
 	// Classify each record by whether its chain grounds in a raw record.
 	// Memoised; the depth bound turns corruption-induced base cycles into
 	// "broken" instead of unbounded recursion.

@@ -573,9 +573,9 @@ func TestStackedRecordCompactedWhenUnreferenced(t *testing.T) {
 	}
 	findV1 := func() (docstore.MetaInfo, bool) {
 		var id uint64
-		n.Store().Range(func(rec docstore.Record) bool {
-			if rec.Key == "v1" {
-				id = rec.ID
+		n.Store().Range(func(rid uint64, m docstore.MetaInfo) bool {
+			if m.Key == "v1" {
+				id = rid
 				return false
 			}
 			return true

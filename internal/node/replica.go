@@ -222,7 +222,7 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 	}
 	if n.eng != nil {
 		res := n.eng.EncodeAsReplica(e.DB, job.id, payload, srcID, srcContent, fwd)
-		n.queueWritebacks(res.Writebacks, job.id, job.version)
+		n.queueWritebacks(res.Writebacks, job.opSeq)
 	}
 	return nil
 }

@@ -332,8 +332,8 @@ func TestScanUpsertRetain(t *testing.T) {
 			t.Fatalf("Retain on a failing disk = %d, %v, want the injected error", dropped, err)
 		}
 		left := len(n.DBKeys("db"))
-		if dropped == 0 || left == 0 || dropped+left < total-1 {
-			t.Fatalf("dropped %d, left %d of %d: want a pass that stopped partway", dropped, left, total)
+		if dropped == 0 || left == 0 || dropped+left != total {
+			t.Fatalf("dropped %d, left %d of %d: want a pass that stopped partway and lost no key to the delete that failed", dropped, left, total)
 		}
 		again, err := n.Retain("db", nil, false)
 		if err != nil || again != left || len(n.DBKeys("db")) != 0 {

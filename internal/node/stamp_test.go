@@ -1,0 +1,436 @@
+package node
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dbdedup/internal/chain"
+	"dbdedup/internal/core"
+	"dbdedup/internal/docstore"
+	"dbdedup/internal/faultfs"
+	"dbdedup/internal/oplog"
+)
+
+// stampRig is a node under test that is either a primary taking client
+// operations or a secondary applying what a primary logged for the same ones.
+type stampRig struct {
+	t       *testing.T
+	prim, n *Node // n is prim in the primary role
+	shipped uint64
+}
+
+func newStampRig(t *testing.T, replica bool) *stampRig {
+	// Pure backward chains: inserting v(i+1) queues exactly one write-back,
+	// "store v(i) as a delta against v(i+1)".
+	opts := Options{Engine: core.Config{Scheme: chain.Backward}}
+	r := &stampRig{t: t, prim: testNode(t, opts)}
+	r.n = r.prim
+	if replica {
+		r.n = testNode(t, opts)
+	}
+	return r
+}
+
+// do runs op on the primary and, in the replica role, applies the entries it
+// logged to the node under test.
+func (r *stampRig) do(op func(p *Node) error) {
+	r.t.Helper()
+	if err := op(r.prim); err != nil {
+		r.t.Fatal(err)
+	}
+	if r.n == r.prim {
+		return
+	}
+	ents, err := r.prim.Oplog().EntriesSince(r.shipped, 0)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	for _, e := range ents {
+		if err := r.n.ApplyReplicated(e); err != nil {
+			r.t.Fatalf("apply seq %d: %v", e.Seq, err)
+		}
+		r.shipped = e.Seq
+	}
+}
+
+// chain inserts revisions v<from>.. of one document and returns all contents.
+func (r *stampRig) chain(contents [][]byte, upTo int, rng *rand.Rand) [][]byte {
+	r.t.Helper()
+	for i := len(contents); i < upTo; i++ {
+		c := prose(rng, 8192)
+		if i > 0 {
+			c = editText(rng, contents[i-1], 2)
+		}
+		contents = append(contents, c)
+		r.do(func(p *Node) error { return p.Insert("wiki", fmt.Sprintf("v%d", i), c) })
+	}
+	return contents
+}
+
+// check flushes and compares every revision with what it must be now: its
+// content (nil: deleted) and how it is stored.
+func (r *stampRig) check(contents [][]byte, forms string, skipped uint64) {
+	r.t.Helper()
+	n := r.n
+	before := n.Stats().WritebacksSkipped
+	n.FlushWritebacks(-1)
+	if got := n.Stats().WritebacksSkipped - before; got != skipped {
+		r.t.Errorf("flush skipped %d write-backs, want %d", got, skipped)
+	}
+	for i, want := range contents {
+		key := fmt.Sprintf("v%d", i)
+		got, err := n.Read("wiki", key)
+		if want == nil {
+			if !errors.Is(err, ErrNotFound) {
+				r.t.Errorf("%s: deleted, yet Read = %d bytes, %v", key, len(got), err)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(got, want) {
+			r.t.Errorf("%s: Read = %d bytes, %v; want its %d bytes", key, len(got), err, len(want))
+			continue
+		}
+		id, _ := n.lookup("wiki", key)
+		m, _ := n.store.Meta(id)
+		if wantDelta := forms[i] == 'd'; (m.Form == docstore.FormDelta) != wantDelta {
+			r.t.Errorf("%s: stored with form %d, want delta=%v (forms %q)", key, m.Form, wantDelta, forms)
+		}
+	}
+	if rep := n.VerifyAll(); !rep.Ok() {
+		r.t.Errorf("verify: %s", rep)
+	}
+	verifyRefcounts(r.t, n)
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for id := range n.lastMut {
+		if _, live := n.store.Meta(id); !live {
+			r.t.Errorf("record %d is gone and still has a mutation stamp", id)
+		}
+	}
+}
+
+// late runs mutate while the node's pending write-backs are out of the cache
+// and puts them back after: an encoder that was accepted before the mutation
+// and queued its write-backs after it. (A write-back already in the cache when
+// its record is mutated never reaches the guard: the mutation drops it.)
+func (r *stampRig) late(mutate func()) {
+	held := r.n.wb.DrainBest(r.n.wb.Len())
+	mutate()
+	for _, wb := range held {
+		r.n.wb.Add(wb)
+	}
+}
+
+// TestStaleWritebackUnderOneStamp mutates a record between the encode that
+// computed a write-back and the flush that would apply it. The write-back must
+// be skipped whenever the record it rewrites or the base it points at was
+// updated or deleted since, which the one stamp decides; the mutations here
+// leave contents byte-identical (an update to the same bytes) or remove the
+// record, so the end-to-end reproduces check behind the stamp cannot be what
+// stopped them. On a primary the operations are client calls, on a replica the
+// oplog entries a primary logged for them.
+func TestStaleWritebackUnderOneStamp(t *testing.T) {
+	same := func(key string, contents [][]byte, i int) func(*Node) error {
+		return func(p *Node) error { return p.Update("wiki", key, contents[i]) }
+	}
+	for _, role := range []string{"primary", "replica"} {
+		replica := role == "replica"
+		// Six revisions, nothing flushed: write-backs (v0→v1) … (v4→v5) pending.
+		start := func(t *testing.T) (*stampRig, [][]byte) {
+			r := newStampRig(t, replica)
+			contents := r.chain(nil, 6, rand.New(rand.NewSource(7)))
+			if got := r.n.PendingWritebacks(); got != 5 {
+				t.Fatalf("%d write-backs pending after 6 revisions, want 5", got)
+			}
+			return r, contents
+		}
+		t.Run(role+"/update of the record and of a base", func(t *testing.T) {
+			r, contents := start(t)
+			r.late(func() { r.do(same("v2", contents, 2)) }) // the record of (v2→v3), the base of (v1→v2)
+			r.check(contents, "drrddr", 2)
+		})
+		t.Run(role+"/delete reclaims the record and a base", func(t *testing.T) {
+			r, contents := start(t)
+			r.late(func() { r.do(func(p *Node) error { return p.Delete("wiki", "v2") }) })
+			contents[2] = nil
+			r.check(contents, "dr-ddr", 2)
+			r.n.mu.RLock()
+			stamps := len(r.n.lastMut)
+			r.n.mu.RUnlock()
+			if stamps != 0 {
+				t.Errorf("%d mutation stamps after the only mutated record was reclaimed", stamps)
+			}
+		})
+		t.Run(role+"/delete hides, repair reclaims", func(t *testing.T) {
+			r, contents := start(t)
+			r.n.FlushWritebacks(-1) // v0→v1→…→v5, v5 raw
+			contents = r.chain(contents, 7, rand.New(rand.NewSource(8)))
+			if got := r.n.PendingWritebacks(); got != 1 {
+				t.Fatalf("%d write-backs pending after the seventh revision, want (v5→v6)", got)
+			}
+			v5, _ := r.n.lookup("wiki", "v5")
+			r.late(func() {
+				r.do(func(p *Node) error { return p.Delete("wiki", "v5") }) // v4 decodes through it: hidden
+				contents[5] = nil
+				if m, ok := r.n.store.Meta(v5); !ok || !m.Hidden {
+					t.Fatalf("v5 after its delete: %+v, %v; want hidden", m, ok)
+				}
+				// Reading v4 splices it past v5, whose last reference that was.
+				if got, err := r.n.Read("wiki", "v4"); err != nil || !bytes.Equal(got, contents[4]) {
+					t.Fatalf("v4 through hidden v5: %v", err)
+				}
+				if _, ok := r.n.store.Meta(v5); ok {
+					t.Fatal("v5 not reclaimed by the repair of v4")
+				}
+			})
+			r.check(contents, "ddddr-r", 1)
+		})
+	}
+}
+
+// TestStampUnderConcurrentMutation runs the encoder pool, client updates and
+// deletes and the write-back flusher against each other on one document's
+// revisions, then checks that every key reads what its last writer left, every
+// chain decodes, the reference counts add up and no stamp outlived its record.
+func TestStampUnderConcurrentMutation(t *testing.T) {
+	n, err := Open(Options{DisableAutoFlush: true, EncodeWorkers: 2,
+		Engine: core.Config{GovernorWindow: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	const revisions = 60
+	var inserted atomic.Int64
+	var wg sync.WaitGroup
+	final := make([][]byte, revisions) // written by the inserter, then by the mutator alone
+	deleted := make([]bool, revisions)
+
+	wg.Add(3)
+	go func() { // inserter
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(21))
+		c := prose(rng, 4096)
+		for i := 0; i < revisions; i++ {
+			final[i] = c
+			if err := n.Insert("wiki", fmt.Sprintf("v%d", i), c); err != nil {
+				t.Error(err)
+				return
+			}
+			inserted.Store(int64(i + 1))
+			c = editText(rng, c, 2)
+		}
+	}()
+	go func() { // mutator: the only writer of a key once it is inserted
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(22))
+		for inserted.Load() < revisions {
+			have := int(inserted.Load())
+			if have < 2 {
+				time.Sleep(100 * time.Microsecond)
+				continue
+			}
+			i := rng.Intn(have - 1) // never the newest: its content is the inserter's still
+			key := fmt.Sprintf("v%d", i)
+			switch {
+			case deleted[i]:
+			case rng.Intn(3) == 0:
+				if err := n.Delete("wiki", key); err != nil {
+					t.Errorf("delete %s: %v", key, err)
+				}
+				deleted[i] = true
+			default:
+				c := editText(rng, final[i], 1)
+				if err := n.Update("wiki", key, c); err != nil {
+					t.Errorf("update %s: %v", key, err)
+				}
+				final[i] = c
+			}
+		}
+	}()
+	go func() { // flusher
+		defer wg.Done()
+		for inserted.Load() < revisions {
+			n.FlushWritebacks(4)
+		}
+	}()
+	wg.Wait()
+	n.Barrier()
+	n.FlushWritebacks(-1)
+
+	for i := range final {
+		got, err := n.Read("wiki", fmt.Sprintf("v%d", i))
+		if deleted[i] {
+			if !errors.Is(err, ErrNotFound) {
+				t.Errorf("v%d: deleted, yet Read = %d bytes, %v", i, len(got), err)
+			}
+		} else if err != nil || !bytes.Equal(got, final[i]) {
+			t.Errorf("v%d: Read = %d bytes, %v; want the %d its last writer left", i, len(got), err, len(final[i]))
+		}
+	}
+	if rep := n.VerifyAll(); !rep.Ok() {
+		t.Errorf("verify: %s", rep)
+	}
+	verifyRefcounts(t, n)
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for id := range n.lastMut {
+		if _, live := n.store.Meta(id); !live {
+			t.Errorf("record %d is gone and still has a mutation stamp", id)
+		}
+	}
+}
+
+// TestFailedDeleteChangesNothing makes the store refuse a delete's write, the
+// tombstone of a record nothing decodes through or the hidden form of one
+// something does, at each entrance a delete has: a client call, a replicated
+// entry, and the delete a Retain pass stops on. The error must come back with
+// the key still resolvable, nothing counted, stamped or logged, and what a
+// reopen finds on disk must be what the node said before it: the record. (The
+// key used to be unpublished first, so it was gone until the next restart and
+// back after it.) A retry then deletes it for good.
+func TestFailedDeleteChangesNothing(t *testing.T) {
+	entrances := map[string]func(n *Node, key string) error{
+		"client": func(n *Node, key string) error { return n.Delete("db", key) },
+		"replicated": func(n *Node, key string) error {
+			return n.ApplyReplicated(oplog.Entry{Op: oplog.OpDelete, DB: "db", Key: key})
+		},
+		"retain": func(n *Node, key string) error {
+			_, err := n.Retain("db", func(k string) bool { return k != key }, true)
+			return err
+		},
+	}
+	for name, del := range entrances {
+		for _, kind := range []string{"tombstone", "hidden"} {
+			t.Run(name+"/"+kind, func(t *testing.T) {
+				mem := faultfs.NewMemFS()
+				opts := Options{Dir: "n", FS: mem, BlockSize: 128, SyncEncode: true, DisableAutoFlush: true,
+					Engine: core.Config{GovernorWindow: 1 << 30, Scheme: chain.Backward}}
+				n, err := Open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(3))
+				v0 := prose(rng, 4096)
+				v1 := editText(rng, v0, 2)
+				must := func(err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				must(n.Insert("db", "v0", v0))
+				must(n.Insert("db", "v1", v1))
+				key, want := "v1", v1
+				if kind == "hidden" {
+					if n.FlushWritebacks(-1) != 1 || n.RefCount("db", "v1") != 1 {
+						t.Fatal("v0 was not re-encoded against v1")
+					}
+				}
+				must(n.Close())
+
+				// Reopen on a disk whose first write fails. A record larger than a
+				// block fills it; the sealer meets the fault and leaves the error
+				// for the next append, which will be the delete's.
+				opts.FS = faultfs.NewInjector(mem, 1, faultfs.FailWrite(1))
+				if n, err = Open(opts); err != nil {
+					t.Fatal(err)
+				}
+				must(n.Insert("db", "filler", prose(rng, 1024)))
+				// A compaction pass starts by waiting for the sealer; with one
+				// segment it then finds no victim and leaves the error where it is.
+				if _, err := n.Store().Compact(); err != nil || n.Stats().Store.SealErrors != 1 {
+					t.Fatalf("waiting for the sealer: %v, %d seal errors, want the one injected", err, n.Stats().Store.SealErrors)
+				}
+				stats, logged := n.Stats(), n.Oplog().LastSeq()
+
+				if err := del(n, key); !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("delete on a failing disk = %v, want the injected error", err)
+				}
+				if got, err := n.Read("db", key); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("after the failed delete the key reads %d bytes, %v; want the record", len(got), err)
+				}
+				if got, err := n.Read("db", "v0"); err != nil || !bytes.Equal(got, v0) {
+					t.Errorf("v0 after the failed delete: %d bytes, %v", len(got), err)
+				}
+				if st := n.Stats(); st.Deletes != stats.Deletes || n.Oplog().LastSeq() != logged {
+					t.Errorf("the failed delete was counted (%d → %d) or logged (seq %d → %d)",
+						stats.Deletes, st.Deletes, logged, n.Oplog().LastSeq())
+				}
+				n.mu.RLock()
+				stamps := len(n.lastMut)
+				n.mu.RUnlock()
+				if stamps != 0 {
+					t.Errorf("the failed delete left %d mutation stamps", stamps)
+				}
+				must(n.Close())
+
+				opts.FS = mem
+				if n, err = Open(opts); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := n.Read("db", key); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("after a restart the key reads %d bytes, %v; want the record the node kept serving", len(got), err)
+				}
+				must(del(n, key))
+				must(n.Close())
+				if n, err = Open(opts); err != nil {
+					t.Fatal(err)
+				}
+				defer n.Close()
+				if _, err := n.Read("db", key); !errors.Is(err, ErrNotFound) {
+					t.Errorf("after the delete that succeeded and a restart: %v, want not found", err)
+				}
+				if got, err := n.Read("db", "v0"); err != nil || !bytes.Equal(got, v0) {
+					t.Errorf("v0 at the end: %d bytes, %v", len(got), err)
+				}
+			})
+		}
+	}
+}
+
+// TestOpenDecodesEachBlockOnce: opening a node over a sealed, compressed store
+// decodes what the store's replay decodes and nothing more. Listing the
+// records to rebuild keys and reference counts used to Get every one of them,
+// inflating most blocks a second time.
+func TestOpenDecodesEachBlockOnce(t *testing.T) {
+	mem := faultfs.NewMemFS()
+	// Dedup off: every revision stays a raw record in a block of its own, so
+	// the live records span far more blocks than the cache replay leaves warm.
+	opts := Options{Dir: "n", FS: mem, BlockCompression: true, BlockSize: 4 << 10, CacheBlocks: 2,
+		SyncEncode: true, DisableDedup: true}
+	n, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertChain(t, n, "wiki", 40, 11)
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := docstore.Open(docstore.Options{Dir: "n", FS: mem, Compress: true, BlockSize: 4 << 10, CacheBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := s.Stats().BlocksDecoded
+	s.Close()
+	if replay < 10 {
+		t.Fatalf("replay decoded %d blocks; the store under test is too small to tell", replay)
+	}
+
+	if n, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if got := n.Stats().Store.BlocksDecoded; got != replay {
+		t.Errorf("opening the node decoded %d blocks, the store's replay alone %d", got, replay)
+	}
+	if st := n.Stats().Store; st.LiveRecords != 40 {
+		t.Errorf("%d live records after reopen, want 40", st.LiveRecords)
+	}
+}

@@ -57,9 +57,8 @@ func (n *Node) VerifyAll() (report VerifyReport) {
 		hidden  bool
 	}
 	var items []item
-	n.store.Range(func(rec docstore.Record) bool {
-		items = append(items, item{id: rec.ID, db: rec.DB, key: rec.Key,
-			form: rec.Form, hidden: rec.Hidden})
+	n.store.Range(func(id uint64, m docstore.MetaInfo) bool {
+		items = append(items, item{id: id, db: m.DB, key: m.Key, form: m.Form, hidden: m.Hidden})
 		return true
 	})
 

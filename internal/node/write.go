@@ -57,14 +57,15 @@ func (n *Node) Insert(db, key string, payload []byte) error {
 // with ErrDuplicateKey, publishes the key only after the append succeeded
 // (lock-free readers must never resolve a key to a record the store does not
 // hold) and counts the insert only then, so a failed insert leaves nothing to
-// undo. The returned job carries the new record's ID and version.
+// undo. The returned job carries the new record's ID and the insert's
+// mutation sequence number.
 //
 // With emit the encoder token is reserved first and append, publish and
 // enqueue share one n.mu critical section, so oplog order matches mutation
 // order; shed marks the job to skip the dedup workflow. Without emit the
-// applier's per-database FIFO is the order: n.mu covers only the ID and the
-// counters, and what follows the insert (ObserveRaw, or the replica's
-// re-encode) is the caller's.
+// applier's per-database FIFO is the order: n.mu covers only the ID, the
+// sequence number and the counters, and what follows the insert (ObserveRaw,
+// or the replica's re-encode) is the caller's.
 func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) (encodeJob, bool, error) {
 	var sh *fifoShard[encodeJob]
 	if emit {
@@ -83,10 +84,11 @@ func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) 
 	if _, exists := dbm.Load(key); exists {
 		return fail(fmt.Errorf("node: %w: %q/%q", ErrDuplicateKey, db, key))
 	}
-	job := encodeJob{kind: oplog.OpInsert, db: db, key: key, id: n.nextID, payload: payload,
-		version: n.version[n.nextID], shedRaw: shed}
+	job := encodeJob{kind: oplog.OpInsert, db: db, key: key, id: n.nextID, payload: payload, shedRaw: shed}
 	n.nextID++
 	if !emit {
+		n.opSeq++
+		job.opSeq = n.opSeq
 		n.mu.Unlock()
 	}
 	err := n.store.Append(docstore.Record{ID: job.id, DB: db, Key: key, Payload: payload})
@@ -127,48 +129,68 @@ func (n *Node) Update(db, key string, payload []byte) error {
 	return n.finish(n.updateLocalEmit(db, key, payload, true))
 }
 
-// updateLocalEmit performs the update and, when emit is set, queues the
-// oplog job in the same critical section as the version bump so entry order
-// matches mutation order. Without emit it is the storage-side half alone (the
-// replication apply path).
-func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, bool, error) {
-	var job encodeJob
-	inline := false
+// mutate is the prelude an update and a delete of job's (db, key) share. With
+// emit it reserves the encoder token first. Then, in one n.mu critical
+// section, it resolves the key, runs first, if there is one, with the record's
+// ID and the number of records decoding through it (a delete's store write,
+// which may fail), counts the op, gives the mutation its sequence number, stamps the record
+// with it and, with emit, queues the oplog job there, so entry order matches
+// mutation order; without emit it is the storage-side half alone (the
+// replication apply path). After n.mu it drops what was derived from the old
+// content: a pending write-back, which must never clobber fresh client data,
+// and the source cache's copy. When it returns an error nothing has changed.
+func (n *Node) mutate(job encodeJob, emit bool, count *uint64, first func(id uint64, refs int) error) (encodeJob, int, bool, error) {
 	var sh *fifoShard[encodeJob]
 	if emit {
-		sh = n.pool.reserve(db)
+		sh = n.pool.reserve(job.db)
 	}
-	// The one copy of the caller's payload: the oplog job and the stored
-	// record share it, and neither modifies it.
-	cp := append([]byte(nil), payload...)
 	n.mu.Lock()
-	id, ok := n.lookup(db, key)
-	if !ok {
+	id, ok := n.lookup(job.db, job.key)
+	refs := n.refcnt[id]
+	var err error
+	switch {
+	case !ok:
+		err = ErrNotFound
+	case first != nil:
+		err = first(id, refs)
+	}
+	if err != nil {
 		n.mu.Unlock()
 		sh.release()
-		return job, false, ErrNotFound
+		return job, 0, false, err
 	}
-	n.version[id]++
-	n.stats.Updates++
+	job.id = id
+	*count++
 	n.recentOps.Add(1)
-	refs := n.refcnt[id]
+	inline := false
 	if emit {
-		job, inline = n.enqueueLocked(sh, encodeJob{kind: oplog.OpUpdate, db: db, key: key,
-			id: id, payload: cp})
+		job, inline = n.enqueueLocked(sh, job)
 	} else {
 		n.opSeq++
 	}
 	n.lastMut[id] = n.opSeq
 	n.mu.Unlock()
 
-	// A pending deferred write-back must never clobber fresh client data.
 	if n.wb != nil {
 		n.wb.Invalidate(id)
 	}
-	// The cached decode/dedup-source content is stale now.
 	if n.eng != nil && n.eng.SourceCache() != nil {
 		n.eng.SourceCache().Remove(id)
 	}
+	return job, refs, inline, nil
+}
+
+// updateLocalEmit performs the update: the prelude, then the store write.
+func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, bool, error) {
+	// The one copy of the caller's payload: the oplog job and the stored
+	// record share it, and neither modifies it.
+	cp := append([]byte(nil), payload...)
+	job, refs, inline, err := n.mutate(encodeJob{kind: oplog.OpUpdate, db: db, key: key, payload: cp},
+		emit, &n.stats.Updates, nil)
+	if err != nil {
+		return job, false, err
+	}
+	id := job.id
 
 	if refs == 0 {
 		// Nobody decodes through this record: plain overwrite. If the
@@ -221,107 +243,66 @@ func (n *Node) Delete(db, key string) error {
 	return n.finish(n.deleteLocalEmit(db, key, true))
 }
 
-// deleteLocalEmit is updateLocalEmit's counterpart for a delete.
+// deleteLocalEmit performs the delete. The store write that makes it durable,
+// a tombstone or the record's hidden form, runs inside the prelude's critical
+// section and the key is unpublished only behind it: a delete the store
+// refuses returns the error with the key still resolvable, nothing counted,
+// stamped or logged, and the record as it was, in memory as on disk.
 func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, error) {
-	var job encodeJob
-	inline := false
-	var sh *fifoShard[encodeJob]
-	if emit {
-		sh = n.pool.reserve(db)
-	}
-	n.mu.Lock()
-	id, ok := n.lookup(db, key)
-	if !ok {
-		n.mu.Unlock()
-		sh.release()
-		return job, false, ErrNotFound
-	}
-	n.keys.delete(db, key)
-	n.version[id]++
-	n.stats.Deletes++
-	n.recentOps.Add(1)
-	refs := n.refcnt[id]
-	if emit {
-		job, inline = n.enqueueLocked(sh, encodeJob{kind: oplog.OpDelete, db: db, key: key, id: id})
-	} else {
-		n.opSeq++
-	}
-	n.lastMut[id] = n.opSeq
-	n.mu.Unlock()
-
-	if n.wb != nil {
-		n.wb.Invalidate(id)
-	}
-	if n.eng != nil && n.eng.SourceCache() != nil {
-		n.eng.SourceCache().Remove(id)
-	}
-
-	if refs == 0 {
-		if err := n.reclaim(id); err != nil {
-			return job, inline, err
-		}
-	} else {
-		rec, okRec, err := n.store.Get(id)
-		if err != nil {
-			return job, inline, err
-		}
-		if okRec {
-			rec.Hidden = true
-			if err := n.store.Append(rec); err != nil {
-				return job, inline, err
+	var was docstore.MetaInfo // the record, when nothing decoded through it and it is gone
+	job, refs, inline, err := n.mutate(encodeJob{kind: oplog.OpDelete, db: db, key: key},
+		emit, &n.stats.Deletes, func(id uint64, refs int) error {
+			var err error
+			if refs == 0 {
+				was, _ = n.store.Meta(id)
+				err = n.store.Delete(id)
+			} else if rec, ok, getErr := n.store.Get(id); getErr != nil || !ok {
+				err = getErr // a key without a record: nothing to hide
+			} else {
+				rec.Hidden = true
+				err = n.store.Append(rec)
 			}
-		}
-	}
-	return job, inline, nil
-}
-
-// reclaim removes record id from the store and releases its base reference,
-// cascading into hidden bases whose last reference disappears and compacting
-// stacked ones. It acquires applyMu; use reclaimLocked when already holding
-// it.
-func (n *Node) reclaim(id uint64) error {
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-	return n.reclaimLocked(id)
-}
-
-func (n *Node) reclaimLocked(id uint64) error {
-	for {
-		rec, ok := n.store.Meta(id)
-		if !ok {
-			return nil
-		}
-		if err := n.store.Delete(id); err != nil {
+			if err == nil {
+				n.keys.delete(db, key)
+			}
 			return err
-		}
-		n.mu.Lock()
-		// Note: the version entry is retained (not deleted) so pending
-		// write-backs that name this record as base keep failing their
-		// version check.
-		var nextID uint64
-		freed := false
-		if rec.Form == docstore.FormDelta {
-			n.refcnt[rec.BaseID]--
-			if n.refcnt[rec.BaseID] <= 0 {
-				delete(n.refcnt, rec.BaseID)
-				nextID = rec.BaseID
-				freed = true
-			}
-		}
-		n.mu.Unlock()
-		if !freed {
-			return nil
-		}
-		m, okMeta := n.store.Meta(nextID)
-		switch {
-		case okMeta && m.Hidden:
-			id = nextID // cascade into the deleted base
-		case okMeta && m.Stacked:
-			n.compactStackedLocked(nextID)
-			return nil
-		default:
-			return nil
-		}
+		})
+	if err == nil && refs == 0 {
+		n.applyMu.Lock()
+		n.removedLocked(job.id, was)
+		n.applyMu.Unlock()
+	}
+	return job, inline, err
+}
+
+// reclaimLocked removes record id, which nothing decodes through any more,
+// from the store. Caller holds applyMu.
+func (n *Node) reclaimLocked(id uint64) error {
+	rec, ok := n.store.Meta(id)
+	if !ok {
+		return nil
+	}
+	if err := n.store.Delete(id); err != nil {
+		return err
+	}
+	n.removedLocked(id, rec)
+	return nil
+}
+
+// removedLocked settles the books for record id, whose tombstone is written
+// and which was stored as rec: its mutation stamp goes with it (lastMut
+// follows live records; a guard that finds no stamp finds no record either,
+// and IDs are not reused), and the base it decoded from loses a reference,
+// which cascades into a hidden base whose last reference this was and
+// compacts a stacked one. A store error down the cascade leaves an
+// unreferenced hidden record behind, not an error for the caller, whose own
+// record is gone. Caller holds applyMu.
+func (n *Node) removedLocked(id uint64, rec docstore.MetaInfo) {
+	n.mu.Lock()
+	delete(n.lastMut, id)
+	n.mu.Unlock()
+	if rec.Form == docstore.FormDelta {
+		n.releaseRefLocked(rec.BaseID)
 	}
 }
 
@@ -357,10 +338,7 @@ func (n *Node) processInsert(job encodeJob) {
 		return
 	}
 
-	n.mu.RLock()
-	alreadyMutated := n.version[job.id] != job.version || n.lastMut[job.id] > job.opSeq
-	n.mu.RUnlock()
-	if n.eng != nil && !alreadyMutated {
+	if n.eng != nil && !n.changedSince(job.id, job.opSeq) {
 		if n.opts.SimulatedEncodeDelay > 0 {
 			time.Sleep(n.opts.SimulatedEncodeDelay)
 		}
@@ -369,10 +347,7 @@ func (n *Node) processInsert(job encodeJob) {
 		// may have cached its stale insert payload as a dedup source;
 		// scrub it. The content-verifying write-back guard below makes
 		// any remaining staleness harmless.
-		n.mu.RLock()
-		mutatedDuring := n.version[job.id] != job.version
-		n.mu.RUnlock()
-		if mutatedDuring && n.eng.SourceCache() != nil {
+		if n.eng.SourceCache() != nil && n.changedSince(job.id, job.opSeq) {
 			n.eng.SourceCache().Remove(job.id)
 		}
 		if err == nil && res.Deduped {
@@ -381,17 +356,14 @@ func (n *Node) processInsert(job encodeJob) {
 			// source content as of this entry's position in the oplog,
 			// so if the source was client-mutated after this insert was
 			// accepted, the two differ: ship raw instead. The local
-			// write-backs stay valid (they are version-guarded).
-			n.mu.RLock()
-			srcMutatedSince := n.lastMut[res.SourceID] > job.opSeq
-			n.mu.RUnlock()
+			// write-backs carry the same guard.
 			srcKey, ok := n.keyOf(res.SourceID)
-			if ok && !srcMutatedSince {
+			if ok && !n.changedSince(res.SourceID, job.opSeq) {
 				entry.Form = oplog.FormDelta
 				entry.BaseKey = srcKey
 				entry.Payload = res.Forward.Marshal()
 			}
-			n.queueWritebacks(res.Writebacks, job.id, job.version)
+			n.queueWritebacks(res.Writebacks, job.opSeq)
 		}
 	}
 	n.appendOplog(entry)
@@ -411,22 +383,29 @@ func (n *Node) appendOplog(e oplog.Entry) {
 	n.oplogBytes.Add(int64(e.MarshalledSize()))
 }
 
+// changedSince reports whether record id was updated or deleted after mutation
+// seq: its stamp is newer, or the record is gone and its stamp with it. The
+// stamp is read first: a delete writes its tombstone before it stamps, and the
+// stamp is dropped only after that.
+func (n *Node) changedSince(id, seq uint64) bool {
+	n.mu.RLock()
+	stamp := n.lastMut[id]
+	n.mu.RUnlock()
+	if stamp > seq {
+		return true
+	}
+	_, ok := n.store.Meta(id)
+	return !ok
+}
+
 // queueWritebacks routes the engine's write-back decisions through the lossy
-// cache (or applies them inline when the cache is disabled). newID/newVer
-// identify the just-inserted record and its version at insert time: deltas
-// were computed against its insert payload, so client mutations to it in
-// the meantime (version[newID] != newVer) must invalidate them — the stored
-// version guard captures exactly that.
-func (n *Node) queueWritebacks(wbs []core.Writeback, newID uint64, newVer uint32) {
+// cache (or applies them inline when the cache is disabled). seq is the
+// sequence number of the insert they were computed for: the deltas were built
+// from that record's insert payload and from what the others held at the
+// time, so a client mutation of either side after seq must invalidate them.
+func (n *Node) queueWritebacks(wbs []core.Writeback, seq uint64) {
 	for _, wb := range wbs {
-		n.mu.RLock()
-		ver := n.version[wb.ID]
-		baseVer := n.version[wb.Base]
-		if wb.Base == newID {
-			baseVer = newVer
-		}
-		n.mu.RUnlock()
-		payload := encodeWritebackPayload(wb, ver, baseVer)
+		payload := encodeWritebackPayload(wb, seq)
 		if n.wb == nil {
 			n.applyWriteback(wb.ID, payload)
 			continue
@@ -435,33 +414,26 @@ func (n *Node) queueWritebacks(wbs []core.Writeback, newID uint64, newVer uint32
 	}
 }
 
-// Write-back payloads carry (base, version-of-record, version-of-base,
-// delta) so the flusher can validate, long after the encode decision, that
-// neither the record nor the content it would decode from has been changed
-// by the client in the meantime.
-func encodeWritebackPayload(wb core.Writeback, version, baseVersion uint32) []byte {
+// Write-back payloads carry (base, sequence number, delta) so the flusher can
+// validate, long after the encode decision, that neither the record nor the
+// content it would decode from has been changed by the client in the meantime.
+func encodeWritebackPayload(wb core.Writeback, seq uint64) []byte {
 	out := binary.AppendUvarint(nil, wb.Base)
-	out = binary.AppendUvarint(out, uint64(version))
-	out = binary.AppendUvarint(out, uint64(baseVersion))
+	out = binary.AppendUvarint(out, seq)
 	return append(out, wb.Delta.Marshal()...)
 }
 
-func decodeWritebackPayload(p []byte) (base uint64, version, baseVersion uint32, deltaBytes []byte, err error) {
+func decodeWritebackPayload(p []byte) (base, seq uint64, deltaBytes []byte, err error) {
 	base, k := binary.Uvarint(p)
 	if k <= 0 {
-		return 0, 0, 0, nil, errors.New("node: bad write-back payload")
+		return 0, 0, nil, errors.New("node: bad write-back payload")
 	}
 	p = p[k:]
-	v, k := binary.Uvarint(p)
+	seq, k = binary.Uvarint(p)
 	if k <= 0 {
-		return 0, 0, 0, nil, errors.New("node: bad write-back payload")
+		return 0, 0, nil, errors.New("node: bad write-back payload")
 	}
-	p = p[k:]
-	bv, k := binary.Uvarint(p)
-	if k <= 0 {
-		return 0, 0, 0, nil, errors.New("node: bad write-back payload")
-	}
-	return base, uint32(v), uint32(bv), p[k:], nil
+	return base, seq, p[k:], nil
 }
 
 // FlushWritebacks applies up to max pending write-backs (all of them when
@@ -495,29 +467,24 @@ func (n *Node) PendingWritebacks() int {
 // delta was computed. Skipping is always safe: the record just stays in its
 // older, larger form (the "lossy" property of §3.3.2).
 func (n *Node) applyWriteback(id uint64, payload []byte) bool {
-	base, ver, baseVer, deltaBytes, err := decodeWritebackPayload(payload)
+	base, seq, deltaBytes, err := decodeWritebackPayload(payload)
 	if err != nil {
 		return false
 	}
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 
-	n.mu.Lock()
-	if n.version[id] != ver || n.version[base] != baseVer {
-		n.stats.WritebacksSkipped++
-		n.mu.Unlock()
-		return false
-	}
-	n.mu.Unlock()
-
-	rec, ok := n.store.Meta(id)
-	if !ok {
-		return false
-	}
 	skip := func() bool {
 		n.mu.Lock()
 		n.stats.WritebacksSkipped++
 		n.mu.Unlock()
+		return false
+	}
+	if n.changedSince(id, seq) || n.changedSince(base, seq) {
+		return skip()
+	}
+	rec, ok := n.store.Meta(id)
+	if !ok {
 		return false
 	}
 	if rec.Stacked || rec.Hidden {
@@ -537,7 +504,7 @@ func (n *Node) applyWriteback(id uint64, payload []byte) bool {
 	}
 
 	// End-to-end guard: the re-encoding must reproduce exactly the
-	// content this record currently decodes to. The version checks above
+	// content this record currently decodes to. The stamp checks above
 	// are fast-path filters; this catches every residual staleness
 	// (e.g. a delta computed from a cache entry that a concurrent client
 	// mutation invalidated mid-encode). Skipping costs only compression.
