@@ -15,8 +15,8 @@ import (
 	"dbdedup/internal/node"
 )
 
-// transferDialTimeout bounds each transfer round trip of a handoff.
-const transferDialTimeout = 10 * time.Second
+// transferTimeout bounds each transfer round trip of a handoff.
+const transferTimeout = 10 * time.Second
 
 // Shard wraps a node with ring routing: it serves operations for databases
 // the active ring places on this member and classifies the rest with the
@@ -373,7 +373,7 @@ func (s *Shard) BeginHandoff() ([]byte, error) {
 	s.n.Barrier()
 
 	sum := handoffSummary{Moved: map[string]int{}}
-	pool := apiserver.NewPool(s.nw, transferDialTimeout)
+	pool := apiserver.NewPool(s.nw, transferTimeout)
 	defer pool.Close()
 	for _, db := range s.n.DBNames() {
 		dest := p.Owner(db)

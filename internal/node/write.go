@@ -251,9 +251,9 @@ func (n *Node) Delete(db, key string) error {
 func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, error) {
 	var was docstore.MetaInfo // the record, when nothing decoded through it and it is gone
 	job, refs, inline, err := n.mutate(encodeJob{kind: oplog.OpDelete, db: db, key: key},
-		emit, &n.stats.Deletes, func(id uint64, refs int) error {
+		emit, &n.stats.Deletes, func(id uint64, decodingThrough int) error {
 			var err error
-			if refs == 0 {
+			if decodingThrough == 0 {
 				was, _ = n.store.Meta(id)
 				err = n.store.Delete(id)
 			} else if rec, ok, getErr := n.store.Get(id); getErr != nil || !ok {
