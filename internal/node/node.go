@@ -191,11 +191,12 @@ type Node struct {
 	oplogBytes  atomic.Int64 // Stats.OplogBytes; encoder workers add to it
 	recentOps   atomic.Int64 // ops since last idle check (idleness proxy)
 
-	// applyMu serialises form-changing rewrites (write-back application
-	// and hidden-chain repair) so their refcount updates stay coherent. It
-	// also guards the working memory those paths decode into: one scratch
-	// per content held at a time (a record and the base it would decode
-	// from), and the buffer a candidate delta is applied into for checking.
+	// applyMu serialises every write of an existing record's stored form
+	// (update, delete, write-back apply, hidden-chain repair, the re-dedup
+	// commit), so what one checked still holds when it appends. It also
+	// guards the working memory those paths decode into: one scratch per
+	// content held at a time (a record and the base it would decode from),
+	// and the buffer a candidate delta is applied into for checking.
 	applyMu      sync.Mutex
 	applyScratch [2]scratch
 	applyCheck   []byte

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -433,4 +434,105 @@ func TestOpenDecodesEachBlockOnce(t *testing.T) {
 	if st := n.Stats().Store; st.LiveRecords != 40 {
 		t.Errorf("%d live records after reopen, want 40", st.LiveRecords)
 	}
+}
+
+// TestStampUnderMutationRacingFlush mutates each record while the flusher is
+// inside the write-back that re-encodes it: it deletes the record, updates it,
+// or updates the base the write-back points it at. A write-back passes its
+// guards, decodes both sides, and then appends. A delete whose tombstone landed
+// in between would have the append put the record back, owned by no key,
+// holding a reference on its base, and republished by the next restart; an
+// update would be overwritten by the older content; an update of the still
+// unreferenced base would overwrite what the record is about to decode from.
+// The append is serialized with all three, so every key reads what its last
+// writer left, now and after a reopen.
+func TestStampUnderMutationRacingFlush(t *testing.T) {
+	mem := faultfs.NewMemFS()
+	opts := Options{Dir: "n", FS: mem, SyncEncode: true, DisableAutoFlush: true,
+		Engine: core.Config{GovernorWindow: 1 << 30, Scheme: chain.Backward}}
+	n, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { n.Close() }()
+	rng := rand.New(rand.NewSource(5))
+	want := map[string][]byte{}    // nil: deleted
+	olds := map[uint64][2]string{} // older record of a pair → its key and the newer one's
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 16; i++ {
+			old, cur := fmt.Sprintf("r%d.%d.old", round, i), fmt.Sprintf("r%d.%d.new", round, i)
+			want[old] = prose(rng, 16<<10)
+			want[cur] = editText(rng, want[old], 2)
+			if err := errors.Join(n.Insert("db", old, want[old]), n.Insert("db", cur, want[cur])); err != nil {
+				t.Fatal(err)
+			}
+			id, _ := n.lookup("db", old)
+			olds[id] = [2]string{old, cur}
+		}
+		// What FlushWritebacks does, with the place it has reached on show.
+		held := n.wb.DrainBest(n.wb.Len())
+		var at atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j, wb := range held {
+				at.Store(int64(j + 1))
+				n.applyWriteback(wb.ID, wb.Payload)
+			}
+		}()
+		raced := 0
+		for j, wb := range held {
+			keys, ok := olds[wb.ID]
+			if !ok || want[keys[0]] == nil {
+				continue // a write-back across pairs
+			}
+			old, cur := keys[0], keys[1]
+			oldC, curC := editText(rng, want[old], 1), editText(rng, want[cur], 1)
+			for at.Load() <= int64(j) {
+				runtime.Gosched()
+			}
+			switch raced % 3 {
+			case 0:
+				want[old], err = nil, n.Delete("db", old)
+			case 1:
+				want[old], err = oldC, n.Update("db", old, oldC)
+			case 2:
+				want[cur], err = curC, n.Update("db", cur, curC)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			raced++
+		}
+		wg.Wait()
+		if raced < 8 {
+			t.Fatalf("round %d: %d of 16 pairs had a write-back to race", round, raced)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for id, keys := range olds {
+			if m, ok := n.store.Meta(id); ok && !m.Hidden && want[keys[0]] == nil {
+				t.Errorf("%s: deleted record %d (%s) is in the store: %+v", when, id, keys[0], m)
+			}
+		}
+		for key, c := range want {
+			got, err := n.Read("db", key)
+			if c == nil && !errors.Is(err, ErrNotFound) {
+				t.Errorf("%s: %s reads %d bytes, %v; it was deleted", when, key, len(got), err)
+			} else if c != nil && (err != nil || !bytes.Equal(got, c)) {
+				t.Errorf("%s: %s reads %d bytes, %v; want the %d its last writer left", when, key, len(got), err, len(c))
+			}
+		}
+		verifyRefcounts(t, n)
+	}
+	check("after the race")
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	check("after a restart")
 }

@@ -129,37 +129,12 @@ func (n *Node) Update(db, key string, payload []byte) error {
 	return n.finish(n.updateLocalEmit(db, key, payload, true))
 }
 
-// mutate is the prelude an update and a delete of job's (db, key) share. With
-// emit it reserves the encoder token first. Then, in one n.mu critical
-// section, it resolves the key, runs first, if there is one, with the record's
-// ID and the number of records decoding through it (a delete's store write,
-// which may fail), counts the op, gives the mutation its sequence number, stamps the record
-// with it and, with emit, queues the oplog job there, so entry order matches
-// mutation order; without emit it is the storage-side half alone (the
-// replication apply path). After n.mu it drops what was derived from the old
-// content: a pending write-back, which must never clobber fresh client data,
-// and the source cache's copy. When it returns an error nothing has changed.
-func (n *Node) mutate(job encodeJob, emit bool, count *uint64, first func(id uint64, refs int) error) (encodeJob, int, bool, error) {
-	var sh *fifoShard[encodeJob]
-	if emit {
-		sh = n.pool.reserve(job.db)
-	}
-	n.mu.Lock()
-	id, ok := n.lookup(job.db, job.key)
-	refs := n.refcnt[id]
-	var err error
-	switch {
-	case !ok:
-		err = ErrNotFound
-	case first != nil:
-		err = first(id, refs)
-	}
-	if err != nil {
-		n.mu.Unlock()
-		sh.release()
-		return job, 0, false, err
-	}
-	job.id = id
+// stampLocked is what an update and a delete share once the record is found
+// and nothing can fail any more: count the op, take the next sequence number,
+// stamp job.id with it and, with emit, queue the oplog job on sh in the same
+// n.mu section, so entry order matches mutation order (without emit: the
+// storage-side half alone, the replication apply path). Caller holds n.mu.
+func (n *Node) stampLocked(sh *fifoShard[encodeJob], job encodeJob, emit bool, count *uint64) (encodeJob, bool) {
 	*count++
 	n.recentOps.Add(1)
 	inline := false
@@ -168,43 +143,60 @@ func (n *Node) mutate(job encodeJob, emit bool, count *uint64, first func(id uin
 	} else {
 		n.opSeq++
 	}
-	n.lastMut[id] = n.opSeq
-	n.mu.Unlock()
+	n.lastMut[job.id] = n.opSeq
+	return job, inline
+}
 
+// invalidate drops what was derived from record id's old content: a pending
+// write-back, which must never clobber fresh client data, and the source
+// cache's copy. Called after the stamp, outside n.mu.
+func (n *Node) invalidate(id uint64) {
 	if n.wb != nil {
 		n.wb.Invalidate(id)
 	}
 	if n.eng != nil && n.eng.SourceCache() != nil {
 		n.eng.SourceCache().Remove(id)
 	}
-	return job, refs, inline, nil
 }
 
-// updateLocalEmit performs the update: the prelude, then the store write.
+// updateLocalEmit performs the update: lookup and stamp under n.mu, then the
+// store write. Like a delete it holds applyMu throughout (lock order: encoder
+// token, applyMu, n.mu): a write-back, a repair or a re-dedup conversion checks
+// a record and the base it points at under that lock and then appends, and an
+// update of either landing in between would be overwritten by older content,
+// or overwrite what the other record is about to decode from.
 func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, bool, error) {
 	// The one copy of the caller's payload: the oplog job and the stored
 	// record share it, and neither modifies it.
 	cp := append([]byte(nil), payload...)
-	job, refs, inline, err := n.mutate(encodeJob{kind: oplog.OpUpdate, db: db, key: key, payload: cp},
-		emit, &n.stats.Updates, nil)
-	if err != nil {
-		return job, false, err
+	var sh *fifoShard[encodeJob]
+	if emit {
+		sh = n.pool.reserve(db)
 	}
-	id := job.id
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+	n.mu.Lock()
+	id, ok := n.lookup(db, key)
+	if !ok {
+		n.mu.Unlock()
+		sh.release()
+		return encodeJob{}, false, ErrNotFound
+	}
+	refs := n.refcnt[id]
+	job, inline := n.stampLocked(sh, encodeJob{kind: oplog.OpUpdate, db: db, key: key, id: id, payload: cp},
+		emit, &n.stats.Updates)
+	n.mu.Unlock()
+	n.invalidate(id)
 
 	if refs == 0 {
 		// Nobody decodes through this record: plain overwrite. If the
 		// old form was a delta, its base loses a reference.
-		var oldBase uint64
-		hadBase := false
-		if m, okM := n.store.Meta(id); okM && m.Form == docstore.FormDelta {
-			oldBase, hadBase = m.BaseID, true
-		}
+		was, _ := n.store.Meta(id)
 		if err := n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp}); err != nil {
 			return job, inline, err
 		}
-		if hadBase {
-			n.releaseRef(oldBase)
+		if was.Form == docstore.FormDelta {
+			n.releaseRefLocked(was.BaseID)
 		}
 	} else {
 		// Referenced: keep the stored form intact as section 0 and
@@ -216,20 +208,15 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 		if !okRec {
 			return job, inline, ErrNotFound
 		}
-		var stacked []byte
+		sections := [][]byte{rec.Payload, cp}
 		if rec.Stacked {
 			// Replace the visible (last) section.
-			sections, err := splitSections(rec.Payload)
-			if err != nil {
+			if sections, err = splitSections(rec.Payload); err != nil {
 				return job, inline, err
 			}
 			sections[len(sections)-1] = cp
-			stacked = joinSections(sections)
-		} else {
-			stacked = joinSections([][]byte{rec.Payload, cp})
 		}
-		rec.Stacked = true
-		rec.Payload = stacked
+		rec.Stacked, rec.Payload = true, joinSections(sections)
 		if err := n.store.Append(rec); err != nil {
 			return job, inline, err
 		}
@@ -243,36 +230,51 @@ func (n *Node) Delete(db, key string) error {
 	return n.finish(n.deleteLocalEmit(db, key, true))
 }
 
-// deleteLocalEmit performs the delete. The store write that makes it durable,
-// a tombstone or the record's hidden form, runs inside the prelude's critical
-// section and the key is unpublished only behind it: a delete the store
-// refuses returns the error with the key still resolvable, nothing counted,
-// stamped or logged, and the record as it was, in memory as on disk.
+// deleteLocalEmit performs the delete, under applyMu for an update's reason: a
+// tombstone landing between a write-back's check and its append would be
+// undone by the append. The store write that makes the delete durable, the
+// tombstone or the record's hidden form, runs inside the n.mu section and the
+// key is unpublished only behind it: a delete the store refuses returns the
+// error with nothing unpublished, counted, stamped or logged.
 func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, error) {
-	var was docstore.MetaInfo // the record, when nothing decoded through it and it is gone
-	job, refs, inline, err := n.mutate(encodeJob{kind: oplog.OpDelete, db: db, key: key},
-		emit, &n.stats.Deletes, func(id uint64, decodingThrough int) error {
-			var err error
-			if decodingThrough == 0 {
-				was, _ = n.store.Meta(id)
-				err = n.store.Delete(id)
-			} else if rec, ok, getErr := n.store.Get(id); getErr != nil || !ok {
-				err = getErr // a key without a record: nothing to hide
-			} else {
-				rec.Hidden = true
-				err = n.store.Append(rec)
-			}
-			if err == nil {
-				n.keys.delete(db, key)
-			}
-			return err
-		})
-	if err == nil && refs == 0 {
-		n.applyMu.Lock()
-		n.removedLocked(job.id, was)
-		n.applyMu.Unlock()
+	var sh *fifoShard[encodeJob]
+	if emit {
+		sh = n.pool.reserve(db)
 	}
-	return job, inline, err
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+	n.mu.Lock()
+	id, ok := n.lookup(db, key)
+	refs := n.refcnt[id]
+	var was docstore.MetaInfo // the record, when nothing decodes through it and it goes
+	var err error
+	switch {
+	case !ok:
+		err = ErrNotFound
+	case refs == 0:
+		was, _ = n.store.Meta(id)
+		err = n.store.Delete(id)
+	default:
+		rec, found, getErr := n.store.Get(id)
+		if err = getErr; err == nil && found { // a key without a record has nothing to hide
+			rec.Hidden = true
+			err = n.store.Append(rec)
+		}
+	}
+	if err != nil {
+		n.mu.Unlock()
+		sh.release()
+		return encodeJob{}, false, err
+	}
+	n.keys.delete(db, key)
+	job, inline := n.stampLocked(sh, encodeJob{kind: oplog.OpDelete, db: db, key: key, id: id},
+		emit, &n.stats.Deletes)
+	n.mu.Unlock()
+	n.invalidate(id)
+	if refs == 0 {
+		n.removedLocked(id, was)
+	}
+	return job, inline, nil
 }
 
 // reclaimLocked removes record id, which nothing decodes through any more,
