@@ -221,26 +221,55 @@ func Decode(block []byte) ([]byte, error) {
 // (the store's block header) passes a buffer of exactly that size, and any
 // other declared or actual length is an error. Nothing is allocated.
 func DecodeInto(dst, block []byte) ([]byte, error) {
-	declared, s := binary.Uvarint(block)
-	if s <= 0 {
-		return nil, errCorrupt
+	if _, _, err := DecodeResume(dst, block, 0, 0, len(dst)); err != nil {
+		return nil, err
 	}
-	if declared != uint64(len(dst)) {
-		return nil, fmt.Errorf("blockcomp: header declares %d bytes, caller expects %d", declared, len(dst))
+	return dst, nil
+}
+
+// DecodeResume decompresses block into dst as far as the caller needs it, and
+// goes on later from where it stopped. s and d are the position in block and
+// the number of bytes of dst already written: zero for a block not yet begun
+// (the header is then checked as DecodeInto checks it), afterwards what the
+// previous call on the same dst and block returned. It runs the tag loop until
+// at least want bytes are written or the block ends, and returns the new
+// positions, always at a tag boundary. dst[:d] is then final: later calls write
+// only behind it. Past d up to 15 bytes may hold a word move's overshoot, which
+// the next tag overwrites.
+//
+// The slack rule is taken against len(dst), the whole block, wherever the call
+// stops, so every call sequence performs the stores of one DecodeInto in the
+// same order and ends with the same bytes. A block whose tags run out early or
+// write past len(dst), or that has bytes left after its last byte is written,
+// is an error from the call that gets there; want >= len(dst) gets everywhere.
+// On error the positions passed in are returned and dst[:d] is untouched.
+func DecodeResume(dst, block []byte, s, d, want int) (int, int, error) {
+	s0, d0 := s, d
+	if s == 0 {
+		declared, n := binary.Uvarint(block)
+		if n <= 0 || d != 0 {
+			return s0, d0, errCorrupt
+		}
+		if declared != uint64(len(dst)) {
+			return s0, d0, fmt.Errorf("blockcomp: header declares %d bytes, caller expects %d", declared, len(dst))
+		}
+		s = n
 	}
-	d := 0 // bytes of dst written
-	for s < len(block) {
+	if s < 0 || s > len(block) || d < 0 || d > len(dst) {
+		return s0, d0, errCorrupt
+	}
+	for s < len(block) && d < want {
 		tag := block[s]
 		switch tag & 0x03 {
 		case tagCopy:
 			if len(block)-s < 3 {
-				return nil, errCorrupt
+				return s0, d0, errCorrupt
 			}
 			length := int(tag>>2) + minMatch
 			offset := int(block[s+1]) | int(block[s+2])<<8
 			s += 3
 			if offset == 0 || offset > d || length > len(dst)-d {
-				return nil, errCorrupt
+				return s0, d0, errCorrupt
 			}
 			if offset >= wordLen && len(dst)-d >= length+wordLen {
 				// Whole words: each load ends at or before the byte its
@@ -267,22 +296,22 @@ func DecodeInto(dst, block []byte) ([]byte, error) {
 				s++
 			case code == 60:
 				if len(block)-s < 2 {
-					return nil, errCorrupt
+					return s0, d0, errCorrupt
 				}
 				litLen = int(block[s+1]) + 1
 				s += 2
 			case code == 61:
 				if len(block)-s < 3 {
-					return nil, errCorrupt
+					return s0, d0, errCorrupt
 				}
 				litLen = int(block[s+1]) | int(block[s+2])<<8
 				litLen++
 				s += 3
 			default:
-				return nil, errCorrupt
+				return s0, d0, errCorrupt
 			}
 			if litLen > len(block)-s || litLen > len(dst)-d {
-				return nil, errCorrupt
+				return s0, d0, errCorrupt
 			}
 			if litLen <= 2*wordLen && len(block)-s >= 2*wordLen && len(dst)-d >= 2*wordLen {
 				// A short literal with slack on both sides: two words,
@@ -295,11 +324,14 @@ func DecodeInto(dst, block []byte) ([]byte, error) {
 			d += litLen
 			s += litLen
 		default:
-			return nil, fmt.Errorf("blockcomp: unknown tag %#x", tag&0x03)
+			return s0, d0, fmt.Errorf("blockcomp: unknown tag %#x", tag&0x03)
 		}
 	}
-	if d != len(dst) {
-		return nil, fmt.Errorf("blockcomp: decoded %d bytes, header declared %d", d, len(dst))
+	switch {
+	case s == len(block) && d != len(dst):
+		return s0, d0, fmt.Errorf("blockcomp: decoded %d bytes, header declared %d", d, len(dst))
+	case d == len(dst) && s != len(block):
+		return s0, d0, errCorrupt // tags behind the block's last byte
 	}
-	return dst, nil
+	return s, d, nil
 }

@@ -170,6 +170,104 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 	})
 }
 
+// resumeBoth decodes block once with DecodeInto and once in the steps given
+// (each byte of steps asks for that many bytes past what is already there, zero
+// included), and fails unless resuming is the full decode cut into pieces: the
+// same bytes, a prefix that never changes once returned, an error from some
+// step when and only when the full decode errs, and nothing written outside
+// dst.
+func resumeBoth(t *testing.T, block, steps []byte) {
+	t.Helper()
+	n, lenErr := DecodedLen(block)
+	if lenErr != nil {
+		// Nothing is sized from such a header: the caller's buffer is the
+		// only length there is, and it does not match.
+		if _, _, err := DecodeResume(make([]byte, 16), block, 0, 0, 1); err == nil {
+			t.Fatal("DecodeResume accepted a block DecodedLen rejects")
+		}
+		return
+	}
+	full, fullErr := DecodeInto(make([]byte, n), block)
+	const guard = 0xa5
+	buf := bytes.Repeat([]byte{guard}, n+32)
+	dst := buf[:n:n]
+	s, d := 0, 0
+	step := func(want int) bool {
+		before := append([]byte(nil), dst[:d]...)
+		ns, nd, err := DecodeResume(dst, block, s, d, want)
+		if !bytes.Equal(dst[:d], before) {
+			t.Fatalf("bytes [0,%d) changed after they were returned", d)
+		}
+		if bytes.Count(buf[n:], []byte{guard}) != 32 {
+			t.Fatal("DecodeResume wrote past len(dst)")
+		}
+		if err != nil {
+			if fullErr == nil {
+				t.Fatalf("resume to %d failed where the full decode succeeds: %v", want, err)
+			}
+			if ns != s || nd != d {
+				t.Fatalf("failed call moved the positions (%d,%d) -> (%d,%d)", s, d, ns, nd)
+			}
+			return false
+		}
+		if nd < d || nd < want && nd < n {
+			t.Fatalf("asked for %d of %d bytes from %d, got %d", want, n, d, nd)
+		}
+		if fullErr == nil && !bytes.Equal(dst[:nd], full[:nd]) {
+			t.Fatalf("resumed bytes [0,%d) differ from the full decode's", nd)
+		}
+		s, d = ns, nd
+		return true
+	}
+	for _, by := range steps {
+		if !step(d + int(by)) {
+			return
+		}
+	}
+	if step(n) && fullErr != nil {
+		t.Fatalf("resumed decode accepted a block the full decode rejects: %v", fullErr)
+	}
+}
+
+func TestDecodeResumeAtTheSeams(t *testing.T) {
+	for _, b := range kernelEdgeBlocks() {
+		for by := 0; by < 24; by++ {
+			resumeBoth(t, b, bytes.Repeat([]byte{byte(by)}, len(b)))
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, src := range textBlocks(t, 4, 32<<10) {
+		steps := make([]byte, 400)
+		rng.Read(steps)
+		resumeBoth(t, Encode(src), steps)
+		resumeBoth(t, Encode(src), nil)
+	}
+	// Tags behind the block's last byte are the full decode's error, so they
+	// are the error of whichever call gets to the end.
+	lit20 := append([]byte{19 << 2}, "abcdefghijklmnopqrst"...)
+	long := append(append(append([]byte{40}, lit20...), lit20...), 0x00, 'x')
+	resumeBoth(t, long, []byte{3, 3})
+	if _, err := DecodeInto(make([]byte, 40), long); err == nil {
+		t.Fatal("full decode accepted tags behind the last byte")
+	}
+	if s, d, err := DecodeResume(make([]byte, 40), long, 0, 0, 4); err != nil || d != 20 {
+		t.Fatalf("a frame in front of the damage: (%d,%d) %v", s, d, err)
+	}
+}
+
+// FuzzDecodeResume cuts the decode of arbitrary tag streams at arbitrary
+// points and holds the pieces to DecodeInto.
+func FuzzDecodeResume(f *testing.F) {
+	for _, b := range kernelEdgeBlocks() {
+		f.Add(b, []byte{0, 1, 7, 8, 9, 16})
+	}
+	f.Add(Encode(bytes.Repeat([]byte("abcdefghij"), 100)), []byte{255, 0, 255})
+	f.Add(Encode(make([]byte, 300)), []byte{1, 1, 1, 1})
+	f.Add([]byte{0x05, 0x00, 0xff}, []byte{1})
+	f.Add(hugeHeader, []byte{1})
+	f.Fuzz(resumeBoth)
+}
+
 var benchSink []byte
 
 // The codec benchmarks run on what the store compresses: 32 KiB blocks of

@@ -72,19 +72,23 @@ func TestSourceCacheReplace(t *testing.T) {
 	}
 }
 
-func TestSourceCacheContainsDoesNotTouch(t *testing.T) {
+func TestSourceCachePeekDoesNotTouch(t *testing.T) {
 	c := NewSourceCache(40)
-	c.Put(1, make([]byte, 20))
+	c.Put(1, []byte("twenty bytes of one."))
 	c.Put(2, make([]byte, 20))
-	c.Contains(1)              // must NOT move 1 to front
-	c.Put(3, make([]byte, 20)) // evicts 1 (still LRU)
-	if c.Contains(1) {
-		t.Error("Contains() affected LRU order")
-	}
 	h0, m0 := c.Stats()
-	c.Contains(2)
+	if got, ok := c.Peek(1); !ok || string(got) != "twenty bytes of one." { // must NOT move 1 to front
+		t.Fatalf("Peek(1) = %q, %v", got, ok)
+	}
+	c.Contains(1)
+	c.Peek(9)
+	c.Contains(9)
 	if h, m := c.Stats(); h != h0 || m != m0 {
-		t.Error("Contains() affected hit/miss stats")
+		t.Error("Peek or Contains affected hit/miss stats")
+	}
+	c.Put(3, make([]byte, 20)) // evicts 1 (still LRU)
+	if _, ok := c.Peek(1); ok || c.Contains(1) {
+		t.Error("Peek or Contains affected LRU order")
 	}
 }
 

@@ -70,13 +70,24 @@ func (c *SourceCache) Get(id uint64) ([]byte, bool) {
 	return el.Value.(*sourceItem).data, true
 }
 
-// Contains reports whether record id is resident without perturbing LRU
-// order or hit statistics. Cache-aware selection uses it to score
-// candidates before deciding which one to fetch.
-func (c *SourceCache) Contains(id uint64) bool {
+// Peek returns the cached contents of record id as Get does, but leaves no
+// trace: LRU order and the hit/miss counters are the encoder's, and a client
+// read that looks here must not change which sources the encoder finds
+// resident, because that decides what gets stored.
+func (c *SourceCache) Peek(id uint64) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.items[id]
+	if el, ok := c.items[id]; ok {
+		return el.Value.(*sourceItem).data, true
+	}
+	return nil, false
+}
+
+// Contains reports whether record id is resident, with as little trace as
+// Peek. Cache-aware selection uses it to score candidates before deciding
+// which one to fetch.
+func (c *SourceCache) Contains(id uint64) bool {
+	_, ok := c.Peek(id)
 	return ok
 }
 

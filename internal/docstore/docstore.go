@@ -55,7 +55,13 @@
 // Sealed bytes are immutable, so reads of them route through the segio
 // subsystem: a block read consults the sharded block cache (segio.Cache) and,
 // on a miss, pins a refcounted segment handle (segio.Table), loads the block
-// and unpins. A decoded block belongs to the cache; readers see their record
+// and unpins. A point read (View) inflates a compressed block only as far as
+// the end of its own frame, which the record's entry gives before the block is
+// touched; the block is cached with how far it got, and a later read that
+// needs more takes it out of the cache, decodes on from there under no lock
+// and puts it back, so no byte of a resident block is inflated twice. Get,
+// replay and through Get compaction want the block whole, in one call. A
+// decoded block belongs to the cache; readers see their record
 // in it only inside a callback (under the cache's shard lock on a hit, before
 // handing the buffer over on a miss). Get copies the payload out there and
 // returns bytes nothing else aliases; View lends it to the caller's function
@@ -190,12 +196,15 @@ type Stats struct {
 	// decoded into: taken over from a block that left the cache, or newly
 	// allocated. In steady state every load recycles.
 	BlockBuffersRecycled, BlockBuffersFresh uint64
-	// BlocksDecoded counts sealed blocks decompressed (every cache miss on
-	// a compressed block, and each block replayed at Open) and
-	// BlockDecodeNanos the time spent decompressing them. Per read served
-	// they are what hop encoding does not bound: blocks touched, not decode
-	// steps taken.
-	BlocksDecoded, BlockDecodeNanos uint64
+	// BlocksDecoded counts sealed blocks whose decompression began (every
+	// cache miss on a compressed block that was not resident even in part,
+	// and each block replayed at Open), BlocksExtended the resident blocks a
+	// later read decompressed further, BlockBytesDecoded the bytes both
+	// produced and BlockDecodeNanos the time they took. Per read served they
+	// are what hop encoding does not bound: blocks touched and bytes inflated,
+	// not decode steps taken.
+	BlocksDecoded, BlocksExtended       uint64
+	BlockBytesDecoded, BlockDecodeNanos uint64
 	// MmapBlockReads/PreadBlockReads split block loads by how the bytes
 	// were served: zero-copy from a segment mapping vs a positional read.
 	// MmapFailures counts mapping attempts that failed (the segment stays
@@ -261,6 +270,8 @@ type Store struct {
 	preadReads    atomic.Uint64
 	mmapFailures  atomic.Uint64
 	blocksDecoded atomic.Uint64
+	blocksResumed atomic.Uint64
+	bytesDecoded  atomic.Uint64
 	decodeNanos   atomic.Uint64
 	blocksSealed  atomic.Uint64
 	sealNanos     atomic.Uint64
@@ -725,10 +736,13 @@ func segSlot(segs []*segment, s *segment) int {
 // Get returns the stored form of record id. The payload never aliases memory
 // the store owns (a cached block, a mapping, a block buffer): for a sealed
 // record it is a fresh copy, for one whose block has not been committed yet
-// it is the slice Append was given, which appenders never modify.
+// it is the slice Append was given, which appenders never modify. Get loads a
+// sealed record's block whole: its callers (compaction, which goes on to the
+// block's other records, and the paths that rewrite a record) are not the
+// point reads View is for.
 func (s *Store) Get(id uint64) (Record, bool, error) {
 	var out Record
-	ok, err := s.read(id, func(rec Record, lent bool) {
+	ok, err := s.read(id, true, func(rec Record, lent bool) {
 		if lent {
 			rec.Payload = append([]byte(nil), rec.Payload...)
 		}
@@ -756,8 +770,9 @@ type Stored struct {
 // it neither blocks, nor takes a lock, nor calls back into the store. What fn
 // reads is one consistent version of the record; Meta, read separately, may be
 // a version ahead or behind, which is why the form travels with the payload.
+// A compressed block is inflated no further than this record's frame.
 func (s *Store) View(id uint64, fn func(v Stored)) (bool, error) {
-	return s.read(id, func(rec Record, _ bool) {
+	return s.read(id, false, func(rec Record, _ bool) {
 		fn(Stored{Form: rec.Form, BaseID: rec.BaseID, Stacked: rec.Stacked,
 			Hidden: rec.Hidden, Payload: rec.Payload})
 	})
@@ -765,7 +780,8 @@ func (s *Store) View(id uint64, fn func(v Stored)) (bool, error) {
 
 // read is the lookup under Get and View: it copies id's entry out of the
 // record table and calls fn once, with the pending copy or with the sealed
-// frame the entry points at. lent says that rec.Payload is a slice of a block
+// frame the entry points at. whole says how much of a sealed frame's block is
+// loaded: all of it, or as much as holds the frame. lent says that rec.Payload is a slice of a block
 // (cached, mapped or just decoded) and dies with the call; otherwise it is
 // the slice Append was given. rec.DB and rec.Key are the table's strings.
 //
@@ -773,7 +789,7 @@ func (s *Store) View(id uint64, fn func(v Stored)) (bool, error) {
 // record, block reads go through the sharded cache and pin a segio segment
 // handle on a miss. The one retry is for a sealed location whose segment
 // compaction retired since the entry was copied.
-func (s *Store) read(id uint64, fn func(rec Record, lent bool)) (bool, error) {
+func (s *Store) read(id uint64, whole bool, fn func(rec Record, lent bool)) (bool, error) {
 	for attempt := 0; ; attempt++ {
 		if attempt > 1000 {
 			return false, errors.New("docstore: Get retry livelock (table references retired segments)")
@@ -787,7 +803,11 @@ func (s *Store) read(id uint64, fn func(rec Record, lent bool)) (bool, error) {
 				Stacked: e.stacked, Hidden: e.hidden, Payload: e.payload}, false)
 			return true, nil
 		}
-		err := s.frameAt(id, &e, fn)
+		need := segio.WholeBlock
+		if !whole {
+			need = e.frameEnd(id)
+		}
+		err := s.frameAt(id, &e, need, fn)
 		if errors.Is(err, segio.ErrRetired) {
 			// The record was moved before its segment was retired, so the
 			// table already has its new home.
@@ -799,8 +819,11 @@ func (s *Store) read(id uint64, fn func(rec Record, lent bool)) (bool, error) {
 
 // frameAt parses the frame sealed entry e points at, checks that it is record
 // id's, and calls fn with it while the block's bytes are borrowed: from the
-// cache, under its shard lock, on a hit; from readBlock on a miss.
-func (s *Store) frameAt(id uint64, e *entry, fn func(rec Record, lent bool)) error {
+// cache, under its shard lock, on a hit; from readBlock on a miss, which
+// includes a block resident with fewer than need bytes. A block shown in part
+// ends where its decode stopped, so a frame that is not all there fails to
+// parse instead of being read from bytes not yet written.
+func (s *Store) frameAt(id uint64, e *entry, need int, fn func(rec Record, lent bool)) error {
 	var err error
 	extract := func(block []byte) {
 		if int(e.recStart) > len(block) {
@@ -820,7 +843,8 @@ func (s *Store) frameAt(id uint64, e *entry, fn func(rec Record, lent bool)) err
 	}
 	seg := int(e.seg)
 	key := segio.BlockKey(seg, e.off)
-	if s.cache.View(key, extract) {
+	hit, short := s.cache.View(key, need, extract)
+	if hit {
 		return err
 	}
 	rd, ok := s.table.Pin(seg)
@@ -828,7 +852,7 @@ func (s *Store) frameAt(id uint64, e *entry, fn func(rec Record, lent bool)) err
 		return segio.ErrRetired
 	}
 	defer s.table.Unpin(rd)
-	if loadErr := s.readBlock(rd, key, e.off, extract); loadErr != nil {
+	if loadErr := s.readBlock(rd, key, e.off, need, short, extract); loadErr != nil {
 		return loadErr
 	}
 	return err
@@ -894,11 +918,17 @@ var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 // handed to the cache afterwards, so a steady-state miss allocates nothing
 // here.
 //
+// A compressed block is decoded until it holds need bytes (segio.WholeBlock:
+// all of it) and fn sees that much. have is the block as the cache held it, taken
+// out because it holds less: the decode goes on from where it stopped, into
+// the same buffer, and the block goes back further along. On the pread path
+// the compressed image is read and its checksum verified again each time.
+//
 // Mapped bytes skip the checksum: a mapping only ever covers bytes this
 // process sealed itself or that replay has already verified. What the header
 // claims is still checked against what the bytes can hold before anything is
 // sized from it, so a damaged header is an error, never an allocation.
-func (s *Store) readBlock(rd *segio.Reader, key uint64, off int64, fn func(block []byte)) error {
+func (s *Store) readBlock(rd *segio.Reader, key uint64, off int64, need int, have segio.Block, fn func(block []byte)) error {
 	var hdrBuf [blockHeaderSize]byte
 	hdr, mapped := rd.MappedRange(off, blockHeaderSize)
 	if !mapped {
@@ -936,15 +966,16 @@ func (s *Store) readBlock(rd *segio.Reader, key uint64, off int64, fn func(block
 		s.preadReads.Add(1)
 	}
 
-	var block []byte
+	b := have
 	if !compressed {
-		block = s.cache.Buffer(key, int(storedLen))
-		if err := rd.ReadAt(block, bodyOff); err != nil {
+		b.Data = s.cache.Buffer(key, int(storedLen))
+		if err := rd.ReadAt(b.Data, bodyOff); err != nil {
 			return fmt.Errorf("docstore: %w", err)
 		}
-		if crc32.ChecksumIEEE(block) != sum {
+		if crc32.ChecksumIEEE(b.Data) != sum {
 			return errors.New("docstore: block checksum mismatch")
 		}
+		b.Done = len(b.Data)
 	} else {
 		if !mapped {
 			sp := scratchPool.Get().(*[]byte)
@@ -963,19 +994,26 @@ func (s *Store) readBlock(rd *segio.Reader, key uint64, off int64, fn func(block
 		// Only the block header's rawLen is acceptable, and only if the
 		// compressed image can decode to that much.
 		n, err := blockcomp.DecodedLen(image)
-		if err != nil || int64(n) != rawLen {
+		if err != nil || int64(n) != rawLen || b.Data != nil && len(b.Data) != n {
 			return errors.New("docstore: block length mismatch")
 		}
-		block = s.cache.Buffer(key, n)
+		if b.Data == nil {
+			b.Data = s.cache.Buffer(key, n)
+			s.blocksDecoded.Add(1)
+		} else {
+			s.blocksResumed.Add(1)
+		}
 		start := time.Now()
-		if _, err := blockcomp.DecodeInto(block, image); err != nil {
+		src, done, err := blockcomp.DecodeResume(b.Data, image, b.Src, b.Done, need)
+		if err != nil {
 			return fmt.Errorf("docstore: %w", err)
 		}
-		s.blocksDecoded.Add(1)
+		s.bytesDecoded.Add(uint64(done - b.Done))
 		s.decodeNanos.Add(uint64(time.Since(start)))
+		b.Src, b.Done = src, done
 	}
-	fn(block)
-	s.cache.Put(key, block)
+	fn(b.Data[:b.Done])
+	s.cache.Put(key, b)
 	return nil
 }
 
@@ -1045,6 +1083,8 @@ func (s *Store) Stats() Stats {
 		BlockBuffersRecycled: recycled,
 		BlockBuffersFresh:    fresh,
 		BlocksDecoded:        s.blocksDecoded.Load(),
+		BlocksExtended:       s.blocksResumed.Load(),
+		BlockBytesDecoded:    s.bytesDecoded.Load(),
 		BlockDecodeNanos:     s.decodeNanos.Load(),
 
 		BlocksSealed:  s.blocksSealed.Load(),
@@ -1098,7 +1138,7 @@ func (s *Store) replayAll() error {
 			// A block that does not load is a torn tail; a block that
 			// loads but does not parse is corruption replay must not hide.
 			var frameErr error
-			err := s.readBlock(seg.rd, segio.BlockKey(segIdx, off), off, func(raw []byte) {
+			err := s.readBlock(seg.rd, segio.BlockKey(segIdx, off), off, segio.WholeBlock, segio.Block{}, func(raw []byte) {
 				frameErr = s.replayBlock(segIdx, off, raw)
 			})
 			if err != nil {
@@ -1338,14 +1378,10 @@ func (s *Store) DiskBytes() int64 {
 // The frame length is computed first, so the frame is written once, straight
 // into dst.
 func appendFrame(dst []byte, rec Record) []byte {
-	bodyLen := uvarintLen(rec.ID) + 1 +
-		uvarintLen(uint64(len(rec.DB))) + len(rec.DB) +
-		uvarintLen(uint64(len(rec.Key))) + len(rec.Key) +
-		uvarintLen(uint64(len(rec.Payload))) + len(rec.Payload)
+	bodyLen := frameBodyLen(rec.ID, rec.Form, rec.BaseID, len(rec.DB), len(rec.Key), len(rec.Payload))
 	var flags byte
 	if rec.Form == FormDelta {
 		flags |= 1
-		bodyLen += uvarintLen(rec.BaseID)
 	}
 	if rec.Tombstone {
 		flags |= 2
@@ -1368,6 +1404,20 @@ func appendFrame(dst []byte, rec Record) []byte {
 	dst = append(dst, rec.Key...)
 	dst = binary.AppendUvarint(dst, uint64(len(rec.Payload)))
 	return append(dst, rec.Payload...)
+}
+
+// frameBodyLen is the frameLen field of the frame appendFrame writes for such
+// a record. The record's table entry holds every input, so where a sealed
+// frame ends is known without reading it (entry.frameEnd).
+func frameBodyLen(id uint64, form Form, baseID uint64, dbLen, keyLen, payloadLen int) int {
+	n := uvarintLen(id) + 1 +
+		uvarintLen(uint64(dbLen)) + dbLen +
+		uvarintLen(uint64(keyLen)) + keyLen +
+		uvarintLen(uint64(payloadLen)) + payloadLen
+	if form == FormDelta {
+		n += uvarintLen(baseID)
+	}
+	return n
 }
 
 func uvarintLen(v uint64) int {

@@ -51,6 +51,13 @@ func FuzzParseFrame(f *testing.F) {
 		if again.ID != rec.ID || again.DB != rec.DB || again.Key != rec.Key {
 			t.Fatal("frame identity not preserved")
 		}
+		// Where the frame ends follows from what the record table keeps of it:
+		// a point read inflates its block that far and no further.
+		e := entry{db: rec.DB, key: rec.Key, baseID: rec.BaseID, form: rec.Form,
+			payloadLen: uint32(len(rec.Payload)), recStart: 7}
+		if got, want := e.frameEnd(rec.ID), 7+len(appendFrame(nil, rec)); got != want {
+			t.Fatalf("entry says the frame ends at %d, it ends at %d", got, want)
+		}
 	})
 }
 

@@ -2,6 +2,7 @@ package segio
 
 import (
 	"container/list"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -27,6 +28,11 @@ func keySlot(key uint64) int { return int(key >> 40) }
 // where Buffer hands it to the next miss. Nothing outside the cache may keep
 // a reference to a buffer it has Put, or to bytes it saw in View: the next
 // miss on that shard overwrites them.
+//
+// A block may be resident only in part (Block.Done): a point read decodes a
+// compressed block as far as its own frame. A reader that needs more than is
+// there is handed the block itself, which leaves the cache for that long, so
+// the decode that extends it runs under no lock and has the buffer to itself.
 type Cache struct {
 	shards []cacheShard
 	mask   uint64
@@ -52,9 +58,23 @@ type cacheShard struct {
 	fresh    atomic.Uint64 // Buffer calls that allocated
 }
 
+// Block is a block's buffer and how far it is filled. Data has the block's
+// full length from the first load on; Data[:Done] is final and what readers
+// are shown, and the rest is still to be decoded, from position Src of the
+// stored image, which means something to the decoder alone. A block that is
+// not compressed, or was wanted whole, has Done == len(Data).
+type Block struct {
+	Data      []byte
+	Done, Src int
+}
+
+// WholeBlock, as a View's need, is more than any block has: only a block
+// resident in full satisfies it.
+const WholeBlock = math.MaxInt
+
 type blockItem struct {
-	key  uint64
-	data []byte
+	key uint64
+	Block
 }
 
 // PoisonFreed installs fn as the poison hook: it is called, under the shard
@@ -98,25 +118,33 @@ func (c *Cache) shardOf(key uint64) *cacheShard {
 	return &c.shards[(h>>32)&c.mask]
 }
 
-// View looks key up, recording a hit or miss. On a hit it calls fn with the
-// cached block while holding the shard lock and returns true. fn must copy
+// View looks key up, recording a hit or miss. It is a hit when the block is
+// resident with at least its first need bytes, or with all it has: fn is then
+// called with the resident bytes while the shard lock is held. fn must copy
 // out what it needs and must not block or take another lock: the bytes are
 // the cache's, and are reused as soon as the lock is released and the block
-// evicted.
-func (c *Cache) View(key uint64, fn func(block []byte)) bool {
+// evicted. A resident block that holds less is a miss and is returned as
+// short, removed from the cache: the caller owns it, fills in more of it and
+// Puts it back (or drops it, on an error).
+func (c *Cache) View(key uint64, need int, fn func(block []byte)) (hit bool, short Block) {
 	s := c.shardOf(key)
 	s.mu.Lock()
-	el, ok := s.items[key]
-	if !ok {
-		s.mu.Unlock()
-		s.misses.Add(1)
-		return false
+	if el, ok := s.items[key]; ok {
+		it := el.Value.(*blockItem)
+		if it.Done >= need || it.Done == len(it.Data) {
+			s.ll.MoveToFront(el)
+			fn(it.Data[:it.Done])
+			s.mu.Unlock()
+			s.hits.Add(1)
+			return true, Block{}
+		}
+		short = it.Block
+		s.ll.Remove(el)
+		delete(s.items, key)
 	}
-	s.ll.MoveToFront(el)
-	fn(el.Value.(*blockItem).data)
 	s.mu.Unlock()
-	s.hits.Add(1)
-	return true
+	s.misses.Add(1)
+	return false, short
 }
 
 // bufferQuantum rounds fresh buffer capacities up, so blocks of nearly the
@@ -147,23 +175,24 @@ func (c *Cache) Buffer(key uint64, n int) []byte {
 	return make([]byte, n, (n+bufferQuantum-1)/bufferQuantum*bufferQuantum)
 }
 
-// Put inserts (or replaces) a block, evicting the shard's LRU tail past
-// capacity. The cache owns data from here on; the caller must not touch it
-// again.
-func (c *Cache) Put(key uint64, data []byte) {
+// Put inserts a block, evicting the shard's LRU tail past capacity. The cache
+// owns b.Data from here on; the caller must not touch it again.
+func (c *Cache) Put(key uint64, b Block) {
 	s := c.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
-		// Two readers missed the same block: the contents are equal, keep
-		// the newcomer and recycle the old buffer.
+		// Two readers loaded the same block: the contents are equal as far as
+		// both go, so keep the one that goes further and recycle the other.
 		it := el.Value.(*blockItem)
-		c.release(s, it.data)
-		it.data = data
+		if b.Done > it.Done {
+			b, it.Block = it.Block, b
+		}
+		c.release(s, b.Data)
 		s.ll.MoveToFront(el)
 		return
 	}
-	s.items[key] = s.ll.PushFront(&blockItem{key: key, data: data})
+	s.items[key] = s.ll.PushFront(&blockItem{key: key, Block: b})
 	for s.ll.Len() > s.cap {
 		c.remove(s, s.ll.Back())
 	}
@@ -174,7 +203,7 @@ func (c *Cache) Put(key uint64, data []byte) {
 func (c *Cache) remove(s *cacheShard, el *list.Element) {
 	it := s.ll.Remove(el).(*blockItem)
 	delete(s.items, it.key)
-	c.release(s, it.data)
+	c.release(s, it.Data)
 }
 
 // release puts a buffer no cached block uses any more on the shard's free

@@ -224,14 +224,17 @@ func TestConcurrentPinRetire(t *testing.T) {
 // inside the View callback.
 func viewCopy(c *Cache, key uint64) ([]byte, bool) {
 	var out []byte
-	ok := c.View(key, func(b []byte) { out = append([]byte(nil), b...) })
+	ok, _ := c.View(key, WholeBlock, func(b []byte) { out = append([]byte(nil), b...) })
 	return out, ok
 }
+
+// whole is buf as a block resident in full.
+func whole(buf []byte) Block { return Block{Data: buf, Done: len(buf)} }
 
 func TestCacheLRUAndStats(t *testing.T) {
 	c := NewCache(4, 1) // one shard: deterministic LRU
 	for i := 0; i < 6; i++ {
-		c.Put(BlockKey(0, int64(i)), []byte{byte(i)})
+		c.Put(BlockKey(0, int64(i)), whole([]byte{byte(i)}))
 	}
 	// Capacity 4: keys 0 and 1 evicted.
 	if _, ok := viewCopy(c, BlockKey(0, 0)); ok {
@@ -250,11 +253,54 @@ func TestCacheLRUAndStats(t *testing.T) {
 	}
 }
 
+// TestCacheShortBlock: a block resident in part serves the reads it covers
+// and is handed out, leaving the cache, to the read that needs more; of two
+// copies of one block the cache keeps the one that goes further.
+func TestCacheShortBlock(t *testing.T) {
+	c := NewCache(4, 1)
+	var freed int
+	c.poison = func([]byte) { freed++ }
+	key := BlockKey(0, 0)
+	buf := make([]byte, 100)
+	c.Put(key, Block{Data: buf, Done: 40, Src: 17})
+
+	var seen int
+	if hit, _ := c.View(key, 40, func(b []byte) { seen = len(b) }); !hit || seen != 40 {
+		t.Fatalf("need 40 of 40 resident: hit=%v, shown %d bytes", hit, seen)
+	}
+	hit, short := c.View(key, 41, func([]byte) { t.Error("callback on a short block") })
+	if hit || short.Done != 40 || short.Src != 17 || &short.Data[0] != &buf[0] {
+		t.Fatalf("need 41 of 40 resident: hit=%v short=%+v", hit, short)
+	}
+	if hit, short := c.View(key, 1, func([]byte) {}); hit || short.Data != nil {
+		t.Fatal("a block handed out is still resident")
+	}
+	if hits, misses := c.HitsMisses(); hits != 1 || misses != 2 {
+		t.Fatalf("hits=%d misses=%d, want 1/2", hits, misses)
+	}
+
+	// Meanwhile another reader loaded the block afresh, less far.
+	other := make([]byte, 100)
+	c.Put(key, Block{Data: other, Done: 30, Src: 9})
+	short.Done, short.Src = 100, 55
+	c.Put(key, short)
+	if freed != 1 {
+		t.Fatalf("%d buffers recycled, want the shorter copy's", freed)
+	}
+	if hit, _ := c.View(key, WholeBlock, func(b []byte) { seen = len(b) }); !hit || seen != 100 {
+		t.Fatalf("the further copy was not kept: hit=%v, shown %d bytes", hit, seen)
+	}
+	c.Put(key, Block{Data: other, Done: 30, Src: 9}) // a late shorter copy loses too
+	if hit, _ := c.View(key, WholeBlock, func(b []byte) { seen = len(b) }); !hit || seen != 100 || freed != 2 {
+		t.Fatalf("a shorter copy replaced the whole block: hit=%v shown %d freed %d", hit, seen, freed)
+	}
+}
+
 func TestCacheDropSegment(t *testing.T) {
 	c := NewCache(64, 4)
 	for seg := 0; seg < 3; seg++ {
 		for off := int64(0); off < 5; off++ {
-			c.Put(BlockKey(seg, off*100), []byte(fmt.Sprintf("%d/%d", seg, off)))
+			c.Put(BlockKey(seg, off*100), whole([]byte(fmt.Sprintf("%d/%d", seg, off))))
 		}
 	}
 	c.DropSegment(1)
@@ -271,7 +317,7 @@ func TestCacheDropSegment(t *testing.T) {
 func TestCacheShardSpread(t *testing.T) {
 	c := NewCache(1024, 8)
 	for off := int64(0); off < 256; off++ {
-		c.Put(BlockKey(0, off*4096), []byte("b"))
+		c.Put(BlockKey(0, off*4096), whole([]byte("b")))
 	}
 	occupied := 0
 	for _, st := range c.Stats() {
@@ -299,7 +345,7 @@ func TestCacheConcurrent(t *testing.T) {
 						return
 					}
 				} else {
-					c.Put(key, bytes.Repeat([]byte{byte(g)}, 8))
+					c.Put(key, whole(bytes.Repeat([]byte{byte(g)}, 8)))
 				}
 			}
 		}(g)
@@ -322,7 +368,7 @@ func TestCacheRecyclesBuffers(t *testing.T) {
 		if len(buf) != n {
 			t.Fatalf("Buffer(%d) has length %d", n, len(buf))
 		}
-		c.Put(key, buf)
+		c.Put(key, whole(buf))
 		return buf
 	}
 	a := put(0, 1000)
@@ -349,7 +395,7 @@ func TestCacheRecyclesBuffers(t *testing.T) {
 	}
 	// Replacing a key and dropping a segment both recycle.
 	n := len(poisoned)
-	c.Put(BlockKey(0, 3), big)
+	c.Put(BlockKey(0, 3), whole(big))
 	c.DropSegment(0)
 	if len(poisoned) != n+3 {
 		t.Fatalf("replace + DropSegment of 2 blocks recycled %d buffers, want 3", len(poisoned)-n)
@@ -388,7 +434,7 @@ func TestCacheLendsOnlyUnderLock(t *testing.T) {
 				key := BlockKey(i%3, int64((i*7+w)%40)*4096)
 				buf := c.Buffer(key, blockLen)
 				fill(buf, key)
-				c.Put(key, buf)
+				c.Put(key, whole(buf))
 				if i%50 == 49 {
 					c.DropSegment(i % 3)
 				}
@@ -401,7 +447,7 @@ func TestCacheLendsOnlyUnderLock(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 20000; i++ {
 				key := BlockKey(i%3, int64((i*3+r)%40)*4096)
-				c.View(key, func(b []byte) {
+				c.View(key, WholeBlock, func(b []byte) {
 					if len(b) != blockLen {
 						t.Errorf("lent block has length %d", len(b))
 						return

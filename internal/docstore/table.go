@@ -27,6 +27,13 @@ type entry struct {
 
 func (e *entry) sealed() bool { return e.block == 0 }
 
+// frameEnd is the offset within its block at which record id's frame ends:
+// how much of the block a read of this record needs.
+func (e *entry) frameEnd(id uint64) int {
+	body := frameBodyLen(id, e.form, e.baseID, len(e.db), len(e.key), int(e.payloadLen))
+	return int(e.recStart) + uvarintLen(uint64(body)) + body
+}
+
 // 64 shards keep the appenders, the sealer and the readers of a busy node off
 // each other's locks.
 const (

@@ -2,11 +2,15 @@ package docstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"dbdedup/internal/faultfs"
 )
 
 // TestViewLendsWhatGetCopies: View shows the same form and bytes as Get for a
@@ -52,13 +56,160 @@ func TestViewLendsWhatGetCopies(t *testing.T) {
 	}
 }
 
+// TestViewInflatesOnlyAsFarAsItsFrame: a point read decodes a compressed block
+// up to the end of the frame it wants, a later read further into the resident
+// block goes on from there, one that is already covered decodes nothing, and
+// when the whole block has been asked for every byte of it was inflated once.
+// On the pread path each of those loads reads the compressed image again and
+// checks it again, so damage behind the first frame is found by the read that
+// needs those bytes, and what was shown before stays readable.
+func TestViewInflatesOnlyAsFarAsItsFrame(t *testing.T) {
+	const n, payloadLen = 7, 4096 // one 32 KiB block
+	s, want := sealedStore(t, Options{CacheShards: 1}, n, payloadLen)
+	view := func(id uint64) error {
+		t.Helper()
+		ok, err := s.View(id, func(v Stored) {
+			if !bytes.Equal(v.Payload, want[id]) {
+				t.Errorf("View(%d) lent %d bytes that are not the record's", id, len(v.Payload))
+			}
+		})
+		if err == nil && !ok {
+			t.Fatalf("View(%d): missing", id)
+		}
+		return err
+	}
+	frameEnd := func(id uint64) uint64 {
+		e, _ := s.recs.get(id)
+		return uint64(e.frameEnd(id))
+	}
+	step := func(what string, id uint64, decoded, extended, hits uint64, atLeast uint64) {
+		t.Helper()
+		before := s.Stats()
+		if err := view(id); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		st := s.Stats()
+		if st.BlocksDecoded-before.BlocksDecoded != decoded || st.BlocksExtended-before.BlocksExtended != extended ||
+			st.CacheHits-before.CacheHits != hits {
+			t.Fatalf("%s: %d decoded, %d extended, %d hits; want %d, %d, %d", what,
+				st.BlocksDecoded-before.BlocksDecoded, st.BlocksExtended-before.BlocksExtended,
+				st.CacheHits-before.CacheHits, decoded, extended, hits)
+		}
+		// The decode stops at the first tag boundary at or past the frame's
+		// end; a tag of this text is a copy of at most 67 bytes.
+		if got := st.BlockBytesDecoded; got < atLeast || got > atLeast+256 {
+			t.Fatalf("%s: %d block bytes decoded so far, want the %d up to the frame's end", what, got, atLeast)
+		}
+	}
+	step("first frame of a block not resident", 1, 1, 0, 0, frameEnd(1))
+	step("a later frame of the resident block", 3, 0, 1, 0, frameEnd(3))
+	step("a frame already covered", 2, 0, 0, 1, frameEnd(3))
+	if st := s.Stats(); st.MmapBlockReads != 0 || st.PreadBlockReads != 2 {
+		t.Fatalf("the active segment is read with pread, once per load: %+v", st)
+	}
+
+	// Flip a byte of the compressed image behind what has been decoded.
+	seg := s.segments[0]
+	var b [1]byte
+	at := seg.size - 1
+	if _, err := seg.file.ReadAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := seg.file.WriteAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	if err := view(n); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("resuming over a damaged image: %v, want the checksum error", err)
+	}
+	b[0] ^= 0x40
+	if _, err := seg.file.WriteAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	// The failed resume dropped the block: the next read starts over.
+	step("after the damage is gone", 2, 1, 0, 0, frameEnd(3)+frameEnd(2))
+	if _, ok, err := s.Get(1); err != nil || !ok { // Get wants the block whole
+		t.Fatal(ok, err)
+	}
+	st := s.Stats()
+	if got, want := st.BlockBytesDecoded, frameEnd(3)+uint64(st.BlockBytesIn); got < want || got > want+256 {
+		t.Fatalf("%d block bytes decoded, want %d: the %d-byte block once, beside the copy the failed resume dropped",
+			got, want, st.BlockBytesIn)
+	}
+	step("any frame of a block resident in full", n, 0, 0, 1, st.BlockBytesDecoded)
+}
+
+// TestWholeBlockReadersDecodeEachBlockOnce: replay and compaction visit every
+// frame of a block and ask for the block whole, in one call: a block is
+// decoded once, never left short and never extended, so they cost what they
+// cost when every read inflated its whole block.
+func TestWholeBlockReadersDecodeEachBlockOnce(t *testing.T) {
+	opts := Options{Dir: "d", FS: faultfs.NewMemFS(), Compress: true, BlockSize: 512, SegmentSize: 8 << 10,
+		CacheBlocks: 2, CacheShards: 1}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ids = 400
+	for id := uint64(1); id <= ids; id++ {
+		mustAppend(t, s, sealRec(id, 0))
+	}
+	for id := uint64(8); id <= ids/4; id += 8 { // dead bytes in the oldest segments, live records in every block
+		mustAppend(t, s, sealRec(id, 1))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealed := s.Stats()
+
+	if s, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st := s.Stats()
+	if st.BlocksDecoded != sealed.BlocksSealed || st.BlocksExtended != 0 || st.BlockBytesDecoded != uint64(sealed.BlockBytesIn) {
+		t.Fatalf("replay of %d blocks (%d bytes): %d decoded, %d extended, %d bytes inflated",
+			sealed.BlocksSealed, sealed.BlockBytesIn, st.BlocksDecoded, st.BlocksExtended, st.BlockBytesDecoded)
+	}
+
+	// The victim is the first segment; count its blocks and their bytes.
+	var blocks, raw uint64
+	victim := s.segments[0]
+	for off := int64(0); off < victim.size; {
+		var hdr [blockHeaderSize]byte
+		if err := victim.rd.ReadAt(hdr[:], off); err != nil {
+			t.Fatal(err)
+		}
+		blocks++
+		raw += uint64(binary.LittleEndian.Uint32(hdr[4:]))
+		off += blockHeaderSize + int64(binary.LittleEndian.Uint32(hdr[8:]))
+	}
+	if n, err := s.CompactWith(nil); err != nil || n == 0 {
+		t.Fatalf("CompactWith: %d, %v", n, err)
+	}
+	if !victim.retired {
+		t.Fatal("compaction chose another victim than the first segment")
+	}
+	after := s.Stats()
+	if after.BlocksDecoded-st.BlocksDecoded != blocks || after.BlocksExtended != 0 ||
+		after.BlockBytesDecoded-st.BlockBytesDecoded != raw {
+		t.Fatalf("compaction of a %d-block, %d-byte segment: %d decoded, %d extended, %d bytes inflated", blocks, raw,
+			after.BlocksDecoded-st.BlocksDecoded, after.BlocksExtended, after.BlockBytesDecoded-st.BlockBytesDecoded)
+	}
+}
+
 // TestConcurrentViewsNeverSeeRecycledBytes is the lending rule under the race
 // detector. Every buffer that leaves the one-block-per-shard cache is
 // poisoned on the spot (segio's hook), while a writer appends, seals and
 // compacts; each reader checks the payload inside its callback and once more
 // at the callback's last statement. Bytes lent past the shard lock, or a
 // buffer recycled under a callback still running, fail the check (and the
-// detector sees the write).
+// detector sees the write). Three or four records share a block and a View
+// inflates it only as far as its own frame: readers 0 and 1 walk the IDs in
+// order one apart, so they want different frames of one block, one taking the
+// block out of the cache to decode further while the other misses it or puts
+// its own copy back, and readers 2 and 3 stride across the blocks and evict
+// whatever the first two have resident.
 func TestConcurrentViewsNeverSeeRecycledBytes(t *testing.T) {
 	s, err := Open(Options{Dir: t.TempDir(), Compress: true, BlockSize: 512, SegmentSize: 8 << 10,
 		CacheBlocks: 1, CacheShards: 2})
@@ -127,6 +278,9 @@ func TestConcurrentViewsNeverSeeRecycledBytes(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 6000 || compactions.Load() == 0 && i < 200000; i++ {
 				id := uint64(1 + (i*5+g*7)%ids)
+				if g < 2 {
+					id = uint64(1 + (i+g)%ids)
+				}
 				ok, err := s.View(id, func(v Stored) {
 					first := valid(id, v.Payload)
 					runtime.Gosched() // let a recycler in, if anything lets it
@@ -147,7 +301,7 @@ func TestConcurrentViewsNeverSeeRecycledBytes(t *testing.T) {
 	if compactions.Load() == 0 {
 		t.Fatal("no compaction retired a segment; the test did not cover DropSegment")
 	}
-	if st := s.Stats(); st.BlockBuffersRecycled == 0 || st.PinnedReaders != 0 || st.BlocksDecoded == 0 {
+	if st := s.Stats(); st.BlockBuffersRecycled == 0 || st.PinnedReaders != 0 || st.BlocksDecoded == 0 || st.BlocksExtended == 0 {
 		t.Fatalf("after the run: %+v", st)
 	}
 }

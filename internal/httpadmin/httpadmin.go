@@ -100,13 +100,15 @@ type metricsView struct {
 	Encode        *metrics.EncodeMetrics
 	Apply         *metrics.ApplyMetrics
 	// Store is the store's own accounting (cache outcomes, block decodes
-	// and seals, the mmap/pread split, segment-reader gauges) with the two
-	// things a reader of the read path wants beside it: client read latency
-	// and the per-shard split of the block cache.
+	// and seals, the mmap/pread split, segment-reader gauges) with what a
+	// reader of the read path wants beside it: client read latency, the
+	// client reads that never reached the store because the source record
+	// cache answered them, and the per-shard split of the block cache.
 	Store struct {
 		docstore.Stats
-		ReadLatency *metrics.Histogram
-		CacheShards []segio.ShardStats
+		ReadLatency          *metrics.Histogram
+		ReadsFromSourceCache uint64
+		CacheShards          []segio.ShardStats
 	}
 	Oplog      oplog.Stats
 	Repl       *metrics.ReplMetrics
@@ -137,6 +139,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	v.Store.Stats = st.Store
 	v.Store.ReadLatency = s.node.ReadLatency()
+	v.Store.ReadsFromSourceCache = st.ReadsFromSourceCache
 	v.Store.CacheShards = s.node.Store().CacheShardStats()
 	v.FeatIdx.FeatIdxSnapshot = st.Engine.FeatIdx()
 	v.FeatIdx.Tiered = st.Engine.TieredIdx
@@ -217,9 +220,10 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		st.Store.BlocksSealed, time.Duration(st.Store.SealNanos).Round(time.Microsecond),
 		st.Store.SealWaits, time.Duration(st.Store.SealWaitNanos).Round(time.Microsecond),
 		st.Store.SealErrors)
-	fmt.Fprintf(w, "read:     %d cache hits / %d misses, %d blocks decoded in %s, %d segments (%d pinned handles, %d retiring)\n",
-		st.Store.CacheHits, st.Store.CacheMisses,
-		st.Store.BlocksDecoded, time.Duration(st.Store.BlockDecodeNanos).Round(time.Microsecond),
+	fmt.Fprintf(w, "read:     %d of %d from the source cache, %d block cache hits / %d misses, %d blocks decoded + %d extended (%s inflated) in %s, %d segments (%d pinned handles, %d retiring)\n",
+		st.ReadsFromSourceCache, st.Reads, st.Store.CacheHits, st.Store.CacheMisses,
+		st.Store.BlocksDecoded, st.Store.BlocksExtended, metrics.FormatBytes(int64(st.Store.BlockBytesDecoded)),
+		time.Duration(st.Store.BlockDecodeNanos).Round(time.Microsecond),
 		st.Store.LiveSegments, st.Store.PinnedReaders, st.Store.RetiredPending)
 	fmt.Fprintf(w, "          block buffers: %d recycled / %d freshly allocated\n",
 		st.Store.BlockBuffersRecycled, st.Store.BlockBuffersFresh)

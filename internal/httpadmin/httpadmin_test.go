@@ -149,9 +149,13 @@ func TestMetricsEndpointIncludesApplyPipeline(t *testing.T) {
 	}
 }
 
-// TestReadPathShowsBlocksDecoded: a read that misses the block cache on a
-// compressed block shows up under Store in /metrics and on the index page's
-// read: line, so "blocks touched per read" can be had from a running node.
+// TestReadPathShowsBlocksDecoded: what a read cost shows up under Store in
+// /metrics and on the index page's read: line, so "blocks touched and bytes
+// inflated per read" can be had from a running node. The first read of a
+// never-updated record is answered by the source cache and touches no block;
+// after an update the read goes to the store, misses the block cache and
+// inflates the one compressed block as far as the record's frame, and a read of
+// the block's other, later record extends it.
 func TestReadPathShowsBlocksDecoded(t *testing.T) {
 	n, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true, BlockCompression: true})
 	if err != nil {
@@ -164,23 +168,46 @@ func TestReadPathShowsBlocksDecoded(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Close() })
 	payload := []byte(strings.Repeat("a record that compresses, sealed into a block. ", 40))
+	read := func(key string) {
+		t.Helper()
+		if _, err := n.Read("wiki", key); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := n.Insert("wiki", "k", payload); err != nil {
+		t.Fatal(err)
+	}
+	read("k") // the insert payload, from the source cache
+	if err := n.Update("wiki", "k", payload[:len(payload)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Insert("wiki", "l", payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Update("wiki", "l", payload[1:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Store().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Read("wiki", "k"); err != nil {
-		t.Fatal(err)
-	}
+	read("k")
+	read("l")
 
-	var v struct{ Store docstore.Stats }
-	getMetrics(t, s, &v)
-	if v.Store.BlocksDecoded != 1 || v.Store.BlockDecodeNanos == 0 {
-		t.Errorf("Store.BlocksDecoded = %d in %d ns, want 1 block and some time", v.Store.BlocksDecoded, v.Store.BlockDecodeNanos)
+	var v struct {
+		Store struct {
+			docstore.Stats
+			ReadsFromSourceCache uint64
+		}
 	}
-	if _, body := get(t, "http://"+s.Addr()+"/"); !strings.Contains(body, "1 blocks decoded in ") {
-		t.Errorf("index page read: line does not show the decoded block:\n%s", body)
+	getMetrics(t, s, &v)
+	if v.Store.ReadsFromSourceCache != 1 || v.Store.BlocksDecoded != 1 || v.Store.BlocksExtended != 1 ||
+		v.Store.BlockDecodeNanos == 0 || int64(v.Store.BlockBytesDecoded) != v.Store.BlockBytesIn {
+		t.Errorf("Store = %+v, want 1 read from the source cache, 1 block of %d bytes decoded, extended once, in some time",
+			v.Store, v.Store.BlockBytesIn)
+	}
+	if _, body := get(t, "http://"+s.Addr()+"/"); !strings.Contains(body, "read:     1 of 3 from the source cache, ") ||
+		!strings.Contains(body, " 1 blocks decoded + 1 extended (") {
+		t.Errorf("index page read: line does not show the read path:\n%s", body)
 	}
 }
 
@@ -230,9 +257,9 @@ var metricsSections = map[string]string{
 	"Encode":        "Stages EncodedRecords EncodedBytes Chunks ChunkedBytes QueueDepth QueueOverflows",
 	"Apply":         "Latency Workers QueueDepth QueueOverflows Applied ApplyFailures BaseFetches",
 	"Store": "LiveRecords LogicalBytes BlockBytesIn BlockBytesOut DeadBytes Appends CacheHits CacheMisses " +
-		"BlockBuffersRecycled BlockBuffersFresh BlocksDecoded BlockDecodeNanos MmapBlockReads PreadBlockReads " +
-		"MmapFailures PinnedReaders RetiredPending LiveSegments BlocksSealed SealNanos SealWaits SealWaitNanos " +
-		"SealErrors ReadLatency CacheShards",
+		"BlockBuffersRecycled BlockBuffersFresh BlocksDecoded BlocksExtended BlockBytesDecoded BlockDecodeNanos " +
+		"MmapBlockReads PreadBlockReads MmapFailures PinnedReaders RetiredPending LiveSegments BlocksSealed " +
+		"SealNanos SealWaits SealWaitNanos SealErrors ReadLatency ReadsFromSourceCache CacheShards",
 	"Oplog": "Entries Bytes EvictedByEntries EvictedByBytes",
 	"Repl": "Reconnects Dials DialFailures BackoffNanos CorruptFrames FrameSeqViolations IdleTimeouts " +
 		"HeartbeatsSent ForcedResyncs",
@@ -398,7 +425,7 @@ func TestScrapeDuringIngest(t *testing.T) {
 		Store struct{ ReadLatency metrics.LatencySummary }
 	}
 	once := []string{"CacheHits", "CacheMisses", "BlockBuffersRecycled", "BlockBuffersFresh", "BlocksDecoded",
-		"BlockDecodeNanos", "PinnedReaders", "RetiredPending", "LiveSegments", "MmapBlockReads", "PreadBlockReads",
+		"BlocksExtended", "BlockBytesDecoded", "ReadsFromSourceCache", "BlockDecodeNanos", "PinnedReaders", "RetiredPending", "LiveSegments", "MmapBlockReads", "PreadBlockReads",
 		"MmapFailures"}
 	var prev view
 	for scrapes, done := 0, false; !done || scrapes < 3; scrapes++ {

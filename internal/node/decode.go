@@ -14,29 +14,52 @@ import (
 
 // Read returns the record's visible content. The key lookup is lock-free
 // (keyDir); Read never touches n.mu.
+//
+// It asks in this order: the key directory; the key's mutated bit; if that is
+// clear, the source cache, whose copy of a record is its insert payload and so,
+// for a record never updated, the content itself, however the store holds the
+// record by now; only then the store, by a planned walk. The cache is peeked:
+// a read leaves the encoder's cache as it found it. The encoder can put a
+// record's insert payload back after an update removed it, which is why the
+// bit and not the cache's contents says whether the cache may answer: an
+// update sets it before it is acknowledged, so a read that begins after the
+// ack does not look.
 func (n *Node) Read(db, key string) ([]byte, error) {
 	start := time.Now()
-	id, ok := n.lookup(db, key)
+	id, mutated, ok := n.keys.load(db, key)
 	n.readsTotal.Add(1)
 	n.recentOps.Add(1)
 	if !ok {
 		return nil, ErrNotFound
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	content, err := n.decode(sc, id, visibleContent)
-	if err != nil {
-		return nil, err
+	var out []byte
+	if cached, hit := n.peekSource(id, mutated); hit {
+		out = append([]byte(nil), cached...)
+		n.readsFromCache.Add(1)
+	} else {
+		var err error
+		if out, err = n.decodeCopy(id, visibleContent); err != nil {
+			return nil, err
+		}
 	}
-	out := append([]byte(nil), content...) // the caller's own: the one copy of a read
 	n.latRead.Observe(time.Since(start))
 	return out, nil
+}
+
+// peekSource returns the source cache's copy of a record whose key says it was
+// never updated.
+func (n *Node) peekSource(id uint64, mutated bool) ([]byte, bool) {
+	if mutated || n.eng == nil || n.eng.SourceCache() == nil {
+		return nil, false
+	}
+	return n.eng.SourceCache().Peek(id)
 }
 
 // lookup resolves (db, key) to a record ID. Lock-free; safe with or
 // without n.mu held.
 func (n *Node) lookup(db, key string) (uint64, bool) {
-	return n.keys.load(db, key)
+	id, _, ok := n.keys.load(db, key)
+	return id, ok
 }
 
 // Has reports whether (db, key) exists. Lock-free.
@@ -55,13 +78,7 @@ type fetcher struct{ n *Node }
 // FetchDecoded returns a copy of its own: the engine builds deltas whose
 // literals alias the content, and keeps them past this call.
 func (f fetcher) FetchDecoded(id uint64) ([]byte, error) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	content, err := f.n.decode(sc, id, baseContent)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), content...), nil
+	return f.n.decodeCopy(id, baseContent)
 }
 
 // scratch is the working memory of one chain decode: the plan of the walk and
@@ -71,7 +88,8 @@ func (f fetcher) FetchDecoded(id uint64) ([]byte, error) {
 // paths applyMu serialises (write-back apply, hidden-chain repair, the
 // re-dedup verify) use the node's own applyScratch; Read, replica apply, the
 // fetcher, VerifyAll and the re-dedup rewrite take one from scratchPool for
-// the call and copy out at most once, into the slice they hand on.
+// the call; the two that hand the content on (Read, the fetcher) go through
+// decodeCopy, which copies it out exactly once.
 type scratch struct {
 	hops []hop
 	buf  [2][]byte
@@ -119,12 +137,28 @@ var errReplan = errors.New("node: stored form changed under a chain walk")
 // walk is planned again. Base contents never change while referenced, which
 // is what makes any consistent plan decode to the same bytes.
 func (n *Node) decode(sc *scratch, id uint64, mode decodeMode) ([]byte, error) {
+	return n.decodeOwn(sc, id, mode, false)
+}
+
+// decodeCopy returns the content of record id in a slice of the caller's own,
+// copied once from wherever the walk ended: for a record stored raw that is
+// the store's lent bytes (a cached or mapped block, the unsealed block's
+// copy), with nothing in between.
+func (n *Node) decodeCopy(id uint64, mode decodeMode) ([]byte, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return n.decodeOwn(sc, id, mode, true)
+}
+
+// decodeOwn is decode; with own set the result is a new slice instead of
+// memory of sc or of the source cache.
+func (n *Node) decodeOwn(sc *scratch, id uint64, mode decodeMode, own bool) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		w, err := n.planWalk(sc, id, mode)
 		if err != nil {
 			return nil, err
 		}
-		content, err := n.runWalk(sc, w)
+		content, err := n.runWalk(sc, w, own)
 		if err != errReplan {
 			return content, err
 		}
@@ -222,8 +256,17 @@ func (n *Node) planWalk(sc *scratch, id uint64, mode decodeMode) (walk, error) {
 
 // runWalk produces the content w was planned for: the base, then the deltas
 // of sc.hops from the base outward. It returns errReplan if a record is no
-// longer stored the way the plan saw it.
-func (n *Node) runWalk(sc *scratch, w walk) ([]byte, error) {
+// longer stored the way the plan saw it. With own the content comes in a new
+// slice, and a walk without hops copies the lent base straight into it.
+func (n *Node) runWalk(sc *scratch, w walk, own bool) ([]byte, error) {
+	if own && len(sc.hops) == 0 { // nothing to apply, and so no cached base either
+		var out []byte
+		err := n.lend(w.baseID, w.base, w.last, func(stored []byte) error {
+			out = append([]byte(nil), stored...)
+			return nil
+		})
+		return out, err
+	}
 	content, next := w.cached, 0 // next: the buffer the next result goes into
 	if w.cached == nil {
 		err := n.lend(w.baseID, w.base, w.last, func(stored []byte) error {
@@ -257,6 +300,9 @@ func (n *Node) runWalk(sc *scratch, w walk) ([]byte, error) {
 	}
 	if w.keep >= 0 {
 		n.repairPastHidden(sc.hops[w.keep].id, w.hidID, kept)
+	}
+	if own {
+		content = append([]byte(nil), content...)
 	}
 	return content, nil
 }

@@ -310,6 +310,44 @@ func TestReadAllocBudget(t *testing.T) {
 			t.Errorf("a %d-step read of %d B allocates %d B, budget %d B", k, payloadLen, perRead, payloadLen+1024)
 		}
 	}
+
+	// A read with nothing to apply copies once, from where the content lies
+	// into the slice it returns, and allocates that slice and nothing else.
+	// The chain's head is such a record in a sealed block (this node has no
+	// source cache); on a node with the cache, the newest record is there.
+	oneObject := func(what string, n *Node, key string, want []byte) {
+		t.Helper()
+		avg := testing.AllocsPerRun(200, func() {
+			if got, err := n.Read("db", key); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("Read(%s): err %v", key, err)
+			}
+		})
+		if avg != 1 {
+			t.Errorf("a read of a %s allocates %v objects, want 1: the result", what, avg)
+		}
+	}
+	oneObject("sealed raw record", n, "rev-016", content[16])
+
+	cached := testNode(t, Options{Dir: t.TempDir(), BlockCompression: true})
+	if err := cached.Insert("db", "head", content[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := cached.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := cached.Stats()
+	hits, misses := cached.Engine().SourceCache().Stats()
+	oneObject("cached chain head", cached, "head", content[0])
+	after := cached.Stats()
+	if got := after.ReadsFromSourceCache - before.ReadsFromSourceCache; got != after.Reads-before.Reads || got == 0 {
+		t.Errorf("%d of %d reads of a cached head came from the source cache", got, after.Reads-before.Reads)
+	}
+	if after.Store.CacheHits+after.Store.CacheMisses != before.Store.CacheHits+before.Store.CacheMisses {
+		t.Error("a read the source cache answered went to the block cache as well")
+	}
+	if h, m := cached.Engine().SourceCache().Stats(); h != hits || m != misses {
+		t.Errorf("read peeks moved the source cache's counters: %d/%d -> %d/%d", hits, misses, h, m)
+	}
 }
 
 // TestWritebackAllocBudget: applying a write-back decodes the record and its
@@ -491,7 +529,7 @@ func TestStaleWalkIsPlannedAgain(t *testing.T) {
 	}
 	stale := func(what string, id uint64, plan walk, sc *scratch, want []byte) {
 		t.Helper()
-		if got, err := n.runWalk(sc, plan); err != errReplan {
+		if got, err := n.runWalk(sc, plan, false); err != errReplan {
 			t.Fatalf("%s: a stale walk returned %d bytes, err %v; want errReplan", what, len(got), err)
 		}
 		if want == nil {

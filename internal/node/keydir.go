@@ -11,21 +11,33 @@ import "sync"
 // the store does not yet hold; the price is that a key becomes visible a
 // hair later than under the old RLock scheme, which no invariant depends
 // on.
+//
+// Beside the ID a key carries one bit, mutated: the record may no longer hold
+// the content it was inserted with. It is the only thing a reader can learn
+// without a lock about whether the source cache's copy of the record, which
+// is always an insert payload, is still what a client should see. It is
+// stored with the key before the update that sets it is acknowledged and never
+// cleared; a delete takes the key away altogether. A key directory rebuilt at
+// Open knows no record's history, so every key it publishes has the bit set.
 type keyDir struct {
-	dbs sync.Map // db name -> *sync.Map (key -> uint64 record ID)
+	dbs sync.Map // db name -> *sync.Map (key -> uint64: record ID | mutatedBit)
 }
 
+// mutatedBit marks a key's value; record IDs count up from 1 and stay below it.
+const mutatedBit = 1 << 63
+
 // load resolves (db, key) without locking.
-func (d *keyDir) load(db, key string) (uint64, bool) {
-	v, ok := d.dbs.Load(db)
+func (d *keyDir) load(db, key string) (id uint64, mutated, ok bool) {
+	dv, ok := d.dbs.Load(db)
 	if !ok {
-		return 0, false
+		return 0, false, false
 	}
-	id, ok := v.(*sync.Map).Load(key)
+	v, ok := dv.(*sync.Map).Load(key)
 	if !ok {
-		return 0, false
+		return 0, false, false
 	}
-	return id.(uint64), true
+	id = v.(uint64)
+	return id &^ mutatedBit, id&mutatedBit != 0, true
 }
 
 // dbMap returns db's key map, creating it on first use.
@@ -37,9 +49,11 @@ func (d *keyDir) dbMap(db string) *sync.Map {
 	return v.(*sync.Map)
 }
 
-// put publishes (db, key) → id. Call only after the record is appended.
-func (d *keyDir) put(db, key string, id uint64) {
-	d.dbMap(db).Store(key, id)
+// putMutated publishes (db, key) → id with the mutated bit: a record that is
+// being updated, or one found at Open. An insert stores the bare ID into
+// dbMap itself, after the record is appended.
+func (d *keyDir) putMutated(db, key string, id uint64) {
+	d.dbMap(db).Store(key, id|mutatedBit)
 }
 
 // delete unpublishes (db, key).
@@ -55,7 +69,7 @@ func (d *keyDir) delete(db, key string) {
 // top). The cost is db's keys, however many other databases there are.
 func (d *keyDir) rangeDB(db string, fn func(key string, id uint64) bool) {
 	if v, ok := d.dbs.Load(db); ok {
-		v.(*sync.Map).Range(func(k, v any) bool { return fn(k.(string), v.(uint64)) })
+		v.(*sync.Map).Range(func(k, v any) bool { return fn(k.(string), v.(uint64)&^mutatedBit) })
 	}
 }
 

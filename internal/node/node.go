@@ -129,6 +129,11 @@ type Stats struct {
 	WritebacksApplied, WritebacksSkipped uint64
 	// DecodeSteps counts base fetches performed by reads.
 	DecodeSteps uint64
+	// ReadsFromSourceCache counts the client reads (of Reads) that the source
+	// record cache answered: a record never updated whose insert payload was
+	// resident, served without touching the store. These peeks are not in the
+	// cache's own hit and miss counts, which are the encoder's.
+	ReadsFromSourceCache uint64
 	// HiddenRepaired counts hidden records spliced out of decode chains.
 	HiddenRepaired uint64
 	// Compactions counts segment compaction passes; CompactionBytes the
@@ -188,8 +193,10 @@ type Node struct {
 	// snapshot.
 	readsTotal  atomic.Uint64
 	decodeSteps atomic.Uint64
-	oplogBytes  atomic.Int64 // Stats.OplogBytes; encoder workers add to it
-	recentOps   atomic.Int64 // ops since last idle check (idleness proxy)
+	// readsFromCache is Stats.ReadsFromSourceCache.
+	readsFromCache atomic.Uint64
+	oplogBytes     atomic.Int64 // Stats.OplogBytes; encoder workers add to it
+	recentOps      atomic.Int64 // ops since last idle check (idleness proxy)
 
 	// applyMu serialises every write of an existing record's stored form
 	// (update, delete, write-back apply, hidden-chain repair, the re-dedup
@@ -371,7 +378,7 @@ func (n *Node) recover() error {
 			continue
 		}
 		if !m.Hidden {
-			n.keys.put(m.DB, m.Key, id)
+			n.keys.putMutated(m.DB, m.Key, id) // its history did not survive the restart
 		}
 		if m.Form == docstore.FormDelta {
 			n.refcnt[m.BaseID]++
@@ -490,6 +497,7 @@ func (n *Node) Stats() Stats {
 	s.Oplog = n.log.Stats()
 	s.Reads = n.readsTotal.Load()
 	s.DecodeSteps = n.decodeSteps.Load()
+	s.ReadsFromSourceCache = n.readsFromCache.Load()
 	s.CompactionBytes = n.compm.PhysicalBytesReclaimed.Total()
 	s.EncodeWorkers = int(n.encWorkers.Value())
 	s.EncodeQueueDepth = n.encm.QueueDepth.Value()

@@ -307,8 +307,8 @@ func TestWritebackRefusesChainCycle(t *testing.T) {
 	if err := n.Insert("db", "b", docB); err != nil {
 		t.Fatal(err)
 	}
-	idA, _ := n.keys.load("db", "a")
-	idB, _ := n.keys.load("db", "b")
+	idA, _ := n.lookup("db", "a")
+	idB, _ := n.lookup("db", "b")
 	if n.PendingWritebacks() == 0 {
 		t.Fatal("insert path queued no write-back; the cycle scenario needs one pending")
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -535,4 +536,199 @@ func TestStampUnderMutationRacingFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after a restart")
+}
+
+// readGate is a filesystem that can hold one read: once armed, the next read
+// of the first block of a segment file waits until it is let go.
+type readGate struct {
+	faultfs.FS
+	armed atomic.Bool
+	held  chan struct{} // the read that found the gate armed is waiting
+	letGo chan struct{}
+}
+
+func (g *readGate) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return readGateFile{f, g}, nil
+}
+
+type readGateFile struct {
+	faultfs.File
+	g *readGate
+}
+
+func (f readGateFile) ReadAt(p []byte, off int64) (int, error) {
+	if off == 0 && f.g.armed.CompareAndSwap(true, false) {
+		f.g.held <- struct{}{}
+		<-f.g.letGo
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestReadNeverSeesAStaleSourceCache is the read side of the stamp: the source
+// cache holds insert payloads, a read of a record never updated is answered
+// from it, and the encoder can put a record's insert payload there after an
+// update of the record removed it. The test holds a record's own insert inside
+// the engine (Encode on a primary's one encoder, EncodeAsReplica on a
+// replica), at the fetch of a hop base from a sealed block, after the key is
+// published and before the engine caches the payload. It acknowledges a
+// mutation of the record, then lets the insert go with n.mu held, which is
+// where a primary's encoder stops before it scrubs the cache (a replica never
+// scrubs), and reads while the cache demonstrably holds the old payload. Every
+// read after the ack must return what was acknowledged. An implementation that
+// trusts the cache for any key it resolves returns the insert payload here;
+// one that asks Store.Meta survives the stacking update only, since an
+// overwrite in place leaves nothing in Meta to see. That the read returns at
+// all is Read staying off n.mu.
+func TestReadNeverSeesAStaleSourceCache(t *testing.T) {
+	for _, role := range []string{"primary", "replica"} {
+		for _, mutation := range []string{"update in place", "stacking update", "delete"} {
+			t.Run(role+"/"+mutation, func(t *testing.T) {
+				staleSourceCache(t, role == "replica", mutation)
+			})
+		}
+	}
+}
+
+func staleSourceCache(t *testing.T, replica bool, mutation string) {
+	// Hop distance 2: the third revision ends a hop, and finishing it fetches
+	// the first, which the source cache has let go by then. Every 8 KiB
+	// record fills a 4 KiB block by itself, so the first revision is the
+	// block at offset 0, and a one-block cache cannot still hold it after
+	// the second revision's block was read.
+	gate := &readGate{FS: faultfs.NewMemFS(), held: make(chan struct{}, 1), letGo: make(chan struct{})}
+	opts := Options{Dir: "n", FS: gate, BlockSize: 4096, CacheBlocks: 1, CacheShards: 1,
+		EncodeWorkers: 1, DisableAutoFlush: true,
+		Engine: core.Config{Scheme: chain.Hop, HopDistance: 2, GovernorWindow: 1 << 30, DisableSizeFilter: true}}
+	n, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	prim := n
+	if replica {
+		opts.Dir, opts.FS = "", nil
+		if prim, err = Open(opts); err != nil {
+			t.Fatal(err)
+		}
+		defer prim.Close()
+	}
+	var shipped uint64
+	insert := func(key string, content []byte) { // returns once n has the record; its encode may still run
+		if err := prim.Insert("wiki", key, content); err != nil {
+			t.Error(err)
+			return
+		}
+		prim.Barrier()
+		if !replica {
+			return
+		}
+		ents, err := prim.Oplog().EntriesSince(shipped, 0)
+		if err != nil {
+			t.Error(err)
+		}
+		for _, e := range ents {
+			if err := n.ApplyReplicated(e); err != nil {
+				t.Errorf("apply seq %d: %v", e.Seq, err)
+			}
+			shipped = e.Seq
+		}
+	}
+	rng := rand.New(rand.NewSource(25))
+	v0 := prose(rng, 8192)
+	v1 := editText(rng, v0, 2)
+	v2 := editText(rng, v1, 2)
+	insert("v0", v0)
+	insert("v1", v1)
+	if err := n.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	gate.armed.Store(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if insert("v2", v2); !replica {
+			n.Barrier()
+		}
+	}()
+	select {
+	case <-gate.held:
+	case <-time.After(10 * time.Second):
+		gate.armed.Store(false) // or Close's own reads wait here for good
+		t.Fatal("the insert's encode never read the first revision's block: the rig no longer holds the job inside the engine")
+	}
+	id, ok := n.lookup("wiki", "v2")
+	if !ok {
+		t.Fatal("the held insert has not published its key")
+	}
+
+	want := editText(rng, v2, 1) // nil: deleted
+	switch {
+	case mutation == "delete" && replica:
+		err = n.ApplyReplicated(oplog.Entry{Op: oplog.OpDelete, DB: "wiki", Key: "v2"})
+		want = nil
+	case mutation == "delete":
+		err = n.Delete("wiki", "v2")
+		want = nil
+	case mutation == "stacking update":
+		// Nothing can decode through a record whose own insert is still being
+		// encoded, short of a re-dedup conversion; stand in for one.
+		n.mu.Lock()
+		n.refcnt[id]++
+		n.mu.Unlock()
+		if replica {
+			err = n.Upsert("wiki", "v2", want, false)
+		} else {
+			err = n.Update("wiki", "v2", want)
+		}
+	case replica:
+		err = n.ApplyReplicated(oplog.Entry{Op: oplog.OpUpdate, DB: "wiki", Key: "v2", Payload: want})
+	default:
+		err = n.Update("wiki", "v2", want)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", mutation, err)
+	}
+	check := func(when string) {
+		t.Helper()
+		got, err := n.Read("wiki", "v2")
+		if want == nil {
+			if !errors.Is(err, ErrNotFound) {
+				t.Errorf("%s: deleted, yet Read = %d bytes, %v", when, len(got), err)
+			}
+		} else if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: Read = %d bytes (the insert payload: %v), %v; want the acknowledged update",
+				when, len(got), bytes.Equal(got, v2), err)
+		}
+	}
+	check("insert held in the engine")
+
+	n.mu.Lock()
+	close(gate.letGo)
+	for deadline := time.Now().Add(10 * time.Second); !n.eng.SourceCache().Contains(id); {
+		if time.Now().After(deadline) {
+			n.mu.Unlock()
+			t.Fatal("the engine never cached the held insert's payload")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	check("insert payload back in the source cache")
+	n.mu.Unlock()
+	<-done
+	check("insert finished")
+
+	if mutation == "stacking update" {
+		n.releaseRef(id)
+		check("stacked record compacted")
+	}
+	n.FlushWritebacks(-1)
+	check("write-backs flushed")
+	if rep := n.VerifyAll(); !rep.Ok() {
+		t.Errorf("verify: %s", rep)
+	}
+	verifyRefcounts(t, n)
 }

@@ -176,13 +176,19 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 	n.mu.Lock()
-	id, ok := n.lookup(db, key)
+	id, mutated, ok := n.keys.load(db, key)
 	if !ok {
 		n.mu.Unlock()
 		sh.release()
 		return encodeJob{}, false, ErrNotFound
 	}
 	refs := n.refcnt[id]
+	if !mutated {
+		// From here on the source cache's copy of the record, its insert
+		// payload, is not what a client reads: say so where Read looks,
+		// before the ack.
+		n.keys.putMutated(db, key, id)
+	}
 	job, inline := n.stampLocked(sh, encodeJob{kind: oplog.OpUpdate, db: db, key: key, id: id, payload: cp},
 		emit, &n.stats.Updates)
 	n.mu.Unlock()
