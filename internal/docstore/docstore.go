@@ -59,11 +59,13 @@
 // the end of its own frame, which the record's entry gives before the block is
 // touched; the block is cached with how far it got, and a later read that
 // needs more takes it out of the cache, decodes on from there under no lock
-// and puts it back, so no byte of a resident block is inflated twice. Get,
-// replay and through Get compaction want the block whole, in one call. A
-// decoded block belongs to the cache; readers see their record
-// in it only inside a callback (under the cache's shard lock on a hit, before
-// handing the buffer over on a miss). Get copies the payload out there and
+// and puts it back, so no byte of a resident block is inflated twice. Get
+// wants the block whole, in one call. Replay and compaction read a segment
+// from end to end and do not go through the cache at all: one walk
+// (walkBlocks) decodes each block once, in file order, into a buffer of its
+// own. A block decoded for a reader belongs to the cache; readers see their
+// record in it only inside a callback (under the cache's shard lock on a hit,
+// before handing the buffer over on a miss). Get copies the payload out there and
 // returns bytes nothing else aliases; View lends it to the caller's function
 // for exactly that long, so a chain decode can apply a stored delta without a
 // copy of it. Either way the cache is free to recycle an evicted block's
@@ -530,9 +532,8 @@ func (s *Store) replace(rec *Record, where entry) {
 		s.logicalBytes.Add(-n)
 		s.addDBBytes(old.db, -n)
 		s.liveRecords.Add(-1)
-		s.deadBytes.Add(n)
 		if old.sealed() {
-			s.segments[old.seg].dead += n
+			s.chargeDead(s.segments[old.seg], n)
 		}
 	}
 	if !rec.Tombstone {
@@ -541,6 +542,15 @@ func (s *Store) replace(rec *Record, where entry) {
 		s.addDBBytes(rec.DB, n)
 		s.liveRecords.Add(1)
 	}
+}
+
+// chargeDead counts n payload bytes of seg as dead: a frame there has stopped
+// being its record's current version. Nothing else counts dead bytes, so
+// Stats.DeadBytes is the sum over the segments not yet retired, and a victim
+// takes its share with it. Caller holds mu.
+func (s *Store) chargeDead(seg *segment, n int64) {
+	seg.dead += n
+	s.deadBytes.Add(n)
 }
 
 func (s *Store) addDBBytes(db string, n int64) {
@@ -659,7 +669,7 @@ func (s *Store) installLocked() error {
 			panic("docstore: a frame this store appended does not parse: " + err.Error())
 		}
 		if !rec.Tombstone && !s.recs.seal(rec.ID, b.seq, scan, slot, off) {
-			seg.dead += int64(len(rec.Payload))
+			s.chargeDead(seg, int64(len(rec.Payload)))
 		}
 		scan += n
 	}
@@ -737,9 +747,8 @@ func segSlot(segs []*segment, s *segment) int {
 // the store owns (a cached block, a mapping, a block buffer): for a sealed
 // record it is a fresh copy, for one whose block has not been committed yet
 // it is the slice Append was given, which appenders never modify. Get loads a
-// sealed record's block whole: its callers (compaction, which goes on to the
-// block's other records, and the paths that rewrite a record) are not the
-// point reads View is for.
+// sealed record's block whole: its callers (the paths that rewrite a record)
+// are not the point reads View is for.
 func (s *Store) Get(id uint64) (Record, bool, error) {
 	var out Record
 	ok, err := s.read(id, true, func(rec Record, lent bool) {
@@ -852,8 +861,13 @@ func (s *Store) frameAt(id uint64, e *entry, need int, fn func(rec Record, lent 
 		return segio.ErrRetired
 	}
 	defer s.table.Unpin(rd)
-	if loadErr := s.readBlock(rd, key, e.off, need, short, extract); loadErr != nil {
+	block, _, loadErr := s.readBlock(rd, e.off, need, &short, func(n int) []byte { return s.cache.Buffer(key, n) })
+	if loadErr != nil {
 		return loadErr
+	}
+	extract(block)
+	if short.Data != nil {
+		s.cache.Put(key, short)
 	}
 	return err
 }
@@ -911,45 +925,47 @@ func (seg *segment) publish(n int64) {
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // readBlock loads the block at offset off of rd, which the caller has pinned
-// (or owns outright, during replay), and calls fn with its decompressed
-// contents. The bytes are fn's only until it returns: an uncompressed mapped
-// block is lent straight from the mapping, which dies with the pin; anything
-// else is decoded or read into a buffer from the block cache's free list and
-// handed to the cache afterwards, so a steady-state miss allocates nothing
-// here.
+// (or owns outright, during replay), and returns its decompressed contents and
+// the offset of the block behind it. An uncompressed mapped block is lent
+// straight from the mapping, which dies with the pin, and b.Data stays nil;
+// anything else is decoded or read into b.Data, which buffer supplies at the
+// length asked for when b brings none, and the contents are b.Data[:b.Done].
+// A point read passes the block cache's free list and hands b to the cache
+// afterwards, so a steady-state miss allocates nothing here.
 //
 // A compressed block is decoded until it holds need bytes (segio.WholeBlock:
-// all of it) and fn sees that much. have is the block as the cache held it, taken
-// out because it holds less: the decode goes on from where it stopped, into
-// the same buffer, and the block goes back further along. On the pread path
-// the compressed image is read and its checksum verified again each time.
+// all of it). b arrives as the cache held the block, taken out because it
+// holds less: the decode goes on from where it stopped, into the same buffer.
+// On the pread path the compressed image is read and its checksum verified
+// again each time.
 //
 // Mapped bytes skip the checksum: a mapping only ever covers bytes this
 // process sealed itself or that replay has already verified. What the header
 // claims is still checked against what the bytes can hold before anything is
 // sized from it, so a damaged header is an error, never an allocation.
-func (s *Store) readBlock(rd *segio.Reader, key uint64, off int64, need int, have segio.Block, fn func(block []byte)) error {
+func (s *Store) readBlock(rd *segio.Reader, off int64, need int, b *segio.Block, buffer func(n int) []byte) (block []byte, next int64, err error) {
 	var hdrBuf [blockHeaderSize]byte
 	hdr, mapped := rd.MappedRange(off, blockHeaderSize)
 	if !mapped {
 		hdr = hdrBuf[:]
 		if err := rd.ReadAt(hdr, off); err != nil {
-			return fmt.Errorf("docstore: %w", err)
+			return nil, 0, fmt.Errorf("docstore: %w", err)
 		}
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != blockMagic {
-		return errors.New("docstore: bad block magic")
+		return nil, 0, errors.New("docstore: bad block magic")
 	}
 	rawLen := int64(binary.LittleEndian.Uint32(hdr[4:]))
 	storedLen := int64(binary.LittleEndian.Uint32(hdr[8:]))
 	sum := binary.LittleEndian.Uint32(hdr[12:])
 	compressed := hdr[16]&flagCompressed != 0
 	bodyOff := off + blockHeaderSize
-	if bodyOff+storedLen > rd.Size() {
-		return errors.New("docstore: block extends past segment end")
+	next = bodyOff + storedLen
+	if next > rd.Size() {
+		return nil, 0, errors.New("docstore: block extends past segment end")
 	}
 	if !compressed && rawLen != storedLen {
-		return errors.New("docstore: block length mismatch")
+		return nil, 0, errors.New("docstore: block length mismatch")
 	}
 
 	var image []byte // the stored bytes, when they need no buffer of ours
@@ -959,62 +975,88 @@ func (s *Store) readBlock(rd *segio.Reader, key uint64, off int64, need int, hav
 	if mapped {
 		s.mmapReads.Add(1)
 		if !compressed {
-			fn(image) // the mapping is the cache
-			return nil
+			return image, next, nil // the mapping is the cache
 		}
 	} else {
 		s.preadReads.Add(1)
 	}
 
-	b := have
 	if !compressed {
-		b.Data = s.cache.Buffer(key, int(storedLen))
+		b.Data = buffer(int(storedLen))
 		if err := rd.ReadAt(b.Data, bodyOff); err != nil {
-			return fmt.Errorf("docstore: %w", err)
+			return nil, 0, fmt.Errorf("docstore: %w", err)
 		}
 		if crc32.ChecksumIEEE(b.Data) != sum {
-			return errors.New("docstore: block checksum mismatch")
+			return nil, 0, errors.New("docstore: block checksum mismatch")
 		}
 		b.Done = len(b.Data)
-	} else {
-		if !mapped {
-			sp := scratchPool.Get().(*[]byte)
-			defer scratchPool.Put(sp)
-			if int64(cap(*sp)) < storedLen {
-				*sp = make([]byte, storedLen)
-			}
-			image = (*sp)[:storedLen]
-			if err := rd.ReadAt(image, bodyOff); err != nil {
-				return fmt.Errorf("docstore: %w", err)
-			}
-			if crc32.ChecksumIEEE(image) != sum {
-				return errors.New("docstore: block checksum mismatch")
-			}
-		}
-		// Only the block header's rawLen is acceptable, and only if the
-		// compressed image can decode to that much.
-		n, err := blockcomp.DecodedLen(image)
-		if err != nil || int64(n) != rawLen || b.Data != nil && len(b.Data) != n {
-			return errors.New("docstore: block length mismatch")
-		}
-		if b.Data == nil {
-			b.Data = s.cache.Buffer(key, n)
-			s.blocksDecoded.Add(1)
-		} else {
-			s.blocksResumed.Add(1)
-		}
-		start := time.Now()
-		src, done, err := blockcomp.DecodeResume(b.Data, image, b.Src, b.Done, need)
-		if err != nil {
-			return fmt.Errorf("docstore: %w", err)
-		}
-		s.bytesDecoded.Add(uint64(done - b.Done))
-		s.decodeNanos.Add(uint64(time.Since(start)))
-		b.Src, b.Done = src, done
+		return b.Data, next, nil
 	}
-	fn(b.Data[:b.Done])
-	s.cache.Put(key, b)
-	return nil
+	if !mapped {
+		sp := scratchPool.Get().(*[]byte)
+		defer scratchPool.Put(sp)
+		if int64(cap(*sp)) < storedLen {
+			*sp = make([]byte, storedLen)
+		}
+		image = (*sp)[:storedLen]
+		if err := rd.ReadAt(image, bodyOff); err != nil {
+			return nil, 0, fmt.Errorf("docstore: %w", err)
+		}
+		if crc32.ChecksumIEEE(image) != sum {
+			return nil, 0, errors.New("docstore: block checksum mismatch")
+		}
+	}
+	// Only the block header's rawLen is acceptable, and only if the
+	// compressed image can decode to that much.
+	n, err := blockcomp.DecodedLen(image)
+	if err != nil || int64(n) != rawLen || b.Data != nil && len(b.Data) != n {
+		return nil, 0, errors.New("docstore: block length mismatch")
+	}
+	if b.Data == nil {
+		b.Data = buffer(n)
+		s.blocksDecoded.Add(1)
+	} else {
+		s.blocksResumed.Add(1)
+	}
+	start := time.Now()
+	src, done, err := blockcomp.DecodeResume(b.Data, image, b.Src, b.Done, need)
+	if err != nil {
+		return nil, 0, fmt.Errorf("docstore: %w", err)
+	}
+	s.bytesDecoded.Add(uint64(done - b.Done))
+	s.decodeNanos.Add(uint64(time.Since(start)))
+	b.Src, b.Done = src, done
+	return b.Data[:done], next, nil
+}
+
+// walkBlocks is how a segment is read from end to end, by replay and by
+// compaction: it calls fn with each block of rd in file order, decoded once,
+// whole, into a buffer of its own that the next block overwrites (or lent from
+// the mapping), so a walk neither fills the block cache nor evicts from it. It
+// stops at rd's size, at the first block that does not load and at fn's first
+// error, and returns the offset it reached and what stopped it. The caller
+// has rd pinned or to itself.
+func (s *Store) walkBlocks(rd *segio.Reader, fn func(off int64, raw []byte) error) (int64, error) {
+	var buf []byte
+	own := func(n int) []byte {
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		return buf[:n]
+	}
+	var off int64
+	for off < rd.Size() {
+		var b segio.Block
+		raw, next, err := s.readBlock(rd, off, segio.WholeBlock, &b, own)
+		if err == nil {
+			err = fn(off, raw)
+		}
+		if err != nil {
+			return off, err
+		}
+		off = next
+	}
+	return off, nil
 }
 
 // MetaInfo is a record's metadata, readable without touching its payload.
@@ -1043,7 +1085,7 @@ func (s *Store) Meta(id uint64) (MetaInfo, bool) {
 // fetched and no block decoded, so listing a store costs nothing per byte
 // stored.
 func (s *Store) Range(fn func(id uint64, m MetaInfo) bool) {
-	for _, id := range s.recs.ids(nil) {
+	for _, id := range s.recs.ids() {
 		if m, ok := s.Meta(id); ok && !fn(id, m) {
 			return
 		}
@@ -1121,87 +1163,38 @@ func (s *Store) Close() error {
 // replayAll rebuilds the record table from segment contents. Caller is Open;
 // the store is not yet shared.
 func (s *Store) replayAll() error {
-	for segIdx, seg := range s.segments {
-		var off int64
-		for off < seg.size {
-			var hdr [blockHeaderSize]byte
-			if err := seg.rd.ReadAt(hdr[:], off); err != nil {
-				break // truncated tail: stop at last complete block
+	for slot, seg := range s.segments {
+		// A block that does not load is a torn tail; a block that loads but
+		// does not parse is corruption replay must not hide.
+		var frameErr error
+		end, _ := s.walkBlocks(seg.rd, func(off int64, raw []byte) error {
+			for scan := 0; scan < len(raw); {
+				rec, n, err := parseFrame(raw[scan:], true)
+				if err != nil {
+					frameErr = err
+					return err
+				}
+				s.replace(&rec, entry{seg: int32(slot), off: off, recStart: uint32(scan)})
+				scan += n
 			}
-			if binary.LittleEndian.Uint32(hdr[0:]) != blockMagic {
-				break
-			}
-			storedLen := int64(binary.LittleEndian.Uint32(hdr[8:]))
-			if off+blockHeaderSize+storedLen > seg.size {
-				break
-			}
-			// A block that does not load is a torn tail; a block that
-			// loads but does not parse is corruption replay must not hide.
-			var frameErr error
-			err := s.readBlock(seg.rd, segio.BlockKey(segIdx, off), off, segio.WholeBlock, segio.Block{}, func(raw []byte) {
-				frameErr = s.replayBlock(segIdx, off, raw)
-			})
-			if err != nil {
-				break
-			}
-			if frameErr != nil {
-				return fmt.Errorf("docstore: replay: %w", frameErr)
-			}
-			off += blockHeaderSize + storedLen
+			return nil
+		})
+		if frameErr != nil {
+			return fmt.Errorf("docstore: replay: %w", frameErr)
 		}
-		// Anything past the last complete block is a torn write; the
-		// active segment continues from here.
-		seg.size = minInt64(seg.size, segEnd(seg))
-		seg.rd.SetSize(seg.size)
+		// The segment ends where the walk did: anything behind its last
+		// complete block is a torn write, and the active segment continues
+		// from here.
+		seg.size = end
+		seg.rd.SetSize(end)
 	}
 	return nil
-}
-
-// replayBlock indexes the frames of one replayed block.
-func (s *Store) replayBlock(segIdx int, off int64, raw []byte) error {
-	scan := 0
-	for scan < len(raw) {
-		rec, n, err := parseFrame(raw[scan:], true)
-		if err != nil {
-			return err
-		}
-		s.replace(&rec, entry{seg: int32(segIdx), off: off, recStart: uint32(scan)})
-		scan += n
-	}
-	return nil
-}
-
-// segEnd computes the end offset of the last valid block in seg (replayAll
-// has already walked it; recompute cheaply by walking headers only).
-func segEnd(seg *segment) int64 {
-	var off int64
-	for off < seg.size {
-		var hdr [blockHeaderSize]byte
-		if err := seg.rd.ReadAt(hdr[:], off); err != nil {
-			break
-		}
-		if binary.LittleEndian.Uint32(hdr[0:]) != blockMagic {
-			break
-		}
-		storedLen := int64(binary.LittleEndian.Uint32(hdr[8:]))
-		if off+blockHeaderSize+storedLen > seg.size {
-			break
-		}
-		off += blockHeaderSize + storedLen
-	}
-	return off
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Compact rewrites the live records of the segment with the most dead bytes
 // into the active segment and retires the old one. It returns the number of
-// bytes reclaimed on disk. Compaction of the active segment is skipped.
+// bytes reclaimed on disk: 0 when no segment but the active one, which is
+// never compacted, holds a dead byte, and then nothing is read or appended.
 //
 // Retirement is safe against in-flight reads: the victim leaves the segio
 // table (new readers fail their pin and re-resolve through the index, which
@@ -1212,37 +1205,21 @@ func minInt64(a, b int64) int64 {
 // harmless (its bytes are still correct) until the LRU evicts it.
 func (s *Store) Compact() (int64, error) { return s.CompactWith(nil) }
 
-// RewriteFunc is CompactHooks.Rewrite: offered one live record about to be
-// moved, it may return a replacement form (e.g. the node's re-dedup pass
-// returns a delta-encoded conversion) and true. It runs outside all store
-// locks and must not call back into the store's writer surface.
-type RewriteFunc func(rec Record) (Record, bool)
-
-// CompactHooks lets a policy layer (the node) participate in a compaction
-// pass without the store knowing anything about dedup. The protocol per
-// converted record:
-//
-//	Rewrite (no locks) → CommitLock.Lock → Verify → [s.mu: re-check
-//	locator, append] → Committed → CommitLock.Unlock
-//
-// Verify runs under CommitLock but before the store's writer lock, so it
-// may inspect (but not mutate) policy state that CommitLock serialises;
-// Committed runs after the append, still under CommitLock, and may take
-// the policy layer's own locks. Skipped is called — outside every lock —
-// for each conversion that was abandoned (superseded mid-pass, failed
-// Verify, or failed append), so the policy layer can undo side effects of
-// Rewrite (e.g. release a claimed base reference).
-type CompactHooks struct {
-	Rewrite    RewriteFunc
-	CommitLock sync.Locker
-	Verify     func(old, conv Record) bool
-	Committed  func(old, conv Record)
-	Skipped    func(conv Record)
-}
-
-// CompactWith is Compact with an optional policy hook bundle (nil behaves
-// exactly like Compact).
-func (s *Store) CompactWith(h *CompactHooks) (int64, error) {
+// CompactWith is Compact with a say for a policy layer (the node) in how each
+// record moves; nil behaves exactly like Compact. The victim is read as Open
+// replays a segment, block by block in file order, and a frame is live if the
+// record table still points at exactly it. move is called with each live
+// record, outside every store lock, and may call commit once, with rec or
+// with a replacement form of it (the node's re-dedup pass commits a
+// delta-encoded conversion): commit re-checks under the writer lock that the
+// frame is still the record's current version, appends what it is given if so
+// and reports whether it did, so the caller can hold its own locks around the
+// call and learns there whether its conversion was stored or a concurrent
+// write won. A record move returns for without having called commit is moved
+// unchanged, so no callback can make retirement drop a live record.
+// rec.Payload is the caller's to keep. A tombstone in the victim is replayed
+// too, while a segment it may still be needed against exists (carryTombstone).
+func (s *Store) CompactWith(move func(rec Record, commit func(Record) bool)) (int64, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
@@ -1255,105 +1232,122 @@ func (s *Store) CompactWith(h *CompactHooks) (int64, error) {
 	// rolled) before a victim is chosen, as if blocks were sealed inline.
 	s.waitSealerLocked()
 	var victim *segment
-	victimIdx := -1
-	for i, seg := range s.segments {
-		if seg == s.active || seg.retired {
-			continue
+	slot := -1
+	for i, seg := range s.segments { // a retired segment has no dead bytes
+		if seg != s.active && seg.dead > 0 && (victim == nil || seg.dead > victim.dead) {
+			victim, slot = seg, i
 		}
-		if victim == nil || seg.dead > victim.dead {
-			victim, victimIdx = seg, i
-		}
-	}
-	// Collect live records located in the victim.
-	var liveIDs []uint64
-	if victim != nil {
-		liveIDs = s.recs.ids(func(e *entry) bool { return e.sealed() && int(e.seg) == victimIdx })
 	}
 	s.mu.Unlock()
 	if victim == nil {
 		return 0, nil
 	}
-	// Move (and offer to Rewrite) in insertion order: deterministic passes,
-	// and bases precede the records that might delta-encode against them.
-	sort.Slice(liveIDs, func(i, j int) bool { return liveIDs[i] < liveIDs[j] })
-
-	for _, id := range liveIDs {
-		rec, ok, err := s.Get(id)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			continue
-		}
-		// Offer the record to the policy hook outside all locks; a
-		// conversion commits under the hook's CommitLock so the policy
-		// layer's other form-changing paths are serialised against it.
-		conv := rec
-		converted := false
-		if h != nil && h.Rewrite != nil {
-			if c, ok := h.Rewrite(rec); ok {
-				conv, converted = c, true
-			}
-		}
-		if s.opts.AppendDelay > 0 {
-			time.Sleep(s.opts.AppendDelay)
-		}
-		if converted && h.CommitLock != nil {
-			h.CommitLock.Lock()
-		}
-		commit := converted && (h.Verify == nil || h.Verify(rec, conv))
-		// Re-check and move in one critical section: a concurrent write
-		// between the check and the append could otherwise be superseded
-		// by this stale copy. The victim is not the active segment, so an
-		// entry still pointing into it means the frame we read is still the
-		// current version. Waiting for room comes first: it may let go of mu.
-		moved := false
-		s.mu.Lock()
-		err = s.roomLocked()
-		if err == nil {
-			if e, ok := s.recs.get(id); ok && e.sealed() && int(e.seg) == victimIdx {
-				moved = true
-				if commit {
-					s.appendLocked(conv)
-				} else {
-					s.appendLocked(rec)
-				}
-			}
-		}
-		s.mu.Unlock()
-		if converted {
-			committed := moved && commit
-			if committed && h.Committed != nil {
-				h.Committed(rec, conv)
-			}
-			if h.CommitLock != nil {
-				h.CommitLock.Unlock()
-			}
-			if !committed && h.Skipped != nil {
-				h.Skipped(conv)
-			}
-		}
-		if err != nil {
-			return 0, err
-		}
+	rd, ok := s.table.Pin(slot)
+	if !ok {
+		return 0, errors.New("docstore: store is closed")
 	}
-	if err := s.Flush(); err != nil {
+	_, err := s.walkBlocks(rd, func(off int64, raw []byte) error {
+		for scan := 0; scan < len(raw); {
+			rec, n, err := parseFrame(raw[scan:], false)
+			if err != nil {
+				return err
+			}
+			start := scan
+			scan += n
+			if rec.Tombstone {
+				if err := s.carryTombstone(rec.ID, slot); err != nil {
+					return err
+				}
+				continue
+			}
+			e, live := s.recs.at(rec.ID, slot, off, start)
+			if !live {
+				continue
+			}
+			rec.DB, rec.Key = e.db, e.key
+			// What is appended becomes the record's pending copy, which has
+			// to outlive the walk's buffer and the victim's mapping.
+			rec.Payload = append([]byte(nil), rec.Payload...)
+			if s.opts.AppendDelay > 0 {
+				time.Sleep(s.opts.AppendDelay)
+			}
+			// Re-check and move in one critical section: a concurrent write
+			// between the check and the append could otherwise be superseded
+			// by this stale copy. Waiting for room comes first: it may let go
+			// of mu.
+			var called bool
+			var appendErr error
+			commit := func(r Record) bool {
+				called = true
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				if appendErr = s.roomLocked(); appendErr != nil {
+					return false
+				}
+				if _, live := s.recs.at(rec.ID, slot, off, start); !live {
+					return false
+				}
+				s.appendLocked(r)
+				return true
+			}
+			if move != nil {
+				move(rec, commit)
+			}
+			if !called {
+				commit(rec)
+			}
+			if appendErr != nil {
+				return appendErr
+			}
+		}
+		return nil
+	})
+	s.table.Unpin(rd)
+	if err == nil {
+		err = s.Flush()
+	}
+	if err != nil {
 		return 0, err
 	}
 
 	s.mu.Lock()
 	reclaimed := victim.size
 	name := victim.file.Name()
+	s.deadBytes.Add(-victim.dead) // the moved records' old frames included
 	victim.retired = true
 	victim.file = nil // the reader's release hook owns the close now
 	victim.size = 0
 	victim.dead = 0
 	s.mu.Unlock()
 
-	s.table.Retire(victimIdx)
+	s.table.Retire(slot)
 	s.opts.FS.Remove(name)
-	s.cache.DropSegment(victimIdx)
+	s.cache.DropSegment(slot)
 	return reclaimed, nil
+}
+
+// carryTombstone re-appends the tombstone of record id, found in the victim
+// at segment slot, if it still has work to do: the record is gone and a
+// segment older than the victim, which may hold a frame of it, is still
+// there, so that without the tombstone the next replay would bring the record
+// back.
+func (s *Store) carryTombstone(id uint64, slot int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	older := false
+	for _, seg := range s.segments[:slot] {
+		older = older || !seg.retired
+	}
+	if !older {
+		return nil
+	}
+	if err := s.roomLocked(); err != nil {
+		return err
+	}
+	if _, ok := s.recs.get(id); !ok {
+		s.appendLocked(Record{ID: id, Tombstone: true})
+	}
+	return nil
 }
 
 // DiskBytes returns the total bytes held by segments (plus the unsealed

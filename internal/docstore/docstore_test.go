@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"dbdedup/internal/faultfs"
 )
 
 func memStore(t *testing.T, opts Options) *Store {
@@ -234,6 +236,261 @@ func TestCompaction(t *testing.T) {
 		if err != nil || !ok || !bytes.Equal(got.Payload, payload) {
 			t.Fatalf("Get(%d) after compaction = %v %v", i, ok, err)
 		}
+	}
+}
+
+// segmentDead sums the dead bytes the segments carry, which is what
+// Stats.DeadBytes has to say whenever no frame is waiting for its seal.
+func segmentDead(s *Store) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, seg := range s.segments {
+		n += seg.dead
+	}
+	return n
+}
+
+// TestCompactionSettlesDeadBytes: dead bytes are counted in one place, so the
+// store's total is the sum over its segments before, between and after
+// passes; a retired victim takes its share along, the frames its moved records
+// left behind included; and once no rolled segment holds a dead byte a pass
+// finds nothing to do and appends nothing.
+func TestCompactionSettlesDeadBytes(t *testing.T) {
+	s := memStore(t, Options{Dir: t.TempDir(), BlockSize: 256, SegmentSize: 2048})
+	payload := bytes.Repeat([]byte("v"), 100)
+	for round := 0; round < 20; round++ {
+		for i := uint64(1); i <= 10; i++ {
+			mustAppend(t, s, Record{ID: i, DB: "d", Key: fmt.Sprintf("k%d", i), Payload: payload})
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dead := s.Stats().DeadBytes
+	if want := int64(19 * 10 * len(payload)); dead != want || segmentDead(s) != want {
+		t.Fatalf("DeadBytes %d, segments %d, want %d", dead, segmentDead(s), want)
+	}
+	passes := 0
+	for ; ; passes++ {
+		n, err := s.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := s.Stats().DeadBytes
+		if now != segmentDead(s) {
+			t.Fatalf("after pass %d: DeadBytes %d, segments hold %d", passes, now, segmentDead(s))
+		}
+		if n == 0 {
+			break
+		}
+		if now >= dead {
+			t.Fatalf("pass %d retired a segment and DeadBytes went %d -> %d", passes, dead, now)
+		}
+		dead = now
+	}
+	if passes == 0 {
+		t.Fatal("no pass found a victim")
+	}
+	before := s.Stats()
+	if n, err := s.Compact(); n != 0 || err != nil {
+		t.Fatalf("a pass right after the last: %d, %v", n, err)
+	}
+	if after := s.Stats(); after.Appends != before.Appends || after.LiveSegments != before.LiveSegments {
+		t.Fatalf("a pass with nothing to reclaim appended %d frames", after.Appends-before.Appends)
+	}
+	for i := uint64(1); i <= 10; i++ {
+		if got, ok, err := s.Get(i); err != nil || !ok || !bytes.Equal(got.Payload, payload) {
+			t.Fatalf("Get(%d) after compaction = %v %v", i, ok, err)
+		}
+	}
+
+	// Rolled segments without a dead byte are not rewritten either.
+	clean := memStore(t, Options{BlockSize: 256, SegmentSize: 2048})
+	for i := uint64(1); i <= 60; i++ {
+		mustAppend(t, clean, Record{ID: i, DB: "d", Key: "k", Payload: payload})
+	}
+	if err := clean.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before = clean.Stats()
+	if n, err := clean.Compact(); n != 0 || err != nil {
+		t.Fatalf("Compact of a store without dead bytes: %d, %v", n, err)
+	}
+	if after := clean.Stats(); before.LiveSegments < 3 || after.Appends != before.Appends || after.LiveSegments != before.LiveSegments {
+		t.Fatalf("%d segments, none with a dead byte: the pass appended %d frames and left %d segments",
+			before.LiveSegments, after.Appends-before.Appends, after.LiveSegments)
+	}
+}
+
+// TestCompactionCarriesTombstones retires the segment a tombstone is in while
+// an older segment still holds a frame of the deleted record: the tombstone is
+// replayed into the active segment with the live records, or the next open
+// would bring the record back. Once the old frame's segment is gone too the
+// tombstone has nothing left to do and is dropped.
+func TestCompactionCarriesTombstones(t *testing.T) {
+	opts := Options{Dir: "d", FS: faultfs.NewMemFS(), BlockSize: 256, SegmentSize: 1024}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("x"), 100)
+	for id := uint64(1); id <= 12; id++ { // fills and rolls the first segment
+		mustAppend(t, s, Record{ID: id, DB: "d", Key: fmt.Sprint(id), Payload: payload})
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(1); err != nil { // the tombstone is in the second segment
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ { // and the later segments have more dead bytes than the first
+		mustAppend(t, s, Record{ID: 100, DB: "d", Key: "churn", Payload: payload})
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for !s.segments[1].retired {
+		if n, err := s.Compact(); n == 0 || err != nil || s.segments[0].retired {
+			t.Fatalf("Compact: %d, %v; first segment retired: %v", n, err, s.segments[0].retired)
+		}
+	}
+	reopen := func() {
+		t.Helper()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Open(opts); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := s.Get(1); ok || err != nil {
+			t.Fatalf("the deleted record is back after compaction and a reopen: %v, %v", ok, err)
+		}
+		if live := s.Stats().LiveRecords; live != 12 {
+			t.Fatalf("%d live records, want 12", live)
+		}
+	}
+	reopen()
+	for { // to the end: the first segment goes, and the tombstone with the next victim that holds it
+		n, err := s.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+	}
+	reopen()
+	s.Close()
+}
+
+// TestCompactWithMoveCallback runs passes to the end under each thing a move
+// callback can do. Whatever it does, every record is there afterwards, also
+// after a reopen: one it returns for without a commit is moved as it was, a
+// committed replacement is what is stored, and a commit that comes after a
+// newer write of the record reports false and leaves the newer write alone.
+func TestCompactWithMoveCallback(t *testing.T) {
+	payload := func(id uint64, what string) []byte {
+		return bytes.Repeat([]byte(fmt.Sprintf("%s-%03d|", what, id)), 12)
+	}
+	for _, tc := range []struct {
+		name string
+		want string // which payload a moved record ends up with
+		move func(s *Store, offered map[uint64]int) func(Record, func(Record) bool)
+	}{
+		{"never commits", "old", func(s *Store, offered map[uint64]int) func(Record, func(Record) bool) {
+			return func(rec Record, commit func(Record) bool) { offered[rec.ID]++ }
+		}},
+		{"commits the record", "old", func(s *Store, offered map[uint64]int) func(Record, func(Record) bool) {
+			return func(rec Record, commit func(Record) bool) {
+				offered[rec.ID]++
+				if !commit(rec) || commit(rec) {
+					t.Errorf("record %d: the first commit must move it, a second must not", rec.ID)
+				}
+			}
+		}},
+		{"commits a replacement", "conv", func(s *Store, offered map[uint64]int) func(Record, func(Record) bool) {
+			return func(rec Record, commit func(Record) bool) {
+				offered[rec.ID]++
+				rec.Payload = payload(rec.ID, "conv")
+				if !commit(rec) {
+					t.Errorf("record %d: commit of a replacement reported false", rec.ID)
+				}
+			}
+		}},
+		{"commits after a newer write", "new", func(s *Store, offered map[uint64]int) func(Record, func(Record) bool) {
+			return func(rec Record, commit func(Record) bool) {
+				offered[rec.ID]++
+				newer := rec
+				newer.Payload = payload(rec.ID, "new")
+				if err := s.Append(newer); err != nil {
+					t.Error(err)
+				}
+				if commit(rec) {
+					t.Errorf("record %d: commit of a superseded frame reported true", rec.ID)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Dir: "d", FS: faultfs.NewMemFS(), Compress: true, BlockSize: 256, SegmentSize: 1024}
+			s, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const ids = 120
+			for id := uint64(1); id <= ids; id++ {
+				mustAppend(t, s, Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id), Payload: payload(id, "old")})
+			}
+			for id := uint64(3); id <= ids; id += 3 { // a dead frame or two in every block
+				mustAppend(t, s, Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id), Payload: payload(id, "upd")})
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			offered := map[uint64]int{}
+			for {
+				n, err := s.CompactWith(tc.move(s, offered))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					break
+				}
+			}
+			if len(offered) < ids/2 {
+				t.Fatalf("the passes offered %d of %d records", len(offered), ids)
+			}
+			check := func(s *Store) {
+				t.Helper()
+				if live := s.Stats().LiveRecords; live != ids {
+					t.Fatalf("%d live records, want %d", live, ids)
+				}
+				for id := uint64(1); id <= ids; id++ {
+					want := payload(id, "old")
+					if id%3 == 0 {
+						want = payload(id, "upd")
+					}
+					if offered[id] > 0 && tc.want != "old" {
+						want = payload(id, tc.want)
+					}
+					rec, ok, err := s.Get(id)
+					if err != nil || !ok || !bytes.Equal(rec.Payload, want) || rec.Key != fmt.Sprintf("k%d", id) {
+						t.Fatalf("Get(%d) (offered %d times): ok %v, err %v, key %q, payload %.24q, want %.24q",
+							id, offered[id], ok, err, rec.Key, rec.Payload, want)
+					}
+				}
+			}
+			check(s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = Open(opts); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			check(s)
+		})
 	}
 }
 

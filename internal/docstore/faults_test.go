@@ -208,6 +208,53 @@ func TestReplayTornSegments(t *testing.T) {
 	}
 }
 
+// TestReplayEndsASegmentWhereItStopped damages the body of the active
+// segment's last block, whose header stays valid. Replay stops in front of
+// that block, so the segment ends there and the next block written replaces
+// the damaged one; were it put behind, the following replay would stop at the
+// same place and lose it.
+func TestReplayEndsASegmentWhereItStopped(t *testing.T) {
+	mem := faultfs.NewMemFS()
+	opts := Options{Dir: "d", FS: mem, BlockSize: 128}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= 6; id++ {
+		mustAppend(t, s, sealRec(id, 0))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const name = "d/seg-000000.log"
+	data := append([]byte(nil), mem.Bytes(name)...)
+	spans := blockSpans(data)
+	last := spans[len(spans)-1]
+	data[last.off+blockHeaderSize+last.stored/2] ^= 0x40
+	mem.SetBytes(name, data)
+
+	if s, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	if live := s.Stats().LiveRecords; live == 0 || live == 6 {
+		t.Fatalf("%d live records after the damage, want those of the blocks before it", live)
+	}
+	if s.segments[0].size != last.off {
+		t.Fatalf("the segment ends at %d, want %d, where the damaged block starts", s.segments[0].size, last.off)
+	}
+	mustAppend(t, s, sealRec(999, 0))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if rec, ok, err := s.Get(999); err != nil || !ok || !bytes.Equal(rec.Payload, sealRec(999, 0).Payload) {
+		t.Fatalf("the record written after the damaged block is gone after a reopen: ok %v, err %v", ok, err)
+	}
+}
+
 // sealerIdle returns once no sealer goroutine is running.
 func sealerIdle(s *Store) {
 	s.mu.Lock()

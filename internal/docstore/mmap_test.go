@@ -240,10 +240,9 @@ func TestInMemoryStoreRunsTheFilePath(t *testing.T) {
 		}
 	}
 	offered := 0
-	reclaimed, err := s.CompactWith(&CompactHooks{Rewrite: func(rec Record) (Record, bool) {
+	reclaimed, err := s.CompactWith(func(rec Record, commit func(Record) bool) {
 		offered++
-		return rec, false
-	}})
+	})
 	if err != nil || reclaimed == 0 || offered == 0 {
 		t.Fatalf("CompactWith: reclaimed %d bytes, offered %d records, err %v", reclaimed, offered, err)
 	}

@@ -111,17 +111,21 @@ func (t *recTable) seal(id, block uint64, recStart int, seg int, off int64) bool
 	return true
 }
 
-// ids returns the IDs of the entries keep accepts (all of them when keep is
-// nil), in unspecified order.
-func (t *recTable) ids(keep func(e *entry) bool) []uint64 {
+// at returns id's entry and whether the frame at recStart of the block at off
+// in segment slot seg is still the record's current version.
+func (t *recTable) at(id uint64, seg int, off int64, recStart int) (entry, bool) {
+	e, ok := t.get(id)
+	return e, ok && e.sealed() && int(e.seg) == seg && e.off == off && int(e.recStart) == recStart
+}
+
+// ids returns the IDs of all entries, in unspecified order.
+func (t *recTable) ids() []uint64 {
 	var out []uint64
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.RLock()
-		for id, e := range sh.m {
-			if keep == nil || keep(&e) {
-				out = append(out, id)
-			}
+		for id := range sh.m {
+			out = append(out, id)
 		}
 		sh.mu.RUnlock()
 	}

@@ -2,7 +2,6 @@ package docstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
@@ -139,10 +138,12 @@ func TestViewInflatesOnlyAsFarAsItsFrame(t *testing.T) {
 	step("any frame of a block resident in full", n, 0, 0, 1, st.BlockBytesDecoded)
 }
 
-// TestWholeBlockReadersDecodeEachBlockOnce: replay and compaction visit every
-// frame of a block and ask for the block whole, in one call: a block is
-// decoded once, never left short and never extended, so they cost what they
-// cost when every read inflated its whole block.
+// TestWholeBlockReadersDecodeEachBlockOnce: replay and compaction walk a
+// segment block by block in file order, each block decoded once, whole, into
+// the walk's own buffer. The records are appended in an order that is not
+// their ID order, as write-backs leave them, so a compaction that went by ID
+// through a two-block cache would inflate a block per record; and two blocks
+// of another segment that were resident before the pass are hits after it.
 func TestWholeBlockReadersDecodeEachBlockOnce(t *testing.T) {
 	opts := Options{Dir: "d", FS: faultfs.NewMemFS(), Compress: true, BlockSize: 512, SegmentSize: 8 << 10,
 		CacheBlocks: 2, CacheShards: 1}
@@ -151,11 +152,12 @@ func TestWholeBlockReadersDecodeEachBlockOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ids = 400
-	for id := uint64(1); id <= ids; id++ {
-		mustAppend(t, s, sealRec(id, 0))
+	idAt := func(i int) uint64 { return uint64(1 + i*37%ids) } // neighbours in ID order are blocks apart
+	for i := 0; i < ids; i++ {
+		mustAppend(t, s, sealRec(idAt(i), 0))
 	}
-	for id := uint64(8); id <= ids/4; id += 8 { // dead bytes in the oldest segments, live records in every block
-		mustAppend(t, s, sealRec(id, 1))
+	for i := 8; i <= ids/4; i += 8 { // dead bytes in the oldest segments, live records in every block
+		mustAppend(t, s, sealRec(idAt(i), 1))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -171,19 +173,43 @@ func TestWholeBlockReadersDecodeEachBlockOnce(t *testing.T) {
 		t.Fatalf("replay of %d blocks (%d bytes): %d decoded, %d extended, %d bytes inflated",
 			sealed.BlocksSealed, sealed.BlockBytesIn, st.BlocksDecoded, st.BlocksExtended, st.BlockBytesDecoded)
 	}
+	if hits, misses := s.cache.HitsMisses(); hits+misses != 0 || st.BlockBuffersFresh != 0 {
+		t.Fatalf("replay went through the block cache: %d hits, %d misses, %d buffers", hits, misses, st.BlockBuffersFresh)
+	}
 
 	// The victim is the first segment; count its blocks and their bytes.
 	var blocks, raw uint64
 	victim := s.segments[0]
-	for off := int64(0); off < victim.size; {
-		var hdr [blockHeaderSize]byte
-		if err := victim.rd.ReadAt(hdr[:], off); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := s.walkBlocks(victim.rd, func(_ int64, block []byte) error {
 		blocks++
-		raw += uint64(binary.LittleEndian.Uint32(hdr[4:]))
-		off += blockHeaderSize + int64(binary.LittleEndian.Uint32(hdr[8:]))
+		raw += uint64(len(block))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
+	// Fill the cache with two blocks of another segment.
+	var resident []uint64
+	var at [2]int64
+	for i := ids - 1; len(resident) < 2; i-- {
+		e, _ := s.recs.get(idAt(i))
+		if e.seg == 0 {
+			t.Fatal("every record is in the first segment")
+		}
+		if len(resident) == 0 || e.off != at[0] {
+			at[len(resident)] = e.off
+			resident = append(resident, idAt(i))
+		}
+	}
+	viewResident := func() {
+		for _, id := range resident {
+			if ok, err := s.View(id, func(Stored) {}); err != nil || !ok {
+				t.Fatalf("View(%d): %v, %v", id, ok, err)
+			}
+		}
+	}
+	viewResident()
+	st = s.Stats()
+
 	if n, err := s.CompactWith(nil); err != nil || n == 0 {
 		t.Fatalf("CompactWith: %d, %v", n, err)
 	}
@@ -195,6 +221,11 @@ func TestWholeBlockReadersDecodeEachBlockOnce(t *testing.T) {
 		after.BlockBytesDecoded-st.BlockBytesDecoded != raw {
 		t.Fatalf("compaction of a %d-block, %d-byte segment: %d decoded, %d extended, %d bytes inflated", blocks, raw,
 			after.BlocksDecoded-st.BlocksDecoded, after.BlocksExtended, after.BlockBytesDecoded-st.BlockBytesDecoded)
+	}
+	viewResident()
+	if now := s.Stats(); now.CacheHits-st.CacheHits != 2 || now.CacheMisses != st.CacheMisses || now.BlocksDecoded != after.BlocksDecoded {
+		t.Fatalf("the pass evicted from a cache that held other segments' blocks: %d hits, %d misses, %d blocks decoded since",
+			now.CacheHits-st.CacheHits, now.CacheMisses-st.CacheMisses, now.BlocksDecoded-after.BlocksDecoded)
 	}
 }
 

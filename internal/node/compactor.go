@@ -16,7 +16,8 @@ type CompactionOptions struct {
 	// Interval is how often the dead-space ratio is checked (default 1s).
 	Interval time.Duration
 	// TriggerRatio is the dead/disk fraction that triggers compaction
-	// (default 0.5).
+	// (default 0.5): superseded payload bytes, as they were before block
+	// compression, over the bytes the segments hold on disk.
 	TriggerRatio float64
 	// Rededup enables the compaction-time re-deduplication pass: live raw
 	// records moved out of the victim segment are re-sketched against the
@@ -60,7 +61,10 @@ func (n *Node) startCompactor(opts CompactionOptions) {
 					continue
 				}
 				// Compaction failure is not fatal — space simply
-				// stays unreclaimed until the next attempt.
+				// stays unreclaimed until the next attempt. Dead bytes
+				// in the active segment, which is never a victim, can
+				// hold the ratio up: the tick then costs one look at
+				// the segments and counts as no pass.
 				n.compactOnce()
 			}
 		}
@@ -71,30 +75,32 @@ func (n *Node) startCompactor(opts CompactionOptions) {
 // reclaimed.
 func (n *Node) Compact() (int64, error) { return n.compactOnce() }
 
-// compactOnce runs one store compaction pass, with the re-dedup hook bundle
-// attached when enabled, and folds the outcome into the node's counters.
+// compactOnce runs one store compaction pass, re-deduplicating what it moves
+// when enabled, and folds the outcome into the node's counters. A call that
+// found no segment worth compacting is not a pass.
 func (n *Node) compactOnce() (int64, error) {
 	start := time.Now()
-	var h *docstore.CompactHooks
+	var move func(docstore.Record, func(docstore.Record) bool)
 	if n.opts.Compaction.Rededup && n.eng != nil {
-		h = n.rededupHooks()
+		move = n.rededupMove
 	}
-	reclaimed, err := n.store.CompactWith(h)
-	if err != nil {
-		return reclaimed, err
+	reclaimed, err := n.store.CompactWith(move)
+	if err != nil || reclaimed == 0 {
+		return 0, err
 	}
 	n.compm.ObservePass(time.Since(start))
-	if reclaimed > 0 {
-		n.compm.PhysicalBytesReclaimed.Add(reclaimed)
-		n.mu.Lock()
-		n.stats.Compactions++
-		n.mu.Unlock()
-	}
+	n.compm.PhysicalBytesReclaimed.Add(reclaimed)
+	n.mu.Lock()
+	n.stats.Compactions++
+	n.mu.Unlock()
 	return reclaimed, nil
 }
 
-// rededupHooks builds the CompactHooks bundle implementing compaction-time
-// re-deduplication. Safety rests on three rules:
+// rededupMove is compaction-time re-deduplication: the store calls it, under
+// none of its locks, with each live record it is about to move, and commit
+// stores the form it is given unless a concurrent write has superseded the
+// record. A record this returns for without a commit is moved as it is.
+// Safety rests on three rules:
 //
 //   - Only unreferenced raw records convert ("bases stay raw"): nothing
 //     decodes through the converted record, so the rewrite cannot deepen
@@ -104,63 +110,53 @@ func (n *Node) compactOnce() (int64, error) {
 //     decoded: once the claim is visible, client updates of the base stack
 //     on top of section 0 and deletes hide rather than reclaim, so the
 //     decoded content stays the content the delta will resolve against.
-//   - Verify re-runs the grounding walk and an end-to-end decode under
-//     applyMu — the lock every base-assigning path (write-back apply,
-//     hidden-chain repair, this hook's commit) holds — so a conversion
-//     commits only against the authoritative chain state.
+//   - The conversion is verified and committed under applyMu — the lock every
+//     base-assigning path (write-back apply, hidden-chain repair) holds — by
+//     re-running the grounding walk and an end-to-end decode, so it commits
+//     only against the authoritative chain state.
 //
-// An abandoned conversion (superseded record, failed Verify, append error)
-// surfaces as Skipped, which releases the claimed reference.
-func (n *Node) rededupHooks() *docstore.CompactHooks {
+// A conversion that is not stored (failed verification, superseded record,
+// append error) releases the claimed reference.
+func (n *Node) rededupMove(rec docstore.Record, commit func(docstore.Record) bool) {
+	if rec.Hidden || rec.Stacked || rec.Form != docstore.FormRaw || n.referenced(rec.ID) {
+		return
+	}
 	maxDepth := n.opts.Compaction.RededupMaxChainDepth
 	if maxDepth <= 0 {
 		maxDepth = defaultRededupMaxChainDepth
 	}
-	return &docstore.CompactHooks{
-		CommitLock: &n.applyMu,
-		Rewrite: func(rec docstore.Record) (docstore.Record, bool) {
-			if rec.Tombstone || rec.Hidden || rec.Stacked || rec.Form != docstore.FormRaw {
-				return rec, false
-			}
-			n.mu.RLock()
-			referenced := n.refcnt[rec.ID] > 0
-			n.mu.RUnlock()
-			if referenced {
-				return rec, false
-			}
-			n.compm.Resketched.Add(1)
-			srcID, ok := n.eng.ProbeSimilar(rec.DB, rec.ID, rec.Payload)
-			if !ok || srcID == rec.ID {
-				return rec, false
-			}
-			return n.buildConversion(rec, srcID, maxDepth)
-		},
-		Verify: func(old, conv docstore.Record) bool {
-			// A reference appearing since Rewrite means another record
-			// now decodes through this one — converting it would deepen
-			// that chain, so bail.
-			n.mu.RLock()
-			referenced := n.refcnt[old.ID] > 0
-			n.mu.RUnlock()
-			if referenced {
-				return false
-			}
-			if !n.rededupStillSafe(conv.ID, conv.BaseID, maxDepth) {
-				return false
-			}
-			// End-to-end guard (same as write-back apply): the committed
-			// delta must reproduce exactly the payload being replaced.
-			return n.reproducesLocked(conv.BaseID, conv.Payload, old.Payload)
-		},
-		Committed: func(old, conv docstore.Record) {
-			n.compm.Conversions.Add(1)
-			n.compm.LogicalBytesSaved.Add(int64(len(old.Payload) - len(conv.Payload)))
-		},
-		Skipped: func(conv docstore.Record) {
-			n.compm.ConversionsSkipped.Add(1)
-			n.releaseRef(conv.BaseID)
-		},
+	n.compm.Resketched.Add(1)
+	srcID, ok := n.eng.ProbeSimilar(rec.DB, rec.ID, rec.Payload)
+	if !ok || srcID == rec.ID {
+		return
 	}
+	conv, ok := n.buildConversion(rec, srcID, maxDepth)
+	if !ok {
+		return
+	}
+	n.applyMu.Lock()
+	// A reference appearing since the probe means another record now decodes
+	// through this one — converting it would deepen that chain. The decode is
+	// the end-to-end guard of write-back apply: the delta must reproduce
+	// exactly the payload it replaces.
+	stored := !n.referenced(rec.ID) &&
+		n.rededupStillSafe(rec.ID, srcID, maxDepth) &&
+		n.reproducesLocked(srcID, conv.Payload, rec.Payload) &&
+		commit(conv)
+	n.applyMu.Unlock()
+	if !stored {
+		n.compm.ConversionsSkipped.Add(1)
+		n.releaseRef(srcID)
+		return
+	}
+	n.compm.Conversions.Add(1)
+	n.compm.LogicalBytesSaved.Add(int64(len(rec.Payload) - len(conv.Payload)))
+}
+
+func (n *Node) referenced(id uint64) bool {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.refcnt[id] > 0
 }
 
 // buildConversion claims a reference on srcID, decodes its base content, and
@@ -179,7 +175,7 @@ func (n *Node) buildConversion(rec docstore.Record, srcID uint64, maxDepth int) 
 		n.releaseRef(srcID)
 		return rec, false
 	}
-	// Advisory pre-check; Verify repeats it authoritatively under applyMu.
+	// Advisory pre-check; rededupMove repeats it authoritatively under applyMu.
 	if !n.rededupStillSafe(rec.ID, srcID, maxDepth) {
 		return abort()
 	}

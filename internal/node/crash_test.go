@@ -7,24 +7,25 @@ import (
 	"time"
 )
 
-// TestBackgroundCompactor verifies that heavy rewrite traffic triggers
-// compaction and the store keeps serving correct data throughout.
-func TestBackgroundCompactor(t *testing.T) {
+// churnedNode opens a node whose background compactor checks every 10 ms
+// against trigger (0: the default) and hammers twenty keys with updates, so
+// old frames pile up as dead bytes across many small segments.
+func churnedNode(t *testing.T, trigger float64) *Node {
+	t.Helper()
 	opts := Options{
 		SyncEncode: true, DisableAutoFlush: true,
 		BlockSize: 512, SegmentSize: 8 << 10,
-		Compaction: CompactionOptions{Enabled: true, Interval: 10 * time.Millisecond, TriggerRatio: 0.3},
+		Compaction: CompactionOptions{Enabled: true, Interval: 10 * time.Millisecond, TriggerRatio: trigger},
 	}
 	opts.Engine.GovernorWindow = 1 << 30
 	n, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
+	t.Cleanup(func() { n.Close() })
 
 	rng := rand.New(rand.NewSource(7))
 	payload := prose(rng, 512)
-	// Hammer updates so old frames pile up as dead bytes.
 	for i := 0; i < 20; i++ {
 		n.Insert("db", fmt.Sprintf("k%d", i), payload)
 	}
@@ -36,12 +37,58 @@ func TestBackgroundCompactor(t *testing.T) {
 		}
 		n.Store().Flush()
 	}
+	return n
+}
+
+// TestBackgroundCompactor verifies that heavy rewrite traffic triggers
+// compaction and the store keeps serving correct data throughout.
+func TestBackgroundCompactor(t *testing.T) {
+	n := churnedNode(t, 0.3)
 	deadline := time.Now().Add(3 * time.Second)
 	for n.Stats().Compactions == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if n.Stats().Compactions == 0 {
 		t.Fatal("compactor never ran despite heavy rewrites")
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := n.Read("db", fmt.Sprintf("k%d", i)); err != nil {
+			t.Fatalf("read after compaction: %v", err)
+		}
+	}
+}
+
+// TestCompactorGoesQuiet crosses the dead-space trigger once, with a burst of
+// updates that then stops. The compactor reclaims until the ratio is back
+// under the trigger or no rolled segment holds a dead byte, and from then on
+// a tick finds nothing to do: no pass is counted and no frame is appended.
+func TestCompactorGoesQuiet(t *testing.T) {
+	n := churnedNode(t, 0)
+
+	// Quiet is a pass count that has stood still for thirty ticks.
+	passes := n.CompactionMetrics().Passes.Total
+	deadline := time.Now().Add(5 * time.Second)
+	last, since := passes(), time.Now()
+	for last == 0 || time.Since(since) < 300*time.Millisecond {
+		if time.Now().After(deadline) {
+			t.Fatalf("the compactor is still at it, or never started, after 5s: %d passes, %d dead bytes of %d on disk",
+				last, n.Store().Stats().DeadBytes, n.Store().DiskBytes())
+		}
+		time.Sleep(10 * time.Millisecond)
+		if p := passes(); p != last {
+			last, since = p, time.Now()
+		}
+	}
+	st := n.Store().Stats()
+	if float64(st.DeadBytes) >= 0.5*float64(n.Store().DiskBytes()) {
+		if reclaimed, err := n.Compact(); reclaimed != 0 || err != nil {
+			t.Fatalf("quiet with the trigger crossed (%d dead bytes of %d) and a victim left: %d, %v",
+				st.DeadBytes, n.Store().DiskBytes(), reclaimed, err)
+		}
+	}
+	time.Sleep(100 * time.Millisecond)
+	if after := n.Store().Stats(); passes() != last || after.Appends != st.Appends {
+		t.Fatalf("ten ticks after going quiet: %d more passes, %d more frames", passes()-last, after.Appends-st.Appends)
 	}
 	for i := 0; i < 20; i++ {
 		if _, err := n.Read("db", fmt.Sprintf("k%d", i)); err != nil {

@@ -31,10 +31,8 @@ const RefBytes = 4
 type Config struct {
 	// ChunkAvgSize is the target average chunk size (power of two).
 	// The paper evaluates 4 KiB (the conventional choice) and 64 B.
+	// Chunks are bounded by the chunker's defaults, avg/4 and avg*4.
 	ChunkAvgSize int
-	// ChunkMinSize / ChunkMaxSize bound chunk sizes; zero means avg/4
-	// and avg*4.
-	ChunkMinSize, ChunkMaxSize int
 }
 
 // ChunkID identifies a stored unique chunk.
@@ -76,8 +74,6 @@ func New(cfg Config) *Deduper {
 		chunker: chunker.New(chunker.Config{
 			Algorithm: chunker.Rabin,
 			AvgSize:   cfg.ChunkAvgSize,
-			MinSize:   cfg.ChunkMinSize,
-			MaxSize:   cfg.ChunkMaxSize,
 		}),
 		index: make(map[[sha1.Size]byte]ChunkID),
 	}
