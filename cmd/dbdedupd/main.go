@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"dbdedup/internal/admission"
-	"dbdedup/internal/apiserver"
 	"dbdedup/internal/chain"
 	"dbdedup/internal/cluster"
 	"dbdedup/internal/core"
@@ -60,27 +59,25 @@ var (
 
 func main() {
 	flag.Parse()
-
-	var idxBudgetBytes int64
-	if *idxBudget != "" {
-		b, err := tiered.ParseSize(*idxBudget)
-		if err != nil {
-			log.Fatalf("-index-memory-budget: %v", err)
-		}
-		idxBudgetBytes = b
+	if err := run(); err != nil {
+		log.Fatal(err)
 	}
+}
 
+// config turns the flags into the member they describe, or says which
+// combination makes no sense, before anything is opened.
+func config() (cluster.MemberConfig, error) {
+	var cfg cluster.MemberConfig
 	// The engine runs the paper's headline configuration (64-byte chunks, hop
 	// encoding at distance 16) with background compaction on. The experiments
 	// sweep these through node.Options and core.Config; no deployment in this
 	// repository sets them, so the daemon has no flags for them.
-	n, err := node.Open(node.Options{
+	cfg.Node = node.Options{
 		Dir: *dir,
 		Engine: core.Config{
-			ChunkAvgSize:     64,
-			Scheme:           chain.Hop,
-			HopDistance:      16,
-			IndexBudgetBytes: idxBudgetBytes,
+			ChunkAvgSize: 64,
+			Scheme:       chain.Hop,
+			HopDistance:  16,
 		},
 		BlockCompression: *compress,
 		Compaction: node.CompactionOptions{
@@ -94,94 +91,81 @@ func main() {
 			TenantRate:    *admRate,
 			OverloadDwell: *admDwell,
 		},
-	})
-	if err != nil {
-		log.Fatalf("opening node: %v", err)
 	}
-	defer n.Close()
+	if *idxBudget != "" {
+		b, err := tiered.ParseSize(*idxBudget)
+		if err != nil {
+			return cfg, fmt.Errorf("-index-memory-budget: %w", err)
+		}
+		cfg.Node.Engine.IndexBudgetBytes = b
+	}
+	cfg.Listen, cfg.ReplListen, cfg.Follow = *listen, *replListen, *follow
+	// Reconnect across transient outages; the stream resumes from the
+	// applied low-water mark, so a primary restart or network blip does not
+	// require restarting the secondary.
+	cfg.Follower = repl.Options{MaxReconnects: 1 << 20}
 
 	// In cluster mode the node is served behind a shard wrapper: the ring
 	// routes each database to one member, everything else is answered with
 	// the routing taxonomy (wrong-shard redirect / moving retry-later).
-	var sh *cluster.Shard
-	if *clusterSelf != "" {
-		initial := cluster.NewRing(0, nil)
+	switch {
+	case *clusterSelf == "" && *clusterPeers != "":
+		return cfg, fmt.Errorf("-cluster-peers requires -cluster-self")
+	case *clusterSelf != "":
+		cfg.Self, cfg.Ring = *clusterSelf, cluster.NewRing(0, nil)
 		if *clusterPeers != "" {
 			peers := cluster.SplitAddrs(*clusterPeers)
-			found := false
-			for _, p := range peers {
-				if p == *clusterSelf {
-					found = true
-				}
+			cfg.Ring = cluster.NewRing(1, peers)
+			if !cfg.Ring.Has(*clusterSelf) {
+				return cfg, fmt.Errorf("-cluster-peers %v does not include -cluster-self %s", peers, *clusterSelf)
 			}
-			if !found {
-				log.Fatalf("-cluster-peers %v does not include -cluster-self %s", peers, *clusterSelf)
-			}
-			initial = cluster.NewRing(1, peers)
 		}
-		sh = cluster.NewShard(n, *clusterSelf, initial, nil, nil)
-	} else if *clusterPeers != "" {
-		log.Fatal("-cluster-peers requires -cluster-self")
 	}
+	return cfg, nil
+}
 
-	var api *apiserver.Server
-	if sh != nil {
-		api, err = apiserver.ListenAndServeBackend(sh, *listen, apiserver.Options{})
-	} else {
-		api, err = apiserver.ListenAndServe(n, *listen)
-	}
+func run() error {
+	cfg, err := config()
 	if err != nil {
-		log.Fatalf("API listener: %v", err)
+		return err
 	}
-	defer api.Close()
-	log.Printf("client API on %s", api.Addr())
-	if sh != nil {
-		r := sh.Ring()
-		log.Printf("cluster member %s, ring epoch %d (%d members)", sh.Self(), r.Epoch, len(r.Members))
+	m, err := cluster.StartMember(cfg)
+	if err != nil {
+		return err
 	}
-
-	if *admin != "" {
-		adm, err := httpadmin.ListenAndServeCluster(n, *admin, sh)
-		if err != nil {
-			log.Fatalf("admin listener: %v", err)
-		}
-		defer adm.Close()
-		log.Printf("HTTP admin on %s", adm.Addr())
+	defer m.Close()
+	log.Printf("client API on %s", m.Addr())
+	if m.Shard != nil {
+		r := m.Shard.Ring()
+		log.Printf("cluster member %s, ring epoch %d (%d members)", m.Shard.Self(), r.Epoch, len(r.Members))
 	}
-
-	if *replListen != "" {
-		p, err := repl.ListenAndServe(n, *replListen)
-		if err != nil {
-			log.Fatalf("replication listener: %v", err)
-		}
-		defer p.Close()
-		log.Printf("replication (primary) on %s", p.Addr())
+	if m.Oplog != nil {
+		log.Printf("replication (primary) on %s", m.Oplog.Addr())
 	}
-	if *follow != "" {
-		// Reconnect across transient outages; the stream resumes from the
-		// applied low-water mark, so a primary restart or network blip does
-		// not require restarting the secondary.
-		sec, err := repl.ConnectWithOptions(n, *follow, 0, 0, repl.Options{
-			MaxReconnects: 1 << 20,
-		})
-		if err != nil {
-			log.Fatalf("following %s: %v", *follow, err)
-		}
-		defer sec.Close()
+	if m.Follower != nil {
 		log.Printf("following primary at %s", *follow)
 		go func() {
 			for {
 				time.Sleep(time.Second)
-				if err := sec.Err(); err != nil {
+				if err := m.Follower.Err(); err != nil {
 					log.Printf("replication stream failed: %v", err)
 					return
 				}
 			}
 		}()
 	}
+	if *admin != "" {
+		adm, err := httpadmin.ListenAndServeCluster(m.Node, *admin, m.Shard)
+		if err != nil {
+			return fmt.Errorf("admin listener: %w", err)
+		}
+		defer adm.Close()
+		log.Printf("HTTP admin on %s", adm.Addr())
+	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "shutting down")
+	return nil
 }

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"dbdedup/internal/admission"
-	"dbdedup/internal/apiserver"
 	"dbdedup/internal/cluster"
 	"dbdedup/internal/node"
 	"dbdedup/internal/stormtest"
@@ -112,21 +111,23 @@ func main() {
 			OverloadDwell: *dwell,
 		},
 	}
-	var lc *stormtest.LocalCluster
+	self := cluster.MemberConfig{Node: nopts, Listen: "127.0.0.1:0"}
+	var ring []*cluster.Member
 	switch {
 	case *clusterN > 0:
 		var err error
-		lc, err = stormtest.StartLocalCluster(*clusterN, nopts, apiserver.Options{})
-		if err != nil {
+		if ring, err = cluster.StartRing(*clusterN, self); err != nil {
 			log.Fatalf("self-host cluster: %v", err)
 		}
-		defer lc.Close()
-		cfg.Addrs = lc.Addrs
-		log.Printf("self-hosted %d-primary cluster on %s", *clusterN, strings.Join(lc.Addrs, ","))
+		for _, m := range ring {
+			defer m.Close()
+			cfg.Addrs = append(cfg.Addrs, m.Addr())
+		}
+		log.Printf("self-hosted %d-primary cluster on %s", *clusterN, strings.Join(cfg.Addrs, ","))
 	case *addrsF != "":
 		cfg.Addrs = cluster.SplitAddrs(*addrsF)
 	case *addr == "":
-		local, err := stormtest.StartLocal(nopts, apiserver.Options{})
+		local, err := cluster.StartMember(self)
 		if err != nil {
 			log.Fatalf("self-host node: %v", err)
 		}
@@ -160,11 +161,10 @@ func main() {
 	for _, l := range lines {
 		fmt.Println(l)
 	}
-	if lc != nil {
-		for i, m := range lc.Members {
-			fmt.Printf("member %s: ring epoch %d, %d redirects, %d moving answers\n",
-				lc.Addrs[i], m.Metrics.RingEpoch.Value(), m.Metrics.RedirectsIssued.Total(), m.Metrics.MovingAnswered.Total())
-		}
+	for _, m := range ring {
+		cm := m.Shard.Metrics()
+		fmt.Printf("member %s: ring epoch %d, %d redirects, %d moving answers\n",
+			m.Addr(), cm.RingEpoch.Value(), cm.RedirectsIssued.Total(), cm.MovingAnswered.Total())
 	}
 
 	if *csvPath != "" {

@@ -199,12 +199,7 @@ type Server struct {
 
 // ListenAndServe starts serving n's client API on addr with default limits.
 func ListenAndServe(n *node.Node, addr string) (*Server, error) {
-	return ListenAndServeOptions(n, addr, Options{})
-}
-
-// ListenAndServeOptions starts serving n's client API on addr.
-func ListenAndServeOptions(n *node.Node, addr string, opts Options) (*Server, error) {
-	return ListenAndServeBackend(n, addr, opts)
+	return ListenAndServeBackend(n, addr, Options{})
 }
 
 // ListenAndServeBackend starts serving an arbitrary backend — a *node.Node

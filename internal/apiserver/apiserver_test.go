@@ -26,7 +26,7 @@ func testServerOptions(t *testing.T, opts Options) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n.Close() })
-	srv, err := ListenAndServeOptions(n, "127.0.0.1:0", opts)
+	srv, err := ListenAndServeBackend(n, "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

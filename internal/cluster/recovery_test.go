@@ -38,8 +38,8 @@ func testRebalanceOptions(mesh *netsim.Mesh) RebalanceOptions {
 // ring owned nothing) and CommitRing then deleted the un-transferred data.
 func TestRinglessJoinMovesData(t *testing.T) {
 	mesh := netsim.NewMesh(11, "a", "b")
-	ma := startMember(t, mesh, "a", "a:1", nil, apiserver.Options{})
-	mb := startMember(t, mesh, "b", "b:1", nil, apiserver.Options{})
+	ma := startMember(t, mesh, "a", "a:1", nil)
+	mb := startMember(t, mesh, "b", "b:1", nil)
 
 	target := NewRing(1, []string{"a:1", "b:1"})
 	dbStay := dbOwnedBy(t, target, "a:1")
@@ -66,14 +66,14 @@ func TestRinglessJoinMovesData(t *testing.T) {
 
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
-		got, err := mb.n.Read(dbMove, key)
+		got, err := mb.Node.Read(dbMove, key)
 		if err != nil || !bytes.Equal(got, []byte("move-"+key)) {
 			t.Errorf("moved record %s/%s not on the new owner: %q, %v", dbMove, key, got, err)
 		}
-		if _, err := ma.n.Read(dbMove, key); !errors.Is(err, node.ErrNotFound) {
+		if _, err := ma.Node.Read(dbMove, key); !errors.Is(err, node.ErrNotFound) {
 			t.Errorf("moved record %s/%s still on the source: err=%v", dbMove, key, err)
 		}
-		if _, err := ma.n.Read(dbStay, key); err != nil {
+		if _, err := ma.Node.Read(dbStay, key); err != nil {
 			t.Errorf("staying record %s/%s lost from the source: %v", dbStay, key, err)
 		}
 	}
@@ -101,7 +101,7 @@ func TestRinglessJoinMovesData(t *testing.T) {
 // keeps everything the member held before the window.
 func TestRinglessWindowFreezesAndAbortKeepsData(t *testing.T) {
 	mesh := netsim.NewMesh(12, "a")
-	ma := startMember(t, mesh, "a", "a:1", nil, apiserver.Options{})
+	ma := startMember(t, mesh, "a", "a:1", nil)
 
 	pend := NewRing(1, []string{"a:1", "ghost:1"})
 	db := dbOwnedBy(t, pend, "ghost:1")
@@ -109,7 +109,7 @@ func TestRinglessWindowFreezesAndAbortKeepsData(t *testing.T) {
 	if err := da.Insert(db, "k", []byte("pre-window")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ma.sh.InstallRing(pend.Marshal()); err != nil {
+	if err := ma.Shard.InstallRing(pend.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -122,10 +122,10 @@ func TestRinglessWindowFreezesAndAbortKeepsData(t *testing.T) {
 		t.Fatalf("ring-less read during the window: %q, %v", got, err)
 	}
 
-	if err := ma.sh.AbortRing(); err != nil {
+	if err := ma.Shard.AbortRing(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ma.n.Read(db, "k"); err != nil || !bytes.Equal(got, []byte("pre-window")) {
+	if got, err := ma.Node.Read(db, "k"); err != nil || !bytes.Equal(got, []byte("pre-window")) {
 		t.Fatalf("pre-window data lost across abort: %q, %v", got, err)
 	}
 	if err := da.Update(db, "k", []byte("after abort")); err != nil {
@@ -139,7 +139,7 @@ func TestRinglessWindowFreezesAndAbortKeepsData(t *testing.T) {
 // while leaving pre-window databases alone.
 func TestRinglessDestinationFreezesGainedCopy(t *testing.T) {
 	mesh := netsim.NewMesh(13, "b")
-	mb := startMember(t, mesh, "b", "b:1", nil, apiserver.Options{})
+	mb := startMember(t, mesh, "b", "b:1", nil)
 
 	pend := NewRing(1, []string{"b:1", "ghost:1"})
 	gained := dbOwnedBy(t, pend, "b:1")
@@ -148,10 +148,10 @@ func TestRinglessDestinationFreezesGainedCopy(t *testing.T) {
 	if err := db.Insert(held, "k", []byte("held before the window")); err != nil {
 		t.Fatal(err)
 	}
-	if err := mb.sh.InstallRing(pend.Marshal()); err != nil {
+	if err := mb.Shard.InstallRing(pend.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	if err := mb.sh.Transfer(gained, "k", []byte("half-transferred")); err != nil {
+	if err := mb.Shard.Transfer(gained, "k", []byte("half-transferred")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -161,13 +161,13 @@ func TestRinglessDestinationFreezesGainedCopy(t *testing.T) {
 		t.Fatalf("read of a half-transferred inbound copy: want shard-moving, got %v", err)
 	}
 
-	if err := mb.sh.AbortRing(); err != nil {
+	if err := mb.Shard.AbortRing(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mb.n.Read(gained, "k"); !errors.Is(err, node.ErrNotFound) {
+	if _, err := mb.Node.Read(gained, "k"); !errors.Is(err, node.ErrNotFound) {
 		t.Errorf("half-transferred copy survived the abort: err=%v", err)
 	}
-	if _, err := mb.n.Read(held, "k"); err != nil {
+	if _, err := mb.Node.Read(held, "k"); err != nil {
 		t.Errorf("pre-window database dropped by the abort: %v", err)
 	}
 }
@@ -178,21 +178,21 @@ func TestRinglessDestinationFreezesGainedCopy(t *testing.T) {
 // window (and silently discard its half-transferred copies).
 func TestInstallRingRefusesStaleVsPending(t *testing.T) {
 	mesh := netsim.NewMesh(14, "a")
-	ma := startMember(t, mesh, "a", "a:1", NewRing(1, []string{"a:1"}), apiserver.Options{})
+	ma := startMember(t, mesh, "a", "a:1", NewRing(1, []string{"a:1"}))
 
 	newer := NewRing(3, []string{"a:1", "x:1"})
-	if err := ma.sh.InstallRing(newer.Marshal()); err != nil {
+	if err := ma.Shard.InstallRing(newer.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	err := ma.sh.InstallRing(NewRing(2, []string{"a:1", "y:1"}).Marshal())
+	err := ma.Shard.InstallRing(NewRing(2, []string{"a:1", "y:1"}).Marshal())
 	if err == nil || !strings.Contains(err.Error(), "pending window 3") {
 		t.Fatalf("stale install under an open window: want a pending-epoch refusal, got %v", err)
 	}
-	if p := ma.sh.Pending(); p == nil || !p.Equal(newer) {
+	if p := ma.Shard.Pending(); p == nil || !p.Equal(newer) {
 		t.Fatalf("pending window clobbered by the stale install: %v", p)
 	}
 	// Idempotent re-install of the open window still converges silently.
-	if err := ma.sh.InstallRing(newer.Marshal()); err != nil {
+	if err := ma.Shard.InstallRing(newer.Marshal()); err != nil {
 		t.Fatalf("idempotent re-install: %v", err)
 	}
 }
@@ -204,17 +204,17 @@ func TestInstallRingRefusesStaleVsPending(t *testing.T) {
 // fix the window's databases stayed write-frozen forever.
 func TestRecoverAbortsSupersededWindow(t *testing.T) {
 	mesh := netsim.NewMesh(15, "a", "b", "c")
-	ma := startMember(t, mesh, "a", "a:1", NewRing(1, []string{"a:1"}), apiserver.Options{})
-	startMember(t, mesh, "b", "b:1", NewRing(4, []string{"a:1", "b:1"}), apiserver.Options{})
-	mc := startMember(t, mesh, "c", "c:1", nil, apiserver.Options{})
+	ma := startMember(t, mesh, "a", "a:1", NewRing(1, []string{"a:1"}))
+	startMember(t, mesh, "b", "b:1", NewRing(4, []string{"a:1", "b:1"}))
+	mc := startMember(t, mesh, "c", "c:1", nil)
 
 	// A dead coordinator left a join window at epoch 2 open on a and c; the
 	// cluster has since committed epoch 4 without them hearing an install.
 	stale := NewRing(2, []string{"a:1", "c:1"})
-	if err := ma.sh.InstallRing(stale.Marshal()); err != nil {
+	if err := ma.Shard.InstallRing(stale.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	if err := mc.sh.InstallRing(stale.Marshal()); err != nil {
+	if err := mc.Shard.InstallRing(stale.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	db := dbOwnedBy(t, stale, "c:1")
@@ -234,10 +234,10 @@ func TestRecoverAbortsSupersededWindow(t *testing.T) {
 	if ring.Epoch != 4 {
 		t.Errorf("recovered ring epoch = %d, want the committed tip 4", ring.Epoch)
 	}
-	if p := ma.sh.Pending(); p != nil {
+	if p := ma.Shard.Pending(); p != nil {
 		t.Errorf("stale window still open on a: %v", p)
 	}
-	if p := mc.sh.Pending(); p != nil {
+	if p := mc.Shard.Pending(); p != nil {
 		t.Errorf("stale window still open on c: %v", p)
 	}
 	if err := da.Insert(db, "k", []byte("thawed")); err != nil {
@@ -253,8 +253,8 @@ func TestRecoverAbortsSupersededWindow(t *testing.T) {
 func TestRecoverFinishesCommittedWindowOnStraggler(t *testing.T) {
 	mesh := netsim.NewMesh(16, "a", "b")
 	committed := NewRing(2, []string{"a:1", "b:1"})
-	ma := startMember(t, mesh, "a", "a:1", NewRing(1, []string{"a:1"}), apiserver.Options{})
-	mb := startMember(t, mesh, "b", "b:1", committed, apiserver.Options{})
+	ma := startMember(t, mesh, "a", "a:1", NewRing(1, []string{"a:1"}))
+	mb := startMember(t, mesh, "b", "b:1", committed)
 
 	db := dbOwnedBy(t, committed, "b:1")
 	da := dialDirect(t, mesh, "a:1")
@@ -263,10 +263,10 @@ func TestRecoverFinishesCommittedWindowOnStraggler(t *testing.T) {
 	}
 	// The crashed rebalance got through handoff (b holds the copy) and b's
 	// commit, but died before committing a.
-	if err := mb.n.Upsert(db, "k", []byte("handed off"), true); err != nil {
+	if err := mb.Node.Upsert(db, "k", []byte("handed off"), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := ma.sh.InstallRing(committed.Marshal()); err != nil {
+	if err := ma.Shard.InstallRing(committed.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,13 +277,13 @@ func TestRecoverFinishesCommittedWindowOnStraggler(t *testing.T) {
 	if ring.Epoch != 2 {
 		t.Errorf("recovered ring epoch = %d, want the committed window's 2", ring.Epoch)
 	}
-	if p := ma.sh.Pending(); p != nil {
+	if p := ma.Shard.Pending(); p != nil {
 		t.Errorf("straggler's window never committed: %v", p)
 	}
-	if got := ma.sh.Ring().Epoch; got != 2 {
+	if got := ma.Shard.Ring().Epoch; got != 2 {
 		t.Errorf("straggler active epoch = %d, want 2", got)
 	}
-	if _, err := ma.n.Read(db, "k"); !errors.Is(err, node.ErrNotFound) {
+	if _, err := ma.Node.Read(db, "k"); !errors.Is(err, node.ErrNotFound) {
 		t.Errorf("moved database still on the straggler after commit: err=%v", err)
 	}
 	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh, 4))
@@ -353,13 +353,14 @@ func halfJoined(t *testing.T) (disk *failingDisk, n *node.Node, sh *Shard, gaine
 	pend := NewRing(1, []string{"b:1", "ghost:1"})
 	gained = dbOwnedBy(t, pend, "b:1")
 	disk = &failingDisk{FS: faultfs.NewMemFS()}
-	n, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true,
-		Dir: "b", FS: disk, BlockSize: 128})
+	nopts := node.Options{SyncEncode: true, DisableAutoFlush: true, Dir: "b", FS: disk, BlockSize: 128}
+	m, err := StartMember(MemberConfig{Node: nopts, Network: netsim.NewMesh(1, "b").Host("b"),
+		Listen: "b:1", Self: "b:1", Ring: NewRing(0, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { n.Close() })
-	sh = NewShard(n, "b:1", nil, nil, nil)
+	t.Cleanup(func() { m.Close() })
+	n, sh = m.Node, m.Shard
 	if err := sh.InstallRing(pend.Marshal()); err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func reopenWindow(t *testing.T, sh *Shard) {
 // copies that survive must be gone before the next window's first record for
 // that database lands, or they pass for pre-window data, the transfer upserts
 // over them, and records the source deleted between the two attempts are
-// resurrected at commit (clustertest's composed class found this with write
+// resurrected at commit (the fault driver's composed class found this with write
 // faults on the joiner). Finishing the drop must not cost an acked write.
 func TestFailedDropFinishedBeforeRetransfer(t *testing.T) {
 	disk, n, sh, gained := halfJoined(t)

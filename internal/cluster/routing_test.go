@@ -8,36 +8,31 @@ import (
 	"time"
 
 	"dbdedup/internal/apiserver"
-	"dbdedup/internal/metrics"
 	"dbdedup/internal/netsim"
 	"dbdedup/internal/node"
 )
 
-// tmember is one in-memory cluster member for routing tests.
-type tmember struct {
-	n  *node.Node
-	sh *Shard
-	cm *metrics.ClusterMetrics
-}
-
-func startMember(t *testing.T, mesh *netsim.Mesh, host, addr string, ring *Ring, opts apiserver.Options) *tmember {
-	t.Helper()
+// testNodeOptions is the deterministic node every test member runs.
+func testNodeOptions() node.Options {
 	nopts := node.Options{SyncEncode: true, DisableAutoFlush: true}
 	nopts.Engine.GovernorWindow = 1 << 30
-	n, err := node.Open(nopts)
+	return nopts
+}
+
+// startMember starts one in-memory cluster member on the mesh, named after
+// its address; a nil ring is a ring-less member.
+func startMember(t *testing.T, mesh *netsim.Mesh, host, addr string, ring *Ring) *Member {
+	t.Helper()
+	if ring == nil {
+		ring = NewRing(0, nil)
+	}
+	m, err := StartMember(MemberConfig{Node: testNodeOptions(), Network: mesh.Host(host),
+		Listen: addr, Self: addr, Ring: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { n.Close() })
-	cm := &metrics.ClusterMetrics{}
-	sh := NewShard(n, addr, ring, mesh.Host(host), cm)
-	opts.Network = mesh.Host(host)
-	srv, err := apiserver.ListenAndServeBackend(sh, addr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return &tmember{n: n, sh: sh, cm: cm}
+	t.Cleanup(func() { m.Close() })
+	return m
 }
 
 func testClientOptions(mesh *netsim.Mesh, retries int) ClientOptions {
@@ -69,8 +64,8 @@ func dbOwnedBy(t *testing.T, r *Ring, want string) string {
 func TestStaleRingRedirectedNotDropped(t *testing.T) {
 	mesh := netsim.NewMesh(1, "a", "b")
 	r1 := NewRing(1, []string{"a:1"})
-	ma := startMember(t, mesh, "a", "a:1", r1, apiserver.Options{})
-	mb := startMember(t, mesh, "b", "b:1", NewRing(1, []string{"a:1"}), apiserver.Options{})
+	ma := startMember(t, mesh, "a", "a:1", r1)
+	mb := startMember(t, mesh, "b", "b:1", NewRing(1, []string{"a:1"}))
 
 	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh, 4))
 	if err != nil {
@@ -99,14 +94,14 @@ func TestStaleRingRedirectedNotDropped(t *testing.T) {
 	if got := cc.Counters().Redirects; got == 0 {
 		t.Error("client followed no redirect; the stale request was served somewhere it should not have been")
 	}
-	if got := ma.cm.RedirectsIssued.Total(); got == 0 {
+	if got := ma.Shard.Metrics().RedirectsIssued.Total(); got == 0 {
 		t.Error("old owner issued no redirect")
 	}
 	for _, key := range []string{"old", "new"} {
-		if _, err := mb.n.Read(db, key); err != nil {
+		if _, err := mb.Node.Read(db, key); err != nil {
 			t.Errorf("record %q not on the new owner: %v", key, err)
 		}
-		if _, err := ma.n.Read(db, key); !errors.Is(err, node.ErrNotFound) {
+		if _, err := ma.Node.Read(db, key); !errors.Is(err, node.ErrNotFound) {
 			t.Errorf("record %q still (or wrongly) on the old owner: err=%v", key, err)
 		}
 	}
@@ -118,8 +113,8 @@ func TestStaleRingRedirectedNotDropped(t *testing.T) {
 // not spin.
 func TestRedirectLoopBounded(t *testing.T) {
 	mesh := netsim.NewMesh(2, "a", "b")
-	startMember(t, mesh, "a", "a:1", NewRing(1, []string{"b:1"}), apiserver.Options{})
-	startMember(t, mesh, "b", "b:1", NewRing(1, []string{"a:1"}), apiserver.Options{})
+	startMember(t, mesh, "a", "a:1", NewRing(1, []string{"b:1"}))
+	startMember(t, mesh, "b", "b:1", NewRing(1, []string{"a:1"}))
 
 	const retries = 5
 	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh, retries))
@@ -152,7 +147,7 @@ func TestRedirectLoopBounded(t *testing.T) {
 func TestMovingShardRetryThenTyped(t *testing.T) {
 	mesh := netsim.NewMesh(3, "a")
 	r1 := NewRing(1, []string{"a:1"})
-	ma := startMember(t, mesh, "a", "a:1", r1, apiserver.Options{})
+	ma := startMember(t, mesh, "a", "a:1", r1)
 
 	// Find a database that a ghost member would take over, then freeze it by
 	// installing the window (no handoff runs — the ghost never answers).
@@ -167,7 +162,7 @@ func TestMovingShardRetryThenTyped(t *testing.T) {
 	if err := cc.Insert(db, "k", []byte("pre-freeze")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ma.sh.InstallRing(r2.Marshal()); err != nil {
+	if err := ma.Shard.InstallRing(r2.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,7 +182,7 @@ func TestMovingShardRetryThenTyped(t *testing.T) {
 	if err != nil || !bytes.Equal(got, []byte("pre-freeze")) {
 		t.Errorf("read during the window: got %q, %v", got, err)
 	}
-	if ma.cm.MovingAnswered.Total() == 0 {
+	if ma.Shard.Metrics().MovingAnswered.Total() == 0 {
 		t.Error("member never counted a moving-shard answer")
 	}
 }

@@ -74,23 +74,13 @@ func ownerOrSelf(r *Ring, self, db string) string {
 
 // NewShard wraps n as the cluster member named self (its client address),
 // serving under the initial ring. nw is the transport used to push handoffs
-// to other members (nil = real TCP); a nil cm means the shard keeps its own
-// counters.
-func NewShard(n *node.Node, self string, initial *Ring, nw netsim.Network, cm *metrics.ClusterMetrics) *Shard {
-	if initial == nil {
-		initial = NewRing(0, nil)
-	}
-	if cm == nil {
-		cm = &metrics.ClusterMetrics{}
-	}
-	s := &Shard{n: n, self: self, nw: nw, cm: cm, ring: initial}
+// to other members (nil = real TCP).
+func NewShard(n *node.Node, self string, initial *Ring, nw netsim.Network) *Shard {
+	s := &Shard{n: n, self: self, nw: nw, cm: &metrics.ClusterMetrics{}, ring: initial}
 	s.clearXfer()
-	cm.RingEpoch.Set(int64(initial.Epoch))
+	s.cm.RingEpoch.Set(int64(initial.Epoch))
 	return s
 }
-
-// Node returns the wrapped node (admin surfaces read stats through it).
-func (s *Shard) Node() *node.Node { return s.n }
 
 // Self returns this member's ring name.
 func (s *Shard) Self() string {

@@ -228,7 +228,11 @@ func (in *Injector) fired(format string, args ...any) {
 	in.mu.Unlock()
 }
 
-func (in *Injector) crash() {
+// Crash freezes the filesystem now, as a KindCrash rule does when its
+// operation comes up: every later mutating operation returns ErrCrashed. A
+// rule fires at an operation count fixed when the Injector was made; this is
+// for a process that dies at a moment the harness picks.
+func (in *Injector) Crash() {
 	in.mu.Lock()
 	in.crashed = true
 	in.mu.Unlock()
@@ -254,7 +258,7 @@ func (in *Injector) OpenFile(name string, flag int, perm os.FileMode) (File, err
 	if r != nil {
 		switch r.Kind {
 		case KindCrash:
-			in.crash()
+			in.Crash()
 			in.fired("open#%d %s: crash", in.Count(OpOpen), name)
 			return nil, ErrCrashed
 		default:
@@ -277,7 +281,7 @@ func (in *Injector) Remove(name string) error {
 	if r != nil {
 		switch r.Kind {
 		case KindCrash:
-			in.crash()
+			in.Crash()
 			in.fired("remove#%d %s: crash", in.Count(OpRemove), name)
 			return ErrCrashed
 		default:
@@ -310,7 +314,7 @@ func (in *Injector) Truncate(name string, size int64) error {
 	if r != nil {
 		switch r.Kind {
 		case KindCrash:
-			in.crash()
+			in.Crash()
 			in.fired("truncate#%d %s: crash", in.Count(OpTruncate), name)
 			return ErrCrashed
 		default:
@@ -346,7 +350,7 @@ func (jf *injFile) ReadAt(p []byte, off int64) (int, error) {
 			}
 			return n, err
 		case KindCrash:
-			jf.in.crash()
+			jf.in.Crash()
 			jf.in.fired("read#%d %s off=%d: crash", jf.in.Count(OpRead), jf.name, off)
 			return 0, ErrCrashed
 		default:
@@ -385,7 +389,7 @@ func (jf *injFile) WriteAt(p []byte, off int64) (int, error) {
 				}
 			}
 			if r.Kind == KindCrash {
-				jf.in.crash()
+				jf.in.Crash()
 				jf.in.fired("write#%d %s off=%d len=%d: crash kept=%d",
 					jf.in.Count(OpWrite), jf.name, off, len(p), keep)
 				return keep, ErrCrashed
@@ -410,7 +414,7 @@ func (jf *injFile) Sync() error {
 	if r != nil {
 		switch r.Kind {
 		case KindCrash:
-			jf.in.crash()
+			jf.in.Crash()
 			jf.in.fired("sync#%d %s: crash", jf.in.Count(OpSync), jf.name)
 			return ErrCrashed
 		default:
@@ -428,7 +432,7 @@ func (jf *injFile) Truncate(size int64) error {
 	}
 	if r != nil {
 		if r.Kind == KindCrash {
-			jf.in.crash()
+			jf.in.Crash()
 			jf.in.fired("truncate#%d %s: crash", jf.in.Count(OpTruncate), jf.name)
 			return ErrCrashed
 		}
@@ -447,7 +451,7 @@ func (jf *injFile) Mmap(length int64) (Mapping, error) {
 	}
 	if r != nil {
 		if r.Kind == KindCrash {
-			jf.in.crash()
+			jf.in.Crash()
 			jf.in.fired("mmap#%d %s: crash", jf.in.Count(OpMmap), jf.name)
 			return nil, ErrCrashed
 		}

@@ -14,22 +14,19 @@ import (
 
 	"dbdedup/internal/admission"
 	"dbdedup/internal/apiserver"
+	"dbdedup/internal/cluster"
 	"dbdedup/internal/core"
 	"dbdedup/internal/histcheck"
 	"dbdedup/internal/node"
-	"dbdedup/internal/repl"
 	"dbdedup/internal/workload"
 )
 
-// pair is one primary + one secondary, both file-backed, with the primary's
-// listeners and a client of its API. Everything is closed at test end, in
-// reverse order of opening; every Close involved tolerates a second call, so
-// a test may close a piece early.
+// pair is one primary + one secondary, both file-backed, each a
+// cluster.Member as dbdedupd starts it, and a client of the primary's API.
+// Everything is closed at test end; every Close involved tolerates a second
+// call, so a test may close a piece early.
 type pair struct {
-	prim, sec *node.Node
-	api       *apiserver.Server
-	replSrv   *repl.Primary
-	replSub   *repl.Secondary
+	prim, sec *cluster.Member
 	client    *apiserver.Client
 	primDir   string
 }
@@ -52,26 +49,21 @@ func startPair(t *testing.T, primMut func(*node.Options)) *pair {
 	if primMut != nil {
 		primMut(&popts)
 	}
-	c.prim, c.sec = openNodeWith(t, popts), openNodeWith(t, opts(t.TempDir()))
-	c.api, c.client = serveAPI(t, c.prim)
-	c.replSrv, c.replSub = follow(t, c.prim, c.sec)
+	c.prim = member(t, popts, nil)
+	c.sec = member(t, opts(t.TempDir()), c.prim)
+	c.client = dial(t, c.prim)
 	return c
 }
 
-// serveAPI serves n's client API on a loopback listener and dials it.
-func serveAPI(t *testing.T, n *node.Node) (*apiserver.Server, *apiserver.Client) {
+// dial connects a client to m's API.
+func dial(t *testing.T, m *cluster.Member) *apiserver.Client {
 	t.Helper()
-	api, err := apiserver.ListenAndServe(n, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { api.Close() })
-	client, err := apiserver.Dial(api.Addr())
+	client, err := apiserver.Dial(m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	return api, client
+	return client
 }
 
 // ingest drives a whole workload trace through target, recording every ack.
@@ -106,7 +98,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	ingest(t, hist, c.client, workload.Config{Kind: workload.Wikipedia, Seed: 11, InsertBytes: 2 << 20})
 
 	// Mix in updates and deletes over the wire.
-	some := c.prim.DBKeys("wiki")[:10]
+	some := c.prim.Node.DBKeys("wiki")[:10]
 	for i, k := range some {
 		if i%2 == 0 {
 			content := []byte(fmt.Sprintf("updated %s over the wire", k))
@@ -122,14 +114,14 @@ func TestClusterEndToEnd(t *testing.T) {
 		}
 	}
 
-	c.prim.Barrier()
-	if err := c.replSub.WaitForSeq(c.prim.Oplog().LastSeq(), 15*time.Second); err != nil {
+	c.prim.Node.Barrier()
+	if err := c.sec.Follower.WaitForSeq(c.prim.Node.Oplog().LastSeq(), 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	// Both nodes converge and serve identical content.
 	requireHeld(t, "primary over the wire", hist, c.client)
-	requireHeld(t, "secondary", hist, histcheck.NodeView{Node: c.sec})
+	requireHeld(t, "secondary", hist, histcheck.NodeView{Node: c.sec.Node})
 
 	// The primary deduplicated and replication shipped deltas.
 	st, err := c.client.Stats()
@@ -139,8 +131,8 @@ func TestClusterEndToEnd(t *testing.T) {
 	if st.Engine.Deduped == 0 {
 		t.Error("no dedup hits over the network path")
 	}
-	if c.replSub.BytesReceived() >= st.RawInsertBytes {
-		t.Errorf("replication shipped %d bytes for %d raw", c.replSub.BytesReceived(), st.RawInsertBytes)
+	if c.sec.Follower.BytesReceived() >= st.RawInsertBytes {
+		t.Errorf("replication shipped %d bytes for %d raw", c.sec.Follower.BytesReceived(), st.RawInsertBytes)
 	}
 }
 
@@ -148,38 +140,36 @@ func TestClusterRestartPreservesData(t *testing.T) {
 	c := startPair(t, nil)
 	hist := histcheck.New(histcheck.FloorAtAck)
 	ingest(t, hist, c.client, workload.Config{Kind: workload.Enron, Seed: 12, InsertBytes: 1 << 20})
-	c.prim.Barrier()
-	c.prim.FlushWritebacks(-1)
+	c.prim.Node.Barrier()
+	c.prim.Node.FlushWritebacks(-1)
 
 	// Restart the primary from its directory.
 	c.client.Close()
-	c.api.Close()
-	c.replSrv.Close()
-	c.replSub.Close()
+	c.sec.Close()
 	if err := c.prim.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	reopened := openNodeWith(t, node.Options{Dir: c.primDir, Engine: core.Config{GovernorWindow: 1 << 30}})
-	_, client2 := serveAPI(t, reopened)
-	requireHeld(t, "after restart", hist, client2)
+	reopened := member(t, node.Options{Dir: c.primDir, Engine: core.Config{GovernorWindow: 1 << 30}}, nil)
+	requireHeld(t, "after restart", hist, dial(t, reopened))
 }
 
 func TestClusterSecondaryCatchUpViaSnapshot(t *testing.T) {
 	// Secondary joins late, after the (tiny) oplog has rolled over: it
 	// must converge via snapshot resync and then track live writes.
-	prim := openNodeWith(t, node.Options{
+	primM := member(t, node.Options{
 		Dir:           t.TempDir(),
 		Engine:        core.Config{GovernorWindow: 1 << 30},
 		OplogCapacity: 16,
 		FlushInterval: 2 * time.Millisecond,
-	})
+	}, nil)
+	prim := primM.Node
 	hist := histcheck.New(histcheck.FloorAtAck)
 	ingest(t, hist, histcheck.NodeView{Node: prim}, workload.Config{Kind: workload.StackExchange, Seed: 13, InsertBytes: 512 << 10})
 	prim.Barrier()
 
-	sec := openNodeWith(t, node.Options{Engine: core.Config{GovernorWindow: 1 << 30}})
-	_, sub := follow(t, prim, sec)
+	m := member(t, node.Options{Engine: core.Config{GovernorWindow: 1 << 30}}, primM)
+	sec, sub := m.Node, m.Follower
 	if err := sub.WaitForSeq(prim.Oplog().LastSeq(), 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +227,7 @@ func TestClusterShedRawReplicates(t *testing.T) {
 		hist.Acked("shed", key, doc)
 	}
 
-	st := c.prim.Stats()
+	st := c.prim.Node.Stats()
 	if st.InsertsShedRaw == 0 {
 		t.Fatal("overload never engaged; nothing was shed")
 	}
@@ -245,17 +235,17 @@ func TestClusterShedRawReplicates(t *testing.T) {
 		t.Fatalf("Stats.Inserts = %d, want %d", st.Inserts, docs)
 	}
 
-	c.prim.Barrier()
-	if err := c.replSub.WaitForSeq(c.prim.Oplog().LastSeq(), 15*time.Second); err != nil {
+	c.prim.Node.Barrier()
+	if err := c.sec.Follower.WaitForSeq(c.prim.Node.Oplog().LastSeq(), 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	// Every shed insert made it to the secondary intact.
-	requireHeld(t, "secondary after shed replication", hist, histcheck.NodeView{Node: c.sec})
-	if rep := c.sec.VerifyAll(); !rep.Ok() {
+	requireHeld(t, "secondary after shed replication", hist, histcheck.NodeView{Node: c.sec.Node})
+	if rep := c.sec.Node.VerifyAll(); !rep.Ok() {
 		t.Fatalf("secondary VerifyAll after shed replication: %s", rep)
 	}
-	if rep := c.prim.VerifyAll(); !rep.Ok() {
+	if rep := c.prim.Node.VerifyAll(); !rep.Ok() {
 		t.Fatalf("primary VerifyAll while shedding: %s", rep)
 	}
 }

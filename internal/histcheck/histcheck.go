@@ -1,9 +1,9 @@
 // Package histcheck is the one acked-write history and the one checker for
 // the system's client-visible invariants (stated once, in DESIGN.md §14):
 // no lost acked write, byte-exact reads, no resurrection, replica equality
-// after convergence, monotone counters. crashtest (disk faults), simtest
-// (replication network), clustertest (membership), stormtest (overload) and
-// this package's own whole-system tests record what clients were told into a
+// after convergence, monotone counters. The fault driver (faulttest: disk,
+// network, membership and process faults), stormtest (overload) and this
+// package's own whole-system tests record what clients were told into a
 // History and hand the surviving copies to Check and Equal; none decides
 // itself what state is allowed.
 package histcheck

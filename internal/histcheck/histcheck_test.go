@@ -8,12 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"dbdedup/internal/apiserver"
 	"dbdedup/internal/cluster"
 	"dbdedup/internal/histcheck"
 	"dbdedup/internal/node"
-	"dbdedup/internal/repl"
-	"dbdedup/internal/stormtest"
 )
 
 // mapView is a recovered store reduced to its visible state.
@@ -127,170 +124,22 @@ func TestFloorAtAck(t *testing.T) {
 	}
 }
 
-// deployment is one harness's shape: a way to write acknowledged data, the
-// node a fault is then planted on behind everyone's back, and the view the
-// harness hands the checker.
-type deployment struct {
-	write  histcheck.Target
-	victim *node.Node
-	view   histcheck.View
-}
-
 const plantDB = "alpha"
 
-// simtestShape: churn hits a primary, the checker reads its secondary node.
-func simtestShape(t *testing.T) deployment {
-	prim, sec := openNode(t), openNode(t)
-	_, s := follow(t, prim, sec)
-	return deployment{write: synced{histcheck.NodeView{Node: prim}, s}, victim: sec, view: histcheck.NodeView{Node: sec}}
-}
-
-// synced waits for the secondary after every primary write, so the planted
-// fault lands on a converged copy.
-type synced struct {
-	histcheck.NodeView
-	sec *repl.Secondary
-}
-
-func (s synced) wait(err error) error {
-	if err != nil {
-		return err
-	}
-	return s.sec.WaitForSeq(s.LastAssignedSeq(), 10*time.Second)
-}
-func (s synced) Insert(db, key string, val []byte) error {
-	return s.wait(s.NodeView.Insert(db, key, val))
-}
-func (s synced) Update(db, key string, val []byte) error {
-	return s.wait(s.NodeView.Update(db, key, val))
-}
-func (s synced) Delete(db, key string) error { return s.wait(s.NodeView.Delete(db, key)) }
-
-// stormtestShape: workers and the verifier both speak to one apiserver.
-func stormtestShape(t *testing.T) deployment {
-	local, err := stormtest.StartLocal(node.Options{SyncEncode: true}, apiserver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(local.Close)
-	c, err := apiserver.Dial(local.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return deployment{write: c, victim: local.Node, view: c}
-}
-
-// clustertestShape: churn and the checker go through the ring router.
-func clustertestShape(t *testing.T) deployment {
-	lc, err := stormtest.StartLocalCluster(2, node.Options{SyncEncode: true}, apiserver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(lc.Close)
-	cc, err := cluster.DialCluster(lc.Addrs, cluster.ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cc.Close)
-	owner := lc.Members[0]
-	if cc.Ring().Owner(plantDB) == lc.Addrs[1] {
-		owner = lc.Members[1]
-	}
-	return deployment{write: cc, victim: owner.Node, view: cc}
-}
-
-// follow serves prim's oplog on a loopback listener and connects sec to it
-// from sequence zero.
-func follow(t *testing.T, prim, sec *node.Node) (*repl.Primary, *repl.Secondary) {
+// member starts one process on loopback ports, wired as dbdedupd wires it:
+// serving its client API and its oplog, following primary if there is one.
+func member(t *testing.T, nopts node.Options, primary *cluster.Member) *cluster.Member {
 	t.Helper()
-	p, err := repl.ListenAndServe(prim, "127.0.0.1:0")
+	cfg := cluster.MemberConfig{Node: nopts, Listen: "127.0.0.1:0", ReplListen: "127.0.0.1:0"}
+	if primary != nil {
+		cfg.Follow = primary.Oplog.Addr()
+	}
+	m, err := cluster.StartMember(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { p.Close() })
-	s, err := repl.Connect(sec, p.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return p, s
-}
-
-func openNode(t *testing.T) *node.Node { return openNodeWith(t, node.Options{SyncEncode: true}) }
-
-func openNodeWith(t *testing.T, opts node.Options) *node.Node {
-	t.Helper()
-	n, err := node.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	return n
-}
-
-// TestPlantedViolations plants each violation on real nodes, in the shape
-// each harness checks them, and requires the typed kind and the offending
-// db/key in the message. Without it, a harness whose final check stopped
-// checking would keep passing.
-func TestPlantedViolations(t *testing.T) {
-	shapes := []struct {
-		name string
-		open func(*testing.T) deployment
-	}{
-		{"simtest", simtestShape},
-		{"stormtest", stormtestShape},
-		{"clustertest", clustertestShape},
-	}
-	plants := []struct {
-		name  string
-		plant func(n *node.Node) error
-		key   string
-		want  histcheck.Kind
-		// lister: only a view that can enumerate sees this violation.
-		lister bool
-	}{
-		{"acked key deleted", func(n *node.Node) error { return n.Delete(plantDB, "kept") }, "kept", histcheck.Lost, false},
-		{"acked key overwritten", func(n *node.Node) error { return n.Update(plantDB, "kept", []byte("other bytes")) }, "kept", histcheck.Diverged, false},
-		{"deleted key re-inserted", func(n *node.Node) error { return n.Insert(plantDB, "gone", []byte("back again")) }, "gone", histcheck.Resurrection, false},
-		{"never-written key inserted", func(n *node.Node) error { return n.Insert(plantDB, "stranger", []byte("who wrote this")) }, "stranger", histcheck.Resurrection, true},
-	}
-	for _, sh := range shapes {
-		for _, pl := range plants {
-			sh, pl := sh, pl
-			t.Run(sh.name+"/"+pl.name, func(t *testing.T) {
-				d := sh.open(t)
-				h := histcheck.New(histcheck.FloorAtAck)
-				write := func(err error, key string, val []byte) {
-					if err != nil {
-						t.Fatal(err)
-					}
-					h.Acked(plantDB, key, val)
-				}
-				write(d.write.Insert(plantDB, "kept", []byte("version one")), "kept", []byte("version one"))
-				write(d.write.Update(plantDB, "kept", []byte("version two")), "kept", []byte("version two"))
-				write(d.write.Insert(plantDB, "gone", []byte("short lived")), "gone", []byte("short lived"))
-				write(d.write.Delete(plantDB, "gone"), "gone", nil)
-				if vs := h.Check(d.view); len(vs) != 0 {
-					t.Fatalf("clean deployment has violations: %v", vs)
-				}
-				if err := pl.plant(d.victim); err != nil {
-					t.Fatal(err)
-				}
-				vs := h.Check(d.view)
-				if _, canList := d.view.(histcheck.Lister); pl.lister && !canList {
-					if len(vs) != 0 {
-						t.Fatalf("a view that cannot enumerate reported %v", vs)
-					}
-					return
-				}
-				if len(vs) != 1 {
-					t.Fatalf("want exactly one violation, got %v", vs)
-				}
-				requireNamed(t, histcheck.Err(sh.name, vs), pl.want, plantDB+"/"+pl.key)
-			})
-		}
-	}
+	t.Cleanup(func() { m.Close() })
+	return m
 }
 
 func requireNamed(t *testing.T, err error, kind histcheck.Kind, name string) {
@@ -321,17 +170,21 @@ func TestEqualNamesTheRecord(t *testing.T) {
 		{"extra", func(n *node.Node) error { return n.Insert(plantDB, "k9", []byte("only here")) }, "k9", histcheck.Resurrection},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := simtestShape(t)
+			p := member(t, node.Options{SyncEncode: true}, nil)
+			victim := member(t, node.Options{SyncEncode: true}, p)
+			prim, sec := histcheck.NodeView{Node: p.Node}, histcheck.NodeView{Node: victim.Node}
 			for _, key := range []string{"k1", "k2", "k3"} {
-				if err := d.write.Insert(plantDB, key, []byte("content of "+key)); err != nil {
+				if err := prim.Insert(plantDB, key, []byte("content of "+key)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			prim, sec := d.write.(synced).NodeView, histcheck.NodeView{Node: d.victim}
+			if err := victim.Follower.WaitForSeq(p.Node.LastAssignedSeq(), 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
 			if vs := histcheck.Equal(prim, sec); len(vs) != 0 {
 				t.Fatalf("converged pair differs: %v", vs)
 			}
-			if err := tc.plant(d.victim); err != nil {
+			if err := tc.plant(victim.Node); err != nil {
 				t.Fatal(err)
 			}
 			vs := histcheck.Equal(prim, sec)

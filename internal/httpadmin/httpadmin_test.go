@@ -307,7 +307,7 @@ func TestMetricsSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n.Close() })
-	sh := cluster.NewShard(n, "self:1", cluster.NewRing(1, []string{"self:1"}), nil, nil)
+	sh := cluster.NewShard(n, "self:1", cluster.NewRing(1, []string{"self:1"}), nil)
 	s, err := ListenAndServeCluster(n, "127.0.0.1:0", sh)
 	if err != nil {
 		t.Fatal(err)

@@ -194,7 +194,7 @@ func (a *Applier) Close() { a.pool.close() }
 // failed entry — and every entry drained after the pool is poisoned —
 // leaves its slot pending, so the low-water mark freezes at the first
 // unapplied sequence: AppliedSeq never reports entries that were not
-// actually applied, and persisting Epoch+AppliedSeq for ConnectResume
+// actually applied, and persisting Epoch+AppliedSeq for a later ConnectWithOptions
 // cannot skip them.
 func (a *Applier) run(job applyJob) {
 	if a.Err() != nil {

@@ -571,15 +571,11 @@ func Connect(n *node.Node, addr string, afterSeq uint64) (*Secondary, error) {
 	return connect(n, addr, afterSeq, 0, Options{})
 }
 
-// ConnectResume is Connect for a secondary holding a cursor from a previous
-// session: expectEpoch is the primary oplog epoch the cursor belongs to. If
-// the primary has restarted since (epoch mismatch), the stream transparently
-// falls back to a full snapshot resync.
-func ConnectResume(n *node.Node, addr string, afterSeq, expectEpoch uint64) (*Secondary, error) {
-	return connect(n, addr, afterSeq, expectEpoch, Options{})
-}
-
-// ConnectWithOptions is ConnectResume with explicit pipeline tuning.
+// ConnectWithOptions is Connect for a secondary holding a cursor from a
+// previous session, with explicit pipeline tuning: expectEpoch is the primary
+// oplog epoch the cursor belongs to (0: none). If the primary has restarted
+// since (epoch mismatch), the stream transparently falls back to a full
+// snapshot resync.
 func ConnectWithOptions(n *node.Node, addr string, afterSeq, expectEpoch uint64, o Options) (*Secondary, error) {
 	return connect(n, addr, afterSeq, expectEpoch, o)
 }
@@ -598,6 +594,12 @@ func connect(n *node.Node, addr string, afterSeq, expectEpoch uint64, o Options)
 		epoch:    expectEpoch,
 		closedCh: make(chan struct{}),
 		done:     make(chan struct{}),
+		// A node that holds records but brings no cursor is a restarted
+		// secondary: what it holds came from a session whose position died
+		// with the process. Streaming from zero would replay inserts of
+		// keys it has (a terminal duplicate-key error) or, behind a
+		// restarted primary, skip everything older than the new log.
+		needResync: afterSeq == 0 && len(n.DBNames()) > 0,
 	}
 	s.fetch = &fetchClient{
 		addr:    addr,
@@ -1013,7 +1015,7 @@ func (s *Secondary) WaitForSeq(seq uint64, timeout time.Duration) error {
 
 // Epoch returns the primary's oplog epoch as announced at connection time
 // (0 until the handshake completes). Persist it with the applied sequence
-// number to resume via ConnectResume.
+// number to resume via ConnectWithOptions.
 func (s *Secondary) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

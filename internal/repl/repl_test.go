@@ -17,33 +17,10 @@ import (
 	"dbdedup/internal/node"
 )
 
-func testPair(t *testing.T) (*node.Node, *node.Node, *Primary, *Secondary) {
-	t.Helper()
-	popts := node.Options{SyncEncode: true, DisableAutoFlush: true}
-	popts.Engine.GovernorWindow = 1 << 30
-	prim, err := node.Open(popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { prim.Close() })
-	sec, err := node.Open(popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sec.Close() })
-
-	p, err := ListenAndServe(prim, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	s, err := Connect(sec, p.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return prim, sec, p, s
-}
+// Prose and EditText hand the content generators to the tests of package
+// repl_test (pair_test.go): those start their pair through internal/cluster,
+// which imports this package, so they cannot live in it.
+var Prose, EditText = prose, editText
 
 func prose(rng *rand.Rand, n int) []byte {
 	words := []string{"the", "record", "database", "version", "of", "and",
@@ -63,69 +40,6 @@ func editText(rng *rand.Rand, data []byte, k int) []byte {
 		copy(out[pos:], prose(rng, 12))
 	}
 	return append(out, prose(rng, 40)...)
-}
-
-func TestReplicationOverTCP(t *testing.T) {
-	prim, sec, _, s := testPair(t)
-
-	rng := rand.New(rand.NewSource(1))
-	content := prose(rng, 8192)
-	var versions [][]byte
-	for i := 0; i < 30; i++ {
-		if err := prim.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
-			t.Fatal(err)
-		}
-		versions = append(versions, content)
-		content = editText(rng, content, 2)
-	}
-	prim.Update("wiki", "v5", []byte("updated over the wire"))
-	prim.Delete("wiki", "v7")
-
-	last := prim.Oplog().LastSeq()
-	if err := s.WaitForSeq(last, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	for i, want := range versions {
-		key := fmt.Sprintf("v%d", i)
-		got, err := sec.Read("wiki", key)
-		switch i {
-		case 5:
-			if err != nil || string(got) != "updated over the wire" {
-				t.Errorf("%s = %q, %v", key, got, err)
-			}
-		case 7:
-			if err != node.ErrNotFound {
-				t.Errorf("deleted %s err = %v", key, err)
-			}
-		default:
-			if err != nil || !bytes.Equal(got, want) {
-				t.Errorf("%s mismatch: %v", key, err)
-			}
-		}
-	}
-}
-
-func TestReplicationTrafficReduced(t *testing.T) {
-	prim, _, _, s := testPair(t)
-
-	rng := rand.New(rand.NewSource(2))
-	content := prose(rng, 8192)
-	var raw int64
-	for i := 0; i < 40; i++ {
-		if err := prim.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
-			t.Fatal(err)
-		}
-		raw += int64(len(content))
-		content = editText(rng, content, 2)
-	}
-	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	got := s.BytesReceived()
-	if got*4 > raw {
-		t.Errorf("replication shipped %d bytes for %d raw bytes; want >= 4x reduction", got, raw)
-	}
 }
 
 func TestLateJoiningSecondary(t *testing.T) {
@@ -305,32 +219,6 @@ func TestSnapshotResyncWithConcurrentWrites(t *testing.T) {
 	}
 }
 
-func TestContinuousReplicationWhileWriting(t *testing.T) {
-	prim, sec, _, s := testPair(t)
-	rng := rand.New(rand.NewSource(5))
-	content := prose(rng, 4096)
-	for i := 0; i < 100; i++ {
-		if err := prim.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
-			t.Fatal(err)
-		}
-		content = editText(rng, content, 1)
-		if i%10 == 0 {
-			time.Sleep(time.Millisecond) // let the stream interleave
-		}
-	}
-	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := sec.Read("wiki", "v99"); err != nil || !bytes.Equal(got, content[:0:0]) && len(got) == 0 {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sec.Stats().Inserts != 100 {
-		t.Fatalf("secondary applied %d inserts, want 100", sec.Stats().Inserts)
-	}
-}
-
 func TestBaseMissFetchFallback(t *testing.T) {
 	// A secondary that starts mid-stream can receive a forward-encoded
 	// insert whose base it never saw; it must fetch the full record from
@@ -455,7 +343,7 @@ func TestPrimaryRestartDetectedByEpoch(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	sub2, err := ConnectResume(sec, srv2.Addr(), cursor, oldEpoch)
+	sub2, err := ConnectWithOptions(sec, srv2.Addr(), cursor, oldEpoch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1019,7 +907,7 @@ func TestResyncReconcilesBeforeRebase(t *testing.T) {
 	defer sec.Close()
 	const stale = 4000
 	_, p, cursor, epoch, target := staleSecondary(t, sec, stale)
-	s, err := ConnectResume(sec, p.Addr(), cursor, epoch)
+	s, err := ConnectWithOptions(sec, p.Addr(), cursor, epoch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1089,5 +977,70 @@ func TestResyncReconcileFailureIsRetried(t *testing.T) {
 	}
 	if rep := sec.VerifyAll(); !rep.Ok() {
 		t.Fatalf("secondary verify: %s", rep)
+	}
+}
+
+// TestRestartedSecondaryAsksForASnapshot: a secondary that comes back on its
+// disk with no cursor holds what an earlier session applied. While the
+// primary's oplog still reaches back to sequence 1, streaming from zero
+// replayed the inserts of keys it already had and the stream ended on
+// "replicated insert of existing key" (the fault driver's restart class found
+// this); it must ask for a snapshot instead, and the reconcile then also
+// removes what the primary deleted while it was down.
+func TestRestartedSecondaryAsksForASnapshot(t *testing.T) {
+	nopts := node.Options{SyncEncode: true, DisableAutoFlush: true}
+	nopts.Engine.GovernorWindow = 1 << 30
+	prim, err := node.Open(nopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prim.Close()
+	p, err := ListenAndServe(prim, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	sopts := nopts
+	sopts.Dir, sopts.FS = "secondary", faultfs.NewMemFS()
+	session := func() (*node.Node, *Secondary) {
+		sec, err := node.Open(sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Connect(sec, p.Addr(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sec, s
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	content := prose(rng, 2048)
+	for i := 0; i < 10; i++ {
+		if err := prim.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
+			t.Fatal(err)
+		}
+		content = editText(rng, content, 1)
+	}
+	sec, s := session()
+	waitApplied(t, s, prim.Oplog().LastSeq())
+	s.Close()
+	if err := sec.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := prim.Delete("wiki", "v3"); err != nil {
+		t.Fatal(err)
+	}
+	sec, s = session()
+	defer sec.Close()
+	defer s.Close()
+	waitApplied(t, s, prim.Oplog().LastSeq())
+	if n, _ := s.Resyncs(); n != 1 {
+		t.Fatalf("restarted secondary took %d snapshots, want 1", n)
+	}
+	if vs := histcheck.Equal(histcheck.NodeView{Node: prim}, histcheck.NodeView{Node: sec}); len(vs) != 0 {
+		t.Fatalf("restarted secondary differs from its primary: %v", vs)
 	}
 }

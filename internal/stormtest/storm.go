@@ -626,33 +626,3 @@ func ServerLines(cfg Config) ([]string, error) {
 	}
 	return lines, nil
 }
-
-// LocalNode is an in-process node + apiserver bundle for self-hosted storms
-// (tests and dedupstorm's -addr="" mode).
-type LocalNode struct {
-	Node *node.Node
-	Srv  *apiserver.Server
-}
-
-// StartLocal opens a node with nopts and serves it on a loopback port.
-func StartLocal(nopts node.Options, sopts apiserver.Options) (*LocalNode, error) {
-	n, err := node.Open(nopts)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := apiserver.ListenAndServeOptions(n, "127.0.0.1:0", sopts)
-	if err != nil {
-		n.Close()
-		return nil, err
-	}
-	return &LocalNode{Node: n, Srv: srv}, nil
-}
-
-// Addr returns the bundle's TCP address.
-func (l *LocalNode) Addr() string { return l.Srv.Addr() }
-
-// Close tears the bundle down.
-func (l *LocalNode) Close() {
-	l.Srv.Close()
-	l.Node.Close()
-}

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"dbdedup/internal/apiserver"
+	"dbdedup/internal/cluster"
 	"dbdedup/internal/node"
 )
 
@@ -23,6 +23,23 @@ func clusterNodeOptions() node.Options {
 		EncodeWorkers:        4, // 4 × 10ms ≈ 400 acked inserts/s per member
 		SimulatedEncodeDelay: 10 * time.Millisecond,
 	}
+}
+
+// startRing self-hosts an n-primary cluster on loopback ports, as dedupstorm
+// -cluster does.
+func startRing(t *testing.T, n int, nopts node.Options) ([]*cluster.Member, []string) {
+	t.Helper()
+	members, err := cluster.StartRing(n, cluster.MemberConfig{Node: nopts, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []string
+	for _, m := range members {
+		m := m
+		t.Cleanup(func() { m.Close() })
+		addrs = append(addrs, m.Addr())
+	}
+	return members, addrs
 }
 
 // clusterScalingConfig is the seed-pinned storm the scaling comparison uses:
@@ -61,11 +78,7 @@ func TestStormClusterScaling(t *testing.T) {
 	base := clusterScalingConfig()
 	nopts := clusterNodeOptions()
 
-	local, err := StartLocal(nopts, apiserver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(local.Close)
+	local := startLocal(t, nopts)
 	single := base
 	single.Addr = local.Addr()
 	repS, err := Run("single", single)
@@ -74,13 +87,9 @@ func TestStormClusterScaling(t *testing.T) {
 	}
 	t.Logf("single node: %s", repS)
 
-	lc, err := StartLocalCluster(3, nopts, apiserver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(lc.Close)
+	members, addrs := startRing(t, 3, nopts)
 	cl := base
-	cl.Addrs = lc.Addrs
+	cl.Addrs = addrs
 	// Nominally 3× the single-node rate, calibrated (for this pinned seed)
 	// so the *realized* schedule offers each member what the single node's
 	// realized schedule offered it — the per-node equality check below
@@ -142,7 +151,7 @@ func TestStormClusterScaling(t *testing.T) {
 	// Server-side accounting agrees: each member's node counted exactly the
 	// inserts the client attributed to it.
 	var nodeInserts int64
-	for _, m := range lc.Members {
+	for _, m := range members {
 		nodeInserts += int64(m.Node.Stats().Inserts)
 	}
 	if nodeInserts != repC.AckedInserts {
@@ -181,14 +190,10 @@ func TestStormClusterScaling(t *testing.T) {
 // TestStormClusterCSV checks the cluster CSV artifact: base columns then one
 // member/acked/goodput/latency group per shard, header stable across rows.
 func TestStormClusterCSV(t *testing.T) {
-	lc, err := StartLocalCluster(3, clusterNodeOptions(), apiserver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(lc.Close)
+	_, addrs := startRing(t, 3, clusterNodeOptions())
 
 	cfg := clusterScalingConfig()
-	cfg.Addrs = lc.Addrs
+	cfg.Addrs = addrs
 	cfg.Rate = 300
 	cfg.Duration = 300 * time.Millisecond
 	rep, err := Run("clustercsv", cfg)
@@ -223,7 +228,7 @@ func TestStormClusterCSV(t *testing.T) {
 	if !strings.Contains(lines[0], "shard0_member") || !strings.Contains(lines[0], "shard2_ins_p99_us") {
 		t.Fatalf("cluster csv header missing shard columns: %q", lines[0])
 	}
-	for _, m := range lc.Addrs {
+	for _, m := range addrs {
 		if !strings.Contains(lines[1], m) {
 			t.Fatalf("csv row names no member %s: %q", m, lines[1])
 		}

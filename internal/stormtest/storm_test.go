@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"dbdedup/internal/admission"
-	"dbdedup/internal/apiserver"
+	"dbdedup/internal/cluster"
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/node"
 	"dbdedup/internal/workload"
@@ -53,16 +53,24 @@ func stormConfig(addr string) Config {
 	return cfg
 }
 
+// startLocal serves a node with nopts on a loopback port, as dedupstorm
+// self-hosts one.
+func startLocal(t *testing.T, nopts node.Options) *cluster.Member {
+	t.Helper()
+	m, err := cluster.StartMember(cluster.MemberConfig{Node: nopts, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
 // oneStorm spins up a fresh in-process node with the given admission
 // configuration, runs cfg against its TCP surface, and returns the report
 // plus the node's post-storm stats.
 func oneStorm(t *testing.T, label string, adm admission.Options, cfg Config) (*Report, node.Stats) {
 	t.Helper()
-	local, err := StartLocal(stormNodeOptions(adm), apiserver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(local.Close)
+	local := startLocal(t, stormNodeOptions(adm))
 	cfg.Addr = local.Addr()
 	rep, err := Run(label, cfg)
 	if err != nil {
@@ -285,11 +293,7 @@ func TestStormCSV(t *testing.T) {
 // tenant, one dataset, below capacity. The server-side line the tool then
 // prints must be the node's own Stats, fetched over the client API.
 func TestStormSingleTrace(t *testing.T) {
-	local, err := StartLocal(node.Options{DisableAutoFlush: true}, apiserver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(local.Close)
+	local := startLocal(t, node.Options{DisableAutoFlush: true})
 	rep, err := Run("trace", Config{
 		Addr:     local.Addr(),
 		Rate:     300,
