@@ -14,7 +14,11 @@
 //	dbdedupd -listen :7070 -cluster-self host2:7070 -cluster-peers host1:7070,host2:7070,host3:7070
 //	dbdedupd -listen :7070 -cluster-self host3:7070 -cluster-peers host1:7070,host2:7070,host3:7070
 //
-// Use dedupcli to talk to the API port (-addrs for cluster routing).
+// There is one mode. A daemon started with neither flag is a member with no
+// ring yet: it owns every database it holds, and `dedupcli rebalance` can put
+// it in a ring later without a restart.
+//
+// Use dedupcli to talk to the API port; it takes one member or several.
 package main
 
 import (
@@ -53,8 +57,8 @@ var (
 	admDwell   = flag.Duration("overload-dwell", 250*time.Millisecond, "minimum time the overload latch stays engaged once entered")
 	idxBudget  = flag.String("index-memory-budget", "", "per-database similarity-index memory bound, e.g. 24MiB; what no longer fits is kept in Bloom-gated cold runs under -dir (empty: no bound)")
 
-	clusterSelf  = flag.String("cluster-self", "", "this member's advertised client address in the ring (enables cluster mode)")
-	clusterPeers = flag.String("cluster-peers", "", "comma-separated initial cluster membership including self (empty: start ring-less and join via `dedupcli rebalance`)")
+	clusterSelf  = flag.String("cluster-self", "", "this member's name in rings: the client address its peers and clients reach it at (empty: the address -listen bound)")
+	clusterPeers = flag.String("cluster-peers", "", "comma-separated members of the epoch-1 ring to start under, self included (empty: no ring yet; `dedupcli rebalance` installs one)")
 )
 
 func main() {
@@ -105,20 +109,19 @@ func config() (cluster.MemberConfig, error) {
 	// require restarting the secondary.
 	cfg.Follower = repl.Options{MaxReconnects: 1 << 20}
 
-	// In cluster mode the node is served behind a shard wrapper: the ring
-	// routes each database to one member, everything else is answered with
-	// the routing taxonomy (wrong-shard redirect / moving retry-later).
-	switch {
-	case *clusterSelf == "" && *clusterPeers != "":
-		return cfg, fmt.Errorf("-cluster-peers requires -cluster-self")
-	case *clusterSelf != "":
-		cfg.Self, cfg.Ring = *clusterSelf, cluster.NewRing(0, nil)
-		if *clusterPeers != "" {
-			peers := cluster.SplitAddrs(*clusterPeers)
-			cfg.Ring = cluster.NewRing(1, peers)
-			if !cfg.Ring.Has(*clusterSelf) {
-				return cfg, fmt.Errorf("-cluster-peers %v does not include -cluster-self %s", peers, *clusterSelf)
-			}
+	// The node is served behind a shard: the ring routes each database to
+	// one member, which answers for the others with the routing taxonomy
+	// (wrong-shard redirect / moving retry-later). With no ring yet the
+	// member owns every database it holds.
+	cfg.Self = *clusterSelf
+	if *clusterPeers != "" {
+		if *clusterSelf == "" {
+			return cfg, fmt.Errorf("-cluster-peers requires -cluster-self")
+		}
+		peers := cluster.SplitAddrs(*clusterPeers)
+		cfg.Ring = cluster.NewRing(1, peers)
+		if !cfg.Ring.Has(*clusterSelf) {
+			return cfg, fmt.Errorf("-cluster-peers %v does not include -cluster-self %s", peers, *clusterSelf)
 		}
 	}
 	return cfg, nil
@@ -135,10 +138,8 @@ func run() error {
 	}
 	defer m.Close()
 	log.Printf("client API on %s", m.Addr())
-	if m.Shard != nil {
-		r := m.Shard.Ring()
-		log.Printf("cluster member %s, ring epoch %d (%d members)", m.Shard.Self(), r.Epoch, len(r.Members))
-	}
+	r := m.Shard.Ring()
+	log.Printf("cluster member %s, ring epoch %d (%d members)", m.Shard.Self(), r.Epoch, len(r.Members))
 	if m.Oplog != nil {
 		log.Printf("replication (primary) on %s", m.Oplog.Addr())
 	}
@@ -155,7 +156,7 @@ func run() error {
 		}()
 	}
 	if *admin != "" {
-		adm, err := httpadmin.ListenAndServeCluster(m.Node, *admin, m.Shard)
+		adm, err := httpadmin.ListenAndServe(m, *admin)
 		if err != nil {
 			return fmt.Errorf("admin listener: %w", err)
 		}

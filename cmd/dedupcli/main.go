@@ -1,4 +1,4 @@
-// Command dedupcli is a client for dbdedupd nodes.
+// Command dedupcli is a client for dbdedupd members.
 //
 //	dedupcli -addr 127.0.0.1:7070 insert wiki article/1 "first revision"
 //	dedupcli -addr 127.0.0.1:7070 get wiki article/1
@@ -6,13 +6,15 @@
 //	dedupcli -addr 127.0.0.1:7070 delete wiki article/1
 //	dedupcli -addr 127.0.0.1:7070 stats
 //
-// Against a sharded cluster, -addrs routes each operation to the owning
-// member (following redirects and rebalance windows), fans the admin verbs
-// out to every member, and adds the ring/rebalance control verbs:
+// -addr names one member or several. Either way the tool holds the one
+// routing client: it learns the ring from the first member that answers
+// (a standalone daemon is the ring of itself), sends each operation to the
+// owning member (following redirects and rebalance windows), fans the admin
+// verbs out to every member, and has the ring/rebalance control verbs:
 //
-//	dedupcli -addrs host1:7070,host2:7070 insert wiki article/1 "first revision"
-//	dedupcli -addrs host1:7070,host2:7070 ring
-//	dedupcli -addrs host1:7070,host2:7070 rebalance host1:7070,host2:7070,host3:7070
+//	dedupcli -addr host1:7070,host2:7070 insert wiki article/1 "first revision"
+//	dedupcli -addr host1:7070,host2:7070 ring
+//	dedupcli -addr host1:7070,host2:7070 rebalance host1:7070,host2:7070,host3:7070
 //
 // Payloads may also be piped on stdin by passing "-" as the payload.
 package main
@@ -29,15 +31,6 @@ import (
 	"dbdedup/internal/metrics"
 )
 
-// dataClient is the record-operation surface shared by a direct node
-// connection and the ring-routing cluster client.
-type dataClient interface {
-	Insert(db, key string, payload []byte) error
-	Update(db, key string, payload []byte) error
-	Delete(db, key string) error
-	Get(db, key string) ([]byte, error)
-}
-
 // member is one admin-verb target: a direct connection labelled with the
 // member address (so fanned-out output stays attributable).
 type member struct {
@@ -45,11 +38,13 @@ type member struct {
 	c    *apiserver.Client
 }
 
+// The command line: one flag. README.md says so, and
+// TestFlagsMatchREADME keeps the two equal.
+var addr = flag.String("addr", "127.0.0.1:7070", "member API address, or a comma-separated list of them")
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7070", "node API address")
-	addrs := flag.String("addrs", "", "comma-separated cluster member addresses (enables ring routing; overrides -addr)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dedupcli [-addr host:port | -addrs host:port,...] <insert|get|update|delete|stats|dbs|verify|ring|rebalance> [args]\n")
+		fmt.Fprintf(os.Stderr, "usage: dedupcli [-addr host:port[,host:port...]] <insert|get|update|delete|stats|dbs|verify|ring|rebalance> [args]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -60,38 +55,19 @@ func main() {
 	}
 	cmd := args[0]
 
-	var (
-		data    dataClient
-		members []member
-		cc      *cluster.Client
-	)
-	if *addrs != "" {
-		seeds := cluster.SplitAddrs(*addrs)
-		var err error
-		cc, err = cluster.DialCluster(seeds, cluster.ClientOptions{})
+	seeds := cluster.SplitAddrs(*addr)
+	cc, err := cluster.DialCluster(seeds, cluster.ClientOptions{})
+	if err != nil {
+		fail("connecting: %v", err)
+	}
+	defer cc.Close()
+	var members []member
+	for _, m := range cc.Members() {
+		conn, err := cc.Member(m)
 		if err != nil {
-			fail("connecting: %v", err)
+			fail("connecting to member %s: %v", m, err)
 		}
-		defer cc.Close()
-		data = cc
-		for _, m := range cc.Members() {
-			conn, err := cc.Member(m)
-			if err != nil {
-				fail("connecting to member %s: %v", m, err)
-			}
-			members = append(members, member{name: m, c: conn})
-		}
-	} else {
-		if cmd == "ring" || cmd == "rebalance" {
-			fail("%s requires -addrs", cmd)
-		}
-		c, err := apiserver.Dial(*addr)
-		if err != nil {
-			fail("connecting: %v", err)
-		}
-		defer c.Close()
-		data = c
-		members = []member{{name: *addr, c: c}}
+		members = append(members, member{name: m, c: conn})
 	}
 
 	switch cmd {
@@ -181,10 +157,10 @@ func main() {
 		}
 	case "rebalance":
 		if len(args) != 2 {
-			fail("usage: dedupcli -addrs ... rebalance <addr,addr,...>")
+			fail("usage: dedupcli -addr ... rebalance <addr,addr,...>")
 		}
 		target := cluster.SplitAddrs(args[1])
-		ring, err := cluster.Rebalance(cluster.SplitAddrs(*addrs), target, cluster.RebalanceOptions{})
+		ring, err := cluster.Rebalance(seeds, target, cluster.RebalanceOptions{})
 		if err != nil {
 			fail("rebalance: %v", err)
 		}
@@ -204,9 +180,9 @@ func main() {
 		}
 		var err error
 		if cmd == "insert" {
-			err = data.Insert(args[1], args[2], payload)
+			err = cc.Insert(args[1], args[2], payload)
 		} else {
-			err = data.Update(args[1], args[2], payload)
+			err = cc.Update(args[1], args[2], payload)
 		}
 		if err != nil {
 			fail("%s: %v", cmd, err)
@@ -215,7 +191,7 @@ func main() {
 		if len(args) != 3 {
 			fail("usage: dedupcli get <db> <key>")
 		}
-		content, err := data.Get(args[1], args[2])
+		content, err := cc.Get(args[1], args[2])
 		if err != nil {
 			fail("get: %v", err)
 		}
@@ -224,7 +200,7 @@ func main() {
 		if len(args) != 3 {
 			fail("usage: dedupcli delete <db> <key>")
 		}
-		if err := data.Delete(args[1], args[2]); err != nil {
+		if err := cc.Delete(args[1], args[2]); err != nil {
 			fail("delete: %v", err)
 		}
 	default:

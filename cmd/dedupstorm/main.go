@@ -7,7 +7,9 @@
 // tail instead of being hidden by a closed feedback loop (the way
 // benchmark/'s measurements are, by design).
 //
-// Against a running server:
+// Against a running server, or a running ring (-addr takes one member or a
+// comma-separated list; the storm goes through the ring-routing client either
+// way, and a standalone daemon is the ring of itself):
 //
 //	dbdedupd -listen :7070 &
 //	dedupstorm -addr 127.0.0.1:7070 -rate 4000 -duration 10s -tenants 1000
@@ -19,17 +21,18 @@
 // Every run ends with each driven server's own line: raw bytes in, stored
 // and oplog bytes with their ratios, dedup hits.
 //
-// Self-hosted (empty -addr): the storm runs against an in-process node whose
-// encoder capacity and admission control are set by the -encode-*,
+// Self-hosted (empty -addr): the storm runs against an in-process member
+// whose encoder capacity and admission control are set by the -encode-*,
 // -admission and -shed-* flags, which is how the with/without-admission
-// baselines in results_csv/storm_*.csv are produced.
+// baselines in results_csv/storm_*.csv are produced. -cluster N self-hosts an
+// in-process N-primary ring of such members instead, how the
+// results_csv/storm_cluster.csv baseline is produced.
 //
-// Cluster storms: -addrs drives a running sharded cluster through the
-// ring-routing client, and -cluster N self-hosts an in-process N-primary
-// cluster (each member shaped by the self-host flags) — how the
-// results_csv/storm_cluster.csv baseline is produced. Cluster reports carry
-// per-shard latency/goodput columns, and -verify re-reads every acked write
-// back through the router.
+// Every report has one line per member with its share of the acked load, and
+// -verify re-reads every acked write back through the router. -csv writes the
+// per-shard columns of results_csv/storm_cluster.csv when the storm drove more
+// than one member, and the columns of results_csv/storm_overload.csv when it
+// drove one.
 package main
 
 import (
@@ -46,32 +49,34 @@ import (
 	"dbdedup/internal/workload"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", "", "node API address (empty: self-host an in-process node)")
-		addrsF   = flag.String("addrs", "", "comma-separated cluster member addresses (cluster storm; overrides -addr)")
-		clusterN = flag.Int("cluster", 0, "self-host an in-process N-primary sharded cluster (overrides -addr/-addrs)")
-		rate     = flag.Float64("rate", 2000, "offered arrival rate, ops/second")
-		duration = flag.Duration("duration", 5*time.Second, "storm duration")
-		tenants  = flag.Int("tenants", 1000, "tenant databases (Zipf-skewed)")
-		conns    = flag.Int("conns", 8, "concurrent client connections")
-		seed     = flag.Int64("seed", 1, "schedule/trace seed (same seed = same offered load)")
-		blend    = flag.String("blend", "wikipedia,enron,stackexchange,messageboards", "comma-separated datasets tenants draw from")
-		reads    = flag.Bool("reads", false, "include the datasets' read mixes")
-		sampling = flag.Int("read-sampling", 20, "take every Nth read of the mix")
-		burst    = flag.Float64("mean-burst", 4, "mean ops per arrival burst (Pareto-tailed)")
-		label    = flag.String("label", "storm", "row label for output and CSV")
-		csvPath  = flag.String("csv", "", "append the run's row to this CSV file")
-		doVerify = flag.Bool("verify", false, "after the storm, re-read every acked write and check payload hashes")
+// The command line. README.md lists the same set, and TestFlagsMatchREADME
+// keeps the two equal.
+var (
+	addr     = flag.String("addr", "", "member API address, or a comma-separated list of ring members (empty: self-host an in-process member)")
+	clusterN = flag.Int("cluster", 0, "self-host an in-process N-primary sharded cluster (overrides -addr)")
+	rate     = flag.Float64("rate", 2000, "offered arrival rate, ops/second")
+	duration = flag.Duration("duration", 5*time.Second, "storm duration")
+	tenants  = flag.Int("tenants", 1000, "tenant databases (Zipf-skewed)")
+	conns    = flag.Int("conns", 8, "concurrent client connections")
+	seed     = flag.Int64("seed", 1, "schedule/trace seed (same seed = same offered load)")
+	blend    = flag.String("blend", "wikipedia,enron,stackexchange,messageboards", "comma-separated datasets tenants draw from")
+	reads    = flag.Bool("reads", false, "include the datasets' read mixes")
+	sampling = flag.Int("read-sampling", 20, "take every Nth read of the mix")
+	burst    = flag.Float64("mean-burst", 4, "mean ops per arrival burst (Pareto-tailed)")
+	label    = flag.String("label", "storm", "row label for output and CSV")
+	csvPath  = flag.String("csv", "", "append the run's row to this CSV file")
+	doVerify = flag.Bool("verify", false, "after the storm, re-read every acked write and check payload hashes")
 
-		// Self-host flags (-addr ""): the served node's shape.
-		encWorkers = flag.Int("encode-workers", 0, "self-host: encoder pool size (0 = node default)")
-		encDelay   = flag.Duration("encode-delay", 0, "self-host: simulated per-insert encode cost, pinning capacity host-independently")
-		admEnable  = flag.Bool("admission", false, "self-host: enable admission control (per-tenant fair share)")
-		shedRaw    = flag.Bool("shed-raw", false, "self-host: degrade to raw inserts under overload")
-		tenantRate = flag.Float64("admission-tenant-rate", 0, "self-host: per-tenant fair-share inserts/second during overload")
-		dwell      = flag.Duration("overload-dwell", 250*time.Millisecond, "self-host: minimum time the overload latch stays engaged")
-	)
+	// Self-host flags (-addr ""): the served node's shape.
+	encWorkers = flag.Int("encode-workers", 0, "self-host: encoder pool size (0 = node default)")
+	encDelay   = flag.Duration("encode-delay", 0, "self-host: simulated per-insert encode cost, pinning capacity host-independently")
+	admEnable  = flag.Bool("admission", false, "self-host: enable admission control (per-tenant fair share)")
+	shedRaw    = flag.Bool("shed-raw", false, "self-host: degrade to raw inserts under overload")
+	tenantRate = flag.Float64("admission-tenant-rate", 0, "self-host: per-tenant fair-share inserts/second during overload")
+	dwell      = flag.Duration("overload-dwell", 250*time.Millisecond, "self-host: minimum time the overload latch stays engaged")
+)
+
+func main() {
 	flag.Parse()
 
 	var kinds []workload.Kind
@@ -89,7 +94,7 @@ func main() {
 		log.Fatal("-blend selects no datasets")
 	}
 	cfg := stormtest.Config{
-		Addr:         *addr,
+		Addrs:        cluster.SplitAddrs(*addr),
 		Rate:         *rate,
 		Duration:     *duration,
 		Tenants:      *tenants,
@@ -112,28 +117,27 @@ func main() {
 		},
 	}
 	self := cluster.MemberConfig{Node: nopts, Listen: "127.0.0.1:0"}
-	var ring []*cluster.Member
+	// -cluster N hosts a ring, no -addr hosts one member; either replaces
+	// whatever -addr named.
+	var hosted []*cluster.Member
+	var err error
 	switch {
 	case *clusterN > 0:
-		var err error
-		if ring, err = cluster.StartRing(*clusterN, self); err != nil {
-			log.Fatalf("self-host cluster: %v", err)
-		}
-		for _, m := range ring {
+		hosted, err = cluster.StartRing(*clusterN, self)
+	case len(cfg.Addrs) == 0:
+		hosted = make([]*cluster.Member, 1)
+		hosted[0], err = cluster.StartMember(self)
+	}
+	if err != nil {
+		log.Fatalf("self-host: %v", err)
+	}
+	if hosted != nil {
+		cfg.Addrs = nil
+		for _, m := range hosted {
 			defer m.Close()
 			cfg.Addrs = append(cfg.Addrs, m.Addr())
 		}
-		log.Printf("self-hosted %d-primary cluster on %s", *clusterN, strings.Join(cfg.Addrs, ","))
-	case *addrsF != "":
-		cfg.Addrs = cluster.SplitAddrs(*addrsF)
-	case *addr == "":
-		local, err := cluster.StartMember(self)
-		if err != nil {
-			log.Fatalf("self-host node: %v", err)
-		}
-		defer local.Close()
-		cfg.Addr = local.Addr()
-		log.Printf("self-hosted node on %s", cfg.Addr)
+		log.Printf("self-hosted %d member(s) on %s", len(hosted), strings.Join(cfg.Addrs, ","))
 	}
 
 	rep, err := stormtest.Run(*label, cfg)
@@ -161,15 +165,15 @@ func main() {
 	for _, l := range lines {
 		fmt.Println(l)
 	}
-	for _, m := range ring {
+	for _, m := range hosted {
 		cm := m.Shard.Metrics()
 		fmt.Printf("member %s: ring epoch %d, %d redirects, %d moving answers\n",
 			m.Addr(), cm.RingEpoch.Value(), cm.RedirectsIssued.Total(), cm.MovingAnswered.Total())
 	}
 
 	if *csvPath != "" {
-		if len(cfg.Addrs) > 0 {
-			err = rep.AppendClusterCSV(*csvPath, len(cfg.Addrs))
+		if n := len(rep.Shards); n > 1 {
+			err = rep.AppendClusterCSV(*csvPath, n)
 		} else {
 			err = rep.AppendCSV(*csvPath)
 		}

@@ -6,27 +6,9 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"dbdedup/internal/workload"
 )
-
-func prose(rng *rand.Rand, n int) []byte {
-	words := []string{"the", "record", "database", "version", "of", "and",
-		"revision", "content", "chunk", "update", "a", "delta", "system"}
-	var buf bytes.Buffer
-	for buf.Len() < n {
-		buf.WriteString(words[rng.Intn(len(words))])
-		buf.WriteByte(' ')
-	}
-	return buf.Bytes()[:n]
-}
-
-func editText(rng *rand.Rand, data []byte, k int) []byte {
-	out := append([]byte(nil), data...)
-	for i := 0; i < k; i++ {
-		pos := rng.Intn(len(out) - 20)
-		copy(out[pos:], prose(rng, 12))
-	}
-	return append(out, prose(rng, 40)...)
-}
 
 func testStore(t *testing.T, opts Options) *Store {
 	t.Helper()
@@ -74,12 +56,12 @@ func TestPublicAPICRUD(t *testing.T) {
 func TestCompressionRatioSurface(t *testing.T) {
 	s := testStore(t, Options{})
 	rng := rand.New(rand.NewSource(1))
-	content := prose(rng, 8192)
+	content := workload.RevisionText(rng, 8192)
 	for i := 0; i < 40; i++ {
 		if err := s.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
 			t.Fatal(err)
 		}
-		content = editText(rng, content, 2)
+		content = workload.Revise(rng, content, 2, 40)
 	}
 	s.FlushWritebacks(-1)
 	st := s.Stats()
@@ -110,12 +92,12 @@ func TestPublicReplication(t *testing.T) {
 	defer rep.Close()
 
 	rng := rand.New(rand.NewSource(2))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	for i := 0; i < 20; i++ {
 		if err := prim.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
 			t.Fatal(err)
 		}
-		content = editText(rng, content, 2)
+		content = workload.Revise(rng, content, 2, 40)
 	}
 	if err := rep.WaitForSeq(prim.LastSeq(), 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -136,7 +118,7 @@ func TestPublicReplication(t *testing.T) {
 func TestDisableDedupBaseline(t *testing.T) {
 	s := testStore(t, Options{DisableDedup: true})
 	rng := rand.New(rand.NewSource(3))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	for i := 0; i < 10; i++ {
 		s.Insert("wiki", fmt.Sprintf("v%d", i), content)
 	}
@@ -153,14 +135,14 @@ func TestSchemeSelection(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeHop, SchemeBackward, SchemeVersionJump} {
 		s := testStore(t, Options{Scheme: scheme, HopDistance: 4, DisableSizeFilter: true})
 		rng := rand.New(rand.NewSource(4))
-		content := prose(rng, 4096)
+		content := workload.RevisionText(rng, 4096)
 		var versions [][]byte
 		for i := 0; i < 20; i++ {
 			if err := s.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
 				t.Fatal(err)
 			}
 			versions = append(versions, content)
-			content = editText(rng, content, 2)
+			content = workload.Revise(rng, content, 2, 40)
 		}
 		s.FlushWritebacks(-1)
 		for i, want := range versions {
@@ -220,14 +202,14 @@ func TestCompactPublicAPI(t *testing.T) {
 	dir := t.TempDir()
 	s := testStore(t, Options{Dir: dir, BlockCompression: false})
 	rng := rand.New(rand.NewSource(9))
-	payload := prose(rng, 1024)
+	payload := workload.RevisionText(rng, 1024)
 	for i := 0; i < 20; i++ {
 		s.Insert("db", fmt.Sprintf("k%d", i), payload)
 	}
 	// Rewrite everything several times to accumulate dead frames.
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 20; i++ {
-			if err := s.Update("db", fmt.Sprintf("k%d", i), editText(rng, payload, 1)); err != nil {
+			if err := s.Update("db", fmt.Sprintf("k%d", i), workload.Revise(rng, payload, 1, 40)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -252,10 +234,10 @@ func TestStatsZeroValueSafety(t *testing.T) {
 func TestPublicDBStatsAndVerify(t *testing.T) {
 	s := testStore(t, Options{})
 	rng := rand.New(rand.NewSource(11))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	for i := 0; i < 15; i++ {
 		s.Insert("wiki", fmt.Sprintf("v%d", i), content)
-		content = editText(rng, content, 1)
+		content = workload.Revise(rng, content, 1, 40)
 	}
 	s.FlushWritebacks(-1)
 

@@ -78,25 +78,6 @@ func (l Layout) Scheme() Scheme { return l.scheme }
 // HopDistance returns H (hop distance or cluster size).
 func (l Layout) HopDistance() int { return l.h }
 
-// Level returns the hop level of position i: the largest L with i divisible
-// by H^L. Position 0 belongs to every level; its level is capped by what a
-// chain of length n can use, so Level takes the chain length too.
-func (l Layout) Level(i, n int) int {
-	if l.scheme != Hop || i < 0 {
-		return 0
-	}
-	lev := 0
-	step := l.h
-	for (i == 0 || i%step == 0) && step <= n {
-		lev++
-		if step > n/l.h { // avoid overflow
-			break
-		}
-		step *= l.h
-	}
-	return lev
-}
-
 // Base returns the position record i is encoded against in a chain that
 // currently holds n records (positions 0..n-1), and whether it is encoded
 // at all (raw records return ok=false).
@@ -145,23 +126,23 @@ type Writeback struct {
 	NewBase int
 }
 
-// AppendWritebacks returns the re-encodings required when position p joins
-// the chain (p >= 1; appending position 0 rewrites nothing). The new record
-// itself is stored raw.
-func (l Layout) AppendWritebacks(p int) []Writeback {
+// AppendWritebacks appends to dst the re-encodings required when position p
+// joins the chain (p >= 1; appending position 0 rewrites nothing) and
+// returns the extended slice. The new record itself is stored raw.
+func (l Layout) AppendWritebacks(dst []Writeback, p int) []Writeback {
 	if p < 1 {
-		return nil
+		return dst
 	}
 	switch l.scheme {
 	case Backward:
-		return []Writeback{{Pos: p - 1, NewBase: p}}
+		return append(dst, Writeback{Pos: p - 1, NewBase: p})
 	case VersionJump:
 		if (p-1)%l.h == 0 {
-			return nil // predecessor is a reference version; stays raw
+			return dst // predecessor is a reference version; stays raw
 		}
-		return []Writeback{{Pos: p - 1, NewBase: p}}
+		return append(dst, Writeback{Pos: p - 1, NewBase: p})
 	case Hop:
-		wbs := []Writeback{{Pos: p - 1, NewBase: p}}
+		wbs := append(dst, Writeback{Pos: p - 1, NewBase: p})
 		// Each level L with H^L dividing p finalises the previous
 		// level-L hop base at p-H^L.
 		step := l.h
@@ -217,7 +198,7 @@ func (l Layout) WorstCaseRetrievals(n int) int {
 func (l Layout) TotalWritebacks(n int) int {
 	total := 0
 	for p := 1; p < n; p++ {
-		total += len(l.AppendWritebacks(p))
+		total += len(l.AppendWritebacks(nil, p))
 	}
 	return total
 }

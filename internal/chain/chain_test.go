@@ -143,7 +143,7 @@ func TestWritebacksConsistentWithBases(t *testing.T) {
 		n := 100
 		base := make(map[int]int) // pos -> current base; absent = raw
 		for p := 1; p < n; p++ {
-			for _, wb := range tc.l.AppendWritebacks(p) {
+			for _, wb := range tc.l.AppendWritebacks(nil, p) {
 				if wb.NewBase != p {
 					t.Fatalf("%s: writeback at append %d targets base %d", tc.name, p, wb.NewBase)
 				}
@@ -260,6 +260,6 @@ func TestBaseOutOfRangePanics(t *testing.T) {
 func BenchmarkHopAppendWritebacks(b *testing.B) {
 	l := New(Hop, 16)
 	for i := 0; i < b.N; i++ {
-		l.AppendWritebacks(i + 1)
+		l.AppendWritebacks(nil, i+1)
 	}
 }

@@ -57,7 +57,7 @@ func TestQuickWritebackReplayMatchesBase(t *testing.T) {
 		n := 1 + int(nRaw%300)
 		base := make(map[int]int)
 		for p := 1; p < n; p++ {
-			for _, wb := range l.AppendWritebacks(p) {
+			for _, wb := range l.AppendWritebacks(nil, p) {
 				if wb.Pos < 0 || wb.Pos >= p || wb.NewBase != p {
 					return false
 				}

@@ -86,7 +86,7 @@ type Client struct {
 }
 
 // SplitAddrs parses the comma-separated member list the command-line tools
-// take (-addrs, -cluster-peers) into DialCluster's argument, dropping blanks.
+// take (-addr, -cluster-peers) into DialCluster's argument, dropping blanks.
 func SplitAddrs(s string) []string {
 	var out []string
 	for _, p := range strings.Split(s, ",") {
@@ -98,9 +98,8 @@ func SplitAddrs(s string) []string {
 }
 
 // DialCluster builds a client over the seed member addresses, fetching the
-// ring from the first reachable seed. A seed that answers "not clustered"
-// (a bare single node) yields a one-member static ring over the seeds, so
-// the same client drives unclustered deployments.
+// ring from the first reachable seed. One address of a standalone member is
+// the whole deployment: its ring is the ring of that one member.
 func DialCluster(addrs []string, opts ClientOptions) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: no member addresses")
@@ -109,19 +108,9 @@ func DialCluster(addrs []string, opts ClientOptions) (*Client, error) {
 	c.pool = apiserver.NewPool(c.opts.Network, c.opts.Timeout)
 	var lastErr error
 	for _, a := range addrs {
-		if err := c.fetchRing(a); err != nil {
-			lastErr = err
-			var se *apiserver.ServerError
-			if errors.As(err, &se) {
-				// Reachable but unclustered: route everything by seed list.
-				c.mu.Lock()
-				c.ring = NewRing(0, addrs)
-				c.mu.Unlock()
-				return c, nil
-			}
-			continue
+		if lastErr = c.fetchRing(a); lastErr == nil {
+			return c, nil
 		}
-		return c, nil
 	}
 	c.Close()
 	return nil, fmt.Errorf("cluster: no seed reachable: %w", lastErr)
@@ -151,11 +140,7 @@ func (c *Client) Ring() *Ring {
 
 // Members returns the cached ring's member addresses.
 func (c *Client) Members() []string {
-	r := c.Ring()
-	if r == nil {
-		return append([]string(nil), c.seeds...)
-	}
-	return append([]string(nil), r.Members...)
+	return append([]string(nil), c.Ring().Members...)
 }
 
 // Member returns a pooled direct connection to one member, for per-member
@@ -163,7 +148,9 @@ func (c *Client) Members() []string {
 func (c *Client) Member(addr string) (*apiserver.Client, error) { return c.pool.Get(addr) }
 
 // fetchRing pulls addr's active ring and installs it if it is newer than the
-// cached one.
+// cached one. A ring-less member owns every database it holds, so the empty
+// ring it answers with is, to a client, the ring of that member alone, under
+// the address it was reached at.
 func (c *Client) fetchRing(addr string) error {
 	c.ringFetches.Add(1)
 	conn, err := c.pool.Get(addr)
@@ -178,9 +165,13 @@ func (c *Client) fetchRing(addr string) error {
 	if err != nil {
 		return err
 	}
+	ring := st.Ring
+	if len(ring.Members) == 0 {
+		ring = NewRing(ring.Epoch, []string{addr})
+	}
 	c.mu.Lock()
-	if c.ring == nil || st.Ring.Epoch >= c.ring.Epoch {
-		c.ring = st.Ring
+	if c.ring == nil || ring.Epoch >= c.ring.Epoch {
+		c.ring = ring
 	}
 	c.mu.Unlock()
 	return nil
@@ -228,14 +219,6 @@ func (c *Client) refreshRing(hint string) {
 	}
 }
 
-// owner returns the member the cached ring routes db to.
-func (c *Client) owner(db string) string {
-	c.mu.Lock()
-	r := c.ring
-	c.mu.Unlock()
-	return r.Owner(db)
-}
-
 // do runs op against db's owner under the retry budget. definite server
 // answers pass through; transport failures taint the outcome as ambiguous.
 func (c *Client) do(db string, op func(*apiserver.Client) error) error {
@@ -250,15 +233,7 @@ func (c *Client) do(db string, op func(*apiserver.Client) error) error {
 		return lastErr
 	}
 	for attempt := 0; ; attempt++ {
-		owner := c.owner(db)
-		if owner == "" {
-			c.refreshRing("")
-			if owner = c.owner(db); owner == "" {
-				lastErr = errors.New("cluster: no ring")
-				return fail()
-			}
-		}
-		conn, err := c.pool.Get(owner)
+		conn, err := c.pool.Get(c.Ring().Owner(db))
 		if err == nil {
 			err = op(conn)
 		}

@@ -10,9 +10,9 @@ import (
 	"dbdedup/internal/repl"
 )
 
-// MemberConfig describes one dbDedup process: a node, its client listener,
-// and optionally a place in a ring, an oplog server out and an oplog
-// follower in (the paper's Fig. 8). dbdedupd fills it from its flags;
+// MemberConfig describes one dbDedup process: a node behind a Shard, its
+// client listener, and optionally an oplog server out and an oplog follower
+// in (the paper's Fig. 8). dbdedupd fills it from its flags;
 // dedupstorm, the fault driver and the tests fill it by hand and get the
 // same wiring.
 type MemberConfig struct {
@@ -24,10 +24,10 @@ type MemberConfig struct {
 	Network netsim.Network
 	// Listen is the client API address.
 	Listen string
-	// Ring, when non-nil, puts the node behind a Shard that starts under
-	// it; an empty ring is a ring-less member that joins through a
-	// rebalance. Self is the member's name in rings (empty: the address
-	// Listen bound).
+	// Ring is the ring the member's Shard starts under. nil is the
+	// ring-less ring: the member owns every database it holds, which is a
+	// standalone node, until a rebalance puts it in a ring. Self is the
+	// member's name in rings (empty: the address Listen bound).
 	Ring *Ring
 	Self string
 	// ReplListen, when set, is where the node's oplog is served.
@@ -42,8 +42,8 @@ type MemberConfig struct {
 	Follower    repl.Options
 }
 
-// Member is a running process. Shard, Oplog and Follower are nil for what
-// the configuration left out.
+// Member is a running process. Oplog and Follower are nil for what the
+// configuration left out.
 type Member struct {
 	Node     *node.Node
 	Shard    *Shard
@@ -68,15 +68,14 @@ func StartMember(cfg MemberConfig) (*Member, error) {
 		return nil, fmt.Errorf("%s: %w", what, err)
 	}
 
-	var backend apiserver.Backend = n
-	if cfg.Ring != nil {
-		m.Shard = NewShard(n, cfg.Self, cfg.Ring, cfg.Network)
-		backend = m.Shard
+	if cfg.Ring == nil {
+		cfg.Ring = NewRing(0, nil)
 	}
-	if m.API, err = apiserver.ListenAndServeBackend(backend, cfg.Listen, apiserver.Options{Network: cfg.Network}); err != nil {
+	m.Shard = NewShard(n, cfg.Self, cfg.Ring, cfg.Network)
+	if m.API, err = apiserver.ListenAndServeBackend(m.Shard, cfg.Listen, apiserver.Options{Network: cfg.Network}); err != nil {
 		return fail("client listener", err)
 	}
-	if m.Shard != nil && cfg.Self == "" {
+	if cfg.Self == "" {
 		// A listener on an OS-assigned port learns its address by binding.
 		m.Shard.SetSelf(m.API.Addr())
 	}
@@ -100,7 +99,7 @@ func StartMember(cfg MemberConfig) (*Member, error) {
 // it, and installs the epoch-1 ring across them through the rebalance
 // coordinator, not by hand.
 func StartRing(n int, cfg MemberConfig) ([]*Member, error) {
-	cfg.Ring, cfg.Self = NewRing(0, nil), ""
+	cfg.Ring, cfg.Self = nil, ""
 	var members []*Member
 	var addrs []string
 	fail := func(err error) ([]*Member, error) {

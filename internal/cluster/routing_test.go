@@ -23,9 +23,6 @@ func testNodeOptions() node.Options {
 // its address; a nil ring is a ring-less member.
 func startMember(t *testing.T, mesh *netsim.Mesh, host, addr string, ring *Ring) *Member {
 	t.Helper()
-	if ring == nil {
-		ring = NewRing(0, nil)
-	}
 	m, err := StartMember(MemberConfig{Node: testNodeOptions(), Network: mesh.Host(host),
 		Listen: addr, Self: addr, Ring: ring})
 	if err != nil {

@@ -21,8 +21,10 @@ const transferTimeout = 10 * time.Second
 // Shard wraps a node with ring routing: it serves operations for databases
 // the active ring places on this member and classifies the rest with the
 // explicit routing taxonomy (wrong-shard redirect, or retry-later while a
-// rebalance window holds the database). It implements apiserver.Backend and
-// apiserver.ClusterBackend, so dbdedupd serves it exactly like a bare node.
+// rebalance window holds the database). Under the ring-less ring (epoch 0, no
+// members: a member nobody has put in a ring) it owns every database it
+// holds, which is the standalone node. It is the apiserver.Backend and
+// apiserver.ClusterBackend every member serves.
 //
 // Concurrency: opMu is the routing lock. Every client operation holds it
 // shared from the routing decision through the node mutation, and every ring
@@ -60,11 +62,11 @@ type Shard struct {
 }
 
 // ownerOrSelf returns the member r places db on, treating an empty ring as
-// placing everything on self: a ring-less member (the documented bootstrap
-// join flow, -cluster-self without -cluster-peers) serves every database it
-// holds, so for freeze and handoff purposes it is the source owner of all of
-// them — not the owner of none, which would let a join window stream nothing
-// and then drop acked data at commit.
+// placing everything on self: a ring-less member (a daemon started without
+// -cluster-peers) serves every database it holds, so for freeze and handoff
+// purposes it is the source owner of all of them — not the owner of none,
+// which would let a join window stream nothing and then drop acked data at
+// commit.
 func ownerOrSelf(r *Ring, self, db string) string {
 	if len(r.Members) == 0 {
 		return self

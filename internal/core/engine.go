@@ -304,9 +304,9 @@ type chainState struct {
 	headID  uint64
 	headPos int
 	firstID uint64
-	// lastBase[l] is the record ID of the most recent level-l hop base. Nil
-	// until the chain records its first one: most chains on data that does
-	// not dedup never grow past their head.
+	// lastBase[step] is the record ID at the latest position divisible by
+	// the hop step (H, H², …). Nil until the chain records its first one:
+	// most chains on data that does not dedup never grow past their head.
 	lastBase map[int]uint64
 }
 
@@ -522,35 +522,8 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 		e.stats.notWorthEncoding.Add(1)
 		return Result{}, nil
 	}
-	bwd := delta.Reencode(srcContent, payload, fwd)
-	e.enc.ObserveStage(metrics.StageDelta, time.Since(t))
-
-	res := Result{
-		Deduped:      true,
-		SourceID:     srcID,
-		SourceCached: cached,
-		Forward:      fwd,
-		Writebacks: []Writeback{{
-			ID:              srcID,
-			Base:            id,
-			Delta:           bwd,
-			EstimatedSaving: int64(len(srcContent) - bwd.EncodedSize()),
-		}},
-	}
-
-	// Chain bookkeeping under the lock; hop-base re-encoding and the
-	// chain-head cache update outside it (the cache synchronises itself).
-	t = time.Now()
-	st.mu.Lock()
-	hops, advanced := e.appendToChainLocked(st, srcID, id, payload, &res)
-	st.mu.Unlock()
-	e.emitHopWritebacks(hops, id, payload, &res)
-	if advanced && e.cache != nil {
-		e.cache.Replace(srcID, id, payload)
-	}
-	e.enc.ObserveStage(metrics.StageChain, time.Since(t))
-
-	e.stats.deduped.Add(1)
+	res := e.encodeAgainst(st, id, payload, srcID, srcContent, fwd, t)
+	res.SourceCached = cached
 	e.stats.forwardBytes.Add(int64(fwd.EncodedSize()))
 	st.mu.Lock()
 	st.codeBytes += int64(fwd.EncodedSize())
@@ -572,9 +545,17 @@ func (e *Engine) EncodeAsReplica(dbName string, id uint64, payload []byte, srcID
 	st.inserts++
 	st.mu.Unlock()
 
-	t := time.Now()
+	return e.encodeAgainst(st, id, payload, srcID, srcContent, fwd, time.Now())
+}
+
+// encodeAgainst is what the primary and the replica do once id's source and
+// forward delta are known: derive the backward delta that rewrites the
+// source, advance the chain, compute the hop-base rewrites the layout asks
+// for, and move the chain head in the source cache. deltaStart is when the
+// caller's delta stage began, so the stage is observed once per record.
+func (e *Engine) encodeAgainst(st *dbState, id uint64, payload []byte, srcID uint64, srcContent []byte, fwd delta.Delta, deltaStart time.Time) Result {
 	bwd := delta.Reencode(srcContent, payload, fwd)
-	e.enc.ObserveStage(metrics.StageDelta, time.Since(t))
+	e.enc.ObserveStage(metrics.StageDelta, time.Since(deltaStart))
 	res := Result{
 		Deduped:  true,
 		SourceID: srcID,
@@ -586,7 +567,10 @@ func (e *Engine) EncodeAsReplica(dbName string, id uint64, payload []byte, srcID
 			EstimatedSaving: int64(len(srcContent) - bwd.EncodedSize()),
 		}},
 	}
-	t = time.Now()
+
+	// Chain bookkeeping under the lock; hop-base re-encoding and the
+	// chain-head cache update outside it (the cache synchronises itself).
+	t := time.Now()
 	st.mu.Lock()
 	hops, advanced := e.appendToChainLocked(st, srcID, id, payload, &res)
 	st.mu.Unlock()
@@ -756,33 +740,33 @@ func (e *Engine) appendToChainLocked(st *dbState, srcID, id uint64, payload []by
 	cs.headPos = p
 	st.chains[id] = cs
 
-	if e.layout.Scheme() == chain.VersionJump && (p-1)%e.layout.HopDistance() == 0 {
-		// Predecessor is a reference version: it stays raw, so the
-		// source write-back emitted by Encode must be cancelled.
-		res.Writebacks = res.Writebacks[:0]
-	}
-
+	// The layout names the positions p's arrival rewrites: the old head
+	// p-1 (the source write-back Encode already emitted) unless it is a
+	// version-jump reference version, which stays raw, and under hop
+	// encoding the latest hop base of every step that divides p.
+	var buf [8]chain.Writeback
+	keepSource := false
 	var hops []hopJob
-	if e.layout.Scheme() == chain.Hop {
-		// Finalise the previous hop base at every level H^l dividing p.
-		h := e.layout.HopDistance()
-		for step, l := h, 1; p%step == 0; l++ {
-			baseID, ok := cs.lastBase[l]
-			if !ok {
-				baseID = cs.firstID // position 0 seeds every level
-			}
-			if cs.lastBase == nil {
-				cs.lastBase = make(map[int]uint64)
-			}
-			cs.lastBase[l] = id
-			if e.stageHopWriteback(baseID, id, res, hops) {
-				hops = append(hops, hopJob{baseID: baseID})
-			}
-			if step > p/h {
-				break
-			}
-			step *= h
+	for _, wb := range e.layout.AppendWritebacks(buf[:0], p) {
+		step := p - wb.Pos
+		if step == 1 {
+			keepSource = true
+			continue
 		}
+		baseID, ok := cs.lastBase[step]
+		if !ok {
+			baseID = cs.firstID // position 0 is the first base of every step
+		}
+		if cs.lastBase == nil {
+			cs.lastBase = make(map[int]uint64)
+		}
+		cs.lastBase[step] = id
+		if e.stageHopWriteback(baseID, id, res, hops) {
+			hops = append(hops, hopJob{baseID: baseID})
+		}
+	}
+	if !keepSource {
+		res.Writebacks = res.Writebacks[:0]
 	}
 	return hops, true
 }
@@ -872,7 +856,7 @@ func (e *Engine) governorTickLocked(st *dbState) {
 	if st.inserts < e.cfg.GovernorWindow {
 		return
 	}
-	ratio := float64(st.rawBytes) / float64(maxI64(st.codeBytes, 1))
+	ratio := float64(st.rawBytes) / float64(max(st.codeBytes, 1))
 	if ratio < governorThreshold {
 		// Not enough benefit: disable dedup for this database and free
 		// its index partition (paper §3.4.1). Dedup is never
@@ -892,13 +876,6 @@ func (e *Engine) governorTickLocked(st *dbState) {
 	st.inserts = 0
 	st.rawBytes = 0
 	st.codeBytes = 0
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // DBStats is the per-database view the governor maintains (§3.4.1).

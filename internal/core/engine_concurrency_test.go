@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dbdedup/internal/chain"
+	"dbdedup/internal/workload"
 )
 
 // syncFetcher is a concurrency-safe mapFetcher for stress tests: encodes for
@@ -90,7 +91,7 @@ func TestConcurrentEncodeAcrossDatabases(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + d)))
 			db := fmt.Sprintf("db%d", d)
-			content := prose(rng, 4096)
+			content := workload.RevisionText(rng, 4096)
 			base := uint64(d+1) << 32
 			for v := 0; v < versions; v++ {
 				id := base + uint64(v)
@@ -107,7 +108,7 @@ func TestConcurrentEncodeAcrossDatabases(t *testing.T) {
 						return
 					}
 				}
-				content = editText(rng, content, 2)
+				content = workload.Revise(rng, content, 2, 50+rng.Intn(100))
 			}
 		}(d)
 	}
@@ -121,7 +122,7 @@ func TestConcurrentEncodeAcrossDatabases(t *testing.T) {
 			db := fmt.Sprintf("raw%d", o)
 			base := uint64(100+o) << 32
 			for v := 0; v < versions; v++ {
-				e.ObserveRaw(db, base+uint64(v), prose(rng, 1024))
+				e.ObserveRaw(db, base+uint64(v), workload.RevisionText(rng, 1024))
 			}
 		}(o)
 	}
@@ -178,7 +179,7 @@ func TestConcurrentSameDatabaseEncodesAreMemorySafe(t *testing.T) {
 	}, f)
 
 	rng := rand.New(rand.NewSource(42))
-	seed := prose(rng, 4096)
+	seed := workload.RevisionText(rng, 4096)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -186,7 +187,7 @@ func TestConcurrentSameDatabaseEncodesAreMemorySafe(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			content := editText(rng, seed, 1)
+			content := workload.Revise(rng, seed, 1, 50+rng.Intn(100))
 			base := uint64(w+1) << 32
 			for v := 0; v < versions; v++ {
 				id := base + uint64(v)
@@ -200,7 +201,7 @@ func TestConcurrentSameDatabaseEncodesAreMemorySafe(t *testing.T) {
 					t.Errorf("worker %d: deduped result with empty forward delta", w)
 					return
 				}
-				content = editText(rng, content, 1)
+				content = workload.Revise(rng, content, 1, 50+rng.Intn(100))
 			}
 		}(w)
 	}

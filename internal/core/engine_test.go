@@ -9,6 +9,7 @@ import (
 	"dbdedup/internal/chain"
 	"dbdedup/internal/chunker"
 	"dbdedup/internal/delta"
+	"dbdedup/internal/workload"
 )
 
 // mapFetcher serves decoded contents from a map, counting fetches.
@@ -30,32 +31,12 @@ func newTestEngine(cfg Config) (*Engine, *mapFetcher) {
 	return NewEngine(cfg, f), f
 }
 
-func prose(rng *rand.Rand, n int) []byte {
-	words := []string{"the", "record", "database", "version", "of", "and",
-		"revision", "content", "chunk", "update", "a", "delta", "system"}
-	var buf bytes.Buffer
-	for buf.Len() < n {
-		buf.WriteString(words[rng.Intn(len(words))])
-		buf.WriteByte(' ')
-	}
-	return buf.Bytes()[:n]
-}
-
-func editText(rng *rand.Rand, data []byte, k int) []byte {
-	out := append([]byte(nil), data...)
-	for i := 0; i < k; i++ {
-		pos := rng.Intn(len(out) - 20)
-		copy(out[pos:], prose(rng, 12))
-	}
-	return append(out, prose(rng, 50+rng.Intn(100))...)
-}
-
 func TestFirstRecordNotDeduped(t *testing.T) {
 	e, f := newTestEngine(Config{})
 	if alg := e.extractor.ChunkerAlgorithm(); alg != chunker.Gear {
 		t.Fatalf("zero Config chunks with %v, want gear", alg)
 	}
-	payload := prose(rand.New(rand.NewSource(1)), 4096)
+	payload := workload.RevisionText(rand.New(rand.NewSource(1)), 4096)
 	f.contents[1] = payload
 	res, err := e.Encode("db", 1, payload)
 	if err != nil {
@@ -69,13 +50,13 @@ func TestFirstRecordNotDeduped(t *testing.T) {
 func TestSimilarRecordDeduped(t *testing.T) {
 	e, f := newTestEngine(Config{})
 	rng := rand.New(rand.NewSource(2))
-	v0 := prose(rng, 8192)
+	v0 := workload.RevisionText(rng, 8192)
 	f.contents[1] = v0
 	if _, err := e.Encode("db", 1, v0); err != nil {
 		t.Fatal(err)
 	}
 
-	v1 := editText(rng, v0, 3)
+	v1 := workload.Revise(rng, v0, 3, 50+rng.Intn(100))
 	f.contents[2] = v1
 	res, err := e.Encode("db", 2, v1)
 	if err != nil {
@@ -116,7 +97,7 @@ func TestSimilarRecordDeduped(t *testing.T) {
 func TestVersionChainUsesCache(t *testing.T) {
 	e, f := newTestEngine(Config{DisableSizeFilter: true})
 	rng := rand.New(rand.NewSource(3))
-	content := prose(rng, 8192)
+	content := workload.RevisionText(rng, 8192)
 	for id := uint64(1); id <= 20; id++ {
 		f.contents[id] = content
 		res, err := e.Encode("db", id, content)
@@ -132,7 +113,7 @@ func TestVersionChainUsesCache(t *testing.T) {
 		if id > 1 && !res.SourceCached {
 			t.Fatalf("version %d missed the source cache", id)
 		}
-		content = editText(rng, content, 2)
+		content = workload.Revise(rng, content, 2, 50+rng.Intn(100))
 	}
 	if f.fetches != 0 {
 		t.Errorf("%d database fetches despite perfect chain locality", f.fetches)
@@ -146,7 +127,7 @@ func TestVersionChainUsesCache(t *testing.T) {
 func TestHopWritebacksAtHopPositions(t *testing.T) {
 	e, f := newTestEngine(Config{Scheme: chain.Hop, HopDistance: 4, DisableSizeFilter: true})
 	rng := rand.New(rand.NewSource(4))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	var hopWBs []int // positions where extra write-backs appeared
 	for id := uint64(1); id <= 17; id++ {
 		f.contents[id] = content
@@ -165,7 +146,7 @@ func TestHopWritebacksAtHopPositions(t *testing.T) {
 				t.Fatalf("id %d: write-back of %d against %d does not decode", id, wb.ID, wb.Base)
 			}
 		}
-		content = editText(rng, content, 1)
+		content = workload.Revise(rng, content, 1, 50+rng.Intn(100))
 	}
 	// With H=4, appends at positions 4, 8, 12, 16 finalise hop bases.
 	want := []int{4, 8, 12, 16}
@@ -182,7 +163,7 @@ func TestHopWritebacksAtHopPositions(t *testing.T) {
 func TestVersionJumpReferenceVersionsStayRaw(t *testing.T) {
 	e, f := newTestEngine(Config{Scheme: chain.VersionJump, HopDistance: 4, DisableSizeFilter: true})
 	rng := rand.New(rand.NewSource(5))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	var noWB []int
 	for id := uint64(1); id <= 12; id++ {
 		f.contents[id] = content
@@ -193,7 +174,7 @@ func TestVersionJumpReferenceVersionsStayRaw(t *testing.T) {
 		if id > 1 && res.Deduped && len(res.Writebacks) == 0 {
 			noWB = append(noWB, int(id)-2) // position of the predecessor that stayed raw
 		}
-		content = editText(rng, content, 1)
+		content = workload.Revise(rng, content, 1, 50+rng.Intn(100))
 	}
 	// Predecessors at positions 0, 4, 8 are reference versions.
 	want := []int{0, 4, 8}
@@ -218,7 +199,7 @@ func TestSizeFilterSkipsSmallRecords(t *testing.T) {
 		if i%10 >= 3 {
 			n = 4000
 		}
-		if _, err := e.Encode("db", id, prose(rng, n)); err != nil {
+		if _, err := e.Encode("db", id, workload.RevisionText(rng, n)); err != nil {
 			t.Fatal(err)
 		}
 		id++
@@ -226,14 +207,14 @@ func TestSizeFilterSkipsSmallRecords(t *testing.T) {
 	if th := e.SizeThreshold("db"); th <= 100 || th > 4000 {
 		t.Fatalf("trained threshold = %d, want within (100, 4000]", th)
 	}
-	res, err := e.Encode("db", id, prose(rng, 100))
+	res, err := e.Encode("db", id, workload.RevisionText(rng, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.FilteredBySize {
 		t.Error("small record not filtered")
 	}
-	res, err = e.Encode("db", id+1, prose(rng, 4000))
+	res, err = e.Encode("db", id+1, workload.RevisionText(rng, 4000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,13 +254,13 @@ func TestGovernorDisablesUndedupableDB(t *testing.T) {
 func TestGovernorKeepsDedupableDB(t *testing.T) {
 	e, f := newTestEngine(Config{GovernorWindow: 100, DisableSizeFilter: true})
 	rng := rand.New(rand.NewSource(8))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	for id := uint64(1); id <= 300; id++ {
 		f.contents[id] = content
 		if _, err := e.Encode("wiki", id, content); err != nil {
 			t.Fatal(err)
 		}
-		content = editText(rng, content, 1)
+		content = workload.Revise(rng, content, 1, 50+rng.Intn(100))
 	}
 	if e.DBDisabled("wiki") {
 		t.Fatal("governor disabled a highly dedupable database")
@@ -293,7 +274,7 @@ func TestReplicaMirrorsPrimary(t *testing.T) {
 	re, rf := newTestEngine(Config{Scheme: chain.Hop, HopDistance: 4, DisableSizeFilter: true})
 
 	rng := rand.New(rand.NewSource(9))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	prev := content
 	for id := uint64(1); id <= 17; id++ {
 		pf.contents[id] = content
@@ -320,17 +301,17 @@ func TestReplicaMirrorsPrimary(t *testing.T) {
 			re.ObserveRaw("db", id, content)
 		}
 		prev = content
-		content = editText(rng, content, 2)
+		content = workload.Revise(rng, content, 2, 50+rng.Intn(100))
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
 	e, f := newTestEngine(Config{SourceCacheBytes: -1, DisableSizeFilter: true})
 	rng := rand.New(rand.NewSource(10))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	f.contents[1] = content
 	e.Encode("db", 1, content)
-	v1 := editText(rng, content, 2)
+	v1 := workload.Revise(rng, content, 2, 50+rng.Intn(100))
 	f.contents[2] = v1
 	res, err := e.Encode("db", 2, v1)
 	if err != nil {
@@ -368,11 +349,11 @@ func TestUnrelatedRecordsNotDeduped(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	e, f := newTestEngine(Config{DisableSizeFilter: true})
 	rng := rand.New(rand.NewSource(12))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	for id := uint64(1); id <= 10; id++ {
 		f.contents[id] = content
 		e.Encode("db", id, content)
-		content = editText(rng, content, 1)
+		content = workload.Revise(rng, content, 1, 50+rng.Intn(100))
 	}
 	st := e.Stats()
 	if st.Inserts != 10 || st.Deduped != 9 {
@@ -389,7 +370,7 @@ func TestStatsAccumulate(t *testing.T) {
 func BenchmarkEncodeVersioned(b *testing.B) {
 	e, f := newTestEngine(Config{DisableSizeFilter: true})
 	rng := rand.New(rand.NewSource(1))
-	content := prose(rng, 8192)
+	content := workload.RevisionText(rng, 8192)
 	b.SetBytes(int64(len(content)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -398,20 +379,20 @@ func BenchmarkEncodeVersioned(b *testing.B) {
 		if _, err := e.Encode("db", id, content); err != nil {
 			b.Fatal(err)
 		}
-		content = editText(rng, content, 2)
+		content = workload.Revise(rng, content, 2, 50+rng.Intn(100))
 	}
 }
 
 func TestDBStats(t *testing.T) {
 	e, f := newTestEngine(Config{DisableSizeFilter: true})
 	rng := rand.New(rand.NewSource(20))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	for id := uint64(1); id <= 10; id++ {
 		f.contents[id] = content
 		e.Encode("wiki", id, content)
-		content = editText(rng, content, 1)
+		content = workload.Revise(rng, content, 1, 50+rng.Intn(100))
 	}
-	e.Encode("other", 100, prose(rng, 2048))
+	e.Encode("other", 100, workload.RevisionText(rng, 2048))
 
 	stats := e.DBStats()
 	if len(stats) != 2 {

@@ -45,7 +45,7 @@ func TestChunkerDedupRatioParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := n.Stats()
-		return float64(raw) / float64(maxI64(st.Store.LogicalBytes, 1))
+		return float64(raw) / float64(max(st.Store.LogicalBytes, 1))
 	}
 
 	for _, kind := range []workload.Kind{workload.Wikipedia, workload.Enron} {

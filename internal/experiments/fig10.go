@@ -79,8 +79,8 @@ func runFig10Cell(sc Scale, kind workload.Kind, config string) (Fig10Row, error)
 		}
 		st := n.Stats()
 		row.RawBytes = raw
-		row.DedupRatio = float64(raw) / float64(maxI64(st.Store.LogicalBytes, 1))
-		row.SnappyFactor = float64(st.Store.BlockBytesIn) / float64(maxI64(st.Store.BlockBytesOut, 1))
+		row.DedupRatio = float64(raw) / float64(max(st.Store.LogicalBytes, 1))
+		row.SnappyFactor = float64(st.Store.BlockBytesIn) / float64(max(st.Store.BlockBytesOut, 1))
 		row.IndexMemoryBytes = st.Engine.IndexMemoryBytes
 
 	case "trad-4KB", "trad-64B":
@@ -130,7 +130,7 @@ func runFig10Cell(sc Scale, kind workload.Kind, config string) (Fig10Row, error)
 		st := n.Stats()
 		row.RawBytes = raw
 		row.DedupRatio = 1.0
-		row.SnappyFactor = float64(st.Store.BlockBytesIn) / float64(maxI64(st.Store.BlockBytesOut, 1))
+		row.SnappyFactor = float64(st.Store.BlockBytesIn) / float64(max(st.Store.BlockBytesOut, 1))
 		row.IndexMemoryBytes = 0
 
 	default:
@@ -138,13 +138,6 @@ func runFig10Cell(sc Scale, kind workload.Kind, config string) (Fig10Row, error)
 	}
 	row.CombinedRatio = row.DedupRatio * row.SnappyFactor
 	return row, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // String renders the figure as per-dataset tables.

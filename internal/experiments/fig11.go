@@ -50,8 +50,8 @@ func RunFig11(sc Scale, kinds ...workload.Kind) (*Fig11Result, error) {
 		st := n.Stats()
 		row := Fig11Row{
 			Dataset:      kind,
-			StorageRatio: float64(raw) / float64(maxI64(st.Store.LogicalBytes, 1)),
-			NetworkRatio: float64(raw) / float64(maxI64(st.OplogBytes, 1)),
+			StorageRatio: float64(raw) / float64(max(st.Store.LogicalBytes, 1)),
+			NetworkRatio: float64(raw) / float64(max(st.OplogBytes, 1)),
 		}
 		row.StorageVsNetwork = row.StorageRatio / row.NetworkRatio
 		res.Rows = append(res.Rows, row)

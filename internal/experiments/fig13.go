@@ -77,7 +77,7 @@ func RunFig13a(sc Scale) (*Fig13aResult, error) {
 		if hits+misses > 0 {
 			miss = float64(misses) / float64(hits+misses)
 		}
-		ratio := float64(raw) / float64(maxI64(st.Store.LogicalBytes, 1))
+		ratio := float64(raw) / float64(max(st.Store.LogicalBytes, 1))
 		if ratio > best {
 			best = ratio
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -60,7 +59,7 @@ func RunFig14(sc Scale) (*Fig14Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		return float64(raw) / float64(maxI64(n.Stats().Store.LogicalBytes, 1)), nil
+		return float64(raw) / float64(max(n.Stats().Store.LogicalBytes, 1)), nil
 	}
 
 	var err error
@@ -106,12 +105,12 @@ func measureOldestRead(scheme chain.Scheme, h, chainLen int, seed int64) (int, e
 	}
 	defer n.Close()
 	rng := rand.New(rand.NewSource(seed))
-	content := proseFig14(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	for i := 0; i < chainLen; i++ {
 		if err := n.Insert("chain", fmt.Sprintf("v%05d", i), content); err != nil {
 			return 0, err
 		}
-		content = editFig14(rng, content)
+		content = workload.Revise(rng, content, 2, 0)
 		n.FlushWritebacks(-1)
 	}
 	before := n.Stats().DecodeSteps
@@ -119,26 +118,6 @@ func measureOldestRead(scheme chain.Scheme, h, chainLen int, seed int64) (int, e
 		return 0, err
 	}
 	return int(n.Stats().DecodeSteps - before), nil
-}
-
-func proseFig14(rng *rand.Rand, n int) []byte {
-	words := []string{"the", "record", "database", "version", "of", "and",
-		"revision", "content", "chunk", "update", "a", "delta", "system"}
-	var buf bytes.Buffer
-	for buf.Len() < n {
-		buf.WriteString(words[rng.Intn(len(words))])
-		buf.WriteByte(' ')
-	}
-	return buf.Bytes()[:n]
-}
-
-func editFig14(rng *rand.Rand, data []byte) []byte {
-	out := append([]byte(nil), data...)
-	for i := 0; i < 2; i++ {
-		pos := rng.Intn(len(out) - 20)
-		copy(out[pos:], proseFig14(rng, 12))
-	}
-	return out
 }
 
 // Row returns the row for (scheme, h), or nil.

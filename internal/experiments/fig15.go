@@ -68,7 +68,7 @@ func RunFig15(sc Scale) (*Fig15Result, error) {
 		elapsed := time.Since(start)
 		return Fig15Row{
 			Config:           config,
-			CompressionRatio: float64(tgtBytes) / float64(maxI64(deltaBytes, 1)),
+			CompressionRatio: float64(tgtBytes) / float64(max(deltaBytes, 1)),
 			ThroughputMBps:   float64(tgtBytes) / (1 << 20) / elapsed.Seconds(),
 			IndexOps:         idxOps,
 		}

@@ -63,7 +63,7 @@ func RunTieredIdx(sc Scale) (*TieredIdxResult, error) {
 			return 0, nil, err
 		}
 		st := n.Stats()
-		return float64(raw) / float64(maxI64(st.Store.LogicalBytes, 1)), &st.Engine, nil
+		return float64(raw) / float64(max(st.Store.LogicalBytes, 1)), &st.Engine, nil
 	}
 
 	ratio, view, err := run(core.Config{DisableSizeFilter: true})
@@ -80,7 +80,7 @@ func RunTieredIdx(sc Scale) (*TieredIdxResult, error) {
 			return nil, err
 		}
 		cRatio, _, err := run(core.Config{
-			IndexEntries:      maxInt(int(budget/6), 16), // featidx.EntryBytes
+			IndexEntries:      max(int(budget/6), 16), // featidx.EntryBytes
 			DisableSizeFilter: true,
 		})
 		if err != nil {
@@ -154,11 +154,4 @@ func (r *TieredIdxResult) WriteCSV(dir string) error {
 	return writeCSV(dir, "tieredidx.csv",
 		[]string{"budget_frac", "budget_bytes", "used_bytes", "tiered_ratio", "recovered_frac", "cuckoo_ratio", "bloom_fpr", "freezes", "merges"},
 		rows)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

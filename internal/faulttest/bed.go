@@ -129,11 +129,11 @@ func build(row *class, sch Schedule, pt Point) *bed {
 	for i := 0; i < shape.members; i++ {
 		cfg := cluster.MemberConfig{Network: b.mesh.Host(hosts[i]), Listen: memAddrs[i]}
 		if row.topology == clustered {
-			// The joiner starts outside the ring: it owns nothing and
-			// serves nothing until a rebalance pulls it in.
-			cfg.Self, cfg.Ring = memAddrs[i], cluster.NewRing(1, base)
-			if i == 3 {
-				cfg.Ring = cluster.NewRing(0, nil)
+			// The joiner starts with no ring and no data; a rebalance
+			// pulls it in.
+			cfg.Self = memAddrs[i]
+			if i != 3 {
+				cfg.Ring = cluster.NewRing(1, base)
 			}
 		}
 		if i == 0 && row.follows {
@@ -567,7 +567,7 @@ func (b *bed) result() Result {
 		if s.inj != nil {
 			res.DiskFaults += len(s.inj.Events())
 		}
-		if s.Member != nil && s.Shard != nil {
+		if s.Member != nil {
 			res.Transfers += s.Shard.Metrics().TransferRecordsIn.Total()
 		}
 	}

@@ -1,38 +1,13 @@
 package histcheck
 
 import (
-	"bytes"
 	"fmt"
 	"hash"
 	"hash/fnv"
 	"math/rand"
+
+	"dbdedup/internal/workload"
 )
-
-// prose builds dedup-friendly text of length n from a small vocabulary.
-func prose(rng *rand.Rand, n int) []byte {
-	words := []string{"the", "record", "database", "version", "of", "and",
-		"revision", "content", "chunk", "update", "a", "delta", "system"}
-	var buf bytes.Buffer
-	for buf.Len() < n {
-		buf.WriteString(words[rng.Intn(len(words))])
-		buf.WriteByte(' ')
-	}
-	return buf.Bytes()[:n]
-}
-
-// editText mutates data in k places and appends a tail, mimicking a revised
-// document (similar enough to delta-encode against its ancestor).
-func editText(rng *rand.Rand, data []byte, k int) []byte {
-	out := append([]byte(nil), data...)
-	for i := 0; i < k; i++ {
-		if len(out) <= 20 {
-			break
-		}
-		pos := rng.Intn(len(out) - 20)
-		copy(out[pos:], prose(rng, 12))
-	}
-	return append(out, prose(rng, 40)...)
-}
 
 // Outcome is what a harness makes of a failed operation.
 type Outcome int
@@ -109,14 +84,14 @@ func (c *Churn) Step(t Target) error {
 			// Derived content: the engine forward-encodes these, so the
 			// wire carries deltas and a secondary resolves bases.
 			src := keys[c.rng.Intn(len(keys))].val
-			val = editText(c.rng, src, 1+c.rng.Intn(2))
+			val = workload.Revise(c.rng, src, 1+c.rng.Intn(2), 40)
 		} else {
-			val = prose(c.rng, c.mix.BaseSize+c.rng.Intn(1024))
+			val = workload.RevisionText(c.rng, c.mix.BaseSize+c.rng.Intn(1024))
 		}
 		return c.settle("insert", t.Insert(db, key, val), db, -1, key, val)
 	case roll < c.mix.Update:
 		i := c.rng.Intn(len(keys))
-		val := editText(c.rng, keys[i].val, 1)
+		val := workload.Revise(c.rng, keys[i].val, 1, 40)
 		return c.settle("update", t.Update(db, keys[i].key, val), db, i, keys[i].key, val)
 	case roll < c.mix.Delete:
 		i := c.rng.Intn(len(keys))

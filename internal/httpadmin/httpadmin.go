@@ -7,7 +7,7 @@
 //	              bundles as they are, plus the store, oplog, index and
 //	              admission sections of the one node.Stats() it takes
 //	GET /verify   run the online integrity scrub  (JSON; 503 on errors)
-//	GET /cluster  ring status and routing counters (JSON; 404 unclustered)
+//	GET /cluster  ring status and routing counters (JSON)
 //	GET /healthz  liveness probe                  (200 "ok")
 //	GET /         plain-text summary for humans
 package httpadmin
@@ -29,28 +29,23 @@ import (
 	"dbdedup/internal/oplog"
 )
 
-// Server is an HTTP admin listener bound to one node.
+// Server is an HTTP admin listener bound to one member.
 type Server struct {
 	node  *node.Node
-	shard *cluster.Shard // nil on an unclustered node
+	shard *cluster.Shard
 	ln    net.Listener
 	srv   *http.Server
 }
 
-// ListenAndServe starts the admin endpoint on addr for a bare node.
-func ListenAndServe(n *node.Node, addr string) (*Server, error) {
-	return ListenAndServeCluster(n, addr, nil)
-}
-
-// ListenAndServeCluster starts the admin endpoint on addr for a cluster
-// member: /cluster and the index's cluster section render sh's ring state
-// and routing counters. sh may be nil (unclustered).
-func ListenAndServeCluster(n *node.Node, addr string, sh *cluster.Shard) (*Server, error) {
+// ListenAndServe starts the admin endpoint of m on addr: the node's state,
+// and under /cluster and the index's cluster section the shard's ring and
+// routing counters.
+func ListenAndServe(m *cluster.Member, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("httpadmin: %w", err)
 	}
-	s := &Server{node: n, shard: sh, ln: ln}
+	s := &Server{node: m.Node, shard: m.Shard, ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/dbs", s.handleDBs)
@@ -94,7 +89,7 @@ func (s *Server) handleDBs(w http.ResponseWriter, r *http.Request) {
 // histograms as their one-lock summaries), and the sections that are not
 // bundles are cut from the single node.Stats() the request takes. Apply and
 // Repl are all zeros on a node that is not replicating, Admission when no
-// controller is configured; Cluster is null on an unclustered node.
+// controller is configured.
 type metricsView struct {
 	EncodeWorkers int
 	Encode        *metrics.EncodeMetrics
@@ -133,9 +128,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Repl:          s.node.ReplMetrics(),
 		Compaction:    s.node.CompactionMetrics(),
 		Admission:     st.Admission,
-	}
-	if s.shard != nil {
-		v.Cluster = s.shard.Metrics()
+		Cluster:       s.shard.Metrics(),
 	}
 	v.Store.Stats = st.Store
 	v.Store.ReadLatency = s.node.ReadLatency()
@@ -155,10 +148,6 @@ type clusterView struct {
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if s.shard == nil {
-		http.Error(w, "not clustered", http.StatusNotFound)
-		return
-	}
 	writeJSON(w, clusterView{
 		Status: cluster.RingStatus{
 			Self:    s.shard.Self(),
@@ -255,21 +244,19 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 			metrics.FormatBytes(ti.BloomMemoryBytes), ti.BloomChecks,
 			ti.DiskProbes, fpr*100, ti.DiskProbeHits, ti.DiskReadErrors)
 	}
-	if s.shard != nil {
-		ring := s.shard.Ring()
-		cl := s.shard.Metrics()
-		fmt.Fprintf(w, "cluster:  member %s, ring epoch %d (%d members)", s.shard.Self(),
-			ring.Epoch, len(ring.Members))
-		if p := s.shard.Pending(); p != nil {
-			fmt.Fprintf(w, ", rebalance to epoch %d in progress", p.Epoch)
-		}
-		fmt.Fprintf(w, "\n          %d redirects, %d moving answers\n",
-			cl.RedirectsIssued.Total(), cl.MovingAnswered.Total())
-		fmt.Fprintf(w, "          handoffs %d started / %d committed / %d aborted; moved out %d recs (%s), in %d recs (%s)\n",
-			cl.HandoffsStarted.Total(), cl.HandoffsCommitted.Total(), cl.HandoffsAborted.Total(),
-			cl.TransferRecordsOut.Total(), metrics.FormatBytes(cl.TransferBytesOut.Total()),
-			cl.TransferRecordsIn.Total(), metrics.FormatBytes(cl.TransferBytesIn.Total()))
+	ring := s.shard.Ring()
+	cl := s.shard.Metrics()
+	fmt.Fprintf(w, "cluster:  member %s, ring epoch %d (%d members)", s.shard.Self(),
+		ring.Epoch, len(ring.Members))
+	if p := s.shard.Pending(); p != nil {
+		fmt.Fprintf(w, ", rebalance to epoch %d in progress", p.Epoch)
 	}
+	fmt.Fprintf(w, "\n          %d redirects, %d moving answers\n",
+		cl.RedirectsIssued.Total(), cl.MovingAnswered.Total())
+	fmt.Fprintf(w, "          handoffs %d started / %d committed / %d aborted; moved out %d recs (%s), in %d recs (%s)\n",
+		cl.HandoffsStarted.Total(), cl.HandoffsCommitted.Total(), cl.HandoffsAborted.Total(),
+		cl.TransferRecordsOut.Total(), metrics.FormatBytes(cl.TransferBytesOut.Total()),
+		cl.TransferRecordsIn.Total(), metrics.FormatBytes(cl.TransferBytesIn.Total()))
 	fmt.Fprintf(w, "\ndatabases:\n")
 	for _, d := range s.node.DBStats() {
 		verdict := "active"

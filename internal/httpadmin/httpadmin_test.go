@@ -20,22 +20,30 @@ import (
 	"dbdedup/internal/oplog"
 )
 
-func testAdmin(t *testing.T) (*node.Node, *Server) {
+// startAdmin starts a member on loopback ports, as dbdedupd does, and its
+// admin endpoint.
+func startAdmin(t *testing.T, cfg cluster.MemberConfig) (*node.Node, *Server) {
 	t.Helper()
-	n, err := node.Open(node.Options{
-		SyncEncode: true, DisableAutoFlush: true,
-		Engine: core.Config{GovernorWindow: 1 << 30},
-	})
+	cfg.Listen = "127.0.0.1:0"
+	m, err := cluster.StartMember(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { n.Close() })
-	s, err := ListenAndServe(n, "127.0.0.1:0")
+	t.Cleanup(func() { m.Close() })
+	s, err := ListenAndServe(m, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return n, s
+	return m.Node, s
+}
+
+func testAdmin(t *testing.T) (*node.Node, *Server) {
+	t.Helper()
+	return startAdmin(t, cluster.MemberConfig{Node: node.Options{
+		SyncEncode: true, DisableAutoFlush: true,
+		Engine: core.Config{GovernorWindow: 1 << 30},
+	}})
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -157,16 +165,7 @@ func TestMetricsEndpointIncludesApplyPipeline(t *testing.T) {
 // inflates the one compressed block as far as the record's frame, and a read of
 // the block's other, later record extends it.
 func TestReadPathShowsBlocksDecoded(t *testing.T) {
-	n, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true, BlockCompression: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	s, err := ListenAndServe(n, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	n, s := startAdmin(t, cluster.MemberConfig{Node: node.Options{SyncEncode: true, DisableAutoFlush: true, BlockCompression: true}})
 	payload := []byte(strings.Repeat("a record that compresses, sealed into a block. ", 40))
 	read := func(key string) {
 		t.Helper()
@@ -215,16 +214,7 @@ func TestReadPathShowsBlocksDecoded(t *testing.T) {
 // spent, appenders that had to wait for it, failed attempts) shows up under
 // Store in /metrics and on the index page's write: line.
 func TestWritePathShowsBlocksSealed(t *testing.T) {
-	n, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true, BlockCompression: true, BlockSize: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	s, err := ListenAndServe(n, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	n, s := startAdmin(t, cluster.MemberConfig{Node: node.Options{SyncEncode: true, DisableAutoFlush: true, BlockCompression: true, BlockSize: 1 << 10}})
 	payload := []byte(strings.Repeat("one record fills one block and the sealer takes it. ", 40))
 	for _, key := range []string{"a", "b"} {
 		if err := n.Insert("wiki", key, payload); err != nil {
@@ -302,17 +292,7 @@ func objectKeys(t *testing.T, raw json.RawMessage) []string {
 // TestMetricsSections pins /metrics' key set, section by section, and that no
 // number is served under two sections of one response.
 func TestMetricsSections(t *testing.T) {
-	n, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	sh := cluster.NewShard(n, "self:1", cluster.NewRing(1, []string{"self:1"}), nil)
-	s, err := ListenAndServeCluster(n, "127.0.0.1:0", sh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	_, s := testAdmin(t)
 
 	var top map[string]json.RawMessage
 	getMetrics(t, s, &top)
@@ -370,11 +350,21 @@ func TestMetricsSections(t *testing.T) {
 		t.Errorf("FeatIdx.Tiered has %d keys, tiered.Snapshot %d fields", got, want)
 	}
 
-	// An unclustered node has no cluster bundle at all.
-	_, bare := testAdmin(t)
-	getMetrics(t, bare, &top)
-	if string(top["Cluster"]) != "null" {
-		t.Errorf("unclustered Cluster = %s, want null", top["Cluster"])
+	// A member started with no ring configuration answers /cluster too:
+	// the ring-less ring, and the same bundle /metrics serves.
+	var cl struct {
+		Status  cluster.RingStatus
+		Metrics json.RawMessage
+	}
+	code, body := get(t, "http://"+s.Addr()+"/cluster")
+	if err := json.Unmarshal([]byte(body), &cl); code != 200 || err != nil {
+		t.Fatalf("/cluster: %d, %v in %s", code, err, body)
+	}
+	if r := cl.Status.Ring; r == nil || r.Epoch != 0 || len(r.Members) != 0 || cl.Status.Self == "" {
+		t.Errorf("/cluster status of a standalone member = %s", body)
+	}
+	if got := strings.Join(objectKeys(t, cl.Metrics), " "); got != metricsSections["Cluster"] {
+		t.Errorf("/cluster Metrics keys %q, /metrics Cluster keys %q", got, metricsSections["Cluster"])
 	}
 }
 
@@ -383,17 +373,8 @@ func TestMetricsSections(t *testing.T) {
 // formerly duplicated counter is served once, and a histogram summary is of
 // one instant (ordered percentiles) and never loses samples between scrapes.
 func TestScrapeDuringIngest(t *testing.T) {
-	n, err := node.Open(node.Options{DisableAutoFlush: true, BlockCompression: true,
-		Engine: core.Config{GovernorWindow: 1 << 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	s, err := ListenAndServe(n, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	n, s := startAdmin(t, cluster.MemberConfig{Node: node.Options{DisableAutoFlush: true, BlockCompression: true,
+		Engine: core.Config{GovernorWindow: 1 << 30}}})
 
 	const tenants, writers, perWriter = 200, 4, 600
 	var wg sync.WaitGroup

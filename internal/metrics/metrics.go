@@ -502,8 +502,7 @@ type FeatIdxSnapshot struct {
 }
 
 // ClusterMetrics instruments a cluster shard's routing tier: ownership
-// decisions, redirects and forwards, and the handoff/rebalance lifecycle.
-// A node that is not clustered has none (nil).
+// decisions, redirects, and the handoff/rebalance lifecycle.
 type ClusterMetrics struct {
 	// RingEpoch is the highest ring epoch installed (monotonic per member).
 	RingEpoch Gauge

@@ -8,9 +8,8 @@
 // SHA-1, trading a negligible false-positive rate for a large reduction in
 // CPU cost (paper §3.1.1).
 //
-// The implementation covers the three canonical variants:
+// The implementation covers two variants:
 //
-//   - Sum32: MurmurHash3_x86_32
 //   - Sum64: the 64-bit half of MurmurHash3_x64_128 (common "murmur64" use)
 //   - Sum128: MurmurHash3_x64_128
 //
@@ -21,50 +20,9 @@ package murmur
 import "encoding/binary"
 
 const (
-	c1_32 = 0xcc9e2d51
-	c2_32 = 0x1b873593
-
 	c1_64 = 0x87c37b91114253d5
 	c2_64 = 0x4cf5ad432745937f
 )
-
-// Sum32 returns the 32-bit MurmurHash3 of data with the given seed.
-func Sum32(data []byte, seed uint32) uint32 {
-	h1 := seed
-	n := len(data)
-	full := n - n%4
-
-	for i := 0; i < full; i += 4 {
-		k1 := binary.LittleEndian.Uint32(data[i:])
-		k1 *= c1_32
-		k1 = rotl32(k1, 15)
-		k1 *= c2_32
-
-		h1 ^= k1
-		h1 = rotl32(h1, 13)
-		h1 = h1*5 + 0xe6546b64
-	}
-
-	var k1 uint32
-	tail := data[full:]
-	switch len(tail) {
-	case 3:
-		k1 ^= uint32(tail[2]) << 16
-		fallthrough
-	case 2:
-		k1 ^= uint32(tail[1]) << 8
-		fallthrough
-	case 1:
-		k1 ^= uint32(tail[0])
-		k1 *= c1_32
-		k1 = rotl32(k1, 15)
-		k1 *= c2_32
-		h1 ^= k1
-	}
-
-	h1 ^= uint32(n)
-	return fmix32(h1)
-}
 
 // Sum64 returns the first 64 bits of the 128-bit MurmurHash3 of data.
 // It is the conventional "Murmur64" used for chunk-hash features.
@@ -176,17 +134,7 @@ func Sum128(data []byte, seed uint64) (uint64, uint64) {
 	return h1, h2
 }
 
-func rotl32(x uint32, r uint) uint32 { return x<<r | x>>(32-r) }
 func rotl64(x uint64, r uint) uint64 { return x<<r | x>>(64-r) }
-
-func fmix32(h uint32) uint32 {
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	h *= 0xc2b2ae35
-	h ^= h >> 16
-	return h
-}
 
 func fmix64(h uint64) uint64 {
 	h ^= h >> 33

@@ -6,30 +6,6 @@ import (
 	"testing/quick"
 )
 
-// Reference vectors computed with the canonical C++ SMHasher implementation.
-func TestSum32Vectors(t *testing.T) {
-	tests := []struct {
-		in   string
-		seed uint32
-		want uint32
-	}{
-		{"", 0, 0},
-		{"", 1, 0x514e28b7},
-		{"", 0xffffffff, 0x81f16f39},
-		{"a", 0, 0x3c2569b2},
-		{"abc", 0, 0xb3dd93fa},
-		{"hello", 0, 0x248bfa47},
-		{"hello, world", 0, 0x149bbb7f},
-		{"The quick brown fox jumps over the lazy dog", 0, 0x2e4ff723},
-		{"abc", 0x9747b28c, 0xc84a62dd},
-	}
-	for _, tt := range tests {
-		if got := Sum32([]byte(tt.in), tt.seed); got != tt.want {
-			t.Errorf("Sum32(%q, %#x) = %#x, want %#x", tt.in, tt.seed, got, tt.want)
-		}
-	}
-}
-
 // Reference vectors for MurmurHash3_x64_128 from the canonical implementation.
 func TestSum128Vectors(t *testing.T) {
 	tests := []struct {
@@ -66,7 +42,7 @@ func TestDeterminism(t *testing.T) {
 	f := func(data []byte, seed uint64) bool {
 		a1, a2 := Sum128(data, seed)
 		b1, b2 := Sum128(data, seed)
-		return a1 == b1 && a2 == b2 && Sum32(data, uint32(seed)) == Sum32(data, uint32(seed))
+		return a1 == b1 && a2 == b2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -92,15 +68,13 @@ func TestSeedIndependence(t *testing.T) {
 // almost surely.
 func TestTailLengths(t *testing.T) {
 	data := []byte("0123456789abcdefX")
-	prev32 := uint32(0)
 	prev64 := uint64(0)
 	for n := 0; n <= len(data); n++ {
-		h32 := Sum32(data[:n], 7)
 		h64 := Sum64(data[:n], 7)
-		if n > 0 && h32 == prev32 && h64 == prev64 {
+		if n > 0 && h64 == prev64 {
 			t.Errorf("prefix %d hashed identically to prefix %d", n, n-1)
 		}
-		prev32, prev64 = h32, h64
+		prev64 = h64
 	}
 }
 
@@ -129,18 +103,8 @@ func TestAvalanche(t *testing.T) {
 	}
 }
 
-func BenchmarkSum32_1K(b *testing.B)  { benchSum32(b, 1024) }
 func BenchmarkSum64_1K(b *testing.B)  { benchSum64(b, 1024) }
 func BenchmarkSum64_64B(b *testing.B) { benchSum64(b, 64) }
-
-func benchSum32(b *testing.B, n int) {
-	data := bytes.Repeat([]byte("abcdefgh"), n/8)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Sum32(data, 0)
-	}
-}
 
 func benchSum64(b *testing.B, n int) {
 	data := bytes.Repeat([]byte("abcdefgh"), n/8)

@@ -10,6 +10,7 @@ import (
 
 	"dbdedup/internal/delta"
 	"dbdedup/internal/oplog"
+	"dbdedup/internal/workload"
 )
 
 // TestReplicatedInsertBaseMissingAccounting is the regression test for the
@@ -66,7 +67,7 @@ func TestApplierMultiDBConvergence(t *testing.T) {
 	const dbs, versions = 6, 30
 	content := make([][]byte, dbs)
 	for d := range content {
-		content[d] = prose(rng, 2048+d*256)
+		content[d] = workload.RevisionText(rng, 2048+d*256)
 	}
 	for v := 0; v < versions; v++ {
 		for d := 0; d < dbs; d++ {
@@ -78,7 +79,7 @@ func TestApplierMultiDBConvergence(t *testing.T) {
 		}
 		if v%7 == 3 {
 			d := v % dbs
-			prim.Update(fmt.Sprintf("db%02d", d), fmt.Sprintf("v%03d", v-1), prose(rng, 512))
+			prim.Update(fmt.Sprintf("db%02d", d), fmt.Sprintf("v%03d", v-1), workload.RevisionText(rng, 512))
 		}
 		if v%11 == 5 {
 			d := (v + 3) % dbs

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"dbdedup/internal/workload"
 )
 
 // churnedNode opens a node whose background compactor checks every 10 ms
@@ -25,7 +27,7 @@ func churnedNode(t *testing.T, trigger float64) *Node {
 	t.Cleanup(func() { n.Close() })
 
 	rng := rand.New(rand.NewSource(7))
-	payload := prose(rng, 512)
+	payload := workload.RevisionText(rng, 512)
 	for i := 0; i < 20; i++ {
 		n.Insert("db", fmt.Sprintf("k%d", i), payload)
 	}
@@ -112,7 +114,7 @@ func TestDeletePersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(42))
-	base := prose(rng, 4096)
+	base := workload.RevisionText(rng, 4096)
 	keys := make([]string, 8)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("d%d", i)

@@ -14,6 +14,7 @@ import (
 	"dbdedup/internal/chain"
 	"dbdedup/internal/core"
 	"dbdedup/internal/oplog"
+	"dbdedup/internal/workload"
 )
 
 // TestInsertAllocBudget keeps the allocation diet from regressing silently:
@@ -34,7 +35,7 @@ func TestInsertAllocBudget(t *testing.T) {
 		rng.Read(p)
 		return p
 	}
-	rev := prose(rng, payloadLen)
+	rev := workload.RevisionText(rng, payloadLen)
 	revision := func() []byte {
 		rev = editText(rng, rev, 2)[:payloadLen]
 		return rev
@@ -143,7 +144,7 @@ func goldenNodeOps(t testing.TB, n *Node) map[string][]byte {
 	rng := rand.New(rand.NewSource(18))
 	want := make(map[string][]byte)
 	for _, db := range []string{"wiki", "mail"} {
-		content := prose(rng, 3000)
+		content := workload.RevisionText(rng, 3000)
 		for i := 0; i < 40; i++ {
 			key := fmt.Sprintf("v%02d", i)
 			if err := n.Insert(db, key, content); err != nil {
@@ -155,7 +156,7 @@ func goldenNodeOps(t testing.TB, n *Node) map[string][]byte {
 	}
 	n.FlushWritebacks(-1)
 	for _, key := range []string{"v03", "v17", "v39"} {
-		upd := prose(rng, 500)
+		upd := workload.RevisionText(rng, 500)
 		if err := n.Update("wiki", key, upd); err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +260,7 @@ func revisionChain(t *testing.T, revs, payloadLen int) (*Node, [][]byte) {
 		Scheme: chain.Backward, SourceCacheBytes: -1, DisableSizeFilter: true}})
 	rng := rand.New(rand.NewSource(20))
 	content := make([][]byte, revs)
-	rev := prose(rng, payloadLen)
+	rev := workload.RevisionText(rng, payloadLen)
 	for i := range content {
 		content[i] = rev
 		if err := n.Insert("db", fmt.Sprintf("rev-%03d", i), rev); err != nil {
@@ -365,7 +366,7 @@ func TestWritebackAllocBudget(t *testing.T) {
 	n := testNode(t, Options{Dir: t.TempDir(), BlockCompression: true, CacheBlocks: 8,
 		Engine: core.Config{DisableSizeFilter: true}})
 	rng := rand.New(rand.NewSource(21))
-	rev := prose(rng, payloadLen)
+	rev := workload.RevisionText(rng, payloadLen)
 	insert := func(i int) {
 		if err := n.Insert("db", fmt.Sprintf("rev-%04d", i), rev); err != nil {
 			t.Fatal(err)
@@ -415,7 +416,7 @@ func TestReadsStayExactWhileChainsAreRewritten(t *testing.T) {
 	const revs = 240
 	rng := rand.New(rand.NewSource(22))
 	content := make([][]byte, revs)
-	rev := prose(rng, 2048)
+	rev := workload.RevisionText(rng, 2048)
 	for i := range content {
 		content[i] = rev
 		rev = editText(rng, rev, 2)[:2048]
@@ -516,7 +517,7 @@ func TestStaleWalkIsPlannedAgain(t *testing.T) {
 		Scheme: chain.Backward, SourceCacheBytes: -1, DisableSizeFilter: true}})
 	rng := rand.New(rand.NewSource(23))
 	var revs [][]byte
-	rev := prose(rng, 2048)
+	rev := workload.RevisionText(rng, 2048)
 	insert := func() uint64 {
 		i := len(revs)
 		revs = append(revs, rev)
@@ -574,7 +575,7 @@ func TestStaleWalkIsPlannedAgain(t *testing.T) {
 	stale("hop hidden", id0, plan, sc, revs[0])
 
 	// A stacked record read for its visible section is compacted back.
-	pair := prose(rng, 2048)
+	pair := workload.RevisionText(rng, 2048)
 	for _, key := range []string{"a", "b"} {
 		if err := n.Insert("db2", key, pair); err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dbdedup/internal/oplog"
+	"dbdedup/internal/workload"
 )
 
 // asyncNode opens a node with the background encoder pool enabled (the
@@ -46,7 +47,7 @@ func TestEncoderPoolPerDatabaseOrder(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(d)))
 			db := fmt.Sprintf("db%d", d)
-			content := prose(rng, 4096)
+			content := workload.RevisionText(rng, 4096)
 			for v := 0; v < versions; v++ {
 				if err := n.Insert(db, fmt.Sprintf("v%d", v), content); err != nil {
 					t.Errorf("%s v%d: %v", db, v, err)
@@ -122,7 +123,7 @@ func TestEncoderBackpressure(t *testing.T) {
 	n := asyncNode(t, Options{EncodeWorkers: 1, EncodeQueue: 1})
 
 	rng := rand.New(rand.NewSource(3))
-	content := prose(rng, 8192)
+	content := workload.RevisionText(rng, 8192)
 	for v := 0; v < inserts; v++ {
 		if err := n.Insert("db", fmt.Sprintf("v%d", v), content); err != nil {
 			t.Fatal(err)
@@ -183,7 +184,7 @@ func TestEncoderPoolConcurrentMixedOps(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(40 + d)))
 			db := fmt.Sprintf("db%d", d)
-			content := prose(rng, 4096)
+			content := workload.RevisionText(rng, 4096)
 			for v := 0; v < versions; v++ {
 				key := fmt.Sprintf("v%d", v)
 				if err := n.Insert(db, key, content); err != nil {

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"dbdedup/internal/docstore"
+	"dbdedup/internal/workload"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -44,14 +45,14 @@ func runModel(t *testing.T, opts Options, steps int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	model := map[string][]byte{} // key -> expected content
 	var keys []string            // insertion order, live keys
-	base := prose(rng, 4096)
+	base := workload.RevisionText(rng, 4096)
 
 	newContent := func() []byte {
 		// Mix: fresh prose, an edit of the rolling base (dedupable), or
 		// an edit of an existing record's content.
 		switch rng.Intn(3) {
 		case 0:
-			return prose(rng, 200+rng.Intn(4000))
+			return workload.RevisionText(rng, 200+rng.Intn(4000))
 		case 1:
 			base = editText(rng, base, 1+rng.Intn(3))
 			return append([]byte(nil), base...)
@@ -60,7 +61,7 @@ func runModel(t *testing.T, opts Options, steps int, seed int64) {
 				k := keys[rng.Intn(len(keys))]
 				return editText(rng, model[k], 1+rng.Intn(3))
 			}
-			return prose(rng, 1000)
+			return workload.RevisionText(rng, 1000)
 		}
 	}
 
@@ -177,7 +178,7 @@ func TestModelSurvivesReopen(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	model := map[string][]byte{}
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	for i := 0; i < 300; i++ {
 		key := fmt.Sprintf("k%05d", i)
 		if err := n.Insert("db", key, content); err != nil {
@@ -191,7 +192,7 @@ func TestModelSurvivesReopen(t *testing.T) {
 		if i%31 == 0 && i > 0 {
 			k := fmt.Sprintf("k%05d", rng.Intn(i))
 			if _, ok := model[k]; ok {
-				upd := prose(rng, 500)
+				upd := workload.RevisionText(rng, 500)
 				if err := n.Update("db", k, upd); err != nil {
 					t.Fatal(err)
 				}

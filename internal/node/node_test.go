@@ -11,6 +11,7 @@ import (
 	"dbdedup/internal/core"
 	"dbdedup/internal/docstore"
 	"dbdedup/internal/oplog"
+	"dbdedup/internal/workload"
 )
 
 func testNode(t *testing.T, opts Options) *Node {
@@ -28,24 +29,12 @@ func testNode(t *testing.T, opts Options) *Node {
 	return n
 }
 
-func prose(rng *rand.Rand, n int) []byte {
-	words := []string{"the", "record", "database", "version", "of", "and",
-		"revision", "content", "chunk", "update", "a", "delta", "system"}
-	var buf bytes.Buffer
-	for buf.Len() < n {
-		buf.WriteString(words[rng.Intn(len(words))])
-		buf.WriteByte(' ')
-	}
-	return buf.Bytes()[:n]
-}
-
+// editText is this package's revision step: k edits, then a tail whose
+// length is drawn after them. The golden data directory of diet_test.go pins
+// that order of draws.
 func editText(rng *rand.Rand, data []byte, k int) []byte {
-	out := append([]byte(nil), data...)
-	for i := 0; i < k; i++ {
-		pos := rng.Intn(len(out) - 20)
-		copy(out[pos:], prose(rng, 12))
-	}
-	return append(out, prose(rng, 30+rng.Intn(80))...)
+	out := workload.Revise(rng, data, k, 0)
+	return append(out, workload.RevisionText(rng, 30+rng.Intn(80))...)
 }
 
 func TestInsertRead(t *testing.T) {
@@ -71,7 +60,7 @@ func TestInsertRead(t *testing.T) {
 func insertChain(t *testing.T, n *Node, db string, nVersions int, seed int64) [][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	content := prose(rng, 8192)
+	content := workload.RevisionText(rng, 8192)
 	var all [][]byte
 	for i := 0; i < nVersions; i++ {
 		if err := n.Insert(db, fmt.Sprintf("v%d", i), content); err != nil {
@@ -331,7 +320,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(10))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	var versions [][]byte
 	for i := 0; i < 10; i++ {
 		if err := n.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
@@ -393,7 +382,7 @@ func TestReopenAcrossChunkerChange(t *testing.T) {
 		for d := range heads {
 			for r := from; r < to; r++ {
 				if heads[d] == nil {
-					heads[d] = prose(rng, 2048)
+					heads[d] = workload.RevisionText(rng, 2048)
 				} else {
 					heads[d] = editText(rng, heads[d], 2)
 				}
@@ -455,7 +444,7 @@ func TestAsyncEncodePipeline(t *testing.T) {
 	}
 	defer n.Close()
 	rng := rand.New(rand.NewSource(11))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	var versions [][]byte
 	for i := 0; i < 50; i++ {
 		if err := n.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
@@ -546,7 +535,7 @@ func BenchmarkInsertVersioned(b *testing.B) {
 	}
 	defer n.Close()
 	rng := rand.New(rand.NewSource(1))
-	content := prose(rng, 8192)
+	content := workload.RevisionText(rng, 8192)
 	b.SetBytes(int64(len(content)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dbdedup/internal/admission"
+	"dbdedup/internal/workload"
 )
 
 // TestApplierBackpressureCountsOverflows is the applier-side twin of
@@ -19,7 +20,7 @@ func TestApplierBackpressureCountsOverflows(t *testing.T) {
 	prim := testNode(t, Options{})
 	rng := rand.New(rand.NewSource(9))
 	const entries = 200
-	payload := prose(rng, 64<<10)
+	payload := workload.RevisionText(rng, 64<<10)
 	for v := 0; v < entries; v++ {
 		if err := prim.Insert("db", fmt.Sprintf("v%03d", v), payload); err != nil {
 			t.Fatal(err)
@@ -77,7 +78,7 @@ func TestShedAccountingReconciles(t *testing.T) {
 	const goroutines, perG = 16, 25
 	payloads := make([][]byte, goroutines)
 	for g := range payloads {
-		payloads[g] = prose(rand.New(rand.NewSource(int64(g))), 4096)
+		payloads[g] = workload.RevisionText(rand.New(rand.NewSource(int64(g))), 4096)
 	}
 
 	var wg sync.WaitGroup

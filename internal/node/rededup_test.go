@@ -10,6 +10,7 @@ import (
 	"dbdedup/internal/admission"
 	"dbdedup/internal/core"
 	"dbdedup/internal/docstore"
+	"dbdedup/internal/workload"
 )
 
 // rededupWorkload drives the scenario the compaction re-dedup pass exists
@@ -22,7 +23,7 @@ import (
 func rededupWorkload(t testing.TB, n *Node, seed int64, family, spacers int) [][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	template := prose(rng, 1600)
+	template := workload.RevisionText(rng, 1600)
 	docs := make([][]byte, family)
 	for i := range docs {
 		docs[i] = editText(rng, template, 4)
@@ -204,10 +205,10 @@ func TestCompactRededupRecoversShedInserts(t *testing.T) {
 	// worker still sleeps on the primer, sees full occupancy, and latches
 	// the controller into overload for the dwell.
 	rng := rand.New(rand.NewSource(99))
-	if err := n.Insert("fam", "primer", prose(rng, 1600)); err != nil {
+	if err := n.Insert("fam", "primer", workload.RevisionText(rng, 1600)); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Insert("fam", "latch", prose(rng, 1600)); err != nil {
+	if err := n.Insert("fam", "latch", workload.RevisionText(rng, 1600)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -299,7 +300,7 @@ func TestWritebackRefusesChainCycle(t *testing.T) {
 	n := testNode(t, opts)
 
 	rng := rand.New(rand.NewSource(17))
-	docA := prose(rng, 1600)
+	docA := workload.RevisionText(rng, 1600)
 	docB := editText(rng, docA, 4)
 	if err := n.Insert("db", "a", docA); err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"dbdedup/internal/docstore"
 	"dbdedup/internal/faultfs"
 	"dbdedup/internal/oplog"
+	"dbdedup/internal/workload"
 )
 
 // stampRig is a node under test that is either a primary taking client
@@ -65,7 +66,7 @@ func (r *stampRig) do(op func(p *Node) error) {
 func (r *stampRig) chain(contents [][]byte, upTo int, rng *rand.Rand) [][]byte {
 	r.t.Helper()
 	for i := len(contents); i < upTo; i++ {
-		c := prose(rng, 8192)
+		c := workload.RevisionText(rng, 8192)
 		if i > 0 {
 			c = editText(rng, contents[i-1], 2)
 		}
@@ -217,7 +218,7 @@ func TestStampUnderConcurrentMutation(t *testing.T) {
 	go func() { // inserter
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(21))
-		c := prose(rng, 4096)
+		c := workload.RevisionText(rng, 4096)
 		for i := 0; i < revisions; i++ {
 			final[i] = c
 			if err := n.Insert("wiki", fmt.Sprintf("v%d", i), c); err != nil {
@@ -318,7 +319,7 @@ func TestFailedDeleteChangesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(3))
-				v0 := prose(rng, 4096)
+				v0 := workload.RevisionText(rng, 4096)
 				v1 := editText(rng, v0, 2)
 				must := func(err error) {
 					t.Helper()
@@ -343,7 +344,7 @@ func TestFailedDeleteChangesNothing(t *testing.T) {
 				if n, err = Open(opts); err != nil {
 					t.Fatal(err)
 				}
-				must(n.Insert("db", "filler", prose(rng, 1024)))
+				must(n.Insert("db", "filler", workload.RevisionText(rng, 1024)))
 				// A compaction pass starts by waiting for the sealer; with one
 				// segment it then finds no victim and leaves the error where it is.
 				if _, err := n.Store().Compact(); err != nil || n.Stats().Store.SealErrors != 1 {
@@ -462,7 +463,7 @@ func TestStampUnderMutationRacingFlush(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		for i := 0; i < 16; i++ {
 			old, cur := fmt.Sprintf("r%d.%d.old", round, i), fmt.Sprintf("r%d.%d.new", round, i)
-			want[old] = prose(rng, 16<<10)
+			want[old] = workload.RevisionText(rng, 16<<10)
 			want[cur] = editText(rng, want[old], 2)
 			if err := errors.Join(n.Insert("db", old, want[old]), n.Insert("db", cur, want[cur])); err != nil {
 				t.Fatal(err)
@@ -638,7 +639,7 @@ func staleSourceCache(t *testing.T, replica bool, mutation string) {
 		}
 	}
 	rng := rand.New(rand.NewSource(25))
-	v0 := prose(rng, 8192)
+	v0 := workload.RevisionText(rng, 8192)
 	v1 := editText(rng, v0, 2)
 	v2 := editText(rng, v1, 2)
 	insert("v0", v0)

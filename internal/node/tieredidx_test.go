@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dbdedup/internal/core"
+	"dbdedup/internal/workload"
 )
 
 // tieredCorpus drives an eviction-bound workload: `families` templates whose
@@ -21,7 +22,7 @@ func tieredCorpus(t *testing.T, n *Node, families, rounds int) {
 	rng := rand.New(rand.NewSource(11))
 	templates := make([][]byte, families)
 	for i := range templates {
-		templates[i] = prose(rng, 1600)
+		templates[i] = workload.RevisionText(rng, 1600)
 	}
 	for r := 0; r < rounds; r++ {
 		for f := range templates {
@@ -71,7 +72,7 @@ func TestTieredIndexRecoversDedupAtFractionalBudget(t *testing.T) {
 
 	// Control: no cold tier, the cuckoo table squeezed into the same bytes.
 	squeezed := testNode(t, Options{Engine: core.Config{
-		IndexEntries: maxInt(int(budget/6), 16), // featidx.EntryBytes
+		IndexEntries: max(int(budget/6), 16), // featidx.EntryBytes
 	}})
 	tieredCorpus(t, squeezed, families, rounds)
 	ratioSqueezed := dedupRatio(squeezed)
@@ -128,7 +129,7 @@ func TestBudgetedIndexUnderWorkloadMix(t *testing.T) {
 	const families, rounds = 60, 80
 	templates := make([][]byte, families)
 	for i := range templates {
-		templates[i] = prose(rng, 1600)
+		templates[i] = workload.RevisionText(rng, 1600)
 	}
 	want := make(map[string][]byte)
 	insertRound := func(n *Node, round int) {
@@ -216,7 +217,7 @@ func TestStaleIndexRunsRemovedOnReopen(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, db := range []string{"a", "b"} {
 		for i := 0; i < 400; i++ {
-			if err := crashed.Insert(db, fmt.Sprintf("k%03d", i), prose(rng, 4096)); err != nil {
+			if err := crashed.Insert(db, fmt.Sprintf("k%03d", i), workload.RevisionText(rng, 4096)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -233,17 +234,10 @@ func TestStaleIndexRunsRemovedOnReopen(t *testing.T) {
 	if left := runs(); len(left) != 0 {
 		t.Fatalf("%d run files of the previous incarnation survive the reopen: %v", len(left), left)
 	}
-	if err := n.Insert("c", "k", prose(rng, 4096)); err != nil {
+	if err := n.Insert("c", "k", workload.RevisionText(rng, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if left := runs(); len(left) != 0 {
 		t.Fatalf("run files present before any freeze of this incarnation: %v", left)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -250,16 +250,6 @@ func (l *Log) Stats() Stats {
 		EvictedByEntries: l.evictedByEntries, EvictedByBytes: l.evictedByBytes}
 }
 
-// TrimTo discards entries with Seq <= seq (e.g. once acknowledged by all
-// secondaries).
-func (l *Log) TrimTo(seq uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.count > 0 && l.first <= seq {
-		l.dropOldest()
-	}
-}
-
 // Marshal serialises the entry:
 //
 //	uvarint seq | varint ts | op byte | form byte |

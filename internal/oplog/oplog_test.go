@@ -60,24 +60,6 @@ func TestRingOverflowTruncates(t *testing.T) {
 	}
 }
 
-func TestTrimTo(t *testing.T) {
-	l := New(16)
-	for i := 1; i <= 10; i++ {
-		l.Append(Entry{Op: OpInsert, Key: "k", Payload: []byte("xxxx")})
-	}
-	l.TrimTo(7)
-	if l.Len() != 3 {
-		t.Fatalf("Len after trim = %d, want 3", l.Len())
-	}
-	if _, err := l.EntriesSince(5, 0); err != ErrTruncated {
-		t.Fatal("trimmed entries still served")
-	}
-	got, err := l.EntriesSince(7, 0)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("EntriesSince(7) after trim: %v, %v", got, err)
-	}
-}
-
 func TestBytesAccounting(t *testing.T) {
 	l := New(4)
 	var want int64
@@ -265,14 +247,6 @@ func TestEntriesSinceMatchesScan(t *testing.T) {
 		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i)})
 		checkAgainstScan(t, l, fmt.Sprintf("wrapped at %d", i))
 	}
-	l.TrimTo(17)
-	checkAgainstScan(t, l, "trimmed")
-	l.Append(Entry{Op: OpInsert, Key: "after-trim"})
-	checkAgainstScan(t, l, "append after trim")
-	l.TrimTo(l.LastSeq() + 10)
-	checkAgainstScan(t, l, "trimmed empty")
-	l.Append(Entry{Op: OpInsert, Key: "after-empty"})
-	checkAgainstScan(t, l, "append after empty")
 
 	// Byte eviction: the entries share one payload slice, so the log's
 	// accounting hits MaxRetainedBytes without the test holding 64 MiB.
@@ -334,10 +308,6 @@ func TestByteBoundEvictsOldestAndClearsSlots(t *testing.T) {
 	}
 	if st := l.Stats(); st.EvictedByEntries != 5 || st.EvictedByBytes != 0 {
 		t.Fatalf("entry-bound evictions: %+v", st)
-	}
-	l.TrimTo(7)
-	if n := live(l); n != 2 || l.Len() != 2 {
-		t.Fatalf("TrimTo left %d populated slots for %d retained entries", n, l.Len())
 	}
 }
 

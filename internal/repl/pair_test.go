@@ -10,9 +10,8 @@ import (
 	"dbdedup/internal/cluster"
 	"dbdedup/internal/node"
 	"dbdedup/internal/repl"
+	"dbdedup/internal/workload"
 )
-
-var prose, editText = repl.Prose, repl.EditText
 
 // testPair starts a primary and a secondary following it, each a
 // cluster.Member on loopback ports, as dbdedupd starts them.
@@ -38,14 +37,14 @@ func TestReplicationOverTCP(t *testing.T) {
 	prim, sec, s := testPair(t)
 
 	rng := rand.New(rand.NewSource(1))
-	content := prose(rng, 8192)
+	content := workload.RevisionText(rng, 8192)
 	var versions [][]byte
 	for i := 0; i < 30; i++ {
 		if err := prim.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
 			t.Fatal(err)
 		}
 		versions = append(versions, content)
-		content = editText(rng, content, 2)
+		content = workload.Revise(rng, content, 2, 40)
 	}
 	prim.Update("wiki", "v5", []byte("updated over the wire"))
 	prim.Delete("wiki", "v7")
@@ -79,14 +78,14 @@ func TestReplicationTrafficReduced(t *testing.T) {
 	prim, _, s := testPair(t)
 
 	rng := rand.New(rand.NewSource(2))
-	content := prose(rng, 8192)
+	content := workload.RevisionText(rng, 8192)
 	var raw int64
 	for i := 0; i < 40; i++ {
 		if err := prim.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
 			t.Fatal(err)
 		}
 		raw += int64(len(content))
-		content = editText(rng, content, 2)
+		content = workload.Revise(rng, content, 2, 40)
 	}
 	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -100,12 +99,12 @@ func TestReplicationTrafficReduced(t *testing.T) {
 func TestContinuousReplicationWhileWriting(t *testing.T) {
 	prim, sec, s := testPair(t)
 	rng := rand.New(rand.NewSource(5))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	for i := 0; i < 100; i++ {
 		if err := prim.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
 			t.Fatal(err)
 		}
-		content = editText(rng, content, 1)
+		content = workload.Revise(rng, content, 1, 40)
 		if i%10 == 0 {
 			time.Sleep(time.Millisecond) // let the stream interleave
 		}

@@ -106,9 +106,9 @@ type PrimaryOptions struct {
 	// Network is the transport seam (default netsim.Default, i.e. TCP).
 	Network netsim.Network
 	// HeartbeatInterval is how often a caught-up stream emits a heartbeat
-	// frame (default 1s; <0 disables).
+	// frame (default 1s).
 	HeartbeatInterval time.Duration
-	// WriteTimeout bounds each frame write (default 10s; <0 disables). A
+	// WriteTimeout bounds each frame write (default 10s). A
 	// partitioned or wedged secondary fails its connection instead of
 	// pinning a serve goroutine forever.
 	WriteTimeout time.Duration
@@ -120,10 +120,10 @@ func (o PrimaryOptions) withDefaults() PrimaryOptions {
 	if o.Network == nil {
 		o.Network = netsim.Default
 	}
-	if o.HeartbeatInterval == 0 {
+	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = time.Second
 	}
-	if o.WriteTimeout == 0 {
+	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 10 * time.Second
 	}
 	if o.Metrics == nil {
@@ -217,9 +217,7 @@ func (p *Primary) acceptLoop() {
 // send writes one frame under the primary's per-frame write deadline and
 // accounts the bytes.
 func (p *Primary) send(conn net.Conn, fw *frameWriter, typ byte, payload []byte) error {
-	if p.opts.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(p.opts.WriteTimeout))
-	}
+	conn.SetWriteDeadline(time.Now().Add(p.opts.WriteTimeout))
 	n, err := fw.write(typ, payload)
 	if err != nil {
 		return err
@@ -305,7 +303,7 @@ func (p *Primary) serveConn(conn net.Conn) {
 			if closed {
 				return
 			}
-			if p.opts.HeartbeatInterval > 0 && time.Since(lastSend) >= p.opts.HeartbeatInterval {
+			if time.Since(lastSend) >= p.opts.HeartbeatInterval {
 				if err := p.send(conn, fw, frameHeartbeat, nil); err != nil {
 					return
 				}
@@ -509,8 +507,7 @@ type Options struct {
 	// instead of stalling an apply worker forever.
 	FetchTimeout time.Duration
 	// FetchRetries is how many times a failed base-fetch redials and
-	// retries before the error poisons the apply pool (default 1;
-	// <0 disables retries).
+	// retries before the error poisons the apply pool (default 1).
 	FetchRetries int
 
 	// Network is the transport seam (default netsim.Default, i.e. TCP).
@@ -528,7 +525,7 @@ type Options struct {
 	// DialTimeout bounds each dial + hello (default 3s).
 	DialTimeout time.Duration
 	// IdleTimeout is how long the stream may stay silent before the
-	// secondary declares the path dead (default 30s; <0 disables). The
+	// secondary declares the path dead (default 30s). The
 	// primary heartbeats every HeartbeatInterval, so a healthy idle
 	// stream never trips this.
 	IdleTimeout time.Duration
@@ -544,7 +541,7 @@ func (o Options) withDefaults() Options {
 	if o.FetchTimeout <= 0 {
 		o.FetchTimeout = DefaultFetchTimeout
 	}
-	if o.FetchRetries == 0 {
+	if o.FetchRetries <= 0 {
 		o.FetchRetries = 1
 	}
 	if o.Network == nil {
@@ -559,7 +556,7 @@ func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 3 * time.Second
 	}
-	if o.IdleTimeout == 0 {
+	if o.IdleTimeout <= 0 {
 		o.IdleTimeout = 30 * time.Second
 	}
 	return o
@@ -761,9 +758,7 @@ func (s *Secondary) stream() (progressed bool, err error) {
 	conn, fr := s.conn, s.fr
 	s.mu.Unlock()
 	for {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
+		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		typ, payload, rerr := fr.read()
 		if rerr != nil {
 			var ne net.Error

@@ -15,32 +15,8 @@ import (
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/netsim"
 	"dbdedup/internal/node"
+	"dbdedup/internal/workload"
 )
-
-// Prose and EditText hand the content generators to the tests of package
-// repl_test (pair_test.go): those start their pair through internal/cluster,
-// which imports this package, so they cannot live in it.
-var Prose, EditText = prose, editText
-
-func prose(rng *rand.Rand, n int) []byte {
-	words := []string{"the", "record", "database", "version", "of", "and",
-		"revision", "content", "chunk", "update", "a", "delta", "system"}
-	var buf bytes.Buffer
-	for buf.Len() < n {
-		buf.WriteString(words[rng.Intn(len(words))])
-		buf.WriteByte(' ')
-	}
-	return buf.Bytes()[:n]
-}
-
-func editText(rng *rand.Rand, data []byte, k int) []byte {
-	out := append([]byte(nil), data...)
-	for i := 0; i < k; i++ {
-		pos := rng.Intn(len(out) - 20)
-		copy(out[pos:], prose(rng, 12))
-	}
-	return append(out, prose(rng, 40)...)
-}
 
 func TestLateJoiningSecondary(t *testing.T) {
 	popts := node.Options{SyncEncode: true, DisableAutoFlush: true}
@@ -52,12 +28,12 @@ func TestLateJoiningSecondary(t *testing.T) {
 	defer prim.Close()
 
 	rng := rand.New(rand.NewSource(3))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	var versions [][]byte
 	for i := 0; i < 10; i++ {
 		prim.Insert("wiki", fmt.Sprintf("v%d", i), content)
 		versions = append(versions, content)
-		content = editText(rng, content, 2)
+		content = workload.Revise(rng, content, 2, 40)
 	}
 
 	p, err := ListenAndServe(prim, "127.0.0.1:0")
@@ -103,7 +79,7 @@ func TestSnapshotResyncAfterTruncation(t *testing.T) {
 	defer prim.Close()
 
 	rng := rand.New(rand.NewSource(4))
-	content := prose(rng, 2048)
+	content := workload.RevisionText(rng, 2048)
 	want := map[string][]byte{}
 	for i := 0; i < 60; i++ {
 		key := fmt.Sprintf("k%03d", i)
@@ -111,7 +87,7 @@ func TestSnapshotResyncAfterTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[key] = content
-		content = editText(rng, content, 2)
+		content = workload.Revise(rng, content, 2, 40)
 	}
 	prim.Update("db", "k010", []byte("updated before resync"))
 	want["k010"] = []byte("updated before resync")
@@ -180,7 +156,7 @@ func TestSnapshotResyncWithConcurrentWrites(t *testing.T) {
 	defer prim.Close()
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 40; i++ {
-		prim.Insert("db", fmt.Sprintf("k%03d", i), prose(rng, 1024))
+		prim.Insert("db", fmt.Sprintf("k%03d", i), workload.RevisionText(rng, 1024))
 	}
 	p, err := ListenAndServe(prim, "127.0.0.1:0")
 	if err != nil {
@@ -201,7 +177,7 @@ func TestSnapshotResyncWithConcurrentWrites(t *testing.T) {
 
 	// Keep writing while the snapshot streams.
 	for i := 40; i < 80; i++ {
-		prim.Insert("db", fmt.Sprintf("k%03d", i), prose(rng, 1024))
+		prim.Insert("db", fmt.Sprintf("k%03d", i), workload.RevisionText(rng, 1024))
 	}
 	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -232,11 +208,11 @@ func TestBaseMissFetchFallback(t *testing.T) {
 	defer prim.Close()
 
 	rng := rand.New(rand.NewSource(6))
-	base := prose(rng, 4096)
+	base := workload.RevisionText(rng, 4096)
 	if err := prim.Insert("db", "base", base); err != nil {
 		t.Fatal(err)
 	}
-	derived := editText(rng, base, 2)
+	derived := workload.Revise(rng, base, 2, 40)
 	if err := prim.Insert("db", "derived", derived); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +277,7 @@ func TestPrimaryRestartDetectedByEpoch(t *testing.T) {
 	prim := mkPrim()
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 20; i++ {
-		prim.Insert("db", fmt.Sprintf("k%02d", i), prose(rng, 1024))
+		prim.Insert("db", fmt.Sprintf("k%02d", i), workload.RevisionText(rng, 1024))
 	}
 
 	srv, err := ListenAndServe(prim, "127.0.0.1:0")
@@ -420,7 +396,7 @@ func TestMultipleSecondaries(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(10))
-	content := prose(rng, 4096)
+	content := workload.RevisionText(rng, 4096)
 	var keys []string
 	for i := 0; i < 40; i++ {
 		key := fmt.Sprintf("v%d", i)
@@ -428,7 +404,7 @@ func TestMultipleSecondaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		keys = append(keys, key)
-		content = editText(rng, content, 2)
+		content = workload.Revise(rng, content, 2, 40)
 	}
 
 	last := prim.Oplog().LastSeq()
@@ -486,7 +462,7 @@ func TestShardedApplyMultiDBStress(t *testing.T) {
 	const dbs, versions = 8, 40
 	content := make([][]byte, dbs)
 	for d := range content {
-		content[d] = prose(rng, 2048+128*d)
+		content[d] = workload.RevisionText(rng, 2048+128*d)
 	}
 	for v := 0; v < versions; v++ {
 		for d := 0; d < dbs; d++ {
@@ -494,10 +470,10 @@ func TestShardedApplyMultiDBStress(t *testing.T) {
 			if err := prim.Insert(db, fmt.Sprintf("v%03d", v), content[d]); err != nil {
 				t.Fatal(err)
 			}
-			content[d] = editText(rng, content[d], 2)
+			content[d] = workload.Revise(rng, content[d], 2, 40)
 		}
 		if v%5 == 2 {
-			prim.Update(fmt.Sprintf("db%02d", v%dbs), fmt.Sprintf("v%03d", v-1), prose(rng, 700))
+			prim.Update(fmt.Sprintf("db%02d", v%dbs), fmt.Sprintf("v%03d", v-1), workload.RevisionText(rng, 700))
 		}
 		if v%9 == 4 {
 			prim.Delete(fmt.Sprintf("db%02d", (v+5)%dbs), fmt.Sprintf("v%03d", v-3))
@@ -555,7 +531,7 @@ func TestShardedApplySnapshotResyncStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const dbs = 4
 	for i := 0; i < 60; i++ {
-		prim.Insert(fmt.Sprintf("db%d", i%dbs), fmt.Sprintf("k%03d", i), prose(rng, 1024))
+		prim.Insert(fmt.Sprintf("db%d", i%dbs), fmt.Sprintf("k%03d", i), workload.RevisionText(rng, 1024))
 	}
 	p, err := ListenAndServe(prim, "127.0.0.1:0")
 	if err != nil {
@@ -577,7 +553,7 @@ func TestShardedApplySnapshotResyncStress(t *testing.T) {
 	// Keep writing while the snapshot streams: these land in the lenient
 	// window.
 	for i := 60; i < 120; i++ {
-		prim.Insert(fmt.Sprintf("db%d", i%dbs), fmt.Sprintf("k%03d", i), prose(rng, 1024))
+		prim.Insert(fmt.Sprintf("db%d", i%dbs), fmt.Sprintf("k%03d", i), workload.RevisionText(rng, 1024))
 	}
 	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 20*time.Second); err != nil {
 		t.Fatal(err)
@@ -1016,12 +992,12 @@ func TestRestartedSecondaryAsksForASnapshot(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(9))
-	content := prose(rng, 2048)
+	content := workload.RevisionText(rng, 2048)
 	for i := 0; i < 10; i++ {
 		if err := prim.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
 			t.Fatal(err)
 		}
-		content = editText(rng, content, 1)
+		content = workload.Revise(rng, content, 1, 40)
 	}
 	sec, s := session()
 	waitApplied(t, s, prim.Oplog().LastSeq())

@@ -10,12 +10,12 @@
 // and every operation's latency is measured from its *scheduled arrival
 // time*, so queueing collapse shows up as the multi-second p99 it really is.
 //
-// The harness drives the real apiserver TCP surface with thousands of
-// tenant databases running mixed workload blends, classifies every outcome
-// into an error taxonomy, records each acknowledged insert in the shared
-// acked-write history (package histcheck: key + payload hash) so lost acked
-// writes are provable, and renders reports as text and CSV rows for
-// results_csv/storm_*.csv.
+// The harness drives the real apiserver TCP surface through the routing
+// client (package cluster) with thousands of tenant databases running mixed
+// workload blends, classifies every outcome into an error taxonomy, records
+// each acknowledged insert in the shared acked-write history (package
+// histcheck: key + payload hash) so lost acked writes are provable, and
+// renders reports as text and CSV rows for results_csv/storm_*.csv.
 package stormtest
 
 import (
@@ -40,13 +40,10 @@ import (
 
 // Config parameterises one storm.
 type Config struct {
-	// Addr is the apiserver TCP address to drive.
-	Addr string
-	// Addrs, when non-empty, switches the storm to cluster mode: workers
-	// drive the sharded cluster through the cluster-aware client (following
-	// wrong-shard redirects, retrying moving shards) instead of a single
-	// raw connection, and the report gains a per-shard goodput/latency
-	// breakdown. Addr is ignored in cluster mode.
+	// Addrs are the members to drive: one standalone member, or seeds of a
+	// ring. Every worker holds its own routing client (one connection per
+	// member, wrong-shard redirects followed, moving shards and broken
+	// connections retried).
 	Addrs []string
 	// Rate is the offered load in operations/second.
 	Rate float64
@@ -58,7 +55,8 @@ type Config struct {
 	// Tenants is the number of tenant databases (default 100). Tenant
 	// popularity is Zipf-skewed: low tenant ids are hot.
 	Tenants int
-	// Conns is the number of client connections / workers (default 8).
+	// Conns is the number of workers, each with its own connections
+	// (default 8).
 	Conns int
 	// Seed pins the arrival schedule and every tenant trace.
 	Seed int64
@@ -73,8 +71,7 @@ type Config struct {
 	// Burst sizes are Pareto-distributed with tail index paretoAlpha and
 	// capped at 64×MeanBurst so one draw cannot be the whole storm.
 	MeanBurst float64
-	// Timeout is the per-request client deadline (default 30s). A timed-out
-	// connection is redialled.
+	// Timeout is the per-request client deadline (default 30s).
 	Timeout time.Duration
 }
 
@@ -109,7 +106,7 @@ const (
 	ErrClassOverloaded = "overloaded" // rejected by admission control
 	ErrClassNotFound   = "notfound"   // read of a key that is not there
 	ErrClassTimeout    = "timeout"    // request deadline exceeded
-	ErrClassConn       = "conn"       // dial/transport failure
+	ErrClassConn       = "conn"       // dial/transport failure that outlasted the client's retries
 	ErrClassOther      = "other"      // anything else the server said
 )
 
@@ -144,8 +141,8 @@ type Report struct {
 	GoodputOps float64
 	GoodputMB  float64
 
-	// Shards breaks the acked load down per cluster member, in ring order
-	// (cluster storms only — empty for single-node runs).
+	// Shards breaks the acked load down per member, in ring order (one row
+	// for a standalone member).
 	Shards []ShardLoad
 
 	acked *histcheck.History
@@ -211,31 +208,6 @@ type job struct {
 	scheduled time.Time
 }
 
-// stormConn is what a worker drives: a raw apiserver connection, or the
-// redirect-following cluster client in cluster storms. owner names the ring
-// member an operation was routed to ("" when not clustered).
-type stormConn struct {
-	histcheck.Target
-	owner func(db string) string
-	close func()
-}
-
-func dialStorm(cfg Config) (*stormConn, error) {
-	if len(cfg.Addrs) > 0 {
-		cc, err := cluster.DialCluster(cfg.Addrs, cluster.ClientOptions{Timeout: cfg.Timeout})
-		if err != nil {
-			return nil, err
-		}
-		return &stormConn{cc, func(db string) string { return cc.Ring().Owner(db) }, cc.Close}, nil
-	}
-	c, err := apiserver.Dial(cfg.Addr)
-	if err != nil {
-		return nil, err
-	}
-	c.SetTimeout(cfg.Timeout)
-	return &stormConn{c, func(string) string { return "" }, func() { c.Close() }}, nil
-}
-
 // shardTable accumulates per-member acked counters, keyed by ring member.
 type shardTable struct {
 	mu sync.Mutex
@@ -257,11 +229,8 @@ func newShardTable(members []string) *shardTable {
 }
 
 // agg returns member's accumulator, creating one for members that joined the
-// ring after the storm started. "" (not clustered) gets nil.
+// ring after the storm started.
 func (t *shardTable) agg(member string) *shardAgg {
-	if member == "" {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	a := t.m[member]
@@ -318,7 +287,8 @@ func (t *tenant) next() workload.Op {
 	return op
 }
 
-// Run executes one storm against cfg.Addr and returns its report.
+// Run executes one storm against the members behind cfg.Addrs and returns
+// its report. Members that cannot be reached before it starts are an error.
 func Run(label string, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Rate <= 0 || cfg.Duration <= 0 {
@@ -368,74 +338,56 @@ func Run(label string, cfg Config) (*Report, error) {
 		errMu.Unlock()
 	}
 
-	clustered := len(cfg.Addrs) > 0
-	shards := newShardTable(cfg.Addrs)
+	// Dial before the clock starts: an unreachable deployment is the
+	// caller's error, not a storm of conn errors.
+	clients := make([]*cluster.Client, cfg.Conns)
+	for w := range clients {
+		cc, err := cluster.DialCluster(cfg.Addrs, cluster.ClientOptions{Timeout: cfg.Timeout})
+		if err != nil {
+			for _, c := range clients[:w] {
+				c.Close()
+			}
+			return nil, fmt.Errorf("stormtest: %w", err)
+		}
+		clients[w] = cc
+	}
+	shards := newShardTable(clients[0].Members())
 
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Conns; w++ {
+	for _, client := range clients {
 		wg.Add(1)
-		go func() {
+		go func(client *cluster.Client) {
 			defer wg.Done()
-			var client *stormConn
-			redial := func() bool {
-				if client != nil {
-					client.close()
-					client = nil
-				}
-				c, err := dialStorm(cfg)
-				if err != nil {
-					return false
-				}
-				client = c
-				return true
-			}
-			defer func() {
-				if client != nil {
-					client.close()
-				}
-			}()
+			defer client.Close()
 			for j := range dispatch {
-				if client == nil && !redial() {
-					countErr(ErrClassConn)
-					continue
-				}
 				switch j.op.Kind {
 				case workload.OpInsert:
 					err := client.Insert(j.op.DB, j.op.Key, j.op.Payload)
-					if err == nil {
-						d := time.Since(j.scheduled)
-						latIns.Observe(d)
-						ackedIns.Add(1)
-						insBytes.Add(int64(len(j.op.Payload)))
-						rep.acked.Acked(j.op.DB, j.op.Key, j.op.Payload)
-						if sa := shards.agg(client.owner(j.op.DB)); sa != nil {
-							sa.ops.Add(1)
-							sa.bytes.Add(int64(len(j.op.Payload)))
-							sa.lat.Observe(d)
-						}
+					if err != nil {
+						countErr(classify(err))
 						continue
 					}
-					countErr(classify(err))
-					if isTransport(err) {
-						redial()
-					}
+					d := time.Since(j.scheduled)
+					latIns.Observe(d)
+					ackedIns.Add(1)
+					insBytes.Add(int64(len(j.op.Payload)))
+					rep.acked.Acked(j.op.DB, j.op.Key, j.op.Payload)
+					sa := shards.agg(client.Ring().Owner(j.op.DB))
+					sa.ops.Add(1)
+					sa.bytes.Add(int64(len(j.op.Payload)))
+					sa.lat.Observe(d)
 				case workload.OpRead:
 					_, err := client.Get(j.op.DB, j.op.Key)
-					if err == nil {
-						latRead.Observe(time.Since(j.scheduled))
-						ackedRead.Add(1)
-						if sa := shards.agg(client.owner(j.op.DB)); sa != nil {
-							sa.ops.Add(1)
-						}
+					if err != nil {
+						countErr(classify(err))
 						continue
 					}
-					countErr(classify(err))
-					if isTransport(err) {
-						redial()
-					}
+					latRead.Observe(time.Since(j.scheduled))
+					ackedRead.Add(1)
+					shards.agg(client.Ring().Owner(j.op.DB)).ops.Add(1)
 				}
 			}
-		}()
+		}(client)
 	}
 
 	// Arrival scheduler: compound Poisson. Bursts arrive with exponential
@@ -496,9 +448,7 @@ func Run(label string, cfg Config) (*Report, error) {
 		rep.GoodputOps = float64(rep.AckedInserts+rep.AckedReads) / secs
 		rep.GoodputMB = float64(rep.InsertBytes) / (1 << 20) / secs
 	}
-	if clustered {
-		rep.Shards = shards.loads(secs)
-	}
+	rep.Shards = shards.loads(secs)
 	return rep, nil
 }
 
@@ -513,47 +463,20 @@ func zipfTenant(rng *rand.Rand, n int) int {
 }
 
 func classify(err error) string {
+	var ne net.Error
+	var amb *cluster.AmbiguousError
 	switch {
 	case errors.Is(err, apiserver.ErrOverloaded):
 		return ErrClassOverloaded
 	case errors.Is(err, apiserver.ErrNotFound):
 		return ErrClassNotFound
+	case errors.As(err, &ne) && ne.Timeout():
+		return ErrClassTimeout
+	case errors.As(err, &amb):
+		return ErrClassConn
 	default:
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return ErrClassTimeout
-		}
-		if isTransport(err) {
-			return ErrClassConn
-		}
 		return ErrClassOther
 	}
-}
-
-// isTransport reports whether the error poisoned the connection (the next
-// request would read this one's leftovers), so the worker must redial.
-func isTransport(err error) bool {
-	if errors.Is(err, apiserver.ErrNotFound) || errors.Is(err, apiserver.ErrOverloaded) {
-		return false
-	}
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return true
-	}
-	s := err.Error()
-	return strings.Contains(s, "EOF") || strings.Contains(s, "closed") ||
-		strings.Contains(s, "reset") || strings.Contains(s, "broken pipe")
-}
-
-// dialServers opens a routing client over the servers the storm drove: the
-// ring behind cfg.Addrs, or the node at cfg.Addr (a bare node is a one-member
-// ring to the cluster client).
-func dialServers(cfg Config) (*cluster.Client, error) {
-	addrs := cfg.Addrs
-	if len(addrs) == 0 {
-		addrs = []string{cfg.Addr}
-	}
-	return cluster.DialCluster(addrs, cluster.ClientOptions{})
 }
 
 // VerifyAckedWrites re-reads every acknowledged insert through a fresh
@@ -562,7 +485,7 @@ func dialServers(cfg Config) (*cluster.Client, error) {
 // acknowledged write is never lost, shed or not — whatever member acked it,
 // and wherever rebalancing later placed its database.
 func (r *Report) VerifyAckedWrites() (lost, corrupt int, err error) {
-	cc, err := dialServers(r.Config)
+	cc, err := cluster.DialCluster(r.Config.Addrs, cluster.ClientOptions{})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -607,7 +530,7 @@ func serverLines(addr string, st node.Stats) string {
 // client API and returns each one's own account of what the storm left
 // behind, in ring order.
 func ServerLines(cfg Config) ([]string, error) {
-	cc, err := dialServers(cfg)
+	cc, err := cluster.DialCluster(cfg.Addrs, cluster.ClientOptions{})
 	if err != nil {
 		return nil, err
 	}

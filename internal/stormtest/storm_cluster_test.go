@@ -80,7 +80,7 @@ func TestStormClusterScaling(t *testing.T) {
 
 	local := startLocal(t, nopts)
 	single := base
-	single.Addr = local.Addr()
+	single.Addrs = []string{local.Addr()}
 	repS, err := Run("single", single)
 	if err != nil {
 		t.Fatal(err)
@@ -128,10 +128,12 @@ func TestStormClusterScaling(t *testing.T) {
 	t.Logf("wall-clock ratios (not asserted; results_csv/storm_cluster.csv is the scaling record): goodput %.2f×, p99 %.2f×",
 		repC.GoodputOps/repS.GoodputOps, float64(repC.Insert.P99US)/float64(repS.Insert.P99US))
 
-	// Per-shard accounting: three members, all loaded, summing exactly to
-	// the report's acked total (no op attributed nowhere or twice).
-	if len(repS.Shards) != 0 {
-		t.Errorf("single-node report grew %d shard rows", len(repS.Shards))
+	// Per-shard accounting: the standalone member is a ring of one and
+	// carries everything; three members, all loaded, sum exactly to the
+	// report's acked total (no op attributed nowhere or twice).
+	if len(repS.Shards) != 1 || repS.Shards[0].Member != local.Addr() || repS.Shards[0].AckedOps != repS.AckedInserts {
+		t.Errorf("single-node report's shard rows = %+v, want all %d acked inserts on %s",
+			repS.Shards, repS.AckedInserts, local.Addr())
 	}
 	if len(repC.Shards) != 3 {
 		t.Fatalf("cluster report has %d shard rows, want 3", len(repC.Shards))

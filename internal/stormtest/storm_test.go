@@ -37,9 +37,8 @@ func stormNodeOptions(adm admission.Options) node.Options {
 // stormConfig is the seed-pinned overload storm both SLO runs use: the same
 // seed yields the same arrival schedule, burst sizes, tenants, and payloads,
 // so the two runs compare identical offered load.
-func stormConfig(addr string) Config {
+func stormConfig() Config {
 	cfg := Config{
-		Addr:     addr,
 		Rate:     4000, // 2× the pinned encode capacity
 		Duration: 2 * time.Second,
 		Tenants:  400,
@@ -71,7 +70,7 @@ func startLocal(t *testing.T, nopts node.Options) *cluster.Member {
 func oneStorm(t *testing.T, label string, adm admission.Options, cfg Config) (*Report, node.Stats) {
 	t.Helper()
 	local := startLocal(t, stormNodeOptions(adm))
-	cfg.Addr = local.Addr()
+	cfg.Addrs = []string{local.Addr()}
 	rep, err := Run(label, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +97,7 @@ func verify(t *testing.T, rep *Report) (lost, corrupt int) {
 //  3. p99 insert latency with admission+shedding is at most half the
 //     no-admission p99 (in practice it is orders of magnitude lower).
 func TestStormSLOs(t *testing.T) {
-	base := stormConfig("")
+	base := stormConfig()
 
 	// Run A: no admission control. The encoder pool's backpressure is the
 	// only defence, so the open-loop backlog grows for the whole storm and
@@ -181,7 +180,7 @@ func TestStormSLOs(t *testing.T) {
 // ErrOverloaded, and rejected writes appear in neither Stats.Inserts nor the
 // acked set.
 func TestStormFairShareRejection(t *testing.T) {
-	cfg := stormConfig("")
+	cfg := stormConfig()
 	cfg.Duration = cfg.Duration / 2
 
 	rep, stats := oneStorm(t, "fairshare", admission.Options{
@@ -215,7 +214,7 @@ func TestStormFairShareRejection(t *testing.T) {
 // read mix: nothing is dropped, nothing errors besides reads racing their
 // own inserts, and goodput tracks the offered rate.
 func TestStormHealthyBaseline(t *testing.T) {
-	cfg := stormConfig("")
+	cfg := stormConfig()
 	cfg.Rate = 400
 	if testing.Short() {
 		cfg.Rate = 150 // stay well under the reduced short-mode capacity
@@ -253,7 +252,7 @@ func TestStormHealthyBaseline(t *testing.T) {
 // TestStormCSV checks the CSV artifact: header once, one row per run, column
 // count stable.
 func TestStormCSV(t *testing.T) {
-	cfg := stormConfig("")
+	cfg := stormConfig()
 	cfg.Rate = 300
 	cfg.Duration = 300 * time.Millisecond
 
@@ -295,7 +294,7 @@ func TestStormCSV(t *testing.T) {
 func TestStormSingleTrace(t *testing.T) {
 	local := startLocal(t, node.Options{DisableAutoFlush: true})
 	rep, err := Run("trace", Config{
-		Addr:     local.Addr(),
+		Addrs:    []string{local.Addr()},
 		Rate:     300,
 		Duration: 500 * time.Millisecond,
 		Tenants:  1,

@@ -117,16 +117,6 @@ func (d *Deduper) Reassemble(r Recipe) ([]byte, error) {
 	return out, nil
 }
 
-// UniqueChunkBytes returns the bytes a recipe's unique chunks occupy (used
-// for per-record contribution analysis).
-func (d *Deduper) UniqueChunkBytes() int64 {
-	var n int64
-	for _, c := range d.chunks {
-		n += int64(len(c))
-	}
-	return n
-}
-
 // Stats returns the accounting snapshot.
 func (d *Deduper) Stats() Stats { return d.stats }
 

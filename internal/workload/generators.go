@@ -145,7 +145,7 @@ func (g *mailGen) nextInsert(t *Trace) (Op, []Op) {
 			body = append(append(fresh, '\n'), quote(prev)...)
 		} else {
 			// Forward: short note plus the previous body verbatim.
-			body = append(append(fresh[:minInt(len(fresh), 200):minInt(len(fresh), 200)],
+			body = append(append(fresh[:min(len(fresh), 200):min(len(fresh), 200)],
 				[]byte("\n---------- Forwarded message ----------\n")...), prev...)
 		}
 	}
@@ -169,13 +169,6 @@ func (g *mailGen) nextInsert(t *Trace) (Op, []Op) {
 		reads = []Op{{Kind: OpRead, DB: t.DB(), Key: key}}
 	}
 	return ins, reads
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ----------------------------------------------------------- Stack Exchange
@@ -205,7 +198,7 @@ func (g *qaGen) nextInsert(t *Trace) (Op, []Op) {
 		body = prose(rng, lognormalSize(rng, 700, 1.0, 100, 32<<10))
 		if len(g.posts) > 0 && rng.Float64() < 0.30 {
 			src := g.posts[rng.Intn(len(g.posts))]
-			n := minInt(len(src.body), 200+rng.Intn(1200))
+			n := min(len(src.body), 200+rng.Intn(1200))
 			body = append(body, src.body[:n]...)
 		}
 		key = fmt.Sprintf("p%07d/r0", g.nextID)

@@ -58,6 +58,35 @@ func prose(rng *rand.Rand, n int) []byte {
 	return buf.Bytes()
 }
 
+// revisionWords is the vocabulary of RevisionText: so small that any two
+// draws share most of their chunks.
+var revisionWords = []string{"the", "record", "database", "version", "of", "and",
+	"revision", "content", "chunk", "update", "a", "delta", "system"}
+
+// RevisionText returns exactly n bytes of text over a 13-word vocabulary.
+// Tests, the acked-write churn and Fig. 14 build their records from it:
+// every record is similar to every other, so chains form from the first
+// insert. Trace digests and results_csv/fig14.csv pin its draws from rng.
+func RevisionText(rng *rand.Rand, n int) []byte {
+	var buf bytes.Buffer
+	for buf.Len() < n {
+		buf.WriteString(revisionWords[rng.Intn(len(revisionWords))])
+		buf.WriteByte(' ')
+	}
+	return buf.Bytes()[:n]
+}
+
+// Revise returns the next version of a RevisionText record: a copy of data
+// with k 12-byte spans overwritten and tail bytes of new text appended.
+func Revise(rng *rand.Rand, data []byte, k, tail int) []byte {
+	out := append([]byte(nil), data...)
+	for i := 0; i < k && len(out) > 20; i++ {
+		pos := rng.Intn(len(out) - 20)
+		copy(out[pos:], RevisionText(rng, 12))
+	}
+	return append(out, RevisionText(rng, tail)...)
+}
+
 // lognormalSize draws a size with the given median and sigma (log-space),
 // clamped to [min, max]. Real record-size distributions (Fig. 7) are heavy
 // tailed; lognormal reproduces that shape.
