@@ -8,6 +8,16 @@
 // experiments use it to measure how block compression stacks with dedup
 // ("Additional compression from Snappy" in Figs. 1 and 10).
 //
+// The store's blocks are small, so that a point read inflates little, and a
+// small block on its own finds few matches. Dict is what keeps the ratio: a
+// preset dictionary, the first bytes the store wrote to the same segment,
+// which a block is encoded behind (AppendEncodeDict) and decoded behind
+// (DecodeDict) as if the dictionary had been decoded in front of it. That is
+// a departure from plain per-page Snappy, which has no such thing; zlib's and
+// zstd's preset dictionaries are the precedent. The tag format is unchanged:
+// a copy's offset may simply exceed the bytes decoded so far. Encode, Decode
+// and DecodeInto take no dictionary and write and read what they always have.
+//
 // Format (not Snappy-compatible on the wire, same structure):
 //
 //	uvarint decodedLen
@@ -85,25 +95,96 @@ var tablePool = sync.Pool{New: func() any { return new([hashSize]int32) }}
 // AppendEncode compresses src and appends the compressed block to dst, so a
 // caller that seals block after block can reuse one buffer.
 func AppendEncode(dst, src []byte) []byte {
-	// Room for the worst case once, so that every tag below is written by
-	// index instead of paying an append growth check.
-	out := slices.Grow(dst, MaxEncodedLen(len(src)))
-	out = out[:cap(out)]
-	d := len(dst) + binary.PutUvarint(out[len(dst):], uint64(len(src)))
-	if len(src) < minMatch+4 {
-		return out[:putLiteral(out, d, src)]
+	out, d := encodeHeader(dst, src)
+	if len(src) >= minMatch+4 {
+		table := tablePool.Get().(*[hashSize]int32)
+		clear(table[:])
+		d = encodeTags(out, d, src, 0, table)
+		tablePool.Put(table)
 	}
+	return out[:d]
+}
 
-	table := tablePool.Get().(*[hashSize]int32)
-	clear(table[:])
-	litStart := 0 // start of the pending literal run
-	i := 0
+// encodeHeader makes room behind dst for the worst case once, so that every
+// tag is written by index instead of paying an append growth check, and
+// writes the length header, and all of a src too short to hold a match.
+func encodeHeader(dst, src []byte) (out []byte, d int) {
+	out = slices.Grow(dst, MaxEncodedLen(len(src)))
+	out = out[:cap(out)]
+	d = len(dst) + binary.PutUvarint(out[len(dst):], uint64(len(src)))
+	if len(src) < minMatch+4 {
+		d = putLiteral(out, d, src)
+	}
+	return out, d
+}
+
+// MaxDictLen is the longest dictionary: half the window, so that a block of
+// up to the other half behind it has positions that fit 16 bits.
+const MaxDictLen = maxOffset / 2
+
+// Dict is a preset dictionary and the state of an encoder behind it: bytes
+// that a block's copies may reach back into as if they had been decoded just
+// before the block's first byte. A store that cuts its data into small blocks
+// encodes each behind one shared dictionary and gets back the matches a large
+// block finds in itself. The dictionary is indexed once, when the Dict is
+// made; a block starts from a copy of that table, 16-bit positions in
+// dictionary‖block, and is encoded in place behind the dictionary, so the
+// loop is the one that encodes a block on its own. Decoding needs the
+// dictionary's bytes and no Dict. A Dict holds the encoder's scratch: one
+// goroutine at a time encodes behind it.
+type Dict struct {
+	buf   []byte           // the dictionary and, behind it, the block being encoded
+	n     int              // how much of buf is dictionary
+	table [hashSize]uint16 // an encoder's table when it has been through the dictionary
+	work  [hashSize]uint16 // the table of the block being encoded
+}
+
+// NewDict copies and indexes data. Of more than MaxDictLen bytes the last
+// MaxDictLen are used: offsets count back from the dictionary's end, so a
+// decoder may be given all of data.
+func NewDict(data []byte) *Dict {
+	if len(data) > MaxDictLen {
+		data = data[len(data)-MaxDictLen:]
+	}
+	d := &Dict{buf: make([]byte, maxOffset), n: len(data)}
+	copy(d.buf, data)
+	for i := 0; i+minMatch <= len(data); i++ {
+		d.table[hash4(binary.LittleEndian.Uint32(data[i:]))] = uint16(i + 1)
+	}
+	return d
+}
+
+// AppendEncodeDict is AppendEncode behind a preset dictionary (nil: none): a
+// match found in the dictionary is written as a copy whose offset reaches
+// back past the block's first byte. DecodeDict with the same dictionary bytes
+// reads the result. A block too long for 16-bit positions behind this
+// dictionary is encoded without it, which DecodeDict reads just the same.
+func AppendEncodeDict(dst, src []byte, dict *Dict) []byte {
+	if dict == nil || dict.n+len(src) >= maxOffset {
+		return AppendEncode(dst, src)
+	}
+	out, d := encodeHeader(dst, src)
+	if len(src) >= minMatch+4 {
+		all := dict.buf[:dict.n+copy(dict.buf[dict.n:], src)]
+		dict.work = dict.table
+		d = encodeTags(out, d, all, dict.n, &dict.work)
+	}
+	return out[:d]
+}
+
+// encodeTags writes the tags of src[start:] at out[d:] and returns the new
+// end. table holds position+1 of the last occurrence of each 4-byte hash: the
+// caller has filled it for src[:start], the dictionary (cleared it, without
+// one), and src's positions fit its entries.
+func encodeTags[T uint16 | int32](out []byte, d int, src []byte, start int, table *[hashSize]T) int {
+	litStart := start // start of the pending literal run
+	i := start
 	limit := len(src) - minMatch
 	for i <= limit {
 		cur := binary.LittleEndian.Uint32(src[i:])
 		h := hash4(cur)
 		cand := int(table[h]) - 1
-		table[h] = int32(i) + 1
+		table[h] = T(i + 1)
 		if cand < 0 || i-cand >= maxOffset || binary.LittleEndian.Uint32(src[cand:]) != cur {
 			i++
 			continue
@@ -131,16 +212,15 @@ func AppendEncode(dst, src []byte) []byte {
 		// find it.
 		end := i + mlen
 		for j := i + 1; j < end-minMatch && j <= limit; j += 4 {
-			table[hash4(binary.LittleEndian.Uint32(src[j:]))] = int32(j) + 1
+			table[hash4(binary.LittleEndian.Uint32(src[j:]))] = T(j + 1)
 		}
 		i = end
 		litStart = end
 	}
-	tablePool.Put(table)
 	if litStart < len(src) {
 		d = putLiteral(out, d, src[litStart:])
 	}
-	return out[:d]
+	return d
 }
 
 func hash4(v uint32) uint32 {
@@ -220,56 +300,59 @@ func Decode(block []byte) ([]byte, error) {
 // the block's decoded length: a caller that knows the length from elsewhere
 // (the store's block header) passes a buffer of exactly that size, and any
 // other declared or actual length is an error. Nothing is allocated.
-func DecodeInto(dst, block []byte) ([]byte, error) {
-	if _, _, err := DecodeResume(dst, block, 0, 0, len(dst)); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
+func DecodeInto(dst, block []byte) ([]byte, error) { return DecodeDict(dst, block, nil) }
 
-// DecodeResume decompresses block into dst as far as the caller needs it, and
-// goes on later from where it stopped. s and d are the position in block and
-// the number of bytes of dst already written: zero for a block not yet begun
-// (the header is then checked as DecodeInto checks it), afterwards what the
-// previous call on the same dst and block returned. It runs the tag loop until
-// at least want bytes are written or the block ends, and returns the new
-// positions, always at a tag boundary. dst[:d] is then final: later calls write
-// only behind it. Past d up to 15 bytes may hold a word move's overshoot, which
-// the next tag overwrites.
-//
-// The slack rule is taken against len(dst), the whole block, wherever the call
-// stops, so every call sequence performs the stores of one DecodeInto in the
-// same order and ends with the same bytes. A block whose tags run out early or
-// write past len(dst), or that has bytes left after its last byte is written,
-// is an error from the call that gets there; want >= len(dst) gets everywhere.
-// On error the positions passed in are returned and dst[:d] is untouched.
-func DecodeResume(dst, block []byte, s, d, want int) (int, int, error) {
-	s0, d0 := s, d
-	if s == 0 {
-		declared, n := binary.Uvarint(block)
-		if n <= 0 || d != 0 {
-			return s0, d0, errCorrupt
-		}
-		if declared != uint64(len(dst)) {
-			return s0, d0, fmt.Errorf("blockcomp: header declares %d bytes, caller expects %d", declared, len(dst))
-		}
-		s = n
+// DecodeDict is DecodeInto for a block encoded behind a preset dictionary:
+// a copy whose offset reaches back past dst's first byte takes its bytes from
+// the end of dict, and runs on into dst[0:] if it is longer than what is left
+// of dict, exactly as if dict had been decoded in front of the block. With an
+// empty dict such a copy is the error it is to DecodeInto. dict is only read,
+// and only dict and block are: a corrupt block is an error, never a read
+// outside them or a write outside dst.
+func DecodeDict(dst, block, dict []byte) ([]byte, error) {
+	declared, s := binary.Uvarint(block)
+	if s <= 0 {
+		return nil, errCorrupt
 	}
-	if s < 0 || s > len(block) || d < 0 || d > len(dst) {
-		return s0, d0, errCorrupt
+	if declared != uint64(len(dst)) {
+		return nil, fmt.Errorf("blockcomp: header declares %d bytes, caller expects %d", declared, len(dst))
 	}
-	for s < len(block) && d < want {
+	d := 0
+	for s < len(block) {
 		tag := block[s]
 		switch tag & 0x03 {
 		case tagCopy:
 			if len(block)-s < 3 {
-				return s0, d0, errCorrupt
+				return nil, errCorrupt
 			}
 			length := int(tag>>2) + minMatch
 			offset := int(block[s+1]) | int(block[s+2])<<8
 			s += 3
-			if offset == 0 || offset > d || length > len(dst)-d {
-				return s0, d0, errCorrupt
+			if offset == 0 || length > len(dst)-d {
+				return nil, errCorrupt
+			}
+			if offset > d {
+				back := offset - d
+				if back > len(dict) {
+					return nil, errCorrupt
+				}
+				if back >= length+wordLen && len(dst)-d >= length+wordLen {
+					// Whole words, as below, from the dictionary: slack
+					// behind the copy on both sides.
+					end := d + length
+					for from := len(dict) - back; d < end; d, from = d+wordLen, from+wordLen {
+						binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(dict[from:]))
+					}
+					d = end
+					continue
+				}
+				n := copy(dst[d:d+length], dict[len(dict)-back:])
+				d += n
+				if length -= n; length == 0 {
+					continue
+				}
+				// The dictionary is used up and offset == d: the rest of
+				// the copy starts at dst[0].
 			}
 			if offset >= wordLen && len(dst)-d >= length+wordLen {
 				// Whole words: each load ends at or before the byte its
@@ -296,22 +379,22 @@ func DecodeResume(dst, block []byte, s, d, want int) (int, int, error) {
 				s++
 			case code == 60:
 				if len(block)-s < 2 {
-					return s0, d0, errCorrupt
+					return nil, errCorrupt
 				}
 				litLen = int(block[s+1]) + 1
 				s += 2
 			case code == 61:
 				if len(block)-s < 3 {
-					return s0, d0, errCorrupt
+					return nil, errCorrupt
 				}
 				litLen = int(block[s+1]) | int(block[s+2])<<8
 				litLen++
 				s += 3
 			default:
-				return s0, d0, errCorrupt
+				return nil, errCorrupt
 			}
 			if litLen > len(block)-s || litLen > len(dst)-d {
-				return s0, d0, errCorrupt
+				return nil, errCorrupt
 			}
 			if litLen <= 2*wordLen && len(block)-s >= 2*wordLen && len(dst)-d >= 2*wordLen {
 				// A short literal with slack on both sides: two words,
@@ -324,14 +407,11 @@ func DecodeResume(dst, block []byte, s, d, want int) (int, int, error) {
 			d += litLen
 			s += litLen
 		default:
-			return s0, d0, fmt.Errorf("blockcomp: unknown tag %#x", tag&0x03)
+			return nil, fmt.Errorf("blockcomp: unknown tag %#x", tag&0x03)
 		}
 	}
-	switch {
-	case s == len(block) && d != len(dst):
-		return s0, d0, fmt.Errorf("blockcomp: decoded %d bytes, header declared %d", d, len(dst))
-	case d == len(dst) && s != len(block):
-		return s0, d0, errCorrupt // tags behind the block's last byte
+	if d != len(dst) {
+		return nil, fmt.Errorf("blockcomp: decoded %d bytes, header declared %d", d, len(dst))
 	}
-	return s, d, nil
+	return dst, nil
 }

@@ -170,102 +170,136 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 	})
 }
 
-// resumeBoth decodes block once with DecodeInto and once in the steps given
-// (each byte of steps asks for that many bytes past what is already there, zero
-// included), and fails unless resuming is the full decode cut into pieces: the
-// same bytes, a prefix that never changes once returned, an error from some
-// step when and only when the full decode errs, and nothing written outside
-// dst.
-func resumeBoth(t *testing.T, block, steps []byte) {
-	t.Helper()
-	n, lenErr := DecodedLen(block)
-	if lenErr != nil {
-		// Nothing is sized from such a header: the caller's buffer is the
-		// only length there is, and it does not match.
-		if _, _, err := DecodeResume(make([]byte, 16), block, 0, 0, 1); err == nil {
-			t.Fatal("DecodeResume accepted a block DecodedLen rejects")
+// dictCases pairs dictionaries with blocks as a store meets them: the bytes a
+// segment began with and a small block from further on in the same stream
+// (matches in the dictionary, in the block itself, and across the seam), plus
+// the degenerate shapes.
+func dictCases(tb testing.TB) (cases [][2][]byte) {
+	tb.Helper()
+	stream := textBlocks(tb, 1, 256<<10)[0]
+	for _, blockLen := range []int{100, 1 << 10, 4 << 10, 6000, 40 << 10, 80 << 10} {
+		for _, dictLen := range []int{0, 3, 4, 500, 32 << 10} {
+			cases = append(cases, [2][]byte{stream[:dictLen], stream[100<<10 : 100<<10+blockLen]})
 		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	noise := make([]byte, 5000)
+	rng.Read(noise)
+	cases = append(cases,
+		[2][]byte{noise, noise},                                         // the block is the dictionary
+		[2][]byte{noise, noise[4990:]},                                  // shorter than a match
+		[2][]byte{noise[:1000], append(noise[900:1000:1000], noise...)}, // a match that runs to the dictionary's end and goes on in the block
+		[2][]byte{stream[:50<<10], stream[20<<10 : 24<<10]},             // only the dictionary's last MaxDictLen bytes count
+		[2][]byte{bytes.Repeat([]byte("ab"), 300), bytes.Repeat([]byte("ab"), 300)},
+		[2][]byte{make([]byte, 64), make([]byte, 64)},
+	)
+	return cases
+}
+
+// TestEncodeDictByteIdentical holds the dictionary encoder to the
+// byte-at-a-time one over dict‖src, and both decoders to the stream.
+func TestEncodeDictByteIdentical(t *testing.T) {
+	for i, c := range dictCases(t) {
+		dict, src := c[0], c[1]
+		want := refAppendEncodeDict(nil, dict, src)
+		got := AppendEncodeDict([]byte("prefix"), src, NewDict(dict))
+		if !bytes.Equal(got[len("prefix"):], want) {
+			t.Fatalf("case %d (dict %d, block %d bytes): encoded %d bytes, the reference encoder %d, or different ones",
+				i, len(dict), len(src), len(got)-len("prefix"), len(want))
+		}
+		back, err := DecodeDict(make([]byte, len(src)), want, dict)
+		if err != nil || !bytes.Equal(back, src) {
+			t.Fatalf("case %d: round trip: %v", i, err)
+		}
+		decodeDictBoth(t, want, dict)
+	}
+	// No dictionary is Encode, to the byte.
+	src := textBlocks(t, 1, 32<<10)[0]
+	if !bytes.Equal(AppendEncodeDict(nil, src, nil), refAppendEncode(nil, src)) {
+		t.Fatal("AppendEncodeDict without a dictionary differs from Encode")
+	}
+}
+
+// TestDictionaryGivesSmallBlocksTheirMatchesBack is why the dictionary
+// exists. On undeduplicated workload text, where a 32 KiB block still holds
+// near-copies of its own records, 4 KiB blocks alone lose most of what the
+// large block saves and behind the stream's first 32 KiB they get more than
+// half of it back. (On what the store seals, where dedup has taken the
+// near-copies out first, they end up ahead: EXPERIMENTS.md, PR 29.)
+func TestDictionaryGivesSmallBlocksTheirMatchesBack(t *testing.T) {
+	blocks := textBlocks(t, 33, 32<<10)
+	dict := NewDict(blocks[0])
+	var large, small, behind int
+	for _, b := range blocks[1:] {
+		large += len(Encode(b))
+		for off := 0; off < len(b); off += 4 << 10 {
+			small += len(Encode(b[off : off+4<<10]))
+			behind += len(AppendEncodeDict(nil, b[off:off+4<<10], dict))
+		}
+	}
+	t.Logf("32 blocks of 32 KiB: %d bytes whole, %d as 4 KiB blocks, %d as 4 KiB blocks behind a dictionary", large, small, behind)
+	if small < large*13/10 || behind > (large+small)/2 {
+		t.Errorf("whole %d, small %d, behind a dictionary %d", large, small, behind)
+	}
+}
+
+// decodeDictBoth runs the kernel and a byte-at-a-time oracle over one block
+// and its dictionary: the same bytes or an error from both, and nothing
+// written outside dst.
+func decodeDictBoth(t *testing.T, block, dict []byte) {
+	t.Helper()
+	n, err := DecodedLen(block)
+	if err != nil {
 		return
 	}
-	full, fullErr := DecodeInto(make([]byte, n), block)
 	const guard = 0xa5
 	buf := bytes.Repeat([]byte{guard}, n+32)
-	dst := buf[:n:n]
-	s, d := 0, 0
-	step := func(want int) bool {
-		before := append([]byte(nil), dst[:d]...)
-		ns, nd, err := DecodeResume(dst, block, s, d, want)
-		if !bytes.Equal(dst[:d], before) {
-			t.Fatalf("bytes [0,%d) changed after they were returned", d)
-		}
-		if bytes.Count(buf[n:], []byte{guard}) != 32 {
-			t.Fatal("DecodeResume wrote past len(dst)")
-		}
-		if err != nil {
-			if fullErr == nil {
-				t.Fatalf("resume to %d failed where the full decode succeeds: %v", want, err)
-			}
-			if ns != s || nd != d {
-				t.Fatalf("failed call moved the positions (%d,%d) -> (%d,%d)", s, d, ns, nd)
-			}
-			return false
-		}
-		if nd < d || nd < want && nd < n {
-			t.Fatalf("asked for %d of %d bytes from %d, got %d", want, n, d, nd)
-		}
-		if fullErr == nil && !bytes.Equal(dst[:nd], full[:nd]) {
-			t.Fatalf("resumed bytes [0,%d) differ from the full decode's", nd)
-		}
-		s, d = ns, nd
-		return true
+	got, err := DecodeDict(buf[:n:n], block, dict)
+	if bytes.Count(buf[n:], []byte{guard}) != 32 {
+		t.Fatal("DecodeDict wrote past len(dst)")
 	}
-	for _, by := range steps {
-		if !step(d + int(by)) {
-			return
-		}
+	// The oracle decodes dict‖block's output in one buffer, where a copy
+	// into the dictionary is an ordinary copy.
+	all := append(append([]byte(nil), dict...), make([]byte, n)...)
+	refErr := refDecodeTags(all, len(dict), block)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("kernel error %v, oracle error %v", err, refErr)
 	}
-	if step(n) && fullErr != nil {
-		t.Fatalf("resumed decode accepted a block the full decode rejects: %v", fullErr)
+	if err == nil && !bytes.Equal(got, all[len(dict):]) {
+		t.Fatal("kernel and oracle decode to different bytes")
+	}
+	if len(dict) == 0 {
+		plain, plainErr := DecodeInto(make([]byte, n), block)
+		if (plainErr == nil) != (err == nil) || err == nil && !bytes.Equal(plain, got) {
+			t.Fatalf("an empty dictionary is not DecodeInto: %v / %v", err, plainErr)
+		}
 	}
 }
 
-func TestDecodeResumeAtTheSeams(t *testing.T) {
+// FuzzDecodeDict feeds arbitrary tag streams and dictionaries to DecodeDict
+// and to the oracle, and round-trips the fuzzer's bytes as a block behind
+// the dictionary.
+func FuzzDecodeDict(f *testing.F) {
 	for _, b := range kernelEdgeBlocks() {
-		for by := 0; by < 24; by++ {
-			resumeBoth(t, b, bytes.Repeat([]byte{byte(by)}, len(b)))
+		f.Add(b, []byte("0123456789abcdefghij"))
+	}
+	for _, c := range dictCases(f)[:12] {
+		f.Add(AppendEncodeDict(nil, c[1], NewDict(c[0])), c[0])
+	}
+	f.Add([]byte{8, 1<<2 | tagCopy, 3, 0, 3 << 2, 'w', 'x', 'y', 'z'}, []byte("abc")) // a copy across the seam
+	f.Add(hugeHeader, []byte("abc"))
+	f.Fuzz(func(t *testing.T, block, dict []byte) {
+		decodeDictBoth(t, block, dict)
+		decodeDictBoth(t, block, nil)
+		enc := AppendEncodeDict(nil, block, NewDict(dict))
+		if !bytes.Equal(enc, refAppendEncodeDict(nil, dict, block)) {
+			t.Fatal("encoded bytes differ from the reference encoder's")
 		}
-	}
-	rng := rand.New(rand.NewSource(3))
-	for _, src := range textBlocks(t, 4, 32<<10) {
-		steps := make([]byte, 400)
-		rng.Read(steps)
-		resumeBoth(t, Encode(src), steps)
-		resumeBoth(t, Encode(src), nil)
-	}
-	// Tags behind the block's last byte are the full decode's error, so they
-	// are the error of whichever call gets to the end.
-	lit20 := append([]byte{19 << 2}, "abcdefghijklmnopqrst"...)
-	long := append(append(append([]byte{40}, lit20...), lit20...), 0x00, 'x')
-	resumeBoth(t, long, []byte{3, 3})
-	if _, err := DecodeInto(make([]byte, 40), long); err == nil {
-		t.Fatal("full decode accepted tags behind the last byte")
-	}
-	if s, d, err := DecodeResume(make([]byte, 40), long, 0, 0, 4); err != nil || d != 20 {
-		t.Fatalf("a frame in front of the damage: (%d,%d) %v", s, d, err)
-	}
-}
-
-// FuzzDecodeResume cuts the decode of arbitrary tag streams at arbitrary
-// points and holds the pieces to DecodeInto.
-func FuzzDecodeResume(f *testing.F) {
-	for _, b := range kernelEdgeBlocks() {
-		f.Add(b, []byte{0, 1, 7, 8, 9, 16})
-	}
-	f.Add(Encode(bytes.Repeat([]byte("abcdefghij"), 100)), []byte{255, 0, 255})
-	f.Add(Encode(make([]byte, 300)), []byte{1, 1, 1, 1})
-	f.Add([]byte{0x05, 0x00, 0xff}, []byte{1})
-	f.Add(hugeHeader, []byte{1})
-	f.Fuzz(resumeBoth)
+		back, err := DecodeDict(make([]byte, len(block)), enc, dict)
+		if err != nil || !bytes.Equal(back, block) {
+			t.Fatalf("round trip behind a dictionary: %v", err)
+		}
+	})
 }
 
 var benchSink []byte
@@ -298,6 +332,43 @@ func BenchmarkDecodeText(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		if benchSink, err = DecodeInto(dst, packed[i%len(packed)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The same bytes as the store seals them since blocks became small: 4 KiB
+// behind the first 32 KiB of the stream.
+func BenchmarkEncodeDictText(b *testing.B) {
+	blocks := textBlocks(b, 33, 32<<10)
+	dict := NewDict(blocks[0])
+	dst := make([]byte, 0, MaxEncodedLen(4<<10))
+	b.SetBytes(4 << 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk := blocks[1+i/8%32]
+		benchSink = AppendEncodeDict(dst, blk[i%8*4<<10:][:4<<10], dict)
+	}
+}
+
+func BenchmarkDecodeDictText(b *testing.B) {
+	blocks := textBlocks(b, 33, 32<<10)
+	dict := NewDict(blocks[0])
+	var packed [][]byte
+	var out int
+	for _, blk := range blocks[1:] {
+		for off := 0; off < len(blk); off += 4 << 10 {
+			packed = append(packed, AppendEncodeDict(nil, blk[off:off+4<<10], dict))
+			out += len(packed[len(packed)-1])
+		}
+	}
+	dst := make([]byte, 4<<10)
+	b.ReportMetric(float64(out)/float64(32*32<<10), "ratio")
+	b.SetBytes(4 << 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if benchSink, err = DecodeDict(dst, packed[i%len(packed)], blocks[0]); err != nil {
 			b.Fatal(err)
 		}
 	}

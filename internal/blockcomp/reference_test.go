@@ -1,6 +1,7 @@
 package blockcomp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -93,15 +94,76 @@ func refEmitCopy(dst []byte, offset, length int) []byte {
 }
 
 func refDecodeInto(dst, block []byte) ([]byte, error) {
+	if err := refDecodeTags(dst, 0, block); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// refAppendEncodeDict is the dictionary encoder one byte per step, over one
+// buffer holding dict‖src and one table of positions in it: every position of
+// the dictionary goes in first.
+func refAppendEncodeDict(dst, dict, src []byte) []byte {
+	if len(dict) > MaxDictLen {
+		dict = dict[len(dict)-MaxDictLen:]
+	}
+	if len(dict)+len(src) >= maxOffset {
+		return refAppendEncode(dst, src)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(src)))
+	if len(src) < minMatch+4 {
+		return refEmitLiteral(dst, src)
+	}
+	all := append(append([]byte(nil), dict...), src...)
+	base := len(dict)
+	hash := func(pos int) uint32 { return hash4(binary.LittleEndian.Uint32(all[pos:])) }
+	var table [hashSize]int32
+	for p := 0; p+minMatch <= base; p++ {
+		table[hash(p)] = int32(p) + 1
+	}
+	litStart := base
+	i := base
+	limit := len(all) - minMatch
+	for i <= limit {
+		h := hash(i)
+		cand := int(table[h]) - 1
+		table[h] = int32(i) + 1
+		if cand < 0 || !bytes.Equal(all[cand:cand+minMatch], all[i:i+minMatch]) {
+			i++
+			continue
+		}
+		mlen := minMatch
+		for i+mlen < len(all) && all[cand+mlen] == all[i+mlen] {
+			mlen++
+		}
+		if litStart < i {
+			dst = refEmitLiteral(dst, all[litStart:i])
+		}
+		dst = refEmitCopy(dst, i-cand, mlen)
+		end := i + mlen
+		for j := i + 1; j < end-minMatch && j <= limit; j += 4 {
+			table[hash(j)] = int32(j) + 1
+		}
+		i = end
+		litStart = end
+	}
+	if litStart < len(all) {
+		dst = refEmitLiteral(dst, all[litStart:])
+	}
+	return dst
+}
+
+// refDecodeTags decodes block into all[o:], one byte per step, with all[:o]
+// (a dictionary, or nothing) already in place in front of it.
+func refDecodeTags(all []byte, o int, block []byte) error {
 	declared, n := binary.Uvarint(block)
 	if n <= 0 {
-		return nil, errCorrupt
+		return errCorrupt
 	}
-	if declared != uint64(len(dst)) {
-		return nil, fmt.Errorf("blockcomp: header declares %d bytes, caller expects %d", declared, len(dst))
+	if declared != uint64(len(all)-o) {
+		return fmt.Errorf("blockcomp: header declares %d bytes, caller expects %d", declared, len(all)-o)
 	}
 	p := block[n:]
-	o := 0 // bytes of dst written
 	for len(p) > 0 {
 		tag := p[0]
 		switch tag & 0x03 {
@@ -114,46 +176,46 @@ func refDecodeInto(dst, block []byte) ([]byte, error) {
 				p = p[1:]
 			case code == 60:
 				if len(p) < 2 {
-					return nil, errCorrupt
+					return errCorrupt
 				}
 				litLen = int(p[1]) + 1
 				p = p[2:]
 			case code == 61:
 				if len(p) < 3 {
-					return nil, errCorrupt
+					return errCorrupt
 				}
 				litLen = int(p[1]) | int(p[2])<<8
 				litLen++
 				p = p[3:]
 			default:
-				return nil, errCorrupt
+				return errCorrupt
 			}
-			if litLen > len(p) || litLen > len(dst)-o {
-				return nil, errCorrupt
+			if litLen > len(p) || litLen > len(all)-o {
+				return errCorrupt
 			}
-			o += copy(dst[o:], p[:litLen])
+			o += copy(all[o:], p[:litLen])
 			p = p[litLen:]
 		case tagCopy:
 			if len(p) < 3 {
-				return nil, errCorrupt
+				return errCorrupt
 			}
 			length := int(tag>>2) + minMatch
 			offset := int(p[1]) | int(p[2])<<8
 			p = p[3:]
-			if offset == 0 || offset > o || length > len(dst)-o {
-				return nil, errCorrupt
+			if offset == 0 || offset > o || length > len(all)-o {
+				return errCorrupt
 			}
 			// Byte-by-byte: copies may overlap their own output
 			// (run-length-style references).
 			for end := o + length; o < end; o++ {
-				dst[o] = dst[o-offset]
+				all[o] = all[o-offset]
 			}
 		default:
-			return nil, fmt.Errorf("blockcomp: unknown tag %#x", tag&0x03)
+			return fmt.Errorf("blockcomp: unknown tag %#x", tag&0x03)
 		}
 	}
-	if o != len(dst) {
-		return nil, fmt.Errorf("blockcomp: decoded %d bytes, header declared %d", o, len(dst))
+	if o != len(all) {
+		return fmt.Errorf("blockcomp: decoded %d bytes, header declared %d", o-(len(all)-int(declared)), declared)
 	}
-	return dst, nil
+	return nil
 }

@@ -2,14 +2,30 @@
 // into: a log-structured record store in the spirit of the append-mostly
 // NoSQL engines the paper targets.
 //
-// Records — raw, delta-encoded, or tombstones — are framed into blocks;
-// blocks are sealed at a size threshold, optionally run through the
-// block-level compressor (the stand-in for WiredTiger's Snappy pass), and
-// appended to segment files. An in-memory index maps record IDs to block
-// locators; a sharded LRU block cache serves hot reads; dead bytes are
-// reclaimed by segment compaction. Opening an existing directory replays the
-// segments to rebuild the index, so the store is crash-consistent up to the
-// last sealed block (plus the unsealed tail, which is replayed too).
+// Records — raw, delta-encoded, or tombstones — are framed into a seal batch;
+// a batch is sealed at a size threshold (Options.BlockSize, 32 KiB), cut into
+// blocks of a few frames each (the first frame boundary at or past 4 KiB),
+// each optionally run through the block-level compressor (the stand-in for
+// WiredTiger's Snappy pass), and appended to a segment file with one write.
+// The two sizes do two jobs. The batch is the unit of writing: one sealer
+// pass, one write, one hold of the writer lock to install it. The block is
+// the unit of reading: what a point read loads, checks, inflates and caches,
+// with its own header, checksum and cache entry, so a read of one small
+// record does not inflate 32 KiB. What small blocks would lose in ratio (a
+// 4 KiB block on its own finds few matches) a per-segment dictionary gives
+// back: a segment's first batch is written as one self-contained block, its
+// first 32 KiB of raw bytes are the dictionary, and every later block of the
+// segment is compressed behind it (blockcomp.Dict) and says so with a header
+// flag. The dictionary is resident while the segment is open, on its
+// segio.Reader (1/2048 of a full segment), set when that first block is
+// installed or replayed, so a segment file still decodes alone and a torn
+// first block means an empty segment.
+//
+// An in-memory index maps record IDs to block locators; a sharded LRU block
+// cache, bounded in bytes, serves hot reads; dead bytes are reclaimed by
+// segment compaction. Opening an existing directory replays the segments to
+// rebuild the index, so the store is crash-consistent up to the last sealed
+// block (plus the unsealed tail, which is replayed too).
 //
 // # Concurrency
 //
@@ -19,51 +35,50 @@
 // never takes it.
 //
 // An append is a copy and one table update: the frame is copied into the
-// block under construction (pending) and the record's entry in the record
-// table is replaced. The append that fills the block swaps in the spare
-// buffer, hands the full block to the sealer and returns. The sealer — one
-// goroutine, alive only while a full block exists — compresses the block,
-// writes it behind the active segment's end and fsyncs it under SyncWrites,
-// all outside s.mu, and then takes s.mu only to make those bytes part of the
-// segment, point the block's records at them and roll a full segment. At
-// most one block is in flight and blocks reach the segment in the order they
-// filled, so the bytes on disk are those a store sealing inline would write.
-// An appender that finds both buffers full waits on a condition variable for
-// the sealer (Stats.SealWaits). Flush, Close and the sealer share the two
-// halves of that commit (writeInFlight, installLocked); Flush waits for the
-// block in flight, seals the remainder and, under SyncWrites, returns after
-// the fsync, so it is the durability barrier: what was acknowledged before a
-// Flush that returned nil survives a crash, and up to two blocks acknowledged
-// since do not.
+// batch under construction (pending) and the record's entry in the record
+// table is replaced. The append that fills the batch swaps in the spare
+// buffer, hands the full batch to the sealer and returns. The sealer — one
+// goroutine, alive only while a full batch exists — cuts and compresses the
+// batch, writes it behind the active segment's end and fsyncs it under
+// SyncWrites, all outside s.mu, and then takes s.mu only to make those bytes
+// part of the segment, point the batch's records at their blocks and roll a
+// full segment. At most one batch is in flight and batches reach the segment
+// in the order they filled, so the bytes on disk are those a store sealing
+// inline would write. An appender that finds both buffers full waits on a
+// condition variable for the sealer (Stats.SealWaits). Flush, Close and the
+// sealer share the two halves of that commit (writeInFlight, installLocked);
+// Flush waits for the batch in flight, seals the remainder and, under
+// SyncWrites, returns after the fsync, so it is the durability barrier: what
+// was acknowledged before a Flush that returned nil survives a crash, and up
+// to two batches acknowledged since do not.
 //
-// A block that cannot be written or synced never becomes part of the segment
+// A batch that cannot be written or synced never becomes part of the segment
 // (the segment's end has not moved) and stays in flight, its records readable.
 // The error goes to whichever of the next Append (which then stores nothing),
-// Flush or Close comes first, and that call or the next retries the block:
+// Flush or Close comes first, and that call or the next retries the batch:
 // the same bytes at the same offset.
 //
 // The record table (table.go) holds one value per live record: metadata plus
-// either the pending copy and the number of the unsealed block its frame is
+// either the pending copy and the number of the unsealed batch its frame is
 // in, or the sealed location. Every change of a record — overwrite, delete,
 // pending to sealed — is one store under one shard lock, taken after s.mu by
 // writers and alone by readers, so a reader finds the old version or the new
 // one and never neither. The sealer retires a pending copy only if the entry
-// still names its block and frame: a record overwritten, re-encoded or
+// still names its batch and frame: a record overwritten, re-encoded or
 // deleted while its old frame was in flight keeps the newer version and the
 // old frame is counted dead.
 //
 // Sealed bytes are immutable, so reads of them route through the segio
 // subsystem: a block read consults the sharded block cache (segio.Cache) and,
 // on a miss, pins a refcounted segment handle (segio.Table), loads the block
-// and unpins. A point read (View) inflates a compressed block only as far as
-// the end of its own frame, which the record's entry gives before the block is
-// touched; the block is cached with how far it got, and a later read that
-// needs more takes it out of the cache, decodes on from there under no lock
-// and puts it back, so no byte of a resident block is inflated twice. Get
-// wants the block whole, in one call. Replay and compaction read a segment
-// from end to end and do not go through the cache at all: one walk
-// (walkBlocks) decodes each block once, in file order, into a buffer of its
-// own. A block decoded for a reader belongs to the cache; readers see their
+// and unpins. A reader asks for its block, whole: a block is a few KiB, and
+// the one large block a segment has, its first, serves the frames within its
+// first 32 KiB from the resident dictionary, which is those bytes. Replay and
+// compaction read a segment from end to end and do not go through the cache
+// at all: one walk (walkBlocks) decodes each block once, in file order, into a
+// buffer of its own; what compaction moves is re-appended like any record,
+// under the active segment's dictionary. A block decoded for a reader belongs
+// to the cache; readers see their
 // record in it only inside a callback (under the cache's shard lock on a hit,
 // before handing the buffer over on a miss). Get copies the payload out there and
 // returns bytes nothing else aliases; View lends it to the caller's function
@@ -146,15 +161,16 @@ type Options struct {
 	// faultfs.MemFS (and FS is ignored), which is what tests, examples and
 	// the figure experiments use.
 	Dir string
-	// BlockSize is the target uncompressed block size before sealing.
+	// BlockSize is the target uncompressed size of a seal batch: what is
+	// compressed, written and installed in one go, as blocks of about 4 KiB.
 	// Defaults to 32 KiB.
 	BlockSize int
 	// Compress enables block-level compression of sealed blocks.
 	Compress bool
 	// SegmentSize is the target segment size. Defaults to 64 MiB.
 	SegmentSize int
-	// CacheBlocks bounds the decompressed-block cache. Defaults
-	// to 64 blocks.
+	// CacheBlocks bounds the decompressed-block cache, at CacheBlocks x
+	// BlockSize bytes. Defaults to 64, which with 32 KiB is 2 MiB.
 	CacheBlocks int
 	// CacheShards is the block cache's shard count (rounded up to a power
 	// of two). Defaults to 8.
@@ -198,15 +214,18 @@ type Stats struct {
 	// decoded into: taken over from a block that left the cache, or newly
 	// allocated. In steady state every load recycles.
 	BlockBuffersRecycled, BlockBuffersFresh uint64
-	// BlocksDecoded counts sealed blocks whose decompression began (every
-	// cache miss on a compressed block that was not resident even in part,
-	// and each block replayed at Open), BlocksExtended the resident blocks a
-	// later read decompressed further, BlockBytesDecoded the bytes both
-	// produced and BlockDecodeNanos the time they took. Per read served they
-	// are what hop encoding does not bound: blocks touched and bytes inflated,
-	// not decode steps taken.
-	BlocksDecoded, BlocksExtended       uint64
+	// BlocksDecoded counts sealed blocks decompressed (every cache miss on a
+	// compressed block, and each block replayed at Open), BlockBytesDecoded
+	// the bytes that produced and BlockDecodeNanos the time it took. Per read
+	// served they are what hop encoding does not bound: blocks loaded and
+	// bytes inflated, not decode steps taken.
+	BlocksDecoded                       uint64
 	BlockBytesDecoded, BlockDecodeNanos uint64
+	// CacheBytes is what the blocks resident in the block cache hold of the
+	// heap, CacheBudgetBytes what they may (CacheBlocks x BlockSize), and
+	// DictBytes what the live segments' compression dictionaries hold
+	// beside them: at most 32 KiB a segment.
+	CacheBytes, CacheBudgetBytes, DictBytes int64
 	// MmapBlockReads/PreadBlockReads split block loads by how the bytes
 	// were served: zero-copy from a segment mapping vs a positional read.
 	// MmapFailures counts mapping attempts that failed (the segment stays
@@ -220,9 +239,9 @@ type Stats struct {
 	RetiredPending int64
 	// LiveSegments is the number of segments readable through the table.
 	LiveSegments int
-	// BlocksSealed counts blocks written to a segment and SealNanos the
-	// time spent compressing, writing and syncing them, nearly all of it
-	// off the ack path. SealWaits counts appends that found both block
+	// BlocksSealed counts blocks written to a segment (several to a batch)
+	// and SealNanos the time spent compressing, writing and syncing them,
+	// nearly all of it off the ack path. SealWaits counts appends that found both block
 	// buffers full and waited for the sealer, SealWaitNanos how long.
 	// SealErrors counts failed attempts to write or sync a block; each is
 	// also returned by the next Append, Flush or Close.
@@ -247,11 +266,12 @@ type Store struct {
 	// clears the flag under mu). The buffers keep their capacity across seals
 	// and nothing but the store ever aliases them: a pending record's payload
 	// is the caller's slice, not a slice of its block.
-	pending    []byte // frames of block number pendingSeq
+	pending    []byte // frames of batch number pendingSeq
 	pendingSeq uint64 // starts at 1: an entry's block 0 means sealed
 	inflight   fullBlock
 	spare      []byte     // idle buffer, the next pending
-	sealBuf    []byte     // compressed image of the block in flight
+	sealBuf    []byte     // image of the batch in flight, and
+	sealCuts   []blockCut // where its blocks end: both keep their capacity
 	sealing    bool       // a sealer goroutine is running
 	sealErr    error      // the sealer's last failure, not yet returned to a caller
 	sealed     *sync.Cond // on mu; broadcast whenever the sealer lets go of a block
@@ -272,7 +292,6 @@ type Store struct {
 	preadReads    atomic.Uint64
 	mmapFailures  atomic.Uint64
 	blocksDecoded atomic.Uint64
-	blocksResumed atomic.Uint64
 	bytesDecoded  atomic.Uint64
 	decodeNanos   atomic.Uint64
 	blocksSealed  atomic.Uint64
@@ -291,15 +310,20 @@ type Store struct {
 	sealers   sync.WaitGroup // Close waits for the sealer goroutine to be gone
 }
 
-// fullBlock is a block between the append that filled it and its commit to
-// the segment. raw is nil when no block is in flight, and never empty
-// otherwise.
+// fullBlock is a seal batch between the append that filled it and its commit
+// to the segment: Options.BlockSize of frames, written with one call and
+// installed under one hold of mu, as the blocks its frames were cut into. raw
+// is nil when no batch is in flight, and never empty otherwise.
 type fullBlock struct {
-	seq    uint64
-	raw    []byte // the frames, as appended
-	stored []byte // raw, or its compressed image in sealBuf; nil until writeInFlight has made it
-	flags  byte
+	seq   uint64
+	raw   []byte     // the frames, as appended
+	image []byte     // the blocks, headers and bodies as the file holds them, in sealBuf; nil until writeInFlight has made it
+	cuts  []blockCut // one per block of image
 }
+
+// blockCut is where one block of a batch ends, in the batch's frames and in
+// its image; it begins where the block before it ends.
+type blockCut struct{ rawEnd, imageEnd int }
 
 // segment is the writer-side state of one segment. All fields are guarded
 // by s.mu; readers never touch it — they go through rd, whose published
@@ -311,12 +335,26 @@ type segment struct {
 	dead    int64 // dead bytes (superseded frames)
 	retired bool
 	rd      *segio.Reader
+	// enc indexes rd's dictionary for the encoder. Only the active segment
+	// has one, and only the goroutine committing a batch touches it.
+	enc *blockcomp.Dict
 }
 
 const (
 	blockMagic      = 0x444b4c42 // "BLKD"
 	blockHeaderSize = 4 + 4 + 4 + 4 + 1
 	flagCompressed  = 1 << 0
+	// flagDict marks a compressed block whose copies may reach back into
+	// its segment's dictionary: the first dictLen raw bytes of the block
+	// at offset 0 of the same file, which never has the flag itself.
+	flagDict = 1 << 1
+
+	// blockTarget is where a batch is cut into blocks: at the first frame
+	// boundary at or past it. A block is what a read loads, checks, inflates
+	// and caches, so it is small; what small blocks would lose in ratio the
+	// segment's dictionary gives back.
+	blockTarget = 4 << 10
+	dictLen     = blockcomp.MaxDictLen
 )
 
 // Open creates or reopens a store.
@@ -342,7 +380,7 @@ func Open(opts Options) (*Store, error) {
 		recs:       newRecTable(),
 		dbBytes:    make(map[string]int64),
 		table:      segio.NewTable(),
-		cache:      segio.NewCache(opts.CacheBlocks, opts.CacheShards),
+		cache:      segio.NewCache(opts.CacheBlocks*opts.BlockSize, opts.CacheShards),
 	}
 	s.sealed = sync.NewCond(&s.mu)
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -613,35 +651,44 @@ func (s *Store) sealer() {
 	}
 }
 
-// writeInFlight is the slow half of a block's commit: it compresses the block
-// in flight into sealBuf (once: the retry of a failed write finds the image
-// made the first time), writes header and body behind the active segment's
-// end and, under SyncWrites, syncs the file. It needs no lock, because only
-// the one goroutine committing a block — the sealer while sealing is set, a
-// Flush or Close holding mu while it is not — touches inflight, sealBuf or
-// the active segment's tail, and because the bytes it writes are not part of
+// writeInFlight is the slow half of a batch's commit: it cuts the batch in
+// flight into blocks and builds their image in sealBuf (once: the retry of a
+// failed write finds the image made the first time), writes it behind the
+// active segment's end with one call and, under SyncWrites, syncs the file. A
+// segment's first batch is one block, compressed on its own, whose first bytes
+// become the segment's dictionary when it is installed; every later block is
+// compressed behind that dictionary. It needs no lock, because only the one
+// goroutine committing a batch — the sealer while sealing is set, a Flush or
+// Close holding mu while it is not — touches inflight, sealBuf or the active
+// segment's tail and encoder, and because the bytes it writes are not part of
 // the segment until installLocked says so. On failure nothing has changed
 // that a reader or a retry can see.
 func (s *Store) writeInFlight() error {
 	start := time.Now()
 	b := &s.inflight
-	if b.stored == nil {
-		b.stored = b.raw
-		if s.opts.Compress {
-			s.sealBuf = blockcomp.AppendEncode(s.sealBuf[:0], b.raw)
-			if len(s.sealBuf) < len(b.raw) {
-				b.stored = s.sealBuf
-				b.flags |= flagCompressed
+	seg := s.active
+	if b.image == nil {
+		target := len(b.raw)
+		var dict *blockcomp.Dict
+		if seg.size > 0 {
+			target = blockTarget
+			if s.opts.Compress {
+				if seg.enc == nil {
+					seg.enc = blockcomp.NewDict(seg.rd.Dict())
+				}
+				dict = seg.enc
 			}
 		}
+		image, cuts := s.sealBuf[:0], s.sealCuts[:0]
+		for from := 0; from < len(b.raw); {
+			to := cutBlock(b.raw, from, target)
+			image = appendBlock(image, b.raw[from:to], s.opts.Compress, dict)
+			cuts = append(cuts, blockCut{rawEnd: to, imageEnd: len(image)})
+			from = to
+		}
+		b.image, b.cuts, s.sealBuf, s.sealCuts = image, cuts, image, cuts
 	}
-	var hdr [blockHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], blockMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(b.raw)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(b.stored)))
-	binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(b.stored))
-	hdr[16] = b.flags
-	if err := s.active.writeBlock(hdr[:], b.stored, s.opts.SyncWrites); err != nil {
+	if err := seg.writeBatch(b.image, s.opts.SyncWrites); err != nil {
 		s.sealErrors.Add(1)
 		return err
 	}
@@ -649,37 +696,92 @@ func (s *Store) writeInFlight() error {
 	return nil
 }
 
-// installLocked is the other half: the block writeInFlight put behind the
-// active segment's end becomes part of the segment, its records point at it,
-// its buffer is recycled and a full segment rolls. Caller holds mu.
+// cutBlock returns where the block of raw that begins at the frame at from
+// ends: behind the first frame that takes it to target bytes, or with raw.
+func cutBlock(raw []byte, from, target int) int {
+	to := from
+	for to < len(raw) && to-from < target {
+		frameLen, n := binary.Uvarint(raw[to:])
+		to += n + int(frameLen)
+	}
+	return to
+}
+
+// appendBlock appends raw to image as one block, header and body: compressed
+// (behind dict, if there is one) when that is asked for and makes it smaller.
+func appendBlock(image, raw []byte, compress bool, dict *blockcomp.Dict) []byte {
+	at := len(image)
+	var hdr [blockHeaderSize]byte
+	image = append(image, hdr[:]...)
+	if compress {
+		image = blockcomp.AppendEncodeDict(image, raw, dict)
+		if len(image)-at-blockHeaderSize < len(raw) {
+			hdr[16] = flagCompressed
+			if dict != nil {
+				hdr[16] |= flagDict
+			}
+		}
+	}
+	if hdr[16] == 0 {
+		image = append(image[:at+blockHeaderSize], raw...)
+	}
+	body := image[at+blockHeaderSize:]
+	binary.LittleEndian.PutUint32(hdr[0:], blockMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(raw)))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(body))
+	copy(image[at:], hdr[:])
+	return image
+}
+
+// setDict makes the first dictLen raw bytes of a segment's first block, first,
+// the segment's dictionary: a copy, which outlives the buffer first is in.
+func setDict(rd *segio.Reader, first []byte) {
+	rd.SetDict(append([]byte(nil), first[:min(len(first), dictLen)]...))
+}
+
+// installLocked is the other half: the blocks writeInFlight put behind the
+// active segment's end become part of the segment, the batch's records point
+// each at its block, the batch's buffer is recycled and a full segment rolls.
+// Caller holds mu.
 func (s *Store) installLocked() error {
 	start := time.Now()
 	b := &s.inflight
 	seg := s.active
-	off := seg.size
-	seg.publish(blockHeaderSize + int64(len(b.stored)))
+	base := seg.size
+	if base == 0 {
+		// Readers of the blocks behind this one, none of which is written
+		// yet, will need it.
+		setDict(seg.rd, b.raw)
+	}
+	seg.publish(int64(len(b.image)))
 
 	// A frame is its record's current version only if the entry still names
-	// this block and this offset; anything else was overwritten or deleted
+	// this batch and this offset; anything else was overwritten or deleted
 	// after it was appended and is dead on arrival.
 	slot := segSlot(s.segments, seg)
+	block, rawStart, imageStart := 0, 0, 0
 	for scan := 0; scan < len(b.raw); {
+		if scan == b.cuts[block].rawEnd {
+			rawStart, imageStart = scan, b.cuts[block].imageEnd
+			block++
+		}
 		rec, n, err := parseFrame(b.raw[scan:], false)
 		if err != nil {
 			panic("docstore: a frame this store appended does not parse: " + err.Error())
 		}
-		if !rec.Tombstone && !s.recs.seal(rec.ID, b.seq, scan, slot, off) {
+		if !rec.Tombstone && !s.recs.seal(rec.ID, b.seq, scan, slot, base+int64(imageStart), scan-rawStart) {
 			s.chargeDead(seg, int64(len(rec.Payload)))
 		}
 		scan += n
 	}
 	s.blockBytesIn.Add(int64(len(b.raw)))
-	s.blockBytesOut.Add(int64(len(b.stored)) + blockHeaderSize)
-	s.blocksSealed.Add(1)
+	s.blockBytesOut.Add(int64(len(b.image)))
+	s.blocksSealed.Add(uint64(len(b.cuts)))
 	if cap(b.raw) <= 4*s.opts.BlockSize {
 		s.spare = b.raw[:0]
 	} else {
-		// One outsized record swelled this block; do not pin its buffers.
+		// One outsized record swelled this batch; do not pin its buffers.
 		s.sealBuf = nil
 	}
 	s.inflight = fullBlock{}
@@ -693,7 +795,9 @@ func (s *Store) installLocked() error {
 		s.segments = append(s.segments, ns)
 		s.active = ns
 		// seg has rolled out of the active role: no byte of it will ever
-		// be written again, so its sealed prefix can be mapped.
+		// be written again, so its sealed prefix can be mapped and its
+		// encoder's index dropped.
+		seg.enc = nil
 		s.mapSegment(seg)
 	}
 	return nil
@@ -746,12 +850,10 @@ func segSlot(segs []*segment, s *segment) int {
 // Get returns the stored form of record id. The payload never aliases memory
 // the store owns (a cached block, a mapping, a block buffer): for a sealed
 // record it is a fresh copy, for one whose block has not been committed yet
-// it is the slice Append was given, which appenders never modify. Get loads a
-// sealed record's block whole: its callers (the paths that rewrite a record)
-// are not the point reads View is for.
+// it is the slice Append was given, which appenders never modify.
 func (s *Store) Get(id uint64) (Record, bool, error) {
 	var out Record
-	ok, err := s.read(id, true, func(rec Record, lent bool) {
+	ok, err := s.read(id, func(rec Record, lent bool) {
 		if lent {
 			rec.Payload = append([]byte(nil), rec.Payload...)
 		}
@@ -779,9 +881,8 @@ type Stored struct {
 // it neither blocks, nor takes a lock, nor calls back into the store. What fn
 // reads is one consistent version of the record; Meta, read separately, may be
 // a version ahead or behind, which is why the form travels with the payload.
-// A compressed block is inflated no further than this record's frame.
 func (s *Store) View(id uint64, fn func(v Stored)) (bool, error) {
-	return s.read(id, false, func(rec Record, _ bool) {
+	return s.read(id, func(rec Record, _ bool) {
 		fn(Stored{Form: rec.Form, BaseID: rec.BaseID, Stacked: rec.Stacked,
 			Hidden: rec.Hidden, Payload: rec.Payload})
 	})
@@ -789,8 +890,7 @@ func (s *Store) View(id uint64, fn func(v Stored)) (bool, error) {
 
 // read is the lookup under Get and View: it copies id's entry out of the
 // record table and calls fn once, with the pending copy or with the sealed
-// frame the entry points at. whole says how much of a sealed frame's block is
-// loaded: all of it, or as much as holds the frame. lent says that rec.Payload is a slice of a block
+// frame the entry points at. lent says that rec.Payload is a slice of a block
 // (cached, mapped or just decoded) and dies with the call; otherwise it is
 // the slice Append was given. rec.DB and rec.Key are the table's strings.
 //
@@ -798,7 +898,7 @@ func (s *Store) View(id uint64, fn func(v Stored)) (bool, error) {
 // record, block reads go through the sharded cache and pin a segio segment
 // handle on a miss. The one retry is for a sealed location whose segment
 // compaction retired since the entry was copied.
-func (s *Store) read(id uint64, whole bool, fn func(rec Record, lent bool)) (bool, error) {
+func (s *Store) read(id uint64, fn func(rec Record, lent bool)) (bool, error) {
 	for attempt := 0; ; attempt++ {
 		if attempt > 1000 {
 			return false, errors.New("docstore: Get retry livelock (table references retired segments)")
@@ -812,11 +912,7 @@ func (s *Store) read(id uint64, whole bool, fn func(rec Record, lent bool)) (boo
 				Stacked: e.stacked, Hidden: e.hidden, Payload: e.payload}, false)
 			return true, nil
 		}
-		need := segio.WholeBlock
-		if !whole {
-			need = e.frameEnd(id)
-		}
-		err := s.frameAt(id, &e, need, fn)
+		err := s.frameAt(id, &e, fn)
 		if errors.Is(err, segio.ErrRetired) {
 			// The record was moved before its segment was retired, so the
 			// table already has its new home.
@@ -828,32 +924,34 @@ func (s *Store) read(id uint64, whole bool, fn func(rec Record, lent bool)) (boo
 
 // frameAt parses the frame sealed entry e points at, checks that it is record
 // id's, and calls fn with it while the block's bytes are borrowed: from the
-// cache, under its shard lock, on a hit; from readBlock on a miss, which
-// includes a block resident with fewer than need bytes. A block shown in part
-// ends where its decode stopped, so a frame that is not all there fails to
-// parse instead of being read from bytes not yet written.
-func (s *Store) frameAt(id uint64, e *entry, need int, fn func(rec Record, lent bool)) error {
-	var err error
-	extract := func(block []byte) {
+// cache, under its shard lock, on a hit; from readBlock on a miss. A reader
+// asks for its block, whole: a block is small. The one large block a segment
+// has is its first, and a frame within that block's first dictLen bytes is
+// served from the segment's resident dictionary, which is those bytes,
+// without loading anything.
+func (s *Store) frameAt(id uint64, e *entry, fn func(rec Record, lent bool)) error {
+	extract := func(block []byte) error {
 		if int(e.recStart) > len(block) {
-			err = errors.New("docstore: record offset past block end")
-			return
+			return errors.New("docstore: record offset past block end")
 		}
-		var rec Record
-		if rec, _, err = parseFrame(block[e.recStart:], false); err != nil {
-			return
+		rec, _, err := parseFrame(block[e.recStart:], false)
+		if err != nil {
+			return err
 		}
 		if rec.ID != id {
-			err = fmt.Errorf("docstore: index corruption: wanted %d found %d", id, rec.ID)
-			return
+			return fmt.Errorf("docstore: index corruption: wanted %d found %d", id, rec.ID)
 		}
 		rec.DB, rec.Key = e.db, e.key
 		fn(rec, true)
+		return nil
 	}
 	seg := int(e.seg)
+	if e.off == 0 && extract(s.table.Dict(seg)) == nil {
+		return nil
+	}
 	key := segio.BlockKey(seg, e.off)
-	hit, short := s.cache.View(key, need, extract)
-	if hit {
+	var err error
+	if s.cache.View(key, func(block []byte) { err = extract(block) }) {
 		return err
 	}
 	rd, ok := s.table.Pin(seg)
@@ -861,13 +959,13 @@ func (s *Store) frameAt(id uint64, e *entry, need int, fn func(rec Record, lent 
 		return segio.ErrRetired
 	}
 	defer s.table.Unpin(rd)
-	block, _, loadErr := s.readBlock(rd, e.off, need, &short, func(n int) []byte { return s.cache.Buffer(key, n) })
-	if loadErr != nil {
-		return loadErr
+	block, owned, _, err := s.readBlock(rd, e.off, func(n int) []byte { return s.cache.Buffer(key, n) })
+	if err != nil {
+		return err
 	}
-	extract(block)
-	if short.Data != nil {
-		s.cache.Put(key, short)
+	err = extract(block)
+	if owned {
+		s.cache.Put(key, block)
 	}
 	return err
 }
@@ -888,21 +986,18 @@ func (s *Store) Flush() error {
 	return s.drainLocked()
 }
 
-// writeBlock writes one block image, header then body, behind the segment's
-// end without moving the end: the bytes are garbage past the published size
-// until publish, and are overwritten by the next block written or truncated
-// by replay if it never comes. A retry after a failed or unsynced write
-// therefore overwrites the partial block in place. That matters: a written
-// header whose body failed, left in front of the retried block, would have
-// replay read the orphan's valid magic, fail its checksum and truncate there
-// — silently discarding the retried (possibly synced and acknowledged) block
-// and everything after it. Only the goroutine committing a block calls this;
-// it needs no lock.
-func (seg *segment) writeBlock(hdr, body []byte, sync bool) error {
-	if _, err := seg.file.WriteAt(hdr, seg.size); err != nil {
-		return fmt.Errorf("docstore: %w", err)
-	}
-	if _, err := seg.file.WriteAt(body, seg.size+int64(len(hdr))); err != nil {
+// writeBatch writes a batch's image behind the segment's end without moving
+// the end: the bytes are garbage past the published size until publish, and
+// are overwritten by the next batch written or truncated by replay if it never
+// comes. A retry after a failed or unsynced write therefore overwrites the
+// partial image in place. That matters: a block whose header made it and
+// whose body did not, left in front of the retried batch, would have replay
+// read the orphan's valid magic, fail its checksum and truncate there —
+// silently discarding the retried (possibly synced and acknowledged) batch and
+// everything after it. Only the goroutine committing a batch calls this; it
+// needs no lock.
+func (seg *segment) writeBatch(image []byte, sync bool) error {
+	if _, err := seg.file.WriteAt(image, seg.size); err != nil {
 		return fmt.Errorf("docstore: %w", err)
 	}
 	if sync {
@@ -913,7 +1008,7 @@ func (seg *segment) writeBlock(hdr, body []byte, sync bool) error {
 	return nil
 }
 
-// publish moves the segment's end past the n bytes writeBlock put behind it
+// publish moves the segment's end past the n bytes writeBatch put behind it
 // and shows them to readers. Caller holds s.mu.
 func (seg *segment) publish(n int64) {
 	seg.size += n
@@ -927,45 +1022,41 @@ var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 // readBlock loads the block at offset off of rd, which the caller has pinned
 // (or owns outright, during replay), and returns its decompressed contents and
 // the offset of the block behind it. An uncompressed mapped block is lent
-// straight from the mapping, which dies with the pin, and b.Data stays nil;
-// anything else is decoded or read into b.Data, which buffer supplies at the
-// length asked for when b brings none, and the contents are b.Data[:b.Done].
-// A point read passes the block cache's free list and hands b to the cache
-// afterwards, so a steady-state miss allocates nothing here.
-//
-// A compressed block is decoded until it holds need bytes (segio.WholeBlock:
-// all of it). b arrives as the cache held the block, taken out because it
-// holds less: the decode goes on from where it stopped, into the same buffer.
-// On the pread path the compressed image is read and its checksum verified
-// again each time.
+// straight from the mapping, which dies with the pin; anything else is decoded
+// or read into a buffer that buffer supplies at the length asked for, and is
+// then the caller's (owned). A point read passes the block cache's free list
+// and hands the block to the cache afterwards, so a steady-state miss
+// allocates nothing here. A block with flagDict is decoded behind rd's
+// dictionary. On the pread path the stored image's checksum is verified.
 //
 // Mapped bytes skip the checksum: a mapping only ever covers bytes this
 // process sealed itself or that replay has already verified. What the header
 // claims is still checked against what the bytes can hold before anything is
 // sized from it, so a damaged header is an error, never an allocation.
-func (s *Store) readBlock(rd *segio.Reader, off int64, need int, b *segio.Block, buffer func(n int) []byte) (block []byte, next int64, err error) {
+func (s *Store) readBlock(rd *segio.Reader, off int64, buffer func(n int) []byte) (block []byte, owned bool, next int64, err error) {
 	var hdrBuf [blockHeaderSize]byte
 	hdr, mapped := rd.MappedRange(off, blockHeaderSize)
 	if !mapped {
 		hdr = hdrBuf[:]
 		if err := rd.ReadAt(hdr, off); err != nil {
-			return nil, 0, fmt.Errorf("docstore: %w", err)
+			return nil, false, 0, fmt.Errorf("docstore: %w", err)
 		}
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != blockMagic {
-		return nil, 0, errors.New("docstore: bad block magic")
+		return nil, false, 0, errors.New("docstore: bad block magic")
 	}
 	rawLen := int64(binary.LittleEndian.Uint32(hdr[4:]))
 	storedLen := int64(binary.LittleEndian.Uint32(hdr[8:]))
 	sum := binary.LittleEndian.Uint32(hdr[12:])
-	compressed := hdr[16]&flagCompressed != 0
+	flags := hdr[16]
+	compressed := flags&flagCompressed != 0
 	bodyOff := off + blockHeaderSize
 	next = bodyOff + storedLen
 	if next > rd.Size() {
-		return nil, 0, errors.New("docstore: block extends past segment end")
+		return nil, false, 0, errors.New("docstore: block extends past segment end")
 	}
 	if !compressed && rawLen != storedLen {
-		return nil, 0, errors.New("docstore: block length mismatch")
+		return nil, false, 0, errors.New("docstore: block length mismatch")
 	}
 
 	var image []byte // the stored bytes, when they need no buffer of ours
@@ -975,22 +1066,21 @@ func (s *Store) readBlock(rd *segio.Reader, off int64, need int, b *segio.Block,
 	if mapped {
 		s.mmapReads.Add(1)
 		if !compressed {
-			return image, next, nil // the mapping is the cache
+			return image, false, next, nil // the mapping is the cache
 		}
 	} else {
 		s.preadReads.Add(1)
 	}
 
 	if !compressed {
-		b.Data = buffer(int(storedLen))
-		if err := rd.ReadAt(b.Data, bodyOff); err != nil {
-			return nil, 0, fmt.Errorf("docstore: %w", err)
+		block = buffer(int(storedLen))
+		if err := rd.ReadAt(block, bodyOff); err != nil {
+			return nil, false, 0, fmt.Errorf("docstore: %w", err)
 		}
-		if crc32.ChecksumIEEE(b.Data) != sum {
-			return nil, 0, errors.New("docstore: block checksum mismatch")
+		if crc32.ChecksumIEEE(block) != sum {
+			return nil, false, 0, errors.New("docstore: block checksum mismatch")
 		}
-		b.Done = len(b.Data)
-		return b.Data, next, nil
+		return block, true, next, nil
 	}
 	if !mapped {
 		sp := scratchPool.Get().(*[]byte)
@@ -1000,39 +1090,35 @@ func (s *Store) readBlock(rd *segio.Reader, off int64, need int, b *segio.Block,
 		}
 		image = (*sp)[:storedLen]
 		if err := rd.ReadAt(image, bodyOff); err != nil {
-			return nil, 0, fmt.Errorf("docstore: %w", err)
+			return nil, false, 0, fmt.Errorf("docstore: %w", err)
 		}
 		if crc32.ChecksumIEEE(image) != sum {
-			return nil, 0, errors.New("docstore: block checksum mismatch")
+			return nil, false, 0, errors.New("docstore: block checksum mismatch")
 		}
 	}
 	// Only the block header's rawLen is acceptable, and only if the
 	// compressed image can decode to that much.
-	n, err := blockcomp.DecodedLen(image)
-	if err != nil || int64(n) != rawLen || b.Data != nil && len(b.Data) != n {
-		return nil, 0, errors.New("docstore: block length mismatch")
+	if n, err := blockcomp.DecodedLen(image); err != nil || int64(n) != rawLen {
+		return nil, false, 0, errors.New("docstore: block length mismatch")
 	}
-	if b.Data == nil {
-		b.Data = buffer(n)
-		s.blocksDecoded.Add(1)
-	} else {
-		s.blocksResumed.Add(1)
+	var dict []byte
+	if flags&flagDict != 0 {
+		dict = rd.Dict() // none: the copy that reaches for it is the error
 	}
 	start := time.Now()
-	src, done, err := blockcomp.DecodeResume(b.Data, image, b.Src, b.Done, need)
-	if err != nil {
-		return nil, 0, fmt.Errorf("docstore: %w", err)
+	if block, err = blockcomp.DecodeDict(buffer(int(rawLen)), image, dict); err != nil {
+		return nil, false, 0, fmt.Errorf("docstore: %w", err)
 	}
-	s.bytesDecoded.Add(uint64(done - b.Done))
+	s.blocksDecoded.Add(1)
+	s.bytesDecoded.Add(uint64(rawLen))
 	s.decodeNanos.Add(uint64(time.Since(start)))
-	b.Src, b.Done = src, done
-	return b.Data[:done], next, nil
+	return block, true, next, nil
 }
 
 // walkBlocks is how a segment is read from end to end, by replay and by
-// compaction: it calls fn with each block of rd in file order, decoded once,
-// whole, into a buffer of its own that the next block overwrites (or lent from
-// the mapping), so a walk neither fills the block cache nor evicts from it. It
+// compaction: it calls fn with each block of rd in file order, decoded once
+// into a buffer of its own that the next block overwrites (or lent from the
+// mapping), so a walk neither fills the block cache nor evicts from it. It
 // stops at rd's size, at the first block that does not load and at fn's first
 // error, and returns the offset it reached and what stopped it. The caller
 // has rd pinned or to itself.
@@ -1046,8 +1132,7 @@ func (s *Store) walkBlocks(rd *segio.Reader, fn func(off int64, raw []byte) erro
 	}
 	var off int64
 	for off < rd.Size() {
-		var b segio.Block
-		raw, next, err := s.readBlock(rd, off, segio.WholeBlock, &b, own)
+		raw, _, next, err := s.readBlock(rd, off, own)
 		if err == nil {
 			err = fn(off, raw)
 		}
@@ -1125,9 +1210,11 @@ func (s *Store) Stats() Stats {
 		BlockBuffersRecycled: recycled,
 		BlockBuffersFresh:    fresh,
 		BlocksDecoded:        s.blocksDecoded.Load(),
-		BlocksExtended:       s.blocksResumed.Load(),
 		BlockBytesDecoded:    s.bytesDecoded.Load(),
 		BlockDecodeNanos:     s.decodeNanos.Load(),
+		CacheBytes:           int64(s.cache.Bytes()),
+		CacheBudgetBytes:     int64(s.opts.CacheBlocks) * int64(s.opts.BlockSize),
+		DictBytes:            int64(s.table.DictBytes()),
 
 		BlocksSealed:  s.blocksSealed.Load(),
 		SealNanos:     s.sealNanos.Load(),
@@ -1168,6 +1255,9 @@ func (s *Store) replayAll() error {
 		// does not parse is corruption replay must not hide.
 		var frameErr error
 		end, _ := s.walkBlocks(seg.rd, func(off int64, raw []byte) error {
+			if off == 0 {
+				setDict(seg.rd, raw)
+			}
 			for scan := 0; scan < len(raw); {
 				rec, n, err := parseFrame(raw[scan:], true)
 				if err != nil {
@@ -1401,8 +1491,7 @@ func appendFrame(dst []byte, rec Record) []byte {
 }
 
 // frameBodyLen is the frameLen field of the frame appendFrame writes for such
-// a record. The record's table entry holds every input, so where a sealed
-// frame ends is known without reading it (entry.frameEnd).
+// a record.
 func frameBodyLen(id uint64, form Form, baseID uint64, dbLen, keyLen, payloadLen int) int {
 	n := uvarintLen(id) + 1 +
 		uvarintLen(uint64(dbLen)) + dbLen +

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -208,6 +209,147 @@ func TestReplayTornSegments(t *testing.T) {
 	}
 }
 
+// TestReplayTornBehindADictionary is the torn-segment matrix for the format
+// in which only a segment's first block stands alone: batches of several
+// blocks, each compressed behind the dictionary that block's first bytes
+// are. A tear or a flipped bit costs the block it is in and what is behind it
+// in that segment, and nothing else: not the earlier blocks of the same batch
+// (a batch is written with one call but is not a unit of recovery), not
+// another segment's blocks, whose dictionary is their own. Damage to the first
+// block leaves an empty segment, and if it is the active one the next batch
+// written gives it a new dictionary.
+func TestReplayTornBehindADictionary(t *testing.T) {
+	cases := []struct {
+		name string
+		seg  string // which segment: "rolled" (the first) or "active" (the last)
+		// block picks the damaged block among the segment's n; at is the
+		// damage within it: a length to cut the file at, or a bit to flip.
+		block func(n int) int
+		cut   bool
+	}{
+		{name: "torn tail block", seg: "active", block: func(n int) int { return n - 1 }, cut: true},
+		{name: "flip in the middle of the last batch", seg: "active", block: func(n int) int { return n - 2 }},
+		{name: "flip in a rolled segment", seg: "rolled", block: func(n int) int { return n / 2 }},
+		{name: "torn first block", seg: "active", block: func(int) int { return 0 }, cut: true},
+		{name: "flip in a rolled segment's first block", seg: "rolled", block: func(int) int { return 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := faultfs.NewMemFS()
+			opts := Options{Dir: "d", FS: mem, Compress: true, BlockSize: 12 << 10, SegmentSize: 24 << 10}
+			s, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads := map[uint64][]byte{}
+			put := func(s *Store, id uint64) {
+				t.Helper()
+				// Half of every payload is shared text, which the dictionary
+				// holds, and half its own, which nothing compresses.
+				own := make([]byte, 400)
+				rand.New(rand.NewSource(int64(id))).Read(own)
+				p := append(bytes.Repeat([]byte("the common part of every record. "), 12), own...)
+				payloads[id] = p
+				mustAppend(t, s, Record{ID: id, DB: "d", Key: fmt.Sprintf("k%d", id), Payload: p})
+			}
+			// Until the active segment, the third at least, holds two batches.
+			for id := uint64(1); ; id++ {
+				put(s, id)
+				s.mu.Lock()
+				s.waitSealerLocked()
+				done := len(s.segments) >= 3 && s.active.size >= 14<<10
+				s.mu.Unlock()
+				if done {
+					break
+				}
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			home := map[uint64]entry{}
+			for id := range payloads {
+				home[id], _ = s.recs.get(id)
+			}
+			dmgSlot := 0
+			if tc.seg == "active" {
+				dmgSlot = len(s.segments) - 1
+			}
+			name := s.segments[dmgSlot].file.Name()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if dmgSlot == 0 && tc.seg == "active" {
+				t.Fatal("one segment only")
+			}
+			data := append([]byte(nil), mem.Bytes(name)...)
+			spans := blockSpans(data)
+			if len(spans) < 4 || data[spans[0].off+16]&flagDict != 0 || data[spans[1].off+16]&flagDict == 0 {
+				t.Fatalf("%d blocks in the damaged segment, flags %#x then %#x: want a classic block and dictionary blocks behind it",
+					len(spans), data[spans[0].off+16], data[spans[1].off+16])
+			}
+			target := spans[tc.block(len(spans))]
+			if tc.cut {
+				data = data[:target.off+blockHeaderSize+target.stored/2]
+			} else {
+				data[target.off+blockHeaderSize+target.stored/2] ^= 0x40
+			}
+			mem.SetBytes(name, data)
+
+			survives := func(id uint64) bool {
+				return int(home[id].seg) != dmgSlot || home[id].off < target.off
+			}
+			check := func(s *Store) (lost int) {
+				t.Helper()
+				for id, p := range payloads {
+					got, ok, err := s.Get(id)
+					if err != nil {
+						t.Fatalf("Get(%d): %v", id, err)
+					}
+					if ok != survives(id) {
+						t.Fatalf("record %d (segment %d, block at %d): live=%v, want %v", id, home[id].seg, home[id].off, ok, survives(id))
+					}
+					if ok && !bytes.Equal(got.Payload, p) {
+						t.Fatalf("record %d reads back wrong after recovery", id)
+					}
+					if !ok {
+						lost++
+					}
+				}
+				return lost
+			}
+			s2, err := Open(opts)
+			if err != nil {
+				t.Fatalf("reopen over damage failed: %v", err)
+			}
+			if lost := check(s2); lost == 0 {
+				t.Fatal("damage cost no records; the case exercises nothing")
+			}
+			if got := s2.segments[dmgSlot].size; got != target.off {
+				t.Fatalf("the damaged segment ends at %d, want %d, where the damaged block starts", got, target.off)
+			}
+			// New batches land behind the damage (behind a new first block,
+			// if that is what was lost), are readable and survive a reopen.
+			for id := uint64(1000); id < 1040; id++ {
+				put(s2, id)
+				home[id] = entry{seg: -1}
+			}
+			if err := s2.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			check(s2)
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s3, err := Open(opts)
+			if err != nil {
+				t.Fatalf("third open failed: %v", err)
+			}
+			defer s3.Close()
+			check(s3)
+		})
+	}
+}
+
 // TestReplayEndsASegmentWhereItStopped damages the body of the active
 // segment's last block, whose header stays valid. Replay stops in front of
 // that block, so the segment ends there and the next block written replaces
@@ -362,12 +504,12 @@ func TestSyncFailurePropagation(t *testing.T) {
 }
 
 // TestWriteFailureRollback is the regression test for the orphan-header bug:
-// a seal whose header write succeeded but whose body write failed used to
-// leave a valid-magic header in front of the retried block. Replay would
-// read the orphan, fail its checksum, truncate there — and silently discard
-// the retried (acknowledged, synced) block. A block is only part of its
-// segment once it is whole, so the retry overwrites the partial one in place.
+// a seal whose header reached the file and whose body did not used to leave a
+// valid-magic header in front of the retried block. Replay would read the
+// orphan, fail its checksum, truncate there — and silently discard the
+// retried (acknowledged, synced) block. A batch is only part of its segment
+// once it is whole, so the retry overwrites the partial one in place.
 func TestWriteFailureRollback(t *testing.T) {
-	// Write #1 is the block header, write #2 the stored body: fail the body.
-	checkSealFailure(t, faultfs.FailWrite(2))
+	// A batch is one write: tear it behind the first block's header.
+	checkSealFailure(t, faultfs.Rule{Op: faultfs.OpWrite, Nth: 1, Kind: faultfs.KindShort, Keep: blockHeaderSize})
 }

@@ -9,14 +9,25 @@ import (
 	"testing"
 )
 
-// goldenDir holds the segment files the parent of the allocation-diet change
-// (commit 45008b0, PR 18) wrote when it ran goldenOps. The frame and block
-// formats are not supposed to move: whoever changes them on purpose re-runs
-// goldenOps at the commit to pin and replaces the files.
-const goldenDir = "testdata/golden_pr18"
+// The golden directories hold segment files written by running goldenOps. The
+// frame and block formats are not supposed to move: whoever changes them on
+// purpose re-runs goldenOps at the commit to pin, adds a directory, and keeps
+// the old ones opening.
+//
+// golden_pr18 was written by the parent of the allocation-diet change (commit
+// 45008b0, PR 18): every batch one self-contained block. golden_pr29 is this
+// format: batches large enough to be cut into several blocks, every block but
+// a segment's first compressed behind that segment's dictionary.
+const (
+	goldenPR18 = "testdata/golden_pr18"
+	goldenDir  = "testdata/golden_pr29"
+)
 
-func goldenOptions(dir string) Options {
-	return Options{Dir: dir, BlockSize: 1 << 10, SegmentSize: 4 << 10, Compress: true}
+func goldenOptions(dir, golden string) Options {
+	if golden == goldenPR18 {
+		return Options{Dir: dir, BlockSize: 1 << 10, SegmentSize: 4 << 10, Compress: true}
+	}
+	return Options{Dir: dir, BlockSize: 10 << 10, SegmentSize: 16 << 10, Compress: true}
 }
 
 // goldenOps drives a fixed operation sequence through every frame flag, both
@@ -97,15 +108,18 @@ func checkGoldenRecords(t *testing.T, s *Store, live map[uint64]Record) {
 }
 
 // TestGoldenSegmentsByteIdentical: the same operations must produce the same
-// bytes on disk as the parent produced, file for file.
+// bytes on disk as the commit that pinned them produced, file for file.
 func TestGoldenSegmentsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(goldenOptions(dir))
+	s, err := Open(goldenOptions(dir, goldenDir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := goldenOps(t, s)
 	checkGoldenRecords(t, s, live)
+	if st := s.Stats(); st.BlocksSealed < 2*uint64(st.LiveSegments) {
+		t.Fatalf("%d blocks in %d segments: the batches are not being cut", st.BlocksSealed, st.LiveSegments)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +129,7 @@ func TestGoldenSegmentsByteIdentical(t *testing.T) {
 	}
 	got, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if len(got) != len(want) {
-		t.Fatalf("wrote %d segment files, the parent wrote %d", len(got), len(want))
+		t.Fatalf("wrote %d segment files, the golden directory has %d", len(got), len(want))
 	}
 	for _, w := range want {
 		wb, err := os.ReadFile(w)
@@ -131,45 +145,53 @@ func TestGoldenSegmentsByteIdentical(t *testing.T) {
 			for at < len(gb) && at < len(wb) && gb[at] == wb[at] {
 				at++
 			}
-			t.Fatalf("%s: %d bytes, parent wrote %d; first difference at offset %d", filepath.Base(w), len(gb), len(wb), at)
+			t.Fatalf("%s: %d bytes, golden %d; first difference at offset %d", filepath.Base(w), len(gb), len(wb), at)
 		}
 	}
 }
 
-// TestGoldenSegmentsOpen: files the parent wrote replay, serve every record
-// and keep accepting writes.
+// TestGoldenSegmentsOpen: files an earlier format's store wrote, and this
+// one's, replay, serve every record and keep accepting writes.
 func TestGoldenSegmentsOpen(t *testing.T) {
-	dir := t.TempDir()
-	files, _ := filepath.Glob(filepath.Join(goldenDir, "seg-*.log"))
-	for _, f := range files {
-		b, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The model comes from running the same sequence on a scratch store.
-	scratch, err := Open(goldenOptions(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := goldenOps(t, scratch)
-	scratch.Close()
+	for _, golden := range []string{goldenPR18, goldenDir} {
+		t.Run(filepath.Base(golden), func(t *testing.T) {
+			dir := t.TempDir()
+			files, _ := filepath.Glob(filepath.Join(golden, "seg-*.log"))
+			if len(files) < 2 {
+				t.Fatalf("golden files: %v", files)
+			}
+			for _, f := range files {
+				b, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The model comes from running the same sequence on a scratch store.
+			scratch, err := Open(goldenOptions("", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := goldenOps(t, scratch)
+			scratch.Close()
 
-	s, err := Open(goldenOptions(dir))
-	if err != nil {
-		t.Fatal(err)
+			s, err := Open(goldenOptions(dir, golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			checkGoldenRecords(t, s, live)
+			added := Record{ID: 999, DB: "db0", Key: "new", Payload: []byte("appended to files an earlier store wrote")}
+			if err := s.Append(added); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			live[999] = added
+			checkGoldenRecords(t, s, live)
+		})
 	}
-	defer s.Close()
-	checkGoldenRecords(t, s, live)
-	if err := s.Append(Record{ID: 999, DB: "db0", Key: "new", Payload: []byte("appended to parent-written files")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	live[999] = Record{ID: 999, DB: "db0", Key: "new", Payload: []byte("appended to parent-written files")}
-	checkGoldenRecords(t, s, live)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -132,6 +133,127 @@ func TestMmapReadEquivalence(t *testing.T) {
 				t.Fatal("no pread block reads from unmappable files")
 			}
 			s.Close()
+		})
+	}
+}
+
+// TestDictionarySurvivesReopenAndRoll follows a segment's dictionary through
+// its life on both read paths: every block but a segment's first needs it, so
+// every record has to read back byte-exact while the segment is active (set
+// when its first batch sealed), after the segment rolled and was mapped, after
+// a reopen (set again at replay, from the first block as decoded), after more
+// segments were written behind the reopened ones, and after compaction moved
+// the records under the active segment's dictionary and retired the segment
+// they were in, whose handle, still pinned by a reader, keeps the dictionary
+// that reader's block needs.
+func TestDictionarySurvivesReopenAndRoll(t *testing.T) {
+	for _, mode := range []string{"os", "pread"} {
+		t.Run(mode, func(t *testing.T) {
+			opts := Options{Dir: t.TempDir(), Compress: true, BlockSize: 12 << 10, SegmentSize: 24 << 10, CacheBlocks: 1}
+			if mode == "pread" {
+				opts.FS = noMapFS{faultfs.DefaultFS}
+			}
+			s, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[uint64][]byte{}
+			put := func(id uint64, ver int) {
+				t.Helper()
+				// Shared text, which the dictionary holds, and noise of the
+				// record's own, so that segments fill.
+				own := make([]byte, 300)
+				rand.New(rand.NewSource(int64(id)<<8 | int64(ver))).Read(own)
+				want[id] = append(bytes.Repeat([]byte("what every record has in common. "), 15), own...)
+				if err := s.Append(Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id), Payload: want[id]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			segments := func() int { return s.Stats().LiveSegments }
+			next := uint64(1)
+			fill := func(until int) {
+				t.Helper()
+				for segments() < until {
+					put(next, 0)
+					next++
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkDicts := func() {
+				t.Helper()
+				var sum int64
+				for i, seg := range s.segments {
+					if seg.retired || seg.size == 0 {
+						continue
+					}
+					var first []byte
+					s.walkBlocks(seg.rd, func(off int64, raw []byte) error {
+						first = append([]byte(nil), raw...)
+						return errors.New("one block is enough")
+					})
+					if got := seg.rd.Dict(); !bytes.Equal(got, first[:min(len(first), dictLen)]) {
+						t.Fatalf("segment %d: the dictionary (%d bytes) is not its first block's first bytes (%d in the block)", i, len(got), len(first))
+					}
+					sum += int64(len(seg.rd.Dict()))
+				}
+				if got := s.Stats().DictBytes; got != sum || sum == 0 {
+					t.Fatalf("Stats.DictBytes = %d, the live segments hold %d", got, sum)
+				}
+			}
+
+			fill(3)
+			checkAll(t, s, want)
+			checkDicts()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = Open(opts); err != nil {
+				t.Fatal(err)
+			}
+			defer func() { s.Close() }()
+			checkAll(t, s, want)
+			checkDicts()
+			if st := s.Stats(); mode == "pread" && st.MmapBlockReads != 0 || st.BlocksDecoded == 0 {
+				t.Fatalf("after the reopen: %+v", st)
+			}
+			fill(segments() + 2) // the reopened active segment takes blocks behind its replayed dictionary, and rolls
+			checkAll(t, s, want)
+			checkDicts()
+
+			// A reader that pinned the first segment before it is retired,
+			// and wants a block behind its dictionary.
+			rd, ok := s.table.Pin(0)
+			if !ok {
+				t.Fatal("cannot pin the first segment")
+			}
+			var second int64
+			s.walkBlocks(rd, func(off int64, _ []byte) error {
+				if second = off; off > 0 {
+					return errors.New("found it")
+				}
+				return nil
+			})
+			for id := uint64(1); id < 40; id += 2 { // dead bytes there
+				put(id, 1)
+			}
+			if n, err := s.Compact(); err != nil || n == 0 || !s.segments[0].retired {
+				t.Fatalf("Compact reclaimed %d bytes, err %v; it must retire the first segment", n, err)
+			}
+			if st := s.Stats(); st.RetiredPending != 1 {
+				t.Fatalf("%d retired segments waiting for their readers, want the one that is pinned", st.RetiredPending)
+			}
+			own := func(n int) []byte { return make([]byte, n) }
+			if raw, _, _, err := s.readBlock(rd, second, own); err != nil || len(raw) == 0 {
+				t.Fatalf("a pinned reader's load of a dictionary block of the retired segment: %d bytes, %v", len(raw), err)
+			}
+			s.table.Unpin(rd)
+			if st := s.Stats(); st.RetiredPending != 0 {
+				t.Fatalf("%d retired segments still waiting", st.RetiredPending)
+			}
+			checkAll(t, s, want)
+			checkDicts()
 		})
 	}
 }

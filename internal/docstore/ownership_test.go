@@ -91,13 +91,19 @@ func TestColdGetAllocBudget(t *testing.T) {
 				opts.FS = noMapFS{faultfs.DefaultFS}
 			}
 			s, _ := sealedStore(t, opts, 512, payloadLen)
-			perBlock := uint64(32<<10) / payloadLen
-			next := uint64(1)
+			if st := s.Stats(); st.LiveSegments != 1 || st.BlocksSealed != 1+504 {
+				t.Fatalf("%d segments, %d blocks: want one, its first batch of 8 records whole and a block per record behind it",
+					st.LiveSegments, st.BlocksSealed)
+			}
+			// Records 1 to 8 are the segment's first block, which reads do
+			// not load; every other record is a block of its own, and the
+			// one-block budget (32 KiB) holds seven of them.
+			next := uint64(9)
 			get := func() {
 				if _, ok, err := s.Get(next); err != nil || !ok {
 					t.Fatal(ok, err)
 				}
-				next = (next+perBlock-1)%512 + 1 // a different block every time
+				next = 9 + (next-9+11)%504 // a block long since evicted, every time
 			}
 			for i := 0; i < 64; i++ { // warm up: free list and scratch find their sizes
 				get()
@@ -136,9 +142,9 @@ func TestCorruptBlockHeaderIsAnError(t *testing.T) {
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			// Small segments, so the first one is sealed, rolled and (where
-			// the platform maps) mapped; a one-block cache, so replay leaves
-			// only the last block cached and Get(1) has to load its block.
-			opts := Options{Dir: t.TempDir(), Compress: true, BlockSize: 4 << 10, SegmentSize: 4 << 10,
+			// the platform maps) mapped, and nothing of it is cached after
+			// the reopen.
+			opts := Options{Dir: t.TempDir(), Compress: true, BlockSize: 4 << 10, SegmentSize: 6 << 10,
 				CacheBlocks: 1, CacheShards: 1}
 			dir := opts.Dir
 			s, err := Open(opts)
@@ -157,16 +163,26 @@ func TestCorruptBlockHeaderIsAnError(t *testing.T) {
 			if st := s.Stats(); st.LiveSegments < 2 {
 				t.Fatalf("only %d segments; the damaged block must sit in a rolled one", st.LiveSegments)
 			}
-			// Damage the first block of the first segment behind the store's
-			// back, after replay verified it.
+			// Damage the second block of the first segment (a read of the
+			// first is served from the dictionary) behind the store's back,
+			// after replay verified it.
 			name := filepath.Join(dir, "seg-000000.log")
-			data, err := os.ReadFile(name)
+			file, err := os.ReadFile(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if binary.LittleEndian.Uint32(data) != blockMagic || data[16]&flagCompressed == 0 {
-				t.Fatal("first block is not a compressed block")
+			spans := blockSpans(file)
+			if len(spans) < 2 || file[spans[1].off+16] != flagCompressed|flagDict {
+				t.Fatalf("%d blocks in the first segment; the second must be compressed behind the dictionary", len(spans))
 			}
+			at := spans[1].off
+			var victim uint64
+			for _, id := range s.recs.ids() {
+				if e, _ := s.recs.get(id); e.seg == 0 && e.off == at {
+					victim = id
+				}
+			}
+			data := file[at:]
 			storedLen := binary.LittleEndian.Uint32(data[8:])
 			corrupt(data)
 			// Keep the checksum honest for the pread lane: the lengths, not
@@ -176,12 +192,15 @@ func TestCorruptBlockHeaderIsAnError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.WriteAt(data[:blockHeaderSize+16], 0); err != nil {
+			if _, err := f.WriteAt(data[:blockHeaderSize+16], at); err != nil {
 				t.Fatal(err)
 			}
 			f.Close()
-			if _, _, err := s.Get(1); err == nil {
-				t.Fatal("Get of a record in the damaged block succeeded")
+			if _, ok, err := s.Get(victim); err == nil {
+				t.Fatalf("Get of record %d in the damaged block succeeded (found %v)", victim, ok)
+			}
+			if _, ok, err := s.Get(1); err != nil || !ok {
+				t.Fatalf("Get of a record in the block before it: ok %v, err %v", ok, err)
 			}
 			if _, ok, err := s.Get(400); err != nil || !ok {
 				t.Fatalf("Get of an undamaged record: ok %v, err %v", ok, err)
@@ -191,7 +210,7 @@ func TestCorruptBlockHeaderIsAnError(t *testing.T) {
 }
 
 // TestConcurrentGetsNeverSeeRecycledBytes is the ownership rule under the
-// race detector: with a one-block-per-shard cache every miss recycles a
+// race detector: with a few blocks to a cache shard every miss recycles a
 // buffer some other reader's block just left, while a writer appends, seals
 // and compacts. Each reader holds one payload across its next Get before
 // checking it, so a payload that aliased a cache buffer would be overwritten
@@ -199,7 +218,7 @@ func TestCorruptBlockHeaderIsAnError(t *testing.T) {
 func TestConcurrentGetsNeverSeeRecycledBytes(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, Compress: true, BlockSize: 512, SegmentSize: 8 << 10,
-		CacheBlocks: 1, CacheShards: 2})
+		CacheBlocks: 16, CacheShards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

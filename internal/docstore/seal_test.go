@@ -3,6 +3,7 @@ package docstore
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -239,16 +240,25 @@ func TestOverwriteAndDeleteDuringSeal(t *testing.T) {
 // TestConcurrentReadsAcrossSeal is the property the old reader's retry loop
 // existed for: while blocks fill, go in flight and are sealed, and records are
 // overwritten at every stage of that, a reader never misses a live ID and
-// never sees bytes that were not some version of it. One reader asks with Get,
-// which wants a sealed block whole, and two with View, which inflates it only
-// as far as the frame: on a block that sealed a moment ago they meet wanting
-// different amounts of it.
+// never sees bytes that were not some version of it. One reader asks with Get
+// and two with View: on a batch that sealed a moment ago they meet on frames
+// of one block, or of neighbouring blocks of the batch. In the batches mode a
+// batch is cut into several blocks and a segment rolls every third batch or
+// so, so the readers keep crossing from a segment's first block, which needs
+// no dictionary, to the blocks behind it, which need the one that block's
+// installation set: it has to be there before any of them can be found.
 func TestConcurrentReadsAcrossSeal(t *testing.T) {
-	for _, mode := range []string{"file", "mem"} {
+	const ids = 2000
+	for _, mode := range []string{"file", "mem", "batches"} {
 		t.Run(mode, func(t *testing.T) {
 			opts := Options{BlockSize: 512, SegmentSize: 8 << 10, Compress: true, CacheBlocks: 4}
-			if mode == "file" {
+			wantBlocks, wantSegments := ids/5, 1
+			switch mode {
+			case "file":
 				opts.Dir = t.TempDir()
+			case "batches":
+				opts.Dir, opts.BlockSize, opts.SegmentSize = t.TempDir(), 10<<10, 5<<10
+				wantBlocks, wantSegments = 2*ids*100/opts.BlockSize, 4
 			}
 			s, err := Open(opts)
 			if err != nil {
@@ -256,7 +266,6 @@ func TestConcurrentReadsAcrossSeal(t *testing.T) {
 			}
 			defer s.Close()
 
-			const ids = 2000
 			var live atomic.Uint64 // IDs [1, live] have been acknowledged
 			var stop atomic.Bool
 			var wg sync.WaitGroup
@@ -324,10 +333,41 @@ func TestConcurrentReadsAcrossSeal(t *testing.T) {
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if st := s.Stats(); st.LiveRecords != ids || st.BlocksSealed < ids/5 {
-				t.Fatalf("after the run: %d live records, %d blocks sealed", st.LiveRecords, st.BlocksSealed)
+			if st := s.Stats(); st.LiveRecords != ids || int(st.BlocksSealed) < wantBlocks || st.LiveSegments < wantSegments {
+				t.Fatalf("after the run: %d live records, %d blocks sealed in %d segments; want %d and at least %d in %d",
+					st.LiveRecords, st.BlocksSealed, st.LiveSegments, ids, wantBlocks, wantSegments)
 			}
 		})
+	}
+}
+
+// TestBatchIsOneWrite: a sealed batch reaches the file with one WriteAt (and,
+// under SyncWrites, one Sync), however many blocks it was cut into; header
+// and body used to be a write each.
+func TestBatchIsOneWrite(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.NewMemFS(), 1)
+	s, err := Open(Options{Dir: "d", FS: inj, Compress: true, SyncWrites: true, BlockSize: 12 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// 13 records of 1000 bytes fill a 12 KiB batch; 5 of them reach the 4 KiB
+	// at which a block is cut.
+	const batches, perBatch = 5, 13
+	for id := uint64(1); id <= batches*perBatch; id++ {
+		noise := make([]byte, 1000)
+		rand.New(rand.NewSource(int64(id))).Read(noise)
+		mustAppend(t, s, Record{ID: id, DB: "db", Key: "k", Payload: noise})
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.BlocksSealed != 1+(batches-1)*3 {
+		t.Fatalf("%d blocks sealed, want the first batch whole and three to each of the other %d", st.BlocksSealed, batches-1)
+	}
+	if w, sy := inj.Count(faultfs.OpWrite), inj.Count(faultfs.OpSync); w != batches || sy != batches {
+		t.Fatalf("%d writes and %d syncs for %d batches", w, sy, batches)
 	}
 }
 

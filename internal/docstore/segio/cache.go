@@ -2,7 +2,6 @@ package segio
 
 import (
 	"container/list"
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -17,7 +16,7 @@ func BlockKey(slot int, off int64) uint64 {
 // keySlot recovers the segment slot from a BlockKey.
 func keySlot(key uint64) int { return int(key >> 40) }
 
-// Cache is a sharded, count-bounded LRU of decompressed blocks. Each shard
+// Cache is a sharded, byte-bounded LRU of decompressed blocks. Each shard
 // has its own lock and LRU list, so concurrent readers hitting different
 // shards never serialise; hit/miss counters are per shard for the admin
 // endpoint's contention view.
@@ -25,14 +24,11 @@ func keySlot(key uint64) int { return int(key >> 40) }
 // The cache owns every block buffer from Put on. It lends a cached block's
 // bytes only inside a View callback, under the shard lock, and when a block
 // is evicted, replaced or dropped its buffer goes to the shard's free list,
-// where Buffer hands it to the next miss. Nothing outside the cache may keep
-// a reference to a buffer it has Put, or to bytes it saw in View: the next
-// miss on that shard overwrites them.
+// where Buffer hands it to the next miss it is large enough for. Nothing
+// outside the cache may keep a reference to a buffer it has Put, or to bytes
+// it saw in View: the next miss on that shard overwrites them.
 //
-// A block may be resident only in part (Block.Done): a point read decodes a
-// compressed block as far as its own frame. A reader that needs more than is
-// there is handed the block itself, which leaves the cache for that long, so
-// the decode that extends it runs under no lock and has the buffer to itself.
+// A block costs its buffer's capacity, which is what it keeps from the heap.
 type Cache struct {
 	shards []cacheShard
 	mask   uint64
@@ -44,13 +40,15 @@ type Cache struct {
 }
 
 type cacheShard struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	items map[uint64]*list.Element
-	// free holds the buffers of blocks that left the cache, at most cap of
-	// them, so the shard's footprint is bounded by twice its capacity.
-	free [][]byte
+	mu     sync.Mutex
+	budget int // bytes of resident blocks the shard may hold
+	used   int // bytes it holds
+	ll     *list.List
+	items  map[uint64]*list.Element
+	// free holds the buffers of blocks that left the cache, up to freeShare
+	// of the budget, so the shard's footprint stays bounded.
+	free      [][]byte
+	freeBytes int
 
 	hits     atomic.Uint64
 	misses   atomic.Uint64
@@ -58,23 +56,9 @@ type cacheShard struct {
 	fresh    atomic.Uint64 // Buffer calls that allocated
 }
 
-// Block is a block's buffer and how far it is filled. Data has the block's
-// full length from the first load on; Data[:Done] is final and what readers
-// are shown, and the rest is still to be decoded, from position Src of the
-// stored image, which means something to the decoder alone. A block that is
-// not compressed, or was wanted whole, has Done == len(Data).
-type Block struct {
-	Data      []byte
-	Done, Src int
-}
-
-// WholeBlock, as a View's need, is more than any block has: only a block
-// resident in full satisfies it.
-const WholeBlock = math.MaxInt
-
 type blockItem struct {
-	key uint64
-	Block
+	key  uint64
+	data []byte
 }
 
 // PoisonFreed installs fn as the poison hook: it is called, under the shard
@@ -84,13 +68,11 @@ type blockItem struct {
 // cache is shared.
 func (c *Cache) PoisonFreed(fn func([]byte)) { c.poison = fn }
 
-// NewCache returns a cache holding capacity blocks total across shardCount
-// shards (rounded up to a power of two; shardCount <= 0 selects 8). Each
-// shard holds at least one block, so tiny capacities still cache.
-func NewCache(capacity, shardCount int) *Cache {
-	if capacity <= 0 {
-		capacity = 64
-	}
+// NewCache returns a cache holding budget bytes of blocks in total across
+// shardCount shards (rounded up to a power of two; shardCount <= 0 selects 8).
+// Each shard keeps its most recent block whatever its size, so tiny budgets
+// still cache.
+func NewCache(budget, shardCount int) *Cache {
 	if shardCount <= 0 {
 		shardCount = 8
 	}
@@ -98,13 +80,9 @@ func NewCache(capacity, shardCount int) *Cache {
 	for n < shardCount {
 		n <<= 1
 	}
-	perShard := (capacity + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
-	}
 	c := &Cache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
-		c.shards[i].cap = perShard
+		c.shards[i].budget = budget / n
 		c.shards[i].ll = list.New()
 		c.shards[i].items = make(map[uint64]*list.Element)
 	}
@@ -118,82 +96,81 @@ func (c *Cache) shardOf(key uint64) *cacheShard {
 	return &c.shards[(h>>32)&c.mask]
 }
 
-// View looks key up, recording a hit or miss. It is a hit when the block is
-// resident with at least its first need bytes, or with all it has: fn is then
-// called with the resident bytes while the shard lock is held. fn must copy
-// out what it needs and must not block or take another lock: the bytes are
-// the cache's, and are reused as soon as the lock is released and the block
-// evicted. A resident block that holds less is a miss and is returned as
-// short, removed from the cache: the caller owns it, fills in more of it and
-// Puts it back (or drops it, on an error).
-func (c *Cache) View(key uint64, need int, fn func(block []byte)) (hit bool, short Block) {
+// View looks key up, recording a hit or miss. On a hit fn is called with the
+// block while the shard lock is held. fn must copy out what it needs and must
+// not block or take another lock: the bytes are the cache's, and are reused as
+// soon as the lock is released and the block evicted.
+func (c *Cache) View(key uint64, fn func(block []byte)) (hit bool) {
 	s := c.shardOf(key)
 	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		it := el.Value.(*blockItem)
-		if it.Done >= need || it.Done == len(it.Data) {
-			s.ll.MoveToFront(el)
-			fn(it.Data[:it.Done])
-			s.mu.Unlock()
-			s.hits.Add(1)
-			return true, Block{}
-		}
-		short = it.Block
-		s.ll.Remove(el)
-		delete(s.items, key)
+	el, hit := s.items[key]
+	if hit {
+		s.ll.MoveToFront(el)
+		fn(el.Value.(*blockItem).data)
 	}
 	s.mu.Unlock()
-	s.misses.Add(1)
-	return false, short
+	if hit {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
+	return hit
 }
 
-// bufferQuantum rounds fresh buffer capacities up, so blocks of nearly the
-// same size (a sealed block is its target size plus the last record's
-// overshoot) can take over each other's buffers.
-const bufferQuantum = 8 << 10
+const (
+	// bufferQuantum rounds fresh buffer capacities up, so blocks of nearly
+	// the same size can take over each other's buffers.
+	bufferQuantum = 512
+	// freeShare is the part of its budget a shard may keep in idle buffers.
+	freeShare = 4
+)
 
 // Buffer returns a buffer of length n for the block that will be Put under
-// key: a recycled one from that shard's free list when its capacity
-// suffices, a fresh allocation otherwise. The caller owns it until Put.
+// key: from that shard's free list the smallest one that holds n bytes and
+// would not be more than half empty (a block costs its buffer's capacity), a
+// fresh allocation otherwise. The caller owns it until Put.
 func (c *Cache) Buffer(key uint64, n int) []byte {
 	s := c.shardOf(key)
 	s.mu.Lock()
+	best := -1
+	for i, buf := range s.free {
+		if c := cap(buf); c >= n && c <= max(2*n, bufferQuantum) && (best < 0 || c < cap(s.free[best])) {
+			best = i
+		}
+	}
 	var buf []byte
-	if last := len(s.free) - 1; last >= 0 {
-		buf = s.free[last]
-		s.free[last] = nil
+	if best >= 0 {
+		last := len(s.free) - 1
+		buf, s.free[best], s.free[last] = s.free[best], s.free[last], nil
 		s.free = s.free[:last]
+		s.freeBytes -= cap(buf)
 	}
 	s.mu.Unlock()
-	if cap(buf) >= n {
+	if buf != nil {
 		s.recycled.Add(1)
 		return buf[:n]
 	}
-	// A too-small recycled buffer is dropped: the shard converges on
-	// buffers as large as the blocks it sees.
 	s.fresh.Add(1)
 	return make([]byte, n, (n+bufferQuantum-1)/bufferQuantum*bufferQuantum)
 }
 
-// Put inserts a block, evicting the shard's LRU tail past capacity. The cache
-// owns b.Data from here on; the caller must not touch it again.
-func (c *Cache) Put(key uint64, b Block) {
+// Put inserts a block, evicting from the shard's LRU tail while it is over
+// budget. The cache owns data from here on; the caller must not touch it
+// again.
+func (c *Cache) Put(key uint64, data []byte) {
 	s := c.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
-		// Two readers loaded the same block: the contents are equal as far as
-		// both go, so keep the one that goes further and recycle the other.
-		it := el.Value.(*blockItem)
-		if b.Done > it.Done {
-			b, it.Block = it.Block, b
-		}
-		c.release(s, b.Data)
+		// Two readers loaded the same block: the contents are equal, so
+		// keep the resident one and recycle the other.
+		c.release(s, data)
 		s.ll.MoveToFront(el)
 		return
 	}
-	s.items[key] = s.ll.PushFront(&blockItem{key: key, Block: b})
-	for s.ll.Len() > s.cap {
+	s.items[key] = s.ll.PushFront(&blockItem{key: key, data: data})
+	s.used += cap(data)
+	for s.used > s.budget && s.ll.Len() > 1 {
 		c.remove(s, s.ll.Back())
 	}
 }
@@ -203,18 +180,21 @@ func (c *Cache) Put(key uint64, b Block) {
 func (c *Cache) remove(s *cacheShard, el *list.Element) {
 	it := s.ll.Remove(el).(*blockItem)
 	delete(s.items, it.key)
-	c.release(s, it.Data)
+	s.used -= cap(it.data)
+	c.release(s, it.data)
 }
 
 // release puts a buffer no cached block uses any more on the shard's free
-// list. Caller holds s.mu, which is what makes this safe: bytes are lent
-// only under the same lock, so no reader can still be looking at them.
+// list, if there is room. Caller holds s.mu, which is what makes this safe:
+// bytes are lent only under the same lock, so no reader can still be looking
+// at them.
 func (c *Cache) release(s *cacheShard, buf []byte) {
 	if c.poison != nil {
 		c.poison(buf[:cap(buf)])
 	}
-	if len(s.free) < s.cap {
+	if s.freeBytes+cap(buf) <= s.budget/freeShare {
 		s.free = append(s.free, buf)
+		s.freeBytes += cap(buf)
 	}
 }
 
@@ -250,6 +230,18 @@ func (c *Cache) Buffers() (recycled, fresh uint64) {
 		fresh += c.shards[i].fresh.Load()
 	}
 	return recycled, fresh
+}
+
+// Bytes returns what the resident blocks hold of the heap, to set against the
+// budget.
+func (c *Cache) Bytes() (n int) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += s.used
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // ShardStats is one shard's counters for the admin endpoint.

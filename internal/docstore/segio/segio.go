@@ -16,8 +16,8 @@
 //     publishing a new snapshot without it and dropping the table's
 //     reference. The release hook — closing the file — runs exactly once,
 //     when the last pin drains.
-//   - Cache (cache.go): a sharded LRU over decompressed blocks, so cache
-//     hits on different shards never contend on one lock.
+//   - Cache (cache.go): a sharded, byte-bounded LRU over decompressed blocks,
+//     so cache hits on different shards never contend on one lock.
 //
 // The intended retirement sequence, from the store's point of view:
 //
@@ -66,6 +66,12 @@ type Reader struct {
 	// refcount drains, so a pin is what keeps mapped bytes alive.
 	mapped atomic.Pointer[mapView]
 
+	// dict is the segment's compression dictionary: the first raw bytes of
+	// its first block, which later blocks of the segment were encoded behind.
+	// The store sets it once, before it publishes a block that needs it (at
+	// replay, or when the first block seals), and it goes with the handle.
+	dict atomic.Pointer[[]byte]
+
 	refs    atomic.Int64
 	release func() // user hook: close the file (may be nil)
 	onDrain func() // table bookkeeping, set once at Install
@@ -107,6 +113,17 @@ func (r *Reader) ReadAt(p []byte, off int64) error {
 	_, err := r.file.ReadAt(p, off)
 	return err
 }
+
+// Dict returns the segment's dictionary, nil while it has none.
+func (r *Reader) Dict() []byte {
+	if d := r.dict.Load(); d != nil {
+		return *d
+	}
+	return nil
+}
+
+// SetDict installs the segment's dictionary, which must never change again.
+func (r *Reader) SetDict(d []byte) { r.dict.Store(&d) }
 
 // InstallMapping publishes data as a zero-copy view of the segment's first
 // len(data) bytes, with unmap as its teardown. It pins the reader around the
@@ -270,6 +287,27 @@ func (t *Table) Pinned() int64 { return t.pinned.Load() }
 // RetiredPending returns how many retired segments still await their last
 // unpin before their files close.
 func (t *Table) RetiredPending() int64 { return t.retiredPending.Load() }
+
+// Dict returns the dictionary of the segment at slot, nil if the slot is
+// empty or the segment has none. The bytes are immutable and the heap's, not
+// a mapping's, so they need no pin.
+func (t *Table) Dict(slot int) []byte {
+	s := t.snap.Load()
+	if slot < 0 || slot >= len(s.readers) || s.readers[slot] == nil {
+		return nil
+	}
+	return s.readers[slot].Dict()
+}
+
+// DictBytes returns how many dictionary bytes the table's readers hold.
+func (t *Table) DictBytes() (n int) {
+	for _, r := range t.snap.Load().readers {
+		if r != nil {
+			n += len(r.Dict())
+		}
+	}
+	return n
+}
 
 // Live returns how many slots currently hold a reader.
 func (t *Table) Live() int {

@@ -224,19 +224,16 @@ func TestConcurrentPinRetire(t *testing.T) {
 // inside the View callback.
 func viewCopy(c *Cache, key uint64) ([]byte, bool) {
 	var out []byte
-	ok, _ := c.View(key, WholeBlock, func(b []byte) { out = append([]byte(nil), b...) })
+	ok := c.View(key, func(b []byte) { out = append([]byte(nil), b...) })
 	return out, ok
 }
 
-// whole is buf as a block resident in full.
-func whole(buf []byte) Block { return Block{Data: buf, Done: len(buf)} }
-
 func TestCacheLRUAndStats(t *testing.T) {
-	c := NewCache(4, 1) // one shard: deterministic LRU
+	c := NewCache(400, 1) // one shard: deterministic LRU
 	for i := 0; i < 6; i++ {
-		c.Put(BlockKey(0, int64(i)), whole([]byte{byte(i)}))
+		c.Put(BlockKey(0, int64(i)), append(make([]byte, 0, 100), byte(i)))
 	}
-	// Capacity 4: keys 0 and 1 evicted.
+	// 400 bytes of 100-byte buffers: keys 0 and 1 evicted.
 	if _, ok := viewCopy(c, BlockKey(0, 0)); ok {
 		t.Fatal("evicted key still cached")
 	}
@@ -248,59 +245,30 @@ func TestCacheLRUAndStats(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want 1/1", hits, misses)
 	}
 	st := c.Stats()
-	if len(st) != 1 || st[0].Blocks != 4 {
-		t.Fatalf("Stats = %+v", st)
+	if len(st) != 1 || st[0].Blocks != 4 || c.Bytes() != 400 {
+		t.Fatalf("Stats = %+v, %d bytes", st, c.Bytes())
 	}
-}
-
-// TestCacheShortBlock: a block resident in part serves the reads it covers
-// and is handed out, leaving the cache, to the read that needs more; of two
-// copies of one block the cache keeps the one that goes further.
-func TestCacheShortBlock(t *testing.T) {
-	c := NewCache(4, 1)
-	var freed int
-	c.poison = func([]byte) { freed++ }
-	key := BlockKey(0, 0)
-	buf := make([]byte, 100)
-	c.Put(key, Block{Data: buf, Done: 40, Src: 17})
-
-	var seen int
-	if hit, _ := c.View(key, 40, func(b []byte) { seen = len(b) }); !hit || seen != 40 {
-		t.Fatalf("need 40 of 40 resident: hit=%v, shown %d bytes", hit, seen)
+	// The budget is bytes, not blocks: one large block takes the room of
+	// three small ones, and a block larger than the whole budget is still
+	// kept, alone.
+	c.Put(BlockKey(0, 6), make([]byte, 300))
+	if st := c.Stats(); st[0].Blocks != 2 || c.Bytes() != 400 {
+		t.Fatalf("after a 300-byte block: %+v, %d bytes", st, c.Bytes())
 	}
-	hit, short := c.View(key, 41, func([]byte) { t.Error("callback on a short block") })
-	if hit || short.Done != 40 || short.Src != 17 || &short.Data[0] != &buf[0] {
-		t.Fatalf("need 41 of 40 resident: hit=%v short=%+v", hit, short)
+	if _, ok := viewCopy(c, BlockKey(0, 5)); !ok {
+		t.Fatal("the most recent small block was evicted before older ones")
 	}
-	if hit, short := c.View(key, 1, func([]byte) {}); hit || short.Data != nil {
-		t.Fatal("a block handed out is still resident")
-	}
-	if hits, misses := c.HitsMisses(); hits != 1 || misses != 2 {
-		t.Fatalf("hits=%d misses=%d, want 1/2", hits, misses)
-	}
-
-	// Meanwhile another reader loaded the block afresh, less far.
-	other := make([]byte, 100)
-	c.Put(key, Block{Data: other, Done: 30, Src: 9})
-	short.Done, short.Src = 100, 55
-	c.Put(key, short)
-	if freed != 1 {
-		t.Fatalf("%d buffers recycled, want the shorter copy's", freed)
-	}
-	if hit, _ := c.View(key, WholeBlock, func(b []byte) { seen = len(b) }); !hit || seen != 100 {
-		t.Fatalf("the further copy was not kept: hit=%v, shown %d bytes", hit, seen)
-	}
-	c.Put(key, Block{Data: other, Done: 30, Src: 9}) // a late shorter copy loses too
-	if hit, _ := c.View(key, WholeBlock, func(b []byte) { seen = len(b) }); !hit || seen != 100 || freed != 2 {
-		t.Fatalf("a shorter copy replaced the whole block: hit=%v shown %d freed %d", hit, seen, freed)
+	c.Put(BlockKey(0, 7), make([]byte, 1000))
+	if st := c.Stats(); st[0].Blocks != 1 || c.Bytes() != 1000 {
+		t.Fatalf("after an oversized block: %+v, %d bytes", st, c.Bytes())
 	}
 }
 
 func TestCacheDropSegment(t *testing.T) {
-	c := NewCache(64, 4)
+	c := NewCache(64<<10, 4)
 	for seg := 0; seg < 3; seg++ {
 		for off := int64(0); off < 5; off++ {
-			c.Put(BlockKey(seg, off*100), whole([]byte(fmt.Sprintf("%d/%d", seg, off))))
+			c.Put(BlockKey(seg, off*100), []byte(fmt.Sprintf("%d/%d", seg, off)))
 		}
 	}
 	c.DropSegment(1)
@@ -317,7 +285,7 @@ func TestCacheDropSegment(t *testing.T) {
 func TestCacheShardSpread(t *testing.T) {
 	c := NewCache(1024, 8)
 	for off := int64(0); off < 256; off++ {
-		c.Put(BlockKey(0, off*4096), whole([]byte("b")))
+		c.Put(BlockKey(0, off*4096), []byte("b"))
 	}
 	occupied := 0
 	for _, st := range c.Stats() {
@@ -331,7 +299,7 @@ func TestCacheShardSpread(t *testing.T) {
 }
 
 func TestCacheConcurrent(t *testing.T) {
-	c := NewCache(128, 8)
+	c := NewCache(1024, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -345,7 +313,7 @@ func TestCacheConcurrent(t *testing.T) {
 						return
 					}
 				} else {
-					c.Put(key, whole(bytes.Repeat([]byte{byte(g)}, 8)))
+					c.Put(key, bytes.Repeat([]byte{byte(g)}, 8))
 				}
 			}
 		}(g)
@@ -358,51 +326,69 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 func TestCacheRecyclesBuffers(t *testing.T) {
-	c := NewCache(2, 1)
+	c := NewCache(8<<10, 1)
 	var poisoned [][]byte
 	c.poison = func(b []byte) { poisoned = append(poisoned, b) }
 
-	put := func(off int64, n int) []byte {
-		key := BlockKey(0, off)
+	put := func(slot int, off int64, n int) []byte {
+		key := BlockKey(slot, off)
 		buf := c.Buffer(key, n)
-		if len(buf) != n {
-			t.Fatalf("Buffer(%d) has length %d", n, len(buf))
+		if len(buf) != n || cap(buf)%bufferQuantum != 0 {
+			t.Fatalf("Buffer(%d) has length %d, capacity %d", n, len(buf), cap(buf))
 		}
-		c.Put(key, whole(buf))
+		c.Put(key, buf)
 		return buf
 	}
-	a := put(0, 1000)
-	put(1, 1000)
-	if r, f := c.Buffers(); r != 0 || f != 2 {
-		t.Fatalf("recycled/fresh = %d/%d, want 0/2", r, f)
+	a := put(0, 0, 1000)
+	for off := int64(1); off < 8; off++ {
+		put(0, off, 1000)
 	}
-	c.Buffer(BlockKey(0, 9), 10) // nothing on the free list yet: fresh, and never Put
-	put(2, 1000)                 // evicts block 0: its buffer enters the free list
+	if r, f := c.Buffers(); r != 0 || f != 8 || c.Bytes() != 8<<10 {
+		t.Fatalf("recycled/fresh = %d/%d, %d bytes resident, want 0/8 and the budget", r, f, c.Bytes())
+	}
+	c.Buffer(BlockKey(0, 99), 10) // nothing on the free list yet: fresh, and never Put
+	put(0, 8, 1000)               // evicts block 0: its buffer enters the free list
 	if len(poisoned) != 1 || &poisoned[0][0] != &a[0] {
 		t.Fatalf("eviction did not hand block 0's buffer to the free list")
 	}
-	b := put(3, 900) // takes block 0's old buffer, evicts block 1
-	if &b[0] != &a[0] {
+	small := make([]byte, 300, 512)
+	c.Put(BlockKey(1, 0), small) // evicts block 1
+	if b := c.Buffer(BlockKey(0, 100), 900); &b[0] != &a[0] {
 		t.Fatal("Buffer did not reuse the evicted block's buffer")
 	}
-	if r, f := c.Buffers(); r != 1 || f != 4 {
-		t.Fatalf("recycled/fresh = %d/%d, want 1/4", r, f)
+	c.DropSegment(1) // two buffers are free now: block 1's and the small one
+	// The smallest buffer that is large enough, whatever the order.
+	if b := c.Buffer(BlockKey(0, 101), 400); &b[0] != &small[0] {
+		t.Fatal("Buffer(400) did not take the 512-byte buffer that was free")
 	}
-	// A free buffer too small for the request is dropped, not resized.
+	if b := c.Buffer(BlockKey(0, 102), 600); cap(b) != 1024 {
+		t.Fatalf("Buffer(600) got a buffer of capacity %d", cap(b))
+	}
+	if r, f := c.Buffers(); r != 3 || f != 10 {
+		t.Fatalf("recycled/fresh = %d/%d, want 3/10", r, f)
+	}
+	put(0, 9, 1000) // evicts block 2: something is free again
+	// A block costs its buffer's capacity, so a free buffer is not taken for
+	// a block that would leave more than half of it empty.
+	if b := c.Buffer(BlockKey(0, 103), 100); cap(b) != bufferQuantum {
+		t.Fatalf("Buffer(100) got a buffer of capacity %d while a 1024-byte one was free", cap(b))
+	}
+	// A request no free buffer can hold is a fresh one, and the free ones stay.
+	free := len(c.shards[0].free)
 	big := c.Buffer(BlockKey(0, 4), 100000)
-	if len(big) != 100000 || cap(big)%bufferQuantum != 0 {
-		t.Fatalf("fresh buffer len %d cap %d", len(big), cap(big))
+	if len(big) != 100000 || cap(big)%bufferQuantum != 0 || len(c.shards[0].free) != free {
+		t.Fatalf("fresh buffer len %d cap %d, free list %d -> %d", len(big), cap(big), free, len(c.shards[0].free))
 	}
 	// Replacing a key and dropping a segment both recycle.
-	n := len(poisoned)
-	c.Put(BlockKey(0, 3), whole(big))
+	n, resident := len(poisoned), c.Stats()[0].Blocks
+	c.Put(BlockKey(0, 3), big)
 	c.DropSegment(0)
-	if len(poisoned) != n+3 {
-		t.Fatalf("replace + DropSegment of 2 blocks recycled %d buffers, want 3", len(poisoned)-n)
+	if len(poisoned) != n+1+resident || c.Bytes() != 0 {
+		t.Fatalf("replace + DropSegment of %d blocks recycled %d buffers, %d bytes still resident", resident, len(poisoned)-n, c.Bytes())
 	}
-	// The free list is bounded by the shard's capacity.
-	if got := len(c.shards[0].free); got != 2 {
-		t.Fatalf("free list holds %d buffers, want the shard capacity 2", got)
+	// The free list is bounded by its share of the budget.
+	if got := c.shards[0].freeBytes; got == 0 || got > 8<<10/freeShare {
+		t.Fatalf("free list holds %d bytes, budget %d", got, 8<<10)
 	}
 }
 
@@ -413,7 +399,7 @@ func TestCacheRecyclesBuffers(t *testing.T) {
 // checksum (and the detector sees the write).
 func TestCacheLendsOnlyUnderLock(t *testing.T) {
 	const blockLen = 512
-	c := NewCache(8, 2)
+	c := NewCache(8*blockLen, 2)
 	c.poison = func(b []byte) {
 		for i := range b {
 			b[i] = 0xEE
@@ -434,7 +420,7 @@ func TestCacheLendsOnlyUnderLock(t *testing.T) {
 				key := BlockKey(i%3, int64((i*7+w)%40)*4096)
 				buf := c.Buffer(key, blockLen)
 				fill(buf, key)
-				c.Put(key, whole(buf))
+				c.Put(key, buf)
 				if i%50 == 49 {
 					c.DropSegment(i % 3)
 				}
@@ -447,7 +433,7 @@ func TestCacheLendsOnlyUnderLock(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 20000; i++ {
 				key := BlockKey(i%3, int64((i*3+r)%40)*4096)
-				c.View(key, WholeBlock, func(b []byte) {
+				c.View(key, func(b []byte) {
 					if len(b) != blockLen {
 						t.Errorf("lent block has length %d", len(b))
 						return

@@ -4,21 +4,20 @@ import "sync"
 
 // entry is everything the store keeps in memory about one live record: its
 // metadata, and where its current version is. A record is either pending
-// (block != 0: the frame sits in the block with that number, which is still
-// under construction or in flight, and payload is the slice Append was given)
-// or sealed (block == 0: the frame is at recStart of the block at off in
-// segment slot seg). recStart is the same number on both sides of the
-// transition, so sealing a record changes where its block is and nothing
-// about the frame. The entry is a value: a reader that copies it out under
-// the shard lock holds one consistent version of the record.
+// (block != 0: the frame sits at recStart of the batch with that number, which
+// is still under construction or in flight, and payload is the slice Append
+// was given) or sealed (block == 0: the frame is at recStart of the block at
+// off in segment slot seg, one of the blocks its batch was cut into). The
+// entry is a value: a reader that copies it out under the shard lock holds one
+// consistent version of the record.
 type entry struct {
 	db, key    string
 	payload    []byte // pending copy; nil once sealed
 	baseID     uint64
-	block      uint64 // number of the unsealed block holding the frame; 0 once sealed
+	block      uint64 // number of the unsealed batch holding the frame; 0 once sealed
 	off        int64  // sealed: offset of the block in its segment
 	seg        int32  // sealed: segment slot
-	recStart   uint32 // frame start within the uncompressed block
+	recStart   uint32 // frame start within the unsealed batch, or the uncompressed block
 	payloadLen uint32
 	form       Form
 	stacked    bool
@@ -26,13 +25,6 @@ type entry struct {
 }
 
 func (e *entry) sealed() bool { return e.block == 0 }
-
-// frameEnd is the offset within its block at which record id's frame ends:
-// how much of the block a read of this record needs.
-func (e *entry) frameEnd(id uint64) int {
-	body := frameBodyLen(id, e.form, e.baseID, len(e.db), len(e.key), int(e.payloadLen))
-	return int(e.recStart) + uvarintLen(uint64(body)) + body
-}
 
 // 64 shards keep the appenders, the sealer and the readers of a busy node off
 // each other's locks.
@@ -93,11 +85,12 @@ func (t *recTable) remove(id uint64) (old entry, had bool) {
 	return old, had
 }
 
-// seal points id at its sealed location, if the frame at recStart of unsealed
-// block number block is still its current version, and reports whether it
-// was. A record overwritten, re-encoded or deleted since that frame was
-// appended keeps what it has.
-func (t *recTable) seal(id, block uint64, recStart int, seg int, off int64) bool {
+// seal points id at its sealed location, sealedStart of the block at off in
+// segment slot seg, if the frame at recStart of unsealed batch number block is
+// still its current version, and reports whether it was. A record
+// overwritten, re-encoded or deleted since that frame was appended keeps what
+// it has.
+func (t *recTable) seal(id, block uint64, recStart int, seg int, off int64, sealedStart int) bool {
 	sh := &t.shards[shardOf(id)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -106,7 +99,7 @@ func (t *recTable) seal(id, block uint64, recStart int, seg int, off int64) bool
 		return false
 	}
 	e.block, e.payload = 0, nil
-	e.seg, e.off = int32(seg), off
+	e.seg, e.off, e.recStart = int32(seg), off, uint32(sealedStart)
 	sh.m[id] = e
 	return true
 }

@@ -55,16 +55,18 @@ func TestViewLendsWhatGetCopies(t *testing.T) {
 	}
 }
 
-// TestViewInflatesOnlyAsFarAsItsFrame: a point read decodes a compressed block
-// up to the end of the frame it wants, a later read further into the resident
-// block goes on from there, one that is already covered decodes nothing, and
-// when the whole block has been asked for every byte of it was inflated once.
-// On the pread path each of those loads reads the compressed image again and
-// checks it again, so damage behind the first frame is found by the read that
-// needs those bytes, and what was shown before stays readable.
-func TestViewInflatesOnlyAsFarAsItsFrame(t *testing.T) {
-	const n, payloadLen = 7, 4096 // one 32 KiB block
-	s, want := sealedStore(t, Options{CacheShards: 1}, n, payloadLen)
+// TestPointReadInflatesOneBlock: a batch is sealed as blocks of a few frames
+// each, and a point read loads, checks and inflates the one its frame is in,
+// once: a neighbour frame is a hit, a frame of another block of the batch
+// loads that block and leaves the first resident, and when every frame of the
+// batch has been read every byte of it was inflated once. Frames of the
+// segment's first block, which is large, are served from the dictionary that
+// is its first bytes without a load, and only a frame that reaches past the
+// dictionary loads that block. Damage to one block is the error of the reads
+// that need that block, and of no other.
+func TestPointReadInflatesOneBlock(t *testing.T) {
+	const perBatch, payloadLen = 22, 1500 // 22 frames fill a 32 KiB batch; three reach blockTarget
+	s, want := sealedStore(t, Options{CacheShards: 1}, 2*perBatch, payloadLen)
 	view := func(id uint64) error {
 		t.Helper()
 		ok, err := s.View(id, func(v Stored) {
@@ -77,37 +79,65 @@ func TestViewInflatesOnlyAsFarAsItsFrame(t *testing.T) {
 		}
 		return err
 	}
-	frameEnd := func(id uint64) uint64 {
-		e, _ := s.recs.get(id)
-		return uint64(e.frameEnd(id))
+	frameLen := func(id uint64) uint64 {
+		return uint64(len(appendFrame(nil, Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id), Payload: want[id]})))
 	}
-	step := func(what string, id uint64, decoded, extended, hits uint64, atLeast uint64) {
+	blockLen := func(ids ...uint64) (n uint64) {
+		for _, id := range ids {
+			n += frameLen(id)
+		}
+		return n
+	}
+	step := func(what string, id uint64, decoded, hits, inflated uint64) {
 		t.Helper()
 		before := s.Stats()
 		if err := view(id); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		st := s.Stats()
-		if st.BlocksDecoded-before.BlocksDecoded != decoded || st.BlocksExtended-before.BlocksExtended != extended ||
-			st.CacheHits-before.CacheHits != hits {
-			t.Fatalf("%s: %d decoded, %d extended, %d hits; want %d, %d, %d", what,
-				st.BlocksDecoded-before.BlocksDecoded, st.BlocksExtended-before.BlocksExtended,
-				st.CacheHits-before.CacheHits, decoded, extended, hits)
-		}
-		// The decode stops at the first tag boundary at or past the frame's
-		// end; a tag of this text is a copy of at most 67 bytes.
-		if got := st.BlockBytesDecoded; got < atLeast || got > atLeast+256 {
-			t.Fatalf("%s: %d block bytes decoded so far, want the %d up to the frame's end", what, got, atLeast)
+		if st.BlocksDecoded-before.BlocksDecoded != decoded || st.CacheHits-before.CacheHits != hits ||
+			st.CacheMisses-before.CacheMisses != decoded || st.PreadBlockReads-before.PreadBlockReads != decoded ||
+			st.BlockBytesDecoded-before.BlockBytesDecoded != inflated {
+			t.Fatalf("%s: %d decoded (%d misses, %d preads), %d hits, %d bytes inflated; want %d, %d, %d", what,
+				st.BlocksDecoded-before.BlocksDecoded, st.CacheMisses-before.CacheMisses, st.PreadBlockReads-before.PreadBlockReads,
+				st.CacheHits-before.CacheHits, st.BlockBytesDecoded-before.BlockBytesDecoded, decoded, hits, inflated)
 		}
 	}
-	step("first frame of a block not resident", 1, 1, 0, 0, frameEnd(1))
-	step("a later frame of the resident block", 3, 0, 1, 0, frameEnd(3))
-	step("a frame already covered", 2, 0, 0, 1, frameEnd(3))
-	if st := s.Stats(); st.MmapBlockReads != 0 || st.PreadBlockReads != 2 {
-		t.Fatalf("the active segment is read with pread, once per load: %+v", st)
+	if st := s.Stats(); st.BlocksSealed != 1+8 || st.DictBytes != dictLen {
+		t.Fatalf("two batches sealed as %d blocks, %d dictionary bytes resident; want the first whole, the second as 8, and %d",
+			st.BlocksSealed, st.DictBytes, dictLen)
+	}
+	first := uint64(perBatch + 1) // the second batch: blocks of three frames
+	step("first frame of a block not resident", first, 1, 0, blockLen(first, first+1, first+2))
+	step("its neighbour", first+2, 0, 1, 0)
+	step("a frame of the next block", first+3, 1, 0, blockLen(first+3, first+4, first+5))
+	step("the first block again: still resident, not decoded further", first+1, 0, 1, 0)
+	before := s.Stats()
+	var batch uint64
+	for id := first; id < first+perBatch; id++ {
+		if err := view(id); err != nil {
+			t.Fatal(err)
+		}
+		batch += frameLen(id)
+	}
+	if st := s.Stats(); st.BlocksDecoded != 8 || st.BlockBytesDecoded != batch || st.MmapBlockReads != 0 {
+		t.Fatalf("every frame of the batch read: %d blocks decoded (%d before the loop), %d of its %d bytes inflated",
+			st.BlocksDecoded, before.BlocksDecoded, st.BlockBytesDecoded, batch)
+	}
+	if st := s.Stats(); st.CacheBytes == 0 || st.CacheBytes > st.CacheBudgetBytes || st.CacheBudgetBytes != 32<<10 {
+		t.Fatalf("%d bytes resident of a budget of %d", st.CacheBytes, st.CacheBudgetBytes)
 	}
 
-	// Flip a byte of the compressed image behind what has been decoded.
+	// The first block of the segment.
+	step("a frame within the dictionary", 1, 0, 0, 0)
+	step("the last one within it", perBatch-1, 0, 0, 0)
+	var whole uint64
+	for id := uint64(1); id <= perBatch; id++ {
+		whole += frameLen(id)
+	}
+	step("the frame that reaches past it", perBatch, 1, 0, whole)
+
+	// Flip a byte of the last block's image.
 	seg := s.segments[0]
 	var b [1]byte
 	at := seg.size - 1
@@ -118,35 +148,27 @@ func TestViewInflatesOnlyAsFarAsItsFrame(t *testing.T) {
 	if _, err := seg.file.WriteAt(b[:], at); err != nil {
 		t.Fatal(err)
 	}
-	if err := view(n); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("resuming over a damaged image: %v, want the checksum error", err)
+	s.cache.DropSegment(0)
+	if err := view(2 * perBatch); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("a read of the damaged block: %v, want the checksum error", err)
 	}
+	step("a block in front of the damage", first, 1, 0, blockLen(first, first+1, first+2))
 	b[0] ^= 0x40
 	if _, err := seg.file.WriteAt(b[:], at); err != nil {
 		t.Fatal(err)
 	}
-	// The failed resume dropped the block: the next read starts over.
-	step("after the damage is gone", 2, 1, 0, 0, frameEnd(3)+frameEnd(2))
-	if _, ok, err := s.Get(1); err != nil || !ok { // Get wants the block whole
-		t.Fatal(ok, err)
-	}
-	st := s.Stats()
-	if got, want := st.BlockBytesDecoded, frameEnd(3)+uint64(st.BlockBytesIn); got < want || got > want+256 {
-		t.Fatalf("%d block bytes decoded, want %d: the %d-byte block once, beside the copy the failed resume dropped",
-			got, want, st.BlockBytesIn)
-	}
-	step("any frame of a block resident in full", n, 0, 0, 1, st.BlockBytesDecoded)
+	step("after the damage is gone", 2*perBatch, 1, 0, frameLen(2*perBatch))
 }
 
-// TestWholeBlockReadersDecodeEachBlockOnce: replay and compaction walk a
-// segment block by block in file order, each block decoded once, whole, into
+// TestWalksDecodeEachBlockOnce: replay and compaction walk a
+// segment block by block in file order, each block decoded once into
 // the walk's own buffer. The records are appended in an order that is not
 // their ID order, as write-backs leave them, so a compaction that went by ID
 // through a two-block cache would inflate a block per record; and two blocks
 // of another segment that were resident before the pass are hits after it.
-func TestWholeBlockReadersDecodeEachBlockOnce(t *testing.T) {
+func TestWalksDecodeEachBlockOnce(t *testing.T) {
 	opts := Options{Dir: "d", FS: faultfs.NewMemFS(), Compress: true, BlockSize: 512, SegmentSize: 8 << 10,
-		CacheBlocks: 2, CacheShards: 1}
+		CacheBlocks: 4, CacheShards: 1}
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -169,9 +191,9 @@ func TestWholeBlockReadersDecodeEachBlockOnce(t *testing.T) {
 	}
 	defer s.Close()
 	st := s.Stats()
-	if st.BlocksDecoded != sealed.BlocksSealed || st.BlocksExtended != 0 || st.BlockBytesDecoded != uint64(sealed.BlockBytesIn) {
-		t.Fatalf("replay of %d blocks (%d bytes): %d decoded, %d extended, %d bytes inflated",
-			sealed.BlocksSealed, sealed.BlockBytesIn, st.BlocksDecoded, st.BlocksExtended, st.BlockBytesDecoded)
+	if st.BlocksDecoded != sealed.BlocksSealed || st.BlockBytesDecoded != uint64(sealed.BlockBytesIn) {
+		t.Fatalf("replay of %d blocks (%d bytes): %d decoded, %d bytes inflated",
+			sealed.BlocksSealed, sealed.BlockBytesIn, st.BlocksDecoded, st.BlockBytesDecoded)
 	}
 	if hits, misses := s.cache.HitsMisses(); hits+misses != 0 || st.BlockBuffersFresh != 0 {
 		t.Fatalf("replay went through the block cache: %d hits, %d misses, %d buffers", hits, misses, st.BlockBuffersFresh)
@@ -217,10 +239,9 @@ func TestWholeBlockReadersDecodeEachBlockOnce(t *testing.T) {
 		t.Fatal("compaction chose another victim than the first segment")
 	}
 	after := s.Stats()
-	if after.BlocksDecoded-st.BlocksDecoded != blocks || after.BlocksExtended != 0 ||
-		after.BlockBytesDecoded-st.BlockBytesDecoded != raw {
-		t.Fatalf("compaction of a %d-block, %d-byte segment: %d decoded, %d extended, %d bytes inflated", blocks, raw,
-			after.BlocksDecoded-st.BlocksDecoded, after.BlocksExtended, after.BlockBytesDecoded-st.BlockBytesDecoded)
+	if after.BlocksDecoded-st.BlocksDecoded != blocks || after.BlockBytesDecoded-st.BlockBytesDecoded != raw {
+		t.Fatalf("compaction of a %d-block, %d-byte segment: %d decoded, %d bytes inflated", blocks, raw,
+			after.BlocksDecoded-st.BlocksDecoded, after.BlockBytesDecoded-st.BlockBytesDecoded)
 	}
 	viewResident()
 	if now := s.Stats(); now.CacheHits-st.CacheHits != 2 || now.CacheMisses != st.CacheMisses || now.BlocksDecoded != after.BlocksDecoded {
@@ -230,20 +251,19 @@ func TestWholeBlockReadersDecodeEachBlockOnce(t *testing.T) {
 }
 
 // TestConcurrentViewsNeverSeeRecycledBytes is the lending rule under the race
-// detector. Every buffer that leaves the one-block-per-shard cache is
+// detector. Every buffer that leaves the cache, a few blocks to a shard, is
 // poisoned on the spot (segio's hook), while a writer appends, seals and
 // compacts; each reader checks the payload inside its callback and once more
 // at the callback's last statement. Bytes lent past the shard lock, or a
 // buffer recycled under a callback still running, fail the check (and the
-// detector sees the write). Three or four records share a block and a View
-// inflates it only as far as its own frame: readers 0 and 1 walk the IDs in
-// order one apart, so they want different frames of one block, one taking the
-// block out of the cache to decode further while the other misses it or puts
-// its own copy back, and readers 2 and 3 stride across the blocks and evict
-// whatever the first two have resident.
+// detector sees the write). Three or four records share a block: readers 0
+// and 1 walk the IDs in order one apart, so they want different frames of one
+// block, both missing it and one putting back a copy the other's makes
+// redundant, and readers 2 and 3 stride across the blocks and evict whatever
+// the first two have resident.
 func TestConcurrentViewsNeverSeeRecycledBytes(t *testing.T) {
 	s, err := Open(Options{Dir: t.TempDir(), Compress: true, BlockSize: 512, SegmentSize: 8 << 10,
-		CacheBlocks: 1, CacheShards: 2})
+		CacheBlocks: 16, CacheShards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +352,7 @@ func TestConcurrentViewsNeverSeeRecycledBytes(t *testing.T) {
 	if compactions.Load() == 0 {
 		t.Fatal("no compaction retired a segment; the test did not cover DropSegment")
 	}
-	if st := s.Stats(); st.BlockBuffersRecycled == 0 || st.PinnedReaders != 0 || st.BlocksDecoded == 0 || st.BlocksExtended == 0 {
+	if st := s.Stats(); st.BlockBuffersRecycled == 0 || st.PinnedReaders != 0 || st.BlocksDecoded == 0 {
 		t.Fatalf("after the run: %+v", st)
 	}
 }

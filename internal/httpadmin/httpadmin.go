@@ -209,10 +209,15 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		st.Store.BlocksSealed, time.Duration(st.Store.SealNanos).Round(time.Microsecond),
 		st.Store.SealWaits, time.Duration(st.Store.SealWaitNanos).Round(time.Microsecond),
 		st.Store.SealErrors)
-	fmt.Fprintf(w, "read:     %d of %d from the source cache, %d block cache hits / %d misses, %d blocks decoded + %d extended (%s inflated) in %s, %d segments (%d pinned handles, %d retiring)\n",
+	perLoad := int64(0)
+	if st.Store.BlocksDecoded > 0 {
+		perLoad = int64(st.Store.BlockBytesDecoded / st.Store.BlocksDecoded)
+	}
+	fmt.Fprintf(w, "read:     %d of %d from the source cache, %d block cache hits / %d misses (%s of %s resident, %s of dictionaries), %d blocks decoded in %s, %s inflated per block load, %d segments (%d pinned handles, %d retiring)\n",
 		st.ReadsFromSourceCache, st.Reads, st.Store.CacheHits, st.Store.CacheMisses,
-		st.Store.BlocksDecoded, st.Store.BlocksExtended, metrics.FormatBytes(int64(st.Store.BlockBytesDecoded)),
-		time.Duration(st.Store.BlockDecodeNanos).Round(time.Microsecond),
+		metrics.FormatBytes(st.Store.CacheBytes), metrics.FormatBytes(st.Store.CacheBudgetBytes), metrics.FormatBytes(st.Store.DictBytes),
+		st.Store.BlocksDecoded, time.Duration(st.Store.BlockDecodeNanos).Round(time.Microsecond),
+		metrics.FormatBytes(perLoad),
 		st.Store.LiveSegments, st.Store.PinnedReaders, st.Store.RetiredPending)
 	fmt.Fprintf(w, "          block buffers: %d recycled / %d freshly allocated\n",
 		st.Store.BlockBuffersRecycled, st.Store.BlockBuffersFresh)

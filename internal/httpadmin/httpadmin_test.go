@@ -158,12 +158,12 @@ func TestMetricsEndpointIncludesApplyPipeline(t *testing.T) {
 }
 
 // TestReadPathShowsBlocksDecoded: what a read cost shows up under Store in
-// /metrics and on the index page's read: line, so "blocks touched and bytes
+// /metrics and on the index page's read: line, so "blocks loaded and bytes
 // inflated per read" can be had from a running node. The first read of a
 // never-updated record is answered by the source cache and touches no block;
 // after an update the read goes to the store, misses the block cache and
-// inflates the one compressed block as far as the record's frame, and a read of
-// the block's other, later record extends it.
+// inflates the one small block its frame is in, and a read of a record in the
+// batch's other block inflates that one.
 func TestReadPathShowsBlocksDecoded(t *testing.T) {
 	n, s := startAdmin(t, cluster.MemberConfig{Node: node.Options{SyncEncode: true, DisableAutoFlush: true, BlockCompression: true}})
 	payload := []byte(strings.Repeat("a record that compresses, sealed into a block. ", 40))
@@ -173,6 +173,14 @@ func TestReadPathShowsBlocksDecoded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The segment's first block is its dictionary, which reads do not load.
+	if err := n.Insert("wiki", "first", payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	first := n.Store().Stats().BlockBytesIn
 	if err := n.Insert("wiki", "k", payload); err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +207,17 @@ func TestReadPathShowsBlocksDecoded(t *testing.T) {
 		}
 	}
 	getMetrics(t, s, &v)
-	if v.Store.ReadsFromSourceCache != 1 || v.Store.BlocksDecoded != 1 || v.Store.BlocksExtended != 1 ||
-		v.Store.BlockDecodeNanos == 0 || int64(v.Store.BlockBytesDecoded) != v.Store.BlockBytesIn {
-		t.Errorf("Store = %+v, want 1 read from the source cache, 1 block of %d bytes decoded, extended once, in some time",
-			v.Store, v.Store.BlockBytesIn)
+	if v.Store.ReadsFromSourceCache != 1 || v.Store.BlocksDecoded != 2 || v.Store.BlocksSealed != 3 ||
+		v.Store.BlockDecodeNanos == 0 || int64(v.Store.BlockBytesDecoded) != v.Store.BlockBytesIn-first ||
+		v.Store.CacheBytes < v.Store.BlockBytesIn-first || v.Store.CacheBudgetBytes != 2<<20 || v.Store.DictBytes != first {
+		t.Errorf("Store = %+v, want 1 read from the source cache, the second batch's 2 blocks (%d bytes) decoded in some time and resident, and the first batch's %d bytes as the dictionary",
+			v.Store, v.Store.BlockBytesIn-first, first)
 	}
+	perLoad := metrics.FormatBytes((v.Store.BlockBytesIn - first) / 2)
 	if _, body := get(t, "http://"+s.Addr()+"/"); !strings.Contains(body, "read:     1 of 3 from the source cache, ") ||
-		!strings.Contains(body, " 1 blocks decoded + 1 extended (") {
-		t.Errorf("index page read: line does not show the read path:\n%s", body)
+		!strings.Contains(body, " 2 blocks decoded in ") || !strings.Contains(body, ", "+perLoad+" inflated per block load, ") ||
+		!strings.Contains(body, " of 2.0 MiB resident, ") {
+		t.Errorf("index page read: line does not show the read path (%s per load):\n%s", perLoad, body)
 	}
 }
 
@@ -247,8 +258,8 @@ var metricsSections = map[string]string{
 	"Encode":        "Stages EncodedRecords EncodedBytes Chunks ChunkedBytes QueueDepth QueueOverflows",
 	"Apply":         "Latency Workers QueueDepth QueueOverflows Applied ApplyFailures BaseFetches",
 	"Store": "LiveRecords LogicalBytes BlockBytesIn BlockBytesOut DeadBytes Appends CacheHits CacheMisses " +
-		"BlockBuffersRecycled BlockBuffersFresh BlocksDecoded BlocksExtended BlockBytesDecoded BlockDecodeNanos " +
-		"MmapBlockReads PreadBlockReads MmapFailures PinnedReaders RetiredPending LiveSegments BlocksSealed " +
+		"BlockBuffersRecycled BlockBuffersFresh BlocksDecoded BlockBytesDecoded BlockDecodeNanos " +
+		"CacheBytes CacheBudgetBytes DictBytes MmapBlockReads PreadBlockReads MmapFailures PinnedReaders RetiredPending LiveSegments BlocksSealed " +
 		"SealNanos SealWaits SealWaitNanos SealErrors ReadLatency ReadsFromSourceCache CacheShards",
 	"Oplog": "Entries Bytes EvictedByEntries EvictedByBytes",
 	"Repl": "Reconnects Dials DialFailures BackoffNanos CorruptFrames FrameSeqViolations IdleTimeouts " +
@@ -406,7 +417,7 @@ func TestScrapeDuringIngest(t *testing.T) {
 		Store struct{ ReadLatency metrics.LatencySummary }
 	}
 	once := []string{"CacheHits", "CacheMisses", "BlockBuffersRecycled", "BlockBuffersFresh", "BlocksDecoded",
-		"BlocksExtended", "BlockBytesDecoded", "ReadsFromSourceCache", "BlockDecodeNanos", "PinnedReaders", "RetiredPending", "LiveSegments", "MmapBlockReads", "PreadBlockReads",
+		"BlockBytesDecoded", "CacheBytes", "CacheBudgetBytes", "DictBytes", "ReadsFromSourceCache", "BlockDecodeNanos", "PinnedReaders", "RetiredPending", "LiveSegments", "MmapBlockReads", "PreadBlockReads",
 		"MmapFailures"}
 	var prev view
 	for scrapes, done := 0, false; !done || scrapes < 3; scrapes++ {

@@ -129,9 +129,11 @@ func TestReplicatedInsertAllocBudget(t *testing.T) {
 	}
 }
 
-// goldenNodeDir holds a data directory the parent of the allocation-diet
-// change (commit 45008b0, PR 18) wrote by running goldenNodeOps.
-const goldenNodeDir = "testdata/golden_pr18"
+// The golden directories hold data directories written by running
+// goldenNodeOps: golden_pr18 by the parent of the allocation-diet change
+// (commit 45008b0, PR 18), every block self-contained; golden_pr29 in the
+// store's format since, blocks behind a per-segment dictionary.
+var goldenNodeDirs = []string{"testdata/golden_pr18", "testdata/golden_pr29"}
 
 func goldenNodeOptions(dir string) Options {
 	return Options{Dir: dir, BlockCompression: true, BlockSize: 4 << 10, SegmentSize: 32 << 10}
@@ -194,21 +196,22 @@ func copyDir(t *testing.T, from, to string) {
 	}
 }
 
-// TestParentWrittenDirOpensAndVerifies: a data directory written before the
-// change recovers, passes VerifyAll, reads back exactly and takes new writes;
-// and the change, given the same operations, writes the same bytes, which is
-// what makes the reverse direction (the parent opening our files) hold.
-func TestParentWrittenDirOpensAndVerifies(t *testing.T) {
+// TestGoldenDirsOpenAndVerify: a data directory written in an earlier format,
+// or in this one, recovers, passes VerifyAll, reads back exactly and takes
+// new writes; and given the same operations the node writes the newest
+// directory's bytes again.
+func TestGoldenDirsOpenAndVerify(t *testing.T) {
 	fresh := t.TempDir()
 	n := testNode(t, goldenNodeOptions(fresh))
 	want := goldenNodeOps(t, n)
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	golden, _ := filepath.Glob(filepath.Join(goldenNodeDir, "seg-*.log"))
+	newest := goldenNodeDirs[len(goldenNodeDirs)-1]
+	golden, _ := filepath.Glob(filepath.Join(newest, "seg-*.log"))
 	ours, _ := filepath.Glob(filepath.Join(fresh, "seg-*.log"))
 	if len(golden) == 0 || len(ours) != len(golden) {
-		t.Fatalf("wrote %d segment files, the parent wrote %d", len(ours), len(golden))
+		t.Fatalf("wrote %d segment files, %s has %d", len(ours), newest, len(golden))
 	}
 	for _, g := range golden {
 		gb, err := os.ReadFile(g)
@@ -220,33 +223,37 @@ func TestParentWrittenDirOpensAndVerifies(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(ob, gb) {
-			t.Fatalf("%s differs from what the parent wrote (%d vs %d bytes)", filepath.Base(g), len(ob), len(gb))
+			t.Fatalf("%s differs from the one in %s (%d vs %d bytes)", filepath.Base(g), newest, len(ob), len(gb))
 		}
 	}
 
-	dir := t.TempDir()
-	copyDir(t, goldenNodeDir, dir)
-	n = testNode(t, goldenNodeOptions(dir))
-	if rep := n.VerifyAll(); !rep.Ok() || rep.DeltaEncoded == 0 {
-		t.Fatalf("VerifyAll on the parent-written directory: %s %v", rep, rep.Errors)
-	}
-	for k, content := range want {
-		db, key, _ := bytes.Cut([]byte(k), []byte("/"))
-		got, err := n.Read(string(db), string(key))
-		if err != nil || !bytes.Equal(got, content) {
-			t.Fatalf("Read(%s) from the parent-written directory: err %v", k, err)
-		}
-	}
-	for _, gone := range []string{"v05", "v20"} {
-		if _, err := n.Read("mail", gone); err != ErrNotFound {
-			t.Fatalf("deleted mail/%s reads as %v", gone, err)
-		}
-	}
-	if err := n.Insert("wiki", "new", []byte("a write on top of parent-written files")); err != nil {
-		t.Fatal(err)
-	}
-	if rep := n.VerifyAll(); !rep.Ok() {
-		t.Fatalf("VerifyAll after writing: %v", rep.Errors)
+	for _, golden := range goldenNodeDirs {
+		t.Run(filepath.Base(golden), func(t *testing.T) {
+			dir := t.TempDir()
+			copyDir(t, golden, dir)
+			n := testNode(t, goldenNodeOptions(dir))
+			if rep := n.VerifyAll(); !rep.Ok() || rep.DeltaEncoded == 0 {
+				t.Fatalf("VerifyAll on the golden directory: %s %v", rep, rep.Errors)
+			}
+			for k, content := range want {
+				db, key, _ := bytes.Cut([]byte(k), []byte("/"))
+				got, err := n.Read(string(db), string(key))
+				if err != nil || !bytes.Equal(got, content) {
+					t.Fatalf("Read(%s) from the golden directory: err %v", k, err)
+				}
+			}
+			for _, gone := range []string{"v05", "v20"} {
+				if _, err := n.Read("mail", gone); err != ErrNotFound {
+					t.Fatalf("deleted mail/%s reads as %v", gone, err)
+				}
+			}
+			if err := n.Insert("wiki", "new", []byte("a write on top of files an earlier node wrote")); err != nil {
+				t.Fatal(err)
+			}
+			if rep := n.VerifyAll(); !rep.Ok() {
+				t.Fatalf("VerifyAll after writing: %v", rep.Errors)
+			}
+		})
 	}
 }
 

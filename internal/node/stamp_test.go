@@ -540,9 +540,10 @@ func TestStampUnderMutationRacingFlush(t *testing.T) {
 }
 
 // readGate is a filesystem that can hold one read: once armed, the next read
-// of the first block of a segment file waits until it is let go.
+// of the block at offset at of a segment file waits until it is let go.
 type readGate struct {
 	faultfs.FS
+	at    int64
 	armed atomic.Bool
 	held  chan struct{} // the read that found the gate armed is waiting
 	letGo chan struct{}
@@ -562,7 +563,7 @@ type readGateFile struct {
 }
 
 func (f readGateFile) ReadAt(p []byte, off int64) (int, error) {
-	if off == 0 && f.g.armed.CompareAndSwap(true, false) {
+	if off == f.g.at && f.g.armed.CompareAndSwap(true, false) {
 		f.g.held <- struct{}{}
 		<-f.g.letGo
 	}
@@ -598,8 +599,10 @@ func staleSourceCache(t *testing.T, replica bool, mutation string) {
 	// Hop distance 2: the third revision ends a hop, and finishing it fetches
 	// the first, which the source cache has let go by then. Every 8 KiB
 	// record fills a 4 KiB block by itself, so the first revision is the
-	// block at offset 0, and a one-block cache cannot still hold it after
-	// the second revision's block was read.
+	// second block of the segment (a read of the first, which holds a record
+	// of another document, would be served from the segment's dictionary
+	// and read nothing), and a one-block cache cannot still hold it after the
+	// second revision's block was read.
 	gate := &readGate{FS: faultfs.NewMemFS(), held: make(chan struct{}, 1), letGo: make(chan struct{})}
 	opts := Options{Dir: "n", FS: gate, BlockSize: 4096, CacheBlocks: 1, CacheShards: 1,
 		EncodeWorkers: 1, DisableAutoFlush: true,
@@ -642,6 +645,11 @@ func staleSourceCache(t *testing.T, replica bool, mutation string) {
 	v0 := workload.RevisionText(rng, 8192)
 	v1 := editText(rng, v0, 2)
 	v2 := editText(rng, v1, 2)
+	insert("other", workload.RevisionText(rand.New(rand.NewSource(29)), 8192))
+	if err := n.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	gate.at = n.store.DiskBytes()
 	insert("v0", v0)
 	insert("v1", v1)
 	if err := n.store.Flush(); err != nil {
