@@ -215,31 +215,3 @@ func (l Layout) RawPositions(n int) []int {
 	}
 	return raw
 }
-
-// CacheSet returns the positions the source record cache should retain for
-// a chain of n records: the newest record plus, for Hop layouts, the latest
-// hop base of each level (paper §3.3.1). The result is ordered newest
-// first and contains no duplicates.
-func (l Layout) CacheSet(n int) []int {
-	if n == 0 {
-		return nil
-	}
-	set := []int{n - 1}
-	if l.scheme != Hop {
-		return set
-	}
-	seen := map[int]bool{n - 1: true}
-	step := l.h
-	for step <= n-1 {
-		latest := ((n - 1) / step) * step
-		if !seen[latest] {
-			set = append(set, latest)
-			seen[latest] = true
-		}
-		if step > (n-1)/l.h {
-			break
-		}
-		step *= l.h
-	}
-	return set
-}

@@ -210,35 +210,6 @@ func TestHopWritebackOverheadShrinksWithH(t *testing.T) {
 	}
 }
 
-func TestCacheSet(t *testing.T) {
-	l := New(Hop, 4)
-	set := l.CacheSet(18) // positions 0..17; latest=17, hop bases 16 (L1, L2)
-	if set[0] != 17 {
-		t.Fatalf("CacheSet[0] = %d, want newest (17)", set[0])
-	}
-	seen := map[int]bool{}
-	for _, p := range set {
-		if seen[p] {
-			t.Fatalf("duplicate position %d in %v", p, set)
-		}
-		seen[p] = true
-	}
-	if !seen[16] {
-		t.Errorf("CacheSet(18) = %v should retain hop base 16", set)
-	}
-	// The set stays small: newest + one base per level.
-	if len(set) > 4 {
-		t.Errorf("CacheSet too large: %v", set)
-	}
-
-	if got := New(Backward, 0).CacheSet(10); len(got) != 1 || got[0] != 9 {
-		t.Errorf("backward CacheSet = %v, want [9]", got)
-	}
-	if got := l.CacheSet(0); got != nil {
-		t.Errorf("CacheSet(0) = %v, want nil", got)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

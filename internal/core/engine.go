@@ -954,32 +954,6 @@ func (e *Engine) DBStats() []DBStats {
 	return out
 }
 
-// DBDisabled reports whether the governor has disabled dedup for a database.
-func (e *Engine) DBDisabled(dbName string) bool {
-	e.dbsMu.RLock()
-	st, ok := e.dbs[dbName]
-	e.dbsMu.RUnlock()
-	if !ok {
-		return false
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.disabled
-}
-
-// SizeThreshold returns the current adaptive size cut-off for a database.
-func (e *Engine) SizeThreshold(dbName string) int {
-	e.dbsMu.RLock()
-	st, ok := e.dbs[dbName]
-	e.dbsMu.RUnlock()
-	if !ok {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.threshold
-}
-
 // Stats returns a snapshot of engine counters. IndexMemoryBytes sums the
 // live index partitions.
 func (e *Engine) Stats() Stats {

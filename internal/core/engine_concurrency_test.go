@@ -37,7 +37,7 @@ func (f *syncFetcher) put(id uint64, content []byte) {
 
 // TestConcurrentEncodeAcrossDatabases drives the engine from many goroutines
 // at once — encoders on independent databases, replica-style ObserveRaw
-// traffic, and readers hammering Stats/DBStats/DBDisabled/SizeThreshold —
+// traffic, and readers hammering Stats/DBStats —
 // and then checks the global counters and per-database results line up.
 // Run under -race this exercises the sharded locking introduced with the
 // parallel encode path: dbsMu for map resolution, per-dbState mutexes for
@@ -75,8 +75,6 @@ func TestConcurrentEncodeAcrossDatabases(t *testing.T) {
 				_ = e.Stats()
 				for _, d := range e.DBStats() {
 					_ = d.WindowRatio()
-					_ = e.DBDisabled(d.Name)
-					_ = e.SizeThreshold(d.Name)
 				}
 			}
 		}()
@@ -245,7 +243,7 @@ func TestConcurrentGovernorDisable(t *testing.T) {
 	}
 	wg.Wait()
 
-	if !e.DBDisabled("rand") {
+	if !dbStats(e, "rand").Disabled {
 		t.Fatal("governor did not disable the incompressible database")
 	}
 	res, err := e.Encode("rand", 1<<40, make([]byte, 1024))

@@ -204,7 +204,7 @@ func TestSizeFilterSkipsSmallRecords(t *testing.T) {
 		}
 		id++
 	}
-	if th := e.SizeThreshold("db"); th <= 100 || th > 4000 {
+	if th := dbStats(e, "db").SizeThreshold; th <= 100 || th > 4000 {
 		t.Fatalf("trained threshold = %d, want within (100, 4000]", th)
 	}
 	res, err := e.Encode("db", id, workload.RevisionText(rng, 100))
@@ -234,7 +234,7 @@ func TestGovernorDisablesUndedupableDB(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !e.DBDisabled("rand") {
+	if !dbStats(e, "rand").Disabled {
 		t.Fatal("governor did not disable an undedupable database")
 	}
 	// Subsequent inserts bypass the workflow.
@@ -246,7 +246,7 @@ func TestGovernorDisablesUndedupableDB(t *testing.T) {
 		t.Error("insert after disable not marked GovernorDisabled")
 	}
 	// Other databases are unaffected.
-	if e.DBDisabled("other") {
+	if dbStats(e, "other").Disabled {
 		t.Error("unrelated database reported disabled")
 	}
 }
@@ -262,7 +262,7 @@ func TestGovernorKeepsDedupableDB(t *testing.T) {
 		}
 		content = workload.Revise(rng, content, 1, 50+rng.Intn(100))
 	}
-	if e.DBDisabled("wiki") {
+	if dbStats(e, "wiki").Disabled {
 		t.Fatal("governor disabled a highly dedupable database")
 	}
 }
@@ -414,4 +414,15 @@ func TestDBStats(t *testing.T) {
 	if wiki.Disabled || stats[0].Disabled {
 		t.Error("governor should not have fired")
 	}
+}
+
+// dbStats returns the engine's view of one database (zero for one it has
+// never seen).
+func dbStats(e *Engine, name string) DBStats {
+	for _, d := range e.DBStats() {
+		if d.Name == name {
+			return d
+		}
+	}
+	return DBStats{}
 }

@@ -1299,17 +1299,17 @@ func (s *Store) Compact() (int64, error) { return s.CompactWith(nil) }
 // record moves; nil behaves exactly like Compact. The victim is read as Open
 // replays a segment, block by block in file order, and a frame is live if the
 // record table still points at exactly it. move is called with each live
-// record, outside every store lock, and may call commit once, with rec or
-// with a replacement form of it (the node's re-dedup pass commits a
-// delta-encoded conversion): commit re-checks under the writer lock that the
-// frame is still the record's current version, appends what it is given if so
-// and reports whether it did, so the caller can hold its own locks around the
-// call and learns there whether its conversion was stored or a concurrent
-// write won. A record move returns for without having called commit is moved
-// unchanged, so no callback can make retirement drop a live record.
-// rec.Payload is the caller's to keep. A tombstone in the victim is replayed
-// too, while a segment it may still be needed against exists (carryTombstone).
-func (s *Store) CompactWith(move func(rec Record, commit func(Record) bool)) (int64, error) {
+// record, outside every store lock, and may rewrite the record the way any
+// writer does, through Append or Delete (the node's re-dedup pass appends a
+// delta-encoded conversion). Afterwards, under the writer lock, the store
+// moves the record if the frame the walk read is still its current version,
+// and leaves it alone if not: whatever the callback or a concurrent writer
+// stored since is newer and already outside the victim. So no callback can
+// make retirement drop a live record or bring back a superseded one.
+// rec.Payload is the caller's to keep, not to modify. A tombstone in the
+// victim is replayed too, while a segment it may still be needed against
+// exists (carryTombstone).
+func (s *Store) CompactWith(move func(rec Record)) (int64, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
@@ -1361,33 +1361,22 @@ func (s *Store) CompactWith(move func(rec Record, commit func(Record) bool)) (in
 			if s.opts.AppendDelay > 0 {
 				time.Sleep(s.opts.AppendDelay)
 			}
-			// Re-check and move in one critical section: a concurrent write
-			// between the check and the append could otherwise be superseded
-			// by this stale copy. Waiting for room comes first: it may let go
-			// of mu.
-			var called bool
-			var appendErr error
-			commit := func(r Record) bool {
-				called = true
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				if appendErr = s.roomLocked(); appendErr != nil {
-					return false
-				}
-				if _, live := s.recs.at(rec.ID, slot, off, start); !live {
-					return false
-				}
-				s.appendLocked(r)
-				return true
-			}
 			if move != nil {
-				move(rec, commit)
+				move(rec)
 			}
-			if !called {
-				commit(rec)
+			// Re-check and move in one critical section: a write since the
+			// walk read the frame, the callback's or anyone's, could otherwise
+			// be superseded by this stale copy. Waiting for room comes first:
+			// it may let go of mu.
+			s.mu.Lock()
+			if err = s.roomLocked(); err == nil {
+				if _, live := s.recs.at(rec.ID, slot, off, start); live {
+					s.appendLocked(rec)
+				}
 			}
-			if appendErr != nil {
-				return appendErr
+			s.mu.Unlock()
+			if err != nil {
+				return err
 			}
 		}
 		return nil

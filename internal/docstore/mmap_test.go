@@ -362,9 +362,7 @@ func TestInMemoryStoreRunsTheFilePath(t *testing.T) {
 		}
 	}
 	offered := 0
-	reclaimed, err := s.CompactWith(func(rec Record, commit func(Record) bool) {
-		offered++
-	})
+	reclaimed, err := s.CompactWith(func(Record) { offered++ })
 	if err != nil || reclaimed == 0 || offered == 0 {
 		t.Fatalf("CompactWith: reclaimed %d bytes, offered %d records, err %v", reclaimed, offered, err)
 	}

@@ -80,7 +80,7 @@ func (n *Node) Compact() (int64, error) { return n.compactOnce() }
 // found no segment worth compacting is not a pass.
 func (n *Node) compactOnce() (int64, error) {
 	start := time.Now()
-	var move func(docstore.Record, func(docstore.Record) bool)
+	var move func(docstore.Record)
 	if n.opts.Compaction.Rededup && n.eng != nil {
 		move = n.rededupMove
 	}
@@ -97,27 +97,17 @@ func (n *Node) compactOnce() (int64, error) {
 }
 
 // rededupMove is compaction-time re-deduplication: the store calls it, under
-// none of its locks, with each live record it is about to move, and commit
-// stores the form it is given unless a concurrent write has superseded the
-// record. A record this returns for without a commit is moved as it is.
-// Safety rests on three rules:
-//
-//   - Only unreferenced raw records convert ("bases stay raw"): nothing
-//     decodes through the converted record, so the rewrite cannot deepen
-//     any existing chain, and a cycle would need the new base's chain to
-//     pass through the record — which requires the record to be referenced.
-//   - The base reference is claimed (refcnt++) before the base's content is
-//     decoded: once the claim is visible, client updates of the base stack
-//     on top of section 0 and deletes hide rather than reclaim, so the
-//     decoded content stays the content the delta will resolve against.
-//   - The conversion is verified and committed under applyMu — the lock every
-//     base-assigning path (write-back apply, hidden-chain repair) holds — by
-//     re-running the grounding walk and an end-to-end decode, so it commits
-//     only against the authoritative chain state.
-//
-// A conversion that is not stored (failed verification, superseded record,
-// append error) releases the claimed reference.
-func (n *Node) rededupMove(rec docstore.Record, commit func(docstore.Record) bool) {
+// none of its locks, with each live record it is about to move. It probes for a
+// similar record, encodes the record against it and hands the delta to
+// rebaseLocked: a conversion is a write-back computed late, and the same checks
+// under the same lock decide it. Two things are its own. The depth bound:
+// conversions deepen chains that the insert path, which only references raw
+// records, never would. And one rule, bases stay raw: only an unreferenced raw
+// record converts, so the rewrite cannot deepen any existing chain. Nothing is
+// held between decoding the base and the commit; an update or delete of either
+// record in that window makes the delta fail to reproduce the record, and the
+// store then moves the record as it is.
+func (n *Node) rededupMove(rec docstore.Record) {
 	if rec.Hidden || rec.Stacked || rec.Form != docstore.FormRaw || n.referenced(rec.ID) {
 		return
 	}
@@ -127,93 +117,37 @@ func (n *Node) rededupMove(rec docstore.Record, commit func(docstore.Record) boo
 	}
 	n.compm.Resketched.Add(1)
 	srcID, ok := n.eng.ProbeSimilar(rec.DB, rec.ID, rec.Payload)
-	if !ok || srcID == rec.ID {
+	// The walk is advisory here, and saves encoding against a base that
+	// rebaseLocked would refuse.
+	if !ok || srcID == rec.ID || !n.grounds(rec.ID, srcID, maxDepth) {
 		return
 	}
-	conv, ok := n.buildConversion(rec, srcID, maxDepth)
-	if !ok {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	base, err := n.decode(sc, srcID, baseContent)
+	if err != nil {
+		return // a similarity-index candidate can name a dead record
+	}
+	d := n.eng.CompressDelta(base, rec.Payload)
+	if d.EncodedSize() >= len(rec.Payload) {
 		return
 	}
+	conv := d.Marshal()
 	n.applyMu.Lock()
-	// A reference appearing since the probe means another record now decodes
-	// through this one — converting it would deepen that chain. The decode is
-	// the end-to-end guard of write-back apply: the delta must reproduce
-	// exactly the payload it replaces.
-	stored := !n.referenced(rec.ID) &&
-		n.rededupStillSafe(rec.ID, srcID, maxDepth) &&
-		n.reproducesLocked(srcID, conv.Payload, rec.Payload) &&
-		commit(conv)
+	m, _ := n.store.Meta(rec.ID)
+	stored := m.Form == docstore.FormRaw && !n.referenced(rec.ID) &&
+		n.rebaseLocked(rec.ID, srcID, conv, maxDepth)
 	n.applyMu.Unlock()
 	if !stored {
 		n.compm.ConversionsSkipped.Add(1)
-		n.releaseRef(srcID)
 		return
 	}
 	n.compm.Conversions.Add(1)
-	n.compm.LogicalBytesSaved.Add(int64(len(rec.Payload) - len(conv.Payload)))
+	n.compm.LogicalBytesSaved.Add(int64(len(rec.Payload) - len(conv)))
 }
 
 func (n *Node) referenced(id uint64) bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.refcnt[id] > 0
-}
-
-// buildConversion claims a reference on srcID, decodes its base content, and
-// delta-encodes rec against it. On any failure — or an unprofitable delta —
-// the claim is released and rec is returned unchanged.
-func (n *Node) buildConversion(rec docstore.Record, srcID uint64, maxDepth int) (docstore.Record, bool) {
-	// Claim first: once refcnt[srcID] > 0 is visible, a concurrent client
-	// update of the base stacks (section 0 preserved) and a delete hides
-	// instead of reclaiming, so the content decoded below stays the
-	// content the committed delta will resolve against.
-	n.mu.Lock()
-	n.refcnt[srcID]++
-	n.mu.Unlock()
-
-	abort := func() (docstore.Record, bool) {
-		n.releaseRef(srcID)
-		return rec, false
-	}
-	// Advisory pre-check; rededupMove repeats it authoritatively under applyMu.
-	if !n.rededupStillSafe(rec.ID, srcID, maxDepth) {
-		return abort()
-	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	base, err := n.decode(sc, srcID, baseContent)
-	if err != nil {
-		// A similarity-index candidate can name a dead record; the stray
-		// refcnt entry the claim created is cleaned up by the release.
-		return abort()
-	}
-	d := n.eng.CompressDelta(base, rec.Payload)
-	if d.EncodedSize() >= len(rec.Payload) {
-		return abort()
-	}
-	conv := rec
-	conv.Form = docstore.FormDelta
-	conv.BaseID = srcID
-	conv.Payload = d.Marshal()
-	return conv, true
-}
-
-// rededupStillSafe walks id's prospective chain starting at baseID and
-// reports whether it grounds in a raw record within maxDepth hops without
-// passing through id itself (which would be a cycle).
-func (n *Node) rededupStillSafe(id, baseID uint64, maxDepth int) bool {
-	cur := baseID
-	for depth := 1; ; depth++ {
-		if cur == id || depth > maxDepth {
-			return false
-		}
-		m, ok := n.store.Meta(cur)
-		if !ok {
-			return false
-		}
-		if m.Form != docstore.FormDelta {
-			return true
-		}
-		cur = m.BaseID
-	}
 }

@@ -359,24 +359,17 @@ func (n *Node) repairPastHidden(depID, hidID uint64, depContent []byte) {
 		return
 	}
 
-	var newPayload []byte
-	newForm := docstore.FormRaw
-	var newBaseID uint64
-	if hidMeta.Form == docstore.FormDelta {
-		// Splice: delta the dependant directly against the hidden
-		// record's own base.
-		newBaseID = hidMeta.BaseID
-		baseContent, err := n.decode(&n.applyScratch[0], newBaseID, baseContentNoRepair)
+	// The hidden record terminates the chain: the dependant goes back to raw
+	// form. Or it is delta-encoded itself: splice, the dependant as a delta
+	// directly against the hidden record's own base.
+	newPayload := depContent
+	dep.Form, dep.BaseID = hidMeta.Form, baseOf(hidMeta.Form, hidMeta.BaseID)
+	if dep.Form == docstore.FormDelta {
+		baseContent, err := n.decode(&n.applyScratch[0], dep.BaseID, baseContentNoRepair)
 		if err != nil {
 			return
 		}
-		d := delta.Compress(baseContent, depContent, delta.Options{})
-		newPayload = d.Marshal()
-		newForm = docstore.FormDelta
-	} else {
-		// The hidden record terminates the chain: the dependant goes
-		// back to raw form.
-		newPayload = depContent
+		newPayload = delta.Compress(baseContent, depContent, delta.Options{}).Marshal()
 	}
 
 	if dep.Stacked {
@@ -389,18 +382,12 @@ func (n *Node) repairPastHidden(depID, hidID uint64, depContent []byte) {
 	} else {
 		dep.Payload = newPayload
 	}
-	dep.Form = newForm
-	dep.BaseID = newBaseID
-	if err := n.store.Append(dep); err != nil {
+	if n.putLocked(dep, depMeta) != nil {
 		return
 	}
 	n.mu.Lock()
-	if newForm == docstore.FormDelta {
-		n.refcnt[newBaseID]++
-	}
 	n.stats.HiddenRepaired++
 	n.mu.Unlock()
-	n.releaseRefLocked(hidID)
 }
 
 // ------------------------------------------------------------- stacked utils

@@ -174,7 +174,7 @@ type Node struct {
 	// client path, by the applier's per-database FIFO on the replica path
 	// — and publish a key only after its record is appended.
 	keys    keyDir
-	refcnt  map[uint64]int // decode-base reference counts
+	refcnt  map[uint64]int // decode-base reference counts; written under applyMu too
 	nextID  uint64
 	stats   Stats
 	latIns  *metrics.Histogram
@@ -200,7 +200,8 @@ type Node struct {
 
 	// applyMu serialises every write of an existing record's stored form
 	// (update, delete, write-back apply, hidden-chain repair, the re-dedup
-	// commit), so what one checked still holds when it appends. It also
+	// commit), so what one checked still holds when it appends, and with
+	// them every write of refcnt (moveRefLocked). It also
 	// guards the working memory those paths decode into: one scratch per
 	// content held at a time (a record and the base it would decode from),
 	// and the buffer a candidate delta is applied into for checking.

@@ -289,112 +289,154 @@ func TestStampUnderConcurrentMutation(t *testing.T) {
 	}
 }
 
-// TestFailedDeleteChangesNothing makes the store refuse a delete's write, the
-// tombstone of a record nothing decodes through or the hidden form of one
-// something does, at each entrance a delete has: a client call, a replicated
-// entry, and the delete a Retain pass stops on. The error must come back with
-// the key still resolvable, nothing counted, stamped or logged, and what a
-// reopen finds on disk must be what the node said before it: the record. (The
-// key used to be unpublished first, so it was gone until the next restart and
-// back after it.) A retry then deletes it for good.
-func TestFailedDeleteChangesNothing(t *testing.T) {
-	entrances := map[string]func(n *Node, key string) error{
-		"client": func(n *Node, key string) error { return n.Delete("db", key) },
-		"replicated": func(n *Node, key string) error {
+// TestFailedMutationChangesNothing makes the store refuse the write of a delete
+// or an update, at each entrance the two have: a client call, a replicated
+// entry, the delete a Retain pass stops on, the update an Upsert turns into.
+// The write refused is the tombstone or the new content of a record nothing
+// decodes through, or the hidden or stacked form of one something does. The
+// error must come back with the key still reading the record, nothing counted,
+// stamped or logged and the encoder token returned, inline and behind the
+// encoder pool alike, and what a reopen finds on disk must be what the node
+// said before it: the record. A retry then goes through for good. (A delete
+// used to unpublish its key first, so the key was gone until the next restart
+// and back after it. An update used to stamp, count and queue its oplog job
+// first: behind the pool the entry was logged, and a secondary applied an
+// update its primary did not hold.)
+func TestFailedMutationChangesNothing(t *testing.T) {
+	type entrance struct {
+		name   string
+		update bool
+		do     func(n *Node, key string, content []byte) error
+	}
+	entrances := []entrance{
+		{"delete/client", false, func(n *Node, key string, _ []byte) error { return n.Delete("db", key) }},
+		{"delete/replicated", false, func(n *Node, key string, _ []byte) error {
 			return n.ApplyReplicated(oplog.Entry{Op: oplog.OpDelete, DB: "db", Key: key})
-		},
-		"retain": func(n *Node, key string) error {
+		}},
+		{"delete/retain", false, func(n *Node, key string, _ []byte) error {
 			_, err := n.Retain("db", func(k string) bool { return k != key }, true)
 			return err
-		},
+		}},
+		{"update/client", true, func(n *Node, key string, c []byte) error { return n.Update("db", key, c) }},
+		{"update/replicated", true, func(n *Node, key string, c []byte) error {
+			return n.ApplyReplicated(oplog.Entry{Op: oplog.OpUpdate, DB: "db", Key: key, Payload: c})
+		}},
+		{"update/upsert", true, func(n *Node, key string, c []byte) error { return n.Upsert("db", key, c, true) }},
 	}
-	for name, del := range entrances {
-		for _, kind := range []string{"tombstone", "hidden"} {
-			t.Run(name+"/"+kind, func(t *testing.T) {
-				mem := faultfs.NewMemFS()
-				opts := Options{Dir: "n", FS: mem, BlockSize: 128, SyncEncode: true, DisableAutoFlush: true,
-					Engine: core.Config{GovernorWindow: 1 << 30, Scheme: chain.Backward}}
-				n, err := Open(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(3))
-				v0 := workload.RevisionText(rng, 4096)
-				v1 := editText(rng, v0, 2)
-				must := func(err error) {
-					t.Helper()
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				must(n.Insert("db", "v0", v0))
-				must(n.Insert("db", "v1", v1))
-				key, want := "v1", v1
-				if kind == "hidden" {
-					if n.FlushWritebacks(-1) != 1 || n.RefCount("db", "v1") != 1 {
-						t.Fatal("v0 was not re-encoded against v1")
-					}
-				}
-				must(n.Close())
-
-				// Reopen on a disk whose first write fails. A record larger than a
-				// block fills it; the sealer meets the fault and leaves the error
-				// for the next append, which will be the delete's.
-				opts.FS = faultfs.NewInjector(mem, 1, faultfs.FailWrite(1))
-				if n, err = Open(opts); err != nil {
-					t.Fatal(err)
-				}
-				must(n.Insert("db", "filler", workload.RevisionText(rng, 1024)))
-				// A compaction pass starts by waiting for the sealer; with one
-				// segment it then finds no victim and leaves the error where it is.
-				if _, err := n.Store().Compact(); err != nil || n.Stats().Store.SealErrors != 1 {
-					t.Fatalf("waiting for the sealer: %v, %d seal errors, want the one injected", err, n.Stats().Store.SealErrors)
-				}
-				stats, logged := n.Stats(), n.Oplog().LastSeq()
-
-				if err := del(n, key); !errors.Is(err, faultfs.ErrInjected) {
-					t.Fatalf("delete on a failing disk = %v, want the injected error", err)
-				}
-				if got, err := n.Read("db", key); err != nil || !bytes.Equal(got, want) {
-					t.Errorf("after the failed delete the key reads %d bytes, %v; want the record", len(got), err)
-				}
-				if got, err := n.Read("db", "v0"); err != nil || !bytes.Equal(got, v0) {
-					t.Errorf("v0 after the failed delete: %d bytes, %v", len(got), err)
-				}
-				if st := n.Stats(); st.Deletes != stats.Deletes || n.Oplog().LastSeq() != logged {
-					t.Errorf("the failed delete was counted (%d → %d) or logged (seq %d → %d)",
-						stats.Deletes, st.Deletes, logged, n.Oplog().LastSeq())
-				}
-				n.mu.RLock()
-				stamps := len(n.lastMut)
-				n.mu.RUnlock()
-				if stamps != 0 {
-					t.Errorf("the failed delete left %d mutation stamps", stamps)
-				}
-				must(n.Close())
-
-				opts.FS = mem
-				if n, err = Open(opts); err != nil {
-					t.Fatal(err)
-				}
-				if got, err := n.Read("db", key); err != nil || !bytes.Equal(got, want) {
-					t.Errorf("after a restart the key reads %d bytes, %v; want the record the node kept serving", len(got), err)
-				}
-				must(del(n, key))
-				must(n.Close())
-				if n, err = Open(opts); err != nil {
-					t.Fatal(err)
-				}
-				defer n.Close()
-				if _, err := n.Read("db", key); !errors.Is(err, ErrNotFound) {
-					t.Errorf("after the delete that succeeded and a restart: %v, want not found", err)
-				}
-				if got, err := n.Read("db", "v0"); err != nil || !bytes.Equal(got, v0) {
-					t.Errorf("v0 at the end: %d bytes, %v", len(got), err)
-				}
-			})
+	for _, e := range entrances {
+		for _, referenced := range []bool{false, true} {
+			for _, syncEncode := range []bool{true, false} {
+				name := fmt.Sprintf("%s/referenced=%v/sync=%v", e.name, referenced, syncEncode)
+				t.Run(name, func(t *testing.T) { failedMutation(t, e.update, e.do, referenced, syncEncode) })
+			}
 		}
 	}
+}
+
+func failedMutation(t *testing.T, update bool, do func(n *Node, key string, content []byte) error, referenced, syncEncode bool) {
+	mem := faultfs.NewMemFS()
+	opts := Options{Dir: "n", FS: mem, BlockSize: 128, SyncEncode: syncEncode, DisableAutoFlush: true,
+		EncodeWorkers: 1, Engine: core.Config{GovernorWindow: 1 << 30, Scheme: chain.Backward}}
+	n, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	v0 := workload.RevisionText(rng, 4096)
+	v1 := editText(rng, v0, 2)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(n.Insert("db", "v0", v0))
+	must(n.Insert("db", "v1", v1))
+	n.Barrier()
+	key, want := "v1", v1
+	if referenced {
+		if n.FlushWritebacks(-1) != 1 || n.RefCount("db", "v1") != 1 {
+			t.Fatal("v0 was not re-encoded against v1")
+		}
+	}
+	must(n.Close())
+	after := []byte(nil) // what the key reads once the mutation went through; nil: nothing
+	if update {
+		after = editText(rng, v1, 1)
+	}
+
+	// Reopen on a disk whose first write fails. A record larger than a
+	// block fills it; the sealer meets the fault and leaves the error for
+	// the next append, which will be the mutation's.
+	opts.FS = faultfs.NewInjector(mem, 1, faultfs.FailWrite(1))
+	if n, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	must(n.Insert("db", "filler", workload.RevisionText(rng, 1024)))
+	n.Barrier()
+	// A compaction pass starts by waiting for the sealer; with one
+	// segment it then finds no victim and leaves the error where it is.
+	if _, err := n.Store().Compact(); err != nil || n.Stats().Store.SealErrors != 1 {
+		t.Fatalf("waiting for the sealer: %v, %d seal errors, want the one injected", err, n.Stats().Store.SealErrors)
+	}
+	stats, logged := n.Stats(), n.Oplog().LastSeq()
+
+	if err := do(n, key, after); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("on a failing disk = %v, want the injected error", err)
+	}
+	n.Barrier()
+	if got, err := n.Read("db", key); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("after the failed mutation the key reads %d bytes, %v; want the record", len(got), err)
+	}
+	if got, err := n.Read("db", "v0"); err != nil || !bytes.Equal(got, v0) {
+		t.Errorf("v0 after the failed mutation: %d bytes, %v", len(got), err)
+	}
+	if st := n.Stats(); st.Deletes != stats.Deletes || st.Updates != stats.Updates || n.Oplog().LastSeq() != logged {
+		t.Errorf("the failed mutation was counted (deletes %d → %d, updates %d → %d) or logged (seq %d → %d)",
+			stats.Deletes, st.Deletes, stats.Updates, st.Updates, logged, n.Oplog().LastSeq())
+	}
+	if assigned := n.LastAssignedSeq(); assigned != logged {
+		t.Errorf("the failed mutation took a sequence number: %d assigned, %d logged", assigned, logged)
+	}
+	n.mu.RLock()
+	stamps := len(n.lastMut)
+	n.mu.RUnlock()
+	if stamps != 0 {
+		t.Errorf("the failed mutation left %d mutation stamps", stamps)
+	}
+	if n.pool != nil {
+		if held := len(n.pool.shardFor("db").sem); held != 0 {
+			t.Errorf("the failed mutation kept %d encoder tokens", held)
+		}
+	}
+	must(n.Close())
+
+	opts.FS = mem
+	if n, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := n.Read("db", key); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("after a restart the key reads %d bytes, %v; want the record the node kept serving", len(got), err)
+	}
+	must(do(n, key, after))
+	must(n.Close())
+	if n, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	got, err := n.Read("db", key)
+	if after == nil && !errors.Is(err, ErrNotFound) {
+		t.Errorf("after the delete that succeeded and a restart: %v, want not found", err)
+	} else if after != nil && (err != nil || !bytes.Equal(got, after)) {
+		t.Errorf("after the update that succeeded and a restart the key reads %d bytes, %v; want the update", len(got), err)
+	}
+	if got, err := n.Read("db", "v0"); err != nil || !bytes.Equal(got, v0) {
+		t.Errorf("v0 at the end: %d bytes, %v", len(got), err)
+	}
+	if rep := n.VerifyAll(); !rep.Ok() {
+		t.Errorf("verify: %s", rep)
+	}
+	verifyRefcounts(t, n)
 }
 
 // TestOpenDecodesEachBlockOnce: opening a node over a sealed, compressed store
@@ -448,6 +490,14 @@ func TestOpenDecodesEachBlockOnce(t *testing.T) {
 // unreferenced base would overwrite what the record is about to decode from.
 // The append is serialized with all three, so every key reads what its last
 // writer left, now and after a reopen.
+//
+// The re-dedup conversion is the other rewriter, and ends in the same
+// rebaseLocked. It decodes the base it chose and encodes against it holding
+// nothing, so each round also updates or deletes that base, still unreferenced,
+// once a conversion has started: before the decode the conversion encodes
+// against what the mutation left, after the commit the base is referenced and
+// the mutation stacks or hides, and in between the delta no longer reproduces
+// the record and is refused.
 func TestStampUnderMutationRacingFlush(t *testing.T) {
 	mem := faultfs.NewMemFS()
 	opts := Options{Dir: "n", FS: mem, SyncEncode: true, DisableAutoFlush: true,
@@ -511,7 +561,65 @@ func TestStampUnderMutationRacingFlush(t *testing.T) {
 		if raced < 8 {
 			t.Fatalf("round %d: %d of 16 pairs had a write-back to race", round, raced)
 		}
+
+		// Pairs for the conversion: a record and the one record similar to it,
+		// both raw and unreferenced, as if the index had forgotten the base
+		// when the record arrived. The last pair is left alone, to show that
+		// the base a conversion chooses is the one being mutated in the others.
+		const pairs = 9
+		var convs []docstore.Record
+		for i := 0; i < pairs; i++ {
+			base, key := fmt.Sprintf("r%d.%d.base", round, i), fmt.Sprintf("r%d.%d.conv", round, i)
+			want[base] = workload.RevisionText(rng, 16<<10)
+			want[key] = editText(rng, want[base], 2)
+			if err := errors.Join(n.Insert("db", base, want[base]), n.Insert("db", key, want[key])); err != nil {
+				t.Fatal(err)
+			}
+			id, _ := n.lookup("db", key)
+			convs = append(convs, docstore.Record{ID: id, DB: "db", Key: key, Payload: want[key]})
+		}
+		n.wb.DrainBest(n.wb.Len()) // dropped
+		// Sealed, so that the one read of the store a conversion makes before
+		// its commit, the decode of the base, shows in the block cache's counts.
+		if err := n.store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		reads := func() uint64 { st := n.store.Stats(); return st.CacheHits + st.CacheMisses }
+		for j, rec := range convs {
+			before, done := reads(), make(chan struct{})
+			go func() {
+				defer close(done)
+				n.rededupMove(rec)
+			}()
+		decoding:
+			for reads() == before { // then the base is decoded, and the commit comes next
+				select {
+				case <-done:
+					break decoding
+				default:
+					runtime.Gosched()
+				}
+			}
+			base := fmt.Sprintf("r%d.%d.base", round, j)
+			switch {
+			case j == pairs-1:
+			case j%2 == 0:
+				want[base] = editText(rng, want[base], 1)
+				err = n.Update("db", base, want[base])
+			default:
+				want[base], err = nil, n.Delete("db", base)
+			}
+			<-done
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		baseID, _ := n.lookup("db", fmt.Sprintf("r%d.%d.base", round, pairs-1))
+		if m, _ := n.store.Meta(convs[pairs-1].ID); m.Form != docstore.FormDelta || m.BaseID != baseID {
+			t.Fatalf("round %d: the conversion nobody raced left its record as %+v, want a delta against record %d", round, m, baseID)
+		}
 	}
+	t.Logf("%d conversions stored, %d refused", n.compm.Conversions.Total(), n.compm.ConversionsSkipped.Total())
 	check := func(when string) {
 		t.Helper()
 		for id, keys := range olds {
@@ -686,9 +794,9 @@ func staleSourceCache(t *testing.T, replica bool, mutation string) {
 	case mutation == "stacking update":
 		// Nothing can decode through a record whose own insert is still being
 		// encoded, short of a re-dedup conversion; stand in for one.
-		n.mu.Lock()
-		n.refcnt[id]++
-		n.mu.Unlock()
+		n.applyMu.Lock()
+		n.moveRefLocked(0, id)
+		n.applyMu.Unlock()
 		if replica {
 			err = n.Upsert("wiki", "v2", want, false)
 		} else {
@@ -731,7 +839,9 @@ func staleSourceCache(t *testing.T, replica bool, mutation string) {
 	check("insert finished")
 
 	if mutation == "stacking update" {
-		n.releaseRef(id)
+		n.applyMu.Lock()
+		n.moveRefLocked(id, 0)
+		n.applyMu.Unlock()
 		check("stacked record compacted")
 	}
 	n.FlushWritebacks(-1)

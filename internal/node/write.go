@@ -159,12 +159,18 @@ func (n *Node) invalidate(id uint64) {
 	}
 }
 
-// updateLocalEmit performs the update: lookup and stamp under n.mu, then the
-// store write. Like a delete it holds applyMu throughout (lock order: encoder
-// token, applyMu, n.mu): a write-back, a repair or a re-dedup conversion checks
-// a record and the base it points at under that lock and then appends, and an
-// update of either landing in between would be overwritten by older content,
-// or overwrite what the other record is about to decode from.
+// updateLocalEmit performs the update. Like a delete it holds applyMu
+// throughout (lock order: encoder token, applyMu, n.mu): a write-back, a repair
+// or a re-dedup conversion checks a record and the base it points at under that
+// lock and then appends, and an update of either landing in between would be
+// overwritten by older content, or overwrite what the other record is about to
+// decode from. And it has a delete's failure contract: the store write runs
+// inside the n.mu section, and the count, the sequence number, the stamp and
+// the oplog job come only behind it, so an update the store refuses returns the
+// error with nothing changed, counted, stamped or logged. The new content and
+// its stamp share that one section, which is what the encoder's guard on a
+// forward delta needs: changedSince takes n.mu, so whoever read the new content
+// finds the stamp.
 func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, bool, error) {
 	// The one copy of the caller's payload: the oplog job and the stored
 	// record share it, and neither modifies it.
@@ -177,12 +183,25 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 	defer n.applyMu.Unlock()
 	n.mu.Lock()
 	id, mutated, ok := n.keys.load(db, key)
-	if !ok {
+	var was docstore.MetaInfo // the overwritten form, when nothing decodes through the record
+	var err error
+	switch {
+	case !ok:
+		err = ErrNotFound
+	case n.refcnt[id] == 0:
+		// Nobody decodes through this record: plain overwrite.
+		was, _ = n.store.Meta(id)
+		err = n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp})
+	default:
+		// Referenced: keep the stored form intact as section 0 and
+		// stack the update on top (paper §4.1, Update).
+		err = n.stackLocked(id, cp)
+	}
+	if err != nil {
 		n.mu.Unlock()
 		sh.release()
-		return encodeJob{}, false, ErrNotFound
+		return encodeJob{}, false, err
 	}
-	refs := n.refcnt[id]
 	if !mutated {
 		// From here on the source cache's copy of the record, its insert
 		// payload, is not what a client reads: say so where Read looks,
@@ -193,41 +212,31 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 		emit, &n.stats.Updates)
 	n.mu.Unlock()
 	n.invalidate(id)
-
-	if refs == 0 {
-		// Nobody decodes through this record: plain overwrite. If the
-		// old form was a delta, its base loses a reference.
-		was, _ := n.store.Meta(id)
-		if err := n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp}); err != nil {
-			return job, inline, err
-		}
-		if was.Form == docstore.FormDelta {
-			n.releaseRefLocked(was.BaseID)
-		}
-	} else {
-		// Referenced: keep the stored form intact as section 0 and
-		// stack the update on top (paper §4.1, Update).
-		rec, okRec, err := n.store.Get(id)
-		if err != nil {
-			return job, inline, err
-		}
-		if !okRec {
-			return job, inline, ErrNotFound
-		}
-		sections := [][]byte{rec.Payload, cp}
-		if rec.Stacked {
-			// Replace the visible (last) section.
-			if sections, err = splitSections(rec.Payload); err != nil {
-				return job, inline, err
-			}
-			sections[len(sections)-1] = cp
-		}
-		rec.Stacked, rec.Payload = true, joinSections(sections)
-		if err := n.store.Append(rec); err != nil {
-			return job, inline, err
-		}
-	}
+	// If the overwritten form was a delta, its base loses a reference.
+	n.moveRefLocked(baseOf(was.Form, was.BaseID), 0)
 	return job, inline, nil
+}
+
+// stackLocked appends record id with content as its visible section, the last
+// one, on top of its stored form. Caller holds applyMu.
+func (n *Node) stackLocked(id uint64, content []byte) error {
+	rec, ok, err := n.store.Get(id)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return ErrNotFound
+	}
+	sections := [][]byte{rec.Payload, content}
+	if rec.Stacked {
+		// Replace the visible (last) section.
+		if sections, err = splitSections(rec.Payload); err != nil {
+			return err
+		}
+		sections[len(sections)-1] = content
+	}
+	rec.Stacked, rec.Payload = true, joinSections(sections)
+	return n.store.Append(rec)
 }
 
 // Delete removes the record from the client's view. If other records decode
@@ -283,34 +292,76 @@ func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, erro
 	return job, inline, nil
 }
 
-// reclaimLocked removes record id, which nothing decodes through any more,
-// from the store. Caller holds applyMu.
-func (n *Node) reclaimLocked(id uint64) error {
-	rec, ok := n.store.Meta(id)
-	if !ok {
-		return nil
-	}
-	if err := n.store.Delete(id); err != nil {
-		return err
-	}
-	n.removedLocked(id, rec)
-	return nil
-}
-
 // removedLocked settles the books for record id, whose tombstone is written
-// and which was stored as rec: its mutation stamp goes with it (lastMut
+// and which was stored as was: its mutation stamp goes with it (lastMut
 // follows live records; a guard that finds no stamp finds no record either,
-// and IDs are not reused), and the base it decoded from loses a reference,
-// which cascades into a hidden base whose last reference this was and
-// compacts a stacked one. A store error down the cascade leaves an
-// unreferenced hidden record behind, not an error for the caller, whose own
-// record is gone. Caller holds applyMu.
-func (n *Node) removedLocked(id uint64, rec docstore.MetaInfo) {
+// and IDs are not reused), and the base it decoded from loses a reference.
+// Caller holds applyMu.
+func (n *Node) removedLocked(id uint64, was docstore.MetaInfo) {
 	n.mu.Lock()
 	delete(n.lastMut, id)
 	n.mu.Unlock()
-	if rec.Form == docstore.FormDelta {
-		n.releaseRefLocked(rec.BaseID)
+	n.moveRefLocked(baseOf(was.Form, was.BaseID), 0)
+}
+
+// baseOf returns the record a stored form decodes from, 0 (no record's ID)
+// for a raw form.
+func baseOf(form docstore.Form, baseID uint64) uint64 {
+	if form != docstore.FormDelta {
+		return 0
+	}
+	return baseID
+}
+
+// putLocked appends rec, the new stored form of a record that was stored as
+// was, and moves the record's reference from the old form's base to the new
+// one's. Caller holds applyMu and not n.mu.
+func (n *Node) putLocked(rec docstore.Record, was docstore.MetaInfo) error {
+	if err := n.store.Append(rec); err != nil {
+		return err
+	}
+	n.moveRefLocked(baseOf(was.Form, was.BaseID), baseOf(rec.Form, rec.BaseID))
+	return nil
+}
+
+// moveRefLocked is where reference counts change once recover has built them:
+// a stored form that decoded from record from is gone or replaced by one that
+// decodes from record to (0: from nothing, a raw form). The new reference is
+// counted before the old one is dropped. A record left unreferenced is
+// settled: reclaimed if the client had deleted it (hidden), or written back
+// in plain form if it carries stacked client updates (paper §4.1: "when the
+// reference count reaches zero, dbDedup compacts all the updates to the record
+// and replaces it with the new data"); either cascades into that record's own
+// base. A store error down the cascade leaves an unreferenced hidden or
+// stacked record behind, not an error for the caller, whose own write is
+// done. Caller holds applyMu, under which every count is written, and not
+// n.mu, which guards the map for the readers outside applyMu.
+func (n *Node) moveRefLocked(from, to uint64) {
+	if from == to {
+		return
+	}
+	n.mu.Lock()
+	if to != 0 {
+		n.refcnt[to]++
+	}
+	settle := false
+	if from != 0 {
+		n.refcnt[from]--
+		if settle = n.refcnt[from] <= 0; settle {
+			delete(n.refcnt, from)
+		}
+	}
+	n.mu.Unlock()
+	if !settle {
+		return
+	}
+	switch m, _ := n.store.Meta(from); {
+	case m.Hidden:
+		if n.store.Delete(from) == nil {
+			n.removedLocked(from, m)
+		}
+	case m.Stacked:
+		n.compactStackedLocked(from, m)
 	}
 }
 
@@ -473,7 +524,8 @@ func (n *Node) PendingWritebacks() int {
 // applyWriteback replaces record id's stored form with the backward delta,
 // unless the record — or the base it would decode from — changed since the
 // delta was computed. Skipping is always safe: the record just stays in its
-// older, larger form (the "lossy" property of §3.3.2).
+// older, larger form (the "lossy" property of §3.3.2). The stamps are the fast
+// filter; rebaseLocked is the proof.
 func (n *Node) applyWriteback(id uint64, payload []byte) bool {
 	base, seq, deltaBytes, err := decodeWritebackPayload(payload)
 	if err != nil {
@@ -481,70 +533,51 @@ func (n *Node) applyWriteback(id uint64, payload []byte) bool {
 	}
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
-
-	skip := func() bool {
-		n.mu.Lock()
+	applied := !n.changedSince(id, seq) && !n.changedSince(base, seq) &&
+		n.rebaseLocked(id, base, deltaBytes, maxChainWalk)
+	n.mu.Lock()
+	if applied {
+		n.stats.WritebacksApplied++
+	} else {
 		n.stats.WritebacksSkipped++
-		n.mu.Unlock()
-		return false
 	}
-	if n.changedSince(id, seq) || n.changedSince(base, seq) {
-		return skip()
-	}
-	rec, ok := n.store.Meta(id)
-	if !ok {
-		return false
-	}
-	if rec.Stacked || rec.Hidden {
-		// Changed shape since encode; leave it alone (lossy is fine).
-		return skip()
-	}
-	// The chain this re-encoding creates must still ground in a raw record.
-	// Write-backs alone cannot cycle (they re-encode an older record
-	// against a newer one and the newest stays raw), but a compaction-time
-	// re-dedup conversion can point a newer record at an older one — a
-	// queued write-back in the opposite direction would then close a
-	// cycle, which recovery refuses to ground, losing the whole chain.
-	// Both writers walk under applyMu, so whichever commits second sees
-	// the other's committed form and skips (lossy is fine).
-	if !n.rededupStillSafe(id, base, int(n.store.Stats().LiveRecords)+1) {
-		return skip()
-	}
+	n.mu.Unlock()
+	return applied
+}
 
-	// End-to-end guard: the re-encoding must reproduce exactly the
-	// content this record currently decodes to. The stamp checks above
-	// are fast-path filters; this catches every residual staleness
-	// (e.g. a delta computed from a cache entry that a concurrent client
-	// mutation invalidated mid-encode). Skipping costs only compression.
+// maxChainWalk bounds a walk down a chain that has no depth policy of its
+// own, so that a cycle ends it.
+const maxChainWalk = 1 << 20
+
+// rebaseLocked is the one way an existing record comes to decode from another:
+// it stores record id as the marshalled delta deltaBytes against record base
+// and moves the reference with it, or reports false and changes nothing.
+// Write-back apply and the re-dedup conversion both end here, with a delta
+// computed outside applyMu from content that may be stale by now, so
+// everything is checked against the store as it is under the lock, which every
+// writer of an existing record holds.
+//
+// The chain the new form creates must ground in a raw record within maxDepth
+// hops without passing through id. Write-backs alone cannot cycle (they
+// re-encode an older record against a newer one and the newest stays raw), but
+// a conversion can point a newer record at an older one, and a queued
+// write-back in the opposite direction would then close a cycle, which
+// recovery refuses to ground, losing the whole chain: whichever commits second
+// sees the other's committed form here and yields.
+//
+// And the new form must decode to exactly what the record decodes to now:
+// the delta applied to the base's current bytes reproduces the record's
+// current content. That catches every staleness, of the record or of the base,
+// whatever caused it; failing it costs only compression. Caller holds applyMu.
+func (n *Node) rebaseLocked(id, base uint64, deltaBytes []byte, maxDepth int) bool {
+	was, ok := n.store.Meta(id)
+	if !ok || was.Stacked || was.Hidden || !n.grounds(id, base, maxDepth) {
+		return false
+	}
 	cur, err := n.decode(&n.applyScratch[0], id, baseContentNoRepair)
 	if err != nil {
 		return false
 	}
-	if !n.reproducesLocked(base, deltaBytes, cur) {
-		return skip()
-	}
-
-	err = n.store.Append(docstore.Record{ID: id, DB: rec.DB, Key: rec.Key,
-		Form: docstore.FormDelta, BaseID: base, Payload: deltaBytes})
-	if err != nil {
-		return false
-	}
-
-	n.mu.Lock()
-	n.refcnt[base]++
-	n.stats.WritebacksApplied++
-	n.mu.Unlock()
-	if rec.Form == docstore.FormDelta {
-		n.releaseRefLocked(rec.BaseID)
-	}
-	return true
-}
-
-// reproducesLocked reports whether the marshalled delta, applied to what
-// record base decodes to, yields exactly want: the check every path that
-// assigns a base runs before it commits. Caller holds applyMu; want may live
-// in applyScratch[0].
-func (n *Node) reproducesLocked(base uint64, deltaBytes, want []byte) bool {
 	baseContent, err := n.decode(&n.applyScratch[1], base, baseContentNoRepair)
 	if err != nil {
 		return false
@@ -554,72 +587,48 @@ func (n *Node) reproducesLocked(base uint64, deltaBytes, want []byte) bool {
 		return false
 	}
 	n.applyCheck = got
-	return bytes.Equal(got, want)
+	if !bytes.Equal(got, cur) {
+		return false
+	}
+	return n.putLocked(docstore.Record{ID: id, DB: was.DB, Key: was.Key,
+		Form: docstore.FormDelta, BaseID: base, Payload: deltaBytes}, was) == nil
 }
 
-// releaseRef decrements a base's reference count. A record that becomes
-// unreferenced is reclaimed if the client had deleted it (hidden), or
-// compacted back to plain form if it carries stacked client updates
-// (paper §4.1: "when the reference count reaches zero, dbDedup compacts all
-// the updates to the record and replaces it with the new data").
-// It acquires applyMu; use releaseRefLocked when already holding it.
-func (n *Node) releaseRef(baseID uint64) {
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-	n.releaseRefLocked(baseID)
-}
-
-func (n *Node) releaseRefLocked(baseID uint64) {
-	n.mu.Lock()
-	n.refcnt[baseID]--
-	gone := n.refcnt[baseID] <= 0
-	if gone {
-		delete(n.refcnt, baseID)
-	}
-	n.mu.Unlock()
-	if !gone {
-		return
-	}
-	m, ok := n.store.Meta(baseID)
-	if !ok {
-		return
-	}
-	switch {
-	case m.Hidden:
-		n.reclaimLocked(baseID)
-	case m.Stacked:
-		n.compactStackedLocked(baseID)
+// grounds walks the chain record id would have with baseID as its base and
+// reports whether it reaches a raw record within maxDepth hops without
+// passing through id itself (which would be a cycle).
+func (n *Node) grounds(id, baseID uint64, maxDepth int) bool {
+	cur := baseID
+	for depth := 1; ; depth++ {
+		if cur == id || depth > maxDepth {
+			return false
+		}
+		m, ok := n.store.Meta(cur)
+		if !ok {
+			return false
+		}
+		if m.Form != docstore.FormDelta {
+			return true
+		}
+		cur = m.BaseID
 	}
 }
 
-// compactStackedLocked rewrites an unreferenced stacked record as a plain
-// raw record holding its visible content. Caller holds applyMu.
-func (n *Node) compactStackedLocked(id uint64) {
-	n.mu.RLock()
-	refs := n.refcnt[id]
-	n.mu.RUnlock()
-	if refs > 0 {
-		return // re-referenced concurrently
-	}
-	rec, ok := n.store.Meta(id)
-	if !ok || !rec.Stacked {
-		return
-	}
+// compactStackedLocked rewrites stacked record id, stored as was, which
+// nothing decodes through any more, as a plain raw record holding its visible
+// content. Caller holds applyMu.
+func (n *Node) compactStackedLocked(id uint64, was docstore.MetaInfo) {
 	var visible []byte // the store keeps it: a slice of its own
-	err := n.lend(id, rec, true, func(stored []byte) error {
+	err := n.lend(id, was, true, func(stored []byte) error {
 		visible = append([]byte(nil), stored...)
 		return nil
 	})
 	if err != nil {
 		return
 	}
-	err = n.store.Append(docstore.Record{ID: id, DB: rec.DB, Key: rec.Key, Hidden: rec.Hidden, Payload: visible})
-	if err != nil {
-		return
-	}
-	if rec.Form == docstore.FormDelta {
-		n.releaseRefLocked(rec.BaseID)
-	}
+	// Not an error for the caller, whose own write is done: the record stays
+	// stacked.
+	_ = n.putLocked(docstore.Record{ID: id, DB: was.DB, Key: was.Key, Hidden: was.Hidden, Payload: visible}, was)
 }
 
 // flushLoop applies write-backs when the node looks idle (the paper's I/O
