@@ -105,14 +105,14 @@ type Options struct {
 	// before judging a database (default 100000).
 	GovernorWindow int
 
-	// SyncEncode runs the dedup encoder inline with Insert instead of on
-	// the background pipeline. Deterministic, slightly higher insert
-	// latency.
+	// SyncEncode makes Insert, Update and Delete return only after the
+	// background pipeline has encoded and logged the mutation. Deterministic
+	// for one caller, higher write latency.
 	SyncEncode bool
 	// EncodeWorkers sets the background encoder pool size. Jobs are
 	// sharded by database name, so one database's mutations always encode
 	// in order while independent databases encode in parallel. Default
-	// GOMAXPROCS; ignored with SyncEncode.
+	// GOMAXPROCS.
 	EncodeWorkers int
 	// EncodeQueue bounds each encoder shard's backlog (default 1024);
 	// mutations beyond it block until the encoder catches up.

@@ -61,9 +61,9 @@ type bed struct {
 	census            Result // m0's Crashed, Counts and Events when its process ended
 }
 
-// nodeOptions is the one node configuration. Everything asynchronous is off
-// (inline encode, no idle flusher, no background compactor), so what a
-// member writes is a function of the traffic; re-dedup when a script
+// nodeOptions is the one node configuration. Nothing runs behind the traffic
+// (each mutation waits for its encode job; no idle flusher or compactor), so
+// what a member writes is a function of the traffic; re-dedup when a script
 // compacts keeps conversion commits, and their crash points, in the matrix.
 func nodeOptions(oplog int) node.Options {
 	o := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: oplog}

@@ -33,9 +33,8 @@ func (b *bed) record(err error, db, key string, val []byte) {
 		b.hist.Ambiguous(db, key, val, b.dead)
 		return
 	}
-	// The oplog's own number, not LastAssignedSeq: a failed mutation takes a
-	// sequence number and logs nothing, and from then on the follower, which
-	// counts log entries, would never reach the node's count.
+	// The oplog's own number, the one the follower counts: with SyncEncode
+	// the acknowledged mutation's entry is logged when the call returns.
 	b.lastAck = b.members[0].Node.Oplog().LastSeq()
 	b.hist.Acked(db, key, val)
 }

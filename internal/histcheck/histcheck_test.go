@@ -178,7 +178,7 @@ func TestEqualNamesTheRecord(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := victim.Follower.WaitForSeq(p.Node.LastAssignedSeq(), 10*time.Second); err != nil {
+			if err := victim.Follower.WaitForSeq(p.Node.Oplog().LastSeq(), 10*time.Second); err != nil {
 				t.Fatal(err)
 			}
 			if vs := histcheck.Equal(prim, sec); len(vs) != 0 {

@@ -12,8 +12,8 @@ import (
 	"dbdedup/internal/workload"
 )
 
-// asyncNode opens a node with the background encoder pool enabled (the
-// production configuration; testNode forces SyncEncode).
+// asyncNode opens a node whose mutation calls return before their encode job
+// ran (the production configuration; testNode forces SyncEncode, which waits).
 func asyncNode(t *testing.T, opts Options) *Node {
 	t.Helper()
 	if opts.Engine.GovernorWindow == 0 {
@@ -144,11 +144,11 @@ func TestEncoderBackpressure(t *testing.T) {
 	}
 }
 
-// TestBarrierOnSyncAndClosedNode pins Barrier's edge cases: it is a no-op in
-// synchronous mode and after Close.
+// TestBarrierOnSyncAndClosedNode pins Barrier's edge cases: it returns on a
+// SyncEncode node with nothing queued and after Close.
 func TestBarrierOnSyncAndClosedNode(t *testing.T) {
 	sn := testNode(t, Options{})
-	sn.Barrier() // must not hang: no shards exist
+	sn.Barrier() // must not hang: every shard is idle
 
 	an, err := Open(Options{EncodeWorkers: 2})
 	if err != nil {

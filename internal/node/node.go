@@ -72,8 +72,8 @@ type Options struct {
 	// 8 MiB; negative disables the cache, applying write-backs inline —
 	// the Fig. 13b "without write-back cache" configuration).
 	WritebackCacheBytes int64
-	// SyncEncode makes the encoder run inline with Insert instead of
-	// behind the background queue. Deterministic; used by tests and the
+	// SyncEncode makes a mutation call return only once the encoder pool
+	// has run its job. Deterministic for one caller; used by tests and the
 	// compression-ratio experiments.
 	SyncEncode bool
 	// EncodeQueue bounds each encoder shard's queue (default 1024). A
@@ -140,8 +140,8 @@ type Stats struct {
 	// disk bytes they reclaimed.
 	Compactions     uint64
 	CompactionBytes int64
-	// EncodeWorkers is the size of the background encoder pool (0 in
-	// synchronous mode).
+	// EncodeWorkers is the size of the background encoder pool (0 once the
+	// node is closed).
 	EncodeWorkers int
 	// EncodeQueueDepth is the number of encode jobs queued or in flight.
 	EncodeQueueDepth int64
@@ -215,8 +215,8 @@ type Node struct {
 	encQueueCap int64
 	admRejected atomic.Uint64
 
-	// Encoder pool (nil with SyncEncode). Jobs are pushed under n.mu, so
-	// per-shard job order is the order client mutations took effect.
+	// Encoder pool. Jobs are pushed under n.mu, so per-shard job order is
+	// the order client mutations took effect.
 	pool       *fifoPool[encodeJob]
 	encWorkers metrics.Gauge              // Stats.EncodeWorkers
 	encm       *metrics.EncodeMetrics     // queue gauges; engine's bundle when dedup is on
@@ -243,6 +243,9 @@ type encodeJob struct {
 	// control: the worker emits the raw oplog entry without touching the
 	// engine.
 	shedRaw bool
+	// done, with SyncEncode, is closed by the worker once the job ran; the
+	// mutation call waits on it (finish).
+	done chan struct{}
 }
 
 // Open creates a node.
@@ -307,11 +310,9 @@ func Open(opts Options) (*Node, error) {
 		return nil, err
 	}
 	n.adm = admission.New(opts.Admission)
-	if !opts.SyncEncode {
-		n.encQueueCap = int64(opts.EncodeWorkers) * int64(opts.EncodeQueue)
-		n.pool = newFIFOPool(opts.EncodeWorkers, opts.EncodeQueue, n.process,
-			&n.encWorkers, &n.encm.QueueDepth, &n.encm.QueueOverflows)
-	}
+	n.encQueueCap = int64(opts.EncodeWorkers) * int64(opts.EncodeQueue)
+	n.pool = newFIFOPool(opts.EncodeWorkers, opts.EncodeQueue, n.process,
+		&n.encWorkers, &n.encm.QueueDepth, &n.encm.QueueOverflows)
 	if !opts.DisableAutoFlush && n.wb != nil {
 		n.wg.Add(1)
 		go n.flushLoop()
@@ -400,9 +401,7 @@ func (n *Node) Close() error {
 	n.closed = true
 	n.mu.Unlock()
 
-	if n.pool != nil {
-		n.pool.close() // runs every accepted job first
-	}
+	n.pool.close() // runs every accepted job first
 	close(n.stopCh)
 	n.wg.Wait()
 	if n.wb != nil {
@@ -415,12 +414,10 @@ func (n *Node) Close() error {
 }
 
 // Barrier waits until all encode work queued before the call has been
-// processed. Tests and experiments use it to observe a settled state. It is
-// a no-op in synchronous mode and returns on a closed node.
+// processed: every mutation visible before the call is in the oplog once it
+// returns. Tests, experiments and the snapshot's lenient window use it to
+// observe a settled state. It returns on a closed node.
 func (n *Node) Barrier() {
-	if n.pool == nil {
-		return
-	}
 	// Planted under n.mu so each sentinel lands after every mutation
 	// accepted so far; waited for outside it, since those jobs take n.mu.
 	n.mu.Lock()
@@ -431,34 +428,22 @@ func (n *Node) Barrier() {
 
 // enqueueLocked stamps the job with its mutation order and pushes it on sh,
 // the reservation the caller took from n.pool.reserve before n.mu; caller
-// holds n.mu. In synchronous mode the job is returned for the caller to run
-// after releasing the lock.
-func (n *Node) enqueueLocked(sh *fifoShard[encodeJob], job encodeJob) (encodeJob, bool) {
+// holds n.mu, and has checked n.closed under it, so the pool accepts the job.
+// With SyncEncode the job carries the channel finish waits on.
+func (n *Node) enqueueLocked(sh *fifoShard[encodeJob], job encodeJob) encodeJob {
 	n.opSeq++
 	job.opSeq = n.opSeq
-	if n.pool == nil {
-		return job, true
+	if n.opts.SyncEncode {
+		job.done = make(chan struct{})
 	}
 	n.pool.push(sh, job)
-	return job, false
+	return job
 }
 
 // ------------------------------------------------------------------ getters
 
 // Oplog exposes the node's operation log to the replication layer.
 func (n *Node) Oplog() *oplog.Log { return n.log }
-
-// LastAssignedSeq returns the newest mutation sequence number handed out to
-// a client op. Assignment happens in the same n.mu critical section that
-// makes the mutation visible, so any record a Scan observed has its
-// oplog seq covered by this value — unlike Oplog().LastSeq(), which only
-// advances once the encoder worker appends the entry and can therefore trail
-// a visible insert.
-func (n *Node) LastAssignedSeq() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.opSeq
-}
 
 // Engine exposes the dedup engine (nil when dedup is disabled).
 func (n *Node) Engine() *core.Engine { return n.eng }

@@ -71,12 +71,8 @@ func (p *fifoPool[J]) shardFor(db string) *fifoShard[J] {
 }
 
 // reserve blocks until db's shard has capacity and returns it holding one
-// token, to be spent by push or returned by release. A nil pool (the node's
-// synchronous mode) reserves nothing and returns nil.
+// token, to be spent by push or returned by release.
 func (p *fifoPool[J]) reserve(db string) *fifoShard[J] {
-	if p == nil {
-		return nil
-	}
 	sh := p.shardFor(db)
 	select {
 	case sh.sem <- struct{}{}:
@@ -88,7 +84,8 @@ func (p *fifoPool[J]) reserve(db string) *fifoShard[J] {
 	return sh
 }
 
-// release returns an unused reservation (the mutation failed before push).
+// release returns an unused reservation (the mutation failed before push); a
+// nil shard, a mutation that reserved nothing, returns nothing.
 func (sh *fifoShard[J]) release() {
 	if sh != nil {
 		<-sh.sem

@@ -1,9 +1,11 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,10 +160,12 @@ func TestFIFOPool(t *testing.T) {
 
 // TestNodeBarrierDuringClose is the encoder-side twin of
 // TestApplierBarrierAfterClose: a Barrier racing Close must return, whether
-// its sentinels land before the workers exit or on shards already drained.
+// its sentinels land before the workers exit or on shards already drained. So
+// must SyncEncode mutations racing Close: each is either logged before the
+// pool stops or refused, never left waiting on a job the pool dropped.
 func TestNodeBarrierDuringClose(t *testing.T) {
 	for i := 0; i < 200; i++ {
-		n, err := Open(Options{EncodeWorkers: 3, DisableAutoFlush: true, DisableDedup: true})
+		n, err := Open(Options{EncodeWorkers: 3, DisableAutoFlush: true, DisableDedup: true, SyncEncode: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,12 +175,89 @@ func TestNodeBarrierDuringClose(t *testing.T) {
 			}
 		}
 		var wg sync.WaitGroup
-		wg.Add(2)
+		var acked atomic.Int64
+		mutate := func(do func() error) {
+			defer wg.Done()
+			if err := do(); err == nil {
+				acked.Add(1)
+			} else if !errors.Is(err, errClosed) {
+				t.Errorf("iteration %d: a mutation racing Close failed with %v", i, err)
+			}
+		}
+		wg.Add(5)
 		go func() { defer wg.Done(); n.Barrier() }()
 		go func() { defer wg.Done(); n.Close() }()
-		within(t, "Barrier racing Close", wg.Wait)
-		if got := n.Oplog().Len(); got != 4 {
-			t.Fatalf("iteration %d: oplog has %d entries after Close, want 4", i, got)
+		go mutate(func() error { return n.Insert("db0", "k2", []byte("payload")) })
+		go mutate(func() error { return n.Update("db1", "k", []byte("update")) })
+		go mutate(func() error { return n.Delete("db2", "k") })
+		within(t, "Barrier and SyncEncode mutations racing Close", wg.Wait)
+		if got, want := n.Oplog().Len(), 4+int(acked.Load()); got != want {
+			t.Fatalf("iteration %d: oplog has %d entries after Close, want %d (%d mutations acknowledged)",
+				i, got, want, acked.Load())
 		}
+	}
+}
+
+// TestMutationAfterCloseBeganIsRefused: Close marks the node closed, stops the
+// encoder pool, flushes, and closes the store last. A mutation in that window
+// must be refused before it writes the store. (An update or delete used to
+// write it and have its oplog job dropped by the stopped pool: acknowledged,
+// never logged, so a secondary never saw it.)
+func TestMutationAfterCloseBeganIsRefused(t *testing.T) {
+	for _, syncEncode := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sync=%v", syncEncode), func(t *testing.T) {
+			n, err := Open(Options{DisableAutoFlush: true, DisableDedup: true, SyncEncode: syncEncode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Insert("db", "k", []byte("v1 content")); err != nil {
+				t.Fatal(err)
+			}
+			n.Barrier()
+			stats, logged := n.Stats(), n.Oplog().LastSeq()
+
+			// Close's first two steps.
+			n.mu.Lock()
+			n.closed = true
+			n.mu.Unlock()
+			n.pool.close()
+
+			for what, do := range map[string]func() error{
+				"insert": func() error { return n.Insert("db", "k2", []byte("new")) },
+				"update": func() error { return n.Update("db", "k", []byte("v2 content")) },
+				"delete": func() error { return n.Delete("db", "k") },
+			} {
+				var err error
+				within(t, what+" after Close began", func() { err = do() })
+				if !errors.Is(err, errClosed) {
+					t.Errorf("%s after Close began = %v, want %v", what, err, errClosed)
+				}
+			}
+			if got, err := n.Read("db", "k"); err != nil || string(got) != "v1 content" {
+				t.Errorf("the key reads %q, %v; want %q", got, err, "v1 content")
+			}
+			if n.Has("db", "k2") {
+				t.Error("the refused insert is visible")
+			}
+			n.mu.RLock()
+			assigned, stamps := n.opSeq, len(n.lastMut)
+			n.mu.RUnlock()
+			st := n.Stats()
+			if st.Inserts != stats.Inserts || st.Updates != stats.Updates || st.Deletes != stats.Deletes ||
+				n.Oplog().LastSeq() != logged || assigned != logged || stamps != 0 {
+				t.Errorf("refused mutations left a trace: inserts %d → %d, updates %d → %d, deletes %d → %d, "+
+					"oplog %d → %d, %d sequence numbers assigned, %d stamps",
+					stats.Inserts, st.Inserts, stats.Updates, st.Updates, stats.Deletes, st.Deletes,
+					logged, n.Oplog().LastSeq(), assigned, stamps)
+			}
+
+			// Finish the Close that began.
+			n.mu.Lock()
+			n.closed = false
+			n.mu.Unlock()
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -88,15 +88,12 @@ func (n *Node) Scan(db string, fn func(db, key string, content []byte) bool) err
 func (n *Node) Upsert(db, key string, payload []byte, emit bool) error {
 	if !n.Has(db, key) {
 		// The node keeps what it inserts; payload stays the caller's.
-		job, inline, err := n.insertLocalEmit(db, key, append([]byte(nil), payload...), emit, false)
-		switch {
-		case err == nil && inline:
-			n.process(job)
-		case err == nil && !emit && n.eng != nil:
+		job, err := n.insertLocalEmit(db, key, append([]byte(nil), payload...), emit, false)
+		if err == nil && !emit && n.eng != nil {
 			n.eng.ObserveRaw(db, job.id, job.payload)
 		}
 		if !errors.Is(err, ErrDuplicateKey) {
-			return err
+			return n.finish(job, err)
 		}
 	}
 	return n.finish(n.updateLocalEmit(db, key, payload, emit))
@@ -183,7 +180,7 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 		return fmt.Errorf("node: replicated insert of existing key %q/%q", e.DB, e.Key)
 	}
 	if e.Form == oplog.FormRaw {
-		job, _, err := n.insertLocalEmit(e.DB, e.Key, e.Payload, false, false)
+		job, err := n.insertLocalEmit(e.DB, e.Key, e.Payload, false, false)
 		if err == nil && n.eng != nil {
 			n.eng.ObserveRaw(e.DB, job.id, e.Payload)
 		}
@@ -216,7 +213,7 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 	if err != nil {
 		return fmt.Errorf("node: applying forward delta for %q/%q: %w", e.DB, e.Key, err)
 	}
-	job, _, err := n.insertLocalEmit(e.DB, e.Key, payload, false, false)
+	job, err := n.insertLocalEmit(e.DB, e.Key, payload, false, false)
 	if err != nil {
 		return err
 	}

@@ -295,8 +295,8 @@ func TestStampUnderConcurrentMutation(t *testing.T) {
 // The write refused is the tombstone or the new content of a record nothing
 // decodes through, or the hidden or stacked form of one something does. The
 // error must come back with the key still reading the record, nothing counted,
-// stamped or logged and the encoder token returned, inline and behind the
-// encoder pool alike, and what a reopen finds on disk must be what the node
+// stamped or logged and the encoder token returned, with SyncEncode and
+// without, and what a reopen finds on disk must be what the node
 // said before it: the record. A retry then goes through for good. (A delete
 // used to unpublish its key first, so the key was gone until the next restart
 // and back after it. An update used to stamp, count and queue its oplog job
@@ -395,19 +395,17 @@ func failedMutation(t *testing.T, update bool, do func(n *Node, key string, cont
 		t.Errorf("the failed mutation was counted (deletes %d → %d, updates %d → %d) or logged (seq %d → %d)",
 			stats.Deletes, st.Deletes, stats.Updates, st.Updates, logged, n.Oplog().LastSeq())
 	}
-	if assigned := n.LastAssignedSeq(); assigned != logged {
+	n.mu.RLock()
+	assigned, stamps := n.opSeq, len(n.lastMut)
+	n.mu.RUnlock()
+	if assigned != logged {
 		t.Errorf("the failed mutation took a sequence number: %d assigned, %d logged", assigned, logged)
 	}
-	n.mu.RLock()
-	stamps := len(n.lastMut)
-	n.mu.RUnlock()
 	if stamps != 0 {
 		t.Errorf("the failed mutation left %d mutation stamps", stamps)
 	}
-	if n.pool != nil {
-		if held := len(n.pool.shardFor("db").sem); held != 0 {
-			t.Errorf("the failed mutation kept %d encoder tokens", held)
-		}
+	if held := len(n.pool.shardFor("db").sem); held != 0 {
+		t.Errorf("the failed mutation kept %d encoder tokens", held)
 	}
 	must(n.Close())
 

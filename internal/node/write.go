@@ -17,6 +17,10 @@ import (
 
 // ---------------------------------------------------------------- client ops
 
+// errClosed refuses a mutation that arrives once Close began, before it
+// touches the store: the pool would drop its oplog job.
+var errClosed = errors.New("node: closed")
+
 // Insert stores a new record under (db, key). The record is durable (modulo
 // block buffering) when Insert returns; dedup encoding happens behind it.
 //
@@ -66,19 +70,19 @@ func (n *Node) Insert(db, key string, payload []byte) error {
 // applier's per-database FIFO is the order: n.mu covers only the ID, the
 // sequence number and the counters, and what follows the insert (ObserveRaw,
 // or the replica's re-encode) is the caller's.
-func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) (encodeJob, bool, error) {
+func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) (encodeJob, error) {
 	var sh *fifoShard[encodeJob]
 	if emit {
 		sh = n.pool.reserve(db)
 	}
 	n.mu.Lock()
-	fail := func(err error) (encodeJob, bool, error) {
+	fail := func(err error) (encodeJob, error) {
 		n.mu.Unlock()
 		sh.release()
-		return encodeJob{}, false, err
+		return encodeJob{}, err
 	}
 	if n.closed {
-		return fail(errors.New("node: closed"))
+		return fail(errClosed)
 	}
 	dbm := n.keys.dbMap(db)
 	if _, exists := dbm.Load(key); exists {
@@ -103,23 +107,24 @@ func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) 
 	}
 	n.stats.Inserts++
 	n.stats.RawInsertBytes += int64(len(payload))
-	inline := false
 	if emit {
 		if shed {
 			n.stats.InsertsShedRaw++
 		}
 		n.recentOps.Add(1)
-		job, inline = n.enqueueLocked(sh, job)
+		job = n.enqueueLocked(sh, job)
 	}
 	n.mu.Unlock()
-	return job, inline, nil
+	return job, nil
 }
 
-// finish completes a call of one of the three *LocalEmit routines: in
-// synchronous mode the job it returned is processed here, outside n.mu.
-func (n *Node) finish(job encodeJob, inline bool, err error) error {
-	if err == nil && inline {
-		n.process(job)
+// finish completes a call of one of the three *LocalEmit routines: with
+// SyncEncode it waits until a worker has run the job the routine pushed. It
+// holds no lock while it waits, applyMu least of all: a worker applying a
+// write-back inline (no write-back cache) takes it.
+func (n *Node) finish(job encodeJob, err error) error {
+	if err == nil && job.done != nil {
+		<-job.done
 	}
 	return err
 }
@@ -134,17 +139,16 @@ func (n *Node) Update(db, key string, payload []byte) error {
 // stamp job.id with it and, with emit, queue the oplog job on sh in the same
 // n.mu section, so entry order matches mutation order (without emit: the
 // storage-side half alone, the replication apply path). Caller holds n.mu.
-func (n *Node) stampLocked(sh *fifoShard[encodeJob], job encodeJob, emit bool, count *uint64) (encodeJob, bool) {
+func (n *Node) stampLocked(sh *fifoShard[encodeJob], job encodeJob, emit bool, count *uint64) encodeJob {
 	*count++
 	n.recentOps.Add(1)
-	inline := false
 	if emit {
-		job, inline = n.enqueueLocked(sh, job)
+		job = n.enqueueLocked(sh, job)
 	} else {
 		n.opSeq++
 	}
 	n.lastMut[job.id] = n.opSeq
-	return job, inline
+	return job
 }
 
 // invalidate drops what was derived from record id's old content: a pending
@@ -167,11 +171,12 @@ func (n *Node) invalidate(id uint64) {
 // decode from. And it has a delete's failure contract: the store write runs
 // inside the n.mu section, and the count, the sequence number, the stamp and
 // the oplog job come only behind it, so an update the store refuses returns the
-// error with nothing changed, counted, stamped or logged. The new content and
-// its stamp share that one section, which is what the encoder's guard on a
-// forward delta needs: changedSince takes n.mu, so whoever read the new content
-// finds the stamp.
-func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, bool, error) {
+// error with nothing changed, counted, stamped or logged, and so does an
+// update that arrives once Close began. The new content and its stamp share
+// that one section, which is what the encoder's guard on a forward delta
+// needs: changedSince takes n.mu, so whoever read the new content finds the
+// stamp.
+func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, error) {
 	// The one copy of the caller's payload: the oplog job and the stored
 	// record share it, and neither modifies it.
 	cp := append([]byte(nil), payload...)
@@ -186,6 +191,8 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 	var was docstore.MetaInfo // the overwritten form, when nothing decodes through the record
 	var err error
 	switch {
+	case n.closed:
+		err = errClosed
 	case !ok:
 		err = ErrNotFound
 	case n.refcnt[id] == 0:
@@ -200,7 +207,7 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 	if err != nil {
 		n.mu.Unlock()
 		sh.release()
-		return encodeJob{}, false, err
+		return encodeJob{}, err
 	}
 	if !mutated {
 		// From here on the source cache's copy of the record, its insert
@@ -208,13 +215,13 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 		// before the ack.
 		n.keys.putMutated(db, key, id)
 	}
-	job, inline := n.stampLocked(sh, encodeJob{kind: oplog.OpUpdate, db: db, key: key, id: id, payload: cp},
+	job := n.stampLocked(sh, encodeJob{kind: oplog.OpUpdate, db: db, key: key, id: id, payload: cp},
 		emit, &n.stats.Updates)
 	n.mu.Unlock()
 	n.invalidate(id)
 	// If the overwritten form was a delta, its base loses a reference.
 	n.moveRefLocked(baseOf(was.Form, was.BaseID), 0)
-	return job, inline, nil
+	return job, nil
 }
 
 // stackLocked appends record id with content as its visible section, the last
@@ -249,9 +256,10 @@ func (n *Node) Delete(db, key string) error {
 // tombstone landing between a write-back's check and its append would be
 // undone by the append. The store write that makes the delete durable, the
 // tombstone or the record's hidden form, runs inside the n.mu section and the
-// key is unpublished only behind it: a delete the store refuses returns the
-// error with nothing unpublished, counted, stamped or logged.
-func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, error) {
+// key is unpublished only behind it: a delete the store refuses, or one that
+// arrives once Close began, returns the error with nothing unpublished,
+// counted, stamped or logged.
+func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, error) {
 	var sh *fifoShard[encodeJob]
 	if emit {
 		sh = n.pool.reserve(db)
@@ -264,6 +272,8 @@ func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, erro
 	var was docstore.MetaInfo // the record, when nothing decodes through it and it goes
 	var err error
 	switch {
+	case n.closed:
+		err = errClosed
 	case !ok:
 		err = ErrNotFound
 	case refs == 0:
@@ -279,17 +289,17 @@ func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, erro
 	if err != nil {
 		n.mu.Unlock()
 		sh.release()
-		return encodeJob{}, false, err
+		return encodeJob{}, err
 	}
 	n.keys.delete(db, key)
-	job, inline := n.stampLocked(sh, encodeJob{kind: oplog.OpDelete, db: db, key: key, id: id},
+	job := n.stampLocked(sh, encodeJob{kind: oplog.OpDelete, db: db, key: key, id: id},
 		emit, &n.stats.Deletes)
 	n.mu.Unlock()
 	n.invalidate(id)
 	if refs == 0 {
 		n.removedLocked(id, was)
 	}
-	return job, inline, nil
+	return job, nil
 }
 
 // removedLocked settles the books for record id, whose tombstone is written
@@ -368,7 +378,8 @@ func (n *Node) moveRefLocked(from, to uint64) {
 // ------------------------------------------------------------------- encode
 
 // process runs the dedup workflow for one queued mutation and emits its
-// oplog entry. It runs on the encode goroutine (or inline with SyncEncode).
+// oplog entry. It runs on the job's encoder worker, and then releases a
+// SyncEncode caller waiting in finish.
 func (n *Node) process(job encodeJob) {
 	switch job.kind {
 	case oplog.OpInsert:
@@ -381,6 +392,9 @@ func (n *Node) process(job encodeJob) {
 		e := oplog.Entry{TS: time.Now().UnixNano(), Op: oplog.OpDelete,
 			DB: job.db, Key: job.key}
 		n.appendOplog(e)
+	}
+	if job.done != nil {
+		close(job.done)
 	}
 }
 

@@ -405,10 +405,12 @@ func (p *Primary) sendSnapshot(conn net.Conn, fw *frameWriter) (uint64, error) {
 	}
 
 	// The lenient window must cover every entry whose record the scan may
-	// have observed. A visible insert's seq is assigned before visibility
-	// but appended to the oplog asynchronously, so the appended LastSeq()
-	// can trail the scan — the assigned seq cannot.
-	endSeq := p.node.LastAssignedSeq()
+	// have observed. Such a mutation's oplog job was pushed in the critical
+	// section that made it visible, but its entry is appended once a worker
+	// ran it, and encoder shards finish in any order: wait for every job
+	// pushed so far, then read the log's own last number.
+	p.node.Barrier()
+	endSeq := p.node.Oplog().LastSeq()
 	end := binary.AppendUvarint(nil, endSeq)
 	if err := p.send(conn, fw, frameSnapEnd, end); err != nil {
 		return 0, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"dbdedup/internal/oplog"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"net"
 	"runtime"
@@ -144,53 +145,137 @@ func TestSnapshotResyncAfterTruncation(t *testing.T) {
 	}
 }
 
+// TestSnapshotResyncWithConcurrentWrites: writes racing a snapshot land in its
+// lenient window and must not corrupt the secondary. The window ends at the
+// oplog's own last number once every encode job pushed so far has run. Encodes
+// finish out of order, on two encoder shards or for two SyncEncode callers, so
+// an insert the scan saw can be logged after a later mutation of another
+// database; the window used to end at the node's mutation counter, one short
+// of that insert's entry, which then replayed strictly onto the snapshot's
+// copy: "replicated insert of existing key".
 func TestSnapshotResyncWithConcurrentWrites(t *testing.T) {
-	// Writes racing the snapshot scan land in the lenient window and must
-	// not corrupt the secondary.
-	popts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8}
-	popts.Engine.GovernorWindow = 1 << 30
-	prim, err := node.Open(popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer prim.Close()
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 40; i++ {
-		prim.Insert("db", fmt.Sprintf("k%03d", i), workload.RevisionText(rng, 1024))
-	}
-	p, err := ListenAndServe(prim, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	slowEncode := node.Options{EncodeWorkers: 2, DisableAutoFlush: true, OplogCapacity: 2,
+		SimulatedEncodeDelay: 500 * time.Millisecond}
+	syncSlowEncode := slowEncode
+	syncSlowEncode.SyncEncode = true
+	for _, tc := range []struct {
+		name string
+		opts node.Options
+		// drive writes to the primary and attaches the fresh secondary when
+		// its race calls for it.
+		drive func(t *testing.T, prim *node.Node, attach func() *Secondary)
+	}{
+		{"writes while the snapshot streams", node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8},
+			func(t *testing.T, prim *node.Node, attach func() *Secondary) {
+				rng := rand.New(rand.NewSource(5))
+				for i := 0; i < 80; i++ {
+					if i == 40 {
+						attach()
+					}
+					if err := prim.Insert("db", fmt.Sprintf("k%03d", i), workload.RevisionText(rng, 1024)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}},
+		{"insert encoded on another shard", slowEncode, slowInsertRacesSnapshot},
+		{"insert encoded by another SyncEncode caller", syncSlowEncode, slowInsertRacesSnapshot},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.Engine.GovernorWindow = 1 << 30
+			prim, err := node.Open(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer prim.Close()
+			p, err := ListenAndServe(prim, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			sec, err := node.Open(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sec.Close()
+			var s *Secondary
+			tc.drive(t, prim, func() *Secondary {
+				if s, err = Connect(sec, p.Addr(), 0); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			})
+			defer s.Close()
 
-	sec, err := node.Open(popts)
-	if err != nil {
-		t.Fatal(err)
+			prim.Barrier()
+			if err := s.WaitForSeq(prim.Oplog().LastSeq(), 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if resyncs, _ := s.Resyncs(); resyncs == 0 {
+				t.Fatal("the secondary never resynced from a snapshot")
+			}
+			if vs := histcheck.Equal(histcheck.NodeView{Node: prim}, histcheck.NodeView{Node: sec}); len(vs) != 0 {
+				t.Fatalf("secondary differs from the primary: %v", vs)
+			}
+		})
 	}
-	defer sec.Close()
-	s, err := Connect(sec, p.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+}
 
-	// Keep writing while the snapshot streams.
-	for i := 40; i < 80; i++ {
-		prim.Insert("db", fmt.Sprintf("k%03d", i), workload.RevisionText(rng, 1024))
-	}
-	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 5*time.Second); err != nil {
+// slowInsertRacesSnapshot makes an insert the snapshot carries reach the oplog
+// after a mutation issued once the secondary applied that snapshot. Three
+// entries fall out of the two-entry log first, so the fresh secondary needs a
+// snapshot; then an insert into one database encodes for SimulatedEncodeDelay
+// while the secondary attaches and an update of another database, on the
+// other encoder shard, is logged at once.
+func slowInsertRacesSnapshot(t *testing.T, prim *node.Node, attach func() *Secondary) {
+	slow, fast := twoShardDBs(2)
+	if err := prim.Insert(fast, "y", []byte("y0")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 80; i++ {
-		key := fmt.Sprintf("k%03d", i)
-		wantC, err := prim.Read("db", key)
-		if err != nil {
+	for i := 1; i <= 3; i++ {
+		if err := prim.Update(fast, "y", []byte(fmt.Sprintf("y%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		got, err := sec.Read("db", key)
-		if err != nil || !bytes.Equal(got, wantC) {
-			t.Fatalf("%s diverged: %v", key, err)
+	}
+	prim.Barrier()
+	inserted := make(chan error, 1)
+	go func() { inserted <- prim.Insert(slow, "x", []byte("slow to encode")) }()
+	for !prim.Has(slow, "x") {
+		time.Sleep(time.Millisecond)
+	}
+	s := attach()
+	for deadline := time.Now().Add(10 * time.Second); !s.snapshotApplied(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the secondary did not apply its snapshot")
+		}
+	}
+	if err := prim.Update(fast, "y", []byte("y4")); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// snapshotApplied reports whether a snapshot's end frame has been applied.
+func (s *Secondary) snapshotApplied() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.resyncs > 0 && s.snapKeys == nil
+}
+
+// twoShardDBs returns two database names that a pool of the given number of
+// shards places on different shards (FNV-1a of the name, as the node's pool
+// hashes it).
+func twoShardDBs(shards uint32) (string, string) {
+	shard := func(db string) uint32 {
+		h := fnv.New32a()
+		h.Write([]byte(db))
+		return h.Sum32() % shards
+	}
+	first := "a"
+	for c := 'b'; ; c++ {
+		if db := string(c); shard(db) != shard(first) {
+			return first, db
 		}
 	}
 }
