@@ -1,0 +1,127 @@
+package docstore
+
+import (
+	"maps"
+	"sync"
+)
+
+// dbDir is one database's part of the key directory, the other half of the
+// primary index: (db, key) → record ID, kept beside the record table and
+// written only by replace (settle), in the step that changes a record's
+// current version. A key is published after its entry is in the record table,
+// so a reader that resolves a key finds the record, or is racing the delete
+// that removes it. A hidden version or a tombstone unpublishes its key only if
+// the key still names that record: a record kept hidden for the chains that
+// decode through it and one inserted under the same key since share the key.
+//
+// Beside the ID a key carries one bit, updated: the record may no longer hold
+// the content it was inserted with. It is the only thing a reader can learn
+// without a node lock about whether the source cache's copy of the record,
+// always an insert payload, is still what a client should see. An append with
+// Record.Updated sets it, later versions of the same record keep it, and
+// nothing clears it. Replay knows no record's history, so it sets the bit on
+// every key.
+//
+// mu also guards the database's byte count. Writers hold s.mu and take mu
+// after the record table's shard lock is released; readers take only its read
+// lock, a leaf.
+type dbDir struct {
+	mu    sync.RWMutex
+	keys  map[string]uint64 // key -> record ID | updatedBit
+	bytes int64             // live payload bytes, hidden records included
+}
+
+// updatedBit marks a key's value; record IDs count up from 1 and stay below it.
+const updatedBit = 1 << 63
+
+// noDB is what a database that never held a record reads as.
+var noDB dbDir
+
+// db returns the database's directory. s.dbs is copied on write, under s.mu,
+// when a database first appears, so readers load it without a lock.
+func (s *Store) db(name string) *dbDir {
+	if dd := (*s.dbs.Load())[name]; dd != nil {
+		return dd
+	}
+	return &noDB
+}
+
+// settle moves the key directory from old, record rec.ID's version until now
+// (if had), to rec. Caller is replace.
+func (s *Store) settle(rec *Record, old *entry, had bool) {
+	if had {
+		dd := s.db(old.db)
+		dd.mu.Lock()
+		dd.bytes -= int64(old.payloadLen)
+		if (rec.Tombstone || rec.Hidden) && dd.keys[old.key]&^updatedBit == rec.ID {
+			delete(dd.keys, old.key)
+		}
+		dd.mu.Unlock()
+	}
+	if rec.Tombstone {
+		return
+	}
+	dd := s.db(rec.DB)
+	if dd == &noDB {
+		dd = &dbDir{keys: make(map[string]uint64)}
+		m := maps.Clone(*s.dbs.Load())
+		m[rec.DB] = dd
+		s.dbs.Store(&m)
+	}
+	dd.mu.Lock()
+	dd.bytes += int64(len(rec.Payload))
+	if !rec.Hidden {
+		v := rec.ID
+		if cur, ok := dd.keys[rec.Key]; rec.Updated || ok && cur == rec.ID|updatedBit {
+			v |= updatedBit
+		}
+		dd.keys[rec.Key] = v
+	}
+	dd.mu.Unlock()
+}
+
+// Lookup resolves (db, key) to the ID of the live, visible record stored under
+// it, and reports whether that record was updated since its insert (or found
+// at Open). It takes only the database's read lock, never the writer lock.
+func (s *Store) Lookup(db, key string) (id uint64, updated, ok bool) {
+	dd := s.db(db)
+	dd.mu.RLock()
+	v, ok := dd.keys[key]
+	dd.mu.RUnlock()
+	return v &^ updatedBit, v&updatedBit != 0, ok
+}
+
+// Keys returns db's published keys, in unspecified order.
+func (s *Store) Keys(db string) []string {
+	dd := s.db(db)
+	dd.mu.RLock()
+	defer dd.mu.RUnlock()
+	out := make([]string, 0, len(dd.keys))
+	for k := range dd.keys {
+		out = append(out, k)
+	}
+	return out
+}
+
+// DBNames returns the databases with at least one published key, in
+// unspecified order.
+func (s *Store) DBNames() []string {
+	var out []string
+	for name, dd := range *s.dbs.Load() {
+		dd.mu.RLock()
+		if len(dd.keys) > 0 {
+			out = append(out, name)
+		}
+		dd.mu.RUnlock()
+	}
+	return out
+}
+
+// DBLogicalBytes returns the live stored payload bytes of one database, hidden
+// records included. It takes only the database's read lock.
+func (s *Store) DBLogicalBytes(db string) int64 {
+	dd := s.db(db)
+	dd.mu.RLock()
+	defer dd.mu.RUnlock()
+	return dd.bytes
+}

@@ -21,36 +21,36 @@
 // installed or replayed, so a segment file still decodes alone and a torn
 // first block means an empty segment.
 //
-// An in-memory index maps record IDs to block locators; a sharded LRU block
-// cache, bounded in bytes, serves hot reads; dead bytes are reclaimed by
-// segment compaction. Opening an existing directory replays the segments to
-// rebuild the index, so the store is crash-consistent up to the last sealed
-// block (plus the unsealed tail, which is replayed too).
+// An in-memory index maps record IDs to block locators, and keys to record IDs
+// (dir.go); a sharded LRU block cache, bounded in bytes, serves hot reads; dead
+// bytes are reclaimed by segment compaction. Opening an existing directory
+// replays the segments to rebuild the index, so the store is crash-consistent
+// up to the last sealed block (plus the unsealed tail, which is replayed too).
 //
 // # Concurrency
 //
 // The store is a single-writer, many-reader structure. One writer lock
 // (s.mu) serialises Append/Flush/Compact/Close and the commit of a sealed
-// block; the read path — Get, View, Range, Meta, Stats, DBLogicalBytes —
-// never takes it.
+// block; the read path — Get, View, Range, Meta, Lookup, Keys, DBNames,
+// Stats, DBLogicalBytes — never takes it.
 //
-// An append is a copy and one table update: the frame is copied into the
-// batch under construction (pending) and the record's entry in the record
-// table is replaced. The append that fills the batch swaps in the spare
-// buffer, hands the full batch to the sealer and returns. The sealer — one
-// goroutine, alive only while a full batch exists — cuts and compresses the
-// batch, writes it behind the active segment's end and fsyncs it under
+// An append is a copy and one table update: the frame is copied into the batch
+// under construction (pending), the record's entry in the record table is
+// replaced and then its key published. The append that fills the batch swaps in
+// the spare buffer, hands the full batch to the sealer and returns. The sealer
+// — one goroutine, alive only while a full batch exists — cuts and compresses
+// the batch, writes it behind the active segment's end and fsyncs it under
 // SyncWrites, all outside s.mu, and then takes s.mu only to make those bytes
 // part of the segment, point the batch's records at their blocks and roll a
-// full segment. At most one batch is in flight and batches reach the segment
-// in the order they filled, so the bytes on disk are those a store sealing
-// inline would write. An appender that finds both buffers full waits on a
-// condition variable for the sealer (Stats.SealWaits). Flush, Close and the
-// sealer share the two halves of that commit (writeInFlight, installLocked);
-// Flush waits for the batch in flight, seals the remainder and, under
-// SyncWrites, returns after the fsync, so it is the durability barrier: what
-// was acknowledged before a Flush that returned nil survives a crash, and up
-// to two batches acknowledged since do not.
+// full segment. At most one batch is in flight and batches reach the segment in
+// the order they filled, so the bytes on disk are those a store sealing inline
+// would write. An appender that finds both buffers full waits on a condition
+// variable for the sealer (Stats.SealWaits). Flush, Close and the sealer share
+// the two halves of that commit (writeInFlight, installLocked); Flush waits for
+// the batch in flight, seals the remainder and, under SyncWrites, returns after
+// the fsync, so it is the durability barrier: what was acknowledged before a
+// Flush that returned nil survives a crash, and up to two batches acknowledged
+// since do not.
 //
 // A batch that cannot be written or synced never becomes part of the segment
 // (the segment's end has not moved) and stays in flight, its records readable.
@@ -92,8 +92,8 @@
 // the table, which no longer references the victim. See the segio package
 // comment for the retirement protocol and DESIGN.md §6 for the lock hierarchy.
 //
-// Counters are atomics; the per-database byte map has a dedicated mutex
-// (statsMu) so monitoring never contends with writes.
+// Counters are atomics; the key directory and the per-database byte counts sit
+// under per-database locks that readers take alone.
 //
 // The store knows nothing about deduplication policy: it faithfully stores
 // whatever form (raw or delta + base reference) the engine hands it, and
@@ -133,8 +133,8 @@ const (
 type Record struct {
 	// ID is the store-assigned (caller-chosen, unique) record identity.
 	ID uint64
-	// DB and Key identify the record to clients; the store treats them
-	// as opaque.
+	// DB and Key identify the record to clients; the store resolves a key
+	// to its record (Lookup) and otherwise treats them as opaque.
 	DB, Key string
 	// Form selects raw or delta representation.
 	Form Form
@@ -152,6 +152,9 @@ type Record struct {
 	Hidden bool
 	// Payload is the stored bytes (full content or marshalled delta).
 	Payload []byte
+	// Updated marks an update's append: it sets the key's updated bit
+	// (Lookup). It is not framed.
+	Updated bool
 }
 
 // Options configures a Store.
@@ -277,6 +280,7 @@ type Store struct {
 	sealed     *sync.Cond // on mu; broadcast whenever the sealer lets go of a block
 
 	recs *recTable
+	dbs  atomic.Pointer[map[string]*dbDir] // the key directory (dir.go)
 
 	table *segio.Table
 	cache *segio.Cache
@@ -299,11 +303,6 @@ type Store struct {
 	sealWaits     atomic.Uint64
 	sealWaitNanos atomic.Uint64
 	sealErrors    atomic.Uint64
-
-	// statsMu guards only dbBytes, so DBLogicalBytes never waits on a
-	// writer holding mu.
-	statsMu sync.Mutex
-	dbBytes map[string]int64
 
 	compactMu sync.Mutex     // one compaction pass at a time
 	closed    bool           // guarded by mu
@@ -378,11 +377,11 @@ func Open(opts Options) (*Store, error) {
 		opts:       opts,
 		pendingSeq: 1,
 		recs:       newRecTable(),
-		dbBytes:    make(map[string]int64),
 		table:      segio.NewTable(),
 		cache:      segio.NewCache(opts.CacheBlocks*opts.BlockSize, opts.CacheShards),
 	}
 	s.sealed = sync.NewCond(&s.mu)
+	s.dbs.Store(&map[string]*dbDir{})
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("docstore: %w", err)
 	}
@@ -548,11 +547,11 @@ func (s *Store) appendLocked(rec Record) {
 
 // replace makes the frame at where (a pending copy and its block, or a
 // sealed location) record rec.ID's current version, or removes the record if
-// the frame is a tombstone, and settles the accounting for the version that
-// was current until now. That version's bytes stay on disk until compaction
-// reclaims them: a sealed frame is charged to its segment here, a pending one
-// when its block is installed and finds the record has moved on. Caller
-// holds mu (or is replay, before the store is shared).
+// the frame is a tombstone, and settles the key directory and the accounting
+// for the version that was current until now, whose bytes stay on disk until
+// compaction reclaims them: a sealed frame is charged to its segment here, a
+// pending one when its block is installed and finds the record has moved on.
+// Caller holds mu (or is replay, before the store is shared).
 func (s *Store) replace(rec *Record, where entry) {
 	var old entry
 	var had bool
@@ -568,18 +567,16 @@ func (s *Store) replace(rec *Record, where entry) {
 	if had {
 		n := int64(old.payloadLen)
 		s.logicalBytes.Add(-n)
-		s.addDBBytes(old.db, -n)
 		s.liveRecords.Add(-1)
 		if old.sealed() {
 			s.chargeDead(s.segments[old.seg], n)
 		}
 	}
 	if !rec.Tombstone {
-		n := int64(len(rec.Payload))
-		s.logicalBytes.Add(n)
-		s.addDBBytes(rec.DB, n)
+		s.logicalBytes.Add(int64(len(rec.Payload)))
 		s.liveRecords.Add(1)
 	}
+	s.settle(rec, &old, had)
 }
 
 // chargeDead counts n payload bytes of seg as dead: a frame there has stopped
@@ -589,12 +586,6 @@ func (s *Store) replace(rec *Record, where entry) {
 func (s *Store) chargeDead(seg *segment, n int64) {
 	seg.dead += n
 	s.deadBytes.Add(n)
-}
-
-func (s *Store) addDBBytes(db string, n int64) {
-	s.statsMu.Lock()
-	s.dbBytes[db] += n
-	s.statsMu.Unlock()
 }
 
 // kickLocked starts the sealer when there is a full block and nobody sealing
@@ -1177,14 +1168,6 @@ func (s *Store) Range(fn func(id uint64, m MetaInfo) bool) {
 	}
 }
 
-// DBLogicalBytes returns the live stored payload bytes of one database. It
-// takes only the stats lock, never the writer lock.
-func (s *Store) DBLogicalBytes(db string) int64 {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.dbBytes[db]
-}
-
 // Stats returns a snapshot of the store's accounting without taking the
 // writer lock: counters are atomics, cache totals come from the shard
 // counters, and the segment gauges from the segio table.
@@ -1264,6 +1247,7 @@ func (s *Store) replayAll() error {
 					frameErr = err
 					return err
 				}
+				rec.Updated = true // a key's history does not survive a restart
 				s.replace(&rec, entry{seg: int32(slot), off: off, recStart: uint32(scan)})
 				scan += n
 			}

@@ -12,13 +12,15 @@ import (
 	"dbdedup/internal/docstore"
 )
 
-// Read returns the record's visible content. The key lookup is lock-free
-// (keyDir); Read never touches n.mu.
+// Read returns the record's visible content. The key lookup takes only the
+// store's per-database read lock (docstore.Store.Lookup); Read never touches
+// n.mu.
 //
-// It asks in this order: the key directory; the key's mutated bit; if that is
-// clear, the source cache, whose copy of a record is its insert payload and so,
-// for a record never updated, the content itself, however the store holds the
-// record by now; only then the store, by a planned walk. The cache is peeked:
+// It asks in this order: the store's key directory, which answers with the
+// key's updated bit beside the record ID; if that bit is clear, the source
+// cache, whose copy of a record is its insert payload and so, for a record
+// never updated, the content itself, however the store holds the record by
+// now; only then the store, by a planned walk. The cache is peeked:
 // a read leaves the encoder's cache as it found it. The encoder can put a
 // record's insert payload back after an update removed it, which is why the
 // bit and not the cache's contents says whether the cache may answer: an
@@ -26,14 +28,14 @@ import (
 // ack does not look.
 func (n *Node) Read(db, key string) ([]byte, error) {
 	start := time.Now()
-	id, mutated, ok := n.keys.load(db, key)
+	id, updated, ok := n.store.Lookup(db, key)
 	n.readsTotal.Add(1)
 	n.recentOps.Add(1)
 	if !ok {
 		return nil, ErrNotFound
 	}
 	var out []byte
-	if cached, hit := n.peekSource(id, mutated); hit {
+	if cached, hit := n.peekSource(id, updated); hit {
 		out = append([]byte(nil), cached...)
 		n.readsFromCache.Add(1)
 	} else {
@@ -48,21 +50,21 @@ func (n *Node) Read(db, key string) ([]byte, error) {
 
 // peekSource returns the source cache's copy of a record whose key says it was
 // never updated.
-func (n *Node) peekSource(id uint64, mutated bool) ([]byte, bool) {
-	if mutated || n.eng == nil || n.eng.SourceCache() == nil {
+func (n *Node) peekSource(id uint64, updated bool) ([]byte, bool) {
+	if updated || n.eng == nil || n.eng.SourceCache() == nil {
 		return nil, false
 	}
 	return n.eng.SourceCache().Peek(id)
 }
 
-// lookup resolves (db, key) to a record ID. Lock-free; safe with or
-// without n.mu held.
+// lookup resolves (db, key) to a record ID. It takes no node lock; safe with
+// or without n.mu held.
 func (n *Node) lookup(db, key string) (uint64, bool) {
-	id, _, ok := n.keys.load(db, key)
+	id, _, ok := n.store.Lookup(db, key)
 	return id, ok
 }
 
-// Has reports whether (db, key) exists. Lock-free.
+// Has reports whether (db, key) exists. It takes no node lock.
 func (n *Node) Has(db, key string) bool {
 	_, ok := n.lookup(db, key)
 	return ok

@@ -13,7 +13,8 @@ import (
 // checks it against a plain map model after every step window. This is the
 // workhorse correctness test: it exercises the full interaction surface —
 // dedup chains, write-back timing, stacked updates, hidden deletes, chain
-// repair, flushes — against the simplest possible specification.
+// repair, flushes — against the simplest possible specification. The
+// configurations share nothing and run in parallel.
 func TestModelRandomOps(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
@@ -27,6 +28,7 @@ func TestModelRandomOps(t *testing.T) {
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
+			t.Parallel()
 			runModel(t, cfg.opts, 3000, 42)
 		})
 	}

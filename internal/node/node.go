@@ -168,12 +168,7 @@ type Node struct {
 	eng   *core.Engine
 	wb    *dedupcache.WritebackCache
 
-	mu sync.RWMutex
-	// keys is lock-free for readers (see keyDir): Read/Has resolve keys
-	// without touching n.mu. Writers stay serialised — by n.mu on the
-	// client path, by the applier's per-database FIFO on the replica path
-	// — and publish a key only after its record is appended.
-	keys    keyDir
+	mu      sync.RWMutex
 	refcnt  map[uint64]int // decode-base reference counts; written under applyMu too
 	nextID  uint64
 	stats   Stats
@@ -323,13 +318,12 @@ func Open(opts Options) (*Node, error) {
 	return n, nil
 }
 
-// recover rebuilds key maps and reference counts from the store, dropping
-// any record whose delta chain no longer reaches a raw base. Crash tears
-// only remove a segment suffix — bases always precede their dependants, so
-// a tear cannot orphan a survivor — but mid-file corruption (a bad block
-// inside an earlier segment) can erase a base out from under later records;
-// keeping such a record would leave a key→ID mapping whose reads can never
-// decode.
+// recover rebuilds reference counts from the store, dropping any record whose
+// delta chain no longer reaches a raw base. Crash tears only remove a segment
+// suffix — bases always precede their dependants, so a tear cannot orphan a
+// survivor — but mid-file corruption (a bad block inside an earlier segment)
+// can erase a base out from under later records; keeping such a record would
+// leave a key→ID mapping whose reads can never decode.
 func (n *Node) recover() error {
 	// The record table replay just built is all this needs: no payload is
 	// read and no block decoded a second time.
@@ -371,18 +365,8 @@ func (n *Node) recover() error {
 			}
 		}
 	}
-	for _, id := range ids {
-		if !grounded[id] {
-			continue
-		}
-		m, ok := n.store.Meta(id)
-		if !ok {
-			continue
-		}
-		if !m.Hidden {
-			n.keys.putMutated(m.DB, m.Key, id) // its history did not survive the restart
-		}
-		if m.Form == docstore.FormDelta {
+	for _, id := range ids { // what was dropped has no Meta
+		if m, ok := n.store.Meta(id); ok && m.Form == docstore.FormDelta {
 			n.refcnt[m.BaseID]++
 		}
 	}

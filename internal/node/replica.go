@@ -31,20 +31,16 @@ var ErrFetchUnavailable = errors.New("node: record unavailable at source")
 // DBNames returns the names of databases currently holding at least one key,
 // sorted for deterministic iteration.
 func (n *Node) DBNames() []string {
-	out := n.keys.names()
+	out := n.store.DBNames()
 	sort.Strings(out)
 	return out
 }
 
-// DBKeys returns db's live keys, sorted. The listing is point-in-time-ish
-// (sync.Map range semantics); handoff callers freeze the database's client
-// traffic first, which makes it exact.
+// DBKeys returns db's live keys, sorted: a snapshot of the database's key
+// directory, which writers may change as soon as it is taken. Handoff callers
+// freeze the database's client traffic first, which makes it exact.
 func (n *Node) DBKeys(db string) []string {
-	var out []string
-	n.keys.rangeDB(db, func(key string, _ uint64) bool {
-		out = append(out, key)
-		return true
-	})
+	out := n.store.Keys(db)
 	sort.Strings(out)
 	return out
 }

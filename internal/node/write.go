@@ -58,11 +58,9 @@ func (n *Node) Insert(db, key string, payload []byte) error {
 // a shard handoff, is stored here in original form (paper §4.1: new records
 // are always stored raw; backward encoding touches older records) and encoded,
 // if at all, behind it. The node keeps payload. It refuses an existing key
-// with ErrDuplicateKey, publishes the key only after the append succeeded
-// (lock-free readers must never resolve a key to a record the store does not
-// hold) and counts the insert only then, so a failed insert leaves nothing to
-// undo. The returned job carries the new record's ID and the insert's
-// mutation sequence number.
+// with ErrDuplicateKey; the append publishes the key, and the insert is counted
+// only behind it, so a failed insert leaves nothing to undo. The returned job
+// carries the new record's ID and the insert's mutation sequence number.
 //
 // With emit the encoder token is reserved first and append, publish and
 // enqueue share one n.mu critical section, so oplog order matches mutation
@@ -84,8 +82,7 @@ func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) 
 	if n.closed {
 		return fail(errClosed)
 	}
-	dbm := n.keys.dbMap(db)
-	if _, exists := dbm.Load(key); exists {
+	if n.Has(db, key) {
 		return fail(fmt.Errorf("node: %w: %q/%q", ErrDuplicateKey, db, key))
 	}
 	job := encodeJob{kind: oplog.OpInsert, db: db, key: key, id: n.nextID, payload: payload, shedRaw: shed}
@@ -96,9 +93,6 @@ func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) 
 		n.mu.Unlock()
 	}
 	err := n.store.Append(docstore.Record{ID: job.id, DB: db, Key: key, Payload: payload})
-	if err == nil {
-		dbm.Store(key, job.id)
-	}
 	if !emit {
 		n.mu.Lock()
 	}
@@ -175,7 +169,8 @@ func (n *Node) invalidate(id uint64) {
 // update that arrives once Close began. The new content and its stamp share
 // that one section, which is what the encoder's guard on a forward delta
 // needs: changedSince takes n.mu, so whoever read the new content finds the
-// stamp.
+// stamp. The append carries Record.Updated, so the key's updated bit, which
+// tells Read not to trust the source cache, is set with the new content.
 func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, error) {
 	// The one copy of the caller's payload: the oplog job and the stored
 	// record share it, and neither modifies it.
@@ -187,7 +182,7 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 	n.mu.Lock()
-	id, mutated, ok := n.keys.load(db, key)
+	id, ok := n.lookup(db, key)
 	var was docstore.MetaInfo // the overwritten form, when nothing decodes through the record
 	var err error
 	switch {
@@ -198,7 +193,7 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 	case n.refcnt[id] == 0:
 		// Nobody decodes through this record: plain overwrite.
 		was, _ = n.store.Meta(id)
-		err = n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp})
+		err = n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp, Updated: true})
 	default:
 		// Referenced: keep the stored form intact as section 0 and
 		// stack the update on top (paper §4.1, Update).
@@ -208,12 +203,6 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 		n.mu.Unlock()
 		sh.release()
 		return encodeJob{}, err
-	}
-	if !mutated {
-		// From here on the source cache's copy of the record, its insert
-		// payload, is not what a client reads: say so where Read looks,
-		// before the ack.
-		n.keys.putMutated(db, key, id)
 	}
 	job := n.stampLocked(sh, encodeJob{kind: oplog.OpUpdate, db: db, key: key, id: id, payload: cp},
 		emit, &n.stats.Updates)
@@ -225,7 +214,7 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 }
 
 // stackLocked appends record id with content as its visible section, the last
-// one, on top of its stored form. Caller holds applyMu.
+// one, on top of its stored form, as an update. Caller holds applyMu.
 func (n *Node) stackLocked(id uint64, content []byte) error {
 	rec, ok, err := n.store.Get(id)
 	if err != nil {
@@ -242,7 +231,7 @@ func (n *Node) stackLocked(id uint64, content []byte) error {
 		}
 		sections[len(sections)-1] = content
 	}
-	rec.Stacked, rec.Payload = true, joinSections(sections)
+	rec.Stacked, rec.Updated, rec.Payload = true, true, joinSections(sections)
 	return n.store.Append(rec)
 }
 
@@ -255,10 +244,10 @@ func (n *Node) Delete(db, key string) error {
 // deleteLocalEmit performs the delete, under applyMu for an update's reason: a
 // tombstone landing between a write-back's check and its append would be
 // undone by the append. The store write that makes the delete durable, the
-// tombstone or the record's hidden form, runs inside the n.mu section and the
-// key is unpublished only behind it: a delete the store refuses, or one that
-// arrives once Close began, returns the error with nothing unpublished,
-// counted, stamped or logged.
+// tombstone or the record's hidden form, runs inside the n.mu section and
+// unpublishes the key: a delete the store refuses, or one that arrives once
+// Close began, returns the error with nothing unpublished, counted, stamped or
+// logged.
 func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, error) {
 	var sh *fifoShard[encodeJob]
 	if emit {
@@ -291,7 +280,6 @@ func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, error) {
 		sh.release()
 		return encodeJob{}, err
 	}
-	n.keys.delete(db, key)
 	job := n.stampLocked(sh, encodeJob{kind: oplog.OpDelete, db: db, key: key, id: id},
 		emit, &n.stats.Deletes)
 	n.mu.Unlock()
