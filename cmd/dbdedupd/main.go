@@ -48,11 +48,9 @@ var (
 	follow     = flag.String("follow", "", "primary replication address to follow (secondary role)")
 	dir        = flag.String("dir", "", "storage directory (empty = in-memory)")
 	compress   = flag.Bool("compress", false, "enable block-level compression")
-	rededup    = flag.Bool("compact-rededup", false, "re-deduplicate live raw records during compaction")
-	rdMaxChain = flag.Int("rededup-max-chain", 8, "max delta-chain depth a compaction conversion may create")
 	admin      = flag.String("admin", "", "HTTP admin endpoint address (e.g. :7090; empty = off)")
 	admEnable  = flag.Bool("admission", false, "enable admission control: reject over-fair-share inserts during overload")
-	shedRaw    = flag.Bool("shed-raw", false, "degrade inserts to raw (no dedup encode) during overload; pair with -compact-rededup to recover the ratio")
+	shedRaw    = flag.Bool("shed-raw", false, "degrade inserts to raw (no dedup encode) during overload; the shed records' dedup ratio is given up, not recovered")
 	admRate    = flag.Float64("admission-tenant-rate", 0, "per-tenant fair-share inserts/second enforced during overload (0 = shedding only)")
 	admDwell   = flag.Duration("overload-dwell", 250*time.Millisecond, "minimum time the overload latch stays engaged once entered")
 	idxBudget  = flag.String("index-memory-budget", "", "per-database similarity-index memory bound, e.g. 24MiB; what no longer fits is kept in Bloom-gated cold runs under -dir (empty: no bound)")
@@ -84,11 +82,7 @@ func config() (cluster.MemberConfig, error) {
 			HopDistance:  16,
 		},
 		BlockCompression: *compress,
-		Compaction: node.CompactionOptions{
-			Enabled:              true,
-			Rededup:              *rededup,
-			RededupMaxChainDepth: *rdMaxChain,
-		},
+		Compaction:       node.CompactionOptions{Enabled: true},
 		Admission: admission.Options{
 			Enabled:       *admEnable,
 			ShedRaw:       *shedRaw,

@@ -205,8 +205,7 @@ func (s *Store) FlushWritebacks(max int) int { return s.n.FlushWritebacks(max) }
 func (s *Store) PendingWritebacks() int { return s.n.PendingWritebacks() }
 
 // Compact reclaims disk space from superseded record versions. It runs
-// through the node so compaction-time re-deduplication (when enabled) and
-// the compaction counters apply.
+// through the node so the compaction counters apply.
 func (s *Store) Compact() (int64, error) { return s.n.Compact() }
 
 // Close flushes and shuts the store down.

@@ -3,14 +3,13 @@
 // decides, per insert, whether to run the full dedup workflow, degrade to a
 // raw insert, or refuse the request outright.
 //
-// The design follows the hybrid inline/out-of-line dedup argument (Li et
-// al., PAPERS.md): when inline dedup cannot keep up, shed the *dedup work*,
-// not the *write*. A raw insert costs one store append — microseconds — so
-// acknowledged writes stay fast under overload; the dedup ratio given up by
-// shedding is recovered later by the compaction-time re-dedup pass
-// (DESIGN.md §9). Rejection is the second line of defence: during overload a
-// tenant pushing past its fair share is bounced with an overload error
-// instead of being allowed to grow the queue for everyone else.
+// When inline dedup cannot keep up, shed the *dedup work*, not the *write*.
+// A raw insert costs one store append — microseconds — so acknowledged writes
+// stay fast under overload. The dedup ratio of a shed record is given up, not
+// recovered: the record stays raw, since nothing dedups out of line (DESIGN.md
+// §9). Rejection is the second line of defence: during overload a tenant
+// pushing past its fair share is bounced with an overload error instead of
+// being allowed to grow the queue for everyone else.
 //
 // Signals. The controller watches two things:
 //

@@ -211,8 +211,7 @@ type Stats struct {
 	// IndexEntries / IndexCapacityBytes describe bounded feature-index
 	// occupancy across partitions; IndexLookups / IndexMatches /
 	// IndexEvictions aggregate its counters. Evictions are the similarity
-	// matches the inline path gave up — the headroom signal for the
-	// compaction-time re-dedup pass.
+	// matches the inline path gave up.
 	IndexEntries       int
 	IndexCapacityBytes int64
 	IndexLookups       uint64
@@ -583,56 +582,10 @@ func (e *Engine) encodeAgainst(st *dbState, id uint64, payload []byte, srcID uin
 	return res
 }
 
-// ProbeSimilar re-runs the sketch and index stages for an already-stored
-// record — the entry point of compaction-time re-deduplication (out-of-line
-// dedup in the hybrid sense of Li et al.). Because the feature index is
-// bounded, LRU eviction permanently costs the inline path some similarity
-// matches; a record whose features were evicted before its similar
-// successors arrived stays raw. Re-probing at compaction time finds those
-// successors (whose features are fresher) and re-registers the probed
-// record's own features, so the index re-learns the part of the working set
-// it had forgotten. Returns the best similar candidate, chosen by the same
-// cache-aware scoring the inline path uses. It never touches governor or
-// size-filter state: compaction must not perturb the inline policy.
-func (e *Engine) ProbeSimilar(dbName string, id uint64, payload []byte) (srcID uint64, ok bool) {
-	if len(payload) < minDedupRecordBytes {
-		return 0, false
-	}
-	st := e.db(dbName)
-	st.mu.Lock()
-	disabled := st.disabled || st.index == nil
-	st.mu.Unlock()
-	if disabled {
-		return 0, false
-	}
-	skb := e.getSketchBuf()
-	sk := e.extractor.ExtractInto(*skb, payload) // CPU-heavy, lock-free
-	st.mu.Lock()
-	if st.disabled || st.index == nil {
-		st.mu.Unlock()
-		e.putSketchBuf(skb, sk)
-		return 0, false
-	}
-	// As in Encode: deferred first so that (LIFO) it runs after the unlock.
-	defer st.index.Maintain()
-	defer st.mu.Unlock()
-	counts := probeLocked(st, sk, id)
-	e.putSketchBuf(skb, sk)
-	if len(counts) == 0 {
-		return 0, false
-	}
-	src := e.selectSource(counts)
-	if src == id {
-		return 0, false
-	}
-	return src, true
-}
-
-// probeLocked is the index stage Encode and ProbeSimilar share: it registers
-// id under a fresh ref, looks up and inserts every feature of sk, and returns
-// how many features each other record shares with it. The record itself is
-// excluded, under the new ref and under any older one (a re-probed record's
-// earlier features may still be resident). Caller holds st.mu and has checked
+// probeLocked is Encode's index stage: it registers id under a fresh ref,
+// looks up and inserts every feature of sk, and returns how many features each
+// other record shares with it. The record itself is excluded, under the new
+// ref and under any older one. Caller holds st.mu and has checked
 // that st.index is non-nil.
 func probeLocked(st *dbState, sk sketch.Sketch, id uint64) map[uint64]int {
 	ref := uint32(len(st.refs))
@@ -646,13 +599,6 @@ func probeLocked(st *dbState, sk sketch.Sketch, id uint64) map[uint64]int {
 		}
 	}
 	return counts
-}
-
-// CompressDelta runs the engine-configured forward delta stage — the same
-// anchor interval the inline encode path uses. The compaction re-dedup pass
-// calls it to build conversion payloads.
-func (e *Engine) CompressDelta(base, target []byte) delta.Delta {
-	return delta.Compress(base, target, delta.Options{AnchorInterval: e.cfg.AnchorInterval})
 }
 
 // ObserveRaw lets a replica node keep chain/cache state coherent for records

@@ -1270,6 +1270,15 @@ func (s *Store) replayAll() error {
 // bytes reclaimed on disk: 0 when no segment but the active one, which is
 // never compacted, holds a dead byte, and then nothing is read or appended.
 //
+// The victim is read as Open replays a segment, block by block in file order,
+// and a frame is live if the record table still points at exactly it. Under
+// the writer lock the store moves the record if the frame the walk read is
+// still its current version, and leaves it alone if not: whatever a concurrent
+// writer stored since is newer and already outside the victim. So retirement
+// never drops a live record or brings back a superseded one. A tombstone in
+// the victim is replayed too, while a segment it may still be needed against
+// exists (carryTombstone).
+//
 // Retirement is safe against in-flight reads: the victim leaves the segio
 // table (new readers fail their pin and re-resolve through the index, which
 // no longer references the victim), its file is unlinked immediately — the
@@ -1277,23 +1286,7 @@ func (s *Store) replayAll() error {
 // closes the descriptor — and its cached blocks are dropped. Segment slots
 // are never reused, so a stale cache entry that races the drop stays
 // harmless (its bytes are still correct) until the LRU evicts it.
-func (s *Store) Compact() (int64, error) { return s.CompactWith(nil) }
-
-// CompactWith is Compact with a say for a policy layer (the node) in how each
-// record moves; nil behaves exactly like Compact. The victim is read as Open
-// replays a segment, block by block in file order, and a frame is live if the
-// record table still points at exactly it. move is called with each live
-// record, outside every store lock, and may rewrite the record the way any
-// writer does, through Append or Delete (the node's re-dedup pass appends a
-// delta-encoded conversion). Afterwards, under the writer lock, the store
-// moves the record if the frame the walk read is still its current version,
-// and leaves it alone if not: whatever the callback or a concurrent writer
-// stored since is newer and already outside the victim. So no callback can
-// make retirement drop a live record or bring back a superseded one.
-// rec.Payload is the caller's to keep, not to modify. A tombstone in the
-// victim is replayed too, while a segment it may still be needed against
-// exists (carryTombstone).
-func (s *Store) CompactWith(move func(rec Record)) (int64, error) {
+func (s *Store) Compact() (int64, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
@@ -1345,13 +1338,9 @@ func (s *Store) CompactWith(move func(rec Record)) (int64, error) {
 			if s.opts.AppendDelay > 0 {
 				time.Sleep(s.opts.AppendDelay)
 			}
-			if move != nil {
-				move(rec)
-			}
 			// Re-check and move in one critical section: a write since the
-			// walk read the frame, the callback's or anyone's, could otherwise
-			// be superseded by this stale copy. Waiting for room comes first:
-			// it may let go of mu.
+			// walk read the frame could otherwise be superseded by this stale
+			// copy. Waiting for room comes first: it may let go of mu.
 			s.mu.Lock()
 			if err = s.roomLocked(); err == nil {
 				if _, live := s.recs.at(rec.ID, slot, off, start); live {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dbdedup/internal/faultfs"
 )
@@ -384,120 +385,114 @@ func TestCompactionCarriesTombstones(t *testing.T) {
 	s.Close()
 }
 
-// TestCompactWithMoveCallback runs passes to the end under each thing that can
-// happen to a record between the walk reading its frame and the store moving
-// it: nothing, the callback appending a replacement, the callback deleting the
-// record, and a write of somebody else's that was started from the callback and
-// lands before the move or after it. The store never drops a live record and
-// never brings back a superseded one: afterwards, and after a reopen, every
-// record holds what its last writer stored and a deleted one is gone.
+// TestCompactWithMoveCallback races what can happen to a record between the
+// walk reading its frame and the store moving it. AppendDelay is the hook each
+// move calls in that window; it holds the move there so that a newer write
+// lands in it often.
+//
+// "a newer write races the move" overwrites every record, round after round,
+// while compaction passes run. The store never drops a live record and never
+// brings back a superseded one: a reader never sees a record older than the
+// last write acknowledged before its Get, and afterwards, and after a reopen,
+// every record holds the last round's payload.
 func TestCompactWithMoveCallback(t *testing.T) {
-	payload := func(id uint64, what string) []byte {
-		return bytes.Repeat([]byte(fmt.Sprintf("%s-%03d|", what, id)), 12)
-	}
-	for _, tc := range []struct {
-		name string
-		want string // which payload an offered record ends up with; "": none, it is gone
-		move func(s *Store, rec Record, others *sync.WaitGroup)
-	}{
-		{"does nothing", "old", func(*Store, Record, *sync.WaitGroup) {}},
-		{"appends a replacement", "conv", func(s *Store, rec Record, _ *sync.WaitGroup) {
-			rec.Payload = payload(rec.ID, "conv")
-			mustAppend(t, s, rec)
-		}},
-		{"deletes the record", "", func(s *Store, rec Record, _ *sync.WaitGroup) {
-			if err := s.Delete(rec.ID); err != nil {
-				t.Error(err)
-			}
-		}},
-		{"a newer write races the move", "new", func(s *Store, rec Record, others *sync.WaitGroup) {
-			rec.Payload = payload(rec.ID, "new")
-			others.Add(1)
-			go func() {
-				defer others.Done()
-				if err := s.Append(rec); err != nil {
+	t.Run("a newer write races the move", func(t *testing.T) {
+		payload := func(id uint64, round int) []byte {
+			return bytes.Repeat([]byte(fmt.Sprintf("%03d-%03d|", round, id)), 12)
+		}
+		opts := Options{Dir: "d", FS: faultfs.NewMemFS(), Compress: true, BlockSize: 256, SegmentSize: 1024,
+			AppendDelay: 20 * time.Microsecond}
+		s, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const ids, rounds = 60, 12
+		for id := uint64(1); id <= ids; id++ {
+			mustAppend(t, s, Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id), Payload: payload(id, 0)})
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var acked [ids + 1]atomic.Int64 // the round of each record's last acknowledged write
+		var compacting atomic.Bool
+		var raced atomic.Int64 // writes that landed while a pass was moving records
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			defer stop.Store(true)
+			for round := 1; round <= rounds; round++ {
+				for id := uint64(1); id <= ids; id++ {
+					if err := s.Append(Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id), Payload: payload(id, round)}); err != nil {
+						t.Error(err)
+						return
+					}
+					acked[id].Store(int64(round))
+					if compacting.Load() {
+						raced.Add(1)
+					}
+				}
+				if err := s.Flush(); err != nil {
 					t.Error(err)
 				}
-			}()
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Dir: "d", FS: faultfs.NewMemFS(), Compress: true, BlockSize: 256, SegmentSize: 1024}
-			s, err := Open(opts)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for id := uint64(1); !stop.Load(); id = id%ids + 1 {
+				floor := acked[id].Load()
+				rec, ok, err := s.Get(id)
+				var round, gotID int64
+				if err != nil || !ok {
+					t.Errorf("Get(%d): ok %v, err %v", id, ok, err)
+					return
+				}
+				if _, err := fmt.Sscanf(string(rec.Payload), "%d-%d|", &round, &gotID); err != nil || round < floor {
+					t.Errorf("Get(%d) = %.24q after round %d was acknowledged", id, rec.Payload, floor)
+					return
+				}
+			}
+		}()
+		for {
+			writing := !stop.Load()
+			compacting.Store(true)
+			n, err := s.Compact()
+			compacting.Store(false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			const ids = 120
+			if n == 0 && !writing {
+				break
+			}
+		}
+		wg.Wait()
+		if raced.Load() == 0 {
+			t.Fatal("no write landed while a pass was moving records")
+		}
+		check := func(s *Store) {
+			t.Helper()
 			for id := uint64(1); id <= ids; id++ {
-				mustAppend(t, s, Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id), Payload: payload(id, "old")})
-			}
-			for id := uint64(3); id <= ids; id += 3 { // a dead frame or two in every block
-				mustAppend(t, s, Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id), Payload: payload(id, "upd")})
-			}
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			offered := map[uint64]int{}
-			var others sync.WaitGroup
-			for {
-				n, err := s.CompactWith(func(rec Record) {
-					// Once a record: a racing write that lands behind the move
-					// kills the moved frame, and a pass for every such frame
-					// would never see the last one.
-					if offered[rec.ID]++; offered[rec.ID] == 1 {
-						tc.move(s, rec, &others)
-					}
-				})
-				others.Wait()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n == 0 {
-					break
+				rec, ok, err := s.Get(id)
+				if err != nil || !ok || !bytes.Equal(rec.Payload, payload(id, rounds)) || rec.Key != fmt.Sprintf("k%d", id) {
+					t.Fatalf("Get(%d): ok %v, err %v, key %q, payload %.24q, want %.24q",
+						id, ok, err, rec.Key, rec.Payload, payload(id, rounds))
 				}
 			}
-			if len(offered) < ids/2 {
-				t.Fatalf("the passes offered %d of %d records", len(offered), ids)
+			if got := s.Stats().LiveRecords; got != ids {
+				t.Fatalf("%d live records, want %d", got, ids)
 			}
-			check := func(s *Store) {
-				t.Helper()
-				live := ids
-				for id := uint64(1); id <= ids; id++ {
-					want := payload(id, "old")
-					if id%3 == 0 {
-						want = payload(id, "upd")
-					}
-					if offered[id] > 0 && tc.want != "old" {
-						want = payload(id, tc.want)
-					}
-					rec, ok, err := s.Get(id)
-					if offered[id] > 0 && tc.want == "" {
-						live--
-						if ok || err != nil {
-							t.Fatalf("Get(%d), deleted by the callback: ok %v, err %v, payload %.24q", id, ok, err, rec.Payload)
-						}
-						continue
-					}
-					if err != nil || !ok || !bytes.Equal(rec.Payload, want) || rec.Key != fmt.Sprintf("k%d", id) {
-						t.Fatalf("Get(%d) (offered %d times): ok %v, err %v, key %q, payload %.24q, want %.24q",
-							id, offered[id], ok, err, rec.Key, rec.Payload, want)
-					}
-				}
-				if got := s.Stats().LiveRecords; got != live {
-					t.Fatalf("%d live records, want %d", got, live)
-				}
-			}
-			check(s)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if s, err = Open(opts); err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			check(s)
-		})
-	}
+		}
+		check(s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Open(opts); err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		check(s)
+	})
 }
 
 func TestRejectNulInNames(t *testing.T) {

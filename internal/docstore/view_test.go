@@ -232,8 +232,8 @@ func TestWalksDecodeEachBlockOnce(t *testing.T) {
 	viewResident()
 	st = s.Stats()
 
-	if n, err := s.CompactWith(nil); err != nil || n == 0 {
-		t.Fatalf("CompactWith: %d, %v", n, err)
+	if n, err := s.Compact(); err != nil || n == 0 {
+		t.Fatalf("Compact: %d, %v", n, err)
 	}
 	if !victim.retired {
 		t.Fatal("compaction chose another victim than the first segment")
@@ -312,7 +312,7 @@ func TestConcurrentViewsNeverSeeRecycledBytes(t *testing.T) {
 	go func() {
 		defer writers.Done()
 		for !stop.Load() {
-			n, err := s.CompactWith(nil)
+			n, err := s.Compact()
 			if err != nil {
 				t.Error(err)
 				return

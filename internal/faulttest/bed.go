@@ -63,12 +63,10 @@ type bed struct {
 
 // nodeOptions is the one node configuration. Nothing runs behind the traffic
 // (each mutation waits for its encode job; no idle flusher or compactor), so
-// what a member writes is a function of the traffic; re-dedup when a script
-// compacts keeps conversion commits, and their crash points, in the matrix.
+// what a member writes is a function of the traffic.
 func nodeOptions(oplog int) node.Options {
 	o := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: oplog}
 	o.Engine.GovernorWindow = 1 << 30
-	o.Compaction = node.CompactionOptions{Rededup: true, RededupMaxChainDepth: 8}
 	return o
 }
 
@@ -150,9 +148,6 @@ func build(row *class, sch Schedule, pt Point) *bed {
 	}
 	if pt.Rule != nil {
 		b.members[0].rules = []faultfs.Rule{*pt.Rule}
-	}
-	if row.tune != nil {
-		row.tune(&b.members[0].cfg.Node)
 	}
 
 	for _, s := range b.members {

@@ -27,7 +27,6 @@ import (
 	"dbdedup/internal/faultfs"
 	"dbdedup/internal/histcheck"
 	"dbdedup/internal/netsim"
-	"dbdedup/internal/node"
 )
 
 // Schedule is one seed-pinned run of a class.
@@ -125,9 +124,8 @@ type class struct {
 	short    int
 
 	// Traffic: a script of client calls (the crash matrix), else the
-	// topology's churn. tune adjusts the scripted member's node options.
+	// topology's churn.
 	script func(*bed)
-	tune   func(*node.Options)
 
 	// Link: a random per-chunk fault mix on the path to m0, installed once
 	// the follower's session is up.
@@ -198,11 +196,6 @@ var classes = []class{
 	// with the point's rule.
 	{name: "chains", topology: single, script: chains, disks: []int{0}, exit: closes},
 	{name: "compact-churn", topology: single, script: compactChurn, disks: []int{0}, exit: closes},
-	{name: "rededup-compact", topology: single, script: rededupCompact, disks: []int{0}, exit: closes,
-		tune: func(o *node.Options) {
-			o.Engine.IndexEntries = 16 // two records' worth of sketch features
-			o.Compaction.RededupMaxChainDepth = 6
-		}},
 	{name: "replicated", topology: single, script: replicated, disks: []int{0}, exit: closes, follows: true},
 
 	// Network matrix: churn on a primary while the link to it misbehaves.

@@ -90,15 +90,6 @@ func (b *bed) Compact() {
 	}
 }
 
-// Junk generates n incompressible random bytes: filler whose sketch
-// features evict resident entries from a bounded feature index without ever
-// matching anything.
-func (b *bed) Junk(n int) []byte {
-	out := make([]byte, n)
-	b.rng.Read(out)
-	return out
-}
-
 // Doc generates n bytes of pseudo-prose from the schedule's seed.
 func (b *bed) Doc(n int) []byte {
 	words := []string{"online", "dedup", "for", "databases", "segment",
@@ -194,46 +185,6 @@ func compactChurn(c *bed) {
 	c.Flush()
 	c.Compact()
 	c.Insert("db", "post-compact", doc)
-	c.Flush()
-}
-
-// rededupCompact drives the compaction-time re-dedup pass under fault
-// injection: similar documents interleaved with junk records evict each
-// other from a deliberately tiny feature index (the row's tune; so the
-// insert path stores them raw), the junk is deleted, and compaction passes
-// then convert the survivors to deltas, putting conversion commits, their
-// delta appends, and the mmap remap of rolled segments inside the crash
-// schedule. Updates after the first conversions exercise stacking on
-// compaction-created bases, and a tail insert proves the store still
-// accepts writes.
-func rededupCompact(c *bed) {
-	doc := c.Doc(1500)
-	for i := 0; i < 8; i++ {
-		c.Insert("db", fmt.Sprintf("f%02d", i), doc)
-		doc = c.Edit(doc)
-		for j := 0; j < 2; j++ {
-			c.Insert("db", fmt.Sprintf("s%02d-%d", i, j), c.Junk(1400))
-		}
-		if i%3 == 2 {
-			c.Flush()
-		}
-	}
-	c.Flush()
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 2; j++ {
-			c.Delete("db", fmt.Sprintf("s%02d-%d", i, j))
-		}
-	}
-	c.Flush()
-	c.Compact()
-	c.Compact()
-	for i := 0; i < 8; i += 2 {
-		doc = c.Edit(doc)
-		c.Update("db", fmt.Sprintf("f%02d", i), doc)
-	}
-	c.Flush()
-	c.Compact()
-	c.Insert("db", "tail", doc)
 	c.Flush()
 }
 

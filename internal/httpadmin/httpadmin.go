@@ -226,9 +226,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		rp.Reconnects.Total(), rp.DialFailures.Total(), rp.CorruptFrames.Total(),
 		rp.FrameSeqViolations.Total(), rp.IdleTimeouts.Total())
 	cm := s.node.CompactionMetrics()
-	fmt.Fprintf(w, "compact:  %d passes, %d resketched, %d conversions (%d skipped), saved %s logical / %s physical\n",
-		cm.Passes.Total(), cm.Resketched.Total(), cm.Conversions.Total(), cm.ConversionsSkipped.Total(),
-		metrics.FormatBytes(cm.LogicalBytesSaved.Total()), metrics.FormatBytes(cm.PhysicalBytesReclaimed.Total()))
+	fmt.Fprintf(w, "compact:  %d passes, reclaimed %s\n",
+		cm.Passes.Total(), metrics.FormatBytes(cm.PhysicalBytesReclaimed.Total()))
 	fmt.Fprintf(w, "blocks:   %d mmap reads / %d pread reads (%d map failures)\n",
 		st.Store.MmapBlockReads, st.Store.PreadBlockReads, st.Store.MmapFailures)
 	fmt.Fprintf(w, "featidx:  %d entries (%s of %s), %d lookups, %d matches, %d evictions\n",

@@ -264,7 +264,7 @@ var metricsSections = map[string]string{
 	"Oplog": "Entries Bytes EvictedByEntries EvictedByBytes",
 	"Repl": "Reconnects Dials DialFailures BackoffNanos CorruptFrames FrameSeqViolations IdleTimeouts " +
 		"HeartbeatsSent ForcedResyncs",
-	"Compaction": "Passes PassLatency Resketched Conversions ConversionsSkipped LogicalBytesSaved PhysicalBytesReclaimed",
+	"Compaction": "Passes PassLatency PhysicalBytesReclaimed",
 	"FeatIdx":    "Entries MemoryBytes CapacityBytes Lookups Matches Evictions Tiered",
 	"Admission": "Enabled ShedRawEnabled Overloaded OverloadEnters OverloadExits LatencyEWMAUS Admitted Shed " +
 		"Rejected TenantThrottles TrackedTenants",

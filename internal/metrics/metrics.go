@@ -453,26 +453,14 @@ func FormatBytes(n int64) string {
 	return fmt.Sprintf("%.1f %ciB", float64(n)/float64(div), "KMGTPE"[exp])
 }
 
-// CompactionMetrics bundles the compaction re-dedup pass counters: how much
-// work each pass did (records re-sketched against the feature index, raw →
-// delta conversions won) and what it bought (logical bytes saved by the
-// conversions, physical bytes reclaimed by retiring victim segments).
+// CompactionMetrics bundles the compaction counters: how many passes ran,
+// how long they took, and the segment bytes they freed on disk.
 type CompactionMetrics struct {
 	// Passes counts completed compaction passes; PassLatency is their
 	// wall-clock distribution.
 	Passes      Meter
 	PassLatency *Histogram
-	// Resketched counts live raw records whose features were recomputed
-	// and probed against the similarity index during compaction.
-	Resketched Meter
-	// Conversions counts raw records rewritten as deltas; Skipped counts
-	// conversions abandoned at commit time (superseded record, failed
-	// grounding check, or an append error).
-	Conversions        Meter
-	ConversionsSkipped Meter
-	// LogicalBytesSaved is Σ(raw payload − encoded delta) over committed
-	// conversions; PhysicalBytesReclaimed is segment bytes freed on disk.
-	LogicalBytesSaved      Meter
+	// PhysicalBytesReclaimed is segment bytes freed on disk.
 	PhysicalBytesReclaimed Meter
 }
 

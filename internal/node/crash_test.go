@@ -99,6 +99,71 @@ func TestCompactorGoesQuiet(t *testing.T) {
 	}
 }
 
+// TestCompactorTriggerIgnoresCompression holds the trigger to one unit: dead
+// payload bytes against dead plus live payload bytes, all counted before block
+// compression. The records are near copies of one text, so compressed they
+// take a fraction of their payload on disk; compared with the compressed disk
+// size, a dead quarter would look like most of the store.
+func TestCompactorTriggerIgnoresCompression(t *testing.T) {
+	n, err := Open(Options{
+		SyncEncode: true, DisableAutoFlush: true, DisableDedup: true, BlockCompression: true,
+		BlockSize: 512, SegmentSize: 8 << 10,
+		Compaction: CompactionOptions{Enabled: true, Interval: 10 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	rng := rand.New(rand.NewSource(7))
+	payload := workload.RevisionText(rng, 1<<10)
+	const keys = 40
+	update := func(count int) {
+		t.Helper()
+		for i := 0; i < count; i++ {
+			if err := n.Update("db", fmt.Sprintf("k%d", i), editText(rng, payload, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Store().Flush()
+	}
+	for i := 0; i < keys; i++ {
+		if err := n.Insert("db", fmt.Sprintf("k%d", i), editText(rng, payload, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Store().Flush()
+	update(keys / 3)
+
+	passes := n.CompactionMetrics().Passes.Total
+	st := n.Store().Stats()
+	share := float64(st.DeadBytes) / float64(st.DeadBytes+st.LogicalBytes)
+	if share < 0.2 || share > 0.3 {
+		t.Fatalf("dead share %.2f, want about a quarter", share)
+	}
+	if disk := n.Store().DiskBytes(); float64(st.DeadBytes) < 0.5*float64(disk) {
+		t.Fatalf("%d dead bytes of %d on disk: compression does not carry the scenario", st.DeadBytes, disk)
+	}
+	time.Sleep(300 * time.Millisecond)
+	if p := passes(); p != 0 {
+		t.Fatalf("%d passes with %.2f of the payload bytes dead", p, share)
+	}
+
+	update(keys)
+	deadline := time.Now().Add(5 * time.Second)
+	for passes() == 0 {
+		if time.Now().After(deadline) {
+			st := n.Store().Stats()
+			t.Fatalf("no pass 5s after crossing half: %d dead of %d live payload bytes", st.DeadBytes, st.LogicalBytes)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for i := 0; i < keys; i++ {
+		if _, err := n.Read("db", fmt.Sprintf("k%d", i)); err != nil {
+			t.Fatalf("read after compaction: %v", err)
+		}
+	}
+}
+
 // TestDeletePersistsAcrossReopen covers the clean-shutdown durability of
 // deletes: a deleted key must stay deleted after Close + reopen, both for a
 // leaf record (refs==0, reclaimed via tombstone) and for a delta base

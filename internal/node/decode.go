@@ -87,10 +87,9 @@ func (f fetcher) FetchDecoded(id uint64) ([]byte, error) {
 // the two buffers its deltas alternate between, each delta reading the one and
 // writing the other. What decode returns lives in a scratch (or in the source
 // cache) and is good until the scratch is used again. Who owns which: the
-// paths applyMu serialises (write-back apply, hidden-chain repair, the
-// re-dedup verify) use the node's own applyScratch; Read, replica apply, the
-// fetcher, VerifyAll and the re-dedup rewrite take one from scratchPool for
-// the call; the two that hand the content on (Read, the fetcher) go through
+// paths applyMu serialises (write-back apply, hidden-chain repair) use the
+// node's own applyScratch; Read, replica apply, the fetcher and VerifyAll take
+// one from scratchPool for the call; the two that hand the content on (Read, the fetcher) go through
 // decodeCopy, which copies it out exactly once.
 type scratch struct {
 	hops []hop

@@ -149,8 +149,8 @@ type Stats struct {
 	// shard full and had to wait for it to drain.
 	EncodeOverflows int64
 	// InsertsShedRaw counts acknowledged inserts whose dedup encoding was
-	// shed by admission control (stored and replicated raw; recoverable by
-	// compaction-time re-dedup). Included in Inserts.
+	// shed by admission control (stored and replicated raw, and they stay
+	// raw). Included in Inserts.
 	InsertsShedRaw uint64
 	// InsertsRejected counts inserts refused with ErrOverloaded. Not
 	// included in Inserts — the write did not happen.
@@ -194,12 +194,12 @@ type Node struct {
 	recentOps      atomic.Int64 // ops since last idle check (idleness proxy)
 
 	// applyMu serialises every write of an existing record's stored form
-	// (update, delete, write-back apply, hidden-chain repair, the re-dedup
-	// commit), so what one checked still holds when it appends, and with
-	// them every write of refcnt (moveRefLocked). It also
-	// guards the working memory those paths decode into: one scratch per
-	// content held at a time (a record and the base it would decode from),
-	// and the buffer a candidate delta is applied into for checking.
+	// (update, delete, write-back apply, hidden-chain repair), so what one
+	// checked still holds when it appends, and with them every write of refcnt
+	// (moveRefLocked). It also guards the working memory those paths decode
+	// into: one scratch per content held at a time (a record and the base it
+	// would decode from), and the buffer a candidate delta is applied into for
+	// checking.
 	applyMu      sync.Mutex
 	applyScratch [2]scratch
 	applyCheck   []byte
@@ -217,7 +217,7 @@ type Node struct {
 	encm       *metrics.EncodeMetrics     // queue gauges; engine's bundle when dedup is on
 	applym     *metrics.ApplyMetrics      // replication apply-path instrumentation
 	replm      *metrics.ReplMetrics       // replication transport hardening counters
-	compm      *metrics.CompactionMetrics // compaction pass / re-dedup counters
+	compm      *metrics.CompactionMetrics // compaction pass counters
 
 	wg     sync.WaitGroup
 	stopCh chan struct{}

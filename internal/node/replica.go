@@ -13,8 +13,8 @@ import (
 // cluster (shard handoff) use to move state between nodes. Bulk state moves
 // through three verbs, Scan out of a node and Upsert and Retain into one, and
 // an oplog entry through ApplyReplicated. Whatever arrives whole is stored raw
-// and left to the out-of-line passes (write-backs, compaction-time re-dedup)
-// to encode; only a forward-encoded entry is re-encoded inline.
+// and left to write-backs to encode; only a forward-encoded entry is
+// re-encoded inline.
 
 // ErrBaseMissing reports that a forward-encoded insert references a base
 // record this node does not hold. The replication layer reacts by fetching

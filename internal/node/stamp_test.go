@@ -14,6 +14,7 @@ import (
 
 	"dbdedup/internal/chain"
 	"dbdedup/internal/core"
+	"dbdedup/internal/delta"
 	"dbdedup/internal/docstore"
 	"dbdedup/internal/faultfs"
 	"dbdedup/internal/oplog"
@@ -488,14 +489,6 @@ func TestOpenDecodesEachBlockOnce(t *testing.T) {
 // unreferenced base would overwrite what the record is about to decode from.
 // The append is serialized with all three, so every key reads what its last
 // writer left, now and after a reopen.
-//
-// The re-dedup conversion is the other rewriter, and ends in the same
-// rebaseLocked. It decodes the base it chose and encodes against it holding
-// nothing, so each round also updates or deletes that base, still unreferenced,
-// once a conversion has started: before the decode the conversion encodes
-// against what the mutation left, after the commit the base is referenced and
-// the mutation stacks or hides, and in between the delta no longer reproduces
-// the record and is refused.
 func TestStampUnderMutationRacingFlush(t *testing.T) {
 	mem := faultfs.NewMemFS()
 	opts := Options{Dir: "n", FS: mem, SyncEncode: true, DisableAutoFlush: true,
@@ -559,65 +552,7 @@ func TestStampUnderMutationRacingFlush(t *testing.T) {
 		if raced < 8 {
 			t.Fatalf("round %d: %d of 16 pairs had a write-back to race", round, raced)
 		}
-
-		// Pairs for the conversion: a record and the one record similar to it,
-		// both raw and unreferenced, as if the index had forgotten the base
-		// when the record arrived. The last pair is left alone, to show that
-		// the base a conversion chooses is the one being mutated in the others.
-		const pairs = 9
-		var convs []docstore.Record
-		for i := 0; i < pairs; i++ {
-			base, key := fmt.Sprintf("r%d.%d.base", round, i), fmt.Sprintf("r%d.%d.conv", round, i)
-			want[base] = workload.RevisionText(rng, 16<<10)
-			want[key] = editText(rng, want[base], 2)
-			if err := errors.Join(n.Insert("db", base, want[base]), n.Insert("db", key, want[key])); err != nil {
-				t.Fatal(err)
-			}
-			id, _ := n.lookup("db", key)
-			convs = append(convs, docstore.Record{ID: id, DB: "db", Key: key, Payload: want[key]})
-		}
-		n.wb.DrainBest(n.wb.Len()) // dropped
-		// Sealed, so that the one read of the store a conversion makes before
-		// its commit, the decode of the base, shows in the block cache's counts.
-		if err := n.store.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		reads := func() uint64 { st := n.store.Stats(); return st.CacheHits + st.CacheMisses }
-		for j, rec := range convs {
-			before, done := reads(), make(chan struct{})
-			go func() {
-				defer close(done)
-				n.rededupMove(rec)
-			}()
-		decoding:
-			for reads() == before { // then the base is decoded, and the commit comes next
-				select {
-				case <-done:
-					break decoding
-				default:
-					runtime.Gosched()
-				}
-			}
-			base := fmt.Sprintf("r%d.%d.base", round, j)
-			switch {
-			case j == pairs-1:
-			case j%2 == 0:
-				want[base] = editText(rng, want[base], 1)
-				err = n.Update("db", base, want[base])
-			default:
-				want[base], err = nil, n.Delete("db", base)
-			}
-			<-done
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		baseID, _ := n.lookup("db", fmt.Sprintf("r%d.%d.base", round, pairs-1))
-		if m, _ := n.store.Meta(convs[pairs-1].ID); m.Form != docstore.FormDelta || m.BaseID != baseID {
-			t.Fatalf("round %d: the conversion nobody raced left its record as %+v, want a delta against record %d", round, m, baseID)
-		}
 	}
-	t.Logf("%d conversions stored, %d refused", n.compm.Conversions.Total(), n.compm.ConversionsSkipped.Total())
 	check := func(when string) {
 		t.Helper()
 		for id, keys := range olds {
@@ -791,7 +726,7 @@ func staleSourceCache(t *testing.T, replica bool, mutation string) {
 		want = nil
 	case mutation == "stacking update":
 		// Nothing can decode through a record whose own insert is still being
-		// encoded, short of a re-dedup conversion; stand in for one.
+		// encoded; make something do so by hand.
 		n.applyMu.Lock()
 		n.moveRefLocked(0, id)
 		n.applyMu.Unlock()
@@ -848,4 +783,83 @@ func staleSourceCache(t *testing.T, replica bool, mutation string) {
 		t.Errorf("verify: %s", rep)
 	}
 	verifyRefcounts(t, n)
+}
+
+// TestWritebackRefusesChainCycle pins rebaseLocked's cycle guard: the insert
+// path queues a backward write-back (older record re-encoded against the
+// newer one), and meanwhile the newer record has come to decode from the
+// older one. The write-back must notice the committed chain and skip —
+// applying it closes a base cycle that recovery refuses to ground, silently
+// dropping every record on it.
+func TestWritebackRefusesChainCycle(t *testing.T) {
+	dir := t.TempDir()
+	// Full-size index so the insert path dedups B against A and queues
+	// the A→delta(B) write-back.
+	n := testNode(t, Options{Dir: dir, BlockSize: 1 << 10, SegmentSize: 8 << 10})
+
+	rng := rand.New(rand.NewSource(17))
+	docA := workload.RevisionText(rng, 1600)
+	docB := editText(rng, docA, 4)
+	if err := n.Insert("db", "a", docA); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Insert("db", "b", docB); err != nil {
+		t.Fatal(err)
+	}
+	idA, _ := n.lookup("db", "a")
+	idB, _ := n.lookup("db", "b")
+	if n.PendingWritebacks() == 0 {
+		t.Fatal("insert path queued no write-back; the cycle scenario needs one pending")
+	}
+
+	// Commit a conversion of the newer record against the older one by
+	// hand: B becomes a delta over A, A is claimed as a base.
+	d := delta.Compress(docA, docB, delta.Options{})
+	recB, ok, err := n.store.Get(idB)
+	if err != nil || !ok {
+		t.Fatalf("Get(B): ok=%v err=%v", ok, err)
+	}
+	recB.Form = docstore.FormDelta
+	recB.BaseID = idA
+	recB.Payload = d.Marshal()
+	n.applyMu.Lock()
+	if err := n.store.Append(recB); err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	n.refcnt[idA]++
+	n.mu.Unlock()
+	n.applyMu.Unlock()
+
+	// The pending write-back would re-encode A against B — a cycle now.
+	if applied := n.FlushWritebacks(-1); applied != 0 {
+		t.Fatalf("write-back closing a base cycle was applied (%d)", applied)
+	}
+	if n.Stats().WritebacksSkipped == 0 {
+		t.Fatal("refused write-back not counted as skipped")
+	}
+
+	for key, want := range map[string][]byte{"a": docA, "b": docB} {
+		if got, err := n.Read("db", key); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read %q after refused write-back: %v", key, err)
+		}
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The decisive check: recovery can still ground every chain.
+	n2, err := Open(Options{Dir: dir, BlockSize: 1 << 10, SegmentSize: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n2.Close()
+	for key, want := range map[string][]byte{"a": docA, "b": docB} {
+		if got, err := n2.Read("db", key); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read %q after reopen: %v", key, err)
+		}
+	}
+	if rep := n2.VerifyAll(); !rep.Ok() {
+		t.Fatalf("VerifyAll after reopen: %s", rep)
+	}
 }

@@ -107,7 +107,7 @@ func TestTieredIndexRecoversDedupAtFractionalBudget(t *testing.T) {
 }
 
 // TestBudgetedIndexUnderWorkloadMix runs the whole mutation mix — inserts,
-// updates, deletes, re-dedup compaction passes, a reopen and more inserts —
+// updates, deletes, compaction passes, a reopen and more inserts —
 // with the index held to a 64 KiB budget and its cold runs under the node's
 // storage directory, so freeze, Bloom and merge all happen beneath ordinary
 // traffic. Every live key must read back byte-exact and the store must
@@ -118,7 +118,6 @@ func TestBudgetedIndexUnderWorkloadMix(t *testing.T) {
 		Engine:      core.Config{IndexBudgetBytes: 64 << 10},
 		BlockSize:   1 << 10,
 		SegmentSize: 256 << 10,
-		Compaction:  CompactionOptions{Rededup: true, RededupMaxChainDepth: 8},
 	}
 	n := testNode(t, opts)
 
@@ -172,7 +171,11 @@ func TestBudgetedIndexUnderWorkloadMix(t *testing.T) {
 		}
 	}
 	n.FlushWritebacks(-1)
-	compactRounds(t, n, 16)
+	for i := 0; i < 16; i++ {
+		if _, err := n.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	ti := n.Stats().Engine.TieredIdx
 	if !ti.Enabled || ti.BudgetBytes != 64<<10 {
@@ -180,9 +183,6 @@ func TestBudgetedIndexUnderWorkloadMix(t *testing.T) {
 	}
 	if ti.Freezes == 0 || ti.Merges == 0 || ti.ColdDiskBytes == 0 || ti.BloomChecks == 0 {
 		t.Fatalf("cold tier never exercised: %+v", ti)
-	}
-	if n.CompactionMetrics().Resketched.Total() == 0 {
-		t.Fatal("re-dedup pass resketched nothing")
 	}
 	check(n, "before reopen")
 	if err := n.Close(); err != nil {

@@ -158,9 +158,9 @@ func (n *Node) invalidate(id uint64) {
 }
 
 // updateLocalEmit performs the update. Like a delete it holds applyMu
-// throughout (lock order: encoder token, applyMu, n.mu): a write-back, a repair
-// or a re-dedup conversion checks a record and the base it points at under that
-// lock and then appends, and an update of either landing in between would be
+// throughout (lock order: encoder token, applyMu, n.mu): a write-back or a
+// repair checks a record and the base it points at under that lock and then
+// appends, and an update of either landing in between would be
 // overwritten by older content, or overwrite what the other record is about to
 // decode from. And it has a delete's failure contract: the store write runs
 // inside the n.mu section, and the count, the sequence number, the stamp and
@@ -393,7 +393,7 @@ func (n *Node) processInsert(job encodeJob) {
 	// A shed insert ships raw: no sketch, no index probe, no delta — the
 	// whole point of shedding is that the worker's time per job collapses
 	// to an oplog append so the queue drains. The record is already in the
-	// store; compaction-time re-dedup can recover the ratio later.
+	// store, and stays raw: its share of the ratio is given up.
 	if job.shedRaw {
 		n.appendOplog(entry)
 		return
@@ -536,7 +536,7 @@ func (n *Node) applyWriteback(id uint64, payload []byte) bool {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 	applied := !n.changedSince(id, seq) && !n.changedSince(base, seq) &&
-		n.rebaseLocked(id, base, deltaBytes, maxChainWalk)
+		n.rebaseLocked(id, base, deltaBytes)
 	n.mu.Lock()
 	if applied {
 		n.stats.WritebacksApplied++
@@ -547,33 +547,29 @@ func (n *Node) applyWriteback(id uint64, payload []byte) bool {
 	return applied
 }
 
-// maxChainWalk bounds a walk down a chain that has no depth policy of its
-// own, so that a cycle ends it.
+// maxChainWalk bounds grounds' walk down a chain, so that a cycle ends it.
 const maxChainWalk = 1 << 20
 
 // rebaseLocked is the one way an existing record comes to decode from another:
 // it stores record id as the marshalled delta deltaBytes against record base
 // and moves the reference with it, or reports false and changes nothing.
-// Write-back apply and the re-dedup conversion both end here, with a delta
-// computed outside applyMu from content that may be stale by now, so
-// everything is checked against the store as it is under the lock, which every
-// writer of an existing record holds.
+// Write-back apply ends here, with a delta computed outside applyMu from
+// content that may be stale by now, so everything is checked against the store
+// as it is under the lock, which every writer of an existing record holds.
 //
-// The chain the new form creates must ground in a raw record within maxDepth
-// hops without passing through id. Write-backs alone cannot cycle (they
-// re-encode an older record against a newer one and the newest stays raw), but
-// a conversion can point a newer record at an older one, and a queued
-// write-back in the opposite direction would then close a cycle, which
-// recovery refuses to ground, losing the whole chain: whichever commits second
-// sees the other's committed form here and yields.
+// The chain the new form creates must ground in a raw record without passing
+// through id. A write-back re-encodes an older record against a newer one, so
+// one that finds the newer record already decoding from the older would close
+// a cycle, which recovery refuses to ground, losing the whole chain: it sees
+// the committed form here and yields.
 //
 // And the new form must decode to exactly what the record decodes to now:
 // the delta applied to the base's current bytes reproduces the record's
 // current content. That catches every staleness, of the record or of the base,
 // whatever caused it; failing it costs only compression. Caller holds applyMu.
-func (n *Node) rebaseLocked(id, base uint64, deltaBytes []byte, maxDepth int) bool {
+func (n *Node) rebaseLocked(id, base uint64, deltaBytes []byte) bool {
 	was, ok := n.store.Meta(id)
-	if !ok || was.Stacked || was.Hidden || !n.grounds(id, base, maxDepth) {
+	if !ok || was.Stacked || was.Hidden || !n.grounds(id, base) {
 		return false
 	}
 	cur, err := n.decode(&n.applyScratch[0], id, baseContentNoRepair)
@@ -597,12 +593,12 @@ func (n *Node) rebaseLocked(id, base uint64, deltaBytes []byte, maxDepth int) bo
 }
 
 // grounds walks the chain record id would have with baseID as its base and
-// reports whether it reaches a raw record within maxDepth hops without
+// reports whether it reaches a raw record within maxChainWalk hops without
 // passing through id itself (which would be a cycle).
-func (n *Node) grounds(id, baseID uint64, maxDepth int) bool {
+func (n *Node) grounds(id, baseID uint64) bool {
 	cur := baseID
 	for depth := 1; ; depth++ {
-		if cur == id || depth > maxDepth {
+		if cur == id || depth > maxChainWalk {
 			return false
 		}
 		m, ok := n.store.Meta(cur)
