@@ -11,35 +11,30 @@
 // pushing past its fair share is bounced with an overload error instead of
 // being allowed to grow the queue for everyone else.
 //
-// Signals. The controller watches two things:
+// Signal. The controller watches one thing, encode-queue occupancy: depth /
+// capacity across the encoder shards. The pool already applies backpressure
+// when a shard fills; occupancy is the leading indicator that backpressure
+// (and with it, latency collapse) is imminent.
 //
-//   - Encode-queue occupancy: depth / capacity across the encoder shards.
-//     The pool already applies backpressure when a shard fills; occupancy is
-//     the leading indicator that backpressure (and with it, latency
-//     collapse) is imminent.
-//   - Acknowledged insert latency: an EWMA of end-to-end Insert latency.
-//     This catches overload the queue gauge cannot see (e.g. a slow device
-//     making the store append itself the bottleneck).
-//
-// Overload state uses hysteresis: entered when occupancy exceeds
-// ShedThreshold (or the EWMA exceeds ShedLatency), exited only when
-// occupancy falls below ResumeThreshold (and the EWMA below half
-// ShedLatency), so the mode does not flap at the boundary. Level hysteresis
-// alone is not enough under *sustained* overload, though: shed inserts drain
-// the queue in a few job-times, the latch exits, the next admit burst refills
-// it, and the controller flaps at kilohertz — each admit burst stalling
-// same-shard acks behind full-cost encode jobs. OverloadDwell adds hysteresis
+// Overload state uses hysteresis: entered when occupancy reaches
+// shedThreshold, exited only when it falls to resumeThreshold, so the mode
+// does not flap at the boundary. Level hysteresis alone is not enough under
+// *sustained* overload, though: shed inserts drain the queue in a few
+// job-times, the latch exits, the next admit burst refills it, and the
+// controller flaps at kilohertz — each admit burst stalling same-shard acks
+// behind full-cost encode jobs. OverloadDwell adds hysteresis
 // in time: once entered, overload persists at least the dwell, turning the
 // flapping into long shed stretches punctuated by brief work-conserving
 // probes of the encoder.
 //
 // Fairness. Each tenant (database) owns a token bucket refilled at
-// TenantRate with capacity TenantBurst. Buckets are work-conserving: tokens
-// are consumed whenever available, but an empty bucket only matters during
-// overload — a tenant is never throttled while the server has headroom.
+// TenantRate with capacity 2×TenantRate (at least 8). Buckets are
+// work-conserving: tokens are consumed whenever available, but an empty
+// bucket only matters during overload — a tenant is never throttled while
+// the server has headroom.
 //
-// All methods are safe for concurrent use; Decide and ObserveLatency are on
-// the insert hot path and avoid locks except for a striped per-tenant map.
+// All methods are safe for concurrent use; Decide is on the insert hot path
+// and avoids locks except for a striped per-tenant map.
 package admission
 
 import (
@@ -88,16 +83,6 @@ type Options struct {
 	// bypass dedup encoding and are stored raw.
 	ShedRaw bool
 
-	// ShedThreshold is the encode-queue occupancy (depth/capacity, 0..1)
-	// at which the controller enters overload. Default 0.5.
-	ShedThreshold float64
-	// ResumeThreshold is the occupancy below which overload is exited
-	// (hysteresis). Default ShedThreshold/2.
-	ResumeThreshold float64
-	// ShedLatency, when positive, is the acknowledged-insert latency EWMA
-	// above which the controller enters overload regardless of queue
-	// occupancy. Exit requires the EWMA to fall below half of it.
-	ShedLatency time.Duration
 	// OverloadDwell, when positive, is the minimum time the controller
 	// stays in overload once entered, regardless of how quickly the queue
 	// drains. 0 (the default) exits on the level signals alone.
@@ -108,47 +93,33 @@ type Options struct {
 	// accounting: overload rejections then never happen and protection is
 	// shedding only.
 	TenantRate float64
-	// TenantBurst is the token-bucket capacity (default 2×TenantRate,
-	// minimum 8).
-	TenantBurst float64
-	// MaxTenants bounds the tracked-tenant map (default 16384). When full,
-	// new tenants share the oldest stripe entry's fate: the stripe is
-	// reset, trading historical fairness for bounded memory.
-	MaxTenants int
 }
 
-func (o Options) withDefaults() Options {
-	if o.ShedThreshold <= 0 || o.ShedThreshold > 1 {
-		o.ShedThreshold = 0.5
-	}
-	if o.ResumeThreshold <= 0 || o.ResumeThreshold >= o.ShedThreshold {
-		o.ResumeThreshold = o.ShedThreshold / 2
-	}
-	if o.TenantBurst <= 0 {
-		o.TenantBurst = 2 * o.TenantRate
-		if o.TenantBurst < 8 {
-			o.TenantBurst = 8
-		}
-	}
-	if o.MaxTenants <= 0 {
-		o.MaxTenants = 16384
-	}
-	return o
-}
+const (
+	// shedThreshold is the encode-queue occupancy (depth/capacity) at
+	// which the controller enters overload.
+	shedThreshold = 0.5
+	// resumeThreshold is the occupancy at which overload is exited.
+	resumeThreshold = shedThreshold / 2
+	// maxTenants bounds the tracked-tenant map. When full, a new tenant
+	// resets its stripe, trading historical fairness for bounded memory.
+	maxTenants = 16384
+)
 
 // Controller is the admission-control state machine.
 type Controller struct {
 	opts Options
-	now  func() time.Time // test seam
+	// burst is each tenant bucket's capacity: 2×TenantRate, at least 8.
+	burst float64
+	now   func() time.Time // test seam
 
 	// overloaded is the hysteresis latch; transitions are counted so the
 	// admin page can show mode flapping. enteredAtNano is the clock reading
 	// at the latest enter, gating exit behind OverloadDwell.
-	overloaded      atomic.Bool
-	enteredAtNano   atomic.Int64
-	overloadEnters  metrics.Meter
-	overloadExits   metrics.Meter
-	latencyEWMANano atomic.Int64
+	overloaded     atomic.Bool
+	enteredAtNano  atomic.Int64
+	overloadEnters metrics.Meter
+	overloadExits  metrics.Meter
 
 	// Decision counters. Admitted counts full-workflow admissions, Shed
 	// raw-degraded admissions, Rejected refusals, TenantThrottles the
@@ -181,47 +152,22 @@ func New(opts Options) *Controller {
 	if !opts.Enabled && !opts.ShedRaw {
 		return nil
 	}
-	return &Controller{opts: opts.withDefaults(), now: time.Now}
+	return &Controller{opts: opts, burst: max(2*opts.TenantRate, 8), now: time.Now}
 }
 
 // SetNowFunc replaces the controller's clock (tests).
 func (c *Controller) SetNowFunc(now func() time.Time) { c.now = now }
 
-// Options returns the controller's effective (defaulted) configuration.
-func (c *Controller) Options() Options { return c.opts }
-
-// ObserveLatency feeds one acknowledged-insert latency into the EWMA
-// (α = 1/8, the usual RTT-estimator constant).
-func (c *Controller) ObserveLatency(d time.Duration) {
-	if c == nil || c.opts.ShedLatency <= 0 {
-		return
-	}
-	for {
-		old := c.latencyEWMANano.Load()
-		var next int64
-		if old == 0 {
-			next = int64(d)
-		} else {
-			next = old + (int64(d)-old)/8
-		}
-		if c.latencyEWMANano.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// updateOverload recomputes the hysteresis latch from the current signals
+// updateOverload recomputes the hysteresis latch from the queue occupancy
 // and returns its state.
 func (c *Controller) updateOverload(queueDepth, queueCap int64) bool {
 	occ := 0.0
 	if queueCap > 0 {
 		occ = float64(queueDepth) / float64(queueCap)
 	}
-	ewma := time.Duration(c.latencyEWMANano.Load())
 	cur := c.overloaded.Load()
 	if !cur {
-		if occ >= c.opts.ShedThreshold ||
-			(c.opts.ShedLatency > 0 && ewma >= c.opts.ShedLatency) {
+		if occ >= shedThreshold {
 			if c.overloaded.CompareAndSwap(false, true) {
 				c.enteredAtNano.Store(c.now().UnixNano())
 				c.overloadEnters.Add(1)
@@ -234,8 +180,7 @@ func (c *Controller) updateOverload(queueDepth, queueCap int64) bool {
 		c.now().UnixNano()-c.enteredAtNano.Load() < int64(c.opts.OverloadDwell) {
 		return true
 	}
-	if occ <= c.opts.ResumeThreshold &&
-		(c.opts.ShedLatency <= 0 || ewma <= c.opts.ShedLatency/2) {
+	if occ <= resumeThreshold {
 		if c.overloaded.CompareAndSwap(true, false) {
 			c.overloadExits.Add(1)
 		}
@@ -288,19 +233,17 @@ func (c *Controller) takeToken(tenant string) bool {
 	b := st.buckets[tenant]
 	now := c.now()
 	if b == nil {
-		if len(st.buckets)*tenantStripes >= c.opts.MaxTenants {
+		if len(st.buckets)*tenantStripes >= maxTenants {
 			// Bounded memory beats perfect history: start this stripe over.
 			st.buckets = make(map[string]*bucket)
 		}
-		b = &bucket{tokens: c.opts.TenantBurst, last: now}
+		b = &bucket{tokens: c.burst, last: now}
 		st.buckets[tenant] = b
 	}
 	elapsed := now.Sub(b.last).Seconds()
 	if elapsed > 0 {
 		b.tokens += elapsed * c.opts.TenantRate
-		if b.tokens > c.opts.TenantBurst {
-			b.tokens = c.opts.TenantBurst
-		}
+		b.tokens = min(b.tokens, c.burst)
 		b.last = now
 	}
 	if b.tokens >= 1 {
@@ -332,9 +275,6 @@ type Snapshot struct {
 	Overloaded     bool
 	OverloadEnters int64
 	OverloadExits  int64
-	// LatencyEWMAUS is the acknowledged-insert latency estimate driving
-	// the latency signal (0 when ShedLatency is unset).
-	LatencyEWMAUS int64
 	// Decision counters.
 	Admitted        int64
 	Shed            int64
@@ -355,7 +295,6 @@ func (c *Controller) Snapshot() Snapshot {
 		Overloaded:      c.overloaded.Load(),
 		OverloadEnters:  c.overloadEnters.Total(),
 		OverloadExits:   c.overloadExits.Total(),
-		LatencyEWMAUS:   time.Duration(c.latencyEWMANano.Load()).Microseconds(),
 		Admitted:        c.admitted.Total(),
 		Shed:            c.shed.Total(),
 		Rejected:        c.rejected.Total(),

@@ -5,7 +5,7 @@
 //
 //   - Gear (gear.go) is the chunker. Every node, daemon and harness runs it:
 //     one shift and one byte-indexed table add per byte, no sliding-window
-//     bookkeeping, the sub-MinSize region of every chunk skipped entirely.
+//     bookkeeping, the sub-minSize region of every chunk skipped entirely.
 //
 //   - Rabin (rabin.go) is the reference: the paper's rolling-polynomial
 //     fingerprint chunker. The paper-fidelity experiments and the trad-dedup
@@ -68,14 +68,10 @@ type Config struct {
 	// Algorithm picks the implementation; the zero value is Gear.
 	Algorithm Algorithm
 	// AvgSize is the target average chunk size in bytes. It must be a
-	// power of two >= 2. Defaults to 1024.
+	// power of two >= 2. Defaults to 1024. It fixes the chunk bounds too:
+	// no boundary is declared before AvgSize/4 bytes (minSize), and one is
+	// forced at AvgSize*4 (maxSize).
 	AvgSize int
-	// MinSize suppresses boundaries that would create chunks smaller
-	// than this. Defaults to AvgSize/4 when zero.
-	MinSize int
-	// MaxSize forces a boundary when a chunk reaches this length.
-	// Defaults to AvgSize*4 when zero.
-	MaxSize int
 }
 
 // CheckAvgSize reports whether n is usable as Config.AvgSize: zero (the
@@ -98,20 +94,14 @@ func (cfg Config) withDefaults() Config {
 	if cfg.AvgSize == 0 {
 		cfg.AvgSize = 1024
 	}
-	if cfg.MinSize == 0 {
-		cfg.MinSize = cfg.AvgSize / 4
-	}
-	if cfg.MinSize < 1 {
-		cfg.MinSize = 1
-	}
-	if cfg.MaxSize == 0 {
-		cfg.MaxSize = cfg.AvgSize * 4
-	}
-	if cfg.MinSize > cfg.MaxSize {
-		panic("chunker: MinSize > MaxSize")
-	}
 	return cfg
 }
+
+// minSize is the shortest chunk a boundary may end: AvgSize/4, at least 1.
+func (cfg Config) minSize() int { return max(cfg.AvgSize/4, 1) }
+
+// maxSize is the length at which a boundary is forced: AvgSize*4.
+func (cfg Config) maxSize() int { return cfg.AvgSize * 4 }
 
 // New builds the configured chunker.
 func New(cfg Config) Chunker {

@@ -31,7 +31,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	mustPanic("non-power-of-two", Config{AvgSize: 100})
 	mustPanic("avg too small", Config{AvgSize: 1})
-	mustPanic("min > max", Config{AvgSize: 64, MinSize: 300, MaxSize: 200})
 	for _, alg := range []Algorithm{Rabin, Gear} {
 		if c := New(Config{Algorithm: alg}); c.Algorithm() != alg {
 			t.Errorf("Algorithm() = %v, want %v", c.Algorithm(), alg)
@@ -54,7 +53,7 @@ func TestConfigValidation(t *testing.T) {
 
 // checkCover asserts the chunk-stream contract every implementation must
 // honour: chunks are contiguous, non-empty, cover data exactly, never exceed
-// MaxSize, and only the final chunk may be shorter than MinSize.
+// maxSize, and only the final chunk may be shorter than minSize.
 func checkCover(t *testing.T, chunks []Chunk, n, min, max int) {
 	t.Helper()
 	if n == 0 {
@@ -103,7 +102,7 @@ func TestChunkStreamInvariants(t *testing.T) {
 			c := New(cfg)
 			for i, in := range inputs {
 				chunks := c.Chunks(in, nil)
-				checkCover(t, chunks, len(in), cfg.MinSize, cfg.MaxSize)
+				checkCover(t, chunks, len(in), cfg.minSize(), cfg.maxSize())
 				if t.Failed() {
 					t.Fatalf("alg=%v avg=%d input %d", alg, avg, i)
 				}

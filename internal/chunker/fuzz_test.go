@@ -4,8 +4,8 @@ import "testing"
 
 // FuzzChunkersCover differentially checks both algorithms against the shared
 // chunk-stream contract: for arbitrary input, every implementation must emit
-// contiguous, non-empty chunks that cover the input exactly, respect MaxSize,
-// and fall below MinSize only in the final position.
+// contiguous, non-empty chunks that cover the input exactly, respect maxSize,
+// and fall below minSize only in the final position.
 func FuzzChunkersCover(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte{0})
@@ -42,9 +42,9 @@ func FuzzChunkersCover(f *testing.F) {
 					t.Fatalf("%v/%d: chunk %d offset %d, want %d", u.cfg.Algorithm, u.cfg.AvgSize, i, ch.Offset, off)
 				case ch.Length <= 0:
 					t.Fatalf("%v/%d: chunk %d empty", u.cfg.Algorithm, u.cfg.AvgSize, i)
-				case ch.Length > u.cfg.MaxSize:
+				case ch.Length > u.cfg.maxSize():
 					t.Fatalf("%v/%d: chunk %d length %d > max", u.cfg.Algorithm, u.cfg.AvgSize, i, ch.Length)
-				case ch.Length < u.cfg.MinSize && i != len(chunks)-1:
+				case ch.Length < u.cfg.minSize() && i != len(chunks)-1:
 					t.Fatalf("%v/%d: chunk %d length %d < min and not final", u.cfg.Algorithm, u.cfg.AvgSize, i, ch.Length)
 				}
 				off += ch.Length

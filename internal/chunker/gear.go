@@ -19,7 +19,7 @@ package chunker
 // workloads; see DESIGN.md):
 //
 //   - Skip-ahead with warm-up: no boundary may fire while a chunk is
-//     shorter than MinSize, so the scan starts at the first eligible
+//     shorter than minSize, so the scan starts at the first eligible
 //     boundary position — but the hash register is warmed up over the
 //     64/shift bytes *preceding* it. Without the warm-up the register state
 //     at every position depends on where the chunk started, and one edit
@@ -30,7 +30,7 @@ package chunker
 //     window are still never hashed.
 //
 //   - Adaptive shift: at small chunk sizes the 64-byte forget horizon of a
-//     1-bit shift exceeds MinSize, so no warm-up inside the chunk could
+//     1-bit shift exceeds minSize, so no warm-up inside the chunk could
 //     make decisions start-independent. The shift widens (up to 8) until
 //     the horizon fits: 64 B chunks use shift 4, a 16-byte horizon —
 //     matching the window rabin itself clamps to at that size.
@@ -43,8 +43,8 @@ package chunker
 //     MiB scale they cost up to 10% dedup ratio on fine-grained corpora
 //     (Enron, 64 B) while equal masks hold every fig-series cell within a
 //     few percent of rabin. Equal masks reproduce rabin's geometric size
-//     distribution exactly: same per-byte probability, same MinSize offset,
-//     same MaxSize truncation.
+//     distribution exactly: same per-byte probability, same minSize offset,
+//     same maxSize truncation.
 type gearChunker struct {
 	min    int
 	max    int
@@ -97,30 +97,20 @@ func newGearChunker(cfg Config) *gearChunker {
 	for 1<<(bits+1) <= cfg.AvgSize {
 		bits++
 	}
-	normal := cfg.AvgSize
-	if normal < cfg.MinSize {
-		normal = cfg.MinSize
-	}
-	if normal > cfg.MaxSize {
-		normal = cfg.MaxSize
-	}
-	// Widen the shift until the forget horizon fits inside MinSize, so the
-	// warm-up below can fully determine the register state at the first
-	// eligible boundary.
+	minSize := cfg.minSize()
+	// Widen the shift until the forget horizon fits inside the minimum
+	// chunk size, so the warm-up below can fully determine the register
+	// state at the first eligible boundary.
 	shift := uint(1)
-	for 64/int(shift) > cfg.MinSize && shift < 8 {
+	for 64/int(shift) > minSize && shift < 8 {
 		shift++
 	}
-	warm := 64 / int(shift)
-	if warm > cfg.MinSize {
-		warm = cfg.MinSize
-	}
 	return &gearChunker{
-		min:    cfg.MinSize,
-		max:    cfg.MaxSize,
-		normal: normal,
+		min:    minSize,
+		max:    cfg.maxSize(),
+		normal: cfg.AvgSize,
 		shift:  shift,
-		warm:   warm,
+		warm:   min(64/int(shift), minSize),
 		maskS:  topMask(bits + gearNormalization),
 		maskL:  topMask(bits - gearNormalization),
 	}
@@ -146,7 +136,7 @@ outer:
 			maxEnd = n
 		}
 		// first is the earliest position where a chunk of length >=
-		// MinSize ends. Warm the register up over the preceding window so
+		// minSize ends. Warm the register up over the preceding window so
 		// the state at first — and every later position — depends on
 		// content alone, not on where this chunk happens to start. Bytes
 		// before the warm-up window are never hashed.
@@ -176,7 +166,7 @@ outer:
 				continue outer
 			}
 		}
-		// Either the chunk reached MaxSize (forced boundary) or the input
+		// Either the chunk reached maxSize (forced boundary) or the input
 		// ended (final chunk).
 		dst = append(dst, Chunk{Offset: start, Length: maxEnd - start})
 		start = maxEnd

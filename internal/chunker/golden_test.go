@@ -8,7 +8,7 @@ import "testing"
 // dropping a main package into this directory that prints
 // New(cfg).Chunks(corpus, nil) lengths for each (corpus, alg, avg) pair below.
 //
-// Corpora: subMin = xorshift(10), exactMax64 = xorshift(256) (== MaxSize at
+// Corpora: subMin = xorshift(10), exactMax64 = xorshift(256) (== maxSize at
 // avg 64), zeroRun = 1000 zero bytes (no boundaries fire; forced max-size
 // cuts), rand512 = xorshift(512), rand4K = xorshift(4096).
 var goldenLengths = map[string][]int{

@@ -120,20 +120,17 @@ type rabinChunker struct {
 }
 
 func newRabinChunker(cfg Config) *rabinChunker {
-	// The window is clamped to MinSize so tiny-chunk configurations (the
-	// 64 B chunks in the paper's experiments) still make content-local
-	// boundary decisions.
-	window := rabinWindow
-	if window > cfg.MinSize {
-		window = cfg.MinSize
-	}
+	// The window is clamped to the minimum chunk size so tiny-chunk
+	// configurations (the 64 B chunks in the paper's experiments) still
+	// make content-local boundary decisions.
+	window := min(rabinWindow, cfg.minSize())
 	mask := uint64(cfg.AvgSize - 1)
 	c := &rabinChunker{
 		table:   newRabinTable(window),
 		mask:    mask,
 		pattern: rabinPattern & mask,
-		min:     cfg.MinSize,
-		max:     cfg.MaxSize,
+		min:     cfg.minSize(),
+		max:     cfg.maxSize(),
 	}
 	c.hashers.New = func() interface{} { return c.table.newHasher() }
 	return c

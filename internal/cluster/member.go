@@ -34,12 +34,9 @@ type MemberConfig struct {
 	ReplListen string
 	Oplog      repl.PrimaryOptions
 	// Follow, when set, is the oplog server this member follows from
-	// sequence zero. FollowEpoch is the oplog epoch an earlier session of
-	// the follower saw (0: none); a primary on another epoch answers with a
-	// snapshot instead of entries whose numbers mean nothing here.
-	Follow      string
-	FollowEpoch uint64
-	Follower    repl.Options
+	// sequence zero.
+	Follow   string
+	Follower repl.Options
 }
 
 // Member is a running process. Oplog and Follower are nil for what the
@@ -87,7 +84,7 @@ func StartMember(cfg MemberConfig) (*Member, error) {
 	}
 	if cfg.Follow != "" {
 		cfg.Follower.Network = cfg.Network
-		if m.Follower, err = repl.ConnectWithOptions(n, cfg.Follow, 0, cfg.FollowEpoch, cfg.Follower); err != nil {
+		if m.Follower, err = repl.ConnectWithOptions(n, cfg.Follow, cfg.Follower); err != nil {
 			return fail("following "+cfg.Follow, err)
 		}
 	}

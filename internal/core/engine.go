@@ -115,9 +115,6 @@ type Config struct {
 
 	// Size filter settings (§3.4.2).
 	DisableSizeFilter bool
-	// FilterUpdateEvery re-estimates the cut-off after this many inserts
-	// (default 1000).
-	FilterUpdateEvery int
 }
 
 const (
@@ -130,6 +127,9 @@ const (
 	// filterPercentile is the record-size percentile used as the dedup
 	// cut-off (§3.4.2): skip the smallest 40%.
 	filterPercentile = 0.40
+	// filterUpdateEvery is how many inserts the size filter sees between
+	// re-estimates of its cut-off.
+	filterUpdateEvery = 1000
 )
 
 func (c Config) withDefaults() Config {
@@ -158,9 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GovernorWindow == 0 {
 		c.GovernorWindow = 100000
-	}
-	if c.FilterUpdateEvery == 0 {
-		c.FilterUpdateEvery = 1000
 	}
 	return c
 }
@@ -379,7 +376,7 @@ func (e *Engine) db(name string) *dbState {
 	}
 	st = &dbState{
 		index:    e.newIndexPartition(),
-		sizeRing: make([]int, 0, e.cfg.FilterUpdateEvery),
+		sizeRing: make([]int, 0, filterUpdateEvery),
 		chains:   make(map[uint64]*chainState),
 	}
 	e.dbs[name] = st
@@ -781,7 +778,7 @@ func (e *Engine) sizeFilterLocked(st *dbState, n int) bool {
 		return n < minDedupRecordBytes
 	}
 	st.sizeRing = append(st.sizeRing, n)
-	if len(st.sizeRing) >= e.cfg.FilterUpdateEvery {
+	if len(st.sizeRing) >= filterUpdateEvery {
 		sorted := append([]int(nil), st.sizeRing...)
 		sort.Ints(sorted)
 		st.threshold = sorted[int(float64(len(sorted))*filterPercentile)]

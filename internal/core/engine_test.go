@@ -189,17 +189,18 @@ func TestVersionJumpReferenceVersionsStayRaw(t *testing.T) {
 }
 
 func TestSizeFilterSkipsSmallRecords(t *testing.T) {
-	e, _ := newTestEngine(Config{FilterUpdateEvery: 100})
+	e, f := newTestEngine(Config{})
 	rng := rand.New(rand.NewSource(6))
-	// Feed 100 records, 30% small / 70% large, so the 40th-percentile
-	// cut-off lands between the modes.
+	// Feed one estimation window of records, 30% small / 70% large, so the
+	// 40th-percentile cut-off lands between the modes.
 	id := uint64(1)
-	for i := 0; i < 100; i++ {
+	for i := 0; i < filterUpdateEvery; i++ {
 		n := 100
 		if i%10 >= 3 {
 			n = 4000
 		}
-		if _, err := e.Encode("db", id, workload.RevisionText(rng, n)); err != nil {
+		f.contents[id] = workload.RevisionText(rng, n)
+		if _, err := e.Encode("db", id, f.contents[id]); err != nil {
 			t.Fatal(err)
 		}
 		id++

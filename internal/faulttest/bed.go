@@ -421,12 +421,10 @@ func (b *bed) settle() bool {
 		}
 	}
 	if b.row.follows && b.follower.Member == nil {
-		// No follower outlived the writer, so a new one meets the restarted
-		// primary. The recovered oplog is a new epoch that does not reach
-		// back to what the store holds; a cursor from any other epoch (this
-		// one is never the primary's own and never zero) is exactly the
-		// post-crash situation, and it is answered with a snapshot.
-		b.follower.cfg.FollowEpoch = ^m0.Node.Oplog().Epoch() | 1
+		// No follower outlived the writer, so a new one, with no cursor,
+		// meets the restarted primary, as a `dbdedupd -follow` started now
+		// would. The recovered oplog does not reach back to what the store
+		// holds, so the primary answers it with a snapshot.
 		if !b.up(b.follower) {
 			return false
 		}

@@ -13,7 +13,7 @@
 // depends on the index (unlike exact dedup, which must store full
 // collision-resistant hashes).
 //
-// The table is sized on demand: it starts at InitialEntries and doubles —
+// The table is sized on demand: it starts at initialEntries and doubles —
 // rehashing in place — whenever occupancy approaches the allocation, up to
 // CapacityEntries. Entries keep the feature value alongside the 2-byte
 // checksum so their candidate buckets can be recomputed under the wider
@@ -43,30 +43,32 @@ type Ref = uint32
 // this size, matching the paper's index-memory measurements.
 const EntryBytes = 6
 
-// Config controls index geometry.
+// The index geometry is fixed (paper §3.1.2: d hash functions, multi-entry
+// buckets, a bounded candidate list); only the capacity and the seed vary.
+const (
+	// bucketEntries is the number of entries per bucket.
+	bucketEntries = 4
+	// numHashes is the number of cuckoo hash functions. Displaced entries
+	// are never relocated cuckoo-style; the index instead relies on
+	// several hash functions and LRU eviction.
+	numHashes = 8
+	// MaxCandidates caps how many matching records a single feature
+	// lookup may return; past it the search terminates and the
+	// least-recently-used matching entry is evicted (paper §3.1.2). The
+	// tiered index applies the same cap across both of its tiers.
+	MaxCandidates = 8
+	// initialEntries is the allocation an index starts at (or its
+	// capacity, if smaller): small indexes are fully allocated up front.
+	initialEntries = 1 << 13
+)
+
+// Config sizes an index.
 type Config struct {
 	// CapacityEntries is the total number of entries the index can hold.
 	// It is rounded so the bucket count is a power of two. Once full, the
 	// least-recently-used entry among an insert's candidate buckets is
 	// evicted. Defaults to 1<<20.
 	CapacityEntries int
-	// InitialEntries is the allocation the index starts at; the table
-	// doubles (rehashing its entries) whenever occupancy crosses
-	// growFraction of the allocation, until it reaches CapacityEntries.
-	// Defaults to min(CapacityEntries, 1<<13), so small indexes are fully
-	// allocated up front and behave exactly like the pre-growth design.
-	InitialEntries int
-	// BucketEntries is the number of entries per bucket. Defaults to 4.
-	BucketEntries int
-	// NumHashes is the number of cuckoo hash functions. Displaced entries
-	// are never relocated cuckoo-style; the index instead relies on
-	// several hash functions and LRU eviction. Defaults to 8.
-	NumHashes int
-	// MaxCandidates caps how many matching records a single feature
-	// lookup may return; past it the search terminates and the
-	// least-recently-used matching entry is evicted (paper §3.1.2).
-	// Defaults to 8.
-	MaxCandidates int
 	// Seed derives the hash functions.
 	Seed uint64
 }
@@ -103,12 +105,8 @@ type entry struct {
 type Index struct {
 	buckets    [][]entry
 	bucketMask uint32
-	bucketEnts int
 	maxBuckets int
-	capEntries int
 	growAt     int // occupancy that triggers the next doubling
-	numHashes  int
-	maxCand    int
 	seed       uint64
 	clock      uint32
 	occupied   int
@@ -123,35 +121,9 @@ func New(cfg Config) *Index {
 	if cfg.CapacityEntries <= 0 {
 		cfg.CapacityEntries = 1 << 20
 	}
-	if cfg.BucketEntries <= 0 {
-		cfg.BucketEntries = 4
-	}
-	if cfg.NumHashes <= 0 {
-		cfg.NumHashes = 8
-	}
-	if cfg.MaxCandidates <= 0 {
-		cfg.MaxCandidates = 8
-	}
-	if cfg.InitialEntries <= 0 {
-		cfg.InitialEntries = 1 << 13
-	}
-	if cfg.InitialEntries > cfg.CapacityEntries {
-		cfg.InitialEntries = cfg.CapacityEntries
-	}
-	nb := nextPow2(cfg.InitialEntries / cfg.BucketEntries)
-	if nb < 2 {
-		nb = 2
-	}
-	maxBuckets := nextPow2(cfg.CapacityEntries / cfg.BucketEntries)
-	if maxBuckets < nb {
-		maxBuckets = nb
-	}
+	nb := max(nextPow2(min(initialEntries, cfg.CapacityEntries)/bucketEntries), 2)
 	ix := &Index{
-		bucketEnts: cfg.BucketEntries,
-		maxBuckets: maxBuckets,
-		capEntries: cfg.CapacityEntries,
-		numHashes:  cfg.NumHashes,
-		maxCand:    cfg.MaxCandidates,
+		maxBuckets: max(nextPow2(cfg.CapacityEntries/bucketEntries), nb),
 		seed:       cfg.Seed,
 	}
 	ix.setTable(ix.newTable(nb), nb)
@@ -160,9 +132,9 @@ func New(cfg Config) *Index {
 
 func (ix *Index) newTable(nb int) [][]entry {
 	buckets := make([][]entry, nb)
-	backing := make([]entry, nb*ix.bucketEnts)
+	backing := make([]entry, nb*bucketEntries)
 	for i := range buckets {
-		buckets[i], backing = backing[:ix.bucketEnts:ix.bucketEnts], backing[ix.bucketEnts:]
+		buckets[i], backing = backing[:bucketEntries:bucketEntries], backing[bucketEntries:]
 	}
 	return buckets
 }
@@ -171,7 +143,7 @@ func (ix *Index) setTable(buckets [][]entry, nb int) {
 	ix.buckets = buckets
 	ix.bucketMask = uint32(nb - 1)
 	if nb < ix.maxBuckets {
-		ix.growAt = int(growFraction * float64(nb*ix.bucketEnts))
+		ix.growAt = int(growFraction * float64(nb*bucketEntries))
 	} else {
 		ix.growAt = int(^uint(0) >> 1) // at capacity: never grow again
 	}
@@ -222,7 +194,7 @@ func (ix *Index) grow() {
 func (ix *Index) place(e entry) {
 	var lruB, lruE int
 	lruTick := uint32(1<<32 - 1)
-	for i := 0; i < ix.numHashes; i++ {
+	for i := 0; i < numHashes; i++ {
 		bi := ix.hash(e.feat, i)
 		bucket := ix.buckets[bi]
 		for ei := range bucket {
@@ -272,7 +244,7 @@ func (ix *Index) LookupInsert(f sketch.Feature, ref Ref) []Ref {
 
 	truncated := false
 scan:
-	for i := 0; i < ix.numHashes; i++ {
+	for i := 0; i < numHashes; i++ {
 		bi := ix.hash(f, i)
 		bucket := ix.buckets[bi]
 		for ei := range bucket {
@@ -299,7 +271,7 @@ scan:
 				if lruMatchB < 0 || prev < lruMatchTick {
 					lruMatchTick, lruMatchB, lruMatchE = prev, int(bi), ei
 				}
-				if len(out) >= ix.maxCand {
+				if len(out) >= MaxCandidates {
 					truncated = true
 					break scan
 				}
@@ -334,7 +306,7 @@ func (ix *Index) Lookup(f sketch.Feature) []Ref {
 	ix.clock++
 	sum := checksumOf(f)
 	var out []Ref
-	for i := 0; i < ix.numHashes; i++ {
+	for i := 0; i < numHashes; i++ {
 		bucket := ix.buckets[ix.hash(f, i)]
 		for ei := range bucket {
 			e := &bucket[ei]
@@ -344,7 +316,7 @@ func (ix *Index) Lookup(f sketch.Feature) []Ref {
 			if e.checksum == sum {
 				e.tick = ix.clock
 				out = append(out, e.ref)
-				if len(out) >= ix.maxCand {
+				if len(out) >= MaxCandidates {
 					return out
 				}
 			}
@@ -364,13 +336,13 @@ func (ix *Index) MemoryBytes() int64 { return int64(ix.occupied) * EntryBytes }
 // CapacityBytes returns the design-size memory of the fully *grown* table —
 // the configured bound, not the current (possibly smaller) allocation.
 func (ix *Index) CapacityBytes() int64 {
-	return int64(ix.maxBuckets*ix.bucketEnts) * EntryBytes
+	return int64(ix.maxBuckets*bucketEntries) * EntryBytes
 }
 
 // AllocatedEntries reports the current table allocation in entries; it starts
-// at InitialEntries and doubles toward CapacityEntries as occupancy rises.
+// at initialEntries and doubles toward CapacityEntries as occupancy rises.
 func (ix *Index) AllocatedEntries() int {
-	return (int(ix.bucketMask) + 1) * ix.bucketEnts
+	return (int(ix.bucketMask) + 1) * bucketEntries
 }
 
 // Stats reports lookup counters since construction.

@@ -43,23 +43,23 @@ func TestDistinctFeaturesDoNotMatch(t *testing.T) {
 }
 
 func TestMaxCandidatesTerminatesSearch(t *testing.T) {
-	ix := New(Config{CapacityEntries: 1 << 12, MaxCandidates: 3, BucketEntries: 8})
+	ix := New(Config{CapacityEntries: 1 << 12})
 	f := sketch.Feature(42)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 3*MaxCandidates; i++ {
 		got := ix.LookupInsert(f, Ref(i))
-		if len(got) > 3 {
-			t.Fatalf("insert %d returned %d candidates, cap is 3", i, len(got))
+		if want := min(i, MaxCandidates); len(got) != want {
+			t.Fatalf("insert %d returned %d candidates, want %d (cap %d)", i, len(got), want, MaxCandidates)
 		}
 	}
-	if got := ix.Lookup(f); len(got) > 3 {
-		t.Fatalf("Lookup returned %d candidates, cap is 3", len(got))
+	if got := ix.Lookup(f); len(got) != MaxCandidates {
+		t.Fatalf("Lookup returned %d candidates, cap is %d", len(got), MaxCandidates)
 	}
 }
 
 func TestEvictionWhenFull(t *testing.T) {
 	// A tiny index must keep working under pressure, evicting LRU entries
 	// rather than failing.
-	ix := New(Config{CapacityEntries: 64, BucketEntries: 2, NumHashes: 2})
+	ix := New(Config{CapacityEntries: 64})
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 10000; i++ {
 		ix.LookupInsert(sketch.Feature(rng.Uint64()), Ref(i))
@@ -76,7 +76,7 @@ func TestEvictionWhenFull(t *testing.T) {
 func TestRecentEntriesSurviveEviction(t *testing.T) {
 	// LRU behaviour: after heavy churn, a feature inserted at the very
 	// end should still be findable.
-	ix := New(Config{CapacityEntries: 256, BucketEntries: 4, NumHashes: 2})
+	ix := New(Config{CapacityEntries: 256})
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 5000; i++ {
 		ix.LookupInsert(sketch.Feature(rng.Uint64()), Ref(i))
@@ -113,10 +113,10 @@ func TestMemoryAccounting(t *testing.T) {
 }
 
 func TestHighLoadFactor(t *testing.T) {
-	// With the default number of hash functions and 4-entry buckets the
-	// index should reach a high load factor before evictions begin.
+	// With 8 hash functions and 4-entry buckets the index should reach a
+	// high load factor before evictions begin.
 	cap := 1 << 12
-	ix := New(Config{CapacityEntries: cap, BucketEntries: 4})
+	ix := New(Config{CapacityEntries: cap})
 	rng := rand.New(rand.NewSource(5))
 	inserted := 0
 	for {
@@ -152,20 +152,21 @@ func TestDefaults(t *testing.T) {
 // equally recent and the truncated path always evicted the first match
 // scanned — even when a later-scanned match was strictly colder.
 //
-// The scenario engineers a tick skew between two checksum-equal entries in
-// different buckets of the same feature's candidate list:
+// The scenario engineers a tick skew between checksum-equal entries in two
+// buckets of the same feature's candidate list:
 //
-//	h            → bucket A (different checksum; occupies A slot 0)
-//	f            → buckets A, B
-//	g (sum == f) → buckets A, D
+//	f            → buckets A, B, ...
+//	g (sum == f) → buckets A, D, ...
 //
-// Inserting f twice lands its entries at A1 and B0; an insert of g then
-// refreshes only A1 (g never scans B). The next insert of f truncates at
-// MaxCandidates=2 and must evict the colder B0 entry — the old code evicted
-// the freshly-touched A1 entry instead.
+// MaxCandidates inserts of f fill A (refs 1-4) and B (refs 5-8); an insert
+// of g then refreshes only A (its scan goes on to the empty D, never B). The
+// next insert of f truncates at MaxCandidates and must evict a colder B
+// entry; the old code evicted the freshly-touched ref 1 in A instead.
 func TestTruncatedEvictionPicksLRUMatch(t *testing.T) {
-	cfg := Config{CapacityEntries: 64, BucketEntries: 2, NumHashes: 2, MaxCandidates: 2}
-	ix := New(cfg)
+	if MaxCandidates != 2*bucketEntries {
+		t.Fatalf("scenario assumes MaxCandidates (%d) fills two buckets of %d", MaxCandidates, bucketEntries)
+	}
+	ix := New(Config{CapacityEntries: 64})
 	rng := rand.New(rand.NewSource(11))
 
 	var f sketch.Feature
@@ -196,24 +197,15 @@ func TestTruncatedEvictionPicksLRUMatch(t *testing.T) {
 		}
 	}
 
-	// h: lands in bucket A first, without matching f's checksum.
-	var h sketch.Feature
-	for {
-		h = sketch.Feature(rng.Uint64())
-		if h != f && h != g && ix.hash(h, 0) == bktA && checksumOf(h) != sum {
-			break
-		}
+	for r := Ref(1); r <= MaxCandidates; r++ {
+		ix.LookupInsert(f, r) // A gets refs 1-4, B refs 5-8
 	}
+	ix.LookupInsert(g, 50) // refreshes A only, lands in D
 
-	ix.LookupInsert(h, 100) // A0 = filler
-	ix.LookupInsert(f, 1)   // A1 = ref 1
-	ix.LookupInsert(f, 2)   // B0 = ref 2 (A full)
-	ix.LookupInsert(g, 50)  // refreshes A1 only, lands in D
-
-	// Truncated insert: scans A1 (fresh) then B0 (cold) and must evict B0.
-	got := ix.LookupInsert(f, 3)
-	if len(got) != 2 {
-		t.Fatalf("truncated insert returned %v, want 2 candidates", got)
+	// Truncated insert: scans A (fresh) then B (cold) and must evict in B.
+	got := ix.LookupInsert(f, 99)
+	if len(got) != MaxCandidates {
+		t.Fatalf("truncated insert returned %v, want %d candidates", got, MaxCandidates)
 	}
 	after := ix.Lookup(f)
 	seen := map[Ref]bool{}
@@ -223,8 +215,8 @@ func TestTruncatedEvictionPicksLRUMatch(t *testing.T) {
 	if !seen[1] {
 		t.Errorf("recently-touched ref 1 was evicted; Lookup = %v (LRU-match eviction regressed)", after)
 	}
-	if seen[2] {
-		t.Errorf("least-recently-used ref 2 survived eviction; Lookup = %v", after)
+	if !seen[99] || seen[5] {
+		t.Errorf("want the first least-recently-used ref (5) replaced by 99; Lookup = %v", after)
 	}
 }
 
@@ -232,19 +224,20 @@ func TestTruncatedEvictionPicksLRUMatch(t *testing.T) {
 // truncated-eviction path: the evicting insert overwrites a matching slot, so
 // occupancy must not move while the eviction counter does.
 func TestOccupancyAcrossTruncatedEviction(t *testing.T) {
-	ix := New(Config{CapacityEntries: 1 << 10, BucketEntries: 8, MaxCandidates: 2})
+	ix := New(Config{CapacityEntries: 1 << 10})
 	f := sketch.Feature(0xfeedface)
-	ix.LookupInsert(f, 1)
-	ix.LookupInsert(f, 2)
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d after two inserts, want 2", ix.Len())
+	for r := Ref(1); r <= MaxCandidates; r++ {
+		ix.LookupInsert(f, r)
 	}
-	got := ix.LookupInsert(f, 3) // truncates: 2 matches = MaxCandidates
-	if len(got) != 2 {
-		t.Fatalf("third insert returned %v, want 2 candidates", got)
+	if ix.Len() != MaxCandidates {
+		t.Fatalf("Len = %d after %d inserts, want %[2]d", ix.Len(), MaxCandidates)
 	}
-	if ix.Len() != 2 {
-		t.Errorf("Len = %d after truncated eviction, want 2 (overwrite, not growth)", ix.Len())
+	got := ix.LookupInsert(f, 99) // truncates: MaxCandidates matches
+	if len(got) != MaxCandidates {
+		t.Fatalf("truncating insert returned %v, want %d candidates", got, MaxCandidates)
+	}
+	if ix.Len() != MaxCandidates {
+		t.Errorf("Len = %d after truncated eviction, want %d (overwrite, not growth)", ix.Len(), MaxCandidates)
 	}
 	if got := ix.MemoryBytes(); got != int64(ix.Len())*EntryBytes {
 		t.Errorf("MemoryBytes = %d, want Len*EntryBytes = %d", got, ix.Len()*EntryBytes)
@@ -260,7 +253,7 @@ func TestOccupancyAcrossTruncatedEviction(t *testing.T) {
 // holds because every LookupInsert writes its entry exactly one way: into a
 // free slot (occupancy grows) or over a victim (an eviction).
 func TestOccupancyAcrossFullBucketEviction(t *testing.T) {
-	ix := New(Config{CapacityEntries: 32, BucketEntries: 2, NumHashes: 2})
+	ix := New(Config{CapacityEntries: 32})
 	rng := rand.New(rand.NewSource(12))
 	inserts := uint64(0)
 	for i := 0; i < 4000; i++ {
@@ -310,22 +303,22 @@ func TestStatsCountersMatchObserved(t *testing.T) {
 }
 
 // TestGrowthStartsSmallAndDoubles pins the demand-grown allocation: a
-// large-capacity index starts at InitialEntries and doubles as occupancy
+// large-capacity index starts at initialEntries and doubles as occupancy
 // crosses the growth fraction, never exceeding the configured capacity.
 func TestGrowthStartsSmallAndDoubles(t *testing.T) {
-	ix := New(Config{CapacityEntries: 1 << 16, InitialEntries: 1 << 10})
-	if got := ix.AllocatedEntries(); got != 1<<10 {
-		t.Fatalf("initial allocation = %d entries, want %d", got, 1<<10)
+	ix := New(Config{CapacityEntries: 1 << 18})
+	if got := ix.AllocatedEntries(); got != initialEntries {
+		t.Fatalf("initial allocation = %d entries, want %d", got, initialEntries)
 	}
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 1<<15; i++ {
 		ix.LookupInsert(sketch.Feature(rng.Uint64()), Ref(i))
 	}
-	if got := ix.AllocatedEntries(); got <= 1<<10 {
+	if got := ix.AllocatedEntries(); got <= initialEntries {
 		t.Fatalf("allocation stayed at %d entries after %d inserts", got, 1<<15)
 	}
-	if got := ix.AllocatedEntries(); got > 1<<16 {
-		t.Fatalf("allocation %d exceeds capacity %d", got, 1<<16)
+	if got := ix.AllocatedEntries(); got > 1<<18 {
+		t.Fatalf("allocation %d exceeds capacity %d", got, 1<<18)
 	}
 	// Occupancy always stays below the growth trigger of the allocation.
 	if ix.Len() >= ix.growAt {
@@ -337,7 +330,7 @@ func TestGrowthStartsSmallAndDoubles(t *testing.T) {
 // similarity state: features inserted before several doublings are still
 // findable afterwards.
 func TestGrowthPreservesEntries(t *testing.T) {
-	ix := New(Config{CapacityEntries: 1 << 16, InitialEntries: 1 << 10})
+	ix := New(Config{CapacityEntries: 1 << 18})
 	rng := rand.New(rand.NewSource(22))
 	early := make([]sketch.Feature, 256)
 	for i := range early {
@@ -345,7 +338,7 @@ func TestGrowthPreservesEntries(t *testing.T) {
 		ix.LookupInsert(early[i], Ref(i))
 	}
 	grew := 0
-	for i := 0; i < 1<<14; i++ {
+	for i := 0; i < 1<<15; i++ {
 		before := ix.AllocatedEntries()
 		ix.LookupInsert(sketch.Feature(rng.Uint64()), Ref(1000+i))
 		if ix.AllocatedEntries() != before {
@@ -378,15 +371,15 @@ func TestGrowthPreservesEntries(t *testing.T) {
 // checks the allocation parks at the configured bound with LRU eviction
 // taking over (the pre-growth behaviour).
 func TestGrowthNeverExceedsCapacity(t *testing.T) {
-	ix := New(Config{CapacityEntries: 1 << 12, InitialEntries: 1 << 8})
+	ix := New(Config{CapacityEntries: 2 * initialEntries})
 	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 1<<14; i++ {
+	for i := 0; i < 8*initialEntries; i++ {
 		ix.LookupInsert(sketch.Feature(rng.Uint64()), Ref(i))
 	}
-	if got, want := ix.AllocatedEntries(), 1<<12; got != want {
+	if got, want := ix.AllocatedEntries(), 2*initialEntries; got != want {
 		t.Fatalf("allocation = %d, want parked at capacity %d", got, want)
 	}
-	if ix.Len() > 1<<12 {
+	if ix.Len() > 2*initialEntries {
 		t.Fatalf("occupied %d exceeds capacity", ix.Len())
 	}
 	if _, _, ev := ix.Stats(); ev == 0 {

@@ -19,8 +19,8 @@
 // probes never touch disk (LSHBloom's per-band-filter trick; the LSM
 // negative-lookup pattern), and periodically merges runs to bound their
 // count. Probes merge hot-tier candidates with Bloom-passing cold-run
-// candidates, newest first, under the same MaxCandidates cap the cuckoo index
-// enforces.
+// candidates, newest first, under the cuckoo index's own featidx.MaxCandidates
+// cap.
 //
 // Memory model under a fixed budget B: the hot tier (cuckoo table + pending
 // log) gets B/2 and the Bloom filters get B/4 as a target; as the cold tier
@@ -75,16 +75,6 @@ type Config struct {
 	// FS is the filesystem seam for cold runs. Nil selects the OS FS when
 	// Dir is set and a private MemFS otherwise.
 	FS faultfs.FS
-	// MaxCandidates caps candidates per probe across both tiers.
-	// Defaults to 8, matching featidx.
-	MaxCandidates int
-	// MaxDiskRuns is the disk-run count that triggers a merge pass.
-	// Defaults to 8.
-	MaxDiskRuns int
-	// MaxResidentRuns bounds frozen-but-unwritten runs kept in memory
-	// when the disk persistently fails (default 4; beyond it the oldest
-	// is dropped — recall loss, not correctness loss).
-	MaxResidentRuns int
 	// Seed derives the hot tier's hash functions and the Bloom hashes.
 	Seed uint64
 }
@@ -94,16 +84,16 @@ type Config struct {
 // budget).
 const bloomBitsPerEntry = 6
 
+const (
+	// maxDiskRuns is the disk-run count that triggers a merge pass.
+	maxDiskRuns = 8
+	// maxResidentRuns bounds frozen-but-unwritten runs kept in memory when
+	// the disk persistently fails; beyond it the oldest is dropped (recall
+	// loss, not correctness loss).
+	maxResidentRuns = 4
+)
+
 func (c Config) withDefaults() Config {
-	if c.MaxCandidates <= 0 {
-		c.MaxCandidates = 8
-	}
-	if c.MaxDiskRuns <= 0 {
-		c.MaxDiskRuns = 8
-	}
-	if c.MaxResidentRuns <= 0 {
-		c.MaxResidentRuns = 4
-	}
 	if c.FS == nil && c.BudgetBytes > 0 {
 		if c.Dir != "" {
 			c.FS = faultfs.DefaultFS
@@ -181,7 +171,6 @@ func New(cfg Config) *TieredIndex {
 	}
 	t.hot = featidx.New(featidx.Config{
 		CapacityEntries: hotEntries,
-		MaxCandidates:   cfg.MaxCandidates,
 		Seed:            cfg.Seed,
 	})
 	return t
@@ -208,11 +197,11 @@ func (t *TieredIndex) LookupInsert(f sketch.Feature, ref featidx.Ref) []featidx.
 	hotMatches := len(out)
 	key := foldKey(f)
 
-	if len(out) < t.cfg.MaxCandidates {
+	if len(out) < featidx.MaxCandidates {
 		out = t.probePending(key, out)
 	}
 	t.log = append(t.log, rec{key: key, ref: ref})
-	if len(out) < t.cfg.MaxCandidates {
+	if len(out) < featidx.MaxCandidates {
 		out = t.probeCold(key, out)
 	} else {
 		t.truncatedByBudget++
@@ -229,10 +218,10 @@ func (t *TieredIndex) LookupInsert(f sketch.Feature, ref featidx.Ref) []featidx.
 func (t *TieredIndex) Lookup(f sketch.Feature) []featidx.Ref {
 	out := t.hot.Lookup(f)
 	key := foldKey(f)
-	if len(out) < t.cfg.MaxCandidates {
+	if len(out) < featidx.MaxCandidates {
 		out = t.probePending(key, out)
 	}
-	if len(out) < t.cfg.MaxCandidates {
+	if len(out) < featidx.MaxCandidates {
 		out = t.probeCold(key, out)
 	}
 	return out
@@ -252,7 +241,7 @@ func (t *TieredIndex) probePending(key uint32, out []featidx.Ref) []featidx.Ref 
 	if lo < 0 {
 		lo = 0
 	}
-	for i := len(t.log) - 1; i >= lo && len(out) < t.cfg.MaxCandidates; i-- {
+	for i := len(t.log) - 1; i >= lo && len(out) < featidx.MaxCandidates; i-- {
 		if t.log[i].key == key && !containsRef(out, t.log[i].ref) {
 			out = append(out, t.log[i].ref)
 		}
@@ -265,7 +254,7 @@ func (t *TieredIndex) probePending(key uint32, out []featidx.Ref) []featidx.Ref 
 func (t *TieredIndex) probeCold(key uint32, out []featidx.Ref) []featidx.Ref {
 	tbl := t.table.Load()
 	for _, r := range tbl.runs {
-		if len(out) >= t.cfg.MaxCandidates {
+		if len(out) >= featidx.MaxCandidates {
 			break
 		}
 		if r.filter != nil {
@@ -286,7 +275,7 @@ func (t *TieredIndex) probeCold(key uint32, out []featidx.Ref) []featidx.Ref {
 				out = append(out, ref)
 				t.coldMatches++
 			}
-			return len(out) < t.cfg.MaxCandidates
+			return len(out) < featidx.MaxCandidates
 		})
 		r.unpin()
 		if !ok {
@@ -336,7 +325,7 @@ func (t *TieredIndex) freezeGeneration() {
 	// Disk gone for good? Shed the oldest resident run rather than let
 	// "bounded" memory grow without bound.
 	var dropped *run
-	if len(t.pending) > t.cfg.MaxResidentRuns {
+	if len(t.pending) > maxResidentRuns {
 		dropped = t.pending[0]
 		t.pending = append([]*run(nil), t.pending[1:]...)
 		t.droppedRuns.Add(1)
@@ -368,7 +357,7 @@ func (t *TieredIndex) publishLocked(rebuild func([]*run) []*run) {
 
 // Maintain performs deferred cold-tier work: writing frozen resident runs to
 // disk (with their Bloom filters) and merging disk runs once they exceed
-// MaxDiskRuns. It synchronises internally and must be called WITHOUT the
+// maxDiskRuns. It synchronises internally and must be called WITHOUT the
 // external database lock; the engine invokes it after releasing the
 // per-database mutex so this I/O never stalls encodes. Returns the first
 // error encountered (also counted in the snapshot); every failure mode
@@ -496,7 +485,7 @@ func (t *TieredIndex) swapRun(old, new_ *run) {
 }
 
 // mergeRuns k-way-merges all disk runs into one once their count exceeds
-// MaxDiskRuns, rebuilding the Bloom filter at a per-entry width the filter
+// maxDiskRuns, rebuilding the Bloom filter at a per-entry width the filter
 // budget can afford. Caller holds maintMu, so the set of disk runs is stable
 // (probes never mutate the table; freezes only prepend resident runs).
 func (t *TieredIndex) mergeRuns() error {
@@ -507,7 +496,7 @@ func (t *TieredIndex) mergeRuns() error {
 			disk = append(disk, r)
 		}
 	}
-	if len(disk) <= t.cfg.MaxDiskRuns {
+	if len(disk) <= maxDiskRuns {
 		return nil
 	}
 

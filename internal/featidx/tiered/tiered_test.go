@@ -96,10 +96,10 @@ func TestColdTierRecall(t *testing.T) {
 }
 
 // TestMergeBoundsRunCount checks that maintenance merges disk runs once they
-// exceed MaxDiskRuns and that merged data stays findable.
+// exceed maxDiskRuns and that merged data stays findable.
 func TestMergeBoundsRunCount(t *testing.T) {
-	ti := New(Config{BudgetBytes: budgetFor(64), MaxDiskRuns: 3})
-	const n = 64 * 20
+	ti := New(Config{BudgetBytes: budgetFor(64)})
+	const n = 64 * 5 * maxDiskRuns
 	for i := 0; i < n; i++ {
 		ti.LookupInsert(sketch.Feature(i+1), featidx.Ref(i))
 		if i%64 == 63 {
@@ -115,8 +115,8 @@ func TestMergeBoundsRunCount(t *testing.T) {
 	if s.Merges == 0 {
 		t.Fatalf("no merges after %d freezes: %+v", s.Freezes, s)
 	}
-	if s.ColdRuns > 4 {
-		t.Errorf("ColdRuns = %d after merging with MaxDiskRuns=3", s.ColdRuns)
+	if s.ColdRuns > maxDiskRuns+1 {
+		t.Errorf("ColdRuns = %d after merging with maxDiskRuns=%d", s.ColdRuns, maxDiskRuns)
 	}
 	// The oldest features live in the merged run; they must survive.
 	for _, i := range []int{0, 1, 100, 500} {
@@ -249,8 +249,8 @@ func TestFreezeFailureKeepsRunsResident(t *testing.T) {
 func TestPersistentFailureShedsOldestRun(t *testing.T) {
 	fs := &flakyFS{FS: faultfs.NewMemFS()}
 	fs.setFail(true)
-	ti := New(Config{BudgetBytes: budgetFor(64), Dir: "idx", FS: fs, MaxResidentRuns: 2})
-	for i := 0; i < 64*6; i++ {
+	ti := New(Config{BudgetBytes: budgetFor(64), Dir: "idx", FS: fs})
+	for i := 0; i < 64*(maxResidentRuns+4); i++ {
 		ti.LookupInsert(sketch.Feature(i+1), featidx.Ref(i))
 		if i%64 == 63 {
 			ti.Maintain() // fails; keeps runs resident
@@ -260,8 +260,8 @@ func TestPersistentFailureShedsOldestRun(t *testing.T) {
 	if s.DroppedRuns == 0 {
 		t.Fatalf("no runs dropped under persistent failure: %+v", s)
 	}
-	if s.ResidentRuns > 2 {
-		t.Errorf("ResidentRuns = %d exceeds MaxResidentRuns=2", s.ResidentRuns)
+	if s.ResidentRuns > maxResidentRuns {
+		t.Errorf("ResidentRuns = %d exceeds maxResidentRuns=%d", s.ResidentRuns, maxResidentRuns)
 	}
 	if got := ti.MemoryBytes(); got > 3*ti.CapacityBytes() {
 		t.Errorf("memory %d unbounded under persistent disk failure (budget %d)", got, ti.CapacityBytes())
@@ -430,7 +430,7 @@ func TestNoBudgetIsTheHotIndex(t *testing.T) {
 // lock (the engine's discipline) while another runs Maintain and a third
 // reads MemoryBytes/Snapshot under the same external lock.
 func TestConcurrentProbesAndMaintenance(t *testing.T) {
-	ti := New(Config{BudgetBytes: budgetFor(64), MaxDiskRuns: 2})
+	ti := New(Config{BudgetBytes: budgetFor(64)})
 	var extMu sync.Mutex // stands in for the engine's per-database lock
 	done := make(chan struct{})
 	var wg sync.WaitGroup

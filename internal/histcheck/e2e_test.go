@@ -204,8 +204,7 @@ func TestClusterShedRawReplicates(t *testing.T) {
 		o.EncodeQueue = 1
 		o.SimulatedEncodeDelay = 5 * time.Millisecond
 		o.Admission = admission.Options{
-			ShedRaw: true, ShedThreshold: 0.5, ResumeThreshold: 0.25,
-			OverloadDwell: time.Hour,
+			ShedRaw: true, OverloadDwell: time.Hour,
 		}
 	})
 

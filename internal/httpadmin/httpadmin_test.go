@@ -266,7 +266,7 @@ var metricsSections = map[string]string{
 		"HeartbeatsSent ForcedResyncs",
 	"Compaction": "Passes PassLatency PhysicalBytesReclaimed",
 	"FeatIdx":    "Entries MemoryBytes CapacityBytes Lookups Matches Evictions Tiered",
-	"Admission": "Enabled ShedRawEnabled Overloaded OverloadEnters OverloadExits LatencyEWMAUS Admitted Shed " +
+	"Admission": "Enabled ShedRawEnabled Overloaded OverloadEnters OverloadExits Admitted Shed " +
 		"Rejected TenantThrottles TrackedTenants",
 	"Cluster": "RingEpoch RingInstalls RedirectsIssued MovingAnswered HandoffsStarted " +
 		"HandoffsCommitted HandoffsAborted TransferRecordsOut TransferBytesOut TransferRecordsIn TransferBytesIn " +

@@ -214,9 +214,7 @@ func (a *Applier) run(job applyJob) {
 		switch {
 		case a.fetch == nil:
 			if job.lenient {
-				// Resync window without a fetch path: the record is
-				// re-delivered by a future snapshot if still live.
-				err = nil
+				err = a.decodeLocally(job.entry)
 			}
 		default:
 			// Fall back to fetching the full record from the primary
@@ -232,18 +230,15 @@ func (a *Applier) run(job applyJob) {
 			case errors.Is(ferr, ErrFetchUnavailable):
 				// The primary no longer holds the record: it was deleted
 				// (or replaced) after this insert was logged, and the
-				// stream will carry that op later. Skip the insert; on
-				// the strict path remember the key so the upcoming
-				// delete's ErrNotFound is expected rather than terminal.
-				if !job.lenient {
-					a.markVanished(job.entry.DB, job.entry.Key)
-				}
+				// stream will carry that op later. Skip the insert and
+				// remember the key, so that the upcoming update's or
+				// delete's ErrNotFound is expected rather than terminal
+				// when it arrives after a resync window.
+				a.markVanished(job.entry.DB, job.entry.Key)
 				err = nil
 			case job.lenient:
-				// Transport trouble during a resync window: tolerate it —
-				// the record is re-delivered by a future snapshot if
-				// still live.
-				err = nil
+				// Transport trouble during a resync window.
+				err = a.decodeLocally(job.entry)
 			default:
 				err = fmt.Errorf("%w (fetch fallback: %v)", err, ferr)
 			}
@@ -276,6 +271,18 @@ func (a *Applier) run(job applyJob) {
 	}
 	a.m.Applied.Add(1)
 	a.complete(job)
+}
+
+// decodeLocally applies a resync window's forward-encoded insert whose
+// primary copy cannot be fetched: decoded against the local base after all,
+// which is right unless the snapshot carried a newer base than the primary
+// encoded against (the case the fetch exists for), and skipped when the base
+// is not here either, for a future snapshot to re-deliver if still live.
+func (a *Applier) decodeLocally(e oplog.Entry) error {
+	if err := a.n.ApplyReplicated(e); !errors.Is(err, ErrBaseMissing) {
+		return err
+	}
+	return nil
 }
 
 // complete marks an applied job's slot done and advances the low-water mark

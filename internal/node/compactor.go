@@ -62,8 +62,5 @@ func (n *Node) Compact() (int64, error) {
 	}
 	n.compm.ObservePass(time.Since(start))
 	n.compm.PhysicalBytesReclaimed.Add(reclaimed)
-	n.mu.Lock()
-	n.stats.Compactions++
-	n.mu.Unlock()
 	return reclaimed, nil
 }

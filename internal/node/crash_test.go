@@ -47,10 +47,11 @@ func churnedNode(t *testing.T, trigger float64) *Node {
 func TestBackgroundCompactor(t *testing.T) {
 	n := churnedNode(t, 0.3)
 	deadline := time.Now().Add(3 * time.Second)
-	for n.Stats().Compactions == 0 && time.Now().Before(deadline) {
+	passes := n.CompactionMetrics().Passes.Total
+	for passes() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n.Stats().Compactions == 0 {
+	if passes() == 0 {
 		t.Fatal("compactor never ran despite heavy rewrites")
 	}
 	for i := 0; i < 20; i++ {

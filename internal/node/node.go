@@ -136,9 +136,8 @@ type Stats struct {
 	ReadsFromSourceCache uint64
 	// HiddenRepaired counts hidden records spliced out of decode chains.
 	HiddenRepaired uint64
-	// Compactions counts segment compaction passes; CompactionBytes the
-	// disk bytes they reclaimed.
-	Compactions     uint64
+	// CompactionBytes is the disk bytes compaction passes reclaimed; the
+	// passes are counted by CompactionMetrics.
 	CompactionBytes int64
 	// EncodeWorkers is the size of the background encoder pool (0 once the
 	// node is closed).
@@ -271,7 +270,6 @@ func Open(opts Options) (*Node, error) {
 	n := &Node{
 		opts:    opts,
 		store:   store,
-		log:     oplog.New(opts.OplogCapacity),
 		refcnt:  make(map[uint64]int),
 		lastMut: make(map[uint64]uint64),
 		nextID:  1,
@@ -303,6 +301,11 @@ func Open(opts Options) (*Node, error) {
 	if err := n.recover(); err != nil {
 		store.Close()
 		return nil, err
+	}
+	n.log = oplog.New(opts.OplogCapacity)
+	if len(store.DBNames()) > 0 {
+		// A reopened store: its records predate every entry of the log.
+		n.log = oplog.Continue(opts.OplogCapacity)
 	}
 	n.adm = admission.New(opts.Admission)
 	n.encQueueCap = int64(opts.EncodeWorkers) * int64(opts.EncodeQueue)

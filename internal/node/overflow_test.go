@@ -70,8 +70,7 @@ func TestShedAccountingReconciles(t *testing.T) {
 		EncodeQueue:          2,
 		SimulatedEncodeDelay: 2 * time.Millisecond,
 		Admission: admission.Options{
-			ShedRaw: true, ShedThreshold: 0.5, ResumeThreshold: 0.25,
-			OverloadDwell: 50 * time.Millisecond,
+			ShedRaw: true, OverloadDwell: 50 * time.Millisecond,
 		},
 	})
 

@@ -149,21 +149,23 @@ func (n *Node) ApplyReplicated(e oplog.Entry) error {
 
 // ApplyReplicatedLenient applies an oplog entry with resync tolerance: ops
 // may have been concurrent with the snapshot scan, so an insert of an
-// existing key becomes a replace, and updates/deletes of missing keys are
-// ignored. Used by the replication layer while catching up across a
+// existing key is skipped (the snapshot carried the record), updates and
+// deletes of missing keys are ignored, and a forward-encoded insert is never
+// decoded here. Used by the replication layer while catching up across a
 // snapshot window.
 func (n *Node) ApplyReplicatedLenient(e oplog.Entry) error {
 	if e.Op == oplog.OpInsert && n.Has(e.DB, e.Key) {
-		// The snapshot already carried this record; the entry's payload
-		// may be forward-encoded against state we can resolve, but
-		// replacing with the snapshot's copy is equivalent — skip.
 		return nil
 	}
-	// Delta bases may themselves have arrived via snapshot; the normal path
-	// resolves them by key. A missing base surfaces as ErrBaseMissing so the
-	// applier's fetch fallback can recover the full record — swallowing it
-	// here would leave the key absent forever with no future snapshot to
-	// re-deliver it.
+	if e.Op == oplog.OpInsert && e.Form != oplog.FormRaw {
+		// The snapshot's copy of the base can be newer than the one the
+		// primary encoded against: the scan may read it after a later
+		// update, and delta.Apply checks only ranges and length, so
+		// decoding would store wrong bytes without an error. The insert
+		// arrives whole instead: ErrBaseMissing sends the applier to its
+		// fetch fallback, which installs the primary's copy.
+		return fmt.Errorf("%w: %q/%q (insert of %q in a snapshot's window)", ErrBaseMissing, e.DB, e.BaseKey, e.Key)
+	}
 	err := n.ApplyReplicated(e)
 	if e.Op != oplog.OpInsert && errors.Is(err, ErrNotFound) {
 		return nil

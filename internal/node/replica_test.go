@@ -36,9 +36,8 @@ func TestInsertFailureCountsNothing(t *testing.T) {
 			return n.ApplyReplicated(e)
 		}
 	}
-	// One acknowledged insert is enough to latch overload for an hour: its
-	// latency is the EWMA, and any latency is above a 1 ns limit.
-	shedLatch := admission.Options{ShedRaw: true, ShedLatency: 1, OverloadDwell: time.Hour}
+	// Shed for an hour once latchOverload has run.
+	shedLatch := admission.Options{ShedRaw: true, OverloadDwell: time.Hour}
 	for _, tc := range []struct {
 		name   string
 		adm    admission.Options
@@ -58,9 +57,16 @@ func TestInsertFailureCountsNothing(t *testing.T) {
 			insert: func(n *Node, key string) error { return n.Upsert("db", key, payload, true) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n := asyncNode(t, Options{EncodeWorkers: 1, EncodeQueue: 1, Admission: tc.adm})
+			opts := Options{EncodeWorkers: 1, EncodeQueue: 1, Admission: tc.adm}
+			if tc.shed {
+				opts.SimulatedEncodeDelay = latchDelay
+			}
+			n := asyncNode(t, opts)
 			if err := n.Insert("db", "base", base); err != nil {
 				t.Fatal(err)
+			}
+			if tc.shed {
+				latchOverload(t, n, "db", "base")
 			}
 			n.Barrier()
 			before := n.Stats()
@@ -122,6 +128,24 @@ func TestInsertFailureCountsNothing(t *testing.T) {
 				t.Errorf("verify after the pair: %s, want 2 clean records", rep)
 			}
 		})
+	}
+}
+
+// latchDelay is how long latchOverload's first insert stays in the encoder.
+const latchDelay = 200 * time.Millisecond
+
+// latchOverload re-inserts key while its insert is still encoding on the
+// node's one encoder (EncodeWorkers 1, SimulatedEncodeDelay latchDelay, an
+// EncodeQueue of at most 2): the re-insert meets a queue at least half full,
+// latches overload for the controller's OverloadDwell, and fails as a
+// duplicate.
+func latchOverload(t *testing.T, n *Node, db, key string) {
+	t.Helper()
+	if err := n.Insert(db, key, []byte("again")); !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("re-insert of %q: %v, want %v", key, err, ErrDuplicateKey)
+	}
+	if !n.Stats().Admission.Overloaded {
+		t.Fatal("premise: overload not latched; the first insert had left the encode queue")
 	}
 }
 
@@ -223,12 +247,19 @@ func TestScanUpsertRetain(t *testing.T) {
 	for _, emit := range []bool{false, true} {
 		emit := emit
 		t.Run(fmt.Sprintf("Upsert and Retain emit=%v", emit), func(t *testing.T) {
-			// Overloaded for an hour after the first ack, with one token per
-			// tenant: a client insert is rejected, a handoff record is not.
-			n := asyncNode(t, Options{Admission: admission.Options{Enabled: true, ShedLatency: 1,
-				OverloadDwell: time.Hour, TenantRate: 1e-9, TenantBurst: 1}})
-			if err := n.Insert("db", "first", []byte("takes the tenant's one token")); err != nil {
+			// Overloaded for an hour once latched, with a tenant bucket that
+			// never refills: a client insert is rejected, a handoff record
+			// is not.
+			n := asyncNode(t, Options{EncodeWorkers: 1, EncodeQueue: 2, SimulatedEncodeDelay: latchDelay,
+				Admission: admission.Options{Enabled: true, OverloadDwell: time.Hour, TenantRate: 1e-9}})
+			if err := n.Insert("db", "first", []byte("takes the tenant's first token")); err != nil {
 				t.Fatal(err)
+			}
+			latchOverload(t, n, "db", "first")
+			for i := 0; i < 6; i++ { // the bucket holds 8 tokens; spend the rest
+				if err := n.Insert("db", "first", []byte("again")); !errors.Is(err, ErrDuplicateKey) {
+					t.Fatalf("token %d: re-insert returned %v", i+3, err)
+				}
 			}
 			if err := n.Insert("db", "second", []byte("x")); !errors.Is(err, ErrOverloaded) {
 				t.Fatalf("premise: reject latch not forced, insert returned %v", err)
@@ -340,4 +371,55 @@ func TestScanUpsertRetain(t *testing.T) {
 			t.Fatalf("retry = %d, %v, left %v; want %d and nothing", again, err, n.DBKeys("db"), left)
 		}
 	})
+}
+
+// TestLenientInsertArrivesWhole replays a forward-encoded insert inside a
+// snapshot's lenient window on a secondary whose copy of the base is newer
+// than the one the primary encoded against: the snapshot scan read the base
+// after an update of the same length. Decoding the delta against that copy
+// succeeds and yields wrong bytes, so the lenient path must not decode: it
+// reports ErrBaseMissing, and the applier's fetch fallback installs the
+// primary's copy.
+func TestLenientInsertArrivesWhole(t *testing.T) {
+	prim := testNode(t, Options{})
+	versions := insertChain(t, prim, "wiki", 2, 12)
+	ents, err := prim.Oplog().EntriesSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := ents[1]
+	if ins.Key != "v1" || ins.Form != oplog.FormDelta || ins.BaseKey != "v0" {
+		t.Fatalf("premise: v1 shipped as %v against %q, want forward-encoded against v0", ins.Form, ins.BaseKey)
+	}
+	newer := bytes.ToUpper(versions[0]) // the base after an update of the same length
+	if err := prim.Update("wiki", "v0", newer); err != nil {
+		t.Fatal(err)
+	}
+
+	sec := testNode(t, Options{})
+	if err := sec.Upsert("wiki", "v0", newer, false); err != nil { // the snapshot's record
+		t.Fatal(err)
+	}
+	if err := sec.ApplyReplicatedLenient(ins); !errors.Is(err, ErrBaseMissing) {
+		got, _ := sec.Read("wiki", "v1")
+		t.Fatalf("lenient forward-encoded insert: %v, want ErrBaseMissing; v1 reads as the primary's: %v",
+			err, bytes.Equal(got, versions[1]))
+	}
+	if sec.Has("wiki", "v1") {
+		t.Fatal("the refused insert left a record")
+	}
+
+	a := NewApplier(sec, 0, ApplierOptions{Fetch: prim.Read})
+	defer a.Close()
+	a.EnqueueEntry(ins, true)
+	a.Barrier()
+	if err := a.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sec.Read("wiki", "v1"); err != nil || !bytes.Equal(got, versions[1]) {
+		t.Fatalf("v1 after the fetch fallback: equal %v, %v", bytes.Equal(got, versions[1]), err)
+	}
+	if got := sec.ApplyMetrics().BaseFetches.Total(); got != 1 {
+		t.Fatalf("base fetches = %d, want 1", got)
+	}
 }

@@ -124,7 +124,7 @@ func TestBudgetedIndexUnderWorkloadMix(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// 64 KiB freezes a run every ~2340 postings, 8 per record the size
 	// filter lets through (~60 %): 4800 records make about ten runs,
-	// enough to trigger a merge (MaxDiskRuns 8).
+	// enough to trigger a merge (past eight disk runs).
 	const families, rounds = 60, 80
 	templates := make([][]byte, families)
 	for i := range templates {

@@ -47,9 +47,7 @@ func (n *Node) Insert(db, key string, payload []byte) error {
 	if err := n.finish(n.insertLocalEmit(db, key, append([]byte(nil), payload...), true, shed)); err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
-	n.adm.ObserveLatency(elapsed)
-	n.latIns.Observe(elapsed)
+	n.latIns.Observe(time.Since(start))
 	return nil
 }
 

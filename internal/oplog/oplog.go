@@ -82,15 +82,16 @@ type Entry struct {
 //
 // Log is safe for concurrent use.
 type Log struct {
-	mu      sync.Mutex
-	epoch   uint64
-	ring    []Entry
-	first   uint64 // seq of ring[start]
-	next    uint64 // seq to assign to the next append
-	start   int
-	count   int
-	bytes   int64 // marshalled size of retained entries
-	appends uint64
+	mu        sync.Mutex
+	epoch     uint64
+	continues bool // see Continue
+	ring      []Entry
+	first     uint64 // seq of ring[start]
+	next      uint64 // seq to assign to the next append
+	start     int
+	count     int
+	bytes     int64 // marshalled size of retained entries
+	appends   uint64
 
 	evictedByEntries uint64
 	evictedByBytes   uint64
@@ -118,6 +119,21 @@ func New(capacity int) *Log {
 	}
 	return &Log{epoch: newEpoch(), ring: make([]Entry, capacity), first: 1, next: 1}
 }
+
+// Continue returns a log like New for a store that already holds records
+// when the log starts: a reopened one. No entry describes those records, so a
+// reader holding nothing (cursor 0) cannot be brought up to date from the
+// log, and its server must send it a snapshot first. Numbering still starts
+// at 1.
+func Continue(capacity int) *Log {
+	l := New(capacity)
+	l.continues = true
+	return l
+}
+
+// Continues reports whether the log was made by Continue: cursor 0 on it is
+// behind its window.
+func (l *Log) Continues() bool { return l.continues }
 
 // newEpoch draws a random log identity. Sequence numbers are only
 // meaningful within one epoch: a restarted primary gets a fresh log (and a

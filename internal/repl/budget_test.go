@@ -90,7 +90,7 @@ func TestReconnectPastByteBudgetResyncs(t *testing.T) {
 		t.Fatalf("cursor %d is still inside the retained window (first seq %d)", cursor, first)
 	}
 
-	s, err = ConnectWithOptions(sec, p.Addr(), cursor, epoch, Options{})
+	s, err = connect(sec, p.Addr(), cursor, epoch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,11 +266,14 @@ func (p *Primary) serveConn(conn net.Conn) {
 	if err := p.send(conn, fw, frameEpoch, binary.AppendUvarint(nil, epoch)); err != nil {
 		return
 	}
-	if mode == helloResync || (expectEpoch != 0 && expectEpoch != epoch) {
+	if mode == helloResync || (expectEpoch != 0 && expectEpoch != epoch) ||
+		(cursor == 0 && p.node.Oplog().Continues()) {
 		// Either the secondary explicitly distrusts its cursor (its last
 		// connection died mid-snapshot), or the cursor belongs to a
 		// previous incarnation of this primary's oplog and its sequence
-		// numbers are meaningless here. Full resync.
+		// numbers are meaningless here, or it holds nothing and the log
+		// does not reach back to what this primary's store held when it
+		// opened. Full resync.
 		newCursor, serr := p.sendSnapshot(conn, fw)
 		if serr != nil {
 			return
@@ -570,15 +573,15 @@ func Connect(n *node.Node, addr string, afterSeq uint64) (*Secondary, error) {
 	return connect(n, addr, afterSeq, 0, Options{})
 }
 
-// ConnectWithOptions is Connect for a secondary holding a cursor from a
-// previous session, with explicit pipeline tuning: expectEpoch is the primary
-// oplog epoch the cursor belongs to (0: none). If the primary has restarted
-// since (epoch mismatch), the stream transparently falls back to a full
-// snapshot resync.
-func ConnectWithOptions(n *node.Node, addr string, afterSeq, expectEpoch uint64, o Options) (*Secondary, error) {
-	return connect(n, addr, afterSeq, expectEpoch, o)
+// ConnectWithOptions is Connect from sequence zero with explicit transport
+// and pipeline tuning.
+func ConnectWithOptions(n *node.Node, addr string, o Options) (*Secondary, error) {
+	return connect(n, addr, 0, 0, o)
 }
 
+// connect starts a secondary at cursor afterSeq of the primary oplog epoch
+// expectEpoch (0: none). If the primary has restarted since (epoch
+// mismatch), the stream falls back to a full snapshot resync.
 func connect(n *node.Node, addr string, afterSeq, expectEpoch uint64, o Options) (*Secondary, error) {
 	o = o.withDefaults()
 	rm := o.Metrics
@@ -1011,8 +1014,8 @@ func (s *Secondary) WaitForSeq(seq uint64, timeout time.Duration) error {
 }
 
 // Epoch returns the primary's oplog epoch as announced at connection time
-// (0 until the handshake completes). Persist it with the applied sequence
-// number to resume via ConnectWithOptions.
+// (0 until the handshake completes). A cursor (AppliedSeq) means something
+// only within this epoch.
 func (s *Secondary) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

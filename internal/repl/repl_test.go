@@ -404,7 +404,7 @@ func TestPrimaryRestartDetectedByEpoch(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	sub2, err := ConnectWithOptions(sec, srv2.Addr(), cursor, oldEpoch, Options{})
+	sub2, err := connect(sec, srv2.Addr(), cursor, oldEpoch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestShardedApplyMultiDBStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	s, err := ConnectWithOptions(sec, p.Addr(), 0, 0, Options{ApplyWorkers: 8, ApplyQueue: 16})
+	s, err := ConnectWithOptions(sec, p.Addr(), Options{ApplyWorkers: 8, ApplyQueue: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +629,7 @@ func TestShardedApplySnapshotResyncStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sec.Close()
-	s, err := ConnectWithOptions(sec, p.Addr(), 0, 0, Options{ApplyWorkers: 8, ApplyQueue: 16})
+	s, err := ConnectWithOptions(sec, p.Addr(), Options{ApplyWorkers: 8, ApplyQueue: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -835,7 +835,7 @@ func TestSecondaryReconnectResumeAtPhase(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { p.Close() })
-			s, err := ConnectWithOptions(sec, p.Addr(), 0, 0, Options{
+			s, err := ConnectWithOptions(sec, p.Addr(), Options{
 				Network: sim, MaxReconnects: 50,
 				ReconnectBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond,
 				DialTimeout: 200 * time.Millisecond, IdleTimeout: 100 * time.Millisecond})
@@ -968,7 +968,7 @@ func TestResyncReconcilesBeforeRebase(t *testing.T) {
 	defer sec.Close()
 	const stale = 4000
 	_, p, cursor, epoch, target := staleSecondary(t, sec, stale)
-	s, err := ConnectWithOptions(sec, p.Addr(), cursor, epoch, Options{})
+	s, err := connect(sec, p.Addr(), cursor, epoch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1018,7 +1018,7 @@ func TestResyncReconcileFailureIsRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sec.Close()
-	s, err := ConnectWithOptions(sec, p.Addr(), cursor, epoch,
+	s, err := connect(sec, p.Addr(), cursor, epoch,
 		Options{MaxReconnects: 5, ReconnectBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -1103,5 +1103,75 @@ func TestRestartedSecondaryAsksForASnapshot(t *testing.T) {
 	}
 	if vs := histcheck.Equal(histcheck.NodeView{Node: prim}, histcheck.NodeView{Node: sec}); len(vs) != 0 {
 		t.Fatalf("restarted secondary differs from its primary: %v", vs)
+	}
+}
+
+// TestRestartedPrimarySnapshotsACursorlessFollower attaches a new, empty
+// follower with no cursor to a primary reopened on its store. The reopened
+// primary's oplog starts at 1 and holds nothing of what the store held, so
+// streaming from cursor 0 would deliver only post-restart writes while
+// WaitForSeq reported the follower caught up. The primary answers it with a
+// snapshot, taken here before any post-restart write (the snapshot's cursor
+// is 0 too), and then streams from it without taking another.
+func TestRestartedPrimarySnapshotsACursorlessFollower(t *testing.T) {
+	popts := node.Options{SyncEncode: true, DisableAutoFlush: true, Dir: "primary", FS: faultfs.NewMemFS()}
+	popts.Engine.GovernorWindow = 1 << 30
+	prim, err := node.Open(popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	content := workload.RevisionText(rng, 2048)
+	for i := 0; i < 10; i++ {
+		if err := prim.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
+			t.Fatal(err)
+		}
+		content = workload.Revise(rng, content, 1, 40)
+	}
+	if err := prim.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if prim, err = node.Open(popts); err != nil {
+		t.Fatal(err)
+	}
+	defer prim.Close()
+	p, err := ListenAndServe(prim, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	sopts := node.Options{SyncEncode: true, DisableAutoFlush: true}
+	sopts.Engine.GovernorWindow = 1 << 30
+	sec, err := node.Open(sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sec.Close()
+	s, err := Connect(sec, p.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for deadline := time.Now().Add(5 * time.Second); !s.snapshotApplied(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			_, rerr := sec.Read("wiki", "v0")
+			t.Fatalf("no snapshot applied; a pre-restart record reads %v", rerr)
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // a primary re-snapshotting cursor 0 would by now
+	if n, _ := s.Resyncs(); n != 1 {
+		t.Fatalf("follower took %d snapshots before any new write, want 1", n)
+	}
+
+	if err := prim.Insert("wiki", "after-restart", content); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, s, prim.Oplog().LastSeq())
+	if n, _ := s.Resyncs(); n != 1 {
+		t.Fatalf("follower took %d snapshots, want 1", n)
+	}
+	if vs := histcheck.Equal(histcheck.NodeView{Node: prim}, histcheck.NodeView{Node: sec}); len(vs) != 0 {
+		t.Fatalf("follower of the restarted primary differs from it: %v", vs)
 	}
 }

@@ -120,8 +120,7 @@ func TestStormSLOs(t *testing.T) {
 	// sustained overload becomes long shed stretches, so acked inserts are
 	// not repeatedly stalled behind full-cost encode jobs on their shard.
 	repB, statsB := oneStorm(t, "shed", admission.Options{
-		ShedRaw: true, ShedThreshold: 0.5, ResumeThreshold: 0.25,
-		OverloadDwell: 250 * time.Millisecond,
+		ShedRaw: true, OverloadDwell: 250 * time.Millisecond,
 	}, base)
 	if repB.Dropped != 0 {
 		t.Fatalf("run B dropped %d arrivals", repB.Dropped)
@@ -185,8 +184,7 @@ func TestStormFairShareRejection(t *testing.T) {
 
 	rep, stats := oneStorm(t, "fairshare", admission.Options{
 		Enabled: true, ShedRaw: true,
-		ShedThreshold: 0.5, ResumeThreshold: 0.25,
-		TenantRate: 5, TenantBurst: 10,
+		TenantRate: 5, // a bucket of 2×5 tokens
 	}, cfg)
 
 	rejected := rep.Errors[ErrClassOverloaded]
