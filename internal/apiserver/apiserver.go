@@ -3,7 +3,10 @@
 // paper's MongoDB setup (one client node, one primary, one secondary).
 //
 // The protocol is deliberately simple: length-prefixed binary frames, one
-// request/response pair per operation.
+// request/response pair per operation. Each side builds a whole frame in a
+// buffer its connection owns and sends it with one Write, so a frame the
+// socket takes whole is one syscall and wakes its reader once; a Get appends
+// the record straight into its response frame.
 //
 //	request  := uint32(len) byte(op) uvarint(len(db)) db uvarint(len(key)) key
 //	            [uvarint(len(payload)) payload]        (insert/update only)
@@ -70,6 +73,11 @@ const (
 	statusMoving     = 5
 
 	maxFrame = 64 << 20
+
+	// keepBuf is the largest frame buffer a connection keeps for its next
+	// frame. A larger one is dropped once its frame is answered, so an idle
+	// connection holds at most this much outside Options.MemoryBudget.
+	keepBuf = 64 << 10
 )
 
 // Backend is the operation surface the server exposes over the wire. A plain
@@ -78,7 +86,11 @@ const (
 //
 // payload is the caller's again when a method returns: an implementation
 // that keeps the bytes copies them. The server relies on this: it passes a
-// slice of the request frame.
+// slice of the request frame, and the connection's next request is read into
+// the same buffer.
+//
+// A backend that also has AppendRead (node.Node, cluster.Shard) serves Get
+// with it, appending the record straight into the response frame.
 type Backend interface {
 	Insert(db, key string, payload []byte) error
 	Update(db, key string, payload []byte) error
@@ -183,9 +195,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// appendReader is the Get path: a read that appends the record to dst.
+type appendReader interface {
+	AppendRead(dst []byte, db, key string) ([]byte, error)
+}
+
+// readAppender gives a Backend without AppendRead one, through Read.
+type readAppender struct{ Backend }
+
+func (b readAppender) AppendRead(dst []byte, db, key string) ([]byte, error) {
+	p, err := b.Read(db, key)
+	return append(dst, p...), err
+}
+
 // Server serves client operations for a backend.
 type Server struct {
 	backend Backend
+	reader  appendReader   // backend's AppendRead, or readAppender over it
 	cb      ClusterBackend // nil unless backend is clustered
 	ln      net.Listener
 	opts    Options
@@ -211,15 +237,27 @@ func ListenAndServeBackend(b Backend, addr string, opts Options) (*Server, error
 	if err != nil {
 		return nil, fmt.Errorf("apiserver: %w", err)
 	}
-	s := &Server{backend: b, ln: ln, opts: opts,
+	s := newServer(b, opts)
+	s.ln = ln
+	s.wg.Add(1)
+	go s.acceptLoop()
+	return s, nil
+}
+
+// newServer is a server for b with opts already defaulted, not yet listening.
+func newServer(b Backend, opts Options) *Server {
+	s := &Server{backend: b, opts: opts,
 		mem:   newByteBudget(opts.MemoryBudget),
 		conns: make(map[net.Conn]struct{})}
 	if cb, ok := b.(ClusterBackend); ok {
 		s.cb = cb
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	if r, ok := b.(appendReader); ok {
+		s.reader = r
+	} else {
+		s.reader = readAppender{b}
+	}
+	return s
 }
 
 // Addr returns the listen address.
@@ -326,7 +364,7 @@ func (s *Server) acceptLoop() {
 // that never reads cannot stall anything.
 func refuseConn(conn net.Conn) {
 	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	writeFrame(conn, statusOverloaded, []byte("connection limit reached"))
+	conn.Write(errorFrame(statusOverloaded, "connection limit reached"))
 	conn.Close()
 }
 
@@ -339,31 +377,44 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	var req, resp []byte // this connection's frame buffers, kept up to keepBuf
 	for {
-		frame, release, err := s.readRequest(conn, r, w)
+		frame, release, err := s.readRequest(conn, r, req)
 		if err != nil {
+			if errors.Is(err, errOversized) {
+				// Answer before closing so the client sees why.
+				conn.Write(errorFrame(statusError, "request exceeds size limit"))
+			}
 			return
 		}
-		status, payload := s.handle(frame)
+		resp = s.handle(resp[:0], frame)
 		release()
-		if err := writeFrame(w, status, payload); err != nil {
+		if _, err := conn.Write(resp); err != nil {
 			return
 		}
-		if err := w.Flush(); err != nil {
-			return
-		}
+		req, resp = keep(frame), keep(resp)
 	}
 }
 
-// readRequest reads one request frame under the server's limits: the size
-// cap is checked before the body is allocated, the allocation is reserved
-// against the shared memory budget, and the body read runs under a deadline
-// so a stalled client is cut instead of pinning its reservation. The
-// returned release must be called once the frame is no longer referenced.
-// A non-nil error means the connection is done (a limit violation has
-// already been answered on w where possible).
-func (s *Server) readRequest(conn net.Conn, r *bufio.Reader, w *bufio.Writer) ([]byte, func(), error) {
+// keep returns buf for the connection's next frame, or nil when it is larger
+// than a connection keeps.
+func keep(buf []byte) []byte {
+	if cap(buf) > keepBuf {
+		return nil
+	}
+	return buf
+}
+
+var errOversized = errors.New("apiserver: oversized request")
+
+// readRequest reads one request frame into buf, grown if it is too small,
+// under the server's limits: the size cap is checked before the body is
+// allocated, the body is reserved against the shared memory budget, and a
+// body not yet in r is read under a deadline so a stalled client is cut
+// instead of pinning its reservation. The returned release must be called
+// once the frame is no longer referenced. A non-nil error means the
+// connection is done; errOversized is the one the caller should answer.
+func (s *Server) readRequest(conn net.Conn, r *bufio.Reader, buf []byte) ([]byte, func(), error) {
 	noop := func() {}
 	var hdr [4]byte
 	// The header read has no deadline: an idle connection is fine and
@@ -373,30 +424,45 @@ func (s *Server) readRequest(conn net.Conn, r *bufio.Reader, w *bufio.Writer) ([
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > uint32(s.opts.MaxRequestBytes) {
-		// Answer before closing so the client sees why, and never
-		// allocate the claimed size.
-		if writeFrame(w, statusError, []byte("request exceeds size limit")) == nil {
-			w.Flush()
-		}
-		return nil, noop, errors.New("apiserver: oversized request")
+		return nil, noop, errOversized // never allocate the claimed size
 	}
 	if err := s.mem.acquire(int64(n)); err != nil {
 		return nil, noop, err
 	}
 	release := func() { s.mem.release(int64(n)) }
-	conn.SetReadDeadline(time.Now().Add(s.opts.BodyTimeout))
-	body := make([]byte, n)
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
+	wait := r.Buffered() < int(n)
+	if wait {
+		conn.SetReadDeadline(time.Now().Add(s.opts.BodyTimeout))
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
 		release()
 		return nil, noop, err
 	}
-	conn.SetReadDeadline(time.Time{})
+	if wait {
+		conn.SetReadDeadline(time.Time{})
+	}
 	return body, release, nil
 }
 
-func (s *Server) handle(frame []byte) (byte, []byte) {
+// handle answers one request frame: it appends the whole response frame,
+// length prefix included, to dst.
+func (s *Server) handle(dst, frame []byte) []byte {
+	start := len(dst)
+	status, out := s.answer(append(dst, 0, 0, 0, 0, 0), frame)
+	binary.LittleEndian.PutUint32(out[start:], uint32(len(out)-start-4))
+	out[start+4] = status
+	return out
+}
+
+// answer performs the request in frame and appends its response payload to
+// dst.
+func (s *Server) answer(dst, frame []byte) (byte, []byte) {
 	if len(frame) == 0 {
-		return statusError, []byte("empty frame")
+		return statusError, append(dst, "empty frame"...)
 	}
 	op := frame[0]
 	p := frame[1:]
@@ -418,136 +484,117 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 		return string(v), ok
 	}
 
-	if op == opStats {
-		st := s.backend.Stats()
-		buf, err := json.Marshal(st)
-		if err != nil {
-			return statusError, []byte(err.Error())
-		}
-		return statusOK, buf
-	}
-	if op == opDBStats {
-		buf, err := json.Marshal(s.backend.DBStats())
-		if err != nil {
-			return statusError, []byte(err.Error())
-		}
-		return statusOK, buf
-	}
-	if op == opVerify {
-		buf, err := json.Marshal(s.backend.VerifyAll())
-		if err != nil {
-			return statusError, []byte(err.Error())
-		}
-		return statusOK, buf
-	}
-
 	switch op {
+	case opStats:
+		return appendJSON(dst, s.backend.Stats())
+	case opDBStats:
+		return appendJSON(dst, s.backend.DBStats())
+	case opVerify:
+		return appendJSON(dst, s.backend.VerifyAll())
 	case opRing, opInstallRing, opBeginHandoff, opCommitRing, opAbortRing:
 		if s.cb == nil {
-			return statusError, []byte("not clustered")
+			return statusError, append(dst, "not clustered"...)
 		}
+		var err error
 		switch op {
 		case opRing:
-			return statusOK, s.cb.RingJSON()
+			return statusOK, append(dst, s.cb.RingJSON()...)
 		case opInstallRing:
-			if err := s.cb.InstallRing(p); err != nil {
-				return errStatus(err)
-			}
-			return statusOK, nil
+			err = s.cb.InstallRing(p)
 		case opBeginHandoff:
-			sum, err := s.cb.BeginHandoff()
-			if err != nil {
-				return errStatus(err)
+			var sum []byte
+			if sum, err = s.cb.BeginHandoff(); err == nil {
+				return statusOK, append(dst, sum...)
 			}
-			return statusOK, sum
 		case opCommitRing:
-			if err := s.cb.CommitRing(); err != nil {
-				return errStatus(err)
-			}
-			return statusOK, nil
+			err = s.cb.CommitRing()
 		default: // opAbortRing
-			if err := s.cb.AbortRing(); err != nil {
-				return errStatus(err)
-			}
-			return statusOK, nil
+			err = s.cb.AbortRing()
 		}
+		if err != nil {
+			return errStatus(dst, err)
+		}
+		return statusOK, dst
 	}
 
 	db, ok := readStr()
 	if !ok {
-		return statusError, []byte("bad db")
+		return statusError, append(dst, "bad db"...)
 	}
 	key, ok := readStr()
 	if !ok {
-		return statusError, []byte("bad key")
+		return statusError, append(dst, "bad key"...)
 	}
 
 	switch op {
-	case opInsert, opUpdate:
+	case opInsert, opUpdate, opTransfer:
+		if op == opTransfer && s.cb == nil {
+			return statusError, append(dst, "not clustered"...)
+		}
 		payload, ok := readBytes()
 		if !ok {
-			return statusError, []byte("bad payload")
+			return statusError, append(dst, "bad payload"...)
 		}
 		var err error
-		if op == opInsert {
+		switch op {
+		case opInsert:
 			err = s.backend.Insert(db, key, payload)
-		} else {
+		case opUpdate:
 			err = s.backend.Update(db, key, payload)
+		default:
+			err = s.cb.Transfer(db, key, payload)
 		}
 		if err != nil {
-			return errStatus(err)
+			return errStatus(dst, err)
 		}
-		return statusOK, nil
-	case opTransfer:
-		if s.cb == nil {
-			return statusError, []byte("not clustered")
-		}
-		payload, ok := readBytes()
-		if !ok {
-			return statusError, []byte("bad payload")
-		}
-		if err := s.cb.Transfer(db, key, payload); err != nil {
-			return errStatus(err)
-		}
-		return statusOK, nil
+		return statusOK, dst
 	case opGet:
-		content, err := s.backend.Read(db, key)
+		out, err := s.reader.AppendRead(dst, db, key)
 		if err != nil {
-			return errStatus(err)
+			return errStatus(dst, err)
 		}
-		return statusOK, content
+		return statusOK, out
 	case opDelete:
-		err := s.backend.Delete(db, key)
-		if err != nil {
-			return errStatus(err)
+		if err := s.backend.Delete(db, key); err != nil {
+			return errStatus(dst, err)
 		}
-		return statusOK, nil
+		return statusOK, dst
 	default:
-		return statusError, []byte(fmt.Sprintf("unknown op %q", op))
+		return statusError, fmt.Appendf(dst, "unknown op %q", op)
 	}
 }
 
-// errStatus maps a backend error onto the wire taxonomy. The routing errors
-// carry structured payloads so a stale-ring client can redirect (wrong
-// shard) or back off (moving) instead of treating them as opaque failures.
-func errStatus(err error) (byte, []byte) {
+// appendJSON appends v's JSON to dst.
+func appendJSON(dst []byte, v any) (byte, []byte) {
+	buf, err := json.Marshal(v)
+	if err != nil {
+		return statusError, append(dst, err.Error()...)
+	}
+	return statusOK, append(dst, buf...)
+}
+
+// errStatus maps a backend error onto the wire taxonomy and appends its
+// payload to dst. The routing errors carry structured payloads so a
+// stale-ring client can redirect (wrong shard) or back off (moving) instead
+// of treating them as opaque failures.
+func errStatus(dst []byte, err error) (byte, []byte) {
 	var ws *WrongShardError
 	if errors.As(err, &ws) {
 		buf, _ := json.Marshal(ws)
-		return statusWrongShard, buf
+		return statusWrongShard, append(dst, buf...)
 	}
 	var mv *ShardMovingError
 	if errors.As(err, &mv) {
 		buf, _ := json.Marshal(mv)
-		return statusMoving, buf
+		return statusMoving, append(dst, buf...)
 	}
 	if errors.Is(err, node.ErrOverloaded) {
-		return statusOverloaded, nil
+		return statusOverloaded, dst
 	}
 	if errors.Is(err, node.ErrNotFound) {
-		return statusNotFound, nil
+		return statusNotFound, dst
 	}
-	return statusError, []byte(err.Error())
+	return statusError, append(dst, err.Error()...)
 }
 
 // ---- client ----
@@ -575,7 +622,7 @@ type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	r       *bufio.Reader
-	w       *bufio.Writer
+	buf     []byte // the request frame being built; kept up to keepBuf
 	timeout time.Duration
 	// broken is set once a round trip failed in transit (an I/O error or a
 	// timeout, not an answer from the server): the framing may be out of
@@ -587,8 +634,12 @@ type Client struct {
 // the connection is desynchronised; the caller should Close and redial.
 func (c *Client) SetTimeout(d time.Duration) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.timeout = d
-	c.mu.Unlock()
+	if d == 0 {
+		// A round trip leaves its deadline set; none may outlive the bound.
+		c.conn.SetDeadline(time.Time{})
+	}
 }
 
 // Dial connects to a server over real TCP.
@@ -606,56 +657,59 @@ func DialNetwork(nw netsim.Network, addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("apiserver: %w", err)
 	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+	return &Client{conn: conn, r: bufio.NewReader(conn)}, nil
 }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-func (c *Client) roundTrip(req []byte) (byte, []byte, error) {
-	status, body, err := c.exchange(req)
-	if err != nil {
-		c.broken.Store(true)
-	}
-	return status, body, err
-}
-
-func (c *Client) exchange(req []byte) (byte, []byte, error) {
+// roundTrip sends a request of op followed by body and reads the response.
+func (c *Client) roundTrip(op byte, body []byte) (byte, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	if err := writeRaw(c.w, req); err != nil {
-		return 0, nil, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return 0, nil, err
-	}
-	resp, err := readFrame(c.r)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(resp) == 0 {
-		return 0, nil, errors.New("apiserver: empty response")
-	}
-	return resp[0], resp[1:], nil
+	return c.exchange(append(c.request(op), body...))
 }
 
 func (c *Client) keyedRequest(op byte, db, key string, payload []byte, withPayload bool) (byte, []byte, error) {
-	n := 1 + 2*binary.MaxVarintLen32 + len(db) + len(key)
-	if withPayload {
-		n += binary.MaxVarintLen64 + len(payload)
-	}
-	req := append(make([]byte, 0, n), op)
-	req = appendStr(req, db)
-	req = appendStr(req, key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	req := appendStr(appendStr(c.request(op), db), key)
 	if withPayload {
 		req = binary.AppendUvarint(req, uint64(len(payload)))
 		req = append(req, payload...)
 	}
-	return c.roundTrip(req)
+	return c.exchange(req)
+}
+
+// request starts a request frame in the client's buffer: room for the length
+// prefix, then op. c.mu must be held until exchange has sent it.
+func (c *Client) request(op byte) []byte {
+	return append(c.buf[:0], 0, 0, 0, 0, op)
+}
+
+// exchange sends req, a frame begun by request, with one Write and reads the
+// response. The round trip's deadline stays set afterwards: the next one
+// replaces it, and SetTimeout(0) clears it. A failure in transit marks the
+// client broken. c.mu must be held.
+func (c *Client) exchange(req []byte) (byte, []byte, error) {
+	binary.LittleEndian.PutUint32(req, uint32(len(req)-4))
+	c.buf = keep(req)
+	if c.timeout > 0 {
+		c.conn.SetDeadline(time.Now().Add(c.timeout))
+	}
+	_, err := c.conn.Write(req)
+	var resp []byte
+	if err == nil {
+		resp, err = readFrame(c.r)
+	}
+	if err == nil && len(resp) == 0 {
+		err = errors.New("apiserver: empty response")
+	}
+	if err != nil {
+		c.broken.Store(true)
+		return 0, nil, err
+	}
+	return resp[0], resp[1:], nil
 }
 
 func statusErr(status byte, payload []byte) error {
@@ -724,7 +778,7 @@ func (c *Client) Delete(db, key string) error {
 
 // DBStats fetches the node's per-database dedup state.
 func (c *Client) DBStats() ([]core.DBStats, error) {
-	status, body, err := c.roundTrip([]byte{opDBStats})
+	status, body, err := c.roundTrip(opDBStats, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -740,7 +794,7 @@ func (c *Client) DBStats() ([]core.DBStats, error) {
 
 // Verify runs a full integrity scan on the server.
 func (c *Client) Verify() (node.VerifyReport, error) {
-	status, body, err := c.roundTrip([]byte{opVerify})
+	status, body, err := c.roundTrip(opVerify, nil)
 	if err != nil {
 		return node.VerifyReport{}, err
 	}
@@ -758,7 +812,7 @@ func (c *Client) Verify() (node.VerifyReport, error) {
 
 // RingJSON fetches the server's active ring wire form (cluster servers only).
 func (c *Client) RingJSON() ([]byte, error) {
-	status, body, err := c.roundTrip([]byte{opRing})
+	status, body, err := c.roundTrip(opRing, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -771,7 +825,7 @@ func (c *Client) RingJSON() ([]byte, error) {
 // InstallRingJSON installs a ring body on the server, opening (or staging) a
 // rebalance window.
 func (c *Client) InstallRingJSON(body []byte) error {
-	status, resp, err := c.roundTrip(append([]byte{opInstallRing}, body...))
+	status, resp, err := c.roundTrip(opInstallRing, body)
 	if err != nil {
 		return err
 	}
@@ -782,7 +836,7 @@ func (c *Client) InstallRingJSON(body []byte) error {
 // owners under the pending ring. Blocks until the transfer finishes; the
 // returned JSON summarises what moved.
 func (c *Client) BeginHandoff() ([]byte, error) {
-	status, body, err := c.roundTrip([]byte{opBeginHandoff})
+	status, body, err := c.roundTrip(opBeginHandoff, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -794,7 +848,7 @@ func (c *Client) BeginHandoff() ([]byte, error) {
 
 // CommitRing finishes the server's open rebalance window.
 func (c *Client) CommitRing() error {
-	status, body, err := c.roundTrip([]byte{opCommitRing})
+	status, body, err := c.roundTrip(opCommitRing, nil)
 	if err != nil {
 		return err
 	}
@@ -803,7 +857,7 @@ func (c *Client) CommitRing() error {
 
 // AbortRing reverts the server's open rebalance window.
 func (c *Client) AbortRing() error {
-	status, body, err := c.roundTrip([]byte{opAbortRing})
+	status, body, err := c.roundTrip(opAbortRing, nil)
 	if err != nil {
 		return err
 	}
@@ -823,7 +877,7 @@ func (c *Client) Transfer(db, key string, payload []byte) error {
 
 // Stats fetches the node's stats snapshot as JSON.
 func (c *Client) Stats() (node.Stats, error) {
-	status, body, err := c.roundTrip([]byte{opStats})
+	status, body, err := c.roundTrip(opStats, nil)
 	if err != nil {
 		return node.Stats{}, err
 	}
@@ -844,27 +898,11 @@ func appendStr(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// writeFrame writes a response: the status byte leads the frame body, the
-// payload follows without being copied next to it.
-func writeFrame(w io.Writer, status byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(1+len(payload)))
-	hdr[4] = status
-	if _, err := w.Write(hdr[:]); err != nil || len(payload) == 0 {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func writeRaw(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
+// errorFrame is a whole response frame of status and msg, for the answers the
+// server sends before it drops a connection.
+func errorFrame(status byte, msg string) []byte {
+	f := binary.LittleEndian.AppendUint32(nil, uint32(1+len(msg)))
+	return append(append(f, status), msg...)
 }
 
 func readFrame(r io.Reader) ([]byte, error) {

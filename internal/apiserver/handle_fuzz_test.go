@@ -31,7 +31,7 @@ func (b *fuzzBackend) took(parts ...int) {
 
 func (b *fuzzBackend) Insert(db, key string, payload []byte) error {
 	b.took(len(db), len(key), len(payload))
-	b.recs[[2]string{db, key}] = payload
+	b.recs[[2]string{db, key}] = append([]byte(nil), payload...)
 	return nil
 }
 
@@ -40,7 +40,7 @@ func (b *fuzzBackend) Update(db, key string, payload []byte) error {
 	if _, ok := b.recs[[2]string{db, key}]; !ok {
 		return node.ErrNotFound
 	}
-	b.recs[[2]string{db, key}] = payload
+	b.recs[[2]string{db, key}] = append([]byte(nil), payload...)
 	return nil
 }
 
@@ -101,17 +101,20 @@ func realRequestStream() []byte {
 		{opRing}, {opBeginHandoff}, {opCommitRing}, {opAbortRing},
 		append([]byte{opInstallRing}, `{"epoch":2,"members":["a:1","b:1"]}`...),
 	} {
-		writeRaw(&stream, req)
+		stream.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(req))))
+		stream.Write(req)
 	}
 	return stream.Bytes()
 }
 
 // FuzzHandleFrame feeds arbitrary byte streams through the request path of
 // one connection: readRequest's framing, then Server.handle's op decoder,
-// over a stub backend. Neither may panic; no frame may be accepted, and so
-// allocated, beyond MaxRequestBytes whatever its length prefix claims; and
-// the decoder may never hand the backend more bytes than the frame carried,
-// whatever the varint lengths inside it claim.
+// over a stub backend, with one request buffer and one response buffer
+// reused across the stream's frames as serveConn reuses them. Neither may
+// panic; no frame may be accepted, and so allocated, beyond MaxRequestBytes
+// whatever its length prefix claims; the decoder may never hand the backend
+// more bytes than the frame carried, whatever the varint lengths inside it
+// claim; and every response is one well-formed frame.
 func FuzzHandleFrame(f *testing.F) {
 	const maxRequest = 1 << 12
 
@@ -134,13 +137,11 @@ func FuzzHandleFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		b := &fuzzBackend{recs: make(map[[2]string][]byte)}
-		opts := Options{MaxRequestBytes: maxRequest}.withDefaults()
-		s := &Server{backend: b, cb: b, opts: opts, mem: newByteBudget(opts.MemoryBudget)}
+		s := newServer(b, Options{MaxRequestBytes: maxRequest}.withDefaults())
 		r := bufio.NewReader(bytes.NewReader(stream))
-		var reply bytes.Buffer
-		w := bufio.NewWriter(&reply)
+		var req, resp []byte
 		for {
-			frame, release, err := s.readRequest(conn, r, w)
+			frame, release, err := s.readRequest(conn, r, req)
 			if err != nil {
 				return // every malformed stream ends in an error, not a panic
 			}
@@ -148,14 +149,18 @@ func FuzzHandleFrame(f *testing.F) {
 				t.Fatalf("accepted a %d-byte frame from a %d-byte stream (bound %d)", len(frame), len(stream), maxRequest)
 			}
 			b.handed = 0
-			status, _ := s.handle(frame)
+			resp = s.handle(resp[:0], frame)
 			release()
-			if status > statusMoving {
+			if len(resp) < 5 || binary.LittleEndian.Uint32(resp) != uint32(len(resp)-4) {
+				t.Fatalf("response % x to frame %q is not one frame", resp, frame)
+			}
+			if status := resp[4]; status > statusMoving {
 				t.Fatalf("unknown status %d for frame %q", status, frame)
 			}
 			if b.handed > len(frame) {
 				t.Fatalf("decoder handed the backend %d bytes out of a %d-byte frame", b.handed, len(frame))
 			}
+			req, resp = keep(frame), keep(resp)
 		}
 	})
 }

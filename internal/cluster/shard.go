@@ -219,12 +219,18 @@ func (s *Shard) Delete(db, key string) error {
 
 // Read routes and fetches a record.
 func (s *Shard) Read(db, key string) ([]byte, error) {
+	return s.AppendRead(nil, db, key)
+}
+
+// AppendRead routes and appends a record's content to dst, as
+// node.Node.AppendRead does.
+func (s *Shard) AppendRead(dst []byte, db, key string) ([]byte, error) {
 	s.opMu.RLock()
 	defer s.opMu.RUnlock()
 	if err := s.classify(db, false); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return s.n.Read(db, key)
+	return s.n.AppendRead(dst, db, key)
 }
 
 // Stats reports the wrapped node's stats.

@@ -12,7 +12,8 @@ import (
 	"dbdedup/internal/docstore"
 )
 
-// Read returns the record's visible content. The key lookup takes only the
+// Read returns the record's visible content in a slice of the caller's own.
+// It is AppendRead(nil, db, key). The key lookup takes only the
 // store's per-database read lock (docstore.Store.Lookup); Read never touches
 // n.mu.
 //
@@ -27,25 +28,32 @@ import (
 // update sets it before it is acknowledged, so a read that begins after the
 // ack does not look.
 func (n *Node) Read(db, key string) ([]byte, error) {
+	return n.AppendRead(nil, db, key)
+}
+
+// AppendRead appends the record's visible content to dst and returns the
+// extended slice, the way Read finds it: the one copy of the content is the
+// one into dst. On an error dst comes back unextended.
+func (n *Node) AppendRead(dst []byte, db, key string) ([]byte, error) {
 	start := time.Now()
 	id, updated, ok := n.store.Lookup(db, key)
 	n.readsTotal.Add(1)
 	n.recentOps.Add(1)
 	if !ok {
-		return nil, ErrNotFound
+		return dst, ErrNotFound
 	}
-	var out []byte
 	if cached, hit := n.peekSource(id, updated); hit {
-		out = append([]byte(nil), cached...)
+		dst = append(dst, cached...)
 		n.readsFromCache.Add(1)
 	} else {
-		var err error
-		if out, err = n.decodeCopy(id, visibleContent); err != nil {
-			return nil, err
+		out, err := n.appendDecoded(dst, id, visibleContent)
+		if err != nil {
+			return dst, err
 		}
+		dst = out
 	}
 	n.latRead.Observe(time.Since(start))
-	return out, nil
+	return dst, nil
 }
 
 // peekSource returns the source cache's copy of a record whose key says it was
@@ -80,7 +88,7 @@ type fetcher struct{ n *Node }
 // FetchDecoded returns a copy of its own: the engine builds deltas whose
 // literals alias the content, and keeps them past this call.
 func (f fetcher) FetchDecoded(id uint64) ([]byte, error) {
-	return f.n.decodeCopy(id, baseContent)
+	return f.n.appendDecoded(nil, id, baseContent)
 }
 
 // scratch is the working memory of one chain decode: the plan of the walk and
@@ -90,7 +98,7 @@ func (f fetcher) FetchDecoded(id uint64) ([]byte, error) {
 // paths applyMu serialises (write-back apply, hidden-chain repair) use the
 // node's own applyScratch; Read, replica apply, the fetcher and VerifyAll take
 // one from scratchPool for the call; the two that hand the content on (Read, the fetcher) go through
-// decodeCopy, which copies it out exactly once.
+// appendDecoded, which copies it out exactly once.
 type scratch struct {
 	hops []hop
 	buf  [2][]byte
@@ -138,28 +146,28 @@ var errReplan = errors.New("node: stored form changed under a chain walk")
 // walk is planned again. Base contents never change while referenced, which
 // is what makes any consistent plan decode to the same bytes.
 func (n *Node) decode(sc *scratch, id uint64, mode decodeMode) ([]byte, error) {
-	return n.decodeOwn(sc, id, mode, false)
+	return n.decodeOwn(sc, id, mode, nil, false)
 }
 
-// decodeCopy returns the content of record id in a slice of the caller's own,
-// copied once from wherever the walk ended: for a record stored raw that is
-// the store's lent bytes (a cached or mapped block, the unsealed block's
-// copy), with nothing in between.
-func (n *Node) decodeCopy(id uint64, mode decodeMode) ([]byte, error) {
+// appendDecoded appends the content of record id to dst, copied once from
+// wherever the walk ended: for a record stored raw that is the store's lent
+// bytes (a cached or mapped block, the unsealed block's copy), with nothing in
+// between.
+func (n *Node) appendDecoded(dst []byte, id uint64, mode decodeMode) ([]byte, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	return n.decodeOwn(sc, id, mode, true)
+	return n.decodeOwn(sc, id, mode, dst, true)
 }
 
-// decodeOwn is decode; with own set the result is a new slice instead of
-// memory of sc or of the source cache.
-func (n *Node) decodeOwn(sc *scratch, id uint64, mode decodeMode, own bool) ([]byte, error) {
+// decodeOwn is decode; with own set the result is dst with the content
+// appended instead of memory of sc or of the source cache.
+func (n *Node) decodeOwn(sc *scratch, id uint64, mode decodeMode, dst []byte, own bool) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		w, err := n.planWalk(sc, id, mode)
 		if err != nil {
 			return nil, err
 		}
-		content, err := n.runWalk(sc, w, own)
+		content, err := n.runWalk(sc, w, dst, own)
 		if err != errReplan {
 			return content, err
 		}
@@ -257,13 +265,13 @@ func (n *Node) planWalk(sc *scratch, id uint64, mode decodeMode) (walk, error) {
 
 // runWalk produces the content w was planned for: the base, then the deltas
 // of sc.hops from the base outward. It returns errReplan if a record is no
-// longer stored the way the plan saw it. With own the content comes in a new
-// slice, and a walk without hops copies the lent base straight into it.
-func (n *Node) runWalk(sc *scratch, w walk, own bool) ([]byte, error) {
+// longer stored the way the plan saw it. With own the content is appended to
+// dst, and a walk without hops copies the lent base straight onto it.
+func (n *Node) runWalk(sc *scratch, w walk, dst []byte, own bool) ([]byte, error) {
 	if own && len(sc.hops) == 0 { // nothing to apply, and so no cached base either
 		var out []byte
 		err := n.lend(w.baseID, w.base, w.last, func(stored []byte) error {
-			out = append([]byte(nil), stored...)
+			out = append(dst, stored...)
 			return nil
 		})
 		return out, err
@@ -303,7 +311,7 @@ func (n *Node) runWalk(sc *scratch, w walk, own bool) ([]byte, error) {
 		n.repairPastHidden(sc.hops[w.keep].id, w.hidID, kept)
 	}
 	if own {
-		content = append([]byte(nil), content...)
+		content = append(dst, content...)
 	}
 	return content, nil
 }

@@ -537,7 +537,7 @@ func TestStaleWalkIsPlannedAgain(t *testing.T) {
 	}
 	stale := func(what string, id uint64, plan walk, sc *scratch, want []byte) {
 		t.Helper()
-		if got, err := n.runWalk(sc, plan, false); err != errReplan {
+		if got, err := n.runWalk(sc, plan, nil, false); err != errReplan {
 			t.Fatalf("%s: a stale walk returned %d bytes, err %v; want errReplan", what, len(got), err)
 		}
 		if want == nil {
