@@ -37,7 +37,6 @@ import (
 	"dbdedup/internal/featidx/tiered"
 	"dbdedup/internal/httpadmin"
 	"dbdedup/internal/node"
-	"dbdedup/internal/repl"
 )
 
 // The command line. README.md's flag table lists the same set, and
@@ -97,11 +96,10 @@ func config() (cluster.MemberConfig, error) {
 		}
 		cfg.Node.Engine.IndexBudgetBytes = b
 	}
+	// The follower takes repl's defaults: it reconnects across transient
+	// outages until it is closed and resumes from its applied low-water mark,
+	// so a primary restart or network blip does not require restarting it.
 	cfg.Listen, cfg.ReplListen, cfg.Follow = *listen, *replListen, *follow
-	// Reconnect across transient outages; the stream resumes from the
-	// applied low-water mark, so a primary restart or network blip does not
-	// require restarting the secondary.
-	cfg.Follower = repl.Options{MaxReconnects: 1 << 20}
 
 	// The node is served behind a shard: the ring routes each database to
 	// one member, which answers for the others with the routing taxonomy

@@ -307,7 +307,10 @@ type Replica struct {
 }
 
 // FollowPrimary turns this store into a secondary of the primary at addr,
-// applying its operations as they arrive.
+// applying its operations as they arrive. The first connection must
+// succeed; after that a network fault or a primary restart is ridden out:
+// the replica redials with backoff until Close and resumes where it
+// stopped.
 func (s *Store) FollowPrimary(addr string) (*Replica, error) {
 	sec, err := repl.Connect(s.n, addr, 0)
 	if err != nil {
@@ -328,7 +331,9 @@ func (r *Replica) AppliedSeq() uint64 { return r.s.AppliedSeq() }
 // BytesReceived returns replication traffic received.
 func (r *Replica) BytesReceived() int64 { return r.s.BytesReceived() }
 
-// Err returns the terminal replication error, if the stream failed.
+// Err returns the terminal replication error, if replication stopped: the
+// primary answered with an error, or an operation failed to apply. A
+// transport fault is retried, not reported.
 func (r *Replica) Err() error { return r.s.Err() }
 
 // Close stops following.

@@ -13,14 +13,15 @@ import (
 	"dbdedup/internal/netsim"
 )
 
+// maxRetries bounds a client's re-attempts after a redirect, a moving-shard
+// answer, or a transport failure. The bound is the whole point: a confused
+// client must surface an error, not spin forever.
+const maxRetries = 8
+
 // ClientOptions tunes the cluster-aware client. Zero values select defaults.
 type ClientOptions struct {
 	// Network is the transport (nil = netsim.Default, real TCP).
 	Network netsim.Network
-	// MaxRetries bounds re-attempts after a redirect, a moving-shard
-	// answer, or a transport failure (default 8). The bound is the whole
-	// point: a confused client must surface an error, not spin forever.
-	MaxRetries int
 	// RetryBackoff is the initial sleep before a retry that needs one
 	// (moving shard, transport failure); it doubles per retry up to
 	// MaxBackoff. Redirects retry immediately. Defaults 5ms / 250ms.
@@ -31,9 +32,6 @@ type ClientOptions struct {
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 8
-	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 5 * time.Millisecond
 	}
@@ -250,7 +248,7 @@ func (c *Client) do(db string, op func(*apiserver.Client) error) error {
 			// request was not performed — a redirect, not a drop.
 			c.redirects.Add(1)
 			lastErr = err
-			if attempt >= c.opts.MaxRetries {
+			if attempt >= maxRetries {
 				return fail()
 			}
 			c.retries.Add(1)
@@ -260,7 +258,7 @@ func (c *Client) do(db string, op func(*apiserver.Client) error) error {
 			// refresh learns the commit when it lands).
 			c.movingWaits.Add(1)
 			lastErr = err
-			if attempt >= c.opts.MaxRetries {
+			if attempt >= maxRetries {
 				return fail()
 			}
 			c.retries.Add(1)
@@ -284,7 +282,7 @@ func (c *Client) do(db string, op func(*apiserver.Client) error) error {
 			c.transport.Add(1)
 			ambiguous = true
 			lastErr = err
-			if attempt >= c.opts.MaxRetries {
+			if attempt >= maxRetries {
 				return fail()
 			}
 			c.retries.Add(1)

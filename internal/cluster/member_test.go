@@ -129,7 +129,7 @@ func TestStandaloneMemberIsARingOfOne(t *testing.T) {
 	}
 	ma := start("a", "a:1")
 
-	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh, 4))
+	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,11 @@ type RebalanceOptions struct {
 	// HandoffTimeout bounds one member's whole BeginHandoff stream
 	// (default 5m — it moves data, not just control state).
 	HandoffTimeout time.Duration
-	// CommitRetries is how many times a failed per-member commit is
-	// retried before the member is left for recovery (default 3).
-	CommitRetries int
 }
+
+// commitRetries is how many times a failed per-member commit is retried
+// before the member is left for recovery.
+const commitRetries = 3
 
 func (o RebalanceOptions) withDefaults() RebalanceOptions {
 	if o.RPCTimeout <= 0 {
@@ -30,9 +31,6 @@ func (o RebalanceOptions) withDefaults() RebalanceOptions {
 	}
 	if o.HandoffTimeout <= 0 {
 		o.HandoffTimeout = 5 * time.Minute
-	}
-	if o.CommitRetries <= 0 {
-		o.CommitRetries = 3
 	}
 	return o
 }
@@ -96,7 +94,7 @@ func Rebalance(seeds, target []string, opts RebalanceOptions) (*Ring, error) {
 	var uncommitted []string
 	for _, m := range members {
 		var err error
-		for i := 0; i <= opts.CommitRetries; i++ {
+		for i := 0; i <= commitRetries; i++ {
 			if err = co.call(m, func(c *apiserver.Client) error { return c.CommitRing() }); err == nil {
 				break
 			}

@@ -79,7 +79,7 @@ func TestRinglessJoinMovesData(t *testing.T) {
 	}
 
 	// The whole corpus stays reachable through the routing tier.
-	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh, 4))
+	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestRecoverFinishesCommittedWindowOnStraggler(t *testing.T) {
 	if _, err := ma.Node.Read(db, "k"); !errors.Is(err, node.ErrNotFound) {
 		t.Errorf("moved database still on the straggler after commit: err=%v", err)
 	}
-	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh, 4))
+	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,10 +32,9 @@ func startMember(t *testing.T, mesh *netsim.Mesh, host, addr string, ring *Ring)
 	return m
 }
 
-func testClientOptions(mesh *netsim.Mesh, retries int) ClientOptions {
+func testClientOptions(mesh *netsim.Mesh) ClientOptions {
 	return ClientOptions{
 		Network:      mesh.Host("client"),
-		MaxRetries:   retries,
 		RetryBackoff: time.Millisecond,
 		MaxBackoff:   5 * time.Millisecond,
 		Timeout:      2 * time.Second,
@@ -64,7 +63,7 @@ func TestStaleRingRedirectedNotDropped(t *testing.T) {
 	ma := startMember(t, mesh, "a", "a:1", r1)
 	mb := startMember(t, mesh, "b", "b:1", NewRing(1, []string{"a:1"}))
 
-	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh, 4))
+	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +112,7 @@ func TestRedirectLoopBounded(t *testing.T) {
 	startMember(t, mesh, "a", "a:1", NewRing(1, []string{"b:1"}))
 	startMember(t, mesh, "b", "b:1", NewRing(1, []string{"a:1"}))
 
-	const retries = 5
-	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh, retries))
+	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +124,14 @@ func TestRedirectLoopBounded(t *testing.T) {
 		t.Fatalf("want a wrong-shard error after exhausting redirects, got %v", err)
 	}
 	c := cc.Counters()
-	if c.Retries != retries {
-		t.Errorf("retries = %d, want exactly the budget %d", c.Retries, retries)
+	if c.Retries != maxRetries {
+		t.Errorf("retries = %d, want exactly the budget %d", c.Retries, maxRetries)
 	}
 	if c.Exhausted != 1 {
 		t.Errorf("exhausted = %d, want 1", c.Exhausted)
 	}
-	if c.Redirects != retries+1 {
-		t.Errorf("redirects = %d, want %d (every attempt redirected)", c.Redirects, retries+1)
+	if c.Redirects != maxRetries+1 {
+		t.Errorf("redirects = %d, want %d (every attempt redirected)", c.Redirects, maxRetries+1)
 	}
 }
 
@@ -151,7 +149,7 @@ func TestMovingShardRetryThenTyped(t *testing.T) {
 	r2 := NewRing(2, []string{"a:1", "ghost:1"})
 	db := dbOwnedBy(t, r2, "ghost:1")
 
-	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh, 3))
+	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +169,8 @@ func TestMovingShardRetryThenTyped(t *testing.T) {
 	if mv.Epoch != 2 {
 		t.Errorf("moving error names epoch %d, want the window's epoch 2", mv.Epoch)
 	}
-	if c := cc.Counters(); c.MovingWaits != 4 { // initial attempt + 3 retries
-		t.Errorf("moving-waits = %d, want 4 counted attempts", c.MovingWaits)
+	if c := cc.Counters(); c.MovingWaits != maxRetries+1 { // initial attempt + the retries
+		t.Errorf("moving-waits = %d, want %d counted attempts", c.MovingWaits, maxRetries+1)
 	}
 	// Reads stay up: the source's copy is complete and write-frozen.
 	got, err := cc.Get(db, "k")

@@ -70,18 +70,16 @@ func nodeOptions(oplog int) node.Options {
 	return o
 }
 
-// hardenedRepl is the one replication tuning: a stream that notices a dead
-// path within tens of milliseconds and reconnects for as long as it takes.
+// hardenedRepl is the one replication timing: a stream that notices a dead
+// path within tens of milliseconds. Retries, counts and queues are the
+// daemon's; only the clocks differ, because the simulated network runs about
+// a hundred times faster than a real one.
 func hardenedRepl() (repl.PrimaryOptions, repl.Options) {
 	return repl.PrimaryOptions{
 			HeartbeatInterval: 10 * time.Millisecond,
 			WriteTimeout:      100 * time.Millisecond,
 		}, repl.Options{
-			ApplyWorkers:     2,
-			ApplyQueue:       64,
 			FetchTimeout:     250 * time.Millisecond,
-			FetchRetries:     40,
-			MaxReconnects:    100000,
 			ReconnectBackoff: 2 * time.Millisecond,
 			MaxBackoff:       25 * time.Millisecond,
 			DialTimeout:      250 * time.Millisecond,
@@ -161,7 +159,6 @@ func build(row *class, sch Schedule, pt Point) *bed {
 	if row.topology == clustered {
 		cc, err := cluster.DialCluster(base, cluster.ClientOptions{
 			Network:      b.mesh.Host("client"),
-			MaxRetries:   10,
 			RetryBackoff: 2 * time.Millisecond,
 			MaxBackoff:   40 * time.Millisecond,
 			// Shorter than a partition window, so an op stalled behind a
@@ -363,7 +360,6 @@ func (b *bed) rebalance(target []string) error {
 		Network:        b.mesh.Host("coord"),
 		RPCTimeout:     time.Second,
 		HandoffTimeout: 20 * time.Second,
-		CommitRetries:  2,
 	})
 	if err != nil {
 		b.failedRebalances++

@@ -62,8 +62,10 @@ type ApplierOptions struct {
 	// Fetch resolves a forward-encoded insert whose delta base is locally
 	// missing by retrieving the record's full content (normally from the
 	// primary over the replication fetch connection). It is called from
-	// multiple workers concurrently and must be safe for that. nil
-	// disables the fallback: base misses become terminal apply errors.
+	// multiple workers concurrently and must be safe for that, and it
+	// retries transport faults itself: any error other than
+	// ErrFetchUnavailable poisons the pool. nil disables the fallback:
+	// strict base misses become terminal apply errors.
 	Fetch func(db, key string) ([]byte, error)
 }
 
@@ -236,11 +238,10 @@ func (a *Applier) run(job applyJob) {
 				// when it arrives after a resync window.
 				a.markVanished(job.entry.DB, job.entry.Key)
 				err = nil
-			case job.lenient:
-				// Transport trouble during a resync window.
-				err = a.decodeLocally(job.entry)
 			default:
-				err = fmt.Errorf("%w (fetch fallback: %v)", err, ferr)
+				// The fetch rides out transport faults itself, so it gave
+				// up for good (the replication fetcher only when closing).
+				err = fmt.Errorf("%w (fetch fallback: %w)", err, ferr)
 			}
 		}
 	}
@@ -273,11 +274,11 @@ func (a *Applier) run(job applyJob) {
 	a.complete(job)
 }
 
-// decodeLocally applies a resync window's forward-encoded insert whose
-// primary copy cannot be fetched: decoded against the local base after all,
-// which is right unless the snapshot carried a newer base than the primary
-// encoded against (the case the fetch exists for), and skipped when the base
-// is not here either, for a future snapshot to re-deliver if still live.
+// decodeLocally applies a resync window's forward-encoded insert when the
+// pool has no fetch: decoded against the local base after all, which is
+// right unless the snapshot carried a newer base than the primary encoded
+// against (the case the fetch exists for), and skipped when the base is not
+// here either, for a future snapshot to re-deliver if still live.
 func (a *Applier) decodeLocally(e oplog.Entry) error {
 	if err := a.n.ApplyReplicated(e); !errors.Is(err, ErrBaseMissing) {
 		return err

@@ -15,18 +15,18 @@ import (
 // fetchClient asks the primary for full record contents over a lazily
 // opened dedicated connection (the base-miss fallback of paper §4.1 fn. 4).
 // It is safe to call from multiple apply workers: requests are serialised
-// on one connection, every round-trip carries a deadline, and a transport
-// failure redials and retries (with a short growing backoff) up to
-// `retries` times before the error surfaces — a fetch error poisons the
-// whole apply pool, so the client must ride out the same network faults
-// the stream does.
+// on one connection and every round-trip carries a deadline. A fetch error
+// poisons the whole apply pool, so a transport failure is retried under the
+// stream's backoff until the primary answers or the secondary closes.
 type fetchClient struct {
 	addr    string
 	timeout time.Duration
-	retries int
 	network netsim.Network
 	rm      *metrics.ReplMetrics
 	bytesIn *metrics.Meter
+	// backoff waits before retry number attempt; false means the secondary
+	// closed meanwhile.
+	backoff func(attempt int) bool
 
 	mu   sync.Mutex
 	conn net.Conn
@@ -38,22 +38,14 @@ type fetchClient struct {
 // (e.g. record not found); retrying on a fresh connection cannot help.
 var errPrimaryReject = errors.New("repl: primary")
 
+// fetch returns the record's content, or ErrFetchUnavailable when the
+// primary does not hold it; net.ErrClosed means the secondary closed while
+// the fetch was retrying.
 func (c *fetchClient) fetch(db, key string) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Zero-value clients (tests construct them directly) get defaults.
-	if c.network == nil {
-		c.network = netsim.Default
-	}
-	if c.rm == nil {
-		c.rm = &metrics.ReplMetrics{}
-	}
-	var (
-		content []byte
-		err     error
-	)
-	for attempt := 0; ; attempt++ {
-		content, err = c.fetchOnce(db, key)
+	for attempt := 1; ; attempt++ {
+		content, err := c.fetchOnce(db, key)
 		if err == nil {
 			return content, nil
 		}
@@ -64,13 +56,10 @@ func (c *fetchClient) fetch(db, key string) ([]byte, error) {
 			return nil, fmt.Errorf("%w: %v", node.ErrFetchUnavailable, err)
 		}
 		// Transport trouble (timeout, broken or corrupted connection):
-		// reconnect and retry before giving up.
-		if attempt >= c.retries {
-			return nil, err
+		// fetchOnce dropped the connection, so the retry redials.
+		if !c.backoff(attempt) {
+			return nil, fmt.Errorf("repl: fetch: %w", net.ErrClosed)
 		}
-		c.reset()
-		backoff := 10 * time.Millisecond << uint(min(attempt, 5))
-		time.Sleep(backoff)
 	}
 }
 
@@ -79,30 +68,27 @@ func (c *fetchClient) fetch(db, key string) ([]byte, error) {
 // is torn down so the next attempt redials.
 func (c *fetchClient) fetchOnce(db, key string) ([]byte, error) {
 	deadline := time.Now().Add(c.timeout)
-	if c.conn == nil {
+	fresh := c.conn == nil
+	if fresh {
 		c.rm.Dials.Add(1)
 		conn, err := c.network.DialTimeout(c.addr, c.timeout)
 		if err != nil {
 			c.rm.DialFailures.Add(1)
 			return nil, fmt.Errorf("repl: fetch dial: %w", err)
 		}
-		conn.SetDeadline(deadline)
-		fw := &frameWriter{w: conn}
-		if _, err := fw.write(frameHello, []byte{helloFetch}); err != nil {
-			conn.Close()
+		c.conn, c.fr, c.fw = conn, &frameReader{r: conn}, &frameWriter{w: conn}
+	}
+	// One deadline per round trip, a fresh connection's hello included, and
+	// never cleared: an idle connection has nothing for it to cut, and the
+	// next round trip moves it.
+	c.conn.SetDeadline(deadline)
+	if fresh {
+		if _, err := c.fw.write(frameHello, []byte{helloFetch}); err != nil {
+			c.reset()
 			c.rm.DialFailures.Add(1)
 			return nil, fmt.Errorf("repl: fetch hello: %w", err)
 		}
-		c.conn = conn
-		c.fr = &frameReader{r: conn}
-		c.fw = fw
 	}
-	c.conn.SetDeadline(deadline)
-	defer func() {
-		if c.conn != nil {
-			c.conn.SetDeadline(time.Time{})
-		}
-	}()
 	req := appendLenBytes(nil, []byte(db))
 	req = appendLenBytes(req, []byte(key))
 	if _, err := c.fw.write(frameFetch, req); err != nil {

@@ -27,12 +27,12 @@
 //
 // The protocol is hardened against a misbehaving network: corrupt or
 // out-of-sequence frames and silent partitions (detected by heartbeat/idle
-// timeouts) tear the connection down, and a Secondary configured with
-// MaxReconnects redials under bounded exponential backoff with jitter,
-// resuming from its applied low-water mark. Resume is idempotent: the
-// stream reader dispatches entries in sequence order and drains the apply
-// shards (Barrier) before reconnecting, so the low-water mark is exactly
-// the last dispatched entry and nothing is applied twice. A connection
+// timeouts) tear the connection down, and a Secondary redials under bounded
+// exponential backoff with jitter until it is closed, resuming from its
+// applied low-water mark. Resume is idempotent: the stream reader dispatches
+// entries in sequence order and drains the apply shards (Barrier) before
+// reconnecting, so the low-water mark is exactly the last dispatched entry
+// and nothing is applied twice. A connection
 // that dies mid-snapshot reconnects with a forced-resync hello ('R' mode),
 // discarding the half-installed snapshot's stream position rather than
 // trusting it. The secondary counts received frame bytes, giving the
@@ -112,8 +112,6 @@ type PrimaryOptions struct {
 	// partitioned or wedged secondary fails its connection instead of
 	// pinning a serve goroutine forever.
 	WriteTimeout time.Duration
-	// Metrics receives transport counters (default: a private bundle).
-	Metrics *metrics.ReplMetrics
 }
 
 func (o PrimaryOptions) withDefaults() PrimaryOptions {
@@ -126,9 +124,6 @@ func (o PrimaryOptions) withDefaults() PrimaryOptions {
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 10 * time.Second
 	}
-	if o.Metrics == nil {
-		o.Metrics = &metrics.ReplMetrics{}
-	}
 	return o
 }
 
@@ -137,6 +132,7 @@ type Primary struct {
 	node *node.Node
 	ln   net.Listener
 	opts PrimaryOptions
+	rm   *metrics.ReplMetrics
 
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
@@ -154,15 +150,12 @@ func ListenAndServe(n *node.Node, addr string) (*Primary, error) {
 // ListenAndServeWithOptions starts a replication listener with explicit
 // transport tuning.
 func ListenAndServeWithOptions(n *node.Node, addr string, o PrimaryOptions) (*Primary, error) {
-	if o.Metrics == nil {
-		o.Metrics = n.ReplMetrics()
-	}
 	o = o.withDefaults()
 	ln, err := o.Network.Listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("repl: %w", err)
 	}
-	p := &Primary{node: n, ln: ln, opts: o, conns: make(map[net.Conn]struct{})}
+	p := &Primary{node: n, ln: ln, opts: o, rm: n.ReplMetrics(), conns: make(map[net.Conn]struct{})}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -174,8 +167,8 @@ func (p *Primary) Addr() string { return p.ln.Addr().String() }
 // BytesSent returns total frame bytes sent to all secondaries.
 func (p *Primary) BytesSent() int64 { return p.sentOut.Total() }
 
-// Metrics returns the primary's transport counter bundle.
-func (p *Primary) Metrics() *metrics.ReplMetrics { return p.opts.Metrics }
+// Metrics returns the primary's transport counter bundle (the node's).
+func (p *Primary) Metrics() *metrics.ReplMetrics { return p.rm }
 
 // Close stops serving and closes all replica connections.
 func (p *Primary) Close() error {
@@ -310,7 +303,7 @@ func (p *Primary) serveConn(conn net.Conn) {
 				if err := p.send(conn, fw, frameHeartbeat, nil); err != nil {
 					return
 				}
-				p.opts.Metrics.HeartbeatsSent.Add(1)
+				p.rm.HeartbeatsSent.Add(1)
 				lastSend = time.Now()
 			}
 			time.Sleep(pollInterval)
@@ -455,10 +448,11 @@ func isTransient(err error) bool {
 // encoder pool. AppliedSeq is a low-water mark across the shards; snapshot
 // frames act as barriers (drain all shards, then rebase the mark).
 //
-// With Options.MaxReconnects > 0 the secondary survives transport faults:
-// it drains the apply shards, backs off with jitter, redials, and resumes
-// from the low-water mark (or forces a fresh snapshot if the previous
-// connection died mid-snapshot).
+// The secondary has one fault policy: a transport failure, on the stream or
+// on a base fetch, is retried under the same jittered backoff until it
+// succeeds or Close is called. After a stream fault it drains the apply
+// shards, backs off, redials, and resumes from the low-water mark (or forces
+// a fresh snapshot if the previous connection died mid-snapshot).
 type Secondary struct {
 	node    *node.Node
 	applier *node.Applier
@@ -497,34 +491,21 @@ type Secondary struct {
 	bytesIn    metrics.Meter
 }
 
-// Options tunes a Secondary's transport and apply pipeline. The zero value
-// selects the defaults.
+// Options times a Secondary's transport. The zero value selects the
+// defaults; only a simulated network needs other values.
 type Options struct {
-	// ApplyWorkers is the number of parallel apply workers, each owning
-	// one per-database FIFO shard (default GOMAXPROCS).
-	ApplyWorkers int
-	// ApplyQueue bounds each apply shard's queue (default 1024); the
-	// stream reader blocks when a shard is full, backpressuring the TCP
-	// stream instead of queueing unboundedly.
-	ApplyQueue int
 	// FetchTimeout bounds each base-fetch round-trip to the primary
-	// (dial, write, read). Default 3s. A hung primary fails the fetch
-	// instead of stalling an apply worker forever.
+	// (dial, write, read). Default 3s. A hung primary fails the round trip,
+	// which is then retried, instead of stalling an apply worker forever.
 	FetchTimeout time.Duration
-	// FetchRetries is how many times a failed base-fetch redials and
-	// retries before the error poisons the apply pool (default 1).
-	FetchRetries int
 
 	// Network is the transport seam (default netsim.Default, i.e. TCP).
 	Network netsim.Network
-	// MaxReconnects bounds consecutive failed reconnection attempts after
-	// a transport fault. 0 (the default) disables reconnection entirely:
-	// the first transport error ends the stream, as before hardening. The
-	// counter resets every time a connection processes a frame.
-	MaxReconnects int
-	// ReconnectBackoff is the base backoff between reconnection attempts
-	// (default 50ms); it doubles per consecutive failure up to MaxBackoff
-	// (default 2s), with ±50% jitter.
+	// ReconnectBackoff is the base backoff between attempts after a
+	// transport fault, on the stream or on a fetch (default 50ms); it
+	// doubles per consecutive failure up to MaxBackoff (default 2s), with
+	// ±50% jitter. The stream's count resets every time a connection
+	// processes a frame.
 	ReconnectBackoff time.Duration
 	MaxBackoff       time.Duration
 	// DialTimeout bounds each dial + hello (default 3s).
@@ -534,9 +515,6 @@ type Options struct {
 	// primary heartbeats every HeartbeatInterval, so a healthy idle
 	// stream never trips this.
 	IdleTimeout time.Duration
-	// Metrics receives transport counters (default: the node's bundle,
-	// so /metrics surfaces them).
-	Metrics *metrics.ReplMetrics
 }
 
 // DefaultFetchTimeout bounds base-fetch round-trips unless overridden.
@@ -545,9 +523,6 @@ const DefaultFetchTimeout = 3 * time.Second
 func (o Options) withDefaults() Options {
 	if o.FetchTimeout <= 0 {
 		o.FetchTimeout = DefaultFetchTimeout
-	}
-	if o.FetchRetries <= 0 {
-		o.FetchRetries = 1
 	}
 	if o.Network == nil {
 		o.Network = netsim.Default
@@ -584,15 +559,11 @@ func ConnectWithOptions(n *node.Node, addr string, o Options) (*Secondary, error
 // mismatch), the stream falls back to a full snapshot resync.
 func connect(n *node.Node, addr string, afterSeq, expectEpoch uint64, o Options) (*Secondary, error) {
 	o = o.withDefaults()
-	rm := o.Metrics
-	if rm == nil {
-		rm = n.ReplMetrics()
-	}
 	s := &Secondary{
 		node:     n,
 		opts:     o,
 		addr:     addr,
-		rm:       rm,
+		rm:       n.ReplMetrics(),
 		epoch:    expectEpoch,
 		closedCh: make(chan struct{}),
 		done:     make(chan struct{}),
@@ -606,16 +577,13 @@ func connect(n *node.Node, addr string, afterSeq, expectEpoch uint64, o Options)
 	s.fetch = &fetchClient{
 		addr:    addr,
 		timeout: o.FetchTimeout,
-		retries: o.FetchRetries,
 		network: o.Network,
-		rm:      rm,
+		rm:      s.rm,
 		bytesIn: &s.bytesIn,
+		backoff: s.sleepBackoff,
 	}
-	s.applier = node.NewApplier(n, afterSeq, node.ApplierOptions{
-		Workers: o.ApplyWorkers,
-		Queue:   o.ApplyQueue,
-		Fetch:   s.fetch.fetch,
-	})
+	// The apply pool is sized like the encoder pool: GOMAXPROCS shards.
+	s.applier = node.NewApplier(n, afterSeq, node.ApplierOptions{Fetch: s.fetch.fetch})
 	if err := s.dialAndHello(); err != nil {
 		s.applier.Close()
 		return nil, fmt.Errorf("repl: %w", err)
@@ -669,8 +637,8 @@ func (s *Secondary) dialAndHello() error {
 }
 
 // run owns the secondary's lifecycle: stream until the connection fails,
-// then (if configured) drain, back off, redial, resume; terminal errors and
-// Close end it.
+// then drain, back off, redial and resume, for as long as it takes; a
+// terminal error or Close ends it.
 func (s *Secondary) run() {
 	defer close(s.done)
 	failures := 0
@@ -683,13 +651,6 @@ func (s *Secondary) run() {
 			return
 		}
 		if !isTransient(err) {
-			s.fail(err)
-			return
-		}
-		if s.opts.MaxReconnects <= 0 {
-			// Reconnection disabled: surface the transport error (fail
-			// ignores clean EOF/closed, preserving the original
-			// stop-silently semantics).
 			s.fail(err)
 			return
 		}
@@ -716,25 +677,20 @@ func (s *Secondary) run() {
 		s.mu.Unlock()
 		for {
 			failures++
-			if failures > s.opts.MaxReconnects {
-				s.fail(fmt.Errorf("repl: giving up after %d reconnect attempts: %w", failures-1, err))
-				return
-			}
 			if !s.sleepBackoff(failures) {
 				return
 			}
-			if derr := s.dialAndHello(); derr != nil {
-				err = transient(derr)
-				continue
+			if s.dialAndHello() == nil {
+				break
 			}
-			break
 		}
 		s.rm.Reconnects.Add(1)
 	}
 }
 
 // sleepBackoff waits the jittered exponential backoff for the given
-// consecutive-failure count; false means the secondary closed meanwhile.
+// consecutive-failure count, of the stream or of a fetch; false means the
+// secondary closed meanwhile.
 func (s *Secondary) sleepBackoff(attempt int) bool {
 	d := s.opts.ReconnectBackoff
 	for i := 1; i < attempt && d < s.opts.MaxBackoff; i++ {
@@ -951,8 +907,8 @@ func (s *Secondary) AppliedSeq() uint64 {
 }
 
 // Err returns the first terminal replication error, if any — a stream
-// failure or an apply-worker failure. Transport faults the reconnect loop
-// is still absorbing are not terminal.
+// failure or an apply-worker failure. Transport faults are retried until
+// Close and never terminal, and neither is a fetch that Close cut short.
 func (s *Secondary) Err() error {
 	s.mu.Lock()
 	err := s.err
@@ -960,7 +916,7 @@ func (s *Secondary) Err() error {
 	if err != nil {
 		return err
 	}
-	if aerr := s.applier.Err(); aerr != nil {
+	if aerr := s.applier.Err(); aerr != nil && !errors.Is(aerr, net.ErrClosed) {
 		return fmt.Errorf("repl: %w", aerr)
 	}
 	return nil

@@ -513,9 +513,10 @@ func TestMultipleSecondaries(t *testing.T) {
 }
 
 // TestShardedApplyMultiDBStress replicates interleaved multi-database
-// traffic through the sharded apply path: 8 apply workers, a deliberately
-// small shard queue (so dispatch backpressure engages), version chains that
-// mostly ship forward-encoded, and updates/deletes mixed in. Every
+// traffic through the sharded apply path as a secondary sizes it (GOMAXPROCS
+// workers; node's applier tests cover small queues under backpressure),
+// version chains that mostly ship forward-encoded, and updates/deletes mixed
+// in. Every
 // secondary record must end up byte-identical to the primary — the
 // per-database FIFO invariant leaves no other outcome. Runs under -race.
 func TestShardedApplyMultiDBStress(t *testing.T) {
@@ -537,7 +538,7 @@ func TestShardedApplyMultiDBStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	s, err := ConnectWithOptions(sec, p.Addr(), Options{ApplyWorkers: 8, ApplyQueue: 16})
+	s, err := Connect(sec, p.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,8 +590,8 @@ func TestShardedApplyMultiDBStress(t *testing.T) {
 		}
 	}
 	m := sec.ApplyMetrics()
-	if m.Workers.Value() != 8 {
-		t.Errorf("apply workers = %d, want 8", m.Workers.Value())
+	if want := int64(runtime.GOMAXPROCS(0)); m.Workers.Value() != want {
+		t.Errorf("apply workers = %d, want GOMAXPROCS = %d", m.Workers.Value(), want)
 	}
 	if m.QueueDepth.Value() != 0 {
 		t.Errorf("apply queue depth after drain = %d, want 0", m.QueueDepth.Value())
@@ -629,7 +630,7 @@ func TestShardedApplySnapshotResyncStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sec.Close()
-	s, err := ConnectWithOptions(sec, p.Addr(), Options{ApplyWorkers: 8, ApplyQueue: 16})
+	s, err := Connect(sec, p.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,34 +716,46 @@ func startFetchServer(t *testing.T, content []byte, behaviors ...fetchBehavior) 
 	return ln.Addr().String()
 }
 
+// testFetchClient is a fetch client outside a Secondary: TCP, its own
+// counters, and a 1ms backoff that never sees a Close.
+func testFetchClient(addr string, timeout time.Duration, meter *metrics.Meter) *fetchClient {
+	return &fetchClient{addr: addr, timeout: timeout, network: netsim.Default,
+		rm: &metrics.ReplMetrics{}, bytesIn: meter,
+		backoff: func(int) bool { time.Sleep(time.Millisecond); return true }}
+}
+
 // TestFetchClientTimeoutOnHungPrimary: a primary that accepts the fetch
 // connection but never answers must not stall an apply worker forever — the
-// configured deadline bounds each round-trip (original attempt plus the one
-// reconnect retry), then the error surfaces.
+// configured deadline ends each round-trip, and the fetch redials until a
+// connection is answered.
 func TestFetchClientTimeoutOnHungPrimary(t *testing.T) {
 	var meter metrics.Meter
-	addr := startFetchServer(t, nil, fetchHang, fetchHang)
-	c := &fetchClient{addr: addr, timeout: 150 * time.Millisecond, retries: 1, bytesIn: &meter}
+	want := []byte("answered on the third connection")
+	addr := startFetchServer(t, want, fetchHang, fetchHang, fetchServe)
+	c := testFetchClient(addr, 150*time.Millisecond, &meter)
 	start := time.Now()
-	_, err := c.fetch("db", "key")
+	got, err := c.fetch("db", "key")
 	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("fetch against a hung primary succeeded")
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("fetch after two hung round trips: %q, %v", got, err)
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("fetch took %v; deadline not enforced", elapsed)
 	}
+	if dials := c.rm.Dials.Total(); dials != 3 {
+		t.Fatalf("dials = %d, want 3 (one per round trip)", dials)
+	}
 }
 
 // TestFetchClientReconnectRetry: a transport failure on the fetch
-// connection (here: the primary drops it on accept) must trigger exactly
-// one reconnect-and-retry before surfacing an error — so a single broken
-// connection does not fail an otherwise healthy apply.
+// connection (here: the primary drops it on accept) must trigger a
+// reconnect-and-retry, so a single broken connection does not fail an
+// otherwise healthy apply.
 func TestFetchClientReconnectRetry(t *testing.T) {
 	var meter metrics.Meter
 	want := []byte("the full record content")
 	addr := startFetchServer(t, want, fetchDropImmediately, fetchServe)
-	c := &fetchClient{addr: addr, timeout: time.Second, retries: 1, bytesIn: &meter}
+	c := testFetchClient(addr, time.Second, &meter)
 	got, err := c.fetch("db", "key")
 	if err != nil {
 		t.Fatalf("fetch did not recover via reconnect: %v", err)
@@ -836,8 +849,7 @@ func TestSecondaryReconnectResumeAtPhase(t *testing.T) {
 			}
 			t.Cleanup(func() { p.Close() })
 			s, err := ConnectWithOptions(sec, p.Addr(), Options{
-				Network: sim, MaxReconnects: 50,
-				ReconnectBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond,
+				Network: sim, ReconnectBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond,
 				DialTimeout: 200 * time.Millisecond, IdleTimeout: 100 * time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
@@ -1018,8 +1030,7 @@ func TestResyncReconcileFailureIsRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sec.Close()
-	s, err := connect(sec, p.Addr(), cursor, epoch,
-		Options{MaxReconnects: 5, ReconnectBackoff: time.Millisecond})
+	s, err := connect(sec, p.Addr(), cursor, epoch, Options{ReconnectBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
