@@ -229,11 +229,11 @@ type Stats struct {
 	// DictBytes what the live segments' compression dictionaries hold
 	// beside them: at most 32 KiB a segment.
 	CacheBytes, CacheBudgetBytes, DictBytes int64
-	// MmapBlockReads/PreadBlockReads split block loads by how the bytes
-	// were served: zero-copy from a segment mapping vs a positional read.
-	// MmapFailures counts mapping attempts that failed (the segment stays
-	// on the pread path).
-	MmapBlockReads, PreadBlockReads, MmapFailures uint64
+	// PreadBlockReads counts block loads: each is a positional read of the
+	// block's header and one of its body, checksummed. MmapBlockReads is
+	// always zero (no segment is mapped); it stays for readers that report
+	// it.
+	MmapBlockReads, PreadBlockReads uint64
 	// PinnedReaders is the number of segment handles currently pinned by
 	// in-flight reads (gauge).
 	PinnedReaders int64
@@ -292,9 +292,7 @@ type Store struct {
 	blockBytesIn  atomic.Int64
 	blockBytesOut atomic.Int64
 	appends       atomic.Uint64
-	mmapReads     atomic.Uint64
 	preadReads    atomic.Uint64
-	mmapFailures  atomic.Uint64
 	blocksDecoded atomic.Uint64
 	bytesDecoded  atomic.Uint64
 	decodeNanos   atomic.Uint64
@@ -423,40 +421,7 @@ func Open(opts Options) (*Store, error) {
 		s.Close()
 		return nil, err
 	}
-	// Map every non-active segment now that replay has corrected sizes past
-	// torn tails. The active segment is never mapped — its tail is still
-	// being written, and a snapshot-style mapping would not follow — it gets
-	// mapped when it rolls.
-	for _, seg := range s.segments {
-		if seg != s.active {
-			s.mapSegment(seg)
-		}
-	}
 	return s, nil
-}
-
-// mapSegment installs a zero-copy memory mapping over a sealed segment's
-// bytes. Failure is not an error — the segment simply stays on the pread
-// path. Only segments past their last write may be mapped (mappings cover
-// immutable bytes only), which the callers guarantee: Open maps non-active
-// segments after replay, installLocked maps a segment when it rolls out of
-// the active role. Caller holds s.mu (or the store is not yet shared).
-func (s *Store) mapSegment(seg *segment) {
-	if seg.size == 0 || seg.retired || seg.rd.Mapped() {
-		return
-	}
-	m, ok := seg.file.(faultfs.Mapper)
-	if !ok {
-		return
-	}
-	mp, err := m.Mmap(seg.size)
-	if err != nil {
-		s.mmapFailures.Add(1)
-		return
-	}
-	if !seg.rd.InstallMapping(mp.Bytes(), func() { mp.Close() }) {
-		mp.Close()
-	}
 }
 
 // newSegment creates a fresh segment and installs its reader at slot.
@@ -786,10 +751,8 @@ func (s *Store) installLocked() error {
 		s.segments = append(s.segments, ns)
 		s.active = ns
 		// seg has rolled out of the active role: no byte of it will ever
-		// be written again, so its sealed prefix can be mapped and its
-		// encoder's index dropped.
+		// be written again, so its encoder's index can go.
 		seg.enc = nil
-		s.mapSegment(seg)
 	}
 	return nil
 }
@@ -839,9 +802,9 @@ func segSlot(segs []*segment, s *segment) int {
 }
 
 // Get returns the stored form of record id. The payload never aliases memory
-// the store owns (a cached block, a mapping, a block buffer): for a sealed
-// record it is a fresh copy, for one whose block has not been committed yet
-// it is the slice Append was given, which appenders never modify.
+// the store owns (a cached block, a block buffer): for a sealed record it is a
+// fresh copy, for one whose block has not been committed yet it is the slice
+// Append was given, which appenders never modify.
 func (s *Store) Get(id uint64) (Record, bool, error) {
 	var out Record
 	ok, err := s.read(id, func(rec Record, lent bool) {
@@ -865,7 +828,7 @@ type Stored struct {
 
 // View calls fn with the stored form of record id and reports whether the
 // record exists. It is Get without the copy: v.Payload is lent for the length
-// of fn and is overwritten or unmapped after it. A sealed record's payload is a
+// of fn and may be overwritten after it. A sealed record's payload is a
 // slice of its decoded block, shown under the block cache's shard lock on a hit
 // and before the cache takes the buffer over on a miss, so fn follows the same
 // leaf rule as segio.Cache.View: it copies out or computes from the bytes, and
@@ -882,7 +845,7 @@ func (s *Store) View(id uint64, fn func(v Stored)) (bool, error) {
 // read is the lookup under Get and View: it copies id's entry out of the
 // record table and calls fn once, with the pending copy or with the sealed
 // frame the entry points at. lent says that rec.Payload is a slice of a block
-// (cached, mapped or just decoded) and dies with the call; otherwise it is
+// (cached or just loaded) and dies with the call; otherwise it is
 // the slice Append was given. rec.DB and rec.Key are the table's strings.
 //
 // read takes no store-wide lock: the entry is one consistent version of the
@@ -950,14 +913,12 @@ func (s *Store) frameAt(id uint64, e *entry, fn func(rec Record, lent bool)) err
 		return segio.ErrRetired
 	}
 	defer s.table.Unpin(rd)
-	block, owned, _, err := s.readBlock(rd, e.off, func(n int) []byte { return s.cache.Buffer(key, n) })
+	block, _, err := s.readBlock(rd, e.off, func(n int) []byte { return s.cache.Buffer(key, n) })
 	if err != nil {
 		return err
 	}
 	err = extract(block)
-	if owned {
-		s.cache.Put(key, block)
-	}
+	s.cache.Put(key, block)
 	return err
 }
 
@@ -1006,35 +967,35 @@ func (seg *segment) publish(n int64) {
 	seg.rd.SetSize(seg.size)
 }
 
-// scratchPool holds buffers for compressed block images read with pread;
-// they live only for the length of one decode.
+// scratchPool holds the buffers a block load reads its header and a
+// compressed image into; they live only for the length of one load.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // readBlock loads the block at offset off of rd, which the caller has pinned
 // (or owns outright, during replay), and returns its decompressed contents and
-// the offset of the block behind it. An uncompressed mapped block is lent
-// straight from the mapping, which dies with the pin; anything else is decoded
-// or read into a buffer that buffer supplies at the length asked for, and is
-// then the caller's (owned). A point read passes the block cache's free list
-// and hands the block to the cache afterwards, so a steady-state miss
-// allocates nothing here. A block with flagDict is decoded behind rd's
-// dictionary. On the pread path the stored image's checksum is verified.
-//
-// Mapped bytes skip the checksum: a mapping only ever covers bytes this
-// process sealed itself or that replay has already verified. What the header
-// claims is still checked against what the bytes can hold before anything is
-// sized from it, so a damaged header is an error, never an allocation.
-func (s *Store) readBlock(rd *segio.Reader, off int64, buffer func(n int) []byte) (block []byte, owned bool, next int64, err error) {
-	var hdrBuf [blockHeaderSize]byte
-	hdr, mapped := rd.MappedRange(off, blockHeaderSize)
-	if !mapped {
-		hdr = hdrBuf[:]
-		if err := rd.ReadAt(hdr, off); err != nil {
-			return nil, false, 0, fmt.Errorf("docstore: %w", err)
-		}
+// the offset of the block behind it. Every load is the same two positional
+// reads, of the header into pooled scratch and of the body, and the body's
+// checksum is verified before anything is made of it. An uncompressed body is
+// read straight into a buffer that buffer supplies at the length asked for; a
+// compressed one is read into the scratch and decoded into such a buffer,
+// behind rd's dictionary when it has flagDict. The block is then the
+// caller's. A point read passes the block cache's free list and hands the
+// block to the cache afterwards, so a steady-state miss allocates nothing
+// here. What the header claims is checked against what the bytes can hold
+// before anything is sized from it, so a damaged header is an error, never an
+// allocation.
+func (s *Store) readBlock(rd *segio.Reader, off int64, buffer func(n int) []byte) (block []byte, next int64, err error) {
+	sp := scratchPool.Get().(*[]byte)
+	defer scratchPool.Put(sp)
+	if cap(*sp) < blockHeaderSize {
+		*sp = make([]byte, blockHeaderSize)
+	}
+	hdr := (*sp)[:blockHeaderSize]
+	if err := rd.ReadAt(hdr, off); err != nil {
+		return nil, 0, fmt.Errorf("docstore: %w", err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != blockMagic {
-		return nil, false, 0, errors.New("docstore: bad block magic")
+		return nil, 0, errors.New("docstore: bad block magic")
 	}
 	rawLen := int64(binary.LittleEndian.Uint32(hdr[4:]))
 	storedLen := int64(binary.LittleEndian.Uint32(hdr[8:]))
@@ -1044,53 +1005,35 @@ func (s *Store) readBlock(rd *segio.Reader, off int64, buffer func(n int) []byte
 	bodyOff := off + blockHeaderSize
 	next = bodyOff + storedLen
 	if next > rd.Size() {
-		return nil, false, 0, errors.New("docstore: block extends past segment end")
+		return nil, 0, errors.New("docstore: block extends past segment end")
 	}
 	if !compressed && rawLen != storedLen {
-		return nil, false, 0, errors.New("docstore: block length mismatch")
+		return nil, 0, errors.New("docstore: block length mismatch")
 	}
+	s.preadReads.Add(1)
 
-	var image []byte // the stored bytes, when they need no buffer of ours
-	if mapped {
-		image, mapped = rd.MappedRange(bodyOff, storedLen)
-	}
-	if mapped {
-		s.mmapReads.Add(1)
-		if !compressed {
-			return image, false, next, nil // the mapping is the cache
-		}
-	} else {
-		s.preadReads.Add(1)
-	}
-
-	if !compressed {
-		block = buffer(int(storedLen))
-		if err := rd.ReadAt(block, bodyOff); err != nil {
-			return nil, false, 0, fmt.Errorf("docstore: %w", err)
-		}
-		if crc32.ChecksumIEEE(block) != sum {
-			return nil, false, 0, errors.New("docstore: block checksum mismatch")
-		}
-		return block, true, next, nil
-	}
-	if !mapped {
-		sp := scratchPool.Get().(*[]byte)
-		defer scratchPool.Put(sp)
+	var image []byte // the stored body; the header's bytes are dead from here
+	if compressed {
 		if int64(cap(*sp)) < storedLen {
 			*sp = make([]byte, storedLen)
 		}
 		image = (*sp)[:storedLen]
-		if err := rd.ReadAt(image, bodyOff); err != nil {
-			return nil, false, 0, fmt.Errorf("docstore: %w", err)
-		}
-		if crc32.ChecksumIEEE(image) != sum {
-			return nil, false, 0, errors.New("docstore: block checksum mismatch")
-		}
+	} else {
+		image = buffer(int(storedLen))
+	}
+	if err := rd.ReadAt(image, bodyOff); err != nil {
+		return nil, 0, fmt.Errorf("docstore: %w", err)
+	}
+	if crc32.ChecksumIEEE(image) != sum {
+		return nil, 0, errors.New("docstore: block checksum mismatch")
+	}
+	if !compressed {
+		return image, next, nil
 	}
 	// Only the block header's rawLen is acceptable, and only if the
 	// compressed image can decode to that much.
 	if n, err := blockcomp.DecodedLen(image); err != nil || int64(n) != rawLen {
-		return nil, false, 0, errors.New("docstore: block length mismatch")
+		return nil, 0, errors.New("docstore: block length mismatch")
 	}
 	var dict []byte
 	if flags&flagDict != 0 {
@@ -1098,21 +1041,21 @@ func (s *Store) readBlock(rd *segio.Reader, off int64, buffer func(n int) []byte
 	}
 	start := time.Now()
 	if block, err = blockcomp.DecodeDict(buffer(int(rawLen)), image, dict); err != nil {
-		return nil, false, 0, fmt.Errorf("docstore: %w", err)
+		return nil, 0, fmt.Errorf("docstore: %w", err)
 	}
 	s.blocksDecoded.Add(1)
 	s.bytesDecoded.Add(uint64(rawLen))
 	s.decodeNanos.Add(uint64(time.Since(start)))
-	return block, true, next, nil
+	return block, next, nil
 }
 
 // walkBlocks is how a segment is read from end to end, by replay and by
 // compaction: it calls fn with each block of rd in file order, decoded once
-// into a buffer of its own that the next block overwrites (or lent from the
-// mapping), so a walk neither fills the block cache nor evicts from it. It
-// stops at rd's size, at the first block that does not load and at fn's first
-// error, and returns the offset it reached and what stopped it. The caller
-// has rd pinned or to itself.
+// into a buffer of its own that the next block overwrites, so a walk neither
+// fills the block cache nor evicts from it. It stops at rd's size, at the
+// first block that does not load and at fn's first error, and returns the
+// offset it reached and what stopped it. The caller has rd pinned or to
+// itself.
 func (s *Store) walkBlocks(rd *segio.Reader, fn func(off int64, raw []byte) error) (int64, error) {
 	var buf []byte
 	own := func(n int) []byte {
@@ -1123,7 +1066,7 @@ func (s *Store) walkBlocks(rd *segio.Reader, fn func(off int64, raw []byte) erro
 	}
 	var off int64
 	for off < rd.Size() {
-		raw, _, next, err := s.readBlock(rd, off, own)
+		raw, next, err := s.readBlock(rd, off, own)
 		if err == nil {
 			err = fn(off, raw)
 		}
@@ -1183,9 +1126,7 @@ func (s *Store) Stats() Stats {
 		Appends:         s.appends.Load(),
 		CacheHits:       hits,
 		CacheMisses:     misses,
-		MmapBlockReads:  s.mmapReads.Load(),
 		PreadBlockReads: s.preadReads.Load(),
-		MmapFailures:    s.mmapFailures.Load(),
 		PinnedReaders:   s.table.Pinned(),
 		RetiredPending:  s.table.RetiredPending(),
 		LiveSegments:    s.table.Live(),
@@ -1333,7 +1274,7 @@ func (s *Store) Compact() (int64, error) {
 			}
 			rec.DB, rec.Key = e.db, e.key
 			// What is appended becomes the record's pending copy, which has
-			// to outlive the walk's buffer and the victim's mapping.
+			// to outlive the walk's buffer.
 			rec.Payload = append([]byte(nil), rec.Payload...)
 			if s.opts.AppendDelay > 0 {
 				time.Sleep(s.opts.AppendDelay)

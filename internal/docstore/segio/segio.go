@@ -60,12 +60,6 @@ type Reader struct {
 	file File
 	size atomic.Int64 // published (sealed, durable) byte count
 
-	// mapped is an optional zero-copy view over the segment's sealed
-	// prefix (a memory mapping installed by the store once the segment can
-	// no longer be written). Installed at most once; torn down when the
-	// refcount drains, so a pin is what keeps mapped bytes alive.
-	mapped atomic.Pointer[mapView]
-
 	// dict is the segment's compression dictionary: the first raw bytes of
 	// its first block, which later blocks of the segment were encoded behind.
 	// The store sets it once, before it publishes a block that needs it (at
@@ -75,12 +69,6 @@ type Reader struct {
 	refs    atomic.Int64
 	release func() // user hook: close the file (may be nil)
 	onDrain func() // table bookkeeping, set once at Install
-}
-
-// mapView pairs mapped bytes with their teardown hook.
-type mapView struct {
-	data  []byte
-	unmap func()
 }
 
 // NewFileReader wraps an open segment file. size is the initially published
@@ -125,37 +113,6 @@ func (r *Reader) Dict() []byte {
 // SetDict installs the segment's dictionary, which must never change again.
 func (r *Reader) SetDict(d []byte) { r.dict.Store(&d) }
 
-// InstallMapping publishes data as a zero-copy view of the segment's first
-// len(data) bytes, with unmap as its teardown. It pins the reader around the
-// publish so a concurrent retirement can never drain past a half-installed
-// mapping; once the reader has drained (or a mapping is already installed)
-// it returns false and the caller keeps ownership of the mapping. unmap runs
-// exactly once, when the refcount drains — strictly before the release hook,
-// so the file is still open while its pages unmap.
-func (r *Reader) InstallMapping(data []byte, unmap func()) bool {
-	if !r.tryPin() {
-		return false
-	}
-	defer r.unref()
-	return r.mapped.CompareAndSwap(nil, &mapView{data: data, unmap: unmap})
-}
-
-// Mapped reports whether a mapping is installed.
-func (r *Reader) Mapped() bool { return r.mapped.Load() != nil }
-
-// MappedRange returns the zero-copy bytes [off, off+n) when that whole range
-// lies inside both the mapping and the published size, (nil, false)
-// otherwise. The caller must hold a pin on r for as long as it touches the
-// returned slice: the mapping is torn down when the refcount drains, and a
-// pin is what holds the refcount up.
-func (r *Reader) MappedRange(off, n int64) ([]byte, bool) {
-	mv := r.mapped.Load()
-	if mv == nil || off < 0 || n < 0 || off+n > int64(len(mv.data)) || off+n > r.size.Load() {
-		return nil, false
-	}
-	return mv.data[off : off+n], true
-}
-
 // tryPin atomically takes a reference unless the reader already drained.
 func (r *Reader) tryPin() bool {
 	for {
@@ -172,9 +129,6 @@ func (r *Reader) tryPin() bool {
 // unref drops one reference, running the release hook on the final drop.
 func (r *Reader) unref() {
 	if r.refs.Add(-1) == 0 {
-		if mv := r.mapped.Load(); mv != nil && mv.unmap != nil {
-			mv.unmap()
-		}
 		if r.release != nil {
 			r.release()
 		}
@@ -289,8 +243,8 @@ func (t *Table) Pinned() int64 { return t.pinned.Load() }
 func (t *Table) RetiredPending() int64 { return t.retiredPending.Load() }
 
 // Dict returns the dictionary of the segment at slot, nil if the slot is
-// empty or the segment has none. The bytes are immutable and the heap's, not
-// a mapping's, so they need no pin.
+// empty or the segment has none. The bytes are immutable heap memory, so they
+// need no pin.
 func (t *Table) Dict(slot int) []byte {
 	s := t.snap.Load()
 	if slot < 0 || slot >= len(s.readers) || s.readers[slot] == nil {

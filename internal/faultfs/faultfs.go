@@ -14,7 +14,6 @@
 package faultfs
 
 import (
-	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -51,50 +50,18 @@ type File interface {
 	Truncate(size int64) error
 }
 
-// Mapping is a read-only view of a file's leading bytes, obtained from a
-// Mapper. Bytes stays valid until Close; the caller must not write through
-// it.
-type Mapping interface {
-	// Bytes is the mapped window. Its length is the length the mapping was
-	// requested with.
-	Bytes() []byte
-	// Close releases the mapping. Bytes must not be touched afterwards.
-	Close() error
-}
-
-// Mapper is the optional memory-map capability of a File. Callers
-// type-assert for it; a File that does not implement it (or whose Mmap
-// returns an error) is simply read through ReadAt instead. Only bytes that
-// will never be rewritten may be mapped — the os-backed mapping is
-// MAP_SHARED (coherent with later writes) but MemFS (and Injector delegation
-// over it) lends the array the file had at map time, which a later write may
-// or may not still be using.
-type Mapper interface {
-	Mmap(length int64) (Mapping, error)
-}
-
-// ErrMmapUnsupported is returned by Mmap on platforms or files that cannot
-// memory-map; callers fall back to ReadAt.
-var ErrMmapUnsupported = errors.New("faultfs: mmap unsupported")
-
 // OS is the direct os-backed filesystem.
 type OS struct{}
 
 // DefaultFS is what a nil Options.FS resolves to.
 var DefaultFS FS = OS{}
 
-// osFile wraps *os.File so the os-backed FS can expose the Mapper
-// capability (mmap_unix.go) alongside the plain File surface.
-type osFile struct {
-	*os.File
-}
-
 func (OS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	f, err := os.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &osFile{f}, nil
+	return f, nil
 }
 
 func (OS) Remove(name string) error                     { return os.Remove(name) }

@@ -32,10 +32,6 @@ const (
 	OpSync
 	OpTruncate
 	OpRemove
-	// OpMmap counts memory-map attempts on segment files. Mapping is a
-	// read-side accelerator: a failed mmap falls back to pread, so faults
-	// here exercise the fallback, not durability.
-	OpMmap
 	// NumOps sizes per-class counters.
 	NumOps
 )
@@ -54,8 +50,6 @@ func (op Op) String() string {
 		return "truncate"
 	case OpRemove:
 		return "remove"
-	case OpMmap:
-		return "mmap"
 	}
 	return fmt.Sprintf("op(%d)", op)
 }
@@ -149,10 +143,6 @@ func FailSync(nth uint64) Rule { return Rule{Op: OpSync, Nth: nth, Kind: KindErr
 
 // FlipRead silently flips one bit in the nth read's result.
 func FlipRead(nth uint64) Rule { return Rule{Op: OpRead, Nth: nth, Kind: KindFlip} }
-
-// FailMmap fails the nth memory-map attempt; the store must fall back to
-// the pread path.
-func FailMmap(nth uint64) Rule { return Rule{Op: OpMmap, Nth: nth, Kind: KindErr} }
 
 // Injector wraps an FS with a deterministic fault schedule. All decisions
 // that involve randomness (torn-write prefix lengths, bit-flip positions)
@@ -440,29 +430,6 @@ func (jf *injFile) Truncate(size int64) error {
 		return fmt.Errorf("truncate %s: %w", jf.name, ErrInjected)
 	}
 	return jf.f.Truncate(size)
-}
-
-// Mmap delegates to the inner file's Mapper capability (absent one, the
-// caller falls back to pread — same as an injected failure).
-func (jf *injFile) Mmap(length int64) (Mapping, error) {
-	r, err := jf.in.step(OpMmap, jf.name)
-	if err != nil {
-		return nil, err
-	}
-	if r != nil {
-		if r.Kind == KindCrash {
-			jf.in.Crash()
-			jf.in.fired("mmap#%d %s: crash", jf.in.Count(OpMmap), jf.name)
-			return nil, ErrCrashed
-		}
-		jf.in.fired("mmap#%d %s: err", jf.in.Count(OpMmap), jf.name)
-		return nil, fmt.Errorf("mmap %s: %w", jf.name, ErrInjected)
-	}
-	m, ok := jf.f.(Mapper)
-	if !ok {
-		return nil, ErrMmapUnsupported
-	}
-	return m.Mmap(length)
 }
 
 // Close always succeeds down to the inner file: the harness must be able to

@@ -171,30 +171,6 @@ func (f *memFile) Sync() error  { return nil }
 func (f *memFile) Close() error { return nil }
 func (f *memFile) Name() string { return f.name }
 
-// Mmap lends the file's first length bytes: the mapping is a slice of the
-// file's own array, so a mapped segment is held once, not twice. Callers map
-// only prefixes that are never rewritten, and for those the loan, a copy and a
-// real MAP_SHARED mapping are indistinguishable; a later append that moves the
-// file to a larger array leaves the mapping on the old one, which stays valid.
-func (f *memFile) Mmap(length int64) (Mapping, error) {
-	if length <= 0 {
-		return nil, ErrMmapUnsupported
-	}
-	f.node.mu.RLock()
-	defer f.node.mu.RUnlock()
-	if length > int64(len(f.node.data)) {
-		return nil, ErrMmapUnsupported
-	}
-	return &memMapping{data: f.node.data[:length:length]}, nil
-}
-
-type memMapping struct {
-	data []byte
-}
-
-func (m *memMapping) Bytes() []byte { return m.data }
-func (m *memMapping) Close() error  { m.data = nil; return nil }
-
 func (f *memFile) Truncate(size int64) error {
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()

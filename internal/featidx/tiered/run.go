@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"dbdedup/internal/faultfs"
@@ -25,12 +26,17 @@ const (
 	recBytes      = 8
 	runHeaderSize = 16
 	runMagic      = "FIDXRUN1"
+	// pageRecs is how many records a 4 KiB page of a disk run holds. The run
+	// keeps each page's first key in memory, so a search reads only the
+	// pages its key can be on: one, or two when its postings straddle a
+	// page boundary.
+	pageRecs = 4096 / recBytes
 )
 
 // run is one immutable sorted (key → ref) table in the cold tier, either
 // still memory-resident (mem != nil: just frozen, or its disk write failed)
-// or disk-backed (f != nil) behind a Bloom filter, read through an mmap
-// window when the FS grants one and positional reads otherwise.
+// or disk-backed (f != nil) behind a Bloom filter and its page keys, read
+// with positional reads.
 //
 // Runs are refcounted exactly like segio segment readers: the published run
 // table holds one reference, probes pin/unpin around each search, and the
@@ -40,12 +46,11 @@ type run struct {
 	count int
 	mem   []rec // resident form; nil once disk-backed
 
-	filter  *bloom // nil for resident runs
-	f       faultfs.File
-	data    []byte // mmap'd view of the whole file; nil → pread via f
-	mapping faultfs.Mapping
-	path    string
-	fs      faultfs.FS
+	filter   *bloom   // nil for resident runs
+	pageKeys []uint32 // the first key of each page of a disk run
+	f        faultfs.File
+	path     string
+	fs       faultfs.FS
 
 	refs    atomic.Int32
 	retired atomic.Bool
@@ -86,9 +91,6 @@ func (r *run) retire() {
 }
 
 func (r *run) release() {
-	if r.mapping != nil {
-		r.mapping.Close()
-	}
 	if r.f != nil {
 		r.f.Close()
 	}
@@ -109,73 +111,72 @@ func (r *run) memoryBytes() int64 {
 		return int64(r.count) * recBytes
 	}
 	if r.filter != nil {
-		return r.filter.memoryBytes()
+		return r.filter.memoryBytes() + int64(len(r.pageKeys))*4
 	}
 	return 0
 }
 
-// recAt reads record i. ok is false only on a positional-read error (fault
-// injection or a dying disk), which aborts the search — a pure recall loss.
-func (r *run) recAt(i int) (rec, bool) {
-	if r.mem != nil {
-		return r.mem[i], true
-	}
-	off := runHeaderSize + i*recBytes
-	var raw []byte
-	if r.data != nil {
-		raw = r.data[off : off+recBytes]
-	} else {
-		var buf [recBytes]byte
-		if _, err := r.f.ReadAt(buf[:], int64(off)); err != nil {
-			return rec{}, false
-		}
-		raw = buf[:]
-	}
-	return rec{
-		key: binary.LittleEndian.Uint32(raw[0:4]),
-		ref: binary.LittleEndian.Uint32(raw[4:8]),
-	}, true
+func decodeRec(b []byte) rec {
+	return rec{key: binary.LittleEndian.Uint32(b[0:4]), ref: binary.LittleEndian.Uint32(b[4:8])}
 }
 
-// search binary-searches the run for key and emits its refs newest-first
-// (descending ref order — recent records are the better dedup sources, with
-// the smaller deltas) until emit returns false. found reports whether any
-// record with the key exists (the Bloom false-positive signal); ok is false
-// on an I/O error.
+// pagePool holds the buffers disk-run searches read their pages into.
+var pagePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readRecs reads records [from, to) of a disk run, encoded, into buf's
+// storage (grown if it is short) with one positional read.
+func (r *run) readRecs(buf []byte, from, to int) ([]byte, error) {
+	n := (to - from) * recBytes
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	_, err := r.f.ReadAt(buf, int64(runHeaderSize+from*recBytes))
+	return buf, err
+}
+
+// search finds key's postings and emits their refs newest-first (descending
+// ref order — recent records are the better dedup sources, with the smaller
+// deltas) until emit returns false. found reports whether any record with the
+// key exists (the Bloom false-positive signal); ok is false on a
+// positional-read error (fault injection or a dying disk), which aborts the
+// search — a pure recall loss. A disk run is read only where its page keys
+// say key can be: from the last page that starts below key to the last that
+// starts at or below it, in one read.
 func (r *run) search(key uint32, emit func(featidx.Ref) bool) (found, ok bool) {
-	ioErr := false
-	first := sort.Search(r.count, func(i int) bool {
-		rc, rok := r.recAt(i)
-		if !rok {
-			ioErr = true
-			return true
-		}
-		return rc.key >= key
-	})
-	if ioErr {
+	if r.mem != nil {
+		return emitPostings(len(r.mem), func(i int) rec { return r.mem[i] }, key, emit), true
+	}
+	last := sort.Search(len(r.pageKeys), func(p int) bool { return r.pageKeys[p] > key })
+	if last == 0 {
+		return false, true // key sorts before the run's first record
+	}
+	first := max(sort.Search(len(r.pageKeys), func(p int) bool { return r.pageKeys[p] >= key })-1, 0)
+	bp := pagePool.Get().(*[]byte)
+	defer pagePool.Put(bp)
+	raw, err := r.readRecs(*bp, first*pageRecs, min(last*pageRecs, r.count))
+	*bp = raw
+	if err != nil {
 		return false, false
 	}
+	return emitPostings(len(raw)/recBytes, func(i int) rec { return decodeRec(raw[i*recBytes:]) }, key, emit), true
+}
+
+// emitPostings binary-searches the n sorted records at(0..n-1) for key and
+// emits its refs from the last posting back, as search describes.
+func emitPostings(n int, at func(i int) rec, key uint32, emit func(featidx.Ref) bool) (found bool) {
+	first := sort.Search(n, func(i int) bool { return at(i).key >= key })
 	last := first
-	for ; last < r.count; last++ {
-		rc, rok := r.recAt(last)
-		if !rok {
-			return false, false
-		}
-		if rc.key != key {
-			break
-		}
+	for last < n && at(last).key == key {
+		last++
 	}
 	for i := last - 1; i >= first; i-- {
-		rc, rok := r.recAt(i)
-		if !rok {
-			return found, false
-		}
 		found = true
-		if !emit(rc.ref) {
+		if !emit(at(i).ref) {
 			break
 		}
 	}
-	return found, true
+	return found
 }
 
 // sortRecs orders by (key, ref) and drops exact duplicates in place.
@@ -213,49 +214,40 @@ func encodeRun(recs []rec) []byte {
 	return buf
 }
 
-// writeRunFile writes, syncs, and (best-effort) maps one run file through the
-// fault seam. On any error the partial file is removed and nothing leaks.
-func writeRunFile(fs faultfs.FS, path string, recs []rec) (faultfs.File, []byte, faultfs.Mapping, error) {
+// writeRunFile writes and syncs one run file through the fault seam. On any
+// error the partial file is removed and nothing leaks.
+func writeRunFile(fs faultfs.FS, path string, recs []rec) (faultfs.File, error) {
 	buf := encodeRun(recs)
 	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if _, err := f.WriteAt(buf, 0); err != nil {
 		f.Close()
 		fs.Remove(path)
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		fs.Remove(path)
-		return nil, nil, nil, err
+		return nil, err
 	}
-	// mmap is an optimisation, not a requirement: on failure (or an FS
-	// without the Mapper capability) the run is served by pread.
-	var data []byte
-	var mapping faultfs.Mapping
-	if m, okM := f.(faultfs.Mapper); okM {
-		if mp, err := m.Mmap(int64(len(buf))); err == nil {
-			mapping = mp
-			data = mp.Bytes()
-		}
-	}
-	return f, data, mapping, nil
+	return f, nil
 }
 
-// loadRecs reads every record of a disk run back for merging.
+// loadRecs reads every record of a disk run back for merging, with one
+// positional read.
 func (r *run) loadRecs() ([]rec, error) {
 	if r.mem != nil {
 		return r.mem, nil
 	}
-	out := make([]rec, 0, r.count)
-	for i := 0; i < r.count; i++ {
-		rc, ok := r.recAt(i)
-		if !ok {
-			return nil, fmt.Errorf("tiered: read error in %s at rec %d", r.path, i)
-		}
-		out = append(out, rc)
+	raw, err := r.readRecs(nil, 0, r.count)
+	if err != nil {
+		return nil, fmt.Errorf("tiered: reading %s: %w", r.path, err)
+	}
+	out := make([]rec, r.count)
+	for i := range out {
+		out[i] = decodeRec(raw[i*recBytes:])
 	}
 	return out, nil
 }

@@ -401,7 +401,7 @@ func (t *TieredIndex) flushPending() error {
 	var firstErr error
 	for _, mr := range pend {
 		path := t.nextRunPath()
-		f, data, mapping, err := writeRunFile(t.cfg.FS, path, mr.mem)
+		f, err := writeRunFile(t.cfg.FS, path, mr.mem)
 		if err != nil {
 			t.freezeFailures.Add(1)
 			if firstErr == nil {
@@ -412,7 +412,7 @@ func (t *TieredIndex) flushPending() error {
 		// The filter budget is shared across every published filter: size
 		// this run's filter out of what the others have left.
 		rem := t.bloomBudgetBits() - t.publishedBloomBits()
-		dr := t.diskRun(mr.mem, f, data, mapping, path, bloomBitsPerEntry, rem)
+		dr := t.diskRun(mr.mem, f, path, bloomBitsPerEntry, rem)
 		t.swapRun(mr, dr)
 		t.freezes.Add(1)
 	}
@@ -431,21 +431,25 @@ func (t *TieredIndex) publishedBloomBits() int64 {
 	return bits
 }
 
-// diskRun assembles the disk-backed form of a run, Bloom filter included.
-// maxBits clamps the filter to the budget remaining across all filters.
-func (t *TieredIndex) diskRun(recs []rec, f faultfs.File, data []byte, mapping faultfs.Mapping, path string, bits int, maxBits int64) *run {
+// diskRun assembles the disk-backed form of a run, Bloom filter and page keys
+// included. maxBits clamps the filter to the budget remaining across all
+// filters.
+func (t *TieredIndex) diskRun(recs []rec, f faultfs.File, path string, bits int, maxBits int64) *run {
 	fl := newBloom(len(recs), bits, maxBits, t.cfg.Seed^0xb10f11e7)
 	for _, rc := range recs {
 		fl.add(rc.key)
 	}
+	pageKeys := make([]uint32, 0, (len(recs)+pageRecs-1)/pageRecs)
+	for i := 0; i < len(recs); i += pageRecs {
+		pageKeys = append(pageKeys, recs[i].key)
+	}
 	dr := &run{
-		count:   len(recs),
-		filter:  fl,
-		f:       f,
-		data:    data,
-		mapping: mapping,
-		path:    path,
-		fs:      t.cfg.FS,
+		count:    len(recs),
+		filter:   fl,
+		pageKeys: pageKeys,
+		f:        f,
+		path:     path,
+		fs:       t.cfg.FS,
 	}
 	dr.refs.Store(1)
 	return dr
@@ -518,7 +522,7 @@ func (t *TieredIndex) mergeRuns() error {
 		return err
 	}
 	path := t.nextRunPath()
-	f, data, mapping, err := writeRunFile(t.cfg.FS, path, merged)
+	f, err := writeRunFile(t.cfg.FS, path, merged)
 	if err != nil {
 		t.mergeFailures.Add(1)
 		return err
@@ -526,7 +530,7 @@ func (t *TieredIndex) mergeRuns() error {
 	// The merge retires every existing filter, so the rebuilt one may spend
 	// most of the budget — but not all of it, or the fresh runs that appear
 	// between merges would be squeezed down to useless filters.
-	mr := t.diskRun(merged, f, data, mapping, path, bloomBitsPerEntry, t.bloomBudgetBits()*3/4)
+	mr := t.diskRun(merged, f, path, bloomBitsPerEntry, t.bloomBudgetBits()*3/4)
 
 	t.tableMu.Lock()
 	if t.closed {

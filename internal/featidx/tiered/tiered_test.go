@@ -163,6 +163,48 @@ func TestBloomGatesNegativeProbes(t *testing.T) {
 	}
 }
 
+// TestDiskLookupReadsItsPages: a Lookup of a key held by one disk run of
+// eight pages reads the run's file at most twice, however many postings the
+// key has: the run's page keys point the search at the pages the postings are
+// on.
+func TestDiskLookupReadsItsPages(t *testing.T) {
+	const n = 8 * pageRecs
+	inj := faultfs.NewInjector(faultfs.NewMemFS(), 1)
+	ti := New(Config{BudgetBytes: budgetFor(n), Dir: "idx", FS: inj})
+	defer ti.Close()
+	// Every other one of the first 1200 inserts registers the same feature,
+	// whose 600 postings straddle a page boundary; the rest are distinct.
+	const many = sketch.Feature(1 << 40)
+	feature := func(i int) sketch.Feature {
+		if i < 1200 && i%2 == 0 {
+			return many
+		}
+		return sketch.Feature(i + 1)
+	}
+	for i := 0; i < n; i++ {
+		ti.LookupInsert(feature(i), featidx.Ref(i))
+	}
+	if err := ti.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	if s := ti.Snapshot(); s.ColdRuns != 1 || s.ResidentRuns != 0 || s.ColdEntries != n {
+		t.Fatalf("want one disk run of %d entries: %+v", n, s)
+	}
+	for i := 0; i < n; i += 37 {
+		before := inj.Count(faultfs.OpRead)
+		refs := ti.Lookup(feature(i))
+		if reads := inj.Count(faultfs.OpRead) - before; reads > 2 {
+			t.Fatalf("Lookup of feature %d: %d reads of the run, want at most 2", feature(i), reads)
+		}
+		if feature(i) != many && !slices.Contains(refs, featidx.Ref(i)) {
+			t.Fatalf("Lookup of feature %d = %v, want ref %d among them", feature(i), refs, i)
+		}
+	}
+	if s := ti.Snapshot(); s.DiskProbes == 0 || s.DiskReadErrors != 0 {
+		t.Fatalf("the lookups did not search the disk run cleanly: %+v", s)
+	}
+}
+
 // TestMemoryStaysWithinBudget: the whole point of the subsystem.
 func TestMemoryStaysWithinBudget(t *testing.T) {
 	budget := int64(64 << 10)
@@ -276,7 +318,6 @@ func TestInjectedWriteFaults(t *testing.T) {
 		faultfs.FailWrite(1),
 		faultfs.ShortWrite(1),
 		faultfs.FailSync(1),
-		faultfs.FailMmap(1),
 	} {
 		inj := faultfs.NewInjector(faultfs.NewMemFS(), 42, rule)
 		ti := New(Config{BudgetBytes: budgetFor(64), Dir: "idx", FS: inj})

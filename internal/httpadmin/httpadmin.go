@@ -95,7 +95,7 @@ type metricsView struct {
 	Encode        *metrics.EncodeMetrics
 	Apply         *metrics.ApplyMetrics
 	// Store is the store's own accounting (cache outcomes, block decodes
-	// and seals, the mmap/pread split, segment-reader gauges) with what a
+	// and seals, block loads, segment-reader gauges) with what a
 	// reader of the read path wants beside it: client read latency, the
 	// client reads that never reached the store because the source record
 	// cache answered them, and the per-shard split of the block cache.
@@ -228,8 +228,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	cm := s.node.CompactionMetrics()
 	fmt.Fprintf(w, "compact:  %d passes, reclaimed %s\n",
 		cm.Passes.Total(), metrics.FormatBytes(cm.PhysicalBytesReclaimed.Total()))
-	fmt.Fprintf(w, "blocks:   %d mmap reads / %d pread reads (%d map failures)\n",
-		st.Store.MmapBlockReads, st.Store.PreadBlockReads, st.Store.MmapFailures)
+	fmt.Fprintf(w, "blocks:   %d loads, each a checksummed pread\n", st.Store.PreadBlockReads)
 	fmt.Fprintf(w, "featidx:  %d entries (%s of %s), %d lookups, %d matches, %d evictions\n",
 		st.Engine.IndexEntries, metrics.FormatBytes(st.Engine.IndexMemoryBytes),
 		metrics.FormatBytes(st.Engine.IndexCapacityBytes),

@@ -259,7 +259,7 @@ var metricsSections = map[string]string{
 	"Apply":         "Latency Workers QueueDepth QueueOverflows Applied ApplyFailures BaseFetches",
 	"Store": "LiveRecords LogicalBytes BlockBytesIn BlockBytesOut DeadBytes Appends CacheHits CacheMisses " +
 		"BlockBuffersRecycled BlockBuffersFresh BlocksDecoded BlockBytesDecoded BlockDecodeNanos " +
-		"CacheBytes CacheBudgetBytes DictBytes MmapBlockReads PreadBlockReads MmapFailures PinnedReaders RetiredPending LiveSegments BlocksSealed " +
+		"CacheBytes CacheBudgetBytes DictBytes MmapBlockReads PreadBlockReads PinnedReaders RetiredPending LiveSegments BlocksSealed " +
 		"SealNanos SealWaits SealWaitNanos SealErrors ReadLatency ReadsFromSourceCache CacheShards",
 	"Oplog": "Entries Bytes EvictedByEntries EvictedByBytes",
 	"Repl": "Reconnects Dials DialFailures BackoffNanos CorruptFrames FrameSeqViolations IdleTimeouts " +
@@ -417,8 +417,7 @@ func TestScrapeDuringIngest(t *testing.T) {
 		Store struct{ ReadLatency metrics.LatencySummary }
 	}
 	once := []string{"CacheHits", "CacheMisses", "BlockBuffersRecycled", "BlockBuffersFresh", "BlocksDecoded",
-		"BlockBytesDecoded", "CacheBytes", "CacheBudgetBytes", "DictBytes", "ReadsFromSourceCache", "BlockDecodeNanos", "PinnedReaders", "RetiredPending", "LiveSegments", "MmapBlockReads", "PreadBlockReads",
-		"MmapFailures"}
+		"BlockBytesDecoded", "CacheBytes", "CacheBudgetBytes", "DictBytes", "ReadsFromSourceCache", "BlockDecodeNanos", "PinnedReaders", "RetiredPending", "LiveSegments", "MmapBlockReads", "PreadBlockReads"}
 	var prev view
 	for scrapes, done := 0, false; !done || scrapes < 3; scrapes++ {
 		select {

@@ -151,7 +151,7 @@ func (n *Node) decode(sc *scratch, id uint64, mode decodeMode) ([]byte, error) {
 
 // appendDecoded appends the content of record id to dst, copied once from
 // wherever the walk ended: for a record stored raw that is the store's lent
-// bytes (a cached or mapped block, the unsealed block's copy), with nothing in
+// bytes (a cached block, the unsealed block's copy), with nothing in
 // between.
 func (n *Node) appendDecoded(dst []byte, id uint64, mode decodeMode) ([]byte, error) {
 	sc := scratchPool.Get().(*scratch)
