@@ -39,6 +39,7 @@ type bed struct {
 	follower *slot           // m0's follower
 	slots    []*slot         // members, then the follower
 	cc       *cluster.Client // the router client of a cluster bed
+	stale    *cluster.Client // a second router, dialed with cc and first used by the verdict
 	hist     *histcheck.History
 	churn    *histcheck.Churn
 	stopMon  func() error
@@ -157,17 +158,20 @@ func build(row *class, sch Schedule, pt Point) *bed {
 		b.mesh.Sim(hosts[0]).SetProfile(row.profile)
 	}
 	if row.topology == clustered {
-		cc, err := cluster.DialCluster(base, cluster.ClientOptions{
-			Network:      b.mesh.Host("client"),
-			RetryBackoff: 2 * time.Millisecond,
-			MaxBackoff:   40 * time.Millisecond,
-			// Shorter than a partition window, so an op stalled behind a
-			// partition times out (an ambiguous outcome) instead of
-			// quietly waiting the fault out.
-			Timeout: 100 * time.Millisecond,
-		})
-		b.note("router client", err)
-		b.cc = cc
+		dial := func() *cluster.Client {
+			cc, err := cluster.DialCluster(base, cluster.ClientOptions{
+				Network:      b.mesh.Host("client"),
+				RetryBackoff: 2 * time.Millisecond,
+				MaxBackoff:   40 * time.Millisecond,
+				// Shorter than a partition window, so an op stalled behind a
+				// partition times out (an ambiguous outcome) instead of
+				// quietly waiting the fault out.
+				Timeout: 100 * time.Millisecond,
+			})
+			b.note("router client", err)
+			return cc
+		}
+		b.cc, b.stale = dial(), dial()
 	}
 	b.watch()
 	return b
@@ -526,6 +530,13 @@ func (b *bed) judge() error {
 			}
 		}
 		copies = map[string]histcheck.View{"via router": b.cc, "on owners": owners{final, byAddr}}
+		// The churn router refreshes its ring whenever a window turns it
+		// away, so whether it ends on a stale ring is a race. The second
+		// router still holds the setup ring: every database the moves
+		// relocated is reached through a redirect.
+		if b.stale != nil {
+			copies["via a router on the setup ring"] = b.stale
+		}
 	}
 	for where, v := range copies {
 		note(histcheck.Err(where, b.hist.Check(v)))
@@ -547,9 +558,11 @@ func (b *bed) result() Result {
 		res.Reconnects, res.CorruptFrames = rm.Reconnects.Total(), rm.CorruptFrames.Total()
 		res.FrameSeqViolations, res.IdleOuts = rm.FrameSeqViolations.Total(), rm.IdleTimeouts.Total()
 	}
-	if b.cc != nil {
-		c := b.cc.Counters()
-		res.Redirects, res.MovingWaits, res.Transport = c.Redirects, c.MovingWaits, c.Transport
+	for _, cc := range []*cluster.Client{b.cc, b.stale} {
+		if cc != nil {
+			c := cc.Counters()
+			res.Redirects, res.MovingWaits, res.Transport = res.Redirects+c.Redirects, res.MovingWaits+c.MovingWaits, res.Transport+c.Transport
+		}
 	}
 	res.DiskFaults = b.diskFaults
 	for _, s := range b.slots {
@@ -567,8 +580,10 @@ func (b *bed) result() Result {
 func (b *bed) close() {
 	b.moving.Wait()
 	b.stopWatch()
-	if b.cc != nil {
-		b.cc.Close()
+	for _, cc := range []*cluster.Client{b.cc, b.stale} {
+		if cc != nil {
+			cc.Close()
+		}
 	}
 	b.down(b.follower, false)
 	for _, s := range b.members {

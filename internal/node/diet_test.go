@@ -430,7 +430,7 @@ func TestReadsStayExactWhileChainsAreRewritten(t *testing.T) {
 	}
 	key := func(i int) string { return fmt.Sprintf("rev-%03d", i) }
 	var written atomic.Int64 // revisions [0, written) are readable
-	var stop atomic.Bool
+	var mutated, stop atomic.Bool
 	var bg, readers sync.WaitGroup
 	bg.Add(3)
 	go func() { // writer
@@ -452,7 +452,8 @@ func TestReadsStayExactWhileChainsAreRewritten(t *testing.T) {
 	}()
 	go func() { // every 7th revision is updated, every 11th deleted, once it has successors
 		defer bg.Done()
-		for i := 0; i < revs && !stop.Load(); {
+		defer mutated.Store(true)
+		for i := 0; i+3 <= revs && !stop.Load(); {
 			if int64(i+3) > written.Load() {
 				runtime.Gosched()
 				continue
@@ -475,7 +476,9 @@ func TestReadsStayExactWhileChainsAreRewritten(t *testing.T) {
 		go func(g int) {
 			defer readers.Done()
 			r := rand.New(rand.NewSource(int64(g)))
-			for reads := 0; reads < 4000 || written.Load() < revs; reads++ {
+			// Until the mutations are done too: a starved mutator must
+			// not find the run over before it has updated or deleted.
+			for reads := 0; reads < 4000 || written.Load() < revs || !mutated.Load(); reads++ {
 				w := int(written.Load())
 				if w == 0 {
 					runtime.Gosched()
