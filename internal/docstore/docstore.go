@@ -4,7 +4,7 @@
 //
 // Records — raw, delta-encoded, or tombstones — are framed into a seal batch;
 // a batch is sealed at a size threshold (Options.BlockSize, 32 KiB), cut into
-// blocks of a few frames each (the first frame boundary at or past 4 KiB),
+// blocks of a few frames each (never more than 4 KiB, unless one frame is),
 // each optionally run through the block-level compressor (the stand-in for
 // WiredTiger's Snappy pass), and appended to a segment file with one write.
 // The two sizes do two jobs. The batch is the unit of writing: one sealer
@@ -346,10 +346,11 @@ const (
 	// at offset 0 of the same file, which never has the flag itself.
 	flagDict = 1 << 1
 
-	// blockTarget is where a batch is cut into blocks: at the first frame
-	// boundary at or past it. A block is what a read loads, checks, inflates
-	// and caches, so it is small; what small blocks would lose in ratio the
-	// segment's dictionary gives back.
+	// blockTarget is the most raw bytes a block of two or more frames holds:
+	// a batch is cut before the frame that would take a block past it. A
+	// block is what a read loads, checks, inflates and caches, so it is
+	// small; what small blocks would lose in ratio the segment's dictionary
+	// gives back.
 	blockTarget = 4 << 10
 	dictLen     = blockcomp.MaxDictLen
 )
@@ -653,12 +654,18 @@ func (s *Store) writeInFlight() error {
 }
 
 // cutBlock returns where the block of raw that begins at the frame at from
-// ends: behind the first frame that takes it to target bytes, or with raw.
+// ends: before the first frame that would take it past target bytes, unless
+// that frame is the block's first, or with raw. A frame longer than target is
+// a block of its own.
 func cutBlock(raw []byte, from, target int) int {
 	to := from
-	for to < len(raw) && to-from < target {
+	for to < len(raw) {
 		frameLen, n := binary.Uvarint(raw[to:])
-		to += n + int(frameLen)
+		next := to + n + int(frameLen)
+		if next-from > target && to > from {
+			break
+		}
+		to = next
 	}
 	return to
 }

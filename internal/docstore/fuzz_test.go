@@ -54,6 +54,55 @@ func FuzzParseFrame(f *testing.F) {
 	})
 }
 
+// FuzzCutBlock cuts a batch of frames of arbitrary lengths into blocks the way
+// writeInFlight does. The blocks must cover the batch exactly, in order, each
+// ending on a frame boundary; none is empty; one of two or more frames holds
+// at most blockTarget bytes; and each ends only where its next frame would
+// take it past the target.
+func FuzzCutBlock(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x28, 0x00, 0xdc, 0x05, 0xdc, 0x05, 0x00, 0x24, 0x24, 0x0a}) // 40, 1500, 1500, 9 KiB, 2596
+	f.Add(bytes.Repeat([]byte{0xe8, 0x03}, 13))                               // 13 × 1000
+	f.Add(bytes.Repeat([]byte{0x00, 0x10, 0x01, 0x00}, 3))                    // 4 KiB, 1
+	f.Fuzz(func(t *testing.T, lens []byte) {
+		// Each two bytes are a frame body's length, under 16 KiB.
+		var raw []byte
+		var bounds []int
+		for i := 0; i+1 < len(lens); i += 2 {
+			n := int(binary.LittleEndian.Uint16(lens[i:]) & (16<<10 - 1))
+			raw = binary.AppendUvarint(raw, uint64(n))
+			raw = append(raw, make([]byte, n)...)
+			bounds = append(bounds, len(raw))
+		}
+		at := 0 // index of the next frame boundary
+		for from := 0; from < len(raw); {
+			to := cutBlock(raw, from, blockTarget)
+			if to <= from || to > len(raw) {
+				t.Fatalf("block at %d cut at %d of %d", from, to, len(raw))
+			}
+			frames := 0
+			for at < len(bounds) && bounds[at] < to {
+				at, frames = at+1, frames+1
+			}
+			if at == len(bounds) || bounds[at] != to {
+				t.Fatalf("block [%d, %d) does not end on a frame boundary", from, to)
+			}
+			at++
+			frames++
+			if frames > 1 && to-from > blockTarget {
+				t.Fatalf("block [%d, %d) holds %d frames in %d bytes, past %d", from, to, frames, to-from, blockTarget)
+			}
+			if to < len(raw) && bounds[at]-from <= blockTarget {
+				t.Fatalf("block [%d, %d) ends, yet its next frame, to %d, fits", from, to, bounds[at])
+			}
+			from = to
+		}
+		if at != len(bounds) {
+			t.Fatalf("the blocks cover %d of %d frames", at, len(bounds))
+		}
+	})
+}
+
 // replayModel is the reference semantics of segment replay, computed
 // directly over the raw bytes: walk well-formed blocks (magic, bounds,
 // checksum, decompression behind the first block's first bytes where a block

@@ -17,10 +17,13 @@ import (
 // golden_pr18 was written by the parent of the allocation-diet change (commit
 // 45008b0, PR 18): every batch one self-contained block. golden_pr29 is this
 // format: batches large enough to be cut into several blocks, every block but
-// a segment's first compressed behind that segment's dictionary.
+// a segment's first compressed behind that segment's dictionary. golden_pr46
+// is the same format cut where the writer cuts now, before the frame that
+// would take a block past blockTarget rather than behind it.
 const (
 	goldenPR18 = "testdata/golden_pr18"
-	goldenDir  = "testdata/golden_pr29"
+	goldenPR29 = "testdata/golden_pr29"
+	goldenDir  = "testdata/golden_pr46"
 )
 
 func goldenOptions(dir, golden string) Options {
@@ -153,7 +156,7 @@ func TestGoldenSegmentsByteIdentical(t *testing.T) {
 // TestGoldenSegmentsOpen: files an earlier format's store wrote, and this
 // one's, replay, serve every record and keep accepting writes.
 func TestGoldenSegmentsOpen(t *testing.T) {
-	for _, golden := range []string{goldenPR18, goldenDir} {
+	for _, golden := range []string{goldenPR18, goldenPR29, goldenDir} {
 		t.Run(filepath.Base(golden), func(t *testing.T) {
 			dir := t.TempDir()
 			files, _ := filepath.Glob(filepath.Join(golden, "seg-*.log"))

@@ -351,8 +351,8 @@ func TestBatchIsOneWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// 13 records of 1000 bytes fill a 12 KiB batch; 5 of them reach the 4 KiB
-	// at which a block is cut.
+	// 13 records of 1000 bytes fill a 12 KiB batch; 4 of them fit in the
+	// 4 KiB a block holds, so the batch is cut into blocks of 4, 4, 4 and 1.
 	const batches, perBatch = 5, 13
 	for id := uint64(1); id <= batches*perBatch; id++ {
 		noise := make([]byte, 1000)
@@ -363,11 +363,95 @@ func TestBatchIsOneWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.BlocksSealed != 1+(batches-1)*3 {
-		t.Fatalf("%d blocks sealed, want the first batch whole and three to each of the other %d", st.BlocksSealed, batches-1)
+	if st.BlocksSealed != 1+(batches-1)*4 {
+		t.Fatalf("%d blocks sealed, want the first batch whole and four to each of the other %d", st.BlocksSealed, batches-1)
 	}
 	if w, sy := inj.Count(faultfs.OpWrite), inj.Count(faultfs.OpSync); w != batches || sy != batches {
 		t.Fatalf("%d writes and %d syncs for %d batches", w, sy, batches)
+	}
+}
+
+// TestBlocksNeverPassTheTarget: a batch is cut before the frame that would take
+// a block past blockTarget, so no block of two or more frames holds more than
+// blockTarget raw bytes, except a segment's first, which is its batch whole. A
+// frame longer than the target is a block of its own, frames that fill the
+// target exactly share one, no block is empty, and every frame reads back.
+func TestBlocksNeverPassTheTarget(t *testing.T) {
+	s, err := Open(Options{Dir: "d", FS: faultfs.NewMemFS(), Compress: true, SegmentSize: 96 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// sized returns record id with a frame of exactly n bytes, half of its
+	// payload noise, so the segments fill and roll.
+	rng := rand.New(rand.NewSource(46))
+	sized := func(id uint64, n int) Record {
+		rec := Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id)}
+		for p := n; len(appendFrame(nil, rec)) != n; p-- {
+			rec.Payload = bytes.Repeat([]byte{byte('a' + id%26)}, p)
+		}
+		rng.Read(rec.Payload[len(rec.Payload)/2:])
+		return rec
+	}
+	want := make(map[uint64]Record)
+	var id uint64
+	add := func(n int) {
+		id++
+		rec := sized(id, n)
+		mustAppend(t, s, rec)
+		want[id] = rec
+	}
+	for round := 0; round < 40; round++ {
+		add(40)
+		add(1500)
+		add(1500)
+		add(40)
+		add(9 << 10)
+		add(1500) // this and the next fill a block exactly
+		add(blockTarget - 1500)
+		add(40)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	frames, full := 0, 0
+	for _, seg := range s.segments {
+		_, err := s.walkBlocks(seg.rd, func(off int64, raw []byte) error {
+			n := 0
+			for at := 0; at < len(raw); n++ {
+				_, used, err := parseFrame(raw[at:], false)
+				if err != nil {
+					return err
+				}
+				at += used
+			}
+			switch {
+			case n == 0:
+				t.Errorf("segment %d, block at %d: empty", seg.id, off)
+			case off > 0 && n > 1 && len(raw) > blockTarget:
+				t.Errorf("segment %d, block at %d: %d frames in %d bytes, past the target of %d", seg.id, off, n, len(raw), blockTarget)
+			case off > 0 && n > 1 && len(raw) == blockTarget:
+				full++
+			}
+			frames += n
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.segments) < 2 || full == 0 {
+		t.Fatalf("%d segments, %d blocks of several frames that fill the target exactly: the sequence no longer covers the rule", len(s.segments), full)
+	}
+	if frames != len(want) {
+		t.Fatalf("the blocks hold %d frames, %d were appended", frames, len(want))
+	}
+	for id, rec := range want {
+		got, ok, err := s.Get(id)
+		if err != nil || !ok || !bytes.Equal(got.Payload, rec.Payload) || got.Key != rec.Key {
+			t.Fatalf("Get(%d): ok %v, err %v, %d bytes; want %d", id, ok, err, len(got.Payload), len(rec.Payload))
+		}
 	}
 }
 

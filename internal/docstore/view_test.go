@@ -65,7 +65,7 @@ func TestViewLendsWhatGetCopies(t *testing.T) {
 // dictionary loads that block. Damage to one block is the error of the reads
 // that need that block, and of no other.
 func TestPointReadInflatesOneBlock(t *testing.T) {
-	const perBatch, payloadLen = 22, 1500 // 22 frames fill a 32 KiB batch; three reach blockTarget
+	const perBatch, payloadLen = 22, 1500 // 22 frames fill a 32 KiB batch; two fit in blockTarget
 	s, want := sealedStore(t, Options{CacheShards: 1}, 2*perBatch, payloadLen)
 	view := func(id uint64) error {
 		t.Helper()
@@ -103,14 +103,14 @@ func TestPointReadInflatesOneBlock(t *testing.T) {
 				st.CacheHits-before.CacheHits, st.BlockBytesDecoded-before.BlockBytesDecoded, decoded, hits, inflated)
 		}
 	}
-	if st := s.Stats(); st.BlocksSealed != 1+8 || st.DictBytes != dictLen {
-		t.Fatalf("two batches sealed as %d blocks, %d dictionary bytes resident; want the first whole, the second as 8, and %d",
+	if st := s.Stats(); st.BlocksSealed != 1+11 || st.DictBytes != dictLen {
+		t.Fatalf("two batches sealed as %d blocks, %d dictionary bytes resident; want the first whole, the second as 11, and %d",
 			st.BlocksSealed, st.DictBytes, dictLen)
 	}
-	first := uint64(perBatch + 1) // the second batch: blocks of three frames
-	step("first frame of a block not resident", first, 1, 0, blockLen(first, first+1, first+2))
-	step("its neighbour", first+2, 0, 1, 0)
-	step("a frame of the next block", first+3, 1, 0, blockLen(first+3, first+4, first+5))
+	first := uint64(perBatch + 1) // the second batch: blocks of two frames
+	step("first frame of a block not resident", first, 1, 0, blockLen(first, first+1))
+	step("its neighbour", first+1, 0, 1, 0)
+	step("a frame of the next block", first+2, 1, 0, blockLen(first+2, first+3))
 	step("the first block again: still resident, not decoded further", first+1, 0, 1, 0)
 	before := s.Stats()
 	var batch uint64
@@ -120,7 +120,7 @@ func TestPointReadInflatesOneBlock(t *testing.T) {
 		}
 		batch += frameLen(id)
 	}
-	if st := s.Stats(); st.BlocksDecoded != 8 || st.BlockBytesDecoded != batch {
+	if st := s.Stats(); st.BlocksDecoded != 11 || st.BlockBytesDecoded != batch {
 		t.Fatalf("every frame of the batch read: %d blocks decoded (%d before the loop), %d of its %d bytes inflated",
 			st.BlocksDecoded, before.BlocksDecoded, st.BlockBytesDecoded, batch)
 	}
@@ -152,12 +152,12 @@ func TestPointReadInflatesOneBlock(t *testing.T) {
 	if err := view(2 * perBatch); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("a read of the damaged block: %v, want the checksum error", err)
 	}
-	step("a block in front of the damage", first, 1, 0, blockLen(first, first+1, first+2))
+	step("a block in front of the damage", first, 1, 0, blockLen(first, first+1))
 	b[0] ^= 0x40
 	if _, err := seg.file.WriteAt(b[:], at); err != nil {
 		t.Fatal(err)
 	}
-	step("after the damage is gone", 2*perBatch, 1, 0, frameLen(2*perBatch))
+	step("after the damage is gone", 2*perBatch, 1, 0, blockLen(2*perBatch-1, 2*perBatch))
 }
 
 // TestWalksDecodeEachBlockOnce: replay and compaction walk a

@@ -187,21 +187,27 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 
 	// Forward-encoded insert: reconstruct the record from the local copy
 	// of the base, then mirror the primary's backward encoding.
-	srcID, ok := n.lookup(e.DB, e.BaseKey)
+	srcID, updated, ok := n.store.Lookup(e.DB, e.BaseKey)
 	if !ok {
 		// Rare: the base is almost always already replicated. Nothing was
 		// reserved or counted yet, so the caller falls back to fetching the
 		// full record from the primary and Upsert counts it exactly once.
 		return fmt.Errorf("%w: %q/%q (insert of %q)", ErrBaseMissing, e.DB, e.BaseKey, e.Key)
 	}
-	// The base's content is borrowed from a scratch for the rest of the
-	// call: the new record is applied from it and the backward delta is
-	// re-encoded against it, and neither outlives queueWritebacks below.
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	srcContent, err := n.decode(sc, srcID, baseContent)
-	if err != nil {
-		return fmt.Errorf("node: decoding base %q/%q: %w", e.DB, e.BaseKey, err)
+	// The base's content is borrowed, from the source cache as a read takes
+	// it (only while the key says it was never updated: the cache can still
+	// hold an updated record's insert payload) or else from a scratch, for
+	// the rest of the call: the new record is applied from it and the
+	// backward delta is re-encoded against it, and neither outlives
+	// queueWritebacks below.
+	srcContent, hit := n.peekSource(srcID, updated)
+	if !hit {
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		var err error
+		if srcContent, err = n.decode(sc, srcID, baseContent); err != nil {
+			return fmt.Errorf("node: decoding base %q/%q: %w", e.DB, e.BaseKey, err)
+		}
 	}
 	fwd, err := delta.Unmarshal(e.Payload)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"dbdedup/internal/delta"
 	"dbdedup/internal/faultfs"
 	"dbdedup/internal/oplog"
+	"dbdedup/internal/workload"
 )
 
 // TestInsertFailureCountsNothing pins the accounting rule of the one insert
@@ -421,5 +423,101 @@ func TestLenientInsertArrivesWhole(t *testing.T) {
 	}
 	if got := sec.ApplyMetrics().BaseFetches.Total(); got != 1 {
 		t.Fatalf("base fetches = %d, want 1", got)
+	}
+}
+
+// replicaPair returns a primary, a secondary and a function that applies to
+// the secondary every oplog entry the primary logged since it last ran and
+// returns the last of them.
+func replicaPair(t *testing.T) (prim, sec *Node, ship func() oplog.Entry) {
+	t.Helper()
+	prim = testNode(t, Options{BlockCompression: true})
+	sec = testNode(t, Options{BlockCompression: true})
+	var shipped uint64
+	return prim, sec, func() oplog.Entry {
+		t.Helper()
+		ents, err := prim.Oplog().EntriesSince(shipped, 0)
+		if err != nil || len(ents) == 0 {
+			t.Fatalf("%d oplog entries after seq %d, err %v", len(ents), shipped, err)
+		}
+		for _, e := range ents {
+			if err := sec.ApplyReplicated(e); err != nil {
+				t.Fatalf("apply seq %d: %v", e.Seq, err)
+			}
+			shipped = e.Seq
+		}
+		return ents[len(ents)-1]
+	}
+}
+
+// TestReplicaTakesItsBaseFromTheSourceCache: a forward-encoded insert whose
+// base the secondary holds in its source cache, under a key never updated, is
+// applied from that copy as a read of the base would be answered, with no
+// block of the store loaded or inflated, and reads back as the primary's.
+// The base is sealed behind a segment's first block, so decoding it would
+// load its block.
+func TestReplicaTakesItsBaseFromTheSourceCache(t *testing.T) {
+	prim, sec, ship := replicaPair(t)
+	rng := rand.New(rand.NewSource(46))
+	v0 := workload.RevisionText(rng, 8192)
+	other := workload.RevisionText(rand.New(rand.NewSource(47)), 8192)
+	for i, key := range []string{"other", "v0"} {
+		if err := prim.Insert("wiki", key, [][]byte{other, v0}[i]); err != nil {
+			t.Fatal(err)
+		}
+		if e := ship(); e.Form != oplog.FormRaw {
+			t.Fatalf("%s shipped in form %d, want raw", key, e.Form)
+		}
+		if err := sec.Store().Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := prim.Insert("wiki", "v1", editText(rng, v0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	before := sec.Stats().Store
+	if e := ship(); e.Form != oplog.FormDelta || e.BaseKey != "v0" {
+		t.Fatalf("v1 shipped in form %d against %q, want forward-encoded against v0", e.Form, e.BaseKey)
+	}
+	if st := sec.Stats().Store; st.PreadBlockReads != before.PreadBlockReads || st.BlocksDecoded != before.BlocksDecoded {
+		t.Fatalf("applying v1 loaded %d blocks and decoded %d: its base was not taken from the source cache",
+			st.PreadBlockReads-before.PreadBlockReads, st.BlocksDecoded-before.BlocksDecoded)
+	}
+	want, err := prim.Read("wiki", "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sec.Read("wiki", "v1"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("secondary Read(v1) = %d bytes, %v; the primary's is %d", len(got), err, len(want))
+	}
+}
+
+// TestReplicaBaseUpdatedInPlace: a forward-encoded insert whose base key was
+// updated in place since its insert is applied against the updated content,
+// which only the store has, and reads back exactly.
+func TestReplicaBaseUpdatedInPlace(t *testing.T) {
+	prim, sec, ship := replicaPair(t)
+	rng := rand.New(rand.NewSource(46))
+	v0 := workload.RevisionText(rng, 8192)
+	upd := editText(rng, v0, 2)
+	v1 := editText(rng, upd, 2)
+	if err := prim.Insert("wiki", "v0", v0); err != nil {
+		t.Fatal(err)
+	}
+	ship()
+	if err := prim.Update("wiki", "v0", upd); err != nil {
+		t.Fatal(err)
+	}
+	ship()
+	if err := prim.Insert("wiki", "v1", v1); err != nil {
+		t.Fatal(err)
+	}
+	if e := ship(); e.Form != oplog.FormDelta || e.BaseKey != "v0" {
+		t.Fatalf("v1 shipped in form %d against %q, want forward-encoded against v0", e.Form, e.BaseKey)
+	}
+	for key, want := range map[string][]byte{"v0": upd, "v1": v1} {
+		if got, err := sec.Read("wiki", key); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("secondary Read(%s) = %d bytes, %v; want %d", key, len(got), err, len(want))
+		}
 	}
 }
