@@ -282,7 +282,8 @@ type dbState struct {
 	mu sync.Mutex
 
 	index *tiered.TieredIndex
-	refs  []uint64 // featidx ref -> record ID
+	refs  []uint64    // featidx ref -> record ID
+	cands []candidate // probeLocked's result, reused across probes
 
 	disabled  bool // governor verdict
 	inserts   int
@@ -462,10 +463,10 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 	// under st.mu. Failures are soft (recall loss only) and surface
 	// through Stats().TieredIdx.
 	defer st.index.Maintain()
-	counts := probeLocked(st, sk, id)
+	cands := probeLocked(st, sk, id)
 	e.putSketchBuf(skb, sk)
 
-	if len(counts) == 0 {
+	if len(cands) == 0 {
 		st.codeBytes += int64(len(payload))
 		e.adoptAsNewChainLocked(st, id, payload)
 		e.governorTickLocked(st)
@@ -477,7 +478,7 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 
 	// Step 3: cache-aware source selection (cache.Contains takes only the
 	// cache's internal lock — a permitted inner lock).
-	srcID := e.selectSource(counts)
+	srcID := e.selectSource(cands)
 	st.mu.Unlock()
 	e.enc.ObserveStage(metrics.StageIndex, time.Since(t))
 
@@ -579,23 +580,42 @@ func (e *Engine) encodeAgainst(st *dbState, id uint64, payload []byte, srcID uin
 	return res
 }
 
+// candidate is a record the index probe found and how many of the new
+// record's features it shares.
+type candidate struct {
+	id     uint64
+	shared int
+}
+
 // probeLocked is Encode's index stage: it registers id under a fresh ref,
 // looks up and inserts every feature of sk, and returns how many features each
 // other record shares with it. The record itself is excluded, under the new
-// ref and under any older one. Caller holds st.mu and has checked
-// that st.index is non-nil.
-func probeLocked(st *dbState, sk sketch.Sketch, id uint64) map[uint64]int {
+// ref and under any older one. The result lives in st.cands, so it is valid
+// only while the caller holds st.mu: a probe finds at most K×MaxCandidates
+// records, so a linear search of a reused slice beats a map. Caller holds
+// st.mu and has checked that st.index is non-nil.
+func probeLocked(st *dbState, sk sketch.Sketch, id uint64) []candidate {
 	ref := uint32(len(st.refs))
 	st.refs = append(st.refs, id)
-	counts := make(map[uint64]int)
+	cands := st.cands[:0]
 	for _, f := range sk {
+	refs:
 		for _, r := range st.index.LookupInsert(f, ref) {
-			if r < ref && st.refs[r] != id {
-				counts[st.refs[r]]++
+			if r >= ref || st.refs[r] == id {
+				continue
 			}
+			rid := st.refs[r]
+			for i := range cands {
+				if cands[i].id == rid {
+					cands[i].shared++
+					continue refs
+				}
+			}
+			cands = append(cands, candidate{id: rid, shared: 1})
 		}
 	}
-	return counts
+	st.cands = cands
+	return cands
 }
 
 // ObserveRaw lets a replica node keep chain/cache state coherent for records
@@ -612,27 +632,19 @@ func (e *Engine) ObserveRaw(dbName string, id uint64, payload []byte) {
 // selectSource picks the candidate with the highest score: shared-feature
 // count plus the cache reward (paper §3.1.3). Ties break toward the higher
 // record ID (the more recent record), exploiting the incremental-update
-// pattern.
-func (e *Engine) selectSource(counts map[uint64]int) uint64 {
-	type scored struct {
-		id    uint64
-		score int
-	}
-	cands := make([]scored, 0, len(counts))
-	for id, c := range counts {
-		score := c
-		if e.cache != nil && e.cache.Contains(id) {
+// pattern. cands must not be empty.
+func (e *Engine) selectSource(cands []candidate) uint64 {
+	best, bestScore := uint64(0), -1
+	for _, c := range cands {
+		score := c.shared
+		if e.cache != nil && e.cache.Contains(c.id) {
 			score += e.cfg.RewardScore
 		}
-		cands = append(cands, scored{id, score})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+		if score > bestScore || score == bestScore && c.id > best {
+			best, bestScore = c.id, score
 		}
-		return cands[i].id > cands[j].id
-	})
-	return cands[0].id
+	}
+	return best
 }
 
 // adoptAsNewChainLocked registers id as the head of a fresh chain and caches
@@ -812,6 +824,7 @@ func (e *Engine) governorTickLocked(st *dbState) {
 		st.disabled = true
 		st.index = nil
 		st.refs = nil
+		st.cands = nil
 		st.chains = nil
 	}
 	// Reset the window so a still-enabled database is re-evaluated over

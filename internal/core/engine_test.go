@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"dbdedup/internal/chain"
@@ -426,4 +427,47 @@ func dbStats(e *Engine, name string) DBStats {
 		}
 	}
 	return DBStats{}
+}
+
+// TestSelectSourceMatchesSort: the source is the candidate a sort by score,
+// then ID, both descending, puts first — shared features plus the cache
+// reward, ties to the more recent record — over candidate sets with many
+// ties.
+func TestSelectSourceMatchesSort(t *testing.T) {
+	e, _ := newTestEngine(Config{})
+	rng := rand.New(rand.NewSource(48))
+	for id := uint64(1); id <= 40; id += 3 {
+		e.cache.Put(id, []byte("cached"))
+	}
+	for round := 0; round < 500; round++ {
+		cands := make([]candidate, 1+rng.Intn(12))
+		for i := range cands {
+			cands[i] = candidate{id: uint64(1 + rng.Intn(40)), shared: 1 + rng.Intn(3)}
+		}
+		// Probe results hold each ID once.
+		seen := map[uint64]bool{}
+		uniq := cands[:0]
+		for _, c := range cands {
+			if !seen[c.id] {
+				seen[c.id] = true
+				uniq = append(uniq, c)
+			}
+		}
+		sorted := append([]candidate(nil), uniq...)
+		score := func(c candidate) int {
+			if e.cache.Contains(c.id) {
+				return c.shared + e.cfg.RewardScore
+			}
+			return c.shared
+		}
+		sort.Slice(sorted, func(i, j int) bool {
+			if si, sj := score(sorted[i]), score(sorted[j]); si != sj {
+				return si > sj
+			}
+			return sorted[i].id > sorted[j].id
+		})
+		if got := e.selectSource(uniq); got != sorted[0].id {
+			t.Fatalf("round %d: selectSource(%v) = %d, the sort's first is %d", round, uniq, got, sorted[0].id)
+		}
+	}
 }

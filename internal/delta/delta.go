@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // windowSize is the match-detection window, the same 16-byte default xDelta
@@ -80,8 +81,6 @@ type CompressionStats struct {
 	IndexPuts int
 	// IndexGets is the number of source-index probes (pass 2).
 	IndexGets int
-	// PositionsScanned counts rolling-hash steps across both passes.
-	PositionsScanned int
 }
 
 // Compress computes the forward delta turning src into tgt using dbDedup's
@@ -101,67 +100,85 @@ func CompressWithStats(src, tgt []byte, opts Options) (Delta, CompressionStats) 
 	if interval < 1 || interval&(interval-1) != 0 {
 		panic("delta: AnchorInterval must be a power of two >= 1")
 	}
-	mask := uint32(interval - 1)
-	pattern := uint32(0x2a) & mask
+	if len(src) < windowSize || len(tgt) < windowSize {
+		// Too small for windowed matching: emit the target verbatim.
+		return verbatim(tgt), st
+	}
 	// Anchor selection tests the *raw* rolling state — content-defined
 	// and nearly free — so non-anchor positions skip both the checksum
 	// mixing and every index operation. This is where the speedup over
 	// xDelta's probe-every-offset scan comes from (Fig. 15).
-
-	e := encoder{src: src, tgt: tgt}
-
-	if len(src) < windowSize || len(tgt) < windowSize {
-		// Too small for windowed matching: emit the target verbatim.
-		e.insert(0, len(tgt))
-		return e.finish(), st
-	}
-
+	//
 	// Pass 1: index the checksums of anchor offsets in src. Low-entropy
 	// content (long repeats) can leave the anchor condition unsatisfied
 	// almost everywhere — the rolling state only takes period-many
 	// distinct values — so the interval is densified until the anchor
 	// yield is reasonable.
-	var idx *offsetTable
-	var rs rollsum
+	idx := tablePool.Get().(*offsetTable)
+	defer tablePool.Put(idx)
+	var mask, pattern uint32
 	for {
-		idx = newOffsetTable(len(src)/interval + 8)
-		rs = newRollsum(windowSize)
-		rs.init(src[:windowSize])
-		for i := 0; ; i++ {
-			st.PositionsScanned++
-			if rs.raw()&mask == pattern {
-				idx.put(rs.sum(), int32(i))
-				st.IndexPuts++
-			}
-			if i+windowSize >= len(src) {
-				break
-			}
-			rs.roll(src[i], src[i+windowSize])
-		}
+		mask = uint32(interval - 1)
+		pattern = uint32(0x2a) & mask
+		idx.reset(len(src)/interval + 8)
+		st.IndexPuts = indexAnchors(idx, src, mask, pattern)
 		// Expect ~len/interval anchor hits; retry denser when the
 		// yield falls below an eighth of that.
 		if interval == 1 || st.IndexPuts >= (len(src)-windowSize)/(interval*8)+1 {
 			break
 		}
-		interval /= 4
-		if interval < 1 {
-			interval = 1
-		}
-		mask = uint32(interval - 1)
-		pattern = uint32(0x2a) & mask
-		st.IndexPuts = 0
+		interval = max(interval/4, 1)
 	}
-
 	// Pass 2: scan tgt; at anchors, probe the source index and extend
 	// matches byte-wise in both directions.
+	var d Delta
+	d, st.IndexGets = scanTarget(src, tgt, idx, mask, pattern)
+	return d, st
+}
+
+// indexAnchors is pass 1: it rolls the checksum over every window of src and
+// puts each offset whose raw state matches pattern under mask into idx,
+// returning how many it put. The sums live in locals and the window's
+// leaving and entering bytes come from two equal-length views of src, so the
+// per-byte step is three additions, a test and no bounds check.
+func indexAnchors(idx *offsetTable, src []byte, mask, pattern uint32) int {
+	puts := 0
+	s1, s2 := windowSums(src[:windowSize])
+	if s2&mask == pattern {
+		idx.put(mixSums(s1, s2), 0)
+		puts++
+	}
+	in := src[windowSize:]
+	out := src[:len(in)]
+	for i := range in {
+		o := uint32(out[i])
+		s1 += uint32(in[i]) - o
+		s2 += s1 - windowSize*o
+		if s2&mask == pattern {
+			idx.put(mixSums(s1, s2), int32(i+1))
+			puts++
+		}
+	}
+	return puts
+}
+
+// scanTarget is pass 2 of both encoders: it rolls the checksum over tgt,
+// probes idx at every window whose raw state matches pattern under mask (every
+// window when mask is 0), extends each verified hit byte-wise in both
+// directions and returns the delta and the number of probes. Between anchors
+// the roll runs in a tight loop over two equal-length views of tgt, as in
+// indexAnchors.
+func scanTarget(src, tgt []byte, idx *offsetTable, mask, pattern uint32) (Delta, int) {
+	// Eight instructions cover three deltas in four between revisions.
+	e := encoder{tgt: tgt, insts: make([]Instruction, 0, 8)}
+	gets := 0
 	pos := 0 // first unencoded target offset
 	j := 0   // scan position (window start)
-	rs.init(tgt[:windowSize])
+	s1, s2 := windowSums(tgt[:windowSize])
 	for {
-		st.PositionsScanned++
-		if rs.raw()&mask == pattern {
-			st.IndexGets++
-			if soff, ok := idx.get(rs.sum()); ok {
+		if s2&mask == pattern {
+			gets++
+			if soff, ok := idx.get(mixSums(s1, s2)); ok {
 				s, t, l := extendMatch(src, tgt, int(soff), j, pos)
 				if l >= minCopyLen {
 					if pos < t {
@@ -173,21 +190,41 @@ func CompressWithStats(src, tgt []byte, opts Options) (Delta, CompressionStats) 
 					if j+windowSize > len(tgt) {
 						break
 					}
-					rs.init(tgt[j : j+windowSize])
+					s1, s2 = windowSums(tgt[j : j+windowSize])
 					continue
 				}
 			}
 		}
-		if j+windowSize >= len(tgt) {
+		// Roll to the next anchor, or to the last window.
+		in := tgt[j+windowSize:]
+		out := tgt[j : j+len(in)]
+		k := 0
+		for k < len(in) {
+			o := uint32(out[k])
+			s1 += uint32(in[k]) - o
+			s2 += s1 - windowSize*o
+			k++
+			if s2&mask == pattern {
+				break
+			}
+		}
+		j += k
+		if s2&mask != pattern || k == 0 {
 			break
 		}
-		rs.roll(tgt[j], tgt[j+windowSize])
-		j++
 	}
 	if pos < len(tgt) {
 		e.insert(pos, len(tgt)-pos)
 	}
-	return e.finish(), st
+	return e.finish(), gets
+}
+
+// verbatim is the delta of a target too small for windowed matching: one
+// INSERT of all of it.
+func verbatim(tgt []byte) Delta {
+	e := encoder{tgt: tgt}
+	e.insert(0, len(tgt))
+	return e.finish()
 }
 
 // CompressXDelta is the faithful xDelta baseline: it indexes the checksum of
@@ -198,55 +235,24 @@ func CompressXDelta(src, tgt []byte) Delta {
 	return d
 }
 
-// CompressXDeltaWithStats is CompressXDelta plus index-work accounting.
+// CompressXDeltaWithStats is CompressXDelta plus index-work accounting. It
+// shares pass 2 and the index with CompressWithStats, so Fig. 15 compares the
+// sampling and nothing else.
 func CompressXDeltaWithStats(src, tgt []byte) (Delta, CompressionStats) {
 	var st CompressionStats
-	e := encoder{src: src, tgt: tgt}
 	if len(src) < windowSize || len(tgt) < windowSize {
-		e.insert(0, len(tgt))
-		return e.finish(), st
+		return verbatim(tgt), st
 	}
-
-	idx := newOffsetTable(len(src)/windowSize + 8)
+	idx := tablePool.Get().(*offsetTable)
+	defer tablePool.Put(idx)
+	idx.reset(len(src)/windowSize + 8)
 	for i := 0; i+windowSize <= len(src); i += windowSize {
-		idx.put(sumOf(src[i:i+windowSize]), int32(i))
+		idx.put(mixSums(windowSums(src[i:i+windowSize])), int32(i))
 		st.IndexPuts++
-		st.PositionsScanned++
 	}
-
-	pos := 0
-	j := 0
-	rs := newRollsum(windowSize)
-	rs.init(tgt[:windowSize])
-	for {
-		st.PositionsScanned++
-		st.IndexGets++
-		if soff, ok := idx.get(rs.sum()); ok {
-			s, t, l := extendMatch(src, tgt, int(soff), j, pos)
-			if l >= minCopyLen {
-				if pos < t {
-					e.insert(pos, t-pos)
-				}
-				e.copy(s, l)
-				pos = t + l
-				j = t + l
-				if j+windowSize > len(tgt) {
-					break
-				}
-				rs.init(tgt[j : j+windowSize])
-				continue
-			}
-		}
-		if j+windowSize >= len(tgt) {
-			break
-		}
-		rs.roll(tgt[j], tgt[j+windowSize])
-		j++
-	}
-	if pos < len(tgt) {
-		e.insert(pos, len(tgt)-pos)
-	}
-	return e.finish(), st
+	var d Delta
+	d, st.IndexGets = scanTarget(src, tgt, idx, 0, 0)
+	return d, st
 }
 
 // extendMatch verifies a candidate match at src[soff:]/tgt[toff:] and widens
@@ -281,10 +287,11 @@ func extendMatch(src, tgt []byte, soff, toff, floor int) (int, int, int) {
 	return soff, toff, l
 }
 
-// encoder accumulates instructions with coalescing.
+// encoder accumulates instructions with coalescing. Its INSERTs take their
+// literals from tgt.
 type encoder struct {
-	src, tgt []byte
-	insts    []Instruction
+	tgt   []byte
+	insts []Instruction
 }
 
 func (e *encoder) insert(tgtOff, n int) {
@@ -333,8 +340,9 @@ func (e *encoder) finish() Delta {
 // src. Overlapping segments are trimmed, which can cost a few bytes versus
 // a from-scratch encoding but runs at memory speed.
 func Reencode(src, tgt []byte, fwd Delta) Delta {
-	type seg struct{ sOff, tOff, length int }
-	segs := make([]seg, 0, len(fwd.Insts))
+	sp := segPool.Get().(*[]seg)
+	defer segPool.Put(sp)
+	segs := (*sp)[:0]
 	tPos := 0
 	for _, inst := range fwd.Insts {
 		if inst.Op == OpCopy {
@@ -350,7 +358,11 @@ func Reencode(src, tgt []byte, fwd Delta) Delta {
 		}
 	}
 
-	e := encoder{src: tgt, tgt: src} // roles swap: output reconstructs src
+	*sp = segs // keep any grown capacity
+
+	// Roles swap: the output reconstructs src. Each segment adds at most a
+	// gap and a copy, and one literal may close the delta.
+	e := encoder{tgt: src, insts: make([]Instruction, 0, 2*len(segs)+1)}
 	sPos := 0
 	for _, g := range segs {
 		if g.sOff < sPos {
@@ -378,6 +390,13 @@ func Reencode(src, tgt []byte, fwd Delta) Delta {
 	}
 	return e.finish()
 }
+
+// seg is one COPY of a forward delta as Reencode sees it: length bytes at
+// sOff in the source, landing at tOff in the target.
+type seg struct{ sOff, tOff, length int }
+
+// segPool recycles Reencode's segment lists between calls.
+var segPool = sync.Pool{New: func() any { return new([]seg) }}
 
 // Apply reconstructs the target object from the base object and a delta.
 // Every instruction is checked, and their lengths summed against TargetLen,
@@ -442,31 +461,42 @@ func (d Delta) CopiedBytes() int {
 // offsetTable is a small open-addressed hash table mapping checksum -> first
 // source offset, used during encoding. It keeps the first offset seen for a
 // checksum (earlier offsets give slightly more stable matches for versioned
-// data, and first-wins is what xDelta does).
+// data, and first-wins is what xDelta does). Its slots are one array of
+// {key, offset+1} pairs, so a probe touches one cache line and a zero slot is
+// empty; encodes take tables from tablePool.
 type offsetTable struct {
-	keys []uint32
-	vals []int32
-	used []bool
-	mask uint32
-	n    int // occupied slots
-	max  int // occupancy cap; inserts beyond it are dropped
+	slots []slot
+	mask  uint32
+	n     int // occupied slots
+	max   int // occupancy cap; inserts beyond it are dropped
 }
 
-func newOffsetTable(capacity int) *offsetTable {
+type slot struct {
+	key uint32
+	off int32 // source offset + 1; 0 marks an empty slot
+}
+
+// tablePool recycles source indexes between encodes.
+var tablePool = sync.Pool{New: func() any { return new(offsetTable) }}
+
+// reset empties t and sizes it for capacity entries.
+func (t *offsetTable) reset(capacity int) {
 	n := 8
 	for n < capacity*2 {
 		n <<= 1
 	}
-	return &offsetTable{
-		keys: make([]uint32, n),
-		vals: make([]int32, n),
-		used: make([]bool, n),
-		mask: uint32(n - 1),
-		max:  n * 3 / 4,
+	if cap(t.slots) < n {
+		t.slots = make([]slot, n)
+	} else {
+		t.slots = t.slots[:n]
+		clear(t.slots)
 	}
+	t.mask = uint32(n - 1)
+	t.n = 0
+	t.max = n * 3 / 4
 }
 
-func (t *offsetTable) put(key uint32, val int32) {
+func (t *offsetTable) put(key uint32, off int32) {
 	if t.n >= t.max {
 		// Anchor density exceeded the sizing estimate (adversarial
 		// data); dropping extra anchors only costs compression, never
@@ -474,23 +504,21 @@ func (t *offsetTable) put(key uint32, val int32) {
 		return
 	}
 	i := key & t.mask
-	for t.used[i] {
-		if t.keys[i] == key {
+	for t.slots[i].off != 0 {
+		if t.slots[i].key == key {
 			return // first-wins
 		}
 		i = (i + 1) & t.mask
 	}
-	t.used[i] = true
-	t.keys[i] = key
-	t.vals[i] = val
+	t.slots[i] = slot{key: key, off: off + 1}
 	t.n++
 }
 
 func (t *offsetTable) get(key uint32) (int32, bool) {
 	i := key & t.mask
-	for t.used[i] {
-		if t.keys[i] == key {
-			return t.vals[i], true
+	for t.slots[i].off != 0 {
+		if t.slots[i].key == key {
+			return t.slots[i].off - 1, true
 		}
 		i = (i + 1) & t.mask
 	}

@@ -244,6 +244,10 @@ func TestMarshalRoundTrip(t *testing.T) {
 		if len(buf) != d.EncodedSize() {
 			t.Fatalf("EncodedSize %d != len(Marshal) %d", d.EncodedSize(), len(buf))
 		}
+		prefix := []byte("prefix")
+		if got := d.AppendMarshal(prefix); !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], buf) {
+			t.Fatal("AppendMarshal(prefix) is not prefix followed by Marshal's bytes")
+		}
 		d2, err := Unmarshal(buf)
 		if err != nil {
 			t.Fatalf("Unmarshal: %v", err)

@@ -1,56 +1,34 @@
 package delta
 
-// rollsum is a rolling Adler-style checksum over a fixed-size window, the
-// same family of checksum xDelta and gzip use for weak block fingerprints
-// (rsync's formulation: two 16-bit running sums, no prime modulus). It can
-// slide by one byte in O(1), which lets the target scan test every offset
-// cheaply.
-type rollsum struct {
-	s1, s2 uint32
-	win    uint32
-}
+// The encoders' window checksum is a rolling Adler-style checksum, the same
+// family xDelta and gzip use for weak block fingerprints (rsync's
+// formulation: two 16-bit running sums s1 and s2, no prime modulus). Sliding
+// the window one byte, out leaving and in entering, is
+//
+//	s1 += in - out
+//	s2 += s1 - windowSize*out
+//
+// which the encoders' loops do inline on local sums.
 
-// newRollsum returns a checksum over windows of the given size.
-func newRollsum(window int) rollsum {
-	return rollsum{win: uint32(window)}
-}
-
-// init computes the checksum of an initial full window.
-func (r *rollsum) init(window []byte) {
-	r.s1, r.s2 = 0, 0
+// windowSums computes the two running sums of a full window.
+func windowSums(window []byte) (s1, s2 uint32) {
 	for _, b := range window {
-		r.s1 += uint32(b)
-		r.s2 += r.s1
+		s1 += uint32(b)
+		s2 += s1
 	}
+	return s1, s2
 }
 
-// roll slides the window one byte: out leaves, in enters.
-func (r *rollsum) roll(out, in byte) {
-	r.s1 += uint32(in) - uint32(out)
-	r.s2 += r.s1 - r.win*uint32(out)
-}
-
-// raw returns the unmixed rolling state. Its low bits are cheap to test and
-// content-defined, which is all anchor selection needs; the full mixed sum
-// is only computed at anchors, where index quality matters.
-func (r *rollsum) raw() uint32 {
-	return r.s2
-}
-
-// sum returns the current 32-bit checksum value.
-func (r *rollsum) sum() uint32 {
-	// Mix the two halves so the low bits used for anchor selection
-	// depend on the whole state: s1 alone has poor low-bit entropy.
-	v := r.s2<<16 | r.s1&0xffff
+// mixSums returns the 32-bit checksum of a window from its running sums. The
+// raw s2 is what anchor selection tests — its low bits are cheap and
+// content-defined — and this full mix is only computed at anchors, where
+// index quality matters.
+func mixSums(s1, s2 uint32) uint32 {
+	// Mix the two halves so the low bits depend on the whole state: s1
+	// alone has poor low-bit entropy.
+	v := s2<<16 | s1&0xffff
 	v ^= v >> 15
 	v *= 0x2c1b3c6d
 	v ^= v >> 12
 	return v
-}
-
-// sumOf computes the checksum of an arbitrary window in one call.
-func sumOf(window []byte) uint32 {
-	r := newRollsum(len(window))
-	r.init(window)
-	return r.sum()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Wire format (all integers unsigned varints):
@@ -28,7 +29,12 @@ var errCorrupt = errors.New("delta: corrupt encoding")
 
 // Marshal serialises the delta into a compact binary form.
 func (d Delta) Marshal() []byte {
-	out := make([]byte, 0, d.marshalSize())
+	return d.AppendMarshal(nil)
+}
+
+// AppendMarshal appends Marshal's bytes to dst, growing it at most once.
+func (d Delta) AppendMarshal(dst []byte) []byte {
+	out := slices.Grow(dst, d.marshalSize())
 	out = append(out, wireMagic, wireVersion)
 	out = binary.AppendUvarint(out, uint64(d.TargetLen))
 	out = binary.AppendUvarint(out, uint64(len(d.Insts)))

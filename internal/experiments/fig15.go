@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -19,8 +20,10 @@ type Fig15Row struct {
 	ThroughputMBps float64
 	// IndexOps is the total source-index puts+gets — the work the anchor
 	// interval is designed to eliminate. This is the stable mechanism
-	// metric; wall-clock throughput additionally depends on how costly
-	// one index operation is on the host (see EXPERIMENTS.md).
+	// metric; wall-clock throughput also depends on the work sampling
+	// leaves alone: both compressors pass over the whole source, and the
+	// target bytes a COPY covers are skipped, not probed (see
+	// EXPERIMENTS.md).
 	IndexOps int64
 }
 
@@ -58,6 +61,9 @@ func RunFig15(sc Scale) (*Fig15Result, error) {
 
 	run := func(config string, compress func(src, tgt []byte) (delta.Delta, delta.CompressionStats)) Fig15Row {
 		var tgtBytes, deltaBytes, idxOps int64
+		// Start every configuration from a collected heap, so the first
+		// one timed does not pay for the garbage of building the pairs.
+		runtime.GC()
 		start := time.Now()
 		for _, p := range pairs {
 			d, st := compress(p.src, p.tgt)

@@ -521,3 +521,33 @@ func TestReplicaBaseUpdatedInPlace(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicatedInsertsCountAsLoad: a secondary applying a replicated stream
+// is as busy as the primary that wrote it. Each applied insert moves the
+// idleness counter the flush loop reads, as each applied update and delete
+// does, so a secondary under an insert stream does not flush write-backs as
+// if it were idle.
+func TestReplicatedInsertsCountAsLoad(t *testing.T) {
+	prim, sec, ship := replicaPair(t)
+	rng := rand.New(rand.NewSource(48))
+	const n = 5
+	for _, step := range []struct {
+		name  string
+		write func(key string) error
+	}{
+		{"insert", func(key string) error { return prim.Insert("wiki", key, workload.RevisionText(rng, 2048)) }},
+		{"update", func(key string) error { return prim.Update("wiki", key, workload.RevisionText(rng, 2048)) }},
+		{"delete", func(key string) error { return prim.Delete("wiki", key) }},
+	} {
+		for i := 0; i < n; i++ {
+			if err := step.write(fmt.Sprintf("k%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := sec.recentOps.Load()
+		ship()
+		if got := sec.recentOps.Load() - before; got != n {
+			t.Errorf("%d replicated %ss moved the secondary's idleness counter by %d, want %d", n, step.name, got, n)
+		}
+	}
+}

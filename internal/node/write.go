@@ -99,11 +99,11 @@ func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) 
 	}
 	n.stats.Inserts++
 	n.stats.RawInsertBytes += int64(len(payload))
+	n.recentOps.Add(1)
 	if emit {
 		if shed {
 			n.stats.InsertsShedRaw++
 		}
-		n.recentOps.Add(1)
 		job = n.enqueueLocked(sh, job)
 	}
 	n.mu.Unlock()
@@ -477,9 +477,10 @@ func (n *Node) queueWritebacks(wbs []core.Writeback, seq uint64) {
 // validate, long after the encode decision, that neither the record nor the
 // content it would decode from has been changed by the client in the meantime.
 func encodeWritebackPayload(wb core.Writeback, seq uint64) []byte {
-	out := binary.AppendUvarint(nil, wb.Base)
+	out := make([]byte, 0, 2*binary.MaxVarintLen64+wb.Delta.EncodedSize())
+	out = binary.AppendUvarint(out, wb.Base)
 	out = binary.AppendUvarint(out, seq)
-	return append(out, wb.Delta.Marshal()...)
+	return wb.Delta.AppendMarshal(out)
 }
 
 func decodeWritebackPayload(p []byte) (base, seq uint64, deltaBytes []byte, err error) {

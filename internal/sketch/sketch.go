@@ -10,10 +10,11 @@
 //
 // Extraction is the per-insert CPU floor of inline dedup, so the hot path
 // is engineered to be allocation-free at steady state: chunk descriptors,
-// chunk hashes, and sampling keys live in pooled scratch buffers, chunk
-// hashing is batched over the descriptor list, and the sorts run without
-// closure or comparator allocations. ExtractInto reuses a caller-owned
-// sketch buffer; Extract allocates only its returned sketch.
+// chunk hashes, and sampling keys live in pooled scratch buffers, and chunk
+// hashing is batched over the descriptor list. Consistent sampling sorts
+// nothing: the K largest distinct hashes are selected by insertion into the
+// K-slot result (only the ablation mode sorts). ExtractInto reuses a
+// caller-owned sketch buffer; Extract allocates only its returned sketch.
 package sketch
 
 import (
@@ -181,38 +182,52 @@ func (e *Extractor) ExtractInto(dst Sketch, record []byte) Sketch {
 			sc.pairs = append(sc.pairs, featKey{hash: h, key: murmur.Sum64(kb[:], ^e.seed)})
 		}
 		sortFeaturesByKey(sc.pairs)
+		dst = dst[:0]
 		for i, p := range sc.pairs {
-			sc.hashes[i] = p.hash
+			if i > 0 && p.hash == sc.pairs[i-1].hash {
+				continue
+			}
+			dst = append(dst, Feature(p.hash))
+			if len(dst) == e.k {
+				break
+			}
 		}
 	} else {
-		// Consistent sampling: order by magnitude, descending, so any
-		// two records sharing chunk content tend to sample the same
-		// features.
-		slices.SortFunc(sc.hashes, func(a, b uint64) int {
-			switch {
-			case a > b:
-				return -1
-			case a < b:
-				return 1
-			default:
-				return 0
-			}
-		})
-	}
-
-	dst = dst[:0]
-	var prev uint64
-	for i, h := range sc.hashes {
-		if i > 0 && h == prev {
-			continue
-		}
-		dst = append(dst, Feature(h))
-		prev = h
-		if len(dst) == e.k {
-			break
-		}
+		// Consistent sampling: the K largest distinct hashes, in
+		// descending order, so any two records sharing chunk content
+		// tend to sample the same features.
+		dst = topK(dst[:0], sc.hashes, e.k)
 	}
 	e.scratch.Put(sc)
+	return dst
+}
+
+// topK appends to dst (empty, capacity reused) the k largest distinct values
+// of hashes in descending order — what sorting hashes descending, dropping
+// repeats and keeping the first k gives — by insertion into dst itself: a
+// hash no larger than the smallest kept one, once k are kept, costs one
+// comparison.
+func topK(dst Sketch, hashes []uint64, k int) Sketch {
+	for _, h := range hashes {
+		f := Feature(h)
+		n := len(dst)
+		if n == k && f <= dst[n-1] {
+			continue
+		}
+		// Find f's place: after every kept feature larger than it.
+		i := n
+		for i > 0 && dst[i-1] < f {
+			i--
+		}
+		if i > 0 && dst[i-1] == f {
+			continue // already kept
+		}
+		if n < k {
+			dst = append(dst, 0)
+		}
+		copy(dst[i+1:], dst[i:])
+		dst[i] = f
+	}
 	return dst
 }
 
