@@ -390,19 +390,22 @@ func (s *Shard) BeginHandoff() ([]byte, error) {
 			return nil, fmt.Errorf("cluster: handoff dial %s: %w", dest, err)
 		}
 		var sendErr error
-		err = s.n.Scan(db, func(d, key string, content []byte) bool {
+		_, err = s.n.Scan(db, func(d, key string, r node.Stamped) bool {
 			if d != db {
 				return false // a database named "" scans as "all"; it sorts first
 			}
-			if err := c.Transfer(db, key, content); err != nil {
+			if !r.Present {
+				return true // nothing to move
+			}
+			if err := c.Transfer(db, key, r.Content); err != nil {
 				sendErr = fmt.Errorf("cluster: handoff transfer %s/%s to %s: %w", db, key, dest, err)
 				return false
 			}
 			sum.Moved[db]++
 			sum.Records++
-			sum.Bytes += int64(len(content))
+			sum.Bytes += int64(len(r.Content))
 			s.cm.TransferRecordsOut.Add(1)
-			s.cm.TransferBytesOut.Add(int64(len(content)))
+			s.cm.TransferBytesOut.Add(int64(len(r.Content)))
 			return true
 		})
 		if err != nil {

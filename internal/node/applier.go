@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -25,13 +26,19 @@ import (
 // dispatched entry with seq ≤ S has been applied, however the per-shard
 // completions interleave.
 //
+// A record that arrives whole, a snapshot record or a fetch answer, carries
+// the stamp the primary read it at, and the applier keeps one rule: an entry
+// whose key holds a stamp ≥ its Seq is already reflected and is skipped, and
+// a forward-encoded insert whose base holds one is fetched whole, since the
+// base here may be newer than the one the primary encoded against.
+//
 // Enqueue methods and Reset must be called from the dispatcher goroutine.
 // Barrier is additionally safe to call concurrently with Close and from
 // other goroutines (it then orders arbitrarily against concurrent
 // enqueues); all remaining methods are safe for concurrent use.
 type Applier struct {
 	n     *Node
-	fetch func(db, key string) ([]byte, error)
+	fetch func(db, key string) (Stamped, error)
 	m     *metrics.ApplyMetrics
 	pool  *fifoPool[applyJob]
 
@@ -39,14 +46,16 @@ type Applier struct {
 	errv    error
 	base    uint64       // all dispatched seqs <= base are applied
 	pending []*applySlot // dispatched tracked seqs > base, dispatch order
+	// stamps holds, per database, the stamp of every key that arrived whole
+	// since the last snapshot began. Guarded by mu.
+	stamps map[string]keyStamps
+}
 
-	// vanished records keys ("db\x00key") whose strict insert was skipped
-	// because the primary no longer held the record (ErrFetchUnavailable):
-	// it was deleted there after the insert was logged, so the stream will
-	// carry that delete later. Ops on a vanished key that fail with
-	// ErrNotFound are expected, not pool poison; the delete clears the
-	// mark. Guarded by mu.
-	vanished map[string]struct{}
+// keyStamps is one database's stamps and the largest of them: once an entry
+// of the database passes max, no later one can be covered, and it goes.
+type keyStamps struct {
+	max  uint64
+	keys map[string]uint64
 }
 
 // ApplierOptions configures an apply pool.
@@ -59,21 +68,20 @@ type ApplierOptions struct {
 	// blocks when a shard is full — backpressure onto the replication
 	// stream instead of unbounded memory growth.
 	Queue int
-	// Fetch resolves a forward-encoded insert whose delta base is locally
-	// missing by retrieving the record's full content (normally from the
-	// primary over the replication fetch connection). It is called from
-	// multiple workers concurrently and must be safe for that, and it
-	// retries transport faults itself: any error other than
-	// ErrFetchUnavailable poisons the pool. nil disables the fallback:
-	// strict base misses become terminal apply errors.
-	Fetch func(db, key string) ([]byte, error)
+	// Fetch reads a record whole, with its stamp, for a forward-encoded
+	// insert whose delta base is missing here or newer than the encoding's
+	// (normally from the primary over the replication fetch connection). It
+	// is called from multiple workers concurrently and must be safe for
+	// that, and it retries transport faults itself: any error poisons the
+	// pool. nil disables the fallback: such an insert becomes a terminal
+	// apply error.
+	Fetch func(db, key string) (Stamped, error)
 }
 
 type applyJob struct {
-	entry    oplog.Entry
-	lenient  bool
-	snapshot bool       // Upsert(DB, Key, Payload, false); untracked
-	slot     *applySlot // low-water tracking (nil for snapshot records)
+	entry oplog.Entry
+	rec   *Stamped   // a snapshot record of entry's DB and Key; untracked
+	slot  *applySlot // low-water tracking (nil for snapshot records)
 }
 
 // applySlot tracks one dispatched entry in the low-water window.
@@ -91,27 +99,26 @@ func NewApplier(n *Node, afterSeq uint64, opts ApplierOptions) *Applier {
 	if opts.Queue <= 0 {
 		opts.Queue = 1024
 	}
-	a := &Applier{n: n, fetch: opts.Fetch, m: n.ApplyMetrics(), base: afterSeq}
+	a := &Applier{n: n, fetch: opts.Fetch, m: n.ApplyMetrics(), base: afterSeq, stamps: make(map[string]keyStamps)}
 	a.pool = newFIFOPool(opts.Workers, opts.Queue, a.run, &a.m.Workers, &a.m.QueueDepth, &a.m.QueueOverflows)
 	return a
 }
 
 // EnqueueEntry dispatches one replicated oplog entry to its database's
 // shard, blocking while the shard is at capacity. Entries must be enqueued
-// in sequence order.
-func (a *Applier) EnqueueEntry(e oplog.Entry, lenient bool) {
+// in sequence order. The second argument is ignored.
+func (a *Applier) EnqueueEntry(e oplog.Entry, _ bool) {
 	slot := &applySlot{seq: e.Seq}
 	a.mu.Lock()
 	a.pending = append(a.pending, slot)
 	a.mu.Unlock()
-	a.dispatch(e.DB, applyJob{entry: e, lenient: lenient, slot: slot})
+	a.dispatch(e.DB, applyJob{entry: e, slot: slot})
 }
 
-// EnqueueSnapshotRecord dispatches one snapshot record (insert-or-replace,
-// no sequence number) to its database's shard.
-func (a *Applier) EnqueueSnapshotRecord(db, key string, payload []byte) {
-	e := oplog.Entry{DB: db, Key: key, Payload: payload}
-	a.dispatch(db, applyJob{entry: e, snapshot: true})
+// EnqueueSnapshotRecord dispatches one snapshot record, present or absent,
+// to its database's shard; it is installed and its key stamped.
+func (a *Applier) EnqueueSnapshotRecord(db, key string, r Stamped) {
+	a.dispatch(db, applyJob{entry: oplog.Entry{DB: db, Key: key}, rec: &r})
 }
 
 // dispatch reserves and pushes in one step: the single dispatcher is what
@@ -130,37 +137,52 @@ func (a *Applier) dispatch(db string, job applyJob) {
 // while the secondary shuts down); see fifoPool.plant.
 func (a *Applier) Barrier() { a.pool.plant().Wait() }
 
-// Reset rebases the low-water mark after a snapshot: the snapshot defines
-// the stream position outright (an epoch-mismatch resync can rebase it
-// downward), and with it any pending vanished-key expectations. Callers
-// must Barrier first so no tracked entries are in flight.
+// BeginSnapshot forgets every stamp: the snapshot restates every key, in the
+// numbers of the log it comes from. Callers must Barrier first.
+func (a *Applier) BeginSnapshot() {
+	a.mu.Lock()
+	a.stamps = make(map[string]keyStamps)
+	a.mu.Unlock()
+}
+
+// EndSnapshot completes a snapshot whose records are all applied (callers
+// must Barrier first): it deletes every local key the snapshot did not list,
+// which was absent on the primary at cursor, then rebases the low-water mark
+// to cursor. A delete that fails returns its error with the mark unmoved.
+func (a *Applier) EndSnapshot(cursor uint64) error {
+	for _, db := range a.n.DBNames() {
+		a.mu.Lock()
+		listed := a.stamps[db].keys
+		a.mu.Unlock()
+		if _, err := a.n.Retain(db, func(key string) bool { _, ok := listed[key]; return ok }, false); err != nil {
+			return fmt.Errorf("reconciling %q after snapshot: %w", db, err)
+		}
+	}
+	a.Reset(cursor)
+	return nil
+}
+
+// Reset rebases the low-water mark: the snapshot defines the stream position
+// outright (an epoch-mismatch resync can rebase it downward). Callers must
+// Barrier first so no tracked entries are in flight.
 func (a *Applier) Reset(seq uint64) {
 	a.mu.Lock()
 	a.base = seq
 	a.pending = a.pending[:0]
-	a.vanished = nil
 	a.mu.Unlock()
 }
 
-func (a *Applier) markVanished(db, key string) {
-	a.mu.Lock()
-	if a.vanished == nil {
-		a.vanished = make(map[string]struct{})
-	}
-	a.vanished[db+"\x00"+key] = struct{}{}
-	a.mu.Unlock()
-}
-
-// vanishedHit reports whether (db, key) is marked vanished, clearing the
-// mark when clear is set (the expected delete arrived).
-func (a *Applier) vanishedHit(db, key string, clear bool) bool {
+// covers reports whether (db, key) holds a stamp ≥ seq, dropping db's
+// stamps once seq passes all of them.
+func (a *Applier) covers(db, key string, seq uint64) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	_, ok := a.vanished[db+"\x00"+key]
-	if ok && clear {
-		delete(a.vanished, db+"\x00"+key)
+	ks := a.stamps[db]
+	if seq > ks.max {
+		delete(a.stamps, db)
+		return false
 	}
-	return ok
+	return ks.keys[key] >= seq
 }
 
 // LowWater returns the applied-sequence low-water mark: every dispatched
@@ -203,70 +225,30 @@ func (a *Applier) run(job applyJob) {
 		return // poisoned: drain without applying
 	}
 	start := time.Now()
+	e := job.entry
 	var err error
 	switch {
-	case job.snapshot:
-		err = a.n.Upsert(job.entry.DB, job.entry.Key, job.entry.Payload, false)
-	case job.lenient:
-		err = a.n.ApplyReplicatedLenient(job.entry)
+	case job.rec != nil:
+		err = a.install(e.DB, e.Key, *job.rec)
+	case a.covers(e.DB, e.Key, e.Seq):
+		// The key arrived whole at or after this entry: already reflected.
+	case e.Op == oplog.OpInsert && e.Form == oplog.FormDelta && a.covers(e.DB, e.BaseKey, e.Seq):
+		// The base arrived whole after this insert was encoded, so the copy
+		// here can be newer than the primary's, and delta.Apply checks only
+		// ranges and length: decoding would store wrong bytes.
+		err = a.fetchWhole(e, fmt.Errorf("%w: %q/%q is newer than insert %d of %q", ErrBaseMissing, e.DB, e.BaseKey, e.Seq, e.Key))
 	default:
-		err = a.n.ApplyReplicated(job.entry)
-	}
-	if errors.Is(err, ErrBaseMissing) {
-		switch {
-		case a.fetch == nil:
-			if job.lenient {
-				err = a.decodeLocally(job.entry)
-			}
-		default:
-			// Fall back to fetching the full record from the primary
-			// (paper §4.1 fn. 4). The failed insert counted nothing, so
-			// installing the fetched content counts it exactly once.
-			content, ferr := a.fetch(job.entry.DB, job.entry.Key)
-			switch {
-			case ferr == nil:
-				err = a.n.Upsert(job.entry.DB, job.entry.Key, content, false)
-				if err == nil {
-					a.m.BaseFetches.Add(1)
-				}
-			case errors.Is(ferr, ErrFetchUnavailable):
-				// The primary no longer holds the record: it was deleted
-				// (or replaced) after this insert was logged, and the
-				// stream will carry that op later. Skip the insert and
-				// remember the key, so that the upcoming update's or
-				// delete's ErrNotFound is expected rather than terminal
-				// when it arrives after a resync window.
-				a.markVanished(job.entry.DB, job.entry.Key)
-				err = nil
-			default:
-				// The fetch rides out transport faults itself, so it gave
-				// up for good (the replication fetcher only when closing).
-				err = fmt.Errorf("%w (fetch fallback: %w)", err, ferr)
-			}
-		}
-	}
-	if errors.Is(err, ErrNotFound) && !job.lenient && !job.snapshot {
-		// A strict op on a key whose insert was skipped as vanished is the
-		// follow-up the skip predicted. The delete consumes the mark; an
-		// update leaves it (the record is still not installed).
-		switch job.entry.Op {
-		case oplog.OpUpdate:
-			if a.vanishedHit(job.entry.DB, job.entry.Key, false) {
-				err = nil
-			}
-		case oplog.OpDelete:
-			if a.vanishedHit(job.entry.DB, job.entry.Key, true) {
-				err = nil
-			}
+		if err = a.n.ApplyReplicated(e); errors.Is(err, ErrBaseMissing) {
+			err = a.fetchWhole(e, err)
 		}
 	}
 	a.m.Latency.Observe(time.Since(start))
 	if err != nil {
 		a.m.ApplyFailures.Add(1)
-		if job.snapshot {
-			a.fail(fmt.Errorf("snapshot record %s/%s: %w", job.entry.DB, job.entry.Key, err))
+		if job.rec != nil {
+			a.fail(fmt.Errorf("snapshot record %s/%s: %w", e.DB, e.Key, err))
 		} else {
-			a.fail(fmt.Errorf("applying seq %d: %w", job.entry.Seq, err))
+			a.fail(fmt.Errorf("applying seq %d: %w", e.Seq, err))
 		}
 		return
 	}
@@ -274,15 +256,53 @@ func (a *Applier) run(job applyJob) {
 	a.complete(job)
 }
 
-// decodeLocally applies a resync window's forward-encoded insert when the
-// pool has no fetch: decoded against the local base after all, which is
-// right unless the snapshot carried a newer base than the primary encoded
-// against (the case the fetch exists for), and skipped when the base is not
-// here either, for a future snapshot to re-deliver if still live.
-func (a *Applier) decodeLocally(e oplog.Entry) error {
-	if err := a.n.ApplyReplicated(e); !errors.Is(err, ErrBaseMissing) {
+// fetchWhole applies forward-encoded insert e, which could not be decoded
+// here (miss says why), as the record the primary holds now (paper §4.1
+// fn. 4). The fetched record's stamp covers the insert and whatever followed
+// it up to the read, a delete included.
+func (a *Applier) fetchWhole(e oplog.Entry, miss error) error {
+	if a.fetch == nil {
+		return miss
+	}
+	r, err := a.fetch(e.DB, e.Key)
+	if err != nil {
+		// The fetch rides out transport faults itself, so it gave up for
+		// good (the replication fetcher only when closing).
+		return fmt.Errorf("%w (fetch fallback: %w)", miss, err)
+	}
+	if r.Stamp < e.Seq {
+		// Read in another log than e's, whose number was at least e.Seq:
+		// the primary restarted. Its record covers every entry still
+		// queued, and the epoch-mismatch snapshot that follows restates it.
+		r.Stamp = math.MaxUint64
+	}
+	if err = a.install(e.DB, e.Key, r); err == nil && r.Present {
+		a.m.BaseFetches.Add(1)
+	}
+	return err
+}
+
+// install stores a record that arrived whole, upserting it or deleting the
+// key if it was absent, and stamps the key. The upsert counts an insert
+// exactly once: a failed insert counted nothing.
+func (a *Applier) install(db, key string, r Stamped) error {
+	var err error
+	if r.Present {
+		err = a.n.Upsert(db, key, r.Content, false)
+	} else if _, err = a.n.deleteLocalEmit(db, key, false); errors.Is(err, ErrNotFound) {
+		err = nil
+	}
+	if err != nil {
 		return err
 	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ks := a.stamps[db]
+	if ks.keys == nil {
+		ks.keys = make(map[string]uint64)
+	}
+	ks.keys[key], ks.max = r.Stamp, max(ks.max, r.Stamp)
+	a.stamps[db] = ks
 	return nil
 }
 

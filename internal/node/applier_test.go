@@ -249,9 +249,9 @@ func TestApplierBarrierAfterClose(t *testing.T) {
 func TestApplierFetchFallback(t *testing.T) {
 	sec := testNode(t, Options{})
 	fetched := 0
-	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2, Fetch: func(db, key string) ([]byte, error) {
+	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2, Fetch: func(db, key string) (Stamped, error) {
 		fetched++
-		return []byte("fetched full content"), nil
+		return Stamped{Stamp: 1, Present: true, Content: []byte("fetched full content")}, nil
 	}})
 	defer ap.Close()
 
@@ -277,21 +277,20 @@ func TestApplierFetchFallback(t *testing.T) {
 // TestApplierFetchUnavailableVanishedKey covers the delete-raced insert: a
 // forward-encoded insert whose base is missing falls back to fetching, but
 // the primary no longer holds the record either (it was deleted there after
-// the insert was logged). The applier must skip the insert and tolerate the
-// follow-up ops on the never-installed key — the stream is guaranteed to
-// carry the delete that explains the miss — without poisoning the pool.
+// the insert was logged). The fetch answers "absent" stamped with the
+// primary's number at the read, which covers the update and the delete that
+// followed the insert: all three are skipped without poisoning the pool, and
+// nothing is installed. A delete numbered past the stamp is not covered.
 func TestApplierFetchUnavailableVanishedKey(t *testing.T) {
 	sec := testNode(t, Options{})
-	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2, Fetch: func(db, key string) ([]byte, error) {
-		return nil, fmt.Errorf("%w: record not found", ErrFetchUnavailable)
+	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2, Fetch: func(db, key string) (Stamped, error) {
+		return Stamped{Stamp: 3}, nil
 	}})
 	defer ap.Close()
 
 	ap.EnqueueEntry(oplog.Entry{Seq: 1, Op: oplog.OpInsert, DB: "db", Key: "ghost",
 		Form: oplog.FormDelta, BaseKey: "missing",
 		Payload: delta.Compress([]byte("a"), []byte("b"), delta.Options{}).Marshal()}, false)
-	// An update ordered before the delete hits the same missing key and is
-	// equally expected; the delete itself consumes the mark.
 	ap.EnqueueEntry(oplog.Entry{Seq: 2, Op: oplog.OpUpdate, DB: "db", Key: "ghost",
 		Payload: []byte("newer content")}, false)
 	ap.EnqueueEntry(oplog.Entry{Seq: 3, Op: oplog.OpDelete, DB: "db", Key: "ghost"}, false)
@@ -309,11 +308,144 @@ func TestApplierFetchUnavailableVanishedKey(t *testing.T) {
 		t.Fatalf("Inserts = %d, want 0 (skipped insert leaked the counter)", got)
 	}
 
-	// The mark is consumed: a second miss on the same key has no pending
-	// insert explaining it and must surface as real divergence.
+	// Past the stamp: a miss on the same key has nothing explaining it and
+	// must surface as real divergence.
 	ap.EnqueueEntry(oplog.Entry{Seq: 4, Op: oplog.OpDelete, DB: "db", Key: "ghost"}, false)
 	ap.Barrier()
 	if err := ap.Err(); err == nil {
 		t.Fatal("unexplained delete of a missing key should poison the pool")
+	}
+}
+
+// TestFetchFromARestartedPrimary: the base fetch is answered by a restarted
+// primary, whose stamp (2) is below the insert's number in the old log (5):
+// the key is absent there. The delete still queued behind the insert must not
+// poison the pool; the epoch-mismatch snapshot that follows restates the key,
+// and forgets the stamp.
+func TestFetchFromARestartedPrimary(t *testing.T) {
+	sec := testNode(t, Options{})
+	ap := NewApplier(sec, 4, ApplierOptions{Workers: 2, Fetch: func(db, key string) (Stamped, error) {
+		return Stamped{Stamp: 2}, nil
+	}})
+	defer ap.Close()
+	applyOne(t, ap, oplog.Entry{Seq: 5, Op: oplog.OpInsert, DB: "db", Key: "k",
+		Form: oplog.FormDelta, BaseKey: "missing",
+		Payload: delta.Compress([]byte("a"), []byte("b"), delta.Options{}).Marshal()})
+	applyOne(t, ap, oplog.Entry{Seq: 9, Op: oplog.OpDelete, DB: "db", Key: "k"})
+	if sec.Has("db", "k") || ap.LowWater() != 9 {
+		t.Fatalf("after the queued delete: present %v, LowWater %d", sec.Has("db", "k"), ap.LowWater())
+	}
+	snapshotInto(t, ap, "db", 3, map[string]Stamped{"k": {Stamp: 3, Present: true, Content: []byte("new log")}})
+	applyOne(t, ap, oplog.Entry{Seq: 4, Op: oplog.OpUpdate, DB: "db", Key: "k", Payload: []byte("applied")})
+	if got, err := sec.Read("db", "k"); err != nil || string(got) != "applied" {
+		t.Fatalf("after the snapshot: %q, %v", got, err)
+	}
+}
+
+// snapshotInto applies a snapshot of the given records to ap the way the
+// replication layer does, ending at cursor.
+func snapshotInto(t *testing.T, ap *Applier, db string, cursor uint64, recs map[string]Stamped) {
+	t.Helper()
+	ap.Barrier()
+	ap.BeginSnapshot()
+	for key, r := range recs {
+		ap.EnqueueSnapshotRecord(db, key, r)
+	}
+	ap.Barrier()
+	if err := ap.EndSnapshot(cursor); err != nil {
+		t.Fatal(err)
+	}
+	if err := ap.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// applyOne applies e through ap and fails the test on an apply error.
+func applyOne(t *testing.T, ap *Applier, e oplog.Entry) {
+	t.Helper()
+	ap.EnqueueEntry(e, false)
+	ap.Barrier()
+	if err := ap.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotRecordNotRewound: the snapshot read the key after update u3,
+// and the window replays u2 then u3. Both are reflected already, so the key
+// never reads u2; u4, past the stamp, applies.
+func TestSnapshotRecordNotRewound(t *testing.T) {
+	sec := testNode(t, Options{})
+	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2})
+	defer ap.Close()
+	snapshotInto(t, ap, "db", 1, map[string]Stamped{"k": {Stamp: 3, Present: true, Content: []byte("u3")}})
+	for _, step := range []struct {
+		seq  uint64
+		want string
+	}{{2, "u3"}, {3, "u3"}, {4, "u4"}} {
+		applyOne(t, ap, oplog.Entry{Seq: step.seq, Op: oplog.OpUpdate, DB: "db", Key: "k",
+			Payload: []byte(fmt.Sprintf("u%d", step.seq))})
+		if got, err := sec.Read("db", "k"); err != nil || string(got) != step.want {
+			t.Fatalf("after u%d the key reads %q, %v; want %q", step.seq, got, err, step.want)
+		}
+	}
+	if got := ap.LowWater(); got != 4 {
+		t.Fatalf("LowWater = %d, want 4", got)
+	}
+}
+
+// TestSnapshotTombstoneNotRevived: the key was listed, then deleted before
+// the scan read it, so the snapshot carries it absent at stamp 5. The
+// secondary's older copy goes at once, and the window's insert and delete,
+// both numbered up to 5, do not bring it back; an insert past 5 does.
+func TestSnapshotTombstoneNotRevived(t *testing.T) {
+	sec := testNode(t, Options{})
+	if err := sec.Upsert("db", "k", []byte("held before the snapshot"), false); err != nil {
+		t.Fatal(err)
+	}
+	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2})
+	defer ap.Close()
+	snapshotInto(t, ap, "db", 2, map[string]Stamped{"k": {Stamp: 5}})
+	if sec.Has("db", "k") {
+		t.Fatal("the snapshot's tombstone left the older copy")
+	}
+	applyOne(t, ap, oplog.Entry{Seq: 3, Op: oplog.OpInsert, DB: "db", Key: "k", Payload: []byte("revived")})
+	if sec.Has("db", "k") {
+		t.Fatal("an insert the tombstone covers revived the key")
+	}
+	applyOne(t, ap, oplog.Entry{Seq: 5, Op: oplog.OpDelete, DB: "db", Key: "k"})
+	applyOne(t, ap, oplog.Entry{Seq: 6, Op: oplog.OpInsert, DB: "db", Key: "k", Payload: []byte("back")})
+	if got, err := sec.Read("db", "k"); err != nil || string(got) != "back" {
+		t.Fatalf("insert past the tombstone: %q, %v", got, err)
+	}
+}
+
+// TestWindowInsertDecodesAgainstOlderBase: the snapshot read the base before
+// the forward-encoded insert's number, so the base here is the one the
+// primary encoded against: the insert decodes locally, without a fetch.
+func TestWindowInsertDecodesAgainstOlderBase(t *testing.T) {
+	prim := testNode(t, Options{})
+	versions := insertChain(t, prim, "wiki", 2, 12)
+	ents, err := prim.Oplog().EntriesSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := ents[1]
+	if ins.Seq != 2 || ins.Form != oplog.FormDelta || ins.BaseKey != "v0" {
+		t.Fatalf("premise: seq %d shipped as %v against %q, want 2, forward-encoded against v0", ins.Seq, ins.Form, ins.BaseKey)
+	}
+	sec := testNode(t, Options{})
+	fetches := 0
+	ap := NewApplier(sec, 0, ApplierOptions{Fetch: func(db, key string) (Stamped, error) {
+		fetches++
+		return prim.ReadStamped(db, key)
+	}})
+	defer ap.Close()
+	snapshotInto(t, ap, "wiki", 0, map[string]Stamped{"v0": {Stamp: 1, Present: true, Content: versions[0]}})
+	applyOne(t, ap, ins)
+	if got, err := sec.Read("wiki", "v1"); err != nil || !bytes.Equal(got, versions[1]) {
+		t.Fatalf("v1 decoded locally: equal %v, %v", bytes.Equal(got, versions[1]), err)
+	}
+	if got := sec.ApplyMetrics().BaseFetches.Total(); got != 0 || fetches != 0 {
+		t.Fatalf("base fetches = %d (%d calls), want 0", got, fetches)
 	}
 }

@@ -139,7 +139,7 @@ func TestEncoderBackpressure(t *testing.T) {
 	if st.EncodeQueueDepth != 0 {
 		t.Errorf("queue depth %d after Barrier, want 0", st.EncodeQueueDepth)
 	}
-	if got := n.Oplog().Len(); got != inserts {
+	if got := n.Oplog().Stats().Entries; got != inserts {
 		t.Errorf("oplog has %d entries, want %d — backpressure dropped work", got, inserts)
 	}
 }
@@ -159,7 +159,7 @@ func TestBarrierOnSyncAndClosedNode(t *testing.T) {
 	}
 	an.Close()
 	an.Barrier() // must not hang: workers are gone
-	if got := an.Oplog().Len(); got != 1 {
+	if got := an.Oplog().Stats().Entries; got != 1 {
 		t.Errorf("oplog has %d entries after Close, want 1 (Close drains the queue)", got)
 	}
 }

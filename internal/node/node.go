@@ -173,12 +173,12 @@ type Node struct {
 	stats   Stats
 	latIns  *metrics.Histogram
 	latRead *metrics.Histogram
-	// opSeq numbers the mutations this node has accepted, and lastMut is the
-	// one mutation stamp: the number of a record's last update or delete,
-	// assigned in the critical section that makes the mutation take effect
-	// and dropped when the record is removed from the store. "Has this record
-	// changed since mutation s" (changedSince) is what every guard against
-	// stale encoder output asks.
+	// opSeq numbers the mutations this node has accepted, in the critical
+	// section that makes each take effect; a logged mutation's number is its
+	// oplog entry's Seq. lastMut is the one mutation stamp: the number of a
+	// record's last update or delete, dropped when the record is removed from
+	// the store. "Has this record changed since mutation s" (changedSince) is
+	// what every guard against stale encoder output asks.
 	opSeq   uint64
 	lastMut map[uint64]uint64
 
@@ -402,8 +402,8 @@ func (n *Node) Close() error {
 
 // Barrier waits until all encode work queued before the call has been
 // processed: every mutation visible before the call is in the oplog once it
-// returns. Tests, experiments and the snapshot's lenient window use it to
-// observe a settled state. It returns on a closed node.
+// returns. Tests, experiments and a shard handoff use it to observe a settled
+// state. It returns on a closed node.
 func (n *Node) Barrier() {
 	// Planted under n.mu so each sentinel lands after every mutation
 	// accepted so far; waited for outside it, since those jobs take n.mu.
@@ -413,13 +413,20 @@ func (n *Node) Barrier() {
 	reached.Wait()
 }
 
-// enqueueLocked stamps the job with its mutation order and pushes it on sh,
-// the reservation the caller took from n.pool.reserve before n.mu; caller
-// holds n.mu, and has checked n.closed under it, so the pool accepts the job.
-// With SyncEncode the job carries the channel finish waits on.
-func (n *Node) enqueueLocked(sh *fifoShard[encodeJob], job encodeJob) encodeJob {
+// numberLocked gives the job the next mutation number, in the n.mu section
+// that makes the mutation take effect. With emit it also reserves that
+// number's oplog slot, which the job's worker fills, and pushes the job on sh,
+// the reservation the caller took from n.pool.reserve before n.mu; the caller
+// has checked n.closed under n.mu, so the pool accepts the job. With
+// SyncEncode the job carries the channel finish waits on. Without emit (the
+// replication apply path) the number is never logged: a gap in the log.
+func (n *Node) numberLocked(sh *fifoShard[encodeJob], job encodeJob, emit bool) encodeJob {
 	n.opSeq++
 	job.opSeq = n.opSeq
+	if !emit {
+		return job
+	}
+	n.log.Reserve(job.opSeq)
 	if n.opts.SyncEncode {
 		job.done = make(chan struct{})
 	}

@@ -132,7 +132,7 @@ func TestShedAccountingReconciles(t *testing.T) {
 	}
 	// Every accepted insert reached the oplog — shed ones raw, admitted
 	// ones possibly delta-encoded, none dropped.
-	if got := n.Oplog().Len(); got != want {
+	if got := n.Oplog().Stats().Entries; got != want {
 		t.Errorf("oplog has %d entries, want %d", got, want)
 	}
 }

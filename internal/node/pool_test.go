@@ -191,7 +191,7 @@ func TestNodeBarrierDuringClose(t *testing.T) {
 		go mutate(func() error { return n.Update("db1", "k", []byte("update")) })
 		go mutate(func() error { return n.Delete("db2", "k") })
 		within(t, "Barrier and SyncEncode mutations racing Close", wg.Wait)
-		if got, want := n.Oplog().Len(), 4+int(acked.Load()); got != want {
+		if got, want := n.Oplog().Stats().Entries, 4+int(acked.Load()); got != want {
 			t.Fatalf("iteration %d: oplog has %d entries after Close, want %d (%d mutations acknowledged)",
 				i, got, want, acked.Load())
 		}

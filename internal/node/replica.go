@@ -21,12 +21,47 @@ import (
 // the full record from the primary (paper §4.1 fn. 4).
 var ErrBaseMissing = errors.New("node: delta base not present")
 
-// ErrFetchUnavailable reports that the base-miss fetch fallback reached the
-// primary but the primary no longer holds the record — typically because it
-// was deleted (or replaced) after the insert was logged. The stream will
-// carry that delete/replace in a later entry, so the applier treats this as
-// "skip the insert and expect the follow-up" rather than as pool poison.
+// ErrFetchUnavailable reports that the primary answered a base fetch with an
+// error instead of the record or its absence: it could not read the record.
+// A record deleted there is not this error but an absent Stamped. Retrying
+// cannot help, so the applier stops on it.
 var ErrFetchUnavailable = errors.New("node: record unavailable at source")
+
+// Stamped is a key's whole record as a node read it at Stamp, the node's
+// mutation number at the time: it reflects every mutation of the key numbered
+// up to Stamp. Present is false, and Content nil, when the key was absent.
+type Stamped struct {
+	Stamp   uint64
+	Present bool
+	Content []byte
+}
+
+// ReadStamped reads (db, key) whole, with the stamp it was read at: the
+// record's ID and last mutation stamp under n.mu, then its content, then both
+// again, retrying if either changed, so that no mutation of the key fell
+// between the stamp and the read.
+func (n *Node) ReadStamped(db, key string) (Stamped, error) {
+	for {
+		n.mu.RLock()
+		id, ok := n.lookup(db, key)
+		mut, stamp := n.lastMut[id], n.opSeq
+		n.mu.RUnlock()
+		if !ok {
+			return Stamped{Stamp: stamp}, nil
+		}
+		content, err := n.Read(db, key)
+		if err != nil && !errors.Is(err, ErrNotFound) {
+			return Stamped{}, err
+		}
+		n.mu.RLock()
+		again, ok := n.lookup(db, key)
+		same := ok && again == id && n.lastMut[id] == mut
+		n.mu.RUnlock()
+		if same && err == nil {
+			return Stamped{Stamp: stamp, Present: true, Content: content}, nil
+		}
+	}
+}
 
 // DBNames returns the names of databases currently holding at least one key,
 // sorted for deterministic iteration.
@@ -45,32 +80,37 @@ func (n *Node) DBKeys(db string) []string {
 	return out
 }
 
-// Scan streams the decoded visible content of db's records to fn in sorted
-// (db, key) order, every database's when db is "", stopping early if fn
-// returns false. It reads live state: a key deleted since it was listed is
-// skipped, and a record mutated concurrently may appear in either version.
-// That is enough for a resync, which replays the oplog entries issued during
-// the scan on top, and exact for a handoff, which freezes the database first.
-func (n *Node) Scan(db string, fn func(db, key string, content []byte) bool) error {
+// Scan streams db's records to fn (every database's when db is ""), each as
+// ReadStamped reads it, in sorted (db, key) order, stopping early if fn
+// returns false, and returns its cursor: the mutation number in the n.mu
+// section that listed the keys. A key missing from the listing was absent at
+// the cursor, and a listed key is read at or after it, so the records reflect
+// every mutation up to the cursor; a key deleted since the listing arrives
+// absent. A handoff freezes the database first, which makes the scan exact.
+func (n *Node) Scan(db string, fn func(db, key string, r Stamped) bool) (cursor uint64, err error) {
 	dbs := []string{db}
+	n.mu.RLock()
+	cursor = n.opSeq
 	if db == "" {
 		dbs = n.DBNames()
 	}
-	for _, d := range dbs {
-		for _, key := range n.DBKeys(d) {
-			content, err := n.Read(d, key)
-			if errors.Is(err, ErrNotFound) {
-				continue // deleted during the scan
-			}
+	keys := make([][]string, len(dbs))
+	for i, d := range dbs {
+		keys[i] = n.DBKeys(d)
+	}
+	n.mu.RUnlock()
+	for i, d := range dbs {
+		for _, key := range keys[i] {
+			r, err := n.ReadStamped(d, key)
 			if err != nil {
-				return err
+				return cursor, err
 			}
-			if !fn(d, key, content) {
-				return nil
+			if !fn(d, key, r) {
+				return cursor, nil
 			}
 		}
 	}
-	return nil
+	return cursor, nil
 }
 
 // Upsert stores a record that arrived whole: update if the key is present,
@@ -145,32 +185,6 @@ func (n *Node) ApplyReplicated(e oplog.Entry) error {
 	default:
 		return fmt.Errorf("node: unknown replicated op %d", e.Op)
 	}
-}
-
-// ApplyReplicatedLenient applies an oplog entry with resync tolerance: ops
-// may have been concurrent with the snapshot scan, so an insert of an
-// existing key is skipped (the snapshot carried the record), updates and
-// deletes of missing keys are ignored, and a forward-encoded insert is never
-// decoded here. Used by the replication layer while catching up across a
-// snapshot window.
-func (n *Node) ApplyReplicatedLenient(e oplog.Entry) error {
-	if e.Op == oplog.OpInsert && n.Has(e.DB, e.Key) {
-		return nil
-	}
-	if e.Op == oplog.OpInsert && e.Form != oplog.FormRaw {
-		// The snapshot's copy of the base can be newer than the one the
-		// primary encoded against: the scan may read it after a later
-		// update, and delta.Apply checks only ranges and length, so
-		// decoding would store wrong bytes without an error. The insert
-		// arrives whole instead: ErrBaseMissing sends the applier to its
-		// fetch fallback, which installs the primary's copy.
-		return fmt.Errorf("%w: %q/%q (insert of %q in a snapshot's window)", ErrBaseMissing, e.DB, e.BaseKey, e.Key)
-	}
-	err := n.ApplyReplicated(e)
-	if e.Op != oplog.OpInsert && errors.Is(err, ErrNotFound) {
-		return nil
-	}
-	return err
 }
 
 func (n *Node) applyReplicatedInsert(e oplog.Entry) error {

@@ -155,9 +155,12 @@ func latchOverload(t *testing.T, n *Node, db, key string) {
 func scanAll(t *testing.T, n *Node, db string) (names []string, content map[string][]byte) {
 	t.Helper()
 	content = make(map[string][]byte)
-	err := n.Scan(db, func(d, key string, c []byte) bool {
+	_, err := n.Scan(db, func(d, key string, r Stamped) bool {
+		if !r.Present {
+			t.Errorf("Scan(%q): %s/%s absent with nothing deleting it", db, d, key)
+		}
 		names = append(names, d+"/"+key)
-		content[d+"/"+key] = append([]byte(nil), c...)
+		content[d+"/"+key] = append([]byte(nil), r.Content...)
 		return true
 	})
 	if err != nil {
@@ -225,24 +228,33 @@ func TestScanUpsertRetain(t *testing.T) {
 		}
 
 		// fn returning false stops the scan; a key deleted after it was
-		// listed (here: from inside fn, the listing is already taken) is
-		// skipped, not an error.
+		// listed (here: from inside fn, the listing is already taken)
+		// arrives absent, stamped past the delete, not as an error.
 		seen := 0
-		if err := n.Scan("", func(_, _ string, _ []byte) bool { seen++; return seen < 3 }); err != nil || seen != 3 {
+		if _, err := n.Scan("", func(_, _ string, _ Stamped) bool { seen++; return seen < 3 }); err != nil || seen != 3 {
 			t.Errorf("Scan stopped after %d records (%v), want 3", seen, err)
 		}
 		var names []string
-		err := n.Scan("gamma", func(db, key string, _ []byte) bool {
+		var deleted uint64
+		cursor, err := n.Scan("gamma", func(db, key string, r Stamped) bool {
 			if len(names) == 0 {
 				if err := n.Delete("gamma", "v3"); err != nil {
 					t.Error(err)
 				}
+				deleted = n.Oplog().LastSeq()
 			}
-			names = append(names, key)
+			if r.Present {
+				names = append(names, key)
+			} else if key != "v3" || r.Stamp < deleted {
+				t.Errorf("%s absent at stamp %d; the delete of v3 is %d", key, r.Stamp, deleted)
+			}
 			return true
 		})
 		if err != nil || len(names) != 7 || fmt.Sprint(names) != "[v0 v1 v2 v4 v5 v6 v7]" {
 			t.Errorf("Scan across a delete yielded %v, %v", names, err)
+		}
+		if cursor >= deleted {
+			t.Errorf("cursor %d is not before the delete the listing missed (%d)", cursor, deleted)
 		}
 	})
 
@@ -376,11 +388,11 @@ func TestScanUpsertRetain(t *testing.T) {
 }
 
 // TestLenientInsertArrivesWhole replays a forward-encoded insert inside a
-// snapshot's lenient window on a secondary whose copy of the base is newer
-// than the one the primary encoded against: the snapshot scan read the base
-// after an update of the same length. Decoding the delta against that copy
-// succeeds and yields wrong bytes, so the lenient path must not decode: it
-// reports ErrBaseMissing, and the applier's fetch fallback installs the
+// snapshot's window on a secondary whose copy of the base is newer than the
+// one the primary encoded against: the snapshot scan read the base after an
+// update of the same length. Decoding the delta against that copy would
+// succeed and yield wrong bytes, so the base's stamp, past the insert's
+// number, sends the applier to its fetch fallback, which installs the
 // primary's copy.
 func TestLenientInsertArrivesWhole(t *testing.T) {
 	prim := testNode(t, Options{})
@@ -399,21 +411,14 @@ func TestLenientInsertArrivesWhole(t *testing.T) {
 	}
 
 	sec := testNode(t, Options{})
-	if err := sec.Upsert("wiki", "v0", newer, false); err != nil { // the snapshot's record
-		t.Fatal(err)
-	}
-	if err := sec.ApplyReplicatedLenient(ins); !errors.Is(err, ErrBaseMissing) {
-		got, _ := sec.Read("wiki", "v1")
-		t.Fatalf("lenient forward-encoded insert: %v, want ErrBaseMissing; v1 reads as the primary's: %v",
-			err, bytes.Equal(got, versions[1]))
-	}
-	if sec.Has("wiki", "v1") {
-		t.Fatal("the refused insert left a record")
-	}
-
-	a := NewApplier(sec, 0, ApplierOptions{Fetch: prim.Read})
+	a := NewApplier(sec, 0, ApplierOptions{Fetch: prim.ReadStamped})
 	defer a.Close()
-	a.EnqueueEntry(ins, true)
+	base, err := prim.ReadStamped("wiki", "v0") // the snapshot's record
+	if err != nil || base.Stamp < ins.Seq {
+		t.Fatalf("premise: base read at %d (%v), want at or past the insert's %d", base.Stamp, err, ins.Seq)
+	}
+	a.EnqueueSnapshotRecord("wiki", "v0", base)
+	a.EnqueueEntry(ins, false)
 	a.Barrier()
 	if err := a.Err(); err != nil {
 		t.Fatal(err)
@@ -423,6 +428,46 @@ func TestLenientInsertArrivesWhole(t *testing.T) {
 	}
 	if got := sec.ApplyMetrics().BaseFetches.Total(); got != 1 {
 		t.Fatalf("base fetches = %d, want 1", got)
+	}
+}
+
+// TestReadStampedMatchesItsStamp reads a key while another goroutine updates
+// it, then deletes it. Update i is mutation i+1 and writes "i", so a read
+// stamped S must return "S-1": content newer than its stamp would let a
+// secondary skip an entry the record does not reflect.
+func TestReadStampedMatchesItsStamp(t *testing.T) {
+	n := testNode(t, Options{})
+	if err := n.Insert("db", "k", []byte("0")); err != nil {
+		t.Fatal(err)
+	}
+	const updates = 300
+	done := make(chan error, 1)
+	go func() {
+		for i := 1; i <= updates; i++ {
+			if err := n.Update("db", "k", []byte(fmt.Sprint(i))); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- n.Delete("db", "k")
+	}()
+	for {
+		r, err := n.ReadStamped("db", "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Present {
+			if r.Stamp < updates+2 {
+				t.Fatalf("absent at stamp %d, before the delete (%d)", r.Stamp, updates+2)
+			}
+			break
+		}
+		if want := fmt.Sprint(r.Stamp - 1); string(r.Content) != want {
+			t.Fatalf("read at stamp %d returned %q, want %q", r.Stamp, r.Content, want)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

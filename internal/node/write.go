@@ -60,54 +60,40 @@ func (n *Node) Insert(db, key string, payload []byte) error {
 // only behind it, so a failed insert leaves nothing to undo. The returned job
 // carries the new record's ID and the insert's mutation sequence number.
 //
-// With emit the encoder token is reserved first and append, publish and
-// enqueue share one n.mu critical section, so oplog order matches mutation
-// order; shed marks the job to skip the dedup workflow. Without emit the
-// applier's per-database FIFO is the order: n.mu covers only the ID, the
-// sequence number and the counters, and what follows the insert (ObserveRaw,
-// or the replica's re-encode) is the caller's.
+// The append, the publish and the number share one n.mu critical section, and
+// with emit (the encoder token reserved first) so does the enqueue, so oplog
+// order matches mutation order; shed marks the job to skip the dedup workflow.
+// Without emit what follows the insert (ObserveRaw, or the replica's
+// re-encode) is the caller's.
 func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) (encodeJob, error) {
 	var sh *fifoShard[encodeJob]
 	if emit {
 		sh = n.pool.reserve(db)
 	}
 	n.mu.Lock()
-	fail := func(err error) (encodeJob, error) {
-		n.mu.Unlock()
+	defer n.mu.Unlock()
+	job := encodeJob{kind: oplog.OpInsert, db: db, key: key, id: n.nextID, payload: payload, shedRaw: shed}
+	var err error
+	switch {
+	case n.closed:
+		err = errClosed
+	case n.Has(db, key):
+		err = fmt.Errorf("node: %w: %q/%q", ErrDuplicateKey, db, key)
+	default:
+		n.nextID++
+		err = n.store.Append(docstore.Record{ID: job.id, DB: db, Key: key, Payload: payload})
+	}
+	if err != nil {
 		sh.release()
 		return encodeJob{}, err
 	}
-	if n.closed {
-		return fail(errClosed)
-	}
-	if n.Has(db, key) {
-		return fail(fmt.Errorf("node: %w: %q/%q", ErrDuplicateKey, db, key))
-	}
-	job := encodeJob{kind: oplog.OpInsert, db: db, key: key, id: n.nextID, payload: payload, shedRaw: shed}
-	n.nextID++
-	if !emit {
-		n.opSeq++
-		job.opSeq = n.opSeq
-		n.mu.Unlock()
-	}
-	err := n.store.Append(docstore.Record{ID: job.id, DB: db, Key: key, Payload: payload})
-	if !emit {
-		n.mu.Lock()
-	}
-	if err != nil {
-		return fail(err)
-	}
 	n.stats.Inserts++
 	n.stats.RawInsertBytes += int64(len(payload))
-	n.recentOps.Add(1)
-	if emit {
-		if shed {
-			n.stats.InsertsShedRaw++
-		}
-		job = n.enqueueLocked(sh, job)
+	if shed {
+		n.stats.InsertsShedRaw++
 	}
-	n.mu.Unlock()
-	return job, nil
+	n.recentOps.Add(1)
+	return n.numberLocked(sh, job, emit), nil
 }
 
 // finish completes a call of one of the three *LocalEmit routines: with
@@ -127,19 +113,13 @@ func (n *Node) Update(db, key string, payload []byte) error {
 }
 
 // stampLocked is what an update and a delete share once the record is found
-// and nothing can fail any more: count the op, take the next sequence number,
-// stamp job.id with it and, with emit, queue the oplog job on sh in the same
-// n.mu section, so entry order matches mutation order (without emit: the
-// storage-side half alone, the replication apply path). Caller holds n.mu.
+// and nothing can fail any more: count the op, number it and stamp job.id with
+// the number. Caller holds n.mu.
 func (n *Node) stampLocked(sh *fifoShard[encodeJob], job encodeJob, emit bool, count *uint64) encodeJob {
 	*count++
 	n.recentOps.Add(1)
-	if emit {
-		job = n.enqueueLocked(sh, job)
-	} else {
-		n.opSeq++
-	}
-	n.lastMut[job.id] = n.opSeq
+	job = n.numberLocked(sh, job, emit)
+	n.lastMut[job.id] = job.opSeq
 	return job
 }
 
@@ -367,16 +347,11 @@ func (n *Node) moveRefLocked(from, to uint64) {
 // oplog entry. It runs on the job's encoder worker, and then releases a
 // SyncEncode caller waiting in finish.
 func (n *Node) process(job encodeJob) {
-	switch job.kind {
-	case oplog.OpInsert:
-		n.processInsert(job)
-	case oplog.OpUpdate:
-		e := oplog.Entry{TS: time.Now().UnixNano(), Op: oplog.OpUpdate,
-			DB: job.db, Key: job.key, Payload: job.payload}
-		n.appendOplog(e)
-	case oplog.OpDelete:
-		e := oplog.Entry{TS: time.Now().UnixNano(), Op: oplog.OpDelete,
-			DB: job.db, Key: job.key}
+	e := oplog.Entry{Seq: job.opSeq, TS: time.Now().UnixNano(), Op: job.kind,
+		DB: job.db, Key: job.key, Payload: job.payload}
+	if job.kind == oplog.OpInsert {
+		n.processInsert(job, e)
+	} else {
 		n.appendOplog(e)
 	}
 	if job.done != nil {
@@ -384,10 +359,7 @@ func (n *Node) process(job encodeJob) {
 	}
 }
 
-func (n *Node) processInsert(job encodeJob) {
-	entry := oplog.Entry{TS: time.Now().UnixNano(), Op: oplog.OpInsert,
-		DB: job.db, Key: job.key, Form: oplog.FormRaw, Payload: job.payload}
-
+func (n *Node) processInsert(job encodeJob, entry oplog.Entry) {
 	// A shed insert ships raw: no sketch, no index probe, no delta — the
 	// whole point of shedding is that the worker's time per job collapses
 	// to an oplog append so the queue drains. The record is already in the
@@ -437,8 +409,9 @@ func (n *Node) keyOf(id uint64) (string, bool) {
 	return m.Key, true
 }
 
+// appendOplog fills the slot numberLocked reserved for e.
 func (n *Node) appendOplog(e oplog.Entry) {
-	n.log.Append(e)
+	n.log.Fill(e)
 	n.oplogBytes.Add(int64(e.MarshalledSize()))
 }
 

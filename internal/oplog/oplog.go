@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -56,7 +57,8 @@ const (
 
 // Entry is one logged operation.
 type Entry struct {
-	// Seq is the log sequence number, assigned by Append.
+	// Seq is the log sequence number: the one Reserve took, or the next one
+	// Append assigned.
 	Seq uint64
 	// TS is the operation time in Unix nanoseconds.
 	TS int64
@@ -73,28 +75,37 @@ type Entry struct {
 	Payload []byte
 }
 
-// Log is a bounded in-memory operation log. It retains at most its capacity
-// in entries and at most MaxRetainedBytes in marshalled bytes; past either
-// bound the oldest entries are discarded, and a reader that has fallen behind
-// the retained window gets ErrTruncated and must resynchronise by other
-// means. Retained sequence numbers are contiguous: first, first+1, ...,
-// next-1.
+// Log is a bounded in-memory operation log. An entry's number is reserved
+// before the entry exists (Reserve) and the entry fills its slot later
+// (Fill), in any order; a reader sees only the filled prefix, so entries
+// become readable in number order. Numbers increase but need not be
+// contiguous: a mutation that is never logged leaves a gap. The log retains
+// at most its capacity in slots and at most MaxRetainedBytes in marshalled
+// bytes; past either bound the oldest slots are discarded, filled or not, and
+// a reader that has fallen behind the retained window gets ErrTruncated and
+// must resynchronise by other means.
 //
 // Log is safe for concurrent use.
 type Log struct {
 	mu        sync.Mutex
 	epoch     uint64
 	continues bool // see Continue
-	ring      []Entry
-	first     uint64 // seq of ring[start]
-	next      uint64 // seq to assign to the next append
+	ring      []slot
 	start     int
 	count     int
-	bytes     int64 // marshalled size of retained entries
-	appends   uint64
+	last      uint64 // highest number reserved
+	dropped   uint64 // highest number discarded
+	bytes     int64  // marshalled size of retained entries
 
 	evictedByEntries uint64
 	evictedByBytes   uint64
+}
+
+// slot is one reserved number and, once filled, its entry and the entry's
+// marshalled size, which is never 0: 0 marks a slot not yet filled.
+type slot struct {
+	e    Entry
+	size int64
 }
 
 // ErrTruncated reports that the requested entries have been discarded.
@@ -107,8 +118,8 @@ const DefaultCapacity = 1 << 16
 // whatever the entry bound says: the log holds the payloads it retains, so
 // an entry count alone lets its footprint follow the record size (65 536
 // entries of 3.6 KB are 234 MB). 64 MiB is twice the source cache and, like
-// MongoDB's capped oplog collection, a size in bytes. The newest entry is
-// always retained, even when it alone exceeds the bound.
+// MongoDB's capped oplog collection, a size in bytes. An entry being filled
+// is always retained, even when it alone exceeds the bound.
 const MaxRetainedBytes = 64 << 20
 
 // New returns a log retaining up to capacity entries (DefaultCapacity if
@@ -117,7 +128,7 @@ func New(capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Log{epoch: newEpoch(), ring: make([]Entry, capacity), first: 1, next: 1}
+	return &Log{epoch: newEpoch(), ring: make([]slot, capacity)}
 }
 
 // Continue returns a log like New for a store that already holds records
@@ -160,91 +171,116 @@ func (l *Log) Epoch() uint64 {
 	return l.epoch
 }
 
-// Append assigns the entry a sequence number and stores it, returning the
-// sequence number.
+// Append assigns the entry the number after the last one reserved and
+// stores it, returning the number.
 func (l *Log) Append(e Entry) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e.Seq = l.next
-	l.next++
-	l.appends++
+	e.Seq = l.last + 1
+	l.reserveLocked(e.Seq)
+	l.fillLocked(e, int64(e.MarshalledSize()))
+	return e.Seq
+}
 
-	size := int64(e.MarshalledSize())
+// Reserve takes slot seq, which must exceed every number reserved before,
+// for the entry Fill will bring; readers stop at it until then.
+func (l *Log) Reserve(seq uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.reserveLocked(seq)
+}
+
+func (l *Log) reserveLocked(seq uint64) {
+	if seq <= l.last {
+		panic(fmt.Sprintf("oplog: reserve %d after %d", seq, l.last))
+	}
 	if l.count == len(l.ring) {
 		l.dropOldest()
 		l.evictedByEntries++
 	}
-	for l.count > 0 && l.bytes+size > MaxRetainedBytes {
+	l.ring[(l.start+l.count)%len(l.ring)] = slot{e: Entry{Seq: seq}}
+	l.count++
+	l.last = seq
+}
+
+// Fill stores e in the slot Reserve took for e.Seq. An entry whose slot was
+// discarded meanwhile is dropped: its readers get ErrTruncated.
+func (l *Log) Fill(e Entry) {
+	size := int64(e.MarshalledSize())
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.fillLocked(e, size)
+}
+
+func (l *Log) fillLocked(e Entry, size int64) {
+	i := l.search(e.Seq)
+	if i == l.count || l.at(i).e.Seq != e.Seq {
+		return
+	}
+	for ; i > 0 && l.bytes+size > MaxRetainedBytes; i-- {
 		l.dropOldest()
 		l.evictedByBytes++
 	}
-	l.ring[(l.start+l.count)%len(l.ring)] = e
-	l.count++
+	*l.at(i) = slot{e: e, size: size}
 	l.bytes += size
-	return e.Seq
 }
 
-// dropOldest discards the oldest retained entry and clears its slot, so the
-// ring never keeps a discarded payload reachable. Caller holds mu and
-// guarantees count > 0.
+// at returns the i-th retained slot, oldest first. Caller holds mu.
+func (l *Log) at(i int) *slot { return &l.ring[(l.start+i)%len(l.ring)] }
+
+// search returns the index of the first retained slot numbered seq or
+// later (count if none). Caller holds mu.
+func (l *Log) search(seq uint64) int {
+	// Where seq sits when no number after it is a gap, as on a primary.
+	if seq <= l.last && l.last-seq < uint64(l.count) {
+		if i := l.count - 1 - int(l.last-seq); l.at(i).e.Seq == seq {
+			return i
+		}
+	}
+	return sort.Search(l.count, func(i int) bool { return l.at(i).e.Seq >= seq })
+}
+
+// dropOldest discards the oldest retained slot and clears it, so the ring
+// never keeps a discarded payload reachable. Caller holds mu and guarantees
+// count > 0.
 func (l *Log) dropOldest() {
-	l.bytes -= int64(l.ring[l.start].MarshalledSize())
-	l.ring[l.start] = Entry{}
+	s := &l.ring[l.start]
+	l.bytes -= s.size
+	l.dropped = s.e.Seq
+	*s = slot{}
 	l.start = (l.start + 1) % len(l.ring)
 	l.count--
-	l.first++
 }
 
-// EntriesSince returns up to max entries with Seq > after, in order. It
-// returns ErrTruncated if entries immediately following `after` have been
-// discarded.
+// EntriesSince returns up to max entries with Seq > after, in order, as far
+// as they are filled. It returns ErrTruncated if an entry numbered after
+// `after` has been discarded.
 func (l *Log) EntriesSince(after uint64, max int) ([]Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if after+1 < l.first {
+	if after < l.dropped {
 		return nil, ErrTruncated
 	}
-	// Retained seqs are contiguous from first, so the entry after the
-	// cursor sits at a known ring offset: a caught-up reader costs O(1)
-	// under the mutex every Append also takes, not a walk of the ring.
-	skip := after + 1 - l.first
-	if skip >= uint64(l.count) {
-		return nil, nil
+	from := l.search(after)
+	if from < l.count && l.at(from).e.Seq == after {
+		from++
 	}
-	n := l.count - int(skip)
-	if max > 0 && n > max {
+	n := l.count - from
+	if max > 0 && max < n {
 		n = max
 	}
-	out := make([]Entry, n)
-	at := (l.start + int(skip)) % len(l.ring)
-	for i := range out {
-		out[i] = l.ring[at]
-		if at++; at == len(l.ring) {
-			at = 0
-		}
+	out := make([]Entry, 0, n)
+	for i := from; i < from+n && l.at(i).size > 0; i++ {
+		out = append(out, l.at(i).e)
 	}
 	return out, nil
 }
 
-// LastSeq returns the most recently assigned sequence number (0 if empty).
+// LastSeq returns the most recently reserved sequence number (0 if none).
 func (l *Log) LastSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.next - 1
-}
-
-// Len returns the number of retained entries.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.count
-}
-
-// Bytes returns the marshalled size of retained entries.
-func (l *Log) Bytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytes
+	return l.last
 }
 
 // Stats is the log's retention accounting.

@@ -16,8 +16,8 @@ func TestAppendAssignsSequence(t *testing.T) {
 			t.Fatalf("Append #%d returned seq %d", i, seq)
 		}
 	}
-	if l.LastSeq() != 5 || l.Len() != 5 {
-		t.Fatalf("LastSeq=%d Len=%d", l.LastSeq(), l.Len())
+	if l.LastSeq() != 5 || l.Stats().Entries != 5 {
+		t.Fatalf("LastSeq=%d Len=%d", l.LastSeq(), l.Stats().Entries)
 	}
 }
 
@@ -48,8 +48,8 @@ func TestRingOverflowTruncates(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i)})
 	}
-	if l.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", l.Len())
+	if l.Stats().Entries != 4 {
+		t.Fatalf("Len = %d, want 4", l.Stats().Entries)
 	}
 	if _, err := l.EntriesSince(0, 0); err != ErrTruncated {
 		t.Fatalf("EntriesSince(0) err = %v, want ErrTruncated", err)
@@ -69,12 +69,12 @@ func TestBytesAccounting(t *testing.T) {
 		e.Seq = uint64(i)
 		want += int64(e.MarshalledSize())
 	}
-	if l.Bytes() != want {
-		t.Fatalf("Bytes = %d, want %d", l.Bytes(), want)
+	if l.Stats().Bytes != want {
+		t.Fatalf("Bytes = %d, want %d", l.Stats().Bytes, want)
 	}
 	// Overflow: oldest drops out of accounting.
 	l.Append(Entry{Op: OpInsert, DB: "db", Key: "key", Payload: []byte("new")})
-	if l.Bytes() >= want+100 {
+	if l.Stats().Bytes >= want+100 {
 		t.Fatal("Bytes did not drop the evicted entry")
 	}
 }
@@ -186,7 +186,7 @@ func BenchmarkMarshal(b *testing.B) {
 func scanSince(l *Log, after uint64, max int) ([]Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if after+1 < l.first {
+	if after < l.dropped {
 		return nil, ErrTruncated
 	}
 	if max <= 0 {
@@ -194,10 +194,14 @@ func scanSince(l *Log, after uint64, max int) ([]Entry, error) {
 	}
 	var out []Entry
 	for i := 0; i < l.count && len(out) < max; i++ {
-		e := l.ring[(l.start+i)%len(l.ring)]
-		if e.Seq > after {
-			out = append(out, e)
+		s := l.ring[(l.start+i)%len(l.ring)]
+		if s.e.Seq <= after {
+			continue
 		}
+		if s.size == 0 {
+			break
+		}
+		out = append(out, s.e)
 	}
 	return out, nil
 }
@@ -263,8 +267,8 @@ func TestByteBoundEvictsOldestAndClearsSlots(t *testing.T) {
 	l := New(16)
 	for i := 1; i <= 10; i++ {
 		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i), Payload: big})
-		if st := l.Stats(); st.Bytes > MaxRetainedBytes || st.Bytes != l.Bytes() || st.Entries != l.Len() {
-			t.Fatalf("after append %d: stats %+v, Bytes %d, Len %d", i, st, l.Bytes(), l.Len())
+		if st := l.Stats(); st.Bytes > MaxRetainedBytes {
+			t.Fatalf("after append %d: stats %+v", i, st)
 		}
 	}
 	st := l.Stats()
@@ -292,15 +296,15 @@ func TestByteBoundEvictsOldestAndClearsSlots(t *testing.T) {
 	// No vacated slot may keep its payload reachable, whatever vacated it.
 	live := func(l *Log) int {
 		n := 0
-		for _, e := range l.ring {
-			if e.Payload != nil || e.Key != "" {
+		for _, s := range l.ring {
+			if s.e.Payload != nil || s.e.Key != "" {
 				n++
 			}
 		}
 		return n
 	}
-	if n := live(l); n != l.Len() {
-		t.Fatalf("byte eviction left %d populated slots for %d retained entries", n, l.Len())
+	if n := live(l); n != l.Stats().Entries {
+		t.Fatalf("byte eviction left %d populated slots for %d retained entries", n, l.Stats().Entries)
 	}
 	l = New(4)
 	for i := 1; i <= 9; i++ {
@@ -325,5 +329,123 @@ func BenchmarkEntriesSinceTail(b *testing.B) {
 		if err != nil || len(ents) != 1 {
 			b.Fatalf("EntriesSince(tail-1) = %d entries, %v", len(ents), err)
 		}
+	}
+}
+
+// seqs returns the numbers of ents, in order.
+func seqs(ents []Entry) []uint64 {
+	out := make([]uint64, len(ents))
+	for i, e := range ents {
+		out[i] = e.Seq
+	}
+	return out
+}
+
+// TestReservedSlotsFillOutOfOrder: slots filled in any order become readable
+// in number order, and a reader stops at the first slot not yet filled.
+func TestReservedSlotsFillOutOfOrder(t *testing.T) {
+	l := New(16)
+	for seq := uint64(1); seq <= 4; seq++ {
+		l.Reserve(seq)
+	}
+	if l.LastSeq() != 4 || l.Stats().Entries != 4 || l.Stats().Bytes != 0 {
+		t.Fatalf("after reserving 1..4: LastSeq %d, Len %d, Bytes %d", l.LastSeq(), l.Stats().Entries, l.Stats().Bytes)
+	}
+	read := func(after uint64) string {
+		t.Helper()
+		ents, err := l.EntriesSince(after, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(seqs(ents))
+	}
+	l.Fill(Entry{Seq: 3, Key: "c"})
+	l.Fill(Entry{Seq: 2, Key: "b"})
+	if got := read(0); got != "[]" {
+		t.Fatalf("slot 1 unfilled: EntriesSince(0) = %s, want nothing", got)
+	}
+	if got := read(1); got != "[2 3]" {
+		t.Fatalf("EntriesSince(1) = %s, want [2 3]: the reader stops at unfilled 4", got)
+	}
+	l.Fill(Entry{Seq: 1, Key: "a"})
+	if got := read(0); got != "[1 2 3]" {
+		t.Fatalf("EntriesSince(0) = %s, want [1 2 3]", got)
+	}
+	l.Fill(Entry{Seq: 4, Key: "d"})
+	ents, _ := l.EntriesSince(0, 0)
+	if got := fmt.Sprint(seqs(ents)); got != "[1 2 3 4]" || ents[0].Key != "a" || ents[3].Key != "d" {
+		t.Fatalf("all filled: %s %+v", got, ents)
+	}
+	want := int64(0)
+	for _, e := range ents {
+		want += int64(e.MarshalledSize())
+	}
+	if l.Stats().Bytes != want {
+		t.Fatalf("Bytes = %d, want %d (filled entries only)", l.Stats().Bytes, want)
+	}
+}
+
+// TestNumberingGaps: numbers left out by Reserve are simply absent, a cursor
+// inside a gap reads from the next number, and Append continues after the
+// last number reserved.
+func TestNumberingGaps(t *testing.T) {
+	l := New(16)
+	for _, seq := range []uint64{2, 3, 7, 10} {
+		l.Reserve(seq)
+		l.Fill(Entry{Seq: seq})
+	}
+	for after, want := range map[uint64]string{0: "[2 3 7 10]", 3: "[7 10]", 5: "[7 10]", 7: "[10]", 9: "[10]", 10: "[]"} {
+		ents, err := l.EntriesSince(after, 0)
+		if err != nil || fmt.Sprint(seqs(ents)) != want {
+			t.Errorf("EntriesSince(%d) = %v, %v; want %s", after, seqs(ents), err, want)
+		}
+	}
+	if ents, _ := l.EntriesSince(2, 2); fmt.Sprint(seqs(ents)) != "[3 7]" {
+		t.Errorf("EntriesSince(2, 2) = %v, want [3 7]", seqs(ents))
+	}
+	if seq := l.Append(Entry{}); seq != 11 || l.LastSeq() != 11 {
+		t.Fatalf("Append after a gap took %d (LastSeq %d), want 11", seq, l.LastSeq())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reserving a number at or below the last did not panic")
+		}
+	}()
+	l.Reserve(11)
+}
+
+// TestTruncatedAcrossGap: a cursor is behind the window exactly when an
+// entry numbered after it was discarded, wherever the gaps fall; a slot
+// discarded before its fill takes the fill with it.
+func TestTruncatedAcrossGap(t *testing.T) {
+	l := New(3)
+	for _, seq := range []uint64{1, 5, 9, 20} { // 1 falls out of the ring
+		l.Reserve(seq)
+		l.Fill(Entry{Seq: seq})
+	}
+	if _, err := l.EntriesSince(0, 0); err != ErrTruncated {
+		t.Fatalf("EntriesSince(0) err = %v, want ErrTruncated (1 discarded)", err)
+	}
+	if ents, err := l.EntriesSince(1, 0); err != nil || fmt.Sprint(seqs(ents)) != "[5 9 20]" {
+		t.Fatalf("EntriesSince(1) = %v, %v; want [5 9 20]", seqs(ents), err)
+	}
+	l.Reserve(30) // discards 5
+	for after, wantErr := range map[uint64]bool{1: true, 4: true, 5: false, 7: false} {
+		if _, err := l.EntriesSince(after, 0); (err == ErrTruncated) != wantErr {
+			t.Errorf("EntriesSince(%d) err = %v, want truncated %v", after, err, wantErr)
+		}
+	}
+	l.Reserve(31) // discards 9
+	l.Reserve(32) // discards 20
+	l.Fill(Entry{Seq: 31})
+	l.Fill(Entry{Seq: 20}) // its slot is gone: dropped
+	if _, err := l.EntriesSince(19, 0); err != ErrTruncated {
+		t.Fatalf("EntriesSince(19) err = %v, want ErrTruncated", err)
+	}
+	if ents, err := l.EntriesSince(20, 0); err != nil || len(ents) != 0 {
+		t.Fatalf("EntriesSince(20) = %v, %v; want nothing until 30 is filled", seqs(ents), err)
+	}
+	if st := l.Stats(); st.Entries != 3 || st.EvictedByEntries != 4 || st.Bytes != int64((Entry{Seq: 31}).MarshalledSize()) {
+		t.Fatalf("stats = %+v", st)
 	}
 }

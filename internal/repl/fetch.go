@@ -34,31 +34,21 @@ type fetchClient struct {
 	fw   *frameWriter
 }
 
-// errPrimaryReject marks an application-level refusal from the primary
-// (e.g. record not found); retrying on a fresh connection cannot help.
-var errPrimaryReject = errors.New("repl: primary")
-
-// fetch returns the record's content, or ErrFetchUnavailable when the
-// primary does not hold it; net.ErrClosed means the secondary closed while
-// the fetch was retrying.
-func (c *fetchClient) fetch(db, key string) ([]byte, error) {
+// fetch returns the record as the primary read it, present or absent, with
+// its stamp; ErrFetchUnavailable when the primary answered with an error, and
+// net.ErrClosed when the secondary closed while the fetch was retrying.
+func (c *fetchClient) fetch(db, key string) (node.Stamped, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for attempt := 1; ; attempt++ {
-		content, err := c.fetchOnce(db, key)
-		if err == nil {
-			return content, nil
-		}
-		if errors.Is(err, errPrimaryReject) {
-			// The primary answered but does not hold the record (deleted
-			// after the insert was logged). Surface the applier's sentinel
-			// so it can skip the insert and expect the follow-up op.
-			return nil, fmt.Errorf("%w: %v", node.ErrFetchUnavailable, err)
+		r, err := c.fetchOnce(db, key)
+		if err == nil || errors.Is(err, node.ErrFetchUnavailable) {
+			return r, err
 		}
 		// Transport trouble (timeout, broken or corrupted connection):
 		// fetchOnce dropped the connection, so the retry redials.
 		if !c.backoff(attempt) {
-			return nil, fmt.Errorf("repl: fetch: %w", net.ErrClosed)
+			return node.Stamped{}, fmt.Errorf("repl: fetch: %w", net.ErrClosed)
 		}
 	}
 }
@@ -66,7 +56,7 @@ func (c *fetchClient) fetch(db, key string) ([]byte, error) {
 // fetchOnce performs one deadline-bounded request/response round-trip,
 // dialling if needed. Caller holds c.mu. On transport errors the connection
 // is torn down so the next attempt redials.
-func (c *fetchClient) fetchOnce(db, key string) ([]byte, error) {
+func (c *fetchClient) fetchOnce(db, key string) (node.Stamped, error) {
 	deadline := time.Now().Add(c.timeout)
 	fresh := c.conn == nil
 	if fresh {
@@ -74,7 +64,7 @@ func (c *fetchClient) fetchOnce(db, key string) ([]byte, error) {
 		conn, err := c.network.DialTimeout(c.addr, c.timeout)
 		if err != nil {
 			c.rm.DialFailures.Add(1)
-			return nil, fmt.Errorf("repl: fetch dial: %w", err)
+			return node.Stamped{}, fmt.Errorf("repl: fetch dial: %w", err)
 		}
 		c.conn, c.fr, c.fw = conn, &frameReader{r: conn}, &frameWriter{w: conn}
 	}
@@ -86,35 +76,34 @@ func (c *fetchClient) fetchOnce(db, key string) ([]byte, error) {
 		if _, err := c.fw.write(frameHello, []byte{helloFetch}); err != nil {
 			c.reset()
 			c.rm.DialFailures.Add(1)
-			return nil, fmt.Errorf("repl: fetch hello: %w", err)
+			return node.Stamped{}, fmt.Errorf("repl: fetch hello: %w", err)
 		}
 	}
 	req := appendLenBytes(nil, []byte(db))
 	req = appendLenBytes(req, []byte(key))
 	if _, err := c.fw.write(frameFetch, req); err != nil {
 		c.reset()
-		return nil, err
+		return node.Stamped{}, err
 	}
 	typ, payload, err := c.fr.read()
 	if err != nil {
-		switch {
-		case errors.Is(err, errCorruptFrame) || errors.Is(err, errOversizedFrame):
-			c.rm.CorruptFrames.Add(1)
-		case errors.Is(err, errFrameSeq):
-			c.rm.FrameSeqViolations.Add(1)
-		}
+		countFrameError(c.rm, err)
 		c.reset()
-		return nil, err
+		return node.Stamped{}, err
 	}
 	c.bytesIn.Add(int64(len(payload) + frameHeaderSize))
 	switch typ {
 	case frameRecord:
-		return payload, nil
+		if r, rest, ok := readStamped(payload); ok && len(rest) == 0 {
+			return r, nil
+		}
+		c.reset()
+		return node.Stamped{}, errors.New("repl: corrupt fetch answer")
 	case frameError:
-		return nil, fmt.Errorf("%w: %s", errPrimaryReject, payload)
+		return node.Stamped{}, fmt.Errorf("%w: primary: %s", node.ErrFetchUnavailable, payload)
 	default:
 		c.reset()
-		return nil, fmt.Errorf("repl: unexpected fetch frame %q", typ)
+		return node.Stamped{}, fmt.Errorf("repl: unexpected fetch frame %q", typ)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"dbdedup/internal/metrics"
 )
 
 // Hardened wire framing. Every frame carries a per-direction sequence number
@@ -47,6 +49,16 @@ var (
 	// reordered, or following a silent loss).
 	errFrameSeq = errors.New("repl: frame sequence violation")
 )
+
+// countFrameError counts a read error that shows the wire mangled a frame.
+func countFrameError(rm *metrics.ReplMetrics, err error) {
+	switch {
+	case errors.Is(err, errCorruptFrame) || errors.Is(err, errOversizedFrame):
+		rm.CorruptFrames.Add(1)
+	case errors.Is(err, errFrameSeq):
+		rm.FrameSeqViolations.Add(1)
+	}
+}
 
 // frameCRC computes the checksum covering type, sequence number, and
 // payload.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"dbdedup/internal/node"
 	"dbdedup/internal/oplog"
 )
 
@@ -23,8 +24,23 @@ func realFrameStream() []byte {
 	batch = append(batch, e.Marshal()...)
 	fw.write(frameBatch, batch)
 	fw.write(frameHeartbeat, nil)
-	fw.write(frameSnapEnd, binary.AppendUvarint(nil, 9))
+	fw.write(frameSnapBegin, nil)
+	snap := binary.AppendUvarint(nil, 2)
+	snap = appendLenBytes(appendLenBytes(snap, []byte("db")), []byte("k"))
+	snap = appendStamped(snap, realStamped[0])
+	snap = appendLenBytes(appendLenBytes(snap, []byte("db")), []byte("gone"))
+	snap = appendStamped(snap, realStamped[1])
+	fw.write(frameSnapBatch, snap)
+	fw.write(frameSnapEnd, binary.AppendUvarint(nil, 8))
+	fw.write(frameRecord, appendStamped(nil, realStamped[0]))
 	return buf.Bytes()
+}
+
+// realStamped are the records realFrameStream carries: one present, one
+// absent.
+var realStamped = []node.Stamped{
+	{Stamp: 9, Present: true, Content: []byte("record content")},
+	{Stamp: 11},
 }
 
 // FuzzFrameDecode feeds arbitrary byte streams into the wire-frame parser.
@@ -62,6 +78,40 @@ func FuzzFrameDecode(f *testing.F) {
 			if len(payload) > len(data) {
 				t.Fatalf("payload %d bytes exceeds the %d-byte input", len(payload), len(data))
 			}
+		}
+	})
+}
+
+// FuzzReadStamped feeds arbitrary bytes to the one decoder of a stamped
+// record, the snapshot batch's and the fetch answer's. It must never panic,
+// and whatever it accepts must survive a re-encode unchanged, in no more
+// bytes than it consumed (a uvarint may arrive overlong).
+func FuzzReadStamped(f *testing.F) {
+	for _, r := range realStamped {
+		f.Add(appendStamped(nil, r))
+	}
+	f.Add(appendStamped(nil, node.Stamped{Present: true}))
+	f.Add([]byte{0x80})                // truncated stamp
+	f.Add([]byte{7})                   // no present byte
+	f.Add([]byte{7, 2})                // a present byte out of range
+	f.Add([]byte{7, 1, 9, 'a'})        // content shorter than its length
+	f.Add([]byte{7, 0, 'x', 'y', 'z'}) // trailing bytes after an absent record
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, rest, ok := readStamped(data)
+		if !ok {
+			return
+		}
+		if !r.Present && r.Content != nil {
+			t.Fatalf("absent record with content %q", r.Content)
+		}
+		again := appendStamped(nil, r)
+		r2, tail, ok := readStamped(again)
+		if !ok || len(tail) != 0 || r2.Stamp != r.Stamp || r2.Present != r.Present || !bytes.Equal(r2.Content, r.Content) {
+			t.Fatalf("%+v re-encoded as %x decodes as %+v (%v, %d left)", r, again, r2, ok, len(tail))
+		}
+		if used := len(data) - len(rest); len(again) > used {
+			t.Fatalf("re-encoded in %d bytes, consumed %d", len(again), used)
 		}
 	})
 }

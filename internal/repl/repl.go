@@ -12,18 +12,24 @@
 // and sequence number; see that file for the framing grammar. Frame types:
 //
 //	hello      := 'H', payload mode uvarint(afterSeq) uvarint(expectEpoch)
-//	batch      := 'B', payload uvarint(n) n×entry           primary → secondary
-//	error      := 'E', payload utf-8 message                primary → secondary
-//	snap-begin := 'G', payload uvarint(resumeSeq)           primary → secondary
-//	snap-batch := 'N', payload uvarint(n) n×(db,key,value)  primary → secondary
-//	snap-end   := 'F', payload uvarint(endSeq)              primary → secondary
-//	heartbeat  := 'T', empty payload                        primary → secondary
+//	batch      := 'B', payload uvarint(n) n×entry            primary → secondary
+//	error      := 'E', payload utf-8 message                 primary → secondary
+//	snap-begin := 'G', empty payload                         primary → secondary
+//	snap-batch := 'N', payload uvarint(n) n×(db,key,record)  primary → secondary
+//	snap-end   := 'F', payload uvarint(resumeSeq)            primary → secondary
+//	heartbeat  := 'T', empty payload                         primary → secondary
+//	fetch      := 'Q', payload db key                        secondary → primary
+//	answer     := 'V', payload record                        primary → secondary
 //
-// Entries inside a batch use oplog.Entry's own marshalling. A secondary
-// that requests entries older than the primary's retained oplog window
-// receives a full snapshot (begin/batches/end) and then resumes incremental
-// streaming; entries concurrent with the snapshot scan (seq ≤ endSeq) are
-// applied with lenient semantics.
+//	record := uvarint(stamp) byte(present) [content]         content only if present
+//
+// db, key and content are uvarint-length-prefixed bytes. Entries inside a
+// batch use oplog.Entry's own marshalling. A secondary that requests entries
+// older than the primary's retained oplog window receives a full snapshot
+// (begin/batches/end) and then resumes incremental streaming from resumeSeq.
+// A record, in a snapshot or a fetch answer, is a key's whole state read at
+// its stamp (node.Stamped): the secondary skips every entry of that key
+// numbered up to the stamp (node.Applier).
 //
 // The protocol is hardened against a misbehaving network: corrupt or
 // out-of-sequence frames and silent partitions (detected by heartbeat/idle
@@ -97,7 +103,7 @@ const (
 	// opening hello before giving up on it.
 	helloTimeout = 30 * time.Second
 	// fetchIdleTimeout reaps primary-side fetch connections whose
-	// secondary has silently vanished.
+	// secondary has silently gone away.
 	fetchIdleTimeout = 5 * time.Minute
 )
 
@@ -259,33 +265,23 @@ func (p *Primary) serveConn(conn net.Conn) {
 	if err := p.send(conn, fw, frameEpoch, binary.AppendUvarint(nil, epoch)); err != nil {
 		return
 	}
-	if mode == helloResync || (expectEpoch != 0 && expectEpoch != epoch) ||
-		(cursor == 0 && p.node.Oplog().Continues()) {
-		// Either the secondary explicitly distrusts its cursor (its last
-		// connection died mid-snapshot), or the cursor belongs to a
-		// previous incarnation of this primary's oplog and its sequence
-		// numbers are meaningless here, or it holds nothing and the log
-		// does not reach back to what this primary's store held when it
-		// opened. Full resync.
-		newCursor, serr := p.sendSnapshot(conn, fw)
-		if serr != nil {
-			return
-		}
-		cursor = newCursor
-	}
-
+	// Either the secondary explicitly distrusts its cursor (its last
+	// connection died mid-snapshot), or the cursor belongs to a previous
+	// incarnation of this primary's oplog and its sequence numbers are
+	// meaningless here, or it holds nothing and the log does not reach back
+	// to what this primary's store held when it opened: full resync.
+	resync := mode == helloResync || (expectEpoch != 0 && expectEpoch != epoch) ||
+		(cursor == 0 && p.node.Oplog().Continues())
 	lastSend := time.Now()
 	var buf []byte // batch payload, reused: send copies it into the frame
 	for {
 		ents, err := p.node.Oplog().EntriesSince(cursor, batchEntries)
-		if errors.Is(err, oplog.ErrTruncated) {
-			// The secondary is behind the retained window: full resync.
-			newCursor, serr := p.sendSnapshot(conn, fw)
-			if serr != nil {
+		if resync || errors.Is(err, oplog.ErrTruncated) {
+			// Or the secondary is behind the retained window.
+			if cursor, err = p.sendSnapshot(conn, fw); err != nil {
 				return
 			}
-			cursor = newCursor
-			lastSend = time.Now()
+			resync, lastSend = false, time.Now()
 			continue
 		}
 		if err != nil {
@@ -337,29 +333,26 @@ func (p *Primary) serveFetches(conn net.Conn, fr *frameReader, fw *frameWriter) 
 		if !ok {
 			return
 		}
-		content, err := p.node.Read(string(db), string(key))
+		r, err := p.node.ReadStamped(string(db), string(key))
 		if err != nil {
 			if werr := p.send(conn, fw, frameError, []byte(err.Error())); werr != nil {
 				return
 			}
 			continue
 		}
-		if err := p.send(conn, fw, frameRecord, content); err != nil {
+		if err := p.send(conn, fw, frameRecord, appendStamped(nil, r)); err != nil {
 			return
 		}
 	}
 }
 
-// sendSnapshot streams the node's full visible state and returns the oplog
-// cursor normal streaming should resume from (the sequence number observed
-// when the scan started; entries after it are replayed leniently on top).
+// sendSnapshot streams the node's full state, each key stamped, and returns
+// the oplog cursor normal streaming resumes from: the scan's, up to which
+// every mutation is in the records.
 func (p *Primary) sendSnapshot(conn net.Conn, fw *frameWriter) (uint64, error) {
-	startSeq := p.node.Oplog().LastSeq()
-	begin := binary.AppendUvarint(nil, startSeq)
-	if err := p.send(conn, fw, frameSnapBegin, begin); err != nil {
+	if err := p.send(conn, fw, frameSnapBegin, nil); err != nil {
 		return 0, err
 	}
-
 	const batchRecords = 128
 	var buf []byte
 	count := 0
@@ -377,10 +370,10 @@ func (p *Primary) sendSnapshot(conn net.Conn, fw *frameWriter) (uint64, error) {
 		return nil
 	}
 	var streamErr error
-	err := p.node.Scan("", func(db, key string, content []byte) bool {
+	cursor, err := p.node.Scan("", func(db, key string, r node.Stamped) bool {
 		buf = appendLenBytes(buf, []byte(db))
 		buf = appendLenBytes(buf, []byte(key))
-		buf = appendLenBytes(buf, content)
+		buf = appendStamped(buf, r)
 		count++
 		if count >= batchRecords {
 			if streamErr = flush(); streamErr != nil {
@@ -399,19 +392,34 @@ func (p *Primary) sendSnapshot(conn net.Conn, fw *frameWriter) (uint64, error) {
 	if err := flush(); err != nil {
 		return 0, err
 	}
-
-	// The lenient window must cover every entry whose record the scan may
-	// have observed. Such a mutation's oplog job was pushed in the critical
-	// section that made it visible, but its entry is appended once a worker
-	// ran it, and encoder shards finish in any order: wait for every job
-	// pushed so far, then read the log's own last number.
-	p.node.Barrier()
-	endSeq := p.node.Oplog().LastSeq()
-	end := binary.AppendUvarint(nil, endSeq)
-	if err := p.send(conn, fw, frameSnapEnd, end); err != nil {
+	if err := p.send(conn, fw, frameSnapEnd, binary.AppendUvarint(nil, cursor)); err != nil {
 		return 0, err
 	}
-	return startSeq, nil
+	return cursor, nil
+}
+
+// appendStamped appends the wire form of a stamped record.
+func appendStamped(dst []byte, r node.Stamped) []byte {
+	dst = binary.AppendUvarint(dst, r.Stamp)
+	if !r.Present {
+		return append(dst, 0)
+	}
+	return appendLenBytes(append(dst, 1), r.Content)
+}
+
+// readStamped decodes one stamped record off the front of p, for a snapshot
+// batch and a fetch answer alike; the content aliases p.
+func readStamped(p []byte) (r node.Stamped, rest []byte, ok bool) {
+	stamp, k := binary.Uvarint(p)
+	if k <= 0 || len(p) == k || p[k] > 1 {
+		return r, nil, false
+	}
+	r.Stamp, r.Present, rest = stamp, p[k] == 1, p[k+1:]
+	if r.Present {
+		r.Content, rest, ok = readLenBytes(rest)
+		return r, rest, ok
+	}
+	return r, rest, true
 }
 
 func appendLenBytes(dst, v []byte) []byte {
@@ -464,27 +472,16 @@ type Secondary struct {
 	closed   atomic.Bool
 	closedCh chan struct{}
 
-	mu   sync.Mutex
-	conn net.Conn
-	fr   *frameReader
-	// lenientUntil marks the end of a snapshot catch-up window: entries
-	// with Seq <= lenientUntil were concurrent with the snapshot scan
-	// and are applied with insert-or-skip/ignore-missing semantics.
-	lenientUntil uint64
-	// snapStartSeq holds the in-flight snapshot's resume cursor; the
-	// applied low-water mark only rebases to it once the snapshot is
-	// fully applied.
-	snapStartSeq uint64
-	resyncs      uint64
-	snapRecords  uint64
-	epoch        uint64
-	// snapKeys collects the keys received during an in-flight snapshot so
-	// stale local records (deleted on the primary while disconnected) can
-	// be reconciled away at snapshot end.
-	snapKeys map[string]map[string]bool
-	// needResync is set when a connection dies mid-snapshot: the stream
-	// position is untrustworthy, so the next hello demands a fresh
-	// snapshot. Cleared when a snapshot completes.
+	mu          sync.Mutex
+	conn        net.Conn
+	fr          *frameReader
+	resyncs     uint64
+	snapRecords uint64
+	epoch       uint64
+	// needResync is set while the stream position is untrustworthy: for a
+	// restarted secondary (connect), and from a snapshot's begin frame until
+	// its end frame has been applied. The next hello then demands a fresh
+	// snapshot.
 	needResync bool
 	err        error
 	done       chan struct{}
@@ -667,14 +664,6 @@ func (s *Secondary) run() {
 			s.fail(fmt.Errorf("repl: %w", aerr))
 			return
 		}
-		s.mu.Lock()
-		if s.snapKeys != nil {
-			// Died mid-snapshot: the half-installed snapshot poisons the
-			// stream position. Demand a fresh one on reconnect.
-			s.snapKeys = nil
-			s.needResync = true
-		}
-		s.mu.Unlock()
 		for {
 			failures++
 			if !s.sleepBackoff(failures) {
@@ -723,21 +712,14 @@ func (s *Secondary) stream() (progressed bool, err error) {
 		typ, payload, rerr := fr.read()
 		if rerr != nil {
 			var ne net.Error
-			switch {
-			case errors.As(rerr, &ne) && ne.Timeout():
+			if errors.As(rerr, &ne) && ne.Timeout() {
 				// Nothing on the wire for a full idle window — not even a
 				// heartbeat. Silent partition.
 				s.rm.IdleTimeouts.Add(1)
-				return progressed, transient(fmt.Errorf("repl: idle timeout: %w", rerr))
-			case errors.Is(rerr, errCorruptFrame) || errors.Is(rerr, errOversizedFrame):
-				s.rm.CorruptFrames.Add(1)
-				return progressed, transient(rerr)
-			case errors.Is(rerr, errFrameSeq):
-				s.rm.FrameSeqViolations.Add(1)
-				return progressed, transient(rerr)
-			default:
-				return progressed, transient(rerr)
+				rerr = fmt.Errorf("repl: idle timeout: %w", rerr)
 			}
+			countFrameError(s.rm, rerr)
+			return progressed, transient(rerr)
 		}
 		// An apply worker hitting a terminal error poisons the applier;
 		// stop consuming the stream instead of dispatching into it.
@@ -770,14 +752,11 @@ func (s *Secondary) handleFrame(typ byte, payload []byte) error {
 				return fmt.Errorf("repl: batch entry: %w", err)
 			}
 			p = p[n:]
-			s.mu.Lock()
-			lenient := e.Seq <= s.lenientUntil
-			s.mu.Unlock()
 			// Dispatch to the entry's database shard; blocks only
 			// when that shard is at capacity (backpressure onto the
 			// TCP stream). ErrBaseMissing falls back to a full-record
 			// fetch inside the worker (paper §4.1 fn. 4).
-			s.applier.EnqueueEntry(e, lenient)
+			s.applier.EnqueueEntry(e, false)
 		}
 	case frameEpoch:
 		ep, k := binary.Uvarint(payload)
@@ -788,10 +767,6 @@ func (s *Secondary) handleFrame(typ byte, payload []byte) error {
 		s.epoch = ep
 		s.mu.Unlock()
 	case frameSnapBegin:
-		startSeq, k := binary.Uvarint(payload)
-		if k <= 0 {
-			return errors.New("repl: corrupt snapshot begin")
-		}
 		// Barrier: the snapshot's records replace state across
 		// arbitrary databases and must not interleave with entries
 		// still in flight on any shard.
@@ -799,15 +774,10 @@ func (s *Secondary) handleFrame(typ byte, payload []byte) error {
 		if err := s.applier.Err(); err != nil {
 			return fmt.Errorf("repl: %w", err)
 		}
+		s.applier.BeginSnapshot()
 		s.mu.Lock()
 		s.resyncs++
-		// Until the end frame arrives, every entry is in-window.
-		// The applied low-water mark is NOT rebased yet: the
-		// snapshot's records are still in flight, and WaitForSeq
-		// must not observe progress before they are applied.
-		s.lenientUntil = ^uint64(0)
-		s.snapStartSeq = startSeq
-		s.snapKeys = make(map[string]map[string]bool)
+		s.needResync = true
 		s.mu.Unlock()
 	case frameSnapBatch:
 		count, k := binary.Uvarint(payload)
@@ -816,7 +786,8 @@ func (s *Secondary) handleFrame(typ byte, payload []byte) error {
 		}
 		p := payload[k:]
 		for i := uint64(0); i < count; i++ {
-			var db, key, content []byte
+			var db, key []byte
+			var r node.Stamped
 			var ok bool
 			if db, p, ok = readLenBytes(p); !ok {
 				return errors.New("repl: corrupt snapshot record")
@@ -824,66 +795,39 @@ func (s *Secondary) handleFrame(typ byte, payload []byte) error {
 			if key, p, ok = readLenBytes(p); !ok {
 				return errors.New("repl: corrupt snapshot record")
 			}
-			if content, p, ok = readLenBytes(p); !ok {
+			if r, p, ok = readStamped(p); !ok {
 				return errors.New("repl: corrupt snapshot record")
 			}
-			// Snapshot records ride the same per-database shards
-			// (insert-or-replace, untracked by the low-water mark);
-			// the primary never interleaves batch frames with an
-			// in-flight snapshot, so only snapshot records are in
-			// the shards until the end-frame barrier.
-			s.applier.EnqueueSnapshotRecord(string(db), string(key), content)
+			// Snapshot records ride the same per-database shards,
+			// untracked by the low-water mark; the primary never
+			// interleaves batch frames with an in-flight snapshot.
+			s.applier.EnqueueSnapshotRecord(string(db), string(key), r)
 			s.mu.Lock()
 			s.snapRecords++
-			if s.snapKeys != nil {
-				dbm := s.snapKeys[string(db)]
-				if dbm == nil {
-					dbm = make(map[string]bool)
-					s.snapKeys[string(db)] = dbm
-				}
-				dbm[string(key)] = true
-			}
 			s.mu.Unlock()
 		}
 	case frameSnapEnd:
-		endSeq, k := binary.Uvarint(payload)
+		cursor, k := binary.Uvarint(payload)
 		if k <= 0 {
 			return errors.New("repl: corrupt snapshot end")
 		}
-		// Barrier: every snapshot record must be installed before
-		// reconciliation deletes records the snapshot did not carry
-		// and the low-water mark rebases.
+		// Barrier: every snapshot record must be installed before the
+		// reconcile deletes what the snapshot did not list and the
+		// low-water mark rebases to the cursor, in that order: once the
+		// mark moves, WaitForSeq callers take those deletes as applied.
+		// A delete that fails leaves the snapshot unapplied: needResync
+		// stays set, so the next hello is helloResync, and the mark stays
+		// where it was.
 		s.applier.Barrier()
 		if err := s.applier.Err(); err != nil {
 			return fmt.Errorf("repl: %w", err)
 		}
-		s.mu.Lock()
-		keys, snapStart := s.snapKeys, s.snapStartSeq
-		s.mu.Unlock()
-		// Reconcile: local records absent from the snapshot were
-		// deleted on the primary while we were disconnected. This comes
-		// before the rebase: once the mark moves, WaitForSeq callers
-		// take those deletes as applied. A delete that fails leaves the
-		// snapshot unapplied: snapKeys stays set, which the reconnect
-		// path reads as "died mid-snapshot" and answers with helloResync,
-		// and the mark stays where it was.
-		if keys != nil {
-			for _, db := range s.node.DBNames() {
-				kept := keys[db]
-				if _, err := s.node.Retain(db, func(key string) bool { return kept[key] }, false); err != nil {
-					return transient(fmt.Errorf("repl: reconciling %q after snapshot: %w", db, err))
-				}
-			}
+		if err := s.applier.EndSnapshot(cursor); err != nil {
+			return transient(fmt.Errorf("repl: %w", err))
 		}
 		s.mu.Lock()
-		s.snapKeys = nil
 		s.needResync = false
-		s.lenientUntil = endSeq
 		s.mu.Unlock()
-		// The snapshot defines the stream position outright — on an
-		// epoch-mismatch resync the old cursor may be numerically
-		// larger but belongs to a dead numbering.
-		s.applier.Reset(snapStart)
 	case frameError:
 		return fmt.Errorf("repl: primary: %s", payload)
 	default:

@@ -260,7 +260,7 @@ func slowInsertRacesSnapshot(t *testing.T, prim *node.Node, attach func() *Secon
 func (s *Secondary) snapshotApplied() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.resyncs > 0 && s.snapKeys == nil
+	return s.resyncs > 0 && !s.needResync
 }
 
 // twoShardDBs returns two database names that a pool of the given number of
@@ -706,7 +706,7 @@ func startFetchServer(t *testing.T, content []byte, behaviors ...fetchBehavior) 
 					if behavior == fetchHang {
 						continue // swallow the request, never reply
 					}
-					if _, err := fw.write(frameRecord, content); err != nil {
+					if _, err := fw.write(frameRecord, appendStamped(nil, node.Stamped{Stamp: 1, Present: true, Content: content})); err != nil {
 						return
 					}
 				}
@@ -736,8 +736,8 @@ func TestFetchClientTimeoutOnHungPrimary(t *testing.T) {
 	start := time.Now()
 	got, err := c.fetch("db", "key")
 	elapsed := time.Since(start)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("fetch after two hung round trips: %q, %v", got, err)
+	if err != nil || !bytes.Equal(got.Content, want) {
+		t.Fatalf("fetch after two hung round trips: %q, %v", got.Content, err)
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("fetch took %v; deadline not enforced", elapsed)
@@ -760,8 +760,8 @@ func TestFetchClientReconnectRetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fetch did not recover via reconnect: %v", err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("fetched %q, want %q", got, want)
+	if !bytes.Equal(got.Content, want) {
+		t.Fatalf("fetched %q, want %q", got.Content, want)
 	}
 	if meter.Total() == 0 {
 		t.Error("fetch bytes not metered")
