@@ -48,9 +48,8 @@ var (
 	dir        = flag.String("dir", "", "storage directory (empty = in-memory)")
 	compress   = flag.Bool("compress", false, "enable block-level compression")
 	admin      = flag.String("admin", "", "HTTP admin endpoint address (e.g. :7090; empty = off)")
-	admEnable  = flag.Bool("admission", false, "enable admission control: reject over-fair-share inserts during overload")
 	shedRaw    = flag.Bool("shed-raw", false, "degrade inserts to raw (no dedup encode) during overload; the shed records' dedup ratio is given up, not recovered")
-	admRate    = flag.Float64("admission-tenant-rate", 0, "per-tenant fair-share inserts/second enforced during overload (0 = shedding only)")
+	admRate    = flag.Float64("admission-tenant-rate", 0, "per-tenant fair-share inserts/second; when positive, an insert over its tenant's share is rejected during overload (0 = shedding only)")
 	admDwell   = flag.Duration("overload-dwell", 250*time.Millisecond, "minimum time the overload latch stays engaged once entered")
 	idxBudget  = flag.String("index-memory-budget", "", "per-database similarity-index memory bound, e.g. 24MiB; what no longer fits is kept in Bloom-gated cold runs under -dir (empty: no bound)")
 
@@ -83,7 +82,6 @@ func config() (cluster.MemberConfig, error) {
 		BlockCompression: *compress,
 		Compaction:       node.CompactionOptions{Enabled: true},
 		Admission: admission.Options{
-			Enabled:       *admEnable,
 			ShedRaw:       *shedRaw,
 			TenantRate:    *admRate,
 			OverloadDwell: *admDwell,

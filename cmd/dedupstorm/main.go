@@ -23,7 +23,7 @@
 //
 // Self-hosted (empty -addr): the storm runs against an in-process member
 // whose encoder capacity and admission control are set by the -encode-*,
-// -admission and -shed-* flags, which is how the with/without-admission
+// -admission-tenant-rate and -shed-* flags, which is how the with/without-admission
 // baselines in results_csv/storm_*.csv are produced. -cluster N self-hosts an
 // in-process N-primary ring of such members instead, how the
 // results_csv/storm_cluster.csv baseline is produced.
@@ -70,9 +70,8 @@ var (
 	// Self-host flags (-addr ""): the served node's shape.
 	encWorkers = flag.Int("encode-workers", 0, "self-host: encoder pool size (0 = node default)")
 	encDelay   = flag.Duration("encode-delay", 0, "self-host: simulated per-insert encode cost, pinning capacity host-independently")
-	admEnable  = flag.Bool("admission", false, "self-host: enable admission control (per-tenant fair share)")
 	shedRaw    = flag.Bool("shed-raw", false, "self-host: degrade to raw inserts under overload")
-	tenantRate = flag.Float64("admission-tenant-rate", 0, "self-host: per-tenant fair-share inserts/second during overload")
+	tenantRate = flag.Float64("admission-tenant-rate", 0, "self-host: per-tenant fair-share inserts/second; when positive, over-share inserts are rejected during overload")
 	dwell      = flag.Duration("overload-dwell", 250*time.Millisecond, "self-host: minimum time the overload latch stays engaged")
 )
 
@@ -110,7 +109,6 @@ func main() {
 		EncodeWorkers:        *encWorkers,
 		SimulatedEncodeDelay: *encDelay,
 		Admission: admission.Options{
-			Enabled:       *admEnable,
 			ShedRaw:       *shedRaw,
 			TenantRate:    *tenantRate,
 			OverloadDwell: *dwell,

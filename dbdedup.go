@@ -83,21 +83,10 @@ type Options struct {
 	// headline configuration; 1024 trades a little compression for
 	// faster sketching.
 	ChunkSize int
-	// AnchorInterval tunes delta compression speed vs ratio (default 64).
-	AnchorInterval int
 	// Scheme picks the chain encoding (default SchemeHop).
 	Scheme Scheme
 	// HopDistance is H for hop encoding / version jumping (default 16).
 	HopDistance int
-	// RewardScore is the cache-aware source-selection bonus (default 2).
-	RewardScore int
-
-	// SourceCacheBytes bounds the source record cache (default 32 MiB;
-	// negative disables it).
-	SourceCacheBytes int64
-	// WritebackCacheBytes bounds the lossy write-back cache (default
-	// 8 MiB; negative applies write-backs inline).
-	WritebackCacheBytes int64
 
 	// DisableSizeFilter switches off the adaptive record-size filter.
 	DisableSizeFilter bool
@@ -109,20 +98,9 @@ type Options struct {
 	// background pipeline has encoded and logged the mutation. Deterministic
 	// for one caller, higher write latency.
 	SyncEncode bool
-	// EncodeWorkers sets the background encoder pool size. Jobs are
-	// sharded by database name, so one database's mutations always encode
-	// in order while independent databases encode in parallel. Default
-	// GOMAXPROCS.
-	EncodeWorkers int
-	// EncodeQueue bounds each encoder shard's backlog (default 1024);
-	// mutations beyond it block until the encoder catches up.
-	EncodeQueue int
 	// ManualFlush disables the background idle flusher; call
 	// FlushWritebacks yourself.
 	ManualFlush bool
-	// FlushInterval is the idle-detection period of the background
-	// flusher (default 10ms).
-	FlushInterval time.Duration
 }
 
 func (o Options) nodeOptions() (node.Options, error) {
@@ -135,20 +113,13 @@ func (o Options) nodeOptions() (node.Options, error) {
 		BlockCompression: o.BlockCompression,
 		Engine: core.Config{
 			ChunkAvgSize:      o.ChunkSize,
-			AnchorInterval:    o.AnchorInterval,
 			Scheme:            o.Scheme.internal(),
 			HopDistance:       o.HopDistance,
-			RewardScore:       o.RewardScore,
-			SourceCacheBytes:  o.SourceCacheBytes,
 			DisableSizeFilter: o.DisableSizeFilter,
 			GovernorWindow:    o.GovernorWindow,
 		},
-		WritebackCacheBytes: o.WritebackCacheBytes,
-		SyncEncode:          o.SyncEncode,
-		EncodeWorkers:       o.EncodeWorkers,
-		EncodeQueue:         o.EncodeQueue,
-		DisableAutoFlush:    o.ManualFlush,
-		FlushInterval:       o.FlushInterval,
+		SyncEncode:       o.SyncEncode,
+		DisableAutoFlush: o.ManualFlush,
 	}, nil
 }
 

@@ -76,9 +76,6 @@ func (d Decision) String() string {
 // Options configures a Controller. The zero value disables everything (a nil
 // Controller is also valid and admits everything).
 type Options struct {
-	// Enabled turns on admission control: per-tenant fair-share token
-	// buckets whose exhaustion, during overload, rejects the request.
-	Enabled bool
 	// ShedRaw turns on load shedding: during overload, admitted inserts
 	// bypass dedup encoding and are stored raw.
 	ShedRaw bool
@@ -88,10 +85,11 @@ type Options struct {
 	// drains. 0 (the default) exits on the level signals alone.
 	OverloadDwell time.Duration
 
-	// TenantRate is each tenant's sustained fair-share insert rate
-	// (inserts/second) enforced during overload. 0 disables per-tenant
-	// accounting: overload rejections then never happen and protection is
-	// shedding only.
+	// TenantRate, when positive, turns on admission control: each tenant
+	// gets a token bucket refilled at this fair-share insert rate
+	// (inserts/second), and an insert that finds its bucket empty during
+	// overload is rejected. 0 disables per-tenant accounting: overload
+	// rejections then never happen and protection is shedding only.
 	TenantRate float64
 }
 
@@ -149,7 +147,7 @@ type bucket struct {
 // New returns a Controller for opts, or nil when opts enables nothing —
 // callers treat a nil Controller as "admit everything, track nothing".
 func New(opts Options) *Controller {
-	if !opts.Enabled && !opts.ShedRaw {
+	if opts.TenantRate <= 0 && !opts.ShedRaw {
 		return nil
 	}
 	return &Controller{opts: opts, burst: max(2*opts.TenantRate, 8), now: time.Now}
@@ -203,7 +201,7 @@ func (c *Controller) Decide(tenant string, queueDepth, queueCap int64) Decision 
 		c.admitted.Add(1)
 		return Admit
 	}
-	if c.opts.Enabled && c.opts.TenantRate > 0 && !hasTokens {
+	if !hasTokens {
 		// Overload + tenant past its fair share: bounce it so it cannot
 		// grow the queue for everyone else.
 		c.rejected.Add(1)
@@ -267,7 +265,8 @@ func stripeOf(tenant string) int {
 // admin page. The zero value (Enabled and ShedRawEnabled false) is what a
 // node without a controller reports.
 type Snapshot struct {
-	// Enabled / ShedRawEnabled mirror the configuration.
+	// Enabled (a positive TenantRate) and ShedRawEnabled mirror the
+	// configuration.
 	Enabled        bool
 	ShedRawEnabled bool
 	// Overloaded is the current hysteresis-latch state; the transition
@@ -290,7 +289,7 @@ func (c *Controller) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		Enabled:         c.opts.Enabled,
+		Enabled:         c.opts.TenantRate > 0,
 		ShedRawEnabled:  c.opts.ShedRaw,
 		Overloaded:      c.overloaded.Load(),
 		OverloadEnters:  c.overloadEnters.Total(),

@@ -113,7 +113,7 @@ func TestOverloadDwell(t *testing.T) {
 
 func TestTenantFairShareRejectsOnlyUnderOverload(t *testing.T) {
 	c, clk := newTestController(t, Options{
-		Enabled: true, ShedRaw: true, TenantRate: 10,
+		ShedRaw: true, TenantRate: 10,
 	})
 
 	// Healthy server: the greedy tenant drains its bucket (2×TenantRate
@@ -151,7 +151,7 @@ func TestTenantFairShareRejectsOnlyUnderOverload(t *testing.T) {
 }
 
 func TestAdmissionWithoutShedQueuesInsteadOfDegrading(t *testing.T) {
-	c, _ := newTestController(t, Options{Enabled: true, TenantRate: 1})
+	c, _ := newTestController(t, Options{TenantRate: 1})
 	for i := 0; i < 8; i++ { // the bucket's floor capacity
 		if got := c.Decide("a", 90, 100); got != Admit {
 			t.Fatalf("op %d has a token: Decide = %v, want Admit", i, got)
@@ -163,7 +163,7 @@ func TestAdmissionWithoutShedQueuesInsteadOfDegrading(t *testing.T) {
 }
 
 func TestMaxTenantsBoundsMemory(t *testing.T) {
-	c, _ := newTestController(t, Options{Enabled: true, TenantRate: 1})
+	c, _ := newTestController(t, Options{TenantRate: 1})
 	for i := 0; i < 3*maxTenants; i++ {
 		c.Decide(fmt.Sprintf("tenant-%d", i), 0, 100)
 	}
@@ -174,7 +174,7 @@ func TestMaxTenantsBoundsMemory(t *testing.T) {
 
 func TestConcurrentDecide(t *testing.T) {
 	c, _ := newTestController(t, Options{
-		Enabled: true, ShedRaw: true, TenantRate: 1000,
+		ShedRaw: true, TenantRate: 1000,
 	})
 	var wg sync.WaitGroup
 	var admitted, shed, rejected [8]int64

@@ -387,8 +387,9 @@ type ReplMetrics struct {
 	// HeartbeatsSent counts primary→secondary heartbeat frames (sent when
 	// a secondary is fully caught up).
 	HeartbeatsSent Meter
-	// ForcedResyncs counts reconnects that requested a fresh snapshot
-	// because the previous connection died mid-snapshot.
+	// ForcedResyncs counts stream hellos that stated no position while the
+	// node held records (oplog.UnknownEpoch): a restarted secondary, or one
+	// whose first snapshot was cut off.
 	ForcedResyncs Meter
 }
 

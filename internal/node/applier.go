@@ -30,7 +30,9 @@ import (
 // the stamp the primary read it at, and the applier keeps one rule: an entry
 // whose key holds a stamp ≥ its Seq is already reflected and is skipped, and
 // a forward-encoded insert whose base holds one is fetched whole, since the
-// base here may be newer than the one the primary encoded against.
+// base here may be newer than the one the primary encoded against. The stamps
+// are forgotten at each snapshot, and once the low-water mark reaches the
+// largest of them: no entry still to come is numbered at or below it.
 //
 // Enqueue methods and Reset must be called from the dispatcher goroutine.
 // Barrier is additionally safe to call concurrently with Close and from
@@ -46,17 +48,14 @@ type Applier struct {
 	errv    error
 	base    uint64       // all dispatched seqs <= base are applied
 	pending []*applySlot // dispatched tracked seqs > base, dispatch order
-	// stamps holds, per database, the stamp of every key that arrived whole
-	// since the last snapshot began. Guarded by mu.
-	stamps map[string]keyStamps
+	// stamps holds the stamp of every key that arrived whole since the last
+	// snapshot began, and maxStamp the largest. Guarded by mu.
+	stamps   map[dbKey]uint64
+	maxStamp uint64
 }
 
-// keyStamps is one database's stamps and the largest of them: once an entry
-// of the database passes max, no later one can be covered, and it goes.
-type keyStamps struct {
-	max  uint64
-	keys map[string]uint64
-}
+// dbKey names a key across databases.
+type dbKey struct{ db, key string }
 
 // ApplierOptions configures an apply pool.
 type ApplierOptions struct {
@@ -99,7 +98,7 @@ func NewApplier(n *Node, afterSeq uint64, opts ApplierOptions) *Applier {
 	if opts.Queue <= 0 {
 		opts.Queue = 1024
 	}
-	a := &Applier{n: n, fetch: opts.Fetch, m: n.ApplyMetrics(), base: afterSeq, stamps: make(map[string]keyStamps)}
+	a := &Applier{n: n, fetch: opts.Fetch, m: n.ApplyMetrics(), base: afterSeq, stamps: make(map[dbKey]uint64)}
 	a.pool = newFIFOPool(opts.Workers, opts.Queue, a.run, &a.m.Workers, &a.m.QueueDepth, &a.m.QueueOverflows)
 	return a
 }
@@ -141,7 +140,8 @@ func (a *Applier) Barrier() { a.pool.plant().Wait() }
 // numbers of the log it comes from. Callers must Barrier first.
 func (a *Applier) BeginSnapshot() {
 	a.mu.Lock()
-	a.stamps = make(map[string]keyStamps)
+	clear(a.stamps)
+	a.maxStamp = 0
 	a.mu.Unlock()
 }
 
@@ -150,11 +150,11 @@ func (a *Applier) BeginSnapshot() {
 // which was absent on the primary at cursor, then rebases the low-water mark
 // to cursor. A delete that fails returns its error with the mark unmoved.
 func (a *Applier) EndSnapshot(cursor uint64) error {
+	a.mu.Lock()
+	listed := a.stamps // no worker runs to change it: callers Barrier first
+	a.mu.Unlock()
 	for _, db := range a.n.DBNames() {
-		a.mu.Lock()
-		listed := a.stamps[db].keys
-		a.mu.Unlock()
-		if _, err := a.n.Retain(db, func(key string) bool { _, ok := listed[key]; return ok }, false); err != nil {
+		if _, err := a.n.Retain(db, func(key string) bool { _, ok := listed[dbKey{db, key}]; return ok }, false); err != nil {
 			return fmt.Errorf("reconciling %q after snapshot: %w", db, err)
 		}
 	}
@@ -169,20 +169,25 @@ func (a *Applier) Reset(seq uint64) {
 	a.mu.Lock()
 	a.base = seq
 	a.pending = a.pending[:0]
+	a.forgetStampsLocked()
 	a.mu.Unlock()
 }
 
-// covers reports whether (db, key) holds a stamp ≥ seq, dropping db's
-// stamps once seq passes all of them.
+// forgetStampsLocked drops every stamp once the low-water mark has reached
+// the largest: no entry still to come is numbered at or below it. Caller
+// holds mu.
+func (a *Applier) forgetStampsLocked() {
+	if len(a.stamps) > 0 && a.base >= a.maxStamp {
+		clear(a.stamps)
+		a.maxStamp = 0
+	}
+}
+
+// covers reports whether (db, key) holds a stamp ≥ seq.
 func (a *Applier) covers(db, key string, seq uint64) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ks := a.stamps[db]
-	if seq > ks.max {
-		delete(a.stamps, db)
-		return false
-	}
-	return ks.keys[key] >= seq
+	return a.stamps[dbKey{db, key}] >= seq
 }
 
 // LowWater returns the applied-sequence low-water mark: every dispatched
@@ -218,8 +223,8 @@ func (a *Applier) Close() { a.pool.close() }
 // failed entry — and every entry drained after the pool is poisoned —
 // leaves its slot pending, so the low-water mark freezes at the first
 // unapplied sequence: AppliedSeq never reports entries that were not
-// actually applied, and persisting Epoch+AppliedSeq for a later ConnectWithOptions
-// cannot skip them.
+// actually applied, and a secondary that resumes from the mark (repl states
+// it with its epoch in every hello) cannot skip them.
 func (a *Applier) run(job applyJob) {
 	if a.Err() != nil {
 		return // poisoned: drain without applying
@@ -265,16 +270,16 @@ func (a *Applier) fetchWhole(e oplog.Entry, miss error) error {
 		return miss
 	}
 	r, err := a.fetch(e.DB, e.Key)
+	if errors.Is(err, ErrFetchRefused) {
+		// The primary is no longer in e's log. The snapshot its reconnect
+		// brings restates the key; until then the key stays absent and no
+		// entry of the old log touches it.
+		r, err = Stamped{Stamp: math.MaxUint64}, nil
+	}
 	if err != nil {
 		// The fetch rides out transport faults itself, so it gave up for
 		// good (the replication fetcher only when closing).
 		return fmt.Errorf("%w (fetch fallback: %w)", miss, err)
-	}
-	if r.Stamp < e.Seq {
-		// Read in another log than e's, whose number was at least e.Seq:
-		// the primary restarted. Its record covers every entry still
-		// queued, and the epoch-mismatch snapshot that follows restates it.
-		r.Stamp = math.MaxUint64
 	}
 	if err = a.install(e.DB, e.Key, r); err == nil && r.Present {
 		a.m.BaseFetches.Add(1)
@@ -297,12 +302,7 @@ func (a *Applier) install(db, key string, r Stamped) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ks := a.stamps[db]
-	if ks.keys == nil {
-		ks.keys = make(map[string]uint64)
-	}
-	ks.keys[key], ks.max = r.Stamp, max(ks.max, r.Stamp)
-	a.stamps[db] = ks
+	a.stamps[dbKey{db, key}], a.maxStamp = r.Stamp, max(a.maxStamp, r.Stamp)
 	return nil
 }
 
@@ -320,5 +320,6 @@ func (a *Applier) complete(job applyJob) {
 		a.base = a.pending[0].seq
 		a.pending = a.pending[1:]
 	}
+	a.forgetStampsLocked()
 	a.mu.Unlock()
 }

@@ -317,15 +317,15 @@ func TestApplierFetchUnavailableVanishedKey(t *testing.T) {
 	}
 }
 
-// TestFetchFromARestartedPrimary: the base fetch is answered by a restarted
-// primary, whose stamp (2) is below the insert's number in the old log (5):
-// the key is absent there. The delete still queued behind the insert must not
-// poison the pool; the epoch-mismatch snapshot that follows restates the key,
-// and forgets the stamp.
+// TestFetchFromARestartedPrimary: the base fetch reaches a restarted
+// primary, which refuses it: the insert (5) is numbered in a log it no longer
+// has. The delete still queued behind the insert must not poison the pool;
+// the epoch-mismatch snapshot that follows restates the key, and forgets the
+// cover.
 func TestFetchFromARestartedPrimary(t *testing.T) {
 	sec := testNode(t, Options{})
 	ap := NewApplier(sec, 4, ApplierOptions{Workers: 2, Fetch: func(db, key string) (Stamped, error) {
-		return Stamped{Stamp: 2}, nil
+		return Stamped{}, ErrFetchRefused
 	}})
 	defer ap.Close()
 	applyOne(t, ap, oplog.Entry{Seq: 5, Op: oplog.OpInsert, DB: "db", Key: "k",
@@ -339,6 +339,38 @@ func TestFetchFromARestartedPrimary(t *testing.T) {
 	applyOne(t, ap, oplog.Entry{Seq: 4, Op: oplog.OpUpdate, DB: "db", Key: "k", Payload: []byte("applied")})
 	if got, err := sec.Read("db", "k"); err != nil || string(got) != "applied" {
 		t.Fatalf("after the snapshot: %q, %v", got, err)
+	}
+}
+
+// TestIdleDatabaseStampsForgotten: a snapshot stamps keys of two databases,
+// then only one of them receives writes. Once those carry the low-water mark
+// past every stamp, no entry still to come can be covered, and the idle
+// database's stamps go with the busy one's instead of waiting for the next
+// snapshot.
+func TestIdleDatabaseStampsForgotten(t *testing.T) {
+	sec := testNode(t, Options{})
+	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2})
+	defer ap.Close()
+	ap.Barrier()
+	ap.BeginSnapshot()
+	ap.EnqueueSnapshotRecord("busy", "k", Stamped{Stamp: 3, Present: true, Content: []byte("busy at 3")})
+	ap.EnqueueSnapshotRecord("idle", "k", Stamped{Stamp: 4, Present: true, Content: []byte("idle at 4")})
+	ap.Barrier()
+	if err := ap.EndSnapshot(2); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(3); seq <= 5; seq++ {
+		applyOne(t, ap, oplog.Entry{Seq: seq, Op: oplog.OpUpdate, DB: "busy", Key: "k",
+			Payload: []byte(fmt.Sprintf("busy at %d", seq))})
+	}
+	if got, err := sec.Read("busy", "k"); err != nil || string(got) != "busy at 5" {
+		t.Fatalf("busy key: %q, %v", got, err)
+	}
+	ap.mu.Lock()
+	left := len(ap.stamps)
+	ap.mu.Unlock()
+	if low := ap.LowWater(); low != 5 || left != 0 {
+		t.Fatalf("low-water mark %d is past every stamp (4) and %d stamp entries remain; want 5 and none", low, left)
 	}
 }
 

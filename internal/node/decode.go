@@ -382,15 +382,13 @@ func (n *Node) repairPastHidden(depID, hidID uint64, depContent []byte) {
 	}
 
 	if dep.Stacked {
-		sections, err := splitSections(dep.Payload)
+		visible, err := stackedSection(dep.Payload, true)
 		if err != nil {
 			return
 		}
-		sections[0] = newPayload
-		dep.Payload = joinSections(sections)
-	} else {
-		dep.Payload = newPayload
+		newPayload = stackPayload(newPayload, visible)
 	}
+	dep.Payload = newPayload
 	if n.putLocked(dep, depMeta) != nil {
 		return
 	}
@@ -400,22 +398,6 @@ func (n *Node) repairPastHidden(depID, hidID uint64, depContent []byte) {
 }
 
 // ------------------------------------------------------------- stacked utils
-
-func splitSections(p []byte) ([][]byte, error) {
-	var out [][]byte
-	for len(p) > 0 {
-		l, k := binary.Uvarint(p)
-		if k <= 0 || uint64(len(p)-k) < l {
-			return nil, errors.New("node: corrupt stacked payload")
-		}
-		out = append(out, p[k:k+int(l)])
-		p = p[k+int(l):]
-	}
-	if len(out) == 0 {
-		return nil, errors.New("node: empty stacked payload")
-	}
-	return out, nil
-}
 
 // stackedSection returns the first section of a stacked payload (the record's
 // own stored form) or, when last is set, the last one (what the client sees),
@@ -438,11 +420,13 @@ func stackedSection(p []byte, last bool) ([]byte, error) {
 	return sec, nil
 }
 
-func joinSections(sections [][]byte) []byte {
-	var out []byte
-	for _, s := range sections {
-		out = binary.AppendUvarint(out, uint64(len(s)))
-		out = append(out, s...)
-	}
-	return out
+// stackPayload builds a stacked payload from its two sections, the record's
+// own stored form and what the client sees: stacking replaces the second,
+// repair the first, so a stacked record never has more.
+func stackPayload(stored, visible []byte) []byte {
+	out := make([]byte, 0, 2*binary.MaxVarintLen64+len(stored)+len(visible))
+	out = binary.AppendUvarint(out, uint64(len(stored)))
+	out = append(out, stored...)
+	out = binary.AppendUvarint(out, uint64(len(visible)))
+	return append(out, visible...)
 }

@@ -27,6 +27,10 @@ var ErrBaseMissing = errors.New("node: delta base not present")
 // cannot help, so the applier stops on it.
 var ErrFetchUnavailable = errors.New("node: record unavailable at source")
 
+// ErrFetchRefused reports that the primary refused a base fetch asked in
+// another log than its own: it restarted since the entry was logged.
+var ErrFetchRefused = errors.New("node: fetch refused: the source is in another log")
+
 // Stamped is a key's whole record as a node read it at Stamp, the node's
 // mutation number at the time: it reflects every mutation of the key numbered
 // up to Stamp. Present is false, and Content nil, when the key was absent.

@@ -265,7 +265,7 @@ func TestScanUpsertRetain(t *testing.T) {
 			// never refills: a client insert is rejected, a handoff record
 			// is not.
 			n := asyncNode(t, Options{EncodeWorkers: 1, EncodeQueue: 2, SimulatedEncodeDelay: latchDelay,
-				Admission: admission.Options{Enabled: true, OverloadDwell: time.Hour, TenantRate: 1e-9}})
+				Admission: admission.Options{OverloadDwell: time.Hour, TenantRate: 1e-9}})
 			if err := n.Insert("db", "first", []byte("takes the tenant's first token")); err != nil {
 				t.Fatal(err)
 			}

@@ -201,15 +201,14 @@ func (n *Node) stackLocked(id uint64, content []byte) error {
 	if !ok {
 		return ErrNotFound
 	}
-	sections := [][]byte{rec.Payload, content}
+	stored := rec.Payload
 	if rec.Stacked {
-		// Replace the visible (last) section.
-		if sections, err = splitSections(rec.Payload); err != nil {
+		// Replace the visible section.
+		if stored, err = stackedSection(rec.Payload, false); err != nil {
 			return err
 		}
-		sections[len(sections)-1] = content
 	}
-	rec.Stacked, rec.Updated, rec.Payload = true, true, joinSections(sections)
+	rec.Stacked, rec.Updated, rec.Payload = true, true, stackPayload(stored, content)
 	return n.store.Append(rec)
 }
 

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -132,19 +133,17 @@ func New(capacity int) *Log {
 }
 
 // Continue returns a log like New for a store that already holds records
-// when the log starts: a reopened one. No entry describes those records, so a
-// reader holding nothing (cursor 0) cannot be brought up to date from the
-// log, and its server must send it a snapshot first. Numbering still starts
-// at 1.
+// when the log starts: a reopened one. No entry describes those records (see
+// Holds). Numbering still starts at 1.
 func Continue(capacity int) *Log {
 	l := New(capacity)
 	l.continues = true
 	return l
 }
 
-// Continues reports whether the log was made by Continue: cursor 0 on it is
-// behind its window.
-func (l *Log) Continues() bool { return l.continues }
+// UnknownEpoch is the epoch a reader states when it holds records at no
+// position in any log. No log draws it.
+const UnknownEpoch = math.MaxUint64
 
 // newEpoch draws a random log identity. Sequence numbers are only
 // meaningful within one epoch: a restarted primary gets a fresh log (and a
@@ -158,18 +157,22 @@ func newEpoch() uint64 {
 		return 1
 	}
 	e := binary.LittleEndian.Uint64(b[:])
-	if e == 0 {
+	if e == 0 || e == UnknownEpoch {
 		e = 1
 	}
 	return e
 }
 
-// Epoch returns the log's identity.
-func (l *Log) Epoch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.epoch
+// Holds reports whether the reader position (epoch, seq) is a point of this
+// log, from which EntriesSince(seq) brings the reader up to date unless the
+// window has passed it (ErrTruncated). Epoch 0 names no log and holds, except
+// at seq 0 on a Continue'd log, whose store holds what no entry describes.
+func (l *Log) Holds(epoch, seq uint64) bool {
+	return epoch == l.epoch || (epoch == 0 && (seq > 0 || !l.continues))
 }
+
+// Epoch returns the log's identity, fixed when the log is made.
+func (l *Log) Epoch() uint64 { return l.epoch }
 
 // Append assigns the entry the number after the last one reserved and
 // stores it, returning the number.

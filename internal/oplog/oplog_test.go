@@ -449,3 +449,30 @@ func TestTruncatedAcrossGap(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestHoldsAPosition: a log holds a reader position in its own epoch, one that
+// names no epoch unless it is (0, 0) on a reopened store's log, and nothing in
+// another epoch or UnknownEpoch.
+func TestHoldsAPosition(t *testing.T) {
+	fresh, reopened := New(4), Continue(4)
+	for _, tc := range []struct {
+		l          *Log
+		epoch, seq uint64
+		want       bool
+	}{
+		{fresh, fresh.Epoch(), 0, true},
+		{fresh, fresh.Epoch(), 9, true},
+		{fresh, 0, 0, true},
+		{fresh, 0, 3, true},
+		{reopened, 0, 0, false},
+		{reopened, 0, 3, true},
+		{reopened, reopened.Epoch(), 0, true},
+		{fresh, reopened.Epoch(), 3, false},
+		{fresh, UnknownEpoch, 0, false},
+		{reopened, UnknownEpoch, 3, false},
+	} {
+		if got := tc.l.Holds(tc.epoch, tc.seq); got != tc.want {
+			t.Errorf("Holds(%d, %d) on a log that continues=%v: %v, want %v", tc.epoch, tc.seq, tc.l.continues, got, tc.want)
+		}
+	}
+}

@@ -17,7 +17,8 @@ import (
 // It is safe to call from multiple apply workers: requests are serialised
 // on one connection and every round-trip carries a deadline. A fetch error
 // poisons the whole apply pool, so a transport failure is retried under the
-// stream's backoff until the primary answers or the secondary closes.
+// stream's backoff until the primary answers or the secondary closes. The
+// connection's hello states the secondary's position, as the stream's does.
 type fetchClient struct {
 	addr    string
 	timeout time.Duration
@@ -27,6 +28,8 @@ type fetchClient struct {
 	// backoff waits before retry number attempt; false means the secondary
 	// closed meanwhile.
 	backoff func(attempt int) bool
+	// position is the secondary's, read for each hello.
+	position func() (epoch, seq uint64)
 
 	mu   sync.Mutex
 	conn net.Conn
@@ -35,14 +38,15 @@ type fetchClient struct {
 }
 
 // fetch returns the record as the primary read it, present or absent, with
-// its stamp; ErrFetchUnavailable when the primary answered with an error, and
+// its stamp; ErrFetchUnavailable when the primary answered with an error,
+// ErrFetchRefused when it is in another epoch than the secondary, and
 // net.ErrClosed when the secondary closed while the fetch was retrying.
 func (c *fetchClient) fetch(db, key string) (node.Stamped, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for attempt := 1; ; attempt++ {
 		r, err := c.fetchOnce(db, key)
-		if err == nil || errors.Is(err, node.ErrFetchUnavailable) {
+		if err == nil || errors.Is(err, node.ErrFetchUnavailable) || errors.Is(err, node.ErrFetchRefused) {
 			return r, err
 		}
 		// Transport trouble (timeout, broken or corrupted connection):
@@ -57,27 +61,19 @@ func (c *fetchClient) fetch(db, key string) (node.Stamped, error) {
 // dialling if needed. Caller holds c.mu. On transport errors the connection
 // is torn down so the next attempt redials.
 func (c *fetchClient) fetchOnce(db, key string) (node.Stamped, error) {
+	// One deadline per round trip, a fresh connection's dial and hello
+	// included, and never cleared: an idle connection has nothing for it to
+	// cut, and the next round trip moves it.
 	deadline := time.Now().Add(c.timeout)
-	fresh := c.conn == nil
-	if fresh {
-		c.rm.Dials.Add(1)
-		conn, err := c.network.DialTimeout(c.addr, c.timeout)
+	if c.conn == nil {
+		epoch, seq := c.position()
+		conn, fr, fw, err := dial(c.network, c.addr, deadline, c.rm, hello{helloFetch, seq, epoch})
 		if err != nil {
-			c.rm.DialFailures.Add(1)
 			return node.Stamped{}, fmt.Errorf("repl: fetch dial: %w", err)
 		}
-		c.conn, c.fr, c.fw = conn, &frameReader{r: conn}, &frameWriter{w: conn}
-	}
-	// One deadline per round trip, a fresh connection's hello included, and
-	// never cleared: an idle connection has nothing for it to cut, and the
-	// next round trip moves it.
-	c.conn.SetDeadline(deadline)
-	if fresh {
-		if _, err := c.fw.write(frameHello, []byte{helloFetch}); err != nil {
-			c.reset()
-			c.rm.DialFailures.Add(1)
-			return node.Stamped{}, fmt.Errorf("repl: fetch hello: %w", err)
-		}
+		c.conn, c.fr, c.fw = conn, fr, fw
+	} else {
+		c.conn.SetDeadline(deadline)
 	}
 	req := appendLenBytes(nil, []byte(db))
 	req = appendLenBytes(req, []byte(key))
@@ -101,6 +97,11 @@ func (c *fetchClient) fetchOnce(db, key string) (node.Stamped, error) {
 		return node.Stamped{}, errors.New("repl: corrupt fetch answer")
 	case frameError:
 		return node.Stamped{}, fmt.Errorf("%w: primary: %s", node.ErrFetchUnavailable, payload)
+	case frameRefusal:
+		// The next fetch, after the snapshot the stream's reconnect brings,
+		// states the new position on a new connection.
+		c.reset()
+		return node.Stamped{}, node.ErrFetchRefused
 	default:
 		c.reset()
 		return node.Stamped{}, fmt.Errorf("repl: unexpected fetch frame %q", typ)

@@ -10,13 +10,14 @@ import (
 )
 
 // realFrameStream builds a corpus entry from genuine wire traffic: the frames
-// a short replication session actually exchanges.
+// a short replication session actually exchanges. The stream hello states
+// position (42, 7), which the primary holds, so the epoch frame follows it; a
+// later snapshot ends at (42, 8). The fetch connection's hello states the
+// same position and is answered once, then refused once.
 func realFrameStream() []byte {
 	var buf bytes.Buffer
 	fw := &frameWriter{w: &buf}
-	hello := append([]byte{helloStream}, binary.AppendUvarint(nil, 7)...)
-	hello = binary.AppendUvarint(hello, 1)
-	fw.write(frameHello, hello)
+	fw.write(frameHello, realHellos[0].append(nil))
 	fw.write(frameEpoch, binary.AppendUvarint(nil, 42))
 	e := oplog.Entry{Seq: 8, Op: oplog.OpInsert, DB: "db", Key: "k",
 		Form: oplog.FormRaw, Payload: []byte("record content")}
@@ -31,9 +32,21 @@ func realFrameStream() []byte {
 	snap = appendLenBytes(appendLenBytes(snap, []byte("db")), []byte("gone"))
 	snap = appendStamped(snap, realStamped[1])
 	fw.write(frameSnapBatch, snap)
-	fw.write(frameSnapEnd, binary.AppendUvarint(nil, 8))
+	fw.write(frameSnapEnd, binary.AppendUvarint(binary.AppendUvarint(nil, 8), 42))
+	fw.write(frameHello, realHellos[1].append(nil))
+	fw.write(frameFetch, appendLenBytes(appendLenBytes(nil, []byte("db")), []byte("k")))
 	fw.write(frameRecord, appendStamped(nil, realStamped[0]))
+	fw.write(frameFetch, appendLenBytes(appendLenBytes(nil, []byte("db")), []byte("k")))
+	fw.write(frameRefusal, nil)
 	return buf.Bytes()
+}
+
+// realHellos are the hellos realFrameStream carries, and one of a secondary
+// that holds records at no position.
+var realHellos = []hello{
+	{mode: helloStream, seq: 7, epoch: 42},
+	{mode: helloFetch, seq: 8, epoch: 42},
+	{mode: helloStream, epoch: oplog.UnknownEpoch},
 }
 
 // realStamped are the records realFrameStream carries: one present, one
@@ -112,6 +125,40 @@ func FuzzReadStamped(f *testing.F) {
 		}
 		if used := len(data) - len(rest); len(again) > used {
 			t.Fatalf("re-encoded in %d bytes, consumed %d", len(again), used)
+		}
+	})
+}
+
+// FuzzReadHello feeds arbitrary bytes to the one decoder of a hello, the
+// stream's and the fetch connection's. It must never panic, and whatever it
+// accepts must be a known mode and survive a re-encode unchanged, in no more
+// bytes than the payload (a uvarint may arrive overlong).
+func FuzzReadHello(f *testing.F) {
+	for _, h := range realHellos {
+		f.Add(h.append(nil))
+	}
+	f.Add([]byte{})                         // no mode
+	f.Add([]byte{'R', 0, 0})                // an unknown mode
+	f.Add([]byte{helloStream, 0x80})        // truncated seq
+	f.Add([]byte{helloFetch, 7})            // no epoch
+	f.Add([]byte{helloStream, 7, 42, 'x'})  // trailing bytes
+	f.Add([]byte{helloStream, 0x87, 0, 42}) // an overlong seq
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, ok := readHello(data)
+		if !ok {
+			return
+		}
+		if h.mode != helloStream && h.mode != helloFetch {
+			t.Fatalf("accepted mode %q", h.mode)
+		}
+		again := h.append(nil)
+		h2, ok := readHello(again)
+		if !ok || h2 != h {
+			t.Fatalf("%+v re-encoded as %x decodes as %+v (%v)", h, again, h2, ok)
+		}
+		if len(again) > len(data) {
+			t.Fatalf("re-encoded in %d bytes, from %d", len(again), len(data))
 		}
 	})
 }

@@ -1,47 +1,51 @@
 // Package repl implements asynchronous primary→secondary replication: the
 // paper's oplog syncer (Fig. 8). A secondary connects to the primary,
-// announces the last sequence number it has applied, and the primary
-// streams oplog entry batches from there — entries whose insert payloads
-// the dedup engine has already rewritten into forward-encoded (base
-// reference + delta) form, which is where the network savings of Fig. 11
-// come from.
+// states its position, and the primary streams oplog entry batches from
+// there — entries whose insert payloads the dedup engine has already
+// rewritten into forward-encoded (base reference + delta) form, which is
+// where the network savings of Fig. 11 come from.
 //
 // All traffic crosses the netsim.Network seam, so the same protocol code
 // runs over real TCP in production and over the in-memory fault-injecting
 // simulator in tests. The wire format (frame.go) carries a per-frame CRC
 // and sequence number; see that file for the framing grammar. Frame types:
 //
-//	hello      := 'H', payload mode uvarint(afterSeq) uvarint(expectEpoch)
-//	batch      := 'B', payload uvarint(n) n×entry            primary → secondary
-//	error      := 'E', payload utf-8 message                 primary → secondary
-//	snap-begin := 'G', empty payload                         primary → secondary
-//	snap-batch := 'N', payload uvarint(n) n×(db,key,record)  primary → secondary
-//	snap-end   := 'F', payload uvarint(resumeSeq)            primary → secondary
-//	heartbeat  := 'T', empty payload                         primary → secondary
-//	fetch      := 'Q', payload db key                        secondary → primary
-//	answer     := 'V', payload record                        primary → secondary
+//	hello      := 'H', payload mode uvarint(seq) uvarint(epoch)  secondary → primary
+//	epoch      := 'P', payload uvarint(epoch)                    primary → secondary
+//	batch      := 'B', payload uvarint(n) n×entry                primary → secondary
+//	error      := 'E', payload utf-8 message                     primary → secondary
+//	snap-begin := 'G', empty payload                             primary → secondary
+//	snap-batch := 'N', payload uvarint(n) n×(db,key,record)      primary → secondary
+//	snap-end   := 'F', payload uvarint(seq) uvarint(epoch)       primary → secondary
+//	heartbeat  := 'T', empty payload                             primary → secondary
+//	fetch      := 'Q', payload db key                            secondary → primary
+//	answer     := 'V', payload record                            primary → secondary
+//	refusal    := 'X', empty payload                             primary → secondary
 //
-//	record := uvarint(stamp) byte(present) [content]         content only if present
+//	record := uvarint(stamp) byte(present) [content]             content only if present
 //
 // db, key and content are uvarint-length-prefixed bytes. Entries inside a
-// batch use oplog.Entry's own marshalling. A secondary that requests entries
-// older than the primary's retained oplog window receives a full snapshot
-// (begin/batches/end) and then resumes incremental streaming from resumeSeq.
-// A record, in a snapshot or a fetch answer, is a key's whole state read at
-// its stamp (node.Stamped): the secondary skips every entry of that key
-// numbered up to the stamp (node.Applier).
+// batch use oplog.Entry's own marshalling.
+//
+// A secondary's position is one (epoch, seq) pair: its applied low-water mark
+// and the primary log that mark counts in. Every connection opens with a
+// hello stating it ('S' stream, 'F' fetch). The primary streams from seq,
+// after the epoch frame, if oplog.Log.Holds the position and the window still
+// reaches it; otherwise it sends a snapshot (begin/batches/end), whose end
+// frame carries the position it leaves the secondary at. The position moves
+// only in those two frames and with the mark. A fetch is answered only in the
+// asker's epoch, and refused otherwise. A record, in a snapshot or a fetch
+// answer, is a key's whole state read at its stamp (node.Stamped): the
+// secondary skips every entry of that key numbered up to it (node.Applier).
 //
 // The protocol is hardened against a misbehaving network: corrupt or
 // out-of-sequence frames and silent partitions (detected by heartbeat/idle
 // timeouts) tear the connection down, and a Secondary redials under bounded
 // exponential backoff with jitter until it is closed, resuming from its
-// applied low-water mark. Resume is idempotent: the stream reader dispatches
-// entries in sequence order and drains the apply shards (Barrier) before
-// reconnecting, so the low-water mark is exactly the last dispatched entry
-// and nothing is applied twice. A connection
-// that dies mid-snapshot reconnects with a forced-resync hello ('R' mode),
-// discarding the half-installed snapshot's stream position rather than
-// trusting it. The secondary counts received frame bytes, giving the
+// position. Resume is idempotent: the stream reader dispatches entries in
+// sequence order and drains the apply shards (Barrier) before reconnecting,
+// so the low-water mark is exactly the last dispatched entry and nothing is
+// applied twice. The secondary counts received frame bytes, giving the
 // experiments exact replication traffic numbers.
 package repl
 
@@ -74,11 +78,14 @@ const (
 	frameSnapEnd   = 'F'
 	// Record-fetch frames (on a dedicated connection): a secondary that
 	// cannot resolve a forward-encoded insert's base asks the primary
-	// for the record's full content (paper §4.1 fn. 4).
-	frameFetch  = 'Q'
-	frameRecord = 'V'
+	// for the record's full content (paper §4.1 fn. 4), and the primary
+	// answers it or, to an asker in another epoch, refuses.
+	frameFetch   = 'Q'
+	frameRecord  = 'V'
+	frameRefusal = 'X'
 
-	// frameEpoch announces the primary's oplog epoch right after hello.
+	// frameEpoch names the primary's oplog epoch once it has decided to
+	// stream from the hello's seq.
 	frameEpoch = 'P'
 	// frameHeartbeat keeps a caught-up stream visibly alive so the
 	// secondary's idle timeout only fires on a genuinely dead path.
@@ -87,10 +94,6 @@ const (
 	// hello modes
 	helloStream = 'S'
 	helloFetch  = 'F'
-	// helloResync demands a fresh snapshot regardless of cursor validity —
-	// sent when the previous connection died mid-snapshot and the
-	// secondary's stream position cannot be trusted.
-	helloResync = 'R'
 
 	// maxFrame bounds a frame so a corrupt length cannot allocate wildly.
 	maxFrame = 64 << 20
@@ -238,55 +241,45 @@ func (p *Primary) serveConn(conn net.Conn) {
 	fw := &frameWriter{w: conn}
 	conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	typ, payload, err := fr.read()
-	if err != nil || typ != frameHello || len(payload) < 1 {
+	if err != nil || typ != frameHello {
+		return
+	}
+	h, ok := readHello(payload)
+	if !ok {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	mode := payload[0]
-	if mode == helloFetch {
-		p.serveFetches(conn, fr, fw)
-		return
-	}
-	if mode != helloStream && mode != helloResync {
-		return
-	}
-	rest := payload[1:]
-	cursor, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return
-	}
-	expectEpoch, k2 := binary.Uvarint(rest[k:])
-	if k2 <= 0 {
+	log := p.node.Oplog()
+	epoch := log.Epoch()
+	if h.mode == helloFetch {
+		p.serveFetches(conn, fr, fw, h.epoch == epoch)
 		return
 	}
 
-	// Announce our epoch so the secondary can resume correctly later.
-	epoch := p.node.Oplog().Epoch()
-	if err := p.send(conn, fw, frameEpoch, binary.AppendUvarint(nil, epoch)); err != nil {
-		return
-	}
-	// Either the secondary explicitly distrusts its cursor (its last
-	// connection died mid-snapshot), or the cursor belongs to a previous
-	// incarnation of this primary's oplog and its sequence numbers are
-	// meaningless here, or it holds nothing and the log does not reach back
-	// to what this primary's store held when it opened: full resync.
-	resync := mode == helloResync || (expectEpoch != 0 && expectEpoch != epoch) ||
-		(cursor == 0 && p.node.Oplog().Continues())
+	// Stream from the secondary's position if the log holds it, until the
+	// window passes the cursor; a snapshot replaces a position it does not.
+	cursor, snapshot, announced := h.seq, !log.Holds(h.epoch, h.seq), false
 	lastSend := time.Now()
 	var buf []byte // batch payload, reused: send copies it into the frame
 	for {
-		ents, err := p.node.Oplog().EntriesSince(cursor, batchEntries)
-		if resync || errors.Is(err, oplog.ErrTruncated) {
-			// Or the secondary is behind the retained window.
-			if cursor, err = p.sendSnapshot(conn, fw); err != nil {
+		ents, err := log.EntriesSince(cursor, batchEntries)
+		if snapshot || errors.Is(err, oplog.ErrTruncated) {
+			if cursor, err = p.sendSnapshot(conn, fw, epoch); err != nil {
 				return
 			}
-			resync, lastSend = false, time.Now()
+			snapshot, announced, lastSend = false, true, time.Now()
 			continue
 		}
 		if err != nil {
 			p.send(conn, fw, frameError, []byte(err.Error()))
 			return
+		}
+		if !announced {
+			// The position stands: name the log it is a point of.
+			if err := p.send(conn, fw, frameEpoch, binary.AppendUvarint(nil, epoch)); err != nil {
+				return
+			}
+			announced = true
 		}
 		if len(ents) == 0 {
 			p.mu.Lock()
@@ -317,8 +310,11 @@ func (p *Primary) serveConn(conn net.Conn) {
 	}
 }
 
-// serveFetches answers record-fetch requests on a dedicated connection.
-func (p *Primary) serveFetches(conn net.Conn, fr *frameReader, fw *frameWriter) {
+// serveFetches answers record-fetch requests on a dedicated connection;
+// inEpoch says whether the asker's position is in this primary's log, and
+// every request of an asker in another is refused: this primary's records say
+// nothing about that log's numbers.
+func (p *Primary) serveFetches(conn net.Conn, fr *frameReader, fw *frameWriter, inEpoch bool) {
 	for {
 		conn.SetReadDeadline(time.Now().Add(fetchIdleTimeout))
 		typ, payload, err := fr.read()
@@ -332,6 +328,12 @@ func (p *Primary) serveFetches(conn net.Conn, fr *frameReader, fw *frameWriter) 
 		key, _, ok := readLenBytes(rest)
 		if !ok {
 			return
+		}
+		if !inEpoch {
+			if err := p.send(conn, fw, frameRefusal, nil); err != nil {
+				return
+			}
+			continue
 		}
 		r, err := p.node.ReadStamped(string(db), string(key))
 		if err != nil {
@@ -348,8 +350,9 @@ func (p *Primary) serveFetches(conn net.Conn, fr *frameReader, fw *frameWriter) 
 
 // sendSnapshot streams the node's full state, each key stamped, and returns
 // the oplog cursor normal streaming resumes from: the scan's, up to which
-// every mutation is in the records.
-func (p *Primary) sendSnapshot(conn net.Conn, fw *frameWriter) (uint64, error) {
+// every mutation is in the records. The end frame states it with epoch, the
+// log's: the position the snapshot leaves the secondary at.
+func (p *Primary) sendSnapshot(conn net.Conn, fw *frameWriter, epoch uint64) (uint64, error) {
 	if err := p.send(conn, fw, frameSnapBegin, nil); err != nil {
 		return 0, err
 	}
@@ -392,10 +395,56 @@ func (p *Primary) sendSnapshot(conn net.Conn, fw *frameWriter) (uint64, error) {
 	if err := flush(); err != nil {
 		return 0, err
 	}
-	if err := p.send(conn, fw, frameSnapEnd, binary.AppendUvarint(nil, cursor)); err != nil {
+	if err := p.send(conn, fw, frameSnapEnd, binary.AppendUvarint(binary.AppendUvarint(nil, cursor), epoch)); err != nil {
 		return 0, err
 	}
 	return cursor, nil
+}
+
+// hello is a connection's opening frame: what the connection is for, and the
+// position of the secondary that opened it.
+type hello struct {
+	mode       byte // helloStream or helloFetch
+	seq, epoch uint64
+}
+
+func (h hello) append(dst []byte) []byte {
+	dst = binary.AppendUvarint(append(dst, h.mode), h.seq)
+	return binary.AppendUvarint(dst, h.epoch)
+}
+
+// readHello decodes a hello payload, the stream's and the fetch's alike.
+func readHello(p []byte) (h hello, ok bool) {
+	if len(p) == 0 || (p[0] != helloStream && p[0] != helloFetch) {
+		return h, false
+	}
+	seq, k := binary.Uvarint(p[1:])
+	if k <= 0 {
+		return h, false
+	}
+	epoch, k2 := binary.Uvarint(p[1+k:])
+	if k2 <= 0 || 1+k+k2 != len(p) {
+		return h, false
+	}
+	return hello{mode: p[0], seq: seq, epoch: epoch}, true
+}
+
+// dial opens a connection to the primary at addr and sends h on it, counting
+// the attempt in rm. The deadline bounds the dial and the hello, and stays
+// set on the connection.
+func dial(network netsim.Network, addr string, deadline time.Time, rm *metrics.ReplMetrics, h hello) (net.Conn, *frameReader, *frameWriter, error) {
+	rm.Dials.Add(1)
+	conn, err := network.DialTimeout(addr, time.Until(deadline))
+	if err == nil {
+		conn.SetDeadline(deadline)
+		fw := &frameWriter{w: conn}
+		if _, err = fw.write(frameHello, h.append(nil)); err == nil {
+			return conn, &frameReader{r: conn}, fw, nil
+		}
+		conn.Close()
+	}
+	rm.DialFailures.Add(1)
+	return nil, nil, nil, err
 }
 
 // appendStamped appends the wire form of a stamped record.
@@ -459,8 +508,8 @@ func isTransient(err error) bool {
 // The secondary has one fault policy: a transport failure, on the stream or
 // on a base fetch, is retried under the same jittered backoff until it
 // succeeds or Close is called. After a stream fault it drains the apply
-// shards, backs off, redials, and resumes from the low-water mark (or forces
-// a fresh snapshot if the previous connection died mid-snapshot).
+// shards, backs off, redials, and states its position again (see the package
+// comment).
 type Secondary struct {
 	node    *node.Node
 	applier *node.Applier
@@ -477,15 +526,10 @@ type Secondary struct {
 	fr          *frameReader
 	resyncs     uint64
 	snapRecords uint64
-	epoch       uint64
-	// needResync is set while the stream position is untrustworthy: for a
-	// restarted secondary (connect), and from a snapshot's begin frame until
-	// its end frame has been applied. The next hello then demands a fresh
-	// snapshot.
-	needResync bool
-	err        error
-	done       chan struct{}
-	bytesIn    metrics.Meter
+	epoch       uint64 // of the log the applier's low-water mark counts in
+	err         error
+	done        chan struct{}
+	bytesIn     metrics.Meter
 }
 
 // Options times a Secondary's transport. The zero value selects the
@@ -551,33 +595,28 @@ func ConnectWithOptions(n *node.Node, addr string, o Options) (*Secondary, error
 	return connect(n, addr, 0, 0, o)
 }
 
-// connect starts a secondary at cursor afterSeq of the primary oplog epoch
-// expectEpoch (0: none). If the primary has restarted since (epoch
-// mismatch), the stream falls back to a full snapshot resync.
-func connect(n *node.Node, addr string, afterSeq, expectEpoch uint64, o Options) (*Secondary, error) {
+// connect starts a secondary at position (epoch, afterSeq) (epoch 0: none).
+// If the primary's log does not hold it (the primary restarted since, or the
+// window passed it), the stream falls back to a full snapshot resync.
+func connect(n *node.Node, addr string, afterSeq, epoch uint64, o Options) (*Secondary, error) {
 	o = o.withDefaults()
 	s := &Secondary{
 		node:     n,
 		opts:     o,
 		addr:     addr,
 		rm:       n.ReplMetrics(),
-		epoch:    expectEpoch,
+		epoch:    epoch,
 		closedCh: make(chan struct{}),
 		done:     make(chan struct{}),
-		// A node that holds records but brings no cursor is a restarted
-		// secondary: what it holds came from a session whose position died
-		// with the process. Streaming from zero would replay inserts of
-		// keys it has (a terminal duplicate-key error) or, behind a
-		// restarted primary, skip everything older than the new log.
-		needResync: afterSeq == 0 && len(n.DBNames()) > 0,
 	}
 	s.fetch = &fetchClient{
-		addr:    addr,
-		timeout: o.FetchTimeout,
-		network: o.Network,
-		rm:      s.rm,
-		bytesIn: &s.bytesIn,
-		backoff: s.sleepBackoff,
+		addr:     addr,
+		timeout:  o.FetchTimeout,
+		network:  o.Network,
+		rm:       s.rm,
+		bytesIn:  &s.bytesIn,
+		backoff:  s.sleepBackoff,
+		position: s.position,
 	}
 	// The apply pool is sized like the encoder pool: GOMAXPROCS shards.
 	s.applier = node.NewApplier(n, afterSeq, node.ApplierOptions{Fetch: s.fetch.fetch})
@@ -589,45 +628,36 @@ func connect(n *node.Node, addr string, afterSeq, expectEpoch uint64, o Options)
 	return s, nil
 }
 
-// dialAndHello establishes a connection and sends the stream hello,
-// resuming from the applier's low-water mark (exact, because the caller
-// drains the shards before reconnecting). Installs the connection on
-// success.
+// position is where the secondary stands, as its hellos state it: the epoch
+// of the log its low-water mark counts in, and the mark (exact on the stream,
+// because the caller drains the shards before reconnecting). A node that
+// holds records at (0, 0) is at no point of any log: it restarted, or its
+// first snapshot was cut off.
+func (s *Secondary) position() (epoch, seq uint64) {
+	epoch, seq = s.Epoch(), s.AppliedSeq()
+	if epoch == 0 && seq == 0 && len(s.node.DBNames()) > 0 {
+		epoch = oplog.UnknownEpoch
+	}
+	return epoch, seq
+}
+
+// dialAndHello establishes the stream connection, stating the secondary's
+// position, and installs it on success.
 func (s *Secondary) dialAndHello() error {
-	s.rm.Dials.Add(1)
-	conn, err := s.opts.Network.DialTimeout(s.addr, s.opts.DialTimeout)
+	epoch, seq := s.position()
+	conn, fr, _, err := dial(s.opts.Network, s.addr, time.Now().Add(s.opts.DialTimeout), s.rm, hello{helloStream, seq, epoch})
 	if err != nil {
-		s.rm.DialFailures.Add(1)
 		return err
 	}
-	s.mu.Lock()
-	mode := byte(helloStream)
-	if s.needResync {
-		mode = helloResync
-	}
-	epoch := s.epoch
-	s.mu.Unlock()
-	afterSeq := s.applier.LowWater()
-	hello := append([]byte{mode}, binary.AppendUvarint(nil, afterSeq)...)
-	hello = binary.AppendUvarint(hello, epoch)
-	fw := &frameWriter{w: conn}
-	conn.SetWriteDeadline(time.Now().Add(s.opts.DialTimeout))
-	if _, err := fw.write(frameHello, hello); err != nil {
-		conn.Close()
-		s.rm.DialFailures.Add(1)
-		return err
-	}
-	conn.SetWriteDeadline(time.Time{})
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
 		conn.Close()
 		return net.ErrClosed
 	}
-	s.conn = conn
-	s.fr = &frameReader{r: conn}
+	s.conn, s.fr = conn, fr
 	s.mu.Unlock()
-	if mode == helloResync {
+	if epoch == oplog.UnknownEpoch {
 		s.rm.ForcedResyncs.Add(1)
 	}
 	return nil
@@ -777,7 +807,6 @@ func (s *Secondary) handleFrame(typ byte, payload []byte) error {
 		s.applier.BeginSnapshot()
 		s.mu.Lock()
 		s.resyncs++
-		s.needResync = true
 		s.mu.Unlock()
 	case frameSnapBatch:
 		count, k := binary.Uvarint(payload)
@@ -808,16 +837,19 @@ func (s *Secondary) handleFrame(typ byte, payload []byte) error {
 		}
 	case frameSnapEnd:
 		cursor, k := binary.Uvarint(payload)
-		if k <= 0 {
+		epoch, k2 := binary.Uvarint(payload[max(k, 0):])
+		if k <= 0 || k2 <= 0 {
 			return errors.New("repl: corrupt snapshot end")
 		}
 		// Barrier: every snapshot record must be installed before the
 		// reconcile deletes what the snapshot did not list and the
-		// low-water mark rebases to the cursor, in that order: once the
-		// mark moves, WaitForSeq callers take those deletes as applied.
-		// A delete that fails leaves the snapshot unapplied: needResync
-		// stays set, so the next hello is helloResync, and the mark stays
-		// where it was.
+		// position moves to the cursor, in that order: once the mark
+		// moves, WaitForSeq callers take those deletes as applied. A
+		// delete that fails leaves the snapshot unapplied: the position
+		// stays the pre-snapshot one, which the primary cannot serve, so
+		// the reconnect brings a fresh snapshot. The mark moves before the
+		// epoch, so an Epoch read names the log of the AppliedSeq read
+		// after it.
 		s.applier.Barrier()
 		if err := s.applier.Err(); err != nil {
 			return fmt.Errorf("repl: %w", err)
@@ -826,7 +858,7 @@ func (s *Secondary) handleFrame(typ byte, payload []byte) error {
 			return transient(fmt.Errorf("repl: %w", err))
 		}
 		s.mu.Lock()
-		s.needResync = false
+		s.epoch = epoch
 		s.mu.Unlock()
 	case frameError:
 		return fmt.Errorf("repl: primary: %s", payload)
@@ -913,9 +945,10 @@ func (s *Secondary) WaitForSeq(seq uint64, timeout time.Duration) error {
 	}
 }
 
-// Epoch returns the primary's oplog epoch as announced at connection time
-// (0 until the handshake completes). A cursor (AppliedSeq) means something
-// only within this epoch.
+// Epoch returns the epoch of the primary log that AppliedSeq counts in: 0
+// until the secondary has a position in one. It moves with the mark, when
+// the primary starts streaming from the secondary's position or a snapshot
+// ends, never while a snapshot is in flight.
 func (s *Secondary) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

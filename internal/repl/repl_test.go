@@ -256,11 +256,11 @@ func slowInsertRacesSnapshot(t *testing.T, prim *node.Node, attach func() *Secon
 	}
 }
 
-// snapshotApplied reports whether a snapshot's end frame has been applied.
+// snapshotApplied reports whether a snapshot's end frame has been applied to
+// a secondary that started with no position: the end frame gives it one.
 func (s *Secondary) snapshotApplied() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resyncs > 0 && !s.needResync
+	resyncs, _ := s.Resyncs()
+	return resyncs > 0 && s.Epoch() != 0
 }
 
 // twoShardDBs returns two database names that a pool of the given number of
@@ -695,7 +695,8 @@ func startFetchServer(t *testing.T, content []byte, behaviors ...fetchBehavior) 
 				}
 				fr := &frameReader{r: conn}
 				fw := &frameWriter{w: conn}
-				if typ, _, err := fr.read(); err != nil || typ != frameHello {
+				typ, payload, err := fr.read()
+				if h, ok := readHello(payload); err != nil || typ != frameHello || !ok || h.mode != helloFetch {
 					return
 				}
 				for {
@@ -721,7 +722,8 @@ func startFetchServer(t *testing.T, content []byte, behaviors ...fetchBehavior) 
 func testFetchClient(addr string, timeout time.Duration, meter *metrics.Meter) *fetchClient {
 	return &fetchClient{addr: addr, timeout: timeout, network: netsim.Default,
 		rm: &metrics.ReplMetrics{}, bytesIn: meter,
-		backoff: func(int) bool { time.Sleep(time.Millisecond); return true }}
+		backoff:  func(int) bool { time.Sleep(time.Millisecond); return true },
+		position: func() (uint64, uint64) { return 1, 0 }}
 }
 
 // TestFetchClientTimeoutOnHungPrimary: a primary that accepts the fetch
@@ -784,7 +786,7 @@ func TestSecondaryReconnectResumeAtPhase(t *testing.T) {
 		oplogCap int // 0 = ample; small forces a snapshot on connect
 		// cut selects the one chunk to sever; nil = cut after catch-up
 		// (the post-ack phase). Conn 0 is the initial stream connection;
-		// toClient index 0 is the epoch frame.
+		// toClient index 0 is the epoch frame, or a snapshot's begin frame.
 		cut        func(netsim.ChunkInfo) bool
 		postOps    int
 		wantResync bool // a forced-resync hello must have been sent
@@ -797,9 +799,10 @@ func TestSecondaryReconnectResumeAtPhase(t *testing.T) {
 			// 300 entries stream as a 256-batch then a 44-batch; sever the
 			// second, so resume must continue from seq 256 exactly.
 			cut: func(ci netsim.ChunkInfo) bool { return !ci.ToServer && ci.Conn == 0 && ci.Index == 2 }},
-		{name: "mid-snapshot", preOps: 60, oplogCap: 16, postOps: 10, wantResync: true,
-			// The truncated oplog forces a snapshot; sever its record batch
-			// so the half-installed snapshot must be discarded and the
+		{name: "mid-snapshot", preOps: 200, oplogCap: 16, postOps: 10, wantResync: true,
+			// The truncated oplog forces a snapshot of 200 records, sent as
+			// a 128-batch then a 72-batch; sever the second, so the
+			// secondary holds half a snapshot at no position and the
 			// reconnect hello must demand a fresh one.
 			cut: func(ci netsim.ChunkInfo) bool { return !ci.ToServer && ci.Conn == 0 && ci.Index == 2 }},
 		{name: "post-ack", preOps: 50, postOps: 10},

@@ -183,7 +183,7 @@ func TestStormFairShareRejection(t *testing.T) {
 	cfg.Duration = cfg.Duration / 2
 
 	rep, stats := oneStorm(t, "fairshare", admission.Options{
-		Enabled: true, ShedRaw: true,
+		ShedRaw:    true,
 		TenantRate: 5, // a bucket of 2×5 tokens
 	}, cfg)
 
@@ -222,7 +222,7 @@ func TestStormHealthyBaseline(t *testing.T) {
 	cfg.Blend = []workload.Kind{workload.Enron, workload.MessageBoards}
 
 	rep, stats := oneStorm(t, "healthy", admission.Options{
-		Enabled: true, ShedRaw: true, TenantRate: 1e6,
+		ShedRaw: true, TenantRate: 1e6,
 	}, cfg)
 
 	if rep.Dropped != 0 {
