@@ -4,7 +4,8 @@
 // byte-oriented match search over a 64 KiB window, no entropy coding, and a
 // tag-stream output of literal runs and copies.
 //
-// The DBMS substrate applies it to storage blocks and oplog batches; the
+// The store (internal/docstore) applies it to the blocks it seals, each
+// behind its segment's dictionary; the oplog is not compressed. The
 // experiments use it to measure how block compression stacks with dedup
 // ("Additional compression from Snappy" in Figs. 1 and 10).
 //
@@ -16,7 +17,16 @@
 // a departure from plain per-page Snappy, which has no such thing; zlib's and
 // zstd's preset dictionaries are the precedent. The tag format is unchanged:
 // a copy's offset may simply exceed the bytes decoded so far. Encode, Decode
-// and DecodeInto take no dictionary and write and read what they always have.
+// and DecodeInto take no dictionary.
+//
+// # Parse
+//
+// The encoder is greedy. At each position it looks up the last position
+// whose first five bytes hashed alike (hashLen; Snappy keys by four, LZ4 by
+// five), takes it if their first four bytes agree (minMatch), extends the
+// match as far as it goes, and after the copy puts only the match's last
+// position into the table. A block carries no trace of how it was parsed, so
+// blocks an earlier parse wrote decode unchanged.
 //
 // Format (not Snappy-compatible on the wire, same structure):
 //
@@ -66,8 +76,17 @@ const (
 	// bytes, so 4 is the break-even point).
 	minMatch = 4
 
+	// hashLen is how many bytes key the encoder's table. Under a 4-byte
+	// key, common short strings crowd the slots and turn into 4-byte
+	// copies that save nothing once their tag and the literal run they
+	// split are paid for; a 6-byte key misses matches in the workload
+	// families' text and in ingest_versioned's blocks (EXPERIMENTS.md,
+	// PR 54).
+	hashLen  = 5
 	hashBits = 14
 	hashSize = 1 << hashBits
+	// prime5 is the multiplier of the 5-byte hash (LZ4's).
+	prime5 = 889523592379
 
 	// wordLen is how many bytes the kernels move or compare at a time.
 	wordLen = 8
@@ -148,8 +167,8 @@ func NewDict(data []byte) *Dict {
 	}
 	d := &Dict{buf: make([]byte, maxOffset), n: len(data)}
 	copy(d.buf, data)
-	for i := 0; i+minMatch <= len(data); i++ {
-		d.table[hash4(binary.LittleEndian.Uint32(data[i:]))] = uint16(i + 1)
+	for i := 0; i+hashLen <= len(data); i++ {
+		d.table[hash5(load5(data[i:]))] = uint16(i + 1)
 	}
 	return d
 }
@@ -173,16 +192,25 @@ func AppendEncodeDict(dst, src []byte, dict *Dict) []byte {
 }
 
 // encodeTags writes the tags of src[start:] at out[d:] and returns the new
-// end. table holds position+1 of the last occurrence of each 4-byte hash: the
-// caller has filled it for src[:start], the dictionary (cleared it, without
-// one), and src's positions fit its entries.
+// end. table holds position+1 of the last position whose hashLen bytes had
+// each hash: the caller has filled it for src[:start], the dictionary
+// (cleared it, without one), and src's positions fit its entries.
+//
+// A candidate is taken if its first minMatch bytes agree. After a copy only
+// the match's last position goes into the table: the bytes inside it are
+// their source's, whose positions the table holds already, and seeding them
+// made the encoder 10-25 % slower on the store's blocks for under 0.2 % of
+// its output, either way. What that gives up is a near-copy of a near-copy
+// within one block, whose matches then run back to the older text rather
+// than to the nearer copy.
 func encodeTags[T uint16 | int32](out []byte, d int, src []byte, start int, table *[hashSize]T) int {
 	litStart := start // start of the pending literal run
 	i := start
-	limit := len(src) - minMatch
+	limit := len(src) - hashLen // the last position with hashLen bytes to hash
 	for i <= limit {
-		cur := binary.LittleEndian.Uint32(src[i:])
-		h := hash4(cur)
+		v := load5(src[i:])
+		cur := uint32(v)
+		h := hash5(v)
 		cand := int(table[h]) - 1
 		table[h] = T(i + 1)
 		if cand < 0 || i-cand >= maxOffset || binary.LittleEndian.Uint32(src[cand:]) != cur {
@@ -208,14 +236,11 @@ func encodeTags[T uint16 | int32](out []byte, d int, src []byte, start int, tabl
 			d = putLiteral(out, d, src[litStart:i])
 		}
 		d = putCopy(out, d, i-cand, mlen)
-		// Seed the table inside the match sparsely so later data can still
-		// find it.
-		end := i + mlen
-		for j := i + 1; j < end-minMatch && j <= limit; j += 4 {
-			table[hash4(binary.LittleEndian.Uint32(src[j:]))] = T(j + 1)
+		i += mlen
+		litStart = i
+		if last := i - 1; last <= limit {
+			table[hash5(load5(src[last:]))] = T(i)
 		}
-		i = end
-		litStart = end
 	}
 	if litStart < len(src) {
 		d = putLiteral(out, d, src[litStart:])
@@ -223,8 +248,19 @@ func encodeTags[T uint16 | int32](out []byte, d int, src []byte, start int, tabl
 	return d
 }
 
-func hash4(v uint32) uint32 {
-	return (v * 0x1e35a7bd) >> (32 - hashBits)
+// load5 returns a word whose low hashLen bytes are the first of p: the
+// first eight bytes of p when it has them, so that most positions are one
+// load.
+func load5(p []byte) uint64 {
+	if len(p) >= wordLen {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return uint64(binary.LittleEndian.Uint32(p)) | uint64(p[4])<<32
+}
+
+// hash5 hashes the low hashLen bytes of v.
+func hash5(v uint64) uint32 {
+	return uint32((v << (64 - 8*hashLen)) * prime5 >> (64 - hashBits))
 }
 
 // putLiteral writes lit as literal tags at out[d:] and returns the new end.

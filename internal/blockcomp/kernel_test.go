@@ -243,6 +243,58 @@ func TestDictionaryGivesSmallBlocksTheirMatchesBack(t *testing.T) {
 	}
 }
 
+// FuzzEncodeDictMatchesReference holds the dictionary encoder to the
+// byte-at-a-time parse over arbitrary dictionaries and blocks, and reads
+// what it writes back behind the same dictionary.
+func FuzzEncodeDictMatchesReference(f *testing.F) {
+	for _, c := range dictCases(f) {
+		f.Add(c[0], c[1])
+	}
+	f.Fuzz(func(t *testing.T, dict, src []byte) {
+		enc := AppendEncodeDict(nil, src, NewDict(dict))
+		if want := refAppendEncodeDict(nil, dict, src); !bytes.Equal(enc, want) {
+			t.Fatalf("dict %d, block %d bytes: encoded %d bytes, the reference encoder %d, or different ones",
+				len(dict), len(src), len(enc), len(want))
+		}
+		back, err := DecodeDict(make([]byte, len(src)), enc, dict)
+		if err != nil || !bytes.Equal(back, src) {
+			t.Fatalf("round trip behind a dictionary: %v", err)
+		}
+	})
+}
+
+// TestParseBeatsThe4ByteParse pins what the 5-byte hash and end-only seeding
+// bought: each workload family's records, cut into 4 KiB blocks behind the
+// family's first 32 KiB as the store seals them, take at most 0.99 of what
+// the encoder's earlier parse wrote over all four families, and no family
+// takes more.
+func TestParseBeatsThe4ByteParse(t *testing.T) {
+	const dictLen, blockLen = 32 << 10, 4 << 10
+	var now, before int
+	for i, kind := range workload.Kinds {
+		tr := workload.New(workload.Config{Kind: kind, Seed: int64(20 + i), InsertBytes: 512 << 10})
+		var stream []byte
+		for _, op := range tr.Records() {
+			stream = append(stream, op.Payload...)
+		}
+		dict := NewDict(stream[:dictLen])
+		var n, b int
+		for off := dictLen; off+blockLen <= len(stream); off += blockLen {
+			blk := stream[off : off+blockLen]
+			n += len(AppendEncodeDict(nil, blk, dict))
+			b += len(parse4.encodeDict(nil, stream[:dictLen], blk))
+		}
+		t.Logf("%v: %d bytes, %d under the 4-byte parse (%.4f)", kind, n, b, float64(n)/float64(b))
+		if n > b {
+			t.Errorf("%v: %d bytes, more than the 4-byte parse's %d", kind, n, b)
+		}
+		now, before = now+n, before+b
+	}
+	if now*100 > before*99 {
+		t.Errorf("all families: %d bytes, %.4f of the 4-byte parse's %d; want at most 0.99", now, float64(now)/float64(before), before)
+	}
+}
+
 // decodeDictBoth runs the kernel and a byte-at-a-time oracle over one block
 // and its dictionary: the same bytes or an error from both, and nothing
 // written outside dst.

@@ -6,52 +6,90 @@ import (
 	"fmt"
 )
 
-// The encoder and the tag loop as they were before the word-at-a-time
-// kernels: one byte per step, nothing clever. The tests hold the kernels to
-// them, byte for byte on the way in and error for error on the way out.
+// The encoder and the tag loop one byte per step, nothing clever. The tests
+// hold the kernels to them, byte for byte on the way in and error for error
+// on the way out.
 
-func refAppendEncode(dst, src []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	if len(src) == 0 {
-		return dst
-	}
-	if len(src) < minMatch+4 {
-		return refEmitLiteral(dst, src)
-	}
+// A refParse is one way of finding matches, run one byte per step: which
+// bytes key the table, and which positions of a match go into it.
+type refParse struct {
+	hashLen    int
+	hash       func(p []byte) uint32 // of the first hashLen bytes of p
+	seedInside bool                  // every fourth position inside a match, not only its last
+}
 
-	var table [hashSize]int32 // position+1 of the last occurrence of a 4-byte hash
-	litStart := 0             // start of the pending literal run
-	i := 0
-	limit := len(src) - minMatch
+var (
+	// parse5 is the encoder's: a 5-byte hash, and a match seeds only its
+	// last position.
+	parse5 = refParse{hashLen: 5, hash: func(p []byte) uint32 { return hash5(uint64(binary.LittleEndian.Uint32(p)) | uint64(p[4])<<32) }}
+	// parse4 is the parse the encoder had before: a 4-byte hash, and every
+	// fourth position inside a match seeded. What is on disk was written by
+	// either; the tests measure the gain against it.
+	parse4 = refParse{hashLen: 4, seedInside: true, hash: func(p []byte) uint32 {
+		return binary.LittleEndian.Uint32(p) * 0x1e35a7bd >> (32 - hashBits)
+	}}
+)
+
+func refAppendEncode(dst, src []byte) []byte { return parse5.encode(dst, src, 0) }
+
+// refAppendEncodeDict is the dictionary encoder one byte per step, over one
+// buffer holding dict‖src and one table of positions in it: every position of
+// the dictionary goes in first.
+func refAppendEncodeDict(dst, dict, src []byte) []byte { return parse5.encodeDict(dst, dict, src) }
+
+func (rp refParse) encodeDict(dst, dict, src []byte) []byte {
+	if len(dict) > MaxDictLen {
+		dict = dict[len(dict)-MaxDictLen:]
+	}
+	if len(dict)+len(src) >= maxOffset {
+		return rp.encode(dst, src, 0)
+	}
+	return rp.encode(dst, append(append([]byte(nil), dict...), src...), len(dict))
+}
+
+// encode writes the block all[base:] behind all[:base], a dictionary or
+// nothing.
+func (rp refParse) encode(dst, all []byte, base int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(all)-base))
+	if len(all)-base < minMatch+4 {
+		return refEmitLiteral(dst, all[base:])
+	}
+	var table [hashSize]int32 // position+1 of the last occurrence of a hash
+	for p := 0; p+rp.hashLen <= base; p++ {
+		table[rp.hash(all[p:])] = int32(p) + 1
+	}
+	litStart := base // start of the pending literal run
+	i := base
+	limit := len(all) - rp.hashLen
 	for i <= limit {
-		h := hash4(binary.LittleEndian.Uint32(src[i:]))
+		h := rp.hash(all[i:])
 		cand := int(table[h]) - 1
 		table[h] = int32(i) + 1
-		if cand >= 0 && i-cand < maxOffset &&
-			binary.LittleEndian.Uint32(src[cand:]) == binary.LittleEndian.Uint32(src[i:]) {
-			// Extend the match.
-			mlen := minMatch
-			for i+mlen < len(src) && src[cand+mlen] == src[i+mlen] {
-				mlen++
-			}
-			if litStart < i {
-				dst = refEmitLiteral(dst, src[litStart:i])
-			}
-			dst = refEmitCopy(dst, i-cand, mlen)
-			// Seed the table inside the match sparsely so later
-			// data can still find it.
-			end := i + mlen
-			for j := i + 1; j < end-minMatch && j <= limit; j += 4 {
-				table[hash4(binary.LittleEndian.Uint32(src[j:]))] = int32(j) + 1
-			}
-			i = end
-			litStart = end
+		if cand < 0 || i-cand >= maxOffset || !bytes.Equal(all[cand:cand+minMatch], all[i:i+minMatch]) {
+			i++
 			continue
 		}
-		i++
+		mlen := minMatch
+		for i+mlen < len(all) && all[cand+mlen] == all[i+mlen] {
+			mlen++
+		}
+		if litStart < i {
+			dst = refEmitLiteral(dst, all[litStart:i])
+		}
+		dst = refEmitCopy(dst, i-cand, mlen)
+		end := i + mlen
+		if rp.seedInside {
+			for j := i + 1; j < end-minMatch && j <= limit; j += 4 {
+				table[rp.hash(all[j:])] = int32(j) + 1
+			}
+		} else if end-1 <= limit {
+			table[rp.hash(all[end-1:])] = int32(end)
+		}
+		i = end
+		litStart = end
 	}
-	if litStart < len(src) {
-		dst = refEmitLiteral(dst, src[litStart:])
+	if litStart < len(all) {
+		dst = refEmitLiteral(dst, all[litStart:])
 	}
 	return dst
 }
@@ -98,59 +136,6 @@ func refDecodeInto(dst, block []byte) ([]byte, error) {
 		return nil, err
 	}
 	return dst, nil
-}
-
-// refAppendEncodeDict is the dictionary encoder one byte per step, over one
-// buffer holding dict‖src and one table of positions in it: every position of
-// the dictionary goes in first.
-func refAppendEncodeDict(dst, dict, src []byte) []byte {
-	if len(dict) > MaxDictLen {
-		dict = dict[len(dict)-MaxDictLen:]
-	}
-	if len(dict)+len(src) >= maxOffset {
-		return refAppendEncode(dst, src)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	if len(src) < minMatch+4 {
-		return refEmitLiteral(dst, src)
-	}
-	all := append(append([]byte(nil), dict...), src...)
-	base := len(dict)
-	hash := func(pos int) uint32 { return hash4(binary.LittleEndian.Uint32(all[pos:])) }
-	var table [hashSize]int32
-	for p := 0; p+minMatch <= base; p++ {
-		table[hash(p)] = int32(p) + 1
-	}
-	litStart := base
-	i := base
-	limit := len(all) - minMatch
-	for i <= limit {
-		h := hash(i)
-		cand := int(table[h]) - 1
-		table[h] = int32(i) + 1
-		if cand < 0 || !bytes.Equal(all[cand:cand+minMatch], all[i:i+minMatch]) {
-			i++
-			continue
-		}
-		mlen := minMatch
-		for i+mlen < len(all) && all[cand+mlen] == all[i+mlen] {
-			mlen++
-		}
-		if litStart < i {
-			dst = refEmitLiteral(dst, all[litStart:i])
-		}
-		dst = refEmitCopy(dst, i-cand, mlen)
-		end := i + mlen
-		for j := i + 1; j < end-minMatch && j <= limit; j += 4 {
-			table[hash(j)] = int32(j) + 1
-		}
-		i = end
-		litStart = end
-	}
-	if litStart < len(all) {
-		dst = refEmitLiteral(dst, all[litStart:])
-	}
-	return dst
 }
 
 // refDecodeTags decodes block into all[o:], one byte per step, with all[:o]

@@ -19,11 +19,14 @@ import (
 // format: batches large enough to be cut into several blocks, every block but
 // a segment's first compressed behind that segment's dictionary. golden_pr46
 // is the same format cut where the writer cuts now, before the frame that
-// would take a block past blockTarget rather than behind it.
+// would take a block past blockTarget rather than behind it. golden_pr54 is
+// the same format and the same cuts, its blocks parsed by the block
+// encoder's 5-byte hash: other copies, the same tags.
 const (
 	goldenPR18 = "testdata/golden_pr18"
 	goldenPR29 = "testdata/golden_pr29"
-	goldenDir  = "testdata/golden_pr46"
+	goldenPR46 = "testdata/golden_pr46"
+	goldenDir  = "testdata/golden_pr54"
 )
 
 func goldenOptions(dir, golden string) Options {
@@ -156,7 +159,7 @@ func TestGoldenSegmentsByteIdentical(t *testing.T) {
 // TestGoldenSegmentsOpen: files an earlier format's store wrote, and this
 // one's, replay, serve every record and keep accepting writes.
 func TestGoldenSegmentsOpen(t *testing.T) {
-	for _, golden := range []string{goldenPR18, goldenPR29, goldenDir} {
+	for _, golden := range []string{goldenPR18, goldenPR29, goldenPR46, goldenDir} {
 		t.Run(filepath.Base(golden), func(t *testing.T) {
 			dir := t.TempDir()
 			files, _ := filepath.Glob(filepath.Join(golden, "seg-*.log"))

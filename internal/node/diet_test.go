@@ -134,8 +134,9 @@ func TestReplicatedInsertAllocBudget(t *testing.T) {
 // (commit 45008b0, PR 18), every block self-contained; golden_pr29 in the
 // store's format since, blocks behind a per-segment dictionary; golden_pr46 in
 // the same format, its batches cut before the frame that would take a block
-// past the target rather than behind it.
-var goldenNodeDirs = []string{"testdata/golden_pr18", "testdata/golden_pr29", "testdata/golden_pr46"}
+// past the target rather than behind it; golden_pr54 in the same format, its
+// blocks parsed by the block encoder's 5-byte hash.
+var goldenNodeDirs = []string{"testdata/golden_pr18", "testdata/golden_pr29", "testdata/golden_pr46", "testdata/golden_pr54"}
 
 func goldenNodeOptions(dir string) Options {
 	return Options{Dir: dir, BlockCompression: true, BlockSize: 4 << 10, SegmentSize: 32 << 10}
