@@ -2,6 +2,7 @@ package blockcomp
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -400,6 +401,27 @@ func BenchmarkEncodeDictText(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		blk := blocks[1+i/8%32]
 		benchSink = AppendEncodeDict(dst, blk[i%8*4<<10:][:4<<10], dict)
+	}
+}
+
+// BenchmarkAppendEncodeDict encodes blocks of three sizes behind a 32 KiB
+// dictionary. Each block starts from a copy of the dictionary's whole hash
+// table (32 KiB) whatever its size, so the 16-byte block is about that copy
+// alone, and its time over the 4 KiB block's is the copy's share of what the
+// store pays to seal a block.
+func BenchmarkAppendEncodeDict(b *testing.B) {
+	blocks := textBlocks(b, 33, 32<<10)
+	dict := NewDict(blocks[0])
+	for _, size := range []int{16, 1 << 10, 4 << 10} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			dst := make([]byte, 0, MaxEncodedLen(size))
+			per := (32 << 10) / size
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				blk := blocks[1+i/per%32]
+				benchSink = AppendEncodeDict(dst, blk[i%per*size:][:size], dict)
+			}
+		})
 	}
 }
 

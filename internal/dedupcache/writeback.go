@@ -122,7 +122,9 @@ func (c *WritebackCache) Pending(id uint64) bool {
 }
 
 // DrainBest removes and returns up to n pending write-backs, most valuable
-// first. The idle-flush loop calls it when the I/O queue is short.
+// first. The idle-flush loop calls it when the I/O queue is short. Saving
+// decides which write-backs a batch holds, not the order they are applied in:
+// the caller orders the batch (the node applies it chain by chain).
 func (c *WritebackCache) DrainBest(n int) []Writeback {
 	c.mu.Lock()
 	defer c.mu.Unlock()

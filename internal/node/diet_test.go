@@ -135,8 +135,10 @@ func TestReplicatedInsertAllocBudget(t *testing.T) {
 // store's format since, blocks behind a per-segment dictionary; golden_pr46 in
 // the same format, its batches cut before the frame that would take a block
 // past the target rather than behind it; golden_pr54 in the same format, its
-// blocks parsed by the block encoder's 5-byte hash.
-var goldenNodeDirs = []string{"testdata/golden_pr18", "testdata/golden_pr29", "testdata/golden_pr46", "testdata/golden_pr54"}
+// blocks parsed by the block encoder's 5-byte hash; golden_pr55 in the same
+// format, its write-backs applied chain by chain, so the frames of the
+// re-encoded records come in another order.
+var goldenNodeDirs = []string{"testdata/golden_pr18", "testdata/golden_pr29", "testdata/golden_pr46", "testdata/golden_pr54", "testdata/golden_pr55"}
 
 func goldenNodeOptions(dir string) Options {
 	return Options{Dir: dir, BlockCompression: true, BlockSize: 4 << 10, SegmentSize: 32 << 10}

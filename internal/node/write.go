@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
 	"dbdedup/internal/admission"
@@ -469,7 +471,11 @@ func decodeWritebackPayload(p []byte) (base, seq uint64, deltaBytes []byte, err 
 }
 
 // FlushWritebacks applies up to max pending write-backs (all of them when
-// max < 0), returning how many were applied.
+// max < 0), returning how many were applied. The cache picks the batch by
+// saving, and the batch is applied chain by chain (chainOrder): a chain's
+// deltas land as neighbouring frames, so an old revision's hops are read from
+// one or two blocks, and each rebase's proof decodes a base this flush has not
+// re-encoded yet.
 func (n *Node) FlushWritebacks(max int) int {
 	if n.wb == nil {
 		return 0
@@ -477,13 +483,82 @@ func (n *Node) FlushWritebacks(max int) int {
 	if max < 0 {
 		max = n.wb.Len()
 	}
+	batch := n.wb.DrainBest(max)
+	links := make([]wbLink, len(batch))
+	for i, wb := range batch {
+		base, _, _, err := decodeWritebackPayload(wb.Payload)
+		if err != nil {
+			base = wb.ID // applyWriteback skips it; a self-base orders it alone
+		}
+		links[i] = wbLink{id: wb.ID, base: base}
+	}
 	applied := 0
-	for _, wb := range n.wb.DrainBest(max) {
-		if n.applyWriteback(wb.ID, wb.Payload) {
+	for _, i := range chainOrder(links) {
+		if n.applyWriteback(batch[i].ID, batch[i].Payload) {
 			applied++
 		}
 	}
 	return applied
+}
+
+// wbLink is one write-back of a batch as chainOrder sees it: record id is to
+// decode from record base.
+type wbLink struct{ id, base uint64 }
+
+// chainOrder returns the order in which to apply a batch of write-backs, as
+// indices into links. A write-back's chain is found by following base links
+// through the batch's own write-backs up to the first base that has none in
+// the batch, the chain's root. Chains go in their roots' ID order and, within
+// a chain, write-backs go in ascending record ID, oldest first. Links are
+// data: a walk that meets a record it passed (a cycle, a self-base) ends
+// there, and the cycle's smallest ID stands for its root, which no real root
+// can be, as a real root has no write-back in the batch. An ID listed twice
+// keeps its last base, and its entries keep their batch order.
+func chainOrder(links []wbLink) []int {
+	base := make(map[uint64]uint64, len(links))
+	for _, l := range links {
+		base[l.id] = l.base
+	}
+	root := make(map[uint64]uint64, len(base))
+	onWalk := make(map[uint64]int, len(base)) // position in this walk's path
+	var path []uint64
+	for _, l := range links {
+		path = path[:0]
+		var r uint64
+		for id := l.id; ; {
+			if known, ok := root[id]; ok {
+				r = known
+				break
+			}
+			b, ok := base[id]
+			if !ok {
+				r = id
+				break
+			}
+			if at, ok := onWalk[id]; ok {
+				r = slices.Min(path[at:])
+				break
+			}
+			onWalk[id] = len(path)
+			path = append(path, id)
+			id = b
+		}
+		for _, id := range path {
+			root[id] = r
+		}
+	}
+	order := make([]int, len(links))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		la, lb := links[order[a]], links[order[b]]
+		if ra, rb := root[la.id], root[lb.id]; ra != rb {
+			return ra < rb
+		}
+		return la.id < lb.id
+	})
+	return order
 }
 
 // PendingWritebacks returns the size of the write-back backlog.
