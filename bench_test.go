@@ -31,7 +31,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 				n, err := node.Open(node.Options{
 					SyncEncode: true, DisableAutoFlush: true,
 					Engine: core.Config{
-						GovernorWindow: 1 << 30, DisableSizeFilter: true,
+						GovernorWindow: 1 << 30,
 						SampleRandomly: mode.random,
 					},
 				})

@@ -110,8 +110,8 @@ func main() {
 				if d.Disabled {
 					status = "disabled by governor"
 				}
-				fmt.Printf("%s: %s; window %d inserts, ratio %.2fx; size cutoff %d B; index %s; %d chains\n",
-					d.Name, status, d.WindowInserts, d.WindowRatio(), d.SizeThreshold,
+				fmt.Printf("%s: %s; window %d inserts, ratio %.2fx; index %s; %d chains\n",
+					d.Name, status, d.WindowInserts, d.WindowRatio(),
 					metrics.FormatBytes(d.IndexMemoryBytes), d.Chains)
 			}
 		}
@@ -135,7 +135,8 @@ func main() {
 			fmt.Printf("network ratio:      %.2fx\n", metrics.Ratio(st.RawInsertBytes, st.OplogBytes))
 			fmt.Printf("dedup hits:         %d\n", st.Engine.Deduped)
 			fmt.Printf("index memory:       %s\n", metrics.FormatBytes(st.Engine.IndexMemoryBytes))
-			fmt.Printf("writebacks applied: %d (skipped %d)\n", st.WritebacksApplied, st.WritebacksSkipped)
+			fmt.Printf("writebacks applied: %d (skipped %d, dropped %d, pending %d)\n",
+				st.WritebacksApplied, st.WritebacksSkipped, st.WritebacksDropped, st.WritebacksPending)
 		}
 	case "ring":
 		for _, m := range members {

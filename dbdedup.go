@@ -12,8 +12,8 @@
 // and reads of current data pay no decode cost. Hop encoding bounds the
 // decode cost of deep version history to O(H·log_H N), a lossy write-back
 // cache keeps the extra writes off the foreground path, and a per-database
-// governor plus an adaptive size filter turn the machinery off where it
-// cannot pay for itself.
+// governor plus a size floor turn the machinery off where it cannot pay for
+// itself.
 //
 // Quick start:
 //
@@ -88,8 +88,6 @@ type Options struct {
 	// HopDistance is H for hop encoding / version jumping (default 16).
 	HopDistance int
 
-	// DisableSizeFilter switches off the adaptive record-size filter.
-	DisableSizeFilter bool
 	// GovernorWindow overrides how many inserts the governor observes
 	// before judging a database (default 100000).
 	GovernorWindow int
@@ -112,11 +110,10 @@ func (o Options) nodeOptions() (node.Options, error) {
 		DisableDedup:     o.DisableDedup,
 		BlockCompression: o.BlockCompression,
 		Engine: core.Config{
-			ChunkAvgSize:      o.ChunkSize,
-			Scheme:            o.Scheme.internal(),
-			HopDistance:       o.HopDistance,
-			DisableSizeFilter: o.DisableSizeFilter,
-			GovernorWindow:    o.GovernorWindow,
+			ChunkAvgSize:   o.ChunkSize,
+			Scheme:         o.Scheme.internal(),
+			HopDistance:    o.HopDistance,
+			GovernorWindow: o.GovernorWindow,
 		},
 		SyncEncode:       o.SyncEncode,
 		DisableAutoFlush: o.ManualFlush,
@@ -326,8 +323,6 @@ type DBStats struct {
 	// window (inserts seen, compression achieved).
 	WindowInserts int
 	WindowRatio   float64
-	// SizeThresholdBytes is the adaptive size filter's current cut-off.
-	SizeThresholdBytes int
 	// IndexMemoryBytes is this database's feature-index footprint.
 	IndexMemoryBytes int64
 	// Chains is the number of live similarity chains tracked.
@@ -342,14 +337,13 @@ func (s *Store) DBStats() []DBStats {
 	var out []DBStats
 	for _, d := range s.n.DBStats() {
 		out = append(out, DBStats{
-			Name:               d.Name,
-			GovernorDisabled:   d.Disabled,
-			WindowInserts:      d.WindowInserts,
-			WindowRatio:        d.WindowRatio(),
-			SizeThresholdBytes: d.SizeThreshold,
-			IndexMemoryBytes:   d.IndexMemoryBytes,
-			Chains:             d.Chains,
-			StoredBytes:        d.StoredBytes,
+			Name:             d.Name,
+			GovernorDisabled: d.Disabled,
+			WindowInserts:    d.WindowInserts,
+			WindowRatio:      d.WindowRatio(),
+			IndexMemoryBytes: d.IndexMemoryBytes,
+			Chains:           d.Chains,
+			StoredBytes:      d.StoredBytes,
 		})
 	}
 	return out

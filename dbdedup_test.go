@@ -133,7 +133,7 @@ func TestDisableDedupBaseline(t *testing.T) {
 
 func TestSchemeSelection(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeHop, SchemeBackward, SchemeVersionJump} {
-		s := testStore(t, Options{Scheme: scheme, HopDistance: 4, DisableSizeFilter: true})
+		s := testStore(t, Options{Scheme: scheme, HopDistance: 4})
 		rng := rand.New(rand.NewSource(4))
 		content := workload.RevisionText(rng, 4096)
 		var versions [][]byte

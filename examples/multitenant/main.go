@@ -1,6 +1,6 @@
 // Multitenant: one node hosting several databases with very different
 // dedup characteristics — the scenario the paper's dedup governor (§3.4.1)
-// and adaptive size filter (§3.4.2) exist for. A wiki-style database dedups
+// and size filter (§3.4.2) exist for. A wiki-style database dedups
 // superbly; a metrics database of random binary blobs cannot dedup at all.
 // The governor notices, switches dedup off for the blobs (freeing their
 // index partition), and the wiki keeps full service. The example also runs

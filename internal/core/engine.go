@@ -112,24 +112,18 @@ type Config struct {
 	// observes before it decides (default 100000). Experiments that want
 	// no governor set a window the run never fills (1<<30).
 	GovernorWindow int
-
-	// Size filter settings (§3.4.2).
-	DisableSizeFilter bool
 }
 
 const (
-	// minDedupRecordBytes is the floor below which records always bypass
-	// dedup regardless of the adaptive filter.
+	// minDedupRecordBytes is the size filter (§3.4.2): a smaller record
+	// bypasses dedup. The paper skips the smallest 40 % of records instead,
+	// because Fig. 7 finds 5–10 % of the savings there; but a share of the
+	// savings is not a share of the stored bytes, and below this floor a
+	// record holds too few anchors and chunks to find a source.
 	minDedupRecordBytes = 64
 	// governorThreshold is the compression ratio below which the governor
 	// disables dedup for a database (§3.4.1).
 	governorThreshold = 1.1
-	// filterPercentile is the record-size percentile used as the dedup
-	// cut-off (§3.4.2): skip the smallest 40%.
-	filterPercentile = 0.40
-	// filterUpdateEvery is how many inserts the size filter sees between
-	// re-estimates of its cut-off.
-	filterUpdateEvery = 1000
 )
 
 func (c Config) withDefaults() Config {
@@ -290,9 +284,6 @@ type dbState struct {
 	rawBytes  int64
 	codeBytes int64 // bytes after encoding decisions (forward deltas + raw)
 
-	sizeRing  []int // recent record sizes for the filter
-	threshold int   // current size cut-off
-
 	chains map[uint64]*chainState // head record ID -> chain
 }
 
@@ -376,9 +367,8 @@ func (e *Engine) db(name string) *dbState {
 		return st
 	}
 	st = &dbState{
-		index:    e.newIndexPartition(),
-		sizeRing: make([]int, 0, filterUpdateEvery),
-		chains:   make(map[uint64]*chainState),
+		index:  e.newIndexPartition(),
+		chains: make(map[uint64]*chainState),
 	}
 	e.dbs[name] = st
 	return st
@@ -416,7 +406,7 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 	e.stats.rawBytes.Add(int64(len(payload)))
 
 	// Cheap policy gate under the database lock: governor verdict and
-	// adaptive size filter.
+	// size filter.
 	st.mu.Lock()
 	st.inserts++
 	st.rawBytes += int64(len(payload))
@@ -426,7 +416,7 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 		e.stats.governorSkipped.Add(1)
 		return Result{GovernorDisabled: true}, nil
 	}
-	if e.sizeFilterLocked(st, len(payload)) {
+	if len(payload) < minDedupRecordBytes {
 		st.codeBytes += int64(len(payload))
 		e.governorTickLocked(st)
 		st.mu.Unlock()
@@ -487,10 +477,11 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 	// databases.
 	t = time.Now()
 	var srcContent []byte
+	var srcAnchors delta.Anchors
 	cached := false
 	if e.cache != nil {
-		if c, ok := e.cache.Get(srcID); ok {
-			srcContent = c
+		if c, a, ok := e.cache.GetAnchored(srcID); ok {
+			srcContent, srcAnchors = c, a
 			cached = true
 			e.stats.sourceCacheHits.Add(1)
 		}
@@ -506,8 +497,10 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 	e.enc.ObserveStage(metrics.StageSource, time.Since(t))
 
 	// Step 4: two-way delta compression — the dominant CPU cost, lock-free.
+	// A cached head's anchor list spares the encode its source roll, and the
+	// encode lists the new record's anchors for when it is the source.
 	t = time.Now()
-	fwd := delta.Compress(srcContent, payload, delta.Options{AnchorInterval: e.cfg.AnchorInterval})
+	fwd, anchors := delta.CompressAnchored(srcContent, srcAnchors, payload, delta.Options{AnchorInterval: e.cfg.AnchorInterval})
 	if fwd.EncodedSize() >= len(payload) {
 		e.enc.ObserveStage(metrics.StageDelta, time.Since(t))
 		// The "similar" record was a false friend; store raw.
@@ -519,7 +512,7 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 		e.stats.notWorthEncoding.Add(1)
 		return Result{}, nil
 	}
-	res := e.encodeAgainst(st, id, payload, srcID, srcContent, fwd, t)
+	res := e.encodeAgainst(st, id, payload, anchors, srcID, srcContent, fwd, t)
 	res.SourceCached = cached
 	e.stats.forwardBytes.Add(int64(fwd.EncodedSize()))
 	st.mu.Lock()
@@ -542,15 +535,16 @@ func (e *Engine) EncodeAsReplica(dbName string, id uint64, payload []byte, srcID
 	st.inserts++
 	st.mu.Unlock()
 
-	return e.encodeAgainst(st, id, payload, srcID, srcContent, fwd, time.Now())
+	return e.encodeAgainst(st, id, payload, nil, srcID, srcContent, fwd, time.Now())
 }
 
 // encodeAgainst is what the primary and the replica do once id's source and
 // forward delta are known: derive the backward delta that rewrites the
 // source, advance the chain, compute the hop-base rewrites the layout asks
-// for, and move the chain head in the source cache. deltaStart is when the
-// caller's delta stage began, so the stage is observed once per record.
-func (e *Engine) encodeAgainst(st *dbState, id uint64, payload []byte, srcID uint64, srcContent []byte, fwd delta.Delta, deltaStart time.Time) Result {
+// for, and move the chain head in the source cache. anchors is payload's
+// anchor list, nil when the caller has none. deltaStart is when the caller's
+// delta stage began, so the stage is observed once per record.
+func (e *Engine) encodeAgainst(st *dbState, id uint64, payload []byte, anchors delta.Anchors, srcID uint64, srcContent []byte, fwd delta.Delta, deltaStart time.Time) Result {
 	bwd := delta.Reencode(srcContent, payload, fwd)
 	e.enc.ObserveStage(metrics.StageDelta, time.Since(deltaStart))
 	res := Result{
@@ -571,9 +565,9 @@ func (e *Engine) encodeAgainst(st *dbState, id uint64, payload []byte, srcID uin
 	st.mu.Lock()
 	hops, advanced := e.appendToChainLocked(st, srcID, id, payload, &res)
 	st.mu.Unlock()
-	e.emitHopWritebacks(hops, id, payload, &res)
+	e.emitHopWritebacks(hops, id, payload, anchors, &res)
 	if advanced && e.cache != nil {
-		e.cache.Replace(srcID, id, payload)
+		e.cache.Replace(srcID, id, payload, anchors)
 	}
 	e.enc.ObserveStage(metrics.StageChain, time.Since(t))
 	e.stats.deduped.Add(1)
@@ -748,11 +742,12 @@ func (e *Engine) stageHopWriteback(baseID, newID uint64, res *Result, staged []h
 }
 
 // emitHopWritebacks computes the staged hop-base re-encodings against the
-// new record and appends them to res. Failures to obtain a base content
-// (e.g. it was evicted everywhere) just skip that write-back — a pure
-// compression loss, never a correctness problem. Runs without any engine
-// lock held; the source cache and the fetcher synchronise themselves.
-func (e *Engine) emitHopWritebacks(hops []hopJob, newID uint64, newContent []byte, res *Result) {
+// new record, whose anchor list (nil for none) indexes it, and appends them
+// to res. Failures to obtain a base content (e.g. it was evicted everywhere)
+// just skip that write-back — a pure compression loss, never a correctness
+// problem. Runs without any engine lock held; the source cache and the
+// fetcher synchronise themselves.
+func (e *Engine) emitHopWritebacks(hops []hopJob, newID uint64, newContent []byte, newAnchors delta.Anchors, res *Result) {
 	for _, job := range hops {
 		var baseContent []byte
 		if e.cache != nil {
@@ -770,7 +765,7 @@ func (e *Engine) emitHopWritebacks(hops []hopJob, newID uint64, newContent []byt
 		if baseContent == nil {
 			continue
 		}
-		d := delta.Compress(newContent, baseContent, delta.Options{AnchorInterval: e.cfg.AnchorInterval})
+		d, _ := delta.CompressAnchored(newContent, newAnchors, baseContent, delta.Options{AnchorInterval: e.cfg.AnchorInterval})
 		if d.EncodedSize() >= len(baseContent) {
 			continue
 		}
@@ -781,25 +776,6 @@ func (e *Engine) emitHopWritebacks(hops []hopJob, newID uint64, newContent []byt
 			EstimatedSaving: int64(len(baseContent) - d.EncodedSize()),
 		})
 	}
-}
-
-// sizeFilterLocked reports whether a record of size n should bypass dedup,
-// and feeds the adaptive threshold estimator. Caller holds st.mu.
-func (e *Engine) sizeFilterLocked(st *dbState, n int) bool {
-	if e.cfg.DisableSizeFilter {
-		return n < minDedupRecordBytes
-	}
-	st.sizeRing = append(st.sizeRing, n)
-	if len(st.sizeRing) >= filterUpdateEvery {
-		sorted := append([]int(nil), st.sizeRing...)
-		sort.Ints(sorted)
-		st.threshold = sorted[int(float64(len(sorted))*filterPercentile)]
-		st.sizeRing = st.sizeRing[:0]
-	}
-	if n < minDedupRecordBytes {
-		return true
-	}
-	return st.threshold > 0 && n < st.threshold
 }
 
 // governorTickLocked updates the per-database governor after an insert.
@@ -845,8 +821,6 @@ type DBStats struct {
 	WindowInserts      int
 	WindowRawBytes     int64
 	WindowEncodedBytes int64
-	// SizeThreshold is the adaptive size filter's current cut-off.
-	SizeThreshold int
 	// IndexMemoryBytes is this partition's feature-index footprint.
 	IndexMemoryBytes int64
 	// Chains is the number of live similarity chains tracked.
@@ -895,7 +869,6 @@ func (e *Engine) DBStats() []DBStats {
 			WindowInserts:      st.inserts,
 			WindowRawBytes:     st.rawBytes,
 			WindowEncodedBytes: st.codeBytes,
-			SizeThreshold:      st.threshold,
 			Chains:             len(st.chains),
 		}
 		if st.index != nil {

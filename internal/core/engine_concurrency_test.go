@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"dbdedup/internal/chain"
+	"dbdedup/internal/delta"
 	"dbdedup/internal/workload"
 )
 
@@ -51,10 +53,9 @@ func TestConcurrentEncodeAcrossDatabases(t *testing.T) {
 	)
 	f := &syncFetcher{contents: make(map[uint64][]byte)}
 	e := NewEngine(Config{
-		Scheme:            chain.Hop,
-		HopDistance:       4,
-		DisableSizeFilter: true,
-		GovernorWindow:    1 << 30,
+		Scheme:         chain.Hop,
+		HopDistance:    4,
+		GovernorWindow: 1 << 30,
 	}, f)
 
 	var wg, readerWG sync.WaitGroup
@@ -172,8 +173,7 @@ func TestConcurrentSameDatabaseEncodesAreMemorySafe(t *testing.T) {
 	)
 	f := &syncFetcher{contents: make(map[uint64][]byte)}
 	e := NewEngine(Config{
-		DisableSizeFilter: true,
-		GovernorWindow:    1 << 30,
+		GovernorWindow: 1 << 30,
 	}, f)
 
 	rng := rand.New(rand.NewSource(42))
@@ -218,8 +218,7 @@ func TestConcurrentGovernorDisable(t *testing.T) {
 	const workers = 4
 	f := &syncFetcher{contents: make(map[uint64][]byte)}
 	e := NewEngine(Config{
-		GovernorWindow:    50,
-		DisableSizeFilter: true,
+		GovernorWindow: 50,
 	}, f)
 
 	var wg sync.WaitGroup
@@ -252,5 +251,91 @@ func TestConcurrentGovernorDisable(t *testing.T) {
 	}
 	if !res.GovernorDisabled {
 		t.Error("post-verdict insert not marked GovernorDisabled")
+	}
+}
+
+// TestAnchorListsUnderConcurrentEncodes runs the source cache's anchor lists
+// under contention: four goroutines extend revision chains, two of them in one
+// database, while a reader peeks at chain heads as client reads do; the hop
+// write-backs index new heads by their lists too. Every forward delta and
+// every hop write-back's delta must be Compress's bytes for the same pair,
+// and resident heads must carry lists.
+func TestAnchorListsUnderConcurrentEncodes(t *testing.T) {
+	const (
+		writers  = 4
+		versions = 40
+	)
+	f := &syncFetcher{contents: make(map[uint64][]byte)}
+	e := NewEngine(Config{Scheme: chain.Hop, HopDistance: 4, GovernorWindow: 1 << 30}, f)
+	cache := e.SourceCache()
+
+	var wg, readerWG sync.WaitGroup
+	stop := make(chan struct{})
+	readerWG.Add(1)
+	go func() {
+		defer readerWG.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			id := uint64(i%writers+1)<<32 | uint64(i%versions)
+			if data, ok := cache.Peek(id); ok && len(data) == 0 {
+				t.Error("peeked an empty head")
+				return
+			}
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(300 + w)))
+			db := fmt.Sprintf("db%d", w/2*2) // writers 0 and 1 share a database, 2 and 3 too
+			content := workload.RevisionText(rng, 4096)
+			for v := 0; v < versions; v++ {
+				id := uint64(w+1)<<32 | uint64(v)
+				f.put(id, content)
+				res, err := e.Encode(db, id, content)
+				if err != nil {
+					t.Errorf("%s encode %d: %v", db, v, err)
+					return
+				}
+				if res.Deduped {
+					src, _ := f.FetchDecoded(res.SourceID)
+					if want := delta.Compress(src, content, delta.Options{}); !bytes.Equal(res.Forward.Marshal(), want.Marshal()) {
+						t.Errorf("%s v%d: forward delta differs from Compress's", db, v)
+						return
+					}
+					for _, wb := range res.Writebacks {
+						if wb.ID == res.SourceID {
+							continue // the backward delta, Reencode's
+						}
+						base, _ := f.FetchDecoded(wb.ID)
+						if want := delta.Compress(content, base, delta.Options{}); !bytes.Equal(wb.Delta.Marshal(), want.Marshal()) {
+							t.Errorf("%s v%d: write-back of %#x differs from Compress's", db, v, wb.ID)
+							return
+						}
+					}
+				}
+				content = workload.Revise(rng, content, 2, 50+rng.Intn(100))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	readerWG.Wait()
+
+	listed := 0
+	for w := 0; w < writers; w++ {
+		for v := 0; v < versions; v++ {
+			if _, anchors, ok := cache.GetAnchored(uint64(w+1)<<32 | uint64(v)); ok && anchors != nil {
+				listed++
+			}
+		}
+	}
+	if listed == 0 {
+		t.Error("no resident head carries an anchor list")
 	}
 }

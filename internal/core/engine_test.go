@@ -96,7 +96,7 @@ func TestSimilarRecordDeduped(t *testing.T) {
 }
 
 func TestVersionChainUsesCache(t *testing.T) {
-	e, f := newTestEngine(Config{DisableSizeFilter: true})
+	e, f := newTestEngine(Config{})
 	rng := rand.New(rand.NewSource(3))
 	content := workload.RevisionText(rng, 8192)
 	for id := uint64(1); id <= 20; id++ {
@@ -126,7 +126,7 @@ func TestVersionChainUsesCache(t *testing.T) {
 }
 
 func TestHopWritebacksAtHopPositions(t *testing.T) {
-	e, f := newTestEngine(Config{Scheme: chain.Hop, HopDistance: 4, DisableSizeFilter: true})
+	e, f := newTestEngine(Config{Scheme: chain.Hop, HopDistance: 4})
 	rng := rand.New(rand.NewSource(4))
 	content := workload.RevisionText(rng, 4096)
 	var hopWBs []int // positions where extra write-backs appeared
@@ -162,7 +162,7 @@ func TestHopWritebacksAtHopPositions(t *testing.T) {
 }
 
 func TestVersionJumpReferenceVersionsStayRaw(t *testing.T) {
-	e, f := newTestEngine(Config{Scheme: chain.VersionJump, HopDistance: 4, DisableSizeFilter: true})
+	e, f := newTestEngine(Config{Scheme: chain.VersionJump, HopDistance: 4})
 	rng := rand.New(rand.NewSource(5))
 	content := workload.RevisionText(rng, 4096)
 	var noWB []int
@@ -189,13 +189,14 @@ func TestVersionJumpReferenceVersionsStayRaw(t *testing.T) {
 	}
 }
 
+// TestSizeFilterSkipsSmallRecords: after a thousand records, 30 % small and
+// 70 % large (the mix in which the paper's 40th-percentile cut-off would land
+// between the modes), only a record under the 64 B floor bypasses dedup.
 func TestSizeFilterSkipsSmallRecords(t *testing.T) {
 	e, f := newTestEngine(Config{})
 	rng := rand.New(rand.NewSource(6))
-	// Feed one estimation window of records, 30% small / 70% large, so the
-	// 40th-percentile cut-off lands between the modes.
 	id := uint64(1)
-	for i := 0; i < filterUpdateEvery; i++ {
+	for i := 0; i < 1000; i++ {
 		n := 100
 		if i%10 >= 3 {
 			n = 4000
@@ -206,27 +207,20 @@ func TestSizeFilterSkipsSmallRecords(t *testing.T) {
 		}
 		id++
 	}
-	if th := dbStats(e, "db").SizeThreshold; th <= 100 || th > 4000 {
-		t.Fatalf("trained threshold = %d, want within (100, 4000]", th)
-	}
-	res, err := e.Encode("db", id, workload.RevisionText(rng, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.FilteredBySize {
-		t.Error("small record not filtered")
-	}
-	res, err = e.Encode("db", id+1, workload.RevisionText(rng, 4000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FilteredBySize {
-		t.Error("large record filtered")
+	for _, n := range []int{minDedupRecordBytes - 1, 100, 4000} {
+		res, err := e.Encode("db", id, workload.RevisionText(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id++
+		if want := n < minDedupRecordBytes; res.FilteredBySize != want {
+			t.Errorf("record of %d B: filtered %v, want %v", n, res.FilteredBySize, want)
+		}
 	}
 }
 
 func TestGovernorDisablesUndedupableDB(t *testing.T) {
-	e, _ := newTestEngine(Config{GovernorWindow: 200, DisableSizeFilter: true})
+	e, _ := newTestEngine(Config{GovernorWindow: 200})
 	rng := rand.New(rand.NewSource(7))
 	// Incompressible, unrelated records: dedup yields nothing.
 	for id := uint64(1); id <= 250; id++ {
@@ -254,7 +248,7 @@ func TestGovernorDisablesUndedupableDB(t *testing.T) {
 }
 
 func TestGovernorKeepsDedupableDB(t *testing.T) {
-	e, f := newTestEngine(Config{GovernorWindow: 100, DisableSizeFilter: true})
+	e, f := newTestEngine(Config{GovernorWindow: 100})
 	rng := rand.New(rand.NewSource(8))
 	content := workload.RevisionText(rng, 4096)
 	for id := uint64(1); id <= 300; id++ {
@@ -272,8 +266,8 @@ func TestGovernorKeepsDedupableDB(t *testing.T) {
 func TestReplicaMirrorsPrimary(t *testing.T) {
 	// The secondary, given the primary's source choice and forward delta,
 	// must derive the same write-backs.
-	pe, pf := newTestEngine(Config{Scheme: chain.Hop, HopDistance: 4, DisableSizeFilter: true})
-	re, rf := newTestEngine(Config{Scheme: chain.Hop, HopDistance: 4, DisableSizeFilter: true})
+	pe, pf := newTestEngine(Config{Scheme: chain.Hop, HopDistance: 4})
+	re, rf := newTestEngine(Config{Scheme: chain.Hop, HopDistance: 4})
 
 	rng := rand.New(rand.NewSource(9))
 	content := workload.RevisionText(rng, 4096)
@@ -308,7 +302,7 @@ func TestReplicaMirrorsPrimary(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	e, f := newTestEngine(Config{SourceCacheBytes: -1, DisableSizeFilter: true})
+	e, f := newTestEngine(Config{SourceCacheBytes: -1})
 	rng := rand.New(rand.NewSource(10))
 	content := workload.RevisionText(rng, 4096)
 	f.contents[1] = content
@@ -333,7 +327,7 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestUnrelatedRecordsNotDeduped(t *testing.T) {
-	e, _ := newTestEngine(Config{DisableSizeFilter: true})
+	e, _ := newTestEngine(Config{})
 	rng := rand.New(rand.NewSource(11))
 	for id := uint64(1); id <= 20; id++ {
 		payload := make([]byte, 2048)
@@ -349,7 +343,7 @@ func TestUnrelatedRecordsNotDeduped(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	e, f := newTestEngine(Config{DisableSizeFilter: true})
+	e, f := newTestEngine(Config{})
 	rng := rand.New(rand.NewSource(12))
 	content := workload.RevisionText(rng, 4096)
 	for id := uint64(1); id <= 10; id++ {
@@ -370,7 +364,7 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 func BenchmarkEncodeVersioned(b *testing.B) {
-	e, f := newTestEngine(Config{DisableSizeFilter: true})
+	e, f := newTestEngine(Config{})
 	rng := rand.New(rand.NewSource(1))
 	content := workload.RevisionText(rng, 8192)
 	b.SetBytes(int64(len(content)))
@@ -386,7 +380,7 @@ func BenchmarkEncodeVersioned(b *testing.B) {
 }
 
 func TestDBStats(t *testing.T) {
-	e, f := newTestEngine(Config{DisableSizeFilter: true})
+	e, f := newTestEngine(Config{})
 	rng := rand.New(rand.NewSource(20))
 	content := workload.RevisionText(rng, 4096)
 	for id := uint64(1); id <= 10; id++ {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"dbdedup/internal/delta"
 )
 
 // TestSourceCacheConcurrentChurn hammers every SourceCache method from many
@@ -34,12 +36,12 @@ func TestSourceCacheConcurrentChurn(t *testing.T) {
 				case 0:
 					c.Put(id, buf[:512+rng.Intn(512)])
 				case 1:
-					c.Replace(id, uint64(rng.Intn(keys)), buf[:512])
+					c.Replace(id, uint64(rng.Intn(keys)), buf[:512], make(delta.Anchors, 8))
 				case 2:
 					c.Remove(id)
 				case 3:
-					if data, ok := c.Get(id); ok && len(data) == 0 {
-						t.Error("cached empty content")
+					if data, anchors, ok := c.GetAnchored(id); ok && (len(data) == 0 || len(anchors) != 0 && len(anchors) != 8) {
+						t.Error("cached empty content or a torn anchor list")
 						return
 					}
 				case 4:

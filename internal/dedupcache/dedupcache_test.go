@@ -3,8 +3,12 @@ package dedupcache
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
+
+	"dbdedup/internal/delta"
 )
 
 func TestSourceCacheBasic(t *testing.T) {
@@ -57,7 +61,7 @@ func TestSourceCacheLRUTouchOnGet(t *testing.T) {
 func TestSourceCacheReplace(t *testing.T) {
 	c := NewSourceCache(1024)
 	c.Put(1, []byte("old head"))
-	c.Replace(1, 2, []byte("new head"))
+	c.Replace(1, 2, []byte("new head"), nil)
 	if c.Contains(1) {
 		t.Error("old head still resident after Replace")
 	}
@@ -66,9 +70,35 @@ func TestSourceCacheReplace(t *testing.T) {
 		t.Errorf("Get(2) = %q,%v", got, ok)
 	}
 	// Replace with absent old ID just inserts.
-	c.Replace(99, 3, []byte("x"))
+	c.Replace(99, 3, []byte("x"), nil)
 	if !c.Contains(3) {
 		t.Error("Replace with absent oldID did not insert")
+	}
+}
+
+// TestSourceCacheKeepsAnchorLists: a head's anchor list comes back with its
+// content, counts 8 B an anchor against the bound, and goes when Put
+// refreshes the entry without one.
+func TestSourceCacheKeepsAnchorLists(t *testing.T) {
+	c := NewSourceCache(100)
+	anchors := make(delta.Anchors, 5)
+	anchors[2] = delta.Anchor{Key: 7, Off: 32}
+	c.Replace(0, 1, make([]byte, 40), anchors)
+	if c.Bytes() != 80 {
+		t.Fatalf("head of 40 B with 5 anchors counts %d bytes, want 80", c.Bytes())
+	}
+	data, got, ok := c.GetAnchored(1)
+	if !ok || len(data) != 40 || len(got) != 5 || got[2] != anchors[2] {
+		t.Fatalf("GetAnchored(1) = %d bytes, %v, %v", len(data), got, ok)
+	}
+	c.Put(2, make([]byte, 30)) // 110 bytes: the listed head is evicted
+	if c.Contains(1) || c.Bytes() != 30 {
+		t.Fatalf("after eviction: head resident %v, %d bytes", c.Contains(1), c.Bytes())
+	}
+	c.Replace(2, 3, make([]byte, 10), anchors)
+	c.Put(3, make([]byte, 10))
+	if _, got, _ := c.GetAnchored(3); got != nil || c.Bytes() != 10 {
+		t.Fatalf("Put kept the list: %v, %d bytes", got, c.Bytes())
 	}
 }
 
@@ -160,9 +190,8 @@ func TestWritebackReplaceSameRecord(t *testing.T) {
 	if string(got[0].Payload) != "newer" || got[0].Saving != 50 {
 		t.Fatalf("drained %+v, want the replacement", got[0])
 	}
-	_, replaced, _ := c.Stats()
-	if replaced != 1 {
-		t.Errorf("replaced counter = %d, want 1", replaced)
+	if st := c.Stats(); st.Replaced != 1 || st.Flushed != 1 || st.Pending != 0 {
+		t.Errorf("stats %+v, want 1 replaced, 1 flushed, none pending", st)
 	}
 }
 
@@ -184,9 +213,9 @@ func TestWritebackLossyEviction(t *testing.T) {
 			t.Errorf("valuable entry %d was evicted", id)
 		}
 	}
-	dropped, _, _ := c.Stats()
-	if dropped != 1 {
-		t.Errorf("dropped = %d, want 1", dropped)
+	st := c.Stats()
+	if st.Dropped != 1 || st.DroppedSaving != 50 || st.Pending != 3 || st.PendingBytes != 30 {
+		t.Errorf("stats %+v, want 1 dropped saving 50 B, 3 pending in 30 B", st)
 	}
 }
 
@@ -274,5 +303,66 @@ func BenchmarkWritebackAdd(b *testing.B) {
 	data := make([]byte, 128)
 	for i := 0; i < b.N; i++ {
 		c.Add(Writeback{ID: uint64(i & 8191), Payload: data, Saving: int64(i % 1000)})
+	}
+}
+
+// TestDrainBestMatchesFullSort drains backlogs of many sizes in batches of
+// many sizes, savings drawn from a small range so that most of them tie, and
+// holds every batch to the reference: the whole backlog sorted by saving,
+// descending, then ID, ascending, cut into the same batches.
+func TestDrainBestMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, pending := range []int{1, 2, 3, 10, 64, 65, 500, 2000} {
+		for _, batch := range []int{1, 2, 7, 64, 1000} {
+			c := NewWritebackCache(1 << 30)
+			ref := make([]Writeback, 0, pending)
+			for _, id := range rng.Perm(pending * 3)[:pending] {
+				wb := Writeback{ID: uint64(id), Payload: []byte{1}, Saving: int64(rng.Intn(8))}
+				c.Add(wb)
+				ref = append(ref, wb)
+			}
+			sort.Slice(ref, func(i, j int) bool {
+				if ref[i].Saving != ref[j].Saving {
+					return ref[i].Saving > ref[j].Saving
+				}
+				return ref[i].ID < ref[j].ID
+			})
+			for len(ref) > 0 {
+				got := c.DrainBest(batch)
+				want := ref[:min(batch, len(ref))]
+				ref = ref[len(want):]
+				if len(got) != len(want) {
+					t.Fatalf("%d pending, batch %d: drained %d, want %d", pending, batch, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].ID != want[i].ID || got[i].Saving != want[i].Saving {
+						t.Fatalf("%d pending, batch %d: entry %d is ID %d saving %d, want ID %d saving %d",
+							pending, batch, i, got[i].ID, got[i].Saving, want[i].ID, want[i].Saving)
+					}
+				}
+			}
+			if c.Len() != 0 {
+				t.Fatalf("%d pending, batch %d: %d left after the reference ran out", pending, batch, c.Len())
+			}
+		}
+	}
+}
+
+// BenchmarkDrainBest takes one 64-entry batch from a backlog of 20 000, the
+// idle flusher's tick on a node whose cache has filled, and adds the batch
+// back so that the backlog stays the same size; one op is one DrainBest and
+// its 64 Adds.
+func BenchmarkDrainBest(b *testing.B) {
+	c := NewWritebackCache(1 << 30)
+	rng := rand.New(rand.NewSource(1))
+	for id := 0; id < 20000; id++ {
+		c.Add(Writeback{ID: uint64(id), Payload: make([]byte, 64), Saving: int64(rng.Intn(4096))})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, wb := range c.DrainBest(64) {
+			c.Add(wb)
+		}
 	}
 }

@@ -8,6 +8,8 @@ package dedupcache
 import (
 	"container/list"
 	"sync"
+
+	"dbdedup/internal/delta"
 )
 
 // DefaultSourceCacheBytes is the paper's source record cache size (32 MiB).
@@ -38,8 +40,14 @@ type SourceCache struct {
 }
 
 type sourceItem struct {
-	id   uint64
-	data []byte
+	id      uint64
+	data    []byte
+	anchors delta.Anchors
+}
+
+// size is what an entry counts against the byte bound.
+func (it *sourceItem) size() int64 {
+	return int64(len(it.data)) + 8*int64(cap(it.anchors))
 }
 
 // NewSourceCache returns a cache bounded to capacity bytes of record
@@ -58,16 +66,24 @@ func NewSourceCache(capacity int64) *SourceCache {
 // Get returns the cached contents of record id. The returned slice is shared
 // with the cache and must not be modified.
 func (c *SourceCache) Get(id uint64) ([]byte, bool) {
+	data, _, ok := c.GetAnchored(id)
+	return data, ok
+}
+
+// GetAnchored is Get that also returns the record's anchor list, nil when
+// the entry has none. Both are shared with the cache.
+func (c *SourceCache) GetAnchored(id uint64) ([]byte, delta.Anchors, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[id]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil, nil, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*sourceItem).data, true
+	it := el.Value.(*sourceItem)
+	return it.data, it.anchors, true
 }
 
 // Peek returns the cached contents of record id as Get does, but leaves no
@@ -91,22 +107,23 @@ func (c *SourceCache) Contains(id uint64) bool {
 	return ok
 }
 
-// Put inserts or refreshes record id. Oversized records (bigger than the
-// whole cache) are ignored.
+// Put inserts or refreshes record id, with no anchor list. Oversized records
+// (bigger than the whole cache) are ignored.
 func (c *SourceCache) Put(id uint64, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.put(id, data)
+	c.put(&sourceItem{id: id, data: data})
 }
 
-// Replace atomically removes oldID and inserts newID — the chain-head
-// update: once a new version is encoded against the cached head, the head
-// is superseded and only the new version is useful as a future source.
-func (c *SourceCache) Replace(oldID, newID uint64, data []byte) {
+// Replace atomically removes oldID and inserts newID with its anchor list
+// (nil for none) — the chain-head update: once a new version is encoded
+// against the cached head, the head is superseded and only the new version
+// is useful as a future source.
+func (c *SourceCache) Replace(oldID, newID uint64, data []byte, anchors delta.Anchors) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.remove(oldID)
-	c.put(newID, data)
+	c.put(&sourceItem{id: newID, data: data, anchors: anchors})
 }
 
 // Remove drops record id if present.
@@ -123,7 +140,7 @@ func (c *SourceCache) Len() int {
 	return c.ll.Len()
 }
 
-// Bytes returns the resident payload size.
+// Bytes returns the resident payload size, anchor lists included.
 func (c *SourceCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -137,19 +154,17 @@ func (c *SourceCache) Stats() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
-func (c *SourceCache) put(id uint64, data []byte) {
-	if int64(len(data)) > c.capacity {
+func (c *SourceCache) put(it *sourceItem) {
+	if it.size() > c.capacity {
 		return
 	}
-	if el, ok := c.items[id]; ok {
-		it := el.Value.(*sourceItem)
-		c.bytes += int64(len(data)) - int64(len(it.data))
-		it.data = data
+	if el, ok := c.items[it.id]; ok {
+		c.bytes += it.size() - el.Value.(*sourceItem).size()
+		el.Value = it
 		c.ll.MoveToFront(el)
 	} else {
-		el := c.ll.PushFront(&sourceItem{id: id, data: data})
-		c.items[id] = el
-		c.bytes += int64(len(data))
+		c.items[it.id] = c.ll.PushFront(it)
+		c.bytes += it.size()
 	}
 	for c.bytes > c.capacity {
 		oldest := c.ll.Back()
@@ -167,5 +182,5 @@ func (c *SourceCache) remove(id uint64) {
 	}
 	c.ll.Remove(el)
 	delete(c.items, id)
-	c.bytes -= int64(len(el.Value.(*sourceItem).data))
+	c.bytes -= el.Value.(*sourceItem).size()
 }

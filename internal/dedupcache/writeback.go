@@ -2,7 +2,7 @@ package dedupcache
 
 import (
 	"container/heap"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -40,9 +40,24 @@ type WritebackCache struct {
 	bytes    int64
 	entries  map[uint64]*wbEntry
 	min      wbHeap // min-heap by saving: cheapest entry evicted first
-	dropped  uint64
-	replaced uint64
-	flushed  uint64
+	stats    WritebackStats
+	scratch  []*wbEntry // DrainBest's copy of the backlog, kept for reuse
+}
+
+// WritebackStats is a write-back cache's lifetime counters and what it holds.
+type WritebackStats struct {
+	// Dropped counts write-backs discarded for capacity, never to be
+	// applied; DroppedSaving is the storage they would have saved, in bytes.
+	Dropped       uint64
+	DroppedSaving int64
+	// Replaced counts pending write-backs superseded by a newer one for the
+	// same record, and Flushed those DrainBest returned.
+	Replaced uint64
+	Flushed  uint64
+	// Pending and PendingBytes are the write-backs held now and their
+	// payload size.
+	Pending      int
+	PendingBytes int64
 }
 
 type wbEntry struct {
@@ -73,10 +88,11 @@ func (c *WritebackCache) Add(wb Writeback) bool {
 		c.bytes -= int64(len(old.wb.Payload))
 		heap.Remove(&c.min, old.idx)
 		delete(c.entries, wb.ID)
-		c.replaced++
+		c.stats.Replaced++
 	}
 	if int64(len(wb.Payload)) > c.capacity {
-		c.dropped++
+		c.stats.Dropped++
+		c.stats.DroppedSaving += wb.Saving
 		return false
 	}
 	e := &wbEntry{wb: wb}
@@ -89,7 +105,8 @@ func (c *WritebackCache) Add(wb Writeback) bool {
 		victim := heap.Pop(&c.min).(*wbEntry)
 		delete(c.entries, victim.wb.ID)
 		c.bytes -= int64(len(victim.wb.Payload))
-		c.dropped++
+		c.stats.Dropped++
+		c.stats.DroppedSaving += victim.wb.Saving
 		if victim == e {
 			survived = false
 		}
@@ -122,39 +139,89 @@ func (c *WritebackCache) Pending(id uint64) bool {
 }
 
 // DrainBest removes and returns up to n pending write-backs, most valuable
-// first. The idle-flush loop calls it when the I/O queue is short. Saving
-// decides which write-backs a batch holds, not the order they are applied in:
-// the caller orders the batch (the node applies it chain by chain).
+// first: by saving, descending, equal savings by ID, ascending, so the drain
+// order (and therefore the physical append stream) depends on the pending set
+// alone. The idle-flush loop calls it when the I/O queue is short.
+// Saving decides which write-backs a batch holds, not the order they are
+// applied in: the caller orders the batch (the node applies it chain by
+// chain). It selects the batch in time linear in the backlog and sorts only
+// the batch.
 func (c *WritebackCache) DrainBest(n int) []Writeback {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n <= 0 || len(c.entries) == 0 {
 		return nil
 	}
-	all := make([]*wbEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		all = append(all, e)
-	}
-	// Tie-break equal savings by ID so the drain order (and therefore the
-	// physical append stream) does not depend on map iteration order.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].wb.Saving != all[j].wb.Saving {
-			return all[i].wb.Saving > all[j].wb.Saving
-		}
-		return all[i].wb.ID < all[j].wb.ID
-	})
-	if n > len(all) {
+	// The heap's slice holds every entry; select from a copy of it.
+	all := append(c.scratch[:0], c.min...)
+	defer func() { c.scratch = all[:0]; clear(all) }()
+	if n < len(all) {
+		selectBest(all, n)
+	} else {
 		n = len(all)
 	}
+	best := all[:n]
+	slices.SortFunc(best, func(a, b *wbEntry) int {
+		if drainsBefore(a, b) {
+			return -1
+		}
+		return 1
+	})
 	out := make([]Writeback, 0, n)
-	for _, e := range all[:n] {
+	for _, e := range best {
 		heap.Remove(&c.min, e.idx)
 		delete(c.entries, e.wb.ID)
 		c.bytes -= int64(len(e.wb.Payload))
-		c.flushed++
+		c.stats.Flushed++
 		out = append(out, e.wb)
 	}
 	return out
+}
+
+// drainsBefore is DrainBest's order: the larger saving first, then the
+// smaller ID. IDs are unique, so no two entries tie.
+func drainsBefore(a, b *wbEntry) bool {
+	if a.wb.Saving != b.wb.Saving {
+		return a.wb.Saving > b.wb.Saving
+	}
+	return a.wb.ID < b.wb.ID
+}
+
+// selectBest reorders es so that its first n entries are the n that
+// drainsBefore puts first, in no particular order: a quickselect with a
+// median-of-three pivot, linear in len(es) on average.
+func selectBest(es []*wbEntry, n int) {
+	lo, hi := 0, len(es)-1
+	for lo < hi {
+		// Median of three to es[hi], then partition es[lo:hi] around it.
+		mid := int(uint(lo+hi) >> 1)
+		if drainsBefore(es[mid], es[lo]) {
+			es[mid], es[lo] = es[lo], es[mid]
+		}
+		if drainsBefore(es[hi], es[lo]) {
+			es[hi], es[lo] = es[lo], es[hi]
+		}
+		if drainsBefore(es[mid], es[hi]) {
+			es[mid], es[hi] = es[hi], es[mid]
+		}
+		pivot, p := es[hi], lo
+		for i := lo; i < hi; i++ {
+			if drainsBefore(es[i], pivot) {
+				es[i], es[p] = es[p], es[i]
+				p++
+			}
+		}
+		es[p], es[hi] = es[hi], es[p]
+		// es[:p] drain before the pivot at p, es[p+1:] after it.
+		switch {
+		case p == n || p == n-1:
+			return
+		case p > n:
+			hi = p - 1
+		default:
+			lo = p + 1
+		}
+	}
 }
 
 // Len returns the number of pending write-backs.
@@ -171,12 +238,13 @@ func (c *WritebackCache) Bytes() int64 {
 	return c.bytes
 }
 
-// Stats returns lifetime counters: entries dropped for capacity, entries
-// replaced by a newer write-back for the same record, and entries flushed.
-func (c *WritebackCache) Stats() (dropped, replaced, flushed uint64) {
+// Stats returns the cache's lifetime counters and what it holds now.
+func (c *WritebackCache) Stats() WritebackStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dropped, c.replaced, c.flushed
+	s := c.stats
+	s.Pending, s.PendingBytes = len(c.entries), c.bytes
+	return s
 }
 
 // wbHeap is a min-heap of entries ordered by Saving.

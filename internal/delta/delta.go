@@ -83,15 +83,51 @@ type CompressionStats struct {
 	IndexGets int
 }
 
+// Anchor is one sampled window of a byte string: its offset and the
+// checksum key pass 1 indexes it under.
+type Anchor struct {
+	Key uint32
+	Off int32
+}
+
+// Anchors is a byte string's anchor list: every window whose rolling state
+// passes the anchor test at DefaultAnchorInterval, in offset order. Pass 1
+// builds the source index from exactly this list (first offset wins, the ¾
+// cap drops the rest), so an encode that is handed its source's list builds
+// the same index without rolling the source. A list costs 8 B per anchor,
+// about an eighth of the bytes it describes.
+type Anchors []Anchor
+
 // Compress computes the forward delta turning src into tgt using dbDedup's
 // anchor-sampled variant of xDelta.
 func Compress(src, tgt []byte, opts Options) Delta {
-	d, _ := CompressWithStats(src, tgt, opts)
+	d, _, _ := compress(src, nil, tgt, opts, false)
 	return d
 }
 
 // CompressWithStats is Compress plus index-work accounting.
 func CompressWithStats(src, tgt []byte, opts Options) (Delta, CompressionStats) {
+	d, st, _ := compress(src, nil, tgt, opts, false)
+	return d, st
+}
+
+// CompressAnchored is Compress given src's anchor list, returning tgt's. A
+// non-nil srcAnchors must be src's list, as an earlier CompressAnchored
+// returned it for src as its target; pass 1 then indexes the list instead of
+// rolling src, and the delta is byte-identical to Compress's. The returned
+// list is tgt's, derived during pass 2: from the windows pass 2 rolls, from
+// the source's list over each copied range, and by rolling the few windows
+// that straddle a copy's end. It is nil when the encode could not derive it:
+// a non-default interval, a source too uniform for the default interval (pass
+// 1 densified), or an input shorter than a window.
+func CompressAnchored(src []byte, srcAnchors Anchors, tgt []byte, opts Options) (Delta, Anchors) {
+	d, _, out := compress(src, srcAnchors, tgt, opts, true)
+	return d, out
+}
+
+// compress is every anchor-sampled encode. srcAnchors, if non-nil, is src's
+// anchor list; with emit it also returns tgt's list when it can.
+func compress(src []byte, srcAnchors Anchors, tgt []byte, opts Options, emit bool) (Delta, CompressionStats, Anchors) {
 	var st CompressionStats
 	interval := opts.AnchorInterval
 	if interval == 0 {
@@ -102,7 +138,7 @@ func CompressWithStats(src, tgt []byte, opts Options) (Delta, CompressionStats) 
 	}
 	if len(src) < windowSize || len(tgt) < windowSize {
 		// Too small for windowed matching: emit the target verbatim.
-		return verbatim(tgt), st
+		return verbatim(tgt), st, nil
 	}
 	// Anchor selection tests the *raw* rolling state — content-defined
 	// and nearly free — so non-anchor positions skip both the checksum
@@ -113,28 +149,69 @@ func CompressWithStats(src, tgt []byte, opts Options) (Delta, CompressionStats) 
 	// content (long repeats) can leave the anchor condition unsatisfied
 	// almost everywhere — the rolling state only takes period-many
 	// distinct values — so the interval is densified until the anchor
-	// yield is reasonable.
+	// yield is reasonable. At the default interval a list of src's
+	// anchors, handed in or rolled here because pass 2 is to list tgt's,
+	// is indexed in its order, which builds the roll's index.
 	idx := tablePool.Get().(*offsetTable)
 	defer tablePool.Put(idx)
-	var mask, pattern uint32
-	for {
-		mask = uint32(interval - 1)
-		pattern = uint32(0x2a) & mask
+	list := srcAnchors
+	if emit && interval == DefaultAnchorInterval && !denseEnough(len(list), len(src), interval) {
+		// Pass 2 takes a copied range's anchors from the source's list, so
+		// list the source's anchors before indexing them.
+		scratch := listPool.Get().(*Anchors)
+		defer listPool.Put(scratch)
+		mask, pattern := anchorMask(interval)
+		list = appendAnchors((*scratch)[:0], src, mask, pattern)
+		*scratch = list // keep any grown capacity
+	}
+	if interval == DefaultAnchorInterval && denseEnough(len(list), len(src), interval) {
 		idx.reset(len(src)/interval + 8)
-		st.IndexPuts = indexAnchors(idx, src, mask, pattern)
-		// Expect ~len/interval anchor hits; retry denser when the
-		// yield falls below an eighth of that.
-		if interval == 1 || st.IndexPuts >= (len(src)-windowSize)/(interval*8)+1 {
-			break
+		for _, a := range list {
+			idx.put(a.Key, a.Off)
 		}
-		interval = max(interval/4, 1)
+		st.IndexPuts = len(list)
+	} else {
+		list = nil
+		for {
+			mask, pattern := anchorMask(interval)
+			idx.reset(len(src)/interval + 8)
+			st.IndexPuts = indexAnchors(idx, src, mask, pattern)
+			if denseEnough(st.IndexPuts, len(src), interval) {
+				break
+			}
+			interval = max(interval/4, 1)
+		}
 	}
 	// Pass 2: scan tgt; at anchors, probe the source index and extend
-	// matches byte-wise in both directions.
-	var d Delta
-	d, st.IndexGets = scanTarget(src, tgt, idx, mask, pattern)
-	return d, st
+	// matches byte-wise in both directions. Only an encode at the default
+	// interval can list tgt's anchors: pass 2 rolls and tests the same
+	// condition the list is defined by.
+	var srcList Anchors
+	if emit && interval == DefaultAnchorInterval {
+		srcList = list
+	}
+	mask, pattern := anchorMask(interval)
+	d, gets, out := scanTarget(src, tgt, idx, mask, pattern, srcList)
+	st.IndexGets = gets
+	return d, st, out
 }
+
+// anchorMask returns the anchor test of an interval: a window is an anchor
+// when its raw s2 under mask equals pattern.
+func anchorMask(interval int) (mask, pattern uint32) {
+	mask = uint32(interval - 1)
+	return mask, 0x2a & mask
+}
+
+// denseEnough reports whether n anchors over a source of srcLen bytes are
+// enough at interval: about srcLen/interval are expected, and pass 1 densifies
+// when it finds fewer than an eighth of that.
+func denseEnough(n, srcLen, interval int) bool {
+	return interval == 1 || n >= (srcLen-windowSize)/(interval*8)+1
+}
+
+// listPool recycles pass 1's anchor lists between encodes.
+var listPool = sync.Pool{New: func() any { return new(Anchors) }}
 
 // indexAnchors is pass 1: it rolls the checksum over every window of src and
 // puts each offset whose raw state matches pattern under mask into idx,
@@ -162,15 +239,42 @@ func indexAnchors(idx *offsetTable, src []byte, mask, pattern uint32) int {
 	return puts
 }
 
+// appendAnchors is indexAnchors's roll appending to a list instead of
+// putting into an index: it appends every window of b whose raw state matches
+// pattern under mask, in offset order. The two loops stay apart because one
+// loop doing both, a list or not, made Compress measurably slower.
+func appendAnchors(dst Anchors, b []byte, mask, pattern uint32) Anchors {
+	s1, s2 := windowSums(b[:windowSize])
+	if s2&mask == pattern {
+		dst = append(dst, Anchor{mixSums(s1, s2), 0})
+	}
+	in := b[windowSize:]
+	out := b[:len(in)]
+	for i := range in {
+		o := uint32(out[i])
+		s1 += uint32(in[i]) - o
+		s2 += s1 - windowSize*o
+		if s2&mask == pattern {
+			dst = append(dst, Anchor{mixSums(s1, s2), int32(i + 1)})
+		}
+	}
+	return dst
+}
+
 // scanTarget is pass 2 of both encoders: it rolls the checksum over tgt,
 // probes idx at every window whose raw state matches pattern under mask (every
 // window when mask is 0), extends each verified hit byte-wise in both
 // directions and returns the delta and the number of probes. Between anchors
 // the roll runs in a tight loop over two equal-length views of tgt, as in
-// indexAnchors.
-func scanTarget(src, tgt []byte, idx *offsetTable, mask, pattern uint32) (Delta, int) {
+// indexAnchors. Given srcList, src's anchor list under the same test, it also
+// returns tgt's.
+func scanTarget(src, tgt []byte, idx *offsetTable, mask, pattern uint32, srcList Anchors) (Delta, int, Anchors) {
 	// Eight instructions cover three deltas in four between revisions.
 	e := encoder{tgt: tgt, insts: make([]Instruction, 0, 8)}
+	var anchors Anchors
+	if srcList != nil {
+		anchors = make(Anchors, 0, len(tgt)/DefaultAnchorInterval+8)
+	}
 	gets := 0
 	pos := 0 // first unencoded target offset
 	j := 0   // scan position (window start)
@@ -178,13 +282,20 @@ func scanTarget(src, tgt []byte, idx *offsetTable, mask, pattern uint32) (Delta,
 	for {
 		if s2&mask == pattern {
 			gets++
-			if soff, ok := idx.get(mixSums(s1, s2)); ok {
+			key := mixSums(s1, s2)
+			if srcList != nil {
+				anchors = append(anchors, Anchor{key, int32(j)})
+			}
+			if soff, ok := idx.get(key); ok {
 				s, t, l := extendMatch(src, tgt, int(soff), j, pos)
 				if l >= minCopyLen {
 					if pos < t {
 						e.insert(pos, t-pos)
 					}
 					e.copy(s, l)
+					if srcList != nil {
+						anchors = appendCopied(anchors, srcList, tgt, s, t, l, j, mask, pattern)
+					}
 					pos = t + l
 					j = t + l
 					if j+windowSize > len(tgt) {
@@ -216,7 +327,46 @@ func scanTarget(src, tgt []byte, idx *offsetTable, mask, pattern uint32) (Delta,
 	if pos < len(tgt) {
 		e.insert(pos, len(tgt)-pos)
 	}
-	return e.finish(), gets
+	return e.finish(), gets, anchors
+}
+
+// appendCopied appends the anchors of tgt that pass 2 skips by copying
+// tgt[t:t+l] from src[s:s+l] after its hit at window j: pass 2 rolled every
+// window up to j and resumes at t+l. A window inside the copy is the source's
+// window shifted by t-s, so it is an anchor exactly when srcList lists that
+// one; the windows that straddle the copy's end are rolled here.
+func appendCopied(out, srcList Anchors, tgt []byte, s, t, l, j int, mask, pattern uint32) Anchors {
+	from, to, shift := int32(j+1-t+s), int32(s+l-windowSize), int32(t-s)
+	lo, hi := 0, len(srcList)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if srcList[m].Off < from {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for _, a := range srcList[lo:] {
+		if a.Off > to {
+			break
+		}
+		out = append(out, Anchor{a.Key, a.Off + shift})
+	}
+	// The window at t+l-windowSize lies inside the copy; roll from it
+	// through the windows that end past the copy, as far as tgt has windows.
+	w := t + l - windowSize
+	last := min(t+l-1, len(tgt)-windowSize)
+	s1, s2 := windowSums(tgt[w : w+windowSize])
+	for w < last {
+		o := uint32(tgt[w])
+		s1 += uint32(tgt[w+windowSize]) - o
+		s2 += s1 - windowSize*o
+		w++
+		if s2&mask == pattern {
+			out = append(out, Anchor{mixSums(s1, s2), int32(w)})
+		}
+	}
+	return out
 }
 
 // verbatim is the delta of a target too small for windowed matching: one
@@ -251,7 +401,7 @@ func CompressXDeltaWithStats(src, tgt []byte) (Delta, CompressionStats) {
 		st.IndexPuts++
 	}
 	var d Delta
-	d, st.IndexGets = scanTarget(src, tgt, idx, 0, 0)
+	d, st.IndexGets, _ = scanTarget(src, tgt, idx, 0, 0, nil)
 	return d, st
 }
 

@@ -3,6 +3,7 @@ package delta
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,9 +16,10 @@ var oracleIntervals = []int{1, 2, 4, 8, 16, 32, 64, 128}
 
 // matchReference fails t unless both encoders produce the reference
 // encoders' marshalled bytes and index-operation counts on (src, tgt) at
-// every oracle interval.
+// every oracle interval, and the anchor-list path does at the default one.
 func matchReference(t *testing.T, src, tgt []byte) {
 	t.Helper()
+	matchReferenceAnchored(t, src, tgt)
 	for _, iv := range oracleIntervals {
 		got, gst := CompressWithStats(src, tgt, Options{AnchorInterval: iv})
 		want, wst := referenceCompress(src, tgt, iv)
@@ -39,6 +41,37 @@ func matchReference(t *testing.T, src, tgt []byte) {
 	}
 }
 
+// matchReferenceAnchored fails t unless CompressAnchored, handed src's
+// reference anchor list or none, produces the reference encoder's bytes and
+// counts at the default interval and lists exactly tgt's reference anchors,
+// and lists none when pass 1 densified or an input is shorter than a window.
+func matchReferenceAnchored(t *testing.T, src, tgt []byte) {
+	t.Helper()
+	want, wst := referenceCompress(src, tgt, DefaultAnchorInterval)
+	srcList := referenceAnchors(src)
+	listed := len(src) >= windowSize && len(tgt) >= windowSize &&
+		denseEnough(len(srcList), len(src), DefaultAnchorInterval)
+	for _, given := range []Anchors{nil, srcList} {
+		got, gst, list := compress(src, given, tgt, Options{}, true)
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("source list given %v: delta differs from the reference (%d vs %d bytes, src %d, tgt %d)",
+				given != nil, got.EncodedSize(), want.EncodedSize(), len(src), len(tgt))
+		}
+		if gst != wst {
+			t.Fatalf("source list given %v: stats %+v, reference %+v", given != nil, gst, wst)
+		}
+		if !listed {
+			if list != nil {
+				t.Fatalf("source list given %v: listed %d target anchors where none can be derived", given != nil, len(list))
+			}
+			continue
+		}
+		if wantList := referenceAnchors(tgt); list == nil || !slices.Equal(list, wantList) {
+			t.Fatalf("source list given %v: target list of %d anchors, reference %d", given != nil, len(list), len(wantList))
+		}
+	}
+}
+
 // FuzzCompressMatchesReference holds the encoders to the reference encoders
 // byte for byte. The periodic and all-zero seeds starve anchor selection and
 // take the densification retry.
@@ -55,6 +88,38 @@ func FuzzCompressMatchesReference(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("ab"), 300), bytes.Repeat([]byte("ba"), 301))
 	f.Fuzz(func(t *testing.T, src, tgt []byte) {
 		matchReference(t, src, tgt)
+	})
+}
+
+// FuzzCompressAnchoredMatchesPass1 runs the engine's chain a → b → c: the
+// list the first encode emits for b indexes b for the second, whose delta and
+// emitted list must equal those of the encode that rolls b itself, and
+// Compress's delta.
+func FuzzCompressAnchoredMatchesPass1(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	a := makeText(rng, 2048)
+	b := edit(rng, a, 6)
+	f.Add(a, b, edit(rng, b, 6))
+	f.Add(a, a, a)
+	f.Add([]byte("short"), b, a)
+	periodic := bytes.Repeat([]byte("All database records deserve deduplication. "), 24)
+	f.Add(a, periodic, append(append([]byte{}, periodic...), a[:300]...))
+	f.Add(make([]byte, 1024), make([]byte, 1100), make([]byte, 900))
+	f.Fuzz(func(t *testing.T, a, b, c []byte) {
+		_, listB := CompressAnchored(a, nil, b, Options{})
+		if listB != nil && !slices.Equal(listB, referenceAnchors(b)) {
+			t.Fatalf("first encode listed %d anchors of b, reference %d", len(listB), len(referenceAnchors(b)))
+		}
+		want := Compress(b, c, Options{})
+		got, list := CompressAnchored(b, listB, c, Options{})
+		rolled, rolledList := CompressAnchored(b, nil, c, Options{})
+		if !bytes.Equal(got.Marshal(), want.Marshal()) || !bytes.Equal(rolled.Marshal(), want.Marshal()) {
+			t.Fatalf("deltas differ: listed %d, rolled %d, Compress %d bytes",
+				got.EncodedSize(), rolled.EncodedSize(), want.EncodedSize())
+		}
+		if !slices.Equal(list, rolledList) || (list == nil) != (rolledList == nil) {
+			t.Fatalf("emitted lists differ: %d from b's list, %d from rolling b", len(list), len(rolledList))
+		}
 	})
 }
 
@@ -118,3 +183,34 @@ func BenchmarkCompressRevisionPairs(b *testing.B) {
 }
 
 var benchDelta Delta
+
+// BenchmarkCompressRevisionChain is the engine's encode of an insert on a
+// revision chain: the source is the previous revision, the target the new
+// one. "rolled" runs Compress, whose pass 1 rolls the source; "listed" runs
+// CompressAnchored with the source's anchor list, as the source cache keeps
+// it, and pays for listing the target. One op is one insert.
+func BenchmarkCompressRevisionChain(b *testing.B) {
+	pairs := revisionPairs(4 << 20)
+	lists := make([]Anchors, len(pairs))
+	var n int64
+	for i, p := range pairs {
+		lists[i] = referenceAnchors(p[0])
+		n += int64(len(p[1]))
+	}
+	b.Run("rolled", func(b *testing.B) {
+		b.SetBytes(n / int64(len(pairs)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			benchDelta = Compress(p[0], p[1], Options{})
+		}
+	})
+	b.Run("listed", func(b *testing.B) {
+		b.SetBytes(n / int64(len(pairs)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % len(pairs)
+			benchDelta, _ = CompressAnchored(pairs[k][0], lists[k], pairs[k][1], Options{})
+		}
+	})
+}

@@ -183,3 +183,26 @@ func referenceXDelta(src, tgt []byte) (Delta, CompressionStats) {
 	}
 	return refScan(src, tgt, idx, 0, 0, &st), st
 }
+
+// referenceAnchors is the reference anchor list: every window of b whose raw
+// rolling state passes the default-interval anchor test, in offset order,
+// stepped one byte at a time.
+func referenceAnchors(b []byte) Anchors {
+	if len(b) < windowSize {
+		return nil
+	}
+	mask := uint32(DefaultAnchorInterval - 1)
+	pattern := uint32(0x2a) & mask
+	var out Anchors
+	rs := refRollsum{win: windowSize}
+	rs.init(b[:windowSize])
+	for i := 0; ; i++ {
+		if rs.s2&mask == pattern {
+			out = append(out, Anchor{Key: rs.sum(), Off: int32(i)})
+		}
+		if i+windowSize >= len(b) {
+			return out
+		}
+		rs.roll(b[i], b[i+windowSize])
+	}
+}

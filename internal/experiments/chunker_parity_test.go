@@ -27,10 +27,9 @@ func TestChunkerDedupRatioParity(t *testing.T) {
 		// node.Open directly: openNode would pin rabin on both sides.
 		n, err := node.Open(node.Options{
 			Engine: core.Config{
-				Chunker:           alg,
-				ChunkAvgSize:      chunk,
-				DisableSizeFilter: true,
-				GovernorWindow:    1 << 30,
+				Chunker:        alg,
+				ChunkAvgSize:   chunk,
+				GovernorWindow: 1 << 30,
 			},
 			SyncEncode:       true,
 			DisableAutoFlush: true,

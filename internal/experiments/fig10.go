@@ -68,7 +68,7 @@ func runFig10Cell(sc Scale, kind workload.Kind, config string) (Fig10Row, error)
 		if config == "dbDedup-64B" {
 			chunk = 64
 		}
-		n, err := nodeForConfig(core.Config{ChunkAvgSize: chunk, DisableSizeFilter: true}, false, true)
+		n, err := nodeForConfig(core.Config{ChunkAvgSize: chunk}, false, true)
 		if err != nil {
 			return row, err
 		}

@@ -37,7 +37,7 @@ func RunFig11(sc Scale, kinds ...workload.Kind) (*Fig11Result, error) {
 	}
 	res := &Fig11Result{Scale: sc}
 	for _, kind := range kinds {
-		n, err := nodeForConfigWB(core.Config{DisableSizeFilter: true}, 512<<10)
+		n, err := nodeForConfigWB(core.Config{}, 512<<10)
 		if err != nil {
 			return nil, err
 		}

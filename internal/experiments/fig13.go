@@ -54,7 +54,7 @@ func RunFig13a(sc Scale) (*Fig13aResult, error) {
 			reward = 0
 			zeroReward = true
 		}
-		cfg := core.Config{DisableSizeFilter: true, SourceCacheBytes: s.cache, RewardScore: reward}
+		cfg := core.Config{SourceCacheBytes: s.cache, RewardScore: reward}
 		if zeroReward {
 			// core treats 0 as "default"; a tiny epsilon isn't
 			// possible for ints, so encode "really zero" as -1 at
@@ -146,7 +146,6 @@ func RunFig13b(sc Scale) (*Fig13bResult, error) {
 			wb = -1 // inline write-backs
 		}
 		n, err := openNode(node.Options{
-			Engine:               core.Config{DisableSizeFilter: true},
 			WritebackCacheBytes:  wb,
 			SyncEncode:           true, // write-backs (inline or deferred) are the variable
 			DisableAutoFlush:     true,

@@ -48,7 +48,7 @@ func RunFig14(sc Scale) (*Fig14Result, error) {
 
 	measure := func(scheme chain.Scheme, h int) (float64, error) {
 		n, err := nodeForConfig(core.Config{
-			Scheme: scheme, HopDistance: h, DisableSizeFilter: true,
+			Scheme: scheme, HopDistance: h,
 		}, false, false)
 		if err != nil {
 			return 0, err
@@ -96,7 +96,7 @@ func RunFig14(sc Scale) (*Fig14Result, error) {
 // and counts the decode steps a read of the oldest version performs.
 func measureOldestRead(scheme chain.Scheme, h, chainLen int, seed int64) (int, error) {
 	n, err := nodeForConfig(core.Config{
-		Scheme: scheme, HopDistance: h, DisableSizeFilter: true,
+		Scheme: scheme, HopDistance: h,
 		// Keep the source cache from short-circuiting the walk.
 		SourceCacheBytes: -1,
 	}, false, false)

@@ -38,8 +38,7 @@ type GovernorResult struct {
 func RunGovernor(sc Scale) (*GovernorResult, error) {
 	const window = 300
 	n, err := nodeForConfig(core.Config{
-		GovernorWindow:    window,
-		DisableSizeFilter: true,
+		GovernorWindow: window,
 	}, false, false)
 	if err != nil {
 		return nil, err

@@ -66,7 +66,7 @@ func RunTieredIdx(sc Scale) (*TieredIdxResult, error) {
 		return float64(raw) / float64(max(st.Store.LogicalBytes, 1)), &st.Engine, nil
 	}
 
-	ratio, view, err := run(core.Config{DisableSizeFilter: true})
+	ratio, view, err := run(core.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -75,13 +75,12 @@ func RunTieredIdx(sc Scale) (*TieredIdxResult, error) {
 
 	for _, frac := range []int64{2, 4, 8, 16} {
 		budget := res.UnboundedIndexBytes / frac
-		tRatio, tView, err := run(core.Config{IndexBudgetBytes: budget, DisableSizeFilter: true})
+		tRatio, tView, err := run(core.Config{IndexBudgetBytes: budget})
 		if err != nil {
 			return nil, err
 		}
 		cRatio, _, err := run(core.Config{
-			IndexEntries:      max(int(budget/6), 16), // featidx.EntryBytes
-			DisableSizeFilter: true,
+			IndexEntries: max(int(budget/6), 16), // featidx.EntryBytes
 		})
 		if err != nil {
 			return nil, err

@@ -103,7 +103,7 @@ type entry struct {
 // encode in parallel. Callers embedding the index elsewhere must provide an
 // equivalent single-writer discipline.
 type Index struct {
-	buckets    [][]entry
+	slots      []entry // bucket b is slots[b*bucketEntries:][:bucketEntries]
 	bucketMask uint32
 	maxBuckets int
 	growAt     int // occupancy that triggers the next doubling
@@ -126,21 +126,15 @@ func New(cfg Config) *Index {
 		maxBuckets: max(nextPow2(cfg.CapacityEntries/bucketEntries), nb),
 		seed:       cfg.Seed,
 	}
-	ix.setTable(ix.newTable(nb), nb)
+	ix.setTable(nb)
 	return ix
 }
 
-func (ix *Index) newTable(nb int) [][]entry {
-	buckets := make([][]entry, nb)
-	backing := make([]entry, nb*bucketEntries)
-	for i := range buckets {
-		buckets[i], backing = backing[:bucketEntries:bucketEntries], backing[bucketEntries:]
-	}
-	return buckets
-}
-
-func (ix *Index) setTable(buckets [][]entry, nb int) {
-	ix.buckets = buckets
+// setTable allocates an empty table of nb buckets. The buckets are one
+// pointer-free array, so a probe loads its bucket directly and the collector
+// never scans the table.
+func (ix *Index) setTable(nb int) {
+	ix.slots = make([]entry, nb*bucketEntries)
 	ix.bucketMask = uint32(nb - 1)
 	if nb < ix.maxBuckets {
 		ix.growAt = int(growFraction * float64(nb*bucketEntries))
@@ -155,6 +149,12 @@ func nextPow2(n int) int {
 		p <<= 1
 	}
 	return p
+}
+
+// bucket returns bucket bi's slots and the index of its first slot.
+func (ix *Index) bucket(bi uint32) ([]entry, int) {
+	i := int(bi) * bucketEntries
+	return ix.slots[i : i+bucketEntries : i+bucketEntries], i
 }
 
 // hash returns the i-th candidate bucket for feature f under the current
@@ -176,15 +176,12 @@ func (ix *Index) hash(f sketch.Feature, i int) uint32 {
 // post-doubling load the chance of any re-placed entry finding all its
 // candidate slots taken is negligible, so growth effectively never evicts.
 func (ix *Index) grow() {
-	old := ix.buckets
-	nb := (int(ix.bucketMask) + 1) * 2
-	ix.setTable(ix.newTable(nb), nb)
+	old := ix.slots
+	ix.setTable((int(ix.bucketMask) + 1) * 2)
 	ix.occupied = 0
-	for _, bucket := range old {
-		for _, e := range bucket {
-			if e.used {
-				ix.place(e)
-			}
+	for _, e := range old {
+		if e.used {
+			ix.place(e)
 		}
 	}
 }
@@ -192,11 +189,10 @@ func (ix *Index) grow() {
 // place writes e into the first free slot of its candidate walk, or over the
 // least-recently-used candidate when every slot is taken.
 func (ix *Index) place(e entry) {
-	var lruB, lruE int
+	lru := 0
 	lruTick := uint32(1<<32 - 1)
 	for i := 0; i < numHashes; i++ {
-		bi := ix.hash(e.feat, i)
-		bucket := ix.buckets[bi]
+		bucket, first := ix.bucket(ix.hash(e.feat, i))
 		for ei := range bucket {
 			s := &bucket[ei]
 			if !s.used {
@@ -205,11 +201,11 @@ func (ix *Index) place(e entry) {
 				return
 			}
 			if s.tick < lruTick {
-				lruTick, lruB, lruE = s.tick, int(bi), ei
+				lruTick, lru = s.tick, first+ei
 			}
 		}
 	}
-	ix.buckets[lruB][lruE] = e
+	ix.slots[lru] = e
 	ix.evictions++
 }
 
@@ -236,29 +232,28 @@ func (ix *Index) LookupInsert(f sketch.Feature, ref Ref) []Ref {
 	sum := checksumOf(f)
 
 	var out []Ref
-	var freeB, freeE = -1, -1 // first empty slot
-	var lruB, lruE int        // least-recently-used slot among candidates
+	free := -1 // first empty slot
+	lru := 0   // least-recently-used slot among candidates
 	lruTick := uint32(1<<32 - 1)
-	var lruMatchB, lruMatchE = -1, -1 // LRU among *matching* entries
+	lruMatch := -1 // LRU among *matching* entries
 	lruMatchTick := uint32(1<<32 - 1)
 
 	truncated := false
 scan:
 	for i := 0; i < numHashes; i++ {
-		bi := ix.hash(f, i)
-		bucket := ix.buckets[bi]
+		bucket, first := ix.bucket(ix.hash(f, i))
 		for ei := range bucket {
 			e := &bucket[ei]
 			if !e.used {
-				if freeB < 0 {
-					freeB, freeE = int(bi), ei
+				if free < 0 {
+					free = first + ei
 				}
 				// An empty slot marks the end of this feature's
 				// possible placements under insertion order; stop.
 				break scan
 			}
 			if e.tick < lruTick {
-				lruTick, lruB, lruE = e.tick, int(bi), ei
+				lruTick, lru = e.tick, first+ei
 			}
 			if e.checksum == sum {
 				// Compare the pre-refresh tick: refreshing first would
@@ -268,8 +263,8 @@ scan:
 				prev := e.tick
 				e.tick = ix.clock
 				out = append(out, e.ref)
-				if lruMatchB < 0 || prev < lruMatchTick {
-					lruMatchTick, lruMatchB, lruMatchE = prev, int(bi), ei
+				if lruMatch < 0 || prev < lruMatchTick {
+					lruMatchTick, lruMatch = prev, first+ei
 				}
 				if len(out) >= MaxCandidates {
 					truncated = true
@@ -279,21 +274,21 @@ scan:
 		}
 	}
 
-	if truncated && lruMatchB >= 0 {
+	if truncated && lruMatch >= 0 {
 		// Too many similar records for this feature: drop the
 		// least-recently-used one to bound future lookup cost.
-		ix.buckets[lruMatchB][lruMatchE] = entry{used: true, checksum: sum, ref: ref, tick: ix.clock, feat: f}
+		ix.slots[lruMatch] = entry{used: true, checksum: sum, ref: ref, tick: ix.clock, feat: f}
 		ix.evictions++
 		ix.matches += uint64(len(out))
 		return out
 	}
 
-	if freeB >= 0 {
-		ix.buckets[freeB][freeE] = entry{used: true, checksum: sum, ref: ref, tick: ix.clock, feat: f}
+	if free >= 0 {
+		ix.slots[free] = entry{used: true, checksum: sum, ref: ref, tick: ix.clock, feat: f}
 		ix.occupied++
 	} else {
 		// All candidate slots full: evict the LRU entry among them.
-		ix.buckets[lruB][lruE] = entry{used: true, checksum: sum, ref: ref, tick: ix.clock, feat: f}
+		ix.slots[lru] = entry{used: true, checksum: sum, ref: ref, tick: ix.clock, feat: f}
 		ix.evictions++
 	}
 	ix.matches += uint64(len(out))
@@ -307,7 +302,7 @@ func (ix *Index) Lookup(f sketch.Feature) []Ref {
 	sum := checksumOf(f)
 	var out []Ref
 	for i := 0; i < numHashes; i++ {
-		bucket := ix.buckets[ix.hash(f, i)]
+		bucket, _ := ix.bucket(ix.hash(f, i))
 		for ei := range bucket {
 			e := &bucket[ei]
 			if !e.used {
@@ -341,9 +336,7 @@ func (ix *Index) CapacityBytes() int64 {
 
 // AllocatedEntries reports the current table allocation in entries; it starts
 // at initialEntries and doubles toward CapacityEntries as occupancy rises.
-func (ix *Index) AllocatedEntries() int {
-	return (int(ix.bucketMask) + 1) * bucketEntries
-}
+func (ix *Index) AllocatedEntries() int { return len(ix.slots) }
 
 // Stats reports lookup counters since construction.
 func (ix *Index) Stats() (lookups, matches, evictions uint64) {

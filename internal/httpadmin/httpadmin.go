@@ -116,6 +116,14 @@ type metricsView struct {
 	}
 	Admission admission.Snapshot
 	Cluster   *metrics.ClusterMetrics
+	// Writebacks is what became of the deferred re-encodings: applied or
+	// skipped by a flush, dropped by the lossy cache (with the storage they
+	// would have saved), or pending.
+	Writebacks struct {
+		FlushApplied, FlushSkipped, Dropped uint64
+		DroppedSavingBytes                  int64
+		Pending                             int
+	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -136,6 +144,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	v.Store.CacheShards = s.node.Store().CacheShardStats()
 	v.FeatIdx.FeatIdxSnapshot = st.Engine.FeatIdx()
 	v.FeatIdx.Tiered = st.Engine.TieredIdx
+	v.Writebacks.FlushApplied, v.Writebacks.FlushSkipped = st.WritebacksApplied, st.WritebacksSkipped
+	v.Writebacks.Dropped, v.Writebacks.DroppedSavingBytes = st.WritebacksDropped, st.WritebacksDroppedSaving
+	v.Writebacks.Pending = st.WritebacksPending
 	writeJSON(w, v)
 }
 
@@ -185,7 +196,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		st.Oplog.EvictedByEntries, st.Oplog.EvictedByBytes)
 	fmt.Fprintf(w, "dedup:    %d hits, index %s\n", st.Engine.Deduped,
 		metrics.FormatBytes(st.Engine.IndexMemoryBytes))
-	fmt.Fprintf(w, "wb:       %d applied, %d skipped\n", st.WritebacksApplied, st.WritebacksSkipped)
+	fmt.Fprintf(w, "wb:       %d applied, %d skipped, %d dropped (%s of saving lost), %d pending\n",
+		st.WritebacksApplied, st.WritebacksSkipped, st.WritebacksDropped,
+		metrics.FormatBytes(st.WritebacksDroppedSaving), st.WritebacksPending)
 	fmt.Fprintf(w, "encoder:  %d workers, queue depth %d, %d backpressure stalls\n",
 		st.EncodeWorkers, st.EncodeQueueDepth, st.EncodeOverflows)
 	if a := st.Admission; a.Enabled || a.ShedRawEnabled {

@@ -271,6 +271,7 @@ var metricsSections = map[string]string{
 	"Cluster": "RingEpoch RingInstalls RedirectsIssued MovingAnswered HandoffsStarted " +
 		"HandoffsCommitted HandoffsAborted TransferRecordsOut TransferBytesOut TransferRecordsIn TransferBytesIn " +
 		"TransferFailures DroppedDBs DroppedRecords",
+	"Writebacks": "FlushApplied FlushSkipped Dropped DroppedSavingBytes Pending",
 }
 
 // sharedNames are keys two sections may both use because they name different

@@ -269,7 +269,7 @@ func TestGoldenDirsOpenAndVerify(t *testing.T) {
 func revisionChain(t *testing.T, revs, payloadLen int) (*Node, [][]byte) {
 	t.Helper()
 	n := testNode(t, Options{Dir: t.TempDir(), BlockCompression: true, Engine: core.Config{
-		Scheme: chain.Backward, SourceCacheBytes: -1, DisableSizeFilter: true}})
+		Scheme: chain.Backward, SourceCacheBytes: -1}})
 	rng := rand.New(rand.NewSource(20))
 	content := make([][]byte, revs)
 	rev := workload.RevisionText(rng, payloadLen)
@@ -376,7 +376,7 @@ func TestWritebackAllocBudget(t *testing.T) {
 	// A block cache the warm-up fills: past it every block a write-back has
 	// to load decodes into a recycled buffer, as on a node that has run a while.
 	n := testNode(t, Options{Dir: t.TempDir(), BlockCompression: true, CacheBlocks: 8,
-		Engine: core.Config{DisableSizeFilter: true}})
+		Engine: core.Config{}})
 	rng := rand.New(rand.NewSource(21))
 	rev := workload.RevisionText(rng, payloadLen)
 	insert := func(i int) {
@@ -420,7 +420,7 @@ func TestWritebackAllocBudget(t *testing.T) {
 func TestReadsStayExactWhileChainsAreRewritten(t *testing.T) {
 	n, err := Open(Options{Dir: t.TempDir(), BlockCompression: true, BlockSize: 8 << 10, CacheBlocks: 8,
 		DisableAutoFlush: true, EncodeWorkers: 2,
-		Engine: core.Config{DisableSizeFilter: true, GovernorWindow: 1 << 30, HopDistance: 4}})
+		Engine: core.Config{GovernorWindow: 1 << 30, HopDistance: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestReadsStayExactWhileChainsAreRewritten(t *testing.T) {
 // never as bytes, and decode, which plans again, must return the content.
 func TestStaleWalkIsPlannedAgain(t *testing.T) {
 	n := testNode(t, Options{BlockCompression: true, Engine: core.Config{
-		Scheme: chain.Backward, SourceCacheBytes: -1, DisableSizeFilter: true}})
+		Scheme: chain.Backward, SourceCacheBytes: -1}})
 	rng := rand.New(rand.NewSource(23))
 	var revs [][]byte
 	rev := workload.RevisionText(rng, 2048)

@@ -127,6 +127,13 @@ type Stats struct {
 	Inserts, Reads, Updates, Deletes uint64
 	// WritebacksApplied / WritebacksSkipped count flush outcomes.
 	WritebacksApplied, WritebacksSkipped uint64
+	// WritebacksDropped counts the write-backs the lossy cache discarded for
+	// capacity, which are never applied, and WritebacksDroppedSaving the
+	// bytes of storage they would have saved. WritebacksPending is what the
+	// cache holds for the next flush.
+	WritebacksDropped       uint64
+	WritebacksDroppedSaving int64
+	WritebacksPending       int
 	// DecodeSteps counts base fetches performed by reads.
 	DecodeSteps uint64
 	// ReadsFromSourceCache counts the client reads (of Reads) that the source
@@ -484,6 +491,10 @@ func (n *Node) Stats() Stats {
 	s.EncodeOverflows = n.encm.QueueOverflows.Total()
 	s.InsertsRejected = n.admRejected.Load()
 	s.Admission = n.adm.Snapshot()
+	if n.wb != nil {
+		ws := n.wb.Stats()
+		s.WritebacksDropped, s.WritebacksDroppedSaving, s.WritebacksPending = ws.Dropped, ws.DroppedSaving, ws.Pending
+	}
 	return s
 }
 

@@ -473,8 +473,8 @@ func TestAsyncEncodePipeline(t *testing.T) {
 }
 
 func TestHopEncodingBoundsDecodeSteps(t *testing.T) {
-	hop := testNode(t, Options{Engine: core.Config{Scheme: chain.Hop, HopDistance: 4, DisableSizeFilter: true}})
-	bwd := testNode(t, Options{Engine: core.Config{Scheme: chain.Backward, DisableSizeFilter: true}})
+	hop := testNode(t, Options{Engine: core.Config{Scheme: chain.Hop, HopDistance: 4}})
+	bwd := testNode(t, Options{Engine: core.Config{Scheme: chain.Backward}})
 	for _, n := range []*Node{hop, bwd} {
 		insertChain(t, n, "wiki", 60, 12)
 		n.FlushWritebacks(-1)
@@ -597,4 +597,72 @@ func TestStackedRecordCompactedWhenUnreferenced(t *testing.T) {
 		t.Fatalf("v1 after compaction: %q, %v", got, err)
 	}
 	verifyRefcounts(t, n)
+}
+
+// TestSmallRevisionsShipForwardEncoded ingests 1 200 inserts into one
+// database, three in ten a step of one of twelve revision chains of 100–600 B
+// and the rest records of 4 KiB. Once a thousand inserts are in, a filter that
+// skipped the smallest 40 % of records would have put its cut-off at 4 KiB
+// and shipped every small revision whole; the size filter is a 64 B floor, so
+// they ship as forward deltas against their previous revision.
+func TestSmallRevisionsShipForwardEncoded(t *testing.T) {
+	n := testNode(t, Options{})
+	rng := rand.New(rand.NewSource(56))
+	docs := make([][]byte, 12)
+	for d := range docs {
+		docs[d] = workload.RevisionText(rng, 100+rng.Intn(200))
+	}
+	revision := make(map[string]bool) // keys of small records with a previous revision
+	for i := 0; i < 1200; i++ {
+		if i%10 >= 3 {
+			if err := n.Insert("mix", fmt.Sprintf("big/%d", i), workload.RevisionText(rng, 4096)); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		d := rng.Intn(len(docs))
+		key := fmt.Sprintf("small/%d/%d", d, i)
+		if i >= 1000 && len(docs[d]) < 600 {
+			revision[key] = true
+		}
+		if err := n.Insert("mix", key, docs[d]); err != nil {
+			t.Fatal(err)
+		}
+		if len(docs[d]) < 580 {
+			docs[d] = workload.Revise(rng, docs[d], 1, 20)
+		} else {
+			docs[d] = workload.Revise(rng, docs[d], 2, 0)
+		}
+	}
+	ents, err := n.Oplog().EntriesSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := 0
+	for _, e := range ents {
+		if revision[e.Key] && e.Form == oplog.FormDelta {
+			forward++
+		}
+	}
+	if len(revision) < 50 || forward < len(revision)*9/10 {
+		t.Fatalf("%d of %d small revisions after the first 1 000 inserts shipped as forward deltas, want at least 90 %%",
+			forward, len(revision))
+	}
+}
+
+// TestStatsCountDroppedWritebacks: a write-back cache too small for a chain's
+// pending write-backs drops the least valuable ones, and Stats says how many,
+// what storage they would have saved and how many are still pending.
+func TestStatsCountDroppedWritebacks(t *testing.T) {
+	n := testNode(t, Options{WritebackCacheBytes: 1 << 10})
+	insertChain(t, n, "wiki", 40, 3)
+	st := n.Stats()
+	if st.WritebacksDropped == 0 || st.WritebacksDroppedSaving <= 0 || st.WritebacksPending == 0 {
+		t.Fatalf("after 40 revisions into a 1 KiB write-back cache: %d dropped saving %d B, %d pending",
+			st.WritebacksDropped, st.WritebacksDroppedSaving, st.WritebacksPending)
+	}
+	n.FlushWritebacks(-1)
+	if st := n.Stats(); st.WritebacksPending != 0 || st.WritebacksApplied == 0 {
+		t.Fatalf("after a full flush: %d pending, %d applied", st.WritebacksPending, st.WritebacksApplied)
+	}
 }
