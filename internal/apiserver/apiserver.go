@@ -14,8 +14,9 @@
 //
 // op: 'I' insert, 'G' get, 'U' update, 'D' delete, 'S' stats, 'P' per-db stats.
 // Cluster ops (answered only by a clustered backend): 'C' fetch ring,
-// 'N' install ring, 'H' begin handoff (blocking), 'M' commit ring,
-// 'A' abort ring, 'T' transfer-upsert one record into a handoff window.
+// 'N' install ring, 'H' begin handoff (blocking; answered with no body),
+// 'M' commit ring, 'A' abort ring, 'T' transfer-upsert one record into a
+// handoff window.
 // status: 0 ok, 1 not found, 2 error (payload = message), 3 overloaded
 // (admission control rejected the request, or the server is at its
 // connection limit), 4 wrong shard (payload = JSON{owner,epoch}; the client
@@ -23,7 +24,7 @@
 // rebalance holds the database — retry with backoff).
 //
 // The server bounds what one client — or all clients together — can make it
-// hold in memory (Options): a per-request size cap checked before the body
+// hold in memory (limits): a per-request size cap checked before the body
 // is allocated, a shared budget for in-flight request bodies, a body read
 // deadline so a stalled client cannot pin its allocation, and a connection
 // cap. None of these can wedge the accept loop: every enforcement path
@@ -76,8 +77,14 @@ const (
 
 	// keepBuf is the largest frame buffer a connection keeps for its next
 	// frame. A larger one is dropped once its frame is answered, so an idle
-	// connection holds at most this much outside Options.MemoryBudget.
+	// connection holds at most this much outside memoryBudget.
 	keepBuf = 64 << 10
+
+	// The limits every server runs under (see limits).
+	maxRequestBytes = 8 << 20
+	maxConns        = 1024
+	memoryBudget    = 256 << 20
+	bodyTimeout     = 30 * time.Second
 )
 
 // Backend is the operation surface the server exposes over the wire. A plain
@@ -113,8 +120,8 @@ type ClusterBackend interface {
 	// the ring it replaces. Idempotent for an identical re-install.
 	InstallRing(body []byte) error
 	// BeginHandoff pushes every database this member loses under the
-	// pending ring to its new owner. Blocking; returns a summary JSON.
-	BeginHandoff() ([]byte, error)
+	// pending ring to its new owner. Blocking.
+	BeginHandoff() error
 	// CommitRing finishes the window: gained databases start serving,
 	// moved-away local copies are dropped. Idempotent.
 	CommitRing() error
@@ -150,50 +157,35 @@ func (e *ShardMovingError) Error() string {
 	return fmt.Sprintf("apiserver: shard moving (ring epoch %d); retry", e.Epoch)
 }
 
-// Options bounds the server's per-client and aggregate resource use. The
-// zero value of any field selects its default.
+// Options configures a server.
 type Options struct {
-	// MaxRequestBytes caps one request frame (default 8 MiB, hard ceiling
-	// 64 MiB). An oversized request is answered with an error and the
-	// connection closed — before the body is read or allocated.
-	MaxRequestBytes int
-	// MaxConns caps concurrent client connections (default 1024; < 0 =
-	// unlimited). A connection over the cap is answered with status 3 and
-	// closed.
-	MaxConns int
-	// MemoryBudget caps the total bytes of request bodies held in memory
-	// across all connections (default 256 MiB). A request that cannot
-	// reserve its size waits for in-flight requests to release theirs —
-	// backpressure, not failure.
-	MemoryBudget int64
-	// BodyTimeout is how long the server waits for a request body after
-	// its header arrived (default 30s). A client that stalls mid-frame is
-	// disconnected, releasing its memory reservation, instead of pinning
-	// it forever.
-	BodyTimeout time.Duration
 	// Network is the transport to listen on (default netsim.Default, i.e.
 	// real TCP). Cluster tests inject a simulated mesh here.
 	Network netsim.Network
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxRequestBytes <= 0 || o.MaxRequestBytes > maxFrame {
-		o.MaxRequestBytes = 8 << 20
-	}
-	if o.MaxConns == 0 {
-		o.MaxConns = 1024
-	}
-	if o.MemoryBudget <= 0 {
-		o.MemoryBudget = 256 << 20
-	}
-	if o.BodyTimeout <= 0 {
-		o.BodyTimeout = 30 * time.Second
-	}
-	if o.Network == nil {
-		o.Network = netsim.Default
-	}
-	return o
+// limits bounds the server's per-client and aggregate resource use. Every
+// server runs under defaultLimits; this package's tests shrink them to reach
+// each enforcement path in milliseconds.
+type limits struct {
+	// maxRequestBytes caps one request frame. An oversized request is
+	// answered with an error and the connection closed — before the body
+	// is read or allocated.
+	maxRequestBytes int
+	// maxConns caps concurrent client connections. A connection over the
+	// cap is answered with status 3 and closed.
+	maxConns int
+	// memoryBudget caps the total bytes of request bodies held in memory
+	// across all connections. A request that cannot reserve its size waits
+	// for in-flight requests to release theirs — backpressure, not failure.
+	memoryBudget int64
+	// bodyTimeout is how long the server waits for a request body after its
+	// header arrived. A client that stalls mid-frame is disconnected,
+	// releasing its memory reservation, instead of pinning it forever.
+	bodyTimeout time.Duration
 }
+
+var defaultLimits = limits{maxRequestBytes, maxConns, memoryBudget, bodyTimeout}
 
 // appendReader is the Get path: a read that appends the record to dst.
 type appendReader interface {
@@ -214,7 +206,7 @@ type Server struct {
 	reader  appendReader   // backend's AppendRead, or readAppender over it
 	cb      ClusterBackend // nil unless backend is clustered
 	ln      net.Listener
-	opts    Options
+	lim     limits
 	mem     *byteBudget
 
 	mu     sync.Mutex
@@ -232,22 +224,29 @@ func ListenAndServe(n *node.Node, addr string) (*Server, error) {
 // or a cluster shard — on addr. If the backend also implements
 // ClusterBackend, the cluster ops are answered too.
 func ListenAndServeBackend(b Backend, addr string, opts Options) (*Server, error) {
-	opts = opts.withDefaults()
-	ln, err := opts.Network.Listen(addr)
+	return listenAndServe(b, addr, opts.Network, defaultLimits)
+}
+
+// listenAndServe serves b on addr over nw (nil = netsim.Default) under lim.
+func listenAndServe(b Backend, addr string, nw netsim.Network, lim limits) (*Server, error) {
+	if nw == nil {
+		nw = netsim.Default
+	}
+	ln, err := nw.Listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("apiserver: %w", err)
 	}
-	s := newServer(b, opts)
+	s := newServer(b, lim)
 	s.ln = ln
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
 
-// newServer is a server for b with opts already defaulted, not yet listening.
-func newServer(b Backend, opts Options) *Server {
-	s := &Server{backend: b, opts: opts,
-		mem:   newByteBudget(opts.MemoryBudget),
+// newServer is a server for b under lim, not yet listening.
+func newServer(b Backend, lim limits) *Server {
+	s := &Server{backend: b, lim: lim,
+		mem:   newByteBudget(lim.memoryBudget),
 		conns: make(map[net.Conn]struct{})}
 	if cb, ok := b.(ClusterBackend); ok {
 		s.cb = cb
@@ -345,7 +344,7 @@ func (s *Server) acceptLoop() {
 			conn.Close()
 			return
 		}
-		if s.opts.MaxConns > 0 && len(s.conns) >= s.opts.MaxConns {
+		if len(s.conns) >= s.lim.maxConns {
 			s.mu.Unlock()
 			// Over the connection cap: tell the client why, then drop it.
 			// Only this connection pays; the accept loop keeps going.
@@ -423,7 +422,7 @@ func (s *Server) readRequest(conn net.Conn, r *bufio.Reader, buf []byte) ([]byte
 		return nil, noop, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > uint32(s.opts.MaxRequestBytes) {
+	if n > uint32(s.lim.maxRequestBytes) {
 		return nil, noop, errOversized // never allocate the claimed size
 	}
 	if err := s.mem.acquire(int64(n)); err != nil {
@@ -436,7 +435,7 @@ func (s *Server) readRequest(conn net.Conn, r *bufio.Reader, buf []byte) ([]byte
 	body := buf[:n]
 	wait := r.Buffered() < int(n)
 	if wait {
-		conn.SetReadDeadline(time.Now().Add(s.opts.BodyTimeout))
+		conn.SetReadDeadline(time.Now().Add(s.lim.bodyTimeout))
 	}
 	if _, err := io.ReadFull(r, body); err != nil {
 		release()
@@ -502,10 +501,7 @@ func (s *Server) answer(dst, frame []byte) (byte, []byte) {
 		case opInstallRing:
 			err = s.cb.InstallRing(p)
 		case opBeginHandoff:
-			var sum []byte
-			if sum, err = s.cb.BeginHandoff(); err == nil {
-				return statusOK, append(dst, sum...)
-			}
+			err = s.cb.BeginHandoff()
 		case opCommitRing:
 			err = s.cb.CommitRing()
 		default: // opAbortRing
@@ -833,17 +829,13 @@ func (c *Client) InstallRingJSON(body []byte) error {
 }
 
 // BeginHandoff asks the server to push its outgoing databases to their new
-// owners under the pending ring. Blocks until the transfer finishes; the
-// returned JSON summarises what moved.
-func (c *Client) BeginHandoff() ([]byte, error) {
+// owners under the pending ring. Blocks until the transfer finishes.
+func (c *Client) BeginHandoff() error {
 	status, body, err := c.roundTrip(opBeginHandoff, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := statusErr(status, body); err != nil {
-		return nil, err
-	}
-	return body, nil
+	return statusErr(status, body)
 }
 
 // CommitRing finishes the server's open rebalance window.

@@ -10,15 +10,22 @@ import (
 	"testing"
 	"time"
 
+	"dbdedup/internal/netsim"
 	"dbdedup/internal/node"
 )
 
 func testServer(t *testing.T) (*Server, *Client) {
-	return testServerOptions(t, Options{})
+	return testServerWith(t, nil, nil)
 }
 
-func testServerOptions(t *testing.T, opts Options) (*Server, *Client) {
+// testServerWith serves a fresh node over nw (nil: TCP) under the default
+// limits as edit changes them (nil: as they are), and dials it.
+func testServerWith(t *testing.T, nw netsim.Network, edit func(*limits)) (*Server, *Client) {
 	t.Helper()
+	lim := defaultLimits
+	if edit != nil {
+		edit(&lim)
+	}
 	nopts := node.Options{SyncEncode: true, DisableAutoFlush: true}
 	nopts.Engine.GovernorWindow = 1 << 30
 	n, err := node.Open(nopts)
@@ -26,7 +33,7 @@ func testServerOptions(t *testing.T, opts Options) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n.Close() })
-	srv, err := ListenAndServeBackend(n, "127.0.0.1:0", opts)
+	srv, err := listenAndServe(n, "127.0.0.1:0", nw, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +145,19 @@ func TestLargePayload(t *testing.T) {
 	}
 }
 
+// TestDefaultLimits pins the limits every server runs under.
+func TestDefaultLimits(t *testing.T) {
+	if want := (limits{8 << 20, 1024, 256 << 20, 30 * time.Second}); defaultLimits != want {
+		t.Fatalf("default limits %+v, want %+v", defaultLimits, want)
+	}
+}
+
 // TestOversizedRequestRejectedBeforeAllocation proves the per-request size
-// cap: a frame header claiming more than MaxRequestBytes is answered with an
+// cap: a frame header claiming more than maxRequestBytes is answered with an
 // error and the connection closed, without the body being read — and the
 // server keeps serving other clients.
 func TestOversizedRequestRejectedBeforeAllocation(t *testing.T) {
-	srv, healthy := testServerOptions(t, Options{MaxRequestBytes: 64 << 10})
+	srv, healthy := testServerWith(t, nil, func(l *limits) { l.maxRequestBytes = 64 << 10 })
 
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -191,14 +205,14 @@ func TestOversizedRequestRejectedBeforeAllocation(t *testing.T) {
 
 // TestStalledClientCannotWedgeServer proves the body deadline and the memory
 // budget together: a client that sends a header claiming most of the memory
-// budget and then stalls is disconnected after BodyTimeout, releasing its
+// budget and then stalls is disconnected after bodyTimeout, releasing its
 // reservation, while a healthy client keeps being served throughout — the
 // accept loop and other connections never block on the stalled one.
 func TestStalledClientCannotWedgeServer(t *testing.T) {
-	srv, healthy := testServerOptions(t, Options{
-		MaxRequestBytes: 1 << 20,
-		MemoryBudget:    2 << 20,
-		BodyTimeout:     300 * time.Millisecond,
+	srv, healthy := testServerWith(t, nil, func(l *limits) {
+		l.maxRequestBytes = 1 << 20
+		l.memoryBudget = 2 << 20
+		l.bodyTimeout = 300 * time.Millisecond
 	})
 
 	// Stalled client: claims 1 MiB (half the budget), sends nothing more.
@@ -231,7 +245,7 @@ func TestStalledClientCannotWedgeServer(t *testing.T) {
 	stalled.SetReadDeadline(time.Now().Add(2 * time.Second))
 	one := make([]byte, 1)
 	if _, err := stalled.Read(one); err == nil {
-		t.Fatal("stalled connection still open after BodyTimeout")
+		t.Fatal("stalled connection still open after the body timeout")
 	}
 
 	// New connections are accepted and served.
@@ -245,11 +259,11 @@ func TestStalledClientCannotWedgeServer(t *testing.T) {
 	}
 }
 
-// TestConnectionLimit proves MaxConns: connections over the cap are refused
+// TestConnectionLimit proves maxConns: connections over the cap are refused
 // with the overload status, existing connections keep working, and closing a
 // connection frees its slot.
 func TestConnectionLimit(t *testing.T) {
-	srv, first := testServerOptions(t, Options{MaxConns: 1})
+	srv, first := testServerWith(t, nil, func(l *limits) { l.maxConns = 1 })
 
 	// first holds the only slot. A second connection is refused.
 	refused, err := net.Dial("tcp", srv.Addr())

@@ -60,7 +60,7 @@ func (n *countingNet) DialTimeout(addr string, timeout time.Duration) (net.Conn,
 // inside the old 4 KiB write buffer and for one three times its size.
 func TestOneWritePerFrame(t *testing.T) {
 	nw := &countingNet{}
-	srv, _ := testServerOptions(t, Options{Network: nw})
+	srv, _ := testServerWith(t, nw, nil)
 	c, err := DialNetwork(nw, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +98,11 @@ func TestOneWritePerFrame(t *testing.T) {
 
 // TestStalledMidBodyCannotWedgeServer is TestStalledClientCannotWedgeServer
 // with the header and half the body in one write: the server holds part of
-// the body already, and must still cut the connection within BodyTimeout and
+// the body already, and must still cut the connection within bodyTimeout and
 // give its reservation back.
 func TestStalledMidBodyCannotWedgeServer(t *testing.T) {
-	const bodyTimeout = 300 * time.Millisecond
-	srv, healthy := testServerOptions(t, Options{BodyTimeout: bodyTimeout})
+	const timeout = 300 * time.Millisecond
+	srv, healthy := testServerWith(t, nil, func(l *limits) { l.bodyTimeout = timeout })
 
 	stalled, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -125,8 +125,8 @@ func TestStalledMidBodyCannotWedgeServer(t *testing.T) {
 	if _, err := stalled.Read(make([]byte, 1)); err == nil {
 		t.Fatal("a read on the stalled connection returned bytes; want it cut")
 	}
-	if cut := time.Since(start); cut > bodyTimeout+time.Second {
-		t.Fatalf("stalled connection cut after %v, BodyTimeout is %v", cut, bodyTimeout)
+	if cut := time.Since(start); cut > timeout+time.Second {
+		t.Fatalf("stalled connection cut after %v, the body timeout is %v", cut, timeout)
 	}
 	reserved := func() int64 {
 		srv.mem.mu.Lock()

@@ -66,11 +66,9 @@ func (b *fuzzBackend) Stats() node.Stats            { return node.Stats{} }
 func (b *fuzzBackend) DBStats() []core.DBStats      { return nil }
 func (b *fuzzBackend) VerifyAll() node.VerifyReport { return node.VerifyReport{} }
 func (b *fuzzBackend) RingJSON() []byte             { return []byte(`{"epoch":1}`) }
-func (b *fuzzBackend) BeginHandoff() ([]byte, error) {
-	return []byte(`{}`), nil
-}
-func (b *fuzzBackend) CommitRing() error { return nil }
-func (b *fuzzBackend) AbortRing() error  { return nil }
+func (b *fuzzBackend) BeginHandoff() error          { return nil }
+func (b *fuzzBackend) CommitRing() error            { return nil }
+func (b *fuzzBackend) AbortRing() error             { return nil }
 func (b *fuzzBackend) InstallRing(body []byte) error {
 	b.took(len(body))
 	return nil
@@ -111,7 +109,7 @@ func realRequestStream() []byte {
 // one connection: readRequest's framing, then Server.handle's op decoder,
 // over a stub backend, with one request buffer and one response buffer
 // reused across the stream's frames as serveConn reuses them. Neither may
-// panic; no frame may be accepted, and so allocated, beyond MaxRequestBytes
+// panic; no frame may be accepted, and so allocated, beyond maxRequestBytes
 // whatever its length prefix claims; the decoder may never hand the backend
 // more bytes than the frame carried, whatever the varint lengths inside it
 // claim; and every response is one well-formed frame.
@@ -137,7 +135,9 @@ func FuzzHandleFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		b := &fuzzBackend{recs: make(map[[2]string][]byte)}
-		s := newServer(b, Options{MaxRequestBytes: maxRequest}.withDefaults())
+		lim := defaultLimits
+		lim.maxRequestBytes = maxRequest
+		s := newServer(b, lim)
 		r := bufio.NewReader(bytes.NewReader(stream))
 		var req, resp []byte
 		for {

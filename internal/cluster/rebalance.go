@@ -127,8 +127,7 @@ func (co *coordinator) handoff(addr string) error {
 	return co.call(addr, func(c *apiserver.Client) error {
 		c.SetTimeout(co.opts.HandoffTimeout)
 		defer c.SetTimeout(co.opts.RPCTimeout)
-		_, err := c.BeginHandoff()
-		return err
+		return c.BeginHandoff()
 	})
 }
 

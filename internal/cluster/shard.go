@@ -347,30 +347,22 @@ func (s *Shard) clearXfer() {
 	s.xferMu.Unlock()
 }
 
-// handoffSummary is BeginHandoff's wire answer.
-type handoffSummary struct {
-	Moved   map[string]int `json:"moved"` // db -> records transferred
-	Records int            `json:"records"`
-	Bytes   int64          `json:"bytes"`
-}
-
 // BeginHandoff streams every database this member loses under the pending
 // ring to its new owner and blocks until done. Writes to those databases
 // are already frozen (classify answers ShardMovingError once the window is
 // open), and Barrier drains the encode queues, so the stream is a complete,
 // stable snapshot of everything ever acked for those databases. Safe to
 // re-run: the destination upserts.
-func (s *Shard) BeginHandoff() ([]byte, error) {
+func (s *Shard) BeginHandoff() error {
 	s.opMu.RLock()
 	r, p := s.ring, s.pending
 	s.opMu.RUnlock()
 	if p == nil {
-		return nil, errors.New("cluster: no rebalance window open")
+		return errors.New("cluster: no rebalance window open")
 	}
 	s.cm.HandoffsStarted.Add(1)
 	s.n.Barrier()
 
-	sum := handoffSummary{Moved: map[string]int{}}
 	pool := apiserver.NewPool(s.nw, transferTimeout)
 	defer pool.Close()
 	for _, db := range s.n.DBNames() {
@@ -387,7 +379,7 @@ func (s *Shard) BeginHandoff() ([]byte, error) {
 		c, err := pool.Get(dest)
 		if err != nil {
 			s.cm.TransferFailures.Add(1)
-			return nil, fmt.Errorf("cluster: handoff dial %s: %w", dest, err)
+			return fmt.Errorf("cluster: handoff dial %s: %w", dest, err)
 		}
 		var sendErr error
 		_, err = s.n.Scan(db, func(d, key string, r node.Stamped) bool {
@@ -401,22 +393,19 @@ func (s *Shard) BeginHandoff() ([]byte, error) {
 				sendErr = fmt.Errorf("cluster: handoff transfer %s/%s to %s: %w", db, key, dest, err)
 				return false
 			}
-			sum.Moved[db]++
-			sum.Records++
-			sum.Bytes += int64(len(r.Content))
 			s.cm.TransferRecordsOut.Add(1)
 			s.cm.TransferBytesOut.Add(int64(len(r.Content)))
 			return true
 		})
 		if err != nil {
-			return nil, fmt.Errorf("cluster: handoff read of %s: %w", db, err)
+			return fmt.Errorf("cluster: handoff read of %s: %w", db, err)
 		}
 		if sendErr != nil {
 			s.cm.TransferFailures.Add(1)
-			return nil, sendErr
+			return sendErr
 		}
 	}
-	return json.Marshal(sum)
+	return nil
 }
 
 // CommitRing cuts the open window over: the pending ring becomes active,

@@ -70,8 +70,6 @@ type Config struct {
 	// similar record is found: no stored delta or oplog entry needs it to
 	// decode, so data written under one reads and extends under the other.
 	Chunker chunker.Algorithm
-	// AnchorInterval tunes delta compression (paper default 64).
-	AnchorInterval int
 	// SampleRandomly switches feature selection from consistent sampling
 	// to random sampling — strictly worse similarity detection, kept for
 	// the ablation benchmark (DESIGN.md §5).
@@ -129,9 +127,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.ChunkAvgSize == 0 {
 		c.ChunkAvgSize = 64
-	}
-	if c.AnchorInterval == 0 {
-		c.AnchorInterval = delta.DefaultAnchorInterval
 	}
 	if c.HopDistance == 0 {
 		c.HopDistance = chain.DefaultHopDistance
@@ -500,7 +495,7 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 	// A cached head's anchor list spares the encode its source roll, and the
 	// encode lists the new record's anchors for when it is the source.
 	t = time.Now()
-	fwd, anchors := delta.CompressAnchored(srcContent, srcAnchors, payload, delta.Options{AnchorInterval: e.cfg.AnchorInterval})
+	fwd, anchors := delta.CompressAnchored(srcContent, srcAnchors, payload, delta.Options{})
 	if fwd.EncodedSize() >= len(payload) {
 		e.enc.ObserveStage(metrics.StageDelta, time.Since(t))
 		// The "similar" record was a false friend; store raw.
@@ -765,7 +760,7 @@ func (e *Engine) emitHopWritebacks(hops []hopJob, newID uint64, newContent []byt
 		if baseContent == nil {
 			continue
 		}
-		d, _ := delta.CompressAnchored(newContent, newAnchors, baseContent, delta.Options{AnchorInterval: e.cfg.AnchorInterval})
+		d, _ := delta.CompressAnchored(newContent, newAnchors, baseContent, delta.Options{})
 		if d.EncodedSize() >= len(baseContent) {
 			continue
 		}

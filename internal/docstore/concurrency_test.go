@@ -15,7 +15,7 @@ import (
 func TestConcurrentReadersDuringCompaction(t *testing.T) {
 	for _, mode := range []string{"file", "mem"} {
 		t.Run(mode, func(t *testing.T) {
-			opts := Options{BlockSize: 256, SegmentSize: 4 << 10, CacheBlocks: 8, CacheShards: 4}
+			opts := Options{BlockSize: 256, SegmentSize: 4 << 10, CacheBlocks: 8}
 			if mode == "file" {
 				opts.Dir = t.TempDir()
 			}

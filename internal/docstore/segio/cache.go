@@ -69,13 +69,9 @@ type blockItem struct {
 func (c *Cache) PoisonFreed(fn func([]byte)) { c.poison = fn }
 
 // NewCache returns a cache holding budget bytes of blocks in total across
-// shardCount shards (rounded up to a power of two; shardCount <= 0 selects 8).
-// Each shard keeps its most recent block whatever its size, so tiny budgets
-// still cache.
+// shardCount shards (rounded up to a power of two). Each shard keeps its most
+// recent block whatever its size, so tiny budgets still cache.
 func NewCache(budget, shardCount int) *Cache {
-	if shardCount <= 0 {
-		shardCount = 8
-	}
 	n := 1
 	for n < shardCount {
 		n <<= 1

@@ -17,7 +17,7 @@ import (
 // load, reports a missing record as missing, and costs a cached record no
 // allocation at all.
 func TestViewLendsWhatGetCopies(t *testing.T) {
-	s, want := sealedStore(t, Options{CacheShards: 1}, 64, 4096)
+	s, want := sealedStore(t, Options{}, 64, 4096)
 	pending := Record{ID: 1000, DB: "db", Key: "p", Form: FormDelta, BaseID: 7, Stacked: true, Payload: []byte("still in the unsealed block")}
 	if err := s.Append(pending); err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestViewLendsWhatGetCopies(t *testing.T) {
 // that need that block, and of no other.
 func TestPointReadInflatesOneBlock(t *testing.T) {
 	const perBatch, payloadLen = 22, 1500 // 22 frames fill a 32 KiB batch; two fit in blockTarget
-	s, want := sealedStore(t, Options{CacheShards: 1}, 2*perBatch, payloadLen)
+	s, want := sealedStore(t, Options{}, 2*perBatch, payloadLen)
 	view := func(id uint64) error {
 		t.Helper()
 		ok, err := s.View(id, func(v Stored) {
@@ -168,7 +168,7 @@ func TestPointReadInflatesOneBlock(t *testing.T) {
 // of another segment that were resident before the pass are hits after it.
 func TestWalksDecodeEachBlockOnce(t *testing.T) {
 	opts := Options{Dir: "d", FS: faultfs.NewMemFS(), Compress: true, BlockSize: 512, SegmentSize: 8 << 10,
-		CacheBlocks: 4, CacheShards: 1}
+		CacheBlocks: 4}
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestWalksDecodeEachBlockOnce(t *testing.T) {
 // the first two have resident.
 func TestConcurrentViewsNeverSeeRecycledBytes(t *testing.T) {
 	s, err := Open(Options{Dir: t.TempDir(), Compress: true, BlockSize: 512, SegmentSize: 8 << 10,
-		CacheBlocks: 16, CacheShards: 2})
+		CacheBlocks: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,5 +354,53 @@ func TestConcurrentViewsNeverSeeRecycledBytes(t *testing.T) {
 	}
 	if st := s.Stats(); st.BlockBuffersRecycled == 0 || st.PinnedReaders != 0 || st.BlocksDecoded == 0 {
 		t.Fatalf("after the run: %+v", st)
+	}
+}
+
+// TestCacheShardsFollowTheBudget: the block cache has one shard per eight
+// blocks of its budget, between one and eight, which is what every store in
+// use asked for when the count was a setting.
+func TestCacheShardsFollowTheBudget(t *testing.T) {
+	for _, c := range []struct{ blocks, shards int }{{64, 8}, {16, 2}, {4, 1}, {1, 1}} {
+		s, err := Open(Options{CacheBlocks: c.blocks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(s.CacheShardStats()); got != c.shards {
+			t.Errorf("%d cached blocks: %d shards, want %d", c.blocks, got, c.shards)
+		}
+		s.Close()
+	}
+}
+
+// TestOneBlockCacheHoldsOneBlock: a store whose cache is one block keeps at
+// most one block resident, however many blocks its reads load. Every shard
+// keeps its newest block whatever its share of the budget, so a one-block
+// budget split over eight shards held up to eight.
+func TestOneBlockCacheHoldsOneBlock(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir(), BlockSize: 4 << 10, CacheBlocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const records = 32
+	for id := uint64(1); id <= records; id++ {
+		// 3000 B: two frames pass the block target, so every block is one record.
+		mustAppend(t, s, Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id), Payload: bytes.Repeat([]byte{byte(id)}, 3000)})
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= records; id++ {
+		if _, ok, err := s.Get(id); err != nil || !ok {
+			t.Fatal(id, ok, err)
+		}
+	}
+	resident := 0
+	for _, sh := range s.CacheShardStats() {
+		resident += sh.Blocks
+	}
+	if st := s.Stats(); resident != 1 || st.PreadBlockReads < records/2 {
+		t.Fatalf("%d blocks resident after %d loads, want 1", resident, st.PreadBlockReads)
 	}
 }

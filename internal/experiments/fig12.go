@@ -59,10 +59,8 @@ func RunFig12(sc Scale, kinds ...workload.Kind) (*Fig12Result, error) {
 
 func runFig12Cell(sc Scale, kind workload.Kind, config string) (Fig12Row, error) {
 	row := Fig12Row{Dataset: kind, Config: config}
-	opts := node.Options{
-		// Production-like: async encoding, background idle flusher.
-		FlushInterval: 2 * time.Millisecond,
-	}
+	// Production-like: async encoding, the daemon's background idle flusher.
+	var opts node.Options
 	switch config {
 	case "Original":
 		opts.DisableDedup = true

@@ -39,10 +39,9 @@ func startPair(t *testing.T, primMut func(*node.Options)) *pair {
 	c := &pair{primDir: t.TempDir()}
 	opts := func(dir string) node.Options {
 		return node.Options{
-			Dir:           dir,
-			Engine:        core.Config{GovernorWindow: 1 << 30},
-			FlushInterval: 2 * time.Millisecond,
-			Compaction:    node.CompactionOptions{Enabled: true, Interval: 50 * time.Millisecond},
+			Dir:        dir,
+			Engine:     core.Config{GovernorWindow: 1 << 30},
+			Compaction: node.CompactionOptions{Enabled: true, Interval: 50 * time.Millisecond},
 		}
 	}
 	popts := opts(c.primDir)
@@ -161,7 +160,6 @@ func TestClusterSecondaryCatchUpViaSnapshot(t *testing.T) {
 		Dir:           t.TempDir(),
 		Engine:        core.Config{GovernorWindow: 1 << 30},
 		OplogCapacity: 16,
-		FlushInterval: 2 * time.Millisecond,
 	}, nil)
 	prim := primM.Node
 	hist := histcheck.New(histcheck.FloorAtAck)

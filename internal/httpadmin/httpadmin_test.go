@@ -122,13 +122,17 @@ func TestEndpoints(t *testing.T) {
 }
 
 func TestMetricsEndpointIncludesApplyPipeline(t *testing.T) {
-	n, s := testAdmin(t)
+	// The apply pool is shaped like the encoder pool: two workers.
+	n, s := startAdmin(t, cluster.MemberConfig{Node: node.Options{
+		SyncEncode: true, DisableAutoFlush: true, EncodeWorkers: 2,
+		Engine: core.Config{GovernorWindow: 1 << 30},
+	}})
 	// Drive the encode pipeline…
 	if err := n.Insert("wiki", "k", []byte("some record content to encode")); err != nil {
 		t.Fatal(err)
 	}
 	// …and the apply pipeline, the way a replication secondary would.
-	ap := node.NewApplier(n, 0, node.ApplierOptions{Workers: 2})
+	ap := node.NewApplier(n, 0, node.ApplierOptions{})
 	ap.EnqueueEntry(oplog.Entry{Seq: 1, Op: oplog.OpInsert, DB: "replica-db",
 		Key: "r", Form: oplog.FormRaw, Payload: []byte("replicated content")}, false)
 	ap.Barrier()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -59,14 +58,6 @@ type dbKey struct{ db, key string }
 
 // ApplierOptions configures an apply pool.
 type ApplierOptions struct {
-	// Workers is the number of apply workers, each owning one FIFO shard;
-	// entries are hashed to shards by database name. Defaults to
-	// GOMAXPROCS.
-	Workers int
-	// Queue bounds each shard's queue (default 1024). The dispatcher
-	// blocks when a shard is full — backpressure onto the replication
-	// stream instead of unbounded memory growth.
-	Queue int
 	// Fetch reads a record whole, with its stamp, for a forward-encoded
 	// insert whose delta base is missing here or newer than the encoding's
 	// (normally from the primary over the replication fetch connection). It
@@ -91,15 +82,13 @@ type applySlot struct {
 
 // NewApplier starts an apply pool over n. afterSeq seeds the low-water mark
 // (the last sequence number already applied before this pool took over).
+// The pool is shaped like n's encoder pool: EncodeWorkers shards, entries
+// hashed to them by database name, each queue EncodeQueue deep. The
+// dispatcher blocks when a shard is full — backpressure onto the replication
+// stream instead of unbounded memory growth.
 func NewApplier(n *Node, afterSeq uint64, opts ApplierOptions) *Applier {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Queue <= 0 {
-		opts.Queue = 1024
-	}
 	a := &Applier{n: n, fetch: opts.Fetch, m: n.ApplyMetrics(), base: afterSeq, stamps: make(map[dbKey]uint64)}
-	a.pool = newFIFOPool(opts.Workers, opts.Queue, a.run, &a.m.Workers, &a.m.QueueDepth, &a.m.QueueOverflows)
+	a.pool = newFIFOPool(n.opts.EncodeWorkers, n.opts.EncodeQueue, a.run, &a.m.Workers, &a.m.QueueDepth, &a.m.QueueOverflows)
 	return a
 }
 

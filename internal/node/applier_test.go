@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -92,8 +93,8 @@ func TestApplierMultiDBConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sec := testNode(t, Options{})
-	ap := NewApplier(sec, 0, ApplierOptions{Workers: 8, Queue: 16})
+	sec := testNode(t, Options{EncodeWorkers: 8, EncodeQueue: 16})
+	ap := NewApplier(sec, 0, ApplierOptions{})
 	defer ap.Close()
 	for _, e := range ents {
 		ap.EnqueueEntry(e, false)
@@ -136,8 +137,8 @@ func TestApplierMultiDBConvergence(t *testing.T) {
 // only advances over the completed prefix, and Reset rebases it (downward)
 // after a snapshot barrier.
 func TestApplierLowWaterAndReset(t *testing.T) {
-	sec := testNode(t, Options{})
-	ap := NewApplier(sec, 5, ApplierOptions{Workers: 4, Queue: 8})
+	sec := testNode(t, Options{EncodeWorkers: 4, EncodeQueue: 8})
+	ap := NewApplier(sec, 5, ApplierOptions{})
 	defer ap.Close()
 	if got := ap.LowWater(); got != 5 {
 		t.Fatalf("initial low water = %d, want 5", got)
@@ -168,8 +169,8 @@ func TestApplierLowWaterAndReset(t *testing.T) {
 // apply failure. The mark must freeze at the last successfully applied
 // sequence.
 func TestApplierFailureFreezesLowWater(t *testing.T) {
-	sec := testNode(t, Options{})
-	ap := NewApplier(sec, 0, ApplierOptions{Workers: 4, Queue: 8})
+	sec := testNode(t, Options{EncodeWorkers: 4, EncodeQueue: 8})
+	ap := NewApplier(sec, 0, ApplierOptions{})
 	defer ap.Close()
 
 	// Seqs 1..5 apply cleanly and drain first, so the mark is
@@ -222,8 +223,8 @@ func TestApplierFailureFreezesLowWater(t *testing.T) {
 // appended after the workers drained and exited would never be serviced, so
 // a Barrier racing Close (as WaitForSeq can) used to hang forever.
 func TestApplierBarrierAfterClose(t *testing.T) {
-	sec := testNode(t, Options{})
-	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2})
+	sec := testNode(t, Options{EncodeWorkers: 2})
+	ap := NewApplier(sec, 0, ApplierOptions{})
 	ap.EnqueueEntry(oplog.Entry{Seq: 1, Op: oplog.OpInsert, DB: "db", Key: "k",
 		Form: oplog.FormRaw, Payload: []byte("v")}, false)
 	ap.Close()
@@ -247,9 +248,9 @@ func TestApplierBarrierAfterClose(t *testing.T) {
 // fetch callback supplies the full content, the insert is counted exactly
 // once, and the fetch counter advances exactly once.
 func TestApplierFetchFallback(t *testing.T) {
-	sec := testNode(t, Options{})
+	sec := testNode(t, Options{EncodeWorkers: 2})
 	fetched := 0
-	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2, Fetch: func(db, key string) (Stamped, error) {
+	ap := NewApplier(sec, 0, ApplierOptions{Fetch: func(db, key string) (Stamped, error) {
 		fetched++
 		return Stamped{Stamp: 1, Present: true, Content: []byte("fetched full content")}, nil
 	}})
@@ -282,8 +283,8 @@ func TestApplierFetchFallback(t *testing.T) {
 // followed the insert: all three are skipped without poisoning the pool, and
 // nothing is installed. A delete numbered past the stamp is not covered.
 func TestApplierFetchUnavailableVanishedKey(t *testing.T) {
-	sec := testNode(t, Options{})
-	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2, Fetch: func(db, key string) (Stamped, error) {
+	sec := testNode(t, Options{EncodeWorkers: 2})
+	ap := NewApplier(sec, 0, ApplierOptions{Fetch: func(db, key string) (Stamped, error) {
 		return Stamped{Stamp: 3}, nil
 	}})
 	defer ap.Close()
@@ -323,8 +324,8 @@ func TestApplierFetchUnavailableVanishedKey(t *testing.T) {
 // the epoch-mismatch snapshot that follows restates the key, and forgets the
 // cover.
 func TestFetchFromARestartedPrimary(t *testing.T) {
-	sec := testNode(t, Options{})
-	ap := NewApplier(sec, 4, ApplierOptions{Workers: 2, Fetch: func(db, key string) (Stamped, error) {
+	sec := testNode(t, Options{EncodeWorkers: 2})
+	ap := NewApplier(sec, 4, ApplierOptions{Fetch: func(db, key string) (Stamped, error) {
 		return Stamped{}, ErrFetchRefused
 	}})
 	defer ap.Close()
@@ -348,8 +349,8 @@ func TestFetchFromARestartedPrimary(t *testing.T) {
 // database's stamps go with the busy one's instead of waiting for the next
 // snapshot.
 func TestIdleDatabaseStampsForgotten(t *testing.T) {
-	sec := testNode(t, Options{})
-	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2})
+	sec := testNode(t, Options{EncodeWorkers: 2})
+	ap := NewApplier(sec, 0, ApplierOptions{})
 	defer ap.Close()
 	ap.Barrier()
 	ap.BeginSnapshot()
@@ -406,8 +407,8 @@ func applyOne(t *testing.T, ap *Applier, e oplog.Entry) {
 // and the window replays u2 then u3. Both are reflected already, so the key
 // never reads u2; u4, past the stamp, applies.
 func TestSnapshotRecordNotRewound(t *testing.T) {
-	sec := testNode(t, Options{})
-	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2})
+	sec := testNode(t, Options{EncodeWorkers: 2})
+	ap := NewApplier(sec, 0, ApplierOptions{})
 	defer ap.Close()
 	snapshotInto(t, ap, "db", 1, map[string]Stamped{"k": {Stamp: 3, Present: true, Content: []byte("u3")}})
 	for _, step := range []struct {
@@ -430,11 +431,11 @@ func TestSnapshotRecordNotRewound(t *testing.T) {
 // secondary's older copy goes at once, and the window's insert and delete,
 // both numbered up to 5, do not bring it back; an insert past 5 does.
 func TestSnapshotTombstoneNotRevived(t *testing.T) {
-	sec := testNode(t, Options{})
+	sec := testNode(t, Options{EncodeWorkers: 2})
 	if err := sec.Upsert("db", "k", []byte("held before the snapshot"), false); err != nil {
 		t.Fatal(err)
 	}
-	ap := NewApplier(sec, 0, ApplierOptions{Workers: 2})
+	ap := NewApplier(sec, 0, ApplierOptions{})
 	defer ap.Close()
 	snapshotInto(t, ap, "db", 2, map[string]Stamped{"k": {Stamp: 5}})
 	if sec.Has("db", "k") {
@@ -479,5 +480,23 @@ func TestWindowInsertDecodesAgainstOlderBase(t *testing.T) {
 	}
 	if got := sec.ApplyMetrics().BaseFetches.Total(); got != 0 || fetches != 0 {
 		t.Fatalf("base fetches = %d (%d calls), want 0", got, fetches)
+	}
+}
+
+// TestDefaultsStand pins the values that are constants or derived rather
+// than options: a default node's apply pool has GOMAXPROCS workers with
+// 1024-deep queues, as its encoder pool does; the idle flusher looks every
+// 10 ms; compaction starts at half the payload bytes dead; and the engine's
+// deltas sample an anchor every 64 bytes.
+func TestDefaultsStand(t *testing.T) {
+	ap := NewApplier(testNode(t, Options{}), 0, ApplierOptions{})
+	defer ap.Close()
+	if len(ap.pool.shards) != runtime.GOMAXPROCS(0) || cap(ap.pool.shards[0].sem) != 1024 {
+		t.Errorf("apply pool of %d shards %d deep, want GOMAXPROCS = %d of 1024",
+			len(ap.pool.shards), cap(ap.pool.shards[0].sem), runtime.GOMAXPROCS(0))
+	}
+	if flushInterval != 10*time.Millisecond || compactionTrigger != 0.5 || delta.DefaultAnchorInterval != 64 {
+		t.Errorf("flush interval %v, compaction trigger %v, anchor interval %d; want 10ms, 0.5, 64",
+			flushInterval, compactionTrigger, delta.DefaultAnchorInterval)
 	}
 }

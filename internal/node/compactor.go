@@ -11,19 +11,17 @@ type CompactionOptions struct {
 	Enabled bool
 	// Interval is how often the dead-space ratio is checked (default 1s).
 	Interval time.Duration
-	// TriggerRatio is the dead fraction of the stored payload bytes that
-	// triggers compaction (default 0.5): superseded over superseded plus
-	// live, both counted as they were before block compression.
-	TriggerRatio float64
 }
+
+// compactionTrigger is the dead fraction of the stored payload bytes that
+// triggers compaction: superseded over superseded plus live, both counted as
+// they were before block compression.
+const compactionTrigger = 0.5
 
 // startCompactor launches the background compaction loop.
 func (n *Node) startCompactor(opts CompactionOptions) {
 	if opts.Interval <= 0 {
 		opts.Interval = time.Second
-	}
-	if opts.TriggerRatio <= 0 {
-		opts.TriggerRatio = 0.5
 	}
 	n.wg.Add(1)
 	go func() {
@@ -37,7 +35,7 @@ func (n *Node) startCompactor(opts CompactionOptions) {
 			case <-ticker.C:
 				st := n.store.Stats()
 				total := st.DeadBytes + st.LogicalBytes
-				if total == 0 || float64(st.DeadBytes)/float64(total) < opts.TriggerRatio {
+				if total == 0 || float64(st.DeadBytes)/float64(total) < compactionTrigger {
 					continue
 				}
 				// Compaction failure is not fatal — space simply

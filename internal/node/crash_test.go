@@ -10,14 +10,14 @@ import (
 )
 
 // churnedNode opens a node whose background compactor checks every 10 ms
-// against trigger (0: the default) and hammers twenty keys with updates, so
-// old frames pile up as dead bytes across many small segments.
-func churnedNode(t *testing.T, trigger float64) *Node {
+// and hammers twenty keys with updates, so old frames pile up as dead bytes
+// across many small segments, well past the trigger.
+func churnedNode(t *testing.T) *Node {
 	t.Helper()
 	opts := Options{
 		SyncEncode: true, DisableAutoFlush: true,
 		BlockSize: 512, SegmentSize: 8 << 10,
-		Compaction: CompactionOptions{Enabled: true, Interval: 10 * time.Millisecond, TriggerRatio: trigger},
+		Compaction: CompactionOptions{Enabled: true, Interval: 10 * time.Millisecond},
 	}
 	opts.Engine.GovernorWindow = 1 << 30
 	n, err := Open(opts)
@@ -45,7 +45,7 @@ func churnedNode(t *testing.T, trigger float64) *Node {
 // TestBackgroundCompactor verifies that heavy rewrite traffic triggers
 // compaction and the store keeps serving correct data throughout.
 func TestBackgroundCompactor(t *testing.T) {
-	n := churnedNode(t, 0.3)
+	n := churnedNode(t)
 	deadline := time.Now().Add(3 * time.Second)
 	passes := n.CompactionMetrics().Passes.Total
 	for passes() == 0 && time.Now().Before(deadline) {
@@ -66,7 +66,7 @@ func TestBackgroundCompactor(t *testing.T) {
 // under the trigger or no rolled segment holds a dead byte, and from then on
 // a tick finds nothing to do: no pass is counted and no frame is appended.
 func TestCompactorGoesQuiet(t *testing.T) {
-	n := churnedNode(t, 0)
+	n := churnedNode(t)
 
 	// Quiet is a pass count that has stood still for thirty ticks.
 	passes := n.CompactionMetrics().Passes.Total

@@ -2,11 +2,14 @@ package node
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,15 +133,41 @@ func TestReplicatedInsertAllocBudget(t *testing.T) {
 }
 
 // The golden directories hold data directories written by running
-// goldenNodeOps: golden_pr18 by the parent of the allocation-diet change
-// (commit 45008b0, PR 18), every block self-contained; golden_pr29 in the
-// store's format since, blocks behind a per-segment dictionary; golden_pr46 in
-// the same format, its batches cut before the frame that would take a block
-// past the target rather than behind it; golden_pr54 in the same format, its
-// blocks parsed by the block encoder's 5-byte hash; golden_pr55 in the same
-// format, its write-backs applied chain by chain, so the frames of the
-// re-encoded records come in another order.
-var goldenNodeDirs = []string{"testdata/golden_pr18", "testdata/golden_pr29", "testdata/golden_pr46", "testdata/golden_pr54", "testdata/golden_pr55"}
+// goldenNodeOps, one per on-disk format: golden_pr18 by the parent of the
+// allocation-diet change (commit 45008b0), every block self-contained;
+// golden_pr29 in the store's format since, blocks behind a per-segment
+// dictionary.
+var goldenNodeDirs = []string{"testdata/golden_pr18", "testdata/golden_pr29"}
+
+// goldenNodeSegments is the SHA-256 of each segment file goldenNodeOps writes
+// today. A change that moves these bytes on purpose (where batches are cut,
+// how blocks are parsed, the order write-backs are applied in) replaces the
+// sums; one that changes the format adds a directory as well.
+var goldenNodeSegments = map[string]string{
+	"seg-000000.log": "d6c0e0ab32c6e3b3297e7696e36ae9f25343eda912018f9220b56ad05dcc9f15",
+	"seg-000002.log": "361ef88766b4c51385d6975bf3ba7bb77f9a2524acd7e61bd84c84ce4a4dcd97",
+	"seg-000003.log": "f54a24b5873b28c6bd7376e60f59848bb95fcbc60d0e239513ac530e384d599a",
+}
+
+// checkSegmentSums fails t unless dir holds exactly the segment files of sums,
+// each with its SHA-256.
+func checkSegmentSums(t *testing.T, dir string, sums map[string]string) {
+	t.Helper()
+	files, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if len(files) != len(sums) {
+		t.Fatalf("wrote %d segment files, want %d", len(files), len(sums))
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got, want := hex.EncodeToString(sum[:]), sums[filepath.Base(f)]; got != want {
+			t.Fatalf("%s (%d bytes) has SHA-256 %s, want %s", filepath.Base(f), len(b), got, want)
+		}
+	}
+}
 
 func goldenNodeOptions(dir string) Options {
 	return Options{Dir: dir, BlockCompression: true, BlockSize: 4 << 10, SegmentSize: 32 << 10}
@@ -203,8 +232,8 @@ func copyDir(t *testing.T, from, to string) {
 
 // TestGoldenDirsOpenAndVerify: a data directory written in an earlier format,
 // or in this one, recovers, passes VerifyAll, reads back exactly and takes
-// new writes; and given the same operations the node writes the newest
-// directory's bytes again.
+// new writes; and given the same operations the node writes the same bytes
+// again (goldenNodeSegments).
 func TestGoldenDirsOpenAndVerify(t *testing.T) {
 	fresh := t.TempDir()
 	n := testNode(t, goldenNodeOptions(fresh))
@@ -212,28 +241,14 @@ func TestGoldenDirsOpenAndVerify(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	newest := goldenNodeDirs[len(goldenNodeDirs)-1]
-	golden, _ := filepath.Glob(filepath.Join(newest, "seg-*.log"))
-	ours, _ := filepath.Glob(filepath.Join(fresh, "seg-*.log"))
-	if len(golden) == 0 || len(ours) != len(golden) {
-		t.Fatalf("wrote %d segment files, %s has %d", len(ours), newest, len(golden))
-	}
-	for _, g := range golden {
-		gb, err := os.ReadFile(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ob, err := os.ReadFile(filepath.Join(fresh, filepath.Base(g)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ob, gb) {
-			t.Fatalf("%s differs from the one in %s (%d vs %d bytes)", filepath.Base(g), newest, len(ob), len(gb))
-		}
-	}
+	checkSegmentSums(t, fresh, goldenNodeSegments)
 
-	for _, golden := range goldenNodeDirs {
-		t.Run(filepath.Base(golden), func(t *testing.T) {
+	for _, golden := range append(slices.Clone(goldenNodeDirs), fresh) {
+		name := filepath.Base(golden)
+		if golden == fresh {
+			name = "written_now"
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			copyDir(t, golden, dir)
 			n := testNode(t, goldenNodeOptions(dir))

@@ -57,9 +57,8 @@ type Options struct {
 	// BlockCompression enables block-level compression in the store (the
 	// "Snappy" configuration).
 	BlockCompression bool
-	// BlockSize, SegmentSize, CacheBlocks, CacheShards pass through to
-	// the store.
-	BlockSize, SegmentSize, CacheBlocks, CacheShards int
+	// BlockSize, SegmentSize, CacheBlocks pass through to the store.
+	BlockSize, SegmentSize, CacheBlocks int
 	// SyncWrites passes through to the store: fsync each sealed block, so
 	// an acknowledged Flush survives a crash.
 	SyncWrites bool
@@ -80,17 +79,17 @@ type Options struct {
 	// client mutation that finds its database's shard full blocks until
 	// the encoder drains a slot — caller backpressure instead of unbounded
 	// memory growth; such stalls are counted in Stats.EncodeOverflows.
+	// A secondary's apply pool (NewApplier) takes the same depth.
 	EncodeQueue int
 	// EncodeWorkers is the number of background encoder workers, each
 	// owning one queue shard; jobs are hashed by database name so
 	// per-database encode order always matches mutation order. Defaults
-	// to GOMAXPROCS.
+	// to GOMAXPROCS. A secondary's apply pool takes as many workers.
 	EncodeWorkers int
-	// DisableAutoFlush stops the background idle flusher; callers drive
-	// FlushWritebacks manually (experiments do).
+	// DisableAutoFlush stops the background idle flusher (one look every
+	// flushInterval); callers drive FlushWritebacks manually (experiments
+	// do).
 	DisableAutoFlush bool
-	// FlushInterval is the idle-detection period (default 10ms).
-	FlushInterval time.Duration
 	// SimulatedAppendDelay injects per-append device latency into the
 	// store (experiments emulating slow disks).
 	SimulatedAppendDelay time.Duration
@@ -107,8 +106,12 @@ type Options struct {
 	Compaction CompactionOptions
 }
 
-// idleFlushBatch is how many write-backs one idle tick applies.
-const idleFlushBatch = 64
+const (
+	// flushInterval is the idle flusher's idle-detection period.
+	flushInterval = 10 * time.Millisecond
+	// idleFlushBatch is how many write-backs one idle tick applies.
+	idleFlushBatch = 64
+)
 
 // Stats is a node-level snapshot.
 type Stats struct {
@@ -257,16 +260,12 @@ func Open(opts Options) (*Node, error) {
 	if opts.EncodeWorkers <= 0 {
 		opts.EncodeWorkers = runtime.GOMAXPROCS(0)
 	}
-	if opts.FlushInterval <= 0 {
-		opts.FlushInterval = 10 * time.Millisecond
-	}
 	store, err := docstore.Open(docstore.Options{
 		Dir:         opts.Dir,
 		BlockSize:   opts.BlockSize,
 		Compress:    opts.BlockCompression,
 		SegmentSize: opts.SegmentSize,
 		CacheBlocks: opts.CacheBlocks,
-		CacheShards: opts.CacheShards,
 		AppendDelay: opts.SimulatedAppendDelay,
 		SyncWrites:  opts.SyncWrites,
 		FS:          opts.FS,

@@ -31,8 +31,8 @@ func TestApplierBackpressureCountsOverflows(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sec := testNode(t, Options{})
-	ap := NewApplier(sec, 0, ApplierOptions{Workers: 1, Queue: 1})
+	sec := testNode(t, Options{EncodeWorkers: 1, EncodeQueue: 1})
+	ap := NewApplier(sec, 0, ApplierOptions{})
 	defer ap.Close()
 	for _, e := range ents {
 		ap.EnqueueEntry(e, false)

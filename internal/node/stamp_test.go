@@ -645,7 +645,7 @@ func staleSourceCache(t *testing.T, replica bool, mutation string) {
 	// and read nothing), and a one-block cache cannot still hold it after the
 	// second revision's block was read.
 	gate := &readGate{FS: faultfs.NewMemFS(), held: make(chan struct{}, 1), letGo: make(chan struct{})}
-	opts := Options{Dir: "n", FS: gate, BlockSize: 4096, CacheBlocks: 1, CacheShards: 1,
+	opts := Options{Dir: "n", FS: gate, BlockSize: 4096, CacheBlocks: 1,
 		EncodeWorkers: 1, DisableAutoFlush: true,
 		Engine: core.Config{Scheme: chain.Hop, HopDistance: 2, GovernorWindow: 1 << 30}}
 	n, err := Open(opts)

@@ -680,7 +680,7 @@ func (n *Node) compactStackedLocked(id uint64, was docstore.MetaInfo) {
 // queue depth).
 func (n *Node) flushLoop() {
 	defer n.wg.Done()
-	ticker := time.NewTicker(n.opts.FlushInterval)
+	ticker := time.NewTicker(flushInterval)
 	defer ticker.Stop()
 	for {
 		select {
