@@ -42,14 +42,17 @@
 // and neither changes a byte of it. The encoder extends a match by comparing
 // words and counting the trailing zero bits of their XOR; its output is the
 // byte-at-a-time encoder's, which the tests keep as the oracle. The decoder
-// moves matches and short literals as whole words under one invariant, the
-// 8-byte slack: a word store may overshoot the end of its tag's output by up
-// to 7 bytes, so the word path is taken only when dst has at least 8 bytes
-// left past that end (16 for the two-word literal move, on both sides). The
-// overshoot lands on bytes a later tag has yet to write, and the block is
-// accepted only if its tags write every byte up to len(dst) exactly. A copy
-// additionally needs offset >= 8, so that each word it loads lies entirely
-// before the word it stores and is therefore final output. Copies that
+// moves matches and literals as whole words under one invariant, the slack: a
+// word store may overshoot the end of its tag's output by up to 7 bytes, so
+// the word path is taken only when dst has at least 8 bytes left past that
+// end. The overshoot lands on bytes a later tag has yet to write, and the
+// block is accepted only if its tags write every byte up to len(dst) exactly.
+// A copy or literal of at most 16 bytes, which is nearly every tag of the
+// store's blocks, is two unconditional words whenever 16 bytes of dst are
+// left (and, for a literal, of block). A copy additionally needs its source
+// at least 8 bytes back in dst, so that each word it loads lies entirely
+// before the word it stores and is therefore final output, or at least 16
+// bytes back in the dictionary, so that both words lie inside it. Copies that
 // overlap their own output more tightly (offset < 8, the run-length case) and
 // whatever ends within the last 8 bytes of the block go byte by byte.
 package blockcomp
@@ -354,8 +357,43 @@ func DecodeDict(dst, block, dict []byte) ([]byte, error) {
 		return nil, fmt.Errorf("blockcomp: header declares %d bytes, caller expects %d", declared, len(dst))
 	}
 	d := 0
+	// Nearly every tag is a copy or literal of at most 16 bytes: with 16
+	// bytes of dst left, and of block behind the tag, it is two unconditional
+	// words.
+	fastS, fastD := len(block)-3-2*wordLen, len(dst)-2*wordLen
 	for s < len(block) {
 		tag := block[s]
+		if s <= fastS && d <= fastD {
+			to := dst[d : d+2*wordLen]
+			switch {
+			case tag&0x03 == tagLiteral && tag < 2*wordLen<<2:
+				from := block[s+1 : s+1+2*wordLen]
+				binary.LittleEndian.PutUint64(to, binary.LittleEndian.Uint64(from))
+				binary.LittleEndian.PutUint64(to[wordLen:], binary.LittleEndian.Uint64(from[wordLen:]))
+				n := int(tag>>2) + 1
+				s, d = s+1+n, d+n
+				continue
+			case tag&0x03 == tagCopy && tag < (2*wordLen-minMatch+1)<<2:
+				offset := int(block[s+1]) | int(block[s+2])<<8
+				if offset >= wordLen && offset <= d {
+					// The source lies a word back or more: the first
+					// load is final output, the second at most what the
+					// first store wrote.
+					from := dst[d-offset : d-offset+2*wordLen]
+					binary.LittleEndian.PutUint64(to, binary.LittleEndian.Uint64(from))
+					binary.LittleEndian.PutUint64(to[wordLen:], binary.LittleEndian.Uint64(from[wordLen:]))
+				} else if back := offset - d; back >= 2*wordLen && back <= len(dict) {
+					from := dict[len(dict)-back : len(dict)-back+2*wordLen]
+					binary.LittleEndian.PutUint64(to, binary.LittleEndian.Uint64(from))
+					binary.LittleEndian.PutUint64(to[wordLen:], binary.LittleEndian.Uint64(from[wordLen:]))
+				} else {
+					break // closer than a word, or across the dictionary's end
+				}
+				n := int(tag>>2) + minMatch
+				s, d = s+3, d+n
+				continue
+			}
+		}
 		switch tag & 0x03 {
 		case tagCopy:
 			if len(block)-s < 3 {
@@ -432,14 +470,7 @@ func DecodeDict(dst, block, dict []byte) ([]byte, error) {
 			if litLen > len(block)-s || litLen > len(dst)-d {
 				return nil, errCorrupt
 			}
-			if litLen <= 2*wordLen && len(block)-s >= 2*wordLen && len(dst)-d >= 2*wordLen {
-				// A short literal with slack on both sides: two words,
-				// whatever its length.
-				binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(block[s:]))
-				binary.LittleEndian.PutUint64(dst[d+wordLen:], binary.LittleEndian.Uint64(block[s+wordLen:]))
-			} else {
-				copy(dst[d:], block[s:s+litLen])
-			}
+			copy(dst[d:], block[s:s+litLen])
 			d += litLen
 			s += litLen
 		default:

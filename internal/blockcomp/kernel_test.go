@@ -127,8 +127,8 @@ func kernelEdgeBlocks() [][]byte {
 	cp := func(length, offset int) []byte {
 		return []byte{byte(length-minMatch)<<2 | tagCopy, byte(offset), byte(offset >> 8)}
 	}
-	for offset := 1; offset <= 9; offset++ {
-		for _, length := range []int{4, 7, 8, 9, 17, 67} {
+	for offset := 1; offset <= 17; offset++ {
+		for _, length := range []int{4, 7, 8, 9, 15, 16, 17, 67} {
 			for tail := 0; tail <= 9; tail++ {
 				// 20 literal bytes, one copy, then tail literal bytes.
 				tags := append(lit(20), cp(length, offset)...)
@@ -325,6 +325,32 @@ func decodeDictBoth(t *testing.T, block, dict []byte) {
 		plain, plainErr := DecodeInto(make([]byte, n), block)
 		if (plainErr == nil) != (err == nil) || err == nil && !bytes.Equal(plain, got) {
 			t.Fatalf("an empty dictionary is not DecodeInto: %v / %v", err, plainErr)
+		}
+	}
+}
+
+// TestDecodeDictMatchesOracleAtTheSeams: copies that reach into the
+// dictionary from every distance around the two-word move's seam, at every
+// short length, with and without the block's slack behind them.
+func TestDecodeDictMatchesOracleAtTheSeams(t *testing.T) {
+	dict := []byte("0123456789abcdefghijklmnopqrstuv")
+	for lead := 0; lead <= 9; lead += 9 {
+		for back := 1; back <= 20; back++ {
+			for length := minMatch; length <= 17; length++ {
+				for tail := 0; tail <= 17; tail++ {
+					tags := []byte{}
+					if lead > 0 {
+						tags = append(tags, byte(lead-1)<<2)
+						tags = append(tags, dict[:lead]...)
+					}
+					tags = append(tags, byte(length-minMatch)<<2|tagCopy, byte(lead+back), 0)
+					if tail > 0 {
+						tags = append(tags, byte(tail-1)<<2)
+						tags = append(tags, dict[:tail]...)
+					}
+					decodeDictBoth(t, append([]byte{byte(lead + length + tail)}, tags...), dict)
+				}
+			}
 		}
 	}
 }

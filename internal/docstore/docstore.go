@@ -227,8 +227,9 @@ type Stats struct {
 	// DictBytes what the live segments' compression dictionaries hold
 	// beside them: at most 32 KiB a segment.
 	CacheBytes, CacheBudgetBytes, DictBytes int64
-	// PreadBlockReads counts block loads: each is a positional read of the
-	// block's header and one of its body, checksummed. MmapBlockReads is
+	// PreadBlockReads counts block loads: each is one positional read of
+	// the block's header and body (two for a body longer than a 4 KiB
+	// block's), checksummed. MmapBlockReads is
 	// always zero (no segment is mapped); it stays for readers that report
 	// it.
 	MmapBlockReads, PreadBlockReads uint64
@@ -986,33 +987,42 @@ func (seg *segment) publish(n int64) {
 	seg.rd.SetSize(seg.size)
 }
 
-// scratchPool holds the buffers a block load reads its header and a
-// compressed image into; they live only for the length of one load.
+// scratchPool holds the buffers a block load reads a block's header and
+// body into; they live only for the length of one load.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// loadSpan is what a block load reads at once: the header and as much body as
+// a block of blockTarget raw bytes can have, compressed or not, so that every
+// block but a segment's first (its batch whole) and a lone frame longer than
+// the target is one read.
+var loadSpan = int64(blockHeaderSize + blockcomp.MaxEncodedLen(blockTarget))
 
 // readBlock loads the block at offset off of rd, which the caller has pinned
 // (or owns outright, during replay), and returns its decompressed contents and
-// the offset of the block behind it. Every load is the same two positional
-// reads, of the header into pooled scratch and of the body, and the body's
-// checksum is verified before anything is made of it. An uncompressed body is
-// read straight into a buffer that buffer supplies at the length asked for; a
-// compressed one is read into the scratch and decoded into such a buffer,
-// behind rd's dictionary when it has flagDict. The block is then the
-// caller's. A point read passes the block cache's free list and hands the
-// block to the cache afterwards, so a steady-state miss allocates nothing
-// here. What the header claims is checked against what the bytes can hold
-// before anything is sized from it, so a damaged header is an error, never an
-// allocation.
+// the offset of the block behind it. A load is one positional read of the
+// header and up to loadSpan bytes of body into pooled scratch, bounded by
+// rd's published size, and a second read of whatever of a longer body that
+// left out; the body's checksum is verified before anything is made of it. A
+// compressed body is decoded from the scratch into a buffer that buffer
+// supplies at the length asked for, behind rd's dictionary when it has
+// flagDict; an uncompressed one is copied into such a buffer. The block is
+// then the caller's. A point read passes the block cache's free list and
+// hands the block to the cache afterwards, so a steady-state miss allocates
+// nothing here. What the header claims is checked against what the bytes can
+// hold before anything is sized from it, so a damaged header is an error,
+// never an allocation.
 func (s *Store) readBlock(rd *segio.Reader, off int64, buffer func(n int) []byte) (block []byte, next int64, err error) {
 	sp := scratchPool.Get().(*[]byte)
 	defer scratchPool.Put(sp)
-	if cap(*sp) < blockHeaderSize {
-		*sp = make([]byte, blockHeaderSize)
+	if int64(cap(*sp)) < loadSpan {
+		*sp = make([]byte, loadSpan)
 	}
-	hdr := (*sp)[:blockHeaderSize]
-	if err := rd.ReadAt(hdr, off); err != nil {
+	read := max(min(loadSpan, rd.Size()-off), blockHeaderSize) // short of a header: the read's error
+	span := (*sp)[:read]
+	if err := rd.ReadAt(span, off); err != nil {
 		return nil, 0, fmt.Errorf("docstore: %w", err)
 	}
+	hdr := span[:blockHeaderSize]
 	if binary.LittleEndian.Uint32(hdr[0:]) != blockMagic {
 		return nil, 0, errors.New("docstore: bad block magic")
 	}
@@ -1031,17 +1041,26 @@ func (s *Store) readBlock(rd *segio.Reader, off int64, buffer func(n int) []byte
 	}
 	s.preadReads.Add(1)
 
-	var image []byte // the stored body; the header's bytes are dead from here
+	// image is the stored body: in the scratch behind the header when
+	// compressed, in the caller's buffer when not. have is how much of it the
+	// first read brought.
+	have := min(int64(len(span)-blockHeaderSize), storedLen)
+	var image []byte
 	if compressed {
-		if int64(cap(*sp)) < storedLen {
-			*sp = make([]byte, storedLen)
+		if end := blockHeaderSize + storedLen; int64(cap(*sp)) < end {
+			grown := make([]byte, end)
+			copy(grown, span)
+			*sp = grown
 		}
-		image = (*sp)[:storedLen]
+		image = (*sp)[blockHeaderSize : blockHeaderSize+storedLen]
 	} else {
 		image = buffer(int(storedLen))
+		copy(image, span[blockHeaderSize:])
 	}
-	if err := rd.ReadAt(image, bodyOff); err != nil {
-		return nil, 0, fmt.Errorf("docstore: %w", err)
+	if have < storedLen {
+		if err := rd.ReadAt(image[have:], bodyOff+have); err != nil {
+			return nil, 0, fmt.Errorf("docstore: %w", err)
+		}
 	}
 	if crc32.ChecksumIEEE(image) != sum {
 		return nil, 0, errors.New("docstore: block checksum mismatch")

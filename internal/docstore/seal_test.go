@@ -371,6 +371,53 @@ func TestBatchIsOneWrite(t *testing.T) {
 	}
 }
 
+// TestBlockLoadIsOneRead: a cold point read of a block of at most 4 KiB,
+// compressed or not, reads the file once; header and body used to be a read
+// each.
+func TestBlockLoadIsOneRead(t *testing.T) {
+	for _, compress := range []bool{true, false} {
+		inj := faultfs.NewInjector(faultfs.NewMemFS(), 1)
+		opts := Options{Dir: "d", FS: inj, Compress: compress}
+		s, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Records of 1000 bytes, half noise: the first batch is one large
+		// block, each later one is cut into blocks of four records.
+		const records = 100
+		for id := uint64(1); id <= records; id++ {
+			payload := bytes.Repeat([]byte{byte('a' + id%26)}, 1000)
+			rand.New(rand.NewSource(int64(id))).Read(payload[500:])
+			mustAppend(t, s, Record{ID: id, DB: "db", Key: fmt.Sprintf("k%d", id), Payload: payload})
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Open(opts); err != nil { // a cold block cache
+			t.Fatal(err)
+		}
+		before, reads := s.Stats(), inj.Count(faultfs.OpRead)
+		rec, ok, err := s.Get(records - 10)
+		if err != nil || !ok || len(rec.Payload) != 1000 {
+			t.Fatalf("compress %v: Get: ok %v, err %v", compress, ok, err)
+		}
+		after := s.Stats()
+		if loads := after.PreadBlockReads - before.PreadBlockReads; loads != 1 {
+			t.Fatalf("compress %v: the read loaded %d blocks, the test wants one", compress, loads)
+		}
+		if compress && after.BlockBytesDecoded-before.BlockBytesDecoded > blockTarget {
+			t.Fatalf("compress %v: the block holds %d bytes, the test wants one of at most %d",
+				compress, after.BlockBytesDecoded-before.BlockBytesDecoded, blockTarget)
+		}
+		if got := inj.Count(faultfs.OpRead) - reads; got != 1 {
+			t.Errorf("compress %v: a cold point read of one block read the file %d times, want 1", compress, got)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestBlocksNeverPassTheTarget: a batch is cut before the frame that would take
 // a block past blockTarget, so no block of two or more frames holds more than
 // blockTarget raw bytes, except a segment's first, which is its batch whole. A

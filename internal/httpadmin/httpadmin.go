@@ -241,7 +241,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	cm := s.node.CompactionMetrics()
 	fmt.Fprintf(w, "compact:  %d passes, reclaimed %s\n",
 		cm.Passes.Total(), metrics.FormatBytes(cm.PhysicalBytesReclaimed.Total()))
-	fmt.Fprintf(w, "blocks:   %d loads, each a checksummed pread\n", st.Store.PreadBlockReads)
+	fmt.Fprintf(w, "blocks:   %d loads, each one checksummed read of header and body\n", st.Store.PreadBlockReads)
 	fmt.Fprintf(w, "featidx:  %d entries (%s of %s), %d lookups, %d matches, %d evictions\n",
 		st.Engine.IndexEntries, metrics.FormatBytes(st.Engine.IndexMemoryBytes),
 		metrics.FormatBytes(st.Engine.IndexCapacityBytes),

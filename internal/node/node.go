@@ -197,6 +197,9 @@ type Node struct {
 	// snapshot.
 	readsTotal  atomic.Uint64
 	decodeSteps atomic.Uint64
+	// walkBytes counts the bytes chain walks write: the content they build,
+	// and the content of the hop a repair keeps. Tests read it.
+	walkBytes atomic.Uint64
 	// readsFromCache is Stats.ReadsFromSourceCache.
 	readsFromCache atomic.Uint64
 	oplogBytes     atomic.Int64 // Stats.OplogBytes; encoder workers add to it
