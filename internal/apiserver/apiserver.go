@@ -15,8 +15,8 @@
 // op: 'I' insert, 'G' get, 'U' update, 'D' delete, 'S' stats, 'P' per-db stats.
 // Cluster ops (answered only by a clustered backend): 'C' fetch ring,
 // 'N' install ring, 'H' begin handoff (blocking; answered with no body),
-// 'M' commit ring, 'A' abort ring, 'T' transfer-upsert one record into a
-// handoff window.
+// 'M' commit ring, 'A' abort ring, 'T' transfer-upsert a batch of records
+// into a handoff window (its body is the batch: repl.Batches' form).
 // status: 0 ok, 1 not found, 2 error (payload = message), 3 overloaded
 // (admission control rejected the request, or the server is at its
 // connection limit), 4 wrong shard (payload = JSON{owner,epoch}; the client
@@ -128,9 +128,9 @@ type ClusterBackend interface {
 	// AbortRing reverts the window: transferred-in copies are dropped and
 	// the previous membership is reinstalled under a fresh epoch. Idempotent.
 	AbortRing() error
-	// Transfer upserts one record inside an open handoff window, bypassing
-	// ring routing and admission control.
-	Transfer(db, key string, payload []byte) error
+	// Transfer upserts a batch of records (repl.Batches) inside an open
+	// handoff window, bypassing ring routing and admission control.
+	Transfer(batch []byte) error
 }
 
 // WrongShardError says the database hashes to another member: the request
@@ -490,7 +490,7 @@ func (s *Server) answer(dst, frame []byte) (byte, []byte) {
 		return appendJSON(dst, s.backend.DBStats())
 	case opVerify:
 		return appendJSON(dst, s.backend.VerifyAll())
-	case opRing, opInstallRing, opBeginHandoff, opCommitRing, opAbortRing:
+	case opRing, opInstallRing, opBeginHandoff, opCommitRing, opAbortRing, opTransfer:
 		if s.cb == nil {
 			return statusError, append(dst, "not clustered"...)
 		}
@@ -504,6 +504,8 @@ func (s *Server) answer(dst, frame []byte) (byte, []byte) {
 			err = s.cb.BeginHandoff()
 		case opCommitRing:
 			err = s.cb.CommitRing()
+		case opTransfer:
+			err = s.cb.Transfer(p)
 		default: // opAbortRing
 			err = s.cb.AbortRing()
 		}
@@ -523,22 +525,16 @@ func (s *Server) answer(dst, frame []byte) (byte, []byte) {
 	}
 
 	switch op {
-	case opInsert, opUpdate, opTransfer:
-		if op == opTransfer && s.cb == nil {
-			return statusError, append(dst, "not clustered"...)
-		}
+	case opInsert, opUpdate:
 		payload, ok := readBytes()
 		if !ok {
 			return statusError, append(dst, "bad payload"...)
 		}
 		var err error
-		switch op {
-		case opInsert:
+		if op == opInsert {
 			err = s.backend.Insert(db, key, payload)
-		case opUpdate:
+		} else {
 			err = s.backend.Update(db, key, payload)
-		default:
-			err = s.cb.Transfer(db, key, payload)
 		}
 		if err != nil {
 			return errStatus(dst, err)
@@ -856,11 +852,11 @@ func (c *Client) AbortRing() error {
 	return statusErr(status, body)
 }
 
-// Transfer upserts one record into the server's open handoff window,
-// bypassing ring routing and admission control. Used by the rebalance path
-// only.
-func (c *Client) Transfer(db, key string, payload []byte) error {
-	status, body, err := c.keyedRequest(opTransfer, db, key, payload, true)
+// Transfer upserts a batch of records (repl.Batches) into the server's open
+// handoff window, bypassing ring routing and admission control. Used by the
+// rebalance path only.
+func (c *Client) Transfer(batch []byte) error {
+	status, body, err := c.roundTrip(opTransfer, batch)
 	if err != nil {
 		return err
 	}

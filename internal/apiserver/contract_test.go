@@ -2,12 +2,14 @@ package apiserver_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
 	"dbdedup/internal/apiserver"
 	"dbdedup/internal/cluster"
 	"dbdedup/internal/node"
+	"dbdedup/internal/repl"
 )
 
 // TestPayloadIsCallersOnReturn pins the Backend contract the server's reused
@@ -96,7 +98,8 @@ func TestPayloadIsCallersOnReturn(t *testing.T) {
 		}
 		a, b := records("transfer")
 		for i, p := range [][]byte{a, b} { // k1, then k2 into the same buffer
-			if err := c.Transfer(db, fmt.Sprintf("k%d", i+1), p); err != nil {
+			batch := repl.AppendRecord(binary.AppendUvarint(nil, 1), db, fmt.Sprintf("k%d", i+1), node.Stamped{Present: true, Content: p})
+			if err := c.Transfer(batch); err != nil {
 				t.Fatal(err)
 			}
 		}

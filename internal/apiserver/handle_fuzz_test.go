@@ -9,6 +9,7 @@ import (
 
 	"dbdedup/internal/core"
 	"dbdedup/internal/node"
+	"dbdedup/internal/repl"
 )
 
 // fuzzBackend is a ClusterBackend over a map. It records the most bytes the
@@ -73,9 +74,19 @@ func (b *fuzzBackend) InstallRing(body []byte) error {
 	b.took(len(body))
 	return nil
 }
-func (b *fuzzBackend) Transfer(db, key string, payload []byte) error {
-	return b.Insert(db, key, payload)
+func (b *fuzzBackend) Transfer(batch []byte) error {
+	b.took(len(batch))
+	return repl.ReadBatch(batch, func(db, key string, r node.Stamped) error {
+		if !r.Present {
+			return nil
+		}
+		return b.Insert(db, key, r.Content)
+	})
 }
+
+// Without it, a Transfer whose signature drifts from the interface's leaves
+// the backend a plain Backend, and every cluster op answers "not clustered".
+var _ ClusterBackend = (*fuzzBackend)(nil)
 
 // realRequestStream is one well-formed request of every op, framed exactly as
 // Client frames them, back to back as they would arrive on one connection.
@@ -93,7 +104,8 @@ func realRequestStream() []byte {
 		keyed(opInsert, "wiki", "article/1", payload),
 		keyed(opGet, "wiki", "article/1", nil),
 		keyed(opUpdate, "wiki", "article/1", payload[:40]),
-		keyed(opTransfer, "wiki", "article/2", payload),
+		append([]byte{opTransfer}, repl.AppendRecord(binary.AppendUvarint(nil, 1), "wiki", "article/2",
+			node.Stamped{Stamp: 3, Present: true, Content: payload})...),
 		keyed(opDelete, "wiki", "article/1", nil),
 		{opStats}, {opDBStats}, {opVerify},
 		{opRing}, {opBeginHandoff}, {opCommitRing}, {opAbortRing},

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"dbdedup/internal/faultfs"
 	"dbdedup/internal/netsim"
 	"dbdedup/internal/node"
+	"dbdedup/internal/repl"
 )
 
 func dialDirect(t *testing.T, mesh *netsim.Mesh, addr string) *apiserver.Client {
@@ -24,6 +26,11 @@ func dialDirect(t *testing.T, mesh *netsim.Mesh, addr string) *apiserver.Client 
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// oneRecord is a handoff batch of one record.
+func oneRecord(db, key string, payload []byte) []byte {
+	return repl.AppendRecord(binary.AppendUvarint(nil, 1), db, key, node.Stamped{Present: true, Content: payload})
 }
 
 func testRebalanceOptions(mesh *netsim.Mesh) RebalanceOptions {
@@ -151,7 +158,7 @@ func TestRinglessDestinationFreezesGainedCopy(t *testing.T) {
 	if err := mb.Shard.InstallRing(pend.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	if err := mb.Shard.Transfer(gained, "k", []byte("half-transferred")); err != nil {
+	if err := mb.Shard.Transfer(oneRecord(gained, "k", []byte("half-transferred"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -365,7 +372,7 @@ func halfJoined(t *testing.T) (disk *failingDisk, n *node.Node, sh *Shard, gaine
 		t.Fatal(err)
 	}
 	for i := 0; i < halfJoinedKeys; i++ {
-		if err := sh.Transfer(gained, halfJoinedKey(i), halfJoinedPayload); err != nil {
+		if err := sh.Transfer(oneRecord(gained, halfJoinedKey(i), halfJoinedPayload)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -418,7 +425,7 @@ func TestFailedDropFinishedBeforeRetransfer(t *testing.T) {
 	// streams only the first.
 	reopenWindow(t, sh)
 	for i := 0; i < halfJoinedKeys/2; i++ {
-		if err := sh.Transfer(gained, halfJoinedKey(i), halfJoinedPayload); err != nil {
+		if err := sh.Transfer(oneRecord(gained, halfJoinedKey(i), halfJoinedPayload)); err != nil {
 			t.Fatalf("second attempt: %v", err)
 		}
 	}

@@ -42,7 +42,7 @@ func testClientOptions(mesh *netsim.Mesh) ClientOptions {
 }
 
 // dbOwnedBy finds a database name the ring places on the wanted member.
-func dbOwnedBy(t *testing.T, r *Ring, want string) string {
+func dbOwnedBy(t testing.TB, r *Ring, want string) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		db := fmt.Sprintf("routedb%d", i)

@@ -13,9 +13,10 @@ import (
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/netsim"
 	"dbdedup/internal/node"
+	"dbdedup/internal/repl"
 )
 
-// transferTimeout bounds each transfer round trip of a handoff.
+// transferTimeout bounds each transfer round trip of a handoff: one batch.
 const transferTimeout = 10 * time.Second
 
 // Shard wraps a node with ring routing: it serves operations for databases
@@ -348,11 +349,11 @@ func (s *Shard) clearXfer() {
 }
 
 // BeginHandoff streams every database this member loses under the pending
-// ring to its new owner and blocks until done. Writes to those databases
-// are already frozen (classify answers ShardMovingError once the window is
-// open), and Barrier drains the encode queues, so the stream is a complete,
-// stable snapshot of everything ever acked for those databases. Safe to
-// re-run: the destination upserts.
+// ring to its new owner, in a snapshot's batches, and blocks until done.
+// Writes to those databases are already frozen (classify answers
+// ShardMovingError once the window is open), and Barrier drains the encode
+// queues, so the stream is a complete, stable snapshot of everything ever
+// acked for those databases. Safe to re-run: the destination upserts.
 func (s *Shard) BeginHandoff() error {
 	s.opMu.RLock()
 	r, p := s.ring, s.pending
@@ -381,28 +382,17 @@ func (s *Shard) BeginHandoff() error {
 			s.cm.TransferFailures.Add(1)
 			return fmt.Errorf("cluster: handoff dial %s: %w", dest, err)
 		}
-		var sendErr error
-		_, err = s.n.Scan(db, func(d, key string, r node.Stamped) bool {
-			if d != db {
-				return false // a database named "" scans as "all"; it sorts first
+		_, err = repl.Batches(s.n, db, false, func(batch []byte, records int) error {
+			if err := c.Transfer(batch); err != nil {
+				return err
 			}
-			if !r.Present {
-				return true // nothing to move
-			}
-			if err := c.Transfer(db, key, r.Content); err != nil {
-				sendErr = fmt.Errorf("cluster: handoff transfer %s/%s to %s: %w", db, key, dest, err)
-				return false
-			}
-			s.cm.TransferRecordsOut.Add(1)
-			s.cm.TransferBytesOut.Add(int64(len(r.Content)))
-			return true
+			s.cm.TransferRecordsOut.Add(int64(records))
+			s.cm.TransferBytesOut.Add(int64(len(batch)))
+			return nil
 		})
 		if err != nil {
-			return fmt.Errorf("cluster: handoff read of %s: %w", db, err)
-		}
-		if sendErr != nil {
 			s.cm.TransferFailures.Add(1)
-			return sendErr
+			return fmt.Errorf("cluster: handoff of %s to %s: %w", db, dest, err)
 		}
 	}
 	return nil
@@ -457,26 +447,31 @@ func (s *Shard) AbortRing() error {
 	return nil
 }
 
-// Transfer applies one incoming handoff record. Only legal while a window
-// naming this member as the database's new owner is open; the shared lock
-// keeps a commit/abort from landing mid-record.
-func (s *Shard) Transfer(db, key string, payload []byte) error {
+// Transfer applies a batch of handoff records (repl.Batches), each only while
+// a window naming this member as its database's new owner is open; an absent
+// one has nothing to move. The shared lock holds commit/abort off mid-batch.
+func (s *Shard) Transfer(batch []byte) error {
 	s.opMu.RLock()
 	defer s.opMu.RUnlock()
-	if s.pending == nil || s.pending.Owner(db) != s.self {
-		return fmt.Errorf("cluster: no open handoff window for db %q", db)
-	}
-	err := s.beginTransfer(db)
-	if err == nil {
-		err = s.n.Upsert(db, key, payload, true)
-	}
-	if err != nil {
-		s.cm.TransferFailures.Add(1)
-		return err
-	}
-	s.cm.TransferRecordsIn.Add(1)
-	s.cm.TransferBytesIn.Add(int64(len(payload)))
-	return nil
+	return repl.ReadBatch(batch, func(db, key string, r node.Stamped) error {
+		if !r.Present {
+			return nil
+		}
+		if s.pending == nil || s.pending.Owner(db) != s.self {
+			return fmt.Errorf("cluster: no open handoff window for db %q", db)
+		}
+		err := s.beginTransfer(db)
+		if err == nil {
+			err = s.n.Upsert(db, key, r.Content, true)
+		}
+		if err != nil {
+			s.cm.TransferFailures.Add(1)
+			return err
+		}
+		s.cm.TransferRecordsIn.Add(1)
+		s.cm.TransferBytesIn.Add(int64(len(r.Content)))
+		return nil
+	})
 }
 
 // beginTransfer does the per-window bookkeeping for db's first inbound

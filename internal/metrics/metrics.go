@@ -506,8 +506,8 @@ type ClusterMetrics struct {
 	HandoffsStarted   Meter
 	HandoffsCommitted Meter
 	HandoffsAborted   Meter
-	// Transfer volume: Out on the draining source, In on the gaining
-	// destination. Failures count transfer round trips that errored.
+	// Transfer volume: Out on the draining source (batch bytes), In on the
+	// gaining destination (content bytes). Failures count failed transfers.
 	TransferRecordsOut Meter
 	TransferBytesOut   Meter
 	TransferRecordsIn  Meter

@@ -26,12 +26,7 @@ func realFrameStream() []byte {
 	fw.write(frameBatch, batch)
 	fw.write(frameHeartbeat, nil)
 	fw.write(frameSnapBegin, nil)
-	snap := binary.AppendUvarint(nil, 2)
-	snap = appendLenBytes(appendLenBytes(snap, []byte("db")), []byte("k"))
-	snap = appendStamped(snap, realStamped[0])
-	snap = appendLenBytes(appendLenBytes(snap, []byte("db")), []byte("gone"))
-	snap = appendStamped(snap, realStamped[1])
-	fw.write(frameSnapBatch, snap)
+	fw.write(frameSnapBatch, realBatch())
 	fw.write(frameSnapEnd, binary.AppendUvarint(binary.AppendUvarint(nil, 8), 42))
 	fw.write(frameHello, realHellos[1].append(nil))
 	fw.write(frameFetch, appendLenBytes(appendLenBytes(nil, []byte("db")), []byte("k")))
@@ -39,6 +34,13 @@ func realFrameStream() []byte {
 	fw.write(frameFetch, appendLenBytes(appendLenBytes(nil, []byte("db")), []byte("k")))
 	fw.write(frameRefusal, nil)
 	return buf.Bytes()
+}
+
+// realBatch is the snapshot batch realFrameStream carries: both realStamped
+// records, as Batches frames them.
+func realBatch() []byte {
+	batch := AppendRecord(binary.AppendUvarint(nil, 2), "db", "k", realStamped[0])
+	return AppendRecord(batch, "db", "gone", realStamped[1])
 }
 
 // realHellos are the hellos realFrameStream carries, and one of a secondary
@@ -96,13 +98,18 @@ func FuzzFrameDecode(f *testing.F) {
 }
 
 // FuzzReadStamped feeds arbitrary bytes to the one decoder of a stamped
-// record, the snapshot batch's and the fetch answer's. It must never panic,
-// and whatever it accepts must survive a re-encode unchanged, in no more
+// record, the snapshot batch's and the fetch answer's, and to ReadBatch, the
+// one decoder of a batch, a snapshot's and a handoff's. Neither may panic,
+// and whatever either accepts must survive a re-encode unchanged, in no more
 // bytes than it consumed (a uvarint may arrive overlong).
 func FuzzReadStamped(f *testing.F) {
 	for _, r := range realStamped {
 		f.Add(appendStamped(nil, r))
 	}
+	f.Add(realBatch())
+	f.Add(realBatch()[:9])                  // cut inside the first record's content
+	f.Add(append(realBatch(), 0))           // a byte past the last record
+	f.Add(binary.AppendUvarint(nil, 1<<40)) // a count no batch could hold
 	f.Add(appendStamped(nil, node.Stamped{Present: true}))
 	f.Add([]byte{0x80})                // truncated stamp
 	f.Add([]byte{7})                   // no present byte
@@ -111,6 +118,7 @@ func FuzzReadStamped(f *testing.F) {
 	f.Add([]byte{7, 0, 'x', 'y', 'z'}) // trailing bytes after an absent record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkBatch(t, data)
 		r, rest, ok := readStamped(data)
 		if !ok {
 			return
@@ -127,6 +135,33 @@ func FuzzReadStamped(f *testing.F) {
 			t.Fatalf("re-encoded in %d bytes, consumed %d", len(again), used)
 		}
 	})
+}
+
+// checkBatch walks data with ReadBatch. A batch it accepts must re-encode,
+// record by record, into no more bytes, which walk to the same records.
+func checkBatch(t *testing.T, data []byte) {
+	reencode := func(batch []byte) (n uint64, recs []byte, err error) {
+		err = ReadBatch(batch, func(db, key string, r node.Stamped) error {
+			if !r.Present && r.Content != nil {
+				t.Fatalf("absent record %s/%s with content %q", db, key, r.Content)
+			}
+			n, recs = n+1, AppendRecord(recs, db, key, r)
+			return nil
+		})
+		return n, recs, err
+	}
+	n, recs, err := reencode(data)
+	if err != nil {
+		return
+	}
+	again := append(binary.AppendUvarint(nil, n), recs...)
+	n2, recs2, err := reencode(again)
+	if err != nil || n2 != n || !bytes.Equal(recs2, recs) {
+		t.Fatalf("batch %x re-encoded as %x walks to %d records %x (%v), not %d records %x", data, again, n2, recs2, err, n, recs)
+	}
+	if len(again) > len(data) {
+		t.Fatalf("re-encoded in %d bytes, from %d", len(again), len(data))
+	}
 }
 
 // FuzzReadHello feeds arbitrary bytes to the one decoder of a hello, the

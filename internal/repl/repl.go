@@ -15,7 +15,7 @@
 //	batch      := 'B', payload uvarint(n) n×entry                primary → secondary
 //	error      := 'E', payload utf-8 message                     primary → secondary
 //	snap-begin := 'G', empty payload                             primary → secondary
-//	snap-batch := 'N', payload uvarint(n) n×(db,key,record)      primary → secondary
+//	snap-batch := 'N', payload uvarint(n) n×(db,key,record)      primary → secondary, ≤ 1 MiB or one record
 //	snap-end   := 'F', payload uvarint(seq) uvarint(epoch)       primary → secondary
 //	heartbeat  := 'T', empty payload                             primary → secondary
 //	fetch      := 'Q', payload db key                            secondary → primary
@@ -50,6 +50,7 @@
 package repl
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -99,6 +100,9 @@ const (
 	maxFrame = 64 << 20
 	// batchEntries is how many oplog entries one batch carries at most.
 	batchEntries = 256
+	// batchBytes bounds a record batch (Batches), a snap-batch frame or a
+	// transfer request: below maxFrame and the API server's 8 MiB cap.
+	batchBytes = 1 << 20
 	// pollInterval is the primary's idle wait when the secondary is
 	// caught up.
 	pollInterval = 2 * time.Millisecond
@@ -356,43 +360,15 @@ func (p *Primary) sendSnapshot(conn net.Conn, fw *frameWriter, epoch uint64) (ui
 	if err := p.send(conn, fw, frameSnapBegin, nil); err != nil {
 		return 0, err
 	}
-	const batchRecords = 128
-	var buf []byte
-	count := 0
-	flush := func() error {
-		if count == 0 {
-			return nil
-		}
-		frame := binary.AppendUvarint(nil, uint64(count))
-		frame = append(frame, buf...)
-		if err := p.send(conn, fw, frameSnapBatch, frame); err != nil {
-			return err
-		}
-		buf = buf[:0]
-		count = 0
-		return nil
-	}
-	var streamErr error
-	cursor, err := p.node.Scan("", func(db, key string, r node.Stamped) bool {
-		buf = appendLenBytes(buf, []byte(db))
-		buf = appendLenBytes(buf, []byte(key))
-		buf = appendStamped(buf, r)
-		count++
-		if count >= batchRecords {
-			if streamErr = flush(); streamErr != nil {
-				return false
-			}
-		}
-		return true
+	var sendErr error
+	cursor, err := Batches(p.node, "", true, func(batch []byte, _ int) error {
+		sendErr = p.send(conn, fw, frameSnapBatch, batch)
+		return sendErr
 	})
 	if err != nil {
-		p.send(conn, fw, frameError, []byte(err.Error()))
-		return 0, err
-	}
-	if streamErr != nil {
-		return 0, streamErr
-	}
-	if err := flush(); err != nil {
+		if sendErr == nil {
+			p.send(conn, fw, frameError, []byte(err.Error()))
+		}
 		return 0, err
 	}
 	if err := p.send(conn, fw, frameSnapEnd, binary.AppendUvarint(binary.AppendUvarint(nil, cursor), epoch)); err != nil {
@@ -445,6 +421,63 @@ func dial(network netsim.Network, addr string, deadline time.Time, rm *metrics.R
 	}
 	rm.DialFailures.Add(1)
 	return nil, nil, nil, err
+}
+
+// Batches scans db with node.Scan, every database when all is set, and hands
+// fn its records, for a snapshot or a handoff, as batches of uvarint(n)
+// n×(db, key, record) with their n, cut before 128 records or batchBytes (a
+// larger record travels alone). fn's batch is reused once it returns; its
+// first error ends the scan.
+func Batches(n *node.Node, db string, all bool, fn func(batch []byte, records int) error) (cursor uint64, err error) {
+	var recs, batch []byte
+	var count int
+	var fnErr error
+	flush := func() bool {
+		batch = append(binary.AppendUvarint(batch[:0], uint64(count)), recs...)
+		recs, count, fnErr = recs[:0], 0, fn(batch, count)
+		return fnErr == nil
+	}
+	cursor, err = n.Scan(db, func(d, key string, r node.Stamped) bool {
+		// A record's form is its bytes, four uvarints and the present byte.
+		full := count == 128 || count > 0 && len(recs)+len(d)+len(key)+len(r.Content)+48 > batchBytes
+		// A database named "" scans as "all"; it sorts first.
+		if d != db && !all || full && !flush() {
+			return false
+		}
+		recs, count = AppendRecord(recs, d, key, r), count+1
+		return true
+	})
+	if err == nil && fnErr == nil && count > 0 {
+		flush()
+	}
+	return cursor, cmp.Or(err, fnErr)
+}
+
+// AppendRecord appends one record of a batch: db, key and the stamped record.
+func AppendRecord(dst []byte, db, key string, r node.Stamped) []byte {
+	return appendStamped(appendLenBytes(appendLenBytes(dst, []byte(db)), []byte(key)), r)
+}
+
+// ReadBatch walks a batch, handing fn each record in order (r.Content aliases
+// batch), and returns fn's first error or the first fault of a corrupt batch.
+func ReadBatch(batch []byte, fn func(db, key string, r node.Stamped) error) error {
+	count, k := binary.Uvarint(batch)
+	p, ok := batch[max(k, 0):], k > 0
+	for ; ok && count > 0; count-- {
+		// A failed read leaves a nil rest, and every read of nil fails.
+		db, rest, _ := readLenBytes(p)
+		key, rest, _ := readLenBytes(rest)
+		var r node.Stamped
+		if r, p, ok = readStamped(rest); ok {
+			if err := fn(string(db), string(key), r); err != nil {
+				return err
+			}
+		}
+	}
+	if !ok || len(p) > 0 {
+		return errors.New("repl: corrupt batch")
+	}
+	return nil
 }
 
 // appendStamped appends the wire form of a stamped record.
@@ -518,18 +551,17 @@ type Secondary struct {
 	addr    string
 	rm      *metrics.ReplMetrics
 
-	closed   atomic.Bool
-	closedCh chan struct{}
+	closed               atomic.Bool
+	closedCh             chan struct{}
+	resyncs, snapRecords atomic.Uint64
 
-	mu          sync.Mutex
-	conn        net.Conn
-	fr          *frameReader
-	resyncs     uint64
-	snapRecords uint64
-	epoch       uint64 // of the log the applier's low-water mark counts in
-	err         error
-	done        chan struct{}
-	bytesIn     metrics.Meter
+	mu      sync.Mutex
+	conn    net.Conn
+	fr      *frameReader
+	epoch   uint64 // of the log the applier's low-water mark counts in
+	err     error
+	done    chan struct{}
+	bytesIn metrics.Meter
 }
 
 // Options times a Secondary's transport. The zero value selects the
@@ -805,36 +837,15 @@ func (s *Secondary) handleFrame(typ byte, payload []byte) error {
 			return fmt.Errorf("repl: %w", err)
 		}
 		s.applier.BeginSnapshot()
-		s.mu.Lock()
-		s.resyncs++
-		s.mu.Unlock()
+		s.resyncs.Add(1)
 	case frameSnapBatch:
-		count, k := binary.Uvarint(payload)
-		if k <= 0 {
-			return errors.New("repl: corrupt snapshot batch")
-		}
-		p := payload[k:]
-		for i := uint64(0); i < count; i++ {
-			var db, key []byte
-			var r node.Stamped
-			var ok bool
-			if db, p, ok = readLenBytes(p); !ok {
-				return errors.New("repl: corrupt snapshot record")
-			}
-			if key, p, ok = readLenBytes(p); !ok {
-				return errors.New("repl: corrupt snapshot record")
-			}
-			if r, p, ok = readStamped(p); !ok {
-				return errors.New("repl: corrupt snapshot record")
-			}
-			// Snapshot records ride the same per-database shards,
-			// untracked by the low-water mark; the primary never
-			// interleaves batch frames with an in-flight snapshot.
-			s.applier.EnqueueSnapshotRecord(string(db), string(key), r)
-			s.mu.Lock()
-			s.snapRecords++
-			s.mu.Unlock()
-		}
+		// Snapshot records ride the per-database shards, untracked by the
+		// low-water mark; no batch frame interleaves with a snapshot.
+		return ReadBatch(payload, func(db, key string, r node.Stamped) error {
+			s.applier.EnqueueSnapshotRecord(db, key, r)
+			s.snapRecords.Add(1)
+			return nil
+		})
 	case frameSnapEnd:
 		cursor, k := binary.Uvarint(payload)
 		epoch, k2 := binary.Uvarint(payload[max(k, 0):])
@@ -907,9 +918,7 @@ func (s *Secondary) Metrics() *metrics.ReplMetrics { return s.rm }
 // Resyncs reports how many full snapshot transfers this secondary performed
 // and how many records arrived via snapshots.
 func (s *Secondary) Resyncs() (count, records uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resyncs, s.snapRecords
+	return s.resyncs.Load(), s.snapRecords.Load()
 }
 
 // WaitForSeq blocks until the secondary has applied seq (the low-water mark

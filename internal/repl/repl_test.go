@@ -425,9 +425,9 @@ func TestPrimaryRestartDetectedByEpoch(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := sub2.WaitForSeq(prim.Oplog().LastSeq(), 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	// The stale cursor may already pass the new log's last number, so wait
+	// for the position the snapshot's end frame states, after its reconcile.
+	waitPosition(t, sub2, prim)
 	if rs, _ := sub2.Resyncs(); rs != 1 {
 		t.Fatalf("resyncs = %d, want 1 (epoch mismatch)", rs)
 	}
