@@ -8,7 +8,7 @@
 //	dedupbench -experiment fig12 -dataset wikipedia
 //
 // Experiments: fig1, fig7, fig10, fig11, fig12, fig13a, fig13b, fig14,
-// fig15, table2, governor, all.
+// fig15, table2, governor, tieredidx, all.
 package main
 
 import (

@@ -11,11 +11,14 @@ import (
 const DefaultWritebackCacheBytes = 8 << 20
 
 // Writeback is a deferred re-encoding of a stored record: replace record ID's
-// stored form with Payload (its backward delta plus framing), saving Saving
-// bytes of storage.
+// stored form with Payload, its marshalled backward delta against record Base,
+// saving Saving bytes of storage.
 type Writeback struct {
-	ID uint64
-	// Payload is the bytes to store for the record when flushed.
+	ID, Base uint64
+	// Seq is the number of the insert the delta was computed for: a client
+	// mutation of the record or its base after Seq makes it stale.
+	Seq uint64
+	// Payload is the marshalled delta, the bytes to store when flushed.
 	Payload []byte
 	// Saving is the absolute storage saving (old stored size minus new),
 	// the flush/eviction priority (paper §3.3.2).

@@ -30,8 +30,9 @@ type Scale struct {
 	Seed int64
 }
 
-// DefaultScale keeps the full suite in the minutes range on one core.
-var DefaultScale = Scale{InsertBytes: 12 << 20, Seed: 1}
+// DefaultScale is the scale every committed results_csv/ figure was run at
+// (DESIGN.md §3); the full suite takes minutes on one core.
+var DefaultScale = Scale{InsertBytes: 16 << 20, Seed: 1}
 
 // openNode opens every experiment's node. It is the one place that pins the
 // paper's chunking algorithm: the service chunks with gear, but the figures

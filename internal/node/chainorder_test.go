@@ -18,7 +18,7 @@ import (
 func flushInSavingOrder(n *Node) int {
 	applied := 0
 	for _, wb := range n.wb.DrainBest(n.wb.Len()) {
-		if n.applyWriteback(wb.ID, wb.Payload) {
+		if n.applyWriteback(wb) {
 			applied++
 		}
 	}

@@ -244,7 +244,7 @@ type encodeJob struct {
 	// opSeq is the mutation's sequence number. The encoder of an insert
 	// uses it to detect records mutated after the insert was accepted: the
 	// record itself, the source of its forward delta, and (through the
-	// write-back payload) everything its write-backs touch.
+	// write-backs' Seq) everything its write-backs touch.
 	opSeq uint64
 	// shedRaw marks an insert whose dedup encoding was shed by admission
 	// control: the worker emits the raw oplog entry without touching the

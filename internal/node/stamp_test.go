@@ -521,7 +521,7 @@ func TestStampUnderMutationRacingFlush(t *testing.T) {
 			defer wg.Done()
 			for j, wb := range held {
 				at.Store(int64(j + 1))
-				n.applyWriteback(wb.ID, wb.Payload)
+				n.applyWriteback(wb)
 			}
 		}()
 		raced := 0

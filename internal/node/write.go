@@ -2,7 +2,6 @@ package node
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -438,36 +437,14 @@ func (n *Node) changedSince(id, seq uint64) bool {
 // time, so a client mutation of either side after seq must invalidate them.
 func (n *Node) queueWritebacks(wbs []core.Writeback, seq uint64) {
 	for _, wb := range wbs {
-		payload := encodeWritebackPayload(wb, seq)
+		w := dedupcache.Writeback{ID: wb.ID, Base: wb.Base, Seq: seq,
+			Payload: wb.Delta.Marshal(), Saving: wb.EstimatedSaving}
 		if n.wb == nil {
-			n.applyWriteback(wb.ID, payload)
+			n.applyWriteback(w)
 			continue
 		}
-		n.wb.Add(dedupcache.Writeback{ID: wb.ID, Payload: payload, Saving: wb.EstimatedSaving})
+		n.wb.Add(w)
 	}
-}
-
-// Write-back payloads carry (base, sequence number, delta) so the flusher can
-// validate, long after the encode decision, that neither the record nor the
-// content it would decode from has been changed by the client in the meantime.
-func encodeWritebackPayload(wb core.Writeback, seq uint64) []byte {
-	out := make([]byte, 0, 2*binary.MaxVarintLen64+wb.Delta.EncodedSize())
-	out = binary.AppendUvarint(out, wb.Base)
-	out = binary.AppendUvarint(out, seq)
-	return wb.Delta.AppendMarshal(out)
-}
-
-func decodeWritebackPayload(p []byte) (base, seq uint64, deltaBytes []byte, err error) {
-	base, k := binary.Uvarint(p)
-	if k <= 0 {
-		return 0, 0, nil, errors.New("node: bad write-back payload")
-	}
-	p = p[k:]
-	seq, k = binary.Uvarint(p)
-	if k <= 0 {
-		return 0, 0, nil, errors.New("node: bad write-back payload")
-	}
-	return base, seq, p[k:], nil
 }
 
 // FlushWritebacks applies up to max pending write-backs (all of them when
@@ -486,15 +463,11 @@ func (n *Node) FlushWritebacks(max int) int {
 	batch := n.wb.DrainBest(max)
 	links := make([]wbLink, len(batch))
 	for i, wb := range batch {
-		base, _, _, err := decodeWritebackPayload(wb.Payload)
-		if err != nil {
-			base = wb.ID // applyWriteback skips it; a self-base orders it alone
-		}
-		links[i] = wbLink{id: wb.ID, base: base}
+		links[i] = wbLink{id: wb.ID, base: wb.Base}
 	}
 	applied := 0
 	for _, i := range chainOrder(links) {
-		if n.applyWriteback(batch[i].ID, batch[i].Payload) {
+		if n.applyWriteback(batch[i]) {
 			applied++
 		}
 	}
@@ -569,20 +542,16 @@ func (n *Node) PendingWritebacks() int {
 	return n.wb.Len()
 }
 
-// applyWriteback replaces record id's stored form with the backward delta,
+// applyWriteback replaces record wb.ID's stored form with the backward delta,
 // unless the record — or the base it would decode from — changed since the
-// delta was computed. Skipping is always safe: the record just stays in its
+// delta was computed, at wb.Seq. Skipping is always safe: the record just stays in its
 // older, larger form (the "lossy" property of §3.3.2). The stamps are the fast
 // filter; rebaseLocked is the proof.
-func (n *Node) applyWriteback(id uint64, payload []byte) bool {
-	base, seq, deltaBytes, err := decodeWritebackPayload(payload)
-	if err != nil {
-		return false
-	}
+func (n *Node) applyWriteback(wb dedupcache.Writeback) bool {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
-	applied := !n.changedSince(id, seq) && !n.changedSince(base, seq) &&
-		n.rebaseLocked(id, base, deltaBytes)
+	applied := !n.changedSince(wb.ID, wb.Seq) && !n.changedSince(wb.Base, wb.Seq) &&
+		n.rebaseLocked(wb.ID, wb.Base, wb.Payload)
 	n.mu.Lock()
 	if applied {
 		n.stats.WritebacksApplied++
