@@ -89,7 +89,8 @@ type Options struct {
 	HopDistance int
 
 	// GovernorWindow overrides how many inserts the governor observes
-	// before judging a database (default 100000).
+	// before its first verdict on a database (default 2048). Each window a
+	// database passes makes the next one twice as long.
 	GovernorWindow int
 
 	// SyncEncode makes Insert, Update and Delete return only after the

@@ -20,7 +20,7 @@ func main() {
 		SyncEncode:  true,
 		ManualFlush: true,
 		// Small observation window so the demo decides quickly; the
-		// production default is 100k inserts.
+		// production default is a first window of 2048 inserts.
 		GovernorWindow: 400,
 	})
 	if err != nil {

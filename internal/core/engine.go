@@ -107,8 +107,10 @@ type Config struct {
 	RewardScore int
 
 	// GovernorWindow is the number of inserts the governor (§3.4.1)
-	// observes before it decides (default 100000). Experiments that want
-	// no governor set a window the run never fills (1<<30).
+	// observes before its first verdict on a database (default
+	// DefaultGovernorWindow). Each window a database passes makes its next
+	// one twice as long. Experiments that want no governor set a window the
+	// run never fills (1<<30).
 	GovernorWindow int
 }
 
@@ -123,6 +125,12 @@ const (
 	// disables dedup for a database (§3.4.1).
 	governorThreshold = 1.1
 )
+
+// DefaultGovernorWindow is the length of a database's first governor window.
+// It is short, so that data which does not deduplicate stops paying the
+// encoder within a few thousand inserts; the doubling of every later window
+// keeps a database's verdicts to about log₂(n/2048) in n inserts.
+const DefaultGovernorWindow = 2048
 
 func (c Config) withDefaults() Config {
 	if c.ChunkAvgSize == 0 {
@@ -146,7 +154,7 @@ func (c Config) withDefaults() Config {
 		c.RewardScore = 0
 	}
 	if c.GovernorWindow == 0 {
-		c.GovernorWindow = 100000
+		c.GovernorWindow = DefaultGovernorWindow
 	}
 	return c
 }
@@ -274,7 +282,9 @@ type dbState struct {
 	refs  []uint64    // featidx ref -> record ID
 	cands []candidate // probeLocked's result, reused across probes
 
-	disabled  bool // governor verdict
+	disabled  bool    // governor verdict
+	window    int     // the current governor window's length in inserts
+	lowest    float64 // lowest ratio of a judged window, 0 before the first
 	inserts   int
 	rawBytes  int64
 	codeBytes int64 // bytes after encoding decisions (forward deltas + raw)
@@ -363,6 +373,7 @@ func (e *Engine) db(name string) *dbState {
 	}
 	st = &dbState{
 		index:  e.newIndexPartition(),
+		window: e.cfg.GovernorWindow,
 		chains: make(map[uint64]*chainState),
 	}
 	e.dbs[name] = st
@@ -413,7 +424,7 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 	}
 	if len(payload) < minDedupRecordBytes {
 		st.codeBytes += int64(len(payload))
-		e.governorTickLocked(st)
+		e.governorTickLocked(st, true)
 		st.mu.Unlock()
 		e.stats.sizeFiltered.Add(1)
 		return Result{FilteredBySize: true}, nil
@@ -454,7 +465,7 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 	if len(cands) == 0 {
 		st.codeBytes += int64(len(payload))
 		e.adoptAsNewChainLocked(st, id, payload)
-		e.governorTickLocked(st)
+		e.governorTickLocked(st, true)
 		st.mu.Unlock()
 		e.stats.noCandidate.Add(1)
 		e.enc.ObserveStage(metrics.StageIndex, time.Since(t))
@@ -502,7 +513,7 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 		st.mu.Lock()
 		st.codeBytes += int64(len(payload))
 		e.adoptAsNewChainLocked(st, id, payload)
-		e.governorTickLocked(st)
+		e.governorTickLocked(st, true)
 		st.mu.Unlock()
 		e.stats.notWorthEncoding.Add(1)
 		return Result{}, nil
@@ -512,7 +523,7 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 	e.stats.forwardBytes.Add(int64(fwd.EncodedSize()))
 	st.mu.Lock()
 	st.codeBytes += int64(fwd.EncodedSize())
-	e.governorTickLocked(st)
+	e.governorTickLocked(st, true)
 	st.mu.Unlock()
 	return res, nil
 }
@@ -528,6 +539,9 @@ func (e *Engine) EncodeAsReplica(dbName string, id uint64, payload []byte, srcID
 	e.stats.rawBytes.Add(int64(len(payload)))
 	st.mu.Lock()
 	st.inserts++
+	st.rawBytes += int64(len(payload))
+	st.codeBytes += int64(fwd.EncodedSize())
+	e.governorTickLocked(st, false)
 	st.mu.Unlock()
 
 	return e.encodeAgainst(st, id, payload, nil, srcID, srcContent, fwd, time.Now())
@@ -614,6 +628,9 @@ func (e *Engine) ObserveRaw(dbName string, id uint64, payload []byte) {
 	e.stats.inserts.Add(1)
 	st.mu.Lock()
 	st.inserts++
+	st.rawBytes += int64(len(payload))
+	st.codeBytes += int64(len(payload))
+	e.governorTickLocked(st, false)
 	e.adoptAsNewChainLocked(st, id, payload)
 	st.mu.Unlock()
 }
@@ -773,17 +790,22 @@ func (e *Engine) emitHopWritebacks(hops []hopJob, newID uint64, newContent []byt
 	}
 }
 
-// governorTickLocked updates the per-database governor after an insert.
-// Caller holds st.mu.
-func (e *Engine) governorTickLocked(st *dbState) {
-	if st.disabled {
-		return
-	}
-	if st.inserts < e.cfg.GovernorWindow {
+// governorTickLocked closes the database's window once it has seen
+// st.window inserts. On a primary (judge) a window ratio below
+// governorThreshold is the verdict, and a window the database passes makes
+// the next one twice as long, so a database is judged about
+// log₂(n/GovernorWindow) times in n inserts. A replica keeps the same window
+// with no verdict of its own: the primary's shows in the raw entries it
+// ships. Caller holds st.mu.
+func (e *Engine) governorTickLocked(st *dbState, judge bool) {
+	if st.disabled || st.inserts < st.window {
 		return
 	}
 	ratio := float64(st.rawBytes) / float64(max(st.codeBytes, 1))
-	if ratio < governorThreshold {
+	if judge && (st.lowest == 0 || ratio < st.lowest) {
+		st.lowest = ratio
+	}
+	if judge && ratio < governorThreshold {
 		// Not enough benefit: disable dedup for this database and free
 		// its index partition (paper §3.4.1). Dedup is never
 		// re-enabled — workload dedupability rarely changes. A
@@ -798,8 +820,9 @@ func (e *Engine) governorTickLocked(st *dbState) {
 		st.cands = nil
 		st.chains = nil
 	}
-	// Reset the window so a still-enabled database is re-evaluated over
-	// fresh data.
+	// Open the next window, so a still-enabled database is re-evaluated
+	// over fresh data.
+	st.window *= 2
 	st.inserts = 0
 	st.rawBytes = 0
 	st.codeBytes = 0
@@ -816,6 +839,10 @@ type DBStats struct {
 	WindowInserts      int
 	WindowRawBytes     int64
 	WindowEncodedBytes int64
+	// LowestWindowRatio is the lowest compression ratio of a window the
+	// governor judged: how near the database came to being disabled. It is
+	// 0 before the first verdict, and on a replica, which judges none.
+	LowestWindowRatio float64
 	// IndexMemoryBytes is this partition's feature-index footprint.
 	IndexMemoryBytes int64
 	// Chains is the number of live similarity chains tracked.
@@ -864,6 +891,7 @@ func (e *Engine) DBStats() []DBStats {
 			WindowInserts:      st.inserts,
 			WindowRawBytes:     st.rawBytes,
 			WindowEncodedBytes: st.codeBytes,
+			LowestWindowRatio:  st.lowest,
 			Chains:             len(st.chains),
 		}
 		if st.index != nil {

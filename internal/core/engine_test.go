@@ -263,6 +263,86 @@ func TestGovernorKeepsDedupableDB(t *testing.T) {
 	}
 }
 
+// TestGovernorSchedule: under the default config a database's first window
+// is DefaultGovernorWindow inserts and each window it passes doubles the
+// next, a verdict is final, and a window of 1<<30 is never judged.
+func TestGovernorSchedule(t *testing.T) {
+	e, _ := newTestEngine(Config{})
+	rng := rand.New(rand.NewSource(62))
+	unique := func() []byte {
+		p := make([]byte, 256)
+		rng.Read(p)
+		return p
+	}
+	base := workload.RevisionText(rng, 512)
+	// similar is base with one 8-byte word of it rewritten: it shares most
+	// of its chunks with every record before it.
+	similar := func(i int) []byte {
+		p := append([]byte(nil), base...)
+		copy(p[(i%60)*8:], fmt.Sprintf("%08d", i))
+		return p
+	}
+	id := uint64(0)
+	encode := func(db string, p []byte) Result {
+		id++
+		res, err := e.Encode(db, id, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	for i := 1; i <= DefaultGovernorWindow; i++ {
+		encode("unique", unique())
+		if i < DefaultGovernorWindow-1 {
+			continue
+		}
+		if d := dbStats(e, "unique"); d.Disabled != (i == DefaultGovernorWindow) {
+			t.Fatalf("unique payloads: disabled %v after insert %d", d.Disabled, i)
+		}
+	}
+	if r := dbStats(e, "unique").LowestWindowRatio; r <= 0 || r >= governorThreshold {
+		t.Errorf("unique payloads judged at ratio %.3f", r)
+	}
+	// A verdict is final, whatever the database stores next.
+	for i := 0; i < 2*DefaultGovernorWindow; i++ {
+		if res := encode("unique", similar(i)); !res.GovernorDisabled {
+			t.Fatalf("insert %d after the verdict ran the encoder", i)
+		}
+	}
+	if !dbStats(e, "unique").Disabled {
+		t.Error("a disabled database was re-enabled")
+	}
+
+	// The window's count just before and at each verdict, and at the end:
+	// a window closed anywhere else would leave a smaller count.
+	want := map[int]int{2047: 2047, 2048: 0, 6143: 4095, 6144: 0, 14335: 8191, 14336: 0, 16384: 2048}
+	for i := 1; i <= 16384; i++ {
+		encode("similar", similar(i))
+		n, ok := want[i]
+		if !ok {
+			continue
+		}
+		if d := dbStats(e, "similar"); d.Disabled || d.WindowInserts != n {
+			t.Fatalf("dedupable database after insert %d: disabled %v, window %d inserts, want %d",
+				i, d.Disabled, d.WindowInserts, n)
+		}
+	}
+	if r := dbStats(e, "similar").LowestWindowRatio; r < 2 {
+		t.Errorf("dedupable database's lowest window ratio %.2f", r)
+	}
+
+	never, _ := newTestEngine(Config{GovernorWindow: 1 << 30})
+	for i := uint64(1); i <= 3000; i++ {
+		if _, err := never.Encode("unique", i, unique()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := dbStats(never, "unique"); d.Disabled || d.WindowInserts != 3000 || d.LowestWindowRatio != 0 {
+		t.Errorf("window 1<<30: disabled %v, %d window inserts, lowest ratio %.2f", d.Disabled, d.WindowInserts, d.LowestWindowRatio)
+	}
+}
+
 func TestReplicaMirrorsPrimary(t *testing.T) {
 	// The secondary, given the primary's source choice and forward delta,
 	// must derive the same write-backs.

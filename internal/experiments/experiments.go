@@ -40,8 +40,8 @@ var DefaultScale = Scale{InsertBytes: 16 << 20, Seed: 1}
 func openNode(opts node.Options) (*node.Node, error) {
 	opts.Engine.Chunker = chunker.Rabin
 	if opts.Engine.GovernorWindow == 0 {
-		// The governor's production window (100k inserts) exceeds most
-		// experiment trace lengths; it gets its own experiment.
+		// The governor would judge a figure's databases mid-trace (its
+		// first window is 2 048 inserts); it gets its own experiment.
 		opts.Engine.GovernorWindow = 1 << 30
 	}
 	return node.Open(opts)

@@ -293,4 +293,15 @@ func TestGovernorExperiment(t *testing.T) {
 			}
 		}
 	}
+	// Under the default schedule no family of the benchmark's data comes
+	// near the threshold: each is judged three times and keeps dedup.
+	if len(res.Families) != 12 {
+		t.Fatalf("%d family rows, want 4 families x 3 seeds", len(res.Families))
+	}
+	for _, f := range res.Families {
+		if f.Disabled || f.LowestWindowRatio < 1.2 {
+			t.Errorf("%s seed %d: disabled %v, lowest window ratio %.2f (want >= 1.2)",
+				f.Family, f.Seed, f.Disabled, f.LowestWindowRatio)
+		}
+	}
 }

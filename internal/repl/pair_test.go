@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dbdedup/internal/cluster"
+	"dbdedup/internal/core"
 	"dbdedup/internal/node"
 	"dbdedup/internal/repl"
 	"dbdedup/internal/workload"
@@ -93,6 +94,51 @@ func TestReplicationTrafficReduced(t *testing.T) {
 	got := s.BytesReceived()
 	if got*4 > raw {
 		t.Errorf("replication shipped %d bytes for %d raw bytes; want >= 4x reduction", got, raw)
+	}
+}
+
+// TestSecondaryGovernorWindowMatchesPrimary: a secondary accounts each
+// database's governor window as its primary does, forward deltas and raw
+// entries alike, so for a chain shorter than one window both show the same
+// window and ratio on /dbs.
+func TestSecondaryGovernorWindowMatchesPrimary(t *testing.T) {
+	prim, sec, s := testPair(t)
+	rng := rand.New(rand.NewSource(62))
+	content := workload.RevisionText(rng, 4096)
+	for i := 0; i < 60; i++ {
+		if err := prim.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
+			t.Fatal(err)
+		}
+		content = workload.Revise(rng, content, 2, 40)
+	}
+	// Entries that ship raw: one under the size floor, one with no source.
+	noise := make([]byte, 2048)
+	rng.Read(noise)
+	for i, p := range [][]byte{[]byte("short"), noise} {
+		if err := prim.Insert("wiki", fmt.Sprintf("raw%d", i), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	window := func(n *node.Node) core.DBStats {
+		for _, d := range n.DBStats() {
+			if d.Name == "wiki" {
+				return d
+			}
+		}
+		t.Fatal("no wiki database")
+		return core.DBStats{}
+	}
+	p, r := window(prim), window(sec)
+	if p.WindowInserts != 62 || p.WindowRatio() < 2 {
+		t.Fatalf("primary window: %d inserts, ratio %.2f", p.WindowInserts, p.WindowRatio())
+	}
+	if r.WindowInserts != p.WindowInserts || r.WindowRawBytes != p.WindowRawBytes || r.WindowEncodedBytes != p.WindowEncodedBytes {
+		t.Errorf("secondary window %d inserts, %d -> %d bytes (%.2fx); primary %d inserts, %d -> %d bytes (%.2fx)",
+			r.WindowInserts, r.WindowRawBytes, r.WindowEncodedBytes, r.WindowRatio(),
+			p.WindowInserts, p.WindowRawBytes, p.WindowEncodedBytes, p.WindowRatio())
 	}
 }
 
