@@ -161,7 +161,7 @@ func main() {
 			fail("usage: dedupcli -addr ... rebalance <addr,addr,...>")
 		}
 		target := cluster.SplitAddrs(args[1])
-		ring, err := cluster.Rebalance(seeds, target, cluster.RebalanceOptions{})
+		ring, err := cluster.Rebalance(seeds, target, nil)
 		if err != nil {
 			fail("rebalance: %v", err)
 		}

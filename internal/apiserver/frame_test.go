@@ -14,7 +14,10 @@ import (
 
 // countingNet is TCP whose connections count their Write calls: those dialled
 // in client, those accepted in server.
-type countingNet struct{ client, server atomic.Int64 }
+type countingNet struct {
+	netsim.TCP
+	client, server atomic.Int64
+}
 
 type countingConn struct {
 	net.Conn

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,28 +21,13 @@ const maxRetries = 8
 
 // ClientOptions tunes the cluster-aware client. Zero values select defaults.
 type ClientOptions struct {
-	// Network is the transport (nil = netsim.Default, real TCP).
+	// Network is the transport (nil = netsim.Default, real TCP). Its Timing
+	// states the retry backoff: the first wait before a retry that needs
+	// one (moving shard, transport failure) doubles per retry up to a
+	// bound. Redirects retry immediately.
 	Network netsim.Network
-	// RetryBackoff is the initial sleep before a retry that needs one
-	// (moving shard, transport failure); it doubles per retry up to
-	// MaxBackoff. Redirects retry immediately. Defaults 5ms / 250ms.
-	RetryBackoff time.Duration
-	MaxBackoff   time.Duration
-	// Timeout bounds each round trip (default 10s).
+	// Timeout bounds each round trip (default the network's RoundTrip).
 	Timeout time.Duration
-}
-
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 5 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 250 * time.Millisecond
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 10 * time.Second
-	}
-	return o
 }
 
 // AmbiguousError wraps an operation failure where at least one attempt died
@@ -71,7 +57,7 @@ type Counters struct {
 // moving shards, and redials around transport failures — all under a
 // bounded, counted retry budget.
 type Client struct {
-	opts  ClientOptions
+	tm    netsim.Timing // the network's: the retry backoff
 	seeds []string
 
 	pool *apiserver.Pool // one connection per member
@@ -102,8 +88,9 @@ func DialCluster(addrs []string, opts ClientOptions) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: no member addresses")
 	}
-	c := &Client{opts: opts.withDefaults(), seeds: append([]string(nil), addrs...)}
-	c.pool = apiserver.NewPool(c.opts.Network, c.opts.Timeout)
+	nw := cmp.Or(opts.Network, netsim.Default)
+	c := &Client{tm: nw.Timing(), seeds: append([]string(nil), addrs...)}
+	c.pool = apiserver.NewPool(nw, cmp.Or(opts.Timeout, c.tm.RoundTrip))
 	var lastErr error
 	for _, a := range addrs {
 		if lastErr = c.fetchRing(a); lastErr == nil {
@@ -220,7 +207,7 @@ func (c *Client) refreshRing(hint string) {
 // do runs op against db's owner under the retry budget. definite server
 // answers pass through; transport failures taint the outcome as ambiguous.
 func (c *Client) do(db string, op func(*apiserver.Client) error) error {
-	backoff := c.opts.RetryBackoff
+	backoff := c.tm.RetryBackoff
 	ambiguous := false
 	var lastErr error
 	fail := func() error {
@@ -263,9 +250,7 @@ func (c *Client) do(db string, op func(*apiserver.Client) error) error {
 			}
 			c.retries.Add(1)
 			time.Sleep(backoff)
-			if backoff *= 2; backoff > c.opts.MaxBackoff {
-				backoff = c.opts.MaxBackoff
-			}
+			backoff = min(2*backoff, c.tm.MaxRetryBackoff)
 			c.refreshRing("")
 		case errors.Is(err, apiserver.ErrNotFound),
 			errors.Is(err, apiserver.ErrOverloaded),
@@ -287,9 +272,7 @@ func (c *Client) do(db string, op func(*apiserver.Client) error) error {
 			}
 			c.retries.Add(1)
 			time.Sleep(backoff)
-			if backoff *= 2; backoff > c.opts.MaxBackoff {
-				backoff = c.opts.MaxBackoff
-			}
+			backoff = min(2*backoff, c.tm.MaxRetryBackoff)
 			c.refreshRing("")
 		}
 	}

@@ -88,7 +88,7 @@ func BenchmarkHandoff(b *testing.B) {
 		db := dbOwnedBy(b, NewRing(1, []string{src, dst}), dst)
 		fillChains(b, members[0].Node, db, records)
 		b.StartTimer()
-		if _, err := Rebalance([]string{src}, []string{src, dst}, RebalanceOptions{}); err != nil {
+		if _, err := Rebalance([]string{src}, []string{src, dst}, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

@@ -20,7 +20,8 @@ type MemberConfig struct {
 	// the member's disk.
 	Node node.Options
 	// Network carries every listener and every dial of the member: client
-	// API, handoff pushes, oplog server, follower. nil is TCP.
+	// API, handoff pushes, oplog server, follower. nil is TCP. Its Timing
+	// is the oplog server's and the follower's clocks.
 	Network netsim.Network
 	// Listen is the client API address.
 	Listen string
@@ -32,11 +33,9 @@ type MemberConfig struct {
 	Self string
 	// ReplListen, when set, is where the node's oplog is served.
 	ReplListen string
-	Oplog      repl.PrimaryOptions
 	// Follow, when set, is the oplog server this member follows from
 	// sequence zero.
-	Follow   string
-	Follower repl.Options
+	Follow string
 }
 
 // Member is a running process. Oplog and Follower are nil for what the
@@ -77,14 +76,12 @@ func StartMember(cfg MemberConfig) (*Member, error) {
 		m.Shard.SetSelf(m.API.Addr())
 	}
 	if cfg.ReplListen != "" {
-		cfg.Oplog.Network = cfg.Network
-		if m.Oplog, err = repl.ListenAndServeWithOptions(n, cfg.ReplListen, cfg.Oplog); err != nil {
+		if m.Oplog, err = repl.ListenAndServeNetwork(n, cfg.ReplListen, cfg.Network); err != nil {
 			return fail("replication listener", err)
 		}
 	}
 	if cfg.Follow != "" {
-		cfg.Follower.Network = cfg.Network
-		if m.Follower, err = repl.ConnectWithOptions(n, cfg.Follow, cfg.Follower); err != nil {
+		if m.Follower, err = repl.ConnectNetwork(n, cfg.Follow, cfg.Network); err != nil {
 			return fail("following "+cfg.Follow, err)
 		}
 	}
@@ -112,7 +109,7 @@ func StartRing(n int, cfg MemberConfig) ([]*Member, error) {
 		}
 		members, addrs = append(members, m), append(addrs, m.Addr())
 	}
-	if _, err := Rebalance(addrs, addrs, RebalanceOptions{Network: cfg.Network}); err != nil {
+	if _, err := Rebalance(addrs, addrs, cfg.Network); err != nil {
 		return fail(fmt.Errorf("cluster bootstrap: %w", err))
 	}
 	return members, nil

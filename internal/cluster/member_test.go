@@ -129,7 +129,7 @@ func TestStandaloneMemberIsARingOfOne(t *testing.T) {
 	}
 	ma := start("a", "a:1")
 
-	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh))
+	cc, err := DialCluster([]string{"a:1"}, ClientOptions{Network: mesh.Host("client")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestStandaloneMemberIsARingOfOne(t *testing.T) {
 
 	// Join a second standalone member; neither restarts.
 	mb := start("b", "b:1")
-	ring, err := Rebalance([]string{"a:1"}, []string{"a:1", "b:1"}, testRebalanceOptions(mesh))
+	ring, err := Rebalance([]string{"a:1"}, []string{"a:1", "b:1"}, mesh.Host("coord"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,39 +1,18 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"dbdedup/internal/apiserver"
 	"dbdedup/internal/netsim"
 )
 
-// RebalanceOptions tunes the coordinator. Zero values select defaults.
-type RebalanceOptions struct {
-	// Network is the transport (nil = netsim.Default, real TCP).
-	Network netsim.Network
-	// RPCTimeout bounds the short control RPCs (default 10s).
-	RPCTimeout time.Duration
-	// HandoffTimeout bounds one member's whole BeginHandoff stream
-	// (default 5m — it moves data, not just control state).
-	HandoffTimeout time.Duration
-}
-
 // commitRetries is how many times a failed per-member commit is retried
 // before the member is left for recovery.
 const commitRetries = 3
-
-func (o RebalanceOptions) withDefaults() RebalanceOptions {
-	if o.RPCTimeout <= 0 {
-		o.RPCTimeout = 10 * time.Second
-	}
-	if o.HandoffTimeout <= 0 {
-		o.HandoffTimeout = 5 * time.Minute
-	}
-	return o
-}
 
 // Rebalance drives the cluster reachable through seeds to the target
 // membership:
@@ -54,13 +33,16 @@ func (o RebalanceOptions) withDefaults() RebalanceOptions {
 //
 // Every member of the old and new membership must be reachable; a rebalance
 // against a partitioned cluster fails cleanly (abort) rather than guessing.
+// The coordinator dials over nw (nil is TCP), whose Timing bounds each
+// control RPC and, longer, each member's handoff stream, which moves data.
 // Returns the committed ring.
-func Rebalance(seeds, target []string, opts RebalanceOptions) (*Ring, error) {
-	opts = opts.withDefaults()
+func Rebalance(seeds, target []string, nw netsim.Network) (*Ring, error) {
 	if len(target) == 0 {
 		return nil, errors.New("cluster: empty target membership")
 	}
-	co := &coordinator{opts: opts, pool: apiserver.NewPool(opts.Network, opts.RPCTimeout)}
+	nw = cmp.Or(nw, netsim.Default)
+	co := &coordinator{tm: nw.Timing()}
+	co.pool = apiserver.NewPool(nw, co.tm.RPC)
 	defer co.pool.Close()
 
 	base, err := co.recover(union(seeds, target))
@@ -110,7 +92,7 @@ func Rebalance(seeds, target []string, opts RebalanceOptions) (*Ring, error) {
 }
 
 type coordinator struct {
-	opts RebalanceOptions
+	tm   netsim.Timing
 	pool *apiserver.Pool
 }
 
@@ -125,8 +107,8 @@ func (co *coordinator) call(addr string, fn func(*apiserver.Client) error) error
 
 func (co *coordinator) handoff(addr string) error {
 	return co.call(addr, func(c *apiserver.Client) error {
-		c.SetTimeout(co.opts.HandoffTimeout)
-		defer c.SetTimeout(co.opts.RPCTimeout)
+		c.SetTimeout(co.tm.Handoff)
+		defer c.SetTimeout(co.tm.RPC)
 		return c.BeginHandoff()
 	})
 }

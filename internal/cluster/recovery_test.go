@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dbdedup/internal/apiserver"
 	"dbdedup/internal/faultfs"
@@ -31,10 +30,6 @@ func dialDirect(t *testing.T, mesh *netsim.Mesh, addr string) *apiserver.Client 
 // oneRecord is a handoff batch of one record.
 func oneRecord(db, key string, payload []byte) []byte {
 	return repl.AppendRecord(binary.AppendUvarint(nil, 1), db, key, node.Stamped{Present: true, Content: payload})
-}
-
-func testRebalanceOptions(mesh *netsim.Mesh) RebalanceOptions {
-	return RebalanceOptions{Network: mesh.Host("coord"), RPCTimeout: 2 * time.Second}
 }
 
 // TestRinglessJoinMovesData pins the bootstrap-join flow: a ring-less member
@@ -63,7 +58,7 @@ func TestRinglessJoinMovesData(t *testing.T) {
 		}
 	}
 
-	ring, err := Rebalance([]string{"a:1"}, []string{"a:1", "b:1"}, testRebalanceOptions(mesh))
+	ring, err := Rebalance([]string{"a:1"}, []string{"a:1", "b:1"}, mesh.Host("coord"))
 	if err != nil {
 		t.Fatalf("join rebalance: %v", err)
 	}
@@ -86,7 +81,7 @@ func TestRinglessJoinMovesData(t *testing.T) {
 	}
 
 	// The whole corpus stays reachable through the routing tier.
-	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh))
+	cc, err := DialCluster([]string{"a:1"}, ClientOptions{Network: mesh.Host("client")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +229,7 @@ func TestRecoverAbortsSupersededWindow(t *testing.T) {
 
 	// Target membership already matches the tip: this rebalance would
 	// otherwise return without installing anything anywhere.
-	ring, err := Rebalance([]string{"a:1", "b:1"}, []string{"a:1", "b:1"}, testRebalanceOptions(mesh))
+	ring, err := Rebalance([]string{"a:1", "b:1"}, []string{"a:1", "b:1"}, mesh.Host("coord"))
 	if err != nil {
 		t.Fatalf("no-op rebalance over a stale window: %v", err)
 	}
@@ -277,7 +272,7 @@ func TestRecoverFinishesCommittedWindowOnStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ring, err := Rebalance([]string{"a:1", "b:1"}, []string{"a:1", "b:1"}, testRebalanceOptions(mesh))
+	ring, err := Rebalance([]string{"a:1", "b:1"}, []string{"a:1", "b:1"}, mesh.Host("coord"))
 	if err != nil {
 		t.Fatalf("recovery rebalance: %v", err)
 	}
@@ -293,7 +288,7 @@ func TestRecoverFinishesCommittedWindowOnStraggler(t *testing.T) {
 	if _, err := ma.Node.Read(db, "k"); !errors.Is(err, node.ErrNotFound) {
 		t.Errorf("moved database still on the straggler after commit: err=%v", err)
 	}
-	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh))
+	cc, err := DialCluster([]string{"a:1"}, ClientOptions{Network: mesh.Host("client")})
 	if err != nil {
 		t.Fatal(err)
 	}

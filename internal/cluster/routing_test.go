@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"dbdedup/internal/apiserver"
 	"dbdedup/internal/netsim"
@@ -32,15 +31,6 @@ func startMember(t *testing.T, mesh *netsim.Mesh, host, addr string, ring *Ring)
 	return m
 }
 
-func testClientOptions(mesh *netsim.Mesh) ClientOptions {
-	return ClientOptions{
-		Network:      mesh.Host("client"),
-		RetryBackoff: time.Millisecond,
-		MaxBackoff:   5 * time.Millisecond,
-		Timeout:      2 * time.Second,
-	}
-}
-
 // dbOwnedBy finds a database name the ring places on the wanted member.
 func dbOwnedBy(t testing.TB, r *Ring, want string) string {
 	t.Helper()
@@ -63,7 +53,7 @@ func TestStaleRingRedirectedNotDropped(t *testing.T) {
 	ma := startMember(t, mesh, "a", "a:1", r1)
 	mb := startMember(t, mesh, "b", "b:1", NewRing(1, []string{"a:1"}))
 
-	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh))
+	cc, err := DialCluster([]string{"a:1"}, ClientOptions{Network: mesh.Host("client")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +66,7 @@ func TestStaleRingRedirectedNotDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Rebalance([]string{"a:1"}, []string{"a:1", "b:1"}, RebalanceOptions{
-		Network: mesh.Host("coord"), RPCTimeout: 2 * time.Second,
-	}); err != nil {
+	if _, err := Rebalance([]string{"a:1"}, []string{"a:1", "b:1"}, mesh.Host("coord")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,7 +100,7 @@ func TestRedirectLoopBounded(t *testing.T) {
 	startMember(t, mesh, "a", "a:1", NewRing(1, []string{"b:1"}))
 	startMember(t, mesh, "b", "b:1", NewRing(1, []string{"a:1"}))
 
-	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh))
+	cc, err := DialCluster([]string{"a:1"}, ClientOptions{Network: mesh.Host("client")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +137,7 @@ func TestMovingShardRetryThenTyped(t *testing.T) {
 	r2 := NewRing(2, []string{"a:1", "ghost:1"})
 	db := dbOwnedBy(t, r2, "ghost:1")
 
-	cc, err := DialCluster([]string{"a:1"}, testClientOptions(mesh))
+	cc, err := DialCluster([]string{"a:1"}, ClientOptions{Network: mesh.Host("client")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -532,7 +532,9 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 // is already chosen (shipped in the oplog entry) and the forward delta is
 // given; the secondary re-derives the backward write-backs and maintains its
 // own chain state, which evolves identically because it applies the same
-// inserts in the same order (paper §4.1, "Re-encoder").
+// inserts in the same order (paper §4.1, "Re-encoder"). Once the database is
+// disabled, a forward delta that still arrives is stored as decoded, with no
+// chain, cache or write-back work.
 func (e *Engine) EncodeAsReplica(dbName string, id uint64, payload []byte, srcID uint64, srcContent []byte, fwd delta.Delta) Result {
 	st := e.db(dbName)
 	e.stats.inserts.Add(1)
@@ -542,8 +544,12 @@ func (e *Engine) EncodeAsReplica(dbName string, id uint64, payload []byte, srcID
 	st.rawBytes += int64(len(payload))
 	st.codeBytes += int64(fwd.EncodedSize())
 	e.governorTickLocked(st, false)
+	disabled := st.disabled
 	st.mu.Unlock()
-
+	if disabled {
+		e.stats.governorSkipped.Add(1)
+		return Result{GovernorDisabled: true}
+	}
 	return e.encodeAgainst(st, id, payload, nil, srcID, srcContent, fwd, time.Now())
 }
 
@@ -622,17 +628,28 @@ func probeLocked(st *dbState, sk sketch.Sketch, id uint64) []candidate {
 }
 
 // ObserveRaw lets a replica node keep chain/cache state coherent for records
-// that arrived unencoded.
-func (e *Engine) ObserveRaw(dbName string, id uint64, payload []byte) {
+// that arrived unencoded. disabled says the primary shipped the record raw
+// because its governor had disabled the database: the replica takes that
+// verdict and judges no window of its own, since its window also counts
+// records the primary never encoded (snapshot installs, fetched bases, shed
+// inserts). Once the database is disabled nothing is kept.
+func (e *Engine) ObserveRaw(dbName string, id uint64, payload []byte, disabled bool) {
 	st := e.db(dbName)
 	e.stats.inserts.Add(1)
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.inserts++
 	st.rawBytes += int64(len(payload))
 	st.codeBytes += int64(len(payload))
-	e.governorTickLocked(st, false)
+	if disabled && !st.disabled {
+		e.disableLocked(st)
+	}
+	if st.disabled {
+		e.stats.governorSkipped.Add(1)
+		return
+	}
 	e.adoptAsNewChainLocked(st, id, payload)
-	st.mu.Unlock()
+	e.governorTickLocked(st, false)
 }
 
 // selectSource picks the candidate with the highest score: shared-feature
@@ -795,8 +812,8 @@ func (e *Engine) emitHopWritebacks(hops []hopJob, newID uint64, newContent []byt
 // governorThreshold is the verdict, and a window the database passes makes
 // the next one twice as long, so a database is judged about
 // log₂(n/GovernorWindow) times in n inserts. A replica keeps the same window
-// with no verdict of its own: the primary's shows in the raw entries it
-// ships. Caller holds st.mu.
+// with no verdict of its own: it takes the primary's from the raw entries
+// the primary marks (ObserveRaw). Caller holds st.mu.
 func (e *Engine) governorTickLocked(st *dbState, judge bool) {
 	if st.disabled || st.inserts < st.window {
 		return
@@ -806,19 +823,7 @@ func (e *Engine) governorTickLocked(st *dbState, judge bool) {
 		st.lowest = ratio
 	}
 	if judge && ratio < governorThreshold {
-		// Not enough benefit: disable dedup for this database and free
-		// its index partition (paper §3.4.1). Dedup is never
-		// re-enabled — workload dedupability rarely changes. A
-		// partition may own disk runs: Close retires them (unlinking the
-		// files) before the reference is dropped. This runs under st.mu,
-		// but Close takes only the index's internal locks (below st.mu
-		// in the hierarchy) and fires at most once per database.
-		st.index.Close()
-		st.disabled = true
-		st.index = nil
-		st.refs = nil
-		st.cands = nil
-		st.chains = nil
+		e.disableLocked(st)
 	}
 	// Open the next window, so a still-enabled database is re-evaluated
 	// over fresh data.
@@ -826,6 +831,28 @@ func (e *Engine) governorTickLocked(st *dbState, judge bool) {
 	st.inserts = 0
 	st.rawBytes = 0
 	st.codeBytes = 0
+}
+
+// disableLocked turns dedup off for the database: not enough benefit (paper
+// §3.4.1). It frees the index partition and the chain heads' source-cache
+// entries, which no encode will use again. Dedup is never re-enabled —
+// workload dedupability rarely changes. A partition may own disk runs: Close
+// retires them (unlinking the files) before the reference is dropped. This
+// runs under st.mu, but Close takes only the index's internal locks (below
+// st.mu in the hierarchy) and fires at most once per database, and the
+// cache's lock is a permitted inner lock. Caller holds st.mu.
+func (e *Engine) disableLocked(st *dbState) {
+	if e.cache != nil {
+		for head := range st.chains {
+			e.cache.Remove(head)
+		}
+	}
+	st.index.Close()
+	st.disabled = true
+	st.index = nil
+	st.refs = nil
+	st.cands = nil
+	st.chains = nil
 }
 
 // DBStats is the per-database view the governor maintains (§3.4.1).

@@ -121,7 +121,7 @@ func TestConcurrentEncodeAcrossDatabases(t *testing.T) {
 			db := fmt.Sprintf("raw%d", o)
 			base := uint64(100+o) << 32
 			for v := 0; v < versions; v++ {
-				e.ObserveRaw(db, base+uint64(v), workload.RevisionText(rng, 1024))
+				e.ObserveRaw(db, base+uint64(v), workload.RevisionText(rng, 1024), false)
 			}
 		}(o)
 	}

@@ -374,10 +374,44 @@ func TestReplicaMirrorsPrimary(t *testing.T) {
 				}
 			}
 		} else {
-			re.ObserveRaw("db", id, content)
+			re.ObserveRaw("db", id, content, false)
 		}
 		prev = content
 		content = workload.Revise(rng, content, 2, 50+rng.Intn(100))
+	}
+}
+
+// TestReplicaVerdict: a replica judges no window of its own, so a full window
+// of raw records (a snapshot resync, say) leaves the database active. The
+// first raw record its primary marks disabled disables it and frees what it
+// held for it, and a forward delta that arrives after the verdict does no
+// chain, cache or write-back work.
+func TestReplicaVerdict(t *testing.T) {
+	re, _ := newTestEngine(Config{})
+	rng := rand.New(rand.NewSource(64))
+	raw := func(id uint64, disabled bool) {
+		p := make([]byte, 512)
+		rng.Read(p)
+		re.ObserveRaw("db", id, p, disabled)
+	}
+	for id := uint64(1); id <= DefaultGovernorWindow; id++ {
+		raw(id, false)
+	}
+	if d := dbStats(re, "db"); d.Disabled || d.Chains != DefaultGovernorWindow || d.LowestWindowRatio != 0 {
+		t.Fatalf("after one window of raw records: disabled %v, %d chains, lowest ratio %.2f", d.Disabled, d.Chains, d.LowestWindowRatio)
+	}
+	raw(DefaultGovernorWindow+1, true)
+	if d := dbStats(re, "db"); !d.Disabled || d.Chains != 0 {
+		t.Fatalf("after a record marked disabled: disabled %v, %d chains", d.Disabled, d.Chains)
+	}
+	src := workload.RevisionText(rng, 4096)
+	tgt := workload.Revise(rng, src, 2, 40)
+	res := re.EncodeAsReplica("db", DefaultGovernorWindow+2, tgt, 1, src, delta.Compress(src, tgt, delta.Options{}))
+	if !res.GovernorDisabled || res.Deduped || len(res.Writebacks) != 0 {
+		t.Fatalf("a forward delta after the verdict: %+v", res)
+	}
+	if n := re.SourceCache().Len(); n != 0 || dbStats(re, "db").Chains != 0 {
+		t.Fatalf("after the verdict: %d cached records, %d chains", n, dbStats(re, "db").Chains)
 	}
 }
 

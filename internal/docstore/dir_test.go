@@ -179,14 +179,18 @@ func TestDirectoryReadStress(t *testing.T) {
 	var doomed [keys]atomic.Uint64 // per key, the last record the writer began to delete
 	var stop atomic.Bool
 	var resolved atomic.Int64
-	var wg sync.WaitGroup
+	var wg, running sync.WaitGroup
 	defer wg.Wait()
 	defer stop.Store(true)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
+		running.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
+				if i == 0 {
+					running.Done()
+				}
 				k := (r + i) % keys
 				key := fmt.Sprint("k", k)
 				id, _, ok := s.Lookup("d", key)
@@ -216,6 +220,9 @@ func TestDirectoryReadStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Every reader is in its loop before the first key appears, so whether
+	// one resolves a key is up to the store, not the scheduler.
+	running.Wait()
 	next := uint64(1)
 	for round := 0; round < rounds && !t.Failed(); round++ {
 		for k := 0; k < keys; k++ {

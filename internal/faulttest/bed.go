@@ -13,7 +13,6 @@ import (
 	"dbdedup/internal/histcheck"
 	"dbdedup/internal/netsim"
 	"dbdedup/internal/node"
-	"dbdedup/internal/repl"
 )
 
 // slot is one process of the bed: how it is started, the disk that outlives
@@ -71,23 +70,6 @@ func nodeOptions(oplog int) node.Options {
 	return o
 }
 
-// hardenedRepl is the one replication timing: a stream that notices a dead
-// path within tens of milliseconds. Retries, counts and queues are the
-// daemon's; only the clocks differ, because the simulated network runs about
-// a hundred times faster than a real one.
-func hardenedRepl() (repl.PrimaryOptions, repl.Options) {
-	return repl.PrimaryOptions{
-			HeartbeatInterval: 10 * time.Millisecond,
-			WriteTimeout:      100 * time.Millisecond,
-		}, repl.Options{
-			FetchTimeout:     250 * time.Millisecond,
-			ReconnectBackoff: 2 * time.Millisecond,
-			MaxBackoff:       25 * time.Millisecond,
-			DialTimeout:      250 * time.Millisecond,
-			IdleTimeout:      75 * time.Millisecond,
-		}
-}
-
 // build starts the row's deployment. What fails to start is a problem of
 // the run, except a fault armed on the first member's very first open:
 // nothing was acknowledged then, and recovery of the directory is still
@@ -104,7 +86,6 @@ func build(row *class, sch Schedule, pt Point) *bed {
 		hist: histcheck.New(floor)}
 	b.churn = histcheck.NewChurn(b.hist, b.rng, shape.dbs, shape.mix, b.classify)
 
-	serve, follow := hardenedRepl()
 	slot := func(i int, name string, cfg cluster.MemberConfig) *slot {
 		s := &slot{name: name, cfg: cfg, tear: sch.Seed + int64(i)}
 		s.cfg.Node = nodeOptions(shape.oplog)
@@ -134,12 +115,12 @@ func build(row *class, sch Schedule, pt Point) *bed {
 			}
 		}
 		if i == 0 && row.follows {
-			cfg.ReplListen, cfg.Oplog = oplogAddr, serve
+			cfg.ReplListen = oplogAddr
 		}
 		b.members = append(b.members, slot(i, hosts[i], cfg))
 	}
 	b.follower = slot(follower, "follower", cluster.MemberConfig{Network: b.mesh.Host(hosts[0]),
-		Listen: followerAddr, Follow: oplogAddr, Follower: follow})
+		Listen: followerAddr, Follow: oplogAddr})
 	b.slots = append(b.members[:shape.members:shape.members], b.follower)
 
 	if m0 := b.members[0]; pt.Dir != "" {
@@ -159,15 +140,7 @@ func build(row *class, sch Schedule, pt Point) *bed {
 	}
 	if row.topology == clustered {
 		dial := func() *cluster.Client {
-			cc, err := cluster.DialCluster(base, cluster.ClientOptions{
-				Network:      b.mesh.Host("client"),
-				RetryBackoff: 2 * time.Millisecond,
-				MaxBackoff:   40 * time.Millisecond,
-				// Shorter than a partition window, so an op stalled behind a
-				// partition times out (an ambiguous outcome) instead of
-				// quietly waiting the fault out.
-				Timeout: 100 * time.Millisecond,
-			})
+			cc, err := cluster.DialCluster(base, cluster.ClientOptions{Network: b.mesh.Host("client")})
 			b.note("router client", err)
 			return cc
 		}
@@ -360,11 +333,7 @@ func (b *bed) startMoves() {
 
 func (b *bed) rebalance(target []string) error {
 	b.rebalances++
-	_, err := cluster.Rebalance(base, target, cluster.RebalanceOptions{
-		Network:        b.mesh.Host("coord"),
-		RPCTimeout:     time.Second,
-		HandoffTimeout: 20 * time.Second,
-	})
+	_, err := cluster.Rebalance(base, target, b.mesh.Host("coord"))
 	if err != nil {
 		b.failedRebalances++
 	}

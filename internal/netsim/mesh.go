@@ -114,3 +114,6 @@ func (h meshHost) Listen(addr string) (net.Listener, error) {
 func (h meshHost) DialTimeout(addr string, timeout time.Duration) (net.Conn, error) {
 	return h.m.DialTimeout(addr, timeout)
 }
+
+// Timing implements Network: a host's clocks are its Sim's.
+func (meshHost) Timing() Timing { return simTiming }

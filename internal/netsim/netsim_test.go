@@ -312,3 +312,37 @@ func TestTCPNetworkRoundTrip(t *testing.T) {
 		t.Fatalf("echo %q", got)
 	}
 }
+
+// TestTiming pins the clocks the networks state. TCP's are a deployment's.
+// On every network a healthy stream heartbeats well inside its idle bound,
+// each backoff starts at most at its cap, and a router round trip fits in a
+// rebalance RPC, which is shorter than a handoff.
+func TestTiming(t *testing.T) {
+	want := Timing{
+		Heartbeat: time.Second, FrameWrite: 10 * time.Second, Fetch: 3 * time.Second,
+		Backoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second,
+		Dial: 3 * time.Second, Idle: 30 * time.Second,
+		RPC: 10 * time.Second, Handoff: 5 * time.Minute,
+		RetryBackoff: 5 * time.Millisecond, MaxRetryBackoff: 250 * time.Millisecond, RoundTrip: 10 * time.Second,
+	}
+	if got := (TCP{}).Timing(); got != want {
+		t.Errorf("TCP timing %+v, want %+v", got, want)
+	}
+	for name, nw := range map[string]Network{"TCP": TCP{}, "Sim": NewSim(1), "mesh host": NewMesh(1, "a").Host("a")} {
+		tm := nw.Timing()
+		for _, d := range []time.Duration{tm.Heartbeat, tm.FrameWrite, tm.Fetch, tm.Backoff, tm.Dial, tm.RetryBackoff, tm.RoundTrip} {
+			if d <= 0 {
+				t.Errorf("%s: a clock of %v in %+v", name, d, tm)
+			}
+		}
+		if 4*tm.Heartbeat > tm.Idle {
+			t.Errorf("%s: heartbeat %v, idle bound %v", name, tm.Heartbeat, tm.Idle)
+		}
+		if tm.Backoff > tm.MaxBackoff || tm.RetryBackoff > tm.MaxRetryBackoff {
+			t.Errorf("%s: backoff %v up to %v, router retry %v up to %v", name, tm.Backoff, tm.MaxBackoff, tm.RetryBackoff, tm.MaxRetryBackoff)
+		}
+		if tm.RoundTrip > tm.RPC || tm.RPC >= tm.Handoff {
+			t.Errorf("%s: round trip %v, rebalance RPC %v, handoff %v", name, tm.RoundTrip, tm.RPC, tm.Handoff)
+		}
+	}
+}

@@ -124,6 +124,21 @@ func NewNamedSim(seed int64, name string) *Sim {
 	}
 }
 
+// simTiming is every simulated network's clocks: a stream notices a dead
+// path within tens of milliseconds, and a router op stalled behind a
+// partition times out (an ambiguous outcome) instead of quietly waiting the
+// fault out.
+var simTiming = Timing{
+	Heartbeat: 10 * time.Millisecond, FrameWrite: 100 * time.Millisecond, Fetch: 250 * time.Millisecond,
+	Backoff: 2 * time.Millisecond, MaxBackoff: 25 * time.Millisecond,
+	Dial: 250 * time.Millisecond, Idle: 75 * time.Millisecond,
+	RPC: time.Second, Handoff: 20 * time.Second,
+	RetryBackoff: 2 * time.Millisecond, MaxRetryBackoff: 40 * time.Millisecond, RoundTrip: 100 * time.Millisecond,
+}
+
+// Timing implements Network.
+func (*Sim) Timing() Timing { return simTiming }
+
 // SetProfile installs a randomized fault mix (nil = deliver everything
 // cleanly). Replaces any scripted FaultFunc.
 func (s *Sim) SetProfile(p *Profile) {

@@ -130,7 +130,7 @@ func (n *Node) Upsert(db, key string, payload []byte, emit bool) error {
 		// The node keeps what it inserts; payload stays the caller's.
 		job, err := n.insertLocalEmit(db, key, append([]byte(nil), payload...), emit, false)
 		if err == nil && !emit && n.eng != nil {
-			n.eng.ObserveRaw(db, job.id, job.payload)
+			n.eng.ObserveRaw(db, job.id, job.payload, false)
 		}
 		if !errors.Is(err, ErrDuplicateKey) {
 			return n.finish(job, err)
@@ -195,10 +195,10 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 	if n.Has(e.DB, e.Key) {
 		return fmt.Errorf("node: replicated insert of existing key %q/%q", e.DB, e.Key)
 	}
-	if e.Form == oplog.FormRaw {
+	if e.Form != oplog.FormDelta {
 		job, err := n.insertLocalEmit(e.DB, e.Key, e.Payload, false, false)
 		if err == nil && n.eng != nil {
-			n.eng.ObserveRaw(e.DB, job.id, e.Payload)
+			n.eng.ObserveRaw(e.DB, job.id, e.Payload, e.Form == oplog.FormRawDisabled)
 		}
 		return err
 	}

@@ -381,6 +381,10 @@ func (n *Node) processInsert(job encodeJob, entry oplog.Entry) {
 		if n.eng.SourceCache() != nil && n.changedSince(job.id, job.opSeq) {
 			n.eng.SourceCache().Remove(job.id)
 		}
+		if res.GovernorDisabled {
+			// The replica takes the verdict from this entry.
+			entry.Form = oplog.FormRawDisabled
+		}
 		if err == nil && res.Deduped {
 			// The forward delta was computed against the source's
 			// *current* content. The secondary decodes it against the

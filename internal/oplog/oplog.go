@@ -54,6 +54,10 @@ const (
 	// FormDelta means Payload is a forward delta; the full content is
 	// obtained by applying it to the record identified by BaseKey.
 	FormDelta PayloadForm = 1
+	// FormRawDisabled is FormRaw shipped after the primary's governor
+	// disabled dedup for the record's database (paper §3.4.1). A replica
+	// takes the verdict from it, so one node decides it.
+	FormRawDisabled PayloadForm = 2
 )
 
 // Entry is one logged operation.
@@ -354,7 +358,7 @@ func Unmarshal(buf []byte) (Entry, int, error) {
 		return e, 0, errCorrupt
 	}
 	op, form := OpType(p[0]), PayloadForm(p[1])
-	if op > OpDelete || form > FormDelta {
+	if op > OpDelete || form > FormRawDisabled {
 		return e, 0, fmt.Errorf("oplog: bad op/form %d/%d", op, form)
 	}
 	p = p[2:]

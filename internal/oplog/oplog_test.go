@@ -88,7 +88,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 			Op:      OpType(rng.Intn(3)),
 			DB:      fmt.Sprintf("db%d", rng.Intn(4)),
 			Key:     fmt.Sprintf("key-%d", rng.Int63()),
-			Form:    PayloadForm(rng.Intn(2)),
+			Form:    PayloadForm(rng.Intn(3)),
 			Payload: make([]byte, rng.Intn(300)),
 		}
 		if e.Form == FormDelta {

@@ -46,13 +46,13 @@ func TestSnapshotFramesAreByteBounded(t *testing.T) {
 		}
 		return netsim.Verdict{}
 	})
-	p, err := ListenAndServeWithOptions(prim, "primary", PrimaryOptions{Network: sim})
+	p, err := ListenAndServeNetwork(prim, "primary", sim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
 	sec := openReplNode(t)
-	s, err := ConnectWithOptions(sec, p.Addr(), Options{Network: sim})
+	s, err := ConnectNetwork(sec, p.Addr(), sim)
 	if err != nil {
 		t.Fatal(err)
 	}

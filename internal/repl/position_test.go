@@ -31,7 +31,7 @@ func restartablePrimary(t *testing.T, sim *netsim.Sim) (prim *node.Node, p *Prim
 		if prim, err = node.Open(opts); err != nil {
 			t.Fatal(err)
 		}
-		if p, err = ListenAndServeWithOptions(prim, addr, PrimaryOptions{Network: sim}); err != nil {
+		if p, err = ListenAndServeNetwork(prim, addr, sim); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,8 +82,7 @@ func TestFetchRefusedByARestartedPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sec := openReplNode(t)
-	s, err := connect(sec, p.Addr(), prim.Oplog().LastSeq(), 0, Options{Network: sim,
-		FetchTimeout: 100 * time.Millisecond, ReconnectBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond})
+	s, err := connect(sec, p.Addr(), prim.Oplog().LastSeq(), 0, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +150,7 @@ func TestSnapshotInFlightKeepsThePosition(t *testing.T) {
 		}
 	}
 	sec := openReplNode(t)
-	s, err := ConnectWithOptions(sec, p.Addr(), Options{Network: sim,
-		ReconnectBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond})
+	s, err := ConnectNetwork(sec, p.Addr(), sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +159,10 @@ func TestSnapshotInFlightKeepsThePosition(t *testing.T) {
 	epoch, seq := s.Epoch(), s.AppliedSeq()
 
 	// Hold back every large frame toward the follower: the snapshot's
-	// records. Its begin frame, like the epoch frame, is a bare header.
-	const stall = 500 * time.Millisecond
+	// records. Its begin frame, like the epoch frame, is a bare header. The
+	// stall stays inside the idle bound, so the batch is late on a
+	// connection that lives, not a silence that ends it and resyncs again.
+	stall := sim.Timing().Idle * 2 / 3
 	sim.SetFaults(func(ci netsim.ChunkInfo) netsim.Verdict {
 		if !ci.ToServer && ci.Size > 256 {
 			return netsim.Verdict{Delay: stall}

@@ -114,37 +114,11 @@ const (
 	fetchIdleTimeout = 5 * time.Minute
 )
 
-// PrimaryOptions tunes a Primary. The zero value selects the defaults.
-type PrimaryOptions struct {
-	// Network is the transport seam (default netsim.Default, i.e. TCP).
-	Network netsim.Network
-	// HeartbeatInterval is how often a caught-up stream emits a heartbeat
-	// frame (default 1s).
-	HeartbeatInterval time.Duration
-	// WriteTimeout bounds each frame write (default 10s). A
-	// partitioned or wedged secondary fails its connection instead of
-	// pinning a serve goroutine forever.
-	WriteTimeout time.Duration
-}
-
-func (o PrimaryOptions) withDefaults() PrimaryOptions {
-	if o.Network == nil {
-		o.Network = netsim.Default
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	return o
-}
-
 // Primary serves the local node's oplog to connecting secondaries.
 type Primary struct {
 	node *node.Node
 	ln   net.Listener
-	opts PrimaryOptions
+	tm   netsim.Timing // the network's: heartbeat and frame-write bound
 	rm   *metrics.ReplMetrics
 
 	mu      sync.Mutex
@@ -155,20 +129,20 @@ type Primary struct {
 }
 
 // ListenAndServe starts a replication listener for n on addr (e.g.
-// "127.0.0.1:0") with default options.
+// "127.0.0.1:0") over TCP.
 func ListenAndServe(n *node.Node, addr string) (*Primary, error) {
-	return ListenAndServeWithOptions(n, addr, PrimaryOptions{})
+	return ListenAndServeNetwork(n, addr, nil)
 }
 
-// ListenAndServeWithOptions starts a replication listener with explicit
-// transport tuning.
-func ListenAndServeWithOptions(n *node.Node, addr string, o PrimaryOptions) (*Primary, error) {
-	o = o.withDefaults()
-	ln, err := o.Network.Listen(addr)
+// ListenAndServeNetwork starts a replication listener on nw (nil is TCP),
+// which also states the stream's clocks.
+func ListenAndServeNetwork(n *node.Node, addr string, nw netsim.Network) (*Primary, error) {
+	nw = cmp.Or(nw, netsim.Default)
+	ln, err := nw.Listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("repl: %w", err)
 	}
-	p := &Primary{node: n, ln: ln, opts: o, rm: n.ReplMetrics(), conns: make(map[net.Conn]struct{})}
+	p := &Primary{node: n, ln: ln, tm: nw.Timing(), rm: n.ReplMetrics(), conns: make(map[net.Conn]struct{})}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -223,7 +197,7 @@ func (p *Primary) acceptLoop() {
 // send writes one frame under the primary's per-frame write deadline and
 // accounts the bytes.
 func (p *Primary) send(conn net.Conn, fw *frameWriter, typ byte, payload []byte) error {
-	conn.SetWriteDeadline(time.Now().Add(p.opts.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(p.tm.FrameWrite))
 	n, err := fw.write(typ, payload)
 	if err != nil {
 		return err
@@ -292,7 +266,7 @@ func (p *Primary) serveConn(conn net.Conn) {
 			if closed {
 				return
 			}
-			if time.Since(lastSend) >= p.opts.HeartbeatInterval {
+			if time.Since(lastSend) >= p.tm.Heartbeat {
 				if err := p.send(conn, fw, frameHeartbeat, nil); err != nil {
 					return
 				}
@@ -547,7 +521,8 @@ type Secondary struct {
 	node    *node.Node
 	applier *node.Applier
 	fetch   *fetchClient
-	opts    Options
+	nw      netsim.Network
+	tm      netsim.Timing // nw's: backoff, dial and idle bounds
 	addr    string
 	rm      *metrics.ReplMetrics
 
@@ -564,77 +539,27 @@ type Secondary struct {
 	bytesIn metrics.Meter
 }
 
-// Options times a Secondary's transport. The zero value selects the
-// defaults; only a simulated network needs other values.
-type Options struct {
-	// FetchTimeout bounds each base-fetch round-trip to the primary
-	// (dial, write, read). Default 3s. A hung primary fails the round trip,
-	// which is then retried, instead of stalling an apply worker forever.
-	FetchTimeout time.Duration
-
-	// Network is the transport seam (default netsim.Default, i.e. TCP).
-	Network netsim.Network
-	// ReconnectBackoff is the base backoff between attempts after a
-	// transport fault, on the stream or on a fetch (default 50ms); it
-	// doubles per consecutive failure up to MaxBackoff (default 2s), with
-	// ±50% jitter. The stream's count resets every time a connection
-	// processes a frame.
-	ReconnectBackoff time.Duration
-	MaxBackoff       time.Duration
-	// DialTimeout bounds each dial + hello (default 3s).
-	DialTimeout time.Duration
-	// IdleTimeout is how long the stream may stay silent before the
-	// secondary declares the path dead (default 30s). The
-	// primary heartbeats every HeartbeatInterval, so a healthy idle
-	// stream never trips this.
-	IdleTimeout time.Duration
-}
-
-// DefaultFetchTimeout bounds base-fetch round-trips unless overridden.
-const DefaultFetchTimeout = 3 * time.Second
-
-func (o Options) withDefaults() Options {
-	if o.FetchTimeout <= 0 {
-		o.FetchTimeout = DefaultFetchTimeout
-	}
-	if o.Network == nil {
-		o.Network = netsim.Default
-	}
-	if o.ReconnectBackoff <= 0 {
-		o.ReconnectBackoff = 50 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 3 * time.Second
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 30 * time.Second
-	}
-	return o
-}
-
-// Connect dials the primary and starts applying its oplog from afterSeq
-// (normally 0 for a fresh secondary).
+// Connect dials the primary over TCP and starts applying its oplog from
+// afterSeq (normally 0 for a fresh secondary).
 func Connect(n *node.Node, addr string, afterSeq uint64) (*Secondary, error) {
-	return connect(n, addr, afterSeq, 0, Options{})
+	return connect(n, addr, afterSeq, 0, nil)
 }
 
-// ConnectWithOptions is Connect from sequence zero with explicit transport
-// and pipeline tuning.
-func ConnectWithOptions(n *node.Node, addr string, o Options) (*Secondary, error) {
-	return connect(n, addr, 0, 0, o)
+// ConnectNetwork is Connect from sequence zero over nw (nil is TCP), which
+// also states the secondary's clocks.
+func ConnectNetwork(n *node.Node, addr string, nw netsim.Network) (*Secondary, error) {
+	return connect(n, addr, 0, 0, nw)
 }
 
 // connect starts a secondary at position (epoch, afterSeq) (epoch 0: none).
 // If the primary's log does not hold it (the primary restarted since, or the
 // window passed it), the stream falls back to a full snapshot resync.
-func connect(n *node.Node, addr string, afterSeq, epoch uint64, o Options) (*Secondary, error) {
-	o = o.withDefaults()
+func connect(n *node.Node, addr string, afterSeq, epoch uint64, nw netsim.Network) (*Secondary, error) {
+	nw = cmp.Or(nw, netsim.Default)
 	s := &Secondary{
 		node:     n,
-		opts:     o,
+		nw:       nw,
+		tm:       nw.Timing(),
 		addr:     addr,
 		rm:       n.ReplMetrics(),
 		epoch:    epoch,
@@ -643,8 +568,8 @@ func connect(n *node.Node, addr string, afterSeq, epoch uint64, o Options) (*Sec
 	}
 	s.fetch = &fetchClient{
 		addr:     addr,
-		timeout:  o.FetchTimeout,
-		network:  o.Network,
+		timeout:  s.tm.Fetch,
+		network:  nw,
 		rm:       s.rm,
 		bytesIn:  &s.bytesIn,
 		backoff:  s.sleepBackoff,
@@ -677,7 +602,7 @@ func (s *Secondary) position() (epoch, seq uint64) {
 // position, and installs it on success.
 func (s *Secondary) dialAndHello() error {
 	epoch, seq := s.position()
-	conn, fr, _, err := dial(s.opts.Network, s.addr, time.Now().Add(s.opts.DialTimeout), s.rm, hello{helloStream, seq, epoch})
+	conn, fr, _, err := dial(s.nw, s.addr, time.Now().Add(s.tm.Dial), s.rm, hello{helloStream, seq, epoch})
 	if err != nil {
 		return err
 	}
@@ -740,16 +665,15 @@ func (s *Secondary) run() {
 }
 
 // sleepBackoff waits the jittered exponential backoff for the given
-// consecutive-failure count, of the stream or of a fetch; false means the
+// consecutive-failure count, of the stream or of a fetch: the network's
+// Backoff, doubled per failure up to its MaxBackoff. False means the
 // secondary closed meanwhile.
 func (s *Secondary) sleepBackoff(attempt int) bool {
-	d := s.opts.ReconnectBackoff
-	for i := 1; i < attempt && d < s.opts.MaxBackoff; i++ {
+	d := s.tm.Backoff
+	for i := 1; i < attempt && d < s.tm.MaxBackoff; i++ {
 		d *= 2
 	}
-	if d > s.opts.MaxBackoff {
-		d = s.opts.MaxBackoff
-	}
+	d = min(d, s.tm.MaxBackoff)
 	// Full ±50% jitter decorrelates a fleet of secondaries hammering a
 	// recovering primary.
 	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
@@ -770,7 +694,7 @@ func (s *Secondary) stream() (progressed bool, err error) {
 	conn, fr := s.conn, s.fr
 	s.mu.Unlock()
 	for {
-		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		conn.SetReadDeadline(time.Now().Add(s.tm.Idle))
 		typ, payload, rerr := fr.read()
 		if rerr != nil {
 			var ne net.Error

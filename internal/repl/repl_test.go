@@ -404,7 +404,7 @@ func TestPrimaryRestartDetectedByEpoch(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	sub2, err := connect(sec, srv2.Addr(), cursor, oldEpoch, Options{})
+	sub2, err := connect(sec, srv2.Addr(), cursor, oldEpoch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -845,15 +845,12 @@ func TestSecondaryReconnectResumeAtPhase(t *testing.T) {
 				cutOnce(c.cut)
 			}
 
-			p, err := ListenAndServeWithOptions(prim, "primary", PrimaryOptions{
-				Network: sim, HeartbeatInterval: 5 * time.Millisecond, WriteTimeout: 100 * time.Millisecond})
+			p, err := ListenAndServeNetwork(prim, "primary", sim)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { p.Close() })
-			s, err := ConnectWithOptions(sec, p.Addr(), Options{
-				Network: sim, ReconnectBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond,
-				DialTimeout: 200 * time.Millisecond, IdleTimeout: 100 * time.Millisecond})
+			s, err := ConnectNetwork(sec, p.Addr(), sim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -983,7 +980,7 @@ func TestResyncReconcilesBeforeRebase(t *testing.T) {
 	defer sec.Close()
 	const stale = 4000
 	_, p, cursor, epoch, target := staleSecondary(t, sec, stale)
-	s, err := connect(sec, p.Addr(), cursor, epoch, Options{})
+	s, err := connect(sec, p.Addr(), cursor, epoch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1033,7 +1030,7 @@ func TestResyncReconcileFailureIsRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sec.Close()
-	s, err := connect(sec, p.Addr(), cursor, epoch, Options{ReconnectBackoff: time.Millisecond})
+	s, err := connect(sec, p.Addr(), cursor, epoch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,9 @@ import (
 
 // A secondary has one fault policy: every transport failure, on the stream
 // or on a base fetch, is retried until it succeeds or Close is called. These
-// tests run it with the shipped retry behaviour over a simulated network.
+// tests run it over a simulated network, on the clocks that network states
+// (netsim's simulated table). TCP's table is pinned by netsim.TestTiming and
+// run by CI's binaries smoke.
 
 func openReplNode(t *testing.T) *node.Node {
 	t.Helper()
@@ -31,8 +33,8 @@ func openReplNode(t *testing.T) *node.Node {
 }
 
 // TestZeroOptionsFollowerReconnects: a follower that sets nothing but its
-// network rides out a connection cut and catches up. Reconnecting is not
-// something a caller opts into.
+// network rides out a connection cut and catches up, on the simulated
+// network's clocks. Reconnecting is not something a caller opts into.
 func TestZeroOptionsFollowerReconnects(t *testing.T) {
 	sim := netsim.NewSim(1)
 	prim, sec := openReplNode(t), openReplNode(t)
@@ -42,12 +44,12 @@ func TestZeroOptionsFollowerReconnects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p, err := ListenAndServeWithOptions(prim, "primary", PrimaryOptions{Network: sim})
+	p, err := ListenAndServeNetwork(prim, "primary", sim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	s, err := ConnectWithOptions(sec, p.Addr(), Options{Network: sim})
+	s, err := ConnectNetwork(sec, p.Addr(), sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestZeroOptionsFollowerReconnects(t *testing.T) {
 // then cuts the link toward the primary, so the forward-encoded insert that
 // derive logs arrives on the stream without its base and the apply worker's
 // base fetch meets the partition.
-func baseMissFollower(t *testing.T, fetchTimeout time.Duration) (sim *netsim.Sim, prim, sec *node.Node, p *Primary, s *Secondary, derive func() []byte) {
+func baseMissFollower(t *testing.T) (sim *netsim.Sim, prim, sec *node.Node, p *Primary, s *Secondary, derive func() []byte) {
 	t.Helper()
 	sim = netsim.NewSim(2)
 	prim, sec = openReplNode(t), openReplNode(t)
@@ -97,12 +99,12 @@ func baseMissFollower(t *testing.T, fetchTimeout time.Duration) (sim *netsim.Sim
 	if err := prim.Insert("db", "base", base); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ListenAndServeWithOptions(prim, "primary", PrimaryOptions{Network: sim})
+	p, err := ListenAndServeNetwork(prim, "primary", sim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	s, err = connect(sec, p.Addr(), prim.Oplog().LastSeq(), 0, Options{Network: sim, FetchTimeout: fetchTimeout})
+	s, err = connect(sec, p.Addr(), prim.Oplog().LastSeq(), 0, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +132,8 @@ func baseMissFollower(t *testing.T, fetchTimeout time.Duration) (sim *netsim.Sim
 // stream's backoff, and once the partition heals the record installs and
 // the secondary reports no error.
 func TestFetchRidesOutAnOutage(t *testing.T) {
-	const fetchTimeout = 150 * time.Millisecond
-	sim, prim, sec, _, s, derive := baseMissFollower(t, fetchTimeout)
+	sim, prim, sec, _, s, derive := baseMissFollower(t)
+	fetchTimeout := sim.Timing().Fetch
 	derived := derive()
 	time.Sleep(3 * fetchTimeout)
 	if err := s.Err(); err != nil {
@@ -157,8 +159,8 @@ func TestFetchRidesOutAnOutage(t *testing.T) {
 // fetch is retrying against a primary that is gone, and the fetch it cut
 // short is not reported as a replication error.
 func TestCloseDuringFetchRetry(t *testing.T) {
-	const fetchTimeout = 300 * time.Millisecond
-	sim, _, sec, p, s, derive := baseMissFollower(t, fetchTimeout)
+	sim, _, sec, p, s, derive := baseMissFollower(t)
+	fetchTimeout := sim.Timing().Fetch
 	derive()
 	// Wait for the fetch connection (the stream's is the first dial).
 	for deadline := time.Now().Add(5 * time.Second); sim.Counters().Dials < 2; time.Sleep(time.Millisecond) {

@@ -71,13 +71,14 @@ type Config struct {
 	// Burst sizes are Pareto-distributed with tail index paretoAlpha and
 	// capped at 64×MeanBurst so one draw cannot be the whole storm.
 	MeanBurst float64
-	// Timeout is the per-request client deadline (default 30s).
-	Timeout time.Duration
 }
 
 // paretoAlpha is the burst-size tail index: infinite variance, the heavy
 // tail that makes p999 interesting.
 const paretoAlpha = 1.5
+
+// requestTimeout is the per-request client deadline.
+const requestTimeout = 30 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Tenants <= 0 {
@@ -94,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadSampling <= 0 {
 		c.ReadSampling = 20
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
 	}
 	return c
 }
@@ -342,7 +340,7 @@ func Run(label string, cfg Config) (*Report, error) {
 	// caller's error, not a storm of conn errors.
 	clients := make([]*cluster.Client, cfg.Conns)
 	for w := range clients {
-		cc, err := cluster.DialCluster(cfg.Addrs, cluster.ClientOptions{Timeout: cfg.Timeout})
+		cc, err := cluster.DialCluster(cfg.Addrs, cluster.ClientOptions{Timeout: requestTimeout})
 		if err != nil {
 			for _, c := range clients[:w] {
 				c.Close()
