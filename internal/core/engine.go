@@ -632,10 +632,12 @@ func probeLocked(st *dbState, sk sketch.Sketch, id uint64) []candidate {
 // because its governor had disabled the database: the replica takes that
 // verdict and judges no window of its own, since its window also counts
 // records the primary never encoded (snapshot installs, fetched bases, shed
-// inserts). Once the database is disabled nothing is kept.
+// inserts). Once the database is disabled nothing is kept, and a record the
+// size filter keeps out of Encode is kept out here too.
 func (e *Engine) ObserveRaw(dbName string, id uint64, payload []byte, disabled bool) {
 	st := e.db(dbName)
 	e.stats.inserts.Add(1)
+	e.stats.rawBytes.Add(int64(len(payload)))
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.inserts++
@@ -648,7 +650,11 @@ func (e *Engine) ObserveRaw(dbName string, id uint64, payload []byte, disabled b
 		e.stats.governorSkipped.Add(1)
 		return
 	}
-	e.adoptAsNewChainLocked(st, id, payload)
+	if len(payload) < minDedupRecordBytes {
+		e.stats.sizeFiltered.Add(1)
+	} else {
+		e.adoptAsNewChainLocked(st, id, payload)
+	}
 	e.governorTickLocked(st, false)
 }
 

@@ -64,8 +64,8 @@ type bed struct {
 // nodeOptions is the one node configuration. Nothing runs behind the traffic
 // (each mutation waits for its encode job; no idle flusher or compactor), so
 // what a member writes is a function of the traffic.
-func nodeOptions(oplog int) node.Options {
-	o := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: oplog}
+func nodeOptions(oplog int64) node.Options {
+	o := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogBytes: oplog}
 	o.Engine.GovernorWindow = 1 << 30
 	return o
 }

@@ -94,22 +94,22 @@ const (
 )
 
 // shapes is what a topology fixes: how many ring members, which databases
-// the churn spreads over and in what mix, the retained oplog (small, so a
+// the churn spreads over and in what mix, the oplog's byte budget (small, so a
 // long outage resyncs by snapshot), the upper bound of the pause drawn after
 // one op in four, and the size of a full and a -short schedule and matrix.
 var shapes = [...]struct {
 	members    int
 	dbs        []string
 	mix        histcheck.Mix
-	oplog      int
+	oplog      int64
 	pause      time.Duration
 	ops, seeds [2]int
 }{
 	single: {members: 1},
-	pair: {members: 1, dbs: churnDBs[:3], oplog: 64, pause: 400 * time.Microsecond,
+	pair: {members: 1, dbs: churnDBs[:3], oplog: 64 << 10, pause: 400 * time.Microsecond,
 		mix: histcheck.Mix{Insert: 0.55, Update: 0.80, Delete: 1, BaseSize: 1024},
 		ops: [2]int{110, 70}, seeds: [2]int{26, 2}},
-	clustered: {members: 4, dbs: churnDBs, oplog: 256, pause: 300 * time.Microsecond,
+	clustered: {members: 4, dbs: churnDBs, oplog: 128 << 10, pause: 300 * time.Microsecond,
 		mix: histcheck.Mix{Insert: 0.50, Update: 0.72, Delete: 0.85, BaseSize: 512},
 		ops: [2]int{90, 60}, seeds: [2]int{18, 0}},
 }

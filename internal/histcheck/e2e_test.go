@@ -157,9 +157,9 @@ func TestClusterSecondaryCatchUpViaSnapshot(t *testing.T) {
 	// Secondary joins late, after the (tiny) oplog has rolled over: it
 	// must converge via snapshot resync and then track live writes.
 	primM := member(t, node.Options{
-		Dir:           t.TempDir(),
-		Engine:        core.Config{GovernorWindow: 1 << 30},
-		OplogCapacity: 16,
+		Dir:        t.TempDir(),
+		Engine:     core.Config{GovernorWindow: 1 << 30},
+		OplogBytes: 32 << 10,
 	}, nil)
 	prim := primM.Node
 	hist := histcheck.New(histcheck.FloorAtAck)

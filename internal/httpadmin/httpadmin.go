@@ -190,10 +190,10 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "raw:      %s\n", metrics.FormatBytes(st.RawInsertBytes))
 	fmt.Fprintf(w, "stored:   %s (%.2fx)\n", metrics.FormatBytes(st.Store.LogicalBytes),
 		metrics.Ratio(st.RawInsertBytes, st.Store.LogicalBytes))
-	fmt.Fprintf(w, "oplog:    %s (%.2fx); retains %d entries / %s, evicted %d by entry bound, %d by byte bound\n",
+	fmt.Fprintf(w, "oplog:    %s (%.2fx); retains %d entries in %s of %s, evicted %d\n",
 		metrics.FormatBytes(st.OplogBytes), metrics.Ratio(st.RawInsertBytes, st.OplogBytes),
 		st.Oplog.Entries, metrics.FormatBytes(st.Oplog.Bytes),
-		st.Oplog.EvictedByEntries, st.Oplog.EvictedByBytes)
+		metrics.FormatBytes(st.Oplog.BudgetBytes), st.Oplog.Evicted)
 	fmt.Fprintf(w, "dedup:    %d hits, index %s\n", st.Engine.Deduped,
 		metrics.FormatBytes(st.Engine.IndexMemoryBytes))
 	fmt.Fprintf(w, "wb:       %d applied, %d skipped, %d dropped (%s of saving lost), %d pending\n",

@@ -265,7 +265,7 @@ var metricsSections = map[string]string{
 		"BlockBuffersRecycled BlockBuffersFresh BlocksDecoded BlockBytesDecoded BlockDecodeNanos " +
 		"CacheBytes CacheBudgetBytes DictBytes MmapBlockReads PreadBlockReads PinnedReaders RetiredPending LiveSegments BlocksSealed " +
 		"SealNanos SealWaits SealWaitNanos SealErrors ReadLatency ReadsFromSourceCache CacheShards",
-	"Oplog": "Entries Bytes EvictedByEntries EvictedByBytes",
+	"Oplog": "Entries Bytes BudgetBytes Evicted",
 	"Repl": "Reconnects Dials DialFailures BackoffNanos CorruptFrames FrameSeqViolations IdleTimeouts " +
 		"HeartbeatsSent ForcedResyncs",
 	"Compaction": "Passes PassLatency PhysicalBytesReclaimed",

@@ -65,8 +65,9 @@ type Options struct {
 	// FS is the filesystem the store runs on (nil = direct os-backed).
 	// Crash tests install a faultfs.Injector here.
 	FS faultfs.FS
-	// OplogCapacity bounds the retained oplog entries.
-	OplogCapacity int
+	// OplogBytes is the oplog's byte budget (0 = oplog.MaxRetainedBytes);
+	// tests set it small to force a secondary past the retained window.
+	OplogBytes int64
 	// WritebackCacheBytes bounds the lossy write-back cache (default
 	// 8 MiB; negative disables the cache, applying write-backs inline —
 	// the Fig. 13b "without write-back cache" configuration).
@@ -122,9 +123,8 @@ type Stats struct {
 	// OplogBytes is the marshalled size of all oplog entries produced —
 	// what replication would ship.
 	OplogBytes int64
-	// Oplog is what the log retains right now and what it has discarded,
-	// split by the bound that was hit. A secondary further behind than the
-	// retained window resyncs from a snapshot.
+	// Oplog is what the log retains right now and what it has discarded. A
+	// secondary further behind than the retained window resyncs from a snapshot.
 	Oplog oplog.Stats
 	// Inserts/Reads/Updates/Deletes count client operations.
 	Inserts, Reads, Updates, Deletes uint64
@@ -311,10 +311,10 @@ func Open(opts Options) (*Node, error) {
 		store.Close()
 		return nil, err
 	}
-	n.log = oplog.New(opts.OplogCapacity)
+	n.log = oplog.New(opts.OplogBytes)
 	if len(store.DBNames()) > 0 {
 		// A reopened store: its records predate every entry of the log.
-		n.log = oplog.Continue(opts.OplogCapacity)
+		n.log = oplog.Continue(opts.OplogBytes)
 	}
 	n.adm = admission.New(opts.Admission)
 	n.encQueueCap = int64(opts.EncodeWorkers) * int64(opts.EncodeQueue)

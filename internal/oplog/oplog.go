@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // OpType identifies the mutation an entry describes.
@@ -84,26 +85,25 @@ type Entry struct {
 // before the entry exists (Reserve) and the entry fills its slot later
 // (Fill), in any order; a reader sees only the filled prefix, so entries
 // become readable in number order. Numbers increase but need not be
-// contiguous: a mutation that is never logged leaves a gap. The log retains
-// at most its capacity in slots and at most MaxRetainedBytes in marshalled
-// bytes; past either bound the oldest slots are discarded, filled or not, and
-// a reader that has fallen behind the retained window gets ErrTruncated and
-// must resynchronise by other means.
+// contiguous: a mutation that is never logged leaves a gap. The log keeps
+// one bound, a byte budget: the marshalled size of the entries it retains
+// plus the slot array that holds them. Past it the oldest slots are
+// discarded, filled or not, and a reader that has fallen behind the retained
+// window gets ErrTruncated and must resynchronise by other means.
 //
 // Log is safe for concurrent use.
 type Log struct {
 	mu        sync.Mutex
 	epoch     uint64
-	continues bool // see Continue
+	continues bool  // see Continue
+	budget    int64 // bytes stays within it but for one oversized entry
 	ring      []slot
 	start     int
 	count     int
 	last      uint64 // highest number reserved
 	dropped   uint64 // highest number discarded
-	bytes     int64  // marshalled size of retained entries
-
-	evictedByEntries uint64
-	evictedByBytes   uint64
+	bytes     int64  // the slot array plus the retained entries, marshalled
+	evicted   uint64
 }
 
 // slot is one reserved number and, once filled, its entry and the entry's
@@ -113,34 +113,32 @@ type slot struct {
 	size int64
 }
 
+// slotBytes is what one slot of the array costs against the budget.
+const slotBytes = int64(unsafe.Sizeof(slot{}))
+
 // ErrTruncated reports that the requested entries have been discarded.
 var ErrTruncated = errors.New("oplog: requested entries no longer retained")
 
-// DefaultCapacity is the default number of retained entries.
-const DefaultCapacity = 1 << 16
-
-// MaxRetainedBytes bounds the marshalled size of the retained entries,
-// whatever the entry bound says: the log holds the payloads it retains, so
-// an entry count alone lets its footprint follow the record size (65 536
-// entries of 3.6 KB are 234 MB). 64 MiB is twice the source cache and, like
-// MongoDB's capped oplog collection, a size in bytes. An entry being filled
-// is always retained, even when it alone exceeds the bound.
+// MaxRetainedBytes is the default budget. 64 MiB is twice the source cache
+// and, like MongoDB's capped oplog collection, a size in bytes.
 const MaxRetainedBytes = 64 << 20
 
-// New returns a log retaining up to capacity entries (DefaultCapacity if
-// capacity <= 0). Sequence numbers start at 1.
-func New(capacity int) *Log {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
+// New returns a log whose retained entries and slots stay within budget
+// bytes (MaxRetainedBytes if budget <= 0). An entry being filled is always
+// retained, even when it alone exceeds the budget. No slot is allocated
+// before an entry needs it. Sequence numbers start at 1.
+func New(budget int64) *Log {
+	if budget <= 0 {
+		budget = MaxRetainedBytes
 	}
-	return &Log{epoch: newEpoch(), ring: make([]slot, capacity)}
+	return &Log{epoch: newEpoch(), budget: budget}
 }
 
 // Continue returns a log like New for a store that already holds records
 // when the log starts: a reopened one. No entry describes those records (see
 // Holds). Numbering still starts at 1.
-func Continue(capacity int) *Log {
-	l := New(capacity)
+func Continue(budget int64) *Log {
+	l := New(budget)
 	l.continues = true
 	return l
 }
@@ -202,8 +200,7 @@ func (l *Log) reserveLocked(seq uint64) {
 		panic(fmt.Sprintf("oplog: reserve %d after %d", seq, l.last))
 	}
 	if l.count == len(l.ring) {
-		l.dropOldest()
-		l.evictedByEntries++
+		l.growOrDrop()
 	}
 	l.ring[(l.start+l.count)%len(l.ring)] = slot{e: Entry{Seq: seq}}
 	l.count++
@@ -224,12 +221,25 @@ func (l *Log) fillLocked(e Entry, size int64) {
 	if i == l.count || l.at(i).e.Seq != e.Seq {
 		return
 	}
-	for ; i > 0 && l.bytes+size > MaxRetainedBytes; i-- {
+	for ; i > 0 && l.bytes+size > l.budget; i-- {
 		l.dropOldest()
-		l.evictedByBytes++
 	}
 	*l.at(i) = slot{e: e, size: size}
 	l.bytes += size
+}
+
+// growOrDrop makes room in a full ring: it doubles the array if that fits
+// the budget, and otherwise discards the oldest slot. Caller holds mu.
+func (l *Log) growOrDrop() {
+	grow := int64(max(len(l.ring), 1)) * slotBytes
+	if l.count > 0 && l.bytes+grow > l.budget {
+		l.dropOldest()
+		return
+	}
+	ring := make([]slot, max(2*len(l.ring), 1))
+	copy(ring, l.ring[l.start:])
+	copy(ring[len(l.ring)-l.start:], l.ring[:l.start])
+	l.ring, l.start, l.bytes = ring, 0, l.bytes+grow
 }
 
 // at returns the i-th retained slot, oldest first. Caller holds mu.
@@ -257,6 +267,7 @@ func (l *Log) dropOldest() {
 	*s = slot{}
 	l.start = (l.start + 1) % len(l.ring)
 	l.count--
+	l.evicted++
 }
 
 // EntriesSince returns up to max entries with Seq > after, in order, as far
@@ -292,21 +303,18 @@ func (l *Log) LastSeq() uint64 {
 
 // Stats is the log's retention accounting.
 type Stats struct {
-	// Entries and Bytes are what the log retains now (Bytes is the
-	// marshalled size).
-	Entries int
-	Bytes   int64
-	// EvictedByEntries and EvictedByBytes count entries discarded because
-	// the entry bound, respectively MaxRetainedBytes, was hit.
-	EvictedByEntries, EvictedByBytes uint64
+	// Entries is what the log retains now, and Bytes what that costs
+	// against BudgetBytes: the slot array plus the entries, marshalled.
+	Entries            int
+	Bytes, BudgetBytes int64
+	Evicted            uint64 // slots discarded to stay within the budget
 }
 
 // Stats returns the retention accounting.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return Stats{Entries: l.count, Bytes: l.bytes,
-		EvictedByEntries: l.evictedByEntries, EvictedByBytes: l.evictedByBytes}
+	return Stats{Entries: l.count, Bytes: l.bytes, BudgetBytes: l.budget, Evicted: l.evicted}
 }
 
 // Marshal serialises the entry:
@@ -362,41 +370,16 @@ func Unmarshal(buf []byte) (Entry, int, error) {
 		return e, 0, fmt.Errorf("oplog: bad op/form %d/%d", op, form)
 	}
 	p = p[2:]
-
-	read := func() ([]byte, error) {
+	var f [4][]byte // db, key, baseKey, payload
+	for i := range f {
 		l, n := binary.Uvarint(p)
 		if n <= 0 || uint64(len(p)-n) < l {
-			return nil, errCorrupt
+			return e, 0, errCorrupt
 		}
-		v := p[n : n+int(l)]
-		p = p[n+int(l):]
-		return v, nil
+		f[i], p = p[n:n+int(l)], p[n+int(l):]
 	}
-	db, err := read()
-	if err != nil {
-		return e, 0, err
-	}
-	key, err := read()
-	if err != nil {
-		return e, 0, err
-	}
-	baseKey, err := read()
-	if err != nil {
-		return e, 0, err
-	}
-	payload, err := read()
-	if err != nil {
-		return e, 0, err
-	}
-	e.Seq = seq
-	e.TS = ts
-	e.Op = op
-	e.Form = form
-	e.DB = string(db)
-	e.Key = string(key)
-	e.BaseKey = string(baseKey)
-	e.Payload = append([]byte(nil), payload...)
-	return e, len(buf) - len(p), nil
+	return Entry{Seq: seq, TS: ts, Op: op, Form: form, DB: string(f[0]), Key: string(f[1]),
+		BaseKey: string(f[2]), Payload: append([]byte(nil), f[3]...)}, len(buf) - len(p), nil
 }
 
 var errCorrupt = errors.New("oplog: corrupt entry")

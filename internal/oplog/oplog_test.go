@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
 
+// ringOf returns a log whose budget holds n slots (a power of two) of
+// entries marshalled in at most 16 bytes, and not twice as many slots.
+func ringOf(n int) *Log { return New(int64(n) * (slotBytes + 16)) }
+
 func TestAppendAssignsSequence(t *testing.T) {
-	l := New(16)
+	l := New(0)
 	for i := 1; i <= 5; i++ {
 		seq := l.Append(Entry{Op: OpInsert, DB: "d", Key: fmt.Sprintf("k%d", i)})
 		if seq != uint64(i) {
@@ -22,7 +27,7 @@ func TestAppendAssignsSequence(t *testing.T) {
 }
 
 func TestEntriesSince(t *testing.T) {
-	l := New(16)
+	l := New(0)
 	for i := 1; i <= 10; i++ {
 		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i)})
 	}
@@ -44,7 +49,7 @@ func TestEntriesSince(t *testing.T) {
 }
 
 func TestRingOverflowTruncates(t *testing.T) {
-	l := New(4)
+	l := ringOf(4)
 	for i := 1; i <= 10; i++ {
 		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i)})
 	}
@@ -61,21 +66,60 @@ func TestRingOverflowTruncates(t *testing.T) {
 }
 
 func TestBytesAccounting(t *testing.T) {
-	l := New(4)
+	var ents []Entry
 	var want int64
 	for i := 1; i <= 4; i++ {
-		e := Entry{Op: OpInsert, DB: "db", Key: "key", Payload: bytes.Repeat([]byte("p"), i*10)}
-		l.Append(e)
-		e.Seq = uint64(i)
+		e := Entry{Seq: uint64(i), Op: OpInsert, DB: "db", Key: "key", Payload: bytes.Repeat([]byte("p"), i*10)}
+		ents = append(ents, e)
 		want += int64(e.MarshalledSize())
 	}
-	if l.Stats().Bytes != want {
-		t.Fatalf("Bytes = %d, want %d", l.Stats().Bytes, want)
+	// A budget the four entries and their four slots fill exactly.
+	l := New(want + 4*slotBytes)
+	for _, e := range ents {
+		l.Append(e)
 	}
-	// Overflow: oldest drops out of accounting.
-	l.Append(Entry{Op: OpInsert, DB: "db", Key: "key", Payload: []byte("new")})
-	if l.Stats().Bytes >= want+100 {
-		t.Fatal("Bytes did not drop the evicted entry")
+	if st := l.Stats(); st.Bytes != want+4*slotBytes || st.BudgetBytes != st.Bytes || st.Evicted != 0 {
+		t.Fatalf("stats = %+v, want Bytes %d = the budget, nothing evicted", st, want+4*slotBytes)
+	}
+	// Overflow: the oldest drops out of the accounting.
+	e := Entry{Seq: 5, Op: OpInsert, DB: "db", Key: "key", Payload: []byte("new")}
+	l.Append(e)
+	want += int64(e.MarshalledSize() - ents[0].MarshalledSize())
+	if st := l.Stats(); st.Entries != 4 || st.Bytes != want+4*slotBytes || st.Evicted != 1 {
+		t.Fatalf("stats = %+v, want 4 entries in %d B, 1 evicted", st, want+4*slotBytes)
+	}
+}
+
+// TestNewAllocatesNoSlots: a log holds no slot before an entry needs one, so
+// a secondary that never logs pays nothing for its log.
+func TestNewAllocatesNoSlots(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l := New(0)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("New(0) allocated %d B, want under 64 KiB", got)
+	}
+	runtime.KeepAlive(l)
+}
+
+// TestTinyEntriesStayInBudget: entries far smaller than a slot cannot push
+// the log past its budget through the slot array that holds them.
+func TestTinyEntriesStayInBudget(t *testing.T) {
+	const budget = 1 << 20
+	l := New(budget)
+	for i := 0; i < 1_000_000; i++ {
+		l.Append(Entry{Op: OpDelete, DB: "d", Key: "k"})
+		if st := l.Stats(); st.Bytes > budget || int64(len(l.ring))*slotBytes > budget {
+			t.Fatalf("after %d appends: stats %+v, %d slots", i+1, st, len(l.ring))
+		}
+	}
+	st := l.Stats()
+	if st.Evicted == 0 || uint64(st.Entries)+st.Evicted != 1_000_000 {
+		t.Fatalf("stats = %+v, want the oldest of 1 000 000 entries evicted", st)
+	}
+	if got, err := l.EntriesSince(l.LastSeq()-uint64(st.Entries), 0); err != nil || len(got) != st.Entries {
+		t.Fatalf("EntriesSince(window start) = %d entries, %v; want %d", len(got), err, st.Entries)
 	}
 }
 
@@ -126,7 +170,7 @@ func TestUnmarshalCorrupt(t *testing.T) {
 }
 
 func TestConcurrentAppendRead(t *testing.T) {
-	l := New(1024)
+	l := ringOf(1024)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -165,7 +209,7 @@ func TestConcurrentAppendRead(t *testing.T) {
 }
 
 func BenchmarkAppend(b *testing.B) {
-	l := New(1 << 16)
+	l := New(0)
 	e := Entry{Op: OpInsert, DB: "db", Key: "key", Payload: make([]byte, 256)}
 	for i := 0; i < b.N; i++ {
 		l.Append(e)
@@ -206,10 +250,43 @@ func scanSince(l *Log, after uint64, max int) ([]Entry, error) {
 	return out, nil
 }
 
+// checkRing holds the slot array to what the log's accounting says of it:
+// the retained slots, oldest first, carry increasing numbers and account
+// for Bytes; every other slot is cleared; and the footprint is within the
+// budget unless one filled entry alone exceeds it.
+func checkRing(t *testing.T, l *Log, what string) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	sum := int64(len(l.ring)) * slotBytes
+	var filled int
+	for i := range l.ring {
+		s := l.ring[(l.start+i)%len(l.ring)]
+		switch {
+		case i >= l.count:
+			if s.e.Payload != nil || s.e.Key != "" || s.e.Seq != 0 || s.size != 0 {
+				t.Fatalf("%s: vacated slot %d holds seq %d", what, (l.start+i)%len(l.ring), s.e.Seq)
+			}
+		case i > 0 && s.e.Seq <= l.ring[(l.start+i-1)%len(l.ring)].e.Seq:
+			t.Fatalf("%s: retained slot %d numbered %d after %d", what, i, s.e.Seq, l.ring[(l.start+i-1)%len(l.ring)].e.Seq)
+		case s.size > 0:
+			sum += s.size
+			filled++
+		}
+	}
+	if sum != l.bytes {
+		t.Fatalf("%s: the slots and their entries hold %d B, the log counts %d", what, sum, l.bytes)
+	}
+	if l.bytes > l.budget && filled > 1 {
+		t.Fatalf("%s: %d B of entries and %d slots exceed the budget %d", what, l.bytes, len(l.ring), l.budget)
+	}
+}
+
 // checkAgainstScan compares EntriesSince with scanSince at every cursor from
 // before the retained window to past its end, for a few batch sizes.
 func checkAgainstScan(t *testing.T, l *Log, what string) {
 	t.Helper()
+	checkRing(t, l, what)
 	st := l.Stats()
 	last := l.LastSeq()
 	lo := uint64(0)
@@ -241,7 +318,7 @@ func checkAgainstScan(t *testing.T, l *Log, what string) {
 }
 
 func TestEntriesSinceMatchesScan(t *testing.T) {
-	l := New(8)
+	l := ringOf(8)
 	checkAgainstScan(t, l, "empty")
 	for i := 1; i <= 5; i++ {
 		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i)})
@@ -255,16 +332,39 @@ func TestEntriesSinceMatchesScan(t *testing.T) {
 	// Byte eviction: the entries share one payload slice, so the log's
 	// accounting hits MaxRetainedBytes without the test holding 64 MiB.
 	big := make([]byte, MaxRetainedBytes/8)
-	l = New(64)
+	l = New(0)
 	for i := 1; i <= 20; i++ {
 		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i), Payload: big})
 		checkAgainstScan(t, l, fmt.Sprintf("byte-evicted at %d", i))
+	}
+
+	// Growth while wrapped: large entries hold the array at a few slots
+	// while the window moves round it; small ones then leave room to
+	// double it, which happens with the oldest slot mid-array.
+	l = New(8 << 10)
+	wrappedGrowths := 0
+	for i := 1; i <= 100; i++ {
+		payload := make([]byte, 1000)
+		if i > 20 {
+			payload = nil
+		}
+		l.mu.Lock()
+		slots, start := len(l.ring), l.start
+		l.mu.Unlock()
+		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i), Payload: payload})
+		if len(l.ring) > slots && start != 0 {
+			wrappedGrowths++
+		}
+		checkAgainstScan(t, l, fmt.Sprintf("growing at %d (%d slots)", i, len(l.ring)))
+	}
+	if wrappedGrowths == 0 {
+		t.Fatalf("the slot array never grew while wrapped (%d slots)", len(l.ring))
 	}
 }
 
 func TestByteBoundEvictsOldestAndClearsSlots(t *testing.T) {
 	big := make([]byte, MaxRetainedBytes/4)
-	l := New(16)
+	l := New(0)
 	for i := 1; i <= 10; i++ {
 		l.Append(Entry{Op: OpInsert, Key: fmt.Sprintf("k%d", i), Payload: big})
 		if st := l.Stats(); st.Bytes > MaxRetainedBytes {
@@ -273,8 +373,8 @@ func TestByteBoundEvictsOldestAndClearsSlots(t *testing.T) {
 	}
 	st := l.Stats()
 	// Four quarter-budget payloads plus their headers overshoot: 3 fit.
-	if st.Entries != 3 || st.EvictedByBytes != 7 || st.EvictedByEntries != 0 {
-		t.Fatalf("stats = %+v, want 3 retained, 7 evicted by bytes", st)
+	if st.Entries != 3 || st.Evicted != 7 {
+		t.Fatalf("stats = %+v, want 3 retained, 7 evicted", st)
 	}
 	if _, err := l.EntriesSince(6, 0); err != ErrTruncated {
 		t.Fatalf("EntriesSince behind the byte window: err = %v, want ErrTruncated", err)
@@ -285,7 +385,7 @@ func TestByteBoundEvictsOldestAndClearsSlots(t *testing.T) {
 
 	// An entry larger than the whole budget is still retained, alone.
 	l.Append(Entry{Op: OpInsert, Key: "huge", Payload: make([]byte, MaxRetainedBytes+1)})
-	if st := l.Stats(); st.Entries != 1 || st.EvictedByBytes != 10 {
+	if st := l.Stats(); st.Entries != 1 || st.Evicted != 10 {
 		t.Fatalf("after oversized append: %+v", st)
 	}
 	l.Append(Entry{Op: OpInsert, Key: "small"})
@@ -306,20 +406,13 @@ func TestByteBoundEvictsOldestAndClearsSlots(t *testing.T) {
 	if n := live(l); n != l.Stats().Entries {
 		t.Fatalf("byte eviction left %d populated slots for %d retained entries", n, l.Stats().Entries)
 	}
-	l = New(4)
-	for i := 1; i <= 9; i++ {
-		l.Append(Entry{Op: OpInsert, Key: "k", Payload: []byte("p")})
-	}
-	if st := l.Stats(); st.EvictedByEntries != 5 || st.EvictedByBytes != 0 {
-		t.Fatalf("entry-bound evictions: %+v", st)
-	}
 }
 
 // BenchmarkEntriesSinceTail is the replication server's idle poll: a cursor
 // at the tail of a full ring. It must not cost a walk of the ring.
 func BenchmarkEntriesSinceTail(b *testing.B) {
-	l := New(0)
-	for i := 0; i < DefaultCapacity+10; i++ {
+	l := New(8 << 20) // 65 536 slots of small entries
+	for l.Stats().Evicted < 10 {
 		l.Append(Entry{Op: OpInsert, DB: "db", Key: "key"})
 	}
 	tail := l.LastSeq()
@@ -344,12 +437,12 @@ func seqs(ents []Entry) []uint64 {
 // TestReservedSlotsFillOutOfOrder: slots filled in any order become readable
 // in number order, and a reader stops at the first slot not yet filled.
 func TestReservedSlotsFillOutOfOrder(t *testing.T) {
-	l := New(16)
+	l := New(0)
 	for seq := uint64(1); seq <= 4; seq++ {
 		l.Reserve(seq)
 	}
-	if l.LastSeq() != 4 || l.Stats().Entries != 4 || l.Stats().Bytes != 0 {
-		t.Fatalf("after reserving 1..4: LastSeq %d, Len %d, Bytes %d", l.LastSeq(), l.Stats().Entries, l.Stats().Bytes)
+	if l.LastSeq() != 4 || l.Stats().Entries != 4 || l.Stats().Bytes != 4*slotBytes {
+		t.Fatalf("after reserving 1..4: LastSeq %d, Len %d, Bytes %d (4 slots only)", l.LastSeq(), l.Stats().Entries, l.Stats().Bytes)
 	}
 	read := func(after uint64) string {
 		t.Helper()
@@ -376,12 +469,12 @@ func TestReservedSlotsFillOutOfOrder(t *testing.T) {
 	if got := fmt.Sprint(seqs(ents)); got != "[1 2 3 4]" || ents[0].Key != "a" || ents[3].Key != "d" {
 		t.Fatalf("all filled: %s %+v", got, ents)
 	}
-	want := int64(0)
+	want := 4 * slotBytes
 	for _, e := range ents {
 		want += int64(e.MarshalledSize())
 	}
 	if l.Stats().Bytes != want {
-		t.Fatalf("Bytes = %d, want %d (filled entries only)", l.Stats().Bytes, want)
+		t.Fatalf("Bytes = %d, want %d (the slots and the filled entries)", l.Stats().Bytes, want)
 	}
 }
 
@@ -389,7 +482,7 @@ func TestReservedSlotsFillOutOfOrder(t *testing.T) {
 // inside a gap reads from the next number, and Append continues after the
 // last number reserved.
 func TestNumberingGaps(t *testing.T) {
-	l := New(16)
+	l := New(0)
 	for _, seq := range []uint64{2, 3, 7, 10} {
 		l.Reserve(seq)
 		l.Fill(Entry{Seq: seq})
@@ -418,16 +511,16 @@ func TestNumberingGaps(t *testing.T) {
 // entry numbered after it was discarded, wherever the gaps fall; a slot
 // discarded before its fill takes the fill with it.
 func TestTruncatedAcrossGap(t *testing.T) {
-	l := New(3)
-	for _, seq := range []uint64{1, 5, 9, 20} { // 1 falls out of the ring
+	l := ringOf(4)
+	for _, seq := range []uint64{1, 5, 9, 14, 20} { // 1 falls out of the ring
 		l.Reserve(seq)
 		l.Fill(Entry{Seq: seq})
 	}
 	if _, err := l.EntriesSince(0, 0); err != ErrTruncated {
 		t.Fatalf("EntriesSince(0) err = %v, want ErrTruncated (1 discarded)", err)
 	}
-	if ents, err := l.EntriesSince(1, 0); err != nil || fmt.Sprint(seqs(ents)) != "[5 9 20]" {
-		t.Fatalf("EntriesSince(1) = %v, %v; want [5 9 20]", seqs(ents), err)
+	if ents, err := l.EntriesSince(1, 0); err != nil || fmt.Sprint(seqs(ents)) != "[5 9 14 20]" {
+		t.Fatalf("EntriesSince(1) = %v, %v; want [5 9 14 20]", seqs(ents), err)
 	}
 	l.Reserve(30) // discards 5
 	for after, wantErr := range map[uint64]bool{1: true, 4: true, 5: false, 7: false} {
@@ -436,7 +529,8 @@ func TestTruncatedAcrossGap(t *testing.T) {
 		}
 	}
 	l.Reserve(31) // discards 9
-	l.Reserve(32) // discards 20
+	l.Reserve(32) // discards 14
+	l.Reserve(33) // discards 20
 	l.Fill(Entry{Seq: 31})
 	l.Fill(Entry{Seq: 20}) // its slot is gone: dropped
 	if _, err := l.EntriesSince(19, 0); err != ErrTruncated {
@@ -445,7 +539,7 @@ func TestTruncatedAcrossGap(t *testing.T) {
 	if ents, err := l.EntriesSince(20, 0); err != nil || len(ents) != 0 {
 		t.Fatalf("EntriesSince(20) = %v, %v; want nothing until 30 is filled", seqs(ents), err)
 	}
-	if st := l.Stats(); st.Entries != 3 || st.EvictedByEntries != 4 || st.Bytes != int64((Entry{Seq: 31}).MarshalledSize()) {
+	if st := l.Stats(); st.Entries != 4 || st.Evicted != 5 || st.Bytes != 4*slotBytes+int64((Entry{Seq: 31}).MarshalledSize()) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -454,7 +548,7 @@ func TestTruncatedAcrossGap(t *testing.T) {
 // names no epoch unless it is (0, 0) on a reopened store's log, and nothing in
 // another epoch or UnknownEpoch.
 func TestHoldsAPosition(t *testing.T) {
-	fresh, reopened := New(4), Continue(4)
+	fresh, reopened := New(0), Continue(0)
 	for _, tc := range []struct {
 		l          *Log
 		epoch, seq uint64

@@ -19,7 +19,7 @@ import (
 // by record count alone grew with the records until they passed maxFrame,
 // and a secondary then never finished a resync.
 func TestSnapshotFramesAreByteBounded(t *testing.T) {
-	popts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8}
+	popts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogBytes: 32 << 10}
 	popts.Engine.GovernorWindow = 1 << 30
 	prim, err := node.Open(popts)
 	if err != nil {

@@ -11,10 +11,10 @@ import (
 )
 
 // TestReconnectPastByteBudgetResyncs disconnects a caught-up secondary, lets
-// the primary write more than the oplog's byte budget in far fewer entries
-// than its entry bound, and reconnects with the old cursor. The cursor is now
-// behind the retained window because of bytes alone, so the reconnect must
-// take the ErrTruncated → snapshot path and converge to every acked write.
+// the primary write more than the oplog's default byte budget, and
+// reconnects with the old cursor. The cursor is now behind the retained
+// window, so the reconnect must take the ErrTruncated → snapshot path and
+// converge to every acked write.
 func TestReconnectPastByteBudgetResyncs(t *testing.T) {
 	open := func() *node.Node {
 		// File-backed and dedup off: the test is about the log's window,
@@ -83,8 +83,8 @@ func TestReconnectPastByteBudgetResyncs(t *testing.T) {
 		insert(fmt.Sprintf("late%05d", i))
 	}
 	st := prim.Stats().Oplog
-	if st.EvictedByBytes == 0 || st.EvictedByEntries != 0 || st.Bytes > oplog.MaxRetainedBytes {
-		t.Fatalf("oplog after %d writes of %d B: %+v; want byte-bound evictions only", writes, recLen, st)
+	if st.Evicted == 0 || st.Bytes > st.BudgetBytes || st.BudgetBytes != oplog.MaxRetainedBytes {
+		t.Fatalf("oplog after %d writes of %d B: %+v; want evictions within the default budget", writes, recLen, st)
 	}
 	if first := prim.Oplog().LastSeq() - uint64(st.Entries) + 1; cursor+1 >= first {
 		t.Fatalf("cursor %d is still inside the retained window (first seq %d)", cursor, first)

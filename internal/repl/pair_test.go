@@ -183,13 +183,39 @@ func TestSecondaryFollowsTheGovernorVerdict(t *testing.T) {
 	}
 }
 
+// TestSecondaryFiltersSmallRecords: a record under the size floor is no
+// chain head and no cached source on the secondary, as on its primary, so
+// the two keep the same chain state, and both count its bytes.
+func TestSecondaryFiltersSmallRecords(t *testing.T) {
+	prim, sec, s := testPair(t)
+	for i := 0; i < 10; i++ {
+		if err := prim.Insert("tiny", fmt.Sprintf("t%d", i), []byte("four")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WaitForSeq(prim.Oplog().LastSeq(), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]*node.Node{"primary": prim, "secondary": sec} {
+		if d := n.DBStats()[0]; d.Chains != 0 {
+			t.Errorf("%s: %d chains for 10 records under the size floor, want 0", name, d.Chains)
+		}
+		if c := n.Engine().SourceCache().Len(); c != 0 {
+			t.Errorf("%s: %d cached records for 10 records under the size floor, want 0", name, c)
+		}
+		if es := n.Stats().Engine; es.SizeFiltered != 10 || es.RawBytes != 40 {
+			t.Errorf("%s: %d records size-filtered, %d raw bytes; want 10 and 40", name, es.SizeFiltered, es.RawBytes)
+		}
+	}
+}
+
 // TestSnapshotResyncKeepsTheDatabaseActive: a follower that snapshot-resyncs
 // more than a governor window of a database that deduplicates well installs
 // every record whole, a window its own governor would judge at 1.00x. It
 // takes its primary's verdict instead, so the database stays active on both
 // and the next revision is still re-encoded with its backward write-backs.
 func TestSnapshotResyncKeepsTheDatabaseActive(t *testing.T) {
-	opts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8}
+	opts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogBytes: 8 << 10}
 	open := func() *node.Node {
 		n, err := node.Open(opts)
 		if err != nil {

@@ -71,7 +71,7 @@ func TestSnapshotResyncAfterTruncation(t *testing.T) {
 	// A tiny oplog forces a from-zero secondary past the retained window;
 	// the primary must fall back to a full snapshot and the secondary
 	// must still converge exactly.
-	popts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8}
+	popts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogBytes: 4 << 10}
 	popts.Engine.GovernorWindow = 1 << 30
 	prim, err := node.Open(popts)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestSnapshotResyncAfterTruncation(t *testing.T) {
 // of that insert's entry, which then replayed strictly onto the snapshot's
 // copy: "replicated insert of existing key".
 func TestSnapshotResyncWithConcurrentWrites(t *testing.T) {
-	slowEncode := node.Options{EncodeWorkers: 2, DisableAutoFlush: true, OplogCapacity: 2,
+	slowEncode := node.Options{EncodeWorkers: 2, DisableAutoFlush: true, OplogBytes: 512,
 		SimulatedEncodeDelay: 500 * time.Millisecond}
 	syncSlowEncode := slowEncode
 	syncSlowEncode.SyncEncode = true
@@ -165,7 +165,7 @@ func TestSnapshotResyncWithConcurrentWrites(t *testing.T) {
 		// its race calls for it.
 		drive func(t *testing.T, prim *node.Node, attach func() *Secondary)
 	}{
-		{"writes while the snapshot streams", node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8},
+		{"writes while the snapshot streams", node.Options{SyncEncode: true, DisableAutoFlush: true, OplogBytes: 8 << 10},
 			func(t *testing.T, prim *node.Node, attach func() *Secondary) {
 				rng := rand.New(rand.NewSource(5))
 				for i := 0; i < 80; i++ {
@@ -221,9 +221,9 @@ func TestSnapshotResyncWithConcurrentWrites(t *testing.T) {
 }
 
 // slowInsertRacesSnapshot makes an insert the snapshot carries reach the oplog
-// after a mutation issued once the secondary applied that snapshot. Three
-// entries fall out of the two-entry log first, so the fresh secondary needs a
-// snapshot; then an insert into one database encodes for SimulatedEncodeDelay
+// after a mutation issued once the secondary applied that snapshot. The
+// first entry falls out of the 512-byte log (four slots of small entries)
+// first, so the fresh secondary needs a snapshot; then an insert into one database encodes for SimulatedEncodeDelay
 // while the secondary attaches and an update of another database, on the
 // other encoder shard, is logged at once.
 func slowInsertRacesSnapshot(t *testing.T, prim *node.Node, attach func() *Secondary) {
@@ -607,7 +607,7 @@ func TestShardedApplyMultiDBStress(t *testing.T) {
 // rebase to the snapshot cursor, and concurrent-with-scan writes in the
 // lenient window must still converge exactly.
 func TestShardedApplySnapshotResyncStress(t *testing.T) {
-	popts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8}
+	popts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogBytes: 8 << 10}
 	popts.Engine.GovernorWindow = 1 << 30
 	prim, err := node.Open(popts)
 	if err != nil {
@@ -781,9 +781,9 @@ func TestSecondaryReconnectResumeAtPhase(t *testing.T) {
 		return []byte(fmt.Sprintf("record %04d: some content bytes that pad the record out a little", i))
 	}
 	cases := []struct {
-		name     string
-		preOps   int // inserts before the secondary connects
-		oplogCap int // 0 = ample; small forces a snapshot on connect
+		name       string
+		preOps     int   // inserts before the secondary connects
+		oplogBytes int64 // 0 = ample; small forces a snapshot on connect
 		// cut selects the one chunk to sever; nil = cut after catch-up
 		// (the post-ack phase). Conn 0 is the initial stream connection;
 		// toClient index 0 is the epoch frame, or a snapshot's begin frame.
@@ -799,7 +799,7 @@ func TestSecondaryReconnectResumeAtPhase(t *testing.T) {
 			// 300 entries stream as a 256-batch then a 44-batch; sever the
 			// second, so resume must continue from seq 256 exactly.
 			cut: func(ci netsim.ChunkInfo) bool { return !ci.ToServer && ci.Conn == 0 && ci.Index == 2 }},
-		{name: "mid-snapshot", preOps: 200, oplogCap: 16, postOps: 10, wantResync: true,
+		{name: "mid-snapshot", preOps: 200, oplogBytes: 4 << 10, postOps: 10, wantResync: true,
 			// The truncated oplog forces a snapshot of 200 records, sent as
 			// a 128-batch then a 72-batch; sever the second, so the
 			// secondary holds half a snapshot at no position and the
@@ -811,7 +811,7 @@ func TestSecondaryReconnectResumeAtPhase(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			sim := netsim.NewSim(1)
-			nopts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: c.oplogCap}
+			nopts := node.Options{SyncEncode: true, DisableAutoFlush: true, OplogBytes: c.oplogBytes}
 			nopts.Engine.GovernorWindow = 1 << 30
 			prim, err := node.Open(nopts)
 			if err != nil {
@@ -910,12 +910,12 @@ func TestSecondaryReconnectResumeAtPhase(t *testing.T) {
 
 // staleSecondary syncs sec from a fresh primary holding stale "gone" keys and
 // one "kept" key, disconnects it, and deletes every gone key on the primary.
-// The deletes push the returned cursor out of the 8-entry oplog window, so
+// The deletes push the returned cursor out of the 2 KiB oplog window, so
 // the secondary's next session is a snapshot that lacks every gone key and
 // must reconcile them away; target is the primary's last sequence number.
 func staleSecondary(t *testing.T, sec *node.Node, stale int) (prim *node.Node, p *Primary, cursor, epoch, target uint64) {
 	t.Helper()
-	prim, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8})
+	prim, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true, OplogBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -973,7 +973,7 @@ func waitApplied(t *testing.T, s *Secondary, target uint64) {
 // reconcile pass long enough that a reader polling the mark always lands
 // inside it if the order is wrong.
 func TestResyncReconcilesBeforeRebase(t *testing.T) {
-	sec, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true, OplogCapacity: 8})
+	sec, err := node.Open(node.Options{SyncEncode: true, DisableAutoFlush: true, OplogBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
