@@ -15,9 +15,6 @@ const DefaultWritebackCacheBytes = 8 << 20
 // saving Saving bytes of storage.
 type Writeback struct {
 	ID, Base uint64
-	// Seq is the number of the insert the delta was computed for: a client
-	// mutation of the record or its base after Seq makes it stale.
-	Seq uint64
 	// Payload is the marshalled delta, the bytes to store when flushed.
 	Payload []byte
 	// Saving is the absolute storage saving (old stored size minus new),

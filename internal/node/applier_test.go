@@ -483,6 +483,60 @@ func TestWindowInsertDecodesAgainstOlderBase(t *testing.T) {
 	}
 }
 
+// TestWindowInsertDecodesAgainstVisibleContent: the secondary holds v0 from
+// before the snapshot, with w decoding through it. The snapshot's record of
+// v0, the primary's content, is stacked on v0's stored form, since w's record
+// has not arrived yet. A window insert forward-encoded against v0 is decoded
+// against what the key shows, the content the primary encoded against, not
+// the stored form underneath, and without a fetch.
+func TestWindowInsertDecodesAgainstVisibleContent(t *testing.T) {
+	prim := testNode(t, Options{})
+	versions := insertChain(t, prim, "wiki", 2, 12)
+	ents, err := prim.Oplog().EntriesSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := ents[1]
+	if ins.Seq != 2 || ins.Form != oplog.FormDelta || ins.BaseKey != "v0" {
+		t.Fatalf("premise: seq %d shipped as %v against %q, want 2, forward-encoded against v0", ins.Seq, ins.Form, ins.BaseKey)
+	}
+	sec := testNode(t, Options{})
+	rng := rand.New(rand.NewSource(13))
+	held := workload.RevisionText(rng, 8192)
+	for _, r := range []struct {
+		key string
+		c   []byte
+	}{{"w", editText(rng, held, 2)}, {"v0", held}} {
+		if err := sec.Insert("wiki", r.key, r.c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sec.FlushWritebacks(-1) == 0 || sec.RefCount("wiki", "v0") == 0 {
+		t.Fatal("premise: w does not decode through v0 on the secondary")
+	}
+	fetches := 0
+	ap := NewApplier(sec, 0, ApplierOptions{Fetch: func(db, key string) (Stamped, error) {
+		fetches++
+		return prim.ReadStamped(db, key)
+	}})
+	defer ap.Close()
+	ap.EnqueueSnapshotRecord("wiki", "v0", Stamped{Stamp: 1, Present: true, Content: versions[0]})
+	applyOne(t, ap, ins)
+	id, _ := sec.lookup("wiki", "v0")
+	if m, _ := sec.store.Meta(id); !m.Stacked {
+		t.Fatal("premise: the snapshot's v0 is not stacked on the secondary")
+	}
+	for i, want := range versions {
+		key := fmt.Sprintf("v%d", i)
+		if got, err := sec.Read("wiki", key); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes, %v; want its %d", key, len(got), err, len(want))
+		}
+	}
+	if got := sec.ApplyMetrics().BaseFetches.Total(); got != 0 || fetches != 0 {
+		t.Fatalf("base fetches = %d (%d calls), want 0", got, fetches)
+	}
+}
+
 // TestDefaultsStand pins the values that are constants or derived rather
 // than options: a default node's apply pool has GOMAXPROCS workers with
 // 1024-deep queues, as its encoder pool does; the idle flusher looks every

@@ -197,8 +197,8 @@ func TestChainOrderLoadsFewerBlocks(t *testing.T) {
 }
 
 // TestChainOrderUnderMutations: with client updates and deletes between the
-// inserts and the flush, so that the stamps and the content proof skip some
-// write-backs, chain order applies and skips as many as saving order, every
+// inserts and the flush, so that the rule on updated and deleted records
+// skips some write-backs, chain order applies and skips as many as saving order, every
 // key reads back exactly, and VerifyAll is clean.
 func TestChainOrderUnderMutations(t *testing.T) {
 	recs := workload.New(workload.Config{Kind: workload.Wikipedia, Seed: 2, InsertBytes: 1 << 20}).Records()

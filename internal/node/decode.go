@@ -94,9 +94,9 @@ func (f fetcher) FetchDecoded(id uint64) ([]byte, error) {
 // scratch is the working memory of one chain decode: the plan of the walk,
 // the fold its deltas are composed into, and the buffer decode builds the
 // content in. What decode returns lives in a scratch (or in the source cache)
-// and is good until the scratch is used again. Who owns which: the paths
-// applyMu serialises (write-back apply, hidden-chain repair) use the node's
-// own applyScratch; Read, replica apply, the fetcher and VerifyAll take one
+// and is good until the scratch is used again. Who owns which: hidden-chain
+// repair, which applyMu serialises, uses the node's own applyScratch; Read,
+// replica apply, the fetcher and VerifyAll take one
 // from scratchPool for the call; the two that hand the content on (Read, the
 // fetcher) go through appendDecoded, which builds it straight into theirs.
 type scratch struct {
@@ -236,8 +236,8 @@ func (n *Node) planWalk(sc *scratch, id uint64, mode decodeMode) (walk, error) {
 		}
 		// Source record cache: a decoded base short-circuits the walk.
 		// Cached content is the record's base content only when it has no
-		// stacked updates. It is peeked: a read or a write-back's proof
-		// leaves the encoder's recency order and counters as it found them.
+		// stacked updates. It is peeked: a read leaves the encoder's recency
+		// order and counters as it found them.
 		if n.eng != nil && n.eng.SourceCache() != nil && !w.base.Stacked {
 			if c, hit := n.eng.SourceCache().Peek(w.baseID); hit {
 				w.cached = c
@@ -383,7 +383,7 @@ func (n *Node) repairPastHidden(depID, hidID uint64, depContent []byte) {
 	newPayload := depContent
 	dep.Form, dep.BaseID = hidMeta.Form, baseOf(hidMeta.Form, hidMeta.BaseID)
 	if dep.Form == docstore.FormDelta {
-		baseContent, err := n.decode(&n.applyScratch[0], dep.BaseID, baseContentNoRepair)
+		baseContent, err := n.decode(&n.applyScratch, dep.BaseID, baseContentNoRepair)
 		if err != nil {
 			return
 		}

@@ -378,11 +378,12 @@ func TestReadAllocBudget(t *testing.T) {
 	}
 }
 
-// TestWritebackAllocBudget: applying a write-back decodes the record and its
-// new base into the node's own scratch and checks the delta there; what it
-// allocates beyond the delta the store keeps (which the write-back cache
-// already holds) is bookkeeping. It was about 29 KB per write-back: four
-// detached payload copies, two parsed deltas and two applied outputs.
+// TestWritebackAllocBudget: applying a write-back checks two keys and the
+// chain it creates and decodes nothing; what it allocates beyond the delta the
+// store keeps (which the write-back cache already holds) is bookkeeping. It
+// was about 29 KB per write-back when each decoded the record and its new
+// base to prove the delta: four detached payload copies, two parsed deltas
+// and two applied outputs.
 func TestWritebackAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")

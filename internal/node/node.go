@@ -187,8 +187,7 @@ type Node struct {
 	// section that makes each take effect; a logged mutation's number is its
 	// oplog entry's Seq. lastMut is the one mutation stamp: the number of a
 	// record's last update or delete, dropped when the record is removed from
-	// the store. "Has this record changed since mutation s" (changedSince) is
-	// what every guard against stale encoder output asks.
+	// the store. ReadStamped reads it.
 	opSeq   uint64
 	lastMut map[uint64]uint64
 
@@ -208,13 +207,10 @@ type Node struct {
 	// applyMu serialises every write of an existing record's stored form
 	// (update, delete, write-back apply, hidden-chain repair), so what one
 	// checked still holds when it appends, and with them every write of refcnt
-	// (moveRefLocked). It also guards the working memory those paths decode
-	// into: one scratch per content held at a time (a record and the base it
-	// would decode from), and the buffer a candidate delta is applied into for
-	// checking.
+	// (moveRefLocked). It also guards the scratch hidden-chain repair
+	// decodes a base into.
 	applyMu      sync.Mutex
-	applyScratch [2]scratch
-	applyCheck   []byte
+	applyScratch scratch
 
 	// Admission controller (nil = admit everything) and the encoder
 	// pool's total queue capacity, its occupancy denominator.
@@ -241,10 +237,7 @@ type encodeJob struct {
 	db, key string
 	id      uint64
 	payload []byte
-	// opSeq is the mutation's sequence number. The encoder of an insert
-	// uses it to detect records mutated after the insert was accepted: the
-	// record itself, the source of its forward delta, and (through the
-	// write-backs' Seq) everything its write-backs touch.
+	// opSeq is the mutation's sequence number, its oplog entry's Seq.
 	opSeq uint64
 	// shedRaw marks an insert whose dedup encoding was shed by admission
 	// control: the worker emits the raw oplog entry without touching the

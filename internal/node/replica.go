@@ -169,7 +169,7 @@ func (n *Node) Retain(db string, keep func(key string) bool, emit bool) (dropped
 // insert's BaseKey always names a record of the same database); entries of
 // independent databases may be applied concurrently — the Applier's sharding
 // invariant. Forward-encoded inserts are decoded
-// against the locally stored base record and then re-encoded backward (the
+// against the base key's visible content and then re-encoded backward (the
 // dbDedup re-encoder of Fig. 8), so the secondary converges to the same
 // storage layout as the primary without ever receiving full record contents.
 //
@@ -203,8 +203,12 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 		return err
 	}
 
-	// Forward-encoded insert: reconstruct the record from the local copy
-	// of the base, then mirror the primary's backward encoding.
+	// Forward-encoded insert: reconstruct the record from the base key's
+	// visible content, then mirror the primary's backward encoding. The
+	// primary shipped the delta only against a record still as inserted, so
+	// that content is what it encoded against, and at this position in the
+	// oplog it is the one content of the key both nodes agree on: how the
+	// secondary stores the key, stacked or not, follows its own flush timing.
 	srcID, updated, ok := n.store.Lookup(e.DB, e.BaseKey)
 	if !ok {
 		// Rare: the base is almost always already replicated. Nothing was
@@ -212,8 +216,8 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 		// full record from the primary and Upsert counts it exactly once.
 		return fmt.Errorf("%w: %q/%q (insert of %q)", ErrBaseMissing, e.DB, e.BaseKey, e.Key)
 	}
-	// The base's content is borrowed, from the source cache as a read takes
-	// it (only while the key says it was never updated: the cache can still
+	// The content is borrowed, from the source cache as a read takes it
+	// (only while the key says it was never updated: the cache can still
 	// hold an updated record's insert payload) or else from a scratch, for
 	// the rest of the call: the new record is applied from it and the
 	// backward delta is re-encoded against it, and neither outlives
@@ -223,7 +227,7 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 		sc := scratchPool.Get().(*scratch)
 		defer scratchPool.Put(sc)
 		var err error
-		if srcContent, err = n.decode(sc, srcID, baseContent); err != nil {
+		if srcContent, err = n.decode(sc, srcID, visibleContent); err != nil {
 			return fmt.Errorf("node: decoding base %q/%q: %w", e.DB, e.BaseKey, err)
 		}
 	}
@@ -241,7 +245,7 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 	}
 	if n.eng != nil {
 		res := n.eng.EncodeAsReplica(e.DB, job.id, payload, srcID, srcContent, fwd)
-		n.queueWritebacks(res.Writebacks, job.opSeq)
+		n.queueWritebacks(res.Writebacks)
 	}
 	return nil
 }

@@ -537,9 +537,9 @@ func TestReplicaTakesItsBaseFromTheSourceCache(t *testing.T) {
 	}
 }
 
-// TestReplicaBaseUpdatedInPlace: a forward-encoded insert whose base key was
-// updated in place since its insert is applied against the updated content,
-// which only the store has, and reads back exactly.
+// TestReplicaBaseUpdatedInPlace: an insert whose source was updated in place
+// since its insert ships raw, as a delta may involve only records as
+// inserted, and both keys read back exactly on the secondary.
 func TestReplicaBaseUpdatedInPlace(t *testing.T) {
 	prim, sec, ship := replicaPair(t)
 	rng := rand.New(rand.NewSource(46))
@@ -557,8 +557,8 @@ func TestReplicaBaseUpdatedInPlace(t *testing.T) {
 	if err := prim.Insert("wiki", "v1", v1); err != nil {
 		t.Fatal(err)
 	}
-	if e := ship(); e.Form != oplog.FormDelta || e.BaseKey != "v0" {
-		t.Fatalf("v1 shipped in form %d against %q, want forward-encoded against v0", e.Form, e.BaseKey)
+	if e := ship(); e.Form != oplog.FormRaw {
+		t.Fatalf("v1 shipped in form %d against %q, want raw: its source v0 was updated", e.Form, e.BaseKey)
 	}
 	for key, want := range map[string][]byte{"v0": upd, "v1": v1} {
 		if got, err := sec.Read("wiki", key); err != nil || !bytes.Equal(got, want) {

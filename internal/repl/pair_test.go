@@ -292,3 +292,50 @@ func TestContinuousReplicationWhileWriting(t *testing.T) {
 		t.Fatalf("secondary applied %d inserts, want 100", sec.Stats().Inserts)
 	}
 }
+
+// TestRevisionOfAnUpdatedRecordReplicates: the primary flushes its write-backs
+// and the secondary does not, so when v1 is updated the primary stacks the
+// update on v1's stored form (v0 decodes through it) and the secondary, where
+// nothing decodes through v1, overwrites it. v2 is a revision of v1 as
+// inserted, which only the primary still holds under the update. Whatever v2
+// ships as, the secondary must read it byte for byte and keep applying the
+// stream: a delta against v1's insert content decoded against the
+// secondary's v1 yields other bytes of the same length (a long update) or
+// does not apply at all (a short one).
+func TestRevisionOfAnUpdatedRecordReplicates(t *testing.T) {
+	for _, size := range []int{16 << 10, 4 << 10} {
+		t.Run(fmt.Sprintf("update of %d KiB", size>>10), func(t *testing.T) {
+			prim, sec, s := testPair(t)
+			rng := rand.New(rand.NewSource(66))
+			v0 := workload.RevisionText(rng, 4096)
+			v1 := workload.Revise(rng, v0, 2, 40)
+			v2 := workload.Revise(rng, v1, 2, 40)
+			upd := workload.RevisionText(rng, size)
+			for i, c := range [][]byte{v0, v1} {
+				if err := prim.Insert("wiki", fmt.Sprintf("v%d", i), c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if prim.FlushWritebacks(-1) == 0 || prim.RefCount("wiki", "v1") == 0 {
+				t.Fatal("premise: v0 does not decode through v1 on the primary")
+			}
+			if err := prim.Update("wiki", "v1", upd); err != nil {
+				t.Fatal(err)
+			}
+			if err := prim.Insert("wiki", "v2", v2); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.WaitForSeq(prim.Oplog().LastSeq(), 2*time.Second); err != nil {
+				t.Fatalf("the stream stalled: %v", err)
+			}
+			if sec.RefCount("wiki", "v1") != 0 {
+				t.Fatal("premise: something decodes through v1 on the secondary")
+			}
+			for key, want := range map[string][]byte{"v0": v0, "v1": upd, "v2": v2} {
+				if got, err := sec.Read("wiki", key); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("secondary %s: %d bytes, %v; want its %d", key, len(got), err, len(want))
+				}
+			}
+		})
+	}
+}
