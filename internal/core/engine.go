@@ -23,9 +23,9 @@
 // and window accounting hold the owning database's lock. Independent
 // databases therefore encode fully in parallel.
 //
-// Lock hierarchy (outer → inner): dbsMu → dbState.mu → cache-internal locks.
-// The Fetcher is only ever invoked with no engine lock held, so fetcher
-// implementations may take arbitrary locks of their own.
+// Lock hierarchy (outer → inner): dbsMu → dbState.mu → cache-internal locks,
+// and the leaf locks of a SourceFilter's Usable. FetchDecoded is only ever
+// invoked with no engine lock held, so it may take arbitrary locks.
 //
 // Encodes for the *same* database may also be issued concurrently — the
 // engine stays memory-safe and every result remains decodable — but the
@@ -57,6 +57,16 @@ import (
 type Fetcher interface {
 	// FetchDecoded returns the full (decoded) content of record id.
 	FetchDecoded(id uint64) ([]byte, error)
+}
+
+// SourceFilter is a Fetcher that also says which records may serve as a
+// delta source. Encode asks it about the candidates best first, under the
+// database's lock, so Usable must take only leaf locks; a refused candidate
+// is passed over. With a plain Fetcher every candidate is usable.
+type SourceFilter interface {
+	Fetcher
+	// Usable reports whether record id may be the source of a delta.
+	Usable(id uint64) bool
 }
 
 // Config tunes the engine. Zero values select the paper's defaults.
@@ -256,6 +266,7 @@ type Engine struct {
 	layout    chain.Layout
 	cache     *dedupcache.SourceCache
 	fetcher   Fetcher
+	filter    SourceFilter // the fetcher, when it is one
 	enc       *metrics.EncodeMetrics
 
 	// dbsMu guards the dbs map (and partSeq) only; each dbState guards
@@ -329,6 +340,7 @@ func NewEngine(cfg Config, fetcher Fetcher) *Engine {
 		enc:     metrics.NewEncodeMetrics(),
 		dbs:     make(map[string]*dbState),
 	}
+	e.filter, _ = fetcher.(SourceFilter)
 	e.extractor.SetMetrics(e.enc)
 	e.sketchBufs.New = func() interface{} {
 		s := make(sketch.Sketch, 0, sketch.DefaultK)
@@ -462,7 +474,10 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 	cands := probeLocked(st, sk, id)
 	e.putSketchBuf(skb, sk)
 
-	if len(cands) == 0 {
+	// Step 3: cache-aware source selection (cache.Contains takes only the
+	// cache's internal lock — a permitted inner lock).
+	srcID, ok := e.selectSource(cands)
+	if !ok {
 		st.codeBytes += int64(len(payload))
 		e.adoptAsNewChainLocked(st, id, payload)
 		e.governorTickLocked(st, true)
@@ -471,10 +486,6 @@ func (e *Engine) Encode(dbName string, id uint64, payload []byte) (Result, error
 		e.enc.ObserveStage(metrics.StageIndex, time.Since(t))
 		return Result{}, nil
 	}
-
-	// Step 3: cache-aware source selection (cache.Contains takes only the
-	// cache's internal lock — a permitted inner lock).
-	srcID := e.selectSource(cands)
 	st.mu.Unlock()
 	e.enc.ObserveStage(metrics.StageIndex, time.Since(t))
 
@@ -661,19 +672,27 @@ func (e *Engine) ObserveRaw(dbName string, id uint64, payload []byte, disabled b
 // selectSource picks the candidate with the highest score: shared-feature
 // count plus the cache reward (paper §3.1.3). Ties break toward the higher
 // record ID (the more recent record), exploiting the incremental-update
-// pattern. cands must not be empty.
-func (e *Engine) selectSource(cands []candidate) uint64 {
-	best, bestScore := uint64(0), -1
-	for _, c := range cands {
-		score := c.shared
-		if e.cache != nil && e.cache.Contains(c.id) {
-			score += e.cfg.RewardScore
+// pattern. A candidate the filter refuses is dropped from cands and the next
+// best is tried; ok is false when none is left. Caller holds st.mu.
+func (e *Engine) selectSource(cands []candidate) (id uint64, ok bool) {
+	for len(cands) > 0 {
+		best, bestScore := 0, -1
+		for i, c := range cands {
+			score := c.shared
+			if e.cache != nil && e.cache.Contains(c.id) {
+				score += e.cfg.RewardScore
+			}
+			if score > bestScore || score == bestScore && c.id > cands[best].id {
+				best, bestScore = i, score
+			}
 		}
-		if score > bestScore || score == bestScore && c.id > best {
-			best, bestScore = c.id, score
+		if e.filter == nil || e.filter.Usable(cands[best].id) {
+			return cands[best].id, true
 		}
+		cands[best] = cands[len(cands)-1]
+		cands = cands[:len(cands)-1]
 	}
-	return best
+	return 0, false
 }
 
 // adoptAsNewChainLocked registers id as the head of a fresh chain and caches

@@ -537,10 +537,16 @@ func dbStats(e *Engine, name string) DBStats {
 	return DBStats{}
 }
 
+// refuseThirds is a SourceFilter that refuses every record ID divisible by 3.
+type refuseThirds struct{ *mapFetcher }
+
+func (refuseThirds) Usable(id uint64) bool { return id%3 != 0 }
+
 // TestSelectSourceMatchesSort: the source is the candidate a sort by score,
 // then ID, both descending, puts first — shared features plus the cache
 // reward, ties to the more recent record — over candidate sets with many
-// ties.
+// ties. Under a filter it is the first usable candidate in that order, and
+// there is none when the filter refuses them all.
 func TestSelectSourceMatchesSort(t *testing.T) {
 	e, _ := newTestEngine(Config{})
 	rng := rand.New(rand.NewSource(48))
@@ -574,8 +580,21 @@ func TestSelectSourceMatchesSort(t *testing.T) {
 			}
 			return sorted[i].id > sorted[j].id
 		})
-		if got := e.selectSource(uniq); got != sorted[0].id {
+		if got, _ := e.selectSource(uniq); got != sorted[0].id {
 			t.Fatalf("round %d: selectSource(%v) = %d, the sort's first is %d", round, uniq, got, sorted[0].id)
+		}
+		want, wantOK := uint64(0), false
+		for _, c := range sorted {
+			if c.id%3 != 0 {
+				want, wantOK = c.id, true
+				break
+			}
+		}
+		e.filter = refuseThirds{}
+		got, ok := e.selectSource(uniq)
+		e.filter = nil
+		if got != want || ok != wantOK {
+			t.Fatalf("round %d: filtered selectSource of %v = %d, %v; want %d, %v", round, sorted, got, ok, want, wantOK)
 		}
 	}
 }

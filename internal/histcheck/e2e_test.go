@@ -41,7 +41,7 @@ func startPair(t *testing.T, primMut func(*node.Options)) *pair {
 		return node.Options{
 			Dir:        dir,
 			Engine:     core.Config{GovernorWindow: 1 << 30},
-			Compaction: node.CompactionOptions{Enabled: true, Interval: 50 * time.Millisecond},
+			Compaction: node.CompactionOptions{Enabled: true},
 		}
 	}
 	popts := opts(c.primDir)

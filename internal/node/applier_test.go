@@ -549,8 +549,9 @@ func TestDefaultsStand(t *testing.T) {
 		t.Errorf("apply pool of %d shards %d deep, want GOMAXPROCS = %d of 1024",
 			len(ap.pool.shards), cap(ap.pool.shards[0].sem), runtime.GOMAXPROCS(0))
 	}
-	if flushInterval != 10*time.Millisecond || compactionTrigger != 0.5 || delta.DefaultAnchorInterval != 64 {
-		t.Errorf("flush interval %v, compaction trigger %v, anchor interval %d; want 10ms, 0.5, 64",
-			flushInterval, compactionTrigger, delta.DefaultAnchorInterval)
+	// One tick runs the idle flusher and the compaction check alike.
+	if tickInterval != 10*time.Millisecond || compactionTrigger != 0.5 || delta.DefaultAnchorInterval != 64 {
+		t.Errorf("background tick %v, compaction trigger %v, anchor interval %d; want 10ms, 0.5, 64",
+			tickInterval, compactionTrigger, delta.DefaultAnchorInterval)
 	}
 }

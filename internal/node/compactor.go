@@ -7,10 +7,9 @@ import "time"
 // dedup-heavy node accumulates dead bytes faster than a plain store; the
 // compactor keeps disk usage proportional to live data.
 type CompactionOptions struct {
-	// Enabled starts the background compactor.
+	// Enabled has the node's background tick (tickInterval) check the
+	// dead-space ratio and compact once it crosses compactionTrigger.
 	Enabled bool
-	// Interval is how often the dead-space ratio is checked (default 1s).
-	Interval time.Duration
 }
 
 // compactionTrigger is the dead fraction of the stored payload bytes that
@@ -18,35 +17,19 @@ type CompactionOptions struct {
 // they were before block compression.
 const compactionTrigger = 0.5
 
-// startCompactor launches the background compaction loop.
-func (n *Node) startCompactor(opts CompactionOptions) {
-	if opts.Interval <= 0 {
-		opts.Interval = time.Second
+// compactIfDead runs one compaction pass when the dead share has crossed
+// compactionTrigger.
+func (n *Node) compactIfDead() {
+	st := n.store.Stats()
+	total := st.DeadBytes + st.LogicalBytes
+	if total == 0 || float64(st.DeadBytes)/float64(total) < compactionTrigger {
+		return
 	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		ticker := time.NewTicker(opts.Interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-n.stopCh:
-				return
-			case <-ticker.C:
-				st := n.store.Stats()
-				total := st.DeadBytes + st.LogicalBytes
-				if total == 0 || float64(st.DeadBytes)/float64(total) < compactionTrigger {
-					continue
-				}
-				// Compaction failure is not fatal — space simply
-				// stays unreclaimed until the next attempt. Dead bytes
-				// in the active segment, which is never a victim, can
-				// hold the ratio up: the tick then costs one look at
-				// the segments and counts as no pass.
-				n.Compact()
-			}
-		}
-	}()
+	// Compaction failure is not fatal — space simply stays unreclaimed until
+	// the next attempt. Dead bytes in the active segment, which is never a
+	// victim, can hold the ratio up: the tick then costs one look at the
+	// segments and counts as no pass.
+	n.Compact()
 }
 
 // Compact runs one synchronous store compaction pass, returning the bytes

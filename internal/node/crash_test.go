@@ -9,7 +9,7 @@ import (
 	"dbdedup/internal/workload"
 )
 
-// churnedNode opens a node whose background compactor checks every 10 ms
+// churnedNode opens a node whose compactor checks on the node's 10 ms tick
 // and hammers twenty keys with updates, so old frames pile up as dead bytes
 // across many small segments, well past the trigger.
 func churnedNode(t *testing.T) *Node {
@@ -17,7 +17,7 @@ func churnedNode(t *testing.T) *Node {
 	opts := Options{
 		SyncEncode: true, DisableAutoFlush: true,
 		BlockSize: 512, SegmentSize: 8 << 10,
-		Compaction: CompactionOptions{Enabled: true, Interval: 10 * time.Millisecond},
+		Compaction: CompactionOptions{Enabled: true},
 	}
 	opts.Engine.GovernorWindow = 1 << 30
 	n, err := Open(opts)
@@ -109,7 +109,7 @@ func TestCompactorTriggerIgnoresCompression(t *testing.T) {
 	n, err := Open(Options{
 		SyncEncode: true, DisableAutoFlush: true, DisableDedup: true, BlockCompression: true,
 		BlockSize: 512, SegmentSize: 8 << 10,
-		Compaction: CompactionOptions{Enabled: true, Interval: 10 * time.Millisecond},
+		Compaction: CompactionOptions{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -91,6 +91,13 @@ func (f fetcher) FetchDecoded(id uint64) ([]byte, error) {
 	return f.n.appendDecoded(nil, id, baseContent)
 }
 
+// Usable admits a delta source only as inserted (asInserted): the insert
+// whose source the rule refuses ships raw and its write-back is skipped.
+func (f fetcher) Usable(id uint64) bool {
+	_, ok := f.n.asInserted(id)
+	return ok
+}
+
 // scratch is the working memory of one chain decode: the plan of the walk,
 // the fold its deltas are composed into, and the buffer decode builds the
 // content in. What decode returns lives in a scratch (or in the source cache)

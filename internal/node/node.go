@@ -88,7 +88,7 @@ type Options struct {
 	// to GOMAXPROCS. A secondary's apply pool takes as many workers.
 	EncodeWorkers int
 	// DisableAutoFlush stops the background idle flusher (one look every
-	// flushInterval); callers drive FlushWritebacks manually (experiments
+	// tickInterval); callers drive FlushWritebacks manually (experiments
 	// do).
 	DisableAutoFlush bool
 	// SimulatedAppendDelay injects per-append device latency into the
@@ -108,8 +108,9 @@ type Options struct {
 }
 
 const (
-	// flushInterval is the idle flusher's idle-detection period.
-	flushInterval = 10 * time.Millisecond
+	// tickInterval is the period of the node's one background clock: the
+	// compaction check and the idle flusher's look.
+	tickInterval = 10 * time.Millisecond
 	// idleFlushBatch is how many write-backs one idle tick applies.
 	idleFlushBatch = 64
 )
@@ -313,14 +314,36 @@ func Open(opts Options) (*Node, error) {
 	n.encQueueCap = int64(opts.EncodeWorkers) * int64(opts.EncodeQueue)
 	n.pool = newFIFOPool(opts.EncodeWorkers, opts.EncodeQueue, n.process,
 		&n.encWorkers, &n.encm.QueueDepth, &n.encm.QueueOverflows)
-	if !opts.DisableAutoFlush && n.wb != nil {
+	flush := !opts.DisableAutoFlush && n.wb != nil
+	if flush || opts.Compaction.Enabled {
 		n.wg.Add(1)
-		go n.flushLoop()
-	}
-	if opts.Compaction.Enabled {
-		n.startCompactor(opts.Compaction)
+		go n.background(flush, opts.Compaction.Enabled)
 	}
 	return n, nil
+}
+
+// background is the node's one clock. Each tick it runs a compaction pass if
+// the dead share has crossed the trigger (compact), then applies a batch of
+// write-backs if the node looks idle (flush): the paper defers them to idle
+// I/O (§3.3.2), and our proxy for its I/O queue length is at most four client
+// ops since the last tick and an empty encode queue.
+func (n *Node) background(flush, compact bool) {
+	defer n.wg.Done()
+	ticker := time.NewTicker(tickInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-n.stopCh:
+			return
+		case <-ticker.C:
+		}
+		if compact {
+			n.compactIfDead()
+		}
+		if flush && n.recentOps.Swap(0) <= 4 && n.encm.QueueDepth.Value() == 0 {
+			n.FlushWritebacks(idleFlushBatch)
+		}
+	}
 }
 
 // recover rebuilds reference counts from the store, dropping any record whose

@@ -567,6 +567,43 @@ func TestReplicaBaseUpdatedInPlace(t *testing.T) {
 	}
 }
 
+// TestSourceSelectionPassesOverAnUpdatedRecord: v1, a revision of v0, is
+// updated after the flush wrote v0 back against it; v2, a revision of v1 as
+// inserted, finds both in the index. The engine passes over v1, which the
+// validity rule refuses, and encodes v2 against v0, so v2 ships as a delta
+// rather than raw, and both members read every key exactly.
+func TestSourceSelectionPassesOverAnUpdatedRecord(t *testing.T) {
+	prim, sec, ship := replicaPair(t)
+	rng := rand.New(rand.NewSource(67))
+	v0 := workload.RevisionText(rng, 4096)
+	v1 := editText(rng, v0, 2)
+	upd := editText(rng, v1, 2)
+	v2 := editText(rng, v1, 2)
+	for i, key := range []string{"v0", "v1"} {
+		if err := prim.Insert("wiki", key, [][]byte{v0, v1}[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prim.FlushWritebacks(-1)
+	if err := prim.Update("wiki", "v1", upd); err != nil {
+		t.Fatal(err)
+	}
+	ship()
+	if err := prim.Insert("wiki", "v2", v2); err != nil {
+		t.Fatal(err)
+	}
+	if e := ship(); e.Form != oplog.FormDelta || e.BaseKey != "v0" {
+		t.Fatalf("v2 shipped in form %d against %q (%d bytes), want a delta against v0", e.Form, e.BaseKey, len(e.Payload))
+	}
+	for key, want := range map[string][]byte{"v0": v0, "v1": upd, "v2": v2} {
+		for _, m := range []*Node{prim, sec} {
+			if got, err := m.Read("wiki", key); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("Read(%s) = %d bytes, %v; want %d", key, len(got), err, len(want))
+			}
+		}
+	}
+}
+
 // TestReplicatedInsertsCountAsLoad: a secondary applying a replicated stream
 // is as busy as the primary that wrote it. Each applied insert moves the
 // idleness counter the flush loop reads, as each applied update and delete

@@ -612,27 +612,3 @@ func (n *Node) compactStackedLocked(id uint64, was docstore.MetaInfo) {
 	// stacked.
 	_ = n.putLocked(docstore.Record{ID: id, DB: was.DB, Key: was.Key, Hidden: was.Hidden, Payload: visible}, was)
 }
-
-// flushLoop applies write-backs when the node looks idle (the paper's I/O
-// queue length signal; our proxy is the client op rate plus the encode
-// queue depth).
-func (n *Node) flushLoop() {
-	defer n.wg.Done()
-	ticker := time.NewTicker(flushInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case <-ticker.C:
-			busy := n.recentOps.Swap(0) > 4
-			if busy {
-				continue
-			}
-			if n.encm.QueueDepth.Value() > 0 {
-				continue
-			}
-			n.FlushWritebacks(idleFlushBatch)
-		}
-	}
-}
