@@ -31,9 +31,7 @@ import (
 	"time"
 
 	"dbdedup/internal/admission"
-	"dbdedup/internal/chain"
 	"dbdedup/internal/cluster"
-	"dbdedup/internal/core"
 	"dbdedup/internal/featidx/tiered"
 	"dbdedup/internal/httpadmin"
 	"dbdedup/internal/node"
@@ -68,17 +66,13 @@ func main() {
 // combination makes no sense, before anything is opened.
 func config() (cluster.MemberConfig, error) {
 	var cfg cluster.MemberConfig
-	// The engine runs the paper's headline configuration (64-byte chunks, hop
-	// encoding at distance 16) with background compaction on. The experiments
+	// The engine runs the paper's headline configuration, core.Config's zero
+	// value (64-byte chunks, hop encoding at distance 16), with background
+	// compaction on. The experiments
 	// sweep these through node.Options and core.Config; no deployment in this
 	// repository sets them, so the daemon has no flags for them.
 	cfg.Node = node.Options{
-		Dir: *dir,
-		Engine: core.Config{
-			ChunkAvgSize: 64,
-			Scheme:       chain.Hop,
-			HopDistance:  16,
-		},
+		Dir:              *dir,
 		BlockCompression: *compress,
 		Compaction:       node.CompactionOptions{Enabled: true},
 		Admission: admission.Options{

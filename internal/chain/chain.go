@@ -22,14 +22,14 @@
 // the deltas themselves is the caller's job.
 package chain
 
-// Scheme selects the encoding discipline of a chain.
+// Scheme selects the encoding discipline of a chain. The zero value is Hop.
 type Scheme int
 
 const (
-	// Backward is standard backward encoding.
-	Backward Scheme = iota
 	// Hop is backward encoding with hop bases (dbDedup's scheme).
-	Hop
+	Hop Scheme = iota
+	// Backward is standard backward encoding.
+	Backward
 	// VersionJump is the fixed-cluster baseline.
 	VersionJump
 )

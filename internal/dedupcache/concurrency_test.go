@@ -64,7 +64,7 @@ func TestSourceCacheConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestWritebackCacheConcurrent drives Add/Invalidate/Pending/DrainBest/Stats
+// TestWritebackCacheConcurrent drives Add/Invalidate/DrainBest/Stats
 // concurrently. The node calls all of these without holding its own lock, so
 // the cache must stay coherent purely on its internal mutex.
 func TestWritebackCacheConcurrent(t *testing.T) {
@@ -92,7 +92,7 @@ func TestWritebackCacheConcurrent(t *testing.T) {
 				case 2:
 					c.Invalidate(id)
 				case 3:
-					c.Pending(id)
+					c.Stats()
 				default:
 					for _, wb := range c.DrainBest(4) {
 						drained.Store(wb.ID, true)

@@ -115,8 +115,10 @@ func (c *WritebackCache) Add(wb Writeback) bool {
 }
 
 // Invalidate removes any pending write-back for record id, reporting whether
-// one existed. The update path calls this before every client update so a
-// stale deferred delta can never overwrite fresh client data (paper §4.1).
+// one existed. It is cache hygiene, not what protects client data: a record a
+// client updated or deleted is refused when its write-back is applied, and
+// Invalidate only spares that write-back its place in the cache and its
+// refused apply.
 func (c *WritebackCache) Invalidate(id uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -128,14 +130,6 @@ func (c *WritebackCache) Invalidate(id uint64) bool {
 	delete(c.entries, id)
 	c.bytes -= int64(len(e.wb.Payload))
 	return true
-}
-
-// Pending reports whether record id has a deferred write-back.
-func (c *WritebackCache) Pending(id uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[id]
-	return ok
 }
 
 // DrainBest removes and returns up to n pending write-backs, most valuable

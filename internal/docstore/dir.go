@@ -14,25 +14,14 @@ import (
 // the key still names that record: a record kept hidden for the chains that
 // decode through it and one inserted under the same key since share the key.
 //
-// Beside the ID a key carries one bit, updated: the record may no longer hold
-// the content it was inserted with. It is the only thing a reader can learn
-// without a node lock about whether the source cache's copy of the record,
-// always an insert payload, is still what a client should see. An append with
-// Record.Updated sets it, later versions of the same record keep it, and
-// nothing clears it. Replay knows no record's history, so it sets the bit on
-// every key.
-//
 // mu also guards the database's byte count. Writers hold s.mu and take mu
 // after the record table's shard lock is released; readers take only its read
 // lock, a leaf.
 type dbDir struct {
 	mu    sync.RWMutex
-	keys  map[string]uint64 // key -> record ID | updatedBit
+	keys  map[string]uint64 // key -> record ID
 	bytes int64             // live payload bytes, hidden records included
 }
-
-// updatedBit marks a key's value; record IDs count up from 1 and stay below it.
-const updatedBit = 1 << 63
 
 // noDB is what a database that never held a record reads as.
 var noDB dbDir
@@ -53,7 +42,7 @@ func (s *Store) settle(rec *Record, old *entry, had bool) {
 		dd := s.db(old.db)
 		dd.mu.Lock()
 		dd.bytes -= int64(old.payloadLen)
-		if (rec.Tombstone || rec.Hidden) && dd.keys[old.key]&^updatedBit == rec.ID {
+		if (rec.Tombstone || rec.Hidden) && dd.keys[old.key] == rec.ID {
 			delete(dd.keys, old.key)
 		}
 		dd.mu.Unlock()
@@ -71,24 +60,19 @@ func (s *Store) settle(rec *Record, old *entry, had bool) {
 	dd.mu.Lock()
 	dd.bytes += int64(len(rec.Payload))
 	if !rec.Hidden {
-		v := rec.ID
-		if cur, ok := dd.keys[rec.Key]; rec.Updated || ok && cur == rec.ID|updatedBit {
-			v |= updatedBit
-		}
-		dd.keys[rec.Key] = v
+		dd.keys[rec.Key] = rec.ID
 	}
 	dd.mu.Unlock()
 }
 
 // Lookup resolves (db, key) to the ID of the live, visible record stored under
-// it, and reports whether that record was updated since its insert (or found
-// at Open). It takes only the database's read lock, never the writer lock.
-func (s *Store) Lookup(db, key string) (id uint64, updated, ok bool) {
+// it. It takes only the database's read lock, never the writer lock.
+func (s *Store) Lookup(db, key string) (id uint64, ok bool) {
 	dd := s.db(db)
 	dd.mu.RLock()
-	v, ok := dd.keys[key]
+	id, ok = dd.keys[key]
 	dd.mu.RUnlock()
-	return v &^ updatedBit, v&updatedBit != 0, ok
+	return id, ok
 }
 
 // Keys returns db's published keys, in unspecified order.

@@ -11,18 +11,12 @@ import (
 	"dbdedup/internal/faultfs"
 )
 
-// published is what the key directory says of one key.
-type published struct {
-	id      uint64
-	updated bool
-}
-
 // dirOf is database db's key directory, read through Keys and Lookup.
-func dirOf(s *Store, db string) map[string]published {
-	out := map[string]published{}
+func dirOf(s *Store, db string) map[string]uint64 {
+	out := map[string]uint64{}
 	for _, k := range s.Keys(db) {
-		if id, updated, ok := s.Lookup(db, k); ok {
-			out[k] = published{id, updated}
+		if id, ok := s.Lookup(db, k); ok {
+			out[k] = id
 		}
 	}
 	return out
@@ -31,40 +25,46 @@ func dirOf(s *Store, db string) map[string]published {
 // TestKeyDirectory: the key directory follows what replace stores. Each row
 // writes through Append and Delete and says what database "d" resolves to and
 // how many payload bytes it holds; then the store is reopened, and replay must
-// rebuild the same key → ID map, with every key's updated bit set, and the same
-// byte count.
+// rebuild the same key → ID map and the same byte count.
 func TestKeyDirectory(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 100)
 	rec := func(id uint64, key string) Record { return Record{ID: id, DB: "d", Key: key, Payload: payload} }
 	hidden := func(id uint64, key string) Record { r := rec(id, key); r.Hidden = true; return r }
-	updated := func(id uint64, key string) Record { r := rec(id, key); r.Updated = true; return r }
 	del := func(id uint64) Record { return Record{ID: id, Tombstone: true} }
+	// update is the node's update: the new record, then the old one's
+	// retirement, in one append.
+	update := func(t *testing.T, s *Store, recs ...Record) {
+		if err := s.Append(recs...); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	for _, tc := range []struct {
 		name  string
 		write func(t *testing.T, s *Store)
-		want  map[string]published
+		want  map[string]uint64
 		bytes int64
 	}{
 		{
 			name:  "an insert publishes its key",
 			write: func(t *testing.T, s *Store) { mustAppend(t, s, rec(1, "k")) },
-			want:  map[string]published{"k": {1, false}},
+			want:  map[string]uint64{"k": 1},
 			bytes: 100,
 		},
 		{
-			name: "an update sets the bit and a later version of the record keeps it",
+			name: "an update's retirement leaves the key to its new record",
 			write: func(t *testing.T, s *Store) {
 				mustAppend(t, s, rec(1, "k"))
 				mustAppend(t, s, rec(2, "j"))
-				mustAppend(t, s, updated(1, "k"))
+				update(t, s, rec(3, "k"), del(1))
+				update(t, s, rec(4, "j"), hidden(2, "j"))
 				// The shape of a write-back or a compaction move: the
-				// same record re-appended without the flag.
-				mustAppend(t, s, Record{ID: 1, DB: "d", Key: "k", Form: FormDelta, BaseID: 2, Payload: payload[:10]})
-				mustAppend(t, s, rec(2, "j"))
+				// same record re-appended.
+				mustAppend(t, s, Record{ID: 3, DB: "d", Key: "k", Form: FormDelta, BaseID: 4, Payload: payload[:10]})
+				mustAppend(t, s, rec(4, "j"))
 			},
-			want:  map[string]published{"k": {1, true}, "j": {2, false}},
-			bytes: 110,
+			want:  map[string]uint64{"k": 3, "j": 4},
+			bytes: 210,
 		},
 		{
 			name: "a hidden record does not take its key back from a re-insert",
@@ -75,7 +75,7 @@ func TestKeyDirectory(t *testing.T) {
 				mustAppend(t, s, hidden(5, "k")) // a write-back of the hidden record
 				mustAppend(t, s, del(5))
 			},
-			want:  map[string]published{"k": {9, false}},
+			want:  map[string]uint64{"k": 9},
 			bytes: 100,
 		},
 		{
@@ -84,7 +84,7 @@ func TestKeyDirectory(t *testing.T) {
 				mustAppend(t, s, rec(5, "k"))
 				mustAppend(t, s, hidden(5, "k"))
 			},
-			want:  map[string]published{},
+			want:  map[string]uint64{},
 			bytes: 100,
 		},
 		{
@@ -100,7 +100,7 @@ func TestKeyDirectory(t *testing.T) {
 				// the second segment, which compaction moves and retires
 				// while the first one stays.
 				mustAppend(t, s, del(1))
-				mustAppend(t, s, updated(2, "2"))
+				mustAppend(t, s, rec(2, "2"))
 				mustAppend(t, s, rec(13, "h"))
 				mustAppend(t, s, hidden(13, "h"))
 				mustAppend(t, s, rec(14, "h"))
@@ -116,10 +116,10 @@ func TestKeyDirectory(t *testing.T) {
 					}
 				}
 			},
-			want: func() map[string]published {
-				m := map[string]published{"2": {2, true}, "h": {14, false}, "churn": {100, false}}
+			want: func() map[string]uint64 {
+				m := map[string]uint64{"2": 2, "h": 14, "churn": 100}
 				for id := uint64(3); id <= 12; id++ {
-					m[fmt.Sprint(id)] = published{id, false}
+					m[fmt.Sprint(id)] = id
 				}
 				return m
 			}(),
@@ -134,7 +134,7 @@ func TestKeyDirectory(t *testing.T) {
 			}
 			defer func() { s.Close() }()
 			tc.write(t, s)
-			check := func(when string, want map[string]published) {
+			check := func(when string, want map[string]uint64) {
 				t.Helper()
 				if got := dirOf(s, "d"); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: directory %v, want %v", when, got, want)
@@ -153,18 +153,14 @@ func TestKeyDirectory(t *testing.T) {
 			if s, err = Open(opts); err != nil {
 				t.Fatal(err)
 			}
-			replayed := map[string]published{}
-			for k, p := range tc.want {
-				replayed[k] = published{p.id, true}
-			}
-			check("after reopen", replayed)
+			check("after reopen", tc.want)
 		})
 	}
 }
 
 // TestDirectoryReadStress races readers resolving keys and reading what they
-// resolve against a writer that inserts, updates, hides, re-inserts and
-// deletes under the same keys, on small batches so that records seal while
+// resolve against a writer that inserts, updates (a new record and the old one
+// hidden, in one append), hides, re-inserts and deletes under the same keys, on small batches so that records seal while
 // they are read. A key is published after its record is in the table, so a
 // reader that resolves a key to a record finds it, unless the record's
 // tombstone has been written since: the writer says which record it is about
@@ -193,7 +189,7 @@ func TestDirectoryReadStress(t *testing.T) {
 				}
 				k := (r + i) % keys
 				key := fmt.Sprint("k", k)
-				id, _, ok := s.Lookup("d", key)
+				id, ok := s.Lookup("d", key)
 				if !ok {
 					continue
 				}
@@ -215,8 +211,8 @@ func TestDirectoryReadStress(t *testing.T) {
 	}
 
 	payload := bytes.Repeat([]byte("p"), 60)
-	app := func(rec Record) {
-		if err := s.Append(rec); err != nil {
+	app := func(recs ...Record) {
+		if err := s.Append(recs...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,19 +223,21 @@ func TestDirectoryReadStress(t *testing.T) {
 	for round := 0; round < rounds && !t.Failed(); round++ {
 		for k := 0; k < keys; k++ {
 			key := fmt.Sprint("k", k)
-			a, b := next, next+1
-			next += 2
+			a, b, c := next, next+1, next+2
+			next += 3
 			app(Record{ID: a, DB: "d", Key: key, Payload: payload})
-			app(Record{ID: a, DB: "d", Key: key, Payload: payload, Updated: true})
-			app(Record{ID: a, DB: "d", Key: key, Payload: payload, Hidden: true})
-			app(Record{ID: b, DB: "d", Key: key, Payload: payload})
-			doomed[k].Store(a)
-			app(Record{ID: a, Tombstone: true})
-			if id, updated, ok := s.Lookup("d", key); !ok || id != b || updated {
-				t.Errorf("%s after its hidden record's tombstone: %d, %v, %v; want %d, not updated", key, id, updated, ok, b)
-			}
+			app(Record{ID: b, DB: "d", Key: key, Payload: payload},
+				Record{ID: a, DB: "d", Key: key, Payload: payload, Hidden: true})
+			app(Record{ID: b, DB: "d", Key: key, Payload: payload, Hidden: true})
+			app(Record{ID: c, DB: "d", Key: key, Payload: payload})
 			doomed[k].Store(b)
+			app(Record{ID: a, Tombstone: true})
 			app(Record{ID: b, Tombstone: true})
+			if id, ok := s.Lookup("d", key); !ok || id != c {
+				t.Errorf("%s after its hidden records' tombstones: %d, %v; want %d", key, id, ok, c)
+			}
+			doomed[k].Store(c)
+			app(Record{ID: c, Tombstone: true})
 		}
 	}
 	stop.Store(true)

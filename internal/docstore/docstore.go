@@ -142,9 +142,11 @@ type Record struct {
 	BaseID uint64
 	// Tombstone marks a deletion marker frame.
 	Tombstone bool
-	// Stacked marks a record whose payload carries appended update
-	// sections on top of its original content (a referenced record that
-	// was client-updated; see the node's update path).
+	// Stacked marks a record an older node wrote by stacking a client
+	// update onto a referenced record: its payload carries the update as a
+	// section on top of its stored form. Nothing stacks any more (an update
+	// is a new record); the node upgrades such a record when it opens the
+	// store.
 	Stacked bool
 	// Hidden marks a record that was deleted by the client but is
 	// retained because other records still decode through it; reads
@@ -152,9 +154,6 @@ type Record struct {
 	Hidden bool
 	// Payload is the stored bytes (full content or marshalled delta).
 	Payload []byte
-	// Updated marks an update's append: it sets the key's updated bit
-	// (Lookup). It is not framed.
-	Updated bool
 }
 
 // Options configures a Store.
@@ -454,18 +453,23 @@ func (s *Store) newSegment(id, slot int) (*segment, error) {
 // in 32 bits.
 const maxPayload = 1 << 30
 
-// Append stores rec, superseding any previous frame with the same ID. A
-// tombstone removes the ID from the table entirely. It returns once the frame
-// is in the block under construction and the record is readable; the block
-// reaches the segment behind it, and Flush is the barrier that says it has. An
-// error the sealer met since the store was last called is returned here
-// instead, and then rec is not stored.
-func (s *Store) Append(rec Record) error {
-	if strings.IndexByte(rec.DB, 0) >= 0 || strings.IndexByte(rec.Key, 0) >= 0 {
-		return errors.New("docstore: DB and Key must not contain NUL")
-	}
-	if len(rec.Payload) > maxPayload {
-		return fmt.Errorf("docstore: payload of %d bytes exceeds the %d-byte limit", len(rec.Payload), maxPayload)
+// Append stores recs in order, each superseding any previous frame with the
+// same ID; a tombstone removes the ID from the table entirely. The records are
+// appended in one hold of the writer lock, so no other append lands between
+// them, but they may be sealed in different batches: a crash can keep a prefix
+// of them. It returns once the frames are in the block under construction and
+// the records are readable; the block reaches the segment behind it, and Flush
+// is the barrier that says it has. An error the sealer met since the store was
+// last called is returned here instead, and then nothing is stored; so is a
+// record the store refuses, and then none of recs is.
+func (s *Store) Append(recs ...Record) error {
+	for _, rec := range recs {
+		if strings.IndexByte(rec.DB, 0) >= 0 || strings.IndexByte(rec.Key, 0) >= 0 {
+			return errors.New("docstore: DB and Key must not contain NUL")
+		}
+		if len(rec.Payload) > maxPayload {
+			return fmt.Errorf("docstore: payload of %d bytes exceeds the %d-byte limit", len(rec.Payload), maxPayload)
+		}
 	}
 	if s.opts.AppendDelay > 0 {
 		time.Sleep(s.opts.AppendDelay)
@@ -475,7 +479,9 @@ func (s *Store) Append(rec Record) error {
 	if err := s.roomLocked(); err != nil {
 		return err
 	}
-	s.appendLocked(rec)
+	for _, rec := range recs {
+		s.appendLocked(rec)
+	}
 	return nil
 }
 
@@ -841,7 +847,6 @@ func (s *Store) Get(id uint64) (Record, bool, error) {
 type Stored struct {
 	Form    Form
 	BaseID  uint64
-	Stacked bool
 	Hidden  bool
 	Payload []byte
 }
@@ -857,8 +862,7 @@ type Stored struct {
 // a version ahead or behind, which is why the form travels with the payload.
 func (s *Store) View(id uint64, fn func(v Stored)) (bool, error) {
 	return s.read(id, func(rec Record, _ bool) {
-		fn(Stored{Form: rec.Form, BaseID: rec.BaseID, Stacked: rec.Stacked,
-			Hidden: rec.Hidden, Payload: rec.Payload})
+		fn(Stored{Form: rec.Form, BaseID: rec.BaseID, Hidden: rec.Hidden, Payload: rec.Payload})
 	})
 }
 
@@ -1226,7 +1230,6 @@ func (s *Store) replayAll() error {
 					frameErr = err
 					return err
 				}
-				rec.Updated = true // a key's history does not survive a restart
 				s.replace(&rec, entry{seg: int32(slot), off: off, recStart: uint32(scan)})
 				scan += n
 			}

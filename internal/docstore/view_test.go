@@ -31,7 +31,7 @@ func TestViewLendsWhatGetCopies(t *testing.T) {
 		calls := 0
 		ok, err = s.View(id, func(v Stored) {
 			calls++
-			if v.Form != rec.Form || v.BaseID != rec.BaseID || v.Stacked != rec.Stacked || v.Hidden != rec.Hidden {
+			if v.Form != rec.Form || v.BaseID != rec.BaseID || v.Hidden != rec.Hidden {
 				t.Errorf("View(%d) shows %+v, Get returned form %d base %d", id, v, rec.Form, rec.BaseID)
 			}
 			if !bytes.Equal(v.Payload, want[id]) {

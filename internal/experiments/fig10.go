@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dbdedup/internal/chain"
 	"dbdedup/internal/core"
 	"dbdedup/internal/traddedup"
 	"dbdedup/internal/workload"
@@ -68,7 +69,7 @@ func runFig10Cell(sc Scale, kind workload.Kind, config string) (Fig10Row, error)
 		if config == "dbDedup-64B" {
 			chunk = 64
 		}
-		n, err := nodeForConfig(core.Config{ChunkAvgSize: chunk}, false, true)
+		n, err := nodeForConfig(core.Config{ChunkAvgSize: chunk, Scheme: chain.Backward}, false, true)
 		if err != nil {
 			return row, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dbdedup/internal/chain"
 	"dbdedup/internal/core"
 	"dbdedup/internal/workload"
 )
@@ -37,7 +38,7 @@ func RunFig11(sc Scale, kinds ...workload.Kind) (*Fig11Result, error) {
 	}
 	res := &Fig11Result{Scale: sc}
 	for _, kind := range kinds {
-		n, err := nodeForConfigWB(core.Config{}, 512<<10)
+		n, err := nodeForConfigWB(core.Config{Scheme: chain.Backward}, 512<<10)
 		if err != nil {
 			return nil, err
 		}

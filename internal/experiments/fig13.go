@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"dbdedup/internal/chain"
 	"dbdedup/internal/core"
 	"dbdedup/internal/metrics"
 	"dbdedup/internal/node"
@@ -54,7 +55,7 @@ func RunFig13a(sc Scale) (*Fig13aResult, error) {
 			reward = 0
 			zeroReward = true
 		}
-		cfg := core.Config{SourceCacheBytes: s.cache, RewardScore: reward}
+		cfg := core.Config{Scheme: chain.Backward, SourceCacheBytes: s.cache, RewardScore: reward}
 		if zeroReward {
 			// core treats 0 as "default"; a tiny epsilon isn't
 			// possible for ints, so encode "really zero" as -1 at

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"dbdedup/internal/chain"
 	"dbdedup/internal/core"
 	"dbdedup/internal/workload"
 )
@@ -146,7 +145,7 @@ func runGovernorFamilies() ([]GovernorFamilyRow, error) {
 // daemon's configuration with the default governor schedule.
 func runGovernorFamily(kind workload.Kind, seed int64) (GovernorFamilyRow, error) {
 	contents := make(mapFetcher)
-	e := core.NewEngine(core.Config{ChunkAvgSize: 64, Scheme: chain.Hop, HopDistance: 16}, contents)
+	e := core.NewEngine(core.Config{}, contents)
 	defer e.Close()
 	tr := workload.New(workload.Config{Kind: kind, Seed: seed, InsertBytes: 1 << 50})
 	for id := uint64(1); id <= governorFamilyInserts; {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dbdedup/internal/chain"
 	"dbdedup/internal/core"
 	"dbdedup/internal/workload"
 )
@@ -52,6 +53,7 @@ func RunTieredIdx(sc Scale) (*TieredIdxResult, error) {
 	res := &TieredIdxResult{Scale: sc}
 
 	run := func(cfg core.Config) (float64, *core.Stats, error) {
+		cfg.Scheme = chain.Backward
 		n, err := nodeForConfig(cfg, false, false)
 		if err != nil {
 			return 0, nil, err

@@ -130,8 +130,9 @@ func (b *bed) SyncReplica() {
 }
 
 // chains exercises the dedup substrate's chain machinery: similar documents
-// that delta-encode against each other, client updates (stacked sections),
-// deletes of bases (hidden rewrites) and leaves (tombstone reclaim),
+// that delta-encode against each other, client updates (each a new record,
+// the old one hidden when a base, tombstoned when a leaf), deletes of bases
+// (hidden rewrites) and leaves (tombstone reclaim),
 // delete→reinsert cycles, and write-back flushes, with synced flush
 // barriers between phases.
 func chains(c *bed) {

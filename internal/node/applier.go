@@ -283,7 +283,7 @@ func (a *Applier) install(db, key string, r Stamped) error {
 	var err error
 	if r.Present {
 		err = a.n.Upsert(db, key, r.Content, false)
-	} else if _, err = a.n.deleteLocalEmit(db, key, false); errors.Is(err, ErrNotFound) {
+	} else if _, err = a.n.mutateLocalEmit(oplog.OpDelete, db, key, nil, false); errors.Is(err, ErrNotFound) {
 		err = nil
 	}
 	if err != nil {

@@ -485,10 +485,11 @@ func TestWindowInsertDecodesAgainstOlderBase(t *testing.T) {
 
 // TestWindowInsertDecodesAgainstVisibleContent: the secondary holds v0 from
 // before the snapshot, with w decoding through it. The snapshot's record of
-// v0, the primary's content, is stacked on v0's stored form, since w's record
-// has not arrived yet. A window insert forward-encoded against v0 is decoded
-// against what the key shows, the content the primary encoded against, not
-// the stored form underneath, and without a fetch.
+// v0, the primary's content, is a new record under the key, and v0's old one
+// stays hidden for w, whose record has not arrived yet. A window insert
+// forward-encoded against v0 is decoded against what the key shows, the
+// content the primary encoded against, not the hidden record, and without a
+// fetch.
 func TestWindowInsertDecodesAgainstVisibleContent(t *testing.T) {
 	prim := testNode(t, Options{})
 	versions := insertChain(t, prim, "wiki", 2, 12)
@@ -520,11 +521,11 @@ func TestWindowInsertDecodesAgainstVisibleContent(t *testing.T) {
 		return prim.ReadStamped(db, key)
 	}})
 	defer ap.Close()
+	old, _ := sec.lookup("wiki", "v0")
 	ap.EnqueueSnapshotRecord("wiki", "v0", Stamped{Stamp: 1, Present: true, Content: versions[0]})
 	applyOne(t, ap, ins)
-	id, _ := sec.lookup("wiki", "v0")
-	if m, _ := sec.store.Meta(id); !m.Stacked {
-		t.Fatal("premise: the snapshot's v0 is not stacked on the secondary")
+	if m, ok := sec.store.Meta(old); !ok || !m.Hidden {
+		t.Fatal("premise: the secondary's old v0 is not kept hidden for w")
 	}
 	for i, want := range versions {
 		key := fmt.Sprintf("v%d", i)

@@ -100,7 +100,7 @@ func ingestAndFlush(t *testing.T, dir string, recs []workload.Op, mutate func(*N
 	opts.CacheBlocks = 1
 	n = testNode(t, opts)
 	for _, op := range recs {
-		id, _, _ := n.Store().Lookup(op.DB, op.Key)
+		id, _ := n.Store().Lookup(op.DB, op.Key)
 		m, _ := n.Store().Meta(id)
 		misses := n.Store().Stats().CacheMisses
 		readAll(t, n, []workload.Op{op}, want)

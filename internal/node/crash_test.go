@@ -1,11 +1,15 @@
 package node
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"dbdedup/internal/core"
+	"dbdedup/internal/docstore"
+	"dbdedup/internal/faultfs"
 	"dbdedup/internal/workload"
 )
 
@@ -237,5 +241,97 @@ func TestVerifyAll(t *testing.T) {
 	}
 	if rep.String() == "" {
 		t.Error("empty rendering")
+	}
+}
+
+// TestTornUpdateRetiredAtOpen cuts an update between its two frames, the new
+// record and the old one's retirement: the new record, larger than a batch,
+// is sealed on its own, and the filesystem crashes before the retirement's
+// batch is written. The reopened node must read the key as its old or its new
+// value, verify clean, and keep no record that is neither hidden nor named by
+// its key, also across a second reopen. The old record is retired by a
+// tombstone when nothing decodes through it and hidden when v0 does.
+func TestTornUpdateRetiredAtOpen(t *testing.T) {
+	for _, referenced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("referenced=%v", referenced), func(t *testing.T) {
+			mem := faultfs.NewMemFS()
+			opts := Options{Dir: "n", FS: mem, BlockSize: 4 << 10, SyncEncode: true, DisableAutoFlush: true,
+				Engine: core.Config{GovernorWindow: 1 << 30}}
+			n, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(68))
+			v0 := workload.RevisionText(rng, 2048)
+			v1 := editText(rng, v0, 2)
+			for key, c := range map[string][]byte{"v0": v0, "v1": v1} {
+				if err := n.Insert("db", key, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !referenced {
+				n.wb.DrainBest(n.wb.Len()) // v0 stays raw
+			}
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			in := faultfs.NewInjector(mem, 1)
+			opts.FS = in
+			if n, err = Open(opts); err != nil {
+				t.Fatal(err)
+			}
+			old, _ := n.lookup("db", "v1")
+			if got := n.refcnt[old] > 0; got != referenced {
+				t.Fatalf("premise: v1 referenced %v, want %v", got, referenced)
+			}
+			sealed := n.Stats().Store.BlocksSealed
+			upd := workload.RevisionText(rng, 8<<10) // fills a batch alone
+			if err := n.Update("db", "v1", upd); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); n.Stats().Store.BlocksSealed == sealed; {
+				if time.Now().After(deadline) {
+					t.Fatal("the new record's batch was never sealed")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			in.Crash() // the retirement's batch is never written
+			n.Close()
+
+			s, err := docstore.Open(docstore.Options{Dir: "n", FS: mem, BlockSize: 4 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, ok := s.Meta(old)
+			cur, _ := s.Lookup("db", "v1")
+			s.Close()
+			if !ok || m.Hidden || cur == old {
+				t.Fatalf("premise: after the cut, v1's old record %d is live %v, hidden %v, and the key names %d; want a torn update",
+					old, ok, m.Hidden, cur)
+			}
+
+			opts.FS = mem
+			for _, when := range []string{"reopened", "reopened again"} {
+				if n, err = Open(opts); err != nil {
+					t.Fatal(err)
+				}
+				got, err := n.Read("db", "v1")
+				if err != nil || !bytes.Equal(got, v1) && !bytes.Equal(got, upd) {
+					t.Fatalf("%s: v1 reads %d bytes, %v; want its old or its new value", when, len(got), err)
+				}
+				if got, err := n.Read("db", "v0"); err != nil || !bytes.Equal(got, v0) {
+					t.Fatalf("%s: v0 reads %d bytes, %v", when, len(got), err)
+				}
+				if rep := n.VerifyAll(); !rep.Ok() {
+					t.Fatalf("%s: %s %v", when, rep, rep.Errors)
+				}
+				verifyNamed(t, n)
+				verifyRefcounts(t, n)
+				if err := n.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

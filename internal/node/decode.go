@@ -1,7 +1,6 @@
 package node
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -18,15 +17,12 @@ import (
 // n.mu.
 //
 // It asks in this order: the store's key directory, which answers with the
-// key's updated bit beside the record ID; if that bit is clear, the source
-// cache, whose copy of a record is its insert payload and so, for a record
-// never updated, the content itself, however the store holds the record by
-// now; only then the store, by a planned walk. The cache is peeked:
-// a read leaves the encoder's cache as it found it. The encoder can put a
-// record's insert payload back after an update removed it, which is why the
-// bit and not the cache's contents says whether the cache may answer: an
-// update sets it before it is acknowledged, so a read that begins after the
-// ack does not look.
+// record ID; the source cache, whose copy of a record is its insert payload
+// and so its content, which never changes, however the store holds the record
+// by now; only then the store, by a planned walk. The cache is peeked: a read
+// leaves the encoder's cache as it found it. An update moves the key to a new
+// record before it is acknowledged, so a read that begins after the ack never
+// asks for the old record's copy, which the cache may still hold.
 func (n *Node) Read(db, key string) ([]byte, error) {
 	return n.AppendRead(nil, db, key)
 }
@@ -36,13 +32,13 @@ func (n *Node) Read(db, key string) ([]byte, error) {
 // one into dst. On an error dst comes back unextended.
 func (n *Node) AppendRead(dst []byte, db, key string) ([]byte, error) {
 	start := time.Now()
-	id, updated, ok := n.store.Lookup(db, key)
+	id, ok := n.store.Lookup(db, key)
 	n.readsTotal.Add(1)
 	n.recentOps.Add(1)
 	if !ok {
 		return dst, ErrNotFound
 	}
-	if cached, hit := n.peekSource(id, updated); hit {
+	if cached, hit := n.peekSource(id); hit {
 		dst = append(dst, cached...)
 		n.readsFromCache.Add(1)
 	} else {
@@ -56,10 +52,9 @@ func (n *Node) AppendRead(dst []byte, db, key string) ([]byte, error) {
 	return dst, nil
 }
 
-// peekSource returns the source cache's copy of a record whose key says it was
-// never updated.
-func (n *Node) peekSource(id uint64, updated bool) ([]byte, bool) {
-	if updated || n.eng == nil || n.eng.SourceCache() == nil {
+// peekSource returns the source cache's copy of record id, if it holds one.
+func (n *Node) peekSource(id uint64) ([]byte, bool) {
+	if n.eng == nil || n.eng.SourceCache() == nil {
 		return nil, false
 	}
 	return n.eng.SourceCache().Peek(id)
@@ -68,8 +63,7 @@ func (n *Node) peekSource(id uint64, updated bool) ([]byte, bool) {
 // lookup resolves (db, key) to a record ID. It takes no node lock; safe with
 // or without n.mu held.
 func (n *Node) lookup(db, key string) (uint64, bool) {
-	id, _, ok := n.store.Lookup(db, key)
-	return id, ok
+	return n.store.Lookup(db, key)
 }
 
 // Has reports whether (db, key) exists. It takes no node lock.
@@ -81,8 +75,8 @@ func (n *Node) Has(db, key string) bool {
 // ------------------------------------------------------------------- decode
 
 // fetcher adapts the node to core.Fetcher. The engine needs the content a
-// delta against this record would decode from — the record's base content
-// (original, pre-stacked-update).
+// delta against this record would decode from: the record's content, hidden
+// or not.
 type fetcher struct{ n *Node }
 
 // FetchDecoded returns a copy of its own: the engine builds deltas whose
@@ -91,8 +85,8 @@ func (f fetcher) FetchDecoded(id uint64) ([]byte, error) {
 	return f.n.appendDecoded(nil, id, baseContent)
 }
 
-// Usable admits a delta source only as inserted (asInserted): the insert
-// whose source the rule refuses ships raw and its write-back is skipped.
+// Usable admits a delta source only if its key names it (asInserted): the
+// engine passes over any other candidate.
 func (f fetcher) Usable(id uint64) bool {
 	_, ok := f.n.asInserted(id)
 	return ok
@@ -128,11 +122,11 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 type decodeMode int
 
 const (
-	// visibleContent is what a client read yields: the last stacked
-	// section if there is one, ErrNotFound for a hidden record.
+	// visibleContent is what a client read yields: the content,
+	// ErrNotFound for a hidden record.
 	visibleContent decodeMode = iota
-	// baseContent is what other records decode through: the original
-	// content, ignoring stacked client updates, hidden or not.
+	// baseContent is what other records decode through: the content,
+	// hidden or not.
 	baseContent
 	// baseContentNoRepair is baseContent without the opportunistic splice
 	// of a hidden record, for callers that already hold applyMu.
@@ -146,8 +140,8 @@ var errReplan = errors.New("node: stored form changed under a chain walk")
 // decode returns the content of record id in memory that belongs to sc or to
 // the source cache: valid until sc is used again, not to be modified or kept.
 //
-// The walk is planned from Store.Meta alone (form, base, stacked and hidden
-// need no payload), stopping at a raw record or at a base the source cache
+// The walk is planned from Store.Meta alone (form, base and hidden need no
+// payload), stopping at a raw record or at a base the source cache
 // holds. Then every delta on the path is folded into one, innermost first,
 // straight from its stored bytes, lent by Store.View for exactly that long,
 // and the base is lent last, while the content is built from it and the
@@ -204,9 +198,6 @@ type walk struct {
 	// cached is the base's content when the source cache holds it; the base
 	// is then not read at all.
 	cached []byte
-	// last marks a client read of a stacked record: its content is the
-	// base's last section, not the stored form underneath.
-	last bool
 	// keep indexes the hop whose content repair needs (-1 for none), and
 	// hidID is the hidden record right behind it.
 	keep  int
@@ -220,15 +211,10 @@ func (n *Node) planWalk(sc *scratch, id uint64, mode decodeMode) (walk, error) {
 	w := walk{baseID: id, keep: -1}
 	var ok bool
 	w.base, ok = n.store.Meta(id)
-	if mode == visibleContent {
-		if !ok || w.base.Hidden {
-			return w, ErrNotFound
-		}
-		if w.base.Stacked {
-			w.last = true
-			return w, nil
-		}
-	} else if !ok {
+	switch {
+	case mode == visibleContent && (!ok || w.base.Hidden):
+		return w, ErrNotFound
+	case !ok:
 		return w, fmt.Errorf("node: decode base %d missing", id)
 	}
 	for w.base.Form == docstore.FormDelta {
@@ -241,15 +227,12 @@ func (n *Node) planWalk(sc *scratch, id uint64, mode decodeMode) (walk, error) {
 		if w.base, ok = n.store.Meta(w.baseID); !ok {
 			return w, fmt.Errorf("node: record %d: base %d missing", from, w.baseID)
 		}
-		// Source record cache: a decoded base short-circuits the walk.
-		// Cached content is the record's base content only when it has no
-		// stacked updates. It is peeked: a read leaves the encoder's recency
-		// order and counters as it found them.
-		if n.eng != nil && n.eng.SourceCache() != nil && !w.base.Stacked {
-			if c, hit := n.eng.SourceCache().Peek(w.baseID); hit {
-				w.cached = c
-				break
-			}
+		// Source record cache: a decoded base short-circuits the walk. It
+		// is peeked: a read leaves the encoder's recency order and counters
+		// as it found them.
+		if c, hit := n.peekSource(w.baseID); hit {
+			w.cached = c
+			break
 		}
 		n.decodeSteps.Add(1)
 	}
@@ -286,7 +269,7 @@ func (n *Node) runWalk(sc *scratch, w walk, dst []byte, own bool) ([]byte, error
 	for i := len(sc.hops) - 1; i >= 0; i-- {
 		h := sc.hops[i]
 		planned := docstore.MetaInfo{Form: docstore.FormDelta, BaseID: h.base, Hidden: h.hidden}
-		err := n.lend(h.id, planned, false, func(stored []byte) error {
+		err := n.lend(h.id, planned, func(stored []byte) error {
 			if err := sc.fold.Add(stored); err != nil {
 				return fmt.Errorf("node: applying delta for record %d: %w", h.id, err)
 			}
@@ -317,7 +300,7 @@ func (n *Node) runWalk(sc *scratch, w walk, dst []byte, own bool) ([]byte, error
 	if w.cached != nil {
 		err = build(w.cached)
 	} else {
-		err = n.lend(w.baseID, w.base, w.last, build)
+		err = n.lend(w.baseID, w.base, build)
 	}
 	if err != nil {
 		return nil, err
@@ -332,27 +315,18 @@ func (n *Node) runWalk(sc *scratch, w walk, dst []byte, own bool) ([]byte, error
 	return content, nil
 }
 
-// lend calls fn with record id's stored bytes, borrowed from the store for
-// the length of the call (Store.View's leaf rule applies to fn): the record's
-// own stored form, which is section 0 of a stacked record, or with last set
-// the last section of a stacked record, which is what a client sees of it. It
-// returns errReplan when the record is gone or no longer has the form, base
-// and hidden flag that planned shows (and, with last set, is no longer
-// stacked).
-func (n *Node) lend(id uint64, planned docstore.MetaInfo, last bool, fn func(stored []byte) error) error {
+// lend calls fn with record id's stored form, borrowed from the store for the
+// length of the call (Store.View's leaf rule applies to fn). It returns
+// errReplan when the record is gone or no longer has the form, base and hidden
+// flag that planned shows.
+func (n *Node) lend(id uint64, planned docstore.MetaInfo, fn func(stored []byte) error) error {
 	err := errReplan
 	_, viewErr := n.store.View(id, func(v docstore.Stored) {
 		if v.Form != planned.Form || v.Form == docstore.FormDelta && v.BaseID != planned.BaseID ||
-			v.Hidden != planned.Hidden || last && !v.Stacked {
+			v.Hidden != planned.Hidden {
 			return
 		}
-		stored := v.Payload
-		if v.Stacked {
-			if stored, err = stackedSection(stored, last); err != nil {
-				return
-			}
-		}
-		err = fn(stored)
+		err = fn(v.Payload)
 	})
 	if viewErr != nil {
 		return viewErr
@@ -379,70 +353,23 @@ func (n *Node) repairPastHidden(depID, hidID uint64, depContent []byte) {
 	if !ok || !hidMeta.Hidden {
 		return
 	}
-	dep, ok, err := n.store.Get(depID)
-	if err != nil || !ok {
-		return
-	}
 
 	// The hidden record terminates the chain: the dependant goes back to raw
 	// form. Or it is delta-encoded itself: splice, the dependant as a delta
 	// directly against the hidden record's own base.
-	newPayload := depContent
-	dep.Form, dep.BaseID = hidMeta.Form, baseOf(hidMeta.Form, hidMeta.BaseID)
+	dep := docstore.Record{ID: depID, DB: depMeta.DB, Key: depMeta.Key, Hidden: depMeta.Hidden,
+		Form: hidMeta.Form, BaseID: baseOf(hidMeta.Form, hidMeta.BaseID), Payload: depContent}
 	if dep.Form == docstore.FormDelta {
 		baseContent, err := n.decode(&n.applyScratch, dep.BaseID, baseContentNoRepair)
 		if err != nil {
 			return
 		}
-		newPayload = delta.Compress(baseContent, depContent, delta.Options{}).Marshal()
+		dep.Payload = delta.Compress(baseContent, depContent, delta.Options{}).Marshal()
 	}
-
-	if dep.Stacked {
-		visible, err := stackedSection(dep.Payload, true)
-		if err != nil {
-			return
-		}
-		newPayload = stackPayload(newPayload, visible)
-	}
-	dep.Payload = newPayload
 	if n.putLocked(dep, depMeta) != nil {
 		return
 	}
 	n.mu.Lock()
 	n.stats.HiddenRepaired++
 	n.mu.Unlock()
-}
-
-// ------------------------------------------------------------- stacked utils
-
-// stackedSection returns the first section of a stacked payload (the record's
-// own stored form) or, when last is set, the last one (what the client sees),
-// without building the section list.
-func stackedSection(p []byte, last bool) ([]byte, error) {
-	var sec []byte
-	for len(p) > 0 {
-		l, k := binary.Uvarint(p)
-		if k <= 0 || uint64(len(p)-k) < l {
-			return nil, errors.New("node: corrupt stacked payload")
-		}
-		sec, p = p[k:k+int(l)], p[k+int(l):]
-		if !last {
-			return sec, nil
-		}
-	}
-	if sec == nil {
-		return nil, errors.New("node: empty stacked payload")
-	}
-	return sec, nil
-}
-
-// stackPayload builds a stacked payload from its two sections, the record's
-// own stored form and what the client sees: stacking replaces the second,
-// repair the first, so a stacked record never has more.
-func stackPayload(stored, visible []byte) []byte {
-	out := make([]byte, 0, 2*binary.MaxVarintLen64+len(stored)+len(visible))
-	out = binary.AppendUvarint(out, uint64(len(stored)))
-	out = append(out, stored...)
-	out = binary.AppendUvarint(out, uint64(len(visible)))
-	return append(out, visible...)
 }

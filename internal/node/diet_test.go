@@ -16,6 +16,7 @@ import (
 
 	"dbdedup/internal/chain"
 	"dbdedup/internal/core"
+	"dbdedup/internal/docstore"
 	"dbdedup/internal/oplog"
 	"dbdedup/internal/workload"
 )
@@ -141,11 +142,12 @@ var goldenNodeDirs = []string{"testdata/golden_pr18", "testdata/golden_pr29"}
 
 // goldenNodeSegments is the SHA-256 of each segment file goldenNodeOps writes
 // today. A change that moves these bytes on purpose (where batches are cut,
-// how blocks are parsed, the order write-backs are applied in) replaces the
-// sums; one that changes the format adds a directory as well.
+// how blocks are parsed, the order write-backs are applied in, how an update
+// is written, the default encoding scheme) replaces the sums; one that changes
+// the format adds a directory as well.
 var goldenNodeSegments = map[string]string{
 	"seg-000000.log": "d6c0e0ab32c6e3b3297e7696e36ae9f25343eda912018f9220b56ad05dcc9f15",
-	"seg-000002.log": "361ef88766b4c51385d6975bf3ba7bb77f9a2524acd7e61bd84c84ce4a4dcd97",
+	"seg-000002.log": "dda52ff311b45801ab0820541eac447103d8b253538226f9092cfaa84979c62b",
 	"seg-000003.log": "f54a24b5873b28c6bd7376e60f59848bb95fcbc60d0e239513ac530e384d599a",
 }
 
@@ -213,6 +215,24 @@ func goldenNodeOps(t testing.TB, n *Node) map[string][]byte {
 	return want
 }
 
+// stackedRecords opens the store in dir alone and counts its stacked records.
+func stackedRecords(t *testing.T, dir string) int {
+	t.Helper()
+	s, err := docstore.Open(docstore.Options{Dir: dir, Compress: true, BlockSize: 4 << 10, SegmentSize: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	stacked := 0
+	s.Range(func(_ uint64, m docstore.MetaInfo) bool {
+		if m.Stacked {
+			stacked++
+		}
+		return true
+	})
+	return stacked
+}
+
 func copyDir(t *testing.T, from, to string) {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(from, "seg-*.log"))
@@ -233,7 +253,9 @@ func copyDir(t *testing.T, from, to string) {
 // TestGoldenDirsOpenAndVerify: a data directory written in an earlier format,
 // or in this one, recovers, passes VerifyAll, reads back exactly and takes
 // new writes; and given the same operations the node writes the same bytes
-// again (goldenNodeSegments).
+// again (goldenNodeSegments). The earlier directories hold updates stacked onto
+// referenced records, as nodes wrote them then; none is stacked once the node
+// is open.
 func TestGoldenDirsOpenAndVerify(t *testing.T) {
 	fresh := t.TempDir()
 	n := testNode(t, goldenNodeOptions(fresh))
@@ -251,10 +273,14 @@ func TestGoldenDirsOpenAndVerify(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			copyDir(t, golden, dir)
+			if stacked := stackedRecords(t, dir); golden != fresh && stacked == 0 {
+				t.Fatal("premise: the golden directory holds no stacked record")
+			}
 			n := testNode(t, goldenNodeOptions(dir))
 			if rep := n.VerifyAll(); !rep.Ok() || rep.DeltaEncoded == 0 {
 				t.Fatalf("VerifyAll on the golden directory: %s %v", rep, rep.Errors)
 			}
+			verifyNamed(t, n)
 			for k, content := range want {
 				db, key, _ := bytes.Cut([]byte(k), []byte("/"))
 				got, err := n.Read(string(db), string(key))
@@ -605,7 +631,8 @@ func TestStaleWalkIsPlannedAgain(t *testing.T) {
 	}
 	stale("hop hidden", id0, plan, sc, revs[0])
 
-	// A stacked record read for its visible section is compacted back.
+	// An updated record that another decodes through is hidden, and is
+	// reclaimed under the walk once its last reference goes.
 	pair := workload.RevisionText(rng, 2048)
 	for _, key := range []string{"a", "b"} {
 		if err := n.Insert("db2", key, pair); err != nil {
@@ -614,21 +641,24 @@ func TestStaleWalkIsPlannedAgain(t *testing.T) {
 		pair = editText(rng, pair, 2)[:2048]
 	}
 	n.FlushWritebacks(-1) // a is a delta on b: b is referenced
-	if err := n.Update("db2", "b", []byte("stacked on top")); err != nil {
+	oldB, _ := n.lookup("db2", "b")
+	if err := n.Update("db2", "b", []byte("an update is a new record")); err != nil {
 		t.Fatal(err)
 	}
-	idB, _ := n.lookup("db2", "b")
-	plan, err = n.planWalk(sc, idB, visibleContent)
-	if err != nil || !plan.last {
-		t.Fatalf("b should plan as a stacked record: %+v, err %v", plan, err)
+	plan, err = n.planWalk(sc, oldB, baseContentNoRepair)
+	if err != nil || !plan.base.Hidden {
+		t.Fatalf("b's old record should plan as a hidden raw record: %+v, err %v", plan, err)
 	}
-	if err := n.Delete("db2", "a"); err != nil { // the last reference goes: b compacts
+	if err := n.Delete("db2", "a"); err != nil { // the last reference goes
 		t.Fatal(err)
 	}
-	if m, _ := n.store.Meta(idB); m.Stacked {
-		t.Fatal("b is still stacked; the test wants it compacted")
+	if _, ok := n.store.Meta(oldB); ok {
+		t.Fatal("b's old record outlived its last reference; the test wants it reclaimed")
 	}
-	stale("stacked record compacted", idB, plan, sc, []byte("stacked on top"))
+	stale("updated record reclaimed", oldB, plan, sc, nil)
+	if got, err := n.Read("db2", "b"); err != nil || string(got) != "an update is a new record" {
+		t.Fatalf("Read(b) after the update: %q, err %v", got, err)
+	}
 
 	// The record is gone altogether.
 	gone := insert()

@@ -12,7 +12,7 @@ import (
 // TestModelRandomOps drives a node with a long random operation sequence and
 // checks it against a plain map model after every step window. This is the
 // workhorse correctness test: it exercises the full interaction surface —
-// dedup chains, write-back timing, stacked updates, hidden deletes, chain
+// dedup chains, write-back timing, updates, hidden deletes, chain
 // repair, flushes — against the simplest possible specification. The
 // configurations share nothing and run in parallel.
 func TestModelRandomOps(t *testing.T) {
@@ -152,6 +152,19 @@ func verifyRefcounts(t *testing.T, n *Node) {
 			t.Errorf("refcount of %d = %d but no stored record references it", id, got)
 		}
 	}
+}
+
+// verifyNamed checks that every record is hidden or named by its key, and that
+// none is stacked: an update or a delete retires the record its key named.
+func verifyNamed(t *testing.T, n *Node) {
+	t.Helper()
+	n.store.Range(func(id uint64, m docstore.MetaInfo) bool {
+		if cur, ok := n.store.Lookup(m.DB, m.Key); !m.Hidden && (!ok || cur != id) || m.Stacked {
+			t.Errorf("record %d (%s/%s, hidden %v, stacked %v) is not its key's, which names %d (%v)",
+				id, m.DB, m.Key, m.Hidden, m.Stacked, cur, ok)
+		}
+		return true
+	})
 }
 
 func verifyModel(t *testing.T, n *Node, model map[string][]byte, step int) {

@@ -11,15 +11,18 @@
 // client mutation that finds its database's bounded queue full blocks until
 // the encoder catches up (backpressure).
 // Reads decode through backward-delta chains, consulting the source record
-// cache. Reference counts protect every record that serves as a decode base:
-// updates to referenced records append ("stack") instead of overwriting, and
-// deletes hide instead of removing, with opportunistic chain repair on reads.
+// cache. A record's content never changes: an update writes a new record under
+// the key and retires the old one as a delete does, and reference counts
+// protect every record that serves as a decode base, which a retirement hides
+// instead of removing, with opportunistic chain repair on reads.
 package node
 
 import (
+	"encoding/binary"
 	"errors"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,8 +144,8 @@ type Stats struct {
 	// DecodeSteps counts base fetches performed by reads.
 	DecodeSteps uint64
 	// ReadsFromSourceCache counts the client reads (of Reads) that the source
-	// record cache answered: a record never updated whose insert payload was
-	// resident, served without touching the store. These peeks are not in the
+	// record cache answered: a record whose insert payload, and so content,
+	// was resident, served without touching the store. These peeks are not in the
 	// cache's own hit and miss counts, which are the encoder's.
 	ReadsFromSourceCache uint64
 	// HiddenRepaired counts hidden records spliced out of decode chains.
@@ -186,11 +189,8 @@ type Node struct {
 	latRead *metrics.Histogram
 	// opSeq numbers the mutations this node has accepted, in the critical
 	// section that makes each take effect; a logged mutation's number is its
-	// oplog entry's Seq. lastMut is the one mutation stamp: the number of a
-	// record's last update or delete, dropped when the record is removed from
-	// the store. ReadStamped reads it.
-	opSeq   uint64
-	lastMut map[uint64]uint64
+	// oplog entry's Seq.
+	opSeq uint64
 
 	// Read-path counters are atomics so the lock-free store read path is
 	// not re-serialised by bookkeeping; Stats() folds them into the
@@ -274,7 +274,6 @@ func Open(opts Options) (*Node, error) {
 		opts:    opts,
 		store:   store,
 		refcnt:  make(map[uint64]int),
-		lastMut: make(map[uint64]uint64),
 		nextID:  1,
 		latIns:  metrics.NewHistogram(),
 		latRead: metrics.NewHistogram(),
@@ -352,6 +351,14 @@ func (n *Node) background(flush, compact bool) {
 // survivor — but mid-file corruption (a bad block inside an earlier segment)
 // can erase a base out from under later records; keeping such a record would
 // leave a key→ID mapping whose reads can never decode.
+//
+// Then it retires, as a delete does, every record that is neither hidden nor
+// named by its key: an update torn between its new record's frame and the old
+// one's retirement leaves one behind, and the key reads its new value. And it
+// upgrades every stacked record, which an older node wrote for an update of a
+// referenced record: the last section becomes a new record under the key, if
+// the key names the stacked one, and the stacked record is retired, so no
+// record is stacked once the node is open.
 func (n *Node) recover() error {
 	// The record table replay just built is all this needs: no payload is
 	// read and no block decoded a second time.
@@ -364,6 +371,7 @@ func (n *Node) recover() error {
 		ids = append(ids, id)
 		return true
 	})
+	slices.Sort(ids) // what the retirements write follows the IDs
 	// Classify each record by whether its chain grounds in a raw record.
 	// Memoised; the depth bound turns corruption-induced base cycles into
 	// "broken" instead of unbounded recursion.
@@ -399,7 +407,60 @@ func (n *Node) recover() error {
 		}
 	}
 	n.nextID = maxID + 1
+	for _, id := range ids {
+		m, ok := n.store.Meta(id)
+		if !ok {
+			continue // dropped above, or reclaimed by a retirement's cascade
+		}
+		cur, named := n.store.Lookup(m.DB, m.Key)
+		named = named && cur == id
+		if !m.Stacked && (named || m.Hidden) {
+			continue
+		}
+		var frames []docstore.Record
+		if named {
+			rec, _, err := n.store.Get(id)
+			var visible []byte
+			if err == nil {
+				visible, err = stackedSection(rec.Payload, true)
+			}
+			if err != nil {
+				return err
+			}
+			frames = append(frames, docstore.Record{ID: n.nextID, DB: m.DB, Key: m.Key, Payload: visible})
+			n.nextID++
+		}
+		retire, release, err := n.retirementLocked(id)
+		if err == nil {
+			err = n.store.Append(append(frames, retire)...)
+		}
+		if err != nil {
+			return err
+		}
+		n.moveRefLocked(release, 0)
+	}
 	return nil
+}
+
+// stackedSection returns the first section of a stacked payload (the record's
+// own stored form) or, when last is set, the last one (what the client sees),
+// without building the section list.
+func stackedSection(p []byte, last bool) ([]byte, error) {
+	var sec []byte
+	for len(p) > 0 {
+		l, k := binary.Uvarint(p)
+		if k <= 0 || uint64(len(p)-k) < l {
+			return nil, errors.New("node: corrupt stacked payload")
+		}
+		sec, p = p[k:k+int(l)], p[k+int(l):]
+		if !last {
+			return sec, nil
+		}
+	}
+	if sec == nil {
+		return nil, errors.New("node: empty stacked payload")
+	}
+	return sec, nil
 }
 
 // Close drains the encode queues, flushes pending write-backs, and closes

@@ -9,7 +9,6 @@ import (
 	"dbdedup/internal/chain"
 	"dbdedup/internal/chunker"
 	"dbdedup/internal/core"
-	"dbdedup/internal/docstore"
 	"dbdedup/internal/oplog"
 	"dbdedup/internal/workload"
 )
@@ -546,7 +545,11 @@ func BenchmarkInsertVersioned(b *testing.B) {
 	}
 }
 
-func TestStackedRecordCompactedWhenUnreferenced(t *testing.T) {
+// TestUpdatedRecordReclaimedWhenUnreferenced: an update of a record another
+// decodes through writes a new record and hides the old one, and the delete
+// that releases the old one's last reference reclaims it (paper §4.1). The key
+// reads the update throughout.
+func TestUpdatedRecordReclaimedWhenUnreferenced(t *testing.T) {
 	n := testNode(t, Options{})
 	// Two-version chain: after the write-back, v0 is a delta whose base
 	// is v1, so refcnt(v1) = 1.
@@ -555,46 +558,30 @@ func TestStackedRecordCompactedWhenUnreferenced(t *testing.T) {
 	if rc := n.RefCount("wiki", "v1"); rc != 1 {
 		t.Fatalf("premise: refcount(v1) = %d, want 1", rc)
 	}
-	// A client update stacks onto the referenced v1.
-	updated := []byte("client update stacked on a referenced record")
+	old, _ := n.lookup("wiki", "v1")
+	updated := []byte("client update of a referenced record")
 	if err := n.Update("wiki", "v1", updated); err != nil {
 		t.Fatal(err)
 	}
-	findV1 := func() (docstore.MetaInfo, bool) {
-		var id uint64
-		n.Store().Range(func(rid uint64, m docstore.MetaInfo) bool {
-			if m.Key == "v1" {
-				id = rid
-				return false
-			}
-			return true
-		})
-		return n.Store().Meta(id)
+	if id, _ := n.lookup("wiki", "v1"); id == old {
+		t.Fatal("the update did not give v1 a new record")
 	}
-	if m, ok := findV1(); !ok || !m.Stacked {
-		t.Fatalf("premise: v1 should be stacked, got %+v %v", m, ok)
+	if m, ok := n.Store().Meta(old); !ok || !m.Hidden {
+		t.Fatalf("premise: v1's old record should be hidden, got %+v %v", m, ok)
 	}
-	// Deleting v0 releases v1's last reference: the stacked record must
-	// be compacted back to a plain raw record (paper §4.1).
+	if got, err := n.Read("wiki", "v1"); err != nil || !bytes.Equal(got, updated) {
+		t.Fatalf("v1 after the update: %q, %v", got, err)
+	}
+	// Deleting v0 releases the old record's last reference.
 	if err := n.Delete("wiki", "v0"); err != nil {
 		t.Fatal(err)
 	}
-	if rc := n.RefCount("wiki", "v1"); rc != 0 {
-		t.Fatalf("v1 still referenced (%d) after deleting v0", rc)
-	}
-	m, ok := findV1()
-	if !ok {
-		t.Fatal("v1 missing")
-	}
-	if m.Stacked {
-		t.Error("v1 still stacked after losing its last reference")
-	}
-	if m.Form != docstore.FormRaw {
-		t.Error("compacted record not raw")
+	if _, ok := n.Store().Meta(old); ok {
+		t.Error("v1's old record outlived its last reference")
 	}
 	got, err := n.Read("wiki", "v1")
 	if err != nil || !bytes.Equal(got, updated) {
-		t.Fatalf("v1 after compaction: %q, %v", got, err)
+		t.Fatalf("v1 after its old record was reclaimed: %q, %v", got, err)
 	}
 	verifyRefcounts(t, n)
 }

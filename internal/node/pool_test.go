@@ -240,15 +240,15 @@ func TestMutationAfterCloseBeganIsRefused(t *testing.T) {
 				t.Error("the refused insert is visible")
 			}
 			n.mu.RLock()
-			assigned, stamps := n.opSeq, len(n.lastMut)
+			assigned := n.opSeq
 			n.mu.RUnlock()
 			st := n.Stats()
 			if st.Inserts != stats.Inserts || st.Updates != stats.Updates || st.Deletes != stats.Deletes ||
-				n.Oplog().LastSeq() != logged || assigned != logged || stamps != 0 {
+				n.Oplog().LastSeq() != logged || assigned != logged {
 				t.Errorf("refused mutations left a trace: inserts %d → %d, updates %d → %d, deletes %d → %d, "+
-					"oplog %d → %d, %d sequence numbers assigned, %d stamps",
+					"oplog %d → %d, %d sequence numbers assigned",
 					stats.Inserts, st.Inserts, stats.Updates, st.Updates, stats.Deletes, st.Deletes,
-					logged, n.Oplog().LastSeq(), assigned, stamps)
+					logged, n.Oplog().LastSeq(), assigned)
 			}
 
 			// Finish the Close that began.

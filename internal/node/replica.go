@@ -41,14 +41,15 @@ type Stamped struct {
 }
 
 // ReadStamped reads (db, key) whole, with the stamp it was read at: the
-// record's ID and last mutation stamp under n.mu, then its content, then both
-// again, retrying if either changed, so that no mutation of the key fell
-// between the stamp and the read.
+// record's ID and the stamp under n.mu, then its content, then the ID again,
+// retrying if it changed. A mutation of the key moves it to another record or
+// to none (IDs are not reused), so no mutation of the key fell between the
+// stamp and the read.
 func (n *Node) ReadStamped(db, key string) (Stamped, error) {
 	for {
 		n.mu.RLock()
 		id, ok := n.lookup(db, key)
-		mut, stamp := n.lastMut[id], n.opSeq
+		stamp := n.opSeq
 		n.mu.RUnlock()
 		if !ok {
 			return Stamped{Stamp: stamp}, nil
@@ -59,7 +60,7 @@ func (n *Node) ReadStamped(db, key string) (Stamped, error) {
 		}
 		n.mu.RLock()
 		again, ok := n.lookup(db, key)
-		same := ok && again == id && n.lastMut[id] == mut
+		same := ok && again == id
 		n.mu.RUnlock()
 		if same && err == nil {
 			return Stamped{Stamp: stamp, Present: true, Content: content}, nil
@@ -136,7 +137,7 @@ func (n *Node) Upsert(db, key string, payload []byte, emit bool) error {
 			return n.finish(job, err)
 		}
 	}
-	return n.finish(n.updateLocalEmit(db, key, payload, emit))
+	return n.finish(n.mutateLocalEmit(oplog.OpUpdate, db, key, payload, emit))
 }
 
 // Retain deletes every live key of db that keep rejects (nil keeps nothing),
@@ -152,7 +153,7 @@ func (n *Node) Retain(db string, keep func(key string) bool, emit bool) (dropped
 		if keep != nil && keep(key) {
 			continue
 		}
-		err = n.finish(n.deleteLocalEmit(db, key, emit))
+		err = n.finish(n.mutateLocalEmit(oplog.OpDelete, db, key, nil, emit))
 		if errors.Is(err, ErrNotFound) {
 			continue
 		}
@@ -182,10 +183,8 @@ func (n *Node) ApplyReplicated(e oplog.Entry) error {
 	switch e.Op {
 	case oplog.OpInsert:
 		return n.applyReplicatedInsert(e)
-	case oplog.OpUpdate:
-		return n.finish(n.updateLocalEmit(e.DB, e.Key, e.Payload, false))
-	case oplog.OpDelete:
-		return n.finish(n.deleteLocalEmit(e.DB, e.Key, false))
+	case oplog.OpUpdate, oplog.OpDelete:
+		return n.finish(n.mutateLocalEmit(e.Op, e.DB, e.Key, e.Payload, false))
 	default:
 		return fmt.Errorf("node: unknown replicated op %d", e.Op)
 	}
@@ -205,24 +204,22 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 
 	// Forward-encoded insert: reconstruct the record from the base key's
 	// visible content, then mirror the primary's backward encoding. The
-	// primary shipped the delta only against a record still as inserted, so
-	// that content is what it encoded against, and at this position in the
+	// primary shipped the delta only against a record its key still named,
+	// so that content is what it encoded against, and at this position in the
 	// oplog it is the one content of the key both nodes agree on: how the
-	// secondary stores the key, stacked or not, follows its own flush timing.
-	srcID, updated, ok := n.store.Lookup(e.DB, e.BaseKey)
+	// secondary stores the record follows its own flush timing.
+	srcID, ok := n.store.Lookup(e.DB, e.BaseKey)
 	if !ok {
 		// Rare: the base is almost always already replicated. Nothing was
 		// reserved or counted yet, so the caller falls back to fetching the
 		// full record from the primary and Upsert counts it exactly once.
 		return fmt.Errorf("%w: %q/%q (insert of %q)", ErrBaseMissing, e.DB, e.BaseKey, e.Key)
 	}
-	// The content is borrowed, from the source cache as a read takes it
-	// (only while the key says it was never updated: the cache can still
-	// hold an updated record's insert payload) or else from a scratch, for
-	// the rest of the call: the new record is applied from it and the
-	// backward delta is re-encoded against it, and neither outlives
-	// queueWritebacks below.
-	srcContent, hit := n.peekSource(srcID, updated)
+	// The content is borrowed, from the source cache as a read takes it or
+	// else from a scratch, for the rest of the call: the new record is applied
+	// from it and the backward delta is re-encoded against it, and neither
+	// outlives queueWritebacks below.
+	srcContent, hit := n.peekSource(srcID)
 	if !hit {
 		sc := scratchPool.Get().(*scratch)
 		defer scratchPool.Put(sc)

@@ -185,12 +185,12 @@ func TestScanUpsertRetain(t *testing.T) {
 		if n.Stats().WritebacksApplied == 0 || n.RefCount("alpha", "v7") == 0 || n.RefCount("beta", "v7") == 0 {
 			t.Fatal("premise: the chains are not delta-encoded against their heads")
 		}
-		// A referenced record updated is stacked; one deleted is a hidden base.
-		stacked := []byte("client update stacked over a decode base")
-		if err := n.Update("alpha", "v7", stacked); err != nil {
+		// A referenced record updated or deleted is a hidden base.
+		updated := []byte("client update of a decode base")
+		if err := n.Update("alpha", "v7", updated); err != nil {
 			t.Fatal(err)
 		}
-		model["alpha/v7"] = stacked
+		model["alpha/v7"] = updated
 		if err := n.Delete("beta", "v7"); err != nil {
 			t.Fatal(err)
 		}
@@ -537,9 +537,10 @@ func TestReplicaTakesItsBaseFromTheSourceCache(t *testing.T) {
 	}
 }
 
-// TestReplicaBaseUpdatedInPlace: an insert whose source was updated in place
-// since its insert ships raw, as a delta may involve only records as
-// inserted, and both keys read back exactly on the secondary.
+// TestReplicaBaseUpdatedInPlace: an insert whose source was updated since its
+// insert ships raw, as a delta may involve only records their keys name (the
+// update gave the key a new record, and retired the source), and both keys
+// read back exactly on the secondary.
 func TestReplicaBaseUpdatedInPlace(t *testing.T) {
 	prim, sec, ship := replicaPair(t)
 	rng := rand.New(rand.NewSource(46))

@@ -110,13 +110,7 @@ func (r *stampRig) check(contents [][]byte, forms string, skipped uint64) {
 		r.t.Errorf("verify: %s", rep)
 	}
 	verifyRefcounts(r.t, n)
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	for id := range n.lastMut {
-		if _, live := n.store.Meta(id); !live {
-			r.t.Errorf("record %d is gone and still has a mutation stamp", id)
-		}
-	}
+	verifyNamed(r.t, n)
 }
 
 // late runs mutate while the node's pending write-backs are out of the cache
@@ -164,12 +158,6 @@ func TestStaleWritebackUnderOneStamp(t *testing.T) {
 			r.late(func() { r.do(func(p *Node) error { return p.Delete("wiki", "v2") }) })
 			contents[2] = nil
 			r.check(contents, "dr-ddr", 2)
-			r.n.mu.RLock()
-			stamps := len(r.n.lastMut)
-			r.n.mu.RUnlock()
-			if stamps != 0 {
-				t.Errorf("%d mutation stamps after the only mutated record was reclaimed", stamps)
-			}
 		})
 		t.Run(role+"/delete hides, repair reclaims", func(t *testing.T) {
 			r, contents := start(t)
@@ -202,23 +190,21 @@ func TestStaleWritebackUnderOneStamp(t *testing.T) {
 // of v1, queues "store v1 as a delta against v2", computed from v1's insert
 // content. v1's update lands while that write-back is out of the cache, as
 // from an encode that chose v1 before the update (once v1 is updated, the
-// engine passes over it): the update is stacked on v1's stored form. The
-// delete of v0 then leaves v1 unreferenced, and its stack is compacted into a
-// raw record of the update: what v1 holds is no longer what the write-back
-// was computed from, and no stamp moved with it. The flush must leave v1
-// reading its update.
+// engine passes over it): the key gets a new record holding the update, and
+// v1's old record stays hidden for v0. The delete of v0 then reclaims it. The
+// flush must leave v1 reading its update.
 func TestUpdatedRecordIsNeverRebased(t *testing.T) {
 	for _, role := range []string{"primary", "replica"} {
 		t.Run(role, func(t *testing.T) {
-			r, contents := updatedThenCompacted(t, role == "replica")
+			r, contents := updatedThenReclaimed(t, role == "replica")
 			r.check(contents, "-rr", uint64(r.n.PendingWritebacks()))
 		})
 	}
 }
 
-// updatedThenCompacted runs TestUpdatedRecordIsNeverRebased up to its flush
+// updatedThenReclaimed runs TestUpdatedRecordIsNeverRebased up to its flush
 // and returns what each revision must read then (nil: deleted).
-func updatedThenCompacted(t *testing.T, replica bool) (*stampRig, [][]byte) {
+func updatedThenReclaimed(t *testing.T, replica bool) (*stampRig, [][]byte) {
 	r := newStampRig(t, replica)
 	rng := rand.New(rand.NewSource(8016))
 	contents := r.chain(nil, 2, rng)
@@ -229,19 +215,19 @@ func updatedThenCompacted(t *testing.T, replica bool) (*stampRig, [][]byte) {
 	}
 	upd, v2 := editText(rng, contents[1], 1), editText(rng, contents[1], 2)
 	r.do(func(p *Node) error { return p.Insert("wiki", "v2", v2) })
-	r.late(func() { r.do(func(p *Node) error { return p.Update("wiki", "v1", upd) }) })
 	id, _ := r.n.lookup("wiki", "v1")
+	r.late(func() { r.do(func(p *Node) error { return p.Update("wiki", "v1", upd) }) })
 	pending := r.n.wb.DrainBest(r.n.wb.Len())
 	for _, wb := range pending {
 		r.n.wb.Add(wb)
 	}
-	if m, _ := r.n.store.Meta(id); !m.Stacked || len(pending) != 1 || pending[0].ID != id {
-		t.Fatalf("premise: v1 (record %d) stacked %v, %d write-backs pending; want stacked, (v1→v2)",
-			id, m.Stacked, len(pending))
+	if m, _ := r.n.store.Meta(id); !m.Hidden || len(pending) != 1 || pending[0].ID != id {
+		t.Fatalf("premise: v1's old record %d hidden %v, %d write-backs pending; want hidden, (v1→v2)",
+			id, m.Hidden, len(pending))
 	}
 	r.do(func(p *Node) error { return p.Delete("wiki", "v0") })
-	if m, _ := r.n.store.Meta(id); m.Stacked {
-		t.Fatal("premise: v1 still stacked once nothing decodes through it")
+	if _, ok := r.n.store.Meta(id); ok {
+		t.Fatal("premise: v1's old record outlived its last reference")
 	}
 	return r, [][]byte{nil, upd, v2}
 }
@@ -249,7 +235,8 @@ func updatedThenCompacted(t *testing.T, replica bool) (*stampRig, [][]byte) {
 // TestStampUnderConcurrentMutation runs the encoder pool, client updates and
 // deletes and the write-back flusher against each other on one document's
 // revisions, then checks that every key reads what its last writer left, every
-// chain decodes, the reference counts add up and no stamp outlived its record.
+// chain decodes, the reference counts add up and every record its key does not
+// name is hidden.
 func TestStampUnderConcurrentMutation(t *testing.T) {
 	n, err := Open(Options{DisableAutoFlush: true, EncodeWorkers: 2,
 		Engine: core.Config{GovernorWindow: 1 << 30}})
@@ -329,22 +316,16 @@ func TestStampUnderConcurrentMutation(t *testing.T) {
 		t.Errorf("verify: %s", rep)
 	}
 	verifyRefcounts(t, n)
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	for id := range n.lastMut {
-		if _, live := n.store.Meta(id); !live {
-			t.Errorf("record %d is gone and still has a mutation stamp", id)
-		}
-	}
+	verifyNamed(t, n)
 }
 
 // TestFailedMutationChangesNothing makes the store refuse the write of a delete
 // or an update, at each entrance the two have: a client call, a replicated
 // entry, the delete a Retain pass stops on, the update an Upsert turns into.
-// The write refused is the tombstone or the new content of a record nothing
-// decodes through, or the hidden or stacked form of one something does. The
-// error must come back with the key still reading the record, nothing counted,
-// stamped or logged and the encoder token returned, with SyncEncode and
+// The write refused is the tombstone of a record nothing decodes through or
+// the hidden form of one something does, behind an update's new record. The
+// error must come back with the key still reading the record, nothing counted
+// or logged and the encoder token returned, with SyncEncode and
 // without, and what a reopen finds on disk must be what the node
 // said before it: the record. A retry then goes through for good. (A delete
 // used to unpublish its key first, so the key was gone until the next restart
@@ -445,13 +426,10 @@ func failedMutation(t *testing.T, update bool, do func(n *Node, key string, cont
 			stats.Deletes, st.Deletes, stats.Updates, st.Updates, logged, n.Oplog().LastSeq())
 	}
 	n.mu.RLock()
-	assigned, stamps := n.opSeq, len(n.lastMut)
+	assigned := n.opSeq
 	n.mu.RUnlock()
 	if assigned != logged {
 		t.Errorf("the failed mutation took a sequence number: %d assigned, %d logged", assigned, logged)
-	}
-	if stamps != 0 {
-		t.Errorf("the failed mutation left %d mutation stamps", stamps)
 	}
 	if held := len(n.pool.shardFor("db").sem); held != 0 {
 		t.Errorf("the failed mutation kept %d encoder tokens", held)
@@ -484,6 +462,7 @@ func failedMutation(t *testing.T, update bool, do func(n *Node, key string, cont
 		t.Errorf("verify: %s", rep)
 	}
 	verifyRefcounts(t, n)
+	verifyNamed(t, n)
 }
 
 // TestOpenDecodesEachBlockOnce: opening a node over a sealed, compressed store
@@ -659,22 +638,22 @@ func (f readGateFile) ReadAt(p []byte, off int64) (int, error) {
 	return f.File.ReadAt(p, off)
 }
 
-// TestReadNeverSeesAStaleSourceCache is the read side of the stamp: the source
-// cache holds insert payloads, a read of a record never updated is answered
-// from it, and the encoder can put a record's insert payload there after an
-// update of the record removed it. The test holds a record's own insert inside
-// the engine (Encode on a primary's one encoder, EncodeAsReplica on a
-// replica), at the fetch of a hop base from a sealed block, after the key is
-// published and before the engine caches the payload. It acknowledges a
-// mutation of the record, then lets the insert go with n.mu held and reads
-// while the cache holds the old payload: a replica's engine leaves it there (a
-// replica never scrubs), and a primary's encoder, which scrubs it at once with
-// no lock between, has it put back as it stood in that window. Every read
-// after the ack must return what was acknowledged. An implementation that
-// trusts the cache for any key it resolves returns the insert payload here;
-// one that asks Store.Meta survives the stacking update only, since an
-// overwrite in place leaves nothing in Meta to see. That the read returns at
-// all is Read staying off n.mu.
+// TestReadNeverSeesAStaleSourceCache: the source cache holds insert payloads
+// by record ID, a read is answered from it, and the encoder can put a record's
+// insert payload there after an update or a delete of the record removed it.
+// The test holds a record's own insert inside the engine (Encode on a
+// primary's one encoder, EncodeAsReplica on a replica), at the fetch of a hop
+// base from a sealed block, after the key is published and before the engine
+// caches the payload. It acknowledges a mutation of the record, then lets the
+// insert go with n.mu held and reads while the cache holds the old payload,
+// put back by the engine or, should it not have, by the test. Every read after
+// the ack must return what was acknowledged: an update moved the key to a new
+// record before the ack, so no read asks the cache for the old one. The
+// mutations are a delete, an update of a record nothing decodes through ("update
+// in place"; its old record gets a tombstone) and of one something does
+// ("stacking update"; its old record is hidden, and reclaimed at the end). The
+// names are those of the two ways an update used to be written. That the read
+// returns at all is Read staying off n.mu.
 func TestReadNeverSeesAStaleSourceCache(t *testing.T) {
 	for _, role := range []string{"primary", "replica"} {
 		for _, mutation := range []string{"update in place", "stacking update", "delete"} {
@@ -817,7 +796,7 @@ func staleSourceCache(t *testing.T, replica bool, mutation string) {
 		time.Sleep(50 * time.Microsecond)
 	}
 	if !cache.Contains(id) {
-		cache.Put(id, v2) // the primary's encoder scrubbed it
+		cache.Put(id, v2)
 	}
 	check("insert payload back in the source cache")
 	n.mu.Unlock()
@@ -828,7 +807,10 @@ func staleSourceCache(t *testing.T, replica bool, mutation string) {
 		n.applyMu.Lock()
 		n.moveRefLocked(id, 0)
 		n.applyMu.Unlock()
-		check("stacked record compacted")
+		if _, ok := n.store.Meta(id); ok {
+			t.Error("the hidden record outlived its last reference")
+		}
+		check("hidden record reclaimed")
 	}
 	n.FlushWritebacks(-1)
 	check("write-backs flushed")
@@ -836,6 +818,7 @@ func staleSourceCache(t *testing.T, replica bool, mutation string) {
 		t.Errorf("verify: %s", rep)
 	}
 	verifyRefcounts(t, n)
+	verifyNamed(t, n)
 }
 
 // TestWritebackRefusesChainCycle pins rebaseLocked's cycle guard: the insert

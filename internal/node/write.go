@@ -50,8 +50,8 @@ func (n *Node) Insert(db, key string, payload []byte) error {
 	return nil
 }
 
-// insertLocalEmit is the one routine that creates a record: every new
-// (db, key) on this node, from a client, the replication stream, a snapshot or
+// insertLocalEmit is the one routine that creates a key (an update gives an
+// existing one a new record, mutateLocalEmit): every new (db, key) on this node, from a client, the replication stream, a snapshot or
 // a shard handoff, is stored here in original form (paper §4.1: new records
 // are always stored raw; backward encoding touches older records) and encoded,
 // if at all, behind it. The node keeps payload. It refuses an existing key
@@ -95,7 +95,7 @@ func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) 
 	return n.numberLocked(sh, job, emit), nil
 }
 
-// finish completes a call of one of the three *LocalEmit routines: with
+// finish completes a call of insertLocalEmit or mutateLocalEmit: with
 // SyncEncode it waits until a worker has run the job the routine pushed. It
 // holds no lock while it waits, applyMu least of all: a worker applying a
 // write-back inline (no write-back cache) takes it.
@@ -106,49 +106,36 @@ func (n *Node) finish(job encodeJob, err error) error {
 	return err
 }
 
-// Update overwrites the record's visible content.
+// Update replaces the record's content. The key gets a new record and the old
+// one is retired as a delete retires it, so a record's content never changes.
 func (n *Node) Update(db, key string, payload []byte) error {
-	return n.finish(n.updateLocalEmit(db, key, payload, true))
+	return n.finish(n.mutateLocalEmit(oplog.OpUpdate, db, key, payload, true))
 }
 
-// stampLocked is what an update and a delete share once the record is found
-// and nothing can fail any more: count the op, number it and stamp job.id with
-// the number. Caller holds n.mu.
-func (n *Node) stampLocked(sh *fifoShard[encodeJob], job encodeJob, emit bool, count *uint64) encodeJob {
-	*count++
-	n.recentOps.Add(1)
-	job = n.numberLocked(sh, job, emit)
-	n.lastMut[job.id] = job.opSeq
-	return job
+// Delete removes the record from the client's view. If other records decode
+// through it, it is hidden rather than destroyed and reclaimed later.
+func (n *Node) Delete(db, key string) error {
+	return n.finish(n.mutateLocalEmit(oplog.OpDelete, db, key, nil, true))
 }
 
-// invalidate drops what was derived from record id's old content: a pending
-// write-back, which must never clobber fresh client data, and the source
-// cache's copy. Called after the stamp, outside n.mu.
-func (n *Node) invalidate(id uint64) {
-	if n.wb != nil {
-		n.wb.Invalidate(id)
-	}
-	if n.eng != nil && n.eng.SourceCache() != nil {
-		n.eng.SourceCache().Remove(id)
-	}
-}
-
-// updateLocalEmit performs the update. Like a delete it holds applyMu
-// throughout (lock order: encoder token, applyMu, n.mu): a write-back or a
-// repair checks a record and the base it points at under that lock and then
-// appends, and an update of either landing in between would be
-// overwritten by older content, or overwrite what the other record is about to
-// decode from. And it has a delete's failure contract: the store write runs
-// inside the n.mu section, and the count, the sequence number, the stamp and
-// the oplog job come only behind it, so an update the store refuses returns the
-// error with nothing changed, counted, stamped or logged, and so does an
-// update that arrives once Close began. The new content and its stamp share
-// that one section. The append carries Record.Updated, so the key's updated
-// bit is set with the new content: Read then stops trusting the source cache,
-// and every delta guard (asInserted) stops taking the record.
-func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, error) {
-	// The one copy of the caller's payload: the oplog job and the stored
+// mutateLocalEmit performs an update (op OpUpdate, to content payload) or a
+// delete (OpDelete) of (db, key). Both retire the record the key names
+// (retirementLocked); an update first appends payload as a new record under
+// the key, in the same Store.Append, so no other append falls between the two
+// frames. A crash can still keep the first frame alone, and recover retires the
+// old record then. The new record is never sketched: an update ships raw, and
+// no delta involves it as a source.
+//
+// It holds applyMu throughout (lock order: encoder token, applyMu, n.mu): a
+// write-back or a repair checks a record and the base it points at under that
+// lock and then appends, and a retirement of either landing in between would
+// be undone by the append. The store write runs inside the n.mu section and
+// moves the key or unpublishes it, and the count, the sequence number and the
+// oplog job come only behind it, so a mutation the store refuses, or one that
+// arrives once Close began, returns the error with nothing changed, counted or
+// logged.
+func (n *Node) mutateLocalEmit(op oplog.OpType, db, key string, payload []byte, emit bool) (encodeJob, error) {
+	// The one copy of an update's payload: the oplog job and the stored
 	// record share it, and neither modifies it.
 	cp := append([]byte(nil), payload...)
 	var sh *fifoShard[encodeJob]
@@ -159,122 +146,84 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 	defer n.applyMu.Unlock()
 	n.mu.Lock()
 	id, ok := n.lookup(db, key)
-	var was docstore.MetaInfo // the overwritten form, when nothing decodes through the record
+	job := encodeJob{kind: op, db: db, key: key, id: id, payload: cp}
+	var release uint64
 	var err error
 	switch {
 	case n.closed:
 		err = errClosed
 	case !ok:
 		err = ErrNotFound
-	case n.refcnt[id] == 0:
-		// Nobody decodes through this record: plain overwrite.
-		was, _ = n.store.Meta(id)
-		err = n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp, Updated: true})
 	default:
-		// Referenced: keep the stored form intact as section 0 and
-		// stack the update on top (paper §4.1, Update).
-		err = n.stackLocked(id, cp)
+		var retire docstore.Record
+		if retire, release, err = n.retirementLocked(id); err != nil {
+			break
+		}
+		var frames []docstore.Record
+		if op == oplog.OpUpdate {
+			job.id = n.nextID
+			n.nextID++
+			frames = append(frames, docstore.Record{ID: job.id, DB: db, Key: key, Payload: cp})
+		}
+		err = n.store.Append(append(frames, retire)...)
 	}
 	if err != nil {
 		n.mu.Unlock()
 		sh.release()
 		return encodeJob{}, err
 	}
-	job := n.stampLocked(sh, encodeJob{kind: oplog.OpUpdate, db: db, key: key, id: id, payload: cp},
-		emit, &n.stats.Updates)
+	if op == oplog.OpUpdate {
+		n.stats.Updates++
+	} else {
+		n.stats.Deletes++
+	}
+	n.recentOps.Add(1)
+	job = n.numberLocked(sh, job, emit)
 	n.mu.Unlock()
 	n.invalidate(id)
-	// If the overwritten form was a delta, its base loses a reference.
-	n.moveRefLocked(baseOf(was.Form, was.BaseID), 0)
+	n.moveRefLocked(release, 0)
 	return job, nil
 }
 
-// stackLocked appends record id with content as its visible section, the last
-// one, on top of its stored form, as an update. Caller holds applyMu.
-func (n *Node) stackLocked(id uint64, content []byte) error {
+// retirementLocked returns the frame that takes record id out of the client's
+// view, for an update or a delete to append, and the base that loses a
+// reference once it is written (0 for none): a tombstone if nothing decodes
+// through the record, and then the base of its stored form, or else its hidden
+// re-append, which keeps it decodable for the records that do until repair
+// or their own end releases it (paper §4.1). Caller holds applyMu and n.mu.
+func (n *Node) retirementLocked(id uint64) (docstore.Record, uint64, error) {
+	if n.refcnt[id] == 0 {
+		was, _ := n.store.Meta(id)
+		return docstore.Record{ID: id, Tombstone: true}, baseOf(was.Form, was.BaseID), nil
+	}
 	rec, ok, err := n.store.Get(id)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return ErrNotFound
-	}
-	stored := rec.Payload
-	if rec.Stacked {
-		// Replace the visible section.
-		if stored, err = stackedSection(rec.Payload, false); err != nil {
-			return err
-		}
-	}
-	rec.Stacked, rec.Updated, rec.Payload = true, true, stackPayload(stored, content)
-	return n.store.Append(rec)
-}
-
-// Delete removes the record from the client's view. If other records decode
-// through it, it is hidden rather than destroyed and reclaimed later.
-func (n *Node) Delete(db, key string) error {
-	return n.finish(n.deleteLocalEmit(db, key, true))
-}
-
-// deleteLocalEmit performs the delete, under applyMu for an update's reason: a
-// tombstone landing between a write-back's check and its append would be
-// undone by the append. The store write that makes the delete durable, the
-// tombstone or the record's hidden form, runs inside the n.mu section and
-// unpublishes the key: a delete the store refuses, or one that arrives once
-// Close began, returns the error with nothing unpublished, counted, stamped or
-// logged.
-func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, error) {
-	var sh *fifoShard[encodeJob]
-	if emit {
-		sh = n.pool.reserve(db)
-	}
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-	n.mu.Lock()
-	id, ok := n.lookup(db, key)
-	refs := n.refcnt[id]
-	var was docstore.MetaInfo // the record, when nothing decodes through it and it goes
-	var err error
-	switch {
-	case n.closed:
-		err = errClosed
-	case !ok:
+	if err == nil && !ok {
 		err = ErrNotFound
-	case refs == 0:
-		was, _ = n.store.Meta(id)
-		err = n.store.Delete(id)
-	default:
-		rec, found, getErr := n.store.Get(id)
-		if err = getErr; err == nil && found { // a key without a record has nothing to hide
-			rec.Hidden = true
-			err = n.store.Append(rec)
-		}
 	}
 	if err != nil {
-		n.mu.Unlock()
-		sh.release()
-		return encodeJob{}, err
+		return rec, 0, err
 	}
-	job := n.stampLocked(sh, encodeJob{kind: oplog.OpDelete, db: db, key: key, id: id},
-		emit, &n.stats.Deletes)
-	n.mu.Unlock()
-	n.invalidate(id)
-	if refs == 0 {
-		n.removedLocked(id, was)
+	rec.Hidden = true
+	if rec.Stacked {
+		// A record an older node stacked an update onto (recover upgrades
+		// it): what decodes through it is its stored form, section 0.
+		rec.Stacked = false
+		rec.Payload, err = stackedSection(rec.Payload, false)
 	}
-	return job, nil
+	return rec, 0, err
 }
 
-// removedLocked settles the books for record id, whose tombstone is written
-// and which was stored as was: its mutation stamp goes with it (lastMut
-// follows live records; a guard that finds no stamp finds no record either,
-// and IDs are not reused), and the base it decoded from loses a reference.
-// Caller holds applyMu.
-func (n *Node) removedLocked(id uint64, was docstore.MetaInfo) {
-	n.mu.Lock()
-	delete(n.lastMut, id)
-	n.mu.Unlock()
-	n.moveRefLocked(baseOf(was.Form, was.BaseID), 0)
+// invalidate drops what was derived from record id: a pending write-back and
+// the source cache's copy. Both are hygiene: a write-back of a record that is
+// no longer its key's is refused when it is applied (asInserted), and a read
+// of the key no longer reaches the record's ID. Called outside n.mu.
+func (n *Node) invalidate(id uint64) {
+	if n.wb != nil {
+		n.wb.Invalidate(id)
+	}
+	if n.eng != nil && n.eng.SourceCache() != nil {
+		n.eng.SourceCache().Remove(id)
+	}
 }
 
 // baseOf returns the record a stored form decodes from, 0 (no record's ID)
@@ -300,15 +249,12 @@ func (n *Node) putLocked(rec docstore.Record, was docstore.MetaInfo) error {
 // moveRefLocked is where reference counts change once recover has built them:
 // a stored form that decoded from record from is gone or replaced by one that
 // decodes from record to (0: from nothing, a raw form). The new reference is
-// counted before the old one is dropped. A record left unreferenced is
-// settled: reclaimed if the client had deleted it (hidden), or written back
-// in plain form if it carries stacked client updates (paper §4.1: "when the
-// reference count reaches zero, dbDedup compacts all the updates to the record
-// and replaces it with the new data"); either cascades into that record's own
-// base. A store error down the cascade leaves an unreferenced hidden or
-// stacked record behind, not an error for the caller, whose own write is
-// done. Caller holds applyMu, under which every count is written, and not
-// n.mu, which guards the map for the readers outside applyMu.
+// counted before the old one is dropped. A record left unreferenced that the
+// client had retired (hidden) is reclaimed, which cascades into its own base.
+// A store error down the cascade leaves an unreferenced hidden record behind,
+// not an error for the caller, whose own write is done. Caller holds applyMu,
+// under which every count is written, and not n.mu, which guards the map for
+// the readers outside applyMu.
 func (n *Node) moveRefLocked(from, to uint64) {
 	if from == to {
 		return
@@ -328,13 +274,8 @@ func (n *Node) moveRefLocked(from, to uint64) {
 	if !settle {
 		return
 	}
-	switch m, _ := n.store.Meta(from); {
-	case m.Hidden:
-		if n.store.Delete(from) == nil {
-			n.removedLocked(from, m)
-		}
-	case m.Stacked:
-		n.compactStackedLocked(from, m)
+	if m, _ := n.store.Meta(from); m.Hidden && n.store.Delete(from) == nil {
+		n.moveRefLocked(baseOf(m.Form, m.BaseID), 0)
 	}
 }
 
@@ -371,12 +312,6 @@ func (n *Node) processInsert(job encodeJob, entry oplog.Entry) {
 			time.Sleep(n.opts.SimulatedEncodeDelay)
 		}
 		res, err := n.eng.Encode(job.db, job.id, job.payload)
-		// If the record was client-mutated while encoding, the engine
-		// may have cached its stale insert payload as a dedup source;
-		// scrub it. A write-back that involves it is refused at apply.
-		if _, ok := n.asInserted(job.id); !ok && n.eng.SourceCache() != nil {
-			n.eng.SourceCache().Remove(job.id)
-		}
 		if res.GovernorDisabled {
 			// The replica takes the verdict from this entry.
 			entry.Form = oplog.FormRawDisabled
@@ -384,7 +319,7 @@ func (n *Node) processInsert(job encodeJob, entry oplog.Entry) {
 		if err == nil && res.Deduped {
 			// The secondary decodes the forward delta against the
 			// source key's visible content at this entry's position in
-			// the oplog. A source still as inserted held its insert
+			// the oplog. A source its key still names held its insert
 			// payload then, which is what the delta was computed from;
 			// any other ships raw. The write-backs meet the same rule
 			// when they are applied.
@@ -405,21 +340,20 @@ func (n *Node) appendOplog(e oplog.Entry) {
 	n.oplogBytes.Add(int64(e.MarshalledSize()))
 }
 
-// asInserted is the one rule a delta obeys: it involves only records that are
-// live under their key and were never updated since their insert. Such a
-// record's content is its insert payload, whichever read of it a delta was
-// computed from, and stays so while the rule holds: write-backs, repair and
-// compaction change how a record is stored, not what it holds. The key's
-// updated bit is set in an update's n.mu section and never cleared, and a
-// delete unpublishes the key, so a record the rule refuses once it refuses
-// for good. It returns the record's metadata.
+// asInserted is the one rule a delta obeys: it involves only records that their
+// key names. A record's content is its insert payload for as long as it lives,
+// whichever read of it a delta was computed from: write-backs, repair and
+// compaction change how a record is stored, not what it holds, and an update
+// or a delete retires the record in the n.mu section that moves its key away,
+// to a new record or to none. IDs are not reused, so a record the rule refuses
+// once it refuses for good. It returns the record's metadata.
 func (n *Node) asInserted(id uint64) (docstore.MetaInfo, bool) {
 	m, ok := n.store.Meta(id)
 	if !ok {
 		return m, false
 	}
-	cur, updated, ok := n.store.Lookup(m.DB, m.Key)
-	return m, ok && cur == id && !updated
+	cur, ok := n.store.Lookup(m.DB, m.Key)
+	return m, ok && cur == id
 }
 
 // queueWritebacks routes the engine's write-back decisions through the lossy
@@ -557,10 +491,10 @@ const maxChainWalk = 1 << 20
 // checked against the store as it is under the lock, which every writer of an
 // existing record holds.
 //
-// The record and the base must both be as inserted (asInserted): the delta
-// was computed from their insert payloads, and they still hold them. An
-// update or a delete of either since refuses it, whatever became of the
-// stored forms after.
+// The record and the base must both be named by their keys (asInserted): the
+// delta was computed from their contents, which never change, and a record an
+// update or a delete has retired since keeps no place that a write-back of it
+// could save, whatever became of the stored forms after.
 //
 // And the chain the new form creates must ground in a raw record without
 // passing through id. A write-back re-encodes an older record against a newer
@@ -594,21 +528,4 @@ func (n *Node) grounds(id, baseID uint64) bool {
 		}
 		cur = m.BaseID
 	}
-}
-
-// compactStackedLocked rewrites stacked record id, stored as was, which
-// nothing decodes through any more, as a plain raw record holding its visible
-// content. Caller holds applyMu.
-func (n *Node) compactStackedLocked(id uint64, was docstore.MetaInfo) {
-	var visible []byte // the store keeps it: a slice of its own
-	err := n.lend(id, was, true, func(stored []byte) error {
-		visible = append([]byte(nil), stored...)
-		return nil
-	})
-	if err != nil {
-		return
-	}
-	// Not an error for the caller, whose own write is done: the record stays
-	// stacked.
-	_ = n.putLocked(docstore.Record{ID: id, DB: was.DB, Key: was.Key, Hidden: was.Hidden, Payload: visible}, was)
 }
