@@ -990,6 +990,20 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
+// IndexAllocatedBytes is what the live index partitions hold of the heap
+// (tiered.TieredIndex.AllocatedBytes, summed).
+func (e *Engine) IndexAllocatedBytes() int64 {
+	var n int64
+	for _, st := range e.snapshotDBs() {
+		st.mu.Lock()
+		if st.index != nil {
+			n += st.index.AllocatedBytes()
+		}
+		st.mu.Unlock()
+	}
+	return n
+}
+
 // Close releases every index partition's external resources (cold runs on
 // disk). Callers must have quiesced encodes — the node calls this after its
 // encoder pool has drained. Safe to call more than once.

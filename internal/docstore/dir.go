@@ -18,6 +18,8 @@ import (
 // after the record table's shard lock is released; readers take only its read
 // lock, a leaf.
 type dbDir struct {
+	name  string
+	num   uint32 // what a record's slot holds of its database
 	mu    sync.RWMutex
 	keys  map[string]uint64 // key -> record ID
 	bytes int64             // live payload bytes, hidden records included
@@ -35,27 +37,42 @@ func (s *Store) db(name string) *dbDir {
 	return &noDB
 }
 
+// dbAt returns the database numbered num, as a record's slot names it.
+func (s *Store) dbAt(num uint32) *dbDir { return (*s.dbList.Load())[num] }
+
+// dbFor returns the database's directory, creating it when the database
+// first appears: s.dbs and s.dbList are copied on write, the list first, so a
+// reader that finds a number in a slot finds its directory. Caller holds s.mu
+// (or is replay).
+func (s *Store) dbFor(name string) *dbDir {
+	if dd := s.db(name); dd != &noDB {
+		return dd
+	}
+	list := *s.dbList.Load()
+	dd := &dbDir{name: name, num: uint32(len(list)), keys: make(map[string]uint64)}
+	list = append(list[:len(list):len(list)], dd)
+	s.dbList.Store(&list)
+	m := maps.Clone(*s.dbs.Load())
+	m[name] = dd
+	s.dbs.Store(&m)
+	return dd
+}
+
 // settle moves the key directory from old, record rec.ID's version until now
-// (if had), to rec. Caller is replace.
-func (s *Store) settle(rec *Record, old *entry, had bool) {
+// (if had), to rec, which is in database dd unless it is a tombstone. Caller
+// is replace.
+func (s *Store) settle(rec *Record, dd *dbDir, old *entry, had bool) {
 	if had {
-		dd := s.db(old.db)
-		dd.mu.Lock()
-		dd.bytes -= int64(old.payloadLen)
-		if (rec.Tombstone || rec.Hidden) && dd.keys[old.key] == rec.ID {
-			delete(dd.keys, old.key)
+		od := s.dbAt(old.db)
+		od.mu.Lock()
+		od.bytes -= int64(old.payloadLen)
+		if (rec.Tombstone || rec.Hidden) && od.keys[old.key] == rec.ID {
+			delete(od.keys, old.key)
 		}
-		dd.mu.Unlock()
+		od.mu.Unlock()
 	}
 	if rec.Tombstone {
 		return
-	}
-	dd := s.db(rec.DB)
-	if dd == &noDB {
-		dd = &dbDir{keys: make(map[string]uint64)}
-		m := maps.Clone(*s.dbs.Load())
-		m[rec.DB] = dd
-		s.dbs.Store(&m)
 	}
 	dd.mu.Lock()
 	dd.bytes += int64(len(rec.Payload))

@@ -58,12 +58,15 @@
 // Flush or Close comes first, and that call or the next retries the batch:
 // the same bytes at the same offset.
 //
-// The record table (table.go) holds one value per live record: metadata plus
-// either the pending copy and the number of the unsealed batch its frame is
-// in, or the sealed location. Every change of a record — overwrite, delete,
-// pending to sealed — is one store under one shard lock, taken after s.mu by
-// writers and alone by readers, so a reader finds the old version or the new
-// one and never neither. The sealer retires a pending copy only if the entry
+// The record table (table.go) is a slab indexed by record ID: one pointer-free
+// slot per live record, its metadata plus either the number of the unsealed
+// batch its frame is in or the sealed location, in pages of consecutive IDs
+// that are allocated with their first record and freed with their last; a
+// record's key and, while it is pending, its pending copy are kept beside the
+// slot. Every change of a record — overwrite, delete, pending to sealed — is
+// one store under one shard lock, taken after s.mu by writers and alone by
+// readers, so a reader finds the old version or the new one and never
+// neither. The sealer retires a pending copy only if the entry
 // still names its batch and frame: a record overwritten, re-encoded or
 // deleted while its old frame was in flight keeps the newer version and the
 // old frame is counted dead.
@@ -249,6 +252,9 @@ type Stats struct {
 	BlocksSealed, SealNanos  uint64
 	SealWaits, SealWaitNanos uint64
 	SealErrors               uint64
+	// RecordTableBytes is what the record table's pages hold of the heap,
+	// about 56 bytes per live record. node.Stats.Memory serves it.
+	RecordTableBytes int64 `json:"-"`
 }
 
 // Store is a log-structured record store. All methods are safe for
@@ -277,8 +283,9 @@ type Store struct {
 	sealErr    error      // the sealer's last failure, not yet returned to a caller
 	sealed     *sync.Cond // on mu; broadcast whenever the sealer lets go of a block
 
-	recs *recTable
-	dbs  atomic.Pointer[map[string]*dbDir] // the key directory (dir.go)
+	recs   *recTable
+	dbs    atomic.Pointer[map[string]*dbDir] // the key directory (dir.go)
+	dbList atomic.Pointer[[]*dbDir]          // the same directories by number
 
 	table *segio.Table
 	cache *segio.Cache
@@ -393,6 +400,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	s.sealed = sync.NewCond(&s.mu)
 	s.dbs.Store(&map[string]*dbDir{})
+	s.dbList.Store(&[]*dbDir{})
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("docstore: %w", err)
 	}
@@ -525,29 +533,37 @@ func (s *Store) roomLocked() error {
 func (s *Store) appendLocked(rec Record) {
 	start := len(s.pending)
 	s.pending = appendFrame(s.pending, rec)
-	s.replace(&rec, entry{payload: rec.Payload, block: s.pendingSeq, recStart: uint32(start)})
+	s.replace(&rec, slot{off: int64(s.pendingSeq), recStart: uint32(start), flags: slotPending})
 	s.appends.Add(1)
 	s.kickLocked()
 }
 
-// replace makes the frame at where (a pending copy and its block, or a
-// sealed location) record rec.ID's current version, or removes the record if
-// the frame is a tombstone, and settles the key directory and the accounting
-// for the version that was current until now, whose bytes stay on disk until
-// compaction reclaims them: a sealed frame is charged to its segment here, a
-// pending one when its block is installed and finds the record has moved on.
-// Caller holds mu (or is replay, before the store is shared).
-func (s *Store) replace(rec *Record, where entry) {
+// replace makes the frame at where (a batch number and a frame's start in it,
+// with rec.Payload as the pending copy, or a sealed location) record rec.ID's
+// current version, or removes the record if the frame is a tombstone, and
+// settles the key directory and the accounting for the version that was
+// current until now, whose bytes stay on disk until compaction reclaims them:
+// a sealed frame is charged to its segment here, a pending one when its block
+// is installed and finds the record has moved on. Caller holds mu (or is
+// replay, before the store is shared).
+func (s *Store) replace(rec *Record, where slot) {
 	var old entry
 	var had bool
+	var dd *dbDir
 	if rec.Tombstone {
 		old, had = s.recs.remove(rec.ID)
 	} else {
+		dd = s.dbFor(rec.DB)
 		e := where
-		e.db, e.key, e.baseID = rec.DB, rec.Key, rec.BaseID
-		e.form, e.stacked, e.hidden = rec.Form, rec.Stacked, rec.Hidden
+		e.db, e.baseID, e.form = dd.num, rec.BaseID, rec.Form
 		e.payloadLen = uint32(len(rec.Payload))
-		old, had = s.recs.put(rec.ID, e)
+		if rec.Stacked {
+			e.flags |= slotStacked
+		}
+		if rec.Hidden {
+			e.flags |= slotHidden
+		}
+		old, had = s.recs.put(rec.ID, e, rec.Key, rec.Payload)
 	}
 	if had {
 		n := int64(old.payloadLen)
@@ -561,7 +577,7 @@ func (s *Store) replace(rec *Record, where entry) {
 		s.logicalBytes.Add(int64(len(rec.Payload)))
 		s.liveRecords.Add(1)
 	}
-	s.settle(rec, &old, had)
+	s.settle(rec, dd, &old, had)
 }
 
 // chargeDead counts n payload bytes of seg as dead: a frame there has stopped
@@ -886,8 +902,8 @@ func (s *Store) read(id uint64, fn func(rec Record, lent bool)) (bool, error) {
 			return false, nil
 		}
 		if !e.sealed() {
-			fn(Record{ID: id, DB: e.db, Key: e.key, Form: e.form, BaseID: e.baseID,
-				Stacked: e.stacked, Hidden: e.hidden, Payload: e.payload}, false)
+			fn(Record{ID: id, DB: s.dbAt(e.db).name, Key: e.key, Form: e.form, BaseID: e.baseID,
+				Stacked: e.stacked(), Hidden: e.hidden(), Payload: e.payload}, false)
 			return true, nil
 		}
 		err := s.frameAt(id, &e, fn)
@@ -919,7 +935,7 @@ func (s *Store) frameAt(id uint64, e *entry, fn func(rec Record, lent bool)) err
 		if rec.ID != id {
 			return fmt.Errorf("docstore: index corruption: wanted %d found %d", id, rec.ID)
 		}
-		rec.DB, rec.Key = e.db, e.key
+		rec.DB, rec.Key = s.dbAt(e.db).name, e.key
 		fn(rec, true)
 		return nil
 	}
@@ -1137,8 +1153,8 @@ func (s *Store) Meta(id uint64) (MetaInfo, bool) {
 	if !ok {
 		return MetaInfo{}, false
 	}
-	return MetaInfo{DB: e.db, Key: e.key, Form: e.form, BaseID: e.baseID,
-		PayloadLen: int(e.payloadLen), Stacked: e.stacked, Hidden: e.hidden}, true
+	return MetaInfo{DB: s.dbAt(e.db).name, Key: e.key, Form: e.form, BaseID: e.baseID,
+		PayloadLen: int(e.payloadLen), Stacked: e.stacked(), Hidden: e.hidden()}, true
 }
 
 // Range calls fn with the ID and metadata of every live record, in unspecified
@@ -1187,6 +1203,8 @@ func (s *Store) Stats() Stats {
 		SealWaits:     s.sealWaits.Load(),
 		SealWaitNanos: s.sealWaitNanos.Load(),
 		SealErrors:    s.sealErrors.Load(),
+
+		RecordTableBytes: s.recs.bytes(),
 	}
 }
 
@@ -1216,7 +1234,7 @@ func (s *Store) Close() error {
 // replayAll rebuilds the record table from segment contents. Caller is Open;
 // the store is not yet shared.
 func (s *Store) replayAll() error {
-	for slot, seg := range s.segments {
+	for i, seg := range s.segments {
 		// A block that does not load is a torn tail; a block that loads but
 		// does not parse is corruption replay must not hide.
 		var frameErr error
@@ -1230,7 +1248,7 @@ func (s *Store) replayAll() error {
 					frameErr = err
 					return err
 				}
-				s.replace(&rec, entry{seg: int32(slot), off: off, recStart: uint32(scan)})
+				s.replace(&rec, slot{seg: int32(i), off: off, recStart: uint32(scan)})
 				scan += n
 			}
 			return nil
@@ -1313,7 +1331,7 @@ func (s *Store) Compact() (int64, error) {
 			if !live {
 				continue
 			}
-			rec.DB, rec.Key = e.db, e.key
+			rec.DB, rec.Key = s.dbAt(e.db).name, e.key
 			// What is appended becomes the record's pending copy, which has
 			// to outlive the walk's buffer.
 			rec.Payload = append([]byte(nil), rec.Payload...)

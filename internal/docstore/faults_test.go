@@ -331,7 +331,7 @@ func TestReplayTornBehindADictionary(t *testing.T) {
 			// if that is what was lost), are readable and survive a reopen.
 			for id := uint64(1000); id < 1040; id++ {
 				put(s2, id)
-				home[id] = entry{seg: -1}
+				home[id] = entry{slot: slot{seg: -1}}
 			}
 			if err := s2.Flush(); err != nil {
 				t.Fatal(err)

@@ -15,13 +15,14 @@
 //
 // The table is sized on demand: it starts at initialEntries and doubles —
 // rehashing in place — whenever occupancy approaches the allocation, up to
-// CapacityEntries. Entries keep the feature value alongside the 2-byte
-// checksum so their candidate buckets can be recomputed under the wider
-// mask, which is what makes rehashing possible at any table size and is why
-// a node serving thousands of mostly-small tenant databases does not pay
-// thousands of full-size index allocations up front. (The feature is Go
-// struct overhead, not design size: EntryBytes accounting stays at the
-// paper's 6 bytes.)
+// CapacityEntries. Entries keep the feature value itself, from which the
+// 2-byte checksum is folded on each compare, so their candidate buckets can
+// be recomputed under the wider mask, which is what makes rehashing possible
+// at any table size and is why a node serving thousands of mostly-small
+// tenant databases does not pay thousands of full-size index allocations up
+// front. (An entry is 16 bytes in memory, reference, LRU tick and feature;
+// EntryBytes accounting stays at the paper's 6 bytes, and AllocatedBytes
+// reports the real ones.)
 //
 // The engine does not hold an Index directly: each database's partition is a
 // tiered.TieredIndex (package featidx/tiered) whose hot tier is an Index, and
@@ -29,6 +30,8 @@
 package featidx
 
 import (
+	"unsafe"
+
 	"dbdedup/internal/murmur"
 	"dbdedup/internal/sketch"
 )
@@ -82,12 +85,14 @@ type Config struct {
 // state) stay negligible until the table parks at CapacityEntries.
 const growFraction = 11.0 / 16
 
+// entry is one slot of the table, 16 bytes, so a bucket of four is one 64-byte
+// cache line. A tick of 0 marks the slot empty: the clock never reads 0 (tick
+// skips it when it wraps), and an entry's checksum is checksumOf(feat), which
+// is why neither needs a field of its own.
 type entry struct {
-	used     bool
-	checksum uint16
-	ref      Ref
-	tick     uint32         // LRU clock value at last touch
-	feat     sketch.Feature // kept so entries can be re-placed when the table grows
+	ref  Ref
+	tick uint32         // LRU clock value at last touch; 0: the slot is empty
+	feat sketch.Feature // kept so entries can be re-placed when the table grows
 }
 
 // Index is a single-partition feature index. It is NOT safe for concurrent
@@ -180,7 +185,7 @@ func (ix *Index) grow() {
 	ix.setTable((int(ix.bucketMask) + 1) * 2)
 	ix.occupied = 0
 	for _, e := range old {
-		if e.used {
+		if e.tick != 0 {
 			ix.place(e)
 		}
 	}
@@ -195,7 +200,7 @@ func (ix *Index) place(e entry) {
 		bucket, first := ix.bucket(ix.hash(e.feat, i))
 		for ei := range bucket {
 			s := &bucket[ei]
-			if !s.used {
+			if s.tick == 0 {
 				*s = e
 				ix.occupied++
 				return
@@ -207,6 +212,15 @@ func (ix *Index) place(e entry) {
 	}
 	ix.slots[lru] = e
 	ix.evictions++
+}
+
+// tick advances the LRU clock, past 0 when it wraps: a tick of 0 is an empty
+// slot.
+func (ix *Index) tick() {
+	ix.clock++
+	if ix.clock == 0 {
+		ix.clock = 1
+	}
 }
 
 func checksumOf(f sketch.Feature) uint16 {
@@ -227,7 +241,7 @@ func (ix *Index) LookupInsert(f sketch.Feature, ref Ref) []Ref {
 	if ix.occupied >= ix.growAt {
 		ix.grow()
 	}
-	ix.clock++
+	ix.tick()
 	ix.lookups++
 	sum := checksumOf(f)
 
@@ -244,7 +258,7 @@ scan:
 		bucket, first := ix.bucket(ix.hash(f, i))
 		for ei := range bucket {
 			e := &bucket[ei]
-			if !e.used {
+			if e.tick == 0 {
 				if free < 0 {
 					free = first + ei
 				}
@@ -255,7 +269,7 @@ scan:
 			if e.tick < lruTick {
 				lruTick, lru = e.tick, first+ei
 			}
-			if e.checksum == sum {
+			if checksumOf(e.feat) == sum {
 				// Compare the pre-refresh tick: refreshing first would
 				// make every match look equally recent and the truncated
 				// path below would always evict the first match scanned
@@ -277,18 +291,18 @@ scan:
 	if truncated && lruMatch >= 0 {
 		// Too many similar records for this feature: drop the
 		// least-recently-used one to bound future lookup cost.
-		ix.slots[lruMatch] = entry{used: true, checksum: sum, ref: ref, tick: ix.clock, feat: f}
+		ix.slots[lruMatch] = entry{ref: ref, tick: ix.clock, feat: f}
 		ix.evictions++
 		ix.matches += uint64(len(out))
 		return out
 	}
 
 	if free >= 0 {
-		ix.slots[free] = entry{used: true, checksum: sum, ref: ref, tick: ix.clock, feat: f}
+		ix.slots[free] = entry{ref: ref, tick: ix.clock, feat: f}
 		ix.occupied++
 	} else {
 		// All candidate slots full: evict the LRU entry among them.
-		ix.slots[lru] = entry{used: true, checksum: sum, ref: ref, tick: ix.clock, feat: f}
+		ix.slots[lru] = entry{ref: ref, tick: ix.clock, feat: f}
 		ix.evictions++
 	}
 	ix.matches += uint64(len(out))
@@ -298,17 +312,17 @@ scan:
 // Lookup returns the records sharing feature f without modifying the index
 // contents (LRU ticks are still refreshed). Intended for tests and tools.
 func (ix *Index) Lookup(f sketch.Feature) []Ref {
-	ix.clock++
+	ix.tick()
 	sum := checksumOf(f)
 	var out []Ref
 	for i := 0; i < numHashes; i++ {
 		bucket, _ := ix.bucket(ix.hash(f, i))
 		for ei := range bucket {
 			e := &bucket[ei]
-			if !e.used {
+			if e.tick == 0 {
 				return out
 			}
-			if e.checksum == sum {
+			if checksumOf(e.feat) == sum {
 				e.tick = ix.clock
 				out = append(out, e.ref)
 				if len(out) >= MaxCandidates {
@@ -337,6 +351,12 @@ func (ix *Index) CapacityBytes() int64 {
 // AllocatedEntries reports the current table allocation in entries; it starts
 // at initialEntries and doubles toward CapacityEntries as occupancy rises.
 func (ix *Index) AllocatedEntries() int { return len(ix.slots) }
+
+// AllocatedBytes is what the table holds of the heap: its allocation in
+// entries at their real size, 16 bytes, not the design size.
+func (ix *Index) AllocatedBytes() int64 {
+	return int64(len(ix.slots)) * int64(unsafe.Sizeof(entry{}))
+}
 
 // Stats reports lookup counters since construction.
 func (ix *Index) Stats() (lookups, matches, evictions uint64) {

@@ -3,6 +3,7 @@ package featidx
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"dbdedup/internal/sketch"
 )
@@ -384,6 +385,60 @@ func TestGrowthNeverExceedsCapacity(t *testing.T) {
 	}
 	if _, _, ev := ix.Stats(); ev == 0 {
 		t.Fatal("expected evictions once parked at capacity")
+	}
+}
+
+// TestBucketIsOneCacheLine pins the entry at 16 bytes, so that the four
+// entries a probe scans in one bucket are one 64-byte line, and checks that
+// AllocatedBytes counts them at that size.
+func TestBucketIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}) * bucketEntries; n != 64 {
+		t.Fatalf("a bucket is %d bytes, want 64", n)
+	}
+	ix := New(Config{CapacityEntries: 1 << 12})
+	if got, want := ix.AllocatedBytes(), int64(ix.AllocatedEntries())*16; got != want {
+		t.Fatalf("AllocatedBytes = %d, want %d", got, want)
+	}
+}
+
+// TestClockSkipsZeroWhenItWraps runs the LRU clock through its wrap. A tick of
+// 0 is an empty slot, so an entry stamped at the wrap must get 1: stamped 0, it
+// would read as free, its own lookup would stop at it, the next insert would
+// overwrite it and occupancy would count it twice.
+func TestClockSkipsZeroWhenItWraps(t *testing.T) {
+	ix := New(Config{CapacityEntries: 1 << 14, Seed: 3})
+	rng := rand.New(rand.NewSource(7))
+	feats := make([]sketch.Feature, 0, 4000)
+	add := func() {
+		f := sketch.Feature(rng.Uint64())
+		ix.LookupInsert(f, Ref(len(feats)))
+		feats = append(feats, f)
+	}
+	add()
+	ix.clock = 1<<32 - 2
+	add() // stamped with the clock's last value
+	add() // stamped at the wrap
+	if ix.clock != 1 {
+		t.Fatalf("clock after the wrap = %d, want 1", ix.clock)
+	}
+	if ix.Len() != 3 {
+		t.Fatalf("Len = %d after three inserts across the wrap, want 3", ix.Len())
+	}
+	allocated := ix.AllocatedEntries()
+	for ix.AllocatedEntries() == allocated {
+		add() // until the table doubles and re-places everything
+	}
+	if ix.Len() != len(feats) {
+		t.Fatalf("Len = %d after %d inserts, want all of them", ix.Len(), len(feats))
+	}
+	for i, f := range feats {
+		found := false
+		for _, r := range ix.Lookup(f) {
+			found = found || r == Ref(i)
+		}
+		if !found {
+			t.Fatalf("feature %d (of %d) lost across the wrap and the doubling", i, len(feats))
+		}
 	}
 }
 

@@ -637,6 +637,13 @@ func (t *TieredIndex) MemoryBytes() int64 {
 	return total
 }
 
+// AllocatedBytes is MemoryBytes with the hot table counted at its allocation,
+// every slot at its real size, in place of its occupied entries at the design
+// size.
+func (t *TieredIndex) AllocatedBytes() int64 {
+	return t.MemoryBytes() - t.hot.MemoryBytes() + t.hot.AllocatedBytes()
+}
+
 // CapacityBytes is the configured memory bound: the budget, or without one
 // the hot table's fully grown size.
 func (t *TieredIndex) CapacityBytes() int64 {

@@ -124,6 +124,8 @@ type metricsView struct {
 		DroppedSavingBytes                  int64
 		Pending                             int
 	}
+	// Memory is what the node's in-memory structures hold of the heap.
+	Memory node.MemoryStats
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -147,6 +149,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	v.Writebacks.FlushApplied, v.Writebacks.FlushSkipped = st.WritebacksApplied, st.WritebacksSkipped
 	v.Writebacks.Dropped, v.Writebacks.DroppedSavingBytes = st.WritebacksDropped, st.WritebacksDroppedSaving
 	v.Writebacks.Pending = st.WritebacksPending
+	v.Memory = st.Memory
 	writeJSON(w, v)
 }
 
@@ -199,6 +202,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "wb:       %d applied, %d skipped, %d dropped (%s of saving lost), %d pending\n",
 		st.WritebacksApplied, st.WritebacksSkipped, st.WritebacksDropped,
 		metrics.FormatBytes(st.WritebacksDroppedSaving), st.WritebacksPending)
+	fmt.Fprintf(w, "memory:   record table %s (%d live records), feature index %s\n",
+		metrics.FormatBytes(st.Memory.RecordTableBytes), st.Store.LiveRecords,
+		metrics.FormatBytes(st.Memory.FeatureIndexBytes))
 	fmt.Fprintf(w, "encoder:  %d workers, queue depth %d, %d backpressure stalls\n",
 		st.EncodeWorkers, st.EncodeQueueDepth, st.EncodeOverflows)
 	if a := st.Admission; a.Enabled || a.ShedRawEnabled {

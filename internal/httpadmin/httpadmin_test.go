@@ -276,6 +276,7 @@ var metricsSections = map[string]string{
 		"HandoffsCommitted HandoffsAborted TransferRecordsOut TransferBytesOut TransferRecordsIn TransferBytesIn " +
 		"TransferFailures DroppedDBs DroppedRecords",
 	"Writebacks": "FlushApplied FlushSkipped Dropped DroppedSavingBytes Pending",
+	"Memory":     "RecordTableBytes FeatureIndexBytes",
 }
 
 // sharedNames are keys two sections may both use because they name different

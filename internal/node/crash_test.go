@@ -264,8 +264,13 @@ func TestTornUpdateRetiredAtOpen(t *testing.T) {
 			rng := rand.New(rand.NewSource(68))
 			v0 := workload.RevisionText(rng, 2048)
 			v1 := editText(rng, v0, 2)
-			for key, c := range map[string][]byte{"v0": v0, "v1": v1} {
-				if err := n.Insert("db", key, c); err != nil {
+			// v0 first: v1's insert re-encodes v0 against v1, which makes
+			// v1 the referenced one.
+			for _, c := range []struct {
+				key     string
+				content []byte
+			}{{"v0", v0}, {"v1", v1}} {
+				if err := n.Insert("db", c.key, c.content); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -171,6 +171,19 @@ type Stats struct {
 	// Admission is the admission controller's snapshot (zero when no
 	// controller is configured).
 	Admission admission.Snapshot
+	// Memory is what the node's in-memory structures hold of the heap.
+	Memory MemoryStats
+}
+
+// MemoryStats is what each in-memory structure of the node holds of the heap,
+// in bytes allocated, not the design sizes the paper's accounting uses.
+type MemoryStats struct {
+	// RecordTableBytes is the store's record table
+	// (docstore.Stats.RecordTableBytes).
+	RecordTableBytes int64
+	// FeatureIndexBytes is the feature index partitions
+	// (core.Engine.IndexAllocatedBytes).
+	FeatureIndexBytes int64
 }
 
 // Node is a single DBMS node (primary or secondary).
@@ -556,8 +569,10 @@ func (n *Node) Stats() Stats {
 	s := n.stats
 	n.mu.RUnlock()
 	s.Store = n.store.Stats()
+	s.Memory.RecordTableBytes = s.Store.RecordTableBytes
 	if n.eng != nil {
 		s.Engine = n.eng.Stats()
+		s.Memory.FeatureIndexBytes = n.eng.IndexAllocatedBytes()
 	}
 	s.OplogBytes = n.oplogBytes.Load()
 	s.Oplog = n.log.Stats()

@@ -653,3 +653,27 @@ func TestStatsCountDroppedWritebacks(t *testing.T) {
 		t.Fatalf("after a full flush: %d pending, %d applied", st.WritebacksPending, st.WritebacksApplied)
 	}
 }
+
+// TestMemoryNamesItsHolders: Stats.Memory carries the record table's and the
+// feature index's allocations, each as its owner reports it, and the record
+// table's grows by a page, not by a record, as inserts come in.
+func TestMemoryNamesItsHolders(t *testing.T) {
+	n := testNode(t, Options{})
+	if m := n.Stats().Memory; m.RecordTableBytes != 0 || m.FeatureIndexBytes != 0 {
+		t.Fatalf("an empty node's Memory = %+v, want zeros", m)
+	}
+	insertChain(t, n, "db", 8, 1)
+	st := n.Stats()
+	if st.Memory.RecordTableBytes != st.Store.RecordTableBytes || st.Memory.RecordTableBytes <= 0 {
+		t.Fatalf("Memory.RecordTableBytes = %d, the store reports %d", st.Memory.RecordTableBytes, st.Store.RecordTableBytes)
+	}
+	if st.Memory.FeatureIndexBytes != n.eng.IndexAllocatedBytes() || st.Memory.FeatureIndexBytes < st.Engine.IndexMemoryBytes {
+		t.Fatalf("Memory.FeatureIndexBytes = %d: want the engine's allocation, at least the %d design bytes in use",
+			st.Memory.FeatureIndexBytes, st.Engine.IndexMemoryBytes)
+	}
+	table := st.Memory.RecordTableBytes
+	insertChain(t, n, "other", 8, 2)
+	if got := n.Stats().Memory.RecordTableBytes; got != table {
+		t.Fatalf("eight more records took the record table from %d to %d bytes; they fit the page the first took", table, got)
+	}
+}
