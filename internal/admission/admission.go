@@ -120,14 +120,11 @@ type Controller struct {
 	overloadExits  metrics.Meter
 
 	// Decision counters. Admitted counts full-workflow admissions, Shed
-	// raw-degraded admissions, Rejected refusals, TenantThrottles the
-	// subset of rejections caused by an exhausted tenant bucket (today all
-	// of them; kept separate so future global-reject policies stay
-	// distinguishable).
-	admitted        metrics.Meter
-	shed            metrics.Meter
-	rejected        metrics.Meter
-	tenantThrottles metrics.Meter
+	// raw-degraded admissions, Rejected refusals, every one of them a
+	// tenant whose bucket was exhausted under overload.
+	admitted metrics.Meter
+	shed     metrics.Meter
+	rejected metrics.Meter
 
 	stripes [tenantStripes]tenantStripe
 }
@@ -205,7 +202,6 @@ func (c *Controller) Decide(tenant string, queueDepth, queueCap int64) Decision 
 		// Overload + tenant past its fair share: bounce it so it cannot
 		// grow the queue for everyone else.
 		c.rejected.Add(1)
-		c.tenantThrottles.Add(1)
 		return Reject
 	}
 	if c.opts.ShedRaw {
@@ -275,10 +271,9 @@ type Snapshot struct {
 	OverloadEnters int64
 	OverloadExits  int64
 	// Decision counters.
-	Admitted        int64
-	Shed            int64
-	Rejected        int64
-	TenantThrottles int64
+	Admitted int64
+	Shed     int64
+	Rejected int64
 	// TrackedTenants is the current token-bucket population.
 	TrackedTenants int
 }
@@ -289,15 +284,14 @@ func (c *Controller) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		Enabled:         c.opts.TenantRate > 0,
-		ShedRawEnabled:  c.opts.ShedRaw,
-		Overloaded:      c.overloaded.Load(),
-		OverloadEnters:  c.overloadEnters.Total(),
-		OverloadExits:   c.overloadExits.Total(),
-		Admitted:        c.admitted.Total(),
-		Shed:            c.shed.Total(),
-		Rejected:        c.rejected.Total(),
-		TenantThrottles: c.tenantThrottles.Total(),
+		Enabled:        c.opts.TenantRate > 0,
+		ShedRawEnabled: c.opts.ShedRaw,
+		Overloaded:     c.overloaded.Load(),
+		OverloadEnters: c.overloadEnters.Total(),
+		OverloadExits:  c.overloadExits.Total(),
+		Admitted:       c.admitted.Total(),
+		Shed:           c.shed.Total(),
+		Rejected:       c.rejected.Total(),
 	}
 	for i := range c.stripes {
 		st := &c.stripes[i]

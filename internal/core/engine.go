@@ -38,6 +38,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -169,16 +170,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Writeback is a deferred re-encoding decision: record ID should be stored
-// as Delta against Base. EstimatedSaving is the engine's guess of the
-// storage saved (the node refines it with the record's actual stored size).
-type Writeback struct {
-	ID              uint64
-	Base            uint64
-	Delta           delta.Delta
-	EstimatedSaving int64
-}
-
 // Result is the outcome of encoding one insert.
 type Result struct {
 	// Deduped reports whether a similar record was found and used. When
@@ -193,9 +184,11 @@ type Result struct {
 	// Forward is the delta that reconstructs the new record from the
 	// source — what replication ships (forward encoding).
 	Forward delta.Delta
-	// Writebacks are the backward re-encodings to apply: the source
-	// record first, then any hop-base finalisations.
-	Writebacks []Writeback
+	// Writebacks are the backward re-encodings to apply, in the form the
+	// write-back cache keeps: the source record first, then any hop-base
+	// finalisations. Each one's Saving is the record's content size less
+	// its marshalled delta's.
+	Writebacks []dedupcache.Writeback
 	// FilteredBySize and GovernorDisabled report why dedup was skipped.
 	FilteredBySize   bool
 	GovernorDisabled bool
@@ -573,24 +566,26 @@ func (e *Engine) EncodeAsReplica(dbName string, id uint64, payload []byte, srcID
 func (e *Engine) encodeAgainst(st *dbState, id uint64, payload []byte, anchors delta.Anchors, srcID uint64, srcContent []byte, fwd delta.Delta, deltaStart time.Time) Result {
 	bwd := delta.Reencode(srcContent, payload, fwd)
 	e.enc.ObserveStage(metrics.StageDelta, time.Since(deltaStart))
+	// The source write-back stands in by ID until the layout has kept it:
+	// a version-jump reference version stays raw, and its delta is then
+	// never marshalled.
 	res := Result{
-		Deduped:  true,
-		SourceID: srcID,
-		Forward:  fwd,
-		Writebacks: []Writeback{{
-			ID:              srcID,
-			Base:            id,
-			Delta:           bwd,
-			EstimatedSaving: int64(len(srcContent) - bwd.EncodedSize()),
-		}},
+		Deduped:    true,
+		SourceID:   srcID,
+		Forward:    fwd,
+		Writebacks: []dedupcache.Writeback{{ID: srcID, Base: id}},
 	}
 
-	// Chain bookkeeping under the lock; hop-base re-encoding and the
-	// chain-head cache update outside it (the cache synchronises itself).
+	// Chain bookkeeping under the lock; marshalling, hop-base re-encoding
+	// and the chain-head cache update outside it (the cache synchronises
+	// itself).
 	t := time.Now()
 	st.mu.Lock()
 	hops, advanced := e.appendToChainLocked(st, srcID, id, payload, &res)
 	st.mu.Unlock()
+	if len(res.Writebacks) > 0 {
+		res.Writebacks[0] = backward(srcID, id, srcContent, bwd)
+	}
 	e.emitHopWritebacks(hops, id, payload, anchors, &res)
 	if advanced && e.cache != nil {
 		e.cache.Replace(srcID, id, payload, anchors)
@@ -705,17 +700,23 @@ func (e *Engine) adoptAsNewChainLocked(st *dbState, id uint64, payload []byte) {
 	if e.cache != nil {
 		e.cache.Put(id, payload)
 	}
-	// Bound chain-state memory: drop the oldest entries beyond a large
-	// working set (retired chains never extend again anyway).
-	if len(st.chains) > 1<<17 {
+	// Bound chain-state memory: past maxChains, keep the newest half, the
+	// heads with the largest IDs (a head's ID grows as its chain advances,
+	// so the smallest belong to the chains idle longest).
+	if len(st.chains) > maxChains {
+		heads := make([]uint64, 0, len(st.chains))
 		for k := range st.chains {
+			heads = append(heads, k)
+		}
+		slices.Sort(heads)
+		for _, k := range heads[:len(heads)-maxChains/2] {
 			delete(st.chains, k)
-			if len(st.chains) <= 1<<16 {
-				break
-			}
 		}
 	}
 }
+
+// maxChains bounds the chains a database tracks.
+const maxChains = 1 << 17
 
 // appendToChainLocked advances chain state after id was encoded against
 // srcID and cancels the primary write-back for version-jump reference
@@ -823,13 +824,16 @@ func (e *Engine) emitHopWritebacks(hops []hopJob, newID uint64, newContent []byt
 		if d.EncodedSize() >= len(baseContent) {
 			continue
 		}
-		res.Writebacks = append(res.Writebacks, Writeback{
-			ID:              job.baseID,
-			Base:            newID,
-			Delta:           d,
-			EstimatedSaving: int64(len(baseContent) - d.EncodedSize()),
-		})
+		res.Writebacks = append(res.Writebacks, backward(job.baseID, newID, baseContent, d))
 	}
+}
+
+// backward is the write-back that stores record id, whose content is
+// content, as d against record base.
+func backward(id, base uint64, content []byte, d delta.Delta) dedupcache.Writeback {
+	payload := d.Marshal()
+	return dedupcache.Writeback{ID: id, Base: base, Payload: payload,
+		Saving: int64(len(content) - len(payload))}
 }
 
 // governorTickLocked closes the database's window once it has seen

@@ -313,7 +313,7 @@ func TestAnchorListsUnderConcurrentEncodes(t *testing.T) {
 							continue // the backward delta, Reencode's
 						}
 						base, _ := f.FetchDecoded(wb.ID)
-						if want := delta.Compress(content, base, delta.Options{}); !bytes.Equal(wb.Delta.Marshal(), want.Marshal()) {
+						if want := delta.Compress(content, base, delta.Options{}); !bytes.Equal(wb.Payload, want.Marshal()) {
 							t.Errorf("%s v%d: write-back of %#x differs from Compress's", db, v, wb.ID)
 							return
 						}

@@ -82,12 +82,16 @@ func TestSimilarRecordDeduped(t *testing.T) {
 	if wb.ID != 1 || wb.Base != 2 {
 		t.Fatalf("write-back = %+v, want ID 1 base 2", wb)
 	}
-	back, err := delta.Apply(v1, wb.Delta)
+	bwd, err := delta.Unmarshal(wb.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := delta.Apply(v1, bwd)
 	if err != nil || !bytes.Equal(back, v0) {
 		t.Fatal("backward delta does not reconstruct the source")
 	}
-	if wb.EstimatedSaving <= 0 {
-		t.Errorf("EstimatedSaving = %d, want > 0", wb.EstimatedSaving)
+	if want := int64(len(v0) - len(wb.Payload)); wb.Saving != want || wb.Saving <= 0 {
+		t.Errorf("Saving = %d, want %d (> 0)", wb.Saving, want)
 	}
 	if res.Forward.EncodedSize() >= len(v1)/2 {
 		t.Errorf("forward delta %d bytes for a %d-byte record; weak compression",
@@ -142,7 +146,11 @@ func TestHopWritebacksAtHopPositions(t *testing.T) {
 		// Every write-back must reconstruct its record from its base.
 		for _, wb := range res.Writebacks {
 			base := f.contents[wb.Base]
-			got, err := delta.Apply(base, wb.Delta)
+			d, err := delta.Unmarshal(wb.Payload)
+			if err != nil {
+				t.Fatalf("id %d: write-back of %d: %v", id, wb.ID, err)
+			}
+			got, err := delta.Apply(base, d)
 			if err != nil || !bytes.Equal(got, f.contents[wb.ID]) {
 				t.Fatalf("id %d: write-back of %d against %d does not decode", id, wb.ID, wb.Base)
 			}
@@ -595,6 +603,30 @@ func TestSelectSourceMatchesSort(t *testing.T) {
 		e.filter = nil
 		if got != want || ok != wantOK {
 			t.Fatalf("round %d: filtered selectSource of %v = %d, %v; want %d, %v", round, sorted, got, ok, want, wantOK)
+		}
+	}
+}
+
+// TestChainStateEvictionKeepsNewestHeads: past maxChains tracked chains a
+// database keeps the newest half, the heads with the largest IDs, whatever
+// order its map yields them in.
+func TestChainStateEvictionKeepsNewestHeads(t *testing.T) {
+	e, _ := newTestEngine(Config{})
+	defer e.Close()
+	payload := make([]byte, minDedupRecordBytes)
+	const adoptions = maxChains + 1
+	for id := uint64(1); id <= adoptions; id++ {
+		e.ObserveRaw("db", id, payload, false)
+	}
+	st := e.db("db")
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.chains) != maxChains/2 {
+		t.Fatalf("%d chains tracked, want %d", len(st.chains), maxChains/2)
+	}
+	for id := uint64(adoptions - maxChains/2 + 1); id <= adoptions; id++ {
+		if _, ok := st.chains[id]; !ok {
+			t.Fatalf("head %d evicted; the newest %d must stay", id, maxChains/2)
 		}
 	}
 }

@@ -51,9 +51,8 @@ type WritebackStats struct {
 	Dropped       uint64
 	DroppedSaving int64
 	// Replaced counts pending write-backs superseded by a newer one for the
-	// same record, and Flushed those DrainBest returned.
+	// same record.
 	Replaced uint64
-	Flushed  uint64
 	// Pending and PendingBytes are the write-backs held now and their
 	// payload size.
 	Pending      int
@@ -166,7 +165,6 @@ func (c *WritebackCache) DrainBest(n int) []Writeback {
 		heap.Remove(&c.min, e.idx)
 		delete(c.entries, e.wb.ID)
 		c.bytes -= int64(len(e.wb.Payload))
-		c.stats.Flushed++
 		out = append(out, e.wb)
 	}
 	return out

@@ -11,7 +11,7 @@ import (
 // innermost first, each against what the ones before it produce, and the
 // result is a list of fragments of the first delta's base and of a literal
 // arena that the fold keeps. Only AppendTo needs the base, and it writes each
-// byte of the target once. Sequential application (ApplyInto per delta)
+// byte of the target once. Sequential application (Apply per delta)
 // rebuilds the whole intermediate target at every delta; a fold's work per
 // delta is its instructions and the fragments they select, which on a
 // revision chain is a small fraction of the document. Mercurial's mpatch
@@ -19,9 +19,9 @@ import (
 //
 // A Fold is reusable: Reset empties it and keeps its memory. Each delta is
 // read during Add alone (its literals are copied into the arena), so the
-// caller may lend wire bytes for exactly that long. What ApplyInto checks is
-// checked too, with one difference in timing: the first delta's copies are
-// checked against the base's length only in AppendTo. So a chain folds and
+// caller may lend wire bytes for exactly that long. What Unmarshal and
+// Apply check is checked too, with one difference in timing: the first
+// delta's copies are checked against the base's length only in AppendTo. So a chain folds and
 // builds without error exactly when applying it delta by delta does. A fold
 // holds at most one fragment per byte of the longest target a delta
 // declares, as sequential application holds that target.
@@ -74,7 +74,7 @@ func (f *Fold) Add(wire []byte) error {
 	if err != nil {
 		return err
 	}
-	if tl > math.MaxInt { // no instructions add up to it: ApplyInto fails too
+	if tl > math.MaxInt { // no instructions add up to it: Unmarshal fails too
 		return errCorrupt
 	}
 	baseLen := f.length

@@ -14,8 +14,8 @@ import (
 // a first delta that reads past the base, which only AppendTo sees.
 const maxFoldCase = 16 << 10
 
-// applySequentially applies wires to base one ApplyInto at a time, as reads
-// did before the fold. It reports false when a delta declares a target
+// applySequentially applies wires to base one Unmarshal and Apply at a time,
+// the reference a fold is held to. It reports false when a delta declares a target
 // longer than maxFoldCase; the case is then skipped.
 func applySequentially(base []byte, wires [][]byte) ([]byte, error, bool) {
 	for _, w := range wires {
@@ -25,11 +25,13 @@ func applySequentially(base []byte, wires [][]byte) ([]byte, error, bool) {
 	}
 	cur := base
 	for _, w := range wires {
-		out, err := ApplyInto(nil, cur, w)
+		d, err := Unmarshal(w)
+		if err == nil {
+			cur, err = Apply(cur, d)
+		}
 		if err != nil {
 			return nil, err, true
 		}
-		cur = out
 	}
 	return cur, nil, true
 }
@@ -111,7 +113,7 @@ func TestFoldMatchesApply(t *testing.T) {
 		}
 	}
 	// A base shorter than the first delta reads is an error only AppendTo
-	// can see, as it is to ApplyInto.
+	// can see, as it is to Apply.
 	base := makeText(rng, 500)
 	wires := revisionWires(rng, base, 3)
 	foldBoth(t, &f, base[:100], wires)
@@ -242,16 +244,25 @@ func BenchmarkFold(b *testing.B) {
 				}
 			}
 		})
+		// The sequential arm decodes once and times the Apply calls alone,
+		// each of which allocates its target.
 		b.Run(fmt.Sprintf("sequential/%dKiB", size>>10), func(b *testing.B) {
-			bufs := [2][]byte{make([]byte, 0, 2*size), make([]byte, 0, 2*size)}
+			ds := make([]Delta, len(wires))
+			for j, w := range wires {
+				d, err := Unmarshal(w)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ds[j] = d
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cur := append(bufs[0][:0], base...)
-				for j, w := range wires {
-					out, err := ApplyInto(bufs[(j+1)&1], cur, w)
-					if err != nil {
+				cur := base
+				for _, d := range ds {
+					var err error
+					if cur, err = Apply(cur, d); err != nil {
 						b.Fatal(err)
 					}
-					cur = out
 				}
 				_ = append(dst, cur...)
 			}

@@ -174,44 +174,3 @@ func Unmarshal(buf []byte) (Delta, error) {
 	}
 	return d, nil
 }
-
-// ApplyInto applies a marshalled delta to base straight from its wire form:
-// no Delta is built and, when dst has the capacity, nothing is allocated. It
-// returns the target, which occupies dst's backing array if that is large
-// enough and a new one otherwise; dst must not overlap base or wire. A first
-// pass over the instructions checks everything Unmarshal and Apply check, so
-// nothing is sized or written on the word of a corrupt delta.
-func ApplyInto(dst, base, wire []byte) ([]byte, error) {
-	tl, count, insts, err := header(wire)
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	p := insts
-	for i := uint64(0); i < count; i++ {
-		var inst Instruction
-		if inst, p, err = readInst(p); err != nil {
-			return nil, err
-		}
-		if err := checkInst(int(i), inst, len(base)); err != nil {
-			return nil, err
-		}
-		if total += inst.Len; uint64(total) > tl {
-			return nil, errCorrupt
-		}
-	}
-	if len(p) != 0 || uint64(total) != tl {
-		return nil, errCorrupt
-	}
-	if cap(dst) < total {
-		dst = make([]byte, 0, total)
-	}
-	dst = dst[:0]
-	p = insts
-	for i := uint64(0); i < count; i++ {
-		var inst Instruction
-		inst, p, _ = readInst(p)
-		dst = appendInst(dst, base, inst)
-	}
-	return dst, nil
-}

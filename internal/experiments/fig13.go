@@ -126,11 +126,11 @@ type Fig13bResult struct {
 
 // RunFig13b reproduces Fig. 13b: insertion throughput over time under a
 // bursty workload (insert at full speed, then idle, repeatedly). Without the
-// write-back cache, backward-encoding write-backs run inside the bursts and
-// contend with inserts for the storage device; with it they shift into the
-// idle gaps. The paper ran on HDDs; the experiment injects a per-append
-// device delay so the contention under study exists at all on fast/in-memory
-// storage (DESIGN.md §1).
+// write-back cache's deferral, every insert's write-backs are flushed right
+// after it, inside the burst, and contend with inserts for the storage
+// device; with it they shift into the idle gaps. The paper ran on HDDs; the
+// experiment injects a per-append device delay so the contention under study
+// exists at all on fast/in-memory storage (DESIGN.md §1).
 func RunFig13b(sc Scale) (*Fig13bResult, error) {
 	const (
 		burst       = 250 * time.Millisecond
@@ -142,13 +142,8 @@ func RunFig13b(sc Scale) (*Fig13bResult, error) {
 	res := &Fig13bResult{Scale: sc, SlotWidth: slot, BurstSlots: int(burst / slot)}
 
 	run := func(withCache bool) ([]int64, error) {
-		wb := int64(0) // default 8 MiB
-		if !withCache {
-			wb = -1 // inline write-backs
-		}
 		n, err := openNode(node.Options{
-			WritebackCacheBytes:  wb,
-			SyncEncode:           true, // write-backs (inline or deferred) are the variable
+			SyncEncode:           true, // when write-backs are applied is the variable
 			DisableAutoFlush:     true,
 			SimulatedAppendDelay: deviceDelay,
 		})
@@ -170,6 +165,9 @@ func RunFig13b(sc Scale) (*Fig13bResult, error) {
 				}
 				if err := n.Insert(op.DB, op.Key, op.Payload); err != nil {
 					return nil, err
+				}
+				if !withCache {
+					n.FlushWritebacks(-1)
 				}
 				series.Add(1)
 			}

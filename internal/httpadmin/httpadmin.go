@@ -212,9 +212,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		if a.Overloaded {
 			mode = "OVERLOADED"
 		}
-		fmt.Fprintf(w, "admission: %s — %d admitted, %d shed raw, %d rejected (%d tenant throttles), %d/%d overload enters/exits, %d tenants tracked\n",
-			mode, a.Admitted, a.Shed, a.Rejected, a.TenantThrottles,
-			a.OverloadEnters, a.OverloadExits, a.TrackedTenants)
+		fmt.Fprintf(w, "admission: %s — %d admitted, %d shed raw, %d rejected, %d/%d overload enters/exits, %d tenants tracked\n",
+			mode, a.Admitted, a.Shed, a.Rejected, a.OverloadEnters, a.OverloadExits, a.TrackedTenants)
 	}
 	em := s.node.EncodeMetrics()
 	chunks, chunked := em.Chunks.Total(), em.ChunkedBytes.Total()

@@ -271,7 +271,7 @@ var metricsSections = map[string]string{
 	"Compaction": "Passes PassLatency PhysicalBytesReclaimed",
 	"FeatIdx":    "Entries MemoryBytes CapacityBytes Lookups Matches Evictions Tiered",
 	"Admission": "Enabled ShedRawEnabled Overloaded OverloadEnters OverloadExits Admitted Shed " +
-		"Rejected TenantThrottles TrackedTenants",
+		"Rejected TrackedTenants",
 	"Cluster": "RingEpoch RingInstalls RedirectsIssued MovingAnswered HandoffsStarted " +
 		"HandoffsCommitted HandoffsAborted TransferRecordsOut TransferBytesOut TransferRecordsIn TransferBytesIn " +
 		"TransferFailures DroppedDBs DroppedRecords",

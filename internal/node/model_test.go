@@ -17,24 +17,25 @@ import (
 // configurations share nothing and run in parallel.
 func TestModelRandomOps(t *testing.T) {
 	for _, cfg := range []struct {
-		name string
-		opts Options
+		name        string
+		opts        Options
+		flushEachOp bool // every write-back applied right after its op
 	}{
-		{"default", Options{SyncEncode: true}},
-		{"no-wb-cache", Options{SyncEncode: true, WritebackCacheBytes: -1}},
-		{"compressed", Options{SyncEncode: true, BlockCompression: true}},
-		{"tiny-blocks", Options{SyncEncode: true, BlockSize: 256}},
-		{"async-pipeline", Options{}}, // background encode queue
+		{"default", Options{SyncEncode: true}, false},
+		{"flush-each-op", Options{SyncEncode: true}, true},
+		{"compressed", Options{SyncEncode: true, BlockCompression: true}, false},
+		{"tiny-blocks", Options{SyncEncode: true, BlockSize: 256}, false},
+		{"async-pipeline", Options{}, false}, // background encode queue
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			t.Parallel()
-			runModel(t, cfg.opts, 3000, 42)
+			runModel(t, cfg.opts, cfg.flushEachOp, 3000, 42)
 		})
 	}
 }
 
-func runModel(t *testing.T, opts Options, steps int, seed int64) {
+func runModel(t *testing.T, opts Options, flushEachOp bool, steps int, seed int64) {
 	t.Helper()
 	opts.DisableAutoFlush = true
 	opts.Engine.GovernorWindow = 1 << 30
@@ -114,6 +115,9 @@ func runModel(t *testing.T, opts Options, steps int, seed int64) {
 			if err := n.Store().Flush(); err != nil {
 				t.Fatalf("step %d: flush: %v", step, err)
 			}
+		}
+		if flushEachOp {
+			n.FlushWritebacks(-1)
 		}
 
 		// Periodically verify the full state.

@@ -71,9 +71,8 @@ type Options struct {
 	// OplogBytes is the oplog's byte budget (0 = oplog.MaxRetainedBytes);
 	// tests set it small to force a secondary past the retained window.
 	OplogBytes int64
-	// WritebackCacheBytes bounds the lossy write-back cache (default
-	// 8 MiB; negative disables the cache, applying write-backs inline —
-	// the Fig. 13b "without write-back cache" configuration).
+	// WritebackCacheBytes bounds the lossy write-back cache, through which
+	// every write-back goes (0 or less = 8 MiB).
 	WritebackCacheBytes int64
 	// SyncEncode makes a mutation call return only once the encoder pool
 	// has run its job. Deterministic for one caller; used by tests and the
@@ -310,9 +309,7 @@ func Open(opts Options) (*Node, error) {
 	n.applym = metrics.NewApplyMetrics()
 	n.compm = metrics.NewCompactionMetrics()
 	n.replm = &metrics.ReplMetrics{}
-	if opts.WritebackCacheBytes >= 0 {
-		n.wb = dedupcache.NewWritebackCache(opts.WritebackCacheBytes)
-	}
+	n.wb = dedupcache.NewWritebackCache(opts.WritebackCacheBytes)
 	if err := n.recover(); err != nil {
 		store.Close()
 		return nil, err
@@ -326,7 +323,7 @@ func Open(opts Options) (*Node, error) {
 	n.encQueueCap = int64(opts.EncodeWorkers) * int64(opts.EncodeQueue)
 	n.pool = newFIFOPool(opts.EncodeWorkers, opts.EncodeQueue, n.process,
 		&n.encWorkers, &n.encm.QueueDepth, &n.encm.QueueOverflows)
-	flush := !opts.DisableAutoFlush && n.wb != nil
+	flush := !opts.DisableAutoFlush
 	if flush || opts.Compaction.Enabled {
 		n.wg.Add(1)
 		go n.background(flush, opts.Compaction.Enabled)
@@ -490,9 +487,7 @@ func (n *Node) Close() error {
 	n.pool.close() // runs every accepted job first
 	close(n.stopCh)
 	n.wg.Wait()
-	if n.wb != nil {
-		n.FlushWritebacks(-1)
-	}
+	n.FlushWritebacks(-1)
 	if n.eng != nil {
 		n.eng.Close() // encoders drained above; releases tiered cold runs
 	}
@@ -585,10 +580,8 @@ func (n *Node) Stats() Stats {
 	s.EncodeOverflows = n.encm.QueueOverflows.Total()
 	s.InsertsRejected = n.admRejected.Load()
 	s.Admission = n.adm.Snapshot()
-	if n.wb != nil {
-		ws := n.wb.Stats()
-		s.WritebacksDropped, s.WritebacksDroppedSaving, s.WritebacksPending = ws.Dropped, ws.DroppedSaving, ws.Pending
-	}
+	ws := n.wb.Stats()
+	s.WritebacksDropped, s.WritebacksDroppedSaving, s.WritebacksPending = ws.Dropped, ws.DroppedSaving, ws.Pending
 	return s
 }
 

@@ -495,17 +495,33 @@ func TestHopEncodingBoundsDecodeSteps(t *testing.T) {
 	}
 }
 
-func TestWritebackCacheDisabledStillCorrect(t *testing.T) {
-	n := testNode(t, Options{WritebackCacheBytes: -1})
-	versions := insertChain(t, n, "wiki", 20, 13)
+// TestWritebacksFlushedPerInsertStillCorrect: a chain whose write-backs are
+// all applied right after the insert that made them (Fig. 13b's arm without
+// the cache's deferral) reads back byte-exact.
+func TestWritebacksFlushedPerInsertStillCorrect(t *testing.T) {
+	n := testNode(t, Options{})
+	rng := rand.New(rand.NewSource(13))
+	content := workload.RevisionText(rng, 8192)
+	var versions [][]byte
+	for i := 0; i < 20; i++ {
+		if err := n.Insert("wiki", fmt.Sprintf("v%d", i), content); err != nil {
+			t.Fatal(err)
+		}
+		n.FlushWritebacks(-1)
+		if p := n.PendingWritebacks(); p != 0 {
+			t.Fatalf("v%d: %d write-backs pending after a full flush", i, p)
+		}
+		versions = append(versions, content)
+		content = editText(rng, content, 2)
+	}
 	for i, want := range versions {
 		got, err := n.Read("wiki", fmt.Sprintf("v%d", i))
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("v%d with inline write-backs: %v", i, err)
+			t.Fatalf("v%d with write-backs flushed per insert: %v", i, err)
 		}
 	}
 	if n.Stats().WritebacksApplied == 0 {
-		t.Error("inline write-backs not applied")
+		t.Error("write-backs not applied")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dbdedup/internal/admission"
-	"dbdedup/internal/core"
 	"dbdedup/internal/dedupcache"
 	"dbdedup/internal/docstore"
 	"dbdedup/internal/oplog"
@@ -97,8 +96,8 @@ func (n *Node) insertLocalEmit(db, key string, payload []byte, emit, shed bool) 
 
 // finish completes a call of insertLocalEmit or mutateLocalEmit: with
 // SyncEncode it waits until a worker has run the job the routine pushed. It
-// holds no lock while it waits, applyMu least of all: a worker applying a
-// write-back inline (no write-back cache) takes it.
+// holds no lock while it waits, applyMu least of all: a worker's source fetch
+// may repair a hidden chain, which takes it.
 func (n *Node) finish(job encodeJob, err error) error {
 	if err == nil && job.done != nil {
 		<-job.done
@@ -218,9 +217,7 @@ func (n *Node) retirementLocked(id uint64) (docstore.Record, uint64, error) {
 // no longer its key's is refused when it is applied (asInserted), and a read
 // of the key no longer reaches the record's ID. Called outside n.mu.
 func (n *Node) invalidate(id uint64) {
-	if n.wb != nil {
-		n.wb.Invalidate(id)
-	}
+	n.wb.Invalidate(id)
 	if n.eng != nil && n.eng.SourceCache() != nil {
 		n.eng.SourceCache().Remove(id)
 	}
@@ -356,17 +353,11 @@ func (n *Node) asInserted(id uint64) (docstore.MetaInfo, bool) {
 	return m, ok && cur == id
 }
 
-// queueWritebacks routes the engine's write-back decisions through the lossy
-// cache (or applies them inline when the cache is disabled).
-func (n *Node) queueWritebacks(wbs []core.Writeback) {
+// queueWritebacks hands the engine's write-backs to the lossy cache, which
+// FlushWritebacks drains.
+func (n *Node) queueWritebacks(wbs []dedupcache.Writeback) {
 	for _, wb := range wbs {
-		w := dedupcache.Writeback{ID: wb.ID, Base: wb.Base,
-			Payload: wb.Delta.Marshal(), Saving: wb.EstimatedSaving}
-		if n.wb == nil {
-			n.applyWriteback(w)
-			continue
-		}
-		n.wb.Add(w)
+		n.wb.Add(wb)
 	}
 }
 
@@ -376,9 +367,6 @@ func (n *Node) queueWritebacks(wbs []core.Writeback) {
 // deltas land as neighbouring frames, so an old revision's hops are read from
 // one or two blocks.
 func (n *Node) FlushWritebacks(max int) int {
-	if n.wb == nil {
-		return 0
-	}
 	if max < 0 {
 		max = n.wb.Len()
 	}
@@ -458,9 +446,6 @@ func chainOrder(links []wbLink) []int {
 
 // PendingWritebacks returns the size of the write-back backlog.
 func (n *Node) PendingWritebacks() int {
-	if n.wb == nil {
-		return 0
-	}
 	return n.wb.Len()
 }
 

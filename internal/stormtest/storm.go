@@ -518,8 +518,8 @@ func serverLines(addr string, st node.Stats) string {
 		metrics.FormatBytes(st.OplogBytes), metrics.Ratio(st.RawInsertBytes, st.OplogBytes),
 		st.Engine.Deduped, st.Inserts, st.InsertsShedRaw, st.InsertsRejected, st.Engine.Inserts)
 	if a.Enabled || a.ShedRawEnabled {
-		s += fmt.Sprintf("\n  admission: admitted %d, shed %d, rejected %d (tenant throttles %d), overload enters/exits %d/%d",
-			a.Admitted, a.Shed, a.Rejected, a.TenantThrottles, a.OverloadEnters, a.OverloadExits)
+		s += fmt.Sprintf("\n  admission: admitted %d, shed %d, rejected %d, overload enters/exits %d/%d",
+			a.Admitted, a.Shed, a.Rejected, a.OverloadEnters, a.OverloadExits)
 	}
 	return s
 }
